@@ -241,11 +241,28 @@ func AutoscaleRamp(c AutoscaleConfig) (AutoscaleRun, error) {
 	run.SimSeconds = (env.Now() - t0).Seconds()
 	signalCtl()
 	env.Clock().SetScale(0)
-	joinCtl()
-	if err := p3.Settle(); err != nil {
-		return run, err
-	}
+	// RunDaemon is a live-clock loop: on the instant clock a worker with
+	// nothing to do polls and "sleeps" in no real time at all, racing
+	// simulated time past the WAL's four-day retention while another
+	// worker's group commit is still running. Stop the pool and drain with
+	// Settle, whose rounds end when their work does, until the controller
+	// has let go of the fabric.
 	stop()
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		joinCtl()
+	}()
+	for waiting := true; waiting; {
+		if err := p3.Settle(); err != nil {
+			return run, err
+		}
+		select {
+		case <-joined:
+			waiting = false
+		default:
+		}
+	}
 	if err := p3.Settle(); err != nil {
 		return run, err
 	}

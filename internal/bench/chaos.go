@@ -232,6 +232,7 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	// fabric, each hedged per shard. Every fan-out must return the complete
 	// item set — a lost item would shrink the result, a duplicated one
 	// would grow it.
+	runtime.GC() // a collection of the commit phase's garbage must not land in the scaled-time fan-outs
 	lat := make([]time.Duration, 0, c.Queries)
 	for i := 0; i < c.Queries; i++ {
 		q0 := env.Now()

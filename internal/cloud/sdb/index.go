@@ -3,9 +3,10 @@ package sdb
 import "sort"
 
 // Secondary indexes. Real SimpleDB indexes every attribute on write (which
-// is why its writes are expensive — see DESIGN.md §6); the simulation keeps
-// the same invariant so SELECT can resolve equality, IN, prefix and range
-// predicates through an index instead of scanning the whole domain.
+// is why its writes are expensive — see the calibration anchors on
+// baseModel in sim/model.go); the simulation keeps the same invariant so
+// SELECT can resolve equality, IN, prefix and range predicates through an
+// index instead of scanning the whole domain.
 //
 // Because reads are eventually consistent, an item may be observed at
 // either of its retained versions (observe keeps up to two). The index

@@ -235,7 +235,8 @@ func (d *Domain) putOnce(req PutRequest) error {
 
 // BatchPutAttributes writes up to 25 items in one call. The call is charged
 // the batch base latency plus a per-item increment (SimpleDB indexes every
-// attribute on write, which is why batches are expensive; see DESIGN.md §6).
+// attribute on write, which is why batches are expensive; the calibration
+// anchors on baseModel in sim/model.go give the paper's numbers).
 func (d *Domain) BatchPutAttributes(reqs []PutRequest) error {
 	if len(reqs) > MaxBatchItems {
 		return ErrBatchTooLarge
@@ -283,7 +284,10 @@ func (d *Domain) applyLocked(req PutRequest) {
 		base = hist[n-1].attrs
 	}
 	var next []Attr
-	if req.Replace {
+	switch {
+	case len(base) == 0:
+		// First write of the item: nothing to carry over or replace.
+	case req.Replace:
 		replaced := make(map[string]bool, len(req.Attrs))
 		for _, a := range req.Attrs {
 			replaced[a.Name] = true
@@ -293,7 +297,7 @@ func (d *Domain) applyLocked(req PutRequest) {
 				next = append(next, a)
 			}
 		}
-	} else {
+	default:
 		next = append(next, base...)
 	}
 	next = append(next, req.Attrs...)

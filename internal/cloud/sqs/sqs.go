@@ -25,6 +25,8 @@ package sqs
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -51,6 +53,12 @@ var ErrMessageTooLarge = errors.New("sqs: message exceeds 8KB")
 var ErrBatchTooLarge = errors.New("sqs: more than 10 entries in batch")
 
 // Message is one received message.
+//
+// Body is a read-only view of the body the queue stores, shared by every
+// delivery of the message: a receiver may parse it and keep it for as long
+// as it likes, but must not write to it. The send side is the opposite: a
+// send copies the caller's bytes, so a sender may reuse its buffer as soon
+// as the call returns.
 type Message struct {
 	ID            string
 	ReceiptHandle string
@@ -58,7 +66,8 @@ type Message struct {
 	SentAt        time.Duration
 }
 
-// message is the queue's internal record.
+// message is the queue's internal record. body is written once, when the
+// message is enqueued, and never afterwards.
 type message struct {
 	id        string
 	body      []byte
@@ -66,6 +75,13 @@ type message struct {
 	visibleAt time.Duration // consistency + visibility-timeout gate
 	deleted   bool
 	receipts  int
+	twin      *message // the injected duplicate stored under the same id, if any
+}
+
+// dedupEntry is one applied idempotency token and when it was recorded.
+type dedupEntry struct {
+	token string
+	at    time.Duration
 }
 
 // Queue is one SQS queue bound to a simulated environment.
@@ -81,14 +97,17 @@ type Queue struct {
 
 	mu      sync.Mutex
 	msgs    []*message
+	byID    map[string]*message // stored messages by id; a duplicate hangs off its twin
 	seq     int
 	autoSeq int // distinguishes auto-generated idempotency tokens
 	// dedup maps idempotency tokens of applied sends to the message ids they
 	// enqueued, so a retried send (after an ambiguous fault) returns the
 	// original ids instead of enqueueing twice. Entries age out with the
-	// retention period.
-	dedup   map[string][]string
-	dedupAt map[string]time.Duration
+	// retention period: dedupAge lists them in the order they were recorded,
+	// which is clock order (give or take the skew between concurrent
+	// senders), so expiry only ever looks at its head.
+	dedup    map[string][]string
+	dedupAge []dedupEntry
 }
 
 // New creates an empty queue with default visibility and retention.
@@ -101,7 +120,10 @@ func New(env *sim.Env, name string) *Queue {
 // throttles per queue, which is what makes K-way WAL sharding scale the log
 // path. Lane 0 shares the environment's default SQS gate.
 func NewLane(env *sim.Env, name string, lane int) *Queue {
-	return &Queue{env: env, name: name, lane: lane, visibility: DefaultVisibility, retention: DefaultRetention}
+	return &Queue{
+		env: env, name: name, lane: lane, visibility: DefaultVisibility, retention: DefaultRetention,
+		byID: make(map[string]*message), dedup: make(map[string][]string),
+	}
 }
 
 // count charges one request of the named kind to the meter, both per-kind
@@ -164,7 +186,7 @@ func (q *Queue) autoToken() string {
 	q.autoSeq++
 	n := q.autoSeq
 	q.mu.Unlock()
-	return fmt.Sprintf("auto/%s/%d", q.name, n)
+	return "auto/" + q.name + "/" + strconv.Itoa(n)
 }
 
 // SetVisibility overrides the visibility timeout (tests and ablations).
@@ -210,46 +232,55 @@ func (q *Queue) sendOnce(body []byte, token string) (string, error) {
 		q.mu.Unlock()
 		return ids[0], ferr
 	}
-	q.seq++
-	id := fmt.Sprintf("%s-%08d", q.name, q.seq)
-	m := &message{
-		id:        id,
-		body:      append([]byte(nil), body...),
-		sentAt:    now,
-		visibleAt: now + q.env.StalenessWindow(),
-	}
-	q.msgs = append(q.msgs, m)
-	if q.env.Config().DupProb > 0 && q.env.Rand().Bool(q.env.Config().DupProb) {
-		// At-least-once delivery: the service occasionally stores the
-		// message twice (same id; distinct receipt lineage).
-		dup := *m
-		q.msgs = append(q.msgs, &dup)
-	}
+	id := q.enqueueLocked(body, now)
 	q.rememberLocked(token, []string{id}, now)
 	q.mu.Unlock()
 	return id, ferr
 }
 
+// enqueueLocked stores a copy of body as a new message and returns its id.
+func (q *Queue) enqueueLocked(body []byte, now time.Duration) string {
+	q.seq++
+	// The id is the queue name and the sequence number zero-padded to eight
+	// digits.
+	var buf [20]byte
+	seq := strconv.AppendInt(buf[:0], int64(q.seq), 10)
+	m := &message{
+		id:        q.name + "-" + "00000000"[:max(0, 8-len(seq))] + string(seq),
+		body:      append([]byte(nil), body...),
+		sentAt:    now,
+		visibleAt: now + q.env.StalenessWindow(),
+	}
+	q.msgs = append(q.msgs, m)
+	q.byID[m.id] = m
+	if q.env.Config().DupProb > 0 && q.env.Rand().Bool(q.env.Config().DupProb) {
+		// At-least-once delivery: the service occasionally stores the
+		// message twice (same id; distinct receipt lineage). It applies per
+		// entry of a batch exactly as it does to entry-by-entry sends.
+		dup := *m
+		m.twin = &dup
+		q.msgs = append(q.msgs, &dup)
+	}
+	return m.id
+}
+
 // dedupLocked reports the ids a token already enqueued, if any.
 func (q *Queue) dedupLocked(token string) ([]string, bool) {
-	if token == "" || q.dedup == nil {
+	if token == "" {
 		return nil, false
 	}
 	ids, ok := q.dedup[token]
 	return ids, ok
 }
 
-// rememberLocked records an applied token so retries deduplicate.
+// rememberLocked records an applied token so retries deduplicate. Callers
+// have just seen dedupLocked miss, so a token is listed at most once.
 func (q *Queue) rememberLocked(token string, ids []string, now time.Duration) {
 	if token == "" {
 		return
 	}
-	if q.dedup == nil {
-		q.dedup = make(map[string][]string)
-		q.dedupAt = make(map[string]time.Duration)
-	}
 	q.dedup[token] = ids
-	q.dedupAt[token] = now
+	q.dedupAge = append(q.dedupAge, dedupEntry{token: token, at: now})
 }
 
 // SendMessageBatch enqueues up to MaxBatchEntries bodies in one service
@@ -304,22 +335,7 @@ func (q *Queue) sendBatchOnce(bodies [][]byte, token string, payload int) ([]str
 	}
 	ids := make([]string, 0, len(bodies))
 	for _, body := range bodies {
-		q.seq++
-		id := fmt.Sprintf("%s-%08d", q.name, q.seq)
-		m := &message{
-			id:        id,
-			body:      append([]byte(nil), body...),
-			sentAt:    now,
-			visibleAt: now + q.env.StalenessWindow(),
-		}
-		q.msgs = append(q.msgs, m)
-		if q.env.Config().DupProb > 0 && q.env.Rand().Bool(q.env.Config().DupProb) {
-			// At-least-once delivery applies per entry, exactly as it does
-			// for entry-by-entry sends.
-			dup := *m
-			q.msgs = append(q.msgs, &dup)
-		}
-		ids = append(ids, id)
+		ids = append(ids, q.enqueueLocked(body, now))
 	}
 	q.rememberLocked(token, ids, now)
 	q.mu.Unlock()
@@ -385,21 +401,7 @@ func (q *Queue) sendBatchEntriesOnce(entries []BatchEntry, payload int) ([]strin
 			ids = append(ids, prev[0])
 			continue
 		}
-		q.seq++
-		id := fmt.Sprintf("%s-%08d", q.name, q.seq)
-		m := &message{
-			id:        id,
-			body:      append([]byte(nil), e.Body...),
-			sentAt:    now,
-			visibleAt: now + q.env.StalenessWindow(),
-		}
-		q.msgs = append(q.msgs, m)
-		if q.env.Config().DupProb > 0 && q.env.Rand().Bool(q.env.Config().DupProb) {
-			// At-least-once delivery applies per entry, exactly as it does
-			// for entry-by-entry sends.
-			dup := *m
-			q.msgs = append(q.msgs, &dup)
-		}
+		id := q.enqueueLocked(e.Body, now)
 		q.rememberLocked(e.Token, []string{id}, now)
 		ids = append(ids, id)
 	}
@@ -409,7 +411,8 @@ func (q *Queue) sendBatchEntriesOnce(entries []BatchEntry, payload int) ([]strin
 
 // ReceiveMessage returns up to max (at most 10) visible messages, making
 // them invisible for the visibility timeout. An empty slice means the queue
-// had nothing visible — the caller should poll again.
+// had nothing visible — the caller should poll again. The bodies are
+// read-only views (see Message).
 func (q *Queue) ReceiveMessage(max int) []Message {
 	if max <= 0 {
 		max = 1
@@ -447,8 +450,8 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 		m.receipts++
 		out = append(out, Message{
 			ID:            m.id,
-			ReceiptHandle: fmt.Sprintf("%s#%d", m.id, m.receipts),
-			Body:          append([]byte(nil), m.body...),
+			ReceiptHandle: m.id + "#" + strconv.Itoa(m.receipts),
+			Body:          m.body,
 			SentAt:        m.sentAt,
 		})
 		bytes += len(m.body)
@@ -472,18 +475,22 @@ func (q *Queue) deleteOnce(receipt string) error {
 	}
 	q.env.ExecLane(sim.OpSQSDelete, 0, q.lane)
 	q.count("sqs.DeleteMessage", 0)
-	id := receipt
-	if i := indexByte(receipt, '#'); i >= 0 {
-		id = receipt[:i]
-	}
 	q.mu.Lock()
-	for _, m := range q.msgs {
-		if m.id == id {
-			m.deleted = true
-		}
-	}
+	q.deleteLocked(receipt)
 	q.mu.Unlock()
 	return ferr
+}
+
+// deleteLocked marks the message a receipt handle names, and its duplicate
+// if the service stored one, as deleted.
+func (q *Queue) deleteLocked(receipt string) {
+	id, _, _ := strings.Cut(receipt, "#")
+	if m := q.byID[id]; m != nil {
+		m.deleted = true
+		if m.twin != nil {
+			m.twin.deleted = true
+		}
+	}
 }
 
 // DeleteMessageBatch removes up to MaxBatchEntries messages named by receipt
@@ -511,15 +518,7 @@ func (q *Queue) deleteBatchOnce(receipts []string) error {
 	q.count("sqs.DeleteMessageBatch", 0)
 	q.mu.Lock()
 	for _, receipt := range receipts {
-		id := receipt
-		if i := indexByte(receipt, '#'); i >= 0 {
-			id = receipt[:i]
-		}
-		for _, m := range q.msgs {
-			if m.id == id {
-				m.deleted = true
-			}
-		}
+		q.deleteLocked(receipt)
 	}
 	q.mu.Unlock()
 	return ferr
@@ -528,15 +527,17 @@ func (q *Queue) deleteBatchOnce(receipts []string) error {
 // expireLocked drops messages past the retention period; SQS performs this
 // automatically, and P3 relies on it to garbage collect the WAL.
 func (q *Queue) expireLocked(now time.Duration) {
-	for token, at := range q.dedupAt {
-		if now-at > q.retention {
-			delete(q.dedupAt, token)
-			delete(q.dedup, token)
-		}
+	aged := 0
+	for aged < len(q.dedupAge) && now-q.dedupAge[aged].at > q.retention {
+		delete(q.dedup, q.dedupAge[aged].token)
+		aged++
 	}
+	clear(q.dedupAge[:aged]) // drop the token strings with the entries
+	q.dedupAge = q.dedupAge[aged:]
 	kept := q.msgs[:0]
 	for _, m := range q.msgs {
 		if m.deleted || now-m.sentAt > q.retention {
+			delete(q.byID, m.id) // a twin shares its fate, so goes in the same pass
 			continue
 		}
 		kept = append(kept, m)
@@ -566,13 +567,4 @@ func (q *Queue) GCExpired() int {
 	before := len(q.msgs)
 	q.expireLocked(q.env.Now())
 	return before - len(q.msgs)
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

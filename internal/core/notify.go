@@ -129,10 +129,14 @@ func (d *Deployment) publishCommit(groups []TxnCommit) {
 	if d.Commits == nil {
 		return
 	}
+	n := 0
+	for _, g := range groups {
+		n += len(g.Reqs)
+	}
 	var (
-		txns    []uuid.UUID
-		digests []string
-		items   []NoticeItem
+		txns    = make([]uuid.UUID, 0, len(groups))
+		digests = make([]string, 0, len(groups))
+		items   = make([]NoticeItem, 0, n)
 	)
 	for _, g := range groups {
 		if g.Txn != (uuid.UUID{}) {

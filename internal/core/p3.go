@@ -57,7 +57,10 @@ import (
 // re-runs the commit; every step is idempotent. A transaction becomes
 // committed the moment its COPY is durable: receipt cleanup failures after
 // that point are collected and reported, but redelivered packets of a
-// committed transaction are simply acknowledged, never re-committed.
+// committed transaction are simply acknowledged, never re-committed. While
+// a transaction's own group commit is still running — it can outlast the
+// visibility timeout many times over — the transaction is in flight and a
+// redelivered packet only adds its receipt to that commit's cleanup.
 type P3 struct {
 	dep  *Deployment
 	opts Options
@@ -94,6 +97,12 @@ const txnShards = 16
 type txnShard struct {
 	mu      sync.Mutex
 	pending map[uuid.UUID]*txnState
+	// inflight holds a transaction from the moment its last packet arrives
+	// until its group commit marks it committed or gives up on it. A group
+	// commit can outlast the WAL's visibility timeout many times over; a
+	// packet redelivered meanwhile only adds its receipt here instead of
+	// assembling — and committing — the transaction a second time.
+	inflight map[uuid.UUID]*txnState
 	// committed remembers finished transactions so redelivered packets are
 	// acknowledged without re-running the commit.
 	committed map[uuid.UUID]bool
@@ -119,6 +128,9 @@ type txnState struct {
 	got      map[int][]byte
 	receipts []string
 	walShard int
+	// redelivered holds, by message id, the latest receipt of each message
+	// delivered again while the transaction was in flight (nil until then).
+	redelivered map[string]string
 }
 
 // shardReceipt is one WAL receipt paired with the shard it came from, so
@@ -137,6 +149,7 @@ func NewP3(dep *Deployment, opts Options) *P3 {
 	}
 	for i := range p.shards {
 		p.shards[i].pending = make(map[uuid.UUID]*txnState)
+		p.shards[i].inflight = make(map[uuid.UUID]*txnState)
 		p.shards[i].committed = make(map[uuid.UUID]bool)
 	}
 	return p
@@ -202,9 +215,6 @@ func (p *P3) shardFor(txn uuid.UUID) *txnShard {
 	return &p.shards[int(txn[0])%txnShards]
 }
 
-// TmpKey is the temporary object key for a transaction.
-func TmpKey(txn uuid.UUID) string { return TmpPrefix + txn.String() }
-
 // Commit implements the log phase.
 func (p *P3) Commit(obj FileObject, bundles []prov.Bundle) error {
 	return p.commitTxn(uuid.New(p.dep.Env.Rand()), obj, bundles)
@@ -219,21 +229,38 @@ func (p *P3) CommitInBand(band sim.Band, obj FileObject, bundles []prov.Bundle) 
 	return p.commitTxn(MintBandUUID(p.dep.Env.Rand(), band), obj, bundles)
 }
 
-// commitTxn is the log phase for an already-minted transaction uuid.
-func (p *P3) commitTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) error {
+// loggedTxn is a transaction whose log phase has run up to, but not
+// including, the WAL send. id is the transaction uuid rendered once: the
+// temporary object key, the WAL routing key and every idempotency token are
+// built from it.
+type loggedTxn struct {
+	id      string
+	wal     *sqs.Queue
+	release func() // drops the reshard write barrier on wal
+	msgs    [][]byte
+}
+
+// walToken is the idempotency token of the send that starts at packet seq
+// of transaction id: "txn-uuid/seq".
+func walToken(id string, seq int) string { return id + "/" + strconv.Itoa(seq) }
+
+// logTxn runs the log phase for an already-minted transaction uuid up to
+// the WAL send; the caller ships l.msgs to l.wal and then calls l.release.
+func (p *P3) logTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) (loggedTxn, error) {
+	l := loggedTxn{id: txn.String()}
+
 	// 1. Data to a temporary object. Objects with no data (pure
 	// provenance flushes) skip this step.
 	tmpKey := ""
 	if obj.Path != "" {
-		tmpKey = TmpKey(txn)
+		tmpKey = TmpPrefix + l.id
 		if err := p.dep.Store.PutSized(tmpKey, obj.Size, nil); err != nil {
-			return err
+			return l, err
 		}
 	}
 
-	// 2. Chunk the provenance into WAL messages and send them batched, in
-	// parallel across batch calls (order does not matter: the daemon
-	// reassembles by sequence number).
+	// 2. Chunk the provenance into WAL messages (order does not matter:
+	// the daemon reassembles by sequence number).
 	hdr := walTxn{
 		Txn:      txn,
 		TmpKey:   tmpKey,
@@ -242,40 +269,50 @@ func (p *P3) commitTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) err
 		Ref:      obj.Ref,
 		Digest:   obj.Digest,
 	}
-	msgs := encodeWAL(txn, hdr, prov.EncodeBundles(bundles), p.chunkSize)
+	l.msgs = encodeWAL(txn, hdr, prov.EncodeBundles(bundles), p.chunkSize)
 
 	// Every packet of the transaction goes to its home WAL shard (resolved
 	// once, under one routing view, so a reshard cannot split a
 	// transaction's packets across queues), and any daemon polling that
 	// shard can reassemble it without cross-shard scans. The release keeps
 	// a shrinking reshard from retiring the queue mid-send.
-	wal, release := p.dep.WAL.HomeQueue(txn.String())
-	defer release()
-	if crashAt := p.takeClientCrash(len(msgs)); crashAt > 0 {
-		// Simulated client crash: only the first crashAt packets reach the
-		// WAL; the daemon must ignore the incomplete transaction.
-		if err := p.sendWAL(wal, txn, msgs[:crashAt]); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w after %d of %d packets", ErrSimulatedCrash, crashAt, len(msgs))
-	}
-	return p.sendWAL(wal, txn, msgs)
+	l.wal, l.release = p.dep.WAL.HomeQueue(l.id)
+	return l, nil
 }
 
-// sendWAL ships WAL messages to one queue shard in ≤10-entry
-// SendMessageBatch calls, batches running in parallel on the provenance
-// connection pool. In serial mode every message is its own SendMessage
+// commitTxn is the log phase for an already-minted transaction uuid: the
+// packets are sent batched, in parallel across batch calls.
+func (p *P3) commitTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) error {
+	l, err := p.logTxn(txn, obj, bundles)
+	if err != nil {
+		return err
+	}
+	defer l.release()
+	if crashAt := p.takeClientCrash(len(l.msgs)); crashAt > 0 {
+		// Simulated client crash: only the first crashAt packets reach the
+		// WAL; the daemon must ignore the incomplete transaction.
+		if err := p.sendWAL(l.wal, l.id, l.msgs[:crashAt]); err != nil {
+			return err
+		}
+		return fmt.Errorf("%w after %d of %d packets", ErrSimulatedCrash, crashAt, len(l.msgs))
+	}
+	return p.sendWAL(l.wal, l.id, l.msgs)
+}
+
+// sendWAL ships the WAL messages of transaction id (the uuid's string form)
+// to one queue shard in ≤10-entry SendMessageBatch calls, batches running
+// in parallel on the provenance connection pool. In serial mode every message is its own SendMessage
 // request. Every send carries an idempotency token derived from the
 // transaction uuid and the chunk sequence, so a send retried after an
 // ambiguous fault (applied but reported failed) never enqueues a packet
 // twice — the queue returns the original ids.
-func (p *P3) sendWAL(wal *sqs.Queue, txn uuid.UUID, msgs [][]byte) error {
+func (p *P3) sendWAL(wal *sqs.Queue, id string, msgs [][]byte) error {
 	if p.serial {
 		tasks := make([]func() error, len(msgs))
 		for i, m := range msgs {
 			i, m := i, m
 			tasks[i] = func() error {
-				_, err := wal.SendMessageIdem(m, fmt.Sprintf("%s/%d", txn, i))
+				_, err := wal.SendMessageIdem(m, walToken(id, i))
 				return err
 			}
 		}
@@ -289,7 +326,7 @@ func (p *P3) sendWAL(wal *sqs.Queue, txn uuid.UUID, msgs [][]byte) error {
 		}
 		start, batch := start, msgs[start:end]
 		tasks = append(tasks, func() error {
-			_, err := wal.SendMessageBatchIdem(batch, fmt.Sprintf("%s/%d", txn, start))
+			_, err := wal.SendMessageBatchIdem(batch, walToken(id, start))
 			return err
 		})
 	}
@@ -330,28 +367,15 @@ func (t *PreparedTxn) Release() {
 // cleaner removes its temporary object, exactly as for a crashed client.
 func (p *P3) PrepareCommit(band sim.Band, obj FileObject, bundles []prov.Bundle) (*PreparedTxn, error) {
 	txn := MintBandUUID(p.dep.Env.Rand(), band)
-	tmpKey := ""
-	if obj.Path != "" {
-		tmpKey = TmpKey(txn)
-		if err := p.dep.Store.PutSized(tmpKey, obj.Size, nil); err != nil {
-			return nil, err
-		}
+	l, err := p.logTxn(txn, obj, bundles)
+	if err != nil {
+		return nil, err
 	}
-	hdr := walTxn{
-		Txn:      txn,
-		TmpKey:   tmpKey,
-		FinalKey: DataKey(obj.Path),
-		Size:     obj.Size,
-		Ref:      obj.Ref,
-		Digest:   obj.Digest,
+	entries := make([]sqs.BatchEntry, len(l.msgs))
+	for i, m := range l.msgs {
+		entries[i] = sqs.BatchEntry{Body: m, Token: walToken(l.id, i)}
 	}
-	msgs := encodeWAL(txn, hdr, prov.EncodeBundles(bundles), p.chunkSize)
-	wal, release := p.dep.WAL.HomeQueue(txn.String())
-	entries := make([]sqs.BatchEntry, len(msgs))
-	for i, m := range msgs {
-		entries[i] = sqs.BatchEntry{Body: m, Token: fmt.Sprintf("%s/%d", txn, i)}
-	}
-	return &PreparedTxn{Txn: txn, Queue: wal, Entries: entries, release: release}, nil
+	return &PreparedTxn{Txn: txn, Queue: l.wal, Entries: entries, release: l.release}, nil
 }
 
 // maxAssemblyBudget caps how many ReceiveMessage calls one batched commit
@@ -460,14 +484,22 @@ func (p *P3) commitShards(shards []int) (bool, error) {
 					short = true
 					continue
 				}
-				progress = true
+				rdy, a, held := p.foldMessages(si, msgs)
 				if len(msgs) < 10 {
 					// Short page: the shard's backlog is shallow; stop
 					// pulling after this wave and commit what we have to
 					// keep latency low.
 					short = true
 				}
-				rdy, a := p.foldMessages(si, msgs)
+				if held == len(msgs) {
+					// Nothing but redeliveries of transactions a running
+					// group commit already owns. They are hidden again, so
+					// the next page reaches whatever lies behind them, but
+					// a round that found only these made no progress: a
+					// daemon then sleeps its poll interval, not spins.
+					continue
+				}
+				progress = true
 				ready = append(ready, rdy...)
 				for _, rcpt := range a {
 					acks = append(acks, shardReceipt{shard: si, receipt: rcpt})
@@ -495,10 +527,13 @@ func (p *P3) commitShards(shards []int) (bool, error) {
 
 // foldMessages routes packets received from WAL shard walShard into their
 // transactions' assembly shards and returns the transactions completed by
-// this batch, plus the receipts of redelivered packets belonging to
-// already-committed transactions (which only need acknowledging, on the
-// same WAL shard they arrived from).
-func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, acks []string) {
+// this batch — in flight from here until endInflight — plus the
+// receipts of redelivered packets belonging to already-committed
+// transactions (which only need acknowledging, on the same WAL shard they
+// arrived from), and how many of the messages were redeliveries held for a
+// transaction already in flight. The assembled payload fragments alias the
+// message bodies, which are read-only views of what the queue stores.
+func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, acks []string, held int) {
 	for _, m := range msgs {
 		pkt, err := decodeWAL(m.Body)
 		if err != nil {
@@ -511,6 +546,20 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 			// Redelivery of an already-committed transaction: just ack.
 			sh.mu.Unlock()
 			acks = append(acks, m.ReceiptHandle)
+			continue
+		}
+		if st := sh.inflight[pkt.Txn]; st != nil {
+			// Redelivery while the transaction's own group commit is still
+			// running: only the receipt is new, and it is acknowledged with
+			// the rest when that commit finishes. One per message, the
+			// latest: however long the commit runs, the transaction's
+			// cleanup stays bounded by its packet count.
+			if st.redelivered == nil {
+				st.redelivered = make(map[string]string)
+			}
+			st.redelivered[m.ID] = m.ReceiptHandle
+			sh.mu.Unlock()
+			held++
 			continue
 		}
 		st := sh.pending[pkt.Txn]
@@ -529,28 +578,34 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 		if st.header != nil && len(st.got) == st.header.Total {
 			ready = append(ready, st)
 			delete(sh.pending, pkt.Txn)
+			sh.inflight[pkt.Txn] = st
 		}
 		sh.mu.Unlock()
 	}
-	return ready, acks
+	return ready, acks, held
 }
 
-// markCommitted records a finished transaction and drops any assembly state
-// a concurrent redelivery may have rebuilt for it.
-func (p *P3) markCommitted(txn uuid.UUID) {
-	sh := p.shardFor(txn)
-	sh.mu.Lock()
-	sh.committed[txn] = true
-	delete(sh.pending, txn)
-	sh.mu.Unlock()
-}
-
-// isCommitted reports whether txn already reached its final state.
-func (p *P3) isCommitted(txn uuid.UUID) bool {
+// endInflight closes st's in-flight window, if it is still open, and returns
+// every receipt gathered for it; nothing is added to st afterwards. With
+// committed set the transaction is first recorded as finished, so its
+// redelivered packets are acknowledged from then on; otherwise they
+// assemble afresh and the commit is retried.
+func (p *P3) endInflight(st *txnState, committed bool) []string {
+	txn := st.header.Txn
 	sh := p.shardFor(txn)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.committed[txn]
+	if committed {
+		sh.committed[txn] = true
+	}
+	if sh.inflight[txn] == st {
+		delete(sh.inflight, txn)
+	}
+	receipts := st.receipts
+	for _, r := range st.redelivered {
+		receipts = append(receipts, r)
+	}
+	return receipts
 }
 
 // deleteReceipts acknowledges WAL messages on one queue shard in ≤10-entry
@@ -655,21 +710,21 @@ type txnWork struct {
 // fails a per-transaction step drops out of the group and is retried on
 // redelivery without holding the others back.
 func (p *P3) commitGroup(group []*txnState) error {
+	// Whatever this call does not commit — crash points and errors included
+	// — must assemble afresh on redelivery.
+	defer func() {
+		for _, st := range group {
+			p.endInflight(st, false)
+		}
+	}()
 	var errs []error
 
 	// Reassemble and decode each transaction, spilling oversized values and
-	// converting bundles into database put requests. A transaction another
-	// worker committed in the meantime only needs its receipts acknowledged.
+	// converting bundles into database put requests. (No transaction here
+	// can already be committed: it has been in flight since it turned
+	// ready, so no second assembly of it exists.)
 	work := make([]*txnWork, 0, len(group))
-	var acks []shardReceipt
 	for _, st := range group {
-		hdr := st.header
-		if p.isCommitted(hdr.Txn) {
-			for _, r := range st.receipts {
-				acks = append(acks, shardReceipt{shard: st.walShard, receipt: r})
-			}
-			continue
-		}
 		bundles, err := decodeTxn(st)
 		if err != nil {
 			errs = append(errs, err)
@@ -680,10 +735,7 @@ func (p *P3) commitGroup(group []*txnState) error {
 			errs = append(errs, err)
 			continue
 		}
-		work = append(work, &txnWork{st: st, hdr: hdr, reqs: reqs})
-	}
-	if err := p.cleanupReceipts(acks); err != nil {
-		errs = append(errs, err)
+		work = append(work, &txnWork{st: st, hdr: st.header, reqs: reqs})
 	}
 	if len(work) == 0 {
 		return errors.Join(errs...)
@@ -777,13 +829,13 @@ func (p *P3) commitGroup(group []*txnState) error {
 		if !w.copied {
 			continue
 		}
-		p.markCommitted(w.hdr.Txn)
+		gathered := p.endInflight(w.st, true)
 		if w.hdr.TmpKey != "" {
 			if err := p.dep.Store.Delete(w.hdr.TmpKey); err != nil {
 				errs = append(errs, err)
 			}
 		}
-		for _, r := range w.st.receipts {
+		for _, r := range gathered {
 			receipts = append(receipts, shardReceipt{shard: w.st.walShard, receipt: r})
 		}
 	}
@@ -798,16 +850,26 @@ func (p *P3) commitGroup(group []*txnState) error {
 	return errors.Join(errs...)
 }
 
-// decodeTxn reassembles a complete transaction's payload and decodes it.
+// decodeTxn reassembles a complete transaction's payload and decodes it. A
+// single-packet transaction decodes straight from its packet; otherwise the
+// fragments are copied once into a buffer sized from their lengths. Either
+// way prov.DecodeBundles copies what it keeps, so the bundles alias neither.
 func decodeTxn(st *txnState) ([]prov.Bundle, error) {
 	hdr := st.header
-	var payload []byte
+	size := 0
 	for seq := 0; seq < hdr.Total; seq++ {
 		chunk, ok := st.got[seq]
 		if !ok {
 			return nil, fmt.Errorf("core: txn %s missing packet %d", hdr.Txn, seq)
 		}
-		payload = append(payload, chunk...)
+		size += len(chunk)
+	}
+	payload := st.got[0]
+	if hdr.Total > 1 {
+		payload = make([]byte, 0, size)
+		for seq := 0; seq < hdr.Total; seq++ {
+			payload = append(payload, st.got[seq]...)
+		}
 	}
 	bundles, err := prov.DecodeBundles(payload)
 	if err != nil {
@@ -852,7 +914,9 @@ func (p *P3) takeCleanupDrop() int {
 // polling its subscribed WAL shards, and the loop ends after several
 // consecutive rounds with no progress on any worker. Incomplete
 // transactions (crashed clients) are left for retention and the cleaner,
-// as on the real system.
+// as on the real system. Transactions a concurrently running RunDaemon
+// still has in flight are not this caller's to act on either: stop the
+// daemon, then Settle, for a final state.
 func (p *P3) Settle() error {
 	idle := 0
 	var lastErr error
@@ -930,7 +994,7 @@ func (p *P3) PendingTxns() int {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		n += len(sh.pending)
+		n += len(sh.pending) + len(sh.inflight)
 		sh.mu.Unlock()
 	}
 	return n

@@ -31,6 +31,17 @@ import (
 //	  uuid     [16]byte
 //	  version  uvarint
 //	payload  rest of message (a fragment of the encoded provenance)
+//
+// Buffer ownership. encodeWAL copies the payload into freshly allocated
+// messages: the caller keeps payload and owns the messages (the queue
+// copies a body again on send, so they may be reused). decodeWAL copies
+// the header strings out, but the packet's Payload aliases the message it
+// parsed — in the commit daemon that is an sqs.Message.Body, a read-only
+// view of what the queue stores — so a walPacket, and the fragments a
+// txnState keeps from it, are only ever read. decodeTxn copies the
+// fragments once into a reassembly buffer (a single-packet transaction
+// decodes in place) and prov.DecodeBundles copies what it keeps, so nothing
+// past the decode aliases a message.
 
 const walMagic = 0x574c
 
@@ -61,45 +72,43 @@ type walPacket struct {
 	Payload []byte
 }
 
-// encodeWAL splits an encoded provenance payload into WAL messages.
+// encodeWAL splits an encoded provenance payload into WAL messages. Each
+// packet header is built in a stack buffer and the message allocated once,
+// at its final length.
 func encodeWAL(txn uuid.UUID, hdr walTxn, payload []byte, chunkSize int) [][]byte {
 	if chunkSize <= 0 || chunkSize > sqs.MaxMessageSize-walHeaderRoom {
 		chunkSize = DefaultChunkSize
 	}
-	var chunks [][]byte
-	for start := 0; ; start += chunkSize {
-		end := start + chunkSize
-		if end > len(payload) {
-			end = len(payload)
-		}
-		chunks = append(chunks, payload[start:end])
-		if end == len(payload) {
-			break
-		}
+	total := 1 // an empty payload still ships its header packet
+	if len(payload) > 0 {
+		total = (len(payload) + chunkSize - 1) / chunkSize
 	}
-	msgs := make([][]byte, 0, len(chunks))
-	for seq, chunk := range chunks {
-		msg := binary.BigEndian.AppendUint16(nil, walMagic)
-		msg = append(msg, txn[:]...)
-		msg = binary.AppendUvarint(msg, uint64(seq))
+	msgs := make([][]byte, total)
+	var room [walHeaderRoom]byte
+	for seq := range msgs {
+		head := binary.BigEndian.AppendUint16(room[:0], walMagic)
+		head = append(head, txn[:]...)
+		head = binary.AppendUvarint(head, uint64(seq))
 		if seq == 0 {
-			msg = append(msg, 1)
-			msg = binary.AppendUvarint(msg, uint64(len(chunks)))
-			msg = appendWALString(msg, hdr.TmpKey)
-			msg = appendWALString(msg, hdr.FinalKey)
-			msg = binary.AppendUvarint(msg, uint64(hdr.Size))
-			msg = append(msg, hdr.Ref.UUID[:]...)
-			msg = binary.AppendUvarint(msg, uint64(hdr.Ref.Version))
-			msg = appendWALString(msg, hdr.Digest)
+			head = append(head, 1)
+			head = binary.AppendUvarint(head, uint64(total))
+			head = appendWALString(head, hdr.TmpKey)
+			head = appendWALString(head, hdr.FinalKey)
+			head = binary.AppendUvarint(head, uint64(hdr.Size))
+			head = append(head, hdr.Ref.UUID[:]...)
+			head = binary.AppendUvarint(head, uint64(hdr.Ref.Version))
+			head = appendWALString(head, hdr.Digest)
 		} else {
-			msg = append(msg, 0)
+			head = append(head, 0)
 		}
-		msgs = append(msgs, append(msg, chunk...))
+		chunk := payload[seq*chunkSize : min((seq+1)*chunkSize, len(payload))]
+		msg := make([]byte, 0, len(head)+len(chunk))
+		msgs[seq] = append(append(msg, head...), chunk...)
 	}
 	return msgs
 }
 
-// decodeWAL parses one WAL message.
+// decodeWAL parses one WAL message; the packet's Payload aliases msg.
 func decodeWAL(msg []byte) (walPacket, error) {
 	var p walPacket
 	if len(msg) < 2+16+2 {

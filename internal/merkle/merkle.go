@@ -26,28 +26,23 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
 // leafPrefix and nodePrefix domain-separate leaf and interior hashes,
 // preventing second-preimage splices between levels.
-var (
-	leafPrefix = []byte{0x00}
-	nodePrefix = []byte{0x01}
+const (
+	leafPrefix = 0x00
+	nodePrefix = 0x01
 )
 
 // HashBundle hashes one provenance bundle as a leaf.
 func HashBundle(b prov.Bundle) Digest {
-	h := sha256.New()
-	h.Write(leafPrefix)
-	h.Write(prov.EncodeBundles([]prov.Bundle{b}))
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	buf := make([]byte, 1, 1+b.EncodedSize())
+	buf[0] = leafPrefix
+	return sha256.Sum256(prov.AppendBundle(buf, b))
 }
 
 // Root computes the Merkle root over the leaves in order. An empty input
 // hashes to the digest of the empty leaf set.
 func Root(leaves []Digest) Digest {
 	if len(leaves) == 0 {
-		var d Digest
-		copy(d[:], sha256.New().Sum(nil))
-		return d
+		return sha256.Sum256(nil)
 	}
 	level := append([]Digest(nil), leaves...)
 	for len(level) > 1 {
@@ -57,13 +52,7 @@ func Root(leaves []Digest) Digest {
 				next = append(next, level[i]) // odd node promotes
 				continue
 			}
-			h := sha256.New()
-			h.Write(nodePrefix)
-			h.Write(level[i][:])
-			h.Write(level[i+1][:])
-			var d Digest
-			copy(d[:], h.Sum(nil))
-			next = append(next, d)
+			next = append(next, hashNode(level[i], level[i+1]))
 		}
 		level = next
 	}
@@ -98,13 +87,7 @@ func ProveLeaf(leaves []Digest, i int) Proof {
 				next = append(next, level[j])
 				continue
 			}
-			h := sha256.New()
-			h.Write(nodePrefix)
-			h.Write(level[j][:])
-			h.Write(level[j+1][:])
-			var d Digest
-			copy(d[:], h.Sum(nil))
-			next = append(next, d)
+			next = append(next, hashNode(level[j], level[j+1]))
 		}
 		sib := idx ^ 1
 		if sib < len(level) {
@@ -128,16 +111,11 @@ func VerifyLeaf(root Digest, leaf Digest, p Proof) bool {
 			idx /= 2
 			continue
 		}
-		h := sha256.New()
-		h.Write(nodePrefix)
 		if idx%2 == 0 {
-			h.Write(cur[:])
-			h.Write(sib[:])
+			cur = hashNode(cur, sib)
 		} else {
-			h.Write(sib[:])
-			h.Write(cur[:])
+			cur = hashNode(sib, cur)
 		}
-		copy(cur[:], h.Sum(nil))
 		idx /= 2
 	}
 	return cur == root

@@ -21,26 +21,24 @@ package merkle
 
 import "crypto/sha256"
 
-// hashNode is the RFC 6962 interior-node hash H(0x01 || left || right).
+// hashNode is the RFC 6962 interior-node hash H(0x01 || left || right),
+// computed over a stack array: proofs and roots hash thousands of nodes, so
+// it must not allocate.
 func hashNode(left, right Digest) Digest {
-	h := sha256.New()
-	h.Write(nodePrefix)
-	h.Write(left[:])
-	h.Write(right[:])
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	var buf [1 + 2*sha256.Size]byte
+	buf[0] = nodePrefix
+	copy(buf[1:], left[:])
+	copy(buf[1+sha256.Size:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // HashLeafBytes is the RFC 6962 leaf hash H(0x00 || data) over an opaque
-// canonical leaf encoding.
+// canonical leaf encoding. Encodings that fit the stack buffer hash without
+// allocating.
 func HashLeafBytes(data []byte) Digest {
-	h := sha256.New()
-	h.Write(leafPrefix)
-	h.Write(data)
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	var buf [512]byte
+	buf[0] = leafPrefix
+	return sha256.Sum256(append(buf[:1], data...))
 }
 
 // splitPoint returns the largest power of two strictly smaller than n
@@ -59,9 +57,7 @@ func splitPoint(n int) int {
 func LogRoot(leaves []Digest) Digest {
 	switch len(leaves) {
 	case 0:
-		var d Digest
-		copy(d[:], sha256.New().Sum(nil))
-		return d
+		return sha256.Sum256(nil)
 	case 1:
 		return leaves[0]
 	}

@@ -1,10 +1,13 @@
 package merkle
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"passcloud/internal/prov"
 )
 
 // testLeaves builds n deterministic leaf hashes.
@@ -156,5 +159,43 @@ func TestCompactRange(t *testing.T) {
 		if acc != root {
 			t.Fatalf("size %d: compact range does not recombine to the root", n)
 		}
+	}
+}
+
+// TestHashNodeDoesNotAllocate: an audit hashes a node per proof step, so
+// the interior hash must stay off the heap; its digest is the RFC's.
+func TestHashNodeDoesNotAllocate(t *testing.T) {
+	l, r := HashLeafBytes([]byte("left")), HashLeafBytes([]byte("right"))
+	h := sha256.New()
+	h.Write([]byte{0x01})
+	h.Write(l[:])
+	h.Write(r[:])
+	if got := hashNode(l, r); string(got[:]) != string(h.Sum(nil)) {
+		t.Fatalf("hashNode = %s, not H(0x01 || left || right)", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { hashNode(l, r) }); got != 0 {
+		t.Fatalf("hashNode = %v allocations, want 0", got)
+	}
+	// A leaf larger than HashLeafBytes' stack buffer hashes the same way.
+	big := bytes.Repeat([]byte("leaf"), 1000)
+	h.Reset()
+	h.Write([]byte{0x00})
+	h.Write(big)
+	if got := HashLeafBytes(big); string(got[:]) != string(h.Sum(nil)) {
+		t.Fatalf("HashLeafBytes(4000 bytes) = %s, not H(0x00 || data)", got)
+	}
+	b := someBundles(1)[0]
+	if got, want := HashBundle(b), HashLeafBytes(prov.EncodeBundles([]prov.Bundle{b})); got != want {
+		t.Fatalf("HashBundle = %s, not the leaf hash of the bundle's encoding %s", got, want)
+	}
+}
+
+var sinkDigest Digest
+
+func BenchmarkLogRoot(b *testing.B) {
+	leaves := testLeaves(4096)
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkDigest = LogRoot(leaves)
 	}
 }

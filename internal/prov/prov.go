@@ -81,7 +81,10 @@ type Ref struct {
 
 // String renders the uuid_version form P2 uses as a SimpleDB item name.
 func (r Ref) String() string {
-	return fmt.Sprintf("%s_%d", r.UUID, r.Version)
+	var buf [uuid.StringLen + 1 + 20]byte // uuid, '_', any int64
+	b := r.UUID.AppendTo(buf[:0])
+	b = append(b, '_')
+	return string(strconv.AppendInt(b, int64(r.Version), 10))
 }
 
 // IsZero reports whether r is the zero Ref.

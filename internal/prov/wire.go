@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Wire format. P1 stores the provenance of an object as an S3 object whose
@@ -23,6 +24,14 @@ import (
 //	  attr  uvarint-prefixed string
 //	  literal: value uvarint-prefixed string
 //	  xref:    uuid [16]byte + version uvarint
+//
+// Buffer ownership. Encoding copies every string into the output, so the
+// caller owns what AppendBundle and EncodeBundles return and may keep or
+// mutate it; the bundles are only read. Decoding copies every name and value
+// out of data (attribute names PASS defines come back as the package's Attr*
+// constants), so a decoded Bundle never aliases data: the caller may reuse
+// or mutate data as soon as DecodeBundles returns, and may hand it a
+// read-only view such as a received queue message body.
 
 const bundleMagic = 0x5053
 
@@ -52,9 +61,32 @@ func AppendBundle(dst []byte, b Bundle) []byte {
 	return dst
 }
 
-// EncodeBundles encodes a sequence of bundles into one payload.
+// EncodedSize is the exact number of bytes AppendBundle adds for b.
+func (b Bundle) EncodedSize() int {
+	n := 2 + len(b.Ref.UUID) + uvarintLen(uint64(b.Ref.Version)) + 1 +
+		stringSize(b.Name) + uvarintLen(uint64(len(b.Records)))
+	for _, r := range b.Records {
+		n += 1 + stringSize(r.Attr)
+		if r.IsXref() {
+			n += len(r.Xref.UUID) + uvarintLen(uint64(r.Xref.Version))
+		} else {
+			n += stringSize(r.Value)
+		}
+	}
+	return n
+}
+
+// EncodeBundles encodes a sequence of bundles into one payload, allocated
+// once at its exact size.
 func EncodeBundles(bs []Bundle) []byte {
-	var dst []byte
+	size := 0
+	for _, b := range bs {
+		size += b.EncodedSize()
+	}
+	if size == 0 {
+		return nil
+	}
+	dst := make([]byte, 0, size)
 	for _, b := range bs {
 		dst = AppendBundle(dst, b)
 	}
@@ -117,7 +149,7 @@ func decodeOne(data []byte) (Bundle, []byte, error) {
 		kind := data[0]
 		data = data[1:]
 		var rec Record
-		if rec.Attr, data, err = readString(data); err != nil {
+		if rec.Attr, data, err = readAttrName(data); err != nil {
 			return b, nil, err
 		}
 		switch kind {
@@ -153,10 +185,46 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func readString(data []byte) (string, []byte, error) {
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
+}
+
+// stringSize is the number of bytes appendString writes for s.
+func stringSize(s string) int {
+	return uvarintLen(uint64(len(s))) + len(s)
+}
+
+// readBytes returns the uvarint-prefixed field at the head of data, still
+// aliasing data, and what follows it.
+func readBytes(data []byte) (field, rest []byte, err error) {
 	l, n := binary.Uvarint(data)
 	if n <= 0 || uint64(len(data)-n) < l {
-		return "", nil, fmt.Errorf("%w: truncated string", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: truncated string", ErrCorrupt)
 	}
-	return string(data[n : n+int(l)]), data[n+int(l):], nil
+	return data[n : n+int(l)], data[n+int(l):], nil
+}
+
+func readString(data []byte) (string, []byte, error) {
+	field, rest, err := readBytes(data)
+	return string(field), rest, err
+}
+
+// knownAttrs are the attribute names readAttrName interns.
+var knownAttrs = [...]string{
+	AttrName, AttrType, AttrInput, AttrPrevVer, AttrForkParent,
+	AttrExecFile, AttrArgv, AttrEnv, AttrPID, AttrStartTime,
+}
+
+// readAttrName is readString for a record's attribute name: the names PASS
+// records come back as the package constants, so decoding a bundle
+// allocates nothing for them; any other name is copied out like a value.
+func readAttrName(data []byte) (string, []byte, error) {
+	field, rest, err := readBytes(data)
+	for _, a := range knownAttrs {
+		if string(field) == a { // compared in place, no conversion
+			return a, rest, err
+		}
+	}
+	return string(field), rest, err
 }

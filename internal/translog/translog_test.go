@@ -74,7 +74,10 @@ func newFabric(t *testing.T, seed int64, k int) (*sim.Env, *core.Deployment, *co
 	cfg.Seed = seed
 	env := sim.NewEnv(cfg)
 	dep := core.NewShardedDeployment(env, core.Topology{WALShards: k, DBShards: k})
-	p3 := core.NewP3(dep, core.Options{})
+	// One connection per pool: leaves hash the simulated commit time, and
+	// with parallel puts and copies the manual clock's total depends on
+	// goroutine interleaving, so same-seed twins would disagree on a root.
+	p3 := core.NewP3(dep, core.Options{DataConns: 1, ProvConns: 1})
 	l := New(env, dep.Store, "")
 	l.Attach(dep.Commits)
 	return env, dep, p3, l

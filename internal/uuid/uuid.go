@@ -3,8 +3,8 @@
 package uuid
 
 import (
+	"encoding/hex"
 	"errors"
-	"fmt"
 )
 
 // Source supplies random bytes; *sim.Rand satisfies it.
@@ -24,9 +24,26 @@ func New(src Source) UUID {
 	return u
 }
 
+// StringLen is the length of the canonical string form.
+const StringLen = 36
+
 // String renders the canonical 8-4-4-4-12 form.
 func (u UUID) String() string {
-	return fmt.Sprintf("%x-%x-%x-%x-%x", u[0:4], u[4:6], u[6:8], u[8:10], u[10:16])
+	var buf [StringLen]byte
+	return string(u.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the canonical 8-4-4-4-12 form to dst.
+func (u UUID) AppendTo(dst []byte) []byte {
+	dst = hex.AppendEncode(dst, u[0:4])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, u[4:6])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, u[6:8])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, u[8:10])
+	dst = append(dst, '-')
+	return hex.AppendEncode(dst, u[10:16])
 }
 
 // IsZero reports whether u is the all-zero UUID.

@@ -69,3 +69,16 @@ func TestParseRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+func TestStringFormAndAllocations(t *testing.T) {
+	u := UUID{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0x4c, 0xde, 0x8f, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd}
+	if got, want := u.String(), "01234567-89ab-4cde-8f01-23456789abcd"; got != want {
+		t.Fatalf("String = %s, want %s", got, want)
+	}
+	if got := string(u.AppendTo([]byte("tmp/"))); got != "tmp/"+u.String() {
+		t.Fatalf("AppendTo = %s", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = u.String() }); got != 1 {
+		t.Fatalf("String = %v allocations, want 1", got)
+	}
+}

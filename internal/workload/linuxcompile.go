@@ -50,7 +50,7 @@ func CompileProvenance(rnd *sim.Rand, targetBytes int) []prov.Bundle {
 	}
 	add := func(b prov.Bundle) {
 		out = append(out, b)
-		total += len(prov.AppendBundle(nil, b)) // actual encoded size
+		total += b.EncodedSize()
 	}
 	// Shared headers every compilation unit includes.
 	var headers []prov.Ref
