@@ -446,9 +446,9 @@ func main() {
 				fmt.Println("reshard error:", err)
 				continue
 			}
-			fmt.Printf("resharded %dx%d -> %dx%d (epoch %d): copied %d items, GC'd %d, moved %d WAL messages\n",
+			fmt.Printf("resharded %dx%d -> %dx%d (epoch %d): copied %d items in %d requests, GC'd %d in %d, moved %d WAL messages\n",
 				stats.From.WALShards, stats.From.DBShards, stats.To.WALShards, stats.To.DBShards,
-				stats.Epoch, stats.CopiedItems, stats.GCItems, stats.WALMigrated)
+				stats.Epoch, stats.CopiedItems, stats.CopyBatches, stats.GCItems, stats.GCBatches, stats.WALMigrated)
 		case "autoscale":
 			if ctl == nil {
 				ctl = autoscale.New(dep, autoscale.Config{})
@@ -496,6 +496,10 @@ func main() {
 				if r := s.Record; r != nil {
 					fmt.Printf("decision record #%d: %s K %d->%d (%s)\n",
 						r.Seq, r.State, r.FromK, r.TargetK, r.Reason)
+					if r.State == autoscale.RecordDone {
+						fmt.Printf("  reshard: copied %d items in %d requests, GC'd %d in %d\n",
+							r.CopiedItems, r.CopyBatches, r.GCItems, r.GCBatches)
+					}
 				}
 				if s.LastErr != "" {
 					fmt.Println("last error:", s.LastErr)

@@ -33,6 +33,13 @@ type DecisionRecord struct {
 	State   string  `json:"state"`
 	Reason  string  `json:"reason"`
 	SimSecs float64 `json:"sim_secs"` // sim-clock time of the decision
+	// What the triggered reshard moved and the requests it issued, set when
+	// the record closes. All zero when the closing controller found the
+	// fabric already at the target (the reshard ran under a dead one).
+	CopiedItems int `json:"copied_items,omitempty"`
+	CopyBatches int `json:"copy_batches,omitempty"`
+	GCItems     int `json:"gc_items,omitempty"`
+	GCBatches   int `json:"gc_batches,omitempty"`
 }
 
 // Config tunes the controller's policy. The zero value of any field takes
@@ -406,7 +413,7 @@ func (c *Controller) stageSplitLoads(target int) {
 func (c *Controller) finish(ctx context.Context, rec DecisionRecord) error {
 	target := core.Topology{WALShards: rec.TargetK, DBShards: rec.TargetK}
 	c.stageSplitLoads(rec.TargetK)
-	_, err := c.dep.Reshard(ctx, target)
+	stats, err := c.dep.Reshard(ctx, target)
 	if errors.Is(err, core.ErrReshardInFlight) {
 		c.mu.Lock()
 		c.st.Deferred++
@@ -421,6 +428,8 @@ func (c *Controller) finish(ctx context.Context, rec DecisionRecord) error {
 		return fmt.Errorf("%w: controller at %s", core.ErrSimulatedCrash, CrashPreDone)
 	}
 	rec.State = RecordDone
+	rec.CopiedItems, rec.CopyBatches = stats.CopiedItems, stats.CopyBatches
+	rec.GCItems, rec.GCBatches = stats.GCItems, stats.GCBatches
 	if err := c.persistRecord(rec); err != nil {
 		c.setErr(err)
 		return err

@@ -44,7 +44,9 @@ type ReshardRun struct {
 	PostSimSecs   float64 `json:"post_sim_seconds"`   // phase C: batch after cutover+GC
 	WallSeconds   float64 `json:"wall_seconds"`
 	CopiedItems   int     `json:"copied_items"`
+	CopyBatches   int     `json:"copy_batches"`
 	GCItems       int     `json:"gc_items"`
+	GCBatches     int     `json:"gc_batches"`
 	WALMigrated   int     `json:"wal_migrated"`
 	Epoch         int     `json:"epoch"`
 	ItemCount     int     `json:"item_count"`
@@ -157,7 +159,8 @@ func ReshardUnderLoad(seed int64, txns, bundlesPerTxn, workers, clientConns int,
 	if res.err != nil {
 		return run, res.err
 	}
-	run.CopiedItems, run.GCItems = res.stats.CopiedItems, res.stats.GCItems
+	run.CopiedItems, run.CopyBatches = res.stats.CopiedItems, res.stats.CopyBatches
+	run.GCItems, run.GCBatches = res.stats.GCItems, res.stats.GCBatches
 	run.WALMigrated, run.Epoch = res.stats.WALMigrated, res.stats.Epoch
 	if err := p3.Settle(); err != nil {
 		return run, err

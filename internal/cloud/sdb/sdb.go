@@ -18,8 +18,10 @@
 package sdb
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -31,7 +33,7 @@ import (
 // Limits mirrored from the real service.
 const (
 	MaxValueLen   = 1024 // bytes per attribute name or value
-	MaxBatchItems = 25   // items per BatchPutAttributes call
+	MaxBatchItems = 25   // items per BatchPutAttributes/BatchDeleteAttributes call
 	MaxSelectPage = 2500 // items per SELECT page
 	maxPageBytes  = 1 << 20
 )
@@ -94,6 +96,7 @@ type Domain struct {
 
 	mu        sync.Mutex
 	items     map[string][]*itemVersion
+	tombs     tombHeap              // deleted items awaiting reaping, earliest visibleAt first
 	sorted    []string              // cached sorted item names; nil when stale
 	idx       map[string]*attrIndex // per-attribute secondary indexes
 	forceScan bool                  // ablation: disable the indexes
@@ -275,6 +278,7 @@ func (d *Domain) batchPutOnce(reqs []PutRequest, payload int) error {
 func (d *Domain) applyLocked(req PutRequest) {
 	d.gen++
 	now := d.env.Now()
+	d.reapLocked(now)
 	hist := d.items[req.Item]
 	if len(hist) == 0 {
 		d.sorted = nil // new name invalidates the sorted index
@@ -388,21 +392,128 @@ func (d *Domain) deleteOnce(item string) error {
 	}
 	d.env.ExecLane(sim.OpSDBDelete, 0, d.lane)
 	d.count("sdb.DeleteAttributes", 0)
+	d.deleteItems(item)
+	return ferr
+}
+
+// BatchDeleteAttributes removes up to 25 entire items in one call: one gate
+// admission and one billed request, charged like a BatchPutAttributes of the
+// same item count (see OpSDBBatchDelete in sim/model.go). Names the domain
+// does not hold are ignored, so a retried or re-run batch converges.
+func (d *Domain) BatchDeleteAttributes(names []string) error {
+	if len(names) > MaxBatchItems {
+		return ErrBatchTooLarge
+	}
+	if len(names) == 0 {
+		return nil
+	}
+	return d.retry(func() error { return d.batchDeleteOnce(names) })
+}
+
+// batchDeleteOnce is one service attempt of a batch delete (see putOnce for
+// the ambiguous-fault contract).
+func (d *Domain) batchDeleteOnce(names []string) error {
+	ferr, applied := d.faulted(sim.OpSDBBatchDelete, "sdb.BatchDeleteAttributes", true)
+	if ferr != nil && !applied {
+		return ferr
+	}
+	d.env.ExecLane(sim.OpSDBBatchDelete, 0, d.lane)
+	if extra := d.env.Model().BatchItemLatency(len(names)); extra > 0 {
+		d.env.Clock().Sleep(extra)
+	}
+	d.count("sdb.BatchDeleteAttributes", 0)
+	d.deleteItems(names...)
+	return ferr
+}
+
+// deleteItems commits a tombstone version for every named item the domain
+// holds; the tombstone is eventually consistent like any other write.
+func (d *Domain) deleteItems(names ...string) {
 	now := d.env.Now()
 	d.mu.Lock()
-	if len(d.items[item]) > 0 {
-		d.gen++
+	defer d.mu.Unlock()
+	for _, item := range names {
 		hist := d.items[item]
+		if len(hist) == 0 {
+			continue
+		}
+		d.gen++
 		if n := len(hist); n > 1 {
 			for _, old := range hist[:n-1] {
 				d.indexRemoveLocked(item, old.attrs)
 			}
 			hist = hist[n-1:]
 		}
-		d.items[item] = append(hist, &itemVersion{deleted: true, committed: now, visibleAt: now + d.env.StalenessWindow()})
+		tomb := &itemVersion{deleted: true, committed: now, visibleAt: now + d.env.StalenessWindow()}
+		d.items[item] = append(hist, tomb)
+		heap.Push(&d.tombs, tombstone{item: item, v: tomb})
 	}
-	d.mu.Unlock()
-	return ferr
+	d.reapLocked(now)
+}
+
+// tombstone is a deleted item waiting for its delete to become visible to
+// every read, at which point nothing can observe the item any more and
+// reapLocked drops it.
+type tombstone struct {
+	item string
+	v    *itemVersion
+}
+
+// tombHeap is a min-heap of tombstones on visibleAt (container/heap).
+type tombHeap []tombstone
+
+func (h tombHeap) Len() int           { return len(h) }
+func (h tombHeap) Less(i, j int) bool { return h[i].v.visibleAt < h[j].v.visibleAt }
+func (h tombHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *tombHeap) Push(x any)        { *h = append(*h, x.(tombstone)) }
+func (h *tombHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	t := old[n]
+	old[n] = tombstone{}
+	*h = old[:n]
+	return t
+}
+
+// reapLocked drops every item whose tombstone became visible by now: its
+// history, the index postings of the version the tombstone kept observable,
+// and its slot in the sorted name table. Past visibleAt both read paths
+// resolve the item to its tombstone without consulting the RNG, so removing
+// it changes no read's result or random stream — only how many names a
+// SELECT examines and how much the domain holds. A tombstone a later put
+// superseded is skipped (the item is live again).
+func (d *Domain) reapLocked(now time.Duration) {
+	var reaped []string
+	for len(d.tombs) > 0 && d.tombs[0].v.visibleAt <= now {
+		t := heap.Pop(&d.tombs).(tombstone)
+		hist := d.items[t.item]
+		if n := len(hist); n == 0 || hist[n-1] != t.v {
+			continue
+		}
+		for _, old := range hist {
+			d.indexRemoveLocked(t.item, old.attrs)
+		}
+		delete(d.items, t.item)
+		reaped = append(reaped, t.item)
+	}
+	if len(reaped) == 0 {
+		return
+	}
+	d.gen++ // cached plans may list the reaped names
+	if d.sorted == nil {
+		return
+	}
+	// Cut the reaped names out of the span of the name table that holds them
+	// instead of re-sorting the whole table on the next read. The table is
+	// a cache of d.items' keys, so a name no longer held is a reaped one.
+	names := d.sorted
+	lo := sort.SearchStrings(names, slices.Min(reaped))
+	hi := min(sort.SearchStrings(names, slices.Max(reaped))+1, len(names))
+	kept := slices.DeleteFunc(names[lo:hi], func(name string) bool {
+		_, held := d.items[name]
+		return !held
+	})
+	d.sorted = slices.Delete(names, lo+len(kept), hi)
 }
 
 // SelectPage is one page of SELECT results.
@@ -497,6 +608,7 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	}
 
 	d.mu.Lock()
+	d.reapLocked(now)
 	var names []string
 	indexed := false
 	if q.Where != nil && !d.forceScan {

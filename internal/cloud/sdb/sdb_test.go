@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -301,5 +302,193 @@ func TestSelectObservesEventualConsistency(t *testing.T) {
 	items, _, _, err := d.SelectAll("select * from prov")
 	if err != nil || len(items) != 1 {
 		t.Fatalf("settled select: %v err=%v", items, err)
+	}
+}
+
+// fileItems writes n single-attribute items f000.. in 25-item batches.
+func fileItems(t *testing.T, d *Domain, n int) []string {
+	t.Helper()
+	names := make([]string, n)
+	var reqs []PutRequest
+	for i := range names {
+		names[i] = fmt.Sprintf("f%03d", i)
+		reqs = append(reqs, PutRequest{Item: names[i], Attrs: []Attr{{Name: "type", Value: "file"}}})
+		if len(reqs) == MaxBatchItems || i == n-1 {
+			if err := d.BatchPutAttributes(reqs); err != nil {
+				t.Fatal(err)
+			}
+			reqs = nil
+		}
+	}
+	return names
+}
+
+func TestBatchDeleteLimitAndMissingNames(t *testing.T) {
+	d := strictDomain(t)
+	names := fileItems(t, d, MaxBatchItems+1)
+	if err := d.BatchDeleteAttributes(names); !errors.Is(err, ErrBatchTooLarge) {
+		t.Fatalf("26 names: err = %v, want ErrBatchTooLarge", err)
+	}
+	if n := d.ItemCount(); n != len(names) {
+		t.Fatalf("oversized batch deleted something: %d items left", n)
+	}
+	// Names the domain never held are a no-op, alone or mixed with real ones.
+	if err := d.BatchDeleteAttributes([]string{"nope", names[0], "nada"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.ItemCount(); n != len(names)-1 {
+		t.Fatalf("items = %d after deleting one real name among missing ones", n)
+	}
+	if _, err := d.GetAttributes(names[0]); !errors.Is(err, ErrNoSuchItem) {
+		t.Fatalf("get after batch delete: %v", err)
+	}
+	if err := d.BatchDeleteAttributes([]string{"nope"}); err != nil {
+		t.Fatal(err)
+	}
+	// An empty batch is not a request at all.
+	before := d.Env().Meter().Usage().TotalOps
+	if err := d.BatchDeleteAttributes(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Env().Meter().Usage().TotalOps; got != before {
+		t.Fatalf("empty batch billed %d requests", got-before)
+	}
+}
+
+// TestBatchDeleteIsOneRequest pins the billing and gating shape: a full
+// 25-name batch is one billed request, one metered op of its own kind and
+// one write-gate admission, at BatchPut-shaped latency.
+func TestBatchDeleteIsOneRequest(t *testing.T) {
+	d := strictDomain(t)
+	env := d.Env()
+	names := fileItems(t, d, MaxBatchItems)
+	u0, t0 := env.Meter().Usage(), env.Now()
+	if err := d.BatchDeleteAttributes(names); err != nil {
+		t.Fatal(err)
+	}
+	u1, elapsed := env.Meter().Usage(), env.Now()-t0
+	if got := u1.TotalOps - u0.TotalOps; got != 1 {
+		t.Errorf("TotalOps grew by %d, want 1", got)
+	}
+	if got := u1.Requests[sim.CostSDB] - u0.Requests[sim.CostSDB]; got != 1 {
+		t.Errorf("billed SimpleDB requests grew by %d, want 1", got)
+	}
+	if got := u1.OpsByKind["sdb.BatchDeleteAttributes"]; got != 1 {
+		t.Errorf(`OpsByKind["sdb.BatchDeleteAttributes"] = %d, want 1`, got)
+	}
+	if got := u1.OpsByKind["sdb.DeleteAttributes"]; got != 0 {
+		t.Errorf("batch delete also metered %d single deletes", got)
+	}
+	if got := u1.OpsByEndpoint[d.Name()] - u0.OpsByEndpoint[d.Name()]; got != 1 {
+		t.Errorf("endpoint ops grew by %d, want 1", got)
+	}
+	// SDBBatchBase (±4% jitter) + 24 per-item increments, and no more: an
+	// admission per name would queue the call behind itself at the write
+	// gate for 24/7.1 = 3.4 s.
+	m := env.Model()
+	want := m.SDBBatchBase + time.Duration(MaxBatchItems-1)*m.SDBBatchItem
+	if slack := m.SDBBatchBase / 20; elapsed < want-slack || elapsed > want+slack {
+		t.Errorf("25-name batch took %v, want %v ± %v", elapsed, want, slack)
+	}
+	if n := d.ItemCount(); n != 0 {
+		t.Errorf("%d items left", n)
+	}
+}
+
+// TestBatchDeleteAmbiguousFaultConverges: the service applies the batch but
+// reports a transient error; the retry layer re-sends it, the second attempt
+// finds nothing left to delete, and the call succeeds.
+func TestBatchDeleteAmbiguousFaultConverges(t *testing.T) {
+	d := strictDomain(t)
+	env := d.Env()
+	d.SetResilience(resilient.New(env, resilient.Policy{}))
+	names := fileItems(t, d, 10)
+	keep, gone := names[:3], names[3:]
+	// Every batch delete attempted before the window closes faults
+	// ambiguously; the retry lands a full service latency later.
+	env.InstallFaults(sim.FaultPlan{d.Name(): {
+		Prob: 1, ApplyProb: 1, Ops: []string{"sdb.BatchDeleteAttributes"}, Until: env.Now() + time.Millisecond,
+	}})
+	if err := d.BatchDeleteAttributes(gone); err != nil {
+		t.Fatalf("retried batch delete: %v", err)
+	}
+	u := env.Meter().Usage()
+	if u.Faults != 1 {
+		t.Fatalf("faults injected = %d, want 1", u.Faults)
+	}
+	if got := u.OpsByKind["sdb.BatchDeleteAttributes"]; got != 2 {
+		t.Fatalf("attempts = %d, want 2 (faulted + retry)", got)
+	}
+	items, _, _, err := d.SelectAll("select itemName() from prov")
+	if err != nil || len(items) != len(keep) {
+		t.Fatalf("after converged delete: %d items, err=%v; want %d", len(items), err, len(keep))
+	}
+	for i, it := range items {
+		if it.Name != keep[i] {
+			t.Fatalf("survivor %d = %s, want %s", i, it.Name, keep[i])
+		}
+	}
+}
+
+// TestTombstonesAreReaped: a deleted item used to stay in the item table,
+// the sorted name table and every attribute's postings until the same name
+// was written again. Once its tombstone is visible to every read it must be
+// gone from all three, and SELECTs must stop examining it.
+func TestTombstonesAreReaped(t *testing.T) {
+	d := New(sim.NewEnv(sim.DefaultConfig()), "prov") // eventual consistency
+	env := d.Env()
+	names := fileItems(t, d, 30)
+	env.Clock().Advance(time.Minute)
+	if _, _, _, err := d.SelectAll("select itemName() from prov"); err != nil { // builds d.sorted
+		t.Fatal(err)
+	}
+	if err := d.BatchDeleteAttributes(names[:20]); err != nil {
+		t.Fatal(err)
+	}
+	// Resurrect one name inside its tombstone's window: the superseded
+	// tombstone must not reap the live item later.
+	back := names[5]
+	if err := d.PutAttributes(PutRequest{Item: back, Attrs: []Attr{{Name: "type", Value: "file"}}}); err != nil {
+		t.Fatal(err)
+	}
+	held := func() (items, sorted, postings int) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if p := d.idx["type"].vals["file"]; p != nil {
+			postings = len(p.refs)
+		}
+		return len(d.items), len(d.sortedNamesLocked()), postings
+	}
+	if d.ItemCount() != 11 {
+		t.Fatalf("live items = %d, want 11", d.ItemCount())
+	}
+
+	env.Clock().Advance(time.Minute) // every staleness window has passed
+	const live = 11
+	for _, expr := range []string{
+		"select itemName() from prov",                     // name-table scan
+		"select itemName() from prov where type = 'file'", // index path
+	} {
+		before := env.Meter().Usage().ItemsExamined
+		got, _, _, err := d.SelectAll(expr)
+		if err != nil || len(got) != live {
+			t.Fatalf("%s: %d items, err=%v; want %d", expr, len(got), err, live)
+		}
+		if examined := env.Meter().Usage().ItemsExamined - before; examined != live {
+			t.Errorf("%s examined %d names, want %d (dead names still visited)", expr, examined, live)
+		}
+	}
+	items, sorted, postings := held()
+	if items != live || sorted != live || postings != live {
+		t.Fatalf("after the window the domain holds items=%d sorted=%d postings=%d, want %d each", items, sorted, postings, live)
+	}
+	if d.tombs.Len() != 0 {
+		t.Fatalf("%d tombstones still queued", d.tombs.Len())
+	}
+	if it, err := d.GetAttributes(back); err != nil || len(it.Attrs) != 1 {
+		t.Fatalf("resurrected item: %v err=%v", it, err)
+	}
+	if d.ItemCount() != live {
+		t.Fatalf("live items = %d, want %d", d.ItemCount(), live)
 	}
 }

@@ -28,17 +28,24 @@ import (
 //  2. Barrier: wait for writes that routed under the previous epoch view to
 //     finish applying. Anything not double-written is now durably on its
 //     active-epoch shard.
-//  3. Copy: stream items out of each active-epoch shard with strongly
-//     consistent paged SELECTs, in bounded batches, and BatchPut the ones
-//     whose target-epoch home differs. The copy is idempotent — items are
+//  3. Copy: one scanner per active-epoch shard pages through a strongly
+//     consistent SELECT and routes the items whose target-epoch home differs
+//     into per-target accumulators; every full 25-item batch goes straight
+//     to one flush pool shared by the whole copy (at most reshardConns
+//     BatchPuts in flight — the scanners block only on that bound, never on
+//     a page's own writes), and the partial batches flush once at the end of
+//     the scan. The window lasts max(scan, movers/25 ÷ pool rate), not
+//     Σ pages × (SELECT + BatchPut). The copy is idempotent — items are
 //     immutable, so re-copying after a crash rewrites identical bytes.
 //  4. Cutover: atomically promote the target epoch on both directories and
 //     persist the control object in the "gc" state. Reads now route by the
 //     new epoch alone; the stale copies left on the old shards are garbage.
-//  5. GC: delete items from shards that no longer own them, migrate any
-//     messages stranded on decommissioned WAL queues to their new homes,
-//     retire drained queue/domain slots (a shrink), and persist the
-//     control object as "stable".
+//  5. GC: scan every shard and delete the items it no longer owns, each
+//     scanned page's stale names in BatchDeleteAttributes calls of up to 25
+//     on a flush pool like the copy's; migrate any messages stranded on
+//     decommissioned WAL queues to their new homes in 10-entry idempotent
+//     batches, retire drained queue/domain slots (a shrink), and persist
+//     the control object as "stable".
 //
 // Every phase is idempotent and the control object is written ahead of the
 // state it describes becoming load-bearing, so a resharder killed at any
@@ -74,7 +81,7 @@ type ReshardCrashPoint int
 const (
 	ReshardCrashNone       ReshardCrashPoint = iota
 	ReshardCrashPreCopy                      // window open + control persisted, nothing copied
-	ReshardCrashMidCopy                      // first bounded batch copied, the rest not
+	ReshardCrashMidCopy                      // first batch durable, the pool's others in flight, the rest not sent
 	ReshardCrashPreCutover                   // copy complete, both epochs still live
 	ReshardCrashPreGC                        // cutover persisted, old-shard garbage intact
 )
@@ -164,16 +171,19 @@ type ReshardStats struct {
 	From, To    Topology
 	Epoch       int // active DB epoch id after completion
 	CopiedItems int // provenance items durably streamed to their new homes
+	CopyBatches int // BatchPutAttributes requests that carried them
 	GCItems     int // stale copies deleted from drained ranges
+	GCBatches   int // BatchDeleteAttributes requests that carried them
 	WALMigrated int // messages moved off decommissioned queues (shrink)
 }
 
-// reshardCopyPage bounds one copy-scan SELECT page: small enough that a
-// bounded batch of moves flushes between pages, large enough to amortize
-// the per-request latency.
+// reshardCopyPage bounds one copy- or GC-scan SELECT page: large enough to
+// amortize the per-request latency, small enough that the flush pool has
+// work within one SELECT of the scan starting.
 const reshardCopyPage = 200
 
-// reshardConns bounds the copier's and GC's concurrent service calls.
+// reshardConns bounds the copier's and GC's concurrent service calls: the
+// batches in flight on the flush pool, and the shards scanned at once.
 const reshardConns = 16
 
 // ErrReshardInFlight is returned when a second resharder races an open one.
@@ -274,8 +284,7 @@ func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats
 			return stats, nil // already at target, nothing pending
 		}
 		// Crash landed between cutover and GC: only phase 5 remains.
-		gcItems, walMoved, err := d.finishReshardGC(ctx, target)
-		stats.GCItems, stats.WALMigrated = gcItems, walMoved
+		err := d.finishReshardGC(ctx, target, &stats)
 		stats.Epoch = d.DB.Directory().Epoch()
 		return stats, err
 	}
@@ -293,9 +302,7 @@ func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats
 	d.WAL.DrainPriorSends()
 
 	// Phase 3 — copy.
-	copied, err := d.reshardCopy(ctx)
-	stats.CopiedItems = copied
-	if err != nil {
+	if err := d.reshardCopy(ctx, &stats); err != nil {
 		return stats, err
 	}
 	// Visibility barrier: freshly copied items are eventually consistent on
@@ -326,8 +333,7 @@ func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats
 	}
 
 	// Phase 5 — GC the drained ranges and retire decommissioned shards.
-	gcItems, walMoved, err := d.finishReshardGC(ctx, target)
-	stats.GCItems, stats.WALMigrated = gcItems, walMoved
+	err := d.finishReshardGC(ctx, target, &stats)
 	stats.Epoch = d.DB.Directory().Epoch()
 	return stats, err
 }
@@ -369,16 +375,16 @@ func (d *Deployment) installSplitLoads(target Topology) {
 }
 
 // reshardCopy streams every item whose target-epoch home differs from its
-// active-epoch shard to that new home, in bounded batches. The scan uses
-// strongly consistent SELECTs (an eventually consistent page could hide a
-// just-committed item long enough to lose it at cutover). One pass
-// suffices: the write barrier ran before it, and everything newer
-// double-writes. The returned count tallies only durably written items —
-// batches whose put failed (or never ran) do not count.
-func (d *Deployment) reshardCopy(ctx context.Context) (int, error) {
+// active-epoch shard to that new home. The scan uses strongly consistent
+// SELECTs (an eventually consistent page could hide a just-committed item
+// long enough to lose it at cutover). One pass suffices: the write barrier
+// ran before it, and everything newer double-writes. stats tallies only
+// durably written items and the requests that carried them — batches whose
+// put failed (or never ran) do not count.
+func (d *Deployment) reshardCopy(ctx context.Context, stats *ReshardStats) error {
 	targetEpoch, ok := d.DB.Directory().Target()
 	if !ok {
-		return 0, nil // DB axis not migrating (WAL-only reshard)
+		return nil // DB axis not migrating (WAL-only reshard)
 	}
 	activeEpoch := d.DB.Directory().Active()
 	sources := make(map[int]bool)
@@ -391,74 +397,85 @@ func (d *Deployment) reshardCopy(ctx context.Context) (int, error) {
 			srcs = append(srcs, s)
 		}
 	}
-	// Source shards stream independently, so they scan in parallel — the
-	// double-write window lasts max(shard scan), not their sum.
-	var copied atomic.Int64
-	err := par.ForEach(reshardConns, len(srcs), func(i int) error {
-		return d.copyShard(ctx, srcs[i], targetEpoch, &copied)
+	// One flush pool for the whole copy: the scanners below run ahead of
+	// their own writes and are paced only by the pool's bound.
+	flush, fctx := par.NewGroup(ctx, reshardConns)
+	var copied, batches atomic.Int64
+	put := func(dst *sdb.Domain, reqs []sdb.PutRequest) error {
+		return flush.Go(func() error {
+			if err := dst.BatchPutAttributes(reqs); err != nil {
+				return err
+			}
+			copied.Add(int64(len(reqs)))
+			batches.Add(1)
+			// One-shot (mutex-consumed) hook: exactly one durable batch
+			// trips the mid-copy crash, with the rest of the pool still in
+			// flight — as a killed resharder's requests would be.
+			if d.takeReshardCrash(ReshardCrashMidCopy) {
+				return fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashMidCopy)
+			}
+			return nil
+		})
+	}
+	// Source shards stream independently, so they scan in parallel.
+	scanErr := par.ForEach(reshardConns, len(srcs), func(i int) error {
+		return d.copyShard(fctx, srcs[i], targetEpoch, put)
 	})
-	return int(copied.Load()), err
+	err := flush.Wait()
+	stats.CopiedItems, stats.CopyBatches = int(copied.Load()), int(batches.Load())
+	if err == nil {
+		err = scanErr
+	}
+	return err
 }
 
-// copyShard streams one source shard's movers to their target-epoch homes.
-func (d *Deployment) copyShard(ctx context.Context, s int, targetEpoch sim.DirEpoch, copied *atomic.Int64) error {
+// copyShard scans one source shard and hands its movers to put in batches:
+// full ones as they fill, the per-target remainders at the end of the scan.
+func (d *Deployment) copyShard(ctx context.Context, s int, targetEpoch sim.DirEpoch, put func(*sdb.Domain, []sdb.PutRequest) error) error {
 	dom := d.DB.Shard(s)
 	q := sdb.Query{Domain: dom.Name(), Consistent: true, Limit: reshardCopyPage}
+	perTarget := make(map[int][]sdb.PutRequest)
 	token := ""
 	for {
 		if err := ctx.Err(); err != nil {
-			return err
+			return context.Cause(ctx)
 		}
 		page, err := dom.SelectQuery(q, token)
 		if err != nil {
 			return err
 		}
-		// Partition the page's movers by target home and flush the bounded
-		// batches in parallel.
-		perTarget := make(map[int][]sdb.PutRequest)
 		for _, it := range page.Items {
 			home := targetEpoch.Route(sdb.RouteKey(it.Name))
 			if home == s {
 				continue
 			}
-			perTarget[home] = append(perTarget[home], sdb.PutRequest{
-				Item: it.Name, Attrs: it.Attrs, Replace: true,
-			})
-		}
-		var tasks []func() error
-		for home, reqs := range perTarget {
-			dst := d.DB.Shard(home)
-			for start := 0; start < len(reqs); start += sdb.MaxBatchItems {
-				end := start + sdb.MaxBatchItems
-				if end > len(reqs) {
-					end = len(reqs)
+			batch := perTarget[home]
+			if batch == nil {
+				batch = make([]sdb.PutRequest, 0, sdb.MaxBatchItems)
+			}
+			batch = append(batch, sdb.PutRequest{Item: it.Name, Attrs: it.Attrs, Replace: true})
+			if len(batch) == sdb.MaxBatchItems {
+				if err := put(d.DB.Shard(home), batch); err != nil {
+					return err
 				}
-				batch := reqs[start:end]
-				tasks = append(tasks, func() error {
-					if err := dst.BatchPutAttributes(batch); err != nil {
-						return err
-					}
-					copied.Add(int64(len(batch)))
-					return nil
-				})
+				batch = nil // handed off to the pool
 			}
-		}
-		if err := par.Run(reshardConns, tasks); err != nil {
-			return err
-		}
-		if len(tasks) > 0 {
-			d.Env.Meter().CountOp("reshard.copyBatch", 0)
-			// One-shot (mutex-consumed) hook: exactly one shard's first
-			// flushed batch trips the mid-copy crash.
-			if d.takeReshardCrash(ReshardCrashMidCopy) {
-				return fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashMidCopy)
-			}
+			perTarget[home] = batch
 		}
 		if page.NextToken == "" {
-			return nil
+			break
 		}
 		token = page.NextToken
 	}
+	for home, batch := range perTarget {
+		if len(batch) == 0 {
+			continue
+		}
+		if err := put(d.DB.Shard(home), batch); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FinishPendingReshardGC runs the GC a dead resharder left pending, if any.
@@ -475,18 +492,18 @@ func (d *Deployment) FinishPendingReshardGC(ctx context.Context) error {
 	if !d.GCPending() {
 		return nil
 	}
-	_, _, err := d.finishReshardGC(ctx, d.Topo)
-	return err
+	return d.finishReshardGC(ctx, d.Topo, &ReshardStats{})
 }
 
 // finishReshardGC collects the garbage a cutover leaves behind: stale item
 // copies on shards that no longer own them, and — after a shrink — messages
 // stranded on decommissioned WAL queues, which are re-sent to their
 // new-epoch homes before the queues are retired. Idempotent; the cleaner
-// daemon re-runs it if the resharder died first.
-func (d *Deployment) finishReshardGC(ctx context.Context, target Topology) (gcItems, walMoved int, err error) {
+// daemon re-runs it if the resharder died first. stats tallies what was
+// deleted and moved, and the requests that did it.
+func (d *Deployment) finishReshardGC(ctx context.Context, target Topology, stats *ReshardStats) error {
 	if d.DB.Directory().Migrating() || d.WAL.Directory().Migrating() {
-		return 0, 0, fmt.Errorf("core: reshard GC before cutover")
+		return fmt.Errorf("core: reshard GC before cutover")
 	}
 	// Writers that captured the double-write view before cutover may still
 	// be applying; wait them out so the GC scan below sees their old-home
@@ -497,17 +514,18 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology) (gcIt
 	d.DB.DrainPriorWrites()
 	d.DB.DrainPriorReads()
 	activeEpoch := d.DB.Directory().Active()
-	// Shard scans are independent; run them in parallel so the stale-copy
-	// window (double-counted ItemCount, extra storage) closes in
-	// max(shard scan) rather than their sum.
-	var gcCount atomic.Int64
-	shardErr := par.ForEach(reshardConns, d.DB.Shards(), func(s int) error {
+	// Shard scans are independent and run in parallel, feeding one flush
+	// pool, so the stale-copy window (double-counted ItemCount, extra
+	// storage) closes in max(shard scan, batches ÷ pool rate).
+	flush, fctx := par.NewGroup(ctx, reshardConns)
+	var gcCount, gcBatches atomic.Int64
+	scanErr := par.ForEach(reshardConns, d.DB.Shards(), func(s int) error {
 		dom := d.DB.Shard(s)
 		q := sdb.Query{Domain: dom.Name(), ItemOnly: true, Consistent: true, Limit: reshardCopyPage}
 		token := ""
 		for {
-			if err := ctx.Err(); err != nil {
-				return err
+			if err := fctx.Err(); err != nil {
+				return context.Cause(fctx)
 			}
 			page, err := dom.SelectQuery(q, token)
 			if err != nil {
@@ -519,27 +537,37 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology) (gcIt
 					stale = append(stale, it.Name)
 				}
 			}
-			tasks := make([]func() error, len(stale))
-			for i, name := range stale {
-				name := name
-				tasks[i] = func() error { return dom.DeleteAttributes(name) }
+			for len(stale) > 0 {
+				batch := stale[:min(len(stale), sdb.MaxBatchItems)]
+				stale = stale[len(batch):]
+				err := flush.Go(func() error {
+					if err := dom.BatchDeleteAttributes(batch); err != nil {
+						return err
+					}
+					gcCount.Add(int64(len(batch)))
+					gcBatches.Add(1)
+					return nil
+				})
+				if err != nil {
+					return err
+				}
 			}
-			if err := par.Run(reshardConns, tasks); err != nil {
-				return err
-			}
-			gcCount.Add(int64(len(stale)))
 			if page.NextToken == "" {
 				return nil
 			}
 			// Deleting behind the cursor does not disturb the name-ordered
 			// continuation: the token names the last emitted item, and the
-			// scan resumes strictly after it.
+			// scan resumes strictly after it whether or not it still exists.
 			token = page.NextToken
 		}
 	})
-	gcItems = int(gcCount.Load())
-	if shardErr != nil {
-		return gcItems, walMoved, shardErr
+	err := flush.Wait()
+	stats.GCItems, stats.GCBatches = int(gcCount.Load()), int(gcBatches.Load())
+	if err == nil {
+		err = scanErr
+	}
+	if err != nil {
+		return err
 	}
 
 	// Shrink: move stranded messages off decommissioned queues, then retire
@@ -551,24 +579,25 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology) (gcIt
 			continue
 		}
 		moved, err := d.migrateQueue(ctx, q)
-		walMoved += moved
+		stats.WALMigrated += moved
 		if err != nil {
-			return gcItems, walMoved, err
+			return err
 		}
 	}
 	d.WAL.ShrinkTo(target.WALShards)
 	d.DB.ShrinkTo(target.DBShards)
 	d.setGCPending(false)
-	if err := d.persistControl(ControlStable, nil); err != nil {
-		return gcItems, walMoved, err
-	}
-	return gcItems, walMoved, nil
+	return d.persistControl(ControlStable, nil)
 }
 
 // migrateQueue drains one decommissioned WAL queue, re-sending every packet
-// to its transaction's new-epoch home queue. Messages a daemon is holding
-// invisible reappear after the visibility timeout, so the drain sleeps and
-// retries until the queue reports empty.
+// to its transaction's new-epoch home queue: each received page goes out as
+// one SendMessageBatchEntries per home queue and comes off the old queue in
+// one DeleteMessageBatch. The entries carry the packet's own idempotency
+// token (walToken), so a send retried after an ambiguous fault — or a page
+// received again because its delete failed — never enqueues a packet twice.
+// Messages a daemon is holding invisible reappear after the visibility
+// timeout, so the drain sleeps and retries until the queue reports empty.
 func (d *Deployment) migrateQueue(ctx context.Context, q *sqs.Queue) (int, error) {
 	moved := 0
 	idle := 0
@@ -576,7 +605,7 @@ func (d *Deployment) migrateQueue(ctx context.Context, q *sqs.Queue) (int, error
 		if err := ctx.Err(); err != nil {
 			return moved, err
 		}
-		msgs := q.ReceiveMessage(10)
+		msgs := q.ReceiveMessage(sqs.MaxBatchEntries)
 		if len(msgs) == 0 {
 			idle++
 			if idle > 200 {
@@ -587,24 +616,50 @@ func (d *Deployment) migrateQueue(ctx context.Context, q *sqs.Queue) (int, error
 			continue
 		}
 		idle = 0
-		for _, m := range msgs {
-			if pkt, err := decodeWAL(m.Body); err == nil {
-				home, release := d.WAL.HomeQueue(pkt.Txn.String())
-				_, serr := home.SendMessage(m.Body)
-				release()
-				if serr != nil {
-					return moved, serr
-				}
-				moved++
-			}
-			// Undecodable packets are dropped with their queue, exactly as
-			// retention would have expired them.
-			if err := q.DeleteMessage(m.ReceiptHandle); err != nil {
-				return moved, err
-			}
+		n, err := d.resendWAL(msgs)
+		moved += n
+		if err != nil {
+			return moved, err
+		}
+		receipts := make([]string, len(msgs))
+		for i, m := range msgs {
+			receipts[i] = m.ReceiptHandle
+		}
+		if err := q.DeleteMessageBatch(receipts); err != nil {
+			return moved, err
 		}
 	}
 	d.Env.Meter().CountOp("reshard.walMigrate", int64(moved))
+	return moved, nil
+}
+
+// resendWAL re-sends one received page of WAL packets, one batch per home
+// queue, and reports how many it moved. Undecodable packets are skipped:
+// they are dropped with their queue, exactly as retention would have
+// expired them.
+func (d *Deployment) resendWAL(msgs []sqs.Message) (int, error) {
+	var homes []*sqs.Queue // first-seen order, so a seed replays the same sends
+	entries := make(map[*sqs.Queue][]sqs.BatchEntry)
+	for _, m := range msgs {
+		pkt, err := decodeWAL(m.Body)
+		if err != nil {
+			continue
+		}
+		id := pkt.Txn.String()
+		home, release := d.WAL.HomeQueue(id)
+		defer release() // keeps a later shrink from retiring home mid-send
+		if entries[home] == nil {
+			homes = append(homes, home)
+		}
+		entries[home] = append(entries[home], sqs.BatchEntry{Body: m.Body, Token: walToken(id, pkt.Seq)})
+	}
+	moved := 0
+	for _, home := range homes {
+		if _, err := home.SendMessageBatchEntries(entries[home]); err != nil {
+			return moved, err
+		}
+		moved += len(entries[home])
+	}
 	return moved, nil
 }
 
