@@ -1,5 +1,6 @@
 // Repository-level benchmarks: one per table and figure of the paper's
-// evaluation, plus the ablations DESIGN.md calls out. Each benchmark runs
+// evaluation, the §5.1 ablations, and the fabric harnesses that came after
+// (internal/fabric's package comment is the system map). Each benchmark runs
 // the corresponding experiment from internal/bench and reports the headline
 // simulated measurement as a custom metric, so `go test -bench=.` prints
 // the paper-shaped numbers. cmd/provbench renders the full tables.
@@ -12,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"passcloud/internal/bench"
@@ -21,6 +24,40 @@ import (
 )
 
 const benchSeed = 42
+
+// writeSnapshot records one harness run: doc, indented, replaces the
+// BENCH_*.json snapshot named file at the repository root, and the same
+// document — with the commit it was measured at and the run's seed — becomes
+// one more line of BENCH_history.jsonl, the trajectory the snapshots are
+// points of.
+func writeSnapshot(b *testing.B, file string, seed int64, doc map[string]any) {
+	b.Helper()
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(file, out, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	commit := "unknown"
+	if head, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(head))
+	}
+	line, err := json.Marshal(map[string]any{"commit": commit, "seed": seed, "metrics": doc})
+	if err != nil {
+		b.Fatal(err)
+	}
+	history, err := os.OpenFile("BENCH_history.jsonl", os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := history.Write(append(line, '\n')); err != nil {
+		b.Fatal(err)
+	}
+	if err := history.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
 
 // BenchmarkTable1Properties probes the property matrix (Table 1).
 func BenchmarkTable1Properties(b *testing.B) {
@@ -141,19 +178,13 @@ func BenchmarkBigQueryIndexed(b *testing.B) {
 			b.ReportMetric(cs.SimSeconds, "sim-s-scan-"+ci.Query)
 		}
 		speedups["total"] = speedup{Sim: totScan.Sim / totIdx.Sim, Wall: totScan.Wall / totIdx.Wall}
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_indexed_select.json", 21, map[string]any{
 			"benchmark": "BenchmarkBigQueryIndexed",
 			"command":   "go test -run=- -bench=BenchmarkBigQueryIndexed -benchtime=1x",
 			"indexed":   indexed,
 			"scan":      scan,
 			"speedup":   speedups,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_indexed_select.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -190,7 +221,7 @@ func BenchmarkQueryAPI(b *testing.B) {
 		b.ReportMetric(cached.SimSeconds, "sim-s-cached")
 		b.ReportMetric(uncached.SimSeconds/cached.SimSeconds, "sim-speedup-x")
 		b.ReportMetric(float64(uncached.Selects)/float64(cached.Selects), "select-reduction-x")
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_query_api.json", 17, map[string]any{
 			"benchmark": "BenchmarkQueryAPI",
 			"command":   "go test -run=- -bench=BenchmarkQueryAPI -benchtime=1x",
 			"uncached":  uncached,
@@ -202,13 +233,7 @@ func BenchmarkQueryAPI(b *testing.B) {
 				"total_ops": float64(uncached.TotalOps) / float64(cached.TotalOps),
 			},
 			"results_identical": uncached.Digest == cached.Digest,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_query_api.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -243,7 +268,7 @@ func BenchmarkCoherentReads(b *testing.B) {
 		b.ReportMetric(sub.SimSeconds, "sim-s-subscribed")
 		b.ReportMetric(run.CostRatio("subscribed"), "read-cost-ratio-x")
 		b.ReportMetric(float64(sub.Invalidations), "invalidations")
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_coherent_reads.json", cfg.Seed, map[string]any{
 			"benchmark": "BenchmarkCoherentReads",
 			"command":   "go test -run=- -bench=BenchmarkCoherentReads -benchtime=1x",
 			"run":       run,
@@ -257,72 +282,13 @@ func BenchmarkCoherentReads(b *testing.B) {
 				"flush":      run.Modes["flush"].Digest == base.Digest,
 				"stale":      run.Modes["stale"].Digest == base.Digest, // expected false
 			},
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_coherent_reads.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
-// BenchmarkCommitPipeline replays ≥50k provenance events through P3's
-// commit path on the seed's serial implementation and on the batched
-// pipeline (SQS batch APIs, commit-daemon pool, cross-transaction BatchPut
-// coalescing), reports the headline numbers, and records the comparison in
-// BENCH_commit_pipeline.json at the repository root.
-func BenchmarkCommitPipeline(b *testing.B) {
-	const (
-		txns          = 790
-		bundlesPerTxn = 64 // 50,560 events
-		workers       = 8
-	)
-	for i := 0; i < b.N; i++ {
-		serial, err := bench.CommitPipeline(7, txns, bundlesPerTxn, 1, 64, 0, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pipe, err := bench.CommitPipeline(7, txns, bundlesPerTxn, workers, 64, 0, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The ≥5x/≥3x acceptance gates live in TestCommitPipelineSpeedup;
-		// the benchmark only measures and records, so a regression still
-		// gets written to the JSON instead of aborting the run. Identical
-		// provenance is non-negotiable even here.
-		if serial.ProvDigest != pipe.ProvDigest {
-			b.Fatalf("provenance diverged: %s vs %s", serial.ProvDigest, pipe.ProvDigest)
-		}
-		b.ReportMetric(serial.SimSeconds, "sim-s-serial")
-		b.ReportMetric(pipe.SimSeconds, "sim-s-pipeline")
-		b.ReportMetric(float64(serial.SQSRequests)/float64(pipe.SQSRequests), "sqs-reduction-x")
-		b.ReportMetric(serial.SimSeconds/pipe.SimSeconds, "sim-speedup-x")
-		out, err := json.MarshalIndent(map[string]any{
-			"benchmark": "BenchmarkCommitPipeline",
-			"command":   "go test -run=- -bench=BenchmarkCommitPipeline -benchtime=1x",
-			"serial":    serial,
-			"pipeline":  pipe,
-			"speedup": map[string]float64{
-				"sim":          serial.SimSeconds / pipe.SimSeconds,
-				"wall":         serial.WallSeconds / pipe.WallSeconds,
-				"sqs_requests": float64(serial.SQSRequests) / float64(pipe.SQSRequests),
-				"sdb_batches":  float64(serial.SDBBatchCalls) / float64(pipe.SDBBatchCalls),
-				"cost_usd":     serial.CostUSD / pipe.CostUSD,
-				"total_ops":    float64(serial.TotalOps) / float64(pipe.TotalOps),
-			},
-			"provenance_identical": serial.ProvDigest == pipe.ProvDigest,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_commit_pipeline.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShardedWrite replays the ≥50k-event commit workload through P3
+// BenchmarkShardedWrite replays the ≥50k-event commit workload through P3's
+// batched pipeline (the serial path it replaced is frozen in the first line
+// of BENCH_history.jsonl and gated in internal/bench/commitpipe_test.go)
 // on the K=1 seed fabric and on K-way sharded fabrics (K WAL queues + K
 // SimpleDB domains, each its own rate-gated service partition), reports the
 // headline numbers, and records the comparison in BENCH_sharded_write.json
@@ -358,7 +324,7 @@ func BenchmarkShardedWrite(b *testing.B) {
 		k4 := runs["k4"]
 		b.ReportMetric(k1.SimSeconds/k4.SimSeconds, "sim-speedup-x")
 		b.ReportMetric(float64(k4.TotalOps)/float64(k1.TotalOps), "billed-ops-ratio")
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_sharded_write.json", 7, map[string]any{
 			"benchmark": "BenchmarkShardedWrite",
 			"command":   "go test -run=- -bench=BenchmarkShardedWrite -benchtime=1x",
 			"runs":      runs,
@@ -370,13 +336,7 @@ func BenchmarkShardedWrite(b *testing.B) {
 				"cost_ratio":       k4.CostUSD / k1.CostUSD,
 			},
 			"provenance_identical": k1.ProvDigest == k4.ProvDigest,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_sharded_write.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -420,7 +380,7 @@ func BenchmarkReshard(b *testing.B) {
 		b.ReportMetric(live.PostSimSecs, "post-sim-s-resharded")
 		b.ReportMetric(stay1.PostSimSecs, "post-sim-s-k1")
 		b.ReportMetric(stay1.PostSimSecs/live.PostSimSecs, "post-speedup-x")
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_reshard.json", 7, map[string]any{
 			"benchmark": "BenchmarkReshard",
 			"command":   "go test -run=- -bench=BenchmarkReshard -benchtime=1x",
 			"runs": map[string]bench.ReshardRun{
@@ -437,13 +397,7 @@ func BenchmarkReshard(b *testing.B) {
 			},
 			"zero_lost_or_duplicated": live.ItemCount == live.Events && live.Misplaced == 0 && live.Duplicates == 0,
 			"provenance_identical":    live.ProvDigest == static4.ProvDigest,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_reshard.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -498,7 +452,7 @@ func BenchmarkChaos(b *testing.B) {
 		b.ReportMetric(faulted.QueryP99Ms, "p99-fanout-ms-faulted")
 		b.ReportMetric(clean.QueryP99Ms, "p99-fanout-ms-clean")
 		b.ReportMetric(float64(faulted.Retries), "retries")
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_chaos.json", base.Seed, map[string]any{
 			"benchmark": "BenchmarkChaos",
 			"command":   "go test -run=- -bench=BenchmarkChaos -benchtime=1x",
 			"runs": map[string]bench.ChaosRun{
@@ -512,13 +466,7 @@ func BenchmarkChaos(b *testing.B) {
 			"provenance_identical":      faulted.ProvDigest == clean.ProvDigest,
 			"control_commits_failed":    control.CommitErrors,
 			"control_demonstrates_need": control.CommitErrors > 0,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_chaos.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -578,7 +526,7 @@ func BenchmarkTenantIsolation(b *testing.B) {
 		b.ReportMetric(shared.Goodput, "goodput-ev-per-s-shared")
 		b.ReportMetric(shared.CommitP99Ms/solo.CommitP99Ms, "p99-ratio-shared")
 		b.ReportMetric(control.CommitP99Ms/solo.CommitP99Ms, "p99-ratio-no-isolation")
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_tenant_isolation.json", base.Seed, map[string]any{
 			"benchmark": "BenchmarkTenantIsolation",
 			"command":   "go test -run=- -bench=BenchmarkTenantIsolation -benchtime=1x",
 			"runs": map[string]bench.TenantIsolationRun{
@@ -593,13 +541,7 @@ func BenchmarkTenantIsolation(b *testing.B) {
 			"zero_lost_or_duplicated":    shared.ItemCount == shared.Events+shared.AbuserItems && shared.Misplaced == 0 && shared.Duplicates == 0,
 			"provenance_identical":       shared.ProvDigest == solo.ProvDigest,
 			"control_violates_bound":     control.CommitP99Ms > 2*solo.CommitP99Ms || control.Goodput < 0.8*solo.Goodput,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_tenant_isolation.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -661,7 +603,7 @@ func BenchmarkTranslog(b *testing.B) {
 		b.ReportMetric(float64(faulted.ConsistencyChecked), "consistency-proofs-verified")
 		b.ReportMetric(logged.CommitP99Ms, "p99-commit-ms-logged")
 		b.ReportMetric(twin.CommitP99Ms, "p99-commit-ms-twin")
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_translog.json", base.Seed, map[string]any{
 			"benchmark": "BenchmarkTranslog",
 			"command":   "go test -run=- -bench=BenchmarkTranslog -benchtime=1x",
 			"runs": map[string]bench.TamperRun{
@@ -674,13 +616,7 @@ func BenchmarkTranslog(b *testing.B) {
 			"all_proofs_verified":  faulted.AuditClean && faulted.InclusionVerified == base.Txns && faulted.ReopenedOK,
 			"tamper_flagged":       control.TamperFlagged,
 			"zero_false_positives": faulted.Divergences == 0 && faulted.ProofFailures == 0,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_translog.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -708,17 +644,11 @@ func BenchmarkAutoscale(b *testing.B) {
 		b.ReportMetric(cmp.Managed.PhaseP99("sustain"), "p99-sustain-ms-managed")
 		b.ReportMetric(cmp.Static.PhaseP99("sustain"), "p99-sustain-ms-static")
 		b.ReportMetric(float64(cmp.Managed.FinalK), "final-k-managed")
-		out, err := json.MarshalIndent(map[string]any{
+		writeSnapshot(b, "BENCH_autoscale.json", benchSeed, map[string]any{
 			"benchmark": "BenchmarkAutoscale",
 			"command":   "go test -run=- -bench=BenchmarkAutoscale -benchtime=1x",
 			"result":    cmp,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_autoscale.json", out, 0o644); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 

@@ -6,13 +6,16 @@ import (
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/par"
 	"passcloud/internal/pass"
 	"passcloud/internal/sim"
 	"passcloud/internal/trace"
 	"passcloud/internal/workload"
 )
 
-// Ablations for the design choices DESIGN.md calls out.
+// Ablations for the design choices §5.1 of the paper tunes per service:
+// connection counts, WAL chunk size, batch size and the consistency model
+// (the latency anchors are on baseModel in sim/model.go).
 
 // Table1 runs the property probes for every configuration — the empirical
 // regeneration of the paper's Table 1 (plus the persistence property).
@@ -66,7 +69,8 @@ func ConnSweep(seed int64, scale float64, conns []int) ([]ConnSweepPoint, error)
 type ChunkSweepPoint struct {
 	ChunkBytes int
 	Elapsed    time.Duration
-	Messages   int64
+	Messages   int64 // WAL messages logged
+	Requests   int64 // sqs.SendMessageBatch requests that carried them
 }
 
 // ChunkSweep logs the same provenance through P3 with different WAL chunk
@@ -79,13 +83,7 @@ func ChunkSweep(seed int64, scale float64, sizes []int) ([]ChunkSweepPoint, erro
 	bundles := workload.CompileProvenance(sim.NewRand(seed), 2<<20)
 	var points []ChunkSweepPoint
 	for _, size := range sizes {
-		cfg := sim.DefaultConfig()
-		cfg.Seed = seed
-		cfg.TimeScale = scale
-		if cfg.TimeScale == 0 {
-			cfg.TimeScale = DefaultScale
-		}
-		env := sim.NewEnv(cfg)
+		env := sim.NewEnv(Setup{Seed: seed, Scale: scale}.envConfig())
 		dep := core.NewDeployment(env)
 		p3 := core.NewP3(dep, core.Options{})
 		p3.SetChunkSize(size)
@@ -100,6 +98,7 @@ func ChunkSweep(seed int64, scale float64, sizes []int) ([]ChunkSweepPoint, erro
 			// No daemon ran yet, so the WAL still holds every logged
 			// message (the sends themselves are batched calls).
 			Messages: int64(dep.WAL.Len()),
+			Requests: env.Meter().Usage().OpsByKind["sqs.SendMessageBatch"],
 		})
 	}
 	return points, nil
@@ -122,43 +121,19 @@ func BatchSweep(seed int64, scale float64, sizes []int) ([]BatchSweepPoint, erro
 	bundles := workload.CompileProvenance(sim.NewRand(seed), 1<<20)
 	var points []BatchSweepPoint
 	for _, size := range sizes {
-		cfg := sim.DefaultConfig()
-		cfg.Seed = seed
-		cfg.TimeScale = scale
-		if cfg.TimeScale == 0 {
-			cfg.TimeScale = DefaultScale
-		}
-		env := sim.NewEnv(cfg)
+		env := sim.NewEnv(Setup{Seed: seed, Scale: scale}.envConfig())
 		dep := core.NewDeployment(env)
 		reqs, err := core.ItemsForBundles(dep.Store, bundles)
 		if err != nil {
 			return nil, err
 		}
 		start := env.Now()
-		sem := make(chan struct{}, 40)
-		errs := make(chan error, len(reqs)/size+1)
-		calls := 0
-		for s := 0; s < len(reqs); s += size {
-			e := s + size
-			if e > len(reqs) {
-				e = len(reqs)
-			}
-			batch := reqs[s:e]
-			calls++
-			sem <- struct{}{}
-			go func() {
-				defer func() { <-sem }()
-				errs <- dep.DB.BatchPutAttributes(batch)
-			}()
-		}
-		var first error
-		for i := 0; i < calls; i++ {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-			}
-		}
-		if first != nil {
-			return nil, first
+		calls := (len(reqs) + size - 1) / size
+		err = par.ForEach(40, calls, func(i int) error {
+			return dep.DB.BatchPutAttributes(reqs[i*size : min((i+1)*size, len(reqs))])
+		})
+		if err != nil {
+			return nil, err
 		}
 		points = append(points, BatchSweepPoint{
 			BatchSize: size,

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"passcloud/internal/autoscale"
 	"passcloud/internal/core"
-	"passcloud/internal/sim"
+	"passcloud/internal/fabric"
 )
 
 // The autoscale harness: an open-loop commit workload whose arrival rate
@@ -57,7 +54,6 @@ type AutoscaleConfig struct {
 	BundlesPerTxn int     // 0 uses 2
 	Managed       bool    // false = static K=1 twin, no controller
 	Ctl           autoscale.Config
-	Interval      time.Duration // controller tick; 0 uses 5s
 	Phases        []AutoscalePhase
 }
 
@@ -102,13 +98,6 @@ func (r AutoscaleRun) PhaseP99(name string) float64 {
 	return -1
 }
 
-func pctMs(lat []time.Duration, q int) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	return float64(lat[len(lat)*q/100].Microseconds()) / 1e3
-}
-
 // AutoscaleRamp runs one open-loop ramp: arrivals launch on schedule
 // regardless of how slow earlier commits are (latency under overload is the
 // measurement, so a closed loop that self-throttles would hide the failure),
@@ -121,9 +110,6 @@ func AutoscaleRamp(c AutoscaleConfig) (AutoscaleRun, error) {
 	if c.BundlesPerTxn <= 0 {
 		c.BundlesPerTxn = 2
 	}
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
 	if len(c.Phases) == 0 {
 		c.Phases = DefaultAutoscalePhases()
 	}
@@ -135,56 +121,20 @@ func AutoscaleRamp(c AutoscaleConfig) (AutoscaleRun, error) {
 	for i := range set {
 		set[i].obj = core.FileObject{} // pure provenance flush: skip the S3 leg
 	}
-	runtime.GC() // keep allocator debt out of the scaled-time measurement
-
-	cfg := sim.DefaultConfig()
-	cfg.Seed = c.Seed
-	cfg.TimeScale = c.Scale
-	cfg.Consistency = sim.Strict // isolate queueing latency from staleness retries
-	env := sim.NewEnv(cfg)
-	dep := core.NewShardedDeployment(env, core.Topology{WALShards: 1, DBShards: 1})
-	p3 := core.NewP3(dep, core.Options{CommitWorkers: 16})
 
 	run := AutoscaleRun{Managed: c.Managed, Events: total * c.BundlesPerTxn}
-	wall0 := time.Now()
-
-	stopDaemon := make(chan struct{})
-	daemonDone := make(chan struct{})
-	go func() {
-		defer close(daemonDone)
-		p3.RunDaemon(stopDaemon, time.Second)
-	}()
-	var stopOnce sync.Once
-	stop := func() {
-		stopOnce.Do(func() {
-			close(stopDaemon)
-			<-daemonDone
-		})
-	}
-	defer stop()
-
-	var ctl *autoscale.Controller
-	ctlStop := make(chan struct{})
-	ctlDone := make(chan struct{})
+	cfg := fabric.Config{Topology: kWay(1), Workers: 16}
 	if c.Managed {
-		ctl = autoscale.New(dep, c.Ctl)
-		ctl.Enable()
-		go func() {
-			defer close(ctlDone)
-			ctl.Run(context.Background(), ctlStop, c.Interval)
-		}()
-	} else {
-		close(ctlDone)
+		cfg.Autoscale = &c.Ctl
 	}
-	var ctlSigOnce, ctlJoinOnce sync.Once
-	signalCtl := func() { ctlSigOnce.Do(func() { close(ctlStop) }) }
-	joinCtl := func() { ctlJoinOnce.Do(func() { signalCtl(); <-ctlDone }) }
-	defer func() {
-		// Error paths: never join a mid-reshard controller on a scaled clock.
-		signalCtl()
-		env.Clock().SetScale(0)
-		joinCtl()
-	}()
+	f, err := liveFabric(c.Seed, c.Scale, 0, cfg)
+	if err != nil {
+		return run, err
+	}
+	defer f.Close()
+	env, dep, p3, ctl := f.Env, f.Dep, f.P3, f.Ctl
+	wall0 := time.Now()
+	f.Start()
 
 	lat := make([][]time.Duration, len(c.Phases))
 	var mu sync.Mutex
@@ -234,36 +184,10 @@ func AutoscaleRamp(c AutoscaleConfig) (AutoscaleRun, error) {
 
 	// Freeze the controller before draining: the settle tail is idle time,
 	// and a shrink there would fold the very capacity being measured into
-	// the drain. Signal it first, then flip to the instant clock, THEN join:
-	// a controller mid-reshard is blocked inside dep.Reshard, whose copy
-	// phase chases the daemon's writes until the WAL drains — joining on the
-	// scaled clock would wait out that whole drain in real time.
+	// the drain. ToManual stops it deciding, takes the fabric to the manual
+	// clock in the safe order and drains the backlog the surge left.
 	run.SimSeconds = (env.Now() - t0).Seconds()
-	signalCtl()
-	env.Clock().SetScale(0)
-	// RunDaemon is a live-clock loop: on the instant clock a worker with
-	// nothing to do polls and "sleeps" in no real time at all, racing
-	// simulated time past the WAL's four-day retention while another
-	// worker's group commit is still running. Stop the pool and drain with
-	// Settle, whose rounds end when their work does, until the controller
-	// has let go of the fabric.
-	stop()
-	joined := make(chan struct{})
-	go func() {
-		defer close(joined)
-		joinCtl()
-	}()
-	for waiting := true; waiting; {
-		if err := p3.Settle(); err != nil {
-			return run, err
-		}
-		select {
-		case <-joined:
-			waiting = false
-		default:
-		}
-	}
-	if err := p3.Settle(); err != nil {
+	if err := f.ToManual(); err != nil {
 		return run, err
 	}
 	run.WallSeconds = time.Since(wall0).Seconds()
@@ -273,25 +197,21 @@ func AutoscaleRamp(c AutoscaleConfig) (AutoscaleRun, error) {
 		run.Grows, run.Shrinks, run.Deferred = st.Grows, st.Shrinks, st.Deferred
 	}
 
-	for pi := range c.Phases {
-		l := lat[pi]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
+	for pi, l := range lat {
 		run.Phases[pi].Commits = len(l)
-		run.Phases[pi].P50Ms = pctMs(l, 50)
-		run.Phases[pi].P99Ms = pctMs(l, 99)
+		run.Phases[pi].P50Ms, run.Phases[pi].P99Ms = pctMs(l)
 	}
 
 	usage := env.Meter().Usage()
 	run.TotalOps = usage.TotalOps
-	run.CostUSD = usage.Cost(cfg.StorageWindow)
+	run.CostUSD = usage.Cost(env.Config().StorageWindow)
 
-	// Verification outside the measurement, still on the instant clock.
-	run.ItemCount = dep.DB.ItemCount()
-	mis, dup, err := core.AuditFabric(dep)
+	// Verification outside the measurement, on the manual clock.
+	v, err := verify(f, nil)
 	if err != nil {
-		return run, fmt.Errorf("bench: fabric audit after ramp: %w", err)
+		return run, err
 	}
-	run.Misplaced, run.Duplicates = mis, dup
+	run.ItemCount, run.Misplaced, run.Duplicates = v.items, v.misplaced, v.duplicates
 	if run.ItemCount != run.Events {
 		return run, fmt.Errorf("bench: %d items after settle, want %d", run.ItemCount, run.Events)
 	}

@@ -3,7 +3,10 @@
 // upload microbenchmark, the Table-3 data/operation overheads, the Table-4
 // costs, the Table-5 query performance, the Figure-3 protocol
 // microbenchmark and the Figure-4 workload benchmarks — plus the ablations
-// DESIGN.md calls out.
+// of the design choices §5.1 tunes (connection counts, WAL chunk size,
+// batch size, consistency). The later fabric harnesses (sharding, reshard,
+// chaos, tenants, translog, autoscale) share one rig, rig.go, over the stack
+// internal/fabric wires; its package comment is the system map.
 //
 // Workload experiments run the simulation live (virtual time = wall time ×
 // scale) so protocol concurrency, gate contention and daemon interference
@@ -15,6 +18,7 @@ import (
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/fabric"
 	"passcloud/internal/pasfs"
 	"passcloud/internal/pass"
 	"passcloud/internal/sim"
@@ -77,57 +81,58 @@ func newProtocol(name string, dep *core.Deployment, opts core.Options) (core.Pro
 	return nil, fmt.Errorf("bench: unknown protocol %q", name)
 }
 
-// RunWorkload replays one workload through PA-S3fs under the setup's
-// protocol and environment, returning the measured cell. The elapsed time
-// is the client's view — for P3 the commit daemon runs concurrently (its
-// service contention is felt) but the drain after the application finishes
-// is excluded, as in §5.
-func RunWorkload(w workload.Workload, s Setup) (Result, error) {
-	cfg := s.envConfig()
-	env := sim.NewEnv(cfg)
-	dep := core.NewDeployment(env)
-	proto, err := newProtocol(s.Protocol, dep, core.Options{})
+// measure runs body against the setup's protocol on a fresh deployment and
+// returns the client-visible elapsed time of body alone. For P3 the commit
+// daemons run for the duration of body (their service contention is felt);
+// they are stopped and joined and the WAL settled before measure returns, so
+// the environment's meter is final: the drain is excluded from the elapsed
+// time, as in §5, and included in the bill, as in Table 4.
+func measure(s Setup, body func(*sim.Env, core.Protocol) error) (time.Duration, *sim.Env, error) {
+	env := sim.NewEnv(s.envConfig())
+	proto, err := newProtocol(s.Protocol, core.NewDeployment(env), core.Options{})
 	if err != nil {
-		return Result{}, err
+		return 0, nil, err
 	}
-
-	collect := s.Protocol != "S3fs"
-	var col *pass.Collector
-	if collect {
-		col = pass.New(env.Rand(), nil)
-	}
-	fs := pasfs.New(env, proto, col, pasfs.Config{
-		Collect:      collect,
-		AsyncCommits: true,
-		MaxInflight:  16,
-	})
-
-	// P3's commit daemon runs for the duration of the workload.
-	var stopDaemon chan struct{}
+	stopDaemons := func() {}
 	if p3, ok := proto.(*core.P3); ok {
-		stopDaemon = make(chan struct{})
-		go p3.RunDaemon(stopDaemon, 2*time.Second)
+		stopDaemons = fabric.RunDaemons(p3, 2*time.Second)
 	}
-
 	start := env.Now()
-	runErr := fs.Run(w.Trace)
+	err = body(env, proto)
 	elapsed := env.Now() - start
+	stopDaemons()
+	if serr := proto.Settle(); err == nil {
+		err = serr
+	}
+	return elapsed, env, err
+}
 
-	if stopDaemon != nil {
-		close(stopDaemon)
-	}
-	if err := proto.Settle(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		return Result{}, fmt.Errorf("bench: %s/%s: %w", w.Name, s.Protocol, runErr)
+// RunWorkload replays one workload through PA-S3fs under the setup's
+// protocol and environment, returning the measured cell.
+func RunWorkload(w workload.Workload, s Setup) (Result, error) {
+	var fs *pasfs.FS
+	elapsed, env, err := measure(s, func(env *sim.Env, proto core.Protocol) error {
+		collect := s.Protocol != "S3fs"
+		var col *pass.Collector
+		if collect {
+			col = pass.New(env.Rand(), nil)
+		}
+		fs = pasfs.New(env, proto, col, pasfs.Config{
+			Collect:      collect,
+			AsyncCommits: true,
+			MaxInflight:  16,
+		})
+		return fs.Run(w.Trace)
+	})
+	if err != nil {
+		return Result{}, fmt.Errorf("bench: %s/%s: %w", w.Name, s.Protocol, err)
 	}
 	usage := env.Meter().Usage()
 	return Result{
 		Setup:    s,
 		Workload: w.Name,
 		Elapsed:  elapsed,
-		CostUSD:  usage.Cost(cfg.StorageWindow),
+		CostUSD:  usage.Cost(env.Config().StorageWindow),
 		Usage:    usage,
 		MountOps: fs.MountOps(),
 	}, nil

@@ -46,9 +46,53 @@ func (r BigQueryRun) Cell(name string) BigQueryCell {
 	return BigQueryCell{}
 }
 
-// BigQuery populates a domain with items items — chains derivation chains
-// of the given depth rooted at one process of program "bigprog", padded
-// with unrelated noise files — and measures four Table-5-style queries:
+// populateBigCorpus fills dep with items provenance-shaped items: chains
+// derivation chains of the given depth rooted at one process of program
+// "bigprog", padded with unrelated noise files. It returns the last file of
+// the first chain, the probe of the targeted queries.
+func populateBigCorpus(dep *core.Deployment, seed int64, items, chains, depth int) (probe prov.Ref, err error) {
+	if items < chains*depth+1 {
+		return probe, fmt.Errorf("bench: %d items cannot hold %d chains of depth %d", items, chains, depth)
+	}
+	rnd := sim.NewRand(seed)
+	newRef := func() prov.Ref { return prov.Ref{UUID: uuid.New(rnd), Version: 1} }
+	procRef := newRef()
+	specs := []core.ItemSpec{{Ref: procRef, Type: "proc", Name: "bigprog"}}
+	for c := 0; c < chains; c++ {
+		parent := procRef
+		for l := 0; l < depth; l++ {
+			ref := newRef()
+			specs = append(specs, core.ItemSpec{
+				Ref:   ref,
+				Type:  "file",
+				Name:  fmt.Sprintf("mnt/big/c%04d/f%02d", c, l),
+				Input: parent.String(),
+			})
+			parent = ref
+		}
+		if c == 0 {
+			probe = parent
+		}
+	}
+	for len(specs) < items {
+		specs = append(specs, core.ItemSpec{
+			Ref:  newRef(),
+			Type: "file",
+			Name: fmt.Sprintf("mnt/noise/%07d", len(specs)),
+		})
+	}
+	if err := core.PopulateItems(dep.DB, specs); err != nil {
+		return probe, err
+	}
+	// Warm the per-shard sorted name tables (built lazily after bulk
+	// population) so the first measured query does not absorb the one-time
+	// sort.
+	_, err = dep.DB.Select("select itemName() from "+core.DomainName+" limit 1", "")
+	return probe, err
+}
+
+// BigQuery populates a domain (populateBigCorpus) and measures four
+// Table-5-style queries:
 //
 //	equality     FindByAttr on one file name (Q3's lookup shape);
 //	versions     ReadProvenance of one uuid (Q2's per-object shape);
@@ -59,53 +103,14 @@ func (r BigQueryRun) Cell(name string) BigQueryCell {
 // environment is strict-consistency on a manual clock, so simulated times
 // are deterministic for a given seed.
 func BigQuery(seed int64, items, chains, depth int, forceScan bool) (BigQueryRun, error) {
-	if items < chains*depth+1 {
-		return BigQueryRun{}, fmt.Errorf("bench: %d items cannot hold %d chains of depth %d", items, chains, depth)
-	}
 	cfg := sim.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Consistency = sim.Strict // isolate query timing from staleness retries
 	env := sim.NewEnv(cfg)
 	dep := core.NewDeployment(env)
 	dep.DB.SetForceScan(forceScan)
-	rnd := sim.NewRand(seed)
-
-	newRef := func() prov.Ref { return prov.Ref{UUID: uuid.New(rnd), Version: 1} }
-	var reqs []core.ItemSpec
-
-	procRef := newRef()
-	reqs = append(reqs, core.ItemSpec{Ref: procRef, Type: "proc", Name: "bigprog"})
-
-	var probeRef prov.Ref // a mid-chain file for the targeted queries
-	for c := 0; c < chains; c++ {
-		parent := procRef
-		for l := 0; l < depth; l++ {
-			ref := newRef()
-			reqs = append(reqs, core.ItemSpec{
-				Ref:   ref,
-				Type:  "file",
-				Name:  fmt.Sprintf("mnt/big/c%04d/f%02d", c, l),
-				Input: parent.String(),
-			})
-			parent = ref
-		}
-		if c == 0 {
-			probeRef = parent
-		}
-	}
-	for len(reqs) < items {
-		reqs = append(reqs, core.ItemSpec{
-			Ref:  newRef(),
-			Type: "file",
-			Name: fmt.Sprintf("mnt/noise/%07d", len(reqs)),
-		})
-	}
-	if err := core.PopulateItems(dep.DB, reqs); err != nil {
-		return BigQueryRun{}, err
-	}
-	// Warm the sorted name table (built lazily after bulk population) so the
-	// first measured query does not absorb the one-time sort in either run.
-	if _, err := dep.DB.Select("select itemName() from "+core.DomainName+" limit 1", ""); err != nil {
+	probeRef, err := populateBigCorpus(dep, seed, items, chains, depth)
+	if err != nil {
 		return BigQueryRun{}, err
 	}
 

@@ -1,20 +1,14 @@
 package bench
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"passcloud/internal/core"
-	"passcloud/internal/prov"
+	"passcloud/internal/fabric"
 	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
-	"passcloud/internal/uuid"
 )
 
 // The chaos harness: drive the pinned commit + reshard + query workload
@@ -106,124 +100,52 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	if c.Queries <= 0 {
 		c.Queries = 20
 	}
-	set := commitPipeTxns(c.Seed, c.Txns, c.BundlesPerTxn)
-	runtime.GC() // keep allocator debt out of the scaled-time measurement
-
-	cfg := sim.DefaultConfig()
-	cfg.Seed = c.Seed
-	cfg.TimeScale = c.Scale
-	cfg.Consistency = sim.Strict // isolate chaos timing from staleness retries
-	cfg.DupProb = c.DupProb
-	env := sim.NewEnv(cfg)
-	dep := core.NewShardedDeployment(env, core.Topology{WALShards: c.FromK, DBShards: c.FromK})
-	switch {
-	case !c.Resilient:
-		dep.SetResilience(nil)
-	case c.HedgeAfter != 0:
-		dep.SetResilience(resilient.New(env, resilient.Policy{HedgeAfter: c.HedgeAfter}))
-	}
-	if c.FaultProb > 0 {
-		env.InstallFaults(sim.UniformPlan(c.FaultProb, c.ApplyProb))
-	}
-	p3 := core.NewP3(dep, core.Options{CommitWorkers: c.Workers})
-
 	run := ChaosRun{
 		FaultProb: c.FaultProb, ApplyProb: c.ApplyProb, DupProb: c.DupProb,
 		Resilient: c.Resilient, FromK: c.FromK, ToK: c.ToK,
 		Txns: c.Txns, BundlesPerTxn: c.BundlesPerTxn, Events: c.Txns * c.BundlesPerTxn,
 		Workers: c.Workers,
 	}
-
-	wall0 := time.Now()
-	commitBatch := func(batch []pipeTxn) (nerr int, first error) {
-		sem := make(chan struct{}, c.ClientConns)
-		errs := make(chan error, len(batch))
-		for i := range batch {
-			tx := &batch[i]
-			sem <- struct{}{}
-			go func() {
-				defer func() { <-sem }()
-				errs <- p3.Commit(tx.obj, tx.bundles)
-			}()
-		}
-		for range batch {
-			if err := <-errs; err != nil {
-				nerr++
-				if first == nil {
-					first = err
-				}
-			}
-		}
-		return nerr, first
+	set := commitPipeTxns(c.Seed, c.Txns, c.BundlesPerTxn)
+	cfg := fabric.Config{Topology: kWay(c.FromK), Workers: c.Workers}
+	if c.Resilient {
+		cfg.Resilience = resilient.Policy{HedgeAfter: c.HedgeAfter}
 	}
+	if c.FaultProb > 0 {
+		cfg.Faults = sim.UniformPlan(c.FaultProb, c.ApplyProb)
+	}
+	f, err := liveFabric(c.Seed, c.Scale, c.DupProb, cfg)
+	if err != nil {
+		return run, err
+	}
+	defer f.Close()
+	wall0, t0 := time.Now(), f.Env.Now()
 
 	// Negative control: no daemon, no settle (neither terminates against a
 	// faulted fabric with no retry layer) — just the raw commit phase.
 	if !c.Resilient {
-		t0 := env.Now()
-		nerr, first := commitBatch(set)
-		run.CommitErrors = nerr
-		if first != nil {
+		f.Dep.SetResilience(nil)
+		var first error
+		if _, run.CommitErrors, first = commitPhase(f, c.ClientConns, set); first != nil {
 			run.FirstError = first.Error()
 		}
-		run.SimSeconds = (env.Now() - t0).Seconds()
+		run.SimSeconds = (f.Env.Now() - t0).Seconds()
 		run.WallSeconds = time.Since(wall0).Seconds()
-		run.Faults = env.Meter().Usage().Faults
+		run.Faults = f.Env.Meter().Usage().Faults
 		return run, nil
 	}
 
-	// The commit-daemon pool drains the WAL while the clients log, exactly
-	// as in the reshard benchmark; always joined on the way out.
-	stopDaemon := make(chan struct{})
-	daemonDone := make(chan struct{})
-	go func() {
-		defer close(daemonDone)
-		p3.RunDaemon(stopDaemon, time.Second)
-	}()
-	var stopOnce sync.Once
-	stop := func() {
-		stopOnce.Do(func() {
-			close(stopDaemon)
-			<-daemonDone
-		})
-	}
-	defer stop()
-
-	t0 := env.Now()
-	half := len(set) / 2
-	if nerr, first := commitBatch(set[:half]); first != nil {
-		return run, fmt.Errorf("bench: %d commits failed under faults: %w", nerr, first)
-	}
-	if err := p3.Settle(); err != nil {
-		return run, err
-	}
-
-	// Second half commits while the fabric resharded underneath it, under
+	// The second half commits while the fabric reshards underneath it, under
 	// the same fault plan — copies, cutover and GC all retry.
-	type reshardResult struct {
-		err error
-	}
-	resCh := make(chan reshardResult, 1)
-	if c.ToK != c.FromK {
-		go func() {
-			_, err := dep.Reshard(context.Background(), core.Topology{WALShards: c.ToK, DBShards: c.ToK})
-			resCh <- reshardResult{err: err}
-		}()
-	} else {
-		resCh <- reshardResult{}
-	}
-	nerr, first := commitBatch(set[half:])
-	res := <-resCh
-	if first != nil {
-		return run, fmt.Errorf("bench: %d commits failed under faults: %w", nerr, first)
-	}
-	if res.err != nil {
-		return run, fmt.Errorf("bench: reshard under faults: %w", res.err)
-	}
-	if err := p3.Settle(); err != nil {
+	f.Start()
+	half := len(set) / 2
+	if _, err := runPhase(f, c.ClientConns, set[:half], c.FromK); err != nil {
 		return run, err
 	}
-	run.SimSeconds = (env.Now() - t0).Seconds()
+	if _, err := runPhase(f, c.ClientConns, set[half:], c.ToK); err != nil {
+		return run, err
+	}
+	run.SimSeconds = (f.Env.Now() - t0).Seconds()
 	if run.SimSeconds > 0 {
 		run.Goodput = float64(run.Events) / run.SimSeconds
 	}
@@ -235,72 +157,29 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	runtime.GC() // a collection of the commit phase's garbage must not land in the scaled-time fan-outs
 	lat := make([]time.Duration, 0, c.Queries)
 	for i := 0; i < c.Queries; i++ {
-		q0 := env.Now()
-		items, _, _, err := dep.DB.View().SelectAll("select itemName() from " + core.DomainName)
+		q0 := f.Env.Now()
+		items, _, _, err := f.Dep.DB.View().SelectAll("select itemName() from " + core.DomainName)
 		if err != nil {
 			return run, fmt.Errorf("bench: fan-out %d under faults: %w", i, err)
 		}
-		lat = append(lat, env.Now()-q0)
+		lat = append(lat, f.Env.Now()-q0)
 		if len(items) != run.Events {
 			return run, fmt.Errorf("bench: fan-out %d returned %d items, want %d", i, len(items), run.Events)
 		}
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	run.QueryP50Ms = float64(lat[len(lat)/2].Microseconds()) / 1e3
-	run.QueryP99Ms = float64(lat[len(lat)*99/100].Microseconds()) / 1e3
+	run.QueryP50Ms, run.QueryP99Ms = pctMs(lat)
 
-	stop()
-	if err := p3.Settle(); err != nil {
+	// Exact item count, placement audit, and the digest the equivalence gate
+	// compares against the fault-free twin (read back with the plan
+	// disarmed). A chaos run ends as clean as a calm one.
+	out, err := finish(f, wall0, set)
+	if err != nil {
 		return run, err
 	}
-	run.WallSeconds = time.Since(wall0).Seconds()
-
-	usage := env.Meter().Usage()
-	run.TotalOps = usage.TotalOps
-	run.CostUSD = usage.Cost(cfg.StorageWindow)
-	run.Faults = usage.Faults
-	if dep.Res != nil {
-		st := dep.Res.Stats().Totals()
-		run.Retries, run.Hedges = st.Retries, st.Hedges
-		run.BreakerOpens, run.BudgetDenials = st.BreakerOpens, st.BudgetDenials
-	}
-
-	// Verification outside the measurement, on an instant clock: exact item
-	// count, placement audit, and the content digest the equivalence gate
-	// compares against the fault-free twin.
-	env.Clock().SetScale(0)
-	run.ItemCount = dep.DB.ItemCount()
-	mis, dup, err := core.AuditFabric(dep)
-	if err != nil {
-		return run, fmt.Errorf("bench: fabric audit under faults: %w", err)
-	}
-	run.Misplaced, run.Duplicates = mis, dup
-	h := sha256.New()
-	for i := range set {
-		for _, u := range []uuid.UUID{set[i].file, set[i].proc} {
-			bundles, err := core.ReadProvenance(dep, core.BackendSDB, u)
-			if err != nil {
-				return run, fmt.Errorf("bench: read-back of %s: %w", u, err)
-			}
-			h.Write(prov.EncodeBundles(bundles))
-		}
-		o, err := dep.Store.Get(core.DataKey(set[i].obj.Path))
-		if err != nil {
-			return run, fmt.Errorf("bench: data of %s: %w", set[i].obj.Path, err)
-		}
-		h.Write([]byte(o.Metadata["prov-uuid"] + "/" + o.Metadata["prov-version"]))
-	}
-	run.ProvDigest = hex.EncodeToString(h.Sum(nil))
-
-	// A chaos run ends as clean as a calm one.
-	if n := dep.WAL.Len(); n != 0 {
-		return run, fmt.Errorf("bench: %d WAL messages left after settle", n)
-	}
-	if keys, _, _ := dep.Store.ListAll(core.TmpPrefix); len(keys) != 0 {
-		return run, fmt.Errorf("bench: %d temp objects leaked", len(keys))
-	}
-	if n := p3.PendingTxns(); n != 0 {
-		return run, fmt.Errorf("bench: %d transactions still pending", n)
-	}
-	return run, nil
+	run.WallSeconds, run.TotalOps, run.CostUSD, run.Faults = out.wallSecs, out.usage.TotalOps, out.costUSD, out.usage.Faults
+	st := f.Dep.Res.Stats().Totals()
+	run.Retries, run.Hedges = st.Retries, st.Hedges
+	run.BreakerOpens, run.BudgetDenials = st.BreakerOpens, st.BudgetDenials
+	run.ItemCount, run.Misplaced, run.Duplicates, run.ProvDigest = out.items, out.misplaced, out.duplicates, out.digest
+	return run, cleanEnd(f, false)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/fabric"
 	"passcloud/internal/prov"
 	"passcloud/internal/query"
 	"passcloud/internal/sim"
@@ -180,9 +181,16 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Seed = c.Seed
 	cfg.Consistency = sim.Strict // isolate read cost from staleness retries
-	env := sim.NewEnv(cfg)
-	dep := core.NewShardedDeployment(env, core.Topology{WALShards: c.DBShards, DBShards: c.DBShards})
-	p3 := core.NewP3(dep, core.Options{CommitWorkers: c.Workers})
+	// Manual clock throughout: nothing is started, Settle drains each round.
+	f, err := fabric.New(fabric.Config{
+		Sim: cfg, Topology: kWay(c.DBShards), Workers: c.Workers,
+		CacheEntries: query.DefaultCacheEntries,
+	})
+	if err != nil {
+		return CoherentReadsRun{}, err
+	}
+	defer f.Close()
+	env, dep, p3 := f.Env, f.Dep, f.P3
 	rnd := sim.NewRand(c.Seed)
 	rootUUID := uuid.New(rnd)
 
@@ -193,8 +201,8 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 	wall0 := time.Now()
 
 	// The reader strategies; every mode owns an engine, the cached ones own
-	// a cache each, and the subscribed one attaches to the commit bus before
-	// the first commit.
+	// a cache each, and the subscribed one is the fabric's, attached to the
+	// commit bus before the first commit.
 	type reader struct {
 		mode   string
 		e      *query.Engine
@@ -202,22 +210,20 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 		stats  CoherentModeStats
 	}
 	var readers []*reader
-	addReader := func(mode string, cached bool) *reader {
-		e := query.New(dep, core.BackendSDB)
-		if cached {
-			e.SetCache(query.NewCache(0))
-		}
+	addReader := func(mode string, e *query.Engine) *reader {
 		r := &reader{mode: mode, e: e, digest: sha256.New(), stats: CoherentModeStats{Mode: mode}}
 		readers = append(readers, r)
 		return r
 	}
-	addReader("uncached", false)
-	sub := addReader("subscribed", true)
-	if err := sub.e.Subscribe(); err != nil {
-		return run, err
+	cached := func() *query.Engine {
+		e := query.New(dep, core.BackendSDB)
+		e.SetCache(query.NewCache(0))
+		return e
 	}
-	flush := addReader("flush", true)
-	addReader("stale", true)
+	addReader("uncached", query.New(dep, core.BackendSDB))
+	addReader("subscribed", f.Engine)
+	flush := addReader("flush", cached())
+	addReader("stale", cached())
 
 	var probeUUID uuid.UUID // round-0 chain: its version set never grows again
 	for r := 0; r < c.Rounds; r++ {

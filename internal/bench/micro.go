@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/par"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -69,53 +70,23 @@ func captureBlast(seed int64) (*capturedRun, error) {
 	return &run, nil
 }
 
-// RunMicro uploads the captured Blast results through one protocol and
-// measures elapsed time, bytes and operations. The uploads are dispatched
-// with the same in-flight window the workload client uses.
-func RunMicro(run *capturedRun, s Setup) (MicroResult, error) {
-	cfg := s.envConfig()
-	env := sim.NewEnv(cfg)
-	dep := core.NewDeployment(env)
-	proto, err := newProtocol(s.Protocol, dep, core.Options{})
-	if err != nil {
-		return MicroResult{}, err
-	}
-	var stopDaemon chan struct{}
-	if p3, ok := proto.(*core.P3); ok {
-		stopDaemon = make(chan struct{})
-		go p3.RunDaemon(stopDaemon, 2*time.Second)
-	}
+// upload commits the captured results through proto, dispatched with the
+// same in-flight window the workload client uses.
+func (run *capturedRun) upload(env *sim.Env, proto core.Protocol) error {
+	const window = 16
+	return par.ForEach(window, len(run.finals), func(i int) error {
+		// The upload tool pays the client-side per-op cost too.
+		env.ClientOp(int(run.finals[i].Size))
+		return proto.Commit(run.finals[i], run.closure[i])
+	})
+}
 
-	const window = 16 // concurrent uploads, as in the workload client
-	type slot struct{ err error }
-	sem := make(chan struct{}, window)
-	done := make(chan slot, len(run.finals))
-	start := env.Now()
-	for i := range run.finals {
-		i := i
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			// The upload tool pays the client-side per-op cost too.
-			env.ClientOp(int(run.finals[i].Size))
-			done <- slot{proto.Commit(run.finals[i], run.closure[i])}
-		}()
-	}
-	var firstErr error
-	for range run.finals {
-		if s := <-done; s.err != nil && firstErr == nil {
-			firstErr = s.err
-		}
-	}
-	elapsed := env.Now() - start
-	if stopDaemon != nil {
-		close(stopDaemon)
-	}
-	if err := proto.Settle(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if firstErr != nil {
-		return MicroResult{}, fmt.Errorf("bench: micro %s: %w", s.Protocol, firstErr)
+// RunMicro uploads the captured Blast results through one protocol and
+// measures elapsed time, bytes and operations.
+func RunMicro(run *capturedRun, s Setup) (MicroResult, error) {
+	elapsed, env, err := measure(s, run.upload)
+	if err != nil {
+		return MicroResult{}, fmt.Errorf("bench: micro %s: %w", s.Protocol, err)
 	}
 	u := env.Meter().Usage()
 	return MicroResult{

@@ -39,59 +39,21 @@ type QueryAPIRun struct {
 	Digest      string  `json:"digest"`
 }
 
-// QueryAPI populates a provenance-shaped domain (chains derivation chains
-// of the given depth rooted at one "bigprog" process, padded to items with
-// noise) and then runs the repeated-traversal workload: repeats rounds of
+// QueryAPI populates a provenance-shaped domain (populateBigCorpus) and then
+// runs the repeated-traversal workload: repeats rounds of
 // {Q4-shaped descendants BFS, Q2-shaped versions lookup, Q3-shaped indexed
 // root find}, all through query.Spec execution. cached installs the
 // read-through cache before the first round. Every round's results fold
 // into the digest, so a caching bug that staled or dropped results changes
 // the digest instead of hiding.
 func QueryAPI(seed int64, items, chains, depth, repeats int, cached bool) (QueryAPIRun, error) {
-	if items < chains*depth+1 {
-		return QueryAPIRun{}, fmt.Errorf("bench: %d items cannot hold %d chains of depth %d", items, chains, depth)
-	}
 	cfg := sim.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Consistency = sim.Strict // isolate query timing from staleness retries
 	env := sim.NewEnv(cfg)
 	dep := core.NewShardedDeployment(env, core.Topology{DBShards: 4})
-	rnd := sim.NewRand(seed)
-
-	newRef := func() prov.Ref { return prov.Ref{UUID: uuid.New(rnd), Version: 1} }
-	procRef := newRef()
-	specs := []core.ItemSpec{{Ref: procRef, Type: "proc", Name: "bigprog"}}
-	var probeRef prov.Ref
-	for c := 0; c < chains; c++ {
-		parent := procRef
-		for l := 0; l < depth; l++ {
-			ref := newRef()
-			specs = append(specs, core.ItemSpec{
-				Ref:   ref,
-				Type:  "file",
-				Name:  fmt.Sprintf("mnt/big/c%04d/f%02d", c, l),
-				Input: parent.String(),
-			})
-			parent = ref
-		}
-		if c == 0 {
-			probeRef = parent
-		}
-	}
-	for len(specs) < items {
-		specs = append(specs, core.ItemSpec{
-			Ref:  newRef(),
-			Type: "file",
-			Name: fmt.Sprintf("mnt/noise/%07d", len(specs)),
-		})
-	}
-	if err := core.PopulateItems(dep.DB, specs); err != nil {
-		return QueryAPIRun{}, err
-	}
-	// Warm the per-shard sorted name tables (built lazily after bulk
-	// population) so the first measured query does not absorb the one-time
-	// sort in either mode.
-	if _, err := dep.DB.Select("select itemName() from "+core.DomainName+" limit 1", ""); err != nil {
+	probeRef, err := populateBigCorpus(dep, seed, items, chains, depth)
+	if err != nil {
 		return QueryAPIRun{}, err
 	}
 

@@ -1,20 +1,14 @@
 package bench
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"runtime"
 	"time"
 
 	"passcloud/internal/core"
-	"passcloud/internal/prov"
-	"passcloud/internal/sim"
-	"passcloud/internal/uuid"
+	"passcloud/internal/fabric"
 )
 
-// The sharded-fabric benchmark: replay the ≥50k-event commit workload of
-// BenchmarkCommitPipeline through P3 on a K-way sharded fabric (K WAL
+// The sharded-fabric benchmark: replay the ≥50k-event commit workload
+// through P3's batched log-and-commit path on a K-way sharded fabric (K WAL
 // queues, K SimpleDB domains, each with its own request-rate gate) and on
 // the K=1 seed topology, and compare simulated time, billed requests and
 // dollar cost. Every configuration commits byte-identical provenance,
@@ -22,10 +16,10 @@ import (
 // ReadProvenance and hashing them: the digest must not depend on K.
 
 // ShardedWriteScale is the live-mode time scale of the sharded-write
-// benchmark. It is deliberately far lower than CommitPipeScale: the sharded
-// comparison hinges on per-endpoint gate queueing, so the modelled service
-// latency — not the host's own compute time, which a 2000x compression
-// magnifies into most of the measurement — must dominate the run. At 50x
+// benchmark. It is deliberately low: the sharded comparison hinges on
+// per-endpoint gate queueing, so the modelled service latency — not the
+// host's own compute time, which a 2000x compression magnifies into most of
+// the measurement — must dominate the run. At 50x
 // the measured sim times are within a few percent of a 25x run (scale
 // convergence), i.e. the measurement is honest.
 const ShardedWriteScale = 50
@@ -52,7 +46,7 @@ type ShardedWriteRun struct {
 
 // ShardedWrite measures one fabric configuration. workers sizes the
 // commit-daemon pool, clientConns bounds concurrent client commits, scale 0
-// uses CommitPipeScale, and topo sizes the WAL/domain shard sets (the zero
+// uses ShardedWriteScale, and topo sizes the WAL/domain shard sets (the zero
 // value is the K=1 seed topology).
 func ShardedWrite(seed int64, txns, bundlesPerTxn, workers, clientConns int, scale float64, topo core.Topology) (ShardedWriteRun, error) {
 	if clientConns <= 0 {
@@ -62,101 +56,37 @@ func ShardedWrite(seed int64, txns, bundlesPerTxn, workers, clientConns int, sca
 		scale = ShardedWriteScale
 	}
 	set := commitPipeTxns(seed, txns, bundlesPerTxn)
-	runtime.GC() // keep allocator debt out of the scaled-time measurement
-
-	cfg := sim.DefaultConfig()
-	cfg.Seed = seed
-	cfg.TimeScale = scale
-	cfg.Consistency = sim.Strict // isolate commit timing from staleness retries
-	env := sim.NewEnv(cfg)
-	dep := core.NewShardedDeployment(env, topo)
-	p3 := core.NewP3(dep, core.Options{CommitWorkers: workers})
-
-	// The commit-daemon pool drains its shard subscriptions while the
-	// clients log.
-	stopDaemon := make(chan struct{})
-	daemonDone := make(chan struct{})
-	go func() {
-		defer close(daemonDone)
-		p3.RunDaemon(stopDaemon, time.Second)
-	}()
-
-	sim0 := env.Now()
-	wall0 := time.Now()
-	sem := make(chan struct{}, clientConns)
-	errs := make(chan error, len(set))
-	for i := range set {
-		tx := &set[i]
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			errs <- p3.Commit(tx.obj, tx.bundles)
-		}()
+	f, err := liveFabric(seed, scale, 0, fabric.Config{Topology: topo, Workers: workers})
+	if err != nil {
+		return ShardedWriteRun{}, err
 	}
-	var firstErr error
-	for range set {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	close(stopDaemon)
-	<-daemonDone
-	if err := p3.Settle(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if firstErr != nil {
-		return ShardedWriteRun{}, firstErr
-	}
+	defer f.Close()
+	f.Start() // the pool drains its shard subscriptions while the clients log
 
-	usage := env.Meter().Usage()
-	run := ShardedWriteRun{
-		WALShards:     dep.Topo.WALShards,
-		DBShards:      dep.Topo.DBShards,
+	sim0, wall0 := f.Env.Now(), time.Now()
+	if _, _, err := commitPhase(f, clientConns, set); err != nil {
+		return ShardedWriteRun{}, err
+	}
+	// The digest must not depend on K, and the fabric must end clean.
+	out, err := finish(f, wall0, set)
+	if err != nil {
+		return ShardedWriteRun{}, err
+	}
+	return ShardedWriteRun{
+		WALShards:     f.Dep.Topo.WALShards,
+		DBShards:      f.Dep.Topo.DBShards,
 		Txns:          txns,
 		BundlesPerTxn: bundlesPerTxn,
 		Events:        txns * bundlesPerTxn,
 		Workers:       workers,
-		SimSeconds:    (env.Now() - sim0).Seconds(),
-		WallSeconds:   time.Since(wall0).Seconds(),
-		SQSRequests:   sqsRequests(usage),
-		SDBBatchCalls: usage.OpsByKind["sdb.BatchPutAttributes"],
-		TotalOps:      usage.TotalOps,
-		CostUSD:       usage.Cost(cfg.StorageWindow),
-		OpsByKind:     usage.OpsByKind,
-		OpsByShard:    usage.OpsByEndpoint,
-	}
-
-	// Read every transaction's provenance back (outside the measurement, on
-	// an instant manual clock) and fold it into the run digest; equal
-	// digests across shard counts prove the fabric's routing and merge
-	// reproduce the canonical single-domain read results byte for byte.
-	env.Clock().SetScale(0)
-	h := sha256.New()
-	for i := range set {
-		for _, u := range []uuid.UUID{set[i].file, set[i].proc} {
-			bundles, err := core.ReadProvenance(dep, core.BackendSDB, u)
-			if err != nil {
-				return ShardedWriteRun{}, fmt.Errorf("bench: read-back of %s: %w", u, err)
-			}
-			h.Write(prov.EncodeBundles(bundles))
-		}
-		o, err := dep.Store.Get(core.DataKey(set[i].obj.Path))
-		if err != nil {
-			return ShardedWriteRun{}, fmt.Errorf("bench: data of %s: %w", set[i].obj.Path, err)
-		}
-		h.Write([]byte(o.Metadata["prov-uuid"] + "/" + o.Metadata["prov-version"]))
-	}
-	run.ProvDigest = hex.EncodeToString(h.Sum(nil))
-
-	// A clean fabric leaves nothing behind on any shard.
-	if n := dep.WAL.Len(); n != 0 {
-		return ShardedWriteRun{}, fmt.Errorf("bench: %d WAL messages left after settle", n)
-	}
-	if keys, _, _ := dep.Store.ListAll(core.TmpPrefix); len(keys) != 0 {
-		return ShardedWriteRun{}, fmt.Errorf("bench: %d temp objects leaked", len(keys))
-	}
-	if n := p3.PendingTxns(); n != 0 {
-		return ShardedWriteRun{}, fmt.Errorf("bench: %d transactions still pending", n)
-	}
-	return run, nil
+		SimSeconds:    (out.simEnd - sim0).Seconds(),
+		WallSeconds:   out.wallSecs,
+		SQSRequests:   sqsRequests(out.usage),
+		SDBBatchCalls: out.usage.OpsByKind["sdb.BatchPutAttributes"],
+		TotalOps:      out.usage.TotalOps,
+		CostUSD:       out.costUSD,
+		OpsByKind:     out.usage.OpsByKind,
+		OpsByShard:    out.usage.OpsByEndpoint,
+		ProvDigest:    out.digest,
+	}, cleanEnd(f, false)
 }

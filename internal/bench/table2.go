@@ -8,6 +8,7 @@ import (
 	"passcloud/internal/cloud/sqs"
 	"passcloud/internal/cloud/store"
 	"passcloud/internal/core"
+	"passcloud/internal/par"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/workload"
@@ -47,19 +48,11 @@ func uploadS3(env *sim.Env, bundles []prov.Bundle, conns int) {
 	if len(cur) > 0 {
 		groups = append(groups, cur)
 	}
-	sem := make(chan struct{}, conns)
-	done := make(chan struct{}, len(groups))
-	for _, g := range groups {
-		g := g
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; done <- struct{}{} }()
-			st.Put(core.ProvKey(g[len(g)-1].Ref.UUID), prov.EncodeBundles(g), nil)
-		}()
-	}
-	for range groups {
-		<-done
-	}
+	par.ForEach(conns, len(groups), func(i int) error {
+		g := groups[i]
+		st.Put(core.ProvKey(g[len(g)-1].Ref.UUID), prov.EncodeBundles(g), nil)
+		return nil
+	})
 }
 
 // uploadSDB stores the bundles as items in 25-item batches, conns at a time.
@@ -91,23 +84,7 @@ func uploadSDB(env *sim.Env, bundles []prov.Bundle, conns int) error {
 	if len(cur) > 0 {
 		batches = append(batches, cur)
 	}
-	sem := make(chan struct{}, conns)
-	errs := make(chan error, len(batches))
-	for _, bt := range batches {
-		bt := bt
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			errs <- dom.BatchPutAttributes(bt)
-		}()
-	}
-	var first error
-	for range batches {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return par.ForEach(conns, len(batches), func(i int) error { return dom.BatchPutAttributes(batches[i]) })
 }
 
 // uploadSQSPayload chunks an encoded provenance payload into 8 KB messages,
@@ -122,24 +99,10 @@ func uploadSQSPayload(env *sim.Env, payload []byte, conns int) error {
 		}
 		chunks = append(chunks, payload[start:end])
 	}
-	sem := make(chan struct{}, conns)
-	errs := make(chan error, len(chunks))
-	for _, c := range chunks {
-		c := c
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			_, err := q.SendMessage(c)
-			errs <- err
-		}()
-	}
-	var first error
-	for range chunks {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return par.ForEach(conns, len(chunks), func(i int) error {
+		_, err := q.SendMessage(chunks[i])
+		return err
+	})
 }
 
 // Table2 runs the three uploads. conns of zero uses the paper's tuned
@@ -154,18 +117,15 @@ func Table2(seed int64, scale float64, connsS3, connsSDB, connsSQS int) ([]Table
 	if connsSQS <= 0 {
 		connsSQS = 150
 	}
+	if scale == 0 {
+		scale = Table2Scale
+	}
 	bundles := workload.CompileProvenance(sim.NewRand(seed), Table2Size)
 	run := func(name string, conns int, f func(*sim.Env) error) (Table2Row, error) {
 		// Clear allocator debt from the previous phase so GC pauses do
 		// not leak into this phase's scaled-time measurement.
 		runtime.GC()
-		cfg := sim.DefaultConfig()
-		cfg.Seed = seed
-		cfg.TimeScale = scale
-		if cfg.TimeScale == 0 {
-			cfg.TimeScale = Table2Scale
-		}
-		env := sim.NewEnv(cfg)
+		env := sim.NewEnv(Setup{Seed: seed, Scale: scale}.envConfig())
 		start := env.Now()
 		if err := f(env); err != nil {
 			return Table2Row{}, err

@@ -6,6 +6,7 @@ import (
 	"passcloud/internal/core"
 	"passcloud/internal/pasfs"
 	"passcloud/internal/pass"
+	"passcloud/internal/prov"
 	"passcloud/internal/query"
 	"passcloud/internal/sim"
 	"passcloud/internal/workload"
@@ -113,35 +114,25 @@ func Table5(seed int64, scale float64) ([]Table5Row, error) {
 			MB:         float64(mQ2.Bytes) / (1 << 20), Ops: mQ2.Ops,
 		})
 
-		// Q3: direct outputs of Blast.
-		_, m3s, err := e.DirectOutputsOf(program, 1)
-		if err != nil {
-			return nil, err
+		// Q3: direct outputs of Blast. Q4: all its descendants.
+		for _, q := range []struct {
+			name string
+			run  func(program string, workers int) ([]prov.Ref, query.Metrics, error)
+		}{{"Q3", e.DirectOutputsOf}, {"Q4", e.DescendantsOf}} {
+			_, seq, err := q.run(program, 1)
+			if err != nil {
+				return nil, err
+			}
+			_, par, err := q.run(program, Table5Workers)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, Table5Row{
+				Query: q.name, Backend: be.label,
+				Sequential: seq.Elapsed, Parallel: par.Elapsed,
+				MB: float64(seq.Bytes) / (1 << 20), Ops: seq.Ops,
+			})
 		}
-		_, m3p, err := e.DirectOutputsOf(program, Table5Workers)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table5Row{
-			Query: "Q3", Backend: be.label,
-			Sequential: m3s.Elapsed, Parallel: m3p.Elapsed,
-			MB: float64(m3s.Bytes) / (1 << 20), Ops: m3s.Ops,
-		})
-
-		// Q4: all descendants.
-		_, m4s, err := e.DescendantsOf(program, 1)
-		if err != nil {
-			return nil, err
-		}
-		_, m4p, err := e.DescendantsOf(program, Table5Workers)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table5Row{
-			Query: "Q4", Backend: be.label,
-			Sequential: m4s.Elapsed, Parallel: m4p.Elapsed,
-			MB: float64(m4s.Bytes) / (1 << 20), Ops: m4s.Ops,
-		})
 	}
 	return rows, nil
 }

@@ -1,19 +1,16 @@
 package bench
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/fabric"
 	"passcloud/internal/frontdoor"
-	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/uuid"
 )
@@ -64,7 +61,6 @@ type TenantIsolationConfig struct {
 	AbuserConns   int     // storm concurrency
 	AbuserTxns    int     // size of the fixed transaction set the storm replays
 	Isolation     bool    // false = negative control (front door bypassed)
-	CombineWindow time.Duration // front-door combine window; 0 = door default
 }
 
 // TenantIsolationRun is the measured outcome of one configuration.
@@ -126,53 +122,13 @@ func tenantIsolationIDs(k int) (compliant, abuser string) {
 	}
 }
 
-// tenantPipeTxns is commitPipeTxns with every object uuid minted inside the
-// tenant's band, so the set co-shards the way front-door traffic does. The
-// same (seed, band) always yields the same set — the digest comparison
-// between the solo and shared runs depends on it.
-func tenantPipeTxns(seed int64, band sim.Band, tag string, txns, bundlesPerTxn int) []pipeTxn {
-	rnd := sim.NewRand(seed)
-	pad := "" // keep tenant bundles small: the storm replays them endlessly
-	for i := 0; i < 40; i++ {
-		pad += "tenantpad"
-	}
-	out := make([]pipeTxn, 0, txns)
-	for t := 0; t < txns; t++ {
-		procRef := prov.Ref{UUID: core.MintBandUUID(rnd, band), Version: 1}
-		fileUUID := core.MintBandUUID(rnd, band)
-		path := fmt.Sprintf("mnt/%s/%06d", tag, t)
-		bundles := make([]prov.Bundle, 0, bundlesPerTxn)
-		bundles = append(bundles, prov.Bundle{
-			Ref: procRef, Type: prov.Process, Name: tag + "prog",
-			Records: []prov.Record{
-				{Attr: prov.AttrType, Value: "proc"},
-				{Attr: prov.AttrName, Value: tag + "prog"},
-				{Attr: prov.AttrEnv, Value: pad},
-			},
-		})
-		var last prov.Ref
-		for v := 1; v < bundlesPerTxn; v++ {
-			ref := prov.Ref{UUID: fileUUID, Version: v}
-			records := []prov.Record{
-				{Attr: prov.AttrType, Value: "file"},
-				{Attr: prov.AttrName, Value: path},
-				{Attr: prov.AttrInput, Xref: procRef},
-				{Attr: prov.AttrEnv, Value: pad},
-			}
-			if v > 1 {
-				records = append(records, prov.Record{Attr: prov.AttrPrevVer, Xref: last})
-			}
-			bundles = append(bundles, prov.Bundle{Ref: ref, Type: prov.File, Name: path, Records: records})
-			last = ref
-		}
-		out = append(out, pipeTxn{
-			obj:     core.FileObject{Path: path, Size: 4096, Ref: last},
-			bundles: bundles,
-			proc:    procRef.UUID,
-			file:    fileUUID,
-		})
-	}
-	return out
+// tenantPipeTxns is the pinned workload shape with every object uuid minted
+// inside the tenant's band, so the set co-shards the way front-door traffic
+// does. Bundles stay small: the storm replays them endlessly.
+func tenantPipeTxns(seed int64, tenant string, txns, bundlesPerTxn int) []pipeTxn {
+	band := frontdoor.BandFor(tenant)
+	mint := func(r *sim.Rand) uuid.UUID { return core.MintBandUUID(r, band) }
+	return pipeTxns(sim.NewRand(seed), mint, tenant, strings.Repeat("tenantpad", 40), txns, bundlesPerTxn)
 }
 
 // TenantIsolation runs one configuration: the compliant tenant commits its
@@ -211,27 +167,8 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 		c.AbuserTxns = 6
 	}
 	compliantID, abuserID := tenantIsolationIDs(c.K)
-	set := tenantPipeTxns(c.Seed, frontdoor.BandFor(compliantID), compliantID, c.Txns, c.BundlesPerTxn)
-	abuseSet := tenantPipeTxns(c.Seed^0x5eed, frontdoor.BandFor(abuserID), abuserID, c.AbuserTxns, c.BundlesPerTxn)
-	runtime.GC() // keep allocator debt out of the scaled-time measurement
-
-	cfg := sim.DefaultConfig()
-	cfg.Seed = c.Seed
-	cfg.TimeScale = c.Scale
-	cfg.Consistency = sim.Strict // isolate tenant timing from staleness retries
-	cfg.DupProb = c.DupProb
-	env := sim.NewEnv(cfg)
-	dep := core.NewShardedDeployment(env, core.Topology{WALShards: c.K, DBShards: c.K})
-	if c.FaultProb > 0 {
-		env.InstallFaults(sim.UniformPlan(c.FaultProb, c.ApplyProb))
-	}
-	p3 := core.NewP3(dep, core.Options{CommitWorkers: c.Workers})
-	door := frontdoor.New(dep, p3, frontdoor.Config{
-		CombineWindow:    c.CombineWindow,
-		DisableIsolation: !c.Isolation,
-	})
-	compliant := door.Tenant(compliantID, compliantQuota)
-	abuser := door.Tenant(abuserID, abusiveQuota)
+	set := tenantPipeTxns(c.Seed, compliantID, c.Txns, c.BundlesPerTxn)
+	abuseSet := tenantPipeTxns(c.Seed^0x5eed, abuserID, c.AbuserTxns, c.BundlesPerTxn)
 
 	mode := "solo"
 	switch {
@@ -245,24 +182,22 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 		K: c.K, Txns: c.Txns, BundlesPerTxn: c.BundlesPerTxn,
 		Events: c.Txns * c.BundlesPerTxn, Workers: c.Workers,
 	}
-	wall0 := time.Now()
-
-	// The commit-daemon pool drains the WAL while both tenants log; always
-	// joined on the way out.
-	stopDaemon := make(chan struct{})
-	daemonDone := make(chan struct{})
-	go func() {
-		defer close(daemonDone)
-		p3.RunDaemon(stopDaemon, time.Second)
-	}()
-	var daemonOnce sync.Once
-	stopDaemons := func() {
-		daemonOnce.Do(func() {
-			close(stopDaemon)
-			<-daemonDone
-		})
+	cfg := fabric.Config{
+		Topology: kWay(c.K), Workers: c.Workers,
+		Tenants: []fabric.Tenant{{ID: compliantID, Quota: compliantQuota}, {ID: abuserID, Quota: abusiveQuota}},
+		Door:    frontdoor.Config{DisableIsolation: !c.Isolation},
 	}
-	defer stopDaemons()
+	if c.FaultProb > 0 {
+		cfg.Faults = sim.UniformPlan(c.FaultProb, c.ApplyProb)
+	}
+	f, err := liveFabric(c.Seed, c.Scale, c.DupProb, cfg)
+	if err != nil {
+		return run, err
+	}
+	defer f.Close() // after the storm has stopped: defers run last-in first-out
+	env, compliant, abuser := f.Env, f.Tenants[0], f.Tenants[1]
+	wall0 := time.Now()
+	f.Start() // the pool drains the WAL while both tenants log
 
 	// The storm: AbuserConns clients cycling the fixed abusive set flat out,
 	// ignoring RetryAfter. Re-commits of the same content are harmless (they
@@ -273,7 +208,6 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	var stormWG sync.WaitGroup
 	if c.Abuser {
 		for w := 0; w < c.AbuserConns; w++ {
-			w := w
 			stormWG.Add(1)
 			go func() {
 				defer stormWG.Done()
@@ -294,13 +228,10 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 			}()
 		}
 	}
-	var stormOnce sync.Once
-	stopTheStorm := func() {
-		stormOnce.Do(func() {
-			close(stopStorm)
-			stormWG.Wait()
-		})
-	}
+	stopTheStorm := sync.OnceFunc(func() {
+		close(stopStorm)
+		stormWG.Wait()
+	})
 	defer stopTheStorm()
 
 	// The compliant tenant's phase: open-loop arrivals at OfferedRate spread
@@ -313,7 +244,6 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	t0 := env.Now()
 	var clientWG sync.WaitGroup
 	for w := 0; w < c.ClientConns; w++ {
-		w := w
 		clientWG.Add(1)
 		go func() {
 			defer clientWG.Done()
@@ -356,23 +286,24 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	if run.SimSeconds > 0 {
 		run.Goodput = float64(committed) / run.SimSeconds
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	run.CommitP50Ms = float64(lat[len(lat)/2].Microseconds()) / 1e3
-	run.CommitP99Ms = float64(lat[len(lat)*99/100].Microseconds()) / 1e3
+	run.CommitP50Ms, run.CommitP99Ms = pctMs(lat)
 
-	// Drain everything assembled, fault-free, then stop the pool.
-	if f := env.Faults(); f != nil {
-		f.SetPlan(nil)
+	// Drain everything assembled, fault-free, then stop the pool. The
+	// negative control only measures — a fabric an unthrottled storm flooded
+	// takes unboundedly long to drain on the live clock, and the bound
+	// violation it exists to show is already in the numbers.
+	if inj := env.Faults(); inj != nil {
+		inj.SetPlan(nil)
 	}
-	verify := c.Isolation
-	if verify {
-		if err := p3.Settle(); err != nil {
+	verified := c.Isolation
+	if verified {
+		if err := f.P3.Settle(); err != nil {
 			return run, err
 		}
 	}
-	stopDaemons()
-	if verify {
-		if err := p3.Settle(); err != nil {
+	f.Stop()
+	if verified {
+		if err := f.P3.Settle(); err != nil {
 			return run, err
 		}
 	}
@@ -380,7 +311,7 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 
 	usage := env.Meter().Usage()
 	run.TotalOps = usage.TotalOps
-	run.CostUSD = usage.Cost(cfg.StorageWindow)
+	run.CostUSD = usage.Cost(env.Config().StorageWindow)
 	run.Faults = usage.Faults
 	if ops, ok := usage.OpsByTenant[compliantID]; ok {
 		run.CompliantAdmitted, run.CompliantQueued, run.CompliantShed = ops.Admitted, ops.Queued, ops.Shed
@@ -390,46 +321,41 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	}
 	run.AbuserAttempts = abAttempts.Load()
 	run.AbuserCommitted = abCommitted.Load()
-	st := door.Resilience().Stats().Totals()
+	st := f.Door.Resilience().Stats().Totals()
 	run.TenantRetries, run.TenantBreakerOpen = st.Retries, st.BreakerOpens
-	if dep.Res != nil {
-		run.EndpointRetries = dep.Res.Stats().Totals().Retries
+	if f.Dep.Res != nil {
+		run.EndpointRetries = f.Dep.Res.Stats().Totals().Retries
 	}
-
-	// The negative control only measures — a fabric an unthrottled storm
-	// flooded takes unboundedly long to drain, and the bound violation it
-	// exists to show is already in the numbers above.
-	if !verify {
+	if !verified {
 		return run, nil
 	}
 
-	// Verification outside the measurement, on an instant clock. The storm
+	// Verification outside the measurement, on the manual clock. The storm
 	// abandons transactions mid-send (its tenant breaker cuts it off between
 	// WAL batches), so first let retention expire the orphaned packets and
 	// the cleaner collect the orphaned temp objects — the same path that
 	// cleans up crashed clients — then require a fabric as clean as a calm
-	// run's: empty WAL, no temp leaks, exact item count, placement audit.
-	env.Clock().SetScale(0)
+	// run's.
+	if err := f.ToManual(); err != nil {
+		return run, err
+	}
 	env.Clock().Advance(5 * 24 * time.Hour)
-	if _, err := p3.RunCleaner(0); err != nil {
+	if _, err := f.P3.RunCleaner(0); err != nil {
 		return run, fmt.Errorf("bench: cleaner after storm: %w", err)
 	}
-	if n := dep.WAL.Len(); n != 0 {
-		return run, fmt.Errorf("bench: %d WAL messages left after retention", n)
-	}
-	if keys, _, _ := dep.Store.ListAll(core.TmpPrefix); len(keys) != 0 {
-		return run, fmt.Errorf("bench: %d temp objects leaked", len(keys))
+	if err := cleanEnd(f, true); err != nil {
+		return run, err
 	}
 
 	// Ground truth for the abuser: a transaction the storm abandoned must
 	// have left nothing, a transaction that landed at least once must be
 	// complete — all or nothing, per transaction.
 	for i := range abuseSet {
-		nproc, err := provItemCount(dep, abuseSet[i].proc)
+		nproc, err := provItemCount(f.Dep, abuseSet[i].proc)
 		if err != nil {
 			return run, err
 		}
-		nfile, err := provItemCount(dep, abuseSet[i].file)
+		nfile, err := provItemCount(f.Dep, abuseSet[i].file)
 		if err != nil {
 			return run, err
 		}
@@ -440,37 +366,19 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 		}
 		run.AbuserItems += nproc + nfile
 	}
-	run.ItemCount = dep.DB.ItemCount()
+	// Exact item count, placement audit, and the compliant tenant's digest:
+	// the solo and shared runs must agree byte for byte.
+	v, err := verify(f, set)
+	if err != nil {
+		return run, err
+	}
+	run.ItemCount, run.Misplaced, run.Duplicates, run.ProvDigest = v.items, v.misplaced, v.duplicates, v.digest
 	if want := run.Events + run.AbuserItems; run.ItemCount != want {
 		return run, fmt.Errorf("bench: %d items in fabric, want %d (lost or duplicated)", run.ItemCount, want)
 	}
-	mis, dup, err := core.AuditFabric(dep)
-	if err != nil {
-		return run, fmt.Errorf("bench: fabric audit: %w", err)
+	if v.misplaced != 0 || v.duplicates != 0 {
+		return run, fmt.Errorf("bench: audit found %d misplaced, %d duplicated", v.misplaced, v.duplicates)
 	}
-	run.Misplaced, run.Duplicates = mis, dup
-	if mis != 0 || dup != 0 {
-		return run, fmt.Errorf("bench: audit found %d misplaced, %d duplicated", mis, dup)
-	}
-
-	// Digest the compliant tenant's read-back provenance and data pointers;
-	// the solo and shared runs must agree byte for byte.
-	h := sha256.New()
-	for i := range set {
-		for _, u := range []uuid.UUID{set[i].file, set[i].proc} {
-			bundles, err := core.ReadProvenance(dep, core.BackendSDB, u)
-			if err != nil {
-				return run, fmt.Errorf("bench: read-back of %s: %w", u, err)
-			}
-			h.Write(prov.EncodeBundles(bundles))
-		}
-		o, err := dep.Store.Get(core.DataKey(set[i].obj.Path))
-		if err != nil {
-			return run, fmt.Errorf("bench: data of %s: %w", set[i].obj.Path, err)
-		}
-		h.Write([]byte(o.Metadata["prov-uuid"] + "/" + o.Metadata["prov-version"]))
-	}
-	run.ProvDigest = hex.EncodeToString(h.Sum(nil))
 	run.Verified = true
 	return run, nil
 }

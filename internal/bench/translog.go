@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"passcloud/internal/cloud/sdb"
-	"passcloud/internal/core"
+	"passcloud/internal/fabric"
 	"passcloud/internal/sim"
 	"passcloud/internal/translog"
 )
@@ -39,9 +35,6 @@ type TamperConfig struct {
 	ApplyProb     float64 // fraction of mutating faults that are ambiguous
 	LogEnabled    bool    // false = the log-disabled twin for the overhead gate
 	Tamper        bool    // negative control: rewrite one bundle before the audit
-	// CheckpointEvery is the sequencer daemon's interval (simulated time);
-	// zero uses one second.
-	CheckpointEvery time.Duration
 }
 
 // TamperRun is the measured outcome of one transparency-log configuration.
@@ -94,110 +87,28 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	if c.Scale == 0 {
 		c.Scale = TranslogBenchScale
 	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = time.Second
-	}
-	set := commitPipeTxns(c.Seed, c.Txns, c.BundlesPerTxn)
-	runtime.GC()
-
-	cfg := sim.DefaultConfig()
-	cfg.Seed = c.Seed
-	cfg.TimeScale = c.Scale
-	cfg.Consistency = sim.Strict // isolate log overhead from staleness retries
-	env := sim.NewEnv(cfg)
-	dep := core.NewShardedDeployment(env, core.Topology{WALShards: c.FromK, DBShards: c.FromK})
-	if c.FaultProb > 0 {
-		env.InstallFaults(sim.UniformPlan(c.FaultProb, c.ApplyProb))
-	}
-	p3 := core.NewP3(dep, core.Options{CommitWorkers: c.Workers})
-
 	run := TamperRun{
 		LogEnabled: c.LogEnabled, Tamper: c.Tamper, FaultProb: c.FaultProb,
 		FromK: c.FromK, ToK: c.ToK,
 		Txns: c.Txns, BundlesPerTxn: c.BundlesPerTxn, Events: c.Txns * c.BundlesPerTxn,
 		Workers: c.Workers,
 	}
-
-	var l *translog.Log
-	var seqStop chan struct{}
-	var seqDone chan struct{}
-	if c.LogEnabled {
-		l = translog.New(env, dep.Store, "")
-		defer l.Attach(dep.Commits)()
-		seqStop, seqDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(seqDone)
-			l.Run(seqStop, c.CheckpointEvery)
-		}()
+	set := commitPipeTxns(c.Seed, c.Txns, c.BundlesPerTxn)
+	cfg := fabric.Config{Topology: kWay(c.FromK), Workers: c.Workers, Translog: c.LogEnabled}
+	if c.FaultProb > 0 {
+		cfg.Faults = sim.UniformPlan(c.FaultProb, c.ApplyProb)
 	}
-
-	// checkpoint retries through the armed fault plan: every stage is
-	// idempotent, so re-running rolls the durable state forward.
-	checkpoint := func() (translog.SignedHead, error) {
-		var h translog.SignedHead
-		var err error
-		for attempt := 0; attempt < 200; attempt++ {
-			if h, err = l.Checkpoint(); err == nil {
-				return h, nil
-			}
-		}
-		return h, fmt.Errorf("bench: checkpoint never succeeded: %w", err)
+	f, err := liveFabric(c.Seed, c.Scale, 0, cfg)
+	if err != nil {
+		return run, err
 	}
+	defer f.Close()
+	f.Start()
 
-	var latMu sync.Mutex
-	lat := make([]time.Duration, 0, len(set))
-	commitBatch := func(batch []pipeTxn) error {
-		sem := make(chan struct{}, c.ClientConns)
-		errs := make(chan error, len(batch))
-		for i := range batch {
-			tx := &batch[i]
-			sem <- struct{}{}
-			go func() {
-				defer func() { <-sem }()
-				t0 := env.Now()
-				err := p3.Commit(tx.obj, tx.bundles)
-				d := env.Now() - t0
-				latMu.Lock()
-				lat = append(lat, d)
-				latMu.Unlock()
-				errs <- err
-			}()
-		}
-		var first error
-		for range batch {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-
-	stopDaemon := make(chan struct{})
-	daemonDone := make(chan struct{})
-	go func() {
-		defer close(daemonDone)
-		p3.RunDaemon(stopDaemon, time.Second)
-	}()
-	var stopOnce sync.Once
-	stop := func() {
-		stopOnce.Do(func() {
-			close(stopDaemon)
-			<-daemonDone
-			if seqStop != nil {
-				close(seqStop)
-				<-seqDone
-			}
-		})
-	}
-	defer stop()
-
-	wall0 := time.Now()
-	t0 := env.Now()
+	wall0, t0 := time.Now(), f.Env.Now()
 	half := len(set) / 2
-	if err := commitBatch(set[:half]); err != nil {
-		return run, fmt.Errorf("bench: first commit phase: %w", err)
-	}
-	if err := p3.Settle(); err != nil {
+	first, err := runPhase(f, c.ClientConns, set[:half], c.FromK)
+	if err != nil {
 		return run, err
 	}
 	// The witnessed head: a third party saw this commitment before the
@@ -205,60 +116,30 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	// consistency against it.
 	var witness translog.SignedHead
 	if c.LogEnabled {
-		var err error
-		if witness, err = checkpoint(); err != nil {
+		if witness, err = f.Checkpoint(); err != nil {
 			return run, err
 		}
 	}
-
-	resCh := make(chan error, 1)
-	if c.ToK != c.FromK {
-		go func() {
-			_, err := dep.Reshard(context.Background(), core.Topology{WALShards: c.ToK, DBShards: c.ToK})
-			resCh <- err
-		}()
-	} else {
-		resCh <- nil
-	}
-	err := commitBatch(set[half:])
-	if rerr := <-resCh; rerr != nil {
-		return run, fmt.Errorf("bench: reshard: %w", rerr)
-	}
-	if err != nil {
-		return run, fmt.Errorf("bench: second commit phase: %w", err)
-	}
-	if err := p3.Settle(); err != nil {
-		return run, err
-	}
-	run.SimSeconds = (env.Now() - t0).Seconds()
-
-	stop()
-	if err := p3.Settle(); err != nil {
-		return run, err
-	}
-	run.WallSeconds = time.Since(wall0).Seconds()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	run.CommitP50Ms = float64(lat[len(lat)/2].Microseconds()) / 1e3
-	run.CommitP99Ms = float64(lat[len(lat)*99/100].Microseconds()) / 1e3
-
-	// Verification outside the measurement: instant clock, fault plan
-	// disarmed (the proofs and the audit are the subject here, not the
-	// retry machinery — the unit tests cover auditing under live faults).
-	env.Clock().SetScale(0)
-	if c.FaultProb > 0 {
-		env.InstallFaults(sim.FaultPlan{})
-	}
-	usage := env.Meter().Usage()
-	run.Faults = usage.Faults
-	run.ItemCount = dep.DB.ItemCount()
-	mis, dup, err := core.AuditFabric(dep)
+	second, err := runPhase(f, c.ClientConns, set[half:], c.ToK)
 	if err != nil {
 		return run, err
 	}
-	run.Misplaced, run.Duplicates = mis, dup
+	run.SimSeconds = (f.Env.Now() - t0).Seconds()
+	lat := append(first.lat, second.lat...)
+	run.CommitP50Ms, run.CommitP99Ms = pctMs(lat)
+
+	// Verification runs with the fault plan disarmed: the proofs and the
+	// audit are the subject here, not the retry machinery (the unit tests
+	// cover auditing under live faults).
+	out, err := finish(f, wall0, nil)
+	if err != nil {
+		return run, err
+	}
+	run.WallSeconds, run.Faults = out.wallSecs, out.usage.Faults
+	run.ItemCount, run.Misplaced, run.Duplicates = out.items, out.misplaced, out.duplicates
 
 	if c.LogEnabled {
-		head, err := checkpoint() // final durable head
+		head, err := f.Checkpoint() // final durable head
 		if err != nil {
 			return run, err
 		}
@@ -267,8 +148,8 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 		if c.Tamper {
 			// Negative control: rewrite one committed item's attributes
 			// directly on its home shard, behind the fabric's back.
-			victim := l.Leaves()[len(l.Leaves())/2].Items[0].Name
-			dom := dep.DB.Shard(dep.DB.ShardForItem(victim))
+			victim := f.Log.Leaves()[len(f.Log.Leaves())/2].Items[0].Name
+			dom := f.Dep.DB.Shard(f.Dep.DB.ShardForItem(victim))
 			it, err := dom.GetAttributes(victim)
 			if err != nil {
 				return run, err
@@ -280,7 +161,7 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 			}
 		}
 
-		rep, err := translog.Audit(dep, l, translog.AuditOptions{Witness: &witness})
+		rep, err := translog.Audit(f.Dep, f.Log, translog.AuditOptions{Witness: &witness})
 		if err != nil {
 			return run, err
 		}
@@ -300,25 +181,19 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 		// must rebuild the identical signed head (skipped after a tamper —
 		// the rewritten fabric is the divergence under test, not the log).
 		if !c.Tamper {
-			reopened, err := translog.Open(env, dep.Store, "")
+			reopened, err := translog.Open(f.Env, f.Dep.Store, "")
 			if err != nil {
 				return run, fmt.Errorf("bench: cold open: %w", err)
 			}
 			run.ReopenedOK = reopened.Head() == head
 		}
 	}
-	usage = env.Meter().Usage()
+	usage := f.Env.Meter().Usage()
 	run.LogAppends = usage.LogAppends
 	run.LogHeads = usage.LogHeads
 	run.TotalOps = usage.TotalOps
-	run.CostUSD = usage.Cost(cfg.StorageWindow)
+	run.CostUSD = usage.Cost(f.Env.Config().StorageWindow)
 
 	// A logged run ends as clean as an unlogged one.
-	if n := dep.WAL.Len(); n != 0 {
-		return run, fmt.Errorf("bench: %d WAL messages left after settle", n)
-	}
-	if n := p3.PendingTxns(); n != 0 {
-		return run, fmt.Errorf("bench: %d transactions still pending", n)
-	}
-	return run, nil
+	return run, cleanEnd(f, false)
 }

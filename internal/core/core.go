@@ -26,9 +26,11 @@
 // sharded state and group-commits them, coalescing provenance items across
 // transactions into full 25-item BatchPutAttributes calls. The knobs are
 // Options.CommitWorkers (pool size, default 1), Options.ProvConns and
-// Options.DataConns (per-commit connection fan-out), and — for ablation
-// benchmarks only — P3.SetBatchedCommit(false), which restores the seed's
-// entry-by-entry serial path.
+// Options.DataConns (per-commit connection fan-out). The seed's
+// entry-by-entry serial path is gone; its last measurements are the first
+// line of BENCH_history.jsonl and the ceilings in
+// internal/bench/commitpipe_test.go. internal/fabric wires P3 to the layers
+// around it and owns its daemons' lifecycle.
 //
 // The fabric itself shards: Topology sizes K-way WAL queue and provenance
 // domain sets (NewShardedDeployment), transactions hash to their home WAL

@@ -79,11 +79,6 @@ type P3 struct {
 
 	chunkSize int
 
-	// serial disables the batch APIs and cross-transaction coalescing,
-	// reproducing the seed's entry-by-entry commit path. Benchmark ablation
-	// only; set before any commits and never mid-run.
-	serial bool
-
 	// cursor rotates CommitOnce's starting WAL shard so un-subscribed
 	// callers (tests, single-daemon loops) still cover every shard fairly.
 	cursor atomic.Uint64
@@ -163,14 +158,6 @@ func (p *P3) Workers() int { return p.opts.CommitWorkers }
 
 // SetChunkSize overrides the WAL chunk payload size (ablation benchmarks).
 func (p *P3) SetChunkSize(n int) { p.chunkSize = n }
-
-// SetBatchedCommit toggles the batched commit path (the default). False
-// reproduces the seed implementation for the ablation benchmarks: one
-// SendMessage per WAL chunk, one DeleteMessage per receipt, and each
-// transaction's provenance in its own (usually under-filled)
-// BatchPutAttributes calls. Call before any commits; the knob must not be
-// flipped mid-run.
-func (p *P3) SetBatchedCommit(v bool) { p.serial = !v }
 
 // SetClientCrashAfter makes the next Commit die after sending n packets.
 func (p *P3) SetClientCrashAfter(n int) {
@@ -301,23 +288,11 @@ func (p *P3) commitTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) err
 
 // sendWAL ships the WAL messages of transaction id (the uuid's string form)
 // to one queue shard in ≤10-entry SendMessageBatch calls, batches running
-// in parallel on the provenance connection pool. In serial mode every message is its own SendMessage
-// request. Every send carries an idempotency token derived from the
-// transaction uuid and the chunk sequence, so a send retried after an
-// ambiguous fault (applied but reported failed) never enqueues a packet
-// twice — the queue returns the original ids.
+// in parallel on the provenance connection pool. Every send carries an
+// idempotency token derived from the transaction uuid and the chunk
+// sequence, so a send retried after an ambiguous fault (applied but reported
+// failed) never enqueues a packet twice — the queue returns the original ids.
 func (p *P3) sendWAL(wal *sqs.Queue, id string, msgs [][]byte) error {
-	if p.serial {
-		tasks := make([]func() error, len(msgs))
-		for i, m := range msgs {
-			i, m := i, m
-			tasks[i] = func() error {
-				_, err := wal.SendMessageIdem(m, walToken(id, i))
-				return err
-			}
-		}
-		return par.Run(p.opts.ProvConns, tasks)
-	}
 	var tasks []func() error
 	for start := 0; start < len(msgs); start += sqs.MaxBatchEntries {
 		end := start + sqs.MaxBatchEntries
@@ -378,22 +353,13 @@ func (p *P3) PrepareCommit(band sim.Band, obj FileObject, bundles []prov.Bundle)
 	return &PreparedTxn{Txn: txn, Queue: l.wal, Entries: entries, release: l.release}, nil
 }
 
-// maxAssemblyBudget caps how many ReceiveMessage calls one batched commit
-// round may spend on a single WAL shard. The budget itself is adaptive:
-// the round keeps receiving while the shard keeps returning full pages
-// (deep backlog — pull enough to coalesce full 25-item database batches)
-// and stops at the first short page (shallow backlog — commit immediately
-// so idle shards stay low-latency). The serial ablation path keeps the
-// seed's one receive per round.
-const maxAssemblyBudget = 24
-
-// assemblyBudget is the receive cap for one shard in one round.
-func (p *P3) assemblyBudget() int {
-	if p.serial {
-		return 1
-	}
-	return maxAssemblyBudget
-}
+// assemblyBudget caps how many ReceiveMessage calls one commit round may
+// spend on a single WAL shard. The budget itself is adaptive: the round
+// keeps receiving while the shard keeps returning full pages (deep backlog —
+// pull enough to coalesce full 25-item database batches) and stops at the
+// first short page (shallow backlog — commit immediately so idle shards stay
+// low-latency).
+const assemblyBudget = 24
 
 // walSubscription returns the WAL shards daemon worker w of a pool of n
 // polls: with at least as many workers as shards each worker owns one shard
@@ -450,21 +416,16 @@ func (p *P3) commitShards(shards []int) (bool, error) {
 		if wal == nil {
 			continue // shard retired by a shrink since the subscription was computed
 		}
-		budget := p.assemblyBudget()
-		conc := recvConcurrency
-		if p.serial || conc > budget {
-			conc = 1
-		}
-		for r := 0; r < budget; {
-			wave := conc
+		for r := 0; r < assemblyBudget; {
+			wave := recvConcurrency
 			if r == 0 {
 				// Probe with a single receive: an idle shard costs one
 				// request per poll, and only a full first page escalates
 				// to concurrent waves.
 				wave = 1
 			}
-			if wave > budget-r {
-				wave = budget - r
+			if wave > assemblyBudget-r {
+				wave = assemblyBudget - r
 			}
 			r += wave
 			pages := make([][]sqs.Message, wave)
@@ -613,15 +574,6 @@ func (p *P3) endInflight(st *txnState, committed bool) []string {
 // pool, collecting — not short-circuiting on — per-batch errors so one
 // failure cannot leave later receipts silently unacknowledged.
 func (p *P3) deleteReceipts(wal *sqs.Queue, receipts []string) error {
-	var errs []error
-	if p.serial {
-		for _, r := range receipts {
-			if err := wal.DeleteMessage(r); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
-	}
 	var tasks []func() error
 	for start := 0; start < len(receipts); start += sqs.MaxBatchEntries {
 		end := start + sqs.MaxBatchEntries
@@ -631,8 +583,7 @@ func (p *P3) deleteReceipts(wal *sqs.Queue, receipts []string) error {
 		batch := receipts[start:end]
 		tasks = append(tasks, func() error { return wal.DeleteMessageBatch(batch) })
 	}
-	errs = append(errs, par.RunAll(p.opts.ProvConns, tasks)...)
-	return errors.Join(errs...)
+	return errors.Join(par.RunAll(p.opts.ProvConns, tasks)...)
 }
 
 // cleanupRetryPasses bounds the extra full re-passes receipt cleanup gets
@@ -751,31 +702,20 @@ func (p *P3) commitGroup(group []*txnState) error {
 	// transaction's items land in their home domains in full batches). Puts
 	// replace whole items, so a redelivered transaction rewrites the same
 	// rows — a database failure here fails the group and redelivery retries.
-	if p.serial {
-		// Seed behaviour: each transaction fills its own batches, however
-		// few items it carries.
-		for _, w := range work {
-			if err := putItems(p.dep.DB, w.reqs, p.opts.ProvConns, false); err != nil {
-				return errors.Join(append(errs, err)...)
-			}
-			p.dep.publishCommit([]TxnCommit{{Txn: w.hdr.Txn, Digest: w.hdr.Digest, Reqs: w.reqs}})
-		}
-	} else {
-		all := make([]sdb.PutRequest, 0, len(work))
-		groups := make([]TxnCommit, 0, len(work))
-		for _, w := range work {
-			all = append(all, w.reqs...)
-			groups = append(groups, TxnCommit{Txn: w.hdr.Txn, Digest: w.hdr.Digest, Reqs: w.reqs})
-		}
-		if err := putItems(p.dep.DB, all, p.opts.ProvConns, false); err != nil {
-			return errors.Join(append(errs, err)...)
-		}
-		// The group's rows are acknowledged by the database — notify
-		// subscribed caches before the data copy so a cache never serves a
-		// pre-commit observation past this point. A crash below redelivers
-		// the group and republishes; invalidation is idempotent.
-		p.dep.publishCommit(groups)
+	all := make([]sdb.PutRequest, 0, len(work))
+	groups := make([]TxnCommit, 0, len(work))
+	for _, w := range work {
+		all = append(all, w.reqs...)
+		groups = append(groups, TxnCommit{Txn: w.hdr.Txn, Digest: w.hdr.Digest, Reqs: w.reqs})
 	}
+	if err := putItems(p.dep.DB, all, p.opts.ProvConns, false); err != nil {
+		return errors.Join(append(errs, err)...)
+	}
+	// The group's rows are acknowledged by the database — notify
+	// subscribed caches before the data copy so a cache never serves a
+	// pre-commit observation past this point. A crash below redelivers
+	// the group and republishes; invalidation is idempotent.
+	p.dep.publishCommit(groups)
 
 	if p.takeCrash(CrashAfterDB) {
 		return errors.Join(append(errs, errDaemonCrash)...)

@@ -1,0 +1,61 @@
+// Package fabric is the composition root of the P3 stack: the one place
+// that wires the layers together and owns the lifecycle of what runs beside
+// them. It is also the system map the other packages' comments point at.
+//
+// # Layers, in construction order
+//
+//	sim.Env            one clock, one meter, one seeded random source, the
+//	                   latency model (sim/model.go holds the op table and its
+//	                   calibration anchors); New passes the caller's
+//	                   sim.Config through untouched
+//	core.Deployment    the service endpoints: the object store, K SimpleDB
+//	                   domains and K SQS WAL queues behind epoch-versioned
+//	                   range directories, and the commit bus
+//	sim.FaultInjector  the fault plan every endpoint consults per request
+//	resilient.Client   retries, budgets, breakers and hedges between the
+//	                   endpoints and everything above them (one per
+//	                   deployment; the front door keeps a second, keyed by
+//	                   tenant)
+//	core.P3            the protocol: clients log transactions to the WAL, a
+//	                   commit-daemon pool drains it into the database and
+//	                   the object store
+//	frontdoor.Door     per-tenant admission, quotas and write combining in
+//	                   front of P3.Commit
+//	translog.Log       the RFC 6962 transparency log and its sequencer
+//	query.Engine       the read path, here with a cache kept coherent by
+//	                   commit notices
+//	autoscale.Controller  samples the meter, decides K, drives core.Reshard
+//
+// Everything from the front door down is built only when Config asks for it.
+//
+// # The commit bus
+//
+// core.Deployment.Commits carries one notice per committed group, published
+// by the commit daemon after the group's BatchPutAttributes is acknowledged
+// and before its data COPY, synchronously and in publication order. Two
+// layers subscribe, and New attaches both: the transparency log (one leaf
+// per transaction) and the engine's cache (drops exactly the observations
+// the commit touched). Close detaches them.
+//
+// # Lifecycle: stop before flip
+//
+// P3 is a lifecycle, not a constructor. Clients return from Commit once the
+// WAL has the transaction; only "stop the daemons, then Settle" yields a
+// final state (P3.Settle's own contract), so Stop joins every pool before
+// anyone reads a bill or a digest.
+//
+// The clock has two modes. Experiments run on the scaled live clock and are
+// verified on the manual clock, where a sleep returns at once and only moves
+// simulated time. A daemon loop that polls and sleeps is therefore a busy
+// loop on the manual clock: an idle RunDaemon worker adds its poll interval
+// to simulated time on every spin, runs the clock past the WAL's four-day
+// retention within milliseconds of real time, and the queue silently
+// expires whatever another worker's group commit had not yet written.
+// ToManual is the one correct order: signal the controller (it must stop
+// deciding, but it may be inside a reshard whose copy phase waits on the
+// WAL draining), stop and join the daemon pool and the sequencer, flip the
+// clock, disarm the fault plan, then join the controller while Settle —
+// whose rounds end when their work does — drains what the pool left.
+// Nothing in the root module flips a clock under a running daemon; the
+// repo-shape test in this package keeps it that way.
+package fabric

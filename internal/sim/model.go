@@ -116,7 +116,8 @@ const (
 
 // Model is the calibrated latency/throughput model of the AWS services as
 // the paper measured them. Every constant is anchored to a number in the
-// paper; see DESIGN.md §6 for the derivations.
+// paper; the calibration anchors are listed on baseModel below, and the op
+// table above says which gate and billing class each request kind takes.
 type Model struct {
 	// Base request latencies (unloaded, from EC2).
 	S3GetBase     time.Duration

@@ -47,7 +47,8 @@
 // the K∈{1,2,4} comparison in BENCH_sharded_write.json.
 //
 // The root package only anchors repository-level benchmarks (bench_test.go);
-// see README.md and DESIGN.md for the system map.
+// internal/fabric wires the layers into one stack and its package comment is
+// the system map.
 package passcloud
 
 // Version identifies this reproduction build.
