@@ -2,6 +2,7 @@ package sdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -50,13 +51,10 @@ func (q Query) project(it Item) Item {
 	if q.Fields == nil {
 		return Item{Name: it.Name, Attrs: append([]Attr(nil), it.Attrs...)}
 	}
-	keep := make(map[string]bool, len(q.Fields))
-	for _, f := range q.Fields {
-		keep[f] = true
-	}
+	// A handful of names: a linear scan beats a set built per matched item.
 	out := Item{Name: it.Name}
 	for _, a := range it.Attrs {
-		if keep[a.Name] {
+		if slices.Contains(q.Fields, a.Name) {
 			out.Attrs = append(out.Attrs, a)
 		}
 	}

@@ -117,8 +117,8 @@ func TestShardSetScatterGatherCanonicalOrder(t *testing.T) {
 }
 
 // TestShardSetRoutedLookup proves single-key reads touch only the home
-// shard: a routed SELECT and GetAttributes find items on a 4-way set, and
-// the routed drain issues exactly one shard's worth of requests.
+// shard: a uuid-prefix SELECT and GetAttributes find items on a 4-way set,
+// and the planned drain issues exactly one shard's worth of requests.
 func TestShardSetRoutedLookup(t *testing.T) {
 	s := newSet(t, 4)
 	names := populateSet(t, s, 40)
@@ -133,7 +133,7 @@ func TestShardSetRoutedLookup(t *testing.T) {
 	}
 	key := RouteKey(names[0])
 	q := Query{Domain: "prov", Where: Like(ItemNameKey, key+"_%")}
-	items, requests, _, err := s.SelectAllRouted(key, q)
+	items, requests, _, err := s.SelectAllQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +179,12 @@ func TestShardSetPagedSelect(t *testing.T) {
 	}
 	if len(seen) != len(names) {
 		t.Fatalf("paged drain saw %d of %d items", len(seen), len(names))
+	}
+	// A token that names no planned shard is refused, not read as a name.
+	for _, bad := range []string{"s2", "x", "s9|", "s-1|", "|"} {
+		if _, err := s.Select("select itemName() from prov limit 7", bad); err == nil {
+			t.Fatalf("continuation token %q accepted", bad)
+		}
 	}
 }
 

@@ -64,13 +64,13 @@ func ReadProvenance(dep *Deployment, backend Backend, u uuid.UUID) ([]prov.Bundl
 // routing view: one item per version, named uuid_version, so a name-prefix
 // query returns every version and resolves through the sorted name table
 // instead of scanning the domain. All versions of a uuid live in one domain
-// shard (per epoch), so the query routes to the uuid's home shard(s) alone —
-// a single-key lookup, not a scatter. The query engine passes the view it
-// snapshotted at Run start so one traversal cannot straddle a reshard
-// cutover.
+// shard (per epoch) and the prefix reaches past the route key, so the view's
+// read planner sends the query to the uuid's home shard(s) alone — one
+// request, not a scatter. The query engine passes the view it snapshotted at
+// Run start so one traversal cannot straddle a reshard cutover.
 func ReadProvenanceView(v *sdb.DomainView, u uuid.UUID) ([]prov.Bundle, error) {
 	q := sdb.Query{Domain: DomainName, Where: sdb.Like(sdb.ItemNameKey, u.String()+"_%")}
-	items, _, _, err := v.SelectAllRouted(u.String(), q)
+	items, _, _, err := v.SelectAllQuery(q)
 	if err != nil {
 		return nil, err
 	}

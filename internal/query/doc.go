@@ -23,19 +23,22 @@
 // objects directly get targeted plans: Versions roots resolve through one
 // HEAD per path and one GET per provenance object (Q2's two-request shape).
 //
-// On the database backend (P2/P3) every access path is indexed or routed:
+// On the database backend (P2/P3) every access path is indexed, and the
+// executor routes nothing itself: each SELECT goes to the snapshotted
+// sdb.DomainView, whose read planner sends a predicate that pins item
+// names to their home shards and any other to all K, merged in canonical
+// name order either way ([Engine.Describe] says which each step is):
 //
-//   - attribute roots are one indexed SELECT (scatter-gathered across the
-//     sharded DomainSet and merged in canonical name order);
+//   - attribute roots are one indexed SELECT, a K-way scatter;
 //   - Versions is a name-prefix SELECT routed to the uuid's home shard
-//     (every version of an object co-shards, so this is a single-key
-//     lookup, not a scatter);
+//     (every version of an object co-shards): one request;
 //   - Descendants runs one round of IN-batched SELECTs per DAG level
-//     (SimpleDB allows 20 comparisons per predicate), each batch a
-//     scatter-gather, batches fanned out on up to Spec.Workers
-//     connections, following the schema's indexed input edges;
-//   - Ancestors fetches each level's bundles with itemName() IN batches and
-//     follows their cross references upward;
+//     (SimpleDB allows 20 comparisons per predicate) on up to Spec.Workers
+//     connections, following the schema's indexed input edges; each batch
+//     is a K-way scatter, because a child lives on its own uuid's shard;
+//   - Ancestors fetches each level's bundles with itemName() IN batches,
+//     each split across the refs' home shards (at most min(K, refs)
+//     requests), and follows their cross references upward;
 //   - All drains SELECT * across all shards in parallel.
 //
 // # Filters and pushdown

@@ -159,10 +159,12 @@ func (e *Engine) Describe(spec Spec) string {
 			cache = "on, subscribed"
 		}
 	}
+	// What the view cannot route by item name asks every shard.
+	scatter := fmt.Sprintf("K-way scatter (K=%d)", e.dep.DB.Shards())
 	var roots string
 	switch {
 	case len(spec.Roots.Attrs) > 0:
-		roots = "indexed attribute SELECT"
+		roots = "indexed attribute SELECT, " + scatter
 	case len(spec.Roots.Paths) > 0:
 		roots = "HEAD + metadata link"
 	default:
@@ -172,16 +174,16 @@ func (e *Engine) Describe(spec Spec) string {
 	switch spec.Direction {
 	case All:
 		// Whole-domain drains never consult the cache (see Cache docs).
-		return "sdb: scatter-gather SELECT drain over all shards, uncached" +
+		return "sdb: SELECT drain over all shards, " + scatter + ", uncached" +
 			e.describeFilter(spec)
 	case Self:
 		traverse = "no traversal"
 	case Versions:
-		traverse = "routed uuid-prefix SELECT per root (single shard each)"
+		traverse = "uuid-prefix SELECT per root, routed to the uuid's home shard (1 request each)"
 	case Descendants:
-		traverse = "scatter-gather IN-batched BFS over input edges"
+		traverse = "IN-batched BFS over input edges, each batch a " + scatter + " — children live on any shard"
 	case Ancestors:
-		traverse = "batched itemName() fetch walk over xref edges"
+		traverse = "walk over xref edges, each level a batched itemName() fetch routed to the refs' home shards, ≤ min(K, refs) requests per 20-ref batch"
 	}
 	return fmt.Sprintf("sdb: roots via %s; %s; cache %s%s",
 		roots, traverse, cache, e.describeFilter(spec))
@@ -270,9 +272,9 @@ func resolvePath(dep *core.Deployment, path string) (prov.Ref, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Database plans (P2/P3): indexed root resolution, routed per-object reads,
-// scatter-gather IN-batched traversals — with the read-through cache
-// underneath every targeted access path.
+// Database plans (P2/P3): indexed root resolution, item-name reads the view
+// routes to their home shards, scatter-gather IN-batched child lookups —
+// with the read-through cache underneath every targeted access path.
 
 // itemNameQuery is the SELECT itemName() template the traversal queries
 // share; callers copy it and bind a predicate, so one query shape is reused
@@ -762,8 +764,8 @@ func (x *dbExec) attrRoots(ms []AttrMatch) ([]prov.Ref, error) {
 // versions returns every bundle recorded for an object uuid, read through
 // the cache's version observations; misses delegate to
 // core.ReadProvenanceView against this execution's routing snapshot (a
-// name-prefix SELECT routed to the uuid's home shard — all versions
-// co-shard, so this is a single-key lookup, not a scatter; no recorded
+// name-prefix SELECT the view routes to the uuid's home shard — all
+// versions co-shard, so this is one request, not a scatter; no recorded
 // versions is ErrNoProvenance).
 func (x *dbExec) versions(u uuid.UUID) ([]prov.Bundle, error) {
 	if v, ok := x.e.cache.lookupObs(versKey(u), x.view.Epoch()); ok {
@@ -871,9 +873,12 @@ func (x *dbExec) children(refs []prov.Ref, terminal bool) ([]prov.Ref, map[prov.
 		perRef = make(map[prov.Ref][]prov.Ref, len(pending))
 	}
 	for bi, items := range results {
-		batchSet := make(map[string]prov.Ref, len(batches[bi]))
-		for _, r := range batches[bi] {
-			batchSet[r.String()] = r
+		var batchSet map[string]prov.Ref
+		if cache != nil { // only the per-ref child attribution below reads it
+			batchSet = make(map[string]prov.Ref, len(batches[bi]))
+			for _, r := range batches[bi] {
+				batchSet[r.String()] = r
+			}
 		}
 		for _, it := range items {
 			ref, err := prov.ParseRef(it.Name)
@@ -921,9 +926,9 @@ func (x *dbExec) children(refs []prov.Ref, terminal bool) ([]prov.Ref, map[prov.
 }
 
 // bundlesFor fetches full bundles for exact refs, read through the item
-// cache; misses batch into itemName() IN SELECTs (scatter-gather — a batch
-// of arbitrary refs spans shards). Refs that were never recorded are simply
-// absent from the result.
+// cache; misses batch into itemName() IN SELECTs, which the view splits
+// across the refs' home shards (≤ min(K, refs) requests per batch). Refs
+// that were never recorded are simply absent from the result.
 func (x *dbExec) bundlesFor(refs []prov.Ref) (map[prov.Ref]*prov.Bundle, error) {
 	out := make(map[prov.Ref]*prov.Bundle, len(refs))
 	var pending []prov.Ref

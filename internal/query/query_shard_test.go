@@ -73,13 +73,15 @@ func readDigest(t *testing.T, dep *core.Deployment, col *pass.Collector) string 
 // TestCrossShardEquivalence is the read-layer acceptance check: the same
 // workload committed on K=1, K=2 and K=4 fabrics must be indistinguishable
 // to every reader — byte-identical ReadProvenance digests, identical Q1
-// result sets in identical canonical order, and identical BFS (Q4)
-// closures through the scatter-gathered IN fan-out.
+// result sets in identical canonical order, identical BFS (Q4) closures
+// through the scatter-gathered IN fan-out, and an identical ancestors walk
+// with bundles through the itemName() fetches the view routes by home shard.
 func TestCrossShardEquivalence(t *testing.T) {
 	type snapshot struct {
 		digest string
 		q1     string
 		q4     string
+		anc    string
 	}
 	var first snapshot
 	for i, k := range []int{1, 2, 4} {
@@ -104,6 +106,9 @@ func TestCrossShardEquivalence(t *testing.T) {
 			t.Fatalf("K=%d Q4: %v", k, err)
 		}
 		snap.q4 = fmt.Sprint(refs)
+		snap.anc = specDigest(t, e, Spec{
+			Roots: Roots{Paths: []string{"mnt/out/hits2"}}, Direction: Ancestors, Project: ProjectBundles,
+		})
 
 		if i == 0 {
 			first = snap
@@ -120,6 +125,9 @@ func TestCrossShardEquivalence(t *testing.T) {
 		}
 		if snap.q4 != first.q4 {
 			t.Errorf("K=%d Q4 closure diverged", k)
+		}
+		if snap.anc != first.anc {
+			t.Errorf("K=%d ancestors+bundles stream diverged", k)
 		}
 	}
 }

@@ -82,6 +82,82 @@ func TestINBatchBoundary(t *testing.T) {
 	}
 }
 
+// chainDeployment populates a K=4 database deployment with one dependency
+// chain of depth+1 nodes on distinct uuids, node i taking node i-1 as its
+// input, and returns the nodes root first.
+func chainDeployment(t *testing.T, depth int) (*core.Deployment, []prov.Ref) {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	cfg.Consistency = sim.Strict
+	dep := core.NewShardedDeployment(sim.NewEnv(cfg), core.Topology{WALShards: 4, DBShards: 4})
+	rnd := sim.NewRand(23)
+	var refs []prov.Ref
+	var specs []core.ItemSpec
+	for i := 0; i <= depth; i++ {
+		spec := core.ItemSpec{Ref: prov.Ref{UUID: uuid.New(rnd), Version: 1}, Type: "file", Name: fmt.Sprintf("mnt/n%02d", i)}
+		if i > 0 {
+			spec.Input = refs[i-1].String()
+		}
+		refs = append(refs, spec.Ref)
+		specs = append(specs, spec)
+	}
+	if err := core.PopulateItems(dep.DB, specs); err != nil {
+		t.Fatal(err)
+	}
+	return dep, refs
+}
+
+// TestRoutedRequestCounts pins what a query bills on a K=4 fabric: a fetch
+// by item name costs one SELECT per home shard it touches, not one per
+// shard, while the child lookup of a descendants level — children live on
+// any shard — still asks all four.
+func TestRoutedRequestCounts(t *testing.T) {
+	const depth = 10
+	dep, chain := chainDeployment(t, depth)
+	e := New(dep, core.BackendSDB)
+	leaf := chain[depth]
+	// A full IN batch: the chain plus never-recorded refs, which route too.
+	batch := append([]prov.Ref(nil), chain...)
+	for rnd := sim.NewRand(29); len(batch) < inBatch; {
+		batch = append(batch, prov.Ref{UUID: uuid.New(rnd), Version: 1})
+	}
+	homes := make(map[int]bool)
+	for _, r := range batch {
+		homes[dep.DB.ShardForItem(r.String())] = true
+	}
+	if len(homes) < 2 {
+		t.Fatalf("batch landed on %d shard(s); the pins need a spread", len(homes))
+	}
+	for _, tc := range []struct {
+		name        string
+		spec        Spec
+		wantResults int
+		wantSelects int64
+	}{
+		// One single-ref itemName() fetch per level, root included: 11, where
+		// the every-shard scatter billed 44.
+		{"ancestors+bundles", Spec{Roots: Roots{Refs: []prov.Ref{leaf}}, Direction: Ancestors, Project: ProjectBundles}, depth + 1, depth + 1},
+		{"versions", Spec{Roots: Roots{Refs: []prov.Ref{leaf}}, Direction: Versions, Project: ProjectBundles}, 1, 1},
+		// One 20-ref batch, split across the refs' home shards: at most 4.
+		{"bundles of a 20-ref batch", Spec{Roots: Roots{Refs: batch}, Direction: Self, Project: ProjectBundles}, depth + 1, int64(len(homes))},
+		// 11 rounds (the last finds nothing) × 4 shards: the count at the
+		// parent commit (39c0761), which this plan must not change.
+		{"descendants", Spec{Roots: Roots{Refs: chain[:1]}, Direction: Descendants}, depth, 4 * (depth + 1)},
+	} {
+		before := selects(dep)
+		results, err := e.Collect(tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(results) != tc.wantResults {
+			t.Errorf("%s: %d results, want %d", tc.name, len(results), tc.wantResults)
+		}
+		if got := selects(dep) - before; got != tc.wantSelects {
+			t.Errorf("%s: %d SELECTs, want %d", tc.name, got, tc.wantSelects)
+		}
+	}
+}
+
 // TestEmptyFrontier covers the degenerate traversals: a root with no
 // children terminates after one empty round, and a root selector matching
 // nothing terminates without any traversal SELECT at all.
