@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/sim"
 )
 
 // RecordKey is the store key of the persisted decision record — the
@@ -92,30 +93,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// CrashPoint names a protocol boundary where the test harness can kill the
-// controller (mirroring core.ReshardCrashPoint).
-type CrashPoint int
-
-// Controller crash points, in protocol order.
+// Controller crash points, in protocol order: each leaves the record and
+// fabric exactly as a controller process killed at that boundary would.
 const (
-	CrashNone       CrashPoint = iota
-	CrashPreRecord             // decision taken, record not persisted
-	CrashPreTrigger            // record persisted, reshard not triggered
-	CrashPreDone               // reshard complete, record not closed
+	CrashPreRecord  sim.CrashPoint = "autoscale.pre-record"  // decision taken, record not persisted
+	CrashPreTrigger sim.CrashPoint = "autoscale.pre-trigger" // record persisted, reshard not triggered
+	CrashPreDone    sim.CrashPoint = "autoscale.pre-done"    // reshard complete, record not closed
 )
-
-// String names the crash point for test output.
-func (p CrashPoint) String() string {
-	switch p {
-	case CrashPreRecord:
-		return "pre-record"
-	case CrashPreTrigger:
-		return "pre-trigger"
-	case CrashPreDone:
-		return "pre-done"
-	}
-	return "none"
-}
 
 // Status is a point-in-time snapshot of the controller for display.
 type Status struct {
@@ -147,7 +131,6 @@ type Controller struct {
 	prevAt   time.Duration
 	window   bool          // prev is a real baseline (>= 1 sample taken)
 	lastAct  time.Duration // sim time of the last executed decision
-	crash    CrashPoint    // one-shot test hook
 	walLoad  map[int]int64 // last window's per-shard deltas, WAL axis
 	dbLoad   map[int]int64 // last window's per-shard deltas, DB axis
 	st       Status
@@ -182,26 +165,6 @@ func (c *Controller) Enabled() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.enabled
-}
-
-// SetCrashAfter arms the one-shot crash hook: the next Step dies (returns
-// core.ErrSimulatedCrash) at the given protocol boundary, leaving the
-// record and fabric exactly as a killed controller process would.
-func (c *Controller) SetCrashAfter(p CrashPoint) {
-	c.mu.Lock()
-	c.crash = p
-	c.mu.Unlock()
-}
-
-// takeCrash consumes the hook if armed for p.
-func (c *Controller) takeCrash(p CrashPoint) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.crash == p {
-		c.crash = CrashNone
-		return true
-	}
-	return false
 }
 
 // Status returns a snapshot of the controller's state.
@@ -424,8 +387,8 @@ func (c *Controller) finish(ctx context.Context, rec DecisionRecord) error {
 		c.setErr(err)
 		return err // record stays open; a restart resumes it
 	}
-	if c.takeCrash(CrashPreDone) {
-		return fmt.Errorf("%w: controller at %s", core.ErrSimulatedCrash, CrashPreDone)
+	if c.dep.Env.Crashed(CrashPreDone) {
+		return fmt.Errorf("%w: controller at %s", sim.ErrCrashed, CrashPreDone)
 	}
 	rec.State = RecordDone
 	rec.CopiedItems, rec.CopyBatches = stats.CopiedItems, stats.CopyBatches
@@ -452,8 +415,8 @@ func (c *Controller) setErr(err error) {
 }
 
 // Step runs one controller tick: sample, roll forward any open decision,
-// otherwise decide and execute. It returns core.ErrSimulatedCrash when the
-// test harness's crash hook fires.
+// otherwise decide and execute. It returns sim.ErrCrashed when an armed
+// crash point fires.
 func (c *Controller) Step(ctx context.Context) error {
 	if !c.Enabled() {
 		return nil
@@ -514,8 +477,8 @@ func (c *Controller) Step(ctx context.Context) error {
 		return nil
 	}
 
-	if c.takeCrash(CrashPreRecord) {
-		return fmt.Errorf("%w: controller at %s", core.ErrSimulatedCrash, CrashPreRecord)
+	if c.dep.Env.Crashed(CrashPreRecord) {
+		return fmt.Errorf("%w: controller at %s", sim.ErrCrashed, CrashPreRecord)
 	}
 	newRec := DecisionRecord{
 		Seq:     seq + 1,
@@ -529,8 +492,8 @@ func (c *Controller) Step(ctx context.Context) error {
 		c.setErr(err)
 		return err
 	}
-	if c.takeCrash(CrashPreTrigger) {
-		return fmt.Errorf("%w: controller at %s", core.ErrSimulatedCrash, CrashPreTrigger)
+	if c.dep.Env.Crashed(CrashPreTrigger) {
+		return fmt.Errorf("%w: controller at %s", sim.ErrCrashed, CrashPreTrigger)
 	}
 	return c.finish(ctx, newRec)
 }

@@ -3,6 +3,7 @@ package autoscale
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -190,16 +191,16 @@ func TestAutoscaleCrashMatrix(t *testing.T) {
 	cfg.MaxK = 2
 	cfg.TargetOpsPerShard = 150 // 200 ops/s -> ceil(200/150) = 2
 
-	for _, pt := range []CrashPoint{CrashPreRecord, CrashPreTrigger, CrashPreDone} {
-		t.Run(pt.String(), func(t *testing.T) {
+	for _, pt := range []sim.CrashPoint{CrashPreRecord, CrashPreTrigger, CrashPreDone} {
+		t.Run(strings.TrimPrefix(string(pt), "autoscale."), func(t *testing.T) {
 			dep, ctl := newRig(t, cfg)
 			walName := dep.WAL.Shard(0).Name()
 			tick(t, dep, ctl, 0) // baseline
 
 			addOps(dep, walName, 2000)
 			dep.Env.Clock().Advance(10 * time.Second)
-			ctl.SetCrashAfter(pt)
-			if err := ctl.Step(ctx); !errors.Is(err, core.ErrSimulatedCrash) {
+			dep.Env.InstallFaults(nil).CrashAt(pt, 0)
+			if err := ctl.Step(ctx); !errors.Is(err, sim.ErrCrashed) {
 				t.Fatalf("armed crash at %s: err=%v", pt, err)
 			}
 
@@ -272,6 +273,9 @@ func TestAutoscaleCrashMatrix(t *testing.T) {
 			}
 			if st := ctl2.Status(); st.Grows > 1 {
 				t.Fatalf("double-counted grow: %+v", st)
+			}
+			if left := dep.Env.Faults().ArmedCrashes(); len(left) != 0 {
+				t.Fatalf("crash points left armed, their sites never reached: %v", left)
 			}
 		})
 	}

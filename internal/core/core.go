@@ -51,7 +51,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -83,9 +82,6 @@ const (
 // SpillMarker prefixes attribute values that point at a spilled store
 // object instead of holding the value inline.
 const SpillMarker = "@s3:"
-
-// ErrSimulatedCrash is returned by commits interrupted by fault injection.
-var ErrSimulatedCrash = errors.New("core: simulated client crash")
 
 // FileObject describes one file to commit: its mount path, logical size and
 // the provenance ref of its current version. Digest, when set, is the hex
@@ -177,12 +173,10 @@ type Deployment struct {
 
 	// Resharder state (reshard.go): reshardRunMu serializes whole Reshard
 	// runs (TryLock — a racing second resharder gets ErrReshardInFlight,
-	// never a directory panic); reshardMu guards the one-shot
-	// crash-injection hook of the migration test harness and the
-	// cutover-to-GC pending flag the cleaner picks up after a crash.
+	// never a directory panic); reshardMu guards the cutover-to-GC pending
+	// flag the cleaner picks up after a crash.
 	reshardRunMu sync.Mutex
 	reshardMu    sync.Mutex
-	reshardCrash ReshardCrashPoint
 	gcPending    bool
 }
 

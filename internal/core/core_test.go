@@ -23,6 +23,21 @@ func newDep(t *testing.T, consistency sim.Consistency) *Deployment {
 	return NewDeployment(sim.NewEnv(cfg))
 }
 
+// daemonCrashPoints is P3's daemon crash matrix in protocol order. The
+// matrices name their sub-tests by 1-based position ("…/2" is after-db):
+// those are the names the recorded test floor knows them by.
+var daemonCrashPoints = []sim.CrashPoint{CrashBeforeDB, CrashAfterDB, CrashAfterCopy}
+
+// noCrashLeftArmed fails a scenario whose armed crash point was never
+// reached: a point whose site a refactor removed must fail its matrix, not
+// pass vacuously.
+func noCrashLeftArmed(t *testing.T, env *sim.Env) {
+	t.Helper()
+	if left := env.Faults().ArmedCrashes(); len(left) != 0 {
+		t.Fatalf("crash points left armed, their sites never reached: %v", left)
+	}
+}
+
 // onePipeline returns collector output for raw -> stage1 -> mid -> stage2 -> out.
 func onePipeline(t *testing.T, seed int64) (col *pass.Collector, mid, out FileObject, midB, outB []prov.Bundle) {
 	t.Helper()
@@ -397,9 +412,9 @@ func TestP3ClientCrashLeavesNoPartialState(t *testing.T) {
 	p := NewP3(dep, Options{})
 	_, _, out, _, outB := onePipeline(t, 11)
 	p.SetChunkSize(64) // force several packets
-	p.SetClientCrashAfter(1)
+	dep.Env.InstallFaults(nil).CrashAt(CrashClientAfterPackets, 1)
 	err := p.Commit(out, outB)
-	if !errors.Is(err, ErrSimulatedCrash) {
+	if !errors.Is(err, sim.ErrCrashed) {
 		t.Fatalf("err = %v, want simulated crash", err)
 	}
 	if err := p.Settle(); err != nil {
@@ -440,8 +455,8 @@ func TestP3ClientCrashLeavesNoPartialState(t *testing.T) {
 }
 
 func TestP3DaemonCrashRecovery(t *testing.T) {
-	for _, point := range []CrashPoint{CrashBeforeDB, CrashAfterDB, CrashAfterCopy} {
-		t.Run(fmt.Sprint(point), func(t *testing.T) {
+	for i, point := range daemonCrashPoints {
+		t.Run(fmt.Sprint(i+1), func(t *testing.T) {
 			dep := newDep(t, sim.Eventual)
 			dep.WAL.SetVisibility(5 * time.Second)
 			p := NewP3(dep, Options{})
@@ -449,7 +464,7 @@ func TestP3DaemonCrashRecovery(t *testing.T) {
 			if err := p.Commit(out, outB); err != nil {
 				t.Fatal(err)
 			}
-			p.SetDaemonCrash(point)
+			dep.Env.InstallFaults(nil).CrashAt(point, 0)
 			_ = p.Settle() // first daemon dies mid-commit
 			// A new daemon (any machine) picks the WAL back up after the
 			// visibility timeout.
@@ -475,6 +490,7 @@ func TestP3DaemonCrashRecovery(t *testing.T) {
 			if dep.WAL.Len() != 0 {
 				t.Fatal("WAL not acknowledged after recovery")
 			}
+			noCrashLeftArmed(t, dep.Env)
 		})
 	}
 }
@@ -521,14 +537,14 @@ func TestCouplingViolationDetectedP1P2(t *testing.T) {
 			col.Apply(trace.Event{Kind: trace.Read, PID: pid, Path: "mnt/f"})
 			col.Apply(trace.Event{Kind: trace.Write, PID: pid, Path: "mnt/f", Bytes: 100})
 			ref2, _ := col.FileRef("mnt/f")
-			switch pp := p.(type) {
+			switch p.(type) {
 			case *P1:
-				pp.SetClientCrashBeforeData()
+				dep.Env.InstallFaults(nil).CrashAt(CrashP1BeforeData, 0)
 			case *P2:
-				pp.SetClientCrashBeforeData()
+				dep.Env.InstallFaults(nil).CrashAt(CrashP2BeforeData, 0)
 			}
 			err := p.Commit(FileObject{Path: "mnt/f", Size: 200, Ref: ref2}, col.PendingFor("mnt/f"))
-			if !errors.Is(err, ErrSimulatedCrash) {
+			if !errors.Is(err, sim.ErrCrashed) {
 				t.Fatalf("err = %v", err)
 			}
 			dep.Settle()

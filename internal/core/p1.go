@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"passcloud/internal/cloud/store"
 	"passcloud/internal/par"
 	"passcloud/internal/prov"
+	"passcloud/internal/sim"
 	"passcloud/internal/uuid"
 )
 
@@ -33,16 +35,12 @@ type P1 struct {
 	// eventually-consistent GETs returning an older append state.
 	payloads map[uuid.UUID][]byte
 	locks    map[uuid.UUID]*sync.Mutex
-
-	// crashBeforeData simulates a client that dies after recording
-	// provenance but before the data PUT — the data-coupling violation P1
-	// permits (fault injection for tests and the Table-1 probes).
-	crashBeforeData bool
 }
 
-// SetClientCrashBeforeData makes the next Commit die between the provenance
-// write and the data write.
-func (p *P1) SetClientCrashBeforeData() { p.crashBeforeData = true }
+// CrashP1BeforeData kills the client after it recorded provenance but before
+// the data PUT — the data-coupling violation P1 permits (tests and the
+// Table-1 probes arm it).
+const CrashP1BeforeData sim.CrashPoint = "p1.client.before-data"
 
 // NewP1 returns a P1 client bound to dep. The default per-commit
 // provenance parallelism is modest: appends to the same provenance object
@@ -78,12 +76,11 @@ func (p *P1) Commit(obj FileObject, bundles []prov.Bundle) error {
 	dataTask := func() error {
 		return p.dep.Store.PutSized(DataKey(obj.Path), obj.Size, dataMeta(obj))
 	}
-	if p.crashBeforeData {
-		p.crashBeforeData = false
+	if p.dep.Env.Crashed(CrashP1BeforeData) {
 		if err := par.Sequential(tasks); err != nil {
 			return err
 		}
-		return ErrSimulatedCrash
+		return fmt.Errorf("%w: client at %s", sim.ErrCrashed, CrashP1BeforeData)
 	}
 	if p.opts.Ordered {
 		return par.Sequential(append(tasks, dataTask))

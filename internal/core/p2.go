@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+
 	"passcloud/internal/cloud/store"
 	"passcloud/internal/par"
 	"passcloud/internal/prov"
+	"passcloud/internal/sim"
 )
 
 // P2 is the cloud-store-with-cloud-database protocol (§4.3.2). Data objects
@@ -29,15 +32,11 @@ import (
 type P2 struct {
 	dep  *Deployment
 	opts Options
-
-	// crashBeforeData simulates a client dying between the provenance
-	// write and the data write (fault injection).
-	crashBeforeData bool
 }
 
-// SetClientCrashBeforeData makes the next Commit die between the provenance
-// write and the data write.
-func (p *P2) SetClientCrashBeforeData() { p.crashBeforeData = true }
+// CrashP2BeforeData kills the client between the provenance write and the
+// data write.
+const CrashP2BeforeData sim.CrashPoint = "p2.client.before-data"
 
 // NewP2 returns a P2 client bound to dep.
 func NewP2(dep *Deployment, opts Options) *P2 {
@@ -66,12 +65,11 @@ func (p *P2) Commit(obj FileObject, bundles []prov.Bundle) error {
 	dataTask := func() error {
 		return p.dep.Store.PutSized(DataKey(obj.Path), obj.Size, dataMeta(obj))
 	}
-	if p.crashBeforeData {
-		p.crashBeforeData = false
+	if p.dep.Env.Crashed(CrashP2BeforeData) {
 		if err := provTask(); err != nil {
 			return err
 		}
-		return ErrSimulatedCrash
+		return fmt.Errorf("%w: client at %s", sim.ErrCrashed, CrashP2BeforeData)
 	}
 	if p.opts.Ordered {
 		return par.Sequential([]func() error{provTask, dataTask})

@@ -70,13 +70,6 @@ type P3 struct {
 	// never on the whole table.
 	shards [txnShards]txnShard
 
-	// mu guards the fault-injection knobs (tests and the Table-1 property
-	// probes).
-	mu                sync.Mutex
-	crashAfterPackets int        // client dies after sending N packets (0 = off)
-	daemonCrash       CrashPoint // daemon dies at this point in the next commit
-	cleanupDropAfter  int        // next commit acknowledges only N receipts (0 = off)
-
 	chunkSize int
 
 	// cursor rotates CommitOnce's starting WAL shard so un-subscribed
@@ -103,16 +96,17 @@ type txnShard struct {
 	committed map[uuid.UUID]bool
 }
 
-// CrashPoint names a place in the commit daemon where fault injection can
-// kill it.
-type CrashPoint int
-
-// Daemon crash points.
+// P3's crash points, in protocol order. The two counted ones take the work
+// done before dying as CrashAt's n and fire only where there is more work
+// than that: a client that logs n of a transaction's packets (the daemons
+// must ignore it), a cleanup that acknowledges n of a committed group's
+// receipts (the rest must be absorbed as redeliveries, not re-committed).
 const (
-	CrashNone      CrashPoint = iota
-	CrashBeforeDB             // before provenance reaches the database
-	CrashAfterDB              // provenance stored, data not yet copied
-	CrashAfterCopy            // data copied, temp + WAL not yet cleaned
+	CrashClientAfterPackets   sim.CrashPoint = "p3.client.after-packets"
+	CrashBeforeDB             sim.CrashPoint = "p3.daemon.before-db"  // before provenance reaches the database
+	CrashAfterDB              sim.CrashPoint = "p3.daemon.after-db"   // provenance stored, data not yet copied
+	CrashAfterCopy            sim.CrashPoint = "p3.daemon.after-copy" // data copied, temp + WAL not yet cleaned
+	CrashCleanupAfterReceipts sim.CrashPoint = "p3.cleanup.after-receipts"
 )
 
 // txnState accumulates packets of one transaction. walShard is the WAL
@@ -158,44 +152,6 @@ func (p *P3) Workers() int { return p.opts.CommitWorkers }
 
 // SetChunkSize overrides the WAL chunk payload size (ablation benchmarks).
 func (p *P3) SetChunkSize(n int) { p.chunkSize = n }
-
-// SetClientCrashAfter makes the next Commit die after sending n packets.
-func (p *P3) SetClientCrashAfter(n int) {
-	p.mu.Lock()
-	p.crashAfterPackets = n
-	p.mu.Unlock()
-}
-
-// takeClientCrash consumes the one-shot client-crash injection if it
-// applies to a transaction of total packets.
-func (p *P3) takeClientCrash(total int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	crashAt := p.crashAfterPackets
-	if crashAt > 0 && crashAt < total {
-		p.crashAfterPackets = 0
-		return crashAt
-	}
-	return 0
-}
-
-// SetDaemonCrash makes the next daemon commit die at the given point.
-func (p *P3) SetDaemonCrash(c CrashPoint) {
-	p.mu.Lock()
-	p.daemonCrash = c
-	p.mu.Unlock()
-}
-
-// SetCleanupDropAfter makes the next commit's receipt cleanup stop after
-// acknowledging n receipts, simulating a daemon that died mid-way through
-// deleting a committed transaction's WAL messages. The half-acknowledged
-// remainder reappears after the visibility timeout and must be absorbed by
-// the committed-transaction path without re-running the commit.
-func (p *P3) SetCleanupDropAfter(n int) {
-	p.mu.Lock()
-	p.cleanupDropAfter = n
-	p.mu.Unlock()
-}
 
 // shardFor routes a transaction to its assembly shard.
 func (p *P3) shardFor(txn uuid.UUID) *txnShard {
@@ -275,13 +231,12 @@ func (p *P3) commitTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) err
 		return err
 	}
 	defer l.release()
-	if crashAt := p.takeClientCrash(len(l.msgs)); crashAt > 0 {
-		// Simulated client crash: only the first crashAt packets reach the
-		// WAL; the daemon must ignore the incomplete transaction.
-		if err := p.sendWAL(l.wal, l.id, l.msgs[:crashAt]); err != nil {
+	if sent, hit := p.dep.Env.CrashedAfter(CrashClientAfterPackets, len(l.msgs)); hit {
+		// Only the first sent packets reach the WAL.
+		if err := p.sendWAL(l.wal, l.id, l.msgs[:sent]); err != nil {
 			return err
 		}
-		return fmt.Errorf("%w after %d of %d packets", ErrSimulatedCrash, crashAt, len(l.msgs))
+		return fmt.Errorf("%w: client at %s, %d of %d sent", sim.ErrCrashed, CrashClientAfterPackets, sent, len(l.msgs))
 	}
 	return p.sendWAL(l.wal, l.id, l.msgs)
 }
@@ -642,9 +597,6 @@ func (p *P3) deleteReceiptPairs(pairs []shardReceipt) error {
 	return errors.Join(errs...)
 }
 
-// errDaemonCrash distinguishes injected daemon crashes.
-var errDaemonCrash = errors.New("core: simulated commit daemon crash")
-
 // txnWork is one transaction moving through the group-commit pipeline.
 type txnWork struct {
 	st     *txnState
@@ -692,8 +644,8 @@ func (p *P3) commitGroup(group []*txnState) error {
 		return errors.Join(errs...)
 	}
 
-	if p.takeCrash(CrashBeforeDB) {
-		return errors.Join(append(errs, errDaemonCrash)...)
+	if p.dep.Env.Crashed(CrashBeforeDB) {
+		return errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashBeforeDB))...)
 	}
 
 	// 1+2. Store provenance in the database, coalescing the whole group's
@@ -717,8 +669,8 @@ func (p *P3) commitGroup(group []*txnState) error {
 	// the group and republishes; invalidation is idempotent.
 	p.dep.publishCommit(groups)
 
-	if p.takeCrash(CrashAfterDB) {
-		return errors.Join(append(errs, errDaemonCrash)...)
+	if p.dep.Env.Crashed(CrashAfterDB) {
+		return errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashAfterDB))...)
 	}
 
 	// 3. COPY each temporary object to its permanent key, setting the
@@ -754,8 +706,8 @@ func (p *P3) commitGroup(group []*txnState) error {
 		errs = append(errs, err)
 	}
 
-	if p.takeCrash(CrashAfterCopy) {
-		return errors.Join(append(errs, errDaemonCrash)...)
+	if p.dep.Env.Crashed(CrashAfterCopy) {
+		return errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashAfterCopy))...)
 	}
 
 	// 4. The commit of each copied transaction is durable: mark it
@@ -779,10 +731,10 @@ func (p *P3) commitGroup(group []*txnState) error {
 			receipts = append(receipts, shardReceipt{shard: w.st.walShard, receipt: r})
 		}
 	}
-	if drop := p.takeCleanupDrop(); drop > 0 && drop < len(receipts) {
-		// Injected mid-cleanup death: the rest of the receipts stay
-		// unacknowledged and must be absorbed as redeliveries.
-		receipts = receipts[:drop]
+	if acked, hit := p.dep.Env.CrashedAfter(CrashCleanupAfterReceipts, len(receipts)); hit {
+		// The rest of the receipts stay unacknowledged and must be absorbed
+		// as redeliveries.
+		receipts = receipts[:acked]
 	}
 	if err := p.cleanupReceipts(receipts); err != nil {
 		errs = append(errs, err)
@@ -827,26 +779,6 @@ func (p *P3) alreadyCommitted(hdr *walTxn) bool {
 	}
 	return meta[MetaUUID] == hdr.Ref.UUID.String() &&
 		meta[MetaVersion] == strconv.Itoa(hdr.Ref.Version)
-}
-
-// takeCrash consumes a one-shot injected crash point.
-func (p *P3) takeCrash(c CrashPoint) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.daemonCrash == c {
-		p.daemonCrash = CrashNone
-		return true
-	}
-	return false
-}
-
-// takeCleanupDrop consumes the one-shot mid-cleanup death injection.
-func (p *P3) takeCleanupDrop() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := p.cleanupDropAfter
-	p.cleanupDropAfter = 0
-	return n
 }
 
 // Settle drains the commit-daemon pool until the WAL holds nothing

@@ -98,24 +98,24 @@ func TestP3RedeliveryWhileInFlight(t *testing.T) {
 // without committing a transaction must drop its in-flight entry, or
 // redelivery could never retry it.
 func TestP3FailedGroupCommitReopensAssembly(t *testing.T) {
-	for _, point := range []CrashPoint{CrashBeforeDB, CrashAfterDB, CrashAfterCopy} {
+	for _, point := range daemonCrashPoints {
 		dep, p, ready := inflightTxn(t)
-		p.SetDaemonCrash(point)
-		if err := p.commitGroup(ready); !errors.Is(err, errDaemonCrash) {
-			t.Fatalf("crash point %d: err = %v", point, err)
+		dep.Env.InstallFaults(nil).CrashAt(point, 0)
+		if err := p.commitGroup(ready); !errors.Is(err, sim.ErrCrashed) {
+			t.Fatalf("crash point %s: err = %v", point, err)
 		}
 		if n := p.PendingTxns(); n != 0 {
-			t.Fatalf("crash point %d: %d transactions still in flight after the daemon died", point, n)
+			t.Fatalf("crash point %s: %d transactions still in flight after the daemon died", point, n)
 		}
 		dep.Env.Clock().Advance(2 * time.Second)
 		if err := p.Settle(); err != nil {
 			t.Fatal(err)
 		}
 		if n := dep.WAL.Len(); n != 0 {
-			t.Fatalf("crash point %d: WAL holds %d messages after recovery", point, n)
+			t.Fatalf("crash point %s: WAL holds %d messages after recovery", point, n)
 		}
 		if got, want := dep.DB.ItemCount(), 6; got != want {
-			t.Fatalf("crash point %d: items = %d, want %d", point, got, want)
+			t.Fatalf("crash point %s: items = %d, want %d", point, got, want)
 		}
 	}
 }

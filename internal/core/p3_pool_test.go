@@ -60,8 +60,8 @@ func newRefUUID(rnd *sim.Rand) [16]byte {
 // the visibility timeout, with exactly-once final state.
 func TestP3DaemonCrashRecoveryWorkerPool(t *testing.T) {
 	for _, workers := range []int{1, 2, 5} {
-		for _, point := range []CrashPoint{CrashBeforeDB, CrashAfterDB, CrashAfterCopy} {
-			t.Run(fmt.Sprintf("workers=%d/%v", workers, point), func(t *testing.T) {
+		for i, point := range daemonCrashPoints {
+			t.Run(fmt.Sprintf("workers=%d/%d", workers, i+1), func(t *testing.T) {
 				dep := newDep(t, sim.Eventual)
 				dep.WAL.SetVisibility(5 * time.Second)
 				p := NewP3(dep, Options{CommitWorkers: workers})
@@ -69,7 +69,7 @@ func TestP3DaemonCrashRecoveryWorkerPool(t *testing.T) {
 				if err := p.Commit(out, outB); err != nil {
 					t.Fatal(err)
 				}
-				p.SetDaemonCrash(point)
+				dep.Env.InstallFaults(nil).CrashAt(point, 0)
 				_ = p.Settle() // one worker dies mid-commit
 				dep.Env.Clock().Advance(10 * time.Second)
 				if err := p.Settle(); err != nil {
@@ -92,6 +92,7 @@ func TestP3DaemonCrashRecoveryWorkerPool(t *testing.T) {
 				if p.PendingTxns() != 0 {
 					t.Fatal("pending transactions after recovery")
 				}
+				noCrashLeftArmed(t, dep.Env)
 			})
 		}
 	}
@@ -117,7 +118,7 @@ func TestP3WorkerPoolExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.SetDaemonCrash(CrashAfterDB) // one worker dies mid-drain
+	dep.Env.InstallFaults(nil).CrashAt(CrashAfterDB, 0) // one worker dies mid-drain
 	_ = p.Settle()
 	dep.Env.Clock().Advance(10 * time.Second)
 	if err := p.Settle(); err != nil {
@@ -162,7 +163,7 @@ func TestP3HalfAcknowledgedRedelivery(t *testing.T) {
 	if err := p.Commit(out, outB); err != nil {
 		t.Fatal(err)
 	}
-	p.SetCleanupDropAfter(1) // cleanup dies after acknowledging one receipt
+	dep.Env.InstallFaults(nil).CrashAt(CrashCleanupAfterReceipts, 1) // cleanup dies after acknowledging one receipt
 	if err := p.Settle(); err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func TestP3ShardedCrashRecoveryMatrix(t *testing.T) {
 	const txns, perTxn = 12, 5
 	for _, k := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 2, 5} {
-			for _, point := range []CrashPoint{CrashBeforeDB, CrashAfterDB, CrashAfterCopy} {
-				t.Run(fmt.Sprintf("k=%d/workers=%d/%v", k, workers, point), func(t *testing.T) {
+			for i, point := range daemonCrashPoints {
+				t.Run(fmt.Sprintf("k=%d/workers=%d/%d", k, workers, i+1), func(t *testing.T) {
 					dep := newShardedDep(t, sim.Eventual, k)
 					dep.WAL.SetVisibility(5 * time.Second)
 					p := NewP3(dep, Options{CommitWorkers: workers})
@@ -93,7 +93,7 @@ func TestP3ShardedCrashRecoveryMatrix(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					p.SetDaemonCrash(point)
+					dep.Env.InstallFaults(nil).CrashAt(point, 0)
 					_ = p.Settle() // one worker dies mid-commit
 					dep.Env.Clock().Advance(10 * time.Second)
 					if err := p.Settle(); err != nil {
@@ -121,6 +121,7 @@ func TestP3ShardedCrashRecoveryMatrix(t *testing.T) {
 					if p.PendingTxns() != 0 {
 						t.Fatal("pending transactions after recovery")
 					}
+					noCrashLeftArmed(t, dep.Env)
 				})
 			}
 		}
@@ -141,7 +142,7 @@ func TestP3ShardedHalfAcknowledgedRedelivery(t *testing.T) {
 	if err := p.Commit(out, outB); err != nil {
 		t.Fatal(err)
 	}
-	p.SetCleanupDropAfter(1)
+	dep.Env.InstallFaults(nil).CrashAt(CrashCleanupAfterReceipts, 1)
 	if err := p.Settle(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestP3ShardedWALGC(t *testing.T) {
 	dep.WAL.SetRetention(time.Hour)
 	p := NewP3(dep, Options{})
 	p.SetChunkSize(64)
-	p.SetClientCrashAfter(1)
+	dep.Env.InstallFaults(nil).CrashAt(CrashClientAfterPackets, 1)
 	_, _, out, _, outB := onePipeline(t, 9)
 	if err := p.Commit(out, outB); err == nil {
 		t.Fatal("injected client crash did not surface")

@@ -143,19 +143,23 @@ func probeCoupling(factory ProtocolFactory, seed int64) (bool, error) {
 	col.Apply(trace.Event{Kind: trace.Write, PID: pid, Path: "mnt/f", Bytes: 4096})
 	ref2, _ := col.FileRef("mnt/f")
 	bundles2 := col.PendingFor("mnt/f")
+	faults := dep.Env.InstallFaults(nil) // no plan: crash points only, nothing drawn
 	switch p := proto.(type) {
 	case *P1:
-		p.SetClientCrashBeforeData()
+		faults.CrashAt(CrashP1BeforeData, 0)
 	case *P2:
-		p.SetClientCrashBeforeData()
+		faults.CrashAt(CrashP2BeforeData, 0)
 	case *P3:
 		// Force a multi-packet transaction, then die after one packet.
 		p.SetChunkSize(64)
-		p.SetClientCrashAfter(1)
+		faults.CrashAt(CrashClientAfterPackets, 1)
 	}
 	err := proto.Commit(FileObject{Path: "mnt/f", Size: 8192, Ref: ref2}, bundles2)
-	if err != nil && !errors.Is(err, ErrSimulatedCrash) {
+	if err != nil && !errors.Is(err, sim.ErrCrashed) {
 		return false, err
+	}
+	if left := faults.ArmedCrashes(); len(left) != 0 {
+		return false, fmt.Errorf("crash points never reached: %v", left)
 	}
 	if err := proto.Settle(); err != nil {
 		return false, err

@@ -73,53 +73,14 @@ type FabricControl struct {
 	DBDir    sim.DirSnapshot `json:"db_dir"`
 }
 
-// ReshardCrashPoint names a phase boundary where the migration test harness
-// can kill the resharder.
-type ReshardCrashPoint int
-
-// Resharder crash points, in phase order.
+// Resharder crash points, in phase order: each leaves the fabric exactly as
+// a resharder process killed at that phase boundary would.
 const (
-	ReshardCrashNone       ReshardCrashPoint = iota
-	ReshardCrashPreCopy                      // window open + control persisted, nothing copied
-	ReshardCrashMidCopy                      // first batch durable, the pool's others in flight, the rest not sent
-	ReshardCrashPreCutover                   // copy complete, both epochs still live
-	ReshardCrashPreGC                        // cutover persisted, old-shard garbage intact
+	ReshardCrashPreCopy    sim.CrashPoint = "reshard.pre-copy"            // window open + control persisted, nothing copied
+	ReshardCrashMidCopy    sim.CrashPoint = "reshard.mid-copy"            // first batch durable, the pool's others in flight, the rest not sent
+	ReshardCrashPreCutover sim.CrashPoint = "reshard.pre-cutover"         // copy complete, both epochs still live
+	ReshardCrashPreGC      sim.CrashPoint = "reshard.post-cutover-pre-gc" // cutover persisted, old-shard garbage intact
 )
-
-// String names the crash point for test output.
-func (p ReshardCrashPoint) String() string {
-	switch p {
-	case ReshardCrashPreCopy:
-		return "pre-copy"
-	case ReshardCrashMidCopy:
-		return "mid-copy"
-	case ReshardCrashPreCutover:
-		return "pre-cutover"
-	case ReshardCrashPreGC:
-		return "post-cutover-pre-gc"
-	}
-	return "none"
-}
-
-// SetReshardDropAfter arms the one-shot migration crash hook: the next
-// Reshard dies (returns ErrSimulatedCrash) at the given phase boundary,
-// leaving the fabric exactly as a killed resharder process would.
-func (d *Deployment) SetReshardDropAfter(p ReshardCrashPoint) {
-	d.reshardMu.Lock()
-	d.reshardCrash = p
-	d.reshardMu.Unlock()
-}
-
-// takeReshardCrash consumes the hook if it is armed for point p.
-func (d *Deployment) takeReshardCrash(p ReshardCrashPoint) bool {
-	d.reshardMu.Lock()
-	defer d.reshardMu.Unlock()
-	if d.reshardCrash == p {
-		d.reshardCrash = ReshardCrashNone
-		return true
-	}
-	return false
-}
 
 // GCPending reports whether a cutover's old-shard garbage still awaits
 // collection (a resharder died between cutover and GC).
@@ -247,8 +208,8 @@ func (d *Deployment) activeTopology() Topology {
 
 // Reshard grows or shrinks the live fabric to target without stopping
 // ingest. It is safe to re-run toward the same target after a crash — every
-// phase is idempotent — and returns ErrSimulatedCrash when the test
-// harness's drop hook fires.
+// phase is idempotent — and returns sim.ErrCrashed when an armed crash
+// point fires.
 func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats, error) {
 	target = target.normalized()
 	stats := ReshardStats{To: target}
@@ -291,8 +252,8 @@ func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats
 	if err := d.persistControl(ControlMigrating, &target); err != nil {
 		return stats, err
 	}
-	if d.takeReshardCrash(ReshardCrashPreCopy) {
-		return stats, fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashPreCopy)
+	if d.Env.Crashed(ReshardCrashPreCopy) {
+		return stats, fmt.Errorf("%w: resharder at %s", sim.ErrCrashed, ReshardCrashPreCopy)
 	}
 
 	// Phase 2 — barrier: wait out writes that routed before the window
@@ -312,8 +273,8 @@ func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats
 	// transiently vanish right after cutover, which a static deployment
 	// would never do.
 	d.Env.Clock().Sleep(d.Env.Config().StalenessMean * 20)
-	if d.takeReshardCrash(ReshardCrashPreCutover) {
-		return stats, fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashPreCutover)
+	if d.Env.Crashed(ReshardCrashPreCutover) {
+		return stats, fmt.Errorf("%w: resharder at %s", sim.ErrCrashed, ReshardCrashPreCutover)
 	}
 	if err := ctx.Err(); err != nil {
 		return stats, err
@@ -328,8 +289,8 @@ func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats
 	if err := d.persistControl(ControlGC, nil); err != nil {
 		return stats, err
 	}
-	if d.takeReshardCrash(ReshardCrashPreGC) {
-		return stats, fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashPreGC)
+	if d.Env.Crashed(ReshardCrashPreGC) {
+		return stats, fmt.Errorf("%w: resharder at %s", sim.ErrCrashed, ReshardCrashPreGC)
 	}
 
 	// Phase 5 — GC the drained ranges and retire decommissioned shards.
@@ -408,11 +369,11 @@ func (d *Deployment) reshardCopy(ctx context.Context, stats *ReshardStats) error
 			}
 			copied.Add(int64(len(reqs)))
 			batches.Add(1)
-			// One-shot (mutex-consumed) hook: exactly one durable batch
-			// trips the mid-copy crash, with the rest of the pool still in
-			// flight — as a killed resharder's requests would be.
-			if d.takeReshardCrash(ReshardCrashMidCopy) {
-				return fmt.Errorf("%w: resharder at %s", ErrSimulatedCrash, ReshardCrashMidCopy)
+			// The point fires once: exactly one durable batch trips the
+			// mid-copy crash, with the rest of the pool still in flight —
+			// as a killed resharder's requests would be.
+			if d.Env.Crashed(ReshardCrashMidCopy) {
+				return fmt.Errorf("%w: resharder at %s", sim.ErrCrashed, ReshardCrashMidCopy)
 			}
 			return nil
 		})

@@ -92,8 +92,8 @@ func BenchmarkReshardGC(b *testing.B) {
 	target := Topology{WALShards: 4, DBShards: 4}
 	measurePhase(b,
 		func(dep *Deployment) {
-			dep.SetReshardDropAfter(ReshardCrashPreGC)
-			if _, err := dep.Reshard(context.Background(), target); !errors.Is(err, ErrSimulatedCrash) {
+			dep.Env.InstallFaults(nil).CrashAt(ReshardCrashPreGC, 0)
+			if _, err := dep.Reshard(context.Background(), target); !errors.Is(err, sim.ErrCrashed) {
 				b.Fatalf("pre-GC crash did not fire: %v", err)
 			}
 		},

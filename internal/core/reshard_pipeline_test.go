@@ -112,8 +112,8 @@ func TestReshardPipelinedCopyUnderIngest(t *testing.T) {
 func TestReshardGCBatchesPerPage(t *testing.T) {
 	dep, _, uuids := reshardWorkload(t, 1, 130, 4) // 520 items: 3 GC pages on the old shard
 	before := provDigest(t, dep, uuids)
-	dep.SetReshardDropAfter(ReshardCrashPreGC)
-	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 4, DBShards: 4}); !errors.Is(err, ErrSimulatedCrash) {
+	dep.Env.InstallFaults(nil).CrashAt(ReshardCrashPreGC, 0)
+	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 4, DBShards: 4}); !errors.Is(err, sim.ErrCrashed) {
 		t.Fatalf("crash did not fire: %v", err)
 	}
 
@@ -189,9 +189,9 @@ func TestReshardCrashMidCopyInFlight(t *testing.T) {
 	dep, _, uuids := reshardWorkload(t, 1, txns, perTxn)
 	want := provDigest(t, dep, uuids)
 
-	dep.SetReshardDropAfter(ReshardCrashMidCopy)
+	dep.Env.InstallFaults(nil).CrashAt(ReshardCrashMidCopy, 0)
 	stats, err := dep.Reshard(context.Background(), Topology{WALShards: 4, DBShards: 4})
-	if !errors.Is(err, ErrSimulatedCrash) {
+	if !errors.Is(err, sim.ErrCrashed) {
 		t.Fatalf("armed mid-copy crash did not fire: %v", err)
 	}
 	if stats.CopyBatches < 1 || stats.CopiedItems != stats.CopyBatches*sdb.MaxBatchItems {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,15 +103,23 @@ func TestReshardGrowCleanRun(t *testing.T) {
 	}
 }
 
+// reshardCrashPoints is the migration crash matrix, in phase order.
+var reshardCrashPoints = []sim.CrashPoint{
+	ReshardCrashPreCopy, ReshardCrashMidCopy, ReshardCrashPreCutover, ReshardCrashPreGC,
+}
+
+// crashName is a resharder crash point's sub-test name: the point name
+// without its "reshard." prefix.
+func crashName(point sim.CrashPoint) string {
+	return strings.TrimPrefix(string(point), "reshard.")
+}
+
 // TestReshardCrashMatrix is the migration crash harness: kill the resharder
 // at every phase boundary, restart it via ResumeReshard, and require the
 // fabric to converge to the same byte-identical state a never-crashed
 // migration reaches — at K 1->2 and 2->4.
 func TestReshardCrashMatrix(t *testing.T) {
 	const txns, perTxn = 14, 4
-	points := []ReshardCrashPoint{
-		ReshardCrashPreCopy, ReshardCrashMidCopy, ReshardCrashPreCutover, ReshardCrashPreGC,
-	}
 	for _, kk := range [][2]int{{1, 2}, {2, 4}} {
 		from, to := kk[0], kk[1]
 		// The never-crashed reference migration.
@@ -122,12 +131,12 @@ func TestReshardCrashMatrix(t *testing.T) {
 		want := provDigest(t, refDep, uuids)
 		wantItems := refDep.DB.ItemCount()
 
-		for _, point := range points {
-			t.Run(fmt.Sprintf("k=%d->%d/%s", from, to, point), func(t *testing.T) {
+		for _, point := range reshardCrashPoints {
+			t.Run(fmt.Sprintf("k=%d->%d/%s", from, to, crashName(point)), func(t *testing.T) {
 				dep, _, uuids := reshardWorkload(t, from, txns, perTxn)
-				dep.SetReshardDropAfter(point)
+				dep.Env.InstallFaults(nil).CrashAt(point, 0)
 				_, err := dep.Reshard(context.Background(), Topology{WALShards: to, DBShards: to})
-				if !errors.Is(err, ErrSimulatedCrash) {
+				if !errors.Is(err, sim.ErrCrashed) {
 					t.Fatalf("armed crash at %s did not fire: %v", point, err)
 				}
 
@@ -173,6 +182,7 @@ func TestReshardCrashMatrix(t *testing.T) {
 				if _, again, _ := ResumeReshard(context.Background(), dep); again {
 					t.Error("second resume re-ran a finished migration")
 				}
+				noCrashLeftArmed(t, dep.Env)
 			})
 		}
 	}
@@ -197,16 +207,13 @@ func TestReshardCrashMatrixUnderFaults(t *testing.T) {
 	want := provDigest(t, refDep, uuids)
 	wantItems := refDep.DB.ItemCount()
 
-	points := []ReshardCrashPoint{
-		ReshardCrashPreCopy, ReshardCrashMidCopy, ReshardCrashPreCutover, ReshardCrashPreGC,
-	}
-	for _, point := range points {
-		t.Run(point.String(), func(t *testing.T) {
+	for _, point := range reshardCrashPoints {
+		t.Run(crashName(point), func(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			cfg.Consistency = sim.Eventual
 			cfg.DupProb = 0.05
 			dep := NewShardedDeployment(sim.NewEnv(cfg), Topology{WALShards: 1, DBShards: 1})
-			dep.Env.InstallFaults(sim.UniformPlan(0.05, 0.5))
+			faults := dep.Env.InstallFaults(sim.UniformPlan(0.05, 0.5))
 
 			p := NewP3(dep, Options{CommitWorkers: 2})
 			objs, bundles := poolTxns(99, txns, perTxn)
@@ -220,8 +227,8 @@ func TestReshardCrashMatrixUnderFaults(t *testing.T) {
 			}
 			dep.Settle()
 
-			dep.SetReshardDropAfter(point)
-			if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); !errors.Is(err, ErrSimulatedCrash) {
+			faults.CrashAt(point, 0)
+			if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); !errors.Is(err, sim.ErrCrashed) {
 				t.Fatalf("armed crash at %s did not fire: %v", point, err)
 			}
 			if _, resumed, err := ResumeReshard(context.Background(), dep); err != nil || !resumed {
@@ -248,6 +255,7 @@ func TestReshardCrashMatrixUnderFaults(t *testing.T) {
 			if st := dep.Res.Stats().Totals(); st.Retries == 0 {
 				t.Error("faults injected but nothing retried")
 			}
+			noCrashLeftArmed(t, dep.Env)
 		})
 	}
 }
@@ -258,8 +266,8 @@ func TestReshardCrashMatrixUnderFaults(t *testing.T) {
 func TestReshardCleanerFinishesGC(t *testing.T) {
 	dep, p, uuids := reshardWorkload(t, 1, 10, 4)
 	before := provDigest(t, dep, uuids)
-	dep.SetReshardDropAfter(ReshardCrashPreGC)
-	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); !errors.Is(err, ErrSimulatedCrash) {
+	dep.Env.InstallFaults(nil).CrashAt(ReshardCrashPreGC, 0)
+	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); !errors.Is(err, sim.ErrCrashed) {
 		t.Fatalf("crash did not fire: %v", err)
 	}
 	if !dep.GCPending() {
@@ -445,8 +453,8 @@ func TestResumeReshardSurvivesLostControl(t *testing.T) {
 	want := provDigest(t, dep, uuids)
 
 	// Second reshard crashes at pre-copy; then the control object is lost.
-	dep.SetReshardDropAfter(ReshardCrashPreCopy)
-	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 4, DBShards: 4}); !errors.Is(err, ErrSimulatedCrash) {
+	dep.Env.InstallFaults(nil).CrashAt(ReshardCrashPreCopy, 0)
+	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 4, DBShards: 4}); !errors.Is(err, sim.ErrCrashed) {
 		t.Fatalf("crash did not fire: %v", err)
 	}
 	if err := dep.Store.Delete(FabricControlKey); err != nil {
@@ -480,8 +488,8 @@ func TestResumeReshardSurvivesLostControl(t *testing.T) {
 // the same way.
 func TestReshardConcurrentRunsRefused(t *testing.T) {
 	dep, _, _ := reshardWorkload(t, 1, 8, 4)
-	dep.SetReshardDropAfter(ReshardCrashPreCutover)
-	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); !errors.Is(err, ErrSimulatedCrash) {
+	dep.Env.InstallFaults(nil).CrashAt(ReshardCrashPreCutover, 0)
+	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); !errors.Is(err, sim.ErrCrashed) {
 		t.Fatalf("crash did not fire: %v", err)
 	}
 	// Redirecting the open migration to another width is refused.

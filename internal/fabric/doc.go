@@ -12,6 +12,8 @@
 //	                   domains and K SQS WAL queues behind epoch-versioned
 //	                   range directories, and the commit bus
 //	sim.FaultInjector  the fault plan every endpoint consults per request
+//	                   and the crash points the protocols consult between
+//	                   requests
 //	resilient.Client   retries, budgets, breakers and hedges between the
 //	                   endpoints and everything above them (one per
 //	                   deployment; the front door keeps a second, keyed by
@@ -36,6 +38,41 @@
 // layers subscribe, and New attaches both: the transparency log (one leaf
 // per transaction) and the engine's cache (drops exactly the observations
 // the commit touched). Close detaches them.
+//
+// # The fault surface
+//
+// Both ways the simulation goes wrong run through sim.FaultInjector. A
+// request fails: every endpoint asks Env.FaultPoint, the plan or a forced
+// fault answers with a sim.TransientError, resilient.Client absorbs it. A
+// process dies between two requests: a protocol asks Env.Crashed at a named
+// sim.CrashPoint, a test arms it with CrashAt(point, n), and the one process
+// that reaches it returns sim.ErrCrashed. Every point, with what its matrix
+// checks after recovery (each also fails if its point is left armed):
+//
+//	p1.client.before-data, p2.client.before-data: provenance written, data
+//	  never PUT — the coupling violation CheckCoupling and VerifiedFetch
+//	  must detect (TestCouplingViolationDetectedP1P2, Table 1).
+//	p3.client.after-packets: n of a transaction's packets logged; nothing
+//	  commits, temp object and packets age out through the cleaner and
+//	  retention (TestP3ClientCrashLeavesNoPartialState, Table 1).
+//	p3.daemon.before-db, .after-db, .after-copy: a daemon dies in a group
+//	  commit; after the visibility timeout any daemon re-runs it to the
+//	  exactly-once end state — every item once, every object linked, no
+//	  temp object, WAL empty (TestP3DaemonCrashRecovery*,
+//	  TestP3ShardedCrashRecoveryMatrix).
+//	p3.cleanup.after-receipts: n of a committed group's receipts
+//	  acknowledged; the rest redeliver and are acknowledged without a
+//	  second BatchPut (TestP3*HalfAcknowledgedRedelivery).
+//	reshard.pre-copy, .mid-copy, .pre-cutover, .post-cutover-pre-gc: reads
+//	  stay byte-identical while the resharder is dead, and ResumeReshard
+//	  converges to the never-crashed migration's digest and item count,
+//	  AuditFabric 0/0, control stable (TestReshardCrashMatrix*).
+//	translog.mid-batch, .post-head-write, .pre-checkpoint-gc: rolling
+//	  forward, and a cold Open, re-derive a signed head byte-identical to
+//	  the never-crashed twin's (TestCheckpointCrashMatrix).
+//	autoscale.pre-record, .pre-trigger, .pre-done: a restarted controller
+//	  closes the record at the target K in exactly one epoch — no double
+//	  trigger, no orphaned record (TestAutoscaleCrashMatrix).
 //
 // # Lifecycle: stop before flip
 //

@@ -270,10 +270,10 @@ func TestSpecEquivalenceDuringReshard(t *testing.T) {
 
 	// Phase walk: arm the next crash point, roll the migration forward to
 	// it, and re-run the whole corpus against the frozen state.
-	for _, point := range []core.ReshardCrashPoint{
+	for _, point := range []sim.CrashPoint{
 		core.ReshardCrashMidCopy, core.ReshardCrashPreCutover, core.ReshardCrashPreGC,
 	} {
-		dep.SetReshardDropAfter(point)
+		dep.Env.InstallFaults(nil).CrashAt(point, 0)
 		var err error
 		if point == core.ReshardCrashMidCopy {
 			_, err = dep.Reshard(context.Background(), target)
@@ -283,7 +283,7 @@ func TestSpecEquivalenceDuringReshard(t *testing.T) {
 		if err == nil {
 			t.Fatalf("crash at %s did not fire", point)
 		}
-		check(point.String(), cached)
+		check(string(point), cached)
 	}
 	if _, resumed, err := core.ResumeReshard(context.Background(), dep); err != nil || !resumed {
 		t.Fatalf("final resume: resumed=%v err=%v", resumed, err)
@@ -305,7 +305,7 @@ func TestQuerySnapshotSurvivesCutover(t *testing.T) {
 	spec := Q4Spec("blastall", nil, 4)
 	want := specDigest(t, e, spec)
 
-	dep.SetReshardDropAfter(core.ReshardCrashPreCutover)
+	dep.Env.InstallFaults(nil).CrashAt(core.ReshardCrashPreCutover, 0)
 	if _, err := dep.Reshard(context.Background(), core.Topology{WALShards: 4, DBShards: 4}); err == nil {
 		t.Fatal("pre-cutover crash did not fire")
 	}

@@ -99,11 +99,13 @@ func (c *Clock) SleepUntil(t time.Duration) {
 // Advance moves a manual clock forward by d. It is a no-op in live mode and
 // exists so tests can expire consistency windows and retention periods.
 func (c *Clock) Advance(d time.Duration) {
-	if c.scale > 0 || d <= 0 {
+	if d <= 0 {
 		return
 	}
 	c.mu.Lock()
-	c.base += d
+	if c.scale <= 0 {
+		c.base += d
+	}
 	c.mu.Unlock()
 }
 
@@ -112,9 +114,8 @@ func (c *Clock) Advance(d time.Duration) {
 // Experiments use it to populate a deployment instantly (manual) and then
 // measure queries live.
 func (c *Clock) SetScale(scale float64) {
-	now := c.Now()
 	c.mu.Lock()
-	c.base = now
+	c.base = c.nowLocked()
 	c.start = time.Now()
 	c.scale = scale
 	c.mu.Unlock()

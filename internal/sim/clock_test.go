@@ -81,3 +81,29 @@ func TestScaledElapsedRoughlyMatches(t *testing.T) {
 		t.Fatalf("10×2s scaled sleeps measured %v", got)
 	}
 }
+
+// TestClockSetScaleRacesAdvance flips the clock's mode (what fabric.ToManual
+// does) while another goroutine advances and reads it: Advance must read the
+// scale under the lock SetScale writes it under.
+func TestClockSetScaleRacesAdvance(t *testing.T) {
+	c := NewClock(0)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			c.SetScale(float64(i % 2 * 1000))
+		}
+		c.SetScale(0)
+	}()
+	var last time.Duration
+	for i := 0; i < 500; i++ {
+		c.Advance(time.Millisecond)
+		now := c.Now()
+		if now < last {
+			t.Fatalf("clock ran backwards across a mode flip: %v -> %v", last, now)
+		}
+		last = now
+	}
+	wg.Wait()
+}

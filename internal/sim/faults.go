@@ -3,11 +3,13 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
 
-// This file is the transient-fault model of the simulated substrate. Real
+// This file is the fault model of the simulated substrate. Real
 // S3/SimpleDB/SQS throttle, drop and 5xx requests routinely — the paper's
 // protocols are explicitly designed so that retried, redelivered and
 // half-applied requests converge — so the environment can inject typed,
@@ -16,11 +18,12 @@ import (
 // A FaultPlan assigns per-endpoint fault probabilities (plus optional timed
 // windows); an installed FaultInjector additionally supports forced faults —
 // persistent ("every SELECT on prov-2 fails until cleared") and one-shot
-// ("the next BatchPut fails once") — which subsume the bespoke hooks the
-// services used to carry. Fault decisions draw from the injector's own
-// seeded random stream, not the environment's, so arming a plan never
-// perturbs staleness sampling, latency jitter or uuid allocation: a faulted
-// run stays content-equivalent to its fault-free twin.
+// ("the next BatchPut fails once") — and one-shot named crash points, where
+// a process dies between two requests (CrashAt; internal/fabric/doc.go lists
+// every point). Fault decisions draw from the injector's own seeded random
+// stream, not the environment's, and crash points from none, so arming
+// either never perturbs staleness sampling, latency jitter or uuid
+// allocation: a faulted run stays content-equivalent to its fault-free twin.
 
 // TransientError is a retryable service error: the simulated analogue of an
 // HTTP 503 (SlowDown / ServiceUnavailable). Callers are expected to back off
@@ -103,6 +106,15 @@ func UniformPlan(p, applyProb float64) FaultPlan {
 	return FaultPlan{"*": {Prob: p, ApplyProb: applyProb}}
 }
 
+// CrashPoint names a boundary in a protocol where the process reaching it can
+// be made to die ("p3.daemon.after-db"). Packages declare their points as
+// constants next to the code that checks them with Env.Crashed.
+type CrashPoint string
+
+// ErrCrashed is what a process killed at a crash point returns, wrapped with
+// the point's name: the one sentinel for every simulated process death.
+var ErrCrashed = errors.New("sim: simulated process crash")
+
 // forcedKey identifies one forced-fault slot.
 type forcedKey struct {
 	endpoint string
@@ -123,9 +135,10 @@ type FaultInjector struct {
 	meter *Meter
 	rnd   *Rand // private stream: fault draws never perturb the env's RNG
 
-	mu     sync.Mutex
-	plan   FaultPlan
-	forced map[forcedKey]*forcedFault
+	mu      sync.Mutex
+	plan    FaultPlan
+	forced  map[forcedKey]*forcedFault
+	crashes map[CrashPoint]int // armed crash points and their counts
 }
 
 // faultSeedSalt decorrelates the injector's stream from the environment's
@@ -134,11 +147,12 @@ const faultSeedSalt = 0x5fa17 // "fault"
 
 func newFaultInjector(cfg Config, clock *Clock, meter *Meter, plan FaultPlan) *FaultInjector {
 	return &FaultInjector{
-		clock:  clock,
-		meter:  meter,
-		rnd:    NewRand(cfg.Seed ^ faultSeedSalt),
-		plan:   plan,
-		forced: make(map[forcedKey]*forcedFault),
+		clock:   clock,
+		meter:   meter,
+		rnd:     NewRand(cfg.Seed ^ faultSeedSalt),
+		plan:    plan,
+		forced:  make(map[forcedKey]*forcedFault),
+		crashes: make(map[CrashPoint]int),
 	}
 }
 
@@ -181,6 +195,38 @@ func (f *FaultInjector) setForced(endpoint, op string, err error, once bool) {
 		f.forced[key] = &forcedFault{err: err, once: once}
 	}
 	f.mu.Unlock()
+}
+
+// CrashAt arms point: the next process in the environment to reach it dies
+// there, exactly once, leaving the durable state as a killed process would.
+// n is the work a counted site completes first (P3's client: packets sent;
+// its cleanup: receipts acknowledged), 0 elsewhere. Arming is per
+// environment: with two clients on one, arm just before driving the one meant.
+func (f *FaultInjector) CrashAt(point CrashPoint, n int) {
+	f.mu.Lock()
+	f.crashes[point] = n
+	f.mu.Unlock()
+}
+
+// ArmedCrashes lists, sorted, the crash points armed and not yet reached. A
+// crash matrix asserts it empty at scenario end, so a point whose site a
+// refactor removed fails its matrix instead of passing vacuously.
+func (f *FaultInjector) ArmedCrashes() []CrashPoint {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Sorted(maps.Keys(f.crashes))
+}
+
+// consumeCrash consumes point if it is armed with a count below total.
+func (f *FaultInjector) consumeCrash(point CrashPoint, total int) (n int, hit bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, hit = f.crashes[point]
+	if !hit || n >= total {
+		return 0, false
+	}
+	delete(f.crashes, point)
+	return n, true
 }
 
 // serviceClass extracts the service prefix of a metered op kind

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -205,5 +207,128 @@ func TestIsTransientJoin(t *testing.T) {
 	}
 	if IsTransient(errors.Join(errors.New("a"), errors.New("b"))) {
 		t.Fatal("IsTransient misfired on a plain join")
+	}
+}
+
+const (
+	crashTestPoint  CrashPoint = "test.point"
+	crashTestOther  CrashPoint = "test.other"
+	crashTestCounts CrashPoint = "test.counted"
+)
+
+// TestCrashPointUnarmed pins the cold path: an unarmed check is false with
+// no injector installed, with one installed, and with a different point
+// armed — and consumes nothing.
+func TestCrashPointUnarmed(t *testing.T) {
+	env := NewEnv(DefaultConfig())
+	if env.Crashed(crashTestPoint) {
+		t.Fatal("crash fired with no injector installed")
+	}
+	inj := env.InstallFaults(nil)
+	if env.Crashed(crashTestPoint) {
+		t.Fatal("crash fired on an unarmed injector")
+	}
+	inj.CrashAt(crashTestOther, 0)
+	if env.Crashed(crashTestPoint) {
+		t.Fatal("arming one point fired another")
+	}
+	if got := inj.ArmedCrashes(); len(got) != 1 || got[0] != crashTestOther {
+		t.Fatalf("ArmedCrashes = %v, want [%s]", got, crashTestOther)
+	}
+}
+
+// TestCrashPointOneShot pins consumption: an armed point fires once, then
+// reads unarmed until armed again.
+func TestCrashPointOneShot(t *testing.T) {
+	env := NewEnv(DefaultConfig())
+	inj := env.InstallFaults(nil)
+	for round := 0; round < 2; round++ {
+		inj.CrashAt(crashTestPoint, 0)
+		if !env.Crashed(crashTestPoint) {
+			t.Fatalf("round %d: armed point did not fire", round)
+		}
+		if env.Crashed(crashTestPoint) {
+			t.Fatalf("round %d: point fired twice", round)
+		}
+		if left := inj.ArmedCrashes(); len(left) != 0 {
+			t.Fatalf("round %d: fired point still armed: %v", round, left)
+		}
+	}
+}
+
+// TestCrashPointCount pins the counted sites' payload: the armed count comes
+// back from the check, a piece of work no larger than the count does not
+// fire and leaves the point armed, and the plain check ignores the count.
+func TestCrashPointCount(t *testing.T) {
+	env := NewEnv(DefaultConfig())
+	inj := env.InstallFaults(nil)
+	inj.CrashAt(crashTestCounts, 3)
+	for _, total := range []int{0, 1, 3} {
+		if n, hit := env.CrashedAfter(crashTestCounts, total); hit || n != 0 {
+			t.Fatalf("count 3 fired on %d units of work (n=%d)", total, n)
+		}
+	}
+	if n, hit := env.CrashedAfter(crashTestCounts, 4); !hit || n != 3 {
+		t.Fatalf("CrashedAfter = (%d, %v), want (3, true)", n, hit)
+	}
+	if _, hit := env.CrashedAfter(crashTestCounts, 4); hit {
+		t.Fatal("counted point fired twice")
+	}
+	inj.CrashAt(crashTestCounts, 7)
+	if !env.Crashed(crashTestCounts) {
+		t.Fatal("plain check did not fire on a counted point")
+	}
+}
+
+// TestCrashPointConcurrentTakers races 16 goroutines to one armed point:
+// exactly one of them dies there (the mid-copy site is reached by a whole
+// flush pool at once).
+func TestCrashPointConcurrentTakers(t *testing.T) {
+	env := NewEnv(DefaultConfig())
+	env.InstallFaults(nil).CrashAt(crashTestPoint, 0)
+	var hits atomic.Int32
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if env.Crashed(crashTestPoint) {
+				hits.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("%d of 16 racing takers hit the point, want exactly 1", got)
+	}
+}
+
+// TestCrashPointDrawsNothing pins that arming and firing a crash point draw
+// from neither the injector's nor the environment's random stream: at one
+// seed, an environment that armed and fired points continues both streams
+// exactly where a never-armed twin does.
+func TestCrashPointDrawsNothing(t *testing.T) {
+	armed, twin := NewEnv(DefaultConfig()), NewEnv(DefaultConfig())
+	inj := armed.InstallFaults(nil)
+	twinInj := twin.InstallFaults(nil)
+	inj.CrashAt(crashTestPoint, 0)
+	inj.CrashAt(crashTestCounts, 2)
+	if !armed.Crashed(crashTestPoint) {
+		t.Fatal("armed point did not fire")
+	}
+	if _, hit := armed.CrashedAfter(crashTestCounts, 5); !hit {
+		t.Fatal("counted point did not fire")
+	}
+	twin.Crashed(crashTestPoint)
+	for i := 0; i < 8; i++ {
+		if a, b := armed.Rand().Float64(), twin.Rand().Float64(); a != b {
+			t.Fatalf("crash points perturbed the env stream at %d: %v != %v", i, a, b)
+		}
+		if a, b := inj.rnd.Float64(), twinInj.rnd.Float64(); a != b {
+			t.Fatalf("crash points perturbed the fault stream at %d: %v != %v", i, a, b)
+		}
 	}
 }

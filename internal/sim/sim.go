@@ -25,6 +25,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -249,13 +250,31 @@ func (e *Env) Faults() *FaultInjector {
 // ambiguous fail-applied outcome). With no injector installed it is a nil
 // check. Service implementations call it before executing each request.
 func (e *Env) FaultPoint(endpoint, op string, mutating bool) (err error, applied bool) {
-	e.faultMu.Lock()
-	f := e.faults
-	e.faultMu.Unlock()
+	f := e.Faults()
 	if f == nil {
 		return nil, false
 	}
 	return f.Check(endpoint, op, mutating)
+}
+
+// Crashed reports whether the process reaching point dies here: true exactly
+// once per FaultInjector.CrashAt(point, …), however many goroutines race to
+// the point. With no injector installed it is a nil check.
+func (e *Env) Crashed(point CrashPoint) bool {
+	_, hit := e.CrashedAfter(point, math.MaxInt)
+	return hit
+}
+
+// CrashedAfter is Crashed for a site that does total units of work and can
+// die part-way: it fires, returning the armed count n, only when n < total —
+// a process cannot die after finishing — and otherwise leaves the point
+// armed for a larger piece of work.
+func (e *Env) CrashedAfter(point CrashPoint, total int) (n int, hit bool) {
+	f := e.Faults()
+	if f == nil {
+		return 0, false
+	}
+	return f.consumeCrash(point, total)
 }
 
 // Compute charges d of client compute time (application work between I/O).

@@ -35,34 +35,13 @@ const (
 // retains for the auditor's consecutive-head consistency checks.
 const keepHeads = 16
 
-// ErrCrashed is returned by a Checkpoint interrupted by the one-shot crash
-// hook (the sequencer analogue of core.ErrSimulatedCrash).
-var ErrCrashed = errors.New("translog: simulated sequencer crash")
-
-// CrashPoint names a Checkpoint stage boundary where the crash-matrix
-// harness can kill the sequencer.
-type CrashPoint int
-
-// Sequencer crash points, in stage order.
+// Sequencer crash points, in Checkpoint stage order: each leaves the durable
+// state exactly as a sequencer process killed at that boundary would.
 const (
-	CrashNone     CrashPoint = iota
-	CrashMidBatch            // leaf batch durable, head not written
-	CrashPostHead            // signed head durable, checkpoint object stale
-	CrashPreGC               // checkpoint durable, superseded heads not pruned
+	CrashMidBatch sim.CrashPoint = "translog.mid-batch"         // leaf batch durable, head not written
+	CrashPostHead sim.CrashPoint = "translog.post-head-write"   // signed head durable, checkpoint object stale
+	CrashPreGC    sim.CrashPoint = "translog.pre-checkpoint-gc" // checkpoint durable, superseded heads not pruned
 )
-
-// String names the crash point for test output.
-func (p CrashPoint) String() string {
-	switch p {
-	case CrashMidBatch:
-		return "mid-batch"
-	case CrashPostHead:
-		return "post-head-write"
-	case CrashPreGC:
-		return "pre-checkpoint-gc"
-	}
-	return "none"
-}
 
 // LeafItem is one provenance item a leaf commits to: the item name and a
 // digest of its attributes as stored.
@@ -139,9 +118,9 @@ func KeyFromEnv(env *sim.Env) ed25519.PrivateKey {
 // checkpoint is the persisted sequencer cursor.
 type checkpoint struct {
 	TreeSize int      `json:"tree_size"`
-	BusSeq   int64    `json:"bus_seq"`            // highest bus sequence folded in
-	Compact  []string `json:"compact"`            // hex compact-range node snapshot
-	Entries  []int    `json:"entries,omitempty"`  // start index of every entry batch
+	BusSeq   int64    `json:"bus_seq"`           // highest bus sequence folded in
+	Compact  []string `json:"compact"`           // hex compact-range node snapshot
+	Entries  []int    `json:"entries,omitempty"` // start index of every entry batch
 }
 
 // Log is the transparency log: the in-memory tree the sequencer grows plus
@@ -175,8 +154,6 @@ type Log struct {
 	entryStart []int // start index of every persisted entry batch
 	gcPending  bool  // a new head was persisted; stale heads await pruning
 	lastHead   SignedHead
-
-	crash CrashPoint // one-shot crash hook
 }
 
 // New returns an empty log persisting under prefix ("" means DefaultPrefix),
@@ -235,26 +212,6 @@ func (l *Log) TreeHead() (size int, root merkle.Digest) {
 	return len(l.leaves), merkle.LogRoot(l.hashes)
 }
 
-// SetCrashAfter arms the one-shot sequencer crash hook: the next Checkpoint
-// dies (returns ErrCrashed) at the given stage boundary, leaving the durable
-// state exactly as a killed sequencer process would.
-func (l *Log) SetCrashAfter(p CrashPoint) {
-	l.mu.Lock()
-	l.crash = p
-	l.mu.Unlock()
-}
-
-// takeCrash consumes the hook if it is armed for point p.
-func (l *Log) takeCrash(p CrashPoint) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crash == p {
-		l.crash = CrashNone
-		return true
-	}
-	return false
-}
-
 // signHead signs a head over leaves[:size].
 func (l *Log) signHead(size int, hashes []merkle.Digest, lastNanos int64) SignedHead {
 	root := merkle.LogRoot(hashes[:size]).String()
@@ -274,7 +231,7 @@ func (l *Log) headKey(size int) string {
 
 // Checkpoint makes the log durable through the current tree size: leaf
 // batch, signed head, checkpoint object, then head pruning, in that order,
-// every stage idempotent. Re-running after any failure (a crash hook, an
+// every stage idempotent. Re-running after any failure (a crash point, an
 // injected fault) rolls the durable state forward; the returned head is
 // byte-identical to what an uninterrupted run would have signed, because
 // heads depend only on leaf content.
@@ -315,8 +272,8 @@ func (l *Log) Checkpoint() (SignedHead, error) {
 		l.entriesAt = size
 		l.mu.Unlock()
 	}
-	if l.takeCrash(CrashMidBatch) {
-		return SignedHead{}, fmt.Errorf("%w: at %s", ErrCrashed, CrashMidBatch)
+	if l.env.Crashed(CrashMidBatch) {
+		return SignedHead{}, fmt.Errorf("%w: sequencer at %s", sim.ErrCrashed, CrashMidBatch)
 	}
 
 	// Stage 2 — signed head, the commitment a third party witnesses. The
@@ -341,8 +298,8 @@ func (l *Log) Checkpoint() (SignedHead, error) {
 		l.mu.Unlock()
 		l.env.Meter().CountLogHead()
 	}
-	if l.takeCrash(CrashPostHead) {
-		return SignedHead{}, fmt.Errorf("%w: at %s", ErrCrashed, CrashPostHead)
+	if l.env.Crashed(CrashPostHead) {
+		return SignedHead{}, fmt.Errorf("%w: sequencer at %s", sim.ErrCrashed, CrashPostHead)
 	}
 
 	// Stage 3 — checkpoint object: the cursor a restarted sequencer (or a
@@ -367,8 +324,8 @@ func (l *Log) Checkpoint() (SignedHead, error) {
 		l.ckptAt = size
 		l.mu.Unlock()
 	}
-	if l.takeCrash(CrashPreGC) {
-		return SignedHead{}, fmt.Errorf("%w: at %s", ErrCrashed, CrashPreGC)
+	if l.env.Crashed(CrashPreGC) {
+		return SignedHead{}, fmt.Errorf("%w: sequencer at %s", sim.ErrCrashed, CrashPreGC)
 	}
 
 	// Stage 4 — prune superseded heads beyond the retention window. Purely

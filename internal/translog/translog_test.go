@@ -176,7 +176,8 @@ func TestIngestIsIdempotent(t *testing.T) {
 // state alone.
 func TestCheckpointCrashMatrix(t *testing.T) {
 	const seed = 7
-	scenario := func(t *testing.T, crash CrashPoint) SignedHead {
+	// crash "" is the never-crashed twin.
+	scenario := func(t *testing.T, crash sim.CrashPoint) SignedHead {
 		env, dep, p3, l := newFabric(t, seed, 1)
 		set := makeTxns(seed, 16, 3)
 		commitAll(t, p3, set[:8])
@@ -184,9 +185,10 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		commitAll(t, p3, set[8:])
-		if crash != CrashNone {
-			l.SetCrashAfter(crash)
-			if _, err := l.Checkpoint(); !errors.Is(err, ErrCrashed) {
+		faults := env.InstallFaults(nil)
+		if crash != "" {
+			faults.CrashAt(crash, 0)
+			if _, err := l.Checkpoint(); !errors.Is(err, sim.ErrCrashed) {
 				t.Fatalf("armed %s but Checkpoint returned %v", crash, err)
 			}
 		}
@@ -210,13 +212,16 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			t.Fatalf("after %s crash, reopened tree (%d, %s) != head (%d, %s)",
 				crash, n, root, head.TreeSize, head.Root)
 		}
+		if left := faults.ArmedCrashes(); len(left) != 0 {
+			t.Fatalf("crash points left armed, their sites never reached: %v", left)
+		}
 		return head
 	}
 
-	clean := scenario(t, CrashNone)
-	for _, p := range []CrashPoint{CrashMidBatch, CrashPostHead, CrashPreGC} {
+	clean := scenario(t, "")
+	for _, p := range []sim.CrashPoint{CrashMidBatch, CrashPostHead, CrashPreGC} {
 		p := p
-		t.Run(p.String(), func(t *testing.T) {
+		t.Run(strings.TrimPrefix(string(p), "translog."), func(t *testing.T) {
 			if got := scenario(t, p); got != clean {
 				t.Fatalf("head after %s crash differs from never-crashed twin:\n  %+v\n  %+v", p, got, clean)
 			}
