@@ -345,3 +345,59 @@ func TestCacheStatsSubscriptionLag(t *testing.T) {
 		t.Error("subscription dropped during ingest")
 	}
 }
+
+// TestSetCacheWhileSubscribed pins what replacing the cache of a subscribed
+// engine does: the subscription belongs to the cache that attached, so
+// SetCache detaches it first. Removing the cache must leave nothing for a
+// later Unsubscribe to trip over, and a replacement cache must be attachable
+// by a fresh Subscribe — not shadowed by the old cache's bus callback.
+func TestSetCacheWhileSubscribed(t *testing.T) {
+	dep, p2 := liveDeployment(t, 1)
+	rnd := sim.NewRand(19)
+	procU, fileU := uuid.New(rnd), uuid.New(rnd)
+	commitChain(t, p2, "gend", "mnt/gen/out", procU, fileU, 1)
+	spec := chainSpecs("gend", fileU)[0] // the vers/ observation
+	uncached := New(dep, core.BackendSDB)
+
+	// cache sub, cache <n>, cache sub.
+	e := New(dep, core.BackendSDB)
+	old := NewCache(0)
+	e.SetCache(old)
+	if err := e.Subscribe(); err != nil {
+		t.Fatal(err)
+	}
+	specDigest(t, e, spec) // an observation a stray notice would drop
+	fresh := NewCache(0)
+	e.SetCache(fresh)
+	if old.Stats().Subscribed {
+		t.Error("replaced cache still reports subscribed")
+	}
+	if err := e.Subscribe(); err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.Stats().Subscribed {
+		t.Fatal("Subscribe after SetCache did not attach the new cache")
+	}
+	specDigest(t, e, spec) // warm the new cache's vers/ observation
+	commitChain(t, p2, "gend", "mnt/gen/out", procU, fileU, 2)
+	if fresh.Stats().Invalidations == 0 {
+		t.Error("commit notice did not reach the new cache")
+	}
+	if old.Stats().Invalidations != 0 {
+		t.Error("commit notice still reached the replaced cache")
+	}
+	if got, want := specDigest(t, e, spec), specDigest(t, uncached, spec); got != want {
+		t.Error("replacement cache served a stale observation while subscribed")
+	}
+
+	// cache sub, cache off, cache unsub — provctl's sequence.
+	e.SetCache(old)
+	if err := e.Subscribe(); err != nil {
+		t.Fatal(err)
+	}
+	e.SetCache(nil)
+	if old.Stats().Subscribed {
+		t.Error("removed cache still reports subscribed")
+	}
+	e.Unsubscribe() // nothing left to detach; must not touch the removed cache
+}

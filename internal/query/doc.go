@@ -12,22 +12,30 @@
 // the caller wants. The four queries of the paper's §5.3 are thin wrappers
 // over four particular Specs ([Q1Spec] .. [Q4Spec]).
 //
-// # Plan selection
+// # One executor, two sources
 //
-// The planner lowers one Spec to backend-specific plans:
+// §5.3 runs Q1–Q4 as one algorithm over two access paths, and so does Run:
+// one executor (exec.go) resolves roots, walks Ancestors and Descendants
+// level by level, applies the filter each node still owes and projects,
+// over a source — the backend's access paths, and nothing else.
 //
-// On the store backend (protocol P1) the store cannot index attributes, so
-// any query that selects or filters by attribute must fetch every
-// provenance object and evaluate locally — the whole-graph scan (LIST plus
-// parallel GETs, bounded by Spec.Workers). Only queries that name their
-// objects directly get targeted plans: Versions roots resolve through one
-// HEAD per path and one GET per provenance object (Q2's two-request shape).
+// The store source (source_s3.go, protocol P1) owns the scan-or-target
+// decision. The store cannot index attributes, so any query that selects
+// or filters by attribute must fetch every provenance object and evaluate
+// locally — the whole-graph scan (LIST plus parallel GETs, bounded by
+// Spec.Workers), where a child is any node that references another. Only
+// queries that name their objects directly get targeted plans: Versions
+// roots resolve through one HEAD per path and one GET per provenance
+// object (Q2's two-request shape).
 //
-// On the database backend (P2/P3) every access path is indexed, and the
-// executor routes nothing itself: each SELECT goes to the snapshotted
-// sdb.DomainView, whose read planner sends a predicate that pins item
-// names to their home shards and any other to all K, merged in canonical
-// name order either way ([Engine.Describe] says which each step is):
+// The database source (source_db.go, P2/P3) owns the routing view, the
+// read-through cache and its keys, IN batching, the reads a pushed filter
+// fuses into, and the child lookup over the schema's indexed input edge
+// (dbSource.children — where a reverse-edge read would land). It routes
+// nothing itself: each SELECT goes to the snapshotted sdb.DomainView,
+// whose read planner sends a predicate that pins item names to their home
+// shards and any other to all K, merged in canonical name order either
+// way ([Engine.Describe] asks the source which each step is):
 //
 //   - attribute roots are one indexed SELECT, a K-way scatter;
 //   - Versions is a name-prefix SELECT routed to the uuid's home shard

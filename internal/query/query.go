@@ -40,8 +40,12 @@ func (e *Engine) Backend() core.Backend { return e.backend }
 // are deliberately uncached — they are the plan of last resort, and caching
 // them would hide the asymmetry Table 5 exists to show. A cached engine
 // filters client-side (its observations answer most reads before any SELECT
-// is planned); filter pushdown applies to uncached engines.
-func (e *Engine) SetCache(c *Cache) { e.cache = c }
+// is planned); filter pushdown applies to uncached engines. A subscription
+// belongs to its cache: replacing a subscribed cache unsubscribes it first.
+func (e *Engine) SetCache(c *Cache) {
+	e.Unsubscribe()
+	e.cache = c
+}
 
 // Cache returns the installed cache, or nil.
 func (e *Engine) Cache() *Cache { return e.cache }

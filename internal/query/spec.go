@@ -177,19 +177,25 @@ func (f *Filter) Match(b *prov.Bundle) bool {
 	case "name":
 		return b.Name == f.value
 	case "attr":
-		for _, r := range b.Records {
-			if r.Attr != f.attr {
-				continue
-			}
-			if r.IsXref() {
-				if r.Xref.String() == f.value {
-					return true
-				}
-			} else if r.Value == f.value {
+		return hasRecord(b.Records, f.attr, f.value)
+	}
+	return false
+}
+
+// hasRecord reports whether records carry attr = value; cross-reference
+// records compare their uuid_version form.
+func hasRecord(records []prov.Record, attr, value string) bool {
+	for _, r := range records {
+		if r.Attr != attr {
+			continue
+		}
+		if r.IsXref() {
+			if r.Xref.String() == value {
 				return true
 			}
+		} else if r.Value == value {
+			return true
 		}
-		return false
 	}
 	return false
 }

@@ -15,7 +15,7 @@ import (
 // that has children direct children, each with one grandchild — the two
 // level fan used by the IN-batch boundary tests. Strict consistency keeps
 // result sets deterministic.
-func fanDeployment(t *testing.T, children int, topo core.Topology) (*core.Deployment, prov.Ref) {
+func fanDeployment(t testing.TB, children int, topo core.Topology) (*core.Deployment, prov.Ref) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Consistency = sim.Strict
@@ -85,7 +85,7 @@ func TestINBatchBoundary(t *testing.T) {
 // chainDeployment populates a K=4 database deployment with one dependency
 // chain of depth+1 nodes on distinct uuids, node i taking node i-1 as its
 // input, and returns the nodes root first.
-func chainDeployment(t *testing.T, depth int) (*core.Deployment, []prov.Ref) {
+func chainDeployment(t testing.TB, depth int) (*core.Deployment, []prov.Ref) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Consistency = sim.Strict
