@@ -395,7 +395,7 @@ func (d *Deployment) reshardCopy(ctx context.Context, stats *ReshardStats) error
 func (d *Deployment) copyShard(ctx context.Context, s int, targetEpoch sim.DirEpoch, put func(*sdb.Domain, []sdb.PutRequest) error) error {
 	dom := d.DB.Shard(s)
 	q := sdb.Query{Domain: dom.Name(), Consistent: true, Limit: reshardCopyPage}
-	perTarget := make(map[int][]sdb.PutRequest)
+	perTarget := make([][]sdb.PutRequest, targetEpoch.Shards) // by home, so the remainders flush in one order
 	token := ""
 	for {
 		if err := ctx.Err(); err != nil {
