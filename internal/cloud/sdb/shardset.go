@@ -524,21 +524,32 @@ func (s *DomainSet) BatchPutAttributes(reqs []PutRequest) error {
 	}
 	v, done := s.beginWrite()
 	defer done()
-	if len(v.shards) == 1 {
-		return v.shards[0].BatchPutAttributes(reqs)
-	}
-	perShard := make(map[int][]PutRequest)
-	for _, r := range reqs {
-		for _, h := range v.homesForItem(r.Item) {
-			perShard[h] = append(perShard[h], r)
+	for sh, rs := range v.byHome(reqs) {
+		if len(rs) == 0 {
+			continue
 		}
-	}
-	for sh, rs := range perShard {
 		if err := v.shards[sh].BatchPutAttributes(rs); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// byHome partitions reqs by shard, in shard order so that one seed issues the
+// per-shard calls in one order: each request goes to every home in its
+// double-write set.
+func (v *DomainView) byHome(reqs []PutRequest) [][]PutRequest {
+	perShard := make([][]PutRequest, len(v.shards))
+	if len(v.shards) == 1 {
+		perShard[0] = reqs
+		return perShard
+	}
+	for _, r := range reqs {
+		for _, h := range v.homesForItem(r.Item) {
+			perShard[h] = append(perShard[h], r)
+		}
+	}
+	return perShard
 }
 
 // BulkPut writes an arbitrary number of requests with BatchPutAttributes in
@@ -582,18 +593,8 @@ func (s *DomainSet) BulkPut(reqs []PutRequest, conns int, ordered bool) error {
 		}
 		return par.Sequential(tasks)
 	}
-	perShard := make([][]PutRequest, len(v.shards))
-	if len(v.shards) == 1 {
-		perShard[0] = reqs
-	} else {
-		for _, r := range reqs {
-			for _, h := range v.homesForItem(r.Item) {
-				perShard[h] = append(perShard[h], r)
-			}
-		}
-	}
 	var tasks []func() error
-	for sh, rs := range perShard {
+	for sh, rs := range v.byHome(reqs) {
 		dom := v.shards[sh]
 		for start := 0; start < len(rs); start += MaxBatchItems {
 			end := start + MaxBatchItems

@@ -2,7 +2,9 @@ package sdb
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"passcloud/internal/sim"
 )
@@ -208,5 +210,31 @@ func TestShardSetBatchPutSplit(t *testing.T) {
 	}
 	if _, _, _, err := s.SelectAll("select * from wrongdomain"); err == nil {
 		t.Fatal("foreign domain accepted")
+	}
+}
+
+// TestBatchPutShardOrderIsSeeded: a mixed batch at K=4 becomes one call per
+// shard, and the order of those calls decides which call draws which jitter —
+// so the same seed must end at the same simulated time, every time.
+func TestBatchPutShardOrderIsSeeded(t *testing.T) {
+	run := func() time.Duration {
+		s := newSet(t, 4)
+		reqs := make([]PutRequest, MaxBatchItems)
+		for i := range reqs {
+			reqs[i] = PutRequest{
+				Item:  fmt.Sprintf("0000%04d-aaaa-4bbb-8ccc-ddddeeeeffff_1", i),
+				Attrs: []Attr{{Name: "pad", Value: strings.Repeat("x", 10*i)}},
+			}
+		}
+		if err := s.BatchPutAttributes(reqs); err != nil {
+			t.Fatal(err)
+		}
+		return s.Env().Now()
+	}
+	want := run()
+	for i := 0; i < 8; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d of the same seed ended at %v, the first at %v", i+1, got, want)
+		}
 	}
 }

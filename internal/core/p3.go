@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -518,8 +520,10 @@ func (p *P3) endInflight(st *txnState, committed bool) []string {
 		delete(sh.inflight, txn)
 	}
 	receipts := st.receipts
-	for _, r := range st.redelivered {
-		receipts = append(receipts, r)
+	// In message-id order: a cleanup that dies part-way acknowledges a
+	// prefix, and which prefix must not depend on map order.
+	for _, id := range slices.Sorted(maps.Keys(st.redelivered)) {
+		receipts = append(receipts, st.redelivered[id])
 	}
 	return receipts
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -149,5 +150,27 @@ func TestP3GroupCommitOutlastsVisibility(t *testing.T) {
 	}
 	if n := p.PendingTxns(); n != 0 {
 		t.Fatalf("%d transactions still pending", n)
+	}
+}
+
+// TestP3RedeliveredReceiptOrderIsSeeded: the receipts of packets redelivered
+// while their transaction was in flight are acknowledged after the first
+// deliveries', in message-id order — a cleanup that dies after n receipts
+// leaves the same ones unacknowledged on every run of a seed.
+func TestP3RedeliveredReceiptOrderIsSeeded(t *testing.T) {
+	run := func() []string {
+		dep, p, ready := inflightTxn(t)
+		dep.Env.Clock().Advance(2 * time.Second)
+		p.foldMessages(0, drain(dep.WAL.Shard(0)))
+		return p.endInflight(ready[0], true)
+	}
+	want := run()
+	if packets := len(want) / 2; !slices.IsSorted(want[packets:]) {
+		t.Fatalf("redelivered receipts not in message-id order: %v", want[packets:])
+	}
+	for i := 0; i < 8; i++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d of the same seed returned\n %v, the first\n %v", i+1, got, want)
+		}
 	}
 }
