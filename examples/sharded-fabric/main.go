@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("\nsimulated commit time:  K=1 %6.1fs   K=%d %6.1fs   (%.2fx)\n",
 		baseSim, k, shardedSim, baseSim/shardedSim)
 
-	fmt.Printf("\nper-shard request spread on the K=%d fabric:\n", k)
+	fmt.Printf("\nper-endpoint request spread on the K=%d fabric:\n", k)
 	spread := shardedDep.Env.Meter().Usage().OpsByEndpoint
 	names := make([]string, 0, len(spread))
 	for n := range spread {

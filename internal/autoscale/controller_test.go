@@ -334,10 +334,10 @@ func TestAutoscaleSamplingRaceClean(t *testing.T) {
 
 // TestAutoscaleResiliencePropagationAcrossCycles is the regression net for
 // endpoints born mid-run: across repeated controller-driven grow/shrink
-// cycles, every live queue and domain — including slots re-materialized
-// after a shrink released them — must carry the deployment's resilient
-// client, and a forced transient fault against a late-born endpoint must be
-// retried through it.
+// cycles, every live queue and domain — including those a reshard minted
+// while its window was open, and slots re-minted after a shrink released
+// them — must absorb a forced transient fault through the deployment's retry
+// layer, and with the layer removed the same fault must surface raw.
 func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 	cfg := testCfg
 	cfg.MaxK = 3
@@ -351,16 +351,25 @@ func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 	}
 	inj := dep.Env.InstallFaults(nil)
 
+	// failNext arms one transient fault on the next op of kind against
+	// endpoint; the probes are deletes of nothing, which change no state.
+	failNext := func(endpoint, kind string) {
+		inj.FailNextOp(endpoint, kind, &sim.TransientError{Endpoint: endpoint, Op: kind, Code: sim.CodeServiceUnavailable})
+	}
 	checkWired := func(cycle int) {
 		t.Helper()
 		for i := 0; i < dep.WAL.Shards(); i++ {
-			if q := dep.WAL.Shard(i); q != nil && q.Resilience() != client {
-				t.Fatalf("cycle %d: queue %s escaped SetResilience propagation", cycle, q.Name())
+			q := dep.WAL.Shard(i)
+			failNext(q.Name(), "sqs.DeleteMessage")
+			if err := q.DeleteMessage("no-such-message#1"); err != nil {
+				t.Fatalf("cycle %d: queue %s did not absorb a transient fault: %v", cycle, q.Name(), err)
 			}
 		}
 		for i := 0; i < dep.DB.Shards(); i++ {
-			if d := dep.DB.Shard(i); d != nil && d.Resilience() != client {
-				t.Fatalf("cycle %d: domain %s escaped SetResilience propagation", cycle, d.Name())
+			d := dep.DB.Shard(i)
+			failNext(d.Name(), "sdb.DeleteAttributes")
+			if err := d.DeleteAttributes("no-such-item"); err != nil {
+				t.Fatalf("cycle %d: domain %s did not absorb a transient fault: %v", cycle, d.Name(), err)
 			}
 		}
 	}
@@ -387,11 +396,8 @@ func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 			t.Fatalf("cycle %d: K after idle = %d, want 1", cycle, k)
 		}
 		checkWired(cycle)
-		if s := dep.WAL.Slots(); s != 1 {
-			t.Fatalf("cycle %d: %d WAL slots retained after shrink, want 1", cycle, s)
-		}
-		if s := dep.DB.Slots(); s != 1 {
-			t.Fatalf("cycle %d: %d DB slots retained after shrink, want 1", cycle, s)
+		if w, d := dep.WAL.Shards(), dep.DB.Shards(); w != 1 || d != 1 {
+			t.Fatalf("cycle %d: %d WAL and %d DB shards retained after shrink, want 1 and 1", cycle, w, d)
 		}
 	}
 
@@ -410,9 +416,7 @@ func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 		t.Fatal("shard 2 missing after final grow")
 	}
 	before := client.Stats().Endpoints[reborn.Name()].Retries
-	inj.FailNextOp(reborn.Name(), "sqs.SendMessage", &sim.TransientError{
-		Endpoint: reborn.Name(), Op: "sqs.SendMessage", Code: "ServiceUnavailable",
-	})
+	failNext(reborn.Name(), "sqs.SendMessage")
 	if _, err := reborn.SendMessage([]byte("probe")); err != nil {
 		t.Fatalf("retry did not absorb the forced fault: %v", err)
 	}
@@ -421,6 +425,15 @@ func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 		t.Fatalf("reborn endpoint %s did not retry through the shared client (retries %d -> %d)",
 			reborn.Name(), before, after)
 	}
+	// The chaos negative control: without the layer the same fault is the
+	// caller's to see. (A nil *Client stored as a non-nil interface would
+	// panic here instead.)
+	dep.SetResilience(nil)
+	failNext(reborn.Name(), "sqs.SendMessage")
+	if _, err := reborn.SendMessage([]byte("probe")); !sim.IsTransient(err) {
+		t.Fatalf("with no retry layer the forced fault surfaced as %v, want it raw", err)
+	}
+	dep.SetResilience(client)
 	if _, err := dep.Reshard(ctx, core.Topology{WALShards: 1, DBShards: 1}); err != nil {
 		t.Fatalf("cleanup shrink: %v", err)
 	}

@@ -40,7 +40,7 @@ type ShardedWriteRun struct {
 	TotalOps      int64            `json:"total_ops"` // billed requests, all services
 	CostUSD       float64          `json:"cost_usd"`
 	OpsByKind     map[string]int64 `json:"ops_by_kind"`
-	OpsByShard    map[string]int64 `json:"ops_by_shard"` // per queue/domain endpoint
+	OpsByShard    map[string]int64 `json:"ops_by_shard"` // per endpoint: each queue, each domain, the bucket ("s3")
 	ProvDigest    string           `json:"prov_digest"`
 }
 

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -89,10 +88,7 @@ type itemVersion struct {
 type Domain struct {
 	env  *sim.Env
 	name string
-	lane int // rate-gate lane: each domain is its own service partition
-
-	resMu sync.Mutex
-	res   *resilient.Client // nil: no client-side retries
+	ep   sim.Endpoint // the request envelope; each domain is its own service partition
 
 	mu        sync.Mutex
 	items     map[string][]*itemVersion
@@ -121,18 +117,11 @@ func NewLane(env *sim.Env, name string, lane int) *Domain {
 	return &Domain{
 		env:   env,
 		name:  name,
-		lane:  lane,
+		ep:    env.Endpoint(name, lane),
 		items: make(map[string][]*itemVersion),
 		idx:   make(map[string]*attrIndex),
 		plans: make(map[string]*Query),
 	}
-}
-
-// count charges one request of the named kind to the meter, both per-kind
-// and against this domain's endpoint (per-shard load reporting).
-func (d *Domain) count(kind string, payload int64) {
-	d.env.Meter().CountOp(kind, payload)
-	d.env.Meter().CountEndpointOp(d.name)
 }
 
 // SetForceScan disables the secondary indexes so every SELECT walks the
@@ -142,45 +131,6 @@ func (d *Domain) SetForceScan(v bool) {
 	d.mu.Lock()
 	d.forceScan = v
 	d.mu.Unlock()
-}
-
-// SetResilience installs (nil: removes) the client-side retry layer every
-// request routes through; see package resilient.
-func (d *Domain) SetResilience(c *resilient.Client) {
-	d.resMu.Lock()
-	d.res = c
-	d.resMu.Unlock()
-}
-
-// Resilience returns the installed retry layer, or nil — regression tests
-// use it to prove domains born mid-reshard inherit the set's client.
-func (d *Domain) Resilience() *resilient.Client {
-	d.resMu.Lock()
-	defer d.resMu.Unlock()
-	return d.res
-}
-
-// retry routes one request attempt through the resilient client, if any.
-func (d *Domain) retry(op func() error) error {
-	d.resMu.Lock()
-	c := d.res
-	d.resMu.Unlock()
-	if c != nil {
-		return c.Do(d.name, op)
-	}
-	return op()
-}
-
-// faulted consults the fault injector for one request of kind against this
-// domain; a clean rejection (not applied) still charges a failed round-trip
-// on the domain's gate lane, exactly as a real 503 costs a request.
-func (d *Domain) faulted(op sim.OpKind, kind string, mutating bool) (error, bool) {
-	ferr, applied := d.env.FaultPoint(d.name, kind, mutating)
-	if ferr != nil && !applied {
-		d.env.ExecLane(op, 0, d.lane)
-		d.count(kind, 0)
-	}
-	return ferr, applied
 }
 
 // sortedNamesLocked returns (building if needed) the sorted name index.
@@ -216,20 +166,18 @@ func (d *Domain) PutAttributes(req PutRequest) error {
 	if err := validate(req.Attrs); err != nil {
 		return err
 	}
-	return d.retry(func() error { return d.putOnce(req) })
+	return d.ep.Do(func() error { return d.putOnce(req) })
 }
 
 // putOnce is one service attempt of a put. An ambiguous fault (applied)
 // commits the write and still reports the error; the protocols' puts are
 // full replaces of immutable content, so a retried apply converges.
 func (d *Domain) putOnce(req PutRequest) error {
-	ferr, applied := d.faulted(sim.OpSDBPut, "sdb.PutAttributes", true)
+	ferr, applied := d.ep.Fault(sim.OpSDBPut)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	payload := Item{Name: req.Item, Attrs: req.Attrs}.size()
-	d.env.ExecLane(sim.OpSDBPut, payload, d.lane)
-	d.count("sdb.PutAttributes", int64(payload))
+	d.ep.Exec(sim.OpSDBPut, Item{Name: req.Item, Attrs: req.Attrs}.size(), 0)
 	d.mu.Lock()
 	d.applyLocked(req)
 	d.mu.Unlock()
@@ -251,21 +199,17 @@ func (d *Domain) BatchPutAttributes(reqs []PutRequest) error {
 		}
 		payload += Item{Name: r.Item, Attrs: r.Attrs}.size()
 	}
-	return d.retry(func() error { return d.batchPutOnce(reqs, payload) })
+	return d.ep.Do(func() error { return d.batchPutOnce(reqs, payload) })
 }
 
 // batchPutOnce is one service attempt of a batch put (see putOnce for the
 // ambiguous-fault contract).
 func (d *Domain) batchPutOnce(reqs []PutRequest, payload int) error {
-	ferr, applied := d.faulted(sim.OpSDBBatchPut, "sdb.BatchPutAttributes", true)
+	ferr, applied := d.ep.Fault(sim.OpSDBBatchPut)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	d.env.ExecLane(sim.OpSDBBatchPut, payload, d.lane)
-	if extra := d.env.Model().BatchItemLatency(len(reqs)); extra > 0 {
-		d.env.Clock().Sleep(extra)
-	}
-	d.count("sdb.BatchPutAttributes", int64(payload))
+	d.ep.Exec(sim.OpSDBBatchPut, payload, len(reqs))
 	d.mu.Lock()
 	for _, r := range reqs {
 		d.applyLocked(r)
@@ -348,7 +292,7 @@ func (d *Domain) observe(name string, now time.Duration) *itemVersion {
 // GetAttributes returns the attributes of one item.
 func (d *Domain) GetAttributes(item string) (Item, error) {
 	var it Item
-	err := d.retry(func() error {
+	err := d.ep.Do(func() error {
 		var err error
 		it, err = d.getOnce(item)
 		return err
@@ -357,7 +301,7 @@ func (d *Domain) GetAttributes(item string) (Item, error) {
 }
 
 func (d *Domain) getOnce(item string) (Item, error) {
-	if ferr, _ := d.faulted(sim.OpSDBGet, "sdb.GetAttributes", false); ferr != nil {
+	if ferr, _ := d.ep.Fault(sim.OpSDBGet); ferr != nil {
 		return Item{}, ferr
 	}
 	d.mu.Lock()
@@ -372,8 +316,7 @@ func (d *Domain) getOnce(item string) (Item, error) {
 	if ok {
 		payload = it.size()
 	}
-	d.env.ExecLane(sim.OpSDBGet, payload, d.lane)
-	d.count("sdb.GetAttributes", int64(payload))
+	d.ep.Exec(sim.OpSDBGet, payload, 0)
 	if !ok {
 		return Item{}, fmt.Errorf("%w: %s", ErrNoSuchItem, item)
 	}
@@ -382,16 +325,15 @@ func (d *Domain) getOnce(item string) (Item, error) {
 
 // DeleteAttributes removes an entire item (the only form the protocols use).
 func (d *Domain) DeleteAttributes(item string) error {
-	return d.retry(func() error { return d.deleteOnce(item) })
+	return d.ep.Do(func() error { return d.deleteOnce(item) })
 }
 
 func (d *Domain) deleteOnce(item string) error {
-	ferr, applied := d.faulted(sim.OpSDBDelete, "sdb.DeleteAttributes", true)
+	ferr, applied := d.ep.Fault(sim.OpSDBDelete)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	d.env.ExecLane(sim.OpSDBDelete, 0, d.lane)
-	d.count("sdb.DeleteAttributes", 0)
+	d.ep.Exec(sim.OpSDBDelete, 0, 0)
 	d.deleteItems(item)
 	return ferr
 }
@@ -407,21 +349,17 @@ func (d *Domain) BatchDeleteAttributes(names []string) error {
 	if len(names) == 0 {
 		return nil
 	}
-	return d.retry(func() error { return d.batchDeleteOnce(names) })
+	return d.ep.Do(func() error { return d.batchDeleteOnce(names) })
 }
 
 // batchDeleteOnce is one service attempt of a batch delete (see putOnce for
 // the ambiguous-fault contract).
 func (d *Domain) batchDeleteOnce(names []string) error {
-	ferr, applied := d.faulted(sim.OpSDBBatchDelete, "sdb.BatchDeleteAttributes", true)
+	ferr, applied := d.ep.Fault(sim.OpSDBBatchDelete)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	d.env.ExecLane(sim.OpSDBBatchDelete, 0, d.lane)
-	if extra := d.env.Model().BatchItemLatency(len(names)); extra > 0 {
-		d.env.Clock().Sleep(extra)
-	}
-	d.count("sdb.BatchDeleteAttributes", 0)
+	d.ep.Exec(sim.OpSDBBatchDelete, 0, len(names))
 	d.deleteItems(names...)
 	return ferr
 }
@@ -585,7 +523,7 @@ func (d *Domain) selectPage(q *Query, nextToken string) (SelectPage, error) {
 		return SelectPage{}, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
 	var page SelectPage
-	err := d.retry(func() error {
+	err := d.ep.Do(func() error {
 		var err error
 		page, err = d.selectPageOnce(q, nextToken)
 		return err
@@ -595,7 +533,7 @@ func (d *Domain) selectPage(q *Query, nextToken string) (SelectPage, error) {
 
 // selectPageOnce is one service attempt of a SELECT page.
 func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) {
-	if ferr, _ := d.faulted(sim.OpSDBSelect, "sdb.Select", false); ferr != nil {
+	if ferr, _ := d.ep.Fault(sim.OpSDBSelect); ferr != nil {
 		return SelectPage{}, ferr
 	}
 	now := d.env.Now()
@@ -666,15 +604,11 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	d.mu.Unlock()
 
 	page.Bytes = bytes
-	d.env.ExecLane(sim.OpSDBSelect, bytes, d.lane)
 	// The query engine's work scales with the items the access path
 	// examined — the whole table for a scan, only the predicate's
 	// candidates for an indexed path.
-	if extra := d.env.Model().SelectScanLatency(examined); extra > 0 {
-		d.env.Clock().Sleep(extra)
-	}
+	d.ep.Exec(sim.OpSDBSelect, bytes, examined)
 	d.env.Meter().AddItemsExamined(int64(examined))
-	d.count("sdb.Select", int64(bytes))
 	return page, nil
 }
 

@@ -401,7 +401,7 @@ func TestBatchDeleteIsOneRequest(t *testing.T) {
 func TestBatchDeleteAmbiguousFaultConverges(t *testing.T) {
 	d := strictDomain(t)
 	env := d.Env()
-	d.SetResilience(resilient.New(env, resilient.Policy{}))
+	env.SetRetry(resilient.New(env, resilient.Policy{}))
 	names := fileItems(t, d, 10)
 	keep, gone := names[:3], names[3:]
 	// Every batch delete attempted before the window closes faults

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"passcloud/internal/par"
 	"passcloud/internal/resilient"
@@ -19,117 +20,51 @@ import (
 // rate of a single domain — the paper's ~7 batch-calls-per-second write gate
 // is a per-domain limit and the hard floor of the single-domain commit path.
 //
-// Placement is governed by an epoch-versioned sim.Directory (via the shared
-// sim.EpochSet lifecycle) rather than a fixed modulo, so the set can reshard
-// live: during a migration every write lands on the union of the item's
-// active- and target-epoch homes (the double-write window) and every read
-// consults the same union, merging with the usual canonical name-order merge
-// — duplicates from the window collapse because provenance items are
-// immutable (a put of an existing name rewrites identical content, the same
-// invariant the read cache relies on). Reads register against the epoch
-// barrier, so the resharder's GC waits for queries that captured their
-// routing view before the window opened instead of deleting data out from
-// under them.
+// The embedded sim.EpochSet owns the domains, their naming ("prov-i"; a set
+// created at K == 1 keeps the bare name for shard 0), the epoch-versioned
+// placement directory and the reshard lifecycle, so the set can reshard live;
+// what is left here is how a database routes. During a migration every write
+// lands on the union of the item's active- and target-epoch homes (the
+// double-write window) and every read consults the same union, merging with
+// the usual canonical name-order merge — duplicates from the window collapse
+// because provenance items are immutable (a put of an existing name rewrites
+// identical content, the same invariant the read cache relies on). Reads
+// register against the epoch barrier, so the resharder's GC waits for queries
+// that captured their routing view before the window opened instead of
+// deleting data out from under them.
 //
-// Discovery is by convention: shard i of logical domain "prov" is the
-// service domain "prov-i" (a set created at K == 1 keeps the bare name for
-// shard 0 forever, so the seed topology is byte-identical and the endpoint
-// identity survives growth). Reads route the same way writes do: a
-// GetAttributes goes to the item's home shard(s), and every SELECT through
-// one planner (DomainView.targets) — to the home shard(s) of the route keys
-// its itemName() predicate pins or, pinning none, to every live shard in
-// parallel. The per-shard pages merge by name: each shard streams its items
-// in ascending name order, so the merge reproduces exactly the canonical
-// order a single domain would return, and query results are byte-identical
-// across shard counts and across migration states.
+// Reads route the same way writes do: a GetAttributes goes to the item's home
+// shard(s), and every SELECT through one planner (DomainView.targets) — to
+// the home shard(s) of the route keys its itemName() predicate pins or,
+// pinning none, to every live shard in parallel. The per-shard pages merge by
+// name: each shard streams its items in ascending name order, so the merge
+// reproduces exactly the canonical order a single domain would return, and
+// query results are byte-identical across shard counts and across migration
+// states.
 //
 // Queries name the logical domain; the planner rewrites them to the shard's
 // service domain before dispatch.
 type DomainSet struct {
-	env  *sim.Env
-	base string
-	ep   *sim.EpochSet
+	*sim.EpochSet[*Domain]
+	env *sim.Env
 
-	// Guarded by ep's lock (mutated via ep.Locked / the grow callback).
-	shards    []*Domain         // index == shard id; may exceed the live count mid-shrink
-	bareZero  bool              // shard 0 kept the bare base name (created at K == 1)
-	forceScan bool              // sticky ablation flag, applied to grown shards too
-	res       *resilient.Client // sticky retry layer, installed on grown shards too
+	forceScan atomic.Bool // sticky ablation flag: a domain minted mid-flight starts with it
 }
 
 // NewSet creates a K-way domain set. k < 1 is clamped to 1; k == 1 yields a
 // single domain named base (the seed topology).
 func NewSet(env *sim.Env, base string, k int) *DomainSet {
-	if k < 1 {
-		k = 1
-	}
-	s := &DomainSet{env: env, base: base, bareZero: k == 1}
-	s.ep = sim.NewEpochSet(k, s.growLocked)
-	s.ep.OnShrink(s.trimLocked)
+	s := &DomainSet{env: env}
+	s.EpochSet = sim.NewEpochSet(base, k, func(name string, lane int) *Domain {
+		d := NewLane(env, name, lane)
+		d.SetForceScan(s.forceScan.Load())
+		return d
+	})
 	return s
-}
-
-// shardName names shard i's service domain.
-func (s *DomainSet) shardName(i int) string {
-	if i == 0 && s.bareZero {
-		return s.base
-	}
-	return fmt.Sprintf("%s-%d", s.base, i)
-}
-
-// growLocked ensures shard slots [0, k) exist (called under the epoch-set
-// lock). New domains inherit the sticky ablation flags.
-func (s *DomainSet) growLocked(k int) {
-	for i := len(s.shards); i < k; i++ {
-		d := NewLane(s.env, s.shardName(i), i)
-		if s.forceScan {
-			d.SetForceScan(true)
-		}
-		d.SetResilience(s.res)
-		s.shards = append(s.shards, d)
-	}
-}
-
-// trimLocked releases the emptied domain slots beyond k after a shrink's GC
-// (called under the epoch-set lock). The slice is copied, not truncated in
-// place: DomainViews captured before the shrink alias the old backing array
-// (viewFrom slices it), and a later grow must not append over their tails.
-func (s *DomainSet) trimLocked(k int) {
-	s.shards = append([]*Domain(nil), s.shards[:k]...)
-}
-
-// Slots reports how many shard slots are materialized, live or not —
-// observability for the bounded-retention invariant (retired slots must be
-// released, not accumulated, across repeated reshard cycles).
-func (s *DomainSet) Slots() int {
-	n := 0
-	s.ep.Locked(func() { n = len(s.shards) })
-	return n
 }
 
 // Env returns the environment the set charges against.
 func (s *DomainSet) Env() *sim.Env { return s.env }
-
-// Base returns the logical domain name queries address.
-func (s *DomainSet) Base() string { return s.base }
-
-// Directory returns the placement directory (epoch inspection, provctl).
-func (s *DomainSet) Directory() *sim.Directory { return s.ep.Directory() }
-
-// Shards reports the number of live domain shards.
-func (s *DomainSet) Shards() int { return s.ep.Live() }
-
-// Shard returns shard i, or nil if i is outside the live set (a daemon may
-// hold a subscription computed just before a shrink decommissioned it).
-func (s *DomainSet) Shard(i int) *Domain {
-	var d *Domain
-	s.ep.View(func(ev sim.EpochView) {
-		if i >= 0 && i < ev.Live {
-			d = s.shards[i]
-		}
-	})
-	return d
-}
 
 // RouteKey extracts the routing key from an item name: the uuid prefix of a
 // uuid_version name, or the whole name. Routing on the uuid keeps every
@@ -156,79 +91,22 @@ func (s *DomainSet) HomesForItem(item string) []int {
 	return s.View().homesForItem(item)
 }
 
-// SetResilience installs (nil: removes) the client-side retry layer on
-// every shard, present and future — the reference is sticky across growth,
-// so domains a reshard creates mid-flight retry like their peers. The set
-// itself uses it to hedge straggler shards on scatter-gather reads.
-func (s *DomainSet) SetResilience(c *resilient.Client) {
-	var shards []*Domain
-	s.ep.Locked(func() {
-		s.res = c
-		shards = append(shards, s.shards...)
-	})
-	for _, d := range shards {
-		d.SetResilience(c)
-	}
-}
-
-// resilience returns the sticky retry layer, or nil.
-func (s *DomainSet) resilience() *resilient.Client {
-	var c *resilient.Client
-	s.ep.Locked(func() { c = s.res })
-	return c
-}
-
-// SetForceScan toggles the index-disabling ablation on every shard (present
-// and future — the flag is sticky across growth).
+// SetForceScan toggles the index-disabling ablation on every shard, present
+// and future. The flag is stored before the shards are listed: a domain
+// minted meanwhile either reads it or is in the list.
 func (s *DomainSet) SetForceScan(v bool) {
-	var shards []*Domain
-	s.ep.Locked(func() {
-		s.forceScan = v
-		shards = append(shards, s.shards...)
-	})
-	for _, d := range shards {
+	s.forceScan.Store(v)
+	for _, d := range s.EpochSet.View().Shards {
 		d.SetForceScan(v)
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Migration control. Only the resharder calls these; everything else sees a
-// coherent routing view per operation.
-
-// BeginMigration opens (or resumes) an epoch transition to k shards,
-// creating the grown service domains. done reports that the set is already
-// at k with no migration open.
-func (s *DomainSet) BeginMigration(k int) (target sim.DirEpoch, resumed, done bool) {
-	return s.ep.BeginMigration(k)
-}
-
-// Cutover promotes the target epoch to active. Decommissioned shards (a
-// shrink) stay live until ShrinkTo so readers can still drain them for GC.
-func (s *DomainSet) Cutover() { s.ep.Cutover() }
-
-// ShrinkTo retires shard slots beyond k after a shrink migration's GC.
-func (s *DomainSet) ShrinkTo(k int) { s.ep.ShrinkTo(k) }
-
-// DrainPriorWrites blocks until every write that captured a routing view
-// older than the current one has been applied. The resharder calls it after
-// BeginMigration: once it returns, anything not double-written is already
-// on its active-epoch shard, so one consistent copy scan sees everything.
-func (s *DomainSet) DrainPriorWrites() { s.ep.DrainPriorWrites() }
-
-// DrainPriorReads blocks until every read that captured a routing view
-// older than the current one has finished. The resharder's GC calls it
-// before deleting drained ranges: a query that snapshotted a
-// pre-migration, single-home view still resolves against the old homes
-// until its iteration ends.
-func (s *DomainSet) DrainPriorReads() { s.ep.DrainPriorReads() }
 
 // beginWrite captures the routing view a write will use and registers the
 // write against that view's generation; the returned release must be called
 // once the write is applied.
 func (s *DomainSet) beginWrite() (*DomainView, func()) {
-	var v *DomainView
-	release := s.ep.BeginWrite(func(ev sim.EpochView) { v = s.viewFrom(ev) })
-	return v, release
+	ev, release := s.BeginWrite()
+	return s.viewFrom(ev), release
 }
 
 // ---------------------------------------------------------------------------
@@ -245,33 +123,27 @@ type DomainView struct {
 	target *sim.DirEpoch
 }
 
-// viewFrom materializes a DomainView for an epoch snapshot (runs under the
-// epoch-set lock, where the shard slice and live count are consistent).
-func (s *DomainSet) viewFrom(ev sim.EpochView) *DomainView {
-	return &DomainView{set: s, shards: s.shards[:ev.Live], active: ev.Active, target: ev.Target}
+// viewFrom materializes a DomainView for an epoch snapshot.
+func (s *DomainSet) viewFrom(ev sim.EpochView[*Domain]) *DomainView {
+	return &DomainView{set: s, shards: ev.Shards, active: ev.Active, target: ev.Target}
 }
 
 // View captures the current routing state without barrier registration —
 // for metrics and display only. Multi-step reads that GC must not race use
 // AcquireView.
-func (s *DomainSet) View() *DomainView {
-	var v *DomainView
-	s.ep.View(func(ev sim.EpochView) { v = s.viewFrom(ev) })
-	return v
-}
+func (s *DomainSet) View() *DomainView { return s.viewFrom(s.EpochSet.View()) }
 
 // AcquireView captures the current routing state and registers the read
 // against the epoch barrier; the release must be called when the read
 // finishes (the resharder's GC waits for it). Never run a reshard
 // synchronously from inside the acquire window — it would wait on itself.
 func (s *DomainSet) AcquireView() (*DomainView, func()) {
-	var v *DomainView
-	release := s.ep.BeginRead(func(ev sim.EpochView) { v = s.viewFrom(ev) })
-	return v, release
+	ev, release := s.BeginRead()
+	return s.viewFrom(ev), release
 }
 
 // Base returns the logical domain name queries address.
-func (v *DomainView) Base() string { return v.set.base }
+func (v *DomainView) Base() string { return v.set.Base() }
 
 // Shards reports the number of live shards in this view.
 func (v *DomainView) Shards() int { return len(v.shards) }
@@ -320,7 +192,7 @@ type target struct {
 // list cut down to the names each shard can hold. Every other predicate,
 // and a one-shard view, gets every live shard.
 func (v *DomainView) targets(q Query) ([]target, error) {
-	if q.Domain != v.set.base {
+	if q.Domain != v.set.Base() {
 		return nil, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
 	conj, pins := routePins(q.Where)
@@ -415,7 +287,7 @@ func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes 
 	// view, the seed topology, stays unhedged and priced as Table 5 was.
 	var res *resilient.Client
 	if len(v.shards) > 1 {
-		res = v.set.resilience()
+		res = resilient.Of(v.set.env)
 	}
 	drain := func(i int) {
 		d := v.shards[ts[i].shard]

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -88,12 +87,9 @@ type dedupEntry struct {
 type Queue struct {
 	env        *sim.Env
 	name       string
-	lane       int // rate-gate lane: each queue is its own service partition
+	ep         sim.Endpoint // the request envelope; each queue is its own service partition
 	visibility time.Duration
 	retention  time.Duration
-
-	resMu sync.Mutex
-	res   *resilient.Client // nil: no client-side retries
 
 	mu      sync.Mutex
 	msgs    []*message
@@ -121,16 +117,9 @@ func New(env *sim.Env, name string) *Queue {
 // path. Lane 0 shares the environment's default SQS gate.
 func NewLane(env *sim.Env, name string, lane int) *Queue {
 	return &Queue{
-		env: env, name: name, lane: lane, visibility: DefaultVisibility, retention: DefaultRetention,
+		env: env, name: name, ep: env.Endpoint(name, lane), visibility: DefaultVisibility, retention: DefaultRetention,
 		byID: make(map[string]*message), dedup: make(map[string][]string),
 	}
-}
-
-// count charges one request of the named kind to the meter, both per-kind
-// and against this queue's endpoint (per-shard load reporting).
-func (q *Queue) count(kind string, payload int64) {
-	q.env.Meter().CountOp(kind, payload)
-	q.env.Meter().CountEndpointOp(q.name)
 }
 
 // Name returns the queue name.
@@ -138,45 +127,6 @@ func (q *Queue) Name() string { return q.name }
 
 // Env returns the environment the queue charges against.
 func (q *Queue) Env() *sim.Env { return q.env }
-
-// SetResilience installs (nil: removes) the client-side retry layer every
-// request routes through; see package resilient.
-func (q *Queue) SetResilience(c *resilient.Client) {
-	q.resMu.Lock()
-	q.res = c
-	q.resMu.Unlock()
-}
-
-// Resilience returns the installed retry layer, or nil — regression tests
-// use it to prove queues born mid-reshard inherit the set's client.
-func (q *Queue) Resilience() *resilient.Client {
-	q.resMu.Lock()
-	defer q.resMu.Unlock()
-	return q.res
-}
-
-// retry routes one request attempt through the resilient client, if any.
-func (q *Queue) retry(op func() error) error {
-	q.resMu.Lock()
-	c := q.res
-	q.resMu.Unlock()
-	if c != nil {
-		return c.Do(q.name, op)
-	}
-	return op()
-}
-
-// faulted consults the fault injector for one request of kind against this
-// queue; a clean rejection (not applied) still charges a failed round-trip
-// on the queue's gate lane, exactly as a real 503 costs a request.
-func (q *Queue) faulted(op sim.OpKind, kind string, mutating bool) (error, bool) {
-	ferr, applied := q.env.FaultPoint(q.name, kind, mutating)
-	if ferr != nil && !applied {
-		q.env.ExecLane(op, 0, q.lane)
-		q.count(kind, 0)
-	}
-	return ferr, applied
-}
 
 // autoToken mints a per-call idempotency token for sends whose caller did
 // not supply one, so the internal retry of an ambiguous fault still
@@ -209,7 +159,7 @@ func (q *Queue) SendMessageIdem(body []byte, token string) (string, error) {
 		return "", fmt.Errorf("%w (%d bytes)", ErrMessageTooLarge, len(body))
 	}
 	var id string
-	err := q.retry(func() error {
+	err := q.ep.Do(func() error {
 		var err error
 		id, err = q.sendOnce(body, token)
 		return err
@@ -220,12 +170,11 @@ func (q *Queue) SendMessageIdem(body []byte, token string) (string, error) {
 // sendOnce is one service attempt of a send. An ambiguous fault (applied)
 // enqueues the message, records the token, and still reports the error.
 func (q *Queue) sendOnce(body []byte, token string) (string, error) {
-	ferr, applied := q.faulted(sim.OpSQSSend, "sqs.SendMessage", true)
+	ferr, applied := q.ep.Fault(sim.OpSQSSend)
 	if ferr != nil && !applied {
 		return "", ferr
 	}
-	q.env.ExecLane(sim.OpSQSSend, len(body), q.lane)
-	q.count("sqs.SendMessage", int64(len(body)))
+	q.ep.Exec(sim.OpSQSSend, len(body), 0)
 	now := q.env.Now()
 	q.mu.Lock()
 	if ids, ok := q.dedupLocked(token); ok {
@@ -308,7 +257,7 @@ func (q *Queue) SendMessageBatchIdem(bodies [][]byte, token string) ([]string, e
 		return nil, nil
 	}
 	var ids []string
-	err := q.retry(func() error {
+	err := q.ep.Do(func() error {
 		var err error
 		ids, err = q.sendBatchOnce(bodies, token, payload)
 		return err
@@ -318,15 +267,11 @@ func (q *Queue) SendMessageBatchIdem(bodies [][]byte, token string) ([]string, e
 
 // sendBatchOnce is one service attempt of a batch send (see sendOnce).
 func (q *Queue) sendBatchOnce(bodies [][]byte, token string, payload int) ([]string, error) {
-	ferr, applied := q.faulted(sim.OpSQSSendBatch, "sqs.SendMessageBatch", true)
+	ferr, applied := q.ep.Fault(sim.OpSQSSendBatch)
 	if ferr != nil && !applied {
 		return nil, ferr
 	}
-	q.env.ExecLane(sim.OpSQSSendBatch, payload, q.lane)
-	if extra := q.env.Model().SQSBatchEntryLatency(len(bodies)); extra > 0 {
-		q.env.Clock().Sleep(extra)
-	}
-	q.count("sqs.SendMessageBatch", int64(payload))
+	q.ep.Exec(sim.OpSQSSendBatch, payload, len(bodies))
 	now := q.env.Now()
 	q.mu.Lock()
 	if ids, ok := q.dedupLocked(token); ok {
@@ -373,7 +318,7 @@ func (q *Queue) SendMessageBatchEntries(entries []BatchEntry) ([]string, error) 
 		return nil, nil
 	}
 	var ids []string
-	err := q.retry(func() error {
+	err := q.ep.Do(func() error {
 		var err error
 		ids, err = q.sendBatchEntriesOnce(entries, payload)
 		return err
@@ -384,15 +329,11 @@ func (q *Queue) SendMessageBatchEntries(entries []BatchEntry) ([]string, error) 
 // sendBatchEntriesOnce is one service attempt of a per-entry-token batch
 // send (see sendBatchOnce); dedup is checked and recorded entry by entry.
 func (q *Queue) sendBatchEntriesOnce(entries []BatchEntry, payload int) ([]string, error) {
-	ferr, applied := q.faulted(sim.OpSQSSendBatch, "sqs.SendMessageBatch", true)
+	ferr, applied := q.ep.Fault(sim.OpSQSSendBatch)
 	if ferr != nil && !applied {
 		return nil, ferr
 	}
-	q.env.ExecLane(sim.OpSQSSendBatch, payload, q.lane)
-	if extra := q.env.Model().SQSBatchEntryLatency(len(entries)); extra > 0 {
-		q.env.Clock().Sleep(extra)
-	}
-	q.count("sqs.SendMessageBatch", int64(payload))
+	q.ep.Exec(sim.OpSQSSendBatch, payload, len(entries))
 	now := q.env.Now()
 	q.mu.Lock()
 	ids := make([]string, 0, len(entries))
@@ -420,13 +361,11 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 	if max > 10 {
 		max = 10
 	}
-	if ferr, _ := q.env.FaultPoint(q.name, "sqs.ReceiveMessage", false); ferr != nil {
+	if ferr, _ := q.ep.Fault(sim.OpSQSReceive); ferr != nil {
 		// A throttled poll surfaces as an empty page: ReceiveMessage's
 		// contract is already "nothing visible, poll again", which is
 		// exactly how callers must treat a transient receive failure. The
 		// failed round-trip still costs a request.
-		q.env.ExecLane(sim.OpSQSReceive, 0, q.lane)
-		q.count("sqs.ReceiveMessage", 0)
 		return nil
 	}
 	now := q.env.Now()
@@ -457,24 +396,22 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 		bytes += len(m.body)
 	}
 	q.mu.Unlock()
-	q.env.ExecLane(sim.OpSQSReceive, bytes, q.lane)
-	q.count("sqs.ReceiveMessage", int64(bytes))
+	q.ep.Exec(sim.OpSQSReceive, bytes, 0)
 	return out
 }
 
 // DeleteMessage removes the message named by a receipt handle. Deleting an
 // already-deleted message succeeds, as on SQS.
 func (q *Queue) DeleteMessage(receipt string) error {
-	return q.retry(func() error { return q.deleteOnce(receipt) })
+	return q.ep.Do(func() error { return q.deleteOnce(receipt) })
 }
 
 func (q *Queue) deleteOnce(receipt string) error {
-	ferr, applied := q.faulted(sim.OpSQSDelete, "sqs.DeleteMessage", true)
+	ferr, applied := q.ep.Fault(sim.OpSQSDelete)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	q.env.ExecLane(sim.OpSQSDelete, 0, q.lane)
-	q.count("sqs.DeleteMessage", 0)
+	q.ep.Exec(sim.OpSQSDelete, 0, 0)
 	q.mu.Lock()
 	q.deleteLocked(receipt)
 	q.mu.Unlock()
@@ -503,19 +440,15 @@ func (q *Queue) DeleteMessageBatch(receipts []string) error {
 	if len(receipts) == 0 {
 		return nil
 	}
-	return q.retry(func() error { return q.deleteBatchOnce(receipts) })
+	return q.ep.Do(func() error { return q.deleteBatchOnce(receipts) })
 }
 
 func (q *Queue) deleteBatchOnce(receipts []string) error {
-	ferr, applied := q.faulted(sim.OpSQSDeleteBatch, "sqs.DeleteMessageBatch", true)
+	ferr, applied := q.ep.Fault(sim.OpSQSDeleteBatch)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	q.env.ExecLane(sim.OpSQSDeleteBatch, 0, q.lane)
-	if extra := q.env.Model().SQSBatchEntryLatency(len(receipts)); extra > 0 {
-		q.env.Clock().Sleep(extra)
-	}
-	q.count("sqs.DeleteMessageBatch", 0)
+	q.ep.Exec(sim.OpSQSDeleteBatch, 0, len(receipts))
 	q.mu.Lock()
 	for _, receipt := range receipts {
 		q.deleteLocked(receipt)

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -76,9 +75,7 @@ type version struct {
 // Store is one bucket of the simulated object service.
 type Store struct {
 	env *sim.Env
-
-	resMu sync.Mutex
-	res   *resilient.Client // nil: no client-side retries
+	ep  sim.Endpoint // the request envelope, on the default S3 gates
 
 	mu   sync.Mutex
 	keys map[string][]*version // committed history, oldest first
@@ -86,42 +83,11 @@ type Store struct {
 
 // New creates an empty bucket bound to env.
 func New(env *sim.Env) *Store {
-	return &Store{env: env, keys: make(map[string][]*version)}
+	return &Store{env: env, ep: env.Endpoint(Endpoint, 0), keys: make(map[string][]*version)}
 }
 
 // Env returns the environment the store charges against.
 func (s *Store) Env() *sim.Env { return s.env }
-
-// SetResilience installs (nil: removes) the client-side retry layer every
-// request routes through; see package resilient.
-func (s *Store) SetResilience(c *resilient.Client) {
-	s.resMu.Lock()
-	s.res = c
-	s.resMu.Unlock()
-}
-
-// retry routes one request attempt through the resilient client, if any.
-func (s *Store) retry(op func() error) error {
-	s.resMu.Lock()
-	c := s.res
-	s.resMu.Unlock()
-	if c != nil {
-		return c.Do(Endpoint, op)
-	}
-	return op()
-}
-
-// faulted consults the fault injector for one request of kind; a clean
-// rejection (not applied) still charges a failed round-trip against the
-// service, exactly as a real 503 costs a request.
-func (s *Store) faulted(op sim.OpKind, kind string, mutating bool) (error, bool) {
-	ferr, applied := s.env.FaultPoint(Endpoint, kind, mutating)
-	if ferr != nil && !applied {
-		s.env.Exec(op, 0)
-		s.env.Meter().CountOp(kind, 0)
-	}
-	return ferr, applied
-}
 
 // Put atomically stores data and metadata under key, overwriting any
 // previous version (last writer wins).
@@ -141,19 +107,18 @@ func (s *Store) put(key string, data []byte, size int64, meta Metadata) error {
 	if key == "" {
 		return errors.New("store: empty key")
 	}
-	return s.retry(func() error { return s.putOnce(key, data, size, meta) })
+	return s.ep.Do(func() error { return s.putOnce(key, data, size, meta) })
 }
 
 // putOnce is one service attempt of a PUT. An ambiguous fault (applied)
 // commits the write and still reports the error — retried PUTs replace the
 // same content, so convergence is free.
 func (s *Store) putOnce(key string, data []byte, size int64, meta Metadata) error {
-	ferr, applied := s.faulted(sim.OpS3Put, "s3.PUT", true)
+	ferr, applied := s.ep.Fault(sim.OpS3Put)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	s.env.Exec(sim.OpS3Put, int(size))
-	s.env.Meter().CountOp("s3.PUT", size)
+	s.ep.Exec(sim.OpS3Put, int(size), 0)
 	now := s.env.Now()
 	v := &version{
 		data:      data,
@@ -214,7 +179,7 @@ func (s *Store) observe(key string, now time.Duration) *version {
 // Get retrieves the object stored under key.
 func (s *Store) Get(key string) (Object, error) {
 	var o Object
-	err := s.retry(func() error {
+	err := s.ep.Do(func() error {
 		var err error
 		o, err = s.getOnce(key)
 		return err
@@ -223,7 +188,7 @@ func (s *Store) Get(key string) (Object, error) {
 }
 
 func (s *Store) getOnce(key string) (Object, error) {
-	if ferr, _ := s.faulted(sim.OpS3Get, "s3.GET", false); ferr != nil {
+	if ferr, _ := s.ep.Fault(sim.OpS3Get); ferr != nil {
 		return Object{}, ferr
 	}
 	s.mu.Lock()
@@ -238,20 +203,17 @@ func (s *Store) getOnce(key string) (Object, error) {
 		}
 	}
 	s.mu.Unlock()
+	s.ep.Exec(sim.OpS3Get, int(o.Size), 0) // a miss moves no bytes
 	if !ok {
-		s.env.Exec(sim.OpS3Get, 0)
-		s.env.Meter().CountOp("s3.GET", 0)
 		return Object{}, fmt.Errorf("%w: %s", ErrNoSuchKey, key)
 	}
-	s.env.Exec(sim.OpS3Get, int(o.Size))
-	s.env.Meter().CountOp("s3.GET", o.Size)
 	return o, nil
 }
 
 // Head retrieves only the metadata (and existence) of key.
 func (s *Store) Head(key string) (Metadata, error) {
 	var m Metadata
-	err := s.retry(func() error {
+	err := s.ep.Do(func() error {
 		var err error
 		m, err = s.headOnce(key)
 		return err
@@ -260,11 +222,10 @@ func (s *Store) Head(key string) (Metadata, error) {
 }
 
 func (s *Store) headOnce(key string) (Metadata, error) {
-	if ferr, _ := s.faulted(sim.OpS3Head, "s3.HEAD", false); ferr != nil {
+	if ferr, _ := s.ep.Fault(sim.OpS3Head); ferr != nil {
 		return nil, ferr
 	}
-	s.env.Exec(sim.OpS3Head, 0)
-	s.env.Meter().CountOp("s3.HEAD", 0)
+	s.ep.Exec(sim.OpS3Head, 0, 0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.observe(key, s.env.Now())
@@ -278,16 +239,15 @@ func (s *Store) headOnce(key string) (Metadata, error) {
 // The destination receives the source's data; metadata is replaced by meta
 // if non-nil (S3's REPLACE directive), else copied.
 func (s *Store) Copy(src, dst string, meta Metadata) error {
-	return s.retry(func() error { return s.copyOnce(src, dst, meta) })
+	return s.ep.Do(func() error { return s.copyOnce(src, dst, meta) })
 }
 
 func (s *Store) copyOnce(src, dst string, meta Metadata) error {
-	ferr, applied := s.faulted(sim.OpS3Copy, "s3.COPY", true)
+	ferr, applied := s.ep.Fault(sim.OpS3Copy)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	s.env.Exec(sim.OpS3Copy, 0)
-	s.env.Meter().CountOp("s3.COPY", 0)
+	s.ep.Exec(sim.OpS3Copy, 0, 0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.observe(src, s.env.Now())
@@ -315,16 +275,15 @@ func (s *Store) copyOnce(src, dst string, meta Metadata) error {
 
 // Delete removes key. Deleting a missing key succeeds, as on S3.
 func (s *Store) Delete(key string) error {
-	return s.retry(func() error { return s.deleteOnce(key) })
+	return s.ep.Do(func() error { return s.deleteOnce(key) })
 }
 
 func (s *Store) deleteOnce(key string) error {
-	ferr, applied := s.faulted(sim.OpS3Delete, "s3.DELETE", true)
+	ferr, applied := s.ep.Fault(sim.OpS3Delete)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	s.env.Exec(sim.OpS3Delete, 0)
-	s.env.Meter().CountOp("s3.DELETE", 0)
+	s.ep.Exec(sim.OpS3Delete, 0, 0)
 	now := s.env.Now()
 	s.mu.Lock()
 	if len(s.keys[key]) > 0 {
@@ -348,7 +307,7 @@ const maxListKeys = 1000
 // up to max per page (capped at 1000 as on S3).
 func (s *Store) List(prefix, marker string, max int) (ListPage, error) {
 	var page ListPage
-	err := s.retry(func() error {
+	err := s.ep.Do(func() error {
 		var err error
 		page, err = s.listOnce(prefix, marker, max)
 		return err
@@ -357,7 +316,7 @@ func (s *Store) List(prefix, marker string, max int) (ListPage, error) {
 }
 
 func (s *Store) listOnce(prefix, marker string, max int) (ListPage, error) {
-	if ferr, _ := s.faulted(sim.OpS3List, "s3.LIST", false); ferr != nil {
+	if ferr, _ := s.ep.Fault(sim.OpS3List); ferr != nil {
 		return ListPage{}, ferr
 	}
 	if max <= 0 || max > maxListKeys {
@@ -388,8 +347,7 @@ func (s *Store) listOnce(prefix, marker string, max int) (ListPage, error) {
 	for _, k := range page.Keys {
 		respBytes += len(k) + 64 // rough XML envelope per key
 	}
-	s.env.Exec(sim.OpS3List, respBytes)
-	s.env.Meter().CountOp("s3.LIST", int64(respBytes))
+	s.ep.Exec(sim.OpS3List, respBytes, 0)
 	return page, nil
 }
 

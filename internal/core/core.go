@@ -161,9 +161,9 @@ type Deployment struct {
 	Topo  Topology
 
 	// Res is the client-side resilience layer (backoff, retry budgets,
-	// breaker, hedging) every service endpoint routes through; installed by
-	// default and inert until a fault plan is armed on the environment. See
-	// SetResilience and package resilient.
+	// breaker, hedging) installed on Env, which every service endpoint routes
+	// through; installed by default and inert until a fault plan is armed on
+	// the environment. See SetResilience and package resilient.
 	Res *resilient.Client
 
 	// Commits fans committed-transaction notices out to subscribed query
@@ -214,14 +214,17 @@ func NewShardedDeployment(env *sim.Env, topo Topology) *Deployment {
 	return d
 }
 
-// SetResilience installs c as the deployment-wide resilience layer on every
-// service endpoint, present and future (nil removes it — the chaos
-// harness's negative control, where injected faults surface raw).
+// SetResilience installs c as the retry layer of the deployment's
+// environment, which every service endpoint on it — present and future —
+// routes its requests through (nil removes it: the chaos harness's negative
+// control, where injected faults surface raw).
 func (d *Deployment) SetResilience(c *resilient.Client) {
 	d.Res = c
-	d.Store.SetResilience(c)
-	d.DB.SetResilience(c)
-	d.WAL.SetResilience(c)
+	if c == nil {
+		d.Env.SetRetry(nil) // not c: a nil *Client in the interface would be called
+		return
+	}
+	d.Env.SetRetry(c)
 }
 
 // Settle advances a manual clock far enough that every staleness window has

@@ -260,7 +260,7 @@ func (d *Deployment) Reshard(ctx context.Context, target Topology) (ReshardStats
 	// opened, so the copy scan below cannot miss a single-home write still
 	// in flight toward its old shard.
 	d.DB.DrainPriorWrites()
-	d.WAL.DrainPriorSends()
+	d.WAL.DrainPriorWrites()
 
 	// Phase 3 — copy.
 	if err := d.reshardCopy(ctx, &stats); err != nil {
@@ -533,7 +533,7 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology, stats
 
 	// Shrink: move stranded messages off decommissioned queues, then retire
 	// the empty slots on both axes.
-	d.WAL.DrainPriorSends()
+	d.WAL.DrainPriorWrites()
 	for s := target.WALShards; s < d.WAL.Shards(); s++ {
 		q := d.WAL.Shard(s)
 		if q == nil {

@@ -8,16 +8,20 @@
 //	                   latency model (sim/model.go holds the op table and its
 //	                   calibration anchors); New passes the caller's
 //	                   sim.Config through untouched
-//	core.Deployment    the service endpoints: the object store, K SimpleDB
-//	                   domains and K SQS WAL queues behind epoch-versioned
-//	                   range directories, and the commit bus
+//	core.Deployment    the services: the object store, K SimpleDB domains
+//	                   and K SQS WAL queues (each set a sim.EpochSet: the
+//	                   shards behind an epoch-versioned range directory), and
+//	                   the commit bus. Every request of every service goes
+//	                   through its sim.Endpoint — fault point, retry layer,
+//	                   rate gate, latency, bill, meters
 //	sim.FaultInjector  the fault plan every endpoint consults per request
 //	                   and the crash points the protocols consult between
 //	                   requests
 //	resilient.Client   retries, budgets, breakers and hedges between the
-//	                   endpoints and everything above them (one per
-//	                   deployment; the front door keeps a second, keyed by
-//	                   tenant)
+//	                   endpoints and everything above them: installed once,
+//	                   on the environment (Deployment.SetResilience), so a
+//	                   shard born mid-reshard has it from its first request;
+//	                   the front door keeps a second, keyed by tenant
 //	core.P3            the protocol: clients log transactions to the WAL, a
 //	                   commit-daemon pool drains it into the database and
 //	                   the object store
@@ -42,7 +46,7 @@
 // # The fault surface
 //
 // Both ways the simulation goes wrong run through sim.FaultInjector. A
-// request fails: every endpoint asks Env.FaultPoint, the plan or a forced
+// request fails: every sim.Endpoint asks Env.FaultPoint, the plan or a forced
 // fault answers with a sim.TransientError, resilient.Client absorbs it. A
 // process dies between two requests: a protocol asks Env.Crashed at a named
 // sim.CrashPoint, a test arms it with CrashAt(point, n), and the one process

@@ -3,13 +3,18 @@
 // gets from its SDK (gax/cenkalti-backoff style) and that the paper's
 // prototype had to hand-roll around S3/SimpleDB/SQS throttling.
 //
-// One Client is installed per deployment and shared by every service
-// endpoint (core.NewShardedDeployment installs a default one; see
-// Deployment.SetResilience). The leaf services — store.Store, sdb.Domain,
-// sqs.Queue — route each request through Client.Do, so every call site in
-// core, query, reshard and the daemons is covered without per-path wiring.
-// The layer is inert when no fault plan is armed: without transient errors,
-// Do is a single call of the underlying op.
+// One Client is installed per deployment, in one place: on the simulated
+// environment (core.NewShardedDeployment installs a default one through
+// Deployment.SetResilience, which calls sim.Env.SetRetry). Every request of
+// the leaf services — store.Store, sdb.Domain, sqs.Queue — runs inside
+// sim.Endpoint.Do, which makes its attempts as the environment's Client
+// directs (Begin before the first, Next after each: Client.Do cut at the
+// attempt), so every call site in core, query, reshard and the daemons is
+// covered without per-path wiring and an endpoint a reshard creates is
+// covered from its first request. Of(env) returns the installed client to
+// the one caller that needs more, the hedged scatter-gather read. The layer
+// is inert when no fault plan is armed: without transient errors, a request
+// is a single call of the underlying op.
 //
 // Mechanisms, per endpoint (an endpoint is one service partition: the "s3"
 // bucket, a SimpleDB domain like "prov-2", an SQS queue like "wal-1"):

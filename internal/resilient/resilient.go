@@ -150,6 +150,13 @@ func New(env *sim.Env, pol Policy) *Client {
 	}
 }
 
+// Of returns the client installed as env's retry layer (sim.Env.SetRetry), or
+// nil: how the scatter-gather read path finds the client to hedge with.
+func Of(env *sim.Env) *Client {
+	c, _ := env.Retry().(*Client)
+	return c
+}
+
 // Env returns the environment the client clocks against.
 func (c *Client) Env() *sim.Env { return c.env }
 
@@ -173,90 +180,98 @@ func (c *Client) state(endpoint string) *endpointState {
 // exponentially growing full-jitter backoff until it succeeds, returns a
 // non-retryable error, exhausts MaxAttempts, or runs out of retry budget.
 func (c *Client) Do(endpoint string, op func() error) error {
-	// Breaker check up front: while open, fail fast without a service call.
-	// After the cooldown exactly one caller is elected the half-open probe;
-	// concurrent callers keep failing fast until the probe resolves, so a
-	// thundering herd cannot re-storm a recovering endpoint.
+	state, err := c.Begin(endpoint)
+	for again := err == nil; again; {
+		state, again, err = c.Next(endpoint, state, op())
+	}
+	return err
+}
+
+// probeCall is the state of a half-open breaker's probe call.
+const probeCall = -1
+
+// Begin admits one call against endpoint and returns its state for Next — the
+// number of the attempt the caller is about to make, or probeCall. While the
+// endpoint's breaker is open the call fails fast, without a service request.
+// After the cooldown exactly one caller is elected the half-open probe;
+// concurrent callers keep failing fast until the probe resolves, so a
+// thundering herd cannot re-storm a recovering endpoint. Begin and Next are
+// Do cut at the attempt: sim.Endpoint.Do drives them, so that the attempt it
+// is handed is only ever called, never passed on, and stays off the heap.
+func (c *Client) Begin(endpoint string) (state int, err error) {
 	now := c.env.Now()
-	probe := false
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	st := c.state(endpoint)
 	if st.openUntil > 0 {
 		if now < st.openUntil {
 			st.breakerFast++
-			c.mu.Unlock()
-			return fmt.Errorf("%w: %s until t=%s", ErrCircuitOpen, endpoint, st.openUntil)
+			return 0, fmt.Errorf("%w: %s until t=%s", ErrCircuitOpen, endpoint, st.openUntil)
 		}
 		if st.probing {
 			st.breakerFast++
-			c.mu.Unlock()
-			return fmt.Errorf("%w: %s (half-open probe in flight)", ErrCircuitOpen, endpoint)
+			return 0, fmt.Errorf("%w: %s (half-open probe in flight)", ErrCircuitOpen, endpoint)
 		}
 		st.probing = true
 		st.failRun = 0
-		probe = true
+		state = probeCall
 	}
+	st.attempts++
+	return state, nil
+}
+
+// Next takes the outcome of the attempt a call in state just made. With again
+// the backoff has been slept and the caller makes the attempt numbered next;
+// otherwise the call is over and out is its result.
+func (c *Client) Next(endpoint string, state int, err error) (next int, again bool, out error) {
+	c.mu.Lock()
+	st := c.state(endpoint)
+	if err == nil || !sim.IsTransient(err) {
+		// Success and semantic failures both close the failure run and
+		// slowly refill the retry budget; a successful probe closes the
+		// breaker.
+		st.failRun = 0
+		if state == probeCall {
+			st.probing = false
+			st.openUntil = 0
+		}
+		st.budget = min(st.budget+c.pol.BudgetRefill, c.pol.RetryBudget)
+		c.mu.Unlock()
+		return state, false, err
+	}
+	if state == probeCall {
+		// A probe gets exactly one attempt: a transient failure re-opens the
+		// breaker for another cooldown instead of retrying.
+		st.probing = false
+		st.openUntil = c.env.Now() + c.pol.BreakerCooldown
+		st.breakerOpens++
+		c.mu.Unlock()
+		return state, false, fmt.Errorf("%w: %s: %w", ErrCircuitOpen, endpoint, err)
+	}
+	st.failRun++
+	if c.pol.BreakerThreshold > 0 && st.failRun >= c.pol.BreakerThreshold {
+		st.failRun = 0
+		st.openUntil = c.env.Now() + c.pol.BreakerCooldown
+		st.breakerOpens++
+		c.mu.Unlock()
+		return state, false, fmt.Errorf("%w: %s: %w", ErrCircuitOpen, endpoint, err)
+	}
+	if state == c.pol.MaxAttempts-1 {
+		c.mu.Unlock()
+		return state, false, err
+	}
+	if st.budget < 1 {
+		st.budgetDenials++
+		c.mu.Unlock()
+		return state, false, fmt.Errorf("%w: %s: %w", ErrBudgetExhausted, endpoint, err)
+	}
+	st.budget--
+	st.retries++
+	st.attempts++
 	c.mu.Unlock()
 
-	var err error
-	for attempt := 0; attempt < c.pol.MaxAttempts; attempt++ {
-		c.mu.Lock()
-		st.attempts++
-		c.mu.Unlock()
-		err = op()
-
-		c.mu.Lock()
-		if err == nil || !sim.IsTransient(err) {
-			// Success and semantic failures both close the failure run and
-			// slowly refill the retry budget; a successful probe closes the
-			// breaker.
-			st.failRun = 0
-			if probe {
-				st.probing = false
-				st.openUntil = 0
-			}
-			if st.budget < c.pol.RetryBudget {
-				st.budget += c.pol.BudgetRefill
-				if st.budget > c.pol.RetryBudget {
-					st.budget = c.pol.RetryBudget
-				}
-			}
-			c.mu.Unlock()
-			return err
-		}
-		if probe {
-			// A probe gets exactly one attempt: a transient failure re-opens
-			// the breaker for another cooldown instead of retrying.
-			st.probing = false
-			st.openUntil = c.env.Now() + c.pol.BreakerCooldown
-			st.breakerOpens++
-			c.mu.Unlock()
-			return fmt.Errorf("%w: %s: %w", ErrCircuitOpen, endpoint, err)
-		}
-		st.failRun++
-		if c.pol.BreakerThreshold > 0 && st.failRun >= c.pol.BreakerThreshold {
-			st.failRun = 0
-			st.openUntil = c.env.Now() + c.pol.BreakerCooldown
-			st.breakerOpens++
-			c.mu.Unlock()
-			return fmt.Errorf("%w: %s: %w", ErrCircuitOpen, endpoint, err)
-		}
-		if attempt == c.pol.MaxAttempts-1 {
-			c.mu.Unlock()
-			return err
-		}
-		if st.budget < 1 {
-			st.budgetDenials++
-			c.mu.Unlock()
-			return fmt.Errorf("%w: %s: %w", ErrBudgetExhausted, endpoint, err)
-		}
-		st.budget--
-		st.retries++
-		c.mu.Unlock()
-
-		c.env.Clock().Sleep(c.backoff(attempt))
-	}
-	return err
+	c.env.Clock().Sleep(c.backoff(state))
+	return state + 1, true, nil
 }
 
 // backoff samples the full-jitter delay of retry attempt (0-based first

@@ -1,11 +1,14 @@
 package sim
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
-// EpochSet is the shared reshard lifecycle of one K-way shard set — the
-// piece that is identical whether the shards are SimpleDB domains or SQS
-// queues. It owns the placement directory, the count of live shard slots,
-// and the epoch-generation barriers the resharder synchronizes on:
+// EpochSet is one K-way shard set and its reshard lifecycle — everything
+// that is identical whether the shards are SimpleDB domains or SQS queues. It
+// owns the placement directory, the shard slots themselves, and the
+// epoch-generation barriers the resharder synchronizes on:
 //
 //   - every write (and, for sets that need it, every read) registers
 //     against the generation of the routing view it captured;
@@ -16,79 +19,90 @@ import "sync"
 //     its routing view before the window opened still resolves against the
 //     old homes until it finishes).
 //
-// The concrete sets supply a grow callback that materializes shard slots
-// [len, k); it runs under the set lock, so growth, the live count and every
-// captured view are mutually consistent. Miscellaneous per-set state that
-// must stay consistent with views (sticky ablation flags, per-shard
-// defaults) can be mutated under the same lock via Locked.
-type EpochSet struct {
-	dir *Directory
+// Discovery is by convention: shard i of logical name "prov" is the service
+// endpoint "prov-i" on gate lane i. A set created at K == 1 keeps the bare
+// name for shard 0 forever, so the seed topology's layout is byte-identical
+// and the endpoint identity survives growth. Slots are minted under the set
+// lock, so growth, the live count and every captured view are mutually
+// consistent.
+type EpochSet[T any] struct {
+	dir      *Directory
+	base     string
+	bareZero bool
+	mint     func(name string, lane int) T
 
 	mu     sync.Mutex
-	live   int
+	slots  []T // index == shard id; every slot is live
 	gen    int
 	writes map[int]*sync.WaitGroup
 	reads  map[int]*sync.WaitGroup
-	grow   func(k int)
-	shrink func(k int)
 }
 
-// EpochView is one coherent routing snapshot: the epoch pair and how many
-// shard slots were live when it was captured.
-type EpochView struct {
+// EpochView is one coherent routing snapshot: the epoch pair and the shards
+// that were live when it was captured.
+type EpochView[T any] struct {
 	Active DirEpoch
 	Target *DirEpoch
-	Live   int
+	Shards []T
 }
 
-// NewEpochSet creates the lifecycle for a k-shard set (k < 1 clamps to 1)
-// and materializes the initial slots through grow.
-func NewEpochSet(k int, grow func(k int)) *EpochSet {
-	if k < 1 {
-		k = 1
+// NewEpochSet creates a k-shard set (k < 1 clamps to 1) named base, minting
+// each shard with mint from its service name and gate lane.
+func NewEpochSet[T any](base string, k int, mint func(name string, lane int) T) *EpochSet[T] {
+	k = max(k, 1)
+	s := &EpochSet[T]{
+		dir:      NewDirectory(k),
+		base:     base,
+		bareZero: k == 1,
+		mint:     mint,
+		writes:   make(map[int]*sync.WaitGroup),
+		reads:    make(map[int]*sync.WaitGroup),
 	}
-	s := &EpochSet{
-		dir:    NewDirectory(k),
-		live:   k,
-		writes: make(map[int]*sync.WaitGroup),
-		reads:  make(map[int]*sync.WaitGroup),
-		grow:   grow,
-	}
-	grow(k)
+	s.growLocked(k)
 	return s
 }
 
-// Directory returns the placement directory.
-func (s *EpochSet) Directory() *Directory { return s.dir }
-
-// OnShrink registers a callback run under the set lock whenever ShrinkTo
-// retires slots, with the new live count. Concrete sets use it to release
-// the retired shard slots themselves (drained queues, emptied domains) so
-// repeated grow/shrink cycles don't accumulate dead slots; a later grow
-// materializes fresh ones through the grow callback.
-func (s *EpochSet) OnShrink(f func(k int)) {
-	s.mu.Lock()
-	s.shrink = f
-	s.mu.Unlock()
+// growLocked mints the slots [len, k).
+func (s *EpochSet[T]) growLocked(k int) {
+	for i := len(s.slots); i < k; i++ {
+		name := s.base
+		if i > 0 || !s.bareZero {
+			name = fmt.Sprintf("%s-%d", s.base, i)
+		}
+		s.slots = append(s.slots, s.mint(name, i))
+	}
 }
 
-// Live reports the number of live shard slots.
-func (s *EpochSet) Live() int {
+// Base returns the logical name the shards derive theirs from.
+func (s *EpochSet[T]) Base() string { return s.base }
+
+// Directory returns the placement directory (epoch inspection, provctl).
+func (s *EpochSet[T]) Directory() *Directory { return s.dir }
+
+// Shards reports the number of live shards: both epochs' during a migration,
+// and a shrink's decommissioned ones until ShrinkTo retires them.
+func (s *EpochSet[T]) Shards() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.live
+	return len(s.slots)
 }
 
-// Locked runs f under the set lock (per-set state that views depend on).
-func (s *EpochSet) Locked(f func()) {
+// Shard returns shard i, or the zero T if i is outside the live set (a
+// daemon may hold a subscription computed just before a shrink
+// decommissioned it).
+func (s *EpochSet[T]) Shard(i int) T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f()
+	if i < 0 || i >= len(s.slots) {
+		var none T
+		return none
+	}
+	return s.slots[i]
 }
 
 // viewLocked captures the current routing snapshot.
-func (s *EpochSet) viewLocked() EpochView {
-	v := EpochView{Active: s.dir.Active(), Live: s.live}
+func (s *EpochSet[T]) viewLocked() EpochView[T] {
+	v := EpochView[T]{Active: s.dir.Active(), Shards: s.slots}
 	if t, ok := s.dir.Target(); ok {
 		v.Target = &t
 	}
@@ -97,37 +111,36 @@ func (s *EpochSet) viewLocked() EpochView {
 
 // View captures a routing snapshot without barrier registration — for
 // callers whose reads need no GC protection (metrics, display).
-func (s *EpochSet) View(snap func(EpochView)) {
+func (s *EpochSet[T]) View() EpochView[T] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap(s.viewLocked())
+	return s.viewLocked()
 }
 
-// begin registers one operation in reg against the current generation,
-// hands the caller a consistent view via snap (run under the lock), and
-// returns the release the caller must invoke when the operation completes.
-func (s *EpochSet) begin(reg map[int]*sync.WaitGroup, snap func(EpochView)) func() {
+// begin registers one operation in reg against the current generation and
+// returns the view it runs under plus the release the caller must invoke
+// when the operation completes.
+func (s *EpochSet[T]) begin(reg map[int]*sync.WaitGroup) (EpochView[T], func()) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	wg := reg[s.gen]
 	if wg == nil {
 		wg = &sync.WaitGroup{}
 		reg[s.gen] = wg
 	}
 	wg.Add(1)
-	snap(s.viewLocked())
-	s.mu.Unlock()
-	return wg.Done
+	return s.viewLocked(), wg.Done
 }
 
 // BeginWrite registers a write against the current routing view.
-func (s *EpochSet) BeginWrite(snap func(EpochView)) func() { return s.begin(s.writes, snap) }
+func (s *EpochSet[T]) BeginWrite() (EpochView[T], func()) { return s.begin(s.writes) }
 
 // BeginRead registers a read against the current routing view.
-func (s *EpochSet) BeginRead(snap func(EpochView)) func() { return s.begin(s.reads, snap) }
+func (s *EpochSet[T]) BeginRead() (EpochView[T], func()) { return s.begin(s.reads) }
 
 // drain waits out every registration in reg from generations before the
 // current one.
-func (s *EpochSet) drain(reg map[int]*sync.WaitGroup) {
+func (s *EpochSet[T]) drain(reg map[int]*sync.WaitGroup) {
 	s.mu.Lock()
 	cur := s.gen
 	var wait []*sync.WaitGroup
@@ -144,27 +157,28 @@ func (s *EpochSet) drain(reg map[int]*sync.WaitGroup) {
 }
 
 // DrainPriorWrites blocks until every write that captured a routing view
-// older than the current one has been applied.
-func (s *EpochSet) DrainPriorWrites() { s.drain(s.writes) }
+// older than the current one has been applied. The resharder calls it after
+// BeginMigration: once it returns, anything not double-written is already on
+// its active-epoch shard, so one consistent copy scan sees everything.
+func (s *EpochSet[T]) DrainPriorWrites() { s.drain(s.writes) }
 
 // DrainPriorReads blocks until every read that captured a routing view
 // older than the current one has finished. The resharder's GC calls it
 // before deleting drained ranges; consequently a reshard must never be run
 // synchronously from inside a registered read (it would wait on itself).
-func (s *EpochSet) DrainPriorReads() { s.drain(s.reads) }
+func (s *EpochSet[T]) DrainPriorReads() { s.drain(s.reads) }
 
 // BeginMigration opens (or resumes) an epoch transition to k shards,
-// growing the slots the target epoch needs. done reports the set is
+// minting the slots the target epoch needs. done reports the set is
 // already at k with no migration open.
-func (s *EpochSet) BeginMigration(k int) (target DirEpoch, resumed, done bool) {
+func (s *EpochSet[T]) BeginMigration(k int) (target DirEpoch, resumed, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	target, resumed, done = s.dir.BeginMigration(k)
 	if done {
 		return target, resumed, done
 	}
-	s.grow(target.Shards)
-	s.live = s.dir.LiveShards()
+	s.growLocked(target.Shards)
 	if !resumed {
 		s.gen++
 	}
@@ -173,24 +187,24 @@ func (s *EpochSet) BeginMigration(k int) (target DirEpoch, resumed, done bool) {
 
 // Cutover promotes the target epoch to active. A shrink's decommissioned
 // slots stay live until ShrinkTo retires them drained.
-func (s *EpochSet) Cutover() {
+func (s *EpochSet[T]) Cutover() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dir.Cutover()
 	s.gen++
 }
 
-// ShrinkTo retires shard slots beyond k after a shrink migration's GC. It
-// is a no-op unless the directory is stable at exactly k shards.
-func (s *EpochSet) ShrinkTo(k int) {
+// ShrinkTo releases the shard slots beyond k after a shrink migration has
+// drained them. It is a no-op unless the directory is stable at exactly k
+// shards. The slice is copied, not truncated in place: views captured before
+// the shrink alias the old backing array, and a later grow must not append
+// over their tails.
+func (s *EpochSet[T]) ShrinkTo(k int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir.Migrating() || s.dir.Active().Shards != k || k >= s.live {
+	if s.dir.Migrating() || s.dir.Active().Shards != k || k >= len(s.slots) {
 		return
 	}
-	s.live = k
+	s.slots = append([]T(nil), s.slots[:k]...)
 	s.gen++
-	if s.shrink != nil {
-		s.shrink(k)
-	}
 }

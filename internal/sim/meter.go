@@ -142,9 +142,9 @@ func (m *Meter) CountOp(kind string, payload int64) {
 	m.mu.Unlock()
 }
 
-// CountEndpointOp records one request against a named service endpoint (a
-// SimpleDB domain, an SQS queue) so sharded deployments can report how the
-// load spread across their shards.
+// CountEndpointOp records one request against a named service endpoint (the
+// "s3" bucket, a SimpleDB domain, an SQS queue) so sharded deployments can
+// report how the load spread across their shards.
 func (m *Meter) CountEndpointOp(endpoint string) {
 	m.mu.Lock()
 	m.opsByEndpoint[endpoint]++
@@ -307,8 +307,9 @@ type Usage struct {
 	PeakStored  int64
 	OpsByKind   map[string]int64
 	BytesByKind map[string]int64
-	// OpsByEndpoint counts requests per named service endpoint (domain or
-	// queue shard); endpoints that saw no traffic are absent.
+	// OpsByEndpoint counts requests per named service endpoint (the "s3"
+	// bucket, a domain or queue shard); endpoints that saw no traffic are
+	// absent.
 	OpsByEndpoint map[string]int64
 	// Faults counts injected transient faults, in total and per endpoint;
 	// endpoints that saw no faults are absent.

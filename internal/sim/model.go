@@ -27,17 +27,11 @@ const (
 	numOps
 )
 
-// String returns a short wire-style name for the op.
+// String returns the op's wire-style name ("s3.PUT", "sdb.Select"): the kind
+// it is metered and fault-planned under.
 func (o OpKind) String() string {
-	names := [...]string{
-		"s3.GET", "s3.HEAD", "s3.PUT", "s3.COPY", "s3.DELETE", "s3.LIST",
-		"sdb.GetAttributes", "sdb.Select", "sdb.PutAttributes", "sdb.BatchPutAttributes", "sdb.DeleteAttributes",
-		"sdb.BatchDeleteAttributes",
-		"sqs.SendMessage", "sqs.ReceiveMessage", "sqs.DeleteMessage",
-		"sqs.SendMessageBatch", "sqs.DeleteMessageBatch",
-	}
-	if int(o) < len(names) {
-		return names[o]
+	if o < numOps {
+		return opSpecs[o].name
 	}
 	return "op.unknown"
 }
@@ -64,8 +58,12 @@ const (
 	xferOut          // cloud -> client (response body)
 )
 
-// opSpec ties an op kind to its gate, billing class and transfer direction.
+// opSpec is everything the request envelope knows about an op kind: its
+// metered name, whether it changes service state (and so may fail after being
+// applied), its gate, billing class and transfer direction.
 type opSpec struct {
+	name       string
+	mutating   bool
 	gate       gateID
 	cost       CostClass
 	xfer       xferDir
@@ -74,34 +72,34 @@ type opSpec struct {
 
 // opSpecs is indexed by OpKind.
 var opSpecs = [numOps]opSpec{
-	OpS3Get:       {gate: gateS3Read, cost: CostS3Get, xfer: xferOut},
-	OpS3Head:      {gate: gateS3Read, cost: CostS3Get},
-	OpS3Put:       {gate: gateS3Write, cost: CostS3Put, xfer: xferIn},
-	OpS3Copy:      {gate: gateS3Write, cost: CostS3Put},               // server-side copy: no transfer
-	OpS3Delete:    {gate: gateS3Write, cost: CostFree},                // S3 DELETEs are free
-	OpS3List:      {gate: gateS3Read, cost: CostS3Put, xfer: xferOut}, // LIST bills like PUT
-	OpSDBGet:      {gate: gateSDBRead, cost: CostSDB, xfer: xferOut, machineSec: sdbReadMachineSec},
-	OpSDBSelect:   {gate: gateSDBRead, cost: CostSDB, xfer: xferOut, machineSec: sdbSelectMachineSec},
-	OpSDBPut:      {gate: gateSDBWrite, cost: CostSDB, xfer: xferIn, machineSec: sdbPutMachineSec},
-	OpSDBBatchPut: {gate: gateSDBWrite, cost: CostSDB, xfer: xferIn, machineSec: sdbBatchMachineSec},
-	OpSDBDelete:   {gate: gateSDBWrite, cost: CostSDB, machineSec: sdbPutMachineSec},
+	OpS3Get:       {name: "s3.GET", gate: gateS3Read, cost: CostS3Get, xfer: xferOut},
+	OpS3Head:      {name: "s3.HEAD", gate: gateS3Read, cost: CostS3Get},
+	OpS3Put:       {name: "s3.PUT", mutating: true, gate: gateS3Write, cost: CostS3Put, xfer: xferIn},
+	OpS3Copy:      {name: "s3.COPY", mutating: true, gate: gateS3Write, cost: CostS3Put},  // server-side copy: no transfer
+	OpS3Delete:    {name: "s3.DELETE", mutating: true, gate: gateS3Write, cost: CostFree}, // S3 DELETEs are free
+	OpS3List:      {name: "s3.LIST", gate: gateS3Read, cost: CostS3Put, xfer: xferOut},    // LIST bills like PUT
+	OpSDBGet:      {name: "sdb.GetAttributes", gate: gateSDBRead, cost: CostSDB, xfer: xferOut, machineSec: sdbReadMachineSec},
+	OpSDBSelect:   {name: "sdb.Select", gate: gateSDBRead, cost: CostSDB, xfer: xferOut, machineSec: sdbSelectMachineSec},
+	OpSDBPut:      {name: "sdb.PutAttributes", mutating: true, gate: gateSDBWrite, cost: CostSDB, xfer: xferIn, machineSec: sdbPutMachineSec},
+	OpSDBBatchPut: {name: "sdb.BatchPutAttributes", mutating: true, gate: gateSDBWrite, cost: CostSDB, xfer: xferIn, machineSec: sdbBatchMachineSec},
+	OpSDBDelete:   {name: "sdb.DeleteAttributes", mutating: true, gate: gateSDBWrite, cost: CostSDB, machineSec: sdbPutMachineSec},
 	// The paper never deletes in bulk, so the batch delete has no anchor in
 	// its tables: it is modelled BatchPut-shaped (the write gate, one
 	// admission and one billed request per call, the batch machine-seconds,
-	// SDBBatchBase plus the per-item increment the domain charges through
-	// BatchItemLatency) on the reasoning that un-indexing an item costs the
-	// service what indexing it did.
-	OpSDBBatchDelete: {gate: gateSDBWrite, cost: CostSDB, machineSec: sdbBatchMachineSec},
-	OpSQSSend:        {gate: gateSQS, cost: CostSQS, xfer: xferIn},
-	OpSQSReceive:     {gate: gateSQS, cost: CostSQS, xfer: xferOut},
-	OpSQSDelete:      {gate: gateSQS, cost: CostSQS},
+	// SDBBatchBase plus the per-item increment of unitLatency) on the
+	// reasoning that un-indexing an item costs the service what indexing it
+	// did.
+	OpSDBBatchDelete: {name: "sdb.BatchDeleteAttributes", mutating: true, gate: gateSDBWrite, cost: CostSDB, machineSec: sdbBatchMachineSec},
+	OpSQSSend:        {name: "sqs.SendMessage", mutating: true, gate: gateSQS, cost: CostSQS, xfer: xferIn},
+	OpSQSReceive:     {name: "sqs.ReceiveMessage", gate: gateSQS, cost: CostSQS, xfer: xferOut},
+	OpSQSDelete:      {name: "sqs.DeleteMessage", mutating: true, gate: gateSQS, cost: CostSQS},
 	// Batch calls are one request at the gate and on the bill regardless of
-	// how many entries they carry; the per-entry increment is charged by the
-	// queue through SQSBatchEntryLatency. This is what makes batching both
-	// faster and cheaper than entry-by-entry calls in simulated time. (Like
-	// the batch delete above, the SQS batch calls postdate the paper.)
-	OpSQSSendBatch:   {gate: gateSQS, cost: CostSQS, xfer: xferIn},
-	OpSQSDeleteBatch: {gate: gateSQS, cost: CostSQS},
+	// how many entries they carry; the per-entry increment is unitLatency's.
+	// This is what makes batching both faster and cheaper than entry-by-entry
+	// calls in simulated time. (Like the batch delete above, the SQS batch
+	// calls postdate the paper.)
+	OpSQSSendBatch:   {name: "sqs.SendMessageBatch", mutating: true, gate: gateSQS, cost: CostSQS, xfer: xferIn},
+	OpSQSDeleteBatch: {name: "sqs.DeleteMessageBatch", mutating: true, gate: gateSQS, cost: CostSQS},
 }
 
 // SimpleDB machine-second charges per request (billed at $0.14 per
@@ -290,7 +288,7 @@ func (m Model) latency(op OpKind, nbytes int) time.Duration {
 		return m.SDBPutBase
 	case OpSDBBatchPut:
 		// nbytes carries the total payload; batches are also charged per
-		// item by the caller through BatchItems.
+		// item through unitLatency.
 		return m.SDBBatchBase + bps(b, m.SDBReadBps)
 	case OpSDBDelete:
 		return m.SDBPutBase
@@ -310,39 +308,25 @@ func (m Model) latency(op OpKind, nbytes int) time.Duration {
 	return 0
 }
 
-// BatchItemLatency returns the extra latency a BatchPutAttributes or
-// BatchDeleteAttributes call pays per item beyond the first; the sdb service
-// adds it to Exec's base charge.
-func (m Model) BatchItemLatency(items int) time.Duration {
-	if items <= 1 {
-		return 0
+// unitLatency returns what one request pays, on top of latency and without
+// jitter, for the units of work it carries beyond the first. A batch call is
+// one gate admission and one billed request however many items or entries it
+// holds, so this increment is all a full batch costs over a single call. For a
+// SELECT the units are the items its access path examined: an indexed path
+// examines only its predicate's candidates while a table scan examines every
+// item, which is what separates the two in simulated time (their base and
+// transfer terms are identical).
+func (m Model) unitLatency(op OpKind, units int) time.Duration {
+	var per time.Duration
+	switch op {
+	case OpSDBBatchPut, OpSDBBatchDelete:
+		per = m.SDBBatchItem
+	case OpSDBSelect:
+		per = m.SDBScanItem
+	case OpSQSSendBatch, OpSQSDeleteBatch:
+		per = m.SQSBatchEntry
 	}
-	return time.Duration(items-1) * m.SDBBatchItem
-}
-
-// SelectScanLatency returns the query-engine time one SELECT request pays
-// for the items its access path examined beyond the first; the sdb service
-// adds it to Exec's base charge. An indexed access path examines only the
-// candidate items of its predicate while a table scan examines every item,
-// so this term is what separates indexed and scan SELECTs in simulated time
-// (the per-request base and transfer terms are identical for both).
-func (m Model) SelectScanLatency(examined int) time.Duration {
-	if examined <= 1 {
-		return 0
-	}
-	return time.Duration(examined-1) * m.SDBScanItem
-}
-
-// SQSBatchEntryLatency returns the extra latency a SendMessageBatch or
-// DeleteMessageBatch call pays per entry beyond the first; the sqs service
-// adds it to Exec's base charge. The whole call remains one gate admission
-// and one billed request, so a full 10-entry batch is far cheaper than ten
-// entry-by-entry calls.
-func (m Model) SQSBatchEntryLatency(entries int) time.Duration {
-	if entries <= 1 {
-		return 0
-	}
-	return time.Duration(entries-1) * m.SQSBatchEntry
+	return time.Duration(max(units-1, 0)) * per
 }
 
 // gateInterval converts a rate ceiling into the gate admission interval.

@@ -4,9 +4,11 @@
 // and a deterministic seeded random source.
 //
 // Everything in this repository that "talks to the cloud" routes each
-// request through Env.Exec, which charges the request against the latency
-// model (base latency, payload transfer time, per-host rate gates) and the
-// cost meter. Experiments run the environment in live mode (virtual time is
+// request through its service's Endpoint (endpoint.go) — the one request
+// envelope: a fault point, the client's retry layer, and Exec, which charges
+// the request against the latency model (per-endpoint rate gate, host NIC,
+// base latency, payload transfer time, per-unit work) and the cost meter.
+// Experiments run the environment in live mode (virtual time is
 // wall time multiplied by Config.TimeScale) so that concurrency effects are
 // real; unit tests run in manual mode (TimeScale 0) where sleeps advance a
 // logical clock instantly.
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -184,6 +187,21 @@ type Env struct {
 
 	faultMu sync.Mutex
 	faults  *FaultInjector // nil until InstallFaults; see faults.go
+
+	// retry is the client's retry layer, nil until SetRetry: every endpoint
+	// of the environment, born before or after, reads it on each request.
+	retry atomic.Pointer[retryLayer]
+}
+
+// retryLayer is what sits between a client and its service requests
+// (resilient.Client; an interface because resilient imports sim). It is
+// consulted around a request's attempts, not handed them — see Endpoint.Do:
+// Begin admits the request or fails it fast, and Next takes each attempt's
+// outcome and says, having slept any backoff, whether to make another.
+// state is the layer's own note on the request, carried for it by the caller.
+type retryLayer interface {
+	Begin(endpoint string) (state int, err error)
+	Next(endpoint string, state int, err error) (next int, again bool, out error)
 }
 
 // NewEnv creates an environment from cfg, filling defaults.
@@ -245,10 +263,30 @@ func (e *Env) Faults() *FaultInjector {
 	return e.faults
 }
 
+// SetRetry installs l as the retry layer of every endpoint of the
+// environment (nil removes it, and requests fail raw). Pass a nil interface,
+// not a nil pointer in one.
+func (e *Env) SetRetry(l retryLayer) {
+	if l == nil {
+		e.retry.Store(nil)
+		return
+	}
+	e.retry.Store(&l)
+}
+
+// Retry returns the installed retry layer, or nil.
+func (e *Env) Retry() retryLayer {
+	if l := e.retry.Load(); l != nil {
+		return *l
+	}
+	return nil
+}
+
 // FaultPoint consults the fault injector for one request of op kind op
 // against endpoint; mutating marks state-changing ops (eligible for the
 // ambiguous fail-applied outcome). With no injector installed it is a nil
-// check. Service implementations call it before executing each request.
+// check. The services reach it through Endpoint.Fault; translog calls it for
+// its two points that are no service request.
 func (e *Env) FaultPoint(endpoint, op string, mutating bool) (err error, applied bool) {
 	f := e.Faults()
 	if f == nil {
@@ -313,42 +351,6 @@ func (e *Env) StalenessWindow() time.Duration {
 		return 0
 	}
 	return e.rnd.Exp(e.cfg.StalenessMean)
-}
-
-// Exec performs one simulated service request of kind op carrying a payload
-// of nbytes (request body for writes, response body for reads). It waits for
-// gate admission, sleeps the modelled latency, charges the cost meter, and
-// returns the request's service latency (excluding gate queueing).
-func (e *Env) Exec(op OpKind, nbytes int) time.Duration {
-	return e.ExecLane(op, nbytes, 0)
-}
-
-// ExecLane is Exec against a sharded service endpoint: requests on distinct
-// lanes queue at distinct rate gates, modelling that a SimpleDB domain or an
-// SQS queue is its own service-side partition with its own request-rate
-// ceiling (the paper's ~7 BatchPut/s and ~210 request/s gates are per
-// domain/queue, which is exactly why sharding across K of them scales the
-// write path). Latency, billing and the shared host NIC are unaffected by
-// the lane; lane 0 is the default endpoint, so ExecLane(op, n, 0) == Exec.
-func (e *Env) ExecLane(op OpKind, nbytes int, lane int) time.Duration {
-	spec := opSpecs[op]
-
-	// Per-endpoint request-rate gate: this is what makes S3 saturate around
-	// 150 connections and SimpleDB around 40 in Table 2.
-	if spec.gate != gateNone {
-		e.gateFor(spec.gate, lane).reserve(e.clock)
-	}
-	// Host NIC gate for bulk transfers.
-	if spec.xfer != xferNone && nbytes > bulkThreshold {
-		e.reserveNet(nbytes)
-	}
-
-	d := e.model.latency(op, nbytes)
-	d += e.rnd.Jitter(d, jitterFrac)
-	e.clock.Sleep(d)
-
-	e.charge(spec, nbytes)
-	return d
 }
 
 // laneKey identifies one sharded endpoint's gate.
@@ -444,7 +446,7 @@ func (e *Env) reserveNet(nbytes int) {
 }
 
 // charge records the request and its transfer against the cost meter.
-func (e *Env) charge(spec opSpec, nbytes int) {
+func (e *Env) charge(spec *opSpec, nbytes int) {
 	e.meter.CountRequest(spec.cost, 1)
 	if spec.machineSec > 0 {
 		e.meter.AddMachineSeconds(spec.machineSec)

@@ -57,10 +57,7 @@ func TestGateEnforcesRate(t *testing.T) {
 
 func TestExecChargesMeterAndClock(t *testing.T) {
 	e := NewEnv(DefaultConfig())
-	d := e.Exec(OpS3Put, 1<<20)
-	if d <= 0 {
-		t.Fatal("Exec returned non-positive latency")
-	}
+	e.Endpoint("s3", 0).Exec(OpS3Put, 1<<20, 0)
 	u := e.Meter().Usage()
 	if u.Requests[CostS3Put] != 1 {
 		t.Fatalf("put-like requests = %d, want 1", u.Requests[CostS3Put])
@@ -75,7 +72,7 @@ func TestExecChargesMeterAndClock(t *testing.T) {
 
 func TestExecReadBillsTransferOut(t *testing.T) {
 	e := NewEnv(DefaultConfig())
-	e.Exec(OpS3Get, 4096)
+	e.Endpoint("s3", 0).Exec(OpS3Get, 4096, 0)
 	u := e.Meter().Usage()
 	if u.BytesOut != 4096 {
 		t.Fatalf("bytesOut = %d, want 4096", u.BytesOut)
@@ -265,5 +262,35 @@ func TestHostNetSpacesBulkTransfers(t *testing.T) {
 	e.reserveNet(30 << 20)
 	if e.Now() < 900*time.Millisecond {
 		t.Fatalf("second bulk admission at %v, want ≥ ~1s", e.Now())
+	}
+}
+
+// TestOpSpecTable walks every op kind: each has its own non-empty metered
+// name, and mutating — what makes an op eligible for the fail-after-applying
+// fault — is set on the eleven writes and clear on the six reads, a
+// ReceiveMessage included (its visibility timeouts are not service state a
+// retry must converge over).
+func TestOpSpecTable(t *testing.T) {
+	mutating := map[OpKind]bool{
+		OpS3Put: true, OpS3Copy: true, OpS3Delete: true,
+		OpSDBPut: true, OpSDBBatchPut: true, OpSDBDelete: true, OpSDBBatchDelete: true,
+		OpSQSSend: true, OpSQSSendBatch: true, OpSQSDelete: true, OpSQSDeleteBatch: true,
+	}
+	seen := make(map[string]OpKind)
+	for op := OpKind(0); op < numOps; op++ {
+		name := op.String()
+		if name == "" || name == "op.unknown" {
+			t.Errorf("op %d has no name", op)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("ops %d and %d share the name %q", prev, op, name)
+		}
+		seen[name] = op
+		if got := opSpecs[op].mutating; got != mutating[op] {
+			t.Errorf("%s: mutating = %v, want %v", name, got, mutating[op])
+		}
+	}
+	if got := numOps.String(); got != "op.unknown" {
+		t.Errorf("out-of-range op is named %q", got)
 	}
 }
