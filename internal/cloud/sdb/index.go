@@ -1,7 +1,5 @@
 package sdb
 
-import "sort"
-
 // Secondary indexes. Real SimpleDB indexes every attribute on write (which
 // is why its writes are expensive — see the calibration anchors on
 // baseModel in sim/model.go); the simulation keeps the same invariant so
@@ -23,12 +21,12 @@ import "sort"
 // any retained version.
 type postings struct {
 	refs   map[string]int
-	sorted []string // cached ascending item names; nil when stale
+	sorted *sortedKeys // cached ascending item names
 }
 
 func (p *postings) add(item string) {
 	if p.refs[item] == 0 {
-		p.sorted = nil
+		p.sorted.add(item)
 	}
 	p.refs[item]++
 }
@@ -41,31 +39,21 @@ func (p *postings) remove(item string) bool {
 	}
 	if n <= 1 {
 		delete(p.refs, item)
-		p.sorted = nil
+		p.sorted.remove()
 	} else {
 		p.refs[item] = n - 1
 	}
 	return len(p.refs) == 0
 }
 
-// names returns the item names in ascending order, rebuilding the cache on
-// demand.
-func (p *postings) names() []string {
-	if p.sorted == nil {
-		p.sorted = make([]string, 0, len(p.refs))
-		for it := range p.refs {
-			p.sorted = append(p.sorted, it)
-		}
-		sort.Strings(p.sorted)
-	}
-	return p.sorted
-}
+// names returns the item names in ascending order.
+func (p *postings) names() []string { return sortedOf(&p.sorted, p.refs) }
 
 // attrIndex is the secondary index of one attribute: value → postings, plus
-// a lazily sorted value list serving range and prefix access paths.
+// a sorted value list serving range and prefix access paths.
 type attrIndex struct {
 	vals   map[string]*postings
-	sorted []string // cached ascending values; nil when stale
+	sorted *sortedKeys // cached ascending values
 }
 
 func newAttrIndex() *attrIndex { return &attrIndex{vals: make(map[string]*postings)} }
@@ -75,7 +63,7 @@ func (ix *attrIndex) add(value, item string) {
 	if p == nil {
 		p = &postings{refs: make(map[string]int)}
 		ix.vals[value] = p
-		ix.sorted = nil
+		ix.sorted.add(value)
 	}
 	p.add(item)
 }
@@ -87,21 +75,12 @@ func (ix *attrIndex) remove(value, item string) {
 	}
 	if p.remove(item) {
 		delete(ix.vals, value)
-		ix.sorted = nil
+		ix.sorted.remove()
 	}
 }
 
 // orderedVals returns the distinct indexed values in ascending order.
-func (ix *attrIndex) orderedVals() []string {
-	if ix.sorted == nil {
-		ix.sorted = make([]string, 0, len(ix.vals))
-		for v := range ix.vals {
-			ix.sorted = append(ix.sorted, v)
-		}
-		sort.Strings(ix.sorted)
-	}
-	return ix.sorted
-}
+func (ix *attrIndex) orderedVals() []string { return sortedOf(&ix.sorted, ix.vals) }
 
 // indexAddLocked registers one retained item version's attributes.
 func (d *Domain) indexAddLocked(item string, attrs []Attr) {

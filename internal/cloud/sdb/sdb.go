@@ -93,7 +93,7 @@ type Domain struct {
 	mu        sync.Mutex
 	items     map[string][]*itemVersion
 	tombs     tombHeap              // deleted items awaiting reaping, earliest visibleAt first
-	sorted    []string              // cached sorted item names; nil when stale
+	names     *sortedKeys           // cached sorted item names
 	idx       map[string]*attrIndex // per-attribute secondary indexes
 	forceScan bool                  // ablation: disable the indexes
 	gen       uint64                // write generation; invalidates cached plans
@@ -133,17 +133,8 @@ func (d *Domain) SetForceScan(v bool) {
 	d.mu.Unlock()
 }
 
-// sortedNamesLocked returns (building if needed) the sorted name index.
-func (d *Domain) sortedNamesLocked() []string {
-	if d.sorted == nil {
-		d.sorted = make([]string, 0, len(d.items))
-		for name := range d.items {
-			d.sorted = append(d.sorted, name)
-		}
-		sort.Strings(d.sorted)
-	}
-	return d.sorted
-}
+// sortedNamesLocked returns the sorted name index.
+func (d *Domain) sortedNamesLocked() []string { return sortedOf(&d.names, d.items) }
 
 // Name returns the domain name used in SELECT statements.
 func (d *Domain) Name() string { return d.name }
@@ -225,7 +216,7 @@ func (d *Domain) applyLocked(req PutRequest) {
 	d.reapLocked(now)
 	hist := d.items[req.Item]
 	if len(hist) == 0 {
-		d.sorted = nil // new name invalidates the sorted index
+		d.names.add(req.Item)
 	}
 	var base []Attr
 	if n := len(hist); n > 0 && !hist[n-1].deleted {
@@ -438,20 +429,20 @@ func (d *Domain) reapLocked(now time.Duration) {
 		return
 	}
 	d.gen++ // cached plans may list the reaped names
-	if d.sorted == nil {
+	if d.names == nil || d.names.keys == nil {
 		return
 	}
 	// Cut the reaped names out of the span of the name table that holds them
-	// instead of re-sorting the whole table on the next read. The table is
-	// a cache of d.items' keys, so a name no longer held is a reaped one.
-	names := d.sorted
+	// instead of filtering the whole table on the next read. The table is a
+	// cache of d.items' keys, so a name no longer held is a reaped one.
+	names := d.names.keys
 	lo := sort.SearchStrings(names, slices.Min(reaped))
 	hi := min(sort.SearchStrings(names, slices.Max(reaped))+1, len(names))
 	kept := slices.DeleteFunc(names[lo:hi], func(name string) bool {
 		_, held := d.items[name]
 		return !held
 	})
-	d.sorted = slices.Delete(names, lo+len(kept), hi)
+	d.names.keys = slices.Delete(names, lo+len(kept), hi)
 }
 
 // SelectPage is one page of SELECT results.

@@ -439,7 +439,7 @@ func TestTombstonesAreReaped(t *testing.T) {
 	env := d.Env()
 	names := fileItems(t, d, 30)
 	env.Clock().Advance(time.Minute)
-	if _, _, _, err := d.SelectAll("select itemName() from prov"); err != nil { // builds d.sorted
+	if _, _, _, err := d.SelectAll("select itemName() from prov"); err != nil { // caches the name table
 		t.Fatal(err)
 	}
 	if err := d.BatchDeleteAttributes(names[:20]); err != nil {

@@ -84,6 +84,9 @@ func (s *QueueSet) SetRetention(d time.Duration) {
 	}
 }
 
+// Retention reports the message retention period every shard applies.
+func (s *QueueSet) Retention() time.Duration { return time.Duration(s.retention.Load()) }
+
 // Len reports the undeleted, unexpired messages across all live shards.
 func (s *QueueSet) Len() int {
 	n := 0

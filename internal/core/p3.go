@@ -41,15 +41,20 @@ import (
 //     every shard to at least one worker deterministically), assembling
 //     packets by transaction into sharded state (any daemon can fold
 //     packets of any transaction; the shard lock, not a global one, is the
-//     only point of contention); once transactions are complete, commit
-//     them as a group: spill >1 KB values, coalesce the provenance items of
-//     every transaction in the group into full 25-item BatchPutAttributes
-//     calls per home domain (items route to domains by object uuid, so a
-//     cross-shard transaction's items batch into their home domains), COPY
-//     each temporary object to its permanent key (updating the version
-//     metadata as part of the COPY), DELETE the temporary objects and
-//     batch-delete the group's WAL receipts against the shards they were
-//     received from.
+//     only point of contention) and decoding each transaction once, when it
+//     is complete; complete transactions commit as a group: spill >1 KB
+//     values, coalesce the provenance items of every transaction in the
+//     group into full 25-item BatchPutAttributes calls per home domain
+//     (items route to domains by object uuid, so a cross-shard
+//     transaction's items batch into their home domains), COPY each
+//     temporary object to its permanent key (updating the version metadata
+//     as part of the COPY), DELETE the temporary objects and batch-delete
+//     the group's WAL receipts against the shards they were received from.
+//     CommitOnce and Settle run a round's receive (assemble) and its group
+//     commit (commit) back to back. The live pool, RunDaemon, pipelines
+//     them: receivers never wait on a group, one group former closes groups
+//     as whole transactions fill whole batches on their home domains, groups
+//     commit concurrently, and receipts are acknowledged in full batches.
 //
 // A transaction whose packets never all arrive (client crash mid-log) is
 // ignored; the queue's retention expires its messages and the cleaner
@@ -93,9 +98,11 @@ type txnShard struct {
 	// packet redelivered meanwhile only adds its receipt here instead of
 	// assembling — and committing — the transaction a second time.
 	inflight map[uuid.UUID]*txnState
-	// committed remembers finished transactions so redelivered packets are
-	// acknowledged without re-running the commit.
-	committed map[uuid.UUID]bool
+	// committed remembers when each finished transaction committed, so its
+	// redelivered packets are acknowledged without re-running the commit.
+	// RunCleaner forgets a transaction once the WAL's retention has passed:
+	// by then the queue has expired every packet that could redeliver it.
+	committed map[uuid.UUID]time.Duration
 }
 
 // P3's crash points, in protocol order. The two counted ones take the work
@@ -113,12 +120,15 @@ const (
 
 // txnState accumulates packets of one transaction. walShard is the WAL
 // shard the packets arrived on — the transaction's home shard, where its
-// receipts must be acknowledged.
+// receipts must be acknowledged. Once the last packet is in, the payload is
+// decoded once, into bundles (or err), and the fragments are let go.
 type txnState struct {
 	header   *walTxn
 	got      map[int][]byte
 	receipts []string
 	walShard int
+	bundles  []prov.Bundle
+	err      error
 	// redelivered holds, by message id, the latest receipt of each message
 	// delivered again while the transaction was in flight (nil until then).
 	redelivered map[string]string
@@ -141,7 +151,7 @@ func NewP3(dep *Deployment, opts Options) *P3 {
 	for i := range p.shards {
 		p.shards[i].pending = make(map[uuid.UUID]*txnState)
 		p.shards[i].inflight = make(map[uuid.UUID]*txnState)
-		p.shards[i].committed = make(map[uuid.UUID]bool)
+		p.shards[i].committed = make(map[uuid.UUID]time.Duration)
 	}
 	return p
 }
@@ -363,28 +373,46 @@ func (p *P3) CommitOnce() (bool, error) {
 // backlog-adaptive stop.
 const recvConcurrency = 8
 
-// commitShards is one commit round over an explicit shard subscription.
+// commitShards is one commit round over an explicit shard subscription, as
+// CommitOnce and Settle run it: assemble up to the adaptive budget per shard,
+// then commit what that produced, back to back.
 func (p *P3) commitShards(shards []int) (bool, error) {
-	var ready []*txnState
-	var acks []shardReceipt
-	progress := false
+	r := p.assemble(shards, assemblyBudget)
+	if !r.progress {
+		return false, nil
+	}
+	return true, p.commit(r.ready, r.acks)
+}
+
+// round is what one assembly pass over a shard subscription produced.
+type round struct {
+	ready    []*txnState    // transactions the pass completed, in flight until committed
+	acks     []shardReceipt // redelivered packets of committed transactions
+	progress bool           // some page held more than redeliveries of in-flight transactions
+	short    bool           // every shard's last page came back short: the backlog is drained
+}
+
+// assemble is the receive-and-fold half of a commit round: per subscribed
+// shard, a single probing receive, then — while pages come back full —
+// concurrent waves, up to budget receives in all.
+func (p *P3) assemble(shards []int, budget int) round {
+	r := round{short: true}
 	for _, si := range shards {
 		wal := p.dep.WAL.Shard(si)
 		if wal == nil {
 			continue // shard retired by a shrink since the subscription was computed
 		}
-		for r := 0; r < assemblyBudget; {
+		drained := false
+		for n := 0; n < budget && !drained; {
 			wave := recvConcurrency
-			if r == 0 {
+			if n == 0 {
 				// Probe with a single receive: an idle shard costs one
 				// request per poll, and only a full first page escalates
 				// to concurrent waves.
 				wave = 1
 			}
-			if wave > assemblyBudget-r {
-				wave = assemblyBudget - r
-			}
-			r += wave
+			wave = min(wave, budget-n)
+			n += wave
 			pages := make([][]sqs.Message, wave)
 			var wg sync.WaitGroup
 			for w := 0; w < wave; w++ {
@@ -396,19 +424,17 @@ func (p *P3) commitShards(shards []int) (bool, error) {
 				}()
 			}
 			wg.Wait()
-			short := false
 			for _, msgs := range pages {
-				if len(msgs) == 0 {
-					short = true
-					continue
-				}
-				rdy, a, held := p.foldMessages(si, msgs)
 				if len(msgs) < 10 {
 					// Short page: the shard's backlog is shallow; stop
 					// pulling after this wave and commit what we have to
 					// keep latency low.
-					short = true
+					drained = true
 				}
+				if len(msgs) == 0 {
+					continue
+				}
+				rdy, a, held := p.foldMessages(si, msgs)
 				if held == len(msgs) {
 					// Nothing but redeliveries of transactions a running
 					// group commit already owns. They are hidden again, so
@@ -417,35 +443,41 @@ func (p *P3) commitShards(shards []int) (bool, error) {
 					// daemon then sleeps its poll interval, not spins.
 					continue
 				}
-				progress = true
-				ready = append(ready, rdy...)
+				r.progress = true
+				r.ready = append(r.ready, rdy...)
 				for _, rcpt := range a {
-					acks = append(acks, shardReceipt{shard: si, receipt: rcpt})
+					r.acks = append(r.acks, shardReceipt{shard: si, receipt: rcpt})
 				}
 			}
-			if short {
-				break
-			}
 		}
+		r.short = r.short && drained
 	}
-	if !progress {
-		return false, nil
-	}
+	return r
+}
+
+// commit is the other half of a commit round: acknowledge the redelivered
+// packets of committed transactions, group-commit the ready transactions
+// and acknowledge theirs.
+func (p *P3) commit(ready []*txnState, acks []shardReceipt) error {
 	var errs []error
 	if err := p.cleanupReceipts(acks); err != nil {
 		errs = append(errs, err)
 	}
 	if len(ready) > 0 {
-		if err := p.commitGroup(ready); err != nil {
+		receipts, err := p.commitGroup(ready)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		if err := p.cleanupReceipts(receipts); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	return true, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // foldMessages routes packets received from WAL shard walShard into their
 // transactions' assembly shards and returns the transactions completed by
-// this batch — in flight from here until endInflight — plus the
+// this batch — decoded, and in flight from here until endInflight — plus the
 // receipts of redelivered packets belonging to already-committed
 // transactions (which only need acknowledging, on the same WAL shard they
 // arrived from), and how many of the messages were redeliveries held for a
@@ -460,7 +492,7 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 		}
 		sh := p.shardFor(pkt.Txn)
 		sh.mu.Lock()
-		if sh.committed[pkt.Txn] {
+		if _, done := sh.committed[pkt.Txn]; done {
 			// Redelivery of an already-committed transaction: just ack.
 			sh.mu.Unlock()
 			acks = append(acks, m.ReceiptHandle)
@@ -500,6 +532,11 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 		}
 		sh.mu.Unlock()
 	}
+	// Outside the shard locks: nothing else touches a transaction in flight.
+	for _, st := range ready {
+		st.bundles, st.err = decodeTxn(st)
+		st.got = nil
+	}
 	return ready, acks, held
 }
 
@@ -514,7 +551,7 @@ func (p *P3) endInflight(st *txnState, committed bool) []string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if committed {
-		sh.committed[txn] = true
+		sh.committed[txn] = p.dep.Env.Now()
 	}
 	if sh.inflight[txn] == st {
 		delete(sh.inflight, txn)
@@ -611,12 +648,13 @@ type txnWork struct {
 
 // commitGroup pushes a set of complete transactions to their final state
 // together, coalescing their provenance across transaction boundaries into
-// full database batches per home domain and batch-deleting their WAL
-// receipts against the shards they arrived on. Every step is idempotent so
-// a crashed group commit can be re-run by any daemon; a transaction that
-// fails a per-transaction step drops out of the group and is retried on
-// redelivery without holding the others back.
-func (p *P3) commitGroup(group []*txnState) error {
+// full database batches per home domain, and returns the WAL receipts of the
+// transactions it committed, tagged with the shards they arrived on, for the
+// caller to acknowledge. Every step is idempotent so a crashed group commit
+// can be re-run by any daemon; a transaction that fails a per-transaction
+// step drops out of the group and is retried on redelivery without holding
+// the others back.
+func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 	// Whatever this call does not commit — crash points and errors included
 	// — must assemble afresh on redelivery.
 	defer func() {
@@ -626,18 +664,17 @@ func (p *P3) commitGroup(group []*txnState) error {
 	}()
 	var errs []error
 
-	// Reassemble and decode each transaction, spilling oversized values and
-	// converting bundles into database put requests. (No transaction here
-	// can already be committed: it has been in flight since it turned
-	// ready, so no second assembly of it exists.)
+	// Convert each transaction's decoded bundles into database put
+	// requests, spilling oversized values. (No transaction here can already
+	// be committed: it has been in flight since it turned ready, so no
+	// second assembly of it exists.)
 	work := make([]*txnWork, 0, len(group))
 	for _, st := range group {
-		bundles, err := decodeTxn(st)
-		if err != nil {
-			errs = append(errs, err)
+		if st.err != nil {
+			errs = append(errs, st.err)
 			continue
 		}
-		reqs, err := itemsFor(p.dep.Store, bundles)
+		reqs, err := itemsFor(p.dep.Store, st.bundles)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -645,11 +682,11 @@ func (p *P3) commitGroup(group []*txnState) error {
 		work = append(work, &txnWork{st: st, hdr: st.header, reqs: reqs})
 	}
 	if len(work) == 0 {
-		return errors.Join(errs...)
+		return nil, errors.Join(errs...)
 	}
 
 	if p.dep.Env.Crashed(CrashBeforeDB) {
-		return errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashBeforeDB))...)
+		return nil, errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashBeforeDB))...)
 	}
 
 	// 1+2. Store provenance in the database, coalescing the whole group's
@@ -665,7 +702,7 @@ func (p *P3) commitGroup(group []*txnState) error {
 		groups = append(groups, TxnCommit{Txn: w.hdr.Txn, Digest: w.hdr.Digest, Reqs: w.reqs})
 	}
 	if err := putItems(p.dep.DB, all, p.opts.ProvConns, false); err != nil {
-		return errors.Join(append(errs, err)...)
+		return nil, errors.Join(append(errs, err)...)
 	}
 	// The group's rows are acknowledged by the database — notify
 	// subscribed caches before the data copy so a cache never serves a
@@ -674,7 +711,7 @@ func (p *P3) commitGroup(group []*txnState) error {
 	p.dep.publishCommit(groups)
 
 	if p.dep.Env.Crashed(CrashAfterDB) {
-		return errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashAfterDB))...)
+		return nil, errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashAfterDB))...)
 	}
 
 	// 3. COPY each temporary object to its permanent key, setting the
@@ -711,15 +748,15 @@ func (p *P3) commitGroup(group []*txnState) error {
 	}
 
 	if p.dep.Env.Crashed(CrashAfterCopy) {
-		return errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashAfterCopy))...)
+		return nil, errors.Join(append(errs, fmt.Errorf("%w: commit daemon at %s", sim.ErrCrashed, CrashAfterCopy))...)
 	}
 
 	// 4. The commit of each copied transaction is durable: mark it
 	// committed before cleanup so redelivered packets are acknowledged, not
-	// re-committed, even if cleanup below fails part-way. Then delete the
-	// temporary objects and batch-delete the group's WAL receipts against
-	// their home shards, collecting every error instead of abandoning the
-	// rest of the group's acknowledgements at the first failure.
+	// re-committed, even if cleanup fails part-way. Then delete the
+	// temporary objects, collecting every error instead of abandoning the
+	// rest of the group at the first failure, and hand the group's WAL
+	// receipts back for acknowledgement against their home shards.
 	var receipts []shardReceipt
 	for _, w := range work {
 		if !w.copied {
@@ -740,10 +777,7 @@ func (p *P3) commitGroup(group []*txnState) error {
 		// as redeliveries.
 		receipts = receipts[:acked]
 	}
-	if err := p.cleanupReceipts(receipts); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
+	return receipts, errors.Join(errs...)
 }
 
 // decodeTxn reassembles a complete transaction's payload and decodes it. A
@@ -829,40 +863,6 @@ func (p *P3) Settle() error {
 	return lastErr
 }
 
-// RunDaemon runs the commit-daemon pool until stop is closed (live mode):
-// CommitWorkers goroutines each loop over their subscribed WAL shards,
-// sleeping the poll interval when those shards are empty. It returns once
-// every worker has exited.
-func (p *P3) RunDaemon(stop <-chan struct{}, poll time.Duration) {
-	if poll <= 0 {
-		poll = 2 * time.Second
-	}
-	var wg sync.WaitGroup
-	workers := p.opts.CommitWorkers
-	for i := 0; i < workers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Recompute the subscription every round: a live reshard can
-				// grow (or shrink) the WAL shard set under a running pool,
-				// and the new queues must be polled without a restart.
-				progress, _ := p.commitShards(p.walSubscription(i, workers))
-				if !progress {
-					p.dep.Env.Clock().Sleep(poll)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // PendingTxns reports transactions with packets outstanding (incomplete or
 // not yet committed).
 func (p *P3) PendingTxns() int {
@@ -892,7 +892,8 @@ const CleanerMaxAge = 4 * 24 * time.Hour
 
 // RunCleaner makes one pass of the cleaner daemon: it forces a retention
 // pass on every WAL shard (garbage-collecting expired packets of abandoned
-// transactions even on shards no daemon happens to poll), finishes any
+// transactions even on shards no daemon happens to poll), forgets committed
+// transactions none of whose packets the WAL can still hold, finishes any
 // reshard GC a dead resharder left pending (deleting the stale item copies
 // on drained ranges and retiring decommissioned shards — see reshard.go),
 // then lists temporary objects and deletes those not accessed within maxAge
@@ -903,6 +904,7 @@ func (p *P3) RunCleaner(maxAge time.Duration) (int, error) {
 		maxAge = CleanerMaxAge
 	}
 	p.dep.WAL.GC()
+	p.forgetCommitted()
 	if err := p.dep.FinishPendingReshardGC(context.Background()); err != nil {
 		return 0, err
 	}
@@ -923,4 +925,19 @@ func (p *P3) RunCleaner(maxAge time.Duration) (int, error) {
 		removed++
 	}
 	return removed, nil
+}
+
+// forgetCommitted drops every committed-transaction entry older than the
+// WAL's retention. A packet is sent before its transaction commits, so once
+// the retention has passed since the commit the queue has expired every
+// packet that could still redeliver the transaction.
+func (p *P3) forgetCommitted() {
+	retention := p.dep.WAL.Retention()
+	now := p.dep.Env.Now()
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		maps.DeleteFunc(sh.committed, func(_ uuid.UUID, at time.Duration) bool { return now-at > retention })
+		sh.mu.Unlock()
+	}
 }

@@ -81,7 +81,7 @@ func TestP3RedeliveryWhileInFlight(t *testing.T) {
 		t.Fatalf("PendingTxns = %d while in flight, want 1", n)
 	}
 
-	if err := p.commitGroup(ready); err != nil {
+	if err := p.commit(ready, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := copies(dep); n != 1 {
@@ -102,7 +102,7 @@ func TestP3FailedGroupCommitReopensAssembly(t *testing.T) {
 	for _, point := range daemonCrashPoints {
 		dep, p, ready := inflightTxn(t)
 		dep.Env.InstallFaults(nil).CrashAt(point, 0)
-		if err := p.commitGroup(ready); !errors.Is(err, sim.ErrCrashed) {
+		if err := p.commit(ready, nil); !errors.Is(err, sim.ErrCrashed) {
 			t.Fatalf("crash point %s: err = %v", point, err)
 		}
 		if n := p.PendingTxns(); n != 0 {

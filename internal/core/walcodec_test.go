@@ -154,11 +154,10 @@ func TestWALDeliveryProperty(t *testing.T) {
 				if kept := len(ready[0].redelivered); kept > len(msgs) || (held > 0) != (kept > 0) {
 					t.Fatalf("%s: %d receipts kept for %d held redeliveries of %d messages", name, kept, held, len(msgs))
 				}
-				got, err := decodeTxn(ready[0])
-				if err != nil {
+				if err := ready[0].err; err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !sameBundles(got, bundles) {
+				if got := ready[0].bundles; !sameBundles(got, bundles) {
 					t.Fatalf("%s (chunk %d): decoded\n %+v, want\n %+v", name, chunkSize, got, bundles)
 				}
 			}
@@ -204,10 +203,10 @@ func BenchmarkDecodeWAL(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	for b.Loop() {
 		ready, _, _ := p.foldMessages(0, delivery)
-		var err error
-		if sinkBundles, err = decodeTxn(ready[0]); err != nil {
+		if err := ready[0].err; err != nil {
 			b.Fatal(err)
 		}
+		sinkBundles = ready[0].bundles
 		p.endInflight(ready[0], false)
 	}
 }

@@ -24,7 +24,10 @@
 //	                   the front door keeps a second, keyed by tenant
 //	core.P3            the protocol: clients log transactions to the WAL, a
 //	                   commit-daemon pool drains it into the database and
-//	                   the object store
+//	                   the object store as a pipeline — receivers fold WAL
+//	                   pages, one group former closes groups on full 25-item
+//	                   batches (or after a poll interval), groups commit
+//	                   concurrently, receipts are acknowledged ten at a time
 //	frontdoor.Door     per-tenant admission, quotas and write combining in
 //	                   front of P3.Commit
 //	translog.Log       the RFC 6962 transparency log and its sequencer
