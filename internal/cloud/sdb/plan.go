@@ -104,11 +104,20 @@ func (d *Domain) postingsSizeLocked(attr, value string) int {
 		return 1
 	}
 	if ix := d.idx[attr]; ix != nil {
-		if p := ix.vals[value]; p != nil {
-			return len(p.refs)
+		if p := ix.lookup(value); p != nil {
+			return p.distinct
 		}
 	}
 	return 0
+}
+
+// collectPostingsLocked adds the name of every item in p to set.
+func (d *Domain) collectPostingsLocked(p *postings, set map[string]struct{}) {
+	for i, id := range p.ids {
+		if i == 0 || p.ids[i-1] != id {
+			set[d.nameOf[id]] = struct{}{}
+		}
+	}
 }
 
 // collectLocked adds every candidate item name for n to set. Callers check
@@ -155,10 +164,8 @@ func (d *Domain) collectEqLocked(attr, value string, set map[string]struct{}) {
 		return
 	}
 	if ix := d.idx[attr]; ix != nil {
-		if p := ix.vals[value]; p != nil {
-			for _, name := range p.names() {
-				set[name] = struct{}{}
-			}
+		if p := ix.lookup(value); p != nil {
+			d.collectPostingsLocked(p, set)
 		}
 	}
 }
@@ -179,9 +186,7 @@ func (d *Domain) collectPrefixLocked(attr, prefix string, set map[string]struct{
 	}
 	vals := ix.orderedVals()
 	for i := sort.SearchStrings(vals, prefix); i < len(vals) && strings.HasPrefix(vals[i], prefix); i++ {
-		for _, name := range ix.vals[vals[i]].names() {
-			set[name] = struct{}{}
-		}
+		d.collectPostingsLocked(ix.lookup(vals[i]), set)
 	}
 }
 
@@ -203,9 +208,7 @@ func (d *Domain) collectRangeLocked(attr, op, bound string, set map[string]struc
 	vals := ix.orderedVals()
 	lo, hi := rangeBounds(vals, op, bound)
 	for _, v := range vals[lo:hi] {
-		for _, name := range ix.vals[v].names() {
-			set[name] = struct{}{}
-		}
+		d.collectPostingsLocked(ix.lookup(v), set)
 	}
 }
 

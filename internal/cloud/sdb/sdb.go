@@ -15,6 +15,12 @@
 // falls back to a streaming scan of the sorted name table otherwise. Index
 // candidates are re-validated against the version each read observes, so
 // eventual-consistency semantics are identical on both access paths.
+//
+// A domain stores each distinct string once: item names in an item table
+// that hands out dense ids, values in the attribute indexes that intern
+// them. Versions, item records and postings lists are ids in pointer-free
+// slices, so a large domain costs the collector little to mark; reads copy
+// attributes out only for the items they return.
 package sdb
 
 import (
@@ -76,25 +82,64 @@ type PutRequest struct {
 	Replace bool
 }
 
-// itemVersion is one committed state of an item.
-type itemVersion struct {
-	attrs     []Attr
-	deleted   bool
-	committed time.Duration
+// pair is one attribute of a stored version: the attribute's id in
+// Domain.attrs and the value's id in that attribute's index.
+type pair struct{ attr, val uint32 }
+
+// version is one committed state of an item. Its attributes are the pairs
+// Domain.pairs[off : off+n].
+type version struct {
+	off, n    uint32
 	visibleAt time.Duration
+	deleted   bool
+}
+
+// itemRec is the stored history of the item holding one id: at most two
+// retained versions, oldest first, which is all observe ever picks from.
+type itemRec struct {
+	hist [2]version
+	n    uint8 // retained versions; 0 while the id is free
+	// stamp counts the versions ever pushed into this slot, across reuse of
+	// the id, so a tombstone can tell whether it is still the latest write.
+	stamp uint32
+}
+
+// latest returns the newest retained version.
+func (r *itemRec) latest() *version { return &r.hist[r.n-1] }
+
+// push appends v as the newest version; the caller has trimmed the history
+// to at most one version.
+func (r *itemRec) push(v version) {
+	r.hist[r.n] = v
+	r.n++
+	r.stamp++
 }
 
 // Domain is one SimpleDB domain bound to a simulated environment.
+//
+// The item table maps each name to a dense id. What grows with the item
+// count is indexed by that id and holds no pointers: the records, the slab
+// of (attribute, value) pairs their versions point into, and the postings
+// lists. The strings — each name once, each distinct value once per
+// attribute (index.go) — are the only things the collector marks per item.
 type Domain struct {
 	env  *sim.Env
 	name string
 	ep   sim.Endpoint // the request envelope; each domain is its own service partition
 
 	mu        sync.Mutex
-	items     map[string][]*itemVersion
+	ids       map[string]uint32     // item table: name → id
+	nameOf    []string              // by id; "" while the id is free
+	recs      []itemRec             // by id
+	free      []uint32              // ids of reaped items, reused before new ones
+	pairs     []pair                // every retained version's attributes
+	dead      int                   // pairs no retained version owns any more
 	tombs     tombHeap              // deleted items awaiting reaping, earliest visibleAt first
 	names     *sortedKeys           // cached sorted item names
 	idx       map[string]*attrIndex // per-attribute secondary indexes
+	attrs     []*attrIndex          // the same indexes by attribute id
+	putBuf    []pair                // a put's interned attributes
+	evalBuf   []Attr                // the examined version's attributes during a SELECT
 	forceScan bool                  // ablation: disable the indexes
 	gen       uint64                // write generation; invalidates cached plans
 	lastPlan  planCache             // resolved candidates of the latest query
@@ -118,7 +163,7 @@ func NewLane(env *sim.Env, name string, lane int) *Domain {
 		env:   env,
 		name:  name,
 		ep:    env.Endpoint(name, lane),
-		items: make(map[string][]*itemVersion),
+		ids:   make(map[string]uint32),
 		idx:   make(map[string]*attrIndex),
 		plans: make(map[string]*Query),
 	}
@@ -134,7 +179,79 @@ func (d *Domain) SetForceScan(v bool) {
 }
 
 // sortedNamesLocked returns the sorted name index.
-func (d *Domain) sortedNamesLocked() []string { return sortedOf(&d.names, d.items) }
+func (d *Domain) sortedNamesLocked() []string { return sortedOf(&d.names, d.ids) }
+
+// pairsOf returns the slab span holding v's attributes.
+func (d *Domain) pairsOf(v *version) []pair { return d.pairs[v.off : v.off+v.n] }
+
+// appendAttrs appends v's attributes to dst as name/value strings: the
+// attribute index's name and its interned value, so nothing is copied.
+func (d *Domain) appendAttrs(dst []Attr, v *version) []Attr {
+	for _, p := range d.pairsOf(v) {
+		ix := d.attrs[p.attr]
+		dst = append(dst, Attr{Name: ix.name, Value: ix.ents[p.val].value})
+	}
+	return dst
+}
+
+// newIDLocked enters name into the item table, reusing a reaped id first.
+func (d *Domain) newIDLocked(name string) uint32 {
+	var id uint32
+	if n := len(d.free); n > 0 {
+		id, d.free = d.free[n-1], d.free[:n-1]
+		d.nameOf[id] = name
+	} else {
+		id = uint32(len(d.recs))
+		d.recs = append(d.recs, itemRec{})
+		d.nameOf = append(d.nameOf, name)
+	}
+	d.ids[name] = id
+	d.names.add(name)
+	return id
+}
+
+// dropLocked unindexes a version leaving the retained history and counts its
+// pairs dead.
+func (d *Domain) dropLocked(id uint32, v *version) {
+	d.indexRemoveLocked(id, d.pairsOf(v))
+	d.dead += int(v.n)
+}
+
+// trimLocked cuts an item's history down to its latest version before a new
+// one is pushed.
+func (d *Domain) trimLocked(id uint32) {
+	r := &d.recs[id]
+	if r.n > 1 {
+		d.dropLocked(id, &r.hist[0])
+		r.hist[0], r.hist[1] = r.hist[1], version{}
+		r.n = 1
+	}
+}
+
+// minCompact is the number of dead pairs below which the slab is never
+// compacted.
+const minCompact = 1024
+
+// compactLocked, called at the end of every write, rewrites the pair slab
+// without its dead pairs once they outnumber the live ones, so a domain's
+// slab stays within about twice what its retained versions hold. Versions
+// are copied in id order.
+func (d *Domain) compactLocked() {
+	if d.dead < minCompact || d.dead < len(d.pairs)/2 {
+		return
+	}
+	live := make([]pair, 0, len(d.pairs)-d.dead)
+	for i := range d.recs {
+		r := &d.recs[i]
+		for j := range r.hist[:r.n] {
+			v := &r.hist[j]
+			off := uint32(len(live))
+			live = append(live, d.pairsOf(v)...)
+			v.off = off
+		}
+	}
+	d.pairs, d.dead = live, 0
+}
 
 // Name returns the domain name used in SELECT statements.
 func (d *Domain) Name() string { return d.name }
@@ -214,66 +331,58 @@ func (d *Domain) applyLocked(req PutRequest) {
 	d.gen++
 	now := d.env.Now()
 	d.reapLocked(now)
-	hist := d.items[req.Item]
-	if len(hist) == 0 {
-		d.names.add(req.Item)
+	id, held := d.ids[req.Item]
+	if !held {
+		id = d.newIDLocked(req.Item)
 	}
-	var base []Attr
-	if n := len(hist); n > 0 && !hist[n-1].deleted {
-		base = hist[n-1].attrs
+	// Trim before interning: the dropped version may hold the last
+	// reference to a value, whose id must not be handed to the new one.
+	d.trimLocked(id)
+	var base []pair
+	if r := &d.recs[id]; r.n > 0 && !r.latest().deleted {
+		base = d.pairsOf(r.latest())
 	}
-	var next []Attr
+	put := d.putBuf[:0]
+	for _, a := range req.Attrs {
+		ix := d.attrLocked(a.Name)
+		put = append(put, pair{attr: ix.id, val: ix.intern(a.Value)})
+	}
+	d.putBuf = put
+	off := uint32(len(d.pairs))
 	switch {
 	case len(base) == 0:
 		// First write of the item: nothing to carry over or replace.
 	case req.Replace:
-		replaced := make(map[string]bool, len(req.Attrs))
-		for _, a := range req.Attrs {
-			replaced[a.Name] = true
-		}
-		for _, a := range base {
-			if !replaced[a.Name] {
-				next = append(next, a)
+		for _, p := range base {
+			if !slices.ContainsFunc(put, func(q pair) bool { return q.attr == p.attr }) {
+				d.pairs = append(d.pairs, p)
 			}
 		}
 	default:
-		next = append(next, base...)
+		d.pairs = append(d.pairs, base...)
 	}
-	next = append(next, req.Attrs...)
-	v := &itemVersion{attrs: next, committed: now, visibleAt: now + d.env.StalenessWindow()}
-	if n := len(hist); n > 1 {
-		for _, old := range hist[:n-1] {
-			d.indexRemoveLocked(req.Item, old.attrs)
-		}
-		hist = hist[n-1:]
-	}
-	d.indexAddLocked(req.Item, v.attrs)
-	d.items[req.Item] = append(hist, v)
+	d.pairs = append(d.pairs, put...)
+	v := version{off: off, n: uint32(len(d.pairs)) - off, visibleAt: now + d.env.StalenessWindow()}
+	d.indexAddLocked(id, d.pairsOf(&v))
+	d.recs[id].push(v)
+	d.compactLocked()
 }
 
-// observeConsistent returns the latest committed version of an item — the
-// strongly consistent read path (ConsistentRead), which bypasses the
-// staleness window entirely.
-func (d *Domain) observeConsistent(name string) *itemVersion {
-	hist := d.items[name]
-	if len(hist) == 0 {
-		return nil
+// observe picks the version of the item holding id that a read sees at
+// virtual time now, implementing eventual consistency exactly as the object
+// store does; a consistent read (ConsistentRead) takes the latest committed
+// version, bypassing the staleness window entirely. The result points into
+// the record table and is valid until the next write.
+func (d *Domain) observe(id uint32, now time.Duration, consistent bool) *version {
+	r := &d.recs[id]
+	if consistent {
+		return r.latest()
 	}
-	return hist[len(hist)-1]
-}
-
-// observe picks the item version a read sees at virtual time now,
-// implementing eventual consistency exactly as the object store does.
-func (d *Domain) observe(name string, now time.Duration) *itemVersion {
-	hist := d.items[name]
-	if len(hist) == 0 {
-		return nil
-	}
-	idx := len(hist) - 1
-	for idx > 0 && hist[idx].visibleAt > now && d.env.Rand().Bool(0.5) {
+	idx := int(r.n) - 1
+	for idx > 0 && r.hist[idx].visibleAt > now && d.env.Rand().Bool(0.5) {
 		idx--
 	}
-	v := hist[idx]
+	v := &r.hist[idx]
 	if idx == 0 && v.visibleAt > now && d.env.Rand().Bool(0.5) {
 		return nil
 	}
@@ -296,11 +405,14 @@ func (d *Domain) getOnce(item string) (Item, error) {
 		return Item{}, ferr
 	}
 	d.mu.Lock()
-	v := d.observe(item, d.env.Now())
+	var v *version
+	if id, held := d.ids[item]; held {
+		v = d.observe(id, d.env.Now(), false)
+	}
 	var it Item
 	ok := v != nil && !v.deleted
 	if ok {
-		it = Item{Name: item, Attrs: append([]Attr(nil), v.attrs...)}
+		it = Item{Name: item, Attrs: d.appendAttrs(make([]Attr, 0, v.n), v)}
 	}
 	d.mu.Unlock()
 	payload := 0
@@ -362,37 +474,34 @@ func (d *Domain) deleteItems(names ...string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, item := range names {
-		hist := d.items[item]
-		if len(hist) == 0 {
+		id, held := d.ids[item]
+		if !held {
 			continue
 		}
 		d.gen++
-		if n := len(hist); n > 1 {
-			for _, old := range hist[:n-1] {
-				d.indexRemoveLocked(item, old.attrs)
-			}
-			hist = hist[n-1:]
-		}
-		tomb := &itemVersion{deleted: true, committed: now, visibleAt: now + d.env.StalenessWindow()}
-		d.items[item] = append(hist, tomb)
-		heap.Push(&d.tombs, tombstone{item: item, v: tomb})
+		d.trimLocked(id)
+		r := &d.recs[id]
+		r.push(version{deleted: true, visibleAt: now + d.env.StalenessWindow()})
+		heap.Push(&d.tombs, tombstone{id: id, stamp: r.stamp, visibleAt: r.latest().visibleAt})
 	}
 	d.reapLocked(now)
+	d.compactLocked()
 }
 
 // tombstone is a deleted item waiting for its delete to become visible to
 // every read, at which point nothing can observe the item any more and
-// reapLocked drops it.
+// reapLocked drops it. stamp is the record's stamp right after the delete:
+// any later write to the id moves it on.
 type tombstone struct {
-	item string
-	v    *itemVersion
+	id, stamp uint32
+	visibleAt time.Duration
 }
 
 // tombHeap is a min-heap of tombstones on visibleAt (container/heap).
 type tombHeap []tombstone
 
 func (h tombHeap) Len() int           { return len(h) }
-func (h tombHeap) Less(i, j int) bool { return h[i].v.visibleAt < h[j].v.visibleAt }
+func (h tombHeap) Less(i, j int) bool { return h[i].visibleAt < h[j].visibleAt }
 func (h tombHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *tombHeap) Push(x any)        { *h = append(*h, x.(tombstone)) }
 func (h *tombHeap) Pop() any {
@@ -406,24 +515,29 @@ func (h *tombHeap) Pop() any {
 
 // reapLocked drops every item whose tombstone became visible by now: its
 // history, the index postings of the version the tombstone kept observable,
-// and its slot in the sorted name table. Past visibleAt both read paths
-// resolve the item to its tombstone without consulting the RNG, so removing
-// it changes no read's result or random stream — only how many names a
-// SELECT examines and how much the domain holds. A tombstone a later put
-// superseded is skipped (the item is live again).
+// and its slot in the sorted name table; its id goes back to the free list.
+// Past visibleAt both read paths resolve the item to its tombstone without
+// consulting the RNG, so removing it changes no read's result or random
+// stream — only how many names a SELECT examines and how much the domain
+// holds. A tombstone a later put superseded is skipped (the item is live
+// again).
 func (d *Domain) reapLocked(now time.Duration) {
 	var reaped []string
-	for len(d.tombs) > 0 && d.tombs[0].v.visibleAt <= now {
+	for len(d.tombs) > 0 && d.tombs[0].visibleAt <= now {
 		t := heap.Pop(&d.tombs).(tombstone)
-		hist := d.items[t.item]
-		if n := len(hist); n == 0 || hist[n-1] != t.v {
+		r := &d.recs[t.id]
+		if r.stamp != t.stamp {
 			continue
 		}
-		for _, old := range hist {
-			d.indexRemoveLocked(t.item, old.attrs)
+		for i := range r.hist[:r.n] {
+			d.dropLocked(t.id, &r.hist[i])
 		}
-		delete(d.items, t.item)
-		reaped = append(reaped, t.item)
+		*r = itemRec{stamp: r.stamp}
+		name := d.nameOf[t.id]
+		delete(d.ids, name)
+		d.nameOf[t.id] = ""
+		d.free = append(d.free, t.id)
+		reaped = append(reaped, name)
 	}
 	if len(reaped) == 0 {
 		return
@@ -434,12 +548,13 @@ func (d *Domain) reapLocked(now time.Duration) {
 	}
 	// Cut the reaped names out of the span of the name table that holds them
 	// instead of filtering the whole table on the next read. The table is a
-	// cache of d.items' keys, so a name no longer held is a reaped one.
+	// cache of the item table's keys, so a name no longer held is a reaped
+	// one.
 	names := d.names.keys
 	lo := sort.SearchStrings(names, slices.Min(reaped))
 	hi := min(sort.SearchStrings(names, slices.Max(reaped))+1, len(names))
 	kept := slices.DeleteFunc(names[lo:hi], func(name string) bool {
-		_, held := d.items[name]
+		_, held := d.ids[name]
 		return !held
 	})
 	d.names.keys = slices.Delete(names, lo+len(kept), hi)
@@ -561,18 +676,25 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	}
 	page := SelectPage{}
 	examined, bytes := 0, 0
+	// An itemName()-only scan reads no attributes; otherwise the examined
+	// version's attributes are laid out in one buffer reused across items,
+	// and only the emitted page is copied out (project).
+	needAttrs := q.Where != nil || !q.ItemOnly
 	for _, name := range names[start:] {
 		examined++
-		var v *itemVersion
-		if q.Consistent {
-			v = d.observeConsistent(name)
-		} else {
-			v = d.observe(name, now)
+		id, held := d.ids[name]
+		if !held {
+			continue
 		}
+		v := d.observe(id, now, q.Consistent)
 		if v == nil || v.deleted {
 			continue
 		}
-		it := Item{Name: name, Attrs: v.attrs}
+		it := Item{Name: name}
+		if needAttrs {
+			d.evalBuf = d.appendAttrs(d.evalBuf[:0], v)
+			it.Attrs = d.evalBuf
+		}
 		if q.Where != nil && !q.Where.eval(it) {
 			continue
 		}
@@ -640,8 +762,8 @@ func (d *Domain) ItemCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for _, hist := range d.items {
-		if !hist[len(hist)-1].deleted {
+	for i := range d.recs {
+		if r := &d.recs[i]; r.n > 0 && !r.latest().deleted {
 			n++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
@@ -454,10 +455,10 @@ func TestTombstonesAreReaped(t *testing.T) {
 	held := func() (items, sorted, postings int) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		if p := d.idx["type"].vals["file"]; p != nil {
-			postings = len(p.refs)
+		if p := d.idx["type"].lookup("file"); p != nil {
+			postings = p.distinct
 		}
-		return len(d.items), len(d.sortedNamesLocked()), postings
+		return len(d.ids), len(d.sortedNamesLocked()), postings
 	}
 	if d.ItemCount() != 11 {
 		t.Fatalf("live items = %d, want 11", d.ItemCount())
@@ -490,5 +491,77 @@ func TestTombstonesAreReaped(t *testing.T) {
 	}
 	if d.ItemCount() != live {
 		t.Fatalf("live items = %d, want %d", d.ItemCount(), live)
+	}
+}
+
+// TestEqualValuesStoredOnce: a value every item carries (the 900-byte
+// environment of a bulk provenance record) is held once per domain however
+// many private copies the writers sent, reads hand out that one copy, and a
+// value that left the index with its last item is indexed again when it
+// comes back.
+func TestEqualValuesStoredOnce(t *testing.T) {
+	d := strictDomain(t) // strict: a delete is reaped at once
+	env := strings.Repeat("PATH=/bin:", 90)
+	fresh := func() string { return string([]byte(env)) } // a decoder's private copy
+	a, b := fresh(), fresh()
+	if unsafe.StringData(a) == unsafe.StringData(b) {
+		t.Fatal("the two copies share storage")
+	}
+	if err := d.BatchPutAttributes([]PutRequest{
+		{Item: "i1", Attrs: []Attr{{Name: "type", Value: "file"}, {Name: "env", Value: a}}},
+		{Item: "i2", Attrs: []Attr{{Name: "type", Value: "proc"}, {Name: "env", Value: b}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	envOf := func(it Item) string {
+		for _, at := range it.Attrs {
+			if at.Name == "env" {
+				return at.Value
+			}
+		}
+		t.Fatalf("%s has no env: %v", it.Name, it.Attrs)
+		return ""
+	}
+	var got []string
+	for _, name := range []string{"i1", "i2"} {
+		it, err := d.GetAttributes(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, envOf(it))
+	}
+	items, _, _, err := d.SelectAllQuery(Query{Domain: d.Name(), Where: Eq("env", env)})
+	if err != nil || len(items) != 2 {
+		t.Fatalf("select by env: %d items, err=%v; want 2", len(items), err)
+	}
+	for _, it := range items {
+		got = append(got, envOf(it))
+	}
+	for i, v := range got {
+		if v != env {
+			t.Fatalf("read %d returned a different value", i)
+		}
+		if unsafe.StringData(v) != unsafe.StringData(got[0]) {
+			t.Fatalf("read %d returned a second copy of the value", i)
+		}
+	}
+
+	// The last reference goes, and the value with it; putting it again
+	// indexes it afresh.
+	if err := d.BatchDeleteAttributes([]string{"i1", "i2"}); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	gone := d.idx["env"].lookup(env) == nil && len(d.idx["env"].vals) == 0
+	d.mu.Unlock()
+	if !gone {
+		t.Fatal("a value no item holds is still indexed")
+	}
+	if err := d.PutAttributes(PutRequest{Item: "i3", Attrs: []Attr{{Name: "env", Value: fresh()}}}); err != nil {
+		t.Fatal(err)
+	}
+	items, _, _, err = d.SelectAllQuery(Query{Domain: d.Name(), Where: Eq("env", env)})
+	if err != nil || len(items) != 1 || items[0].Name != "i3" || envOf(items[0]) != env {
+		t.Fatalf("select after re-put: %v, err=%v; want i3", items, err)
 	}
 }

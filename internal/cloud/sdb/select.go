@@ -126,23 +126,23 @@ func (n *Node) eval(it Item) bool {
 		}
 		return present
 	}
-	values := itemValues(it, n.attr)
-	if n.op == "in" {
-		for _, v := range values {
-			for _, want := range n.values {
-				if v == want {
-					return true
-				}
-			}
-		}
-		return false
+	if n.attr == ItemNameKey {
+		return n.accepts(it.Name)
 	}
-	for _, v := range values {
-		if compare(v, n.op, n.value) {
+	for _, a := range it.Attrs {
+		if a.Name == n.attr && n.accepts(a.Value) {
 			return true
 		}
 	}
 	return false
+}
+
+// accepts reports whether one value of the leaf's attribute satisfies it.
+func (n *Node) accepts(v string) bool {
+	if n.op == "in" {
+		return slices.Contains(n.values, v)
+	}
+	return compare(v, n.op, n.value)
 }
 
 // Matches reports whether the predicate accepts the item — the exported form
@@ -198,20 +198,6 @@ func (n *Node) String() string {
 		return n.attr + " is not null"
 	}
 	return n.attr + " " + n.op + " " + quote(n.value)
-}
-
-// itemValues returns every value of attr on it; itemName() yields the name.
-func itemValues(it Item, attr string) []string {
-	if attr == ItemNameKey {
-		return []string{it.Name}
-	}
-	var vs []string
-	for _, a := range it.Attrs {
-		if a.Name == attr {
-			vs = append(vs, a.Value)
-		}
-	}
-	return vs
 }
 
 // compare applies one comparison operator (string ordering, as SimpleDB).

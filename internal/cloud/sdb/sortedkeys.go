@@ -6,11 +6,11 @@ import (
 )
 
 // sortedKeys caches the ascending keys of one map (the item table, an
-// attribute's value set, a postings list) across writes. A new key does not
-// discard the table: it waits in added, and the next read sorts the few keys
-// added since the last one and merges them in, backwards and in place, in one
-// pass. A removed key only marks the table for one filtering pass on the next
-// read. The owner holds a *sortedKeys that stays nil until the first read, and
+// attribute's value set) across writes. A new key does not discard the
+// table: it waits in added, and the next read sorts the few keys added since
+// the last one and merges them in, backwards and in place, in one pass. A
+// removed key only marks the table for one filtering pass on the next read.
+// The owner holds a *sortedKeys that stays nil until the first read, and
 // while nothing is cached a write does no work at all.
 type sortedKeys struct {
 	keys  []string // ascending; nil when not cached

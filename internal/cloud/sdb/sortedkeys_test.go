@@ -21,15 +21,46 @@ func freshSort[V any](m map[string]V) []string {
 }
 
 // checkCachedTables reads every table the domain has cached — the name
-// table, each attribute's value list, each postings list — and compares it
-// with a from-scratch sort of the map it caches.
+// table and each attribute's value list — and compares it with a
+// from-scratch sort of the map it caches. It then rebuilds the index from
+// the retained versions and checks that every (attribute, value) resolves to
+// exactly the rebuilt names, with the rebuilt distinct count, through
+// ascending id postings.
 func checkCachedTables(t *testing.T, d *Domain, step int) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.names != nil {
-		if got, want := d.sortedNamesLocked(), freshSort(d.items); !slices.Equal(got, want) {
+		if got, want := d.sortedNamesLocked(), freshSort(d.ids); !slices.Equal(got, want) {
 			t.Fatalf("step %d: name table %v, want %v", step, got, want)
+		}
+	}
+	rebuilt := make(map[string]map[string]map[string]bool) // attr → value → names
+	live := 0
+	for i := range d.recs {
+		r := &d.recs[i]
+		for j := range r.hist[:r.n] {
+			live += int(r.hist[j].n)
+		}
+	}
+	if live+d.dead != len(d.pairs) {
+		t.Fatalf("step %d: slab of %d pairs holds %d live and counts %d dead", step, len(d.pairs), live, d.dead)
+	}
+	for name, id := range d.ids {
+		if d.nameOf[id] != name {
+			t.Fatalf("step %d: id %d names %q, the item table says %q", step, id, d.nameOf[id], name)
+		}
+		r := &d.recs[id]
+		for i := range r.hist[:r.n] {
+			for _, a := range d.appendAttrs(nil, &r.hist[i]) {
+				if rebuilt[a.Name] == nil {
+					rebuilt[a.Name] = make(map[string]map[string]bool)
+				}
+				if rebuilt[a.Name][a.Value] == nil {
+					rebuilt[a.Name][a.Value] = make(map[string]bool)
+				}
+				rebuilt[a.Name][a.Value][name] = true
+			}
 		}
 	}
 	for attr, ix := range d.idx {
@@ -38,11 +69,21 @@ func checkCachedTables(t *testing.T, d *Domain, step int) {
 				t.Fatalf("step %d: values of %s %v, want %v", step, attr, got, want)
 			}
 		}
-		for v, p := range ix.vals {
-			if p.sorted != nil {
-				if got, want := p.names(), freshSort(p.refs); !slices.Equal(got, want) {
-					t.Fatalf("step %d: postings of %s=%s %v, want %v", step, attr, v, got, want)
-				}
+		if len(ix.vals) != len(rebuilt[attr]) {
+			t.Fatalf("step %d: %s indexes %d values, the retained versions hold %d", step, attr, len(ix.vals), len(rebuilt[attr]))
+		}
+		for v, want := range rebuilt[attr] {
+			p := ix.lookup(v)
+			if p == nil {
+				t.Fatalf("step %d: %s=%s is held but not indexed", step, attr, v)
+			}
+			if !slices.IsSorted(p.ids) {
+				t.Fatalf("step %d: postings of %s=%s not ascending: %v", step, attr, v, p.ids)
+			}
+			set := make(map[string]struct{})
+			d.collectPostingsLocked(p, set)
+			if got, w := freshSort(set), freshSort(want); !slices.Equal(got, w) || p.distinct != len(w) {
+				t.Fatalf("step %d: postings of %s=%s %v (distinct %d), want %v", step, attr, v, got, p.distinct, w)
 			}
 		}
 	}
@@ -112,5 +153,37 @@ func TestCachedTablesSurviveWrites(t *testing.T) {
 	}
 	if d.names == nil || d.idx["a"].sorted == nil {
 		t.Fatal("the interleaving never cached the tables it was meant to check")
+	}
+
+	// Reap everything, then put again: the new names take the reaped ids
+	// instead of growing the record table, and index like any other.
+	for batch := range slices.Chunk(freshSort(d.ids), MaxBatchItems) {
+		if err := d.BatchDeleteAttributes(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.Clock().Advance(time.Minute)
+	if got, _, _, err := d.SelectAll(selects[0]); err != nil || len(got) != 0 {
+		t.Fatalf("after reaping every item: %d items, err=%v", len(got), err)
+	}
+	checkCachedTables(t, d, -1)
+	slots := len(d.recs)
+	if len(d.ids) != 0 || len(d.free) != slots {
+		t.Fatalf("after reaping every item: %d held, %d of %d ids free", len(d.ids), len(d.free), slots)
+	}
+	reput := make([]PutRequest, MaxBatchItems)
+	for i := range reput {
+		reput[i] = PutRequest{Item: fmt.Sprintf("w%02d", i), Attrs: []Attr{{Name: "a", Value: "v07"}, {Name: "a", Value: "v07"}}}
+	}
+	if err := d.BatchPutAttributes(reput); err != nil {
+		t.Fatal(err)
+	}
+	env.Clock().Advance(time.Minute)
+	if got, _, _, err := d.SelectAll(selects[3]); err != nil || len(got) != len(reput) {
+		t.Fatalf("re-put items by index: %d, err=%v; want %d", len(got), err, len(reput))
+	}
+	checkCachedTables(t, d, -2)
+	if len(d.recs) != slots || len(d.free) != slots-len(reput) {
+		t.Fatalf("re-put grew the record table to %d (was %d), %d ids free", len(d.recs), slots, len(d.free))
 	}
 }

@@ -66,7 +66,10 @@ type Message struct {
 }
 
 // message is the queue's internal record. body is written once, when the
-// message is enqueued, and never afterwards.
+// message is enqueued, and released (set to nil) when the message is
+// deleted: receivers hold their own slice of it, and the queue holds a
+// deleted record only until its next expiry pass, which a shard nobody polls
+// any more never runs.
 type message struct {
 	id        string
 	body      []byte
@@ -419,13 +422,13 @@ func (q *Queue) deleteOnce(receipt string) error {
 }
 
 // deleteLocked marks the message a receipt handle names, and its duplicate
-// if the service stored one, as deleted.
+// if the service stored one, as deleted, and releases their body.
 func (q *Queue) deleteLocked(receipt string) {
 	id, _, _ := strings.Cut(receipt, "#")
 	if m := q.byID[id]; m != nil {
-		m.deleted = true
+		m.deleted, m.body = true, nil
 		if m.twin != nil {
-			m.twin.deleted = true
+			m.twin.deleted, m.twin.body = true, nil
 		}
 	}
 }

@@ -405,3 +405,53 @@ func TestSendMessageBatchEntriesDedupsPerEntry(t *testing.T) {
 		t.Fatalf("oversized entry err = %v", err)
 	}
 }
+
+// TestDeletedBodyIsReleased: a deleted message's body — and its injected
+// duplicate's — is dropped at delete time, not at the queue's next expiry
+// pass, which a shard nobody polls any more never runs. A receiver's view of
+// the body stays intact.
+func TestDeletedBodyIsReleased(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Consistency = sim.Strict
+	cfg.DupProb = 1 // every message has a twin
+	q := New(sim.NewEnv(cfg), "wal")
+	sent := [][]byte{[]byte("first body"), []byte("second body")}
+	ids, err := q.SendMessageBatch(sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := q.ReceiveMessage(10)
+	got := make(map[string][]byte)
+	for _, m := range msgs {
+		got[m.ID] = m.Body
+	}
+	if len(got) != len(ids) {
+		t.Fatalf("received %d distinct messages, want %d", len(got), len(ids))
+	}
+	if err := q.DeleteMessage(msgs[0].ReceiptHandle); err != nil {
+		t.Fatal(err)
+	}
+	var rest []string
+	for _, m := range msgs[1:] {
+		rest = append(rest, m.ReceiptHandle)
+	}
+	if err := q.DeleteMessageBatch(rest); err != nil {
+		t.Fatal(err)
+	}
+	q.mu.Lock()
+	for _, id := range ids {
+		m := q.byID[id]
+		if m == nil || m.twin == nil {
+			t.Fatalf("%s: record or its twin already gone; the test needs them held", id)
+		}
+		if m.body != nil || m.twin.body != nil {
+			t.Errorf("%s: the queue still references a deleted body", id)
+		}
+	}
+	q.mu.Unlock()
+	for i, id := range ids {
+		if !bytes.Equal(got[id], sent[i]) {
+			t.Errorf("%s: receiver reads %q, want %q", id, got[id], sent[i])
+		}
+	}
+}
