@@ -35,8 +35,8 @@
 //	                     retry counters (injected faults, per-endpoint split,
 //	                     resilient-client retries, hedges, breaker opens)
 //	tenants [stats|demo] show per-tenant admission counters (admitted /
-//	                     queued / shed), placement bands and the front door's
-//	                     tenant-keyed resilience stats; "demo" drives a short
+//	                     queued / shed), placement bands and the retry
+//	                     counters by endpoint and tenant; "demo" drives a short
 //	                     two-tenant burst through the front door (P3 only) so
 //	                     the counters have something to show
 //	log [head]           checkpoint the transparency log and show the signed
@@ -565,8 +565,8 @@ func main() {
 					fmt.Printf("%-12s %6d %18d %9d %7d %5d\n",
 						id, band, epoch.RouteHash(band.Start()), ops.Admitted, ops.Queued, ops.Shed)
 				}
-				if door != nil {
-					fmt.Println("tenant resilience:", door.Resilience().Stats())
+				if dep.Res != nil {
+					fmt.Println("resilience:", dep.Res.Stats())
 				}
 			case "demo":
 				p3, ok := proto.(*core.P3)

@@ -93,9 +93,9 @@ type TenantIsolationRun struct {
 	AbuserShed        int64 `json:"abuser_shed"`
 
 	Faults            int64 `json:"faults"`
-	TenantRetries     int64 `json:"tenant_retries"`       // door's tenant-keyed layer
+	TenantRetries     int64 `json:"tenant_retries"`       // of requests made for a tenant
 	TenantBreakerOpen int64 `json:"tenant_breaker_opens"` //
-	EndpointRetries   int64 `json:"endpoint_retries"`     // PR 6's per-endpoint layer
+	EndpointRetries   int64 `json:"endpoint_retries"`     // of every request
 
 	ItemCount   int     `json:"item_count"`
 	AbuserItems int     `json:"abuser_items"` // abuser items present after settle
@@ -321,11 +321,12 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	}
 	run.AbuserAttempts = abAttempts.Load()
 	run.AbuserCommitted = abCommitted.Load()
-	st := f.Door.Resilience().Stats().Totals()
-	run.TenantRetries, run.TenantBreakerOpen = st.Retries, st.BreakerOpens
-	if f.Dep.Res != nil {
-		run.EndpointRetries = f.Dep.Res.Stats().Totals().Retries
+	st := f.Dep.Res.Stats()
+	for _, ts := range st.Tenants {
+		run.TenantRetries += ts.Retries
+		run.TenantBreakerOpen += ts.BreakerOpens
 	}
+	run.EndpointRetries = st.Totals().Retries
 	if !verified {
 		return run, nil
 	}

@@ -23,6 +23,7 @@
 package sqs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -305,8 +306,9 @@ type BatchEntry struct {
 // combiner packs chunks of several transactions into one batch, and a
 // retried batch (after an ambiguous fault) or a differently-composed retry
 // batch never double-enqueues the entries that already landed, which the
-// whole-batch token of SendMessageBatchIdem cannot express.
-func (q *Queue) SendMessageBatchEntries(entries []BatchEntry) ([]string, error) {
+// whole-batch token of SendMessageBatchIdem cannot express. The request is
+// made for the tenant ctx carries (sim.WithTenant), if any.
+func (q *Queue) SendMessageBatchEntries(ctx context.Context, entries []BatchEntry) ([]string, error) {
 	if len(entries) > MaxBatchEntries {
 		return nil, fmt.Errorf("%w (%d entries)", ErrBatchTooLarge, len(entries))
 	}
@@ -321,7 +323,7 @@ func (q *Queue) SendMessageBatchEntries(entries []BatchEntry) ([]string, error) 
 		return nil, nil
 	}
 	var ids []string
-	err := q.ep.Do(func() error {
+	err := q.ep.For(ctx).Do(func() error {
 		var err error
 		ids, err = q.sendBatchEntriesOnce(entries, payload)
 		return err

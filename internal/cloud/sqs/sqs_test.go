@@ -2,6 +2,7 @@ package sqs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -364,7 +365,7 @@ func TestSendMessageBatchEntriesDedupsPerEntry(t *testing.T) {
 		{Body: []byte("a"), Token: "txn1/0"},
 		{Body: []byte("b"), Token: "txn1/1"},
 	}
-	ids, err := q.SendMessageBatchEntries(first)
+	ids, err := q.SendMessageBatchEntries(context.Background(), first)
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("first batch: ids=%v err=%v", ids, err)
 	}
@@ -376,7 +377,7 @@ func TestSendMessageBatchEntriesDedupsPerEntry(t *testing.T) {
 		{Body: []byte("b"), Token: "txn1/1"},
 		{Body: []byte("c"), Token: "txn2/0"},
 	}
-	ids2, err := q.SendMessageBatchEntries(retry)
+	ids2, err := q.SendMessageBatchEntries(context.Background(), retry)
 	if err != nil || len(ids2) != 2 {
 		t.Fatalf("retry batch: ids=%v err=%v", ids2, err)
 	}
@@ -388,7 +389,7 @@ func TestSendMessageBatchEntriesDedupsPerEntry(t *testing.T) {
 	}
 
 	// Token-less entries enqueue unconditionally.
-	if _, err := q.SendMessageBatchEntries([]BatchEntry{{Body: []byte("x")}, {Body: []byte("x")}}); err != nil {
+	if _, err := q.SendMessageBatchEntries(context.Background(), []BatchEntry{{Body: []byte("x")}, {Body: []byte("x")}}); err != nil {
 		t.Fatal(err)
 	}
 	if q.Len() != 5 {
@@ -397,11 +398,11 @@ func TestSendMessageBatchEntriesDedupsPerEntry(t *testing.T) {
 
 	// Limits match the other batch calls.
 	over := make([]BatchEntry, MaxBatchEntries+1)
-	if _, err := q.SendMessageBatchEntries(over); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := q.SendMessageBatchEntries(context.Background(), over); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized batch err = %v", err)
 	}
 	big := []BatchEntry{{Body: make([]byte, MaxMessageSize+1), Token: "t"}}
-	if _, err := q.SendMessageBatchEntries(big); !errors.Is(err, ErrMessageTooLarge) {
+	if _, err := q.SendMessageBatchEntries(context.Background(), big); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("oversized entry err = %v", err)
 	}
 }

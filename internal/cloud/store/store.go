@@ -15,6 +15,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -92,7 +93,7 @@ func (s *Store) Env() *sim.Env { return s.env }
 // Put atomically stores data and metadata under key, overwriting any
 // previous version (last writer wins).
 func (s *Store) Put(key string, data []byte, meta Metadata) error {
-	return s.put(key, append([]byte(nil), data...), int64(len(data)), meta)
+	return s.put(s.ep, key, append([]byte(nil), data...), int64(len(data)), meta)
 }
 
 // PutSized stores a synthetic object of the given logical size without
@@ -100,14 +101,21 @@ func (s *Store) Put(key string, data []byte, meta Metadata) error {
 // use size; GET returns an Object with nil Data. Workload data payloads
 // (hundreds of MB each) use this form.
 func (s *Store) PutSized(key string, size int64, meta Metadata) error {
-	return s.put(key, nil, size, meta)
+	return s.put(s.ep, key, nil, size, meta)
 }
 
-func (s *Store) put(key string, data []byte, size int64, meta Metadata) error {
+// PutSizedContext is PutSized made for the tenant ctx carries
+// (sim.WithTenant), whose own retry budget and breaker its attempts run
+// against.
+func (s *Store) PutSizedContext(ctx context.Context, key string, size int64, meta Metadata) error {
+	return s.put(s.ep.For(ctx), key, nil, size, meta)
+}
+
+func (s *Store) put(ep sim.Endpoint, key string, data []byte, size int64, meta Metadata) error {
 	if key == "" {
 		return errors.New("store: empty key")
 	}
-	return s.ep.Do(func() error { return s.putOnce(key, data, size, meta) })
+	return ep.Do(func() error { return s.putOnce(key, data, size, meta) })
 }
 
 // putOnce is one service attempt of a PUT. An ambiguous fault (applied)

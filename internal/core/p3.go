@@ -200,8 +200,9 @@ type loggedTxn struct {
 func walToken(id string, seq int) string { return id + "/" + strconv.Itoa(seq) }
 
 // logTxn runs the log phase for an already-minted transaction uuid up to
-// the WAL send; the caller ships l.msgs to l.wal and then calls l.release.
-func (p *P3) logTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) (loggedTxn, error) {
+// the WAL send, making its requests with ctx; the caller ships l.msgs to
+// l.wal and then calls l.release.
+func (p *P3) logTxn(ctx context.Context, txn uuid.UUID, obj FileObject, bundles []prov.Bundle) (loggedTxn, error) {
 	l := loggedTxn{id: txn.String()}
 
 	// 1. Data to a temporary object. Objects with no data (pure
@@ -209,7 +210,7 @@ func (p *P3) logTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) (logge
 	tmpKey := ""
 	if obj.Path != "" {
 		tmpKey = TmpPrefix + l.id
-		if err := p.dep.Store.PutSized(tmpKey, obj.Size, nil); err != nil {
+		if err := p.dep.Store.PutSizedContext(ctx, tmpKey, obj.Size, nil); err != nil {
 			return l, err
 		}
 	}
@@ -238,7 +239,7 @@ func (p *P3) logTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) (logge
 // commitTxn is the log phase for an already-minted transaction uuid: the
 // packets are sent batched, in parallel across batch calls.
 func (p *P3) commitTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) error {
-	l, err := p.logTxn(txn, obj, bundles)
+	l, err := p.logTxn(context.Background(), txn, obj, bundles)
 	if err != nil {
 		return err
 	}
@@ -279,11 +280,11 @@ func (p *P3) sendWAL(wal *sqs.Queue, id string, msgs [][]byte) error {
 // stored and the WAL packets are encoded as per-entry idempotent batch
 // entries, but nothing has reached the queue. The front door's write
 // combiner uses this to pack the packets of several small transactions into
-// full SendMessageBatch calls, and to retry a failed flush with the same
-// entries — the per-entry tokens make a re-send (even inside a
-// differently-composed batch) exactly-once. Release must be called once the
-// entries are shipped (or abandoned): it drops the reshard write barrier
-// that keeps a shrinking fabric from retiring the home queue mid-send.
+// full SendMessageBatch calls; the per-entry tokens make a re-send (even
+// inside a differently-composed batch) exactly-once. Release must be called
+// once the entries are shipped (or abandoned): it drops the reshard write
+// barrier that keeps a shrinking fabric from retiring the home queue
+// mid-send.
 type PreparedTxn struct {
 	Txn     uuid.UUID
 	Queue   *sqs.Queue
@@ -301,15 +302,16 @@ func (t *PreparedTxn) Release() {
 }
 
 // PrepareCommit runs the log phase up to, but not including, the WAL send:
-// it mints the transaction uuid inside band, stores the temporary object and
-// returns the encoded WAL entries bound to the transaction's home queue. The
-// caller ships the entries (sqs.Queue.SendMessageBatchEntries on Queue,
-// possibly combined with other transactions' entries) and then Releases the
-// prepared transaction. An abandoned prepared transaction is harmless: the
-// cleaner removes its temporary object, exactly as for a crashed client.
-func (p *P3) PrepareCommit(band sim.Band, obj FileObject, bundles []prov.Bundle) (*PreparedTxn, error) {
+// it mints the transaction uuid inside band, stores the temporary object
+// with a request made with ctx, and returns the encoded WAL entries bound to
+// the transaction's home queue. The caller ships the entries
+// (sqs.Queue.SendMessageBatchEntries on Queue, possibly combined with other
+// transactions' entries) and then Releases the prepared transaction. An
+// abandoned prepared transaction is harmless: the cleaner removes its
+// temporary object, exactly as for a crashed client.
+func (p *P3) PrepareCommit(ctx context.Context, band sim.Band, obj FileObject, bundles []prov.Bundle) (*PreparedTxn, error) {
 	txn := MintBandUUID(p.dep.Env.Rand(), band)
-	l, err := p.logTxn(txn, obj, bundles)
+	l, err := p.logTxn(ctx, txn, obj, bundles)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +462,7 @@ func (p *P3) assemble(shards []int, budget int) round {
 // and acknowledge theirs.
 func (p *P3) commit(ready []*txnState, acks []shardReceipt) error {
 	var errs []error
-	if err := p.cleanupReceipts(acks); err != nil {
+	if err := p.deleteReceiptPairs(acks); err != nil {
 		errs = append(errs, err)
 	}
 	if len(ready) > 0 {
@@ -468,7 +470,7 @@ func (p *P3) commit(ready []*txnState, acks []shardReceipt) error {
 		if err != nil {
 			errs = append(errs, err)
 		}
-		if err := p.cleanupReceipts(receipts); err != nil {
+		if err := p.deleteReceiptPairs(receipts); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -582,37 +584,12 @@ func (p *P3) deleteReceipts(wal *sqs.Queue, receipts []string) error {
 	return errors.Join(par.RunAll(p.opts.ProvConns, tasks)...)
 }
 
-// cleanupRetryPasses bounds the extra full re-passes receipt cleanup gets
-// on top of the per-request backoff retries the resilient layer performs,
-// and cleanupRetryDelay spaces them.
-const (
-	cleanupRetryPasses = 3
-	cleanupRetryDelay  = 50 * time.Millisecond
-)
-
-// cleanupReceipts acknowledges shard-tagged receipts, re-running the whole
-// pass — deletes are idempotent, so re-deleting acknowledged receipts is
-// free — a bounded number of times while the collected failures remain
-// transient. Cleanup failures used to be reported and abandoned; every
-// dropped receipt then reappeared after its visibility timeout and cost a
-// full redelivery round, so retrying here with a small budget is strictly
-// cheaper than the redelivery it prevents. Non-transient errors (and
-// whatever still fails after the last pass) surface to the caller.
-func (p *P3) cleanupReceipts(pairs []shardReceipt) error {
-	var err error
-	for pass := 0; ; pass++ {
-		err = p.deleteReceiptPairs(pairs)
-		if err == nil || pass >= cleanupRetryPasses || !sim.IsTransient(err) {
-			return err
-		}
-		p.dep.Env.Clock().Sleep(cleanupRetryDelay)
-	}
-}
-
 // deleteReceiptPairs groups shard-tagged receipts by home shard and
 // acknowledges each shard's group; deletes are idempotent, so order does
 // not matter (the mid-cleanup fault injection truncates the pair list
-// before this runs).
+// before this runs). Each DeleteMessageBatch is retried at its endpoint and
+// nowhere else: a receipt that still fails is reported, redelivers after its
+// visibility timeout and is acknowledged then.
 func (p *P3) deleteReceiptPairs(pairs []shardReceipt) error {
 	if len(pairs) == 0 {
 		return nil

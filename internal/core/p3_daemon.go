@@ -260,7 +260,7 @@ func (pl *pipeline) send(batch []shardReceipt) {
 	pl.work.Add(1)
 	go func() {
 		defer pl.work.Done()
-		_ = pl.p.cleanupReceipts(batch)
+		_ = pl.p.deleteReceiptPairs(batch)
 	}()
 }
 

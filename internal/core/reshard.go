@@ -577,7 +577,7 @@ func (d *Deployment) migrateQueue(ctx context.Context, q *sqs.Queue) (int, error
 			continue
 		}
 		idle = 0
-		n, err := d.resendWAL(msgs)
+		n, err := d.resendWAL(ctx, msgs)
 		moved += n
 		if err != nil {
 			return moved, err
@@ -598,7 +598,7 @@ func (d *Deployment) migrateQueue(ctx context.Context, q *sqs.Queue) (int, error
 // queue, and reports how many it moved. Undecodable packets are skipped:
 // they are dropped with their queue, exactly as retention would have
 // expired them.
-func (d *Deployment) resendWAL(msgs []sqs.Message) (int, error) {
+func (d *Deployment) resendWAL(ctx context.Context, msgs []sqs.Message) (int, error) {
 	var homes []*sqs.Queue // first-seen order, so a seed replays the same sends
 	entries := make(map[*sqs.Queue][]sqs.BatchEntry)
 	for _, m := range msgs {
@@ -616,7 +616,7 @@ func (d *Deployment) resendWAL(msgs []sqs.Message) (int, error) {
 	}
 	moved := 0
 	for _, home := range homes {
-		if _, err := home.SendMessageBatchEntries(entries[home]); err != nil {
+		if _, err := home.SendMessageBatchEntries(ctx, entries[home]); err != nil {
 			return moved, err
 		}
 		moved += len(entries[home])

@@ -21,7 +21,8 @@
 //	                   endpoints and everything above them: installed once,
 //	                   on the environment (Deployment.SetResilience), so a
 //	                   shard born mid-reshard has it from its first request;
-//	                   the front door keeps a second, keyed by tenant
+//	                   the only retry layer, keyed by (endpoint, tenant)
+//	                   for the front door's requests
 //	core.P3            the protocol: clients log transactions to the WAL, a
 //	                   commit-daemon pool drains it into the database and
 //	                   the object store as a pipeline — receivers fold WAL

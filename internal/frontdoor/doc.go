@@ -38,31 +38,30 @@
 // the placement audit work unchanged; a tenant can be moved independently
 // by resharding the range its band falls in.
 //
-// # Tenant-scoped resilience
+// # Tenant-scoped retries
 //
-// The door layers a second resilient.Client over PR 6's per-endpoint one,
-// keyed "tenant/<id>". A commit's WAL flush runs inside the tenant-keyed
-// retry loop (which wraps the per-endpoint retries the leaf services
-// already perform), so retry budgets and circuit breakers exist per tenant:
-// an abusive tenant replaying a retry storm exhausts only its own budget
-// and trips only its own breaker, while other tenants' keys — and their
-// endpoints' budgets, which the abuser can no longer reach through the open
-// tenant breaker — stay healthy.
+// The door does not retry. Every request it makes for a tenant — the
+// temporary object's PUT and the WAL flush — carries the tenant in its
+// context (sim.WithTenant), and the deployment's one retry layer retries it
+// at its endpoint against the budget and breaker of that (endpoint, tenant)
+// pair. An abusive tenant replaying a retry storm therefore exhausts only
+// its own budgets and trips only its own breakers, while other tenants, and
+// the fabric's own requests (commit daemons, resharder), keep theirs; and a
+// persistently failing request costs exactly the policy's MaxAttempts.
 //
 // # WAL write combining
 //
 // Small transactions produce WAL batches far below the 10-entry
 // SendMessageBatch limit. The door's combiner holds a commit's prepared
-// entries (core.PrepareCommit) for a short window per home queue and packs
-// every tenant caller's entries that arrive within it into full batches —
-// fewer billed requests and fewer rate-gate admissions on the hot shard.
-// Retries are exactly-once regardless of batch composition: every entry
-// carries its own idempotency token (txn uuid + chunk seq) and the queue
-// deduplicates per entry (sqs.SendMessageBatchEntries), so a retried flush
-// — even one recombined with different neighbours — never double-enqueues
-// a packet that already landed.
+// entries (core.PrepareCommit) for a short window per home queue and tenant,
+// and packs every entry of that tenant's callers that arrives within it into
+// full batches — fewer billed requests and fewer rate-gate admissions on the
+// hot shard. A retry is exactly-once: every entry carries its own
+// idempotency token (txn uuid + chunk seq) and the queue deduplicates per
+// entry (sqs.SendMessageBatchEntries), so a flush retried after an
+// ambiguous fault never double-enqueues a packet that already landed.
 //
-// Config.DisableIsolation bypasses quotas, tenant-keyed resilience and
+// Config.DisableIsolation bypasses quotas, tenant-keyed retry state and
 // combining (placement still applies) — the negative control the
 // tenant-isolation bench uses to show the machinery is what holds the
 // isolation bound.

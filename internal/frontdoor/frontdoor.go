@@ -1,6 +1,7 @@
 package frontdoor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -120,9 +121,7 @@ type Config struct {
 	// pack into full batches; zero selects DefaultCombineWindow, negative
 	// disables combining (every commit flushes its own entries).
 	CombineWindow time.Duration
-	// Policy tunes the tenant-scoped resilient client (zero = defaults).
-	Policy resilient.Policy
-	// DisableIsolation bypasses quotas, tenant-keyed resilience and write
+	// DisableIsolation bypasses quotas, tenant-keyed retry state and write
 	// combining; commits go straight to the protocol (banded placement
 	// still applies). This is the bench's negative control.
 	DisableIsolation bool
@@ -135,7 +134,6 @@ type Door struct {
 	p3   *core.P3
 	env  *sim.Env
 	cfg  Config
-	tres *resilient.Client
 	comb *combiner
 
 	mu      sync.Mutex
@@ -152,7 +150,6 @@ func New(dep *core.Deployment, p3 *core.P3, cfg Config) *Door {
 		p3:      p3,
 		env:     dep.Env,
 		cfg:     cfg,
-		tres:    resilient.New(dep.Env, cfg.Policy),
 		comb:    newCombiner(dep.Env, cfg.CombineWindow),
 		tenants: make(map[string]*Tenant),
 	}
@@ -161,9 +158,14 @@ func New(dep *core.Deployment, p3 *core.P3, cfg Config) *Door {
 // BandFor returns the placement band a tenant id folds into.
 func BandFor(tenant string) sim.Band { return sim.BandOf("tenant/" + tenant) }
 
-// Resilience exposes the tenant-scoped resilient client (stats reporting;
-// endpoints are keyed "tenant/<id>").
-func (d *Door) Resilience() *resilient.Client { return d.tres }
+// Resilience returns nil: the door has no retry client of its own. Its
+// requests are retried at their endpoints by the deployment's client
+// (core.Deployment.Res), whose Stats count them by tenant.
+//
+// Deprecated: read core.Deployment.Res. Resilience is kept for callers that
+// add its counters to the deployment's; a nil client's Stats are empty, so
+// nothing is counted twice.
+func (d *Door) Resilience() *resilient.Client { return nil }
 
 // Tenant registers (or returns the already-registered) tenant id with
 // quota; a re-registration keeps the original quota.
@@ -260,12 +262,10 @@ func (t *Tenant) admit() error {
 }
 
 // Commit admits one commit against the tenant's quota and runs it through
-// the tenant-scoped retry loop and the WAL write combiner. The transaction
-// uuid is minted inside the tenant's band, co-sharding its WAL packets with
-// the tenant's items. Retries reuse the same prepared transaction — same
-// temporary object, same per-entry idempotency tokens — so an ambiguous
-// fault plus a retry (even recombined into a different batch) stays
-// exactly-once.
+// the WAL write combiner. The transaction uuid is minted inside the tenant's
+// band, co-sharding its WAL packets with the tenant's items. Every request
+// is made for the tenant (sim.WithTenant) and retried only at its endpoint;
+// a commit whose request still fails returns that error.
 func (t *Tenant) Commit(obj core.FileObject, bundles []prov.Bundle) error {
 	d := t.door
 	if d.cfg.DisableIsolation {
@@ -274,20 +274,11 @@ func (t *Tenant) Commit(obj core.FileObject, bundles []prov.Bundle) error {
 	if err := t.admit(); err != nil {
 		return err
 	}
-	var pt *core.PreparedTxn
-	defer func() {
-		if pt != nil {
-			pt.Release()
-		}
-	}()
-	return d.tres.Do("tenant/"+t.id, func() error {
-		if pt == nil {
-			var err error
-			pt, err = d.p3.PrepareCommit(t.band, obj, bundles)
-			if err != nil {
-				return err
-			}
-		}
-		return d.comb.send(pt)
-	})
+	ctx := sim.WithTenant(context.Background(), t.id)
+	pt, err := d.p3.PrepareCommit(ctx, t.band, obj, bundles)
+	if err != nil {
+		return err
+	}
+	defer pt.Release()
+	return d.comb.send(ctx, pt)
 }

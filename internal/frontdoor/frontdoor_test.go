@@ -189,16 +189,14 @@ func TestTenantCommitCoShards(t *testing.T) {
 	}
 }
 
-// TestTenantRetryIsolation pins the tenant dimension of the resilience
-// layer: with tenant A's home WAL shard hard-failing, A's tenant-scoped
-// breaker opens while tenant B — whose band homes on the other shard —
-// commits clean, with its tenant endpoint untouched by A's storm.
+// TestTenantRetryIsolation pins the tenant dimension of the retry layer:
+// with tenant A's home WAL shard hard-failing, A's breaker there opens while
+// tenant B — whose band homes on the other shard — commits clean, with its
+// retry state untouched by A's storm.
 func TestTenantRetryIsolation(t *testing.T) {
 	const k = 2
-	d, dep, p3 := testFabric(t, k, Config{
-		CombineWindow: -1,
-		Policy:        resilient.Policy{MaxAttempts: 2, BreakerThreshold: 3, RetryBudget: 8},
-	})
+	d, dep, p3 := testFabric(t, k, Config{CombineWindow: -1})
+	dep.SetResilience(resilient.New(dep.Env, resilient.Policy{MaxAttempts: 2, BreakerThreshold: 3, RetryBudget: 8}))
 
 	// Pick tenant ids whose bands route to different WAL shards.
 	epoch := dep.WAL.Directory().Active()
@@ -232,12 +230,12 @@ func TestTenantRetryIsolation(t *testing.T) {
 		t.Fatal("tenant A committed despite a hard-failing home shard")
 	}
 	if !errors.Is(aErr, resilient.ErrCircuitOpen) {
-		t.Fatalf("tenant A's last error = %v, want its tenant breaker open", aErr)
+		t.Fatalf("tenant A's last error = %v, want its breaker open", aErr)
 	}
 
-	stats := d.Resilience().Stats()
-	sa := stats.Endpoints["tenant/"+a.ID()]
-	sb := stats.Endpoints["tenant/"+b.ID()]
+	stats := dep.Res.Stats()
+	sa := stats.Tenants[a.ID()]
+	sb := stats.Tenants[b.ID()]
 	if sa.BreakerOpens == 0 {
 		t.Fatalf("tenant A stats = %+v, want its breaker opened", sa)
 	}
@@ -249,6 +247,29 @@ func TestTenantRetryIsolation(t *testing.T) {
 	d.env.Faults().SetPlan(nil)
 	if err := p3.Settle(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPersistentFaultCostsMaxAttempts pins the one retry layer: a door
+// commit whose home WAL queue fails every request makes exactly MaxAttempts
+// requests of it — the endpoint retries the flush, nothing above it does —
+// and the attempts are the tenant's.
+func TestPersistentFaultCostsMaxAttempts(t *testing.T) {
+	d, dep, _ := testFabric(t, 1, Config{})
+	tn := d.Tenant("a", Quota{Rate: 1000, Burst: 64})
+	d.env.InstallFaults(sim.FaultPlan{core.WALName: {Prob: 1}})
+
+	obj, bundles := tenantTxn(tn, 0)
+	if err := tn.Commit(obj, bundles); !sim.IsTransient(err) {
+		t.Fatalf("commit against a failing WAL = %v, want the transient error", err)
+	}
+	want := dep.Res.Policy().MaxAttempts
+	if got := d.env.Meter().Usage().OpsByEndpoint[core.WALName]; got != int64(want) {
+		t.Fatalf("WAL requests per door commit = %d, want MaxAttempts = %d", got, want)
+	}
+	// The tenant's attempts: its temporary object's one PUT, then the flush.
+	if st := dep.Res.Stats().Tenants[tn.ID()]; st.Attempts != int64(1+want) {
+		t.Fatalf("tenant stats = %+v, want %d attempts", st, 1+want)
 	}
 }
 
@@ -308,7 +329,7 @@ func TestCombinerPacksBatches(t *testing.T) {
 // off, commits reach the protocol directly — no quotas, no tenant metering,
 // no tenant-scoped retries — while banded placement still applies.
 func TestDisableIsolationBypass(t *testing.T) {
-	d, _, p3 := testFabric(t, 2, Config{DisableIsolation: true})
+	d, dep, p3 := testFabric(t, 2, Config{DisableIsolation: true})
 	tn := d.Tenant("raw", Quota{Rate: 0.001, Burst: 1, MaxQueue: 1})
 
 	// A quota this small would shed almost everything; the bypass ignores it.
@@ -324,8 +345,8 @@ func TestDisableIsolationBypass(t *testing.T) {
 	if ops := d.env.Meter().Usage().OpsByTenant; len(ops) != 0 {
 		t.Fatalf("isolation-disabled door metered tenants: %+v", ops)
 	}
-	if st := d.Resilience().Stats(); len(st.Endpoints) != 0 {
-		t.Fatalf("isolation-disabled door used tenant retries: %+v", st)
+	if st := dep.Res.Stats(); len(st.Tenants) != 0 {
+		t.Fatalf("isolation-disabled door made requests for a tenant: %+v", st.Tenants)
 	}
 }
 

@@ -16,8 +16,18 @@
 // is inert when no fault plan is armed: without transient errors, a request
 // is a single call of the underlying op.
 //
+// It is the only retry layer: nothing above an endpoint retries a request
+// that failed there, so a persistently failing request costs MaxAttempts
+// service attempts, never a product of nested loops. A request made for a
+// tenant (sim.WithTenant; the front door makes all of its requests so) runs
+// against the state of its (endpoint, tenant) pair instead of the
+// endpoint's, so one tenant's failures spend only its own budgets and open
+// only its own breakers. Stats counts every request by endpoint and, in
+// Tenants, the tenants' requests by tenant.
+//
 // Mechanisms, per endpoint (an endpoint is one service partition: the "s3"
-// bucket, a SimpleDB domain like "prov-2", an SQS queue like "wal-1"):
+// bucket, a SimpleDB domain like "prov-2", an SQS queue like "wal-1"), and
+// per (endpoint, tenant):
 //
 //   - Exponential backoff with full jitter, clocked on the simulated clock:
 //     retry n sleeps uniform [0, min(MaxBackoff, InitialBackoff·Mult^n)].

@@ -101,7 +101,19 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// endpointState is the per-endpoint retry budget, breaker and counters.
+// key names the retry state a request's attempts run against: its endpoint,
+// and the tenant it is made for ("" for the fabric's own requests).
+type key struct{ endpoint, tenant string }
+
+// String names the key in errors.
+func (k key) String() string {
+	if k.tenant == "" {
+		return k.endpoint
+	}
+	return k.endpoint + " for tenant " + k.tenant
+}
+
+// endpointState is one key's retry budget, breaker and counters.
 type endpointState struct {
 	budget    float64
 	failRun   int           // consecutive transient failures (breaker input)
@@ -119,7 +131,9 @@ type endpointState struct {
 // Client routes service calls through exponential backoff with full jitter
 // (clocked on the simulated clock), a per-endpoint retry budget, a circuit
 // breaker, and optional request hedging. One client is shared by every
-// endpoint of a deployment; state is tracked per endpoint name.
+// endpoint of a deployment; state is tracked per endpoint name, and per
+// (endpoint, tenant) for requests made for a tenant (sim.WithTenant), so one
+// tenant's failures spend only its own budget and open only its own breaker.
 //
 // Only errors recognised by sim.IsTransient are retried: semantic errors
 // (missing keys, validation failures, forced test faults) surface to the
@@ -134,7 +148,7 @@ type Client struct {
 	rnd *sim.Rand
 
 	mu  sync.Mutex
-	eps map[string]*endpointState
+	eps map[key]*endpointState
 }
 
 // backoffSeedSalt decorrelates the backoff stream from the environment's
@@ -163,54 +177,49 @@ func (c *Client) Env() *sim.Env { return c.env }
 // Policy returns the effective (defaulted) policy.
 func (c *Client) Policy() Policy { return c.pol }
 
-// state returns endpoint's state, creating it with a full budget.
-func (c *Client) state(endpoint string) *endpointState {
+// state returns k's state, creating it with a full budget.
+func (c *Client) state(k key) *endpointState {
 	if c.eps == nil {
-		c.eps = make(map[string]*endpointState)
+		c.eps = make(map[key]*endpointState)
 	}
-	st := c.eps[endpoint]
+	st := c.eps[k]
 	if st == nil {
 		st = &endpointState{budget: c.pol.RetryBudget}
-		c.eps[endpoint] = st
+		c.eps[k] = st
 	}
 	return st
-}
-
-// Do runs op against endpoint, retrying transient failures with
-// exponentially growing full-jitter backoff until it succeeds, returns a
-// non-retryable error, exhausts MaxAttempts, or runs out of retry budget.
-func (c *Client) Do(endpoint string, op func() error) error {
-	state, err := c.Begin(endpoint)
-	for again := err == nil; again; {
-		state, again, err = c.Next(endpoint, state, op())
-	}
-	return err
 }
 
 // probeCall is the state of a half-open breaker's probe call.
 const probeCall = -1
 
-// Begin admits one call against endpoint and returns its state for Next — the
-// number of the attempt the caller is about to make, or probeCall. While the
-// endpoint's breaker is open the call fails fast, without a service request.
-// After the cooldown exactly one caller is elected the half-open probe;
-// concurrent callers keep failing fast until the probe resolves, so a
-// thundering herd cannot re-storm a recovering endpoint. Begin and Next are
-// Do cut at the attempt: sim.Endpoint.Do drives them, so that the attempt it
+// Begin admits one call against endpoint, made for tenant ("" for none), and
+// returns its state for Next — the number of the attempt the caller is about
+// to make, or probeCall. While the breaker of (endpoint, tenant) is open the
+// call fails fast, without a service request. After the cooldown exactly one
+// caller is elected the half-open probe; concurrent callers keep failing fast
+// until the probe resolves, so a thundering herd cannot re-storm a recovering
+// endpoint.
+//
+// sim.Endpoint.Do is the one loop that drives Begin and Next: it retries
+// transient failures with exponentially growing full-jitter backoff until
+// the call succeeds, returns a non-retryable error, exhausts MaxAttempts, or
+// runs out of retry budget. It makes the attempts itself, so the attempt it
 // is handed is only ever called, never passed on, and stays off the heap.
-func (c *Client) Begin(endpoint string) (state int, err error) {
+func (c *Client) Begin(endpoint, tenant string) (state int, err error) {
 	now := c.env.Now()
+	k := key{endpoint, tenant}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.state(endpoint)
+	st := c.state(k)
 	if st.openUntil > 0 {
 		if now < st.openUntil {
 			st.breakerFast++
-			return 0, fmt.Errorf("%w: %s until t=%s", ErrCircuitOpen, endpoint, st.openUntil)
+			return 0, fmt.Errorf("%w: %s until t=%s", ErrCircuitOpen, k, st.openUntil)
 		}
 		if st.probing {
 			st.breakerFast++
-			return 0, fmt.Errorf("%w: %s (half-open probe in flight)", ErrCircuitOpen, endpoint)
+			return 0, fmt.Errorf("%w: %s (half-open probe in flight)", ErrCircuitOpen, k)
 		}
 		st.probing = true
 		st.failRun = 0
@@ -223,9 +232,10 @@ func (c *Client) Begin(endpoint string) (state int, err error) {
 // Next takes the outcome of the attempt a call in state just made. With again
 // the backoff has been slept and the caller makes the attempt numbered next;
 // otherwise the call is over and out is its result.
-func (c *Client) Next(endpoint string, state int, err error) (next int, again bool, out error) {
+func (c *Client) Next(endpoint, tenant string, state int, err error) (next int, again bool, out error) {
+	k := key{endpoint, tenant}
 	c.mu.Lock()
-	st := c.state(endpoint)
+	st := c.state(k)
 	if err == nil || !sim.IsTransient(err) {
 		// Success and semantic failures both close the failure run and
 		// slowly refill the retry budget; a successful probe closes the
@@ -246,7 +256,7 @@ func (c *Client) Next(endpoint string, state int, err error) (next int, again bo
 		st.openUntil = c.env.Now() + c.pol.BreakerCooldown
 		st.breakerOpens++
 		c.mu.Unlock()
-		return state, false, fmt.Errorf("%w: %s: %w", ErrCircuitOpen, endpoint, err)
+		return state, false, fmt.Errorf("%w: %s: %w", ErrCircuitOpen, k, err)
 	}
 	st.failRun++
 	if c.pol.BreakerThreshold > 0 && st.failRun >= c.pol.BreakerThreshold {
@@ -254,7 +264,7 @@ func (c *Client) Next(endpoint string, state int, err error) (next int, again bo
 		st.openUntil = c.env.Now() + c.pol.BreakerCooldown
 		st.breakerOpens++
 		c.mu.Unlock()
-		return state, false, fmt.Errorf("%w: %s: %w", ErrCircuitOpen, endpoint, err)
+		return state, false, fmt.Errorf("%w: %s: %w", ErrCircuitOpen, k, err)
 	}
 	if state == c.pol.MaxAttempts-1 {
 		c.mu.Unlock()
@@ -263,7 +273,7 @@ func (c *Client) Next(endpoint string, state int, err error) (next int, again bo
 	if st.budget < 1 {
 		st.budgetDenials++
 		c.mu.Unlock()
-		return state, false, fmt.Errorf("%w: %s: %w", ErrBudgetExhausted, endpoint, err)
+		return state, false, fmt.Errorf("%w: %s: %w", ErrBudgetExhausted, k, err)
 	}
 	st.budget--
 	st.retries++
@@ -331,7 +341,7 @@ func Hedged[T any](c *Client, endpoint string, fn func() (T, error)) (T, error) 
 		default:
 		}
 		c.mu.Lock()
-		c.state(endpoint).hedges++
+		c.state(key{endpoint: endpoint}).hedges++
 		c.mu.Unlock()
 		go launch()
 	}()
@@ -351,7 +361,7 @@ func hedgedManual[T any](c *Client, endpoint string, fn func() (T, error)) (T, e
 		return v, err
 	}
 	c.mu.Lock()
-	c.state(endpoint).hedges++
+	c.state(key{endpoint: endpoint}).hedges++
 	c.mu.Unlock()
 	t1 := c.env.Now()
 	hv, herr := fn()
@@ -372,57 +382,85 @@ type EndpointStats struct {
 	BudgetDenials int64 // retries denied by an exhausted budget
 }
 
+// add accumulates o into s.
+func (s *EndpointStats) add(o EndpointStats) {
+	s.Attempts += o.Attempts
+	s.Retries += o.Retries
+	s.Hedges += o.Hedges
+	s.BreakerOpens += o.BreakerOpens
+	s.BreakerFast += o.BreakerFast
+	s.BudgetDenials += o.BudgetDenials
+}
+
 // Stats is a snapshot of the client's counters.
 type Stats struct {
+	// Endpoints counts every request, by endpoint.
 	Endpoints map[string]EndpointStats
+	// Tenants counts the requests made for a tenant, by tenant: a subset of
+	// what Endpoints counts.
+	Tenants map[string]EndpointStats
 }
 
 // Totals sums the per-endpoint counters.
 func (s Stats) Totals() EndpointStats {
 	var t EndpointStats
 	for _, e := range s.Endpoints {
-		t.Attempts += e.Attempts
-		t.Retries += e.Retries
-		t.Hedges += e.Hedges
-		t.BreakerOpens += e.BreakerOpens
-		t.BreakerFast += e.BreakerFast
-		t.BudgetDenials += e.BudgetDenials
+		t.add(e)
 	}
 	return t
 }
 
-// String renders the totals plus any endpoint that saw retries or hedges.
+// String renders the totals plus any endpoint or tenant that saw retries or
+// hedges.
 func (s Stats) String() string {
 	t := s.Totals()
 	var b strings.Builder
 	fmt.Fprintf(&b, "attempts=%d retries=%d hedges=%d breaker=%d", t.Attempts, t.Retries, t.Hedges, t.BreakerOpens)
-	names := make([]string, 0, len(s.Endpoints))
-	for n, e := range s.Endpoints {
+	writeActive(&b, "", s.Endpoints)
+	writeActive(&b, "tenant/", s.Tenants)
+	return b.String()
+}
+
+// writeActive appends " <prefix><name>=<retries>/<hedges>" for every name in
+// m that saw retries or hedges, in name order.
+func writeActive(b *strings.Builder, prefix string, m map[string]EndpointStats) {
+	names := make([]string, 0, len(m))
+	for n, e := range m {
 		if e.Retries > 0 || e.Hedges > 0 {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		e := s.Endpoints[n]
-		fmt.Fprintf(&b, " %s=%d/%d", n, e.Retries, e.Hedges)
+		fmt.Fprintf(b, " %s%s=%d/%d", prefix, n, m[n].Retries, m[n].Hedges)
 	}
-	return b.String()
 }
 
-// Stats returns a copy of the per-endpoint counters.
+// Stats returns a copy of the counters. A nil client has none.
 func (c *Client) Stats() Stats {
+	out := Stats{Endpoints: make(map[string]EndpointStats), Tenants: make(map[string]EndpointStats)}
+	if c == nil {
+		return out
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := Stats{Endpoints: make(map[string]EndpointStats, len(c.eps))}
-	for name, st := range c.eps {
-		out.Endpoints[name] = EndpointStats{
+	for k, st := range c.eps {
+		e := EndpointStats{
 			Attempts:      st.attempts,
 			Retries:       st.retries,
 			Hedges:        st.hedges,
 			BreakerOpens:  st.breakerOpens,
 			BreakerFast:   st.breakerFast,
 			BudgetDenials: st.budgetDenials,
+		}
+		add := func(m map[string]EndpointStats, name string) {
+			sum := m[name]
+			sum.add(e)
+			m[name] = sum
+		}
+		add(out.Endpoints, k.endpoint)
+		if k.tenant != "" {
+			add(out.Tenants, k.tenant)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package resilient
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -13,8 +14,18 @@ func transientErr() error {
 	return &sim.TransientError{Endpoint: "ep", Op: "s3.PUT", Code: sim.CodeSlowDown}
 }
 
+// manualClient returns a client installed as the retry layer of a fresh
+// manual-clock environment.
 func manualClient(pol Policy) *Client {
-	return New(sim.NewEnv(sim.DefaultConfig()), pol)
+	env := sim.NewEnv(sim.DefaultConfig())
+	c := New(env, pol)
+	env.SetRetry(c)
+	return c
+}
+
+// do makes op one request to endpoint through the envelope c is installed on.
+func do(c *Client, endpoint string, op func() error) error {
+	return c.Env().Endpoint(endpoint, 0).Do(op)
 }
 
 // TestRetryUntilSuccess pins the happy chaos path: transient failures are
@@ -23,7 +34,7 @@ func TestRetryUntilSuccess(t *testing.T) {
 	c := manualClient(Policy{})
 	start := c.Env().Now()
 	calls := 0
-	err := c.Do("ep", func() error {
+	err := do(c, "ep", func() error {
 		calls++
 		if calls < 3 {
 			return transientErr()
@@ -51,7 +62,7 @@ func TestNonTransientPassthrough(t *testing.T) {
 	c := manualClient(Policy{})
 	boom := errors.New("not found")
 	calls := 0
-	err := c.Do("ep", func() error { calls++; return boom })
+	err := do(c, "ep", func() error { calls++; return boom })
 	if !errors.Is(err, boom) || calls != 1 {
 		t.Fatalf("Do = %v after %d calls, want boom after 1", err, calls)
 	}
@@ -62,7 +73,7 @@ func TestNonTransientPassthrough(t *testing.T) {
 func TestMaxAttempts(t *testing.T) {
 	c := manualClient(Policy{MaxAttempts: 4, BreakerThreshold: -1})
 	calls := 0
-	err := c.Do("ep", func() error { calls++; return transientErr() })
+	err := do(c, "ep", func() error { calls++; return transientErr() })
 	if !sim.IsTransient(err) {
 		t.Fatalf("Do = %v, want the transient error", err)
 	}
@@ -76,7 +87,7 @@ func TestMaxAttempts(t *testing.T) {
 func TestRetryBudget(t *testing.T) {
 	c := manualClient(Policy{RetryBudget: 2, MaxAttempts: 10, BreakerThreshold: -1})
 	calls := 0
-	err := c.Do("ep", func() error { calls++; return transientErr() })
+	err := do(c, "ep", func() error { calls++; return transientErr() })
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("Do = %v, want ErrBudgetExhausted", err)
 	}
@@ -89,12 +100,12 @@ func TestRetryBudget(t *testing.T) {
 
 	// Successes refill the budget fractionally.
 	for i := 0; i < 20; i++ {
-		if err := c.Do("ep", func() error { return nil }); err != nil {
+		if err := do(c, "ep", func() error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	calls = 0
-	err = c.Do("ep", func() error {
+	err = do(c, "ep", func() error {
 		calls++
 		if calls < 2 {
 			return transientErr()
@@ -114,17 +125,17 @@ func TestCircuitBreaker(t *testing.T) {
 	fail := func() error { return transientErr() }
 
 	for i := 0; i < 2; i++ {
-		if err := c.Do("ep", fail); !sim.IsTransient(err) {
+		if err := do(c, "ep", fail); !sim.IsTransient(err) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if err := c.Do("ep", fail); !errors.Is(err, ErrCircuitOpen) {
+	if err := do(c, "ep", fail); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("threshold call = %v, want ErrCircuitOpen", err)
 	}
 
 	// While open: fail fast, service untouched.
 	touched := false
-	if err := c.Do("ep", func() error { touched = true; return nil }); !errors.Is(err, ErrCircuitOpen) {
+	if err := do(c, "ep", func() error { touched = true; return nil }); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open-breaker call = %v, want fast ErrCircuitOpen", err)
 	}
 	if touched {
@@ -137,12 +148,50 @@ func TestCircuitBreaker(t *testing.T) {
 
 	// After the cooldown the next call probes the endpoint.
 	c.Env().Clock().Advance(2 * time.Second)
-	if err := c.Do("ep", func() error { touched = true; return nil }); err != nil || !touched {
+	if err := do(c, "ep", func() error { touched = true; return nil }); err != nil || !touched {
 		t.Fatalf("half-open probe: err=%v touched=%v", err, touched)
 	}
 	// Other endpoints were never affected.
-	if err := c.Do("other", func() error { return nil }); err != nil {
+	if err := do(c, "other", func() error { return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTenantKeyedState pins the tenant dimension of the one retry layer: a
+// request made for a tenant runs against its (endpoint, tenant) state, so a
+// tenant whose requests keep failing opens only its own breaker — the same
+// endpoint stays closed for the fabric's own requests and for other tenants
+// — and Stats counts it under its endpoint and under its tenant.
+func TestTenantKeyedState(t *testing.T) {
+	c := manualClient(Policy{MaxAttempts: 1, BreakerThreshold: 2})
+	ep := c.Env().Endpoint("ep", 0)
+	forTenant := func(id string) sim.Endpoint { return ep.For(sim.WithTenant(context.Background(), id)) }
+	a := forTenant("a")
+	for i := 0; i < 2; i++ {
+		a.Do(func() error { return transientErr() })
+	}
+	if err := a.Do(func() error { return nil }); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("tenant a after its failures = %v, want its breaker open", err)
+	}
+	if err := ep.Do(func() error { return nil }); err != nil {
+		t.Fatalf("fabric request at a's endpoint = %v, want its own closed breaker", err)
+	}
+	if err := forTenant("b").Do(func() error { return nil }); err != nil {
+		t.Fatalf("tenant b at a's endpoint = %v, want its own closed breaker", err)
+	}
+
+	st := c.Stats()
+	if sa := st.Tenants["a"]; sa.Attempts != 2 || sa.BreakerOpens != 1 || sa.BreakerFast != 1 {
+		t.Fatalf("tenant a stats = %+v, want 2 attempts / 1 open / 1 fast-fail", sa)
+	}
+	if sb := st.Tenants["b"]; sb.Attempts != 1 || sb.BreakerOpens != 0 {
+		t.Fatalf("tenant b stats = %+v, want 1 attempt, breaker closed", sb)
+	}
+	if se := st.Endpoints["ep"]; se.Attempts != 4 || se.BreakerOpens != 1 {
+		t.Fatalf("endpoint stats = %+v, want all 4 attempts and a's 1 open", se)
+	}
+	if len(st.Tenants) != 2 {
+		t.Fatalf("tenants = %v, want a and b only", st.Tenants)
 	}
 }
 
@@ -213,9 +262,9 @@ func TestHedgedManualStraggler(t *testing.T) {
 func TestCircuitBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	c := manualClient(Policy{MaxAttempts: 1, BreakerThreshold: 2, BreakerCooldown: time.Second})
 	for i := 0; i < 2; i++ {
-		c.Do("ep", func() error { return transientErr() })
+		do(c, "ep", func() error { return transientErr() })
 	}
-	if err := c.Do("ep", func() error { return nil }); !errors.Is(err, ErrCircuitOpen) {
+	if err := do(c, "ep", func() error { return nil }); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("breaker did not open: %v", err)
 	}
 	c.Env().Clock().Advance(2 * time.Second)
@@ -225,7 +274,7 @@ func TestCircuitBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	release := make(chan struct{})
 	probeDone := make(chan error, 1)
 	go func() {
-		probeDone <- c.Do("ep", func() error {
+		probeDone <- do(c, "ep", func() error {
 			if calls.Add(1) == 1 {
 				close(entered)
 			}
@@ -241,7 +290,7 @@ func TestCircuitBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	herdErrs := make(chan error, herd)
 	for i := 0; i < herd; i++ {
 		go func() {
-			herdErrs <- c.Do("ep", func() error {
+			herdErrs <- do(c, "ep", func() error {
 				calls.Add(1)
 				return nil
 			})
@@ -261,7 +310,7 @@ func TestCircuitBreakerHalfOpenConcurrentProbes(t *testing.T) {
 		t.Fatalf("service saw %d calls during half-open, want only the probe", got)
 	}
 	// The successful probe closed the breaker.
-	if err := c.Do("ep", func() error { return nil }); err != nil {
+	if err := do(c, "ep", func() error { return nil }); err != nil {
 		t.Fatalf("post-probe call = %v, want closed breaker", err)
 	}
 	st := c.Stats().Endpoints["ep"]
@@ -275,21 +324,21 @@ func TestCircuitBreakerHalfOpenConcurrentProbes(t *testing.T) {
 func TestCircuitBreakerFailedProbeReopens(t *testing.T) {
 	c := manualClient(Policy{MaxAttempts: 3, BreakerThreshold: 2, BreakerCooldown: time.Second})
 	for i := 0; i < 2; i++ {
-		c.Do("ep", func() error { return transientErr() })
+		do(c, "ep", func() error { return transientErr() })
 	}
 	c.Env().Clock().Advance(2 * time.Second)
 
 	// The probe fails once: no internal retries, breaker re-opens.
 	calls := 0
-	err := c.Do("ep", func() error { calls++; return transientErr() })
+	err := do(c, "ep", func() error { calls++; return transientErr() })
 	if !errors.Is(err, ErrCircuitOpen) || calls != 1 {
 		t.Fatalf("failed probe: err=%v calls=%d, want ErrCircuitOpen after 1 call", err, calls)
 	}
-	if err := c.Do("ep", func() error { calls++; return nil }); !errors.Is(err, ErrCircuitOpen) || calls != 1 {
+	if err := do(c, "ep", func() error { calls++; return nil }); !errors.Is(err, ErrCircuitOpen) || calls != 1 {
 		t.Fatalf("breaker did not re-open after failed probe: err=%v calls=%d", err, calls)
 	}
 	c.Env().Clock().Advance(2 * time.Second)
-	if err := c.Do("ep", func() error { return nil }); err != nil {
+	if err := do(c, "ep", func() error { return nil }); err != nil {
 		t.Fatalf("second probe = %v, want success", err)
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "context"
+
 // Endpoint is one service endpoint — a bucket, a SimpleDB domain, an SQS
 // queue — as the environment sees it: the name faults, retry budgets and
 // per-endpoint meters key on, and the rate-gate lane its requests queue at.
@@ -21,9 +23,10 @@ package sim
 // are per domain/queue, which is why sharding across K of them scales the
 // write path). Lane 0 is the environment's default gate of each class.
 type Endpoint struct {
-	env  *Env
-	name string
-	lane int
+	env    *Env
+	name   string
+	lane   int
+	tenant string // whom the request is made for (For); "" for the fabric itself
 }
 
 // Endpoint returns the handle of the service endpoint name on gate lane lane.
@@ -31,17 +34,41 @@ func (e *Env) Endpoint(name string, lane int) Endpoint {
 	return Endpoint{env: e, name: name, lane: lane}
 }
 
+// tenantKey is the context key WithTenant stores the tenant under.
+type tenantKey struct{}
+
+// WithTenant returns a copy of ctx carrying tenant: the requests made with it
+// are made for that tenant, and the retry layer keys their budget and breaker
+// by (endpoint, tenant) instead of by endpoint alone.
+func WithTenant(ctx context.Context, tenant string) context.Context {
+	return context.WithValue(ctx, tenantKey{}, tenant)
+}
+
+// TenantOf returns the tenant ctx carries, or "".
+func TenantOf(ctx context.Context) string {
+	t, _ := ctx.Value(tenantKey{}).(string)
+	return t
+}
+
+// For returns the endpoint's handle for a request made with ctx: its attempts
+// run against the retry state of the tenant ctx carries, if any.
+func (ep Endpoint) For(ctx context.Context) Endpoint {
+	ep.tenant = TenantOf(ctx)
+	return ep
+}
+
 // Do runs one request's attempts as the environment's retry layer directs, or
-// just once when none is installed. attempt is only ever called here, never
-// passed to the layer, so the caller's closure does not escape to the heap.
+// just once when none is installed. It is the only place a request is
+// retried. attempt is only ever called here, never passed to the layer, so
+// the caller's closure does not escape to the heap.
 func (ep Endpoint) Do(attempt func() error) error {
 	l := ep.env.retry.Load()
 	if l == nil {
 		return attempt()
 	}
-	state, err := (*l).Begin(ep.name)
+	state, err := (*l).Begin(ep.name, ep.tenant)
 	for again := err == nil; again; {
-		state, again, err = (*l).Next(ep.name, state, attempt())
+		state, again, err = (*l).Next(ep.name, ep.tenant, state, attempt())
 	}
 	return err
 }

@@ -5,13 +5,14 @@
 //
 // Everything in this repository that "talks to the cloud" routes each
 // request through its service's Endpoint (endpoint.go) — the one request
-// envelope: a fault point, the client's retry layer, and Exec, which charges
-// the request against the latency model (per-endpoint rate gate, host NIC,
-// base latency, payload transfer time, per-unit work) and the cost meter.
-// Experiments run the environment in live mode (virtual time is
-// wall time multiplied by Config.TimeScale) so that concurrency effects are
-// real; unit tests run in manual mode (TimeScale 0) where sleeps advance a
-// logical clock instantly.
+// envelope: a fault point, the client's retry layer (the only place a
+// request is retried; keyed by tenant for a request made WithTenant), and
+// Exec, which charges the request against the latency model (per-endpoint
+// rate gate, host NIC, base latency, payload transfer time, per-unit work)
+// and the cost meter. Experiments run the environment in live mode (virtual
+// time is wall time multiplied by Config.TimeScale) so that concurrency
+// effects are real; unit tests run in manual mode (TimeScale 0) where sleeps
+// advance a logical clock instantly.
 //
 // The package also hosts the fabric's placement substrate (directory.go):
 // an epoch-versioned range Directory over the 32-bit FNV hash space that
@@ -198,10 +199,11 @@ type Env struct {
 // consulted around a request's attempts, not handed them — see Endpoint.Do:
 // Begin admits the request or fails it fast, and Next takes each attempt's
 // outcome and says, having slept any backoff, whether to make another.
-// state is the layer's own note on the request, carried for it by the caller.
+// state is the layer's own note on the request, carried for it by the caller;
+// tenant is whom the request is made for ("" for none, see WithTenant).
 type retryLayer interface {
-	Begin(endpoint string) (state int, err error)
-	Next(endpoint string, state int, err error) (next int, again bool, out error)
+	Begin(endpoint, tenant string) (state int, err error)
+	Next(endpoint, tenant string, state int, err error) (next int, again bool, out error)
 }
 
 // NewEnv creates an environment from cfg, filling defaults.
