@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/cloud/store"
 	"passcloud/internal/prov"
+	"passcloud/internal/uuid"
 )
 
 // Provenance-to-item conversion shared by P2 and P3's commit daemon.
@@ -18,15 +21,35 @@ import (
 // SpillPrefix and replaced by a SpillMarker pointer.
 
 // itemsFor converts bundles into database put requests, spilling oversized
-// values to st. It returns the requests in bundle order.
+// values to st. It returns the requests in bundle order. The item names are
+// rendered once, into one string, and a cross reference to a bundle of the
+// same call reuses that bundle's name; the attributes share one slab.
 func itemsFor(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, error) {
-	reqs := make([]sdb.PutRequest, 0, len(bundles))
+	size, nattrs := 0, 0
 	for _, b := range bundles {
-		attrs := make([]sdb.Attr, 0, len(b.Records))
+		size += refLen(b.Ref)
+		nattrs += len(b.Records)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	var tmp [uuid.StringLen + 1 + 20]byte
+	for _, b := range bundles {
+		sb.Write(b.Ref.AppendTo(tmp[:0]))
+	}
+	names := sb.String()
+	reqs := make([]sdb.PutRequest, len(bundles))
+	for i, b := range bundles {
+		n := refLen(b.Ref)
+		reqs[i] = sdb.PutRequest{Item: names[:n], Replace: true}
+		names = names[n:]
+	}
+	slab := make([]sdb.Attr, 0, nattrs)
+	for bi, b := range bundles {
+		start := len(slab)
 		for i, r := range b.Records {
 			value := r.Value
 			if r.IsXref() {
-				value = r.Xref.String()
+				value = refName(bundles, reqs, r.Xref)
 			} else if len(value) > sdb.MaxValueLen {
 				key := fmt.Sprintf("%s%s/%s/%d", SpillPrefix, b.Ref, r.Attr, i)
 				if err := st.Put(key, []byte(value), nil); err != nil {
@@ -34,11 +57,28 @@ func itemsFor(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, error) 
 				}
 				value = SpillMarker + key
 			}
-			attrs = append(attrs, sdb.Attr{Name: r.Attr, Value: value})
+			slab = append(slab, sdb.Attr{Name: r.Attr, Value: value})
 		}
-		reqs = append(reqs, sdb.PutRequest{Item: b.Ref.String(), Attrs: attrs, Replace: true})
+		reqs[bi].Attrs = slab[start:len(slab):len(slab)]
 	}
 	return reqs, nil
+}
+
+// refLen is len(r.String()).
+func refLen(r prov.Ref) int {
+	var tmp [20]byte
+	return uuid.StringLen + 1 + len(strconv.AppendInt(tmp[:0], int64(r.Version), 10))
+}
+
+// refName renders ref, reusing the item name of the request for a bundle
+// of the same call when ref names one.
+func refName(bundles []prov.Bundle, reqs []sdb.PutRequest, ref prov.Ref) string {
+	for i := range bundles {
+		if bundles[i].Ref == ref {
+			return reqs[i].Item
+		}
+	}
+	return ref.String()
 }
 
 // putItems writes the requests through the domain set's bulk writer:

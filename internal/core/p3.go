@@ -225,7 +225,7 @@ func (p *P3) logTxn(ctx context.Context, txn uuid.UUID, obj FileObject, bundles 
 		Ref:      obj.Ref,
 		Digest:   obj.Digest,
 	}
-	l.msgs = encodeWAL(txn, hdr, prov.EncodeBundles(bundles), p.chunkSize)
+	l.msgs = encodeWALBundles(txn, hdr, bundles, p.chunkSize)
 
 	// Every packet of the transaction goes to its home WAL shard (resolved
 	// once, under one routing view, so a reshard cannot split a

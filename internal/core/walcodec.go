@@ -33,8 +33,9 @@ import (
 //	payload  rest of message (a fragment of the encoded provenance)
 //
 // Buffer ownership. encodeWAL copies the payload into freshly allocated
-// messages: the caller keeps payload and owns the messages (the queue
-// copies a body again on send, so they may be reused). decodeWAL copies
+// messages, and encodeWALBundles encodes the bundles into them: the caller
+// keeps payload and bundles and owns the messages (the queue copies a body
+// again on send, so they may be reused). decodeWAL copies
 // the header strings out, but the packet's Payload aliases the message it
 // parsed — in the commit daemon that is an sqs.Message.Body, a read-only
 // view of what the queue stores — so a walPacket, and the fragments a
@@ -76,36 +77,68 @@ type walPacket struct {
 // packet header is built in a stack buffer and the message allocated once,
 // at its final length.
 func encodeWAL(txn uuid.UUID, hdr walTxn, payload []byte, chunkSize int) [][]byte {
-	if chunkSize <= 0 || chunkSize > sqs.MaxMessageSize-walHeaderRoom {
-		chunkSize = DefaultChunkSize
-	}
+	chunkSize = walChunkSize(chunkSize)
 	total := 1 // an empty payload still ships its header packet
 	if len(payload) > 0 {
 		total = (len(payload) + chunkSize - 1) / chunkSize
 	}
 	msgs := make([][]byte, total)
-	var room [walHeaderRoom]byte
+	var room [2 * walHeaderRoom]byte
 	for seq := range msgs {
-		head := binary.BigEndian.AppendUint16(room[:0], walMagic)
-		head = append(head, txn[:]...)
-		head = binary.AppendUvarint(head, uint64(seq))
-		if seq == 0 {
-			head = append(head, 1)
-			head = binary.AppendUvarint(head, uint64(total))
-			head = appendWALString(head, hdr.TmpKey)
-			head = appendWALString(head, hdr.FinalKey)
-			head = binary.AppendUvarint(head, uint64(hdr.Size))
-			head = append(head, hdr.Ref.UUID[:]...)
-			head = binary.AppendUvarint(head, uint64(hdr.Ref.Version))
-			head = appendWALString(head, hdr.Digest)
-		} else {
-			head = append(head, 0)
-		}
+		head := appendWALHead(room[:0], txn, hdr, seq, total)
 		chunk := payload[seq*chunkSize : min((seq+1)*chunkSize, len(payload))]
 		msg := make([]byte, 0, len(head)+len(chunk))
 		msgs[seq] = append(append(msg, head...), chunk...)
 	}
 	return msgs
+}
+
+// encodeWALBundles is encodeWAL over the prov encoding of bundles, byte for
+// byte. A payload that fits one packet is encoded straight into its message;
+// a larger one is encoded once and cut into packets.
+func encodeWALBundles(txn uuid.UUID, hdr walTxn, bundles []prov.Bundle, chunkSize int) [][]byte {
+	size := 0
+	for _, b := range bundles {
+		size += b.EncodedSize()
+	}
+	if size > walChunkSize(chunkSize) {
+		return encodeWAL(txn, hdr, prov.EncodeBundles(bundles), chunkSize)
+	}
+	var room [2 * walHeaderRoom]byte
+	head := appendWALHead(room[:0], txn, hdr, 0, 1)
+	msg := append(make([]byte, 0, len(head)+size), head...)
+	for _, b := range bundles {
+		msg = prov.AppendBundle(msg, b)
+	}
+	return [][]byte{msg}
+}
+
+// walChunkSize is the payload carried per packet for a requested chunk size
+// (0 or out of range: DefaultChunkSize).
+func walChunkSize(chunkSize int) int {
+	if chunkSize <= 0 || chunkSize > sqs.MaxMessageSize-walHeaderRoom {
+		return DefaultChunkSize
+	}
+	return chunkSize
+}
+
+// appendWALHead appends the header of packet seq of a total-packet
+// transaction to dst.
+func appendWALHead(dst []byte, txn uuid.UUID, hdr walTxn, seq, total int) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, walMagic)
+	dst = append(dst, txn[:]...)
+	dst = binary.AppendUvarint(dst, uint64(seq))
+	if seq != 0 {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(total))
+	dst = appendWALString(dst, hdr.TmpKey)
+	dst = appendWALString(dst, hdr.FinalKey)
+	dst = binary.AppendUvarint(dst, uint64(hdr.Size))
+	dst = append(dst, hdr.Ref.UUID[:]...)
+	dst = binary.AppendUvarint(dst, uint64(hdr.Ref.Version))
+	return appendWALString(dst, hdr.Digest)
 }
 
 // decodeWAL parses one WAL message; the packet's Payload aliases msg.

@@ -64,6 +64,29 @@ func TestWALGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestWALBundlesMatchPayloadEncoding: encoding bundles straight into their
+// message (the log phase's path) is byte-identical to encoding the payload
+// and cutting it into packets, for payloads under, exactly at and over one
+// chunk, and for no bundles at all.
+func TestWALBundlesMatchPayloadEncoding(t *testing.T) {
+	rnd := sim.NewRand(20100223)
+	txn := uuid.New(rnd)
+	hdr := walTxn{Txn: txn, TmpKey: TmpPrefix + txn.String(), FinalKey: DataKey("mnt/out/main.o"), Size: 4711,
+		Ref: prov.Ref{UUID: uuid.New(rnd), Version: 3}, Digest: strings.Repeat("5a", 32)}
+	var bundles []prov.Bundle
+	for n := 0; n < 40; n++ {
+		for _, chunk := range []int{0, 64, 256, len(prov.EncodeBundles(bundles))} {
+			want := encodeWAL(txn, hdr, prov.EncodeBundles(bundles), chunk)
+			got := encodeWALBundles(txn, hdr, bundles, chunk)
+			if walDigest(got) != walDigest(want) {
+				t.Fatalf("%d bundles, chunk %d: %d packets differ from the payload encoding's %d", n, chunk, len(got), len(want))
+			}
+		}
+		bundles = append(bundles, prov.Bundle{Ref: prov.Ref{UUID: uuid.New(rnd), Version: 1 + rnd.Intn(300)}, Type: prov.File, Name: "f",
+			Records: []prov.Record{{Attr: prov.AttrArgv, Value: strings.Repeat("v", rnd.Intn(40))}, {Attr: prov.AttrInput, Xref: hdr.Ref}}})
+	}
+}
+
 // sameBundles compares decoded bundles with what was encoded (a decoded
 // bundle's empty record list is non-nil, so not reflect.DeepEqual).
 func sameBundles(got, want []prov.Bundle) bool {

@@ -22,7 +22,11 @@ import (
 type Digest [sha256.Size]byte
 
 // String renders the digest in hex.
-func (d Digest) String() string { return hex.EncodeToString(d[:]) }
+func (d Digest) String() string {
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], d[:])
+	return string(buf[:])
+}
 
 // leafPrefix and nodePrefix domain-separate leaf and interior hashes,
 // preventing second-preimage splices between levels.
@@ -31,32 +35,40 @@ const (
 	nodePrefix = 0x01
 )
 
-// HashBundle hashes one provenance bundle as a leaf.
+// HashBundle hashes one provenance bundle as a leaf. A bundle whose
+// encoding fits the stack buffer hashes without allocating.
 func HashBundle(b prov.Bundle) Digest {
-	buf := make([]byte, 1, 1+b.EncodedSize())
-	buf[0] = leafPrefix
-	return sha256.Sum256(prov.AppendBundle(buf, b))
+	var buf [1024]byte
+	return sha256.Sum256(prov.AppendBundle(append(buf[:0], leafPrefix), b))
 }
 
 // Root computes the Merkle root over the leaves in order. An empty input
-// hashes to the digest of the empty leaf set.
+// hashes to the digest of the empty leaf set. Each level is hashed into the
+// first half of one buffer, on the stack for up to 128 leaves.
 func Root(leaves []Digest) Digest {
-	if len(leaves) == 0 {
+	switch len(leaves) {
+	case 0:
 		return sha256.Sum256(nil)
+	case 1:
+		return leaves[0]
 	}
-	level := append([]Digest(nil), leaves...)
-	for len(level) > 1 {
-		var next []Digest
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i]) // odd node promotes
+	var buf [64]Digest
+	level := buf[:0]
+	if half := (len(leaves) + 1) / 2; half > len(buf) {
+		level = make([]Digest, 0, half)
+	}
+	for len(leaves) > 1 {
+		level = level[:0]
+		for i := 0; i < len(leaves); i += 2 {
+			if i+1 == len(leaves) {
+				level = append(level, leaves[i]) // odd node promotes
 				continue
 			}
-			next = append(next, hashNode(level[i], level[i+1]))
+			level = append(level, hashNode(leaves[i], leaves[i+1]))
 		}
-		level = next
+		leaves = level
 	}
-	return level[0]
+	return leaves[0]
 }
 
 // RootOfBundles summarizes a provenance closure (ancestors first, as the

@@ -33,12 +33,15 @@ func hashNode(left, right Digest) Digest {
 }
 
 // HashLeafBytes is the RFC 6962 leaf hash H(0x00 || data) over an opaque
-// canonical leaf encoding. Encodings that fit the stack buffer hash without
-// allocating.
+// canonical leaf encoding. It streams data into the hash: no copy, no
+// allocation.
 func HashLeafBytes(data []byte) Digest {
-	var buf [512]byte
-	buf[0] = leafPrefix
-	return sha256.Sum256(append(buf[:1], data...))
+	h := sha256.New()
+	h.Write([]byte{leafPrefix})
+	h.Write(data)
+	var d Digest
+	h.Sum(d[:0])
+	return d
 }
 
 // splitPoint returns the largest power of two strictly smaller than n

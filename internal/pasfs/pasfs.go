@@ -190,8 +190,9 @@ func (fs *FS) commit(path string) error {
 			return fmt.Errorf("pasfs: close of untracked file %s", path)
 		}
 		obj.Ref = ref
-		// Ancestry digest for reader-side Merkle verification (§4.3.1).
-		obj.Digest = core.ClosureRoot(fs.col.FullClosureFor(path)).String()
+		// Ancestry digest for reader-side Merkle verification (§4.3.1):
+		// core.ClosureRoot of the full closure, from memoized leaf digests.
+		obj.Digest = fs.col.ClosureRootFor(path).String()
 		bundles = fs.col.PendingFor(path)
 		// Mark optimistically so a later close does not re-send the same
 		// ancestors; a failed upload surfaces through Drain.

@@ -9,6 +9,13 @@
 // (a process that read a file then writes it produces a new file version
 // that depends on both the process and the previous file version). The
 // resulting graph is acyclic by construction, which internal/prov can check.
+//
+// The freeze rule: a version the storage layer has recorded (MarkRecorded)
+// is immutable. A read or write that would add an edge to a recorded
+// version creates the object's next version first and adds the edge there,
+// so everything the local graph says about a closure reaches the cloud with
+// the next close — and a recorded version's Merkle leaf digest, memoized on
+// first use, stays valid for good.
 package pass
 
 import (
@@ -17,6 +24,7 @@ import (
 	"strconv"
 	"time"
 
+	"passcloud/internal/merkle"
 	"passcloud/internal/prov"
 	"passcloud/internal/trace"
 	"passcloud/internal/uuid"
@@ -36,12 +44,13 @@ type objectState struct {
 // until the storage layer takes them at close/flush time.
 //
 // The per-close work is kept incremental: the collector maintains, as edges
-// and nodes are added, a per-node dependency-edge set (O(1) duplicate-edge
-// checks on the hot read/write path), a per-node parent list pre-sorted in
-// the canonical ref-string order (no re-sort per closure visit), and a
-// per-object list of dirty — created but not yet recorded — versions (the
-// roots of PendingFor without re-scanning the version range). Closure walks
-// are iterative, so arbitrarily deep version chains cannot blow the stack.
+// and nodes are added, one dependency-edge set (O(1) duplicate-edge checks
+// on the hot read/write path), per-node state holding the parent list
+// pre-sorted in the canonical ref-string order (no re-sort per closure
+// visit) and the memoized leaf digest of a recorded version (a close hashes
+// its dirty fringe, not its whole closure). Walks are iterative, so
+// arbitrarily deep version chains cannot blow the stack, and mark nodes
+// with a per-walk generation instead of allocating a visited set.
 type Collector struct {
 	src   uuid.Source
 	graph *prov.Graph
@@ -49,42 +58,61 @@ type Collector struct {
 	procs map[int]*objectState
 	files map[string]*objectState
 
-	// recorded marks node versions already handed to (and accepted by) the
-	// storage layer; everything else is dirty client-side state.
-	recorded map[prov.Ref]bool
+	// nodes is the collector's state for every node of the graph.
+	nodes map[prov.Ref]*nodeState
 
-	// edges is the dependency-edge set of each node: every xref the node
-	// carries, regardless of attribute. It answers hasInput in O(1).
-	edges map[prov.Ref]map[prov.Ref]bool
+	// edges is the dependency-edge set: every xref any node carries,
+	// regardless of attribute. It answers hasInput in O(1).
+	edges map[edge]struct{}
 
-	// parents caches each node's parent refs, sorted lazily into the
+	// gen numbers walks: a node whose seen equals gen was visited by the
+	// current one. order, stack and frames are the walks' reused scratch
+	// space.
+	gen    uint64
+	order  []prov.Ref
+	stack  []prov.Ref
+	frames []frame
+
+	clock func() time.Duration // start-time attribution for processes
+}
+
+// edge is one dependency edge, from a node to the node it depends on.
+type edge struct{ from, to prov.Ref }
+
+// nodeState is what the collector keeps beside one graph node, allocated
+// with the node itself.
+type nodeState struct {
+	node prov.Node
+
+	// parents are the node's distinct parent refs, sorted lazily into the
 	// canonical ref-string order the closure walks visit them in: inserts
 	// are O(1) appends that clear the sorted flag, and a node re-sorts at
 	// most once per closure since its last new edge — so a high-fan-in
 	// node (a process reading thousands of files) stays linear per event.
-	parents map[prov.Ref]*parentList
+	parents []prov.Ref
+	sorted  bool
 
-	// dirty lists the unrecorded versions of each object, oldest first
-	// (versions are created in ascending order); PendingFor reads its roots
-	// here and compacts recorded entries out lazily.
-	dirty map[uuid.UUID][]prov.Ref
+	// recorded marks a version already handed to (and accepted by) the
+	// storage layer; everything else is dirty client-side state. A
+	// recorded version is frozen, so its leaf digest is computed once.
+	recorded bool
+	hashed   bool
+	digest   merkle.Digest
 
-	clock func() time.Duration // start-time attribution for processes
+	seen uint64 // the walk generation that last visited the node
 }
 
 // New returns an empty collector drawing uuids from src. The optional clock
 // supplies process start times; nil uses a monotonic counter.
 func New(src uuid.Source, clock func() time.Duration) *Collector {
 	c := &Collector{
-		src:      src,
-		graph:    prov.NewGraph(),
-		procs:    make(map[int]*objectState),
-		files:    make(map[string]*objectState),
-		recorded: make(map[prov.Ref]bool),
-		edges:    make(map[prov.Ref]map[prov.Ref]bool),
-		parents:  make(map[prov.Ref]*parentList),
-		dirty:    make(map[uuid.UUID][]prov.Ref),
-		clock:    clock,
+		src:   src,
+		graph: prov.NewGraph(),
+		procs: make(map[int]*objectState),
+		files: make(map[string]*objectState),
+		nodes: make(map[prov.Ref]*nodeState),
+		edges: make(map[edge]struct{}),
+		clock: clock,
 	}
 	if c.clock == nil {
 		var tick time.Duration
@@ -147,9 +175,12 @@ func (c *Collector) Apply(ev trace.Event) error {
 	return nil
 }
 
-// newNode allocates and inserts a fresh node version, marking it dirty.
-func (c *Collector) newNode(u uuid.UUID, version int, typ prov.ObjectType, name string) *prov.Node {
-	n := &prov.Node{Ref: prov.Ref{UUID: u, Version: version}, Type: typ, Name: name}
+// newNode allocates and inserts a fresh, dirty node version. extra is how
+// many records the caller will add beyond type and name.
+func (c *Collector) newNode(u uuid.UUID, version int, typ prov.ObjectType, name string, extra int) *prov.Node {
+	ns := &nodeState{node: prov.Node{Ref: prov.Ref{UUID: u, Version: version}, Type: typ, Name: name}}
+	n := &ns.node
+	n.Records = make([]prov.Record, 0, 2+extra)
 	n.Records = append(n.Records, prov.Record{Attr: prov.AttrType, Value: typ.String()})
 	if name != "" {
 		n.Records = append(n.Records, prov.Record{Attr: prov.AttrName, Value: name})
@@ -158,55 +189,39 @@ func (c *Collector) newNode(u uuid.UUID, version int, typ prov.ObjectType, name 
 		// Version allocation is internal; a collision is a bug.
 		panic(err)
 	}
-	c.dirty[u] = append(c.dirty[u], n.Ref)
+	c.nodes[n.Ref] = ns
 	return n
 }
 
 // addXref records one dependency edge in the graph and in the collector's
 // incremental edge set and sorted-parent cache.
 func (c *Collector) addXref(from prov.Ref, attr string, to prov.Ref) {
-	if err := c.graph.AddRecord(from, prov.Record{Attr: attr, Xref: to}); err != nil {
-		// Edges are only added to nodes the collector created; a miss is a bug.
-		panic(err)
+	ns := c.nodes[from]
+	if ns == nil || ns.recorded {
+		// Edges are only added to dirty nodes the collector created; a
+		// miss or a recorded target is a bug.
+		panic(fmt.Sprintf("pass: edge from %s, which is missing or recorded", from))
 	}
-	es := c.edges[from]
-	if es == nil {
-		es = make(map[prov.Ref]bool, 4)
-		c.edges[from] = es
-	}
-	if es[to] {
+	ns.node.Records = append(ns.node.Records, prov.Record{Attr: attr, Xref: to})
+	e := edge{from, to}
+	if _, dup := c.edges[e]; dup {
 		// A second edge to the same parent under a different attribute
 		// (e.g. execfile plus prev) changes no closure order.
 		return
 	}
-	es[to] = true
-	pl := c.parents[from]
-	if pl == nil {
-		pl = &parentList{}
-		c.parents[from] = pl
-	}
-	pl.refs = append(pl.refs, to)
-	pl.sorted = len(pl.refs) == 1
-}
-
-// parentList is one node's parent refs plus a lazily-maintained sort flag.
-type parentList struct {
-	refs   []prov.Ref
-	sorted bool
+	c.edges[e] = struct{}{}
+	ns.parents = append(ns.parents, to)
+	ns.sorted = len(ns.parents) == 1
 }
 
 // sortedParents returns a node's parents in canonical ref-string order,
 // sorting on first use after an insert.
-func (c *Collector) sortedParents(r prov.Ref) []prov.Ref {
-	pl := c.parents[r]
-	if pl == nil {
-		return nil
+func (ns *nodeState) sortedParents() []prov.Ref {
+	if !ns.sorted {
+		sort.Slice(ns.parents, func(i, j int) bool { return refStringLess(ns.parents[i], ns.parents[j]) })
+		ns.sorted = true
 	}
-	if !pl.sorted {
-		sort.Slice(pl.refs, func(i, j int) bool { return refStringLess(pl.refs[i], pl.refs[j]) })
-		pl.sorted = true
-	}
-	return pl.refs
+	return ns.parents
 }
 
 // refStringLess orders refs exactly as comparing their String() forms
@@ -241,12 +256,13 @@ func (c *Collector) exec(ev trace.Event) {
 	prevRef := st.ref
 	st.ref = prov.Ref{UUID: st.ref.UUID, Version: st.ref.Version + 1}
 	st.name = name
-	n := c.newNode(st.ref.UUID, st.ref.Version, prov.Process, name)
+	// prev, pid, start time, argv, env and the executed binary.
+	n := c.newNode(st.ref.UUID, st.ref.Version, prov.Process, name, 4+len(ev.Argv)+len(ev.Env))
 	if prevRef.Version > 0 {
 		c.addXref(st.ref, prov.AttrPrevVer, prevRef)
 	}
 	n.Records = append(n.Records,
-		prov.Record{Attr: prov.AttrPID, Value: fmt.Sprint(ev.PID)},
+		prov.Record{Attr: prov.AttrPID, Value: strconv.Itoa(ev.PID)},
 		prov.Record{Attr: prov.AttrStartTime, Value: c.clock().String()},
 	)
 	for _, a := range ev.Argv {
@@ -272,8 +288,8 @@ func (c *Collector) fork(ev trace.Event) {
 	}
 	child := &objectState{typ: prov.Process, ref: prov.Ref{UUID: uuid.New(c.src), Version: 1}, name: parent.name}
 	c.procs[ev.Child] = child
-	n := c.newNode(child.ref.UUID, 1, prov.Process, parent.name)
-	n.Records = append(n.Records, prov.Record{Attr: prov.AttrPID, Value: fmt.Sprint(ev.Child)})
+	n := c.newNode(child.ref.UUID, 1, prov.Process, parent.name, 2)
+	n.Records = append(n.Records, prov.Record{Attr: prov.AttrPID, Value: strconv.Itoa(ev.Child)})
 	c.addXref(child.ref, prov.AttrForkParent, parent.ref)
 }
 
@@ -283,7 +299,7 @@ func (c *Collector) fileState(path string, typ prov.ObjectType) *objectState {
 	if !ok || st.removed {
 		st = &objectState{typ: typ, name: path, ref: prov.Ref{UUID: uuid.New(c.src), Version: 1}}
 		c.files[path] = st
-		c.newNode(st.ref.UUID, 1, typ, path)
+		c.newNode(st.ref.UUID, 1, typ, path, 1)
 	}
 	return st
 }
@@ -302,14 +318,15 @@ func (c *Collector) procState(pid int) *objectState {
 // node to the file's current version. If the file's current version already
 // depends on this process version (the process wrote it earlier), adding the
 // edge would close a cycle, so the process is re-versioned first — the
-// causality-based versioning algorithm.
+// causality-based versioning algorithm. A recorded process version is
+// re-versioned too: it is frozen.
 func (c *Collector) read(pid int, path string) {
 	p := c.procState(pid)
 	f := c.fileState(path, typeForPath(path))
 	if c.hasInput(p.ref, f.ref) {
 		return // duplicate edge; PASS deduplicates repeated reads
 	}
-	if c.graph.Reachable(f.ref, p.ref) {
+	if c.nodes[p.ref].recorded || c.reachable(f.ref, p.ref) {
 		c.bumpProc(p)
 	}
 	c.addXref(p.ref, prov.AttrInput, f.ref)
@@ -318,7 +335,8 @@ func (c *Collector) read(pid int, path string) {
 // write records "file depends on process". If the process already depends on
 // the file's current version (it read the file earlier), the file is
 // re-versioned: the new version depends on both the writing process and the
-// previous file version.
+// previous file version. A recorded file version is re-versioned too: it is
+// frozen.
 func (c *Collector) write(pid int, path string, n int64) {
 	p := c.procState(pid)
 	f := c.fileState(path, typeForPath(path))
@@ -326,7 +344,7 @@ func (c *Collector) write(pid int, path string, n int64) {
 	if c.hasInput(f.ref, p.ref) {
 		return // this process version already recorded as writer
 	}
-	if c.graph.Reachable(p.ref, f.ref) {
+	if c.nodes[f.ref].recorded || c.reachable(p.ref, f.ref) {
 		c.bumpFile(f)
 	}
 	c.addXref(f.ref, prov.AttrInput, p.ref)
@@ -336,7 +354,7 @@ func (c *Collector) write(pid int, path string, n int64) {
 func (c *Collector) bumpProc(p *objectState) {
 	prev := p.ref
 	p.ref = prov.Ref{UUID: prev.UUID, Version: prev.Version + 1}
-	c.newNode(p.ref.UUID, p.ref.Version, prov.Process, p.name)
+	c.newNode(p.ref.UUID, p.ref.Version, prov.Process, p.name, 2)
 	c.addXref(p.ref, prov.AttrPrevVer, prev)
 }
 
@@ -344,7 +362,7 @@ func (c *Collector) bumpProc(p *objectState) {
 func (c *Collector) bumpFile(f *objectState) {
 	prev := f.ref
 	f.ref = prov.Ref{UUID: prev.UUID, Version: prev.Version + 1}
-	c.newNode(f.ref.UUID, f.ref.Version, f.typ, f.name)
+	c.newNode(f.ref.UUID, f.ref.Version, f.typ, f.name, 2)
 	c.addXref(f.ref, prov.AttrPrevVer, prev)
 }
 
@@ -353,7 +371,34 @@ func (c *Collector) bumpFile(f *objectState) {
 // scanned every record of the node per read/write event, which dominated
 // collection time on large traces.
 func (c *Collector) hasInput(from, to prov.Ref) bool {
-	return c.edges[from][to]
+	_, ok := c.edges[edge{from, to}]
+	return ok
+}
+
+// reachable reports whether to can be reached from from along dependency
+// edges (whether to is an ancestor of from), walking the parent lists.
+func (c *Collector) reachable(from, to prov.Ref) bool {
+	if from == to {
+		return true
+	}
+	c.gen++
+	c.nodes[from].seen = c.gen
+	stack := append(c.stack[:0], from)
+	defer func() { c.stack = stack[:0] }()
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range c.nodes[cur].parents {
+			if p == to {
+				return true
+			}
+			if ns := c.nodes[p]; ns != nil && ns.seen != c.gen {
+				ns.seen = c.gen
+				stack = append(stack, p)
+			}
+		}
+	}
+	return false
 }
 
 // mkpipe creates a pipe node (pipes have no name attribute in PASS; the
@@ -361,7 +406,7 @@ func (c *Collector) hasInput(from, to prov.Ref) bool {
 func (c *Collector) mkpipe(pid int, path string) {
 	st := &objectState{typ: prov.Pipe, ref: prov.Ref{UUID: uuid.New(c.src), Version: 1}}
 	c.files[path] = st
-	c.newNode(st.ref.UUID, 1, prov.Pipe, "")
+	c.newNode(st.ref.UUID, 1, prov.Pipe, "", 1)
 	_ = pid
 }
 
@@ -383,51 +428,47 @@ func typeForPath(path string) prov.ObjectType {
 }
 
 // MarkRecorded notes that the storage layer has durably recorded these node
-// versions; they will not be bundled again.
+// versions; they will not be bundled again, and are frozen.
 func (c *Collector) MarkRecorded(refs ...prov.Ref) {
 	for _, r := range refs {
-		c.recorded[r] = true
+		if ns := c.nodes[r]; ns != nil {
+			ns.recorded = true
+		}
 	}
 }
 
 // Recorded reports whether ref has been durably recorded.
-func (c *Collector) Recorded(ref prov.Ref) bool { return c.recorded[ref] }
+func (c *Collector) Recorded(ref prov.Ref) bool {
+	ns := c.nodes[ref]
+	return ns != nil && ns.recorded
+}
 
 // PendingFor assembles the bundles that must be persisted when path is
 // closed or flushed: every unrecorded version of the file itself plus the
 // unrecorded ancestor closure (process nodes, prior versions, upstream
 // files), ancestors first. This is the multi-object causal ordering set of
 // §3: the storage layer must write these before (or atomically with) the
-// object. The roots come from the incremental dirty list, so a close costs
-// time proportional to the unrecorded fringe, not the object's version
-// count.
+// object. The recorded versions of an object are always a prefix of its
+// versions — a version is recorded only with its unrecorded ancestors, and
+// every version depends on its predecessor — so the roots are the versions
+// above the newest recorded one, found walking down from the current one:
+// a close costs time proportional to the unrecorded fringe, not the
+// object's version count.
 func (c *Collector) PendingFor(path string) []prov.Bundle {
 	st, ok := c.files[path]
 	if !ok {
 		return nil
 	}
-	return c.closure(c.dirtyVersions(st.ref.UUID))
-}
-
-// dirtyVersions returns the unrecorded versions of one object, oldest
-// first, compacting recorded entries out of the dirty list as it goes.
-func (c *Collector) dirtyVersions(u uuid.UUID) []prov.Ref {
-	list := c.dirty[u]
-	if len(list) == 0 {
-		return nil
+	v := st.ref.Version
+	for v > 0 && !c.Recorded(prov.Ref{UUID: st.ref.UUID, Version: v}) {
+		v--
 	}
-	kept := list[:0]
-	for _, r := range list {
-		if !c.recorded[r] {
-			kept = append(kept, r)
-		}
+	var buf [8]prov.Ref
+	roots := buf[:0]
+	for v++; v <= st.ref.Version; v++ {
+		roots = append(roots, prov.Ref{UUID: st.ref.UUID, Version: v})
 	}
-	if len(kept) == 0 {
-		delete(c.dirty, u)
-		return nil
-	}
-	c.dirty[u] = kept
-	return kept
+	return c.closure(roots)
 }
 
 // PendingAll returns every unrecorded bundle in the graph, ancestors first.
@@ -435,7 +476,7 @@ func (c *Collector) dirtyVersions(u uuid.UUID) []prov.Ref {
 func (c *Collector) PendingAll() []prov.Bundle {
 	var roots []prov.Ref
 	for _, n := range c.graph.Nodes() {
-		if !c.recorded[n.Ref] {
+		if !c.Recorded(n.Ref) {
 			roots = append(roots, n.Ref)
 		}
 	}
@@ -449,34 +490,67 @@ func (c *Collector) PendingAll() []prov.Bundle {
 // clients verify ancestry against; the reader reconstructs the same order
 // from the recorded provenance.
 func (c *Collector) FullClosureFor(path string) []prov.Bundle {
+	return c.bundles(c.fullClosure(path))
+}
+
+// ClosureRootFor is the Merkle root of FullClosureFor(path) —
+// merkle.RootOfBundles over it — computed from the leaf digests: a recorded
+// version's digest is memoized (recorded versions are frozen), so only the
+// dirty fringe is hashed.
+func (c *Collector) ClosureRootFor(path string) merkle.Digest {
+	order := c.fullClosure(path)
+	var buf [64]merkle.Digest
+	leaves := buf[:0]
+	for _, r := range order {
+		ns := c.nodes[r]
+		switch {
+		case ns.hashed:
+			leaves = append(leaves, ns.digest)
+		case ns.recorded:
+			ns.digest, ns.hashed = merkle.HashBundle(ns.node.Bundle()), true
+			leaves = append(leaves, ns.digest)
+		default:
+			leaves = append(leaves, merkle.HashBundle(ns.node.Bundle()))
+		}
+	}
+	return merkle.Root(leaves)
+}
+
+// fullClosure is the canonical order FullClosureFor bundles: every version
+// of path's object and its complete ancestor closure. It returns the
+// collector's scratch slice, valid until the next walk.
+func (c *Collector) fullClosure(path string) []prov.Ref {
 	st, ok := c.files[path]
 	if !ok {
 		return nil
 	}
-	var roots []prov.Ref
+	var buf [8]prov.Ref
+	roots := buf[:0]
 	for v := 1; v <= st.ref.Version; v++ {
 		r := prov.Ref{UUID: st.ref.UUID, Version: v}
-		if c.graph.Node(r) != nil {
+		if c.nodes[r] != nil {
 			roots = append(roots, r)
 		}
 	}
-	order := c.walkAncestorsFirst(roots, false)
-	bundles := make([]prov.Bundle, 0, len(order))
-	for _, r := range order {
-		bundles = append(bundles, c.graph.Node(r).Bundle())
-	}
-	return bundles
+	return c.walkAncestorsFirst(roots, false)
 }
 
 // closure expands roots with their unrecorded ancestors in topological
 // (ancestors-first) order.
 func (c *Collector) closure(roots []prov.Ref) []prov.Bundle {
-	order := c.walkAncestorsFirst(roots, true)
-	bundles := make([]prov.Bundle, 0, len(order))
-	for _, r := range order {
-		bundles = append(bundles, c.graph.Node(r).Bundle())
+	return c.bundles(c.walkAncestorsFirst(roots, true))
+}
+
+// bundles returns the nodes of order as bundles sharing the graph's records.
+func (c *Collector) bundles(order []prov.Ref) []prov.Bundle {
+	if len(order) == 0 {
+		return nil
 	}
-	return bundles
+	out := make([]prov.Bundle, len(order))
+	for i, r := range order {
+		out[i] = c.nodes[r].node.Bundle()
+	}
+	return out
 }
 
 // walkAncestorsFirst is the shared DFS of the closure assemblers: parents in
@@ -486,39 +560,27 @@ func (c *Collector) closure(roots []prov.Ref) []prov.Bundle {
 // iterative with an explicit frame stack so a version chain tens of
 // thousands deep — a long-running process appending to one log file, say —
 // cannot overflow the goroutine stack the way the seed's recursion could.
+// It returns the collector's scratch slice, valid until the next walk.
 func (c *Collector) walkAncestorsFirst(roots []prov.Ref, unrecordedOnly bool) []prov.Ref {
-	if len(roots) == 0 {
-		return nil
-	}
-	const (
-		visiting = 1
-		done     = 2
-	)
-	var order []prov.Ref
-	state := make(map[prov.Ref]int)
-	type frame struct {
-		ref     prov.Ref
-		parents []prov.Ref
-		next    int
-	}
-	stack := make([]frame, 0, 64)
-	push := func(r prov.Ref) {
-		state[r] = visiting
-		stack = append(stack, frame{ref: r, parents: c.sortedParents(r)})
-	}
+	order := c.order[:0]
+	c.gen++
+	stack := c.frames[:0]
 	for _, r := range roots {
-		if state[r] != 0 {
+		ns := c.nodes[r]
+		if ns.seen == c.gen {
 			continue
 		}
-		push(r)
+		ns.seen = c.gen
+		stack = append(stack, frame{ns: ns, parents: ns.sortedParents()})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			descended := false
 			for f.next < len(f.parents) {
-				p := f.parents[f.next]
+				p := c.nodes[f.parents[f.next]]
 				f.next++
-				if state[p] == 0 && (!unrecordedOnly || !c.recorded[p]) && c.graph.Node(p) != nil {
-					push(p) // f is invalid past this point (stack may grow)
+				if p != nil && p.seen != c.gen && (!unrecordedOnly || !p.recorded) {
+					p.seen = c.gen
+					stack = append(stack, frame{ns: p, parents: p.sortedParents()}) // f is invalid past this point
 					descended = true
 					break
 				}
@@ -526,10 +588,17 @@ func (c *Collector) walkAncestorsFirst(roots []prov.Ref, unrecordedOnly bool) []
 			if descended {
 				continue
 			}
-			state[f.ref] = done
-			order = append(order, f.ref)
+			order = append(order, f.ns.node.Ref)
 			stack = stack[:len(stack)-1]
 		}
 	}
+	c.order, c.frames = order, stack
 	return order
+}
+
+// frame is one node on the closure walk's explicit stack.
+type frame struct {
+	ns      *nodeState
+	parents []prov.Ref
+	next    int
 }

@@ -82,9 +82,14 @@ type Ref struct {
 // String renders the uuid_version form P2 uses as a SimpleDB item name.
 func (r Ref) String() string {
 	var buf [uuid.StringLen + 1 + 20]byte // uuid, '_', any int64
-	b := r.UUID.AppendTo(buf[:0])
-	b = append(b, '_')
-	return string(strconv.AppendInt(b, int64(r.Version), 10))
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the uuid_version form to dst.
+func (r Ref) AppendTo(dst []byte) []byte {
+	dst = r.UUID.AppendTo(dst)
+	dst = append(dst, '_')
+	return strconv.AppendInt(dst, int64(r.Version), 10)
 }
 
 // IsZero reports whether r is the zero Ref.
@@ -164,9 +169,14 @@ type Node struct {
 	Records []Record
 }
 
-// Bundle converts the node back into the transferable form.
+// Bundle converts the node back into the transferable form without copying:
+// the bundle shares the node's records. They are read-only — neither the
+// bundle's holder nor the node's owner may change a record in place — and
+// the slice is capacity-capped, so appending to the bundle's records copies
+// them and leaves the node untouched, while records the node gains later do
+// not show in the bundle.
 func (n *Node) Bundle() Bundle {
-	return Bundle{Ref: n.Ref, Type: n.Type, Name: n.Name, Records: append([]Record(nil), n.Records...)}
+	return Bundle{Ref: n.Ref, Type: n.Type, Name: n.Name, Records: n.Records[:len(n.Records):len(n.Records)]}
 }
 
 // Graph is an in-memory provenance DAG, used by the collector (as the
@@ -220,16 +230,6 @@ func (g *Graph) Add(n *Node) error {
 // AddBundle inserts a bundle as a node.
 func (g *Graph) AddBundle(b Bundle) error {
 	return g.Add(&Node{Ref: b.Ref, Type: b.Type, Name: b.Name, Records: b.Records})
-}
-
-// AddRecord appends a record to an existing node.
-func (g *Graph) AddRecord(ref Ref, rec Record) error {
-	n := g.nodes[ref]
-	if n == nil {
-		return fmt.Errorf("prov: no node %s", ref)
-	}
-	n.Records = append(n.Records, rec)
-	return nil
 }
 
 // Parents returns the refs ref directly depends on.

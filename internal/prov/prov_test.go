@@ -114,7 +114,8 @@ func TestCheckAcyclic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Close a cycle: refs[0] depends on refs[3].
-	g.AddRecord(refs[0], Record{Attr: AttrInput, Xref: refs[3]})
+	n := g.Node(refs[0])
+	n.Records = append(n.Records, Record{Attr: AttrInput, Xref: refs[3]})
 	if err := g.CheckAcyclic(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cycle not detected: %v", err)
 	}
@@ -126,7 +127,8 @@ func TestDangling(t *testing.T) {
 		t.Fatalf("dangling = %v", d)
 	}
 	ghost := ref(t, 1)
-	g.AddRecord(refs[1], Record{Attr: AttrInput, Xref: ghost})
+	n := g.Node(refs[1])
+	n.Records = append(n.Records, Record{Attr: AttrInput, Xref: ghost})
 	d := g.Dangling()
 	if len(d) != 1 || d[0] != ghost {
 		t.Fatalf("dangling = %v, want %v", d, ghost)

@@ -351,8 +351,11 @@ func (c *Cache) applyNotice(n core.CommitNotice) int64 {
 	defer c.mu.Unlock()
 	c.lastSeq = n.Seq
 	var dropped int64
-	drop := func(key string) {
-		if el, ok := c.entries[key]; ok {
+	// The vers/ and kids/ keys are built in one stack buffer and looked up
+	// without converting them to strings.
+	var buf [128]byte
+	drop := func(key []byte) {
+		if el, ok := c.entries[string(key)]; ok {
 			c.removeLocked(el)
 			dropped++
 		}
@@ -361,19 +364,20 @@ func (c *Cache) applyNotice(n core.CommitNotice) int64 {
 		// The item is a new version of its object: the uuid's version set
 		// grew.
 		if ref, err := prov.ParseRef(it.Name); err == nil {
-			drop(versKey(ref.UUID))
+			drop(ref.UUID.AppendTo(append(buf[:0], versPrefix...)))
 		}
 		// Each input edge makes the item a new child of the referenced ref.
 		for _, a := range it.Attrs {
 			if a.Name == prov.AttrInput {
-				drop("kids/" + a.Value)
+				drop(append(append(buf[:0], kidsPrefix...), a.Value...))
 			}
 		}
 		// Any registered attribute root set the item satisfies gained a
 		// member.
 		for key, ms := range c.attrKeys {
-			if noticeMatches(it.Attrs, ms) {
-				drop(key)
+			if el, ok := c.entries[key]; ok && noticeMatches(it.Attrs, ms) {
+				c.removeLocked(el)
+				dropped++
 			}
 		}
 	}
@@ -403,9 +407,14 @@ func noticeMatches(attrs []sdb.Attr, ms []AttrMatch) bool {
 // Key builders. Item names are globally unique (uuid_version) so the short
 // prefixes cannot collide across kinds.
 
+const (
+	versPrefix = "vers/"
+	kidsPrefix = "kids/"
+)
+
 func itemKey(name string) string { return "item/" + name }
-func versKey(u uuid.UUID) string { return "vers/" + u.String() }
-func kidsKey(r prov.Ref) string  { return "kids/" + r.String() }
+func versKey(u uuid.UUID) string { return versPrefix + u.String() }
+func kidsKey(r prov.Ref) string  { return kidsPrefix + r.String() }
 
 // attrKey length-prefixes each component: attribute values are arbitrary
 // strings, so a separator-joined key would let distinct predicates collide

@@ -131,11 +131,12 @@ func Audit(dep *core.Deployment, l *Log, opts AuditOptions) (AuditReport, error)
 		}
 	}
 
-	// 2. Every leaf's inclusion proof against the current tree head.
-	root := merkle.LogRoot(hashes)
+	// 2. Every leaf against the current tree head. The tree is built over
+	// hashes, so a leaf's inclusion proof verifies against its root exactly
+	// when the leaf re-hashes to hashes[i]: checking that directly is the
+	// same verdict in O(n) instead of one O(n) proof per leaf.
 	for i, lf := range leaves {
-		path := merkle.LogInclusion(hashes, i)
-		if !merkle.VerifyLogInclusion(lf.Hash(), i, len(hashes), path, root) {
+		if lf.Hash() != hashes[i] {
 			r.ProofFailures = append(r.ProofFailures, fmt.Sprintf("leaf %d (%s): inclusion proof failed", i, lf.Txn))
 			continue
 		}

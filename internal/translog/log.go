@@ -8,9 +8,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/cloud/store"
@@ -62,13 +64,99 @@ type Leaf struct {
 	Items    []LeafItem `json:"items"`
 }
 
-// Hash is the RFC 6962 leaf hash of the leaf's canonical encoding.
+// Hash is the RFC 6962 leaf hash of the leaf's canonical encoding. A leaf
+// whose encoding fits the stack buffer hashes without allocating.
 func (lf Leaf) Hash() merkle.Digest {
-	b, err := json.Marshal(lf)
-	if err != nil {
-		panic("translog: leaf encoding: " + err.Error()) // fixed struct, cannot fail
+	var buf [1024]byte
+	return merkle.HashLeafBytes(lf.appendJSON(buf[:0]))
+}
+
+// appendJSON appends the leaf's canonical encoding to dst: byte for byte
+// what json.Marshal writes for it, field order, omitempty and null included.
+func (lf Leaf) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(lf.Index), 10)
+	dst = append(dst, `,"txn":`...)
+	dst = appendJSONString(dst, lf.Txn)
+	if lf.Closure != "" {
+		dst = append(dst, `,"closure":`...)
+		dst = appendJSONString(dst, lf.Closure)
 	}
-	return merkle.HashLeafBytes(b)
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendInt(dst, int64(lf.Epoch), 10)
+	dst = append(dst, `,"sim_nanos":`...)
+	dst = strconv.AppendInt(dst, lf.SimNanos, 10)
+	dst = append(dst, `,"items":`...)
+	if lf.Items == nil {
+		return append(dst, "null}"...)
+	}
+	dst = append(dst, '[')
+	for i, it := range lf.Items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"name":`...)
+		dst = appendJSONString(dst, it.Name)
+		dst = append(dst, `,"digest":`...)
+		dst = appendJSONString(dst, it.Digest)
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
+}
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// writes one with HTML escaping on: '"' and '\\' backslash-escaped, the
+// control bytes \b \f \n \r \t short-escaped and the others as \u00XX,
+// '<' '>' '&' as \u00XX, U+2028 and U+2029 as \u202X, and each byte of
+// invalid UTF-8 as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hexDigits = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // SignedHead is a signed commitment to the log's first TreeSize leaves.
@@ -549,21 +637,32 @@ func (l *Log) TamperDropLeaf(txn uuid.UUID) bool {
 // digest is the tamper-evidence boundary. The sequencer digests what the
 // commit notice carried; the auditor digests what the fabric serves;
 // history was rewritten exactly when they differ.
+//
+// The attributes are sorted as a permutation and encoded into a stack
+// buffer, so an item of up to 32 attributes and 1 KB of encoding allocates
+// only the returned string.
 func ItemDigest(attrs []sdb.Attr) string {
-	sorted := append([]sdb.Attr(nil), attrs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Name != sorted[j].Name {
-			return sorted[i].Name < sorted[j].Name
-		}
-		return sorted[i].Value < sorted[j].Value
-	})
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	for _, a := range sorted {
-		h.Write(buf[:binary.PutUvarint(buf[:], uint64(len(a.Name)))])
-		h.Write([]byte(a.Name))
-		h.Write(buf[:binary.PutUvarint(buf[:], uint64(len(a.Value)))])
-		h.Write([]byte(a.Value))
+	var order [32]int
+	idx := order[:0]
+	for i := range attrs {
+		idx = append(idx, i)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	slices.SortFunc(idx, func(i, j int) int {
+		if c := strings.Compare(attrs[i].Name, attrs[j].Name); c != 0 {
+			return c
+		}
+		return strings.Compare(attrs[i].Value, attrs[j].Value)
+	})
+	var buf [1024]byte
+	enc := buf[:0]
+	for _, i := range idx {
+		enc = binary.AppendUvarint(enc, uint64(len(attrs[i].Name)))
+		enc = append(enc, attrs[i].Name...)
+		enc = binary.AppendUvarint(enc, uint64(len(attrs[i].Value)))
+		enc = append(enc, attrs[i].Value...)
+	}
+	sum := sha256.Sum256(enc)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }

@@ -1,6 +1,9 @@
 package translog
 
 import (
+	"bytes"
+	"slices"
+	"strings"
 	"time"
 
 	"passcloud/internal/core"
@@ -33,10 +36,23 @@ func (l *Log) Ingest(n core.CommitNotice) {
 	if len(n.Txns) == 0 {
 		return
 	}
-	// Attribute the notice's items to their transactions in one pass.
-	perTxn := make(map[uuid.UUID][]LeafItem, len(n.Txns))
-	for _, it := range n.Items {
-		perTxn[it.Txn] = append(perTxn[it.Txn], LeafItem{Name: it.Name, Digest: ItemDigest(it.Attrs)})
+	// Attribute the notice's items to their transactions with one stable
+	// sort by (txn, name): each transaction's items become one run of a
+	// single array, already in the leaf's canonical order (by name,
+	// independent of put order).
+	tagged := make([]taggedItem, len(n.Items))
+	for i, it := range n.Items {
+		tagged[i] = taggedItem{txn: it.Txn, item: LeafItem{Name: it.Name, Digest: ItemDigest(it.Attrs)}}
+	}
+	slices.SortStableFunc(tagged, func(a, b taggedItem) int {
+		if c := bytes.Compare(a.txn[:], b.txn[:]); c != 0 {
+			return c
+		}
+		return strings.Compare(a.item.Name, b.item.Name)
+	})
+	items := make([]LeafItem, len(tagged))
+	for i, t := range tagged {
+		items[i] = t.item
 	}
 	now := l.env.Now().Nanoseconds()
 
@@ -46,15 +62,21 @@ func (l *Log) Ingest(n core.CommitNotice) {
 		if _, dup := l.byTxn[txn]; dup {
 			continue
 		}
-		items := perTxn[txn]
-		// Canonical order: sorted by name, independent of put order.
-		sortLeafItems(items)
+		lo, _ := slices.BinarySearchFunc(tagged, txn, func(t taggedItem, u uuid.UUID) int {
+			return bytes.Compare(t.txn[:], u[:])
+		})
+		hi := lo
+		for hi < len(tagged) && tagged[hi].txn == txn {
+			hi++
+		}
 		lf := Leaf{
 			Index:    len(l.leaves),
 			Txn:      txn.String(),
 			Epoch:    n.Epoch,
 			SimNanos: now,
-			Items:    items,
+		}
+		if hi > lo {
+			lf.Items = items[lo:hi:hi] // nil, not empty, for a transaction with no items
 		}
 		if i < len(n.Digests) {
 			lf.Closure = n.Digests[i]
@@ -73,14 +95,10 @@ func (l *Log) Ingest(n core.CommitNotice) {
 	}
 }
 
-// sortLeafItems orders a leaf's items by name (names are unique within a
-// transaction — items are immutable uuid_version rows).
-func sortLeafItems(items []LeafItem) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j].Name < items[j-1].Name; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
+// taggedItem is a leaf item with the transaction that wrote it.
+type taggedItem struct {
+	txn  uuid.UUID
+	item LeafItem
 }
 
 // Run is the sequencer daemon: it checkpoints every interval until stop is
