@@ -1,9 +1,15 @@
 // Repository-level benchmarks: one per table and figure of the paper's
-// evaluation, the §5.1 ablations, and the fabric harnesses that came after
+// evaluation, the §5.1 ablations, and four harnesses that came after — the
+// indexed SELECT engine, the query API cache, coherent warm-cache reads and
+// tenant isolation — each of which records a BENCH_*.json snapshot
 // (internal/fabric's package comment is the system map). Each benchmark runs
 // the corresponding experiment from internal/bench and reports the headline
 // simulated measurement as a custom metric, so `go test -bench=.` prints
 // the paper-shaped numbers. cmd/provbench renders the full tables.
+//
+// BENCH_history.jsonl also holds the last snapshots of harnesses that have
+// no benchmark here: the serial commit path, sharded write, reshard, chaos,
+// translog and autoscale.
 //
 // The heavyweight experiments run reduced configurations here (the full
 // sweep lives behind cmd/provbench); each iteration is one whole experiment.
@@ -286,190 +292,6 @@ func BenchmarkCoherentReads(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedWrite replays the ≥50k-event commit workload through P3's
-// batched pipeline (the serial path it replaced is frozen in the first line
-// of BENCH_history.jsonl and gated in internal/bench/commitpipe_test.go)
-// on the K=1 seed fabric and on K-way sharded fabrics (K WAL queues + K
-// SimpleDB domains, each its own rate-gated service partition), reports the
-// headline numbers, and records the comparison in BENCH_sharded_write.json
-// at the repository root.
-func BenchmarkShardedWrite(b *testing.B) {
-	const (
-		txns          = 790
-		bundlesPerTxn = 64 // 50,560 events
-		workers       = 16
-		clientConns   = 128
-	)
-	for i := 0; i < b.N; i++ {
-		runs := make(map[string]bench.ShardedWriteRun, 3)
-		var k1 bench.ShardedWriteRun
-		for _, k := range []int{1, 2, 4} {
-			run, err := bench.ShardedWrite(7, txns, bundlesPerTxn, workers, clientConns, 0,
-				core.Topology{WALShards: k, DBShards: k})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// The ≥2x acceptance gate lives in TestShardedWriteSpeedup; the
-			// benchmark only measures and records, so a regression still
-			// gets written to the JSON instead of aborting the run.
-			// Identical provenance is non-negotiable even here.
-			if k == 1 {
-				k1 = run
-			} else if run.ProvDigest != k1.ProvDigest {
-				b.Fatalf("provenance diverged at K=%d: %s vs %s", k, run.ProvDigest, k1.ProvDigest)
-			}
-			runs[fmt.Sprintf("k%d", k)] = run
-			b.ReportMetric(run.SimSeconds, fmt.Sprintf("sim-s-k%d", k))
-		}
-		k4 := runs["k4"]
-		b.ReportMetric(k1.SimSeconds/k4.SimSeconds, "sim-speedup-x")
-		b.ReportMetric(float64(k4.TotalOps)/float64(k1.TotalOps), "billed-ops-ratio")
-		writeSnapshot(b, "BENCH_sharded_write.json", 7, map[string]any{
-			"benchmark": "BenchmarkShardedWrite",
-			"command":   "go test -run=- -bench=BenchmarkShardedWrite -benchtime=1x",
-			"runs":      runs,
-			"speedup": map[string]float64{
-				"sim_k2":           k1.SimSeconds / runs["k2"].SimSeconds,
-				"sim_k4":           k1.SimSeconds / k4.SimSeconds,
-				"wall_k4":          k1.WallSeconds / k4.WallSeconds,
-				"billed_ops_ratio": float64(k4.TotalOps) / float64(k1.TotalOps),
-				"cost_ratio":       k4.CostUSD / k1.CostUSD,
-			},
-			"provenance_identical": k1.ProvDigest == k4.ProvDigest,
-		})
-	}
-}
-
-// BenchmarkReshard runs the ≥50k-event continuous-ingest workload three
-// ways — growing the fabric K=1→4 live mid-run, staying at K=1, and
-// starting at a static K=4 — reports the post-reshard phase timings, and
-// records the comparison (including the zero-lost/zero-duplicated audit
-// and cross-deployment digests) in BENCH_reshard.json at the repository
-// root.
-func BenchmarkReshard(b *testing.B) {
-	const (
-		txns          = 790
-		bundlesPerTxn = 64 // 50,560 events
-		workers       = 16
-		clientConns   = 128
-	)
-	for i := 0; i < b.N; i++ {
-		live, err := bench.ReshardUnderLoad(7, txns, bundlesPerTxn, workers, clientConns, 0, 1, 4, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stay1, err := bench.ReshardUnderLoad(7, txns, bundlesPerTxn, workers, clientConns, 0, 1, 1, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		static4, err := bench.ReshardUnderLoad(7, txns, bundlesPerTxn, workers, clientConns, 0, 4, 4, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The ≥2x acceptance gate lives in TestReshardSpeedup; the benchmark
-		// only measures and records — but lost, duplicated or diverged
-		// provenance is non-negotiable even here.
-		if live.ItemCount != live.Events || live.Misplaced != 0 || live.Duplicates != 0 {
-			b.Fatalf("migration mangled provenance: items=%d/%d misplaced=%d duplicates=%d",
-				live.ItemCount, live.Events, live.Misplaced, live.Duplicates)
-		}
-		if live.ProvDigest != static4.ProvDigest || live.ProvDigest != stay1.ProvDigest {
-			b.Fatalf("provenance diverged: live=%s static4=%s stay1=%s",
-				live.ProvDigest, static4.ProvDigest, stay1.ProvDigest)
-		}
-		b.ReportMetric(live.PostSimSecs, "post-sim-s-resharded")
-		b.ReportMetric(stay1.PostSimSecs, "post-sim-s-k1")
-		b.ReportMetric(stay1.PostSimSecs/live.PostSimSecs, "post-speedup-x")
-		writeSnapshot(b, "BENCH_reshard.json", 7, map[string]any{
-			"benchmark": "BenchmarkReshard",
-			"command":   "go test -run=- -bench=BenchmarkReshard -benchtime=1x",
-			"runs": map[string]bench.ReshardRun{
-				"resharded_1_to_4": live,
-				"stay_k1":          stay1,
-				"static_k4":        static4,
-			},
-			"speedup": map[string]float64{
-				"post_phase_vs_k1":      stay1.PostSimSecs / live.PostSimSecs,
-				"post_phase_vs_k4":      static4.PostSimSecs / live.PostSimSecs,
-				"billed_ops_ratio":      float64(live.TotalOps) / float64(stay1.TotalOps),
-				"cost_ratio":            live.CostUSD / stay1.CostUSD,
-				"during_phase_slowdown": live.DuringSimSecs / stay1.DuringSimSecs,
-			},
-			"zero_lost_or_duplicated": live.ItemCount == live.Events && live.Misplaced == 0 && live.Duplicates == 0,
-			"provenance_identical":    live.ProvDigest == static4.ProvDigest,
-		})
-	}
-}
-
-// BenchmarkChaos runs the ≥5k-event commit+reshard+query workload three
-// ways — under a 5% uniform transient-fault plan with the resilient client
-// layer absorbing it, fault-free, and with faults but no resilience (the
-// negative control) — reports goodput and tail fan-out latency, and records
-// the comparison (including the zero-lost audit and the cross-run digest)
-// in BENCH_chaos.json at the repository root.
-func BenchmarkChaos(b *testing.B) {
-	base := bench.ChaosConfig{
-		Seed:          31,
-		Txns:          160,
-		BundlesPerTxn: 32, // 5,120 events
-		Workers:       8,
-		ClientConns:   64,
-		FromK:         2,
-		ToK:           4,
-		Resilient:     true,
-		Queries:       25,
-	}
-	for i := 0; i < b.N; i++ {
-		faultedCfg, cleanCfg, controlCfg := base, base, base
-		faultedCfg.FaultProb, faultedCfg.ApplyProb, faultedCfg.DupProb = 0.05, 0.5, 0.02
-		controlCfg.FaultProb, controlCfg.ApplyProb = 0.15, 0.5
-		controlCfg.Resilient = false
-
-		faulted, err := bench.ChaosCommitQueryReshard(faultedCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		clean, err := bench.ChaosCommitQueryReshard(cleanCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		control, err := bench.ChaosCommitQueryReshard(controlCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The goodput and p99 acceptance gates live in TestChaosGoodput; the
-		// benchmark only measures and records — but lost, duplicated or
-		// diverged provenance under faults is non-negotiable even here.
-		if faulted.ItemCount != faulted.Events || faulted.Misplaced != 0 || faulted.Duplicates != 0 {
-			b.Fatalf("chaos mangled provenance: items=%d/%d misplaced=%d duplicates=%d",
-				faulted.ItemCount, faulted.Events, faulted.Misplaced, faulted.Duplicates)
-		}
-		if faulted.ProvDigest != clean.ProvDigest {
-			b.Fatalf("provenance diverged under faults: %s vs %s", faulted.ProvDigest, clean.ProvDigest)
-		}
-		b.ReportMetric(faulted.Goodput, "goodput-ev-per-s-faulted")
-		b.ReportMetric(clean.Goodput, "goodput-ev-per-s-clean")
-		b.ReportMetric(faulted.QueryP99Ms, "p99-fanout-ms-faulted")
-		b.ReportMetric(clean.QueryP99Ms, "p99-fanout-ms-clean")
-		b.ReportMetric(float64(faulted.Retries), "retries")
-		writeSnapshot(b, "BENCH_chaos.json", base.Seed, map[string]any{
-			"benchmark": "BenchmarkChaos",
-			"command":   "go test -run=- -bench=BenchmarkChaos -benchtime=1x",
-			"runs": map[string]bench.ChaosRun{
-				"faulted":          faulted,
-				"clean":            clean,
-				"negative_control": control,
-			},
-			"goodput_ratio":             faulted.Goodput / clean.Goodput,
-			"p99_fanout_ratio":          faulted.QueryP99Ms / clean.QueryP99Ms,
-			"zero_lost_or_duplicated":   faulted.ItemCount == faulted.Events && faulted.Misplaced == 0 && faulted.Duplicates == 0,
-			"provenance_identical":      faulted.ProvDigest == clean.ProvDigest,
-			"control_commits_failed":    control.CommitErrors,
-			"control_demonstrates_need": control.CommitErrors > 0,
-		})
-	}
-}
-
 // BenchmarkTenantIsolation runs the multi-tenant front-door workload three
 // ways — the compliant tenant alone, the compliant tenant sharing the
 // fabric with an abusive tenant's retry storm behind admission control, and
@@ -541,113 +363,6 @@ func BenchmarkTenantIsolation(b *testing.B) {
 			"zero_lost_or_duplicated":    shared.ItemCount == shared.Events+shared.AbuserItems && shared.Misplaced == 0 && shared.Duplicates == 0,
 			"provenance_identical":       shared.ProvDigest == solo.ProvDigest,
 			"control_violates_bound":     control.CommitP99Ms > 2*solo.CommitP99Ms || control.Goodput < 0.8*solo.Goodput,
-		})
-	}
-}
-
-// BenchmarkTranslog runs the transparency-log trust scenario four ways —
-// the sequencer attached under a 5% ambiguous fault plan with a live 1→4
-// reshard, the same run with one committed bundle rewritten behind the
-// fabric's back (the negative control), and a fault-free fixed-topology
-// pair with the log on and off (the overhead twins) — reports the audit
-// verdicts and the commit-tail ratio, and records the comparison in
-// BENCH_translog.json at the repository root.
-func BenchmarkTranslog(b *testing.B) {
-	base := bench.TamperConfig{
-		Seed:          43,
-		Txns:          48,
-		BundlesPerTxn: 12,
-		Workers:       8,
-		ClientConns:   64,
-		FromK:         1,
-		ToK:           4,
-		FaultProb:     0.05,
-		ApplyProb:     0.5,
-		LogEnabled:    true,
-	}
-	for i := 0; i < b.N; i++ {
-		tamperCfg, loggedCfg, twinCfg := base, base, base
-		tamperCfg.Tamper = true
-		loggedCfg.FaultProb, loggedCfg.ApplyProb = 0, 0
-		loggedCfg.FromK, loggedCfg.ToK = 2, 2
-		twinCfg = loggedCfg
-		twinCfg.LogEnabled = false
-
-		faulted, err := bench.TamperDetection(base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		control, err := bench.TamperDetection(tamperCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		logged, err := bench.TamperDetection(loggedCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		twin, err := bench.TamperDetection(twinCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The acceptance gates live in internal/bench's translog tests; the
-		// benchmark only measures and records — but a tamper-evident log
-		// that misses a rewrite or cries wolf is non-negotiable even here.
-		if !faulted.AuditClean || faulted.InclusionVerified != base.Txns {
-			b.Fatalf("false positives under faults: clean=%v inclusion=%d/%d failures=%d divergences=%d",
-				faulted.AuditClean, faulted.InclusionVerified, base.Txns, faulted.ProofFailures, faulted.Divergences)
-		}
-		if !control.TamperFlagged {
-			b.Fatal("negative control: rewritten bundle not flagged")
-		}
-		b.ReportMetric(float64(faulted.InclusionVerified), "inclusion-proofs-verified")
-		b.ReportMetric(float64(faulted.ConsistencyChecked), "consistency-proofs-verified")
-		b.ReportMetric(logged.CommitP99Ms, "p99-commit-ms-logged")
-		b.ReportMetric(twin.CommitP99Ms, "p99-commit-ms-twin")
-		writeSnapshot(b, "BENCH_translog.json", base.Seed, map[string]any{
-			"benchmark": "BenchmarkTranslog",
-			"command":   "go test -run=- -bench=BenchmarkTranslog -benchtime=1x",
-			"runs": map[string]bench.TamperRun{
-				"faulted_reshard":  faulted,
-				"negative_control": control,
-				"logged_twin":      logged,
-				"disabled_twin":    twin,
-			},
-			"commit_p99_ratio":     logged.CommitP99Ms / twin.CommitP99Ms,
-			"all_proofs_verified":  faulted.AuditClean && faulted.InclusionVerified == base.Txns && faulted.ReopenedOK,
-			"tamper_flagged":       control.TamperFlagged,
-			"zero_false_positives": faulted.Divergences == 0 && faulted.ProofFailures == 0,
-		})
-	}
-}
-
-// BenchmarkAutoscale runs the load-ramp comparison: the same steady→surge→
-// sustain arrival schedule against a controller-managed fabric, a static K=1
-// twin, and a steady-load negative control. The acceptance gates live in
-// internal/bench's TestAutoscaleGate; the benchmark measures at the larger
-// default scale and records everything.
-func BenchmarkAutoscale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmp, err := bench.AutoscaleCompare(benchSeed, bench.AutoscaleBenchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// A run that loses commits or flaps under steady load is broken
-		// measurement, not a slow result — fail even here.
-		if cmp.Managed.ItemCount != cmp.Managed.Events {
-			b.Fatalf("managed run lost commits: items=%d events=%d", cmp.Managed.ItemCount, cmp.Managed.Events)
-		}
-		if f := cmp.SteadyControl.Grows + cmp.SteadyControl.Shrinks; f != 0 {
-			b.Fatalf("steady control flapped %d times", f)
-		}
-		b.ReportMetric(cmp.ManagedRatio, "managed-sustain-over-steady")
-		b.ReportMetric(cmp.StaticRatio, "static-sustain-over-steady")
-		b.ReportMetric(cmp.Managed.PhaseP99("sustain"), "p99-sustain-ms-managed")
-		b.ReportMetric(cmp.Static.PhaseP99("sustain"), "p99-sustain-ms-static")
-		b.ReportMetric(float64(cmp.Managed.FinalK), "final-k-managed")
-		writeSnapshot(b, "BENCH_autoscale.json", benchSeed, map[string]any{
-			"benchmark": "BenchmarkAutoscale",
-			"command":   "go test -run=- -bench=BenchmarkAutoscale -benchtime=1x",
-			"result":    cmp,
 		})
 	}
 }

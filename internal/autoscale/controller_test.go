@@ -3,13 +3,16 @@ package autoscale
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/prov"
 	"passcloud/internal/sim"
+	"passcloud/internal/uuid"
 )
 
 // testCfg is a deliberately tight policy for manual-clock unit tests:
@@ -436,5 +439,65 @@ func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 	dep.SetResilience(client)
 	if _, err := dep.Reshard(ctx, core.Topology{WALShards: 1, DBShards: 1}); err != nil {
 		t.Fatalf("cleanup shrink: %v", err)
+	}
+}
+
+// TestAutoscaleReshardsKeepCommittedProvenance: what the controller's
+// reshards move is provenance, not just load. Transactions committed before
+// an overload grow, between the grow and an idle shrink, and after it all
+// survive: exactly one item per committed bundle, each on its home shard.
+func TestAutoscaleReshardsKeepCommittedProvenance(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Consistency = sim.Strict
+	dep := core.NewShardedDeployment(sim.NewEnv(cfg), core.Topology{WALShards: 1, DBShards: 1})
+	ctl := New(dep, testCfg)
+	ctl.Enable()
+	p3 := core.NewP3(dep, core.Options{})
+	rnd := sim.NewRand(17)
+	events := 0
+	commit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			proc := prov.Ref{UUID: uuid.New(rnd), Version: 1}
+			file := prov.Ref{UUID: uuid.New(rnd), Version: 1}
+			path := fmt.Sprintf("mnt/as/%03d", events)
+			bundles := []prov.Bundle{
+				{Ref: proc, Type: prov.Process, Name: "gen", Records: []prov.Record{{Attr: prov.AttrName, Value: "gen"}}},
+				{Ref: file, Type: prov.File, Name: path, Records: []prov.Record{{Attr: prov.AttrInput, Xref: proc}}},
+			}
+			if err := p3.Commit(core.FileObject{Path: path, Size: 512, Ref: file}, bundles); err != nil {
+				t.Fatal(err)
+			}
+			events += len(bundles)
+		}
+		if err := p3.Settle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	commit(20)
+	tick(t, dep, ctl, 0) // baseline, after the commits and their settle
+	addOps(dep, dep.WAL.Shard(0).Name(), 2000)
+	tick(t, dep, ctl, 10*time.Second)
+	if k := activeK(dep); k != 4 {
+		t.Fatalf("K after overload = %d, want 4", k)
+	}
+	commit(20)
+	for i := 0; i < 6 && activeK(dep) != 1; i++ {
+		tick(t, dep, ctl, 60*time.Second)
+	}
+	if k := activeK(dep); k != 1 {
+		t.Fatalf("K after idle = %d, want 1", k)
+	}
+	commit(20)
+
+	if st := ctl.Status(); st.Grows != 1 || st.Shrinks < 1 {
+		t.Fatalf("controller did not reshard both ways: %+v", st)
+	}
+	if n := dep.DB.ItemCount(); n != events {
+		t.Fatalf("items = %d, want exactly %d (lost or duplicated)", n, events)
+	}
+	if mis, dup, err := core.AuditFabric(dep); err != nil || mis != 0 || dup != 0 {
+		t.Fatalf("audit: misplaced=%d duplicates=%d err=%v", mis, dup, err)
 	}
 }

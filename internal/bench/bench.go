@@ -5,8 +5,10 @@
 // microbenchmark and the Figure-4 workload benchmarks — plus the ablations
 // of the design choices §5.1 tunes (connection counts, WAL chunk size,
 // batch size, consistency). The later fabric harnesses (sharding, reshard,
-// chaos, tenants, translog, autoscale) share one rig, rig.go, over the stack
-// internal/fabric wires; its package comment is the system map.
+// chaos, tenants, translog) share one rig, rig.go, over the stack
+// internal/fabric wires; its package comment is the system map. They check
+// counts, audits and digests; only the tenant gate still compares the
+// latencies of two live runs.
 //
 // Workload experiments run the simulation live (virtual time = wall time ×
 // scale) so protocol concurrency, gate contention and daemon interference

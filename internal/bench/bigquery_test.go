@@ -25,7 +25,6 @@ func TestBigQueryIndexSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wallIdx, wallScan float64
 	for _, name := range []string{"equality", "versions", "direct-out", "descendants"} {
 		ci, cs := indexed.Cell(name), scan.Cell(name)
 		if ci.Query == "" || cs.Query == "" {
@@ -43,17 +42,6 @@ func TestBigQueryIndexSpeedup(t *testing.T) {
 			t.Errorf("%s: simulated %0.3fs scan vs %0.3fs indexed — speedup %.1fx, want ≥10x",
 				name, cs.SimSeconds, ci.SimSeconds, cs.SimSeconds/ci.SimSeconds)
 		}
-		wallIdx += ci.WallSeconds
-		wallScan += cs.WallSeconds
-	}
-	// Wall-clock is noisy on loaded machines, so the in-test bar is only an
-	// ordering (the measured ratio is ≥100× on an idle machine — the scan
-	// path evaluates 100k items per SELECT); BENCH_indexed_select.json
-	// records the full comparison.
-	t.Logf("wall-clock: scan %.3fs vs indexed %.3fs (%.0fx)", wallScan, wallIdx, wallScan/wallIdx)
-	if wallScan <= wallIdx {
-		t.Errorf("scan path (%.3fs) not slower than indexed path (%.3fs) in wall-clock",
-			wallScan, wallIdx)
 	}
 
 	// Expected result shapes: every chain head is a direct output; the

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"passcloud/internal/core"
@@ -14,15 +13,14 @@ import (
 // The chaos harness: drive the pinned commit + reshard + query workload
 // through P3 while every service endpoint injects transient faults, and
 // prove the resilient client layer absorbs all of it — the faulted fabric
-// must hold exactly one copy of every provenance item and read back
-// byte-identical to its fault-free twin, the scatter-gather read path must
-// keep its tail latency in the same regime, and the same workload with
-// resilience disabled must demonstrably fail. This is the robustness
-// analogue of the reshard benchmark's speedup gate: the number that matters
-// is goodput (committed events per simulated second) under abuse.
+// must hold exactly one copy of every provenance item, every hedged
+// scatter-gather read must return the complete item set, the fabric must
+// read back byte-identical to its fault-free twin, and the same workload
+// with resilience disabled must demonstrably fail.
 
-// ChaosBenchScale is the live-mode time scale of the large goodput runs.
-const ChaosBenchScale = 50
+// chaosHedgeAfter is the hedge threshold of the harness's resilient policy,
+// half the default, so stragglers among the per-shard reads are hedged.
+const chaosHedgeAfter = 200 * time.Millisecond
 
 // ChaosConfig parameterizes one chaos run.
 type ChaosConfig struct {
@@ -31,18 +29,14 @@ type ChaosConfig struct {
 	BundlesPerTxn int
 	Workers       int     // P3 commit-daemon pool size
 	ClientConns   int     // concurrent client commits
-	Scale         float64 // live-mode time scale; 0 uses ChaosBenchScale
+	Scale         float64 // live-mode time scale
 	FromK         int     // starting topology (WAL and DB shards)
 	ToK           int     // reshard target; == FromK skips the reshard phase
 	FaultProb     float64 // per-request fault probability; 0 = fault-free twin
 	ApplyProb     float64 // fraction of mutating faults that are ambiguous
 	DupProb       float64 // queue duplicate-delivery probability
 	Resilient     bool    // false = negative control: raw faults, no retries
-	Queries       int     // measured scatter-gather fan-outs after settle
-	// HedgeAfter overrides the resilient policy's hedge threshold (0 keeps
-	// the default); both twins of an equivalence pair should use the same
-	// value so the latency comparison is fair.
-	HedgeAfter time.Duration
+	Queries       int     // checked scatter-gather fan-outs after settle
 }
 
 // ChaosRun is the measured outcome of one chaos configuration.
@@ -61,12 +55,7 @@ type ChaosRun struct {
 	CommitErrors int    `json:"commit_errors"` // failed client commits (negative control)
 	FirstError   string `json:"first_error,omitempty"`
 
-	SimSeconds  float64 `json:"sim_seconds"` // commit+reshard+settle, simulated
 	WallSeconds float64 `json:"wall_seconds"`
-	Goodput     float64 `json:"goodput_events_per_sim_sec"`
-
-	QueryP50Ms float64 `json:"query_p50_ms"` // scatter-gather fan-out, simulated
-	QueryP99Ms float64 `json:"query_p99_ms"`
 
 	Faults        int64 `json:"faults"` // injected by the plan
 	Retries       int64 `json:"retries"`
@@ -84,7 +73,7 @@ type ChaosRun struct {
 
 // ChaosCommitQueryReshard runs one chaos configuration: commit half the
 // transaction set, grow the fabric FromK→ToK while the other half commits,
-// settle, then measure Queries scatter-gather fan-outs and digest every
+// settle, then check Queries scatter-gather fan-outs and digest every
 // object's read-back provenance. With Resilient false it degenerates to the
 // negative control — clients face raw injected faults with no retry layer,
 // no commit daemon runs, and the run returns after the commit phase with
@@ -93,9 +82,6 @@ type ChaosRun struct {
 func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	if c.ClientConns <= 0 {
 		c.ClientConns = 64
-	}
-	if c.Scale == 0 {
-		c.Scale = ChaosBenchScale
 	}
 	if c.Queries <= 0 {
 		c.Queries = 20
@@ -109,7 +95,7 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	set := commitPipeTxns(c.Seed, c.Txns, c.BundlesPerTxn)
 	cfg := fabric.Config{Topology: kWay(c.FromK), Workers: c.Workers}
 	if c.Resilient {
-		cfg.Resilience = resilient.Policy{HedgeAfter: c.HedgeAfter}
+		cfg.Resilience = resilient.Policy{HedgeAfter: chaosHedgeAfter}
 	}
 	if c.FaultProb > 0 {
 		cfg.Faults = sim.UniformPlan(c.FaultProb, c.ApplyProb)
@@ -119,17 +105,16 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 		return run, err
 	}
 	defer f.Close()
-	wall0, t0 := time.Now(), f.Env.Now()
+	wall0 := time.Now()
 
 	// Negative control: no daemon, no settle (neither terminates against a
 	// faulted fabric with no retry layer) — just the raw commit phase.
 	if !c.Resilient {
 		f.Dep.SetResilience(nil)
 		var first error
-		if _, run.CommitErrors, first = commitPhase(f, c.ClientConns, set); first != nil {
+		if run.CommitErrors, first = commitPhase(f, c.ClientConns, set); first != nil {
 			run.FirstError = first.Error()
 		}
-		run.SimSeconds = (f.Env.Now() - t0).Seconds()
 		run.WallSeconds = time.Since(wall0).Seconds()
 		run.Faults = f.Env.Meter().Usage().Faults
 		return run, nil
@@ -145,29 +130,19 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	if _, err := runPhase(f, c.ClientConns, set[half:], c.ToK); err != nil {
 		return run, err
 	}
-	run.SimSeconds = (f.Env.Now() - t0).Seconds()
-	if run.SimSeconds > 0 {
-		run.Goodput = float64(run.Events) / run.SimSeconds
-	}
 
-	// Measured fan-outs: full scatter-gather SELECTs across the grown
-	// fabric, each hedged per shard. Every fan-out must return the complete
-	// item set — a lost item would shrink the result, a duplicated one
-	// would grow it.
-	runtime.GC() // a collection of the commit phase's garbage must not land in the scaled-time fan-outs
-	lat := make([]time.Duration, 0, c.Queries)
+	// Full scatter-gather SELECTs across the grown fabric, each hedged per
+	// shard. Every fan-out must return the complete item set — a lost item
+	// would shrink the result, a duplicated one would grow it.
 	for i := 0; i < c.Queries; i++ {
-		q0 := f.Env.Now()
 		items, _, _, err := f.Dep.DB.View().SelectAll("select itemName() from " + core.DomainName)
 		if err != nil {
 			return run, fmt.Errorf("bench: fan-out %d under faults: %w", i, err)
 		}
-		lat = append(lat, f.Env.Now()-q0)
 		if len(items) != run.Events {
 			return run, fmt.Errorf("bench: fan-out %d returned %d items, want %d", i, len(items), run.Events)
 		}
 	}
-	run.QueryP50Ms, run.QueryP99Ms = pctMs(lat)
 
 	// Exact item count, placement audit, and the digest the equivalence gate
 	// compares against the fault-free twin (read back with the plan

@@ -85,10 +85,15 @@ func commitPipeTxns(seed int64, txns, bundlesPerTxn int) []pipeTxn {
 }
 
 // liveFabric builds cfg's stack on a clock running live at scale, with
-// strict consistency so the timing under test is not mixed with staleness
-// retries. It collects garbage first, keeping the set-up's allocator debt out
-// of the scaled-time measurement that follows.
+// strict consistency so no read is mixed with staleness retries. A harness
+// runs its daemons, so the clock must be live: scale 0 would be the manual
+// clock, on which an idle pool spins simulated time forward. It collects
+// garbage first, keeping the set-up's allocator debt out of the scaled-time
+// run that follows (the tenant gate reads latencies from it).
 func liveFabric(seed int64, scale, dupProb float64, cfg fabric.Config) (*fabric.Fabric, error) {
+	if scale <= 0 {
+		return nil, fmt.Errorf("bench: a live fabric needs a time scale > 0, got %v", scale)
+	}
 	runtime.GC()
 	cfg.Sim = sim.DefaultConfig()
 	cfg.Sim.Seed = seed
@@ -102,21 +107,18 @@ func liveFabric(seed int64, scale, dupProb float64, cfg fabric.Config) (*fabric.
 func kWay(k int) core.Topology { return core.Topology{WALShards: k, DBShards: k} }
 
 // commitPhase commits batch straight into P3 through at most conns
-// concurrent client connections. It returns every commit's simulated
-// latency in batch order, how many commits failed, and the first error.
-func commitPhase(f *fabric.Fabric, conns int, batch []pipeTxn) (lat []time.Duration, failed int, first error) {
-	lat = make([]time.Duration, len(batch))
+// concurrent client connections. It returns how many commits failed and the
+// first error.
+func commitPhase(f *fabric.Fabric, conns int, batch []pipeTxn) (failed int, first error) {
 	var nerr atomic.Int64
 	first = par.ForEach(conns, len(batch), func(i int) error {
-		t0 := f.Env.Now()
 		err := f.P3.Commit(batch[i].obj, batch[i].bundles)
-		lat[i] = f.Env.Now() - t0
 		if err != nil {
 			nerr.Add(1)
 		}
 		return err
 	})
-	return lat, int(nerr.Load()), first
+	return int(nerr.Load()), first
 }
 
 // reshardDuring runs phase while the fabric reshards to toK-way underneath
@@ -143,23 +145,12 @@ func reshardDuring(f *fabric.Fabric, toK int, phase func() error) (core.ReshardS
 	return res.stats, err
 }
 
-// phase is one batch committed and run to a settled WAL.
-type phase struct {
-	lat     []time.Duration   // commitPhase's latencies
-	stats   core.ReshardStats // of the reshard the batch raced, if any
-	simSecs float64           // commits, reshard and settle
-}
-
 // runPhase commits batch — racing a reshard to toK-way when that is not the
-// fabric's width already — and settles. A failed commit fails the phase.
-func runPhase(f *fabric.Fabric, conns int, batch []pipeTxn, toK int) (phase, error) {
-	var p phase
-	t0 := f.Env.Now()
-	var err error
-	p.stats, err = reshardDuring(f, toK, func() error {
-		var failed int
-		var first error
-		if p.lat, failed, first = commitPhase(f, conns, batch); first != nil {
+// fabric's width already — and settles. A failed commit fails the phase. It
+// returns the stats of the reshard the batch raced, if any.
+func runPhase(f *fabric.Fabric, conns int, batch []pipeTxn, toK int) (core.ReshardStats, error) {
+	stats, err := reshardDuring(f, toK, func() error {
+		if failed, first := commitPhase(f, conns, batch); first != nil {
 			return fmt.Errorf("bench: %d of %d commits failed: %w", failed, len(batch), first)
 		}
 		return nil
@@ -167,13 +158,11 @@ func runPhase(f *fabric.Fabric, conns int, batch []pipeTxn, toK int) (phase, err
 	if err == nil {
 		err = f.P3.Settle()
 	}
-	p.simSecs = (f.Env.Now() - t0).Seconds()
-	return p, err
+	return stats, err
 }
 
 // outcome is what a harness reads once its measured phases are over.
 type outcome struct {
-	simEnd   time.Duration // simulated time when the live run had settled
 	wallSecs float64
 	usage    sim.Usage // the bill at that moment
 	costUSD  float64
@@ -188,7 +177,7 @@ func finish(f *fabric.Fabric, wall0 time.Time, set []pipeTxn) (outcome, error) {
 	if err := f.P3.Settle(); err != nil {
 		return outcome{}, err
 	}
-	out := outcome{simEnd: f.Env.Now(), wallSecs: time.Since(wall0).Seconds(), usage: f.Env.Meter().Usage()}
+	out := outcome{wallSecs: time.Since(wall0).Seconds(), usage: f.Env.Meter().Usage()}
 	out.costUSD = out.usage.Cost(f.Env.Config().StorageWindow)
 	err := f.ToManual()
 	if err == nil {

@@ -14,12 +14,8 @@ import (
 // through P3 with the transparency-log sequencer attached, then prove the
 // trust story end to end — every committed transaction has a verifying
 // inclusion proof, consecutive signed tree heads prove consistent, the
-// auditor replays the log against the fabric cleanly, a rewritten bundle is
-// flagged, and the sequencer's overhead leaves the client commit tail
-// within 1.3x of a log-disabled twin.
-
-// TranslogBenchScale is the live-mode time scale of the translog runs.
-const TranslogBenchScale = 50
+// auditor replays the log against the fabric cleanly, and a rewritten
+// bundle is flagged.
 
 // TamperConfig parameterizes one transparency-log run.
 type TamperConfig struct {
@@ -28,18 +24,16 @@ type TamperConfig struct {
 	BundlesPerTxn int
 	Workers       int     // P3 commit-daemon pool size
 	ClientConns   int     // concurrent client commits
-	Scale         float64 // live-mode time scale; 0 uses TranslogBenchScale
+	Scale         float64 // live-mode time scale
 	FromK         int     // starting topology (WAL and DB shards)
 	ToK           int     // reshard target; == FromK skips the reshard phase
 	FaultProb     float64 // per-request fault probability (0 = fault-free)
 	ApplyProb     float64 // fraction of mutating faults that are ambiguous
-	LogEnabled    bool    // false = the log-disabled twin for the overhead gate
 	Tamper        bool    // negative control: rewrite one bundle before the audit
 }
 
 // TamperRun is the measured outcome of one transparency-log configuration.
 type TamperRun struct {
-	LogEnabled    bool    `json:"log_enabled"`
 	Tamper        bool    `json:"tamper"`
 	FaultProb     float64 `json:"fault_prob"`
 	FromK         int     `json:"from_k"`
@@ -49,10 +43,7 @@ type TamperRun struct {
 	Events        int     `json:"events"`
 	Workers       int     `json:"workers"`
 
-	SimSeconds  float64 `json:"sim_seconds"`
 	WallSeconds float64 `json:"wall_seconds"`
-	CommitP50Ms float64 `json:"commit_p50_ms"` // client commit latency, simulated
-	CommitP99Ms float64 `json:"commit_p99_ms"`
 
 	TreeSize           int   `json:"tree_size"`
 	LogAppends         int64 `json:"log_appends"`
@@ -84,17 +75,14 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	if c.ClientConns <= 0 {
 		c.ClientConns = 32
 	}
-	if c.Scale == 0 {
-		c.Scale = TranslogBenchScale
-	}
 	run := TamperRun{
-		LogEnabled: c.LogEnabled, Tamper: c.Tamper, FaultProb: c.FaultProb,
+		Tamper: c.Tamper, FaultProb: c.FaultProb,
 		FromK: c.FromK, ToK: c.ToK,
 		Txns: c.Txns, BundlesPerTxn: c.BundlesPerTxn, Events: c.Txns * c.BundlesPerTxn,
 		Workers: c.Workers,
 	}
 	set := commitPipeTxns(c.Seed, c.Txns, c.BundlesPerTxn)
-	cfg := fabric.Config{Topology: kWay(c.FromK), Workers: c.Workers, Translog: c.LogEnabled}
+	cfg := fabric.Config{Topology: kWay(c.FromK), Workers: c.Workers, Translog: true}
 	if c.FaultProb > 0 {
 		cfg.Faults = sim.UniformPlan(c.FaultProb, c.ApplyProb)
 	}
@@ -105,28 +93,21 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	defer f.Close()
 	f.Start()
 
-	wall0, t0 := time.Now(), f.Env.Now()
+	wall0 := time.Now()
 	half := len(set) / 2
-	first, err := runPhase(f, c.ClientConns, set[:half], c.FromK)
-	if err != nil {
+	if _, err := runPhase(f, c.ClientConns, set[:half], c.FromK); err != nil {
 		return run, err
 	}
 	// The witnessed head: a third party saw this commitment before the
 	// reshard and the second commit phase; everything after must prove
 	// consistency against it.
-	var witness translog.SignedHead
-	if c.LogEnabled {
-		if witness, err = f.Checkpoint(); err != nil {
-			return run, err
-		}
-	}
-	second, err := runPhase(f, c.ClientConns, set[half:], c.ToK)
+	witness, err := f.Checkpoint()
 	if err != nil {
 		return run, err
 	}
-	run.SimSeconds = (f.Env.Now() - t0).Seconds()
-	lat := append(first.lat, second.lat...)
-	run.CommitP50Ms, run.CommitP99Ms = pctMs(lat)
+	if _, err := runPhase(f, c.ClientConns, set[half:], c.ToK); err != nil {
+		return run, err
+	}
 
 	// Verification runs with the fault plan disarmed: the proofs and the
 	// audit are the subject here, not the retry machinery (the unit tests
@@ -138,55 +119,53 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	run.WallSeconds, run.Faults = out.wallSecs, out.usage.Faults
 	run.ItemCount, run.Misplaced, run.Duplicates = out.items, out.misplaced, out.duplicates
 
-	if c.LogEnabled {
-		head, err := f.Checkpoint() // final durable head
+	head, err := f.Checkpoint() // final durable head
+	if err != nil {
+		return run, err
+	}
+	run.TreeSize = head.TreeSize
+
+	if c.Tamper {
+		// Negative control: rewrite one committed item's attributes
+		// directly on its home shard, behind the fabric's back.
+		victim := f.Log.Leaves()[len(f.Log.Leaves())/2].Items[0].Name
+		dom := f.Dep.DB.Shard(f.Dep.DB.ShardForItem(victim))
+		it, err := dom.GetAttributes(victim)
 		if err != nil {
 			return run, err
 		}
-		run.TreeSize = head.TreeSize
-
-		if c.Tamper {
-			// Negative control: rewrite one committed item's attributes
-			// directly on its home shard, behind the fabric's back.
-			victim := f.Log.Leaves()[len(f.Log.Leaves())/2].Items[0].Name
-			dom := f.Dep.DB.Shard(f.Dep.DB.ShardForItem(victim))
-			it, err := dom.GetAttributes(victim)
-			if err != nil {
-				return run, err
-			}
-			attrs := append([]sdb.Attr(nil), it.Attrs...)
-			attrs[0].Value += "-rewritten"
-			if err := dom.PutAttributes(sdb.PutRequest{Item: victim, Attrs: attrs, Replace: true}); err != nil {
-				return run, err
-			}
-		}
-
-		rep, err := translog.Audit(f.Dep, f.Log, translog.AuditOptions{Witness: &witness})
-		if err != nil {
+		attrs := append([]sdb.Attr(nil), it.Attrs...)
+		attrs[0].Value += "-rewritten"
+		if err := dom.PutAttributes(sdb.PutRequest{Item: victim, Attrs: attrs, Replace: true}); err != nil {
 			return run, err
 		}
-		run.AuditClean = rep.Clean()
-		run.InclusionVerified = rep.InclusionVerified
-		run.ConsistencyChecked = rep.ConsistencyChecked
-		run.HeadsVerified = rep.HeadsVerified
-		run.ProofFailures = len(rep.ProofFailures)
-		run.Divergences = len(rep.Divergences)
-		for _, d := range rep.Divergences {
-			if d.Kind == translog.DivTampered {
-				run.TamperFlagged = true
-			}
-		}
+	}
 
-		// Third-party posture: a cold Open from the durable state alone
-		// must rebuild the identical signed head (skipped after a tamper —
-		// the rewritten fabric is the divergence under test, not the log).
-		if !c.Tamper {
-			reopened, err := translog.Open(f.Env, f.Dep.Store, "")
-			if err != nil {
-				return run, fmt.Errorf("bench: cold open: %w", err)
-			}
-			run.ReopenedOK = reopened.Head() == head
+	rep, err := translog.Audit(f.Dep, f.Log, translog.AuditOptions{Witness: &witness})
+	if err != nil {
+		return run, err
+	}
+	run.AuditClean = rep.Clean()
+	run.InclusionVerified = rep.InclusionVerified
+	run.ConsistencyChecked = rep.ConsistencyChecked
+	run.HeadsVerified = rep.HeadsVerified
+	run.ProofFailures = len(rep.ProofFailures)
+	run.Divergences = len(rep.Divergences)
+	for _, d := range rep.Divergences {
+		if d.Kind == translog.DivTampered {
+			run.TamperFlagged = true
 		}
+	}
+
+	// Third-party posture: a cold Open from the durable state alone
+	// must rebuild the identical signed head (skipped after a tamper —
+	// the rewritten fabric is the divergence under test, not the log).
+	if !c.Tamper {
+		reopened, err := translog.Open(f.Env, f.Dep.Store, "")
+		if err != nil {
+			return run, fmt.Errorf("bench: cold open: %w", err)
+		}
+		run.ReopenedOK = reopened.Head() == head
 	}
 	usage := f.Env.Meter().Usage()
 	run.LogAppends = usage.LogAppends

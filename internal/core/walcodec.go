@@ -46,8 +46,9 @@ import (
 
 const walMagic = 0x574c
 
-// walHeaderRoom is the conservative bound reserved for packet headers when
-// choosing the chunk payload size.
+// walHeaderRoom is the room reserved for packet headers when choosing the
+// chunk payload size. A first header over it (see walFirst) shortens the
+// first packet's payload instead.
 const walHeaderRoom = 160
 
 // DefaultChunkSize is the provenance payload carried per WAL message.
@@ -78,19 +79,43 @@ type walPacket struct {
 // at its final length.
 func encodeWAL(txn uuid.UUID, hdr walTxn, payload []byte, chunkSize int) [][]byte {
 	chunkSize = walChunkSize(chunkSize)
-	total := 1 // an empty payload still ships its header packet
-	if len(payload) > 0 {
-		total = (len(payload) + chunkSize - 1) / chunkSize
-	}
-	msgs := make([][]byte, total)
 	var room [2 * walHeaderRoom]byte
+	head, first, total := walFirst(room[:0], txn, hdr, len(payload), chunkSize)
+	msgs := make([][]byte, total)
 	for seq := range msgs {
-		head := appendWALHead(room[:0], txn, hdr, seq, total)
-		chunk := payload[seq*chunkSize : min((seq+1)*chunkSize, len(payload))]
-		msg := make([]byte, 0, len(head)+len(chunk))
-		msgs[seq] = append(append(msg, head...), chunk...)
+		lo, hi := 0, min(first, len(payload))
+		if seq > 0 {
+			head = appendWALHead(room[:0], txn, hdr, seq, total)
+			lo = first + (seq-1)*chunkSize
+			hi = min(lo+chunkSize, len(payload))
+		}
+		msg := make([]byte, 0, len(head)+hi-lo)
+		msgs[seq] = append(append(msg, head...), payload[lo:hi]...)
 	}
 	return msgs
+}
+
+// walFirst appends the first packet's header to dst and returns it with the
+// payload bytes that packet carries and the transaction's packet count for
+// a payload of n bytes. Every later packet carries chunkSize bytes. So does
+// the first, unless its header is over walHeaderRoom (a long temp key, path
+// or digest): then it carries what still fits the queue's message limit.
+// The header encodes the packet count, so the two are found together; the
+// payload shrinks and the count grows until they agree.
+func walFirst(dst []byte, txn uuid.UUID, hdr walTxn, n, chunkSize int) (head []byte, first, total int) {
+	first = chunkSize
+	for {
+		total = 1 // an empty payload still ships its header packet
+		if n > first {
+			total += (n - first + chunkSize - 1) / chunkSize
+		}
+		head = appendWALHead(dst, txn, hdr, 0, total)
+		fit := max(0, min(chunkSize, sqs.MaxMessageSize-len(head)))
+		if fit == first {
+			return head, first, total
+		}
+		first = fit
+	}
 }
 
 // encodeWALBundles is encodeWAL over the prov encoding of bundles, byte for
@@ -101,11 +126,11 @@ func encodeWALBundles(txn uuid.UUID, hdr walTxn, bundles []prov.Bundle, chunkSiz
 	for _, b := range bundles {
 		size += b.EncodedSize()
 	}
-	if size > walChunkSize(chunkSize) {
+	var room [2 * walHeaderRoom]byte
+	head, _, total := walFirst(room[:0], txn, hdr, size, walChunkSize(chunkSize))
+	if total > 1 {
 		return encodeWAL(txn, hdr, prov.EncodeBundles(bundles), chunkSize)
 	}
-	var room [2 * walHeaderRoom]byte
-	head := appendWALHead(room[:0], txn, hdr, 0, 1)
 	msg := append(make([]byte, 0, len(head)+size), head...)
 	for _, b := range bundles {
 		msg = prov.AppendBundle(msg, b)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,7 +27,10 @@ func walDigest(msgs [][]byte) string {
 }
 
 // TestWALGoldenBytes pins the WAL packet format: the digests were captured
-// from encodeWAL at the commit before the exact-size rewrite (0f2dc8a).
+// from encodeWAL at the commit before the exact-size rewrite (0f2dc8a),
+// except "default chunks". Its 169-byte first header is over walHeaderRoom,
+// so its first packet carries 8,023 payload bytes rather than 8,032 and fits
+// the queue's limit; its digest was captured for that layout.
 func TestWALGoldenBytes(t *testing.T) {
 	txn := uuid.UUID{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0x4c, 0xde, 0x8f, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd}
 	hdr := walTxn{
@@ -46,7 +50,7 @@ func TestWALGoldenBytes(t *testing.T) {
 		packets   int
 		digest    string
 	}{
-		{"default chunks", hdr, payload, 0, 3, "66e5401aa8274e775f32368cda4004c896842464d85e970996615540a14e75c5"},
+		{"default chunks", hdr, payload, 0, 3, "2a0928001b74c7746867f7979d37d784a58ffff1da77e83a59aa4c812b1e6a91"},
 		{"exact multiple of the chunk size", hdr, payload[:2048], 512, 4, "a67aa31ec332f3740a55fd1f9652551abfbe7e7c4f7c2ac0e9f8716497acbcca"},
 		{"one byte over a multiple", hdr, payload[:2049], 512, 5, "d1b01ea11e924a99fcaaad865d530887302ffd88ec040258480e29dd058b1641"},
 		{"empty payload, no data object", walTxn{Txn: txn, FinalKey: DataKey(""), Ref: hdr.Ref}, nil, 0, 1, "7c0fdf35012eb2ac524e8644ff2f62d38a81279d287f8f27becf2bd269aa2bb3"},
@@ -54,6 +58,11 @@ func TestWALGoldenBytes(t *testing.T) {
 		msgs := encodeWAL(txn, tc.hdr, tc.payload, tc.chunkSize)
 		if got := walDigest(msgs); len(msgs) != tc.packets || got != tc.digest {
 			t.Errorf("%s: %d packets, digest %s; want %d, %s", tc.name, len(msgs), got, tc.packets, tc.digest)
+		}
+		for seq, m := range msgs {
+			if len(m) > sqs.MaxMessageSize {
+				t.Errorf("%s: packet %d is %d bytes, over the queue's limit", tc.name, seq, len(m))
+			}
 		}
 	}
 	// One small message spelled out in full.
@@ -231,5 +240,96 @@ func BenchmarkDecodeWAL(b *testing.B) {
 		}
 		sinkBundles = ready[0].bundles
 		p.endInflight(ready[0], false)
+	}
+}
+
+// longHeaderTxn is a client-path transaction whose first WAL header is over
+// walHeaderRoom: a temp key, a closure digest and a 25-byte path. Its
+// closure encodes to more than two chunks.
+func longHeaderTxn(rnd *sim.Rand) (FileObject, []prov.Bundle) {
+	const path = "mnt/results/run-042/a.out" // 25 bytes
+	proc := prov.Ref{UUID: uuid.New(rnd), Version: 1}
+	bundles := []prov.Bundle{{Ref: proc, Type: prov.Process, Name: "align", Records: []prov.Record{
+		{Attr: prov.AttrType, Value: "proc"}, {Attr: prov.AttrName, Value: "align"},
+	}}}
+	file := prov.Ref{UUID: uuid.New(rnd)}
+	for v := 1; v <= 20; v++ {
+		file.Version = v
+		bundles = append(bundles, prov.Bundle{Ref: file, Type: prov.File, Name: path, Records: []prov.Record{
+			{Attr: prov.AttrType, Value: "file"}, {Attr: prov.AttrName, Value: path},
+			{Attr: prov.AttrInput, Xref: proc}, {Attr: prov.AttrEnv, Value: strings.Repeat("e", 700+rnd.Intn(200))},
+		}})
+	}
+	return FileObject{Path: path, Size: 4096, Ref: file, Digest: ClosureRoot(bundles).String()}, bundles
+}
+
+// TestP3CommitsLongFirstHeader: a multi-packet transaction whose first
+// header is over walHeaderRoom still commits — its first message fits the
+// queue's 8 KB limit — and reads back exactly what was committed.
+func TestP3CommitsLongFirstHeader(t *testing.T) {
+	dep := newDep(t, sim.Strict)
+	obj, bundles := longHeaderTxn(sim.NewRand(20100223))
+	if size := len(prov.EncodeBundles(bundles)); size <= DefaultChunkSize {
+		t.Fatalf("closure encodes to %d bytes, want more than one %d-byte chunk", size, DefaultChunkSize)
+	}
+	p := NewP3(dep, Options{})
+	if err := p.Commit(obj, bundles); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if err := p.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadProvenance(dep, BackendSDB, obj.Ref.UUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The database returns versions in item-name order (uuid_1, uuid_10,
+	// …); put them back in commit order.
+	slices.SortFunc(got, func(a, b prov.Bundle) int { return a.Ref.Version - b.Ref.Version })
+	if !sameBundles(got, bundles[1:]) {
+		t.Fatalf("read back %d bundles that differ from the %d committed", len(got), len(bundles)-1)
+	}
+}
+
+// TestWALLongFirstHeader: a first header over walHeaderRoom shortens the
+// first packet's payload to what still fits the queue's limit, later
+// packets keep the full chunk, and the uneven fragments reassemble byte for
+// byte at every payload length around the packet boundaries.
+func TestWALLongFirstHeader(t *testing.T) {
+	obj, bundles := longHeaderTxn(sim.NewRand(7))
+	txn := uuid.New(sim.NewRand(8))
+	hdr := walTxn{Txn: txn, TmpKey: TmpPrefix + txn.String(), FinalKey: DataKey(obj.Path), Size: obj.Size, Ref: obj.Ref, Digest: obj.Digest}
+	payload := prov.EncodeBundles(bundles)
+	head := appendWALHead(nil, txn, hdr, 0, 2)
+	if len(head) <= walHeaderRoom {
+		t.Fatalf("first header is %d bytes, want over walHeaderRoom (%d)", len(head), walHeaderRoom)
+	}
+	first := sqs.MaxMessageSize - len(head)
+	for _, n := range []int{0, first - 1, first, first + 1, first + DefaultChunkSize, first + DefaultChunkSize + 1, len(payload)} {
+		msgs := encodeWAL(txn, hdr, payload[:n], 0)
+		var rebuilt []byte
+		for seq, m := range msgs {
+			if len(m) > sqs.MaxMessageSize {
+				t.Fatalf("n=%d: packet %d is %d bytes, over the %d-byte limit", n, seq, len(m), sqs.MaxMessageSize)
+			}
+			pkt, err := decodeWAL(m)
+			if err != nil || pkt.Seq != seq {
+				t.Fatalf("n=%d: packet %d: seq %d, %v", n, seq, pkt.Seq, err)
+			}
+			want := min(n, first)
+			if seq > 0 {
+				want = min(DefaultChunkSize, n-first-(seq-1)*DefaultChunkSize)
+			}
+			if len(pkt.Payload) != want {
+				t.Fatalf("n=%d: packet %d carries %d bytes, want %d", n, seq, len(pkt.Payload), want)
+			}
+			if seq == 0 && pkt.Header.Total != len(msgs) {
+				t.Fatalf("n=%d: header says %d packets, encoded %d", n, pkt.Header.Total, len(msgs))
+			}
+			rebuilt = append(rebuilt, pkt.Payload...)
+		}
+		if string(rebuilt) != string(payload[:n]) {
+			t.Fatalf("n=%d: payload corrupted across uneven chunks", n)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"passcloud/internal/query"
 	"passcloud/internal/sim"
 	"passcloud/internal/translog"
+	"passcloud/internal/uuid"
 )
 
 // everyLayer is a fabric with every optional layer on, at time scale scale
@@ -110,11 +111,11 @@ func TestCloseAndToManualAreIdempotentAndLeaveNothingRunning(t *testing.T) {
 
 // An idle RunDaemon on the manual clock adds its poll interval to simulated
 // time on every spin. Flipping the clock under a running pool ran it past
-// the WAL's four-day retention and expired the queue (the AutoscaleCompare
-// bug); stopped first, the pool costs at most the poll its workers were
-// sleeping through. What follows on the manual clock is bounded work: the
-// sequencer's last checkpoint and the drain's three idle rounds, whose
-// concurrent receives each add their service time.
+// the WAL's four-day retention and expired the queue; stopped first, the
+// pool costs at most the poll its workers were sleeping through. What
+// follows on the manual clock is bounded work: the sequencer's last
+// checkpoint and the drain's three idle rounds, whose concurrent receives
+// each add their service time.
 func TestToManualWithIdlePoolDoesNotRaceTheClock(t *testing.T) {
 	f := everyLayer(t, 50)
 	defer f.Close()
@@ -184,6 +185,42 @@ func TestEveryLayerCommitsCheckpointsAndAudits(t *testing.T) {
 	}
 	if f.Engine.Cache().Stats().Hits == 0 {
 		t.Fatal("second cached pass never hit the cache")
+	}
+}
+
+// TestNoLayerUnlessAsked: a fabric that asks for no optional layer commits
+// through bare P3 and builds none of them — in particular no log, so nothing
+// is appended or signed.
+func TestNoLayerUnlessAsked(t *testing.T) {
+	f, err := New(Config{Sim: sim.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() // manual clock: nothing is started, ToManual's Settle drains
+	const txns = 5
+	for i := 0; i < txns; i++ {
+		proc := prov.Ref{UUID: uuid.New(f.Env.Rand()), Version: 1}
+		file := prov.Ref{UUID: uuid.New(f.Env.Rand()), Version: 1}
+		bundles := []prov.Bundle{
+			{Ref: proc, Type: prov.Process, Name: "gen"},
+			{Ref: file, Type: prov.File, Name: "f", Records: []prov.Record{{Attr: prov.AttrInput, Xref: proc}}},
+		}
+		if err := f.P3.Commit(core.FileObject{Path: fmt.Sprintf("mnt/g%d", i), Size: 64, Ref: file}, bundles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.ToManual(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Door != nil || f.Tenants != nil || f.Log != nil || f.Engine != nil || f.Ctl != nil {
+		t.Fatalf("layers built unasked: door=%v tenants=%d log=%v engine=%v ctl=%v",
+			f.Door != nil, len(f.Tenants), f.Log != nil, f.Engine != nil, f.Ctl != nil)
+	}
+	if n := f.Dep.DB.ItemCount(); n != 2*txns {
+		t.Fatalf("items = %d, want %d", n, 2*txns)
+	}
+	if u := f.Env.Meter().Usage(); u.LogAppends != 0 || u.LogHeads != 0 {
+		t.Fatalf("no log asked for, yet %d appends and %d heads", u.LogAppends, u.LogHeads)
 	}
 }
 

@@ -43,8 +43,8 @@
 // SELECTs with a canonical name-order merge — so query results and
 // ReadProvenance digests are byte-identical at any K. The zero Topology is
 // the paper's single-queue/single-domain layout (the K=1 ablation);
-// examples/sharded-fabric demos the knobs and BenchmarkShardedWrite records
-// the K∈{1,2,4} comparison in BENCH_sharded_write.json.
+// examples/sharded-fabric demos the knobs, and internal/bench's
+// TestShardedWriteIdentical pins the same digest at K∈{1,2,4}.
 //
 // The root package only anchors repository-level benchmarks (bench_test.go);
 // internal/fabric wires the layers into one stack and its package comment is
