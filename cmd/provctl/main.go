@@ -5,6 +5,11 @@
 //
 //	provctl [-workload blast|nightly|challenge] [-protocol P1|P2|P3] [-seed N]
 //
+// The replay runs on the manual clock with synchronous commits, so the seed
+// decides the session up to the first command: every uuid, request count
+// and bill line. (tenants demo runs briefly on the live clock, and log
+// head's root and sequencing time still move with the simulated clock.)
+//
 //	ls [prefix]          list data objects
 //	stat <path>          object size + provenance link
 //	prov <path>          dump an object's provenance (all versions)
@@ -40,7 +45,9 @@
 //	                     two-tenant burst through the front door (P3 only) so
 //	                     the counters have something to show
 //	log [head]           checkpoint the transparency log and show the signed
-//	                     tree head (size, root, signature check, durability)
+//	                     tree head (size, root, signature check, durability);
+//	                     a leaf hashes its simulated sequencing time, so the
+//	                     root and that time vary between runs of one seed
 //	log prove <path|txn> build and verify the Merkle inclusion proof for the
 //	                     transaction that committed a path (or a txn uuid)
 //	log audit            replay the log against the fabric: verify every
@@ -175,54 +182,72 @@ func printTopology(dep *core.Deployment) {
 	})
 }
 
+// session is a deployment with one workload replayed into it through one
+// protocol, and the transparency log that sequenced the replay.
+type session struct {
+	env      *sim.Env
+	dep      *core.Deployment
+	proto    core.Protocol
+	col      *pass.Collector
+	tlog     *translog.Log
+	workload string
+}
+
+// boot replays the named workload through the named protocol on the manual
+// clock. Commits are synchronous, so the seed decides the session: every
+// uuid, request and bill line.
+func boot(wl, protocol string, seed int64) (*session, error) {
+	env := sim.NewEnv(sim.Config{Seed: seed})
+	dep := core.NewDeployment(env)
+
+	var proto core.Protocol
+	for _, f := range core.Factories() {
+		if strings.EqualFold(f.Name, protocol) {
+			proto = f.New(dep, core.Options{})
+		}
+	}
+	if proto == nil || core.BackendOf(proto) == core.BackendNone {
+		return nil, fmt.Errorf("unknown or provenance-free protocol %q", protocol)
+	}
+	w, err := workload.ByName(wl, sim.NewRand(seed))
+	if err != nil {
+		return nil, err
+	}
+
+	// The transparency log rides the commit bus from the first commit, so
+	// the whole replay is sequenced (P2 notices carry no transaction uuids
+	// and leave the log empty — only P3 commits have a history to log). The
+	// subscription lives as long as the deployment.
+	tlog := translog.New(env, dep.Store, "")
+	tlog.Attach(dep.Commits)
+
+	col := pass.New(env.Rand(), nil)
+	fs := pasfs.New(env, proto, col, pasfs.Config{Collect: true})
+	if err := fs.Run(w.Trace); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	if err := proto.Settle(); err != nil {
+		return nil, fmt.Errorf("settle: %w", err)
+	}
+	dep.Settle()
+	return &session{env: env, dep: dep, proto: proto, col: col, tlog: tlog, workload: w.Name}, nil
+}
+
 func main() {
 	wl := flag.String("workload", "challenge", "workload to replay (blast, nightly, challenge)")
 	protoName := flag.String("protocol", "P3", "protocol (P1, P2, P3)")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	flag.Parse()
 
-	cfg := sim.DefaultConfig()
-	cfg.Seed = *seed
-	env := sim.NewEnv(cfg)
-	dep := core.NewDeployment(env)
-
-	var proto core.Protocol
-	for _, f := range core.Factories() {
-		if strings.EqualFold(f.Name, *protoName) {
-			proto = f.New(dep, core.Options{})
-		}
-	}
-	if proto == nil || core.BackendOf(proto) == core.BackendNone {
-		fmt.Fprintf(os.Stderr, "provctl: unknown or provenance-free protocol %q\n", *protoName)
-		os.Exit(2)
-	}
-	w, err := workload.ByName(*wl, sim.NewRand(*seed))
+	s, err := boot(*wl, *protoName, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "provctl:", err)
-		os.Exit(2)
-	}
-
-	// The transparency log rides the commit bus from the first commit, so
-	// the whole replay is sequenced (P2 notices carry no transaction uuids
-	// and leave the log empty — only P3 commits have a history to log).
-	tlog := translog.New(env, dep.Store, "")
-	defer tlog.Attach(dep.Commits)()
-
-	fmt.Printf("replaying %s through %s ... ", w.Name, proto.Name())
-	col := pass.New(env.Rand(), nil)
-	fs := pasfs.New(env, proto, col, pasfs.DefaultConfig())
-	if err := fs.Run(w.Trace); err != nil {
-		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)
 	}
-	if err := proto.Settle(); err != nil {
-		fmt.Fprintln(os.Stderr, "settle:", err)
-		os.Exit(1)
-	}
-	dep.Settle()
+	env, dep, proto, col, tlog := s.env, s.dep, s.proto, s.col, s.tlog
 	st := dep.Store.Stats()
-	fmt.Printf("done: %d objects, %.1f MB, %d provenance items\n",
-		st.Objects, float64(st.Bytes)/(1<<20), dep.DB.ItemCount())
+	fmt.Printf("replayed %s through %s: %d objects, %.1f MB, %d provenance items\n",
+		s.workload, proto.Name(), st.Objects, float64(st.Bytes)/(1<<20), dep.DB.ItemCount())
 	fmt.Println(`type "help" for commands`)
 
 	backend := core.BackendOf(proto)

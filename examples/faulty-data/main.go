@@ -6,10 +6,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"passcloud/internal/core"
+	"passcloud/internal/fabric"
 	"passcloud/internal/pasfs"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
@@ -19,11 +23,20 @@ import (
 )
 
 func main() {
-	env := sim.NewEnv(sim.DefaultConfig())
-	dep := core.NewDeployment(env)
-	proto := core.NewP3(dep, core.Options{})
-	col := pass.New(env.Rand(), nil)
-	fs := pasfs.New(env, proto, col, pasfs.DefaultConfig())
+	if err := run(os.Stdout, 42); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run replays the pipeline through P3 on the manual clock and queries the
+// damage; the seed decides every byte it writes to w.
+func run(w io.Writer, seed int64) error {
+	f, err := fabric.New(fabric.Config{Sim: sim.Config{Seed: seed}})
+	if err != nil {
+		return err
+	}
+	col := pass.New(f.Env.Rand(), nil)
+	fs := pasfs.New(f.Env, f.P3, col, pasfs.Config{Collect: true})
 
 	b := trace.NewBuilder()
 
@@ -36,17 +49,13 @@ func main() {
 		}
 		if i == 0 || i == 4 {
 			gen := b.Spawn(0, "/usr/bin/mkcalib", "mkcalib")
-			b.Write(gen, cal, 1<<20)
-			b.Close(gen, cal)
-			b.Exit(gen)
+			b.WriteFile(gen, cal, 1<<20).Exit(gen)
 		}
 		reduce := b.Spawn(0, "/usr/bin/reduce", "reduce", fmt.Sprintf("frame-%d", i))
 		b.Read(reduce, fmt.Sprintf("raw/frame-%d.fit", i), 16<<20)
 		b.Read(reduce, cal, 1<<20)
 		out := fmt.Sprintf("mnt/reduced/frame-%d.fits", i)
-		b.Write(reduce, out, 8<<20)
-		b.Close(reduce, out)
-		b.Exit(reduce)
+		b.WriteFile(reduce, out, 8<<20).Exit(reduce)
 	}
 	// A mosaic combines reduced frames 2..5 — it straddles the two
 	// calibrations, so it is tainted through frames 2 and 3.
@@ -54,32 +63,29 @@ func main() {
 	for i := 2; i <= 5; i++ {
 		b.Read(mosaic, fmt.Sprintf("mnt/reduced/frame-%d.fits", i), 8<<20)
 	}
-	b.Write(mosaic, "mnt/atlas/stripe82.fits", 20<<20)
-	b.Close(mosaic, "mnt/atlas/stripe82.fits")
-	b.Exit(mosaic)
+	b.WriteFile(mosaic, "mnt/atlas/stripe82.fits", 20<<20).Exit(mosaic)
 
 	if err := fs.Run(b.Trace()); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := proto.Settle(); err != nil {
-		log.Fatal(err)
+	if err := f.P3.Settle(); err != nil {
+		return err
 	}
-	dep.Settle()
+	f.Dep.Settle()
 
 	// The lab discovers cal-A was produced by a miscalibrated instrument.
 	badRef, ok := col.FileRef("mnt/calib/cal-A.par")
 	if !ok {
-		log.Fatal("calibration file untracked")
+		return errors.New("calibration file untracked")
 	}
-	fmt.Printf("faulty object: mnt/calib/cal-A.par (%s)\n\n", badRef)
+	fmt.Fprintf(w, "faulty object: mnt/calib/cal-A.par (%s)\n\n", badRef)
 
 	// One declarative query over the *cloud-recorded* provenance (not the
-	// local graph) replaces the hand-rolled BFS this example used to carry:
-	// everything derived from the faulty ref, filtered to named file
-	// versions, with full bundles so the names print directly. The engine
-	// runs it as Q4's plan — one round of indexed, IN-batched SELECTs per
-	// derivation level.
-	eng := query.New(dep, core.BackendSDB)
+	// local graph): everything derived from the faulty ref, filtered to
+	// named file versions, with full bundles so the names print directly.
+	// The engine runs it as Q4's plan — one round of indexed, IN-batched
+	// SELECTs per derivation level.
+	eng := query.New(f.Dep, core.BackendSDB)
 	eng.SetCache(query.NewCache(0))
 	taintSpec := query.Spec{
 		Roots:     query.Roots{Refs: []prov.Ref{badRef}},
@@ -87,26 +93,27 @@ func main() {
 		Filter:    query.And(query.TypeIs(prov.File), query.Not(query.NameIs(""))),
 		Project:   query.ProjectBundles,
 	}
-	fmt.Println("plan:", eng.Describe(taintSpec))
-	fmt.Println("tainted derivations:")
+	fmt.Fprintln(w, "plan:", eng.Describe(taintSpec))
+	fmt.Fprintln(w, "tainted derivations:")
 	taintedNames := make(map[string]bool)
 	for r, err := range eng.Run(taintSpec) {
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %s (v%d, %d hops from the bad calibration)\n",
+		fmt.Fprintf(w, "  %s (v%d, %d hops from the bad calibration)\n",
 			r.Bundle.Name, r.Ref.Version, r.Depth)
 		taintedNames[r.Bundle.Name] = true
 	}
 
-	fmt.Println("\nsafe outputs:")
+	fmt.Fprintln(w, "\nsafe outputs:")
 	for i := 0; i < 8; i++ {
 		name := fmt.Sprintf("mnt/reduced/frame-%d.fits", i)
 		if !taintedNames[name] {
-			fmt.Printf("  %s\n", name)
+			fmt.Fprintf(w, "  %s\n", name)
 		}
 	}
 	if taintedNames["mnt/atlas/stripe82.fits"] {
-		fmt.Println("\nthe stripe82 atlas is tainted through frames 2-3 and must be regenerated")
+		fmt.Fprintln(w, "\nthe stripe82 atlas is tainted through frames 2-3 and must be regenerated")
 	}
+	return nil
 }

@@ -4,10 +4,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"passcloud/internal/core"
+	"passcloud/internal/fabric"
 	"passcloud/internal/pasfs"
 	"passcloud/internal/pass"
 	"passcloud/internal/query"
@@ -17,21 +21,30 @@ import (
 )
 
 func main() {
-	// 1. A simulated AWS deployment: object store (S3), database
-	// (SimpleDB) and queue (SQS), eventually consistent, seeded.
-	env := sim.NewEnv(sim.DefaultConfig())
-	dep := core.NewDeployment(env)
+	if err := run(os.Stdout, 42); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	// 2. Protocol P3: store + database + queue-as-WAL. This is the
-	// protocol that satisfies all the provenance properties.
-	p3 := core.NewP3(dep, core.Options{})
+// run is the whole session on the manual clock: the seed decides every
+// byte it writes to w.
+func run(w io.Writer, seed int64) error {
+	// 1. A simulated AWS deployment — object store (S3), database
+	// (SimpleDB) and queue (SQS), eventually consistent, seeded — with
+	// protocol P3 on top: store + database + queue-as-WAL, the protocol
+	// that satisfies all the provenance properties.
+	f, err := fabric.New(fabric.Config{Sim: sim.Config{Seed: seed}})
+	if err != nil {
+		return err
+	}
 
-	// 3. PASS collects provenance; PA-S3fs caches and flushes through the
-	// protocol on close.
-	collector := pass.New(env.Rand(), nil)
-	fs := pasfs.New(env, p3, collector, pasfs.DefaultConfig())
+	// 2. PASS collects provenance; PA-S3fs caches and flushes through the
+	// protocol on close. Commits are synchronous so the replay draws from
+	// the seeded stream in trace order.
+	collector := pass.New(f.Env.Rand(), nil)
+	fs := pasfs.New(f.Env, f.P3, collector, pasfs.Config{Collect: true})
 
-	// 4. Run a pipeline: sort reads raw.csv and writes mnt/sorted.csv;
+	// 3. Run a pipeline: sort reads raw.csv and writes mnt/sorted.csv;
 	// report reads that and writes mnt/report.txt.
 	b := trace.NewBuilder()
 	sorter := b.Spawn(0, "/usr/bin/sort", "sort", "raw.csv")
@@ -42,72 +55,72 @@ func main() {
 	b.Write(reporter, "mnt/report.txt", 64<<10).Close(reporter, "mnt/report.txt")
 
 	if err := fs.Run(b.Trace()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The commit daemon pushes WAL transactions to their final state.
-	if err := p3.Settle(); err != nil {
-		log.Fatal(err)
+	if err := f.P3.Settle(); err != nil {
+		return err
 	}
-	dep.Settle() // let eventual consistency converge
+	f.Dep.Settle() // let eventual consistency converge
 
-	// 5. Read the report back with coupling verification: the data's
+	// 4. Read the report back with coupling verification: the data's
 	// metadata must match the provenance recorded in the database.
-	rep, err := core.VerifiedFetch(dep, core.BackendSDB, "mnt/report.txt", 10)
+	rep, err := core.VerifiedFetch(f.Dep, core.BackendSDB, "mnt/report.txt", 10)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("report.txt is version %d of object %s (coupled: %v)\n",
+	fmt.Fprintf(w, "report.txt is version %d of object %s (coupled: %v)\n",
 		rep.Linked.Version, rep.Linked.UUID, rep.Coupled)
 
-	// 6. Query: where did report.txt come from?
-	eng := query.New(dep, core.BackendSDB)
+	// 5. Query: where did report.txt come from?
+	eng := query.New(f.Dep, core.BackendSDB)
 	bundles, _, err := eng.ObjectProvenance("mnt/report.txt")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nprovenance of mnt/report.txt:")
+	fmt.Fprintln(w, "\nprovenance of mnt/report.txt:")
 	for _, bun := range bundles {
-		fmt.Printf("  %s v%d (%s)\n", bun.Name, bun.Ref.Version, bun.Type)
+		fmt.Fprintf(w, "  %s v%d (%s)\n", bun.Name, bun.Ref.Version, bun.Type)
 		for _, r := range bun.Records {
 			if r.IsXref() {
-				fmt.Printf("    %-10s -> %s\n", r.Attr, r.Xref)
+				fmt.Fprintf(w, "    %-10s -> %s\n", r.Attr, r.Xref)
 			}
 		}
 	}
 
-	// 7. And the full ancestry walk: every ancestor must be present
+	// 6. And the full ancestry walk: every ancestor must be present
 	// (multi-object causal ordering).
 	ref, _ := collector.FileRef("mnt/report.txt")
-	walk, err := core.CheckCausalOrdering(dep, core.BackendSDB, ref)
+	walk, err := core.CheckCausalOrdering(f.Dep, core.BackendSDB, ref)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nancestry walk visited %d nodes, dangling references: %d\n",
+	fmt.Fprintf(w, "\nancestry walk visited %d nodes, dangling references: %d\n",
 		walk.Visited, len(walk.Dangling))
 
-	// 8. Deleting the data does not delete its history
+	// 7. Deleting the data does not delete its history
 	// (data-independent persistence): the versions query still answers by
 	// uuid after the primary object is gone.
-	if err := p3.Delete("mnt/report.txt"); err != nil {
-		log.Fatal(err)
+	if err := f.P3.Delete("mnt/report.txt"); err != nil {
+		return err
 	}
-	dep.Settle()
+	f.Dep.Settle()
 	survived, err := eng.CollectBundles(query.Spec{
 		Roots:     query.Roots{UUIDs: []uuid.UUID{ref.UUID}},
 		Direction: query.Versions,
 	})
-	if err != nil || len(survived) == 0 {
-		log.Fatal("provenance lost after delete: ", err)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("data deleted; %d provenance version(s) still readable — persistence holds\n",
+	if len(survived) == 0 {
+		return errors.New("provenance lost after delete")
+	}
+	fmt.Fprintf(w, "data deleted; %d provenance version(s) still readable — persistence holds\n",
 		len(survived))
 
 	// What did this session cost?
-	fmt.Printf("\nsession cloud bill: $%.4f (%s)\n",
-		env.Meter().Usage().Cost(0), prettyOps(env))
-}
-
-func prettyOps(env *sim.Env) string {
-	u := env.Meter().Usage()
-	return fmt.Sprintf("%d requests, %.1f KB in", u.TotalOps, float64(u.BytesIn)/1024)
+	u := f.Env.Meter().Usage()
+	fmt.Fprintf(w, "\nsession cloud bill: $%.4f (%d requests, %.1f KB in)\n",
+		u.Cost(0), u.TotalOps, float64(u.BytesIn)/1024)
+	return nil
 }

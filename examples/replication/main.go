@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"passcloud/internal/core"
 	"passcloud/internal/pasfs"
@@ -20,12 +22,21 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, 42); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run populates and replicates on the manual clock; the seed decides every
+// byte it writes to w. P2 is the protocol this demonstrates, so both
+// deployments are wired here rather than by fabric.New, which builds P3.
+func run(w io.Writer, seed int64) error {
 	// Source: AWS-style (eventual consistency).
-	srcEnv := sim.NewEnv(sim.DefaultConfig())
+	srcEnv := sim.NewEnv(sim.Config{Seed: seed})
 	src := core.NewDeployment(srcEnv)
 	srcProto := core.NewP2(src, core.Options{})
 	col := pass.New(srcEnv.Rand(), nil)
-	fs := pasfs.New(srcEnv, srcProto, col, pasfs.DefaultConfig())
+	fs := pasfs.New(srcEnv, srcProto, col, pasfs.Config{Collect: true})
 
 	// Populate the source with a small pipeline.
 	b := trace.NewBuilder()
@@ -36,17 +47,14 @@ func main() {
 	b.Read(ann, "mnt/asm/contigs.fa", 80<<20)
 	b.Write(ann, "mnt/asm/genes.gff", 4<<20).Close(ann, "mnt/asm/genes.gff")
 	if err := fs.Run(b.Trace()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	src.Settle()
 
 	// Destination: Azure-style (strict consistency). The protocols are
 	// "independent of the storage model and applicable whenever provenance
 	// has to be stored on the cloud" — same P2, different provider.
-	dstCfg := sim.DefaultConfig()
-	dstCfg.Seed = 99
-	dstCfg.Consistency = sim.Strict
-	dstEnv := sim.NewEnv(dstCfg)
+	dstEnv := sim.NewEnv(sim.Config{Seed: seed + 1, Consistency: sim.Strict}) // another provider, another stream
 	dst := core.NewDeployment(dstEnv)
 	dstProto := core.NewP2(dst, core.Options{Ordered: true}) // replicas keep strict ancestor order
 
@@ -55,7 +63,7 @@ func main() {
 	eng := query.New(src, core.BackendSDB)
 	bundles, _, err := eng.AllProvenance(8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	graph := prov.NewGraph()
 	for _, bun := range bundles {
@@ -76,26 +84,27 @@ func main() {
 			}
 		}
 		if err := dstProto.Commit(obj, []prov.Bundle{bun}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		replicated++
 	}
-	fmt.Printf("replicated %d provenance nodes to the strict-consistency provider\n", replicated)
+	fmt.Fprintf(w, "replicated %d provenance nodes to the strict-consistency provider\n", replicated)
 
 	// Verify the replica: data-provenance coupling and full ancestry.
 	for _, path := range []string{"mnt/asm/contigs.fa", "mnt/asm/genes.gff"} {
 		rep, err := core.CheckCoupling(dst, core.BackendSDB, path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ref, _ := col.FileRef(path)
 		walk, err := core.CheckCausalOrdering(dst, core.BackendSDB, ref)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-22s coupled=%v ancestry=%d nodes dangling=%d\n",
+		fmt.Fprintf(w, "  %-22s coupled=%v ancestry=%d nodes dangling=%d\n",
 			path, rep.Coupled, walk.Visited, len(walk.Dangling))
 	}
-	fmt.Printf("\nsource bill: $%.4f   replica bill: $%.4f\n",
+	fmt.Fprintf(w, "\nsource bill: $%.4f   replica bill: $%.4f\n",
 		srcEnv.Meter().Usage().Cost(0), dstEnv.Meter().Usage().Cost(0))
+	return nil
 }

@@ -7,8 +7,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"sort"
+	"maps"
+	"os"
+	"slices"
 
 	"passcloud/internal/core"
 	"passcloud/internal/pasfs"
@@ -27,17 +30,25 @@ func runPipeline(b *trace.Builder, jvm, out string) {
 	b.Read(pid, jvm, 40<<20)                         // the runtime the job executes under
 	b.Read(pid, "sdss/raw/frame-004207.fit", 32<<20) // telescope frame
 	b.Read(pid, "sdss/calib/photo-cal.par", 1<<20)   // calibration parameters
-	b.Write(pid, out, 4<<20)
-	b.Close(pid, out)
-	b.Exit(pid)
+	b.WriteFile(pid, out, 4<<20).Exit(pid)
 }
 
 func main() {
-	env := sim.NewEnv(sim.DefaultConfig())
+	if err := run(os.Stdout, 42); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run replays both days on the manual clock and diffs their ancestry; the
+// seed decides every byte it writes to w. P2 is the protocol this
+// demonstrates, so the deployment is wired here rather than by fabric.New,
+// which builds P3.
+func run(w io.Writer, seed int64) error {
+	env := sim.NewEnv(sim.Config{Seed: seed})
 	dep := core.NewDeployment(env)
 	proto := core.NewP2(dep, core.Options{}) // store + database: queryable provenance
 	col := pass.New(env.Rand(), nil)
-	fs := pasfs.New(env, proto, col, pasfs.DefaultConfig())
+	fs := pasfs.New(env, proto, col, pasfs.Config{Collect: true})
 
 	b := trace.NewBuilder()
 	// Monday: the pipeline runs under JVM 1.5 and produces good output.
@@ -47,7 +58,7 @@ func main() {
 	runPipeline(b, "/opt/jvm-1.6/bin/java", "mnt/results/mags-tuesday.csv")
 
 	if err := fs.Run(b.Trace()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dep.Settle()
 
@@ -58,41 +69,44 @@ func main() {
 	eng.SetCache(query.NewCache(0))
 	monday, _, err := eng.ObjectProvenance("mnt/results/mags-monday.csv")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tuesday, _, err := eng.ObjectProvenance("mnt/results/mags-tuesday.csv")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Expand one ancestry level: the writing process and what it read.
-	fmt.Println("provenance diff, monday vs tuesday:")
+	fmt.Fprintln(w, "provenance diff, monday vs tuesday:")
 	mset, err := ancestrySignature(eng, monday)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tset, err := ancestrySignature(eng, tuesday)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	diffs := 0
-	for _, k := range sortedKeys(mset, tset) {
+	keys := maps.Clone(mset)
+	maps.Copy(keys, tset)
+	for _, k := range slices.Sorted(maps.Keys(keys)) {
 		m, t := mset[k], tset[k]
 		if m == t {
 			continue
 		}
 		diffs++
-		fmt.Printf("  %-12s monday=%q tuesday=%q   <-- changed\n", k, m, t)
+		fmt.Fprintf(w, "  %-12s monday=%q tuesday=%q   <-- changed\n", k, m, t)
 	}
 	if diffs == 0 {
-		fmt.Println("  (no differences — provenance collection failed!)")
+		fmt.Fprintln(w, "  (no differences — provenance collection failed!)")
 	} else {
-		fmt.Printf("\n%d difference(s); the JVM swap is \"readily apparent in the provenance\" (§2.2)\n", diffs)
+		fmt.Fprintf(w, "\n%d difference(s); the JVM swap is \"readily apparent in the provenance\" (§2.2)\n", diffs)
 	}
 	if s := eng.Cache().Stats(); s.Hits > 0 {
-		fmt.Printf("(read-through cache served %d of %d item lookups client-side)\n",
+		fmt.Fprintf(w, "(read-through cache served %d of %d item lookups client-side)\n",
 			s.Hits, s.Hits+s.Misses)
 	}
+	return nil
 }
 
 // versionsOf queries every recorded version of an object uuid through the
@@ -151,23 +165,4 @@ func nameOf(eng *query.Engine, ref prov.Ref) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("no bundle for %s", ref)
-}
-
-func sortedKeys(a, b map[string]string) []string {
-	seen := make(map[string]bool)
-	var keys []string
-	for k := range a {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for k := range b {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }

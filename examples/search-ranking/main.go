@@ -11,9 +11,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"slices"
 
 	"passcloud/internal/core"
+	"passcloud/internal/fabric"
 	"passcloud/internal/pasfs"
 	"passcloud/internal/pass"
 	"passcloud/internal/query"
@@ -23,11 +27,20 @@ import (
 )
 
 func main() {
-	env := sim.NewEnv(sim.DefaultConfig())
-	dep := core.NewDeployment(env)
-	proto := core.NewP3(dep, core.Options{})
-	col := pass.New(env.Rand(), nil)
-	fs := pasfs.New(env, proto, col, pasfs.DefaultConfig())
+	if err := run(os.Stdout, 42); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run archives the projects through P3 on the manual clock and ranks them;
+// the seed decides every byte it writes to w.
+func run(w io.Writer, seed int64) error {
+	f, err := fabric.New(fabric.Config{Sim: sim.Config{Seed: seed}})
+	if err != nil {
+		return err
+	}
+	col := pass.New(f.Env.Rand(), nil)
+	fs := pasfs.New(f.Env, f.P3, col, pasfs.Config{Collect: true})
 	b := trace.NewBuilder()
 
 	// A small research archive: a simulation produces raw traces; an
@@ -58,14 +71,14 @@ func main() {
 	b.Write(other, "mnt/misc/photos-index.db", 5<<20).Close(other, "mnt/misc/photos-index.db")
 
 	if err := fs.Run(b.Trace()); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := proto.Settle(); err != nil {
-		log.Fatal(err)
+	if err := f.P3.Settle(); err != nil {
+		return err
 	}
-	dep.Settle()
+	f.Dep.Settle()
 
-	eng := query.New(dep, core.BackendSDB)
+	eng := query.New(f.Dep, core.BackendSDB)
 
 	// One streamed drain of the stored provenance feeds both phases (what
 	// search.RerankStored bundles into a single call when the seeds aren't
@@ -73,31 +86,28 @@ func main() {
 	// it should run once).
 	g, err := query.CollectGraph(eng.Run(query.Spec{Direction: query.All, Project: query.ProjectBundles}))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Phase 1: pure content search for "latency" — finds only files whose
 	// content (here: name) matches.
 	seeds := search.ContentSearch(g, "latency")
-	fmt.Println("content search for \"latency\":")
+	fmt.Fprintln(w, "content search for \"latency\":")
 	for _, s := range seeds {
-		fmt.Printf("  %s\n", g.Node(s).Name)
+		fmt.Fprintf(w, "  %s\n", g.Node(s).Name)
 	}
 
 	// Phase 2: P rounds of weight propagation over the provenance DAG.
 	results := search.Rerank(g, seeds, search.DefaultOptions())
-	seedSet := make(map[string]bool)
-	for _, s := range seeds {
-		seedSet[s.String()] = true
-	}
-	fmt.Println("\nafter provenance re-ranking:")
+	fmt.Fprintln(w, "\nafter provenance re-ranking:")
 	for i, r := range results {
 		marker := ""
-		if !seedSet[r.Ref.String()] {
+		if !slices.Contains(seeds, r.Ref) {
 			marker = "   <- surfaced by provenance, not content"
 		}
-		fmt.Printf("  %2d. %-32s w=%.3f%s\n", i+1, r.Name, r.Weight, marker)
+		fmt.Fprintf(w, "  %2d. %-32s w=%.3f%s\n", i+1, r.Name, r.Weight, marker)
 	}
-	fmt.Println("\nnote: traces, figures and the paper draft join the results through")
-	fmt.Println("dependency links; the unrelated photo index never appears.")
+	fmt.Fprintln(w, "\nnote: traces, figures and the paper draft join the results through")
+	fmt.Fprintln(w, "dependency links; the unrelated photo index never appears.")
+	return nil
 }

@@ -226,7 +226,10 @@ func TestNoLayerUnlessAsked(t *testing.T) {
 
 // TestRepoShape keeps the lifecycle in one place: in the root module's
 // non-test code only internal/core (which defines it) and this package call
-// RunDaemon, and internal/bench never flips a clock to manual itself.
+// RunDaemon, and internal/bench never flips a clock to manual itself. It
+// also keeps this package the composition root of the programs — no example
+// or command wires P3 or a sharded deployment by hand — and keeps every
+// example under a test.
 func TestRepoShape(t *testing.T) {
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -238,6 +241,11 @@ func TestRepoShape(t *testing.T) {
 		if d.IsDir() {
 			if rel == "benchmark" || strings.HasPrefix(d.Name(), ".") && rel != "." {
 				return filepath.SkipDir // nested module; dot directories
+			}
+			if filepath.Dir(rel) == "examples" {
+				if _, err := os.Stat(filepath.Join(path, "main_test.go")); err != nil {
+					t.Errorf("%s has no main_test.go pinning its output", rel)
+				}
 			}
 			return nil
 		}
@@ -254,6 +262,13 @@ func TestRepoShape(t *testing.T) {
 		}
 		if strings.Contains(string(src), "SetScale(0)") && dir == "internal/bench" {
 			t.Errorf("%s flips the clock itself; use fabric.ToManual", rel)
+		}
+		if strings.HasPrefix(rel, "examples/") || strings.HasPrefix(rel, "cmd/") {
+			for _, call := range []string{"core.NewP3(", "core.NewShardedDeployment("} {
+				if strings.Contains(string(src), call) {
+					t.Errorf("%s calls %s; build the stack with fabric.New", rel, call)
+				}
+			}
 		}
 		return nil
 	})

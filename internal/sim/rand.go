@@ -8,8 +8,11 @@ import (
 
 // Rand is a mutex-guarded deterministic random source. Every stochastic
 // choice in the simulation (staleness windows, latency jitter, duplicate
-// deliveries, uuids, workload shapes) draws from one seeded stream so runs
-// are reproducible.
+// deliveries, uuids, workload shapes) draws from one seeded stream. That
+// makes a run reproducible only while one goroutine draws: when several
+// draw concurrently, the scheduler decides who gets which value, and the
+// seed no longer determines the run. Per-actor streams under a
+// discrete-event scheduler are the fix (ROADMAP item 1).
 type Rand struct {
 	mu  sync.Mutex
 	rng *rand.Rand
