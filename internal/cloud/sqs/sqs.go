@@ -56,9 +56,9 @@ var ErrBatchTooLarge = errors.New("sqs: more than 10 entries in batch")
 //
 // Body is a read-only view of the body the queue stores, shared by every
 // delivery of the message: a receiver may parse it and keep it for as long
-// as it likes, but must not write to it. The send side is the opposite: a
-// send copies the caller's bytes, so a sender may reuse its buffer as soon
-// as the call returns.
+// as it likes, but must not write to it. A send hands its body over the
+// same way: the queue stores the sender's bytes, not a copy, so a sender
+// must not write to a body after sending it.
 type Message struct {
 	ID            string
 	ReceiptHandle string
@@ -66,11 +66,11 @@ type Message struct {
 	SentAt        time.Duration
 }
 
-// message is the queue's internal record. body is written once, when the
-// message is enqueued, and released (set to nil) when the message is
-// deleted: receivers hold their own slice of it, and the queue holds a
-// deleted record only until its next expiry pass, which a shard nobody polls
-// any more never runs.
+// message is the queue's internal record. body is the sender's slice, set
+// when the message is enqueued, never written, and released (set to nil)
+// when the message is deleted: receivers hold their own slice of it, and the
+// queue holds a deleted record only until its next expiry pass, which a
+// shard nobody polls any more never runs.
 type message struct {
 	id        string
 	body      []byte
@@ -191,7 +191,7 @@ func (q *Queue) sendOnce(body []byte, token string) (string, error) {
 	return id, ferr
 }
 
-// enqueueLocked stores a copy of body as a new message and returns its id.
+// enqueueLocked stores body, not a copy, as a new message and returns its id.
 func (q *Queue) enqueueLocked(body []byte, now time.Duration) string {
 	q.seq++
 	// The id is the queue name and the sequence number zero-padded to eight
@@ -200,7 +200,7 @@ func (q *Queue) enqueueLocked(body []byte, now time.Duration) string {
 	seq := strconv.AppendInt(buf[:0], int64(q.seq), 10)
 	m := &message{
 		id:        q.name + "-" + "00000000"[:max(0, 8-len(seq))] + string(seq),
-		body:      append([]byte(nil), body...),
+		body:      body,
 		sentAt:    now,
 		visibleAt: now + q.env.StalenessWindow(),
 	}

@@ -120,11 +120,13 @@ const (
 
 // txnState accumulates packets of one transaction. walShard is the WAL
 // shard the packets arrived on — the transaction's home shard, where its
-// receipts must be acknowledged. Once the last packet is in, the payload is
-// decoded once, into bundles (or err), and the fragments are let go.
+// receipts must be acknowledged. frags[seq] is packet seq's payload (never
+// nil once in) and have counts the packets in. Once the last packet is in,
+// the fragments are decoded once, into bundles (or err), and let go.
 type txnState struct {
 	header   *walTxn
-	got      map[int][]byte
+	frags    [][]byte
+	have     int
 	receipts []string
 	walShard int
 	bundles  []prov.Bundle
@@ -226,6 +228,9 @@ func (p *P3) logTxn(ctx context.Context, txn uuid.UUID, obj FileObject, bundles 
 		Digest:   obj.Digest,
 	}
 	l.msgs = encodeWALBundles(txn, hdr, bundles, p.chunkSize)
+	if len(l.msgs) > maxWALPackets {
+		return l, fmt.Errorf("core: txn %s needs %d WAL packets, over %d", l.id, len(l.msgs), maxWALPackets)
+	}
 
 	// Every packet of the transaction goes to its home WAL shard (resolved
 	// once, under one routing view, so a reshard cannot split a
@@ -484,7 +489,8 @@ func (p *P3) commit(ready []*txnState, acks []shardReceipt) error {
 // transactions (which only need acknowledging, on the same WAL shard they
 // arrived from), and how many of the messages were redeliveries held for a
 // transaction already in flight. The assembled payload fragments alias the
-// message bodies, which are read-only views of what the queue stores.
+// message bodies, which are read-only views of what the queue stores. A
+// packet numbered past its transaction's count is dropped.
 func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, acks []string, held int) {
 	for _, m := range msgs {
 		pkt, err := decodeWAL(m.Body)
@@ -515,19 +521,17 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 			continue
 		}
 		st := sh.pending[pkt.Txn]
+		if st != nil && st.header != nil && pkt.Seq >= st.header.Total {
+			sh.mu.Unlock() // out of range: dropped like an undecodable packet
+			continue
+		}
 		if st == nil {
-			st = &txnState{got: make(map[int][]byte), walShard: walShard}
+			st = &txnState{walShard: walShard}
 			sh.pending[pkt.Txn] = st
 		}
 		st.receipts = append(st.receipts, m.ReceiptHandle)
-		if _, dup := st.got[pkt.Seq]; !dup {
-			st.got[pkt.Seq] = pkt.Payload
-		}
-		if pkt.First {
-			hdr := pkt.Header
-			st.header = &hdr
-		}
-		if st.header != nil && len(st.got) == st.header.Total {
+		st.add(pkt)
+		if st.header != nil && st.have == st.header.Total {
 			ready = append(ready, st)
 			delete(sh.pending, pkt.Txn)
 			sh.inflight[pkt.Txn] = st
@@ -537,9 +541,29 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 	// Outside the shard locks: nothing else touches a transaction in flight.
 	for _, st := range ready {
 		st.bundles, st.err = decodeTxn(st)
-		st.got = nil
+		st.frags = nil
 	}
 	return ready, acks, held
+}
+
+// add records pkt's payload. frags grows with the sequence numbers received,
+// never from the header's count, and a header drops what lies past it.
+func (st *txnState) add(pkt walPacket) {
+	st.frags = append(st.frags, make([][]byte, max(0, pkt.Seq+1-len(st.frags)))...)
+	if st.frags[pkt.Seq] == nil {
+		st.frags[pkt.Seq] = pkt.Payload
+		st.have++
+	}
+	if pkt.First {
+		hdr := pkt.Header
+		st.header = &hdr
+		for len(st.frags) > hdr.Total { // numbered past the count: forged
+			if st.frags[len(st.frags)-1] != nil {
+				st.have--
+			}
+			st.frags = st.frags[:len(st.frags)-1]
+		}
+	}
 }
 
 // endInflight closes st's in-flight window, if it is still open, and returns
@@ -757,30 +781,12 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 	return receipts, errors.Join(errs...)
 }
 
-// decodeTxn reassembles a complete transaction's payload and decodes it. A
-// single-packet transaction decodes straight from its packet; otherwise the
-// fragments are copied once into a buffer sized from their lengths. Either
-// way prov.DecodeBundles copies what it keeps, so the bundles alias neither.
+// decodeTxn decodes a complete transaction's fragments where they lie, with
+// no reassembly; prov.DecodeBundles copies what it keeps.
 func decodeTxn(st *txnState) ([]prov.Bundle, error) {
-	hdr := st.header
-	size := 0
-	for seq := 0; seq < hdr.Total; seq++ {
-		chunk, ok := st.got[seq]
-		if !ok {
-			return nil, fmt.Errorf("core: txn %s missing packet %d", hdr.Txn, seq)
-		}
-		size += len(chunk)
-	}
-	payload := st.got[0]
-	if hdr.Total > 1 {
-		payload = make([]byte, 0, size)
-		for seq := 0; seq < hdr.Total; seq++ {
-			payload = append(payload, st.got[seq]...)
-		}
-	}
-	bundles, err := prov.DecodeBundles(payload)
+	bundles, err := prov.DecodeBundles(st.frags...)
 	if err != nil {
-		return nil, fmt.Errorf("core: txn %s: %w", hdr.Txn, err)
+		return nil, fmt.Errorf("core: txn %s: %w", st.header.Txn, err)
 	}
 	return bundles, nil
 }

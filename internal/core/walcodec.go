@@ -32,17 +32,17 @@ import (
 //	  version  uvarint
 //	payload  rest of message (a fragment of the encoded provenance)
 //
-// Buffer ownership. encodeWAL copies the payload into freshly allocated
-// messages, and encodeWALBundles encodes the bundles into them: the caller
-// keeps payload and bundles and owns the messages (the queue copies a body
-// again on send, so they may be reused). decodeWAL copies
-// the header strings out, but the packet's Payload aliases the message it
-// parsed — in the commit daemon that is an sqs.Message.Body, a read-only
-// view of what the queue stores — so a walPacket, and the fragments a
-// txnState keeps from it, are only ever read. decodeTxn copies the
-// fragments once into a reassembly buffer (a single-packet transaction
-// decodes in place) and prov.DecodeBundles copies what it keeps, so nothing
-// past the decode aliases a message.
+// Buffer ownership. A transaction's provenance is copied once on its way
+// to the commit daemon: encodeWALBundles encodes the bundles straight into
+// the packets (encodeWAL, the tests' reference, copies a payload into
+// them). The caller owns the packets and hands them to the queue, which
+// stores them without copying; nobody writes to a packet after that.
+// decodeWAL copies the header strings out, but the packet's Payload aliases
+// the message it parsed — in the commit daemon a read-only sqs.Message.Body
+// — so a walPacket, and the fragments a txnState keeps from it, are only
+// ever read. decodeTxn decodes the fragments where they lie, and
+// prov.DecodeBundles copies what it keeps, so nothing past the decode
+// aliases a message.
 
 const walMagic = 0x574c
 
@@ -53,6 +53,10 @@ const walHeaderRoom = 160
 
 // DefaultChunkSize is the provenance payload carried per WAL message.
 const DefaultChunkSize = sqs.MaxMessageSize - walHeaderRoom
+
+// maxWALPackets bounds a transaction's packets (over 500 MB of provenance),
+// so a sequence number off the wire cannot size the daemon's fragments.
+const maxWALPackets = 1 << 16
 
 // walTxn is the decoded view of one transaction's first packet.
 type walTxn struct {
@@ -119,23 +123,46 @@ func walFirst(dst []byte, txn uuid.UUID, hdr walTxn, n, chunkSize int) (head []b
 }
 
 // encodeWALBundles is encodeWAL over the prov encoding of bundles, byte for
-// byte. A payload that fits one packet is encoded straight into its message;
-// a larger one is encoded once and cut into packets.
+// byte, with no payload in between: a bundle that crosses a packet boundary
+// is encoded into one reused scratch buffer and split from there.
 func encodeWALBundles(txn uuid.UUID, hdr walTxn, bundles []prov.Bundle, chunkSize int) [][]byte {
-	size := 0
+	chunkSize = walChunkSize(chunkSize)
+	size, largest := 0, 0
 	for _, b := range bundles {
-		size += b.EncodedSize()
+		n := b.EncodedSize()
+		size += n
+		largest = max(largest, n)
 	}
 	var room [2 * walHeaderRoom]byte
-	head, _, total := walFirst(room[:0], txn, hdr, size, walChunkSize(chunkSize))
-	if total > 1 {
-		return encodeWAL(txn, hdr, prov.EncodeBundles(bundles), chunkSize)
+	head, first, total := walFirst(room[:0], txn, hdr, size, chunkSize)
+	msgs := make([][]byte, 0, total)
+	msg := append(make([]byte, 0, len(head)+min(first, size)), head...)
+	// free is the room left in the packet being filled, opening the next.
+	free := func() int {
+		if len(msg) == cap(msg) {
+			msgs = append(msgs, msg)
+			seq := len(msgs)
+			head := appendWALHead(room[:0], txn, hdr, seq, total)
+			msg = append(make([]byte, 0, len(head)+min(chunkSize, size-first-(seq-1)*chunkSize)), head...)
+		}
+		return cap(msg) - len(msg)
 	}
-	msg := append(make([]byte, 0, len(head)+size), head...)
+	var scratch []byte
 	for _, b := range bundles {
-		msg = prov.AppendBundle(msg, b)
+		if b.EncodedSize() <= free() {
+			msg = prov.AppendBundle(msg, b)
+			continue
+		}
+		if scratch == nil {
+			scratch = make([]byte, 0, largest)
+		}
+		scratch = prov.AppendBundle(scratch[:0], b)
+		for rest := scratch; len(rest) > 0; {
+			k := min(len(rest), free())
+			msg, rest = append(msg, rest[:k]...), rest[k:]
+		}
 	}
-	return [][]byte{msg}
+	return append(msgs, msg)
 }
 
 // walChunkSize is the payload carried per packet for a requested chunk size
@@ -179,7 +206,7 @@ func decodeWAL(msg []byte) (walPacket, error) {
 	copy(p.Txn[:], msg[:16])
 	msg = msg[16:]
 	seq, n := binary.Uvarint(msg)
-	if n <= 0 {
+	if n <= 0 || seq >= maxWALPackets {
 		return p, fmt.Errorf("core: bad wal seq")
 	}
 	p.Seq = int(seq)
@@ -191,7 +218,7 @@ func decodeWAL(msg []byte) (walPacket, error) {
 	msg = msg[1:]
 	if p.First {
 		total, n := binary.Uvarint(msg)
-		if n <= 0 {
+		if n <= 0 || total > maxWALPackets || seq >= total {
 			return p, fmt.Errorf("core: bad wal total")
 		}
 		msg = msg[n:]

@@ -1,0 +1,195 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"passcloud/internal/cloud/sqs"
+	"passcloud/internal/prov"
+	"passcloud/internal/sim"
+	"passcloud/internal/uuid"
+)
+
+// bulkTxn is one transaction of the ingest_bulk shape: a process and 63
+// versions of the file it derives, each about 1 KB on the wire and all
+// carrying the same 900-byte env value.
+func bulkTxn(rnd *sim.Rand) (uuid.UUID, walTxn, []prov.Bundle) {
+	pad := strings.Repeat("p", 900)
+	proc := prov.Ref{UUID: uuid.New(rnd), Version: 1}
+	path := "mnt/bulk/r0/000042"
+	bundles := []prov.Bundle{{Ref: proc, Type: prov.Process, Name: "bulkprog", Records: []prov.Record{
+		{Attr: prov.AttrType, Value: "proc"}, {Attr: prov.AttrName, Value: "bulkprog"}, {Attr: prov.AttrEnv, Value: pad},
+	}}}
+	file := prov.Ref{UUID: uuid.New(rnd)}
+	for v := 1; v < 64; v++ {
+		recs := []prov.Record{
+			{Attr: prov.AttrType, Value: "file"}, {Attr: prov.AttrName, Value: path},
+			{Attr: prov.AttrInput, Xref: proc}, {Attr: prov.AttrEnv, Value: pad},
+		}
+		if v > 1 {
+			recs = append(recs, prov.Record{Attr: prov.AttrPrevVer, Xref: file})
+		}
+		file.Version = v
+		bundles = append(bundles, prov.Bundle{Ref: file, Type: prov.File, Name: path, Records: recs})
+	}
+	txn := uuid.New(rnd)
+	hdr := walTxn{Txn: txn, TmpKey: TmpPrefix + txn.String(), FinalKey: DataKey(path), Size: 4096, Ref: file}
+	return txn, hdr, bundles
+}
+
+// deliver wraps msgs as one delivery each, in order.
+func deliver(msgs [][]byte) []sqs.Message {
+	out := make([]sqs.Message, len(msgs))
+	for i, m := range msgs {
+		out[i] = sqs.Message{ID: strconv.Itoa(i), ReceiptHandle: "r" + strconv.Itoa(i), Body: m}
+	}
+	return out
+}
+
+// reusedValues counts a decoded transaction's non-empty literal values, and
+// those that share the string of the previous bundle's value at the same
+// record index (the decoder's reuse along a version chain).
+func reusedValues(bundles []prov.Bundle) (hits, values int) {
+	for i, b := range bundles {
+		for j, r := range b.Records {
+			if r.IsXref() || r.Value == "" {
+				continue
+			}
+			values++
+			if i > 0 && j < len(bundles[i-1].Records) &&
+				unsafe.StringData(r.Value) == unsafe.StringData(bundles[i-1].Records[j].Value) {
+				hits++
+			}
+		}
+	}
+	return hits, values
+}
+
+// TestWALPathAllocations pins the write-once, read-in-place WAL path on an
+// ingest_bulk-shaped transaction: the encode allocates the packets, their
+// slice and at most one scratch buffer; folding and decoding the packets
+// allocates fewer bytes in all than the payload, so nothing reassembles it;
+// and the 63 repeated env values decode to one shared string.
+func TestWALPathAllocations(t *testing.T) {
+	txn, hdr, bundles := bulkTxn(sim.NewRand(42))
+	payload := 0
+	for _, b := range bundles {
+		payload += b.EncodedSize()
+	}
+	msgs := encodeWALBundles(txn, hdr, bundles, 0)
+	if len(msgs) < 2 {
+		t.Fatalf("%d-byte payload in %d packet(s), want several", payload, len(msgs))
+	}
+	if got := testing.AllocsPerRun(20, func() { encodeWALBundles(txn, hdr, bundles, 0) }); got > float64(len(msgs)+2) {
+		t.Errorf("encoding %d packets = %v allocations, want at most %d", len(msgs), got, len(msgs)+2)
+	}
+
+	p := NewP3(NewDeployment(sim.NewEnv(sim.DefaultConfig())), Options{})
+	delivery := deliver(msgs)
+	fold := func() []prov.Bundle {
+		ready, _, _ := p.foldMessages(0, delivery)
+		if len(ready) != 1 || ready[0].err != nil {
+			t.Fatalf("fold: %d ready", len(ready))
+		}
+		p.endInflight(ready[0], false)
+		return ready[0].bundles
+	}
+	got := fold()
+	if !sameBundles(got, bundles) {
+		t.Fatal("the transaction decoded to other bundles than were encoded")
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fold()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= uint64(payload) {
+		t.Errorf("fold + decode allocates %d bytes per transaction, want under the %d-byte payload", per, payload)
+	}
+
+	env := unsafe.StringData(got[1].Records[3].Value)
+	for _, b := range got[1:] {
+		if unsafe.StringData(b.Records[3].Value) != env {
+			t.Fatalf("version %d's env value is a copy of its own", b.Ref.Version)
+		}
+	}
+	hits, values := reusedValues(got)
+	t.Logf("ingest_bulk shape: %d of %d decoded values reuse the previous bundle's string", hits, values)
+}
+
+// TestFoldDropsOutOfRangeSeq: a packet numbered at or past its
+// transaction's packet count is dropped at fold. Before, a forged packet 7
+// of a 2-packet transaction counted towards its total: packets 0 and 7 made
+// it "ready" and failing with "missing packet 1", and the real packet 1 was
+// stranded in a headerless pending entry.
+func TestFoldDropsOutOfRangeSeq(t *testing.T) {
+	rnd := sim.NewRand(35)
+	txn := uuid.New(rnd)
+	bundles := []prov.Bundle{
+		{Ref: prov.Ref{UUID: uuid.New(rnd), Version: 1}, Type: prov.Process, Name: "p", Records: []prov.Record{{Attr: prov.AttrType, Value: "proc"}}},
+		{Ref: prov.Ref{UUID: uuid.New(rnd), Version: 2}, Type: prov.File, Name: "f", Records: []prov.Record{{Attr: prov.AttrName, Value: "f"}}},
+	}
+	hdr := walTxn{Txn: txn, FinalKey: DataKey("f"), Ref: bundles[1].Ref}
+	size := len(prov.EncodeBundles(bundles))
+	msgs := encodeWALBundles(txn, hdr, bundles, (size+1)/2)
+	if len(msgs) != 2 {
+		t.Fatalf("%d packets, want 2", len(msgs))
+	}
+	forged := append(appendWALHead(nil, txn, hdr, 7, 2), "forged"...)
+	for _, order := range [][][]byte{
+		{msgs[0], forged, msgs[1]},
+		{forged, msgs[0], msgs[1]},
+		{msgs[1], forged, msgs[0]},
+	} {
+		p := NewP3(newDep(t, sim.Strict), Options{})
+		var ready []*txnState
+		for _, m := range deliver(order) {
+			// One packet per fold, ending a failed commit before the next,
+			// as the daemon would.
+			rdy, _, _ := p.foldMessages(0, []sqs.Message{m})
+			for _, st := range rdy {
+				ready = append(ready, st)
+				p.endInflight(st, st.err == nil)
+			}
+		}
+		if len(ready) != 1 || ready[0].err != nil || !sameBundles(ready[0].bundles, bundles) {
+			errs := make([]string, len(ready))
+			for i, st := range ready {
+				errs[i] = fmt.Sprint(st.err)
+			}
+			t.Fatalf("%d transactions ready (errors %v), want 1 with the encoded bundles", len(ready), errs)
+		}
+		if n := p.PendingTxns(); n != 0 {
+			t.Fatalf("%d transactions left pending", n)
+		}
+	}
+	for _, head := range [][]byte{appendWALHead(nil, txn, hdr, 0, 0), appendWALHead(nil, txn, hdr, maxWALPackets, maxWALPackets+1)} {
+		if _, err := decodeWAL(head); err == nil {
+			t.Errorf("a packet out of its own range decoded: %x", head)
+		}
+	}
+}
+
+var sinkReady []prov.Bundle
+
+// BenchmarkWALRoundTrip is one ingest_bulk-shaped transaction through the
+// WAL path: encode into packets, fold them, decode the fragments.
+func BenchmarkWALRoundTrip(b *testing.B) {
+	txn, hdr, bundles := bulkTxn(sim.NewRand(42))
+	p := NewP3(NewDeployment(sim.NewEnv(sim.DefaultConfig())), Options{})
+	b.ReportAllocs()
+	for b.Loop() {
+		ready, _, _ := p.foldMessages(0, deliver(encodeWALBundles(txn, hdr, bundles, 0)))
+		if err := ready[0].err; err != nil {
+			b.Fatal(err)
+		}
+		sinkReady = ready[0].bundles
+		p.endInflight(ready[0], false)
+	}
+}

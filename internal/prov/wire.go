@@ -25,13 +25,14 @@ import (
 //	  literal: value uvarint-prefixed string
 //	  xref:    uuid [16]byte + version uvarint
 //
-// Buffer ownership. Encoding copies every string into the output, so the
-// caller owns what AppendBundle and EncodeBundles return and may keep or
-// mutate it; the bundles are only read. Decoding copies every name and value
-// out of data (attribute names PASS defines come back as the package's Attr*
-// constants), so a decoded Bundle never aliases data: the caller may reuse
-// or mutate data as soon as DecodeBundles returns, and may hand it a
-// read-only view such as a received queue message body.
+// Buffer ownership. Encoding copies every string into the output, which
+// the caller owns; the bundles are only read. Decoding reads its input in
+// place, in any number of fragments, read-only views such as queue message
+// bodies included, and copies every name and value out: a decoded Bundle
+// never aliases its input (the database interns what it is given, and an
+// alias would pin a whole message). Repeats share a copy: names PASS
+// defines come back as the Attr* constants, and a name or value equal to
+// the previous bundle's at the same place as that bundle's string.
 
 const bundleMagic = 0x5053
 
@@ -93,91 +94,170 @@ func EncodeBundles(bs []Bundle) []byte {
 	return dst
 }
 
-// DecodeBundles decodes every bundle in data.
-func DecodeBundles(data []byte) ([]Bundle, error) {
+// DecodeBundles decodes every bundle in the concatenation of frags, read in
+// place: DecodeBundles(a, b) returns what DecodeBundles(append(a, b...)) does.
+func DecodeBundles(frags ...[]byte) ([]Bundle, error) {
+	var join []byte
+	var err error
+	d := decoder{rest: frags, join: &join, err: &err}
+	for _, f := range frags {
+		d.left += len(f)
+	}
 	var out []Bundle
-	for len(data) > 0 {
-		b, rest, err := decodeOne(data)
+	prev := &Bundle{}
+	for d.left > 0 {
+		b := d.bundle(prev)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, b)
-		data = rest
+		prev = &out[len(out)-1]
 	}
 	return out, nil
 }
 
-func decodeOne(data []byte) (Bundle, []byte, error) {
+// decoder reads fragments in place, joining a field that straddles two in
+// *join. The first error sticks in *err; reads after it return zero. (Both
+// are pointers: a slice or error stored in the decoder would move the
+// caller's fragment list to the heap.)
+type decoder struct {
+	cur  []byte   // unread bytes of the fragment being read
+	rest [][]byte // fragments not yet started
+	left int      // unread bytes in cur and rest
+	join *[]byte
+	err  *error
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if *d.err == nil {
+		*d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+	}
+}
+
+// take returns the next n bytes, valid until the next read.
+func (d *decoder) take(n int) []byte {
+	if *d.err != nil || n > d.left {
+		d.fail("truncated")
+		return nil
+	}
+	d.left -= n
+	d.next()
+	if n <= len(d.cur) {
+		field := d.cur[:n]
+		d.cur = d.cur[n:]
+		return field
+	}
+	join := (*d.join)[:0]
+	for len(join) < n {
+		d.next()
+		k := min(n-len(join), len(d.cur))
+		join = append(join, d.cur[:k]...)
+		d.cur = d.cur[k:]
+	}
+	*d.join = join
+	return join
+}
+
+// next moves to the next non-empty fragment once the current one is read.
+func (d *decoder) next() {
+	for len(d.cur) == 0 && len(d.rest) > 0 {
+		d.cur = d.rest[0]
+		d.rest = d.rest[1:]
+	}
+}
+
+func (d *decoder) byte() byte {
+	if b := d.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// uvarint reads a varint a byte at a time, as binary.Uvarint would.
+func (d *decoder) uvarint() (v uint64) {
+	for s := uint(0); s < 64; s += 7 {
+		b := d.byte()
+		v |= uint64(b&0x7f) << s
+		if b < 0x80 && (s < 63 || b < 2) {
+			return v
+		}
+	}
+	d.fail("bad varint")
+	return 0
+}
+
+// field reads a uvarint-prefixed string field.
+func (d *decoder) field() []byte {
+	l := d.uvarint()
+	return d.take(int(min(l, uint64(d.left)+1))) // over d.left: truncated
+}
+
+// bundle decodes the next bundle, reusing prev's strings for its name and
+// for a value at the same record index and attribute when they are equal.
+func (d *decoder) bundle(prev *Bundle) Bundle {
 	var b Bundle
-	if len(data) < 2+16+1 {
-		return b, nil, fmt.Errorf("%w: short header", ErrCorrupt)
+	head := d.take(2 + len(b.Ref.UUID))
+	if head == nil || binary.BigEndian.Uint16(head) != bundleMagic {
+		d.fail("bad header")
+		return b
 	}
-	if binary.BigEndian.Uint16(data) != bundleMagic {
-		return b, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	copy(b.Ref.UUID[:], head[2:])
+	b.Ref.Version = int(d.uvarint())
+	b.Type = ObjectType(d.byte())
+	b.Name = reuse(d.field(), prev.Name)
+	if nrec := d.uvarint(); nrec > uint64(d.left/3) { // a record takes at least 3 bytes
+		d.fail("%d records in %d bytes", nrec, d.left)
+	} else if *d.err == nil {
+		b.Records = make([]Record, nrec)
 	}
-	data = data[2:]
-	copy(b.Ref.UUID[:], data[:16])
-	data = data[16:]
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return b, nil, fmt.Errorf("%w: bad version", ErrCorrupt)
-	}
-	b.Ref.Version = int(v)
-	data = data[n:]
-	if len(data) < 1 {
-		return b, nil, fmt.Errorf("%w: missing type", ErrCorrupt)
-	}
-	b.Type = ObjectType(data[0])
-	data = data[1:]
-	var err error
-	if b.Name, data, err = readString(data); err != nil {
-		return b, nil, err
-	}
-	nrec, n := binary.Uvarint(data)
-	if n <= 0 {
-		return b, nil, fmt.Errorf("%w: bad record count", ErrCorrupt)
-	}
-	data = data[n:]
-	if nrec > 1<<24 {
-		return b, nil, fmt.Errorf("%w: absurd record count %d", ErrCorrupt, nrec)
-	}
-	b.Records = make([]Record, 0, nrec)
-	for i := uint64(0); i < nrec; i++ {
-		if len(data) < 1 {
-			return b, nil, fmt.Errorf("%w: truncated record", ErrCorrupt)
-		}
-		kind := data[0]
-		data = data[1:]
-		var rec Record
-		if rec.Attr, data, err = readAttrName(data); err != nil {
-			return b, nil, err
-		}
+	for i := 0; i < len(b.Records) && *d.err == nil; i++ {
+		rec := &b.Records[i]
+		kind := d.byte()
+		rec.Attr = d.attr()
 		switch kind {
 		case 0:
-			if rec.Value, data, err = readString(data); err != nil {
-				return b, nil, err
+			if value := d.field(); i < len(prev.Records) && prev.Records[i].Attr == rec.Attr {
+				rec.Value = reuse(value, prev.Records[i].Value)
+			} else {
+				rec.Value = string(value)
 			}
 		case 1:
-			if len(data) < 16 {
-				return b, nil, fmt.Errorf("%w: truncated xref", ErrCorrupt)
-			}
-			copy(rec.Xref.UUID[:], data[:16])
-			data = data[16:]
-			xv, n := binary.Uvarint(data)
-			if n <= 0 {
-				return b, nil, fmt.Errorf("%w: bad xref version", ErrCorrupt)
-			}
-			rec.Xref.Version = int(xv)
-			data = data[n:]
-			if rec.Xref.IsZero() {
-				return b, nil, fmt.Errorf("%w: zero xref", ErrCorrupt)
+			copy(rec.Xref.UUID[:], d.take(len(rec.Xref.UUID)))
+			if rec.Xref.Version = int(d.uvarint()); rec.Xref.IsZero() {
+				d.fail("zero xref")
 			}
 		default:
-			return b, nil, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
+			d.fail("unknown record kind %d", kind)
 		}
-		b.Records = append(b.Records, rec)
 	}
-	return b, data, nil
+	return b
+}
+
+// reuse returns s when field spells it, else a copy of field.
+func reuse(field []byte, s string) string {
+	if string(field) != s { // compared in place, no conversion
+		s = string(field)
+	}
+	return s
+}
+
+// knownAttrs are the attribute names attr interns.
+var knownAttrs = [...]string{
+	AttrName, AttrType, AttrInput, AttrPrevVer, AttrForkParent,
+	AttrExecFile, AttrArgv, AttrEnv, AttrPID, AttrStartTime,
+}
+
+// attr reads a record's attribute name: the names PASS records come back
+// as the package constants, so decoding a bundle allocates nothing for
+// them; any other name is copied out like a value.
+func (d *decoder) attr() string {
+	field := d.field()
+	for _, a := range knownAttrs {
+		if string(field) == a {
+			return a
+		}
+	}
+	return string(field)
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -193,38 +273,4 @@ func uvarintLen(v uint64) int {
 // stringSize is the number of bytes appendString writes for s.
 func stringSize(s string) int {
 	return uvarintLen(uint64(len(s))) + len(s)
-}
-
-// readBytes returns the uvarint-prefixed field at the head of data, still
-// aliasing data, and what follows it.
-func readBytes(data []byte) (field, rest []byte, err error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < l {
-		return nil, nil, fmt.Errorf("%w: truncated string", ErrCorrupt)
-	}
-	return data[n : n+int(l)], data[n+int(l):], nil
-}
-
-func readString(data []byte) (string, []byte, error) {
-	field, rest, err := readBytes(data)
-	return string(field), rest, err
-}
-
-// knownAttrs are the attribute names readAttrName interns.
-var knownAttrs = [...]string{
-	AttrName, AttrType, AttrInput, AttrPrevVer, AttrForkParent,
-	AttrExecFile, AttrArgv, AttrEnv, AttrPID, AttrStartTime,
-}
-
-// readAttrName is readString for a record's attribute name: the names PASS
-// records come back as the package constants, so decoding a bundle
-// allocates nothing for them; any other name is copied out like a value.
-func readAttrName(data []byte) (string, []byte, error) {
-	field, rest, err := readBytes(data)
-	for _, a := range knownAttrs {
-		if string(field) == a { // compared in place, no conversion
-			return a, rest, err
-		}
-	}
-	return string(field), rest, err
 }
