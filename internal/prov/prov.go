@@ -95,7 +95,9 @@ func (r Ref) AppendTo(dst []byte) []byte {
 // IsZero reports whether r is the zero Ref.
 func (r Ref) IsZero() bool { return r.UUID.IsZero() && r.Version == 0 }
 
-// ParseRef decodes the uuid_version form.
+// ParseRef decodes the uuid_version form, exactly as String prints it: a
+// lower-case uuid and a version with no sign or leading zero. Any other
+// spelling is an error, so two item names never alias one ref.
 func ParseRef(s string) (Ref, error) {
 	i := strings.LastIndexByte(s, '_')
 	if i < 0 {
@@ -109,7 +111,12 @@ func ParseRef(s string) (Ref, error) {
 	if err != nil || v < 1 {
 		return Ref{}, fmt.Errorf("prov: malformed ref version in %q", s)
 	}
-	return Ref{UUID: u, Version: v}, nil
+	r := Ref{UUID: u, Version: v}
+	var buf [uuid.StringLen + 1 + 20]byte
+	if string(r.AppendTo(buf[:0])) != s {
+		return Ref{}, fmt.Errorf("prov: non-canonical ref %q (canonical %s)", s, r)
+	}
+	return r, nil
 }
 
 // Record is one provenance fact about a node: a literal attribute value, or

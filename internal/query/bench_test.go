@@ -5,6 +5,7 @@ import (
 
 	"passcloud/internal/core"
 	"passcloud/internal/prov"
+	"passcloud/internal/sim"
 	"passcloud/internal/uuid"
 )
 
@@ -13,7 +14,8 @@ import (
 // allocs/op and B/op attribute the repository benchmark's query_mix
 // alloc_bytes_per_op to this package: the shapes are query_mix's (ancestors
 // with bundles from a leaf ref, versions of a uuid, a refs-only attribute
-// find, unbounded descendants of a ref, the depth-1 Q3 fan).
+// find, unbounded descendants of a ref, the depth-1 Q3 fan), plus ancestors
+// over one uuid's version run, the shape the padded fetch serves.
 
 func benchRun(b *testing.B, e *Engine, spec Spec, want int) {
 	b.Helper()
@@ -45,9 +47,20 @@ func BenchmarkRunVersions(b *testing.B) {
 }
 
 func BenchmarkRunAncestors(b *testing.B) {
-	dep, chain := chainDeployment(b, 10)
-	roots := Roots{Refs: []prov.Ref{chain[10]}}
-	benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Ancestors, Project: ProjectBundles}, 11)
+	b.Run("chain", func(b *testing.B) {
+		dep, chain := chainDeployment(b, 10)
+		roots := Roots{Refs: []prov.Ref{chain[10]}}
+		benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Ancestors, Project: ProjectBundles}, 11)
+	})
+	// One uuid's ten versions and the process that wrote them: the levels
+	// ride two padded SELECTs instead of eleven routed ones.
+	b.Run("versions", func(b *testing.B) {
+		bundles := versionRun(31, 10)
+		dep := versionRunDeployment(1, sim.Strict)
+		putBundles(b, dep, bundles)
+		roots := Roots{Refs: []prov.Ref{bundles[10].Ref}}
+		benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Ancestors, Project: ProjectBundles}, 11)
+	})
 }
 
 func BenchmarkRunDescendants(b *testing.B) {

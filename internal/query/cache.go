@@ -207,6 +207,19 @@ func (c *Cache) lookup(key string) (any, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
+// has reports whether an item entry is present without counting a hit or
+// miss or refreshing its recency: a prefetch asks it before deciding to
+// fetch, not because a query read the item.
+func (c *Cache) has(key string) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
 // lookupObs returns a cached observation, applying the coherence guards:
 // unsubscribed caches drop entries from another directory epoch (the
 // reshard-straddle case) and entries past the staleness bound; subscribed

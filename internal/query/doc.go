@@ -46,7 +46,10 @@
 //     is a K-way scatter, because a child lives on its own uuid's shard;
 //   - Ancestors fetches each level's bundles with itemName() IN batches,
 //     each split across the refs' home shards (at most min(K, refs)
-//     requests), and follows their cross references upward;
+//     requests), and follows their cross references upward; a partial
+//     batch is padded with earlier versions of its own refs, which share
+//     their shards, so a version run costs one request per 20 versions
+//     instead of one per level;
 //   - All drains SELECT * across all shards in parallel.
 //
 // # Filters and pushdown

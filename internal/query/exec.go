@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 	"strconv"
 
@@ -179,8 +180,11 @@ type source interface {
 	// core.ErrNoProvenance when it has none.
 	versions(u uuid.UUID) ([]prov.Bundle, error)
 	// bundles fetches the bundles of exact refs; never-recorded refs are
-	// simply absent from the result.
-	bundles(refs []prov.Ref) (map[prov.Ref]*prov.Bundle, error)
+	// simply absent from the result. With reach > 0 the source may also
+	// ship earlier versions of refs — at most reach below each, none that
+	// known holds — for the Ancestors walk to find when its prev edges get
+	// there; such a pad missing from the result was merely not fetched.
+	bundles(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, reach int) (map[prov.Ref]*prov.Bundle, error)
 	// children finds the nodes that directly depend on refs, in any order
 	// and as often as they were found. A terminal level feeds no further
 	// frontier, so there — and only there — the source may narrow the read
@@ -343,9 +347,10 @@ func (x *exec) roots() ([]prov.Ref, map[prov.Ref]*prov.Bundle, error) {
 
 // fill fetches the bundles of refs that known does not hold yet — reusing
 // anything an earlier read shipped (root version sets, full-item child
-// lookups, earlier levels of a diamond-shaped DAG). Refs that were never
-// recorded stay absent.
-func (x *exec) fill(known map[prov.Ref]*prov.Bundle, refs []prov.Ref) error {
+// lookups, earlier levels of a diamond-shaped DAG, versions an Ancestors
+// level prefetched). Refs that were never recorded stay absent. reach is
+// how far below each ref the source may prefetch versions (0: none).
+func (x *exec) fill(known map[prov.Ref]*prov.Bundle, refs []prov.Ref, reach int) error {
 	var missing []prov.Ref
 	for _, r := range refs {
 		if known[r] == nil {
@@ -355,7 +360,7 @@ func (x *exec) fill(known map[prov.Ref]*prov.Bundle, refs []prov.Ref) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	fetched, err := x.src.bundles(missing)
+	fetched, err := x.src.bundles(missing, known, reach)
 	if err != nil {
 		return err
 	}
@@ -370,7 +375,7 @@ func (x *exec) fill(known map[prov.Ref]*prov.Bundle, refs []prov.Ref) error {
 // root that was never recorded — there is nothing to filter or project.
 func (x *exec) runSelf(yield yieldFunc, refs []prov.Ref, known map[prov.Ref]*prov.Bundle) error {
 	if x.spec.needBundles() {
-		if err := x.fill(known, refs); err != nil {
+		if err := x.fill(known, refs, 0); err != nil {
 			return err
 		}
 	}
@@ -442,7 +447,7 @@ func (x *exec) runDescendants(yield yieldFunc, frontier []prov.Ref) error {
 		}
 		sortRefs(next)
 		if x.spec.needBundles() {
-			if err := x.fill(bundles, next); err != nil {
+			if err := x.fill(bundles, next, 0); err != nil {
 				return err
 			}
 		}
@@ -460,14 +465,20 @@ func (x *exec) runDescendants(yield yieldFunc, frontier []prov.Ref) error {
 // depth 0, then each level's bundles are fetched and their cross references
 // become the next frontier. Dangling references — ancestors whose
 // provenance was never recorded — are skipped, as the causal-ordering
-// detector treats them.
+// detector treats them. PASS links every version to the one before it, so a
+// level's fetch may prefetch earlier versions of its refs, but never more
+// than the levels the walk has left could reach.
 func (x *exec) runAncestors(yield yieldFunc, frontier []prov.Ref, known map[prov.Ref]*prov.Bundle) error {
 	seen := make(map[prov.Ref]bool)
 	for _, r := range frontier {
 		seen[r] = true // a root that is also another root's ancestor emits once
 	}
 	for depth := 0; len(frontier) > 0; depth++ {
-		if err := x.fill(known, frontier); err != nil {
+		reach := math.MaxInt
+		if x.spec.MaxDepth > 0 {
+			reach = x.spec.MaxDepth - depth
+		}
+		if err := x.fill(known, frontier, reach); err != nil {
 			return err
 		}
 		for _, r := range frontier {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
@@ -62,7 +63,7 @@ func (s *dbSource) describe() string {
 	case Descendants:
 		traverse = "IN-batched BFS over input edges, each batch a " + scatter + " — children live on any shard"
 	case Ancestors:
-		traverse = "walk over xref edges, each level a batched itemName() fetch routed to the refs' home shards, ≤ min(K, refs) requests per 20-ref batch"
+		traverse = "walk over xref edges, each level a batched itemName() fetch routed to the refs' home shards, ≤ min(K, refs) requests per 20-ref batch, a partial batch padded with earlier versions of its refs within the depth left"
 	}
 	cache := "off"
 	if s.e.cache != nil {
@@ -109,9 +110,13 @@ func (s *dbSource) attrRoots(ms []AttrMatch, fuse bool) ([]prov.Ref, map[prov.Re
 	// the per-root bundle fetch the client-side plan needs just to evaluate
 	// the filter. (A pushed predicate is never combined with a cache.)
 	fused := fuse && s.pushed != nil
-	key := attrKey(ms)
-	if v, ok := s.e.cache.lookupObs(key, s.view.Epoch()); ok && !fused {
-		return v.([]prov.Ref), nil, nil
+	cache := s.e.cache
+	var key string
+	if cache != nil {
+		key = attrKey(ms)
+		if v, ok := cache.lookupObs(key, s.view.Epoch()); ok && !fused {
+			return v.([]prov.Ref), nil, nil
+		}
 	}
 	q := itemNameQuery
 	q.Where = sdb.Eq(ms[0].Attr, ms[0].Value)
@@ -144,8 +149,8 @@ func (s *dbSource) attrRoots(ms []AttrMatch, fuse bool) ([]prov.Ref, map[prov.Re
 			shipped[r] = &b
 		}
 	}
-	if !fused {
-		s.e.cache.storeAttrObs(key, refs, s.view.Epoch(), ms)
+	if cache != nil && !fused {
+		cache.storeAttrObs(key, refs, s.view.Epoch(), ms)
 	}
 	return refs, shipped, nil
 }
@@ -157,16 +162,21 @@ func (s *dbSource) attrRoots(ms []AttrMatch, fuse bool) ([]prov.Ref, map[prov.Re
 // versions co-shard, so this is one request, not a scatter; no recorded
 // versions is ErrNoProvenance).
 func (s *dbSource) versions(u uuid.UUID) ([]prov.Bundle, error) {
-	if v, ok := s.e.cache.lookupObs(versKey(u), s.view.Epoch()); ok {
+	cache := s.e.cache
+	if cache == nil {
+		return core.ReadProvenanceView(s.view, u)
+	}
+	key := versKey(u)
+	if v, ok := cache.lookupObs(key, s.view.Epoch()); ok {
 		return v.([]prov.Bundle), nil
 	}
 	bundles, err := core.ReadProvenanceView(s.view, u)
 	if err != nil {
 		return nil, err
 	}
-	s.e.cache.storeObs(versKey(u), bundles, s.view.Epoch())
+	cache.storeObs(key, bundles, s.view.Epoch())
 	for i := range bundles {
-		s.e.cache.store(itemKey(bundles[i].Ref.String()), &bundles[i])
+		cache.store(itemKey(bundles[i].Ref.String()), &bundles[i])
 	}
 	return bundles, nil
 }
@@ -292,16 +302,25 @@ func (s *dbSource) children(refs []prov.Ref, terminal bool) ([]prov.Ref, map[pro
 
 // bundles fetches full bundles for exact refs, read through the item cache;
 // misses batch into itemName() IN SELECTs, which the view splits across the
-// refs' home shards (≤ min(K, refs) requests per batch).
-func (s *dbSource) bundles(refs []prov.Ref) (map[prov.Ref]*prov.Bundle, error) {
+// refs' home shards (≤ min(K, refs) requests per batch). With reach > 0 the
+// last, partial batch is padded with earlier versions of its own refs (see
+// pad), which ride the requests the batch makes anyway.
+func (s *dbSource) bundles(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, reach int) (map[prov.Ref]*prov.Bundle, error) {
+	cache := s.e.cache
 	out := make(map[prov.Ref]*prov.Bundle, len(refs))
-	var pending []prov.Ref
-	for _, r := range refs {
-		if v, ok := s.e.cache.lookup(itemKey(r.String())); ok {
-			out[r] = v.(*prov.Bundle)
-		} else {
-			pending = append(pending, r)
+	pending := refs
+	if cache != nil {
+		pending = nil
+		for _, r := range refs {
+			if v, ok := cache.lookup(itemKey(r.String())); ok {
+				out[r] = v.(*prov.Bundle)
+			} else {
+				pending = append(pending, r)
+			}
 		}
+	}
+	if reach > 0 {
+		pending = s.pad(pending, known, reach)
 	}
 	results, err := s.selectIn(&itemQuery, sdb.ItemNameKey, pending, nil)
 	if err != nil {
@@ -314,8 +333,41 @@ func (s *dbSource) bundles(refs []prov.Ref) (map[prov.Ref]*prov.Bundle, error) {
 				return nil, err
 			}
 			out[b.Ref] = &b
-			s.e.cache.store(itemKey(it.Name), &b)
+			if cache != nil {
+				cache.store(itemKey(it.Name), &b)
+			}
 		}
 	}
 	return out, nil
+}
+
+// pad fills the unused slots of refs' last IN batch with earlier versions
+// of that batch's own refs: v−1 of each, then v−2 of each, and so on, never
+// more than reach below a ref nor below version 1, skipping refs the batch
+// already names and refs known or cached. PASS links every version to the
+// one before it, so a walk that fetches v goes on to v−1 unless its depth
+// runs out first; and every version of a uuid routes with the uuid
+// (sdb.RouteKey), so a padded batch asks exactly the shards — both homes,
+// mid-reshard — it asked unpadded. refs itself is never written.
+func (s *dbSource) pad(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, reach int) []prov.Ref {
+	start := len(refs) / inBatch * inBatch
+	tail := refs[start:]
+	deepest := 0 // the most versions any tail ref has below it
+	for _, r := range tail {
+		deepest = max(deepest, r.Version-1)
+	}
+	out := refs[:len(refs):len(refs)]
+	for k := 1; k <= min(reach, deepest) && len(out)%inBatch != 0; k++ {
+		for _, r := range tail {
+			p := prov.Ref{UUID: r.UUID, Version: r.Version - k}
+			if p.Version < 1 || known[p] != nil || slices.Contains(out[start:], p) ||
+				(s.e.cache != nil && s.e.cache.has(itemKey(p.String()))) {
+				continue
+			}
+			if out = append(out, p); len(out)%inBatch == 0 {
+				break
+			}
+		}
+	}
+	return out
 }

@@ -150,7 +150,9 @@ func (s *s3Source) versions(u uuid.UUID) ([]prov.Bundle, error) {
 	return out, nil
 }
 
-func (s *s3Source) bundles(refs []prov.Ref) (map[prov.Ref]*prov.Bundle, error) {
+// bundles serves exact refs from the scanned graph; the store has no
+// batched read to pad, so reach is ignored.
+func (s *s3Source) bundles(refs []prov.Ref, _ map[prov.Ref]*prov.Bundle, _ int) (map[prov.Ref]*prov.Bundle, error) {
 	g, err := s.g()
 	if err != nil {
 		return nil, err

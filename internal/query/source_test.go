@@ -22,19 +22,27 @@ type twin struct {
 
 func twinPath(i int) string { return fmt.Sprintf("mnt/c%03d", i) }
 
-// newTwin replays a seeded run history on both backends. Every run is one
-// version bump of the process "prog" that reads up to two existing files and
-// writes a new version of one file; file 0 is written by every other run, so
-// it passes ten versions and uuid_10 sorts before uuid_2 in canonical order.
+// newTwin replays a seeded run history on both backends, the database at
+// K=4 (see newTwinK).
+func newTwin(t *testing.T, seed int64, runs int, inputOnly bool) *twin {
+	t.Helper()
+	return newTwinK(t, seed, runs, inputOnly, 4)
+}
+
+// newTwinK replays a seeded run history on both backends, the database
+// sharded k ways. Every run is one version bump of the process "prog" that
+// reads up to two existing files and writes a new version of one file;
+// file 0 is written by every other run, so it passes ten versions and
+// uuid_10 sorts before uuid_2 in canonical order.
 // With inputOnly the only cross-reference attribute recorded is input — the
 // edge the database schema indexes — otherwise nodes also carry prev,
 // forkparent and execfile edges, which only the store's child lookup follows.
-func newTwin(t *testing.T, seed int64, runs int, inputOnly bool) *twin {
+func newTwinK(t *testing.T, seed int64, runs int, inputOnly bool, k int) *twin {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Consistency = sim.Strict
 	depS3 := core.NewDeployment(sim.NewEnv(cfg))
-	depDB := core.NewShardedDeployment(sim.NewEnv(cfg), core.Topology{WALShards: 4, DBShards: 4})
+	depDB := core.NewShardedDeployment(sim.NewEnv(cfg), core.Topology{WALShards: k, DBShards: k})
 	p1, p2 := core.NewP1(depS3, core.Options{}), core.NewP2(depDB, core.Options{})
 
 	rnd := sim.NewRand(seed)
@@ -106,13 +114,18 @@ func stream(t *testing.T, e *Engine, spec Spec) []string {
 		if err != nil {
 			t.Fatalf("%v %+v: %v", e.Backend(), spec, err)
 		}
-		line := fmt.Sprintf("%s@%d", r.Ref, r.Depth)
-		if r.Bundle != nil {
-			line += "+b"
-		}
-		out = append(out, line)
+		out = append(out, streamLine(r))
 	}
 	return out
+}
+
+// streamLine is one result as stream renders it.
+func streamLine(r Result) string {
+	line := fmt.Sprintf("%s@%d", r.Ref, r.Depth)
+	if r.Bundle != nil {
+		line += "+b"
+	}
+	return line
 }
 
 // refSet is the set of refs in a stream, depths dropped.
@@ -267,7 +280,7 @@ func TestDescribeGolden(t *testing.T) {
 		dbScatter   = "K-way scatter (K=4)"
 		dbAttrRoots = "sdb: roots via indexed attribute SELECT, " + dbScatter + "; "
 		dbDesc      = "IN-batched BFS over input edges, each batch a " + dbScatter + " — children live on any shard; "
-		dbAnc       = "walk over xref edges, each level a batched itemName() fetch routed to the refs' home shards, ≤ min(K, refs) requests per 20-ref batch; "
+		dbAnc       = "walk over xref edges, each level a batched itemName() fetch routed to the refs' home shards, ≤ min(K, refs) requests per 20-ref batch, a partial batch padded with earlier versions of its refs within the depth left; "
 		dbVers      = "uuid-prefix SELECT per root, routed to the uuid's home shard (1 request each); "
 		s3Scan      = "s3: whole-graph scan (LIST + parallel GETs), local evaluation"
 	)

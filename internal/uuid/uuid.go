@@ -57,8 +57,8 @@ func Parse(s string) (UUID, error) {
 	}
 	idx := 0
 	for i := 0; i < len(s); {
-		if s[i] == '-' {
-			i++
+		if i == 8 || i == 13 || i == 18 || i == 23 {
+			i++ // a dash anywhere else is an invalid hex digit below
 			continue
 		}
 		hi, ok1 := hexVal(s[i])

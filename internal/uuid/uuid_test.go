@@ -70,6 +70,20 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseRejectsStrayDash: a fifth dash outside the canonical positions
+// once shifted the hex pairs until Parse read past the end of the string.
+func TestParseRejectsStrayDash(t *testing.T) {
+	for _, s := range []string{
+		"00000000-0000-0000-0000-0000-0000000",
+		"00000000-0000-0000-0000-00000000000-",
+		"-0000000-0000-0000-0000-000000000000",
+	} {
+		if u, err := Parse(s); err == nil {
+			t.Fatalf("Parse(%q) = %s, want error", s, u)
+		}
+	}
+}
+
 func TestStringFormAndAllocations(t *testing.T) {
 	u := UUID{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0x4c, 0xde, 0x8f, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd}
 	if got, want := u.String(), "01234567-89ab-4cde-8f01-23456789abcd"; got != want {
