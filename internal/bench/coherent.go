@@ -55,12 +55,10 @@ type CoherentModeStats struct {
 	Results       int     `json:"results"`
 	Digest        string  `json:"digest"`
 
-	CacheHits       int64 `json:"cache_hits,omitempty"`
-	CacheMisses     int64 `json:"cache_misses,omitempty"`
-	CoherenceHits   int64 `json:"coherence_hits,omitempty"`
-	Invalidations   int64 `json:"invalidations,omitempty"`
-	StaleServes     int64 `json:"stale_serves,omitempty"`
-	SubscriptionLag int64 `json:"subscription_lag,omitempty"`
+	CacheHits     int64 `json:"cache_hits,omitempty"`
+	CacheMisses   int64 `json:"cache_misses,omitempty"`
+	CoherenceHits int64 `json:"coherence_hits,omitempty"`
+	Invalidations int64 `json:"invalidations,omitempty"`
 }
 
 // PushdownCase compares one filtered spec with pushdown on and off.
@@ -288,7 +286,6 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 			s := cs.Stats()
 			rd.stats.CacheHits, rd.stats.CacheMisses = s.Hits, s.Misses
 			rd.stats.CoherenceHits, rd.stats.Invalidations = s.CoherenceHits, s.Invalidations
-			rd.stats.StaleServes, rd.stats.SubscriptionLag = s.StaleServes, s.SubscriptionLag
 		}
 		rd.stats.Digest = hex.EncodeToString(rd.digest.Sum(nil))
 		run.Modes[rd.mode] = rd.stats

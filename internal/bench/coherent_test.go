@@ -33,9 +33,6 @@ func coherentCheck(t *testing.T, c CoherentReadsConfig) CoherentReadsRun {
 	if sub.CoherenceHits == 0 {
 		t.Error("subscribed cache recorded no coherence hits")
 	}
-	if sub.SubscriptionLag != 0 {
-		t.Errorf("synchronous bus left subscription lag %d", sub.SubscriptionLag)
-	}
 	if run.CommitNotices == 0 {
 		t.Error("no commit notices were published")
 	}

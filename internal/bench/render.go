@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"passcloud/internal/core"
 	"passcloud/internal/sim"
@@ -186,9 +185,4 @@ func byteSize(n int) string {
 // Banner prints a section separator.
 func Banner(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
-}
-
-// FormatDuration renders a simulated duration in paper style.
-func FormatDuration(d time.Duration) string {
-	return fmt.Sprintf("%.1fs", d.Seconds())
 }

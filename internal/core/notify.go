@@ -13,8 +13,8 @@ import (
 // notification on the path that writes the provenance items. Subscribed query
 // caches use it to invalidate exactly the observations the commit touched.
 type CommitNotice struct {
-	// Seq is the bus-assigned publication sequence number; a subscriber's
-	// lag is the distance between the bus head and the last Seq it applied.
+	// Seq is the bus-assigned publication sequence number; the transparency
+	// log checkpoints the last one it sequenced.
 	Seq int64
 	// Txns lists the transaction uuids the group committed.
 	Txns []uuid.UUID
@@ -79,13 +79,6 @@ func (b *CommitBus) Subscribe(fn func(CommitNotice) int64) func() {
 		delete(b.subs, id)
 		b.mu.Unlock()
 	}
-}
-
-// Seq returns the sequence number of the most recently published notice.
-func (b *CommitBus) Seq() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
 }
 
 // Publish assigns the notice a sequence number and delivers it to every

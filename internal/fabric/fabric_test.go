@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
 	"os"
@@ -224,55 +225,82 @@ func TestNoLayerUnlessAsked(t *testing.T) {
 	}
 }
 
-// TestRepoShape keeps the lifecycle in one place: in the root module's
-// non-test code only internal/core (which defines it) and this package call
-// RunDaemon, and internal/bench never flips a clock to manual itself. It
-// also keeps this package the composition root of the programs — no example
-// or command wires P3 or a sharded deployment by hand — and keeps every
-// example under a test.
-func TestRepoShape(t *testing.T) {
+// rootGo returns the source of every non-test Go file in the root module,
+// outside benchmark/ (a nested module) and dot directories, keyed by its
+// slash path from the root.
+func rootGo(t *testing.T) map[string][]byte {
+	t.Helper()
 	root := filepath.Join("..", "..")
+	files := make(map[string][]byte)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		rel, _ := filepath.Rel(root, path)
 		rel = filepath.ToSlash(rel)
-		if d.IsDir() {
-			if rel == "benchmark" || strings.HasPrefix(d.Name(), ".") && rel != "." {
-				return filepath.SkipDir // nested module; dot directories
-			}
-			if filepath.Dir(rel) == "examples" {
-				if _, err := os.Stat(filepath.Join(path, "main_test.go")); err != nil {
-					t.Errorf("%s has no main_test.go pinning its output", rel)
-				}
-			}
+		if d.IsDir() && (rel == "benchmark" || strings.HasPrefix(d.Name(), ".") && rel != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
 			return nil
 		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(rel))
-		if strings.Contains(string(src), ".RunDaemon(") && dir != "internal/core" && dir != "internal/fabric" {
-			t.Errorf("%s calls RunDaemon; start daemons with fabric.Start or fabric.RunDaemons", rel)
-		}
-		if strings.Contains(string(src), "SetScale(0)") && dir == "internal/bench" {
-			t.Errorf("%s flips the clock itself; use fabric.ToManual", rel)
-		}
-		if strings.HasPrefix(rel, "examples/") || strings.HasPrefix(rel, "cmd/") {
-			for _, call := range []string{"core.NewP3(", "core.NewShardedDeployment("} {
-				if strings.Contains(string(src), call) {
-					t.Errorf("%s calls %s; build the stack with fabric.New", rel, call)
-				}
-			}
-		}
-		return nil
+		files[rel], err = os.ReadFile(path)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRepoShape keeps the lifecycle in one place: in the root module's
+// non-test code only internal/core (which defines it) and this package call
+// RunDaemon, and internal/bench never flips a clock to manual itself. It
+// also keeps this package the composition root of the programs — no example
+// or command wires P3 or a sharded deployment by hand or sets the clock's
+// scale — and keeps every example under a test.
+func TestRepoShape(t *testing.T) {
+	for rel, src := range rootGo(t) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		if bytes.Contains(src, []byte(".RunDaemon(")) && dir != "internal/core" && dir != "internal/fabric" {
+			t.Errorf("%s calls RunDaemon; start daemons with fabric.Start or fabric.RunDaemons", rel)
+		}
+		if bytes.Contains(src, []byte("SetScale(0)")) && dir == "internal/bench" {
+			t.Errorf("%s flips the clock itself; use fabric.ToManual", rel)
+		}
+		if strings.HasPrefix(rel, "examples/") || strings.HasPrefix(rel, "cmd/") {
+			for _, call := range []string{"core.NewP3(", "core.NewShardedDeployment(", "SetScale("} {
+				if bytes.Contains(src, []byte(call)) {
+					t.Errorf("%s calls %s; build the stack with fabric.New and keep its clock", rel, call)
+				}
+			}
+		}
+	}
+	examples, err := os.ReadDir(filepath.Join("..", "..", "examples"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range examples {
+		if _, err := os.Stat(filepath.Join("..", "..", "examples", e.Name(), "main_test.go")); e.IsDir() && err != nil {
+			t.Errorf("examples/%s has no main_test.go pinning its output", e.Name())
+		}
+	}
+}
+
+// rootGoCeiling caps the root module's non-test Go lines, as rootGo finds
+// them. It is the count at the change that last lowered it: a change may
+// lower it to its own count, never raise it.
+const rootGoCeiling = 22876
+
+// TestRootGoCeiling prints the root module's non-test Go line count and
+// fails above rootGoCeiling.
+func TestRootGoCeiling(t *testing.T) {
+	n := 0
+	for _, src := range rootGo(t) {
+		n += bytes.Count(src, []byte("\n"))
+	}
+	t.Logf("root non-test Go: %d lines, ceiling %d", n, rootGoCeiling)
+	if n > rootGoCeiling {
+		t.Errorf("root non-test Go is %d lines, above the ceiling of %d: delete as much as you add", n, rootGoCeiling)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
@@ -29,7 +28,7 @@ import (
 // reference a ref), and those sets can grow as new provenance commits. A
 // cached observation is therefore exactly an eventually consistent read — an
 // older but once-true view, the same semantics every uncached SELECT in this
-// system already has. Three mechanisms tighten that:
+// system already has. Two mechanisms tighten that:
 //
 //   - Subscription (Engine.Subscribe): the cache attaches to the
 //     deployment's commit bus and every committed transaction invalidates
@@ -44,10 +43,6 @@ import (
 //     placement it was derived through — instead of serving a pre-cutover
 //     set. Subscribed caches serve across epochs: notices keep the entries
 //     precise regardless of placement.
-//   - Bounded staleness (Engine.SetStalenessBound): a disconnected engine
-//     can cap how old a served observation may be on the simulated clock;
-//     entries past the bound are dropped on lookup. Entries stored before
-//     the bound was armed carry no timestamp and are treated as over-age.
 //
 // Cache is safe for concurrent use. Values handed out are shared, not
 // copied: treat cached bundles and ref slices as read-only.
@@ -64,32 +59,24 @@ type Cache struct {
 	// commit notice can be matched against it precisely.
 	attrKeys map[string][]AttrMatch
 
-	// Coherence state (see Engine.Subscribe / SetStalenessBound).
+	// Coherence state (see Engine.Subscribe).
 	subscribed    bool
-	busSeq        func() int64 // bus head reader while subscribed
-	meter         *sim.Meter   // coherence-hit accounting while subscribed
-	lastSeq       int64        // last notice sequence applied
-	bound         time.Duration
-	now           func() time.Duration
+	meter         *sim.Meter // coherence-hit accounting while subscribed
 	coherenceHits int64
 	invalidations int64
 	epochFlushes  int64
-	expired       int64
-	staleServes   int64
 }
 
 // DefaultCacheEntries is the capacity NewCache(0) provides.
 const DefaultCacheEntries = 4096
 
 // cacheEntry is one LRU slot. Observation entries carry the directory epoch
-// they were read under and their store time on the simulated clock;
-// immutable item entries need neither.
+// they were read under; immutable item entries need none.
 type cacheEntry struct {
-	key      string
-	val      any
-	obs      bool
-	epoch    int
-	storedAt time.Duration
+	key   string
+	val   any
+	obs   bool
+	epoch int
 }
 
 // NewCache returns an empty cache bounded to capacity entries (0 or
@@ -123,14 +110,6 @@ type CacheStats struct {
 	// EpochFlushes counts observations dropped because a reshard cutover
 	// changed the directory epoch under them.
 	EpochFlushes int64
-	// Expired counts observations dropped past the staleness bound.
-	Expired int64
-	// StaleServes counts observation hits served under the bounded-staleness
-	// allowance (unsubscribed, within the bound).
-	StaleServes int64
-	// SubscriptionLag is the distance between the bus head and the last
-	// notice applied (0 for the synchronous in-process bus).
-	SubscriptionLag int64
 }
 
 // Stats returns the cache counters.
@@ -138,19 +117,9 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	// Read the bus head before taking the cache lock: the bus calls into the
-	// cache under its own lock on publish, so the reverse order would invert
-	// lock acquisition.
-	c.mu.Lock()
-	head := c.busSeq
-	c.mu.Unlock()
-	var headSeq int64 = -1
-	if head != nil {
-		headSeq = head()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CacheStats{
+	return CacheStats{
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Evictions:     c.evictions,
@@ -159,13 +128,7 @@ func (c *Cache) Stats() CacheStats {
 		CoherenceHits: c.coherenceHits,
 		Invalidations: c.invalidations,
 		EpochFlushes:  c.epochFlushes,
-		Expired:       c.expired,
-		StaleServes:   c.staleServes,
 	}
-	if c.subscribed && headSeq > c.lastSeq {
-		s.SubscriptionLag = headSeq - c.lastSeq
-	}
-	return s
 }
 
 // Flush drops every entry (counters survive). It is the coarse invalidation
@@ -220,10 +183,10 @@ func (c *Cache) has(key string) bool {
 	return ok
 }
 
-// lookupObs returns a cached observation, applying the coherence guards:
+// lookupObs returns a cached observation, applying the coherence guard:
 // unsubscribed caches drop entries from another directory epoch (the
-// reshard-straddle case) and entries past the staleness bound; subscribed
-// caches serve unconditionally — the invalidation protocol keeps them right.
+// reshard-straddle case); subscribed caches serve unconditionally — the
+// invalidation protocol keeps them right.
 func (c *Cache) lookupObs(key string, epoch int) (any, bool) {
 	if c == nil {
 		return nil, false
@@ -236,19 +199,11 @@ func (c *Cache) lookupObs(key string, epoch int) (any, bool) {
 		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
-	if !c.subscribed {
-		if e.epoch != epoch {
-			c.removeLocked(el)
-			c.epochFlushes++
-			c.misses++
-			return nil, false
-		}
-		if c.bound > 0 && c.now != nil && c.now()-e.storedAt > c.bound {
-			c.removeLocked(el)
-			c.expired++
-			c.misses++
-			return nil, false
-		}
+	if !c.subscribed && e.epoch != epoch {
+		c.removeLocked(el)
+		c.epochFlushes++
+		c.misses++
+		return nil, false
 	}
 	c.hits++
 	if c.subscribed {
@@ -256,8 +211,6 @@ func (c *Cache) lookupObs(key string, epoch int) (any, bool) {
 		if c.meter != nil {
 			c.meter.CountCoherenceHit()
 		}
-	} else if c.bound > 0 {
-		c.staleServes++
 	}
 	c.ll.MoveToFront(el)
 	return e.val, true
@@ -291,17 +244,10 @@ func (c *Cache) storeEntry(key string, val any, obs bool, epoch int, ms []AttrMa
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
 		e.val, e.obs, e.epoch = val, obs, epoch
-		if c.now != nil {
-			e.storedAt = c.now()
-		}
 		c.ll.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{key: key, val: val, obs: obs, epoch: epoch}
-	if c.now != nil {
-		e.storedAt = c.now()
-	}
-	c.entries[key] = c.ll.PushFront(e)
+	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, obs: obs, epoch: epoch})
 	for c.ll.Len() > c.cap {
 		c.removeLocked(c.ll.Back())
 		c.evictions++
@@ -311,7 +257,7 @@ func (c *Cache) storeEntry(key string, val any, obs bool, epoch int, ms []AttrMa
 // attach puts the cache in subscribed mode. Observations cached before the
 // subscription may already have missed invalidations, so they are dropped:
 // coherence starts from a known point.
-func (c *Cache) attach(busSeq func() int64, m *sim.Meter) {
+func (c *Cache) attach(m *sim.Meter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, el := range c.entries {
@@ -320,33 +266,16 @@ func (c *Cache) attach(busSeq func() int64, m *sim.Meter) {
 		}
 	}
 	c.subscribed = true
-	c.busSeq = busSeq
 	c.meter = m
-	if busSeq != nil {
-		c.lastSeq = busSeq()
-	}
 }
 
 // detach returns the cache to unsubscribed (eventually consistent)
 // operation; entries kept are valid as of the detach and age from there
-// under the epoch and staleness guards.
+// under the epoch guard.
 func (c *Cache) detach() {
 	c.mu.Lock()
 	c.subscribed = false
-	c.busSeq = nil
 	c.meter = nil
-	c.mu.Unlock()
-}
-
-// setBound arms (or with 0 disarms) the bounded-staleness guard; now reads
-// the simulated clock.
-func (c *Cache) setBound(d time.Duration, now func() time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.bound = d
-	c.now = now
 	c.mu.Unlock()
 }
 
@@ -362,7 +291,6 @@ func (c *Cache) applyNotice(n core.CommitNotice) int64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lastSeq = n.Seq
 	var dropped int64
 	// The vers/ and kids/ keys are built in one stack buffer and looked up
 	// without converting them to strings.

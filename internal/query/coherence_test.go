@@ -2,9 +2,7 @@ package query
 
 import (
 	"context"
-	"fmt"
 	"testing"
-	"time"
 
 	"passcloud/internal/core"
 	"passcloud/internal/prov"
@@ -109,9 +107,6 @@ func TestSubscribedCacheLiveCommits(t *testing.T) {
 	}
 	if s.CoherenceHits == 0 {
 		t.Error("no observation was ever served under subscription")
-	}
-	if s.SubscriptionLag != 0 {
-		t.Errorf("synchronous bus left lag %d", s.SubscriptionLag)
 	}
 }
 
@@ -223,40 +218,6 @@ func TestSubscribeLifecycle(t *testing.T) {
 	}
 }
 
-// TestBoundedStaleness pins the middle ground between subscription and
-// plain eventual consistency: an unsubscribed cache with a staleness bound
-// serves an over-written observation while it is younger than the bound and
-// drops it once the simulated clock passes the bound.
-func TestBoundedStaleness(t *testing.T) {
-	dep, p2 := liveDeployment(t, 1)
-	rnd := sim.NewRand(17)
-	procU, fileU := uuid.New(rnd), uuid.New(rnd)
-	commitChain(t, p2, "gend", "mnt/gen/out", procU, fileU, 1)
-
-	e := New(dep, core.BackendSDB)
-	e.SetCache(NewCache(0))
-	e.SetStalenessBound(10 * time.Minute) // arm before warming: entries need store times
-	spec := chainSpecs("gend", fileU)[0]
-	stale := specDigest(t, e, spec)
-	commitChain(t, p2, "gend", "mnt/gen/out", procU, fileU, 2)
-
-	if got := specDigest(t, e, spec); got != stale {
-		t.Error("within-bound read did not serve the observation")
-	}
-	if s := e.Cache().Stats(); s.StaleServes == 0 {
-		t.Error("no stale serve recorded under the bound")
-	}
-
-	dep.Env.Compute(11 * time.Minute) // age the observation past the bound
-	want := specDigest(t, New(dep, core.BackendSDB), spec)
-	if got := specDigest(t, e, spec); got != want {
-		t.Error("over-age observation served past the staleness bound")
-	}
-	if s := e.Cache().Stats(); s.Expired == 0 {
-		t.Error("no expiry recorded past the bound")
-	}
-}
-
 // TestWarmCacheReshardStraddle is the epoch-guard regression test: a warm
 // UNSUBSCRIBED cache that straddles a 1→4 reshard must not serve any
 // pre-cutover observation — every non-item entry is epoch-flushed and
@@ -313,36 +274,6 @@ func TestWarmCacheReshardStraddle(t *testing.T) {
 			flushes, s.EpochFlushes)
 	} else if s.CoherenceHits == hits0 {
 		t.Error("subscribed cache served nothing across the cutover")
-	}
-}
-
-// TestCacheStatsSubscriptionLag pins the lag arithmetic the provctl cache
-// view reports: a detached-but-once-subscribed reader that missed notices
-// reports the distance to the bus head.
-func TestCacheStatsSubscriptionLag(t *testing.T) {
-	dep, p2 := liveDeployment(t, 1)
-	rnd := sim.NewRand(19)
-	procU, fileU := uuid.New(rnd), uuid.New(rnd)
-	commitChain(t, p2, "gend", "mnt/gen/out", procU, fileU, 1)
-
-	e := New(dep, core.BackendSDB)
-	e.SetCache(NewCache(0))
-	if err := e.Subscribe(); err != nil {
-		t.Fatal(err)
-	}
-	if lag := e.Cache().Stats().SubscriptionLag; lag != 0 {
-		t.Fatalf("fresh subscription lag = %d, want 0", lag)
-	}
-	// The synchronous bus applies every notice before Commit returns, so
-	// even under continuous ingest the lag stays zero.
-	for v := 2; v <= 4; v++ {
-		commitChain(t, p2, "gend", "mnt/gen/out", procU, fileU, v)
-		if lag := e.Cache().Stats().SubscriptionLag; lag != 0 {
-			t.Fatalf("lag %d after commit v%d, want 0 (synchronous delivery)", lag, v)
-		}
-	}
-	if fmt.Sprint(e.Cache().Stats().Subscribed) != "true" {
-		t.Error("subscription dropped during ingest")
 	}
 }
 

@@ -85,7 +85,7 @@
 // (A cached engine filters client-side: observations answer most reads
 // before any SELECT is planned, so there is nothing to push into.)
 //
-// Three mechanisms bound how stale a served observation can be:
+// Two mechanisms bound how stale a served observation can be:
 //
 //   - [Engine.Subscribe] attaches the cache to the deployment's commit
 //     bus. The P2/P3 commit paths piggyback a [core.CommitNotice] on the
@@ -102,12 +102,9 @@
 //     derived through) and re-reads instead; subscribed caches serve
 //     across epochs because notices keep them precise regardless of
 //     placement.
-//   - [Engine.SetStalenessBound] caps the age of served observations on
-//     the simulated clock for engines that stay unsubscribed.
 //
 // [Cache.Stats] exposes the coherence counters (coherent hits,
-// invalidations, epoch flushes, stale serves, expirations, subscription
-// lag) that provctl's cache command reports.
+// invalidations, epoch flushes) that provctl's cache command reports.
 //
 // # Results and determinism
 //

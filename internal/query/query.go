@@ -76,14 +76,13 @@ func (e *Engine) Subscribe() error {
 		return nil
 	}
 	c := e.cache
-	c.attach(e.dep.Commits.Seq, e.dep.Env.Meter())
+	c.attach(e.dep.Env.Meter())
 	e.unsub = e.dep.Commits.Subscribe(c.applyNotice)
 	return nil
 }
 
 // Unsubscribe detaches the cache from the commit bus; kept entries revert
-// to eventually consistent observations under the epoch and staleness
-// guards.
+// to eventually consistent observations under the epoch guard.
 func (e *Engine) Unsubscribe() {
 	if e.unsub == nil {
 		return
@@ -91,14 +90,6 @@ func (e *Engine) Unsubscribe() {
 	e.unsub()
 	e.unsub = nil
 	e.cache.detach()
-}
-
-// SetStalenessBound caps how old an observation the installed cache may
-// serve while unsubscribed, measured on the simulated clock (0 disarms the
-// bound — the default, plain eventual consistency). Subscribed caches
-// ignore the bound: invalidation keeps them exact.
-func (e *Engine) SetStalenessBound(d time.Duration) {
-	e.cache.setBound(d, e.dep.Env.Now)
 }
 
 // measure runs f and computes the metrics delta around it.

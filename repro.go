@@ -11,18 +11,33 @@
 //   - P3 adds a cloud queue (SQS) used as a write-ahead log so that data and
 //     provenance are eventually coupled.
 //
-// The implementation lives under internal/:
+// The implementation lives under internal/, lowest layer first; the package
+// comment of internal/fabric is the system map of how they wire together:
 //
-//   - internal/sim        simulation substrate (clock, latency, cost, faults)
-//   - internal/cloud/...  simulated S3, SimpleDB and SQS services
-//   - internal/prov       the provenance DAG model and wire format
-//   - internal/trace      system-call traces driving collection
-//   - internal/pass       the PASS collector (versioning, cycle avoidance)
-//   - internal/pasfs      the PA-S3fs client layer
-//   - internal/core       the three protocols, daemons and property checks
-//   - internal/query      the Q1..Q4 query engine from the evaluation
-//   - internal/workload   the nightly/Blast/challenge workload generators
-//   - internal/bench      drivers that regenerate every table and figure
+//   - internal/sim         clock, latency model, cost meter, faults, randomness
+//   - internal/cloud/...   simulated S3 (store), SimpleDB (sdb) and SQS (sqs)
+//   - internal/resilient   retries, budgets, breakers and hedges
+//   - internal/prov        the provenance DAG model and wire format
+//   - internal/uuid        seeded uuids
+//   - internal/trace       system-call traces driving collection
+//   - internal/pass        the PASS collector (versioning, cycle avoidance)
+//   - internal/pasfs       the PA-S3fs client layer
+//   - internal/par         the bounded-parallel primitive
+//   - internal/core        the three protocols, daemons, resharding, properties
+//   - internal/merkle      hash trees for causal-order verification
+//   - internal/translog    the transparency log over committed transactions
+//   - internal/frontdoor   multi-tenant admission in front of P3
+//   - internal/query       the Q1..Q4 query engine and its coherent cache
+//   - internal/autoscale   the shard-count controller
+//   - internal/fabric      the composition root of the P3 stack
+//   - internal/search      provenance-enhanced search re-ranking (§2.2)
+//   - internal/workload    the nightly/Blast/challenge workload generators
+//   - internal/bench       the paper's tables, figures and ablations
+//   - internal/golden      golden-file checks for tests
+//
+// cmd/provctl is the interactive inspector of one replayed deployment, and
+// cmd/provbench regenerates the paper's tables and figures through
+// internal/bench.
 //
 // The simulated SimpleDB matches the real service in indexing every
 // attribute on write: SELECT predicates (equality, IN, prefix, range)
@@ -47,9 +62,7 @@
 // a faulted K=4 and an autoscaled fabric, and internal/bench's
 // TestShardedWriteIdentical pins the same digest at K∈{1,2,4}.
 //
-// The root package only anchors repository-level benchmarks (bench_test.go);
-// internal/fabric wires the layers into one stack and its package comment is
-// the system map.
+// The root package only anchors repository-level benchmarks (bench_test.go).
 package passcloud
 
 // Version identifies this reproduction build.
