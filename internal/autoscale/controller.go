@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"passcloud/internal/cloud/store"
 	"passcloud/internal/core"
 	"passcloud/internal/sim"
 )
@@ -312,11 +313,14 @@ func (c *Controller) desiredK(s sample) (int, string) {
 }
 
 // readRecord fetches the persisted decision record; ok is false when none
-// was ever written.
+// was ever written (or it is not yet visible), never on an error.
 func (c *Controller) readRecord() (DecisionRecord, bool, error) {
 	o, err := c.dep.Store.Get(RecordKey)
+	if errors.Is(err, store.ErrNoSuchKey) {
+		return DecisionRecord{}, false, nil // never persisted, or not yet visible
+	}
 	if err != nil {
-		return DecisionRecord{}, false, nil // never persisted
+		return DecisionRecord{}, false, err
 	}
 	var r DecisionRecord
 	if err := json.Unmarshal(o.Data, &r); err != nil {

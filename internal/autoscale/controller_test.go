@@ -125,6 +125,35 @@ func TestAutoscaleGrowShrinkHysteresis(t *testing.T) {
 	}
 }
 
+// TestReadRecordFailureIsNotAbsence: a store read that fails for any reason
+// other than a missing key is an error, not "no record was ever written" —
+// otherwise a controller would decide afresh over an open obligation it
+// merely failed to read.
+func TestReadRecordFailureIsNotAbsence(t *testing.T) {
+	dep, ctl := newRig(t, testCfg)
+	if _, ok, err := ctl.readRecord(); ok || err != nil {
+		t.Fatalf("fresh controller: ok=%v err=%v, want no record and no error", ok, err)
+	}
+	tick(t, dep, ctl, 0)
+	addOps(dep, dep.WAL.Shard(0).Name(), 2000)
+	tick(t, dep, ctl, 10*time.Second)
+	dep.Env.Clock().Advance(10 * time.Second)
+
+	boom := errors.New("s3 unavailable")
+	inj := dep.Env.InstallFaults(nil)
+	inj.FailOp("s3", "s3.GET", boom)
+	if rec, ok, err := ctl.readRecord(); !errors.Is(err, boom) || ok {
+		t.Fatalf("readRecord under a failing GET: %+v ok=%v err=%v, want boom", rec, ok, err)
+	}
+	if err := ctl.Step(context.Background()); !errors.Is(err, boom) {
+		t.Fatalf("Step under a failing GET = %v, want boom", err)
+	}
+	inj.ClearOp("s3", "s3.GET")
+	if rec, ok := readRecConverged(t, dep, ctl); !ok || rec.State != RecordDone || rec.TargetK != 4 {
+		t.Fatalf("record once the GET heals: %+v ok=%v", rec, ok)
+	}
+}
+
 // TestAutoscaleSteadyLoadNeverFlaps is the negative control the acceptance
 // criteria demand: a steady in-band rate across many windows produces zero
 // decisions and zero epoch transitions.

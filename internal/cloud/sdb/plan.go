@@ -1,6 +1,7 @@
 package sdb
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -37,19 +38,23 @@ type planCache struct {
 }
 
 // planLocked returns the candidate item names for n, or ok=false when no
-// index serves it and the caller must scan. Must run with d.mu held.
+// index serves it and the caller must scan. The collectors append every
+// name they reach, repeats included (an IN's postings and an OR's branches
+// may overlap), to one slice, sized by the estimate when it is exact;
+// sorting and compacting it once yields the same sorted, deduplicated list
+// a set would. Must run with d.mu held.
 func (d *Domain) planLocked(n *Node) ([]string, bool) {
-	if _, ok := d.estimateLocked(n); !ok {
+	est, ok := d.estimateLocked(n)
+	if !ok {
 		return nil, false
 	}
-	set := make(map[string]struct{})
-	d.collectLocked(n, set)
-	names := make([]string, 0, len(set))
-	for name := range set {
-		names = append(names, name)
+	var names []string
+	if est < unknownCost {
+		names = make([]string, 0, est)
 	}
-	sort.Strings(names)
-	return names, true
+	names = d.collectLocked(n, names)
+	slices.Sort(names)
+	return slices.Compact(names), true
 }
 
 // estimateLocked reports whether n is index-servable and an upper bound on
@@ -111,18 +116,20 @@ func (d *Domain) postingsSizeLocked(attr, value string) int {
 	return 0
 }
 
-// collectPostingsLocked adds the name of every item in p to set.
-func (d *Domain) collectPostingsLocked(p *postings, set map[string]struct{}) {
+// collectPostingsLocked appends the name of every item in p to names, once
+// each.
+func (d *Domain) collectPostingsLocked(p *postings, names []string) []string {
 	for i, id := range p.ids {
 		if i == 0 || p.ids[i-1] != id {
-			set[d.nameOf[id]] = struct{}{}
+			names = append(names, d.nameOf[id])
 		}
 	}
+	return names
 }
 
-// collectLocked adds every candidate item name for n to set. Callers check
-// estimateLocked first; collect follows the same branch choices.
-func (d *Domain) collectLocked(n *Node, set map[string]struct{}) {
+// collectLocked appends every candidate item name for n to names. Callers
+// check estimateLocked first; collect follows the same branch choices.
+func (d *Domain) collectLocked(n *Node, names []string) []string {
 	switch n.op {
 	case "and":
 		lc, lok := d.estimateLocked(n.left)
@@ -130,86 +137,86 @@ func (d *Domain) collectLocked(n *Node, set map[string]struct{}) {
 		switch {
 		case lok && rok:
 			if rc < lc {
-				d.collectLocked(n.right, set)
+				names = d.collectLocked(n.right, names)
 			} else {
-				d.collectLocked(n.left, set)
+				names = d.collectLocked(n.left, names)
 			}
 		case lok:
-			d.collectLocked(n.left, set)
+			names = d.collectLocked(n.left, names)
 		case rok:
-			d.collectLocked(n.right, set)
+			names = d.collectLocked(n.right, names)
 		}
 	case "or":
-		d.collectLocked(n.left, set)
-		d.collectLocked(n.right, set)
+		names = d.collectLocked(n.left, names)
+		names = d.collectLocked(n.right, names)
 	case "=":
-		d.collectEqLocked(n.attr, n.value, set)
+		names = d.collectEqLocked(n.attr, n.value, names)
 	case "in":
 		for _, v := range n.values {
-			d.collectEqLocked(n.attr, v, set)
+			names = d.collectEqLocked(n.attr, v, names)
 		}
 	case "like":
 		prefix, _ := likePrefix(n.value)
-		d.collectPrefixLocked(n.attr, prefix, set)
+		names = d.collectPrefixLocked(n.attr, prefix, names)
 	case ">", ">=", "<", "<=":
-		d.collectRangeLocked(n.attr, n.op, n.value, set)
+		names = d.collectRangeLocked(n.attr, n.op, n.value, names)
 	}
+	return names
 }
 
-// collectEqLocked resolves one equality lookup into set.
-func (d *Domain) collectEqLocked(attr, value string, set map[string]struct{}) {
+// collectEqLocked resolves one equality lookup onto names.
+func (d *Domain) collectEqLocked(attr, value string, names []string) []string {
 	if attr == ItemNameKey {
 		// Existence and visibility are checked by observe later.
-		set[value] = struct{}{}
-		return
+		return append(names, value)
 	}
 	if ix := d.idx[attr]; ix != nil {
 		if p := ix.lookup(value); p != nil {
-			d.collectPostingsLocked(p, set)
+			names = d.collectPostingsLocked(p, names)
 		}
 	}
+	return names
 }
 
 // collectPrefixLocked resolves a LIKE 'prefix%' through the sorted value
 // list (or the sorted name table for itemName()).
-func (d *Domain) collectPrefixLocked(attr, prefix string, set map[string]struct{}) {
+func (d *Domain) collectPrefixLocked(attr, prefix string, names []string) []string {
 	if attr == ItemNameKey {
-		names := d.sortedNamesLocked()
-		for i := sort.SearchStrings(names, prefix); i < len(names) && strings.HasPrefix(names[i], prefix); i++ {
-			set[names[i]] = struct{}{}
+		all := d.sortedNamesLocked()
+		for i := sort.SearchStrings(all, prefix); i < len(all) && strings.HasPrefix(all[i], prefix); i++ {
+			names = append(names, all[i])
 		}
-		return
+		return names
 	}
 	ix := d.idx[attr]
 	if ix == nil {
-		return
+		return names
 	}
 	vals := ix.orderedVals()
 	for i := sort.SearchStrings(vals, prefix); i < len(vals) && strings.HasPrefix(vals[i], prefix); i++ {
-		d.collectPostingsLocked(ix.lookup(vals[i]), set)
+		names = d.collectPostingsLocked(ix.lookup(vals[i]), names)
 	}
+	return names
 }
 
 // collectRangeLocked resolves an ordering comparison: the satisfying values
 // form one contiguous interval of the sorted value list.
-func (d *Domain) collectRangeLocked(attr, op, bound string, set map[string]struct{}) {
+func (d *Domain) collectRangeLocked(attr, op, bound string, names []string) []string {
 	if attr == ItemNameKey {
-		names := d.sortedNamesLocked()
-		lo, hi := rangeBounds(names, op, bound)
-		for _, name := range names[lo:hi] {
-			set[name] = struct{}{}
-		}
-		return
+		all := d.sortedNamesLocked()
+		lo, hi := rangeBounds(all, op, bound)
+		return append(names, all[lo:hi]...)
 	}
 	ix := d.idx[attr]
 	if ix == nil {
-		return
+		return names
 	}
 	vals := ix.orderedVals()
 	lo, hi := rangeBounds(vals, op, bound)
 	for _, v := range vals[lo:hi] {
-		d.collectPostingsLocked(ix.lookup(v), set)
+		names = d.collectPostingsLocked(ix.lookup(v), names)
 	}
+	return names
 }
 
 // rangeBounds returns the half-open interval of sorted satisfying op bound.

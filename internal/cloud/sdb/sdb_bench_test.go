@@ -155,3 +155,41 @@ func BenchmarkSelectIn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlan resolves one predicate into its candidate list per
+// operation, over a domain of 10k ingest_bulk-shaped items: /in is the
+// 20-ref `input IN (...)` a descendants level issues, /or unions it with a
+// `name = path` equality whose 63 file versions it overlaps.
+func BenchmarkPlan(b *testing.B) {
+	const refs, items = 20, 10_000
+	d := benchDomain()
+	for reqs := range slices.Chunk(benchReqs()[:items], MaxBatchItems) {
+		if err := d.BatchPutAttributes(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vals := make([]string, refs)
+	for i := range vals {
+		vals[i] = benchRef(2*i, 1)
+	}
+	for _, c := range []struct {
+		name string
+		pred *Node
+		want int
+	}{
+		{"in", In("input", vals...), refs * (benchBundles - 1)},
+		{"or", Or(In("input", vals...), Eq("name", fmt.Sprintf("mnt/bulk/r0/%06d", 0))), refs * (benchBundles - 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				d.mu.Lock()
+				names, ok := d.planLocked(c.pred)
+				d.mu.Unlock()
+				if !ok || len(names) != c.want {
+					b.Fatalf("%d candidates (indexed %v), want %d", len(names), ok, c.want)
+				}
+			}
+		})
+	}
+}

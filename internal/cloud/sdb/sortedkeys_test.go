@@ -80,9 +80,11 @@ func checkCachedTables(t *testing.T, d *Domain, step int) {
 			if !slices.IsSorted(p.ids) {
 				t.Fatalf("step %d: postings of %s=%s not ascending: %v", step, attr, v, p.ids)
 			}
-			set := make(map[string]struct{})
-			d.collectPostingsLocked(p, set)
-			if got, w := freshSort(set), freshSort(want); !slices.Equal(got, w) || p.distinct != len(w) {
+			got := slices.Sorted(slices.Values(d.collectPostingsLocked(p, nil)))
+			if n := len(slices.Compact(slices.Clone(got))); n != len(got) {
+				t.Fatalf("step %d: postings of %s=%s collected a name twice: %v", step, attr, v, got)
+			}
+			if w := freshSort(want); !slices.Equal(got, w) || p.distinct != len(w) {
 				t.Fatalf("step %d: postings of %s=%s %v (distinct %d), want %v", step, attr, v, got, p.distinct, w)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -107,13 +108,14 @@ func ResolveValue(st *store.Store, value string) (string, error) {
 }
 
 // bundleFromItem reconstructs a provenance bundle from a database item; the
-// query engine uses it to rebuild DAG fragments from query results.
+// query engine uses it to rebuild DAG fragments from query results. Each
+// attribute is one record: Records is sized once (nil for no attributes).
 func bundleFromItem(it sdb.Item) (prov.Bundle, error) {
 	ref, err := prov.ParseRef(it.Name)
 	if err != nil {
 		return prov.Bundle{}, err
 	}
-	b := prov.Bundle{Ref: ref}
+	b := prov.Bundle{Ref: ref, Records: slices.Grow([]prov.Record(nil), len(it.Attrs))}
 	for _, a := range it.Attrs {
 		switch a.Name {
 		case prov.AttrType:

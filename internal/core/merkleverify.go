@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"passcloud/internal/merkle"
 	"passcloud/internal/prov"
@@ -111,7 +112,7 @@ func fetchClosure(dep *Deployment, backend Backend, ref prov.Ref) ([]prov.Bundle
 			return fmt.Errorf("core: closure of %s dangles at %s", ref, r)
 		}
 		parents := b.Ancestors()
-		sortRefsByString(parents)
+		slices.SortFunc(parents, prov.Ref.Compare)
 		for _, p := range parents {
 			if state[p] == 0 {
 				if err := visit(p); err != nil {
@@ -134,12 +135,4 @@ func fetchClosure(dep *Deployment, backend Backend, ref prov.Ref) ([]prov.Bundle
 		}
 	}
 	return order, nil
-}
-
-func sortRefsByString(refs []prov.Ref) {
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && refs[j].String() < refs[j-1].String(); j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
-		}
-	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/cloud/sqs"
+	"passcloud/internal/cloud/store"
 	"passcloud/internal/par"
 	"passcloud/internal/sim"
 )
@@ -114,11 +115,14 @@ func (d *Deployment) persistControl(state string, target *Topology) error {
 }
 
 // ReadControl fetches the persisted fabric control object; ok is false when
-// no reshard ever ran on this deployment.
+// no reshard ever ran (or its object is not yet visible), never on an error.
 func (d *Deployment) ReadControl() (FabricControl, bool, error) {
 	o, err := d.Store.Get(FabricControlKey)
+	if errors.Is(err, store.ErrNoSuchKey) {
+		return FabricControl{}, false, nil
+	}
 	if err != nil {
-		return FabricControl{}, false, nil // never persisted (or not yet visible)
+		return FabricControl{}, false, err
 	}
 	var c FabricControl
 	if err := json.Unmarshal(o.Data, &c); err != nil {

@@ -103,6 +103,31 @@ func TestReshardGrowCleanRun(t *testing.T) {
 	}
 }
 
+// TestReadControlFailureIsNotAbsence: ReadControl reports ok=false without
+// an error only for a key that is missing (or not yet visible); any other
+// failed GET after a completed reshard is returned, not taken for "no
+// reshard ever ran".
+func TestReadControlFailureIsNotAbsence(t *testing.T) {
+	dep, _, _ := reshardWorkload(t, 1, 4, 3)
+	if _, ok, err := dep.ReadControl(); ok || err != nil {
+		t.Fatalf("before any reshard: ok=%v err=%v, want no control object and no error", ok, err)
+	}
+	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	dep.Settle()
+	boom := errors.New("s3 unavailable")
+	inj := dep.Env.InstallFaults(nil)
+	inj.FailOp("s3", "s3.GET", boom)
+	if c, ok, err := dep.ReadControl(); !errors.Is(err, boom) || ok {
+		t.Fatalf("ReadControl under a failing GET: %+v ok=%v err=%v, want boom", c, ok, err)
+	}
+	inj.ClearOp("s3", "s3.GET")
+	if c, ok, err := dep.ReadControl(); err != nil || !ok || c.State != ControlStable {
+		t.Fatalf("ReadControl once the GET heals: %+v ok=%v err=%v", c, ok, err)
+	}
+}
+
 // reshardCrashPoints is the migration crash matrix, in phase order.
 var reshardCrashPoints = []sim.CrashPoint{
 	ReshardCrashPreCopy, ReshardCrashMidCopy, ReshardCrashPreCutover, ReshardCrashPreGC,

@@ -3,7 +3,9 @@
 // query engine's GET and SELECT fan-outs and the commit daemon's cleanup
 // sweeps all need the same shape — run N tasks on at most W goroutines,
 // drain every task even when one fails, report errors deterministically —
-// and previously each carried its own hand-rolled sem/errs loop. Group is
+// and previously each carried its own hand-rolled sem/errs loop. A pool of
+// one worker (W or N is 1) runs its tasks in order on the caller and starts
+// no goroutine: most query fan-outs are a single batch. Group is
 // the same bound for a producer that finds its tasks as it goes (the
 // resharder's scanners).
 package par
@@ -17,20 +19,7 @@ import (
 // error. All tasks run regardless of failures, mirroring how an upload pool
 // drains even when one transfer fails.
 func Run(workers int, tasks []func() error) error {
-	var (
-		mu    sync.Mutex
-		first error
-	)
-	run(workers, len(tasks), func(i int) {
-		if err := tasks[i](); err != nil {
-			mu.Lock()
-			if first == nil {
-				first = err
-			}
-			mu.Unlock()
-		}
-	})
-	return first
+	return ForEach(workers, len(tasks), func(i int) error { return tasks[i]() })
 }
 
 // RunAll executes tasks on at most workers goroutines and collects every
@@ -84,16 +73,17 @@ func Sequential(tasks []func() error) error {
 }
 
 // run is the shared pool: a channel of indices drained by min(workers, n)
-// goroutines. Every index is handed out exactly once.
+// goroutines. Every index is handed out exactly once. One worker runs the
+// indices in order on the caller instead, with no goroutine or channel.
 func run(workers, n int, f func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = 1
-	}
 	if workers > n {
 		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
 	}
 	var wg sync.WaitGroup
 	ch := make(chan int)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,6 +81,45 @@ func TestForEachVisitsEachIndexOnce(t *testing.T) {
 		}
 		if results[i] != i*i {
 			t.Fatalf("results[%d] = %d", i, results[i])
+		}
+	}
+}
+
+// TestOneWorkerRunsOnTheCaller: a pool clamped to one worker — one worker
+// asked for, or one task — runs its tasks in order on the calling goroutine
+// and starts none, so the goroutine count inside a task equals the count
+// before the call. Errors are reported as on the parallel path.
+func TestOneWorkerRunsOnTheCaller(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name string
+		call func(task func(i int) error) error
+	}{
+		{"Run(1, 3 tasks)", func(task func(int) error) error {
+			return Run(1, []func() error{func() error { return task(0) }, func() error { return task(1) }, func() error { return task(2) }})
+		}},
+		{"ForEach(8, 1)", func(task func(int) error) error { return ForEach(8, 1, task) }},
+		{"RunAll(1, 2 tasks)", func(task func(int) error) error {
+			return errors.Join(RunAll(1, []func() error{func() error { return task(0) }, func() error { return task(1) }})...)
+		}},
+	} {
+		before := runtime.NumGoroutine()
+		var order []int
+		err := c.call(func(i int) error {
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("%s: task %d sees %d goroutines, %d before the call", c.name, i, n, before)
+			}
+			order = append(order, i)
+			if i == 0 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Errorf("%s = %v, want boom", c.name, err)
+		}
+		if !slices.IsSorted(order) || order[len(order)-1] != len(order)-1 {
+			t.Errorf("%s ran tasks %v, want each in order", c.name, order)
 		}
 	}
 }
@@ -192,5 +232,25 @@ func TestGroupParentCancellation(t *testing.T) {
 	g2, _ := NewGroup(context.Background(), 1)
 	if err := g2.Wait(); err != nil {
 		t.Fatalf("idle group Wait = %v", err)
+	}
+}
+
+// BenchmarkForEach is one fan-out per operation: /1x1 is the single batch
+// most query levels issue, which runs on the caller; /4x4 is four tasks on
+// four goroutines.
+func BenchmarkForEach(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		workers, n int
+	}{{"1x1", 1, 1}, {"4x4", 4, 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			out := make([]int, c.n)
+			for b.Loop() {
+				if err := ForEach(c.workers, c.n, func(i int) error { out[i]++; return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

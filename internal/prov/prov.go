@@ -15,6 +15,7 @@
 package prov
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -94,6 +95,17 @@ func (r Ref) AppendTo(dst []byte) []byte {
 
 // IsZero reports whether r is the zero Ref.
 func (r Ref) IsZero() bool { return r.UUID.IsZero() && r.Version == 0 }
+
+// Compare orders refs exactly as their String forms order (the order one
+// domain streams its items in) without rendering them: lower-case hex orders
+// as its bytes do, and equal uuids compare versions as strings ("10" < "9").
+func (r Ref) Compare(o Ref) int {
+	if c := bytes.Compare(r.UUID[:], o.UUID[:]); c != 0 || r.Version == o.Version {
+		return c
+	}
+	var a, b [20]byte
+	return bytes.Compare(strconv.AppendInt(a[:0], int64(r.Version), 10), strconv.AppendInt(b[:0], int64(o.Version), 10))
+}
 
 // ParseRef decodes the uuid_version form, exactly as String prints it: a
 // lower-case uuid and a version with no sign or leading zero. Any other

@@ -27,6 +27,39 @@ func TestRefStringParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRefCompareMatchesString: Compare orders any two refs as their
+// uuid_version strings order. The seeded refs share uuids that differ in
+// one nibble (a hex letter against a digit, and within each class) and carry
+// versions whose decimal and string orders disagree (9/10, 99/100).
+func TestRefCompareMatchesString(t *testing.T) {
+	rnd := sim.NewRand(38)
+	var uuids []uuid.UUID
+	for len(uuids) < 24 {
+		u := uuid.New(rnd)
+		uuids = append(uuids, u)
+		i, shift := rnd.Intn(16), uint(4*rnd.Intn(2))
+		for _, nib := range []byte{0x0, 0x9, 0xa, 0xf, byte(rnd.Intn(16))} {
+			v := u
+			v[i] = v[i]&^(0xf<<shift) | nib<<shift
+			uuids = append(uuids, v)
+		}
+	}
+	var refs []Ref
+	for _, u := range uuids {
+		for _, v := range []int{1, 9, 10, 99, 100, 101, 1 + rnd.Intn(1000)} {
+			refs = append(refs, Ref{UUID: u, Version: v})
+		}
+	}
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	for _, a := range refs {
+		for _, b := range refs {
+			if got, want := sign(a.Compare(b)), strings.Compare(a.String(), b.String()); got != want {
+				t.Fatalf("%s.Compare(%s) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestParseRefErrors(t *testing.T) {
 	for _, s := range []string{"", "nounderscore", "xx_1", "00000000-0000-4000-8000-000000000000_0",
 		"00000000-0000-4000-8000-000000000000_x"} {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"passcloud/internal/cloud/sdb"
@@ -126,12 +126,6 @@ func CollectGraph(seq iter.Seq2[Result, error]) (*prov.Graph, error) {
 // the line cannot drift from the plan.
 func (e *Engine) Describe(spec Spec) string {
 	return e.plan(spec, nil).src.describe()
-}
-
-// sortRefs orders refs canonically (ascending uuid_version string, the
-// order a single domain streams items in).
-func sortRefs(refs []prov.Ref) {
-	sort.Slice(refs, func(i, j int) bool { return refs[i].String() < refs[j].String() })
 }
 
 // resolvePath resolves a data-object path to the node ref its metadata
@@ -445,7 +439,7 @@ func (x *exec) runDescendants(yield yieldFunc, frontier []prov.Ref) error {
 				next = append(next, r)
 			}
 		}
-		sortRefs(next)
+		slices.SortFunc(next, prov.Ref.Compare)
 		if x.spec.needBundles() {
 			if err := x.fill(bundles, next, 0); err != nil {
 				return err
@@ -502,7 +496,7 @@ func (x *exec) runAncestors(yield yieldFunc, frontier []prov.Ref, known map[prov
 				}
 			}
 		}
-		sortRefs(next)
+		slices.SortFunc(next, prov.Ref.Compare)
 		frontier = next
 	}
 	return nil

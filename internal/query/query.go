@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"passcloud/internal/core"
@@ -207,6 +208,6 @@ func (e *Engine) refQuery(spec Spec) ([]prov.Ref, Metrics, error) {
 		out, err = e.CollectRefs(spec)
 		return err
 	})
-	sortRefs(out)
+	slices.SortFunc(out, prov.Ref.Compare)
 	return out, m, err
 }

@@ -293,7 +293,7 @@ func (s *dbSource) children(refs []prov.Ref, terminal bool) ([]prov.Ref, map[pro
 	if cache != nil {
 		for _, r := range pending {
 			kids := perRef[r]
-			sortRefs(kids)
+			slices.SortFunc(kids, prov.Ref.Compare)
 			cache.storeObs(kidsKey(r), kids, epoch)
 		}
 	}

@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 
 	"passcloud/internal/core"
 	"passcloud/internal/par"
@@ -104,7 +104,7 @@ func (s *s3Source) g() (*prov.Graph, error) {
 		}
 		refs = append(refs, b.Ref)
 	}
-	sortRefs(refs)
+	slices.SortFunc(refs, prov.Ref.Compare)
 	s.graph, s.refs = g, refs
 	return g, nil
 }
@@ -131,7 +131,7 @@ func (s *s3Source) attrRoots(ms []AttrMatch, _ bool) ([]prov.Ref, map[prov.Ref]*
 func (s *s3Source) versions(u uuid.UUID) ([]prov.Bundle, error) {
 	if !s.scans() {
 		out, err := core.ReadProvenance(s.e.dep, core.BackendS3, u)
-		sort.Slice(out, func(i, j int) bool { return out[i].Ref.String() < out[j].Ref.String() })
+		slices.SortFunc(out, func(a, b prov.Bundle) int { return a.Ref.Compare(b.Ref) })
 		return out, err
 	}
 	g, err := s.g()

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"passcloud/internal/core"
@@ -422,10 +423,10 @@ func TestAncestorsMatchLocalGraph(t *testing.T) {
 			if len(refs) < 3 {
 				t.Fatalf("ancestors closure too small: %v", refs)
 			}
-			sortRefs(refs)
+			slices.SortFunc(refs, prov.Ref.Compare)
 			root, _ := col.FileRef("mnt/out/hits1")
 			want := append(col.Graph().AncestorClosure(root), root)
-			sortRefs(want)
+			slices.SortFunc(want, prov.Ref.Compare)
 			if fmt.Sprint(refs) != fmt.Sprint(want) {
 				t.Fatalf("ancestors diverged from local graph\n got %v\nwant %v", refs, want)
 			}

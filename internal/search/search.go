@@ -7,6 +7,7 @@ package search
 
 import (
 	"sort"
+	"strings"
 
 	"passcloud/internal/prov"
 	"passcloud/internal/query"
@@ -100,7 +101,7 @@ func Rerank(g *prov.Graph, seeds []prov.Ref, opts Options) []Result {
 		if out[i].Weight != out[j].Weight {
 			return out[i].Weight > out[j].Weight
 		}
-		return out[i].Ref.String() < out[j].Ref.String()
+		return out[i].Ref.Compare(out[j].Ref) < 0
 	})
 	return out
 }
@@ -127,21 +128,9 @@ func RerankStored(e *query.Engine, substr string, opts Options) ([]Result, error
 func ContentSearch(g *prov.Graph, substr string) []prov.Ref {
 	var out []prov.Ref
 	for _, n := range g.Nodes() {
-		if n.Type != prov.Process && contains(n.Name, substr) {
+		if n.Type != prov.Process && substr != "" && strings.Contains(n.Name, substr) {
 			out = append(out, n.Ref)
 		}
 	}
 	return out
-}
-
-func contains(s, sub string) bool {
-	if sub == "" {
-		return false
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
