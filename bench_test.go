@@ -1,26 +1,20 @@
 // Repository-level benchmarks: one per table and figure of the paper's
-// evaluation, the §5.1 ablations, and four harnesses that came after — the
-// indexed SELECT engine, the query API cache, coherent warm-cache reads and
-// tenant isolation — each of which records a BENCH_*.json snapshot
-// (internal/fabric's package comment is the system map). Each benchmark runs
-// the corresponding experiment from internal/bench and reports the headline
-// simulated measurement as a custom metric, so `go test -bench=.` prints
-// the paper-shaped numbers. cmd/provbench renders the full tables.
+// evaluation, and the §5.1 ablations. Each benchmark runs the corresponding
+// experiment from internal/bench and reports the headline simulated
+// measurement as a custom metric, so `go test -bench=.` prints the
+// paper-shaped numbers. cmd/provbench renders the full tables.
 //
-// BENCH_history.jsonl also holds the last snapshots of harnesses that have
-// no benchmark here: the serial commit path, sharded write, reshard, chaos,
-// translog and autoscale.
+// Nothing here writes a file. BENCH_history.jsonl holds the last snapshots
+// of the post-paper harnesses: the serial commit path, the indexed SELECT
+// engine, the query API cache, coherent reads, tenant isolation, sharded
+// write, reshard, chaos, translog and autoscale.
 //
 // The heavyweight experiments run reduced configurations here (the full
 // sweep lives behind cmd/provbench); each iteration is one whole experiment.
 package passcloud
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"os/exec"
-	"strings"
 	"testing"
 
 	"passcloud/internal/bench"
@@ -30,40 +24,6 @@ import (
 )
 
 const benchSeed = 42
-
-// writeSnapshot records one harness run: doc, indented, replaces the
-// BENCH_*.json snapshot named file at the repository root, and the same
-// document — with the commit it was measured at and the run's seed — becomes
-// one more line of BENCH_history.jsonl, the trajectory the snapshots are
-// points of.
-func writeSnapshot(b *testing.B, file string, seed int64, doc map[string]any) {
-	b.Helper()
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(file, out, 0o644); err != nil {
-		b.Fatal(err)
-	}
-	commit := "unknown"
-	if head, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		commit = strings.TrimSpace(string(head))
-	}
-	line, err := json.Marshal(map[string]any{"commit": commit, "seed": seed, "metrics": doc})
-	if err != nil {
-		b.Fatal(err)
-	}
-	history, err := os.OpenFile("BENCH_history.jsonl", os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := history.Write(append(line, '\n')); err != nil {
-		b.Fatal(err)
-	}
-	if err := history.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkTable1Properties probes the property matrix (Table 1).
 func BenchmarkTable1Properties(b *testing.B) {
@@ -139,231 +99,6 @@ func BenchmarkTable5Queries(b *testing.B) {
 		for _, r := range rows {
 			b.ReportMetric(r.Sequential.Seconds(), fmt.Sprintf("sim-s-%s-%s", r.Query, r.Backend))
 		}
-	}
-}
-
-// BenchmarkBigQueryIndexed runs the large-N (100k-item) Table-5-style query
-// set through the indexed SELECT engine and through the seed's full-scan
-// path, reports the simulated times, and records the comparison in
-// BENCH_indexed_select.json at the repository root.
-func BenchmarkBigQueryIndexed(b *testing.B) {
-	const (
-		items  = 100_000
-		chains = 64
-		depth  = 12
-	)
-	for i := 0; i < b.N; i++ {
-		indexed, err := bench.BigQuery(21, items, chains, depth, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scan, err := bench.BigQuery(21, items, chains, depth, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		type speedup struct {
-			Sim  float64 `json:"sim"`
-			Wall float64 `json:"wall"`
-		}
-		speedups := make(map[string]speedup, len(indexed.Cells)+1)
-		var totIdx, totScan speedup
-		// The ≥10x acceptance gate lives in TestBigQueryIndexSpeedup; the
-		// benchmark only measures and records, so a regression still gets
-		// written to the JSON instead of aborting the run.
-		for _, ci := range indexed.Cells {
-			cs := scan.Cell(ci.Query)
-			speedups[ci.Query] = speedup{
-				Sim:  cs.SimSeconds / ci.SimSeconds,
-				Wall: cs.WallSeconds / ci.WallSeconds,
-			}
-			totIdx.Sim += ci.SimSeconds
-			totIdx.Wall += ci.WallSeconds
-			totScan.Sim += cs.SimSeconds
-			totScan.Wall += cs.WallSeconds
-			b.ReportMetric(ci.SimSeconds, "sim-s-idx-"+ci.Query)
-			b.ReportMetric(cs.SimSeconds, "sim-s-scan-"+ci.Query)
-		}
-		speedups["total"] = speedup{Sim: totScan.Sim / totIdx.Sim, Wall: totScan.Wall / totIdx.Wall}
-		writeSnapshot(b, "BENCH_indexed_select.json", 21, map[string]any{
-			"benchmark": "BenchmarkBigQueryIndexed",
-			"command":   "go test -run=- -bench=BenchmarkBigQueryIndexed -benchtime=1x",
-			"indexed":   indexed,
-			"scan":      scan,
-			"speedup":   speedups,
-		})
-	}
-}
-
-// BenchmarkQueryAPI runs the repeated-traversal read workload (Q4-shaped
-// BFS + Q2-shaped versions lookup + Q3-shaped indexed find, repeated over a
-// settled ≥30k-item corpus) through the composable query API with the
-// versioned read-through cache off and on, reports the headline numbers,
-// and records the comparison in BENCH_query_api.json at the repository
-// root.
-func BenchmarkQueryAPI(b *testing.B) {
-	const (
-		items   = 30_000
-		chains  = 48
-		depth   = 10
-		repeats = 6
-	)
-	for i := 0; i < b.N; i++ {
-		uncached, err := bench.QueryAPI(17, items, chains, depth, repeats, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cached, err := bench.QueryAPI(17, items, chains, depth, repeats, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The ≥2x acceptance gate lives in TestQueryCacheSpeedup; the
-		// benchmark only measures and records, so a regression still gets
-		// written to the JSON instead of aborting the run. Identical results
-		// are non-negotiable even here.
-		if uncached.Digest != cached.Digest {
-			b.Fatalf("cached results diverged: %s vs %s", uncached.Digest, cached.Digest)
-		}
-		b.ReportMetric(uncached.SimSeconds, "sim-s-uncached")
-		b.ReportMetric(cached.SimSeconds, "sim-s-cached")
-		b.ReportMetric(uncached.SimSeconds/cached.SimSeconds, "sim-speedup-x")
-		b.ReportMetric(float64(uncached.Selects)/float64(cached.Selects), "select-reduction-x")
-		writeSnapshot(b, "BENCH_query_api.json", 17, map[string]any{
-			"benchmark": "BenchmarkQueryAPI",
-			"command":   "go test -run=- -bench=BenchmarkQueryAPI -benchtime=1x",
-			"uncached":  uncached,
-			"cached":    cached,
-			"speedup": map[string]float64{
-				"sim":       uncached.SimSeconds / cached.SimSeconds,
-				"wall":      uncached.WallSeconds / cached.WallSeconds,
-				"selects":   float64(uncached.Selects) / float64(cached.Selects),
-				"total_ops": float64(uncached.TotalOps) / float64(cached.TotalOps),
-			},
-			"results_identical": uncached.Digest == cached.Digest,
-		})
-	}
-}
-
-// BenchmarkCoherentReads runs the continuous-ingest commit+query workload
-// with the four reader strategies (uncached, commit-bus-subscribed warm
-// cache, flush-per-round, stale negative control) plus the filter-pushdown
-// comparison over the final corpus, reports the headline numbers, and
-// records everything in BENCH_coherent_reads.json at the repository root.
-func BenchmarkCoherentReads(b *testing.B) {
-	cfg := bench.CoherentReadsConfig{
-		Seed: 23, Rounds: 10, TxnsPerRound: 24, Depth: 6, Workers: 8, DBShards: 4,
-	}
-	for i := 0; i < b.N; i++ {
-		run, err := bench.CoherentReads(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The ≥2x acceptance gate lives in TestCoherentReadsGate; the
-		// benchmark only measures and records, so a regression still gets
-		// written to the JSON instead of aborting the run. Coherent results
-		// are non-negotiable even here.
-		base, sub := run.Modes["uncached"], run.Modes["subscribed"]
-		if sub.Digest != base.Digest {
-			b.Fatalf("subscribed cache diverged: %s vs %s", sub.Digest, base.Digest)
-		}
-		for _, pc := range run.Pushdown {
-			if !pc.Identical {
-				b.Fatalf("pushdown case %s changed the result stream", pc.Name)
-			}
-		}
-		b.ReportMetric(base.SimSeconds, "sim-s-uncached")
-		b.ReportMetric(sub.SimSeconds, "sim-s-subscribed")
-		b.ReportMetric(run.CostRatio("subscribed"), "read-cost-ratio-x")
-		b.ReportMetric(float64(sub.Invalidations), "invalidations")
-		writeSnapshot(b, "BENCH_coherent_reads.json", cfg.Seed, map[string]any{
-			"benchmark": "BenchmarkCoherentReads",
-			"command":   "go test -run=- -bench=BenchmarkCoherentReads -benchtime=1x",
-			"run":       run,
-			"read_cost_ratio": map[string]float64{
-				"subscribed": run.CostRatio("subscribed"),
-				"flush":      run.CostRatio("flush"),
-				"stale":      run.CostRatio("stale"),
-			},
-			"results_identical": map[string]bool{
-				"subscribed": sub.Digest == base.Digest,
-				"flush":      run.Modes["flush"].Digest == base.Digest,
-				"stale":      run.Modes["stale"].Digest == base.Digest, // expected false
-			},
-		})
-	}
-}
-
-// BenchmarkTenantIsolation runs the multi-tenant front-door workload three
-// ways — the compliant tenant alone, the compliant tenant sharing the
-// fabric with an abusive tenant's retry storm behind admission control, and
-// the same storm with isolation disabled (the negative control) — reports
-// the compliant tenant's tail latency and goodput, and records the
-// comparison (including the zero-lost audit and the solo-vs-shared digest)
-// in BENCH_tenant_isolation.json at the repository root.
-func BenchmarkTenantIsolation(b *testing.B) {
-	base := bench.TenantIsolationConfig{
-		Seed:          33,
-		Txns:          120,
-		BundlesPerTxn: 5, // 600 events
-		Workers:       4,
-		ClientConns:   16,
-		OfferedRate:   30,
-		K:             2,
-		FaultProb:     0.05,
-		ApplyProb:     0.5,
-		DupProb:       0.02,
-		Isolation:     true,
-	}
-	for i := 0; i < b.N; i++ {
-		soloCfg, sharedCfg, controlCfg := base, base, base
-		sharedCfg.Abuser = true
-		controlCfg.Abuser, controlCfg.Isolation = true, false
-
-		solo, err := bench.TenantIsolation(soloCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		shared, err := bench.TenantIsolation(sharedCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		control, err := bench.TenantIsolation(controlCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The latency and goodput acceptance gates live in
-		// TestTenantIsolationGate; the benchmark only measures and records —
-		// but lost, duplicated or diverged provenance under the storm is
-		// non-negotiable even here.
-		if shared.ItemCount != shared.Events+shared.AbuserItems || shared.Misplaced != 0 || shared.Duplicates != 0 {
-			b.Fatalf("storm mangled provenance: items=%d/%d misplaced=%d duplicates=%d",
-				shared.ItemCount, shared.Events+shared.AbuserItems, shared.Misplaced, shared.Duplicates)
-		}
-		if shared.ProvDigest != solo.ProvDigest {
-			b.Fatalf("compliant provenance diverged under the storm: %s vs %s",
-				shared.ProvDigest, solo.ProvDigest)
-		}
-		b.ReportMetric(solo.CommitP99Ms, "p99-ms-solo")
-		b.ReportMetric(shared.CommitP99Ms, "p99-ms-shared")
-		b.ReportMetric(control.CommitP99Ms, "p99-ms-no-isolation")
-		b.ReportMetric(shared.Goodput, "goodput-ev-per-s-shared")
-		b.ReportMetric(shared.CommitP99Ms/solo.CommitP99Ms, "p99-ratio-shared")
-		b.ReportMetric(control.CommitP99Ms/solo.CommitP99Ms, "p99-ratio-no-isolation")
-		writeSnapshot(b, "BENCH_tenant_isolation.json", base.Seed, map[string]any{
-			"benchmark": "BenchmarkTenantIsolation",
-			"command":   "go test -run=- -bench=BenchmarkTenantIsolation -benchtime=1x",
-			"runs": map[string]bench.TenantIsolationRun{
-				"solo":         solo,
-				"shared":       shared,
-				"no_isolation": control,
-			},
-			"shared_p99_ratio":           shared.CommitP99Ms / solo.CommitP99Ms,
-			"shared_goodput_ratio":       shared.Goodput / solo.Goodput,
-			"no_isolation_p99_ratio":     control.CommitP99Ms / solo.CommitP99Ms,
-			"no_isolation_goodput_ratio": control.Goodput / solo.Goodput,
-			"zero_lost_or_duplicated":    shared.ItemCount == shared.Events+shared.AbuserItems && shared.Misplaced == 0 && shared.Duplicates == 0,
-			"provenance_identical":       shared.ProvDigest == solo.ProvDigest,
-			"control_violates_bound":     control.CommitP99Ms > 2*solo.CommitP99Ms || control.Goodput < 0.8*solo.Goodput,
-		})
 	}
 }
 

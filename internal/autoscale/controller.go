@@ -326,6 +326,11 @@ func (c *Controller) readRecord() (DecisionRecord, bool, error) {
 	if err := json.Unmarshal(o.Data, &r); err != nil {
 		return DecisionRecord{}, false, fmt.Errorf("autoscale: decoding decision record: %w", err)
 	}
+	// A record no controller wrote is an error, never an obligation:
+	// finishing it would reshard to a width nothing decided.
+	if (r.State != RecordDecided && r.State != RecordDone) || r.TargetK < 1 || r.TargetK > core.MaxShards {
+		return DecisionRecord{}, false, fmt.Errorf("autoscale: invalid decision record: state %q, target_k %d", r.State, r.TargetK)
+	}
 	return r, true, nil
 }
 

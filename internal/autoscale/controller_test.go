@@ -154,6 +154,35 @@ func TestReadRecordFailureIsNotAbsence(t *testing.T) {
 	}
 }
 
+// TestReadRecordRejectsCorruptRecords stores decision records no
+// controller writes on a K=2 fabric: each must make readRecord and Step
+// return an error and leave the fabric at K=2, never finish a decision
+// toward the width the corrupt record names.
+func TestReadRecordRejectsCorruptRecords(t *testing.T) {
+	dep := core.NewShardedDeployment(sim.NewEnv(sim.DefaultConfig()), core.Topology{WALShards: 2, DBShards: 2})
+	ctl := New(dep, testCfg)
+	ctl.Enable()
+	for _, body := range []string{
+		`{"seq":1,"from_k":2,"target_k":0,"state":"decided"}`,
+		`{"seq":1,"from_k":2,"target_k":65,"state":"decided"}`,
+		`{"seq":1,"from_k":2,"target_k":1,"state":"bogus"}`,
+	} {
+		if err := dep.Store.Put(RecordKey, []byte(body), nil); err != nil {
+			t.Fatal(err)
+		}
+		dep.Env.Clock().Advance(10 * time.Second) // the store's staleness bound
+		if rec, ok, err := ctl.readRecord(); err == nil || ok {
+			t.Errorf("readRecord(%s) = %+v ok=%v err=%v, want an error", body, rec, ok, err)
+		}
+		if err := ctl.Step(context.Background()); err == nil {
+			t.Errorf("Step over %s = nil, want an error", body)
+		}
+		if k := activeK(dep); k != 2 {
+			t.Fatalf("after %s: K=%d, want 2", body, k)
+		}
+	}
+}
+
 // TestAutoscaleSteadyLoadNeverFlaps is the negative control the acceptance
 // criteria demand: a steady in-band rate across many windows produces zero
 // decisions and zero epoch transitions.

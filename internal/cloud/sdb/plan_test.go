@@ -123,11 +123,12 @@ func TestLimitNextTokenResumptionIndexed(t *testing.T) {
 }
 
 // The index is an access path, not a semantics change: every supported
-// predicate shape returns exactly the scan path's results.
+// predicate shape returns exactly the scan path's results, and bills the
+// same SELECT requests and bytes.
 func TestIndexedMatchesScan(t *testing.T) {
 	build := func(forceScan bool) *Domain {
 		d := strictDomain(t)
-		d.SetForceScan(forceScan)
+		d.forceScan = forceScan
 		for i := 0; i < 60; i++ {
 			attrs := []Attr{
 				{Name: "type", Value: []string{"file", "proc", "pipe"}[i%3]},
@@ -164,17 +165,34 @@ func TestIndexedMatchesScan(t *testing.T) {
 		"select itemName() from prov where type = 'file' limit 5",
 		"select v from prov where v = '9'",
 	} {
-		a, _, _, err := indexed.SelectAll(expr)
-		if err != nil {
-			t.Fatalf("%s (indexed): %v", expr, err)
-		}
-		b, _, _, err := scan.SelectAll(expr)
-		if err != nil {
-			t.Fatalf("%s (scan): %v", expr, err)
-		}
+		a, ua := billedSelect(t, indexed, expr)
+		b, ub := billedSelect(t, scan, expr)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: indexed %v != scan %v", expr, a, b)
 		}
+		if ua != ub || ua.selects == 0 || ua.out == 0 {
+			t.Errorf("%s: indexed billed %+v, scan %+v, want equal and nonzero", expr, ua, ub)
+		}
+	}
+}
+
+// selectBill is what one drained SELECT cost: its billed sdb.Select
+// requests and its bytes in each direction.
+type selectBill struct{ selects, in, out int64 }
+
+// billedSelect drains expr on d and returns the items and their bill.
+func billedSelect(t *testing.T, d *Domain, expr string) ([]Item, selectBill) {
+	t.Helper()
+	u0 := d.Env().Meter().Usage()
+	items, _, _, err := d.SelectAll(expr)
+	if err != nil {
+		t.Fatalf("%s (forceScan=%v): %v", expr, d.forceScan, err)
+	}
+	u := d.Env().Meter().Usage()
+	return items, selectBill{
+		selects: u.OpsByKind["sdb.Select"] - u0.OpsByKind["sdb.Select"],
+		in:      u.BytesIn - u0.BytesIn,
+		out:     u.BytesOut - u0.BytesOut,
 	}
 }
 
@@ -236,7 +254,7 @@ func TestIndexVisibilityEventual(t *testing.T) {
 func TestIndexReducesSimulatedSelectTime(t *testing.T) {
 	run := func(forceScan bool) time.Duration {
 		d := strictDomain(t)
-		d.SetForceScan(forceScan)
+		d.forceScan = forceScan
 		for i := 0; i < 5000; i++ {
 			d.PutAttributes(PutRequest{Item: fmt.Sprintf("i%05d", i), Attrs: []Attr{
 				{Name: "type", Value: "file"},

@@ -140,7 +140,7 @@ type Domain struct {
 	attrs     []*attrIndex          // the same indexes by attribute id
 	putBuf    []pair                // a put's interned attributes
 	evalBuf   []Attr                // the examined version's attributes during a SELECT
-	forceScan bool                  // ablation: disable the indexes
+	forceScan bool                  // tests only: walk the item table, the indexes' reference
 	gen       uint64                // write generation; invalidates cached plans
 	lastPlan  planCache             // resolved candidates of the latest query
 
@@ -167,15 +167,6 @@ func NewLane(env *sim.Env, name string, lane int) *Domain {
 		idx:   make(map[string]*attrIndex),
 		plans: make(map[string]*Query),
 	}
-}
-
-// SetForceScan disables the secondary indexes so every SELECT walks the
-// full item table — the unindexed behaviour of the seed implementation,
-// kept as an ablation knob for the indexed-vs-scan benchmarks.
-func (d *Domain) SetForceScan(v bool) {
-	d.mu.Lock()
-	d.forceScan = v
-	d.mu.Unlock()
 }
 
 // sortedNamesLocked returns the sorted name index.

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"passcloud/internal/par"
 	"passcloud/internal/resilient"
@@ -47,20 +46,17 @@ import (
 type DomainSet struct {
 	*sim.EpochSet[*Domain]
 	env *sim.Env
-
-	forceScan atomic.Bool // sticky ablation flag: a domain minted mid-flight starts with it
 }
 
 // NewSet creates a K-way domain set. k < 1 is clamped to 1; k == 1 yields a
 // single domain named base (the seed topology).
 func NewSet(env *sim.Env, base string, k int) *DomainSet {
-	s := &DomainSet{env: env}
-	s.EpochSet = sim.NewEpochSet(base, k, func(name string, lane int) *Domain {
-		d := NewLane(env, name, lane)
-		d.SetForceScan(s.forceScan.Load())
-		return d
-	})
-	return s
+	return &DomainSet{
+		EpochSet: sim.NewEpochSet(base, k, func(name string, lane int) *Domain {
+			return NewLane(env, name, lane)
+		}),
+		env: env,
+	}
 }
 
 // Env returns the environment the set charges against.
@@ -89,16 +85,6 @@ func (s *DomainSet) ShardForKey(key string) int { return s.Directory().Route(key
 // can tell where an invalidated item lives mid-reshard.
 func (s *DomainSet) HomesForItem(item string) []int {
 	return s.View().homesForItem(item)
-}
-
-// SetForceScan toggles the index-disabling ablation on every shard, present
-// and future. The flag is stored before the shards are listed: a domain
-// minted meanwhile either reads it or is in the list.
-func (s *DomainSet) SetForceScan(v bool) {
-	s.forceScan.Store(v)
-	for _, d := range s.EpochSet.View().Shards {
-		d.SetForceScan(v)
-	}
 }
 
 // beginWrite captures the routing view a write will use and registers the

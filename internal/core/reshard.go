@@ -114,8 +114,21 @@ func (d *Deployment) persistControl(state string, target *Topology) error {
 	return d.Store.Put(FabricControlKey, b, nil)
 }
 
+// valid reports whether a control record is one persistControl could have
+// written: a known state, a topology inside 1..MaxShards, and a valid target
+// exactly when migrating.
+func (c FabricControl) valid() bool {
+	inRange := func(t Topology) bool { return t == t.normalized() }
+	if c.State == ControlMigrating {
+		return c.Target != nil && inRange(*c.Target) && inRange(c.Topology)
+	}
+	return (c.State == ControlStable || c.State == ControlGC) && inRange(c.Topology)
+}
+
 // ReadControl fetches the persisted fabric control object; ok is false when
 // no reshard ever ran (or its object is not yet visible), never on an error.
+// A record that decodes but is not valid is an error: resuming from it would
+// reshard to a width no resharder chose.
 func (d *Deployment) ReadControl() (FabricControl, bool, error) {
 	o, err := d.Store.Get(FabricControlKey)
 	if errors.Is(err, store.ErrNoSuchKey) {
@@ -127,6 +140,10 @@ func (d *Deployment) ReadControl() (FabricControl, bool, error) {
 	var c FabricControl
 	if err := json.Unmarshal(o.Data, &c); err != nil {
 		return FabricControl{}, false, fmt.Errorf("core: decoding fabric control: %w", err)
+	}
+	if !c.valid() {
+		return FabricControl{}, false, fmt.Errorf("core: invalid fabric control: state %q, topology %+v, target %+v",
+			c.State, c.Topology, c.Target)
 	}
 	return c, true, nil
 }
@@ -190,7 +207,7 @@ func ResumeReshard(ctx context.Context, dep *Deployment) (ReshardStats, bool, er
 		return stats, true, err
 	}
 	target := c.Topology
-	if c.State == ControlMigrating && c.Target != nil {
+	if c.State == ControlMigrating {
 		target = *c.Target
 	}
 	if c.State == ControlGC {

@@ -128,6 +128,35 @@ func TestReadControlFailureIsNotAbsence(t *testing.T) {
 	}
 }
 
+// TestReadControlRejectsCorruptRecords stores control records no resharder
+// writes on a stable K=4 fabric: each must make ReadControl and
+// ResumeReshard return an error and leave the fabric at K=4, never resume
+// toward the width the corrupt record names.
+func TestReadControlRejectsCorruptRecords(t *testing.T) {
+	dep, _, _ := reshardWorkload(t, 4, 4, 3)
+	for _, body := range []string{
+		`{}`,
+		`{"state":"bogus","topology":{"WALShards":2,"DBShards":2}}`,
+		`{"state":"migrating","topology":{"WALShards":4,"DBShards":4}}`,
+		`{"state":"stable","topology":{"WALShards":4,"DBShards":65}}`,
+		`{"state":"migrating","topology":{"WALShards":4,"DBShards":4},"target":{"WALShards":0,"DBShards":2}}`,
+	} {
+		if err := dep.Store.Put(FabricControlKey, []byte(body), nil); err != nil {
+			t.Fatal(err)
+		}
+		dep.Settle()
+		if c, ok, err := dep.ReadControl(); err == nil || ok {
+			t.Errorf("ReadControl(%s) = %+v ok=%v err=%v, want an error", body, c, ok, err)
+		}
+		if _, resumed, err := ResumeReshard(context.Background(), dep); err == nil || resumed {
+			t.Errorf("ResumeReshard on %s: resumed=%v err=%v, want an error", body, resumed, err)
+		}
+		if got := dep.activeTopology(); got != (Topology{WALShards: 4, DBShards: 4}) || dep.Topo != got {
+			t.Fatalf("after %s: active %+v, Topo %+v, want K=4", body, got, dep.Topo)
+		}
+	}
+}
+
 // reshardCrashPoints is the migration crash matrix, in phase order.
 var reshardCrashPoints = []sim.CrashPoint{
 	ReshardCrashPreCopy, ReshardCrashMidCopy, ReshardCrashPreCutover, ReshardCrashPreGC,

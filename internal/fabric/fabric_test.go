@@ -290,7 +290,7 @@ func TestRepoShape(t *testing.T) {
 // rootGoCeiling caps the root module's non-test Go lines, as rootGo finds
 // them. It is the count at the change that last lowered it: a change may
 // lower it to its own count, never raise it.
-const rootGoCeiling = 22872
+const rootGoCeiling = 22591
 
 // TestRootGoCeiling prints the root module's non-test Go line count and
 // fails above rootGoCeiling.

@@ -265,9 +265,10 @@ func TestStoreScanRejectsMalformedObject(t *testing.T) {
 }
 
 // TestDescribeGolden pins Engine.Describe's strings — provctl's plan: line
-// and the Plan fields of BENCH_coherent_reads.json — over every branch of
-// the filter split, each cache state and both backends. Describe reads the
-// plan the executor runs, so a string here changes only with the plan.
+// and the Plan field of bench.CoherentReads' pushdown cases — over every
+// branch of the filter split, each cache state and both backends. Describe
+// reads the plan the executor runs, so a string here changes only with the
+// plan.
 func TestDescribeGolden(t *testing.T) {
 	tw := newTwin(t, 57, 24, true)
 	file, proc := TypeIs(prov.File), NameIs("prog")

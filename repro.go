@@ -32,7 +32,7 @@
 //   - internal/fabric      the composition root of the P3 stack
 //   - internal/search      provenance-enhanced search re-ranking (§2.2)
 //   - internal/workload    the nightly/Blast/challenge workload generators
-//   - internal/bench       the paper's tables, figures and ablations
+//   - internal/bench       the paper's experiments and the fabric harnesses
 //   - internal/golden      golden-file checks for tests
 //
 // cmd/provctl is the interactive inspector of one replayed deployment, and
@@ -44,10 +44,10 @@
 // resolve through per-attribute secondary indexes with a planner fallback
 // to a streaming scan, and the query engine batches BFS traversals into IN
 // predicates — so provenance queries cost time proportional to their
-// results, not to the domain size. BenchmarkBigQueryIndexed measures the
-// indexed-vs-scan gap on a 100k-item domain (knobs: item count, chain
-// count, chain depth — see internal/bench.BigQuery) and records it in
-// BENCH_indexed_select.json.
+// results, not to the domain size. sdb's TestIndexedMatchesScan and
+// TestIndexReducesSimulatedSelectTime pin the indexes against the scan, and
+// the benchmark module's query_mix workload runs the planner over a
+// 100k-item store.
 //
 // The cloud fabric shards: core.Topology sizes K-way WAL queue and
 // provenance domain sets (core.NewShardedDeployment), each shard a service
@@ -62,7 +62,8 @@
 // a faulted K=4 and an autoscaled fabric, and internal/bench's
 // TestShardedWriteIdentical pins the same digest at K∈{1,2,4}.
 //
-// The root package only anchors repository-level benchmarks (bench_test.go).
+// The root package only anchors the paper's benchmarks (bench_test.go): one
+// per table and figure, and the §5.1 ablations.
 package passcloud
 
 // Version identifies this reproduction build.
