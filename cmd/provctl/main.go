@@ -264,6 +264,15 @@ func (s *session) ancestry(args []string) error {
 		return err
 	}
 	s.printf("visited %d nodes, dangling %d\n", walk.Visited, len(walk.Dangling))
+	rep, err := core.VerifyAncestry(s.dep, core.BackendOf(s.proto), args[0])
+	if err != nil {
+		return err
+	}
+	verdict := "MATCHES"
+	if !rep.Verified {
+		verdict = "MISMATCH"
+	}
+	s.printf("merkle root over %d leaves %s the recorded root\n", rep.Leaves, verdict)
 	return nil
 }
 

@@ -80,10 +80,8 @@ func run(w io.Writer, seed int64) error {
 
 	eng := query.New(f.Dep, core.BackendSDB)
 
-	// One streamed drain of the stored provenance feeds both phases (what
-	// search.RerankStored bundles into a single call when the seeds aren't
-	// needed separately — the All-direction drain is the expensive part, so
-	// it should run once).
+	// One streamed drain of the stored provenance feeds both phases: the
+	// All-direction drain is the expensive part, so it runs once.
 	g, err := query.CollectGraph(eng.Run(query.Spec{Direction: query.All, Project: query.ProjectBundles}))
 	if err != nil {
 		return err

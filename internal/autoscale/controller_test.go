@@ -421,15 +421,15 @@ func TestAutoscaleResiliencePropagationAcrossCycles(t *testing.T) {
 		t.Helper()
 		for i := 0; i < dep.WAL.Shards(); i++ {
 			q := dep.WAL.Shard(i)
-			failNext(q.Name(), "sqs.DeleteMessage")
-			if err := q.DeleteMessage("no-such-message#1"); err != nil {
+			failNext(q.Name(), "sqs.DeleteMessageBatch")
+			if err := q.DeleteMessageBatch([]string{"no-such-message#1"}); err != nil {
 				t.Fatalf("cycle %d: queue %s did not absorb a transient fault: %v", cycle, q.Name(), err)
 			}
 		}
 		for i := 0; i < dep.DB.Shards(); i++ {
 			d := dep.DB.Shard(i)
-			failNext(d.Name(), "sdb.DeleteAttributes")
-			if err := d.DeleteAttributes("no-such-item"); err != nil {
+			failNext(d.Name(), "sdb.BatchDeleteAttributes")
+			if err := d.BatchDeleteAttributes([]string{"no-such-item"}); err != nil {
 				t.Fatalf("cycle %d: domain %s did not absorb a transient fault: %v", cycle, d.Name(), err)
 			}
 		}

@@ -49,7 +49,7 @@
 // A controller killed before the record persists decided nothing: the
 // restarted controller re-samples and re-decides from live signals. Killed
 // after persisting but before triggering, the restart finds the open record
-// and triggers the reshard toward the recorded K — core.Reshard is
+// and triggers the reshard toward the recorded K — Deployment.Reshard is
 // idempotent and resumable, so this also covers a reshard that itself died
 // mid-copy. Killed after the reshard but before closing the record, the
 // restart finds the fabric already at the recorded K, declines to

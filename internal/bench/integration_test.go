@@ -17,7 +17,7 @@ import (
 // cloud-side end state: every archive present and coupled, full ancestry
 // recorded, Merkle-verifiable, and queryable where the backend allows.
 func TestWorkloadEndStateInvariants(t *testing.T) {
-	for _, f := range core.ProtocolFactories() {
+	for _, f := range core.Factories()[1:] {
 		t.Run(f.Name, func(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			cfg.Seed = 13
@@ -25,7 +25,7 @@ func TestWorkloadEndStateInvariants(t *testing.T) {
 			dep := core.NewDeployment(env)
 			proto := f.New(dep, core.Options{})
 			col := pass.New(env.Rand(), nil)
-			fs := pasfs.New(env, proto, col, pasfs.DefaultConfig())
+			fs := pasfs.New(env, proto, col, pasfs.Config{Collect: true, AsyncCommits: true, MaxInflight: 8})
 			w := workload.Nightly(sim.NewRand(13))
 			if err := fs.Run(w.Trace); err != nil {
 				t.Fatal(err)

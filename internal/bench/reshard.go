@@ -8,7 +8,7 @@ import (
 
 // The live-reshard harness: run the pinned commit workload through P3 in
 // three phases — warm-up on the starting topology, a middle batch committed
-// *while* core.Reshard grows the fabric, and a post-reshard batch on the
+// *while* Deployment.Reshard grows the fabric, and a post-reshard batch on the
 // grown topology. The run fails outright if the migration loses or
 // duplicates a single provenance item (exact item count + placement audit),
 // and the digest of every object's read-back provenance must be

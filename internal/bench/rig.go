@@ -259,7 +259,7 @@ func pctMs(lat []time.Duration) (p50, p99 float64) {
 func sqsRequests(u sim.Usage) int64 {
 	var n int64
 	for _, kind := range []string{
-		"sqs.SendMessage", "sqs.ReceiveMessage", "sqs.DeleteMessage",
+		"sqs.SendMessage", "sqs.ReceiveMessage",
 		"sqs.SendMessageBatch", "sqs.DeleteMessageBatch",
 	} {
 		n += u.OpsByKind[kind]

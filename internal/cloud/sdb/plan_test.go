@@ -141,7 +141,7 @@ func TestIndexedMatchesScan(t *testing.T) {
 		}
 		// Overwrites and deletes exercise index maintenance.
 		d.PutAttributes(PutRequest{Item: "it10", Attrs: []Attr{{Name: "v", Value: "9"}}, Replace: true})
-		d.DeleteAttributes("it11")
+		d.BatchDeleteAttributes([]string{"it11"})
 		return d
 	}
 	indexed, scan := build(false), build(true)
@@ -183,12 +183,12 @@ type selectBill struct{ selects, in, out int64 }
 // billedSelect drains expr on d and returns the items and their bill.
 func billedSelect(t *testing.T, d *Domain, expr string) ([]Item, selectBill) {
 	t.Helper()
-	u0 := d.Env().Meter().Usage()
+	u0 := d.env.Meter().Usage()
 	items, _, _, err := d.SelectAll(expr)
 	if err != nil {
 		t.Fatalf("%s (forceScan=%v): %v", expr, d.forceScan, err)
 	}
-	u := d.Env().Meter().Usage()
+	u := d.env.Meter().Usage()
 	return items, selectBill{
 		selects: u.OpsByKind["sdb.Select"] - u0.OpsByKind["sdb.Select"],
 		in:      u.BytesIn - u0.BytesIn,
@@ -217,7 +217,7 @@ func TestIndexVisibilityEventual(t *testing.T) {
 		if len(items) == 0 {
 			misses++
 		}
-		d.Env().Clock().Advance(time.Minute) // settle before the next round
+		d.env.Clock().Advance(time.Minute) // settle before the next round
 	}
 	if misses == 0 {
 		t.Fatal("no immediate read ever missed a fresh write; staleness engine off?")
@@ -233,7 +233,7 @@ func TestIndexVisibilityEventual(t *testing.T) {
 	// window, but after settling the old value must be gone even though the
 	// superseded version briefly stayed indexed.
 	d.PutAttributes(PutRequest{Item: "f000", Attrs: []Attr{{Name: "gen", Value: "updated"}}, Replace: true})
-	d.Env().Clock().Advance(time.Minute)
+	d.env.Clock().Advance(time.Minute)
 	items, _, _, err = d.SelectAll("select itemName() from prov where gen = 'updated'")
 	if err != nil || len(items) != 1 {
 		t.Fatalf("settled select of new value: %v err=%v", items, err)
@@ -261,11 +261,11 @@ func TestIndexReducesSimulatedSelectTime(t *testing.T) {
 				{Name: "name", Value: fmt.Sprintf("mnt/f%05d", i)},
 			}})
 		}
-		start := d.Env().Now()
+		start := d.env.Now()
 		if _, _, _, err := d.SelectAll("select itemName() from prov where name = 'mnt/f04999'"); err != nil {
 			t.Fatal(err)
 		}
-		return d.Env().Now() - start
+		return d.env.Now() - start
 	}
 	indexed, scan := run(false), run(true)
 	if scan < 2*indexed {
@@ -297,7 +297,7 @@ func TestPlanOverlappingPostings(t *testing.T) {
 		Or(In("input", "x_0", "x_1"), Eq("name", "n0")),
 		Or(Eq(ItemNameKey, "i03"), Like(ItemNameKey, "i0%")),
 	}
-	env := d.Env()
+	env := d.env
 	before := env.Meter().Usage().ItemsExamined
 	for _, p := range preds {
 		var want []string

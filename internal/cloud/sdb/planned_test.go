@@ -28,7 +28,7 @@ func scatterAll(t *testing.T, v *DomainView, q Query) ([]Item, int) {
 	return mergeByName(lists), requests
 }
 
-// migration drives one epoch transition the way core.Reshard does, stopping
+// migration drives one epoch transition the way Deployment.Reshard does, stopping
 // where the caller says: the window opens, every item is copied to its
 // target-epoch home, the cutover promotes the target, the GC deletes what
 // the new epoch does not home and a shrink retires the emptied slots.
@@ -67,7 +67,7 @@ func (m migration) gc() {
 		}
 		for _, it := range items {
 			if v.homesForItem(it.Name)[0] != i {
-				if err := d.DeleteAttributes(it.Name); err != nil {
+				if err := d.BatchDeleteAttributes([]string{it.Name}); err != nil {
 					m.t.Fatal(err)
 				}
 			}
@@ -91,7 +91,7 @@ func TestPlannedSelectEquivalenceDuringReshard(t *testing.T) {
 				t.Helper()
 				names = append(names, name)
 				req := PutRequest{Item: name, Attrs: []Attr{{Name: "type", Value: "file"}, {Name: "seq", Value: "zzzzzz"}}, Replace: true}
-				if err := s.PutAttributes(req); err != nil {
+				if err := s.BatchPutAttributes([]PutRequest{req}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -168,8 +168,8 @@ func checkPlanned(t *testing.T, s *DomainSet, rng *rand.Rand, names []string, st
 			{"like uuid_%", Like(ItemNameKey, RouteKey(one)+"_%"), true},
 			{"like full name", Like(ItemNameKey, one), true},
 			{"in and attr", And(In(ItemNameKey, many...), isFile), true},
-			{"attr and in", And(Cmp("seq", ">", "000030"), In(ItemNameKey, many...)), true},
-			{"attr and (attr and =)", And(isFile, And(Cmp("seq", "<", "000080"), Eq(ItemNameKey, one))), true},
+			{"attr and in", And(&Node{op: ">", attr: "seq", value: "000030"}, In(ItemNameKey, many...)), true},
+			{"attr and (attr and =)", And(isFile, And(&Node{op: "<", attr: "seq", value: "000080"}, Eq(ItemNameKey, one))), true},
 			{"in and =", And(In(ItemNameKey, many...), Eq(ItemNameKey, one)), true},
 			{"(= or attr) and in", And(Or(Eq(ItemNameKey, one), isFile), In(ItemNameKey, many...)), true},
 
@@ -178,8 +178,8 @@ func checkPlanned(t *testing.T, s *DomainSet, rng *rand.Rand, names []string, st
 			{"like shorter than the route key", Like(ItemNameKey, one[:4]+"%"), false},
 			{"like the whole route key, no separator", Like(ItemNameKey, RouteKey(one)+"%"), false},
 			{"suffix like", Like(ItemNameKey, "%_1"), false},
-			{"!=", Cmp(ItemNameKey, "!=", one), false},
-			{"range", And(Cmp(ItemNameKey, ">=", one), Cmp(ItemNameKey, "<", one+"~")), false},
+			{"!=", &Node{op: "!=", attr: ItemNameKey, value: one}, false},
+			{"range", And(&Node{op: ">=", attr: ItemNameKey, value: one}, &Node{op: "<", attr: ItemNameKey, value: one + "~"}), false},
 			{"= name without separator", Eq(ItemNameKey, "plain3"), false},
 			{"in with one name without separator", In(ItemNameKey, append(many, "plain1")...), false},
 			{"attr only", Eq("seq", "000011"), false},

@@ -247,9 +247,6 @@ func (d *Domain) compactLocked() {
 // Name returns the domain name used in SELECT statements.
 func (d *Domain) Name() string { return d.name }
 
-// Env returns the environment the domain charges against.
-func (d *Domain) Env() *sim.Env { return d.env }
-
 // validate checks the 1 KB name/value limits.
 func validate(attrs []Attr) error {
 	for _, a := range attrs {
@@ -417,21 +414,6 @@ func (d *Domain) getOnce(item string) (Item, error) {
 	return it, nil
 }
 
-// DeleteAttributes removes an entire item (the only form the protocols use).
-func (d *Domain) DeleteAttributes(item string) error {
-	return d.ep.Do(func() error { return d.deleteOnce(item) })
-}
-
-func (d *Domain) deleteOnce(item string) error {
-	ferr, applied := d.ep.Fault(sim.OpSDBDelete)
-	if ferr != nil && !applied {
-		return ferr
-	}
-	d.ep.Exec(sim.OpSDBDelete, 0, 0)
-	d.deleteItems(item)
-	return ferr
-}
-
 // BatchDeleteAttributes removes up to 25 entire items in one call: one gate
 // admission and one billed request, charged like a BatchPutAttributes of the
 // same item count (see OpSDBBatchDelete in sim/model.go). Names the domain
@@ -588,17 +570,6 @@ func (d *Domain) cachedParse(expr string) (*Query, error) {
 	return &parsed, nil
 }
 
-// Select runs a SELECT expression (see package documentation for the
-// supported grammar) returning one page; pass the previous page's NextToken
-// to continue. Each page is one billed request.
-func (d *Domain) Select(expr, nextToken string) (SelectPage, error) {
-	q, err := d.cachedParse(expr)
-	if err != nil {
-		return SelectPage{}, err
-	}
-	return d.selectPage(q, nextToken)
-}
-
 // SelectQuery runs a programmatically built query (see the predicate
 // constructors in select.go) returning one page. Callers that issue the
 // same query shape repeatedly — BFS traversals rebinding IN values per
@@ -714,16 +685,6 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	d.ep.Exec(sim.OpSDBSelect, bytes, examined)
 	d.env.Meter().AddItemsExamined(int64(examined))
 	return page, nil
-}
-
-// SelectAll drains every page of a SELECT and reports the request count.
-// The expression is parsed once, not once per page.
-func (d *Domain) SelectAll(expr string) (items []Item, requests int, bytes int, err error) {
-	q, err := d.cachedParse(expr)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return d.selectAll(q)
 }
 
 // SelectAllQuery drains every page of a programmatically built query.

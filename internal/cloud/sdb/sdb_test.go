@@ -126,7 +126,7 @@ func TestBatchCostsMoreThanSinglePutButLessThanNSingles(t *testing.T) {
 		single.PutAttributes(r)
 	}
 	batch.BatchPutAttributes(reqs)
-	ts, tb := single.Env().Now(), batch.Env().Now()
+	ts, tb := single.env.Now(), batch.env.Now()
 	if tb >= ts {
 		t.Fatalf("batch (%v) should beat 25 singles (%v)", tb, ts)
 	}
@@ -268,7 +268,7 @@ func TestSelectQuoteEscape(t *testing.T) {
 func TestDeleteAttributes(t *testing.T) {
 	d := strictDomain(t)
 	d.PutAttributes(PutRequest{Item: "i", Attrs: []Attr{{Name: "a", Value: "v"}}})
-	if err := d.DeleteAttributes("i"); err != nil {
+	if err := d.BatchDeleteAttributes([]string{"i"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.GetAttributes("i"); !errors.Is(err, ErrNoSuchItem) {
@@ -282,9 +282,9 @@ func TestDeleteAttributes(t *testing.T) {
 func TestEventualConsistencyConverges(t *testing.T) {
 	d := New(sim.NewEnv(sim.DefaultConfig()), "prov")
 	d.PutAttributes(PutRequest{Item: "i", Attrs: []Attr{{Name: "version", Value: "1"}}})
-	d.Env().Clock().Advance(time.Minute)
+	d.env.Clock().Advance(time.Minute)
 	d.PutAttributes(PutRequest{Item: "i", Attrs: []Attr{{Name: "version", Value: "2"}}, Replace: true})
-	d.Env().Clock().Advance(time.Minute)
+	d.env.Clock().Advance(time.Minute)
 	it, err := d.GetAttributes("i")
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestSelectObservesEventualConsistency(t *testing.T) {
 	// always appear.
 	d := New(sim.NewEnv(sim.DefaultConfig()), "prov")
 	d.PutAttributes(PutRequest{Item: "i", Attrs: []Attr{{Name: "a", Value: "v"}}})
-	d.Env().Clock().Advance(time.Minute)
+	d.env.Clock().Advance(time.Minute)
 	items, _, _, err := d.SelectAll("select * from prov")
 	if err != nil || len(items) != 1 {
 		t.Fatalf("settled select: %v err=%v", items, err)
@@ -347,11 +347,11 @@ func TestBatchDeleteLimitAndMissingNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An empty batch is not a request at all.
-	before := d.Env().Meter().Usage().TotalOps
+	before := d.env.Meter().Usage().TotalOps
 	if err := d.BatchDeleteAttributes(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Env().Meter().Usage().TotalOps; got != before {
+	if got := d.env.Meter().Usage().TotalOps; got != before {
 		t.Fatalf("empty batch billed %d requests", got-before)
 	}
 }
@@ -361,7 +361,7 @@ func TestBatchDeleteLimitAndMissingNames(t *testing.T) {
 // one write-gate admission, at BatchPut-shaped latency.
 func TestBatchDeleteIsOneRequest(t *testing.T) {
 	d := strictDomain(t)
-	env := d.Env()
+	env := d.env
 	names := fileItems(t, d, MaxBatchItems)
 	u0, t0 := env.Meter().Usage(), env.Now()
 	if err := d.BatchDeleteAttributes(names); err != nil {
@@ -386,7 +386,7 @@ func TestBatchDeleteIsOneRequest(t *testing.T) {
 	// SDBBatchBase (±4% jitter) + 24 per-item increments, and no more: an
 	// admission per name would queue the call behind itself at the write
 	// gate for 24/7.1 = 3.4 s.
-	m := env.Model()
+	m := sim.ModelFor(env.Config())
 	want := m.SDBBatchBase + time.Duration(MaxBatchItems-1)*m.SDBBatchItem
 	if slack := m.SDBBatchBase / 20; elapsed < want-slack || elapsed > want+slack {
 		t.Errorf("25-name batch took %v, want %v ± %v", elapsed, want, slack)
@@ -401,7 +401,7 @@ func TestBatchDeleteIsOneRequest(t *testing.T) {
 // finds nothing left to delete, and the call succeeds.
 func TestBatchDeleteAmbiguousFaultConverges(t *testing.T) {
 	d := strictDomain(t)
-	env := d.Env()
+	env := d.env
 	env.SetRetry(resilient.New(env, resilient.Policy{}))
 	names := fileItems(t, d, 10)
 	keep, gone := names[:3], names[3:]
@@ -437,7 +437,7 @@ func TestBatchDeleteAmbiguousFaultConverges(t *testing.T) {
 // gone from all three, and SELECTs must stop examining it.
 func TestTombstonesAreReaped(t *testing.T) {
 	d := New(sim.NewEnv(sim.DefaultConfig()), "prov") // eventual consistency
-	env := d.Env()
+	env := d.env
 	names := fileItems(t, d, 30)
 	env.Clock().Advance(time.Minute)
 	if _, _, _, err := d.SelectAll("select itemName() from prov"); err != nil { // caches the name table
@@ -565,3 +565,27 @@ func TestEqualValuesStoredOnce(t *testing.T) {
 		t.Fatalf("select after re-put: %v, err=%v; want i3", items, err)
 	}
 }
+
+// Select runs a SELECT expression (see package documentation for the
+// supported grammar) returning one page; pass the previous page's NextToken
+// to continue. Each page is one billed request.
+func (d *Domain) Select(expr, nextToken string) (SelectPage, error) {
+	q, err := d.cachedParse(expr)
+	if err != nil {
+		return SelectPage{}, err
+	}
+	return d.selectPage(q, nextToken)
+}
+
+// SelectAll drains every page of a SELECT and reports the request count.
+// The expression is parsed once, not once per page.
+func (d *Domain) SelectAll(expr string) (items []Item, requests int, bytes int, err error) {
+	q, err := d.cachedParse(expr)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return d.selectAll(q)
+}
+
+// Or disjoins two predicates.
+func Or(l, r *Node) *Node { return &Node{op: "or", left: l, right: r} }

@@ -87,23 +87,8 @@ func In(attr string, values ...string) *Node { return &Node{op: "in", attr: attr
 // Like returns the predicate attr LIKE pattern ('prefix%' matches prefixes).
 func Like(attr, pattern string) *Node { return &Node{op: "like", attr: attr, value: pattern} }
 
-// Cmp returns the comparison attr <op> value for one of = != > >= < <=.
-// An unknown operator panics: it is a programming error that would
-// otherwise surface as a silently empty result set.
-func Cmp(attr, op, value string) *Node {
-	switch op {
-	case "=", "!=", ">", ">=", "<", "<=":
-	default:
-		panic(fmt.Sprintf("sdb: Cmp called with unknown operator %q", op))
-	}
-	return &Node{op: op, attr: attr, value: value}
-}
-
 // And conjoins two predicates.
 func And(l, r *Node) *Node { return &Node{op: "and", left: l, right: r} }
-
-// Or disjoins two predicates.
-func Or(l, r *Node) *Node { return &Node{op: "or", left: l, right: r} }
 
 // eval evaluates the predicate against one item.
 func (n *Node) eval(it Item) bool {
@@ -143,38 +128,6 @@ func (n *Node) accepts(v string) bool {
 		return slices.Contains(n.values, v)
 	}
 	return compare(v, n.op, n.value)
-}
-
-// Matches reports whether the predicate accepts the item — the exported form
-// of eval, for callers that hold items outside a domain (the query layer's
-// filter pushdown evaluates a lowered predicate against narrowed responses)
-// and for equivalence tests.
-func (n *Node) Matches(it Item) bool { return n.eval(it) }
-
-// Attrs returns the distinct attribute names the predicate reads, in
-// first-reference order. ItemNameKey appears when the predicate compares
-// item names. Callers use it to narrow a SELECT's field list to exactly what
-// re-evaluating the predicate client-side needs.
-func (n *Node) Attrs() []string {
-	var out []string
-	seen := make(map[string]bool)
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
-		}
-		if n.op == "and" || n.op == "or" {
-			walk(n.left)
-			walk(n.right)
-			return
-		}
-		if !seen[n.attr] {
-			seen[n.attr] = true
-			out = append(out, n.attr)
-		}
-	}
-	walk(n)
-	return out
 }
 
 // String renders the predicate in the SELECT grammar, values re-quoted, so

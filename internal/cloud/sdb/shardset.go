@@ -59,9 +59,6 @@ func NewSet(env *sim.Env, base string, k int) *DomainSet {
 	}
 }
 
-// Env returns the environment the set charges against.
-func (s *DomainSet) Env() *sim.Env { return s.env }
-
 // RouteKey extracts the routing key from an item name: the uuid prefix of a
 // uuid_version name, or the whole name. Routing on the uuid keeps every
 // version of an object in one shard, so per-object reads never scatter.
@@ -74,10 +71,6 @@ func RouteKey(item string) string {
 
 // ShardForItem routes an item name to its active-epoch home shard.
 func (s *DomainSet) ShardForItem(item string) int { return s.Directory().Route(RouteKey(item)) }
-
-// ShardForKey routes a raw routing key (an object uuid) to its active-epoch
-// home shard.
-func (s *DomainSet) ShardForKey(key string) int { return s.Directory().Route(key) }
 
 // HomesForItem returns every shard that may hold the item under the current
 // routing state: the active home first, plus the target-epoch home during a
@@ -130,9 +123,6 @@ func (s *DomainSet) AcquireView() (*DomainView, func()) {
 
 // Base returns the logical domain name queries address.
 func (v *DomainView) Base() string { return v.set.Base() }
-
-// Shards reports the number of live shards in this view.
-func (v *DomainView) Shards() int { return len(v.shards) }
 
 // Migrating reports whether the view straddles a double-write window.
 func (v *DomainView) Migrating() bool { return v.target != nil }
@@ -357,19 +347,6 @@ func (v *DomainView) Select(expr, nextToken string) (SelectPage, error) {
 // DomainSet operations: each captures a fresh view (writes register against
 // the write barrier, reads against the read barrier).
 
-// PutAttributes writes one item to every home the double-write window
-// requires (exactly one outside a migration).
-func (s *DomainSet) PutAttributes(req PutRequest) error {
-	v, done := s.beginWrite()
-	defer done()
-	for _, h := range v.homesForItem(req.Item) {
-		if err := v.shards[h].PutAttributes(req); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BatchPutAttributes writes up to 25 items, splitting the batch by home
 // shard: each shard receives one call carrying its items. With K == 1 this
 // is exactly one service call; with K > 1 a mixed batch becomes up to K
@@ -473,18 +450,6 @@ func (s *DomainSet) GetAttributes(item string) (Item, error) {
 	return v.GetAttributes(item)
 }
 
-// DeleteAttributes removes one item from every home it may live on.
-func (s *DomainSet) DeleteAttributes(item string) error {
-	v, done := s.beginWrite()
-	defer done()
-	for _, h := range v.homesForItem(item) {
-		if err := v.shards[h].DeleteAttributes(item); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ItemCount sums the live items across all live shards. During the window
 // between a cutover and its GC, moved items still exist on their old shard
 // and are counted twice; use query digests, not counts, mid-migration.
@@ -510,14 +475,6 @@ func (s *DomainSet) SelectAllQuery(q Query) (items []Item, requests int, bytes i
 	v, done := s.AcquireView()
 	defer done()
 	return v.SelectAllQuery(q)
-}
-
-// SelectAll drains every page of a SELECT expression across all live
-// shards, merged into canonical name order.
-func (s *DomainSet) SelectAll(expr string) (items []Item, requests int, bytes int, err error) {
-	v, done := s.AcquireView()
-	defer done()
-	return v.SelectAll(expr)
 }
 
 // Select runs one page of a SELECT expression (see DomainView.Select).

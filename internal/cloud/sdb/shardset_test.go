@@ -24,8 +24,8 @@ func TestShardRoutingDeterminism(t *testing.T) {
 	a, b := newSet(t, 4), newSet(t, 4)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("0000%04d-aaaa-4bbb-8ccc-ddddeeeeffff", i)
-		sa := a.ShardForKey(key)
-		if sb := b.ShardForKey(key); sa != sb {
+		sa := a.Directory().Route(key)
+		if sb := b.Directory().Route(key); sa != sb {
 			t.Fatalf("key %s routes to %d and %d on identical sets", key, sa, sb)
 		}
 		if sa < 0 || sa >= 4 {
@@ -42,7 +42,7 @@ func TestShardRoutingDeterminism(t *testing.T) {
 	// shard gets some.
 	counts := make([]int, 4)
 	for i := 0; i < 200; i++ {
-		counts[a.ShardForKey(fmt.Sprintf("0000%04d-aaaa-4bbb-8ccc-ddddeeeeffff", i))]++
+		counts[a.Directory().Route(fmt.Sprintf("0000%04d-aaaa-4bbb-8ccc-ddddeeeeffff", i))]++
 	}
 	for s, c := range counts {
 		if c == 0 {
@@ -62,7 +62,7 @@ func TestShardSetSeedTopology(t *testing.T) {
 		t.Fatalf("K=1 routing returned %d", got)
 	}
 	// Clamping: invalid counts fall back to one shard.
-	if NewSet(s.Env(), "prov", 0).Shards() != 1 || NewSet(s.Env(), "prov", -3).Shards() != 1 {
+	if NewSet(s.env, "prov", 0).Shards() != 1 || NewSet(s.env, "prov", -3).Shards() != 1 {
 		t.Fatal("non-positive shard counts not clamped to 1")
 	}
 }
@@ -74,11 +74,11 @@ func populateSet(t *testing.T, s *DomainSet, n int) []string {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("%08d-0000-4000-8000-000000000000_%d", i%17, i)
 		names = append(names, name)
-		err := s.PutAttributes(PutRequest{
+		err := s.BatchPutAttributes([]PutRequest{{
 			Item:    name,
 			Attrs:   []Attr{{Name: "type", Value: "file"}, {Name: "seq", Value: fmt.Sprintf("%06d", i)}},
 			Replace: true,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +99,11 @@ func TestShardSetScatterGatherCanonicalOrder(t *testing.T) {
 		"select itemName() from prov where type = 'file'",
 		"select * from prov where seq > '000050'",
 	} {
-		a, _, _, err := one.SelectAll(expr)
+		a, _, _, err := one.View().SelectAll(expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, _, err := four.SelectAll(expr)
+		b, _, _, err := four.View().SelectAll(expr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestShardSetBatchPutSplit(t *testing.T) {
 	if got := s.ItemCount(); got != MaxBatchItems {
 		t.Fatalf("items = %d, want %d", got, MaxBatchItems)
 	}
-	if _, _, _, err := s.SelectAll("select * from wrongdomain"); err == nil {
+	if _, _, _, err := s.View().SelectAll("select * from wrongdomain"); err == nil {
 		t.Fatal("foreign domain accepted")
 	}
 }
@@ -229,7 +229,7 @@ func TestBatchPutShardOrderIsSeeded(t *testing.T) {
 		if err := s.BatchPutAttributes(reqs); err != nil {
 			t.Fatal(err)
 		}
-		return s.Env().Now()
+		return s.env.Now()
 	}
 	want := run()
 	for i := 0; i < 8; i++ {

@@ -100,7 +100,7 @@ func checkCachedTables(t *testing.T, d *Domain, step int) {
 // then between writes, leaving runs of writes to pile up unmerged.
 func TestCachedTablesSurviveWrites(t *testing.T) {
 	d := New(sim.NewEnv(sim.DefaultConfig()), "prov") // eventual: tombstones reap later
-	env := d.Env()
+	env := d.env
 	rnd := sim.NewRand(7)
 	name := func() string { return fmt.Sprintf("u%03d_%d", rnd.Intn(400), rnd.Intn(3)) }
 	value := func() string { return fmt.Sprintf("v%02d", rnd.Intn(40)) }

@@ -22,9 +22,9 @@ import (
 // ones drain. WAL messages are transient, so unlike the domain set nothing is
 // double-written — a transaction's packets all land on one queue, and any
 // covered queue reaches a daemon. A commit daemon discovers its shard set
-// with Shards/Shard and routes by key with ShardFor; every participant
-// consults the same directory, so clients and daemons on different hosts
-// agree on every message's home shard without coordination.
+// with Shards/Shard, and a client routes by key with HomeQueue; every
+// participant consults the same directory, so clients and daemons on
+// different hosts agree on every message's home shard without coordination.
 type QueueSet struct {
 	*sim.EpochSet[*Queue]
 	env *sim.Env
@@ -51,10 +51,6 @@ func NewSet(env *sim.Env, base string, k int) *QueueSet {
 
 // Env returns the environment the set charges against.
 func (s *QueueSet) Env() *sim.Env { return s.env }
-
-// ShardFor routes a key (P3 uses the transaction uuid) to its home shard in
-// the newest epoch.
-func (s *QueueSet) ShardFor(key string) int { return s.Directory().RouteNewest(key) }
 
 // HomeQueue resolves key's home queue under the current routing view and
 // registers the send against the reshard barrier; callers must invoke the
@@ -92,6 +88,15 @@ func (s *QueueSet) Len() int {
 	n := 0
 	for _, q := range s.View().Shards {
 		n += q.Len()
+	}
+	return n
+}
+
+// Unreceived sums Queue.Unreceived over the live shards.
+func (s *QueueSet) Unreceived() int {
+	n := 0
+	for _, q := range s.View().Shards {
+		n += q.Unreceived()
 	}
 	return n
 }

@@ -23,8 +23,8 @@ func TestQueueSetRoutingDeterminism(t *testing.T) {
 	counts := make([]int, 4)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("txn-%08d-aaaa-4bbb-8ccc", i)
-		sa := a.ShardFor(key)
-		if sb := b.ShardFor(key); sa != sb {
+		sa := a.Directory().Route(key)
+		if sb := b.Directory().Route(key); sa != sb {
 			t.Fatalf("key %s routes to %d and %d on identical sets", key, sa, sb)
 		}
 		if sa < 0 || sa >= 4 {
@@ -47,7 +47,7 @@ func TestQueueSetSeedTopologyAndFanout(t *testing.T) {
 	if one.Shards() != 1 || one.Shard(0).Name() != "wal" {
 		t.Fatalf("K=1 set: shards=%d name=%q", one.Shards(), one.Shard(0).Name())
 	}
-	if NewSet(one.Env(), "wal", -2).Shards() != 1 {
+	if NewSet(one.env, "wal", -2).Shards() != 1 {
 		t.Fatal("non-positive shard count not clamped")
 	}
 

@@ -1,6 +1,6 @@
 // Package sqs implements the simulated cloud messaging service (Amazon SQS
 // as of 2009/2010): named queues of opaque messages with SendMessage,
-// ReceiveMessage and DeleteMessage operations.
+// ReceiveMessage and DeleteMessageBatch operations.
 //
 // Semantics reproduced because the paper's protocol P3 depends on them:
 //
@@ -128,9 +128,6 @@ func NewLane(env *sim.Env, name string, lane int) *Queue {
 
 // Name returns the queue name.
 func (q *Queue) Name() string { return q.name }
-
-// Env returns the environment the queue charges against.
-func (q *Queue) Env() *sim.Env { return q.env }
 
 // autoToken mints a per-call idempotency token for sends whose caller did
 // not supply one, so the internal retry of an ambiguous fault still
@@ -405,24 +402,6 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 	return out
 }
 
-// DeleteMessage removes the message named by a receipt handle. Deleting an
-// already-deleted message succeeds, as on SQS.
-func (q *Queue) DeleteMessage(receipt string) error {
-	return q.ep.Do(func() error { return q.deleteOnce(receipt) })
-}
-
-func (q *Queue) deleteOnce(receipt string) error {
-	ferr, applied := q.ep.Fault(sim.OpSQSDelete)
-	if ferr != nil && !applied {
-		return ferr
-	}
-	q.ep.Exec(sim.OpSQSDelete, 0, 0)
-	q.mu.Lock()
-	q.deleteLocked(receipt)
-	q.mu.Unlock()
-	return ferr
-}
-
 // deleteLocked marks the message a receipt handle names, and its duplicate
 // if the service stored one, as deleted, and releases their body.
 func (q *Queue) deleteLocked(receipt string) {
@@ -436,8 +415,8 @@ func (q *Queue) deleteLocked(receipt string) {
 }
 
 // DeleteMessageBatch removes up to MaxBatchEntries messages named by receipt
-// handles in one service request. As with DeleteMessage, deleting an
-// already-deleted message succeeds.
+// handles in one service request. Deleting an already-deleted message
+// succeeds, as on SQS.
 func (q *Queue) DeleteMessageBatch(receipts []string) error {
 	if len(receipts) > MaxBatchEntries {
 		return fmt.Errorf("%w (%d entries)", ErrBatchTooLarge, len(receipts))
@@ -493,6 +472,21 @@ func (q *Queue) Len() int {
 	defer q.mu.Unlock()
 	q.expireLocked(q.env.Now())
 	return len(q.msgs)
+}
+
+// Unreceived reports the undeleted, unexpired messages that no receive has
+// delivered yet. It reads the queue's state and bills nothing.
+func (q *Queue) Unreceived() int {
+	now := q.env.Now()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for _, m := range q.msgs {
+		if !m.deleted && m.receipts == 0 && now-m.sentAt <= q.retention {
+			n++
+		}
+	}
+	return n
 }
 
 // GCExpired forces a retention pass and reports how many messages it

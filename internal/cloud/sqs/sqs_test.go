@@ -31,10 +31,10 @@ func TestSendReceiveDelete(t *testing.T) {
 	if len(msgs) != 1 || !bytes.Equal(msgs[0].Body, []byte("record")) {
 		t.Fatalf("received %v", msgs)
 	}
-	if err := q.DeleteMessage(msgs[0].ReceiptHandle); err != nil {
+	if err := q.DeleteMessageBatch([]string{msgs[0].ReceiptHandle}); err != nil {
 		t.Fatal(err)
 	}
-	q.Env().Clock().Advance(time.Minute)
+	q.env.Clock().Advance(time.Minute)
 	if msgs := q.ReceiveMessage(10); len(msgs) != 0 {
 		t.Fatalf("deleted message redelivered: %v", msgs)
 	}
@@ -62,7 +62,7 @@ func TestVisibilityTimeoutRedelivery(t *testing.T) {
 		t.Fatalf("message delivered while invisible: %v", got)
 	}
 	// After the visibility timeout it reappears (at-least-once).
-	q.Env().Clock().Advance(11 * time.Second)
+	q.env.Clock().Advance(11 * time.Second)
 	got := q.ReceiveMessage(1)
 	if len(got) != 1 {
 		t.Fatal("message lost after visibility timeout")
@@ -88,9 +88,9 @@ func TestAtLeastOnceEveryMessageSurvivesUntilDeleted(t *testing.T) {
 	for tries := 0; tries < 100 && len(seen) < n; tries++ {
 		for _, m := range q.ReceiveMessage(10) {
 			seen[m.ID] = true
-			q.DeleteMessage(m.ReceiptHandle)
+			q.DeleteMessageBatch([]string{m.ReceiptHandle})
 		}
-		q.Env().Clock().Advance(2 * time.Second)
+		q.env.Clock().Advance(2 * time.Second)
 	}
 	if len(seen) != n {
 		t.Fatalf("saw %d of %d messages", len(seen), n)
@@ -112,7 +112,7 @@ func TestDuplicateDelivery(t *testing.T) {
 	count := 0
 	for i := 0; i < 4; i++ {
 		count += len(q.ReceiveMessage(10))
-		q.Env().Clock().Advance(time.Second)
+		q.env.Clock().Advance(time.Second)
 	}
 	if count < 2 {
 		t.Fatalf("expected duplicate delivery, saw %d", count)
@@ -122,7 +122,7 @@ func TestDuplicateDelivery(t *testing.T) {
 func TestRetentionExpiry(t *testing.T) {
 	q := strictQueue(t)
 	q.SendMessage([]byte("old"))
-	q.Env().Clock().Advance(DefaultRetention + time.Hour)
+	q.env.Clock().Advance(DefaultRetention + time.Hour)
 	if got := q.ReceiveMessage(10); len(got) != 0 {
 		t.Fatalf("expired message delivered: %v", got)
 	}
@@ -155,9 +155,9 @@ func TestBestEffortOrdering(t *testing.T) {
 		for len(got) < 10 {
 			for _, m := range q.ReceiveMessage(10) {
 				got = append(got, m.Body[0])
-				q.DeleteMessage(m.ReceiptHandle)
+				q.DeleteMessageBatch([]string{m.ReceiptHandle})
 			}
-			q.Env().Clock().Advance(time.Second)
+			q.env.Clock().Advance(time.Second)
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i] < got[i-1] {
@@ -174,10 +174,10 @@ func TestDeleteByReceiptIsIdempotent(t *testing.T) {
 	q := strictQueue(t)
 	q.SendMessage([]byte("m"))
 	m := q.ReceiveMessage(1)[0]
-	if err := q.DeleteMessage(m.ReceiptHandle); err != nil {
+	if err := q.DeleteMessageBatch([]string{m.ReceiptHandle}); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.DeleteMessage(m.ReceiptHandle); err != nil {
+	if err := q.DeleteMessageBatch([]string{m.ReceiptHandle}); err != nil {
 		t.Fatalf("second delete failed: %v", err)
 	}
 }
@@ -194,12 +194,12 @@ func TestBodyRoundTripProperty(t *testing.T) {
 		}
 		for tries := 0; tries < 50; tries++ {
 			for _, m := range q.ReceiveMessage(10) {
-				q.DeleteMessage(m.ReceiptHandle)
+				q.DeleteMessageBatch([]string{m.ReceiptHandle})
 				if bytes.Equal(m.Body, body) {
 					return true
 				}
 			}
-			q.Env().Clock().Advance(time.Second)
+			q.env.Clock().Advance(time.Second)
 		}
 		return false
 	}
@@ -212,7 +212,7 @@ func TestSendCountsOps(t *testing.T) {
 	q := strictQueue(t)
 	q.SendMessage([]byte("m"))
 	q.ReceiveMessage(1)
-	u := q.Env().Meter().Usage()
+	u := q.env.Meter().Usage()
 	if u.OpsByKind["sqs.SendMessage"] != 1 || u.OpsByKind["sqs.ReceiveMessage"] != 1 {
 		t.Fatalf("ops = %v", u.OpsByKind)
 	}
@@ -238,7 +238,7 @@ func TestSendMessageBatchRoundTrip(t *testing.T) {
 		}
 	}
 	// One batch call is one billed request and one counted op.
-	u := q.Env().Meter().Usage()
+	u := q.env.Meter().Usage()
 	if u.OpsByKind["sqs.SendMessageBatch"] != 1 {
 		t.Fatalf("batch ops = %d, want 1", u.OpsByKind["sqs.SendMessageBatch"])
 	}
@@ -269,7 +269,7 @@ func TestSendMessageBatchLimitsAreAtomic(t *testing.T) {
 	if ids, err := q.SendMessageBatch(nil); err != nil || len(ids) != 0 {
 		t.Fatalf("empty batch: ids=%v err=%v", ids, err)
 	}
-	if q.Env().Meter().Usage().TotalOps != 0 {
+	if q.env.Meter().Usage().TotalOps != 0 {
 		t.Fatal("empty batch charged a request")
 	}
 }
@@ -288,18 +288,18 @@ func TestDeleteMessageBatch(t *testing.T) {
 	for _, m := range msgs {
 		receipts = append(receipts, m.ReceiptHandle)
 	}
-	before := q.Env().Meter().Usage().TotalOps
+	before := q.env.Meter().Usage().TotalOps
 	if err := q.DeleteMessageBatch(receipts); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Env().Meter().Usage().TotalOps - before; got != 1 {
+	if got := q.env.Meter().Usage().TotalOps - before; got != 1 {
 		t.Fatalf("batch delete billed %d requests, want 1", got)
 	}
 	// Re-deleting (including already-deleted receipts) succeeds, as on SQS.
 	if err := q.DeleteMessageBatch(receipts[:2]); err != nil {
 		t.Fatal(err)
 	}
-	q.Env().Clock().Advance(time.Minute)
+	q.env.Clock().Advance(time.Minute)
 	if got := q.ReceiveMessage(10); len(got) != 0 {
 		t.Fatalf("batch-deleted messages redelivered: %v", got)
 	}
@@ -330,30 +330,30 @@ func TestBatchIsCheaperThanSingles(t *testing.T) {
 	// The point of the batch APIs: one full batch must cost less simulated
 	// time and fewer billed requests than its entries sent one by one.
 	single := strictQueue(t)
-	t0 := single.Env().Now()
+	t0 := single.env.Now()
 	for i := 0; i < MaxBatchEntries; i++ {
 		if _, err := single.SendMessage([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	singleTime := single.Env().Now() - t0
+	singleTime := single.env.Now() - t0
 
 	batched := strictQueue(t)
 	var bodies [][]byte
 	for i := 0; i < MaxBatchEntries; i++ {
 		bodies = append(bodies, []byte{byte(i)})
 	}
-	t0 = batched.Env().Now()
+	t0 = batched.env.Now()
 	if _, err := batched.SendMessageBatch(bodies); err != nil {
 		t.Fatal(err)
 	}
-	batchTime := batched.Env().Now() - t0
+	batchTime := batched.env.Now() - t0
 
 	if batchTime*3 > singleTime {
 		t.Fatalf("batch %v not at least 3x faster than singles %v", batchTime, singleTime)
 	}
-	su := single.Env().Meter().Usage().Requests[sim.CostSQS]
-	bu := batched.Env().Meter().Usage().Requests[sim.CostSQS]
+	su := single.env.Meter().Usage().Requests[sim.CostSQS]
+	bu := batched.env.Meter().Usage().Requests[sim.CostSQS]
 	if bu != 1 || su != MaxBatchEntries {
 		t.Fatalf("billed requests: batch=%d singles=%d", bu, su)
 	}
@@ -429,7 +429,7 @@ func TestDeletedBodyIsReleased(t *testing.T) {
 	if len(got) != len(ids) {
 		t.Fatalf("received %d distinct messages, want %d", len(got), len(ids))
 	}
-	if err := q.DeleteMessage(msgs[0].ReceiptHandle); err != nil {
+	if err := q.DeleteMessageBatch([]string{msgs[0].ReceiptHandle}); err != nil {
 		t.Fatal(err)
 	}
 	var rest []string

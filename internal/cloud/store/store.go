@@ -87,9 +87,6 @@ func New(env *sim.Env) *Store {
 	return &Store{env: env, ep: env.Endpoint(Endpoint, 0), keys: make(map[string][]*version)}
 }
 
-// Env returns the environment the store charges against.
-func (s *Store) Env() *sim.Env { return s.env }
-
 // Put atomically stores data and metadata under key, overwriting any
 // previous version (last writer wins).
 func (s *Store) Put(key string, data []byte, meta Metadata) error {

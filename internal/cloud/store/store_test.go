@@ -25,7 +25,7 @@ func strictStore(t *testing.T) *Store {
 func settledStore(t *testing.T) (*Store, func()) {
 	t.Helper()
 	s := New(sim.NewEnv(sim.DefaultConfig()))
-	return s, func() { s.Env().Clock().Advance(time.Minute) }
+	return s, func() { s.env.Clock().Advance(time.Minute) }
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -211,11 +211,11 @@ func TestStorageAccounting(t *testing.T) {
 	s.Put("a", make([]byte, 1000), nil)
 	s.Put("a", make([]byte, 400), nil) // overwrite shrinks footprint
 	s.Put("b", make([]byte, 600), nil)
-	if got := s.Env().Meter().Usage().Stored; got != 1000 {
+	if got := s.env.Meter().Usage().Stored; got != 1000 {
 		t.Fatalf("stored = %d, want 1000", got)
 	}
 	s.Delete("a")
-	if got := s.Env().Meter().Usage().Stored; got != 600 {
+	if got := s.env.Meter().Usage().Stored; got != 600 {
 		t.Fatalf("stored after delete = %d, want 600", got)
 	}
 	st := s.Stats()
@@ -232,7 +232,7 @@ func TestOpsAreCounted(t *testing.T) {
 	s.Copy("k", "k2", nil)
 	s.Delete("k2")
 	s.List("", "", 0)
-	u := s.Env().Meter().Usage()
+	u := s.env.Meter().Usage()
 	for _, kind := range []string{"s3.PUT", "s3.GET", "s3.HEAD", "s3.COPY", "s3.DELETE", "s3.LIST"} {
 		if u.OpsByKind[kind] != 1 {
 			t.Fatalf("%s counted %d times, want 1 (%v)", kind, u.OpsByKind[kind], u.OpsByKind)
@@ -250,7 +250,7 @@ func TestLastAccess(t *testing.T) {
 	if !ok {
 		t.Fatal("LastAccess of fresh key not ok")
 	}
-	s.Env().Clock().Advance(time.Hour)
+	s.env.Clock().Advance(time.Hour)
 	s.Get("k")
 	t1, _ := s.LastAccess("k")
 	if t1 <= t0 {

@@ -724,3 +724,23 @@ func uuidNew(dep *Deployment) [16]byte {
 	u[8] = (u[8] & 0x3f) | 0x80
 	return u
 }
+
+// TestSettleWaitsForUnreceivedWAL commits one transaction whose WAL packet
+// stays invisible past Settle's three idle rounds: at seed 328 its staleness
+// draw is 3.2 s, over four 700 ms means. Settle must not return before the
+// packet has been received and the transaction committed.
+func TestSettleWaitsForUnreceivedWAL(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Consistency = sim.Eventual
+	cfg.Seed = 328
+	dep := NewDeployment(sim.NewEnv(cfg))
+	p := NewP3(dep, Options{})
+	_, _, out, _, outB := onePipeline(t, 1)
+	commitAll(t, p, []FileObject{out}, [][]prov.Bundle{outB})
+	if n := dep.WAL.Len(); n != 0 {
+		t.Fatalf("Settle returned with %d WAL messages never received", n)
+	}
+	if _, err := ReadProvenance(dep, BackendSDB, out.Ref.UUID); err != nil {
+		t.Fatalf("transaction not committed after Settle: %v", err)
+	}
+}

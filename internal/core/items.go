@@ -94,19 +94,6 @@ func putItems(db *sdb.DomainSet, reqs []sdb.PutRequest, conns int, ordered bool)
 	return db.BulkPut(reqs, conns, ordered)
 }
 
-// ResolveValue fetches a possibly spilled attribute value: inline values
-// return as-is, SpillMarker pointers are fetched from the store.
-func ResolveValue(st *store.Store, value string) (string, error) {
-	if len(value) < len(SpillMarker) || value[:len(SpillMarker)] != SpillMarker {
-		return value, nil
-	}
-	o, err := st.Get(value[len(SpillMarker):])
-	if err != nil {
-		return "", err
-	}
-	return string(o.Data), nil
-}
-
 // bundleFromItem reconstructs a provenance bundle from a database item; the
 // query engine uses it to rebuild DAG fragments from query results. Each
 // attribute is one record: Records is sized once (nil for no attributes).

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/cloud/store"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/uuid"
@@ -165,4 +166,17 @@ func TestP3SpillsThroughCommitDaemon(t *testing.T) {
 		}
 	}
 	t.Fatal("env attribute lost through the WAL")
+}
+
+// ResolveValue fetches a possibly spilled attribute value: inline values
+// return as-is, SpillMarker pointers are fetched from the store.
+func ResolveValue(st *store.Store, value string) (string, error) {
+	if len(value) < len(SpillMarker) || value[:len(SpillMarker)] != SpillMarker {
+		return value, nil
+	}
+	o, err := st.Get(value[len(SpillMarker):])
+	if err != nil {
+		return "", err
+	}
+	return string(o.Data), nil
 }

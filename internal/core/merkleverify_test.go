@@ -75,10 +75,10 @@ func TestMerkleDetectsTamperedAncestor(t *testing.T) {
 	dep, _, col := merkleDeployment(t, func(d *Deployment) Protocol { return NewP2(d, Options{}) })
 	// Tamper: append a forged attribute to the mid file's recorded item.
 	midRef, _ := col.FileRef("mnt/mid")
-	if err := dep.DB.PutAttributes(sdb.PutRequest{
+	if err := dep.DB.BatchPutAttributes([]sdb.PutRequest{{
 		Item:  midRef.String(),
 		Attrs: []sdb.Attr{{Name: "forged", Value: "evil"}},
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	dep.Settle()
@@ -112,7 +112,7 @@ func TestMerkleDetectsMissingAncestor(t *testing.T) {
 	if procRef == "" {
 		t.Fatal("no process ancestor found")
 	}
-	if err := dep.DB.DeleteAttributes(procRef); err != nil {
+	if err := dep.DB.Shard(dep.DB.ShardForItem(procRef)).BatchDeleteAttributes([]string{procRef}); err != nil {
 		t.Fatal(err)
 	}
 	dep.Settle()

@@ -161,9 +161,6 @@ func NewP3(dep *Deployment, opts Options) *P3 {
 // Name implements Protocol.
 func (p *P3) Name() string { return "P3" }
 
-// Workers reports the size of the commit-daemon pool.
-func (p *P3) Workers() int { return p.opts.CommitWorkers }
-
 // SetChunkSize overrides the WAL chunk payload size (ablation benchmarks).
 func (p *P3) SetChunkSize(n int) { p.chunkSize = n }
 
@@ -804,8 +801,9 @@ func (p *P3) alreadyCommitted(hdr *walTxn) bool {
 
 // Settle drains the commit-daemon pool until the WAL holds nothing
 // actionable: each round runs CommitWorkers concurrent workers, each
-// polling its subscribed WAL shards, and the loop ends after several
-// consecutive rounds with no progress on any worker. Incomplete
+// polling its subscribed WAL shards, and the loop ends after three
+// consecutive rounds with no progress on any worker, once every WAL message
+// has been received at least once or its staleness bound has passed. Incomplete
 // transactions (crashed clients) are left for retention and the cleaner,
 // as on the real system. Transactions a concurrently running RunDaemon
 // still has in flight are not this caller's to act on either: stop the
@@ -813,7 +811,19 @@ func (p *P3) alreadyCommitted(hdr *walTxn) bool {
 func (p *P3) Settle() error {
 	idle := 0
 	var lastErr error
-	for idle < 3 {
+	// A WAL message no receive has delivered yet is still inside its
+	// staleness window, which sim.Rand.Exp clamps at 8 means: after the idle
+	// rounds, keep polling for it until that bound has passed.
+	var deadline time.Duration
+	for {
+		if idle >= 3 {
+			if deadline == 0 {
+				deadline = p.dep.Env.Now() + 8*p.dep.Env.Config().StalenessMean
+			}
+			if p.dep.WAL.Unreceived() == 0 || p.dep.Env.Now() >= deadline {
+				break
+			}
+		}
 		workers := p.opts.CommitWorkers
 		progress := make([]bool, workers)
 		errs := make([]error, workers)

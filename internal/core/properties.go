@@ -40,9 +40,6 @@ func Factories() []ProtocolFactory {
 	}
 }
 
-// ProtocolFactories returns only the provenance protocols (P1, P2, P3).
-func ProtocolFactories() []ProtocolFactory { return Factories()[1:] }
-
 // ProbeProperties empirically verifies Table 1 for one protocol by running
 // fault-injection scenarios against a fresh deployment:
 //

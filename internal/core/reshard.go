@@ -171,11 +171,6 @@ const reshardConns = 16
 // ErrReshardInFlight is returned when a second resharder races an open one.
 var ErrReshardInFlight = errors.New("core: reshard already in flight")
 
-// Reshard is the package-level form of Deployment.Reshard.
-func Reshard(ctx context.Context, dep *Deployment, target Topology) (ReshardStats, error) {
-	return dep.Reshard(ctx, target)
-}
-
 // ResumeReshard recovers a migration whose resharder died: it reads the
 // persisted control object and rolls the fabric forward to the recorded
 // target. resumed is false when there is nothing to recover.

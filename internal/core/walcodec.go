@@ -78,27 +78,6 @@ type walPacket struct {
 	Payload []byte
 }
 
-// encodeWAL splits an encoded provenance payload into WAL messages. Each
-// packet header is built in a stack buffer and the message allocated once,
-// at its final length.
-func encodeWAL(txn uuid.UUID, hdr walTxn, payload []byte, chunkSize int) [][]byte {
-	chunkSize = walChunkSize(chunkSize)
-	var room [2 * walHeaderRoom]byte
-	head, first, total := walFirst(room[:0], txn, hdr, len(payload), chunkSize)
-	msgs := make([][]byte, total)
-	for seq := range msgs {
-		lo, hi := 0, min(first, len(payload))
-		if seq > 0 {
-			head = appendWALHead(room[:0], txn, hdr, seq, total)
-			lo = first + (seq-1)*chunkSize
-			hi = min(lo+chunkSize, len(payload))
-		}
-		msg := make([]byte, 0, len(head)+hi-lo)
-		msgs[seq] = append(append(msg, head...), payload[lo:hi]...)
-	}
-	return msgs
-}
-
 // walFirst appends the first packet's header to dst and returns it with the
 // payload bytes that packet carries and the transaction's packet count for
 // a payload of n bytes. Every later packet carries chunkSize bytes. So does

@@ -34,7 +34,7 @@
 //	translog.Log       the RFC 6962 transparency log and its sequencer
 //	query.Engine       the read path, here with a cache kept coherent by
 //	                   commit notices
-//	autoscale.Controller  samples the meter, decides K, drives core.Reshard
+//	autoscale.Controller  samples the meter, decides K, drives Deployment.Reshard
 //
 // Everything from the front door down is built only when Config asks for it.
 //

@@ -211,7 +211,7 @@ func (f *Fabric) toManual() error {
 	if inj := f.Env.Faults(); inj != nil {
 		inj.SetPlan(nil)
 	}
-	// Drain what the pool left. A controller inside core.Reshard holds the
+	// Drain what the pool left. A controller inside Deployment.Reshard holds the
 	// fabric until the WAL it is copying behind has drained, so it is joined
 	// between Settle rounds, and one more round follows whatever it did last.
 	for joined := ctl == nil; ; {

@@ -37,13 +37,12 @@ func (e *OverCapacityError) Unwrap() error { return ErrOverCapacity }
 
 // Priority ranks tenants for load shedding: when a shared fabric
 // saturates, lower priorities are shed first because their admission
-// queues are scaled down harder. The zero value is PriorityNormal.
+// queues are scaled down harder. The zero value is normal priority.
 type Priority int
 
 // Priorities, by shedding order (low sheds first).
 const (
-	PriorityNormal Priority = iota
-	PriorityHigh
+	PriorityHigh Priority = iota + 1
 	PriorityLow
 )
 
@@ -207,12 +206,6 @@ type Tenant struct {
 
 // ID returns the tenant id.
 func (t *Tenant) ID() string { return t.id }
-
-// Band returns the tenant's placement band.
-func (t *Tenant) Band() sim.Band { return t.band }
-
-// Quota returns the tenant's effective (defaulted) quota.
-func (t *Tenant) Quota() Quota { return t.quota }
 
 // NewUUID mints an object uuid inside the tenant's band, so the object's
 // provenance items co-shard with the rest of the tenant's data.

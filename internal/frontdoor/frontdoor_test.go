@@ -51,7 +51,7 @@ func tenantTxn(tn *Tenant, i int) (core.FileObject, []prov.Bundle) {
 func TestAdmissionBurstAndShed(t *testing.T) {
 	d, _, _ := testFabric(t, 1, Config{})
 	tn := d.Tenant("a", Quota{Rate: 100, Burst: 4, MaxQueue: 10, Priority: PriorityHigh})
-	interval := tn.Quota().interval()
+	interval := tn.quota.interval()
 
 	// Burst admits without waiting.
 	for i := 0; i < 4; i++ {
@@ -115,7 +115,7 @@ func TestPrioritySheddingOrder(t *testing.T) {
 	d, _, _ := testFabric(t, 1, Config{})
 	low := d.Tenant("low", Quota{Rate: 100, Burst: 1, MaxQueue: 10, Priority: PriorityLow})
 	high := d.Tenant("high", Quota{Rate: 100, Burst: 1, MaxQueue: 10, Priority: PriorityHigh})
-	depth := 5 * low.Quota().interval() // depth 5: past low's 3-slot share, inside high's 10
+	depth := 5 * low.quota.interval() // depth 5: past low's 3-slot share, inside high's 10
 
 	low.mu.Lock()
 	low.tat = d.env.Now() + depth
@@ -159,7 +159,7 @@ func TestTenantCommitCoShards(t *testing.T) {
 
 	// Every transaction uuid was minted in the band, so all WAL packets
 	// routed to the band's home shard.
-	homeShard := dep.WAL.Directory().Active().RouteHash(tn.Band().Start())
+	homeShard := dep.WAL.Directory().Active().RouteHash(tn.band.Start())
 	usage := d.env.Meter().Usage()
 	homeOps := usage.OpsByEndpoint[fmt.Sprintf("%s-%d", core.WALName, homeShard)]
 	if homeOps == 0 {
@@ -169,8 +169,8 @@ func TestTenantCommitCoShards(t *testing.T) {
 	// Items co-shard and read back via the ordinary uuid-routed path.
 	for _, tx := range txns {
 		for _, b := range tx.bundles {
-			if got := sim.BandOf(b.Ref.UUID.String()); got != tn.Band() {
-				t.Fatalf("uuid %s minted outside tenant band: %d != %d", b.Ref.UUID, got, tn.Band())
+			if got := sim.BandOf(b.Ref.UUID.String()); got != tn.band {
+				t.Fatalf("uuid %s minted outside tenant band: %d != %d", b.Ref.UUID, got, tn.band)
 			}
 			back, err := core.ReadProvenance(dep, core.BackendSDB, b.Ref.UUID)
 			if err != nil || len(back) == 0 {
@@ -263,7 +263,7 @@ func TestPersistentFaultCostsMaxAttempts(t *testing.T) {
 	if err := tn.Commit(obj, bundles); !sim.IsTransient(err) {
 		t.Fatalf("commit against a failing WAL = %v, want the transient error", err)
 	}
-	want := dep.Res.Policy().MaxAttempts
+	want := resilient.DefaultMaxAttempts
 	if got := d.env.Meter().Usage().OpsByEndpoint[core.WALName]; got != int64(want) {
 		t.Fatalf("WAL requests per door commit = %d, want MaxAttempts = %d", got, want)
 	}

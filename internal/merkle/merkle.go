@@ -80,55 +80,3 @@ func RootOfBundles(bundles []prov.Bundle) Digest {
 	}
 	return Root(leaves)
 }
-
-// Proof is an inclusion proof for one leaf.
-type Proof struct {
-	Index    int
-	Siblings []Digest
-}
-
-// ProveLeaf builds the inclusion proof of leaf index i.
-func ProveLeaf(leaves []Digest, i int) Proof {
-	p := Proof{Index: i}
-	level := append([]Digest(nil), leaves...)
-	idx := i
-	for len(level) > 1 {
-		var next []Digest
-		for j := 0; j < len(level); j += 2 {
-			if j+1 == len(level) {
-				next = append(next, level[j])
-				continue
-			}
-			next = append(next, hashNode(level[j], level[j+1]))
-		}
-		sib := idx ^ 1
-		if sib < len(level) {
-			p.Siblings = append(p.Siblings, level[sib])
-		} else {
-			p.Siblings = append(p.Siblings, Digest{}) // odd promotion marker
-		}
-		idx /= 2
-		level = next
-	}
-	return p
-}
-
-// VerifyLeaf checks an inclusion proof against a root.
-func VerifyLeaf(root Digest, leaf Digest, p Proof) bool {
-	cur := leaf
-	idx := p.Index
-	var zero Digest
-	for _, sib := range p.Siblings {
-		if sib == zero { // odd promotion: hash carries up unchanged
-			idx /= 2
-			continue
-		}
-		if idx%2 == 0 {
-			cur = hashNode(cur, sib)
-		} else {
-			cur = hashNode(sib, cur)
-		}
-		idx /= 2
-	}
-	return cur == root
-}

@@ -2,7 +2,6 @@ package merkle
 
 import (
 	"testing"
-	"testing/quick"
 
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -67,47 +66,5 @@ func TestEmptyAndSingle(t *testing.T) {
 	one := []Digest{HashBundle(someBundles(1)[0])}
 	if Root(one) != one[0] {
 		t.Fatal("single-leaf root should be the leaf")
-	}
-}
-
-func TestInclusionProofs(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 13} {
-		bs := someBundles(n)
-		leaves := make([]Digest, n)
-		for i, b := range bs {
-			leaves[i] = HashBundle(b)
-		}
-		root := Root(leaves)
-		for i := 0; i < n; i++ {
-			p := ProveLeaf(leaves, i)
-			if !VerifyLeaf(root, leaves[i], p) {
-				t.Fatalf("n=%d leaf %d: valid proof rejected", n, i)
-			}
-			if n > 1 {
-				wrong := leaves[(i+1)%n]
-				if VerifyLeaf(root, wrong, p) {
-					t.Fatalf("n=%d leaf %d: proof accepted wrong leaf", n, i)
-				}
-			}
-		}
-	}
-}
-
-func TestProofQuickProperty(t *testing.T) {
-	f := func(count uint8, pick uint8) bool {
-		n := int(count)%20 + 1
-		i := int(pick) % n
-		leaves := make([]Digest, n)
-		for j := range leaves {
-			leaves[j] = HashBundle(prov.Bundle{
-				Ref:  prov.Ref{UUID: uuid.New(rnd), Version: 1},
-				Type: prov.File,
-			})
-		}
-		root := Root(leaves)
-		return VerifyLeaf(root, leaves[i], ProveLeaf(leaves, i))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -11,9 +11,8 @@ package merkle
 // on every root (the tests pin this as a cross-check); they are kept as
 // separate code paths because the closure digests pinned in object metadata
 // (core.ClosureRoot, the "prov-merkle" key) must stay byte-identical and
-// Root must never grow log semantics. Proof encodings do differ: ProveLeaf
-// emits zero-digest promotion markers, while LogInclusion follows RFC 6962
-// and never pads.
+// Root must never grow log semantics. Only the log proves inclusion
+// (LogInclusion, which follows RFC 6962 and never pads).
 //
 // All functions operate on already-hashed leaves (Digest values); hashing a
 // leaf's content is the caller's business (HashBundle here, the log's

@@ -44,11 +44,6 @@ type Config struct {
 	MaxInflight int
 }
 
-// DefaultConfig collects provenance and uploads asynchronously.
-func DefaultConfig() Config {
-	return Config{Collect: true, AsyncCommits: true, MaxInflight: 8}
-}
-
 // FS is one mounted PA-S3fs instance.
 type FS struct {
 	env   *sim.Env
@@ -112,12 +107,6 @@ func New(env *sim.Env, proto core.Protocol, col *pass.Collector, cfg Config) *FS
 		sizes:    make(map[string]int64),
 	}
 }
-
-// Collector returns the PASS collector (nil for the baseline).
-func (fs *FS) Collector() *pass.Collector { return fs.col }
-
-// Protocol returns the storage protocol in use.
-func (fs *FS) Protocol() core.Protocol { return fs.proto }
 
 // MountOps returns the number of fs-level operations that hit the mount.
 func (fs *FS) MountOps() int64 { return fs.mountOps }

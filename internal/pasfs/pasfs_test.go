@@ -34,13 +34,13 @@ func newFS(t *testing.T, cfg Config) (*FS, *core.Deployment) {
 }
 
 func TestRunCommitsMountFiles(t *testing.T) {
-	fs, dep := newFS(t, DefaultConfig())
+	fs, dep := newFS(t, Config{Collect: true, AsyncCommits: true, MaxInflight: 8})
 	if err := fs.Run(pipeline()); err != nil {
 		t.Fatal(err)
 	}
 	dep.Settle()
 	for _, path := range []string{"mnt/mid", "mnt/out"} {
-		o, err := fs.Protocol().Fetch(path)
+		o, err := fs.proto.Fetch(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -49,7 +49,7 @@ func TestRunCommitsMountFiles(t *testing.T) {
 		}
 	}
 	// Provenance for the whole pipeline must be queryable.
-	outRef, _ := fs.Collector().FileRef("mnt/out")
+	outRef, _ := fs.col.FileRef("mnt/out")
 	walk, err := core.CheckCausalOrdering(dep, core.BackendSDB, outRef)
 	if err != nil {
 		t.Fatal(err)
@@ -61,14 +61,14 @@ func TestRunCommitsMountFiles(t *testing.T) {
 
 func TestSyncVsAsyncSameState(t *testing.T) {
 	for _, async := range []bool{false, true} {
-		cfg := DefaultConfig()
+		cfg := Config{Collect: true, AsyncCommits: true, MaxInflight: 8}
 		cfg.AsyncCommits = async
 		fs, dep := newFS(t, cfg)
 		if err := fs.Run(pipeline()); err != nil {
 			t.Fatal(err)
 		}
 		dep.Settle()
-		if _, err := fs.Protocol().Fetch("mnt/out"); err != nil {
+		if _, err := fs.proto.Fetch("mnt/out"); err != nil {
 			t.Fatalf("async=%v: %v", async, err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestBaselineDoesNotCollect(t *testing.T) {
 }
 
 func TestMountOpsCountsOnlyMountPaths(t *testing.T) {
-	fs, _ := newFS(t, DefaultConfig())
+	fs, _ := newFS(t, Config{Collect: true, AsyncCommits: true, MaxInflight: 8})
 	if err := fs.Run(pipeline()); err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,14 @@ func TestMountOpsCountsOnlyMountPaths(t *testing.T) {
 }
 
 func TestUnlinkDeletesFromCloudButKeepsProvenance(t *testing.T) {
-	fs, dep := newFS(t, DefaultConfig())
+	fs, dep := newFS(t, Config{Collect: true, AsyncCommits: true, MaxInflight: 8})
 	tr := pipeline()
 	tr.Events = append(tr.Events, trace.Event{Kind: trace.Unlink, PID: 101, Path: "mnt/out"})
 	if err := fs.Run(tr); err != nil {
 		t.Fatal(err)
 	}
 	dep.Settle()
-	if _, err := fs.Protocol().Fetch("mnt/out"); err == nil {
+	if _, err := fs.proto.Fetch("mnt/out"); err == nil {
 		t.Fatal("unlinked file still in cloud")
 	}
 	if dep.DB.ItemCount() == 0 {
@@ -116,7 +116,7 @@ func TestUnlinkDeletesFromCloudButKeepsProvenance(t *testing.T) {
 }
 
 func TestComputeAdvancesClock(t *testing.T) {
-	fs, dep := newFS(t, DefaultConfig())
+	fs, dep := newFS(t, Config{Collect: true, AsyncCommits: true, MaxInflight: 8})
 	before := dep.Env.Now()
 	fs.Apply(trace.Event{Kind: trace.Compute, PID: 1, Dur: 5 * time.Second})
 	if got := dep.Env.Now() - before; got < 5*time.Second {

@@ -141,15 +141,6 @@ func (c *Collector) FileSize(path string) int64 {
 	return 0
 }
 
-// ProcRef returns the current version ref of pid's process node.
-func (c *Collector) ProcRef(pid int) (prov.Ref, bool) {
-	st, ok := c.procs[pid]
-	if !ok {
-		return prov.Ref{}, false
-	}
-	return st.ref, true
-}
-
 // Apply feeds one event into the collector.
 func (c *Collector) Apply(ev trace.Event) error {
 	switch ev.Kind {
@@ -467,18 +458,6 @@ func (c *Collector) PendingFor(path string) []prov.Bundle {
 	roots := buf[:0]
 	for v++; v <= st.ref.Version; v++ {
 		roots = append(roots, prov.Ref{UUID: st.ref.UUID, Version: v})
-	}
-	return c.closure(roots)
-}
-
-// PendingAll returns every unrecorded bundle in the graph, ancestors first.
-// The microbenchmark replayer uses it to upload a captured provenance set.
-func (c *Collector) PendingAll() []prov.Bundle {
-	var roots []prov.Ref
-	for _, n := range c.graph.Nodes() {
-		if !c.Recorded(n.Ref) {
-			roots = append(roots, n.Ref)
-		}
 	}
 	return c.closure(roots)
 }

@@ -27,7 +27,7 @@ func TestReadWriteCreatesDependencies(t *testing.T) {
 	if !ok {
 		t.Fatal("out.txt not tracked")
 	}
-	proc, _ := c.ProcRef(pid)
+	proc := c.procs[pid].ref
 	in, _ := c.FileRef("in.txt")
 	g := c.Graph()
 	// out.txt depends on the process; the process depends on in.txt.
@@ -73,10 +73,10 @@ func TestCycleAvoidanceVersionsProcess(t *testing.T) {
 	c := newCollector()
 	pid := 100
 	c.Apply(trace.Event{Kind: trace.Exec, PID: pid, Path: "/bin/tool", Argv: []string{"tool"}})
-	p1, _ := c.ProcRef(pid)
+	p1 := c.procs[pid].ref
 	c.Apply(trace.Event{Kind: trace.Write, PID: pid, Path: "f", Bytes: 10})
 	c.Apply(trace.Event{Kind: trace.Read, PID: pid, Path: "f"})
-	p2, _ := c.ProcRef(pid)
+	p2 := c.procs[pid].ref
 	if p1 == p2 {
 		t.Fatal("write-then-read did not version the process")
 	}
@@ -92,7 +92,7 @@ func TestRepeatedReadsDeduplicated(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Apply(trace.Event{Kind: trace.Read, PID: pid, Path: "in"})
 	}
-	p, _ := c.ProcRef(pid)
+	p := c.procs[pid].ref
 	inputs := 0
 	for _, r := range c.Graph().Node(p).Records {
 		if r.Attr == prov.AttrInput {
@@ -108,8 +108,8 @@ func TestForkRecordsParent(t *testing.T) {
 	c := newCollector()
 	c.Apply(trace.Event{Kind: trace.Exec, PID: 1, Path: "/bin/sh", Argv: []string{"sh"}})
 	c.Apply(trace.Event{Kind: trace.Fork, PID: 1, Child: 2})
-	parent, _ := c.ProcRef(1)
-	child, _ := c.ProcRef(2)
+	parent := c.procs[1].ref
+	child := c.procs[2].ref
 	n := c.Graph().Node(child)
 	found := false
 	for _, r := range n.Records {
@@ -126,7 +126,7 @@ func TestExecRecordsAttributes(t *testing.T) {
 	c := newCollector()
 	c.Apply(trace.Event{Kind: trace.Exec, PID: 7, Path: "/usr/bin/blast",
 		Argv: []string{"blast", "-db", "nr"}, Env: []string{"HOME=/root"}})
-	p, _ := c.ProcRef(7)
+	p := c.procs[7].ref
 	n := c.Graph().Node(p)
 	attrs := make(map[string][]string)
 	for _, r := range n.Records {
@@ -385,7 +385,7 @@ func TestDuplicateEdgesDeduplicated(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Apply(trace.Event{Kind: trace.Read, PID: 1, Path: "in"})
 	}
-	pref, _ := c.ProcRef(1)
+	pref := c.procs[1].ref
 	n := c.Graph().Node(pref)
 	inputs := 0
 	for _, r := range n.Records {

@@ -52,11 +52,11 @@ func TestRecordedVersionsAreFrozen(t *testing.T) {
 	apply(trace.Event{Kind: trace.Exec, PID: 1, Path: "/bin/p", Argv: []string{"p"}})
 	apply(trace.Event{Kind: trace.Write, PID: 1, Path: "mnt/out1", Bytes: 10})
 	u.close("mnt/out1")
-	first, _ := c.ProcRef(1)
+	first := c.procs[1].ref
 	apply(trace.Event{Kind: trace.Read, PID: 1, Path: "in2"})
 	apply(trace.Event{Kind: trace.Write, PID: 1, Path: "mnt/out2", Bytes: 10})
 	u.close("mnt/out2")
-	if now, _ := c.ProcRef(1); now == first {
+	if now := c.procs[1].ref; now == first {
 		t.Fatalf("read into a recorded process version %s did not version it", first)
 	}
 }

@@ -72,7 +72,7 @@ func TestAncestorsRideVersionRuns(t *testing.T) {
 
 	dep := versionRunDeployment(1, sim.Strict)
 	putBundles(t, dep, bundles)
-	if dep.DB.ShardForKey(proc.UUID.String()) == dep.DB.ShardForKey(file.String()) {
+	if dep.DB.Directory().Route(proc.UUID.String()) == dep.DB.Directory().Route(file.String()) {
 		t.Fatal("the process and the file share a home shard; the pins need them apart")
 	}
 	before := selects(dep)

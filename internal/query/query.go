@@ -33,9 +33,6 @@ func New(dep *core.Deployment, backend core.Backend) *Engine {
 	return &Engine{dep: dep, backend: backend, pushdown: true}
 }
 
-// Backend returns the provenance backend queried.
-func (e *Engine) Backend() core.Backend { return e.backend }
-
 // SetCache installs (or, with nil, removes) the versioned read-through
 // cache under the database executor. The store backend's whole-graph scans
 // are deliberately uncached — they are the plan of last resort, and caching

@@ -112,7 +112,7 @@ func stream(t *testing.T, e *Engine, spec Spec) []string {
 	var out []string
 	for r, err := range e.Run(spec) {
 		if err != nil {
-			t.Fatalf("%v %+v: %v", e.Backend(), spec, err)
+			t.Fatalf("%v %+v: %v", e.backend, spec, err)
 		}
 		out = append(out, streamLine(r))
 	}
@@ -229,7 +229,7 @@ func TestCrossBackendCorners(t *testing.T) {
 		// recorded — also when a uuid root beside it forces the store's scan.
 		got := stream(t, e, Spec{Roots: Roots{Refs: []prov.Ref{ghost}, UUIDs: []uuid.UUID{hot}}, Direction: Self})
 		if len(got) < 11 || got[len(got)-1] != ghost.String()+"@0" {
-			t.Errorf("%v: refs-only Self dropped the unrecorded explicit ref: %v", e.Backend(), got)
+			t.Errorf("%v: refs-only Self dropped the unrecorded explicit ref: %v", e.backend, got)
 		}
 		// Versions, uuid roots and attribute roots stream in canonical
 		// item-name order, in which version 10 sorts before version 2.
@@ -242,7 +242,7 @@ func TestCrossBackendCorners(t *testing.T) {
 			v1 := fmt.Sprintf("%s@0", prov.Ref{UUID: hot, Version: 1})
 			v10 := fmt.Sprintf("%s@0", prov.Ref{UUID: hot, Version: 10})
 			if len(got) < 10 || got[0] != v1 || got[1] != v10 {
-				t.Errorf("%v %s: roots not in canonical order: %v", e.Backend(), spec.Direction, got)
+				t.Errorf("%v %s: roots not in canonical order: %v", e.backend, spec.Direction, got)
 			}
 		}
 	}

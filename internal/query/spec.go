@@ -153,9 +153,6 @@ func AttrEq(attr, value string) *Filter { return &Filter{op: "attr", attr: attr,
 // And matches when both filters match.
 func And(l, r *Filter) *Filter { return &Filter{op: "and", left: l, right: r} }
 
-// Or matches when either filter matches.
-func Or(l, r *Filter) *Filter { return &Filter{op: "or", left: l, right: r} }
-
 // Not inverts a filter.
 func Not(f *Filter) *Filter { return &Filter{op: "not", left: f} }
 

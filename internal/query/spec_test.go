@@ -597,3 +597,6 @@ func TestFilterComposition(t *testing.T) {
 		}
 	}
 }
+
+// Or matches when either filter matches.
+func Or(l, r *Filter) *Filter { return &Filter{op: "or", left: l, right: r} }

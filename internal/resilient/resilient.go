@@ -171,12 +171,6 @@ func Of(env *sim.Env) *Client {
 	return c
 }
 
-// Env returns the environment the client clocks against.
-func (c *Client) Env() *sim.Env { return c.env }
-
-// Policy returns the effective (defaulted) policy.
-func (c *Client) Policy() Policy { return c.pol }
-
 // state returns k's state, creating it with a full budget.
 func (c *Client) state(k key) *endpointState {
 	if c.eps == nil {

@@ -25,14 +25,14 @@ func manualClient(pol Policy) *Client {
 
 // do makes op one request to endpoint through the envelope c is installed on.
 func do(c *Client, endpoint string, op func() error) error {
-	return c.Env().Endpoint(endpoint, 0).Do(op)
+	return c.env.Endpoint(endpoint, 0).Do(op)
 }
 
 // TestRetryUntilSuccess pins the happy chaos path: transient failures are
 // retried with backoff (virtual time advances) until the op succeeds.
 func TestRetryUntilSuccess(t *testing.T) {
 	c := manualClient(Policy{})
-	start := c.Env().Now()
+	start := c.env.Now()
 	calls := 0
 	err := do(c, "ep", func() error {
 		calls++
@@ -47,7 +47,7 @@ func TestRetryUntilSuccess(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("op ran %d times, want 3", calls)
 	}
-	if c.Env().Now() == start {
+	if c.env.Now() == start {
 		t.Fatal("no backoff was slept between attempts")
 	}
 	st := c.Stats().Endpoints["ep"]
@@ -147,7 +147,7 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 
 	// After the cooldown the next call probes the endpoint.
-	c.Env().Clock().Advance(2 * time.Second)
+	c.env.Clock().Advance(2 * time.Second)
 	if err := do(c, "ep", func() error { touched = true; return nil }); err != nil || !touched {
 		t.Fatalf("half-open probe: err=%v touched=%v", err, touched)
 	}
@@ -164,7 +164,7 @@ func TestCircuitBreaker(t *testing.T) {
 // — and Stats counts it under its endpoint and under its tenant.
 func TestTenantKeyedState(t *testing.T) {
 	c := manualClient(Policy{MaxAttempts: 1, BreakerThreshold: 2})
-	ep := c.Env().Endpoint("ep", 0)
+	ep := c.env.Endpoint("ep", 0)
 	forTenant := func(id string) sim.Endpoint { return ep.For(sim.WithTenant(context.Background(), id)) }
 	a := forTenant("a")
 	for i := 0; i < 2; i++ {
@@ -221,10 +221,10 @@ func TestHedgedManualStraggler(t *testing.T) {
 	v, err := Hedged(c, "ep", func() (string, error) {
 		calls++
 		if calls == 1 {
-			c.Env().Clock().Sleep(5 * time.Second) // straggling primary
+			c.env.Clock().Sleep(5 * time.Second) // straggling primary
 			return "slow", nil
 		}
-		c.Env().Clock().Sleep(10 * time.Millisecond)
+		c.env.Clock().Sleep(10 * time.Millisecond)
 		return "fast", nil
 	})
 	if err != nil || v != "fast" {
@@ -244,10 +244,10 @@ func TestHedgedManualStraggler(t *testing.T) {
 	v, err = Hedged(c, "ep", func() (string, error) {
 		calls++
 		if calls == 1 {
-			c.Env().Clock().Sleep(100 * time.Millisecond)
+			c.env.Clock().Sleep(100 * time.Millisecond)
 			return "primary", nil
 		}
-		c.Env().Clock().Sleep(80 * time.Millisecond)
+		c.env.Clock().Sleep(80 * time.Millisecond)
 		return "hedge", nil
 	})
 	if err != nil || v != "primary" || calls != 2 {
@@ -267,7 +267,7 @@ func TestCircuitBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	if err := do(c, "ep", func() error { return nil }); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("breaker did not open: %v", err)
 	}
-	c.Env().Clock().Advance(2 * time.Second)
+	c.env.Clock().Advance(2 * time.Second)
 
 	var calls atomic.Int32
 	entered := make(chan struct{})
@@ -326,7 +326,7 @@ func TestCircuitBreakerFailedProbeReopens(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		do(c, "ep", func() error { return transientErr() })
 	}
-	c.Env().Clock().Advance(2 * time.Second)
+	c.env.Clock().Advance(2 * time.Second)
 
 	// The probe fails once: no internal retries, breaker re-opens.
 	calls := 0
@@ -337,7 +337,7 @@ func TestCircuitBreakerFailedProbeReopens(t *testing.T) {
 	if err := do(c, "ep", func() error { calls++; return nil }); !errors.Is(err, ErrCircuitOpen) || calls != 1 {
 		t.Fatalf("breaker did not re-open after failed probe: err=%v calls=%d", err, calls)
 	}
-	c.Env().Clock().Advance(2 * time.Second)
+	c.env.Clock().Advance(2 * time.Second)
 	if err := do(c, "ep", func() error { return nil }); err != nil {
 		t.Fatalf("second probe = %v, want success", err)
 	}

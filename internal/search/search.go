@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"passcloud/internal/prov"
-	"passcloud/internal/query"
 )
 
 // Result is one ranked search hit.
@@ -104,22 +103,6 @@ func Rerank(g *prov.Graph, seeds []prov.Ref, opts Options) []Result {
 		return out[i].Ref.Compare(out[j].Ref) < 0
 	})
 	return out
-}
-
-// RerankStored runs the full §2.2 search pipeline against stored
-// provenance: it streams the archive's provenance DAG out of the deployment
-// through the composable query API (one All-direction Spec), seeds the
-// ranking with a content match, and propagates weights over the retrieved
-// graph. Each call drains the whole domain — the All plan is deliberately
-// uncached — so callers re-ranking many queries over one settled archive
-// should query.CollectGraph once and run ContentSearch+Rerank against it
-// (as examples/search-ranking does).
-func RerankStored(e *query.Engine, substr string, opts Options) ([]Result, error) {
-	g, err := query.CollectGraph(e.Run(query.Spec{Direction: query.All, Project: query.ProjectBundles}))
-	if err != nil {
-		return nil, err
-	}
-	return Rerank(g, ContentSearch(g, substr), opts), nil
 }
 
 // ContentSearch is the naive content phase: it matches names against a

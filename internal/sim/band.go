@@ -22,6 +22,3 @@ func BandOf(key string) Band { return Band(Hash32(key) >> 24) }
 
 // Start returns the first hash value inside the band.
 func (b Band) Start() uint32 { return uint32(b) << 24 }
-
-// Contains reports whether a routing key falls inside the band.
-func (b Band) Contains(key string) bool { return BandOf(key) == b }

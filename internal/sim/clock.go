@@ -36,14 +36,6 @@ func (c *Clock) Live() bool {
 	return c.scale > 0
 }
 
-// Scale returns the live-mode time scale (simulated seconds per real
-// second), or zero in manual mode.
-func (c *Clock) Scale() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.scale
-}
-
 // Now returns the current virtual time since the clock's epoch.
 func (c *Clock) Now() time.Duration {
 	c.mu.Lock()

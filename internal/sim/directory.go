@@ -338,15 +338,6 @@ func RouteNewestFor(active DirEpoch, target *DirEpoch, key string) int {
 	return active.Route(key)
 }
 
-// RouteNewest returns key's home in the newest epoch — the target during a
-// migration, otherwise the active epoch. New WAL traffic routes here so the
-// grown queues take load as soon as the copy window opens.
-func (d *Directory) RouteNewest(key string) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return RouteNewestFor(d.active, d.target, key)
-}
-
 // HomesFor returns every shard that may hold key under an epoch pair: the
 // active home, plus the target home when target is non-nil and differs.
 // The active home comes first. This is the one definition of the
@@ -370,19 +361,6 @@ func (d *Directory) Homes(key string) []int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return HomesFor(d.active, d.target, key)
-}
-
-// LiveShards returns the number of shard slots the fabric must keep serving:
-// the active epoch's width, widened by the target's during a migration (and
-// by not-yet-decommissioned old shards after a shrink cutover).
-func (d *Directory) LiveShards() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := d.active.Shards
-	if d.target != nil && d.target.Shards > n {
-		n = d.target.Shards
-	}
-	return n
 }
 
 // SetSplitLoad installs a one-shot load hint for the next grow transition:

@@ -129,8 +129,8 @@ func TestDirectoryHomesCoverBothEpochs(t *testing.T) {
 		if a == tg && len(homes) != 1 {
 			t.Fatalf("key %s: unmoved key has %d homes", key, len(homes))
 		}
-		if d.RouteNewest(key) != tg {
-			t.Fatalf("key %s: RouteNewest %d != target route %d", key, d.RouteNewest(key), tg)
+		if n := RouteNewestFor(d.active, d.target, key); n != tg {
+			t.Fatalf("key %s: RouteNewestFor %d != target route %d", key, n, tg)
 		}
 	}
 	// Resume semantics: re-opening the same migration resumes it.
@@ -161,7 +161,7 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 	r := RestoreDirectory(d.Snapshot())
 	for k := 0; k < 1000; k++ {
 		key := fmt.Sprintf("snap-%d", k)
-		if d.Route(key) != r.Route(key) || d.RouteNewest(key) != r.RouteNewest(key) {
+		if d.Route(key) != r.Route(key) || RouteNewestFor(d.active, d.target, key) != RouteNewestFor(r.active, r.target, key) {
 			t.Fatalf("restored directory routes %s differently", key)
 		}
 	}

@@ -17,11 +17,9 @@ const (
 	OpSDBSelect
 	OpSDBPut
 	OpSDBBatchPut
-	OpSDBDelete
 	OpSDBBatchDelete
 	OpSQSSend
 	OpSQSReceive
-	OpSQSDelete
 	OpSQSSendBatch
 	OpSQSDeleteBatch
 	numOps
@@ -82,7 +80,6 @@ var opSpecs = [numOps]opSpec{
 	OpSDBSelect:   {name: "sdb.Select", gate: gateSDBRead, cost: CostSDB, xfer: xferOut, machineSec: sdbSelectMachineSec},
 	OpSDBPut:      {name: "sdb.PutAttributes", mutating: true, gate: gateSDBWrite, cost: CostSDB, xfer: xferIn, machineSec: sdbPutMachineSec},
 	OpSDBBatchPut: {name: "sdb.BatchPutAttributes", mutating: true, gate: gateSDBWrite, cost: CostSDB, xfer: xferIn, machineSec: sdbBatchMachineSec},
-	OpSDBDelete:   {name: "sdb.DeleteAttributes", mutating: true, gate: gateSDBWrite, cost: CostSDB, machineSec: sdbPutMachineSec},
 	// The paper never deletes in bulk, so the batch delete has no anchor in
 	// its tables: it is modelled BatchPut-shaped (the write gate, one
 	// admission and one billed request per call, the batch machine-seconds,
@@ -92,7 +89,6 @@ var opSpecs = [numOps]opSpec{
 	OpSDBBatchDelete: {name: "sdb.BatchDeleteAttributes", mutating: true, gate: gateSDBWrite, cost: CostSDB, machineSec: sdbBatchMachineSec},
 	OpSQSSend:        {name: "sqs.SendMessage", mutating: true, gate: gateSQS, cost: CostSQS, xfer: xferIn},
 	OpSQSReceive:     {name: "sqs.ReceiveMessage", gate: gateSQS, cost: CostSQS, xfer: xferOut},
-	OpSQSDelete:      {name: "sqs.DeleteMessage", mutating: true, gate: gateSQS, cost: CostSQS},
 	// Batch calls are one request at the gate and on the bill regardless of
 	// how many entries they carry; the per-entry increment is unitLatency's.
 	// This is what makes batching both faster and cheaper than entry-by-entry
@@ -290,16 +286,12 @@ func (m Model) latency(op OpKind, nbytes int) time.Duration {
 		// nbytes carries the total payload; batches are also charged per
 		// item through unitLatency.
 		return m.SDBBatchBase + bps(b, m.SDBReadBps)
-	case OpSDBDelete:
-		return m.SDBPutBase
 	case OpSDBBatchDelete:
 		return m.SDBBatchBase // names only: no payload term
 	case OpSQSSend:
 		return m.SQSSendBase + bps(b, m.SQSBps)
 	case OpSQSReceive:
 		return m.SQSRecvBase + bps(b, m.SQSBps)
-	case OpSQSDelete:
-		return m.SQSDeleteBase
 	case OpSQSSendBatch:
 		return m.SQSSendBase + bps(b, m.SQSBps)
 	case OpSQSDeleteBatch:

@@ -23,13 +23,6 @@ func NewRand(seed int64) *Rand {
 	return &Rand{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rng.Int63()
-}
-
 // Intn returns an int in [0, n).
 func (r *Rand) Intn(n int) int {
 	r.mu.Lock()

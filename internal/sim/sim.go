@@ -34,30 +34,6 @@ import (
 	"time"
 )
 
-// Service identifies one of the simulated cloud services.
-type Service uint8
-
-// The three services used by the paper's protocols.
-const (
-	S3  Service = iota // object store (Amazon S3)
-	SDB                // database service (Amazon SimpleDB)
-	SQS                // messaging service (Amazon SQS)
-	numServices
-)
-
-// String returns the conventional service name.
-func (s Service) String() string {
-	switch s {
-	case S3:
-		return "S3"
-	case SDB:
-		return "SimpleDB"
-	case SQS:
-		return "SQS"
-	}
-	return fmt.Sprintf("Service(%d)", uint8(s))
-}
-
 // Site is where the client (the PASS/PA-S3fs host) runs. The paper evaluates
 // both an EC2 instance in the same region as the services and a local
 // machine across a WAN.
@@ -235,9 +211,6 @@ func (e *Env) Meter() *Meter { return e.meter }
 
 // Rand returns the deterministic random source.
 func (e *Env) Rand() *Rand { return e.rnd }
-
-// Model returns the latency model in effect.
-func (e *Env) Model() Model { return e.model }
 
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.clock.Now() }

@@ -111,8 +111,8 @@ func TestEventualStalenessIsBoundedAndVaries(t *testing.T) {
 func TestDeterminismAcrossEnvs(t *testing.T) {
 	a, b := NewEnv(DefaultConfig()), NewEnv(DefaultConfig())
 	for i := 0; i < 50; i++ {
-		if x, y := a.Rand().Int63(), b.Rand().Int63(); x != y {
-			t.Fatalf("seeded streams diverge at %d: %d vs %d", i, x, y)
+		if x, y := a.Rand().Float64(), b.Rand().Float64(); x != y {
+			t.Fatalf("seeded streams diverge at %d: %v vs %v", i, x, y)
 		}
 	}
 }
@@ -273,8 +273,8 @@ func TestHostNetSpacesBulkTransfers(t *testing.T) {
 func TestOpSpecTable(t *testing.T) {
 	mutating := map[OpKind]bool{
 		OpS3Put: true, OpS3Copy: true, OpS3Delete: true,
-		OpSDBPut: true, OpSDBBatchPut: true, OpSDBDelete: true, OpSDBBatchDelete: true,
-		OpSQSSend: true, OpSQSSendBatch: true, OpSQSDelete: true, OpSQSDeleteBatch: true,
+		OpSDBPut: true, OpSDBBatchPut: true, OpSDBBatchDelete: true,
+		OpSQSSend: true, OpSQSSendBatch: true, OpSQSDeleteBatch: true,
 	}
 	seen := make(map[string]OpKind)
 	for op := OpKind(0); op < numOps; op++ {

@@ -120,12 +120,6 @@ func (b *Builder) Flush(pid int, path string) *Builder {
 	return b
 }
 
-// Unlink emits an unlink event.
-func (b *Builder) Unlink(pid int, path string) *Builder {
-	b.t.Events = append(b.t.Events, Event{Kind: Unlink, PID: pid, Path: path})
-	return b
-}
-
 // Compute emits a compute burst.
 func (b *Builder) Compute(pid int, d time.Duration) *Builder {
 	b.t.Events = append(b.t.Events, Event{Kind: Compute, PID: pid, Dur: d})
@@ -145,43 +139,3 @@ func (b *Builder) WriteFile(pid int, path string, n int64) *Builder {
 
 // Trace returns the accumulated trace.
 func (b *Builder) Trace() Trace { return b.t }
-
-// Stats summarizes a trace the way the paper characterizes workloads.
-type Stats struct {
-	Events     int
-	FSOps      int // everything except fork/exec/exit/compute
-	BytesRead  int64
-	BytesWrite int64
-	Files      int
-	Procs      int
-	Compute    time.Duration
-}
-
-// Stats computes summary statistics.
-func (t Trace) Stats() Stats {
-	var s Stats
-	files := make(map[string]bool)
-	procs := make(map[int]bool)
-	s.Events = len(t.Events)
-	for _, e := range t.Events {
-		procs[e.PID] = true
-		switch e.Kind {
-		case Read:
-			s.FSOps++
-			s.BytesRead += e.Bytes
-			files[e.Path] = true
-		case Write:
-			s.FSOps++
-			s.BytesWrite += e.Bytes
-			files[e.Path] = true
-		case Close, Flush, Unlink, MkPipe:
-			s.FSOps++
-			files[e.Path] = true
-		case Compute:
-			s.Compute += e.Dur
-		}
-	}
-	s.Files = len(files)
-	s.Procs = len(procs)
-	return s
-}

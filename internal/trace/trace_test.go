@@ -40,28 +40,6 @@ func TestSpawnWithParentEmitsFork(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	b := NewBuilder()
-	pid := b.Spawn(0, "/bin/x", "x")
-	b.Read(pid, "in", 1000)
-	b.Write(pid, "out", 500)
-	b.Close(pid, "out")
-	b.Compute(pid, 2*time.Second)
-	s := b.Trace().Stats()
-	if s.FSOps != 3 {
-		t.Fatalf("fsops = %d, want 3", s.FSOps)
-	}
-	if s.BytesRead != 1000 || s.BytesWrite != 500 {
-		t.Fatalf("bytes = %d/%d", s.BytesRead, s.BytesWrite)
-	}
-	if s.Files != 2 || s.Procs != 1 {
-		t.Fatalf("files=%d procs=%d", s.Files, s.Procs)
-	}
-	if s.Compute != 2*time.Second {
-		t.Fatalf("compute = %v", s.Compute)
-	}
-}
-
 func TestEventString(t *testing.T) {
 	for _, e := range []Event{
 		{Kind: Exec, PID: 1, Path: "/bin/x", Argv: []string{"x"}},

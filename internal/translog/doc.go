@@ -33,7 +33,7 @@
 // An inclusion proof (ProveInclusion) convinces a third party holding a
 // signed tree head that a given transaction was committed — with exactly
 // these items, this closure root, at this position in history. A consistency
-// proof (ConsistencyProof) convinces a party holding an older signed head
+// proof (merkle.LogConsistency) convinces a party holding an older signed head
 // that the newer head extends it append-only: nothing was dropped, reordered
 // or rewritten behind the verifier's back. Together with an external witness
 // that remembers heads (the auditor, or anyone who stores one), this makes

@@ -90,7 +90,7 @@ func goldenLog(t *testing.T) string {
 		}
 		fmt.Fprintf(&b, "%s %s\n", l.hashes[i], enc)
 	}
-	_, root := l.TreeHead()
+	root := merkle.LogRoot(l.hashes)
 	fmt.Fprintf(&b, "root %s size %d\n", root, l.Size())
 	return b.String()
 }

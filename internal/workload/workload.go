@@ -212,37 +212,3 @@ func ByName(name string, rnd *sim.Rand) (Workload, error) {
 func All(rnd *sim.Rand) []Workload {
 	return []Workload{Blast(rnd), Nightly(rnd), Challenge(rnd)}
 }
-
-// MountStats summarizes a workload the way the paper characterizes it.
-type MountStats struct {
-	MountOps   int
-	MountBytes int64
-	FinalFiles int
-	FinalBytes int64
-}
-
-// Stats computes the mount-level characteristics of the workload.
-func (w Workload) Stats() MountStats {
-	var s MountStats
-	finals := make(map[string]int64)
-	for _, e := range w.Trace.Events {
-		onMount := len(e.Path) >= 4 && e.Path[:4] == "mnt/"
-		switch e.Kind {
-		case trace.Read, trace.Write, trace.Close, trace.Flush, trace.Unlink, trace.MkPipe:
-			if onMount {
-				s.MountOps++
-			}
-		}
-		if e.Kind == trace.Write && onMount {
-			s.MountBytes += e.Bytes
-			if len(e.Path) >= len(w.FinalPrefix) && e.Path[:len(w.FinalPrefix)] == w.FinalPrefix {
-				finals[e.Path] += e.Bytes
-			}
-		}
-	}
-	s.FinalFiles = len(finals)
-	for _, sz := range finals {
-		s.FinalBytes += sz
-	}
-	return s
-}

@@ -6,6 +6,7 @@ import (
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
+	"passcloud/internal/trace"
 )
 
 // depthOf computes the maximum dependency-path length (in nodes) of the
@@ -158,4 +159,38 @@ func TestCompileProvenanceSizeAndShape(t *testing.T) {
 	if len(got) != len(bundles) {
 		t.Fatalf("round trip lost bundles: %d vs %d", len(got), len(bundles))
 	}
+}
+
+// MountStats summarizes a workload the way the paper characterizes it.
+type MountStats struct {
+	MountOps   int
+	MountBytes int64
+	FinalFiles int
+	FinalBytes int64
+}
+
+// Stats computes the mount-level characteristics of the workload.
+func (w Workload) Stats() MountStats {
+	var s MountStats
+	finals := make(map[string]int64)
+	for _, e := range w.Trace.Events {
+		onMount := len(e.Path) >= 4 && e.Path[:4] == "mnt/"
+		switch e.Kind {
+		case trace.Read, trace.Write, trace.Close, trace.Flush, trace.Unlink, trace.MkPipe:
+			if onMount {
+				s.MountOps++
+			}
+		}
+		if e.Kind == trace.Write && onMount {
+			s.MountBytes += e.Bytes
+			if len(e.Path) >= len(w.FinalPrefix) && e.Path[:len(w.FinalPrefix)] == w.FinalPrefix {
+				finals[e.Path] += e.Bytes
+			}
+		}
+	}
+	s.FinalFiles = len(finals)
+	for _, sz := range finals {
+		s.FinalBytes += sz
+	}
+	return s
 }

@@ -65,6 +65,3 @@
 // The root package only anchors the paper's benchmarks (bench_test.go): one
 // per table and figure, and the §5.1 ablations.
 package passcloud
-
-// Version identifies this reproduction build.
-const Version = "1.0.0"
