@@ -7,7 +7,8 @@
 //     items to their home domain, and every service request faults with
 //     probability 5% (half the mutating faults ambiguous — applied but
 //     reported failed), which the resilient client layer absorbs with
-//     backoff, retry budgets and idempotent retries;
+//     backoff, retry budgets and idempotent retries. A commit daemon dies
+//     mid-commit, and Recover restarts the fabric over its stores;
 //   - a K=1 fabric closed in an autoscale loop: a controller samples the
 //     meter's per-endpoint op counters and the WAL queue backlogs and
 //     drives dep.Reshard on its own. The burst's backlog grows it, and once
@@ -89,16 +90,28 @@ func run(w io.Writer, seed int64) error {
 	}
 
 	digests := make([]string, 3)
+	var recovered fabric.RecoverReport
 	for i, f := range []*fabric.Fabric{static, chaos} {
 		if err := commitAll(f, burst); err != nil {
 			return err
+		}
+		if f == chaos { // the first group to store its provenance dies before its COPY
+			f.Env.Faults().CrashAt(core.CrashAfterDB, 0)
+			if err := f.P3.Settle(); len(f.Env.Faults().ArmedCrashes()) > 0 {
+				return fmt.Errorf("armed %s never fired (settle: %v)", core.CrashAfterDB, err)
+			}
+			if recovered, err = f.Recover(context.Background()); err != nil {
+				return err
+			}
 		}
 		if digests[i], err = digest(f, refs); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(w, "K=1 static fabric:       digest %s…\n", digests[0][:16])
-	fmt.Fprintf(w, "K=4 under 5%% faults:     digest %s…\n\n", digests[1][:16])
+	fmt.Fprintf(w, "K=4 under 5%% faults:     digest %s…\n", digests[1][:16])
+	fmt.Fprintf(w, "  a commit daemon killed at %s, then Recover: reshard resumed %v, %d pending, %d on the WAL\n\n",
+		core.CrashAfterDB, recovered.Resumed, recovered.Pending, recovered.WAL)
 
 	ctl := scaled.Ctl
 	step := func(phase string) error {

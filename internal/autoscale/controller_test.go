@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,107 +237,6 @@ func TestAutoscaleCounterResetNotLoadCliff(t *testing.T) {
 	}
 	if st.Shrinks != 0 || st.Grows != 0 || activeK(dep) != 2 {
 		t.Fatalf("counter reset read as a load cliff: %+v K=%d", st, activeK(dep))
-	}
-}
-
-// TestAutoscaleCrashMatrix mirrors TestReshardCrashMatrix for the decision
-// protocol: kill the controller between decide and persist, between persist
-// and trigger, and between trigger and close; a restarted controller must
-// roll the record forward without ever double-triggering a reshard or
-// leaving the record orphaned.
-func TestAutoscaleCrashMatrix(t *testing.T) {
-	ctx := context.Background()
-	cfg := testCfg
-	cfg.MaxK = 2
-	cfg.TargetOpsPerShard = 150 // 200 ops/s -> ceil(200/150) = 2
-
-	for _, pt := range []sim.CrashPoint{CrashPreRecord, CrashPreTrigger, CrashPreDone} {
-		t.Run(strings.TrimPrefix(string(pt), "autoscale."), func(t *testing.T) {
-			dep, ctl := newRig(t, cfg)
-			walName := dep.WAL.Shard(0).Name()
-			tick(t, dep, ctl, 0) // baseline
-
-			addOps(dep, walName, 2000)
-			dep.Env.Clock().Advance(10 * time.Second)
-			dep.Env.InstallFaults(nil).CrashAt(pt, 0)
-			if err := ctl.Step(ctx); !errors.Is(err, sim.ErrCrashed) {
-				t.Fatalf("armed crash at %s: err=%v", pt, err)
-			}
-
-			// What the crash left behind — read past the staleness bound,
-			// as the restarted controller eventually will.
-			epochAfterCrash := dep.DB.Directory().Epoch()
-			rec, ok := readRecConverged(t, dep, ctl)
-			switch pt {
-			case CrashPreRecord:
-				if ok {
-					t.Fatalf("record persisted before the crash point: %+v", rec)
-				}
-				if activeK(dep) != 1 || epochAfterCrash != 0 {
-					t.Fatalf("undecided crash moved the fabric: K=%d epoch=%d", activeK(dep), epochAfterCrash)
-				}
-			case CrashPreTrigger:
-				if !ok || rec.State != RecordDecided || rec.TargetK != 2 {
-					t.Fatalf("record after %s: %+v ok=%v", pt, rec, ok)
-				}
-				if activeK(dep) != 1 || epochAfterCrash != 0 {
-					t.Fatalf("reshard ran before the trigger point: K=%d epoch=%d", activeK(dep), epochAfterCrash)
-				}
-			case CrashPreDone:
-				if !ok || rec.State != RecordDecided || rec.TargetK != 2 {
-					t.Fatalf("record after %s: %+v ok=%v", pt, rec, ok)
-				}
-				if activeK(dep) != 2 || epochAfterCrash != 1 {
-					t.Fatalf("reshard did not complete before %s: K=%d epoch=%d", pt, activeK(dep), epochAfterCrash)
-				}
-			}
-
-			// Restart: a fresh controller over the same fabric.
-			ctl2 := New(dep, cfg)
-			ctl2.Enable()
-			if err := ctl2.Step(ctx); err != nil {
-				t.Fatalf("resume step: %v", err)
-			}
-
-			if pt == CrashPreRecord {
-				// Nothing was persisted; the restart re-decides from live
-				// signals (its first sample is a baseline, so feed another
-				// window of overload).
-				if _, ok := readRecConverged(t, dep, ctl2); ok {
-					t.Fatal("resume invented a record out of nothing")
-				}
-				// The converged read above widened the pending window to
-				// ~20s, so size the burst for that.
-				addOps(dep, walName, 4000)
-				tick(t, dep, ctl2, 10*time.Second)
-			}
-
-			// Converged: fabric at the target, record closed.
-			if k := activeK(dep); k != 2 {
-				t.Fatalf("K after resume = %d, want 2", k)
-			}
-			rec, ok = readRecConverged(t, dep, ctl2)
-			if !ok || rec.State != RecordDone || rec.TargetK != 2 {
-				t.Fatalf("record after resume: %+v ok=%v", rec, ok)
-			}
-			if got := dep.DB.Directory().Epoch(); got != 1 {
-				t.Fatalf("epoch after resume = %d, want exactly 1 (a double-trigger would re-copy)", got)
-			}
-
-			// A second resume finds nothing to do and moves nothing.
-			if err := ctl2.Step(ctx); err != nil {
-				t.Fatalf("second resume: %v", err)
-			}
-			if got := dep.DB.Directory().Epoch(); got != 1 {
-				t.Fatalf("second resume re-triggered: epoch %d", got)
-			}
-			if st := ctl2.Status(); st.Grows > 1 {
-				t.Fatalf("double-counted grow: %+v", st)
-			}
-			if left := dep.Env.Faults().ArmedCrashes(); len(left) != 0 {
-				t.Fatalf("crash points left armed, their sites never reached: %v", left)
-			}
-		})
 	}
 }
 

@@ -56,7 +56,8 @@
 // re-trigger (Reshard returns immediately at-target), and just closes the
 // record. While a record is open the controller never takes a new decision,
 // so a crashed decision can neither double-trigger nor be orphaned; the
-// crash matrix in controller_test.go kills at each boundary and proves it.
+// controller rows of TestCrashRecovery (internal/fabric) kill at each
+// boundary and prove it.
 //
 // # Interaction with ErrReshardInFlight
 //

@@ -90,23 +90,24 @@ func newProtocol(name string, dep *core.Deployment, opts core.Options) (core.Pro
 // the environment's meter is final: the drain is excluded from the elapsed
 // time, as in §5, and included in the bill, as in Table 4.
 func measure(s Setup, body func(*sim.Env, core.Protocol) error) (time.Duration, *sim.Env, error) {
-	env := sim.NewEnv(s.envConfig())
-	proto, err := newProtocol(s.Protocol, core.NewDeployment(env), core.Options{})
+	f, err := fabric.New(fabric.Config{Sim: s.envConfig()})
 	if err != nil {
 		return 0, nil, err
 	}
-	stopDaemons := func() {}
-	if p3, ok := proto.(*core.P3); ok {
-		stopDaemons = fabric.RunDaemons(p3, 2*time.Second)
+	var proto core.Protocol = f.P3
+	if s.Protocol == f.P3.Name() {
+		f.Start()
+	} else if proto, err = newProtocol(s.Protocol, f.Dep, core.Options{}); err != nil {
+		return 0, nil, err
 	}
-	start := env.Now()
-	err = body(env, proto)
-	elapsed := env.Now() - start
-	stopDaemons()
+	start := f.Env.Now()
+	err = body(f.Env, proto)
+	elapsed := f.Env.Now() - start
+	f.Stop()
 	if serr := proto.Settle(); err == nil {
 		err = serr
 	}
-	return elapsed, env, err
+	return elapsed, f.Env, err
 }
 
 // RunWorkload replays one workload through PA-S3fs under the setup's

@@ -156,5 +156,5 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	run.Retries, run.Hedges = st.Retries, st.Hedges
 	run.BreakerOpens, run.BudgetDenials = st.BreakerOpens, st.BudgetDenials
 	run.ItemCount, run.Misplaced, run.Duplicates, run.ProvDigest = out.items, out.misplaced, out.duplicates, out.digest
-	return run, cleanEnd(f, false)
+	return run, cleanEnd(f)
 }

@@ -228,17 +228,15 @@ func verify(f *fabric.Fabric, set []pipeTxn) (verification, error) {
 }
 
 // cleanEnd checks that a drained fabric left nothing behind on any shard: no
-// WAL backlog, no temporary objects, no half-assembled transactions. Clients
-// that abandon transactions mid-send (the tenant storm) leave assembly state
-// behind that only ever held expired packets; abandoned skips that check.
-func cleanEnd(f *fabric.Fabric, abandoned bool) error {
+// WAL backlog, no temporary objects, no half-assembled transactions.
+func cleanEnd(f *fabric.Fabric) error {
 	if n := f.Dep.WAL.Len(); n != 0 {
 		return fmt.Errorf("bench: %d WAL messages left after settle", n)
 	}
 	if keys, _, _ := f.Dep.Store.ListAll(core.TmpPrefix); len(keys) != 0 {
 		return fmt.Errorf("bench: %d temp objects leaked", len(keys))
 	}
-	if n := f.P3.PendingTxns(); n != 0 && !abandoned {
+	if n := f.P3.PendingTxns(); n != 0 {
 		return fmt.Errorf("bench: %d transactions still pending", n)
 	}
 	return nil
@@ -253,16 +251,4 @@ func pctMs(lat []time.Duration) (p50, p99 float64) {
 	slices.Sort(lat)
 	ms := func(q int) float64 { return float64(lat[len(lat)*q/100].Microseconds()) / 1e3 }
 	return ms(50), ms(99)
-}
-
-// sqsRequests sums every queue request kind, batch or not.
-func sqsRequests(u sim.Usage) int64 {
-	var n int64
-	for _, kind := range []string{
-		"sqs.SendMessage", "sqs.ReceiveMessage",
-		"sqs.SendMessageBatch", "sqs.DeleteMessageBatch",
-	} {
-		n += u.OpsByKind[kind]
-	}
-	return n
 }

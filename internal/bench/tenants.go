@@ -334,17 +334,17 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	// Verification outside the measurement, on the manual clock. The storm
 	// abandons transactions mid-send (its tenant breaker cuts it off between
 	// WAL batches), so first let retention expire the orphaned packets and
-	// the cleaner collect the orphaned temp objects — the same path that
-	// cleans up crashed clients — then require a fabric as clean as a calm
-	// run's.
+	// the cleaner collect the orphaned temp objects and forget the
+	// half-assembled transactions — the same path that cleans up crashed
+	// clients — then require a fabric as clean as a calm run's.
 	if err := f.ToManual(); err != nil {
 		return run, err
 	}
 	env.Clock().Advance(5 * 24 * time.Hour)
-	if _, err := f.P3.RunCleaner(0); err != nil {
+	if _, err := f.P3.RunCleaner(); err != nil {
 		return run, fmt.Errorf("bench: cleaner after storm: %w", err)
 	}
-	if err := cleanEnd(f, true); err != nil {
+	if err := cleanEnd(f); err != nil {
 		return run, err
 	}
 

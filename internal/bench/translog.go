@@ -174,5 +174,5 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	run.CostUSD = usage.Cost(f.Env.Config().StorageWindow)
 
 	// A logged run ends as clean as an unlogged one.
-	return run, cleanEnd(f, false)
+	return run, cleanEnd(f)
 }

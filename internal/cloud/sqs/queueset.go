@@ -71,6 +71,10 @@ func (s *QueueSet) SetVisibility(d time.Duration) {
 	}
 }
 
+// Visibility reports the visibility timeout every shard applies: how long a
+// received message stays hidden before it is redelivered.
+func (s *QueueSet) Visibility() time.Duration { return time.Duration(s.visibility.Load()) }
+
 // SetRetention overrides the message retention period on every shard,
 // present and future (see SetVisibility).
 func (s *QueueSet) SetRetention(d time.Duration) {

@@ -46,8 +46,8 @@
 // atomic cutover, then GC of the drained ranges — without stopping ingest
 // and without changing a single query result. The migration is crash-safe
 // at every phase boundary (ResumeReshard rolls it forward from the
-// persisted ctl/fabric control object) and pinned by the crash matrix in
-// reshard_test.go.
+// persisted ctl/fabric control object) and pinned by the resharder rows of
+// TestCrashRecovery in internal/fabric.
 package core
 
 import (
@@ -174,7 +174,7 @@ type Deployment struct {
 	// Resharder state (reshard.go): reshardRunMu serializes whole Reshard
 	// runs (TryLock — a racing second resharder gets ErrReshardInFlight,
 	// never a directory panic); reshardMu guards the cutover-to-GC pending
-	// flag the cleaner picks up after a crash.
+	// flag ResumeReshard picks up after a crash.
 	reshardRunMu sync.Mutex
 	reshardMu    sync.Mutex
 	gcPending    bool

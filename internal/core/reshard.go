@@ -455,29 +455,12 @@ func (d *Deployment) copyShard(ctx context.Context, s int, targetEpoch sim.DirEp
 	return nil
 }
 
-// FinishPendingReshardGC runs the GC a dead resharder left pending, if any.
-// The cleaner daemon calls it every pass; it defers to a live resharder (the
-// run lock is held) rather than racing its GC phase.
-func (d *Deployment) FinishPendingReshardGC(ctx context.Context) error {
-	if !d.GCPending() {
-		return nil
-	}
-	if !d.reshardRunMu.TryLock() {
-		return nil // a resharder is active; it owns the GC
-	}
-	defer d.reshardRunMu.Unlock()
-	if !d.GCPending() {
-		return nil
-	}
-	return d.finishReshardGC(ctx, d.Topo, &ReshardStats{})
-}
-
 // finishReshardGC collects the garbage a cutover leaves behind: stale item
 // copies on shards that no longer own them, and — after a shrink — messages
 // stranded on decommissioned WAL queues, which are re-sent to their
-// new-epoch homes before the queues are retired. Idempotent; the cleaner
-// daemon re-runs it if the resharder died first. stats tallies what was
-// deleted and moved, and the requests that did it.
+// new-epoch homes before the queues are retired. Idempotent, so
+// ResumeReshard re-runs it if the resharder died first. stats tallies what
+// was deleted and moved, and the requests that did it.
 func (d *Deployment) finishReshardGC(ctx context.Context, target Topology, stats *ReshardStats) error {
 	if d.DB.Directory().Migrating() || d.WAL.Directory().Migrating() {
 		return fmt.Errorf("core: reshard GC before cutover")

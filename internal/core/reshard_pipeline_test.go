@@ -181,56 +181,6 @@ func TestReshardGCBatchesPerPage(t *testing.T) {
 	}
 }
 
-// TestReshardCrashMidCopyInFlight kills the resharder on its first durable
-// batch while the flush pool holds others: whatever subset of them landed,
-// reads stay byte-identical and ResumeReshard converges.
-func TestReshardCrashMidCopyInFlight(t *testing.T) {
-	const txns, perTxn = 250, 4 // ~750 movers: ~30 batches against a pool of 16
-	dep, _, uuids := reshardWorkload(t, 1, txns, perTxn)
-	want := provDigest(t, dep, uuids)
-
-	dep.Env.InstallFaults(nil).CrashAt(ReshardCrashMidCopy, 0)
-	stats, err := dep.Reshard(context.Background(), Topology{WALShards: 4, DBShards: 4})
-	if !errors.Is(err, sim.ErrCrashed) {
-		t.Fatalf("armed mid-copy crash did not fire: %v", err)
-	}
-	if stats.CopyBatches < 1 || stats.CopiedItems != stats.CopyBatches*sdb.MaxBatchItems {
-		t.Fatalf("crashed copy reports %d items in %d requests; only full, durable batches may count", stats.CopiedItems, stats.CopyBatches)
-	}
-	if stats.CopiedItems >= txns*perTxn/2 {
-		t.Fatalf("crash left nothing to recover: %d items already copied", stats.CopiedItems)
-	}
-	if !dep.DB.Directory().Migrating() {
-		t.Fatal("window closed by a crashed copy")
-	}
-	t.Logf("died with %d batches durable", stats.CopyBatches)
-	dep.Settle()
-	if got := provDigest(t, dep, uuids); got != want {
-		t.Error("digest diverged while crashed mid-copy")
-	}
-
-	rstats, resumed, err := ResumeReshard(context.Background(), dep)
-	if err != nil || !resumed {
-		t.Fatalf("resume: resumed=%v err=%v", resumed, err)
-	}
-	if rstats.CopiedItems <= stats.CopiedItems {
-		t.Errorf("resume copied %d items, the crashed run %d — the rest was never copied", rstats.CopiedItems, stats.CopiedItems)
-	}
-	dep.Settle()
-	if got := provDigest(t, dep, uuids); got != want {
-		t.Error("digest diverged after recovery")
-	}
-	if got := dep.DB.ItemCount(); got != txns*perTxn {
-		t.Errorf("items = %d, want %d", got, txns*perTxn)
-	}
-	if mis, dup, err := AuditFabric(dep); err != nil || mis != 0 || dup != 0 {
-		t.Fatalf("audit: misplaced=%d duplicates=%d err=%v", mis, dup, err)
-	}
-	if _, again, _ := ResumeReshard(context.Background(), dep); again {
-		t.Error("second resume re-ran a finished migration")
-	}
-}
-
 // TestReshardShrinkResendsInIdempotentBatches: the shrink path moves the
 // stranded WAL packets in SendMessageBatch/DeleteMessageBatch calls, and a
 // send the service applied but reported failed is retried without enqueueing

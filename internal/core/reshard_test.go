@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -154,195 +152,6 @@ func TestReadControlRejectsCorruptRecords(t *testing.T) {
 		if got := dep.activeTopology(); got != (Topology{WALShards: 4, DBShards: 4}) || dep.Topo != got {
 			t.Fatalf("after %s: active %+v, Topo %+v, want K=4", body, got, dep.Topo)
 		}
-	}
-}
-
-// reshardCrashPoints is the migration crash matrix, in phase order.
-var reshardCrashPoints = []sim.CrashPoint{
-	ReshardCrashPreCopy, ReshardCrashMidCopy, ReshardCrashPreCutover, ReshardCrashPreGC,
-}
-
-// crashName is a resharder crash point's sub-test name: the point name
-// without its "reshard." prefix.
-func crashName(point sim.CrashPoint) string {
-	return strings.TrimPrefix(string(point), "reshard.")
-}
-
-// TestReshardCrashMatrix is the migration crash harness: kill the resharder
-// at every phase boundary, restart it via ResumeReshard, and require the
-// fabric to converge to the same byte-identical state a never-crashed
-// migration reaches — at K 1->2 and 2->4.
-func TestReshardCrashMatrix(t *testing.T) {
-	const txns, perTxn = 14, 4
-	for _, kk := range [][2]int{{1, 2}, {2, 4}} {
-		from, to := kk[0], kk[1]
-		// The never-crashed reference migration.
-		refDep, _, uuids := reshardWorkload(t, from, txns, perTxn)
-		if _, err := refDep.Reshard(context.Background(), Topology{WALShards: to, DBShards: to}); err != nil {
-			t.Fatal(err)
-		}
-		refDep.Settle()
-		want := provDigest(t, refDep, uuids)
-		wantItems := refDep.DB.ItemCount()
-
-		for _, point := range reshardCrashPoints {
-			t.Run(fmt.Sprintf("k=%d->%d/%s", from, to, crashName(point)), func(t *testing.T) {
-				dep, _, uuids := reshardWorkload(t, from, txns, perTxn)
-				dep.Env.InstallFaults(nil).CrashAt(point, 0)
-				_, err := dep.Reshard(context.Background(), Topology{WALShards: to, DBShards: to})
-				if !errors.Is(err, sim.ErrCrashed) {
-					t.Fatalf("armed crash at %s did not fire: %v", point, err)
-				}
-
-				// Mid-flight, before recovery: reads must already be
-				// byte-identical — the double-write/union-read window (or
-				// the completed cutover) hides the migration.
-				dep.Settle()
-				if got := provDigest(t, dep, uuids); got != want {
-					t.Errorf("digest diverged while crashed at %s", point)
-				}
-
-				// Restart: recovery must roll the migration forward from
-				// the persisted control state.
-				stats, resumed, err := ResumeReshard(context.Background(), dep)
-				if err != nil {
-					t.Fatalf("resume after %s: %v", point, err)
-				}
-				if !resumed {
-					t.Fatalf("nothing to resume after crash at %s", point)
-				}
-				if dep.Topo.DBShards != to || dep.DB.Directory().Migrating() {
-					t.Fatalf("recovery did not converge: topo=%+v migrating=%v", dep.Topo, dep.DB.Directory().Migrating())
-				}
-				if stats.Epoch == 0 {
-					t.Errorf("recovered fabric still in epoch 0")
-				}
-				dep.Settle()
-				if got := provDigest(t, dep, uuids); got != want {
-					t.Errorf("digest diverged after recovery from %s", point)
-				}
-				if got := dep.DB.ItemCount(); got != wantItems {
-					t.Errorf("items = %d after recovery, want %d (lost or duplicated)", got, wantItems)
-				}
-				mis, dup, aerr := AuditFabric(dep)
-				if aerr != nil || mis != 0 || dup != 0 {
-					t.Errorf("audit after recovery: misplaced=%d duplicates=%d err=%v", mis, dup, aerr)
-				}
-				c, ok, cerr := dep.ReadControl()
-				if cerr != nil || !ok || c.State != ControlStable {
-					t.Errorf("control not stable after recovery: %+v ok=%v err=%v", c, ok, cerr)
-				}
-				// A second resume finds nothing to do.
-				if _, again, _ := ResumeReshard(context.Background(), dep); again {
-					t.Error("second resume re-ran a finished migration")
-				}
-				noCrashLeftArmed(t, dep.Env)
-			})
-		}
-	}
-}
-
-// TestReshardCrashMatrixUnderFaults composes the migration crash matrix
-// with an armed chaos plan: every service request faults with probability
-// 5% (half the mutating faults ambiguous applied-but-reported-failed) and
-// the queue duplicates deliveries, while the resharder is killed at every
-// phase boundary and restarted. The recovered fabric must still hold
-// exactly one copy of every item and read back byte-identical to a
-// fault-free, never-crashed migration of the same workload.
-func TestReshardCrashMatrixUnderFaults(t *testing.T) {
-	const txns, perTxn = 12, 4
-
-	// The fault-free, never-crashed reference.
-	refDep, _, uuids := reshardWorkload(t, 1, txns, perTxn)
-	if _, err := refDep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	refDep.Settle()
-	want := provDigest(t, refDep, uuids)
-	wantItems := refDep.DB.ItemCount()
-
-	for _, point := range reshardCrashPoints {
-		t.Run(crashName(point), func(t *testing.T) {
-			cfg := sim.DefaultConfig()
-			cfg.Consistency = sim.Eventual
-			cfg.DupProb = 0.05
-			dep := NewShardedDeployment(sim.NewEnv(cfg), Topology{WALShards: 1, DBShards: 1})
-			faults := dep.Env.InstallFaults(sim.UniformPlan(0.05, 0.5))
-
-			p := NewP3(dep, Options{CommitWorkers: 2})
-			objs, bundles := poolTxns(99, txns, perTxn)
-			for i := range objs {
-				if err := p.Commit(objs[i], bundles[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := p.Settle(); err != nil {
-				t.Fatal(err)
-			}
-			dep.Settle()
-
-			faults.CrashAt(point, 0)
-			if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); !errors.Is(err, sim.ErrCrashed) {
-				t.Fatalf("armed crash at %s did not fire: %v", point, err)
-			}
-			if _, resumed, err := ResumeReshard(context.Background(), dep); err != nil || !resumed {
-				t.Fatalf("resume after %s: resumed=%v err=%v", point, resumed, err)
-			}
-			dep.Settle()
-
-			if got := provDigest(t, dep, uuids); got != want {
-				t.Errorf("digest diverged from fault-free migration (crash at %s)", point)
-			}
-			if got := dep.DB.ItemCount(); got != wantItems {
-				t.Errorf("items = %d, want %d (lost or duplicated under faults)", got, wantItems)
-			}
-			mis, dup, err := AuditFabric(dep)
-			if err != nil || mis != 0 || dup != 0 {
-				t.Errorf("audit: misplaced=%d duplicates=%d err=%v", mis, dup, err)
-			}
-
-			// The run exercised the chaos machinery for real: faults were
-			// injected and the resilient layer absorbed them with retries.
-			if u := dep.Env.Meter().Usage(); u.Faults == 0 {
-				t.Error("plan armed but no faults injected")
-			}
-			if st := dep.Res.Stats().Totals(); st.Retries == 0 {
-				t.Error("faults injected but nothing retried")
-			}
-			noCrashLeftArmed(t, dep.Env)
-		})
-	}
-}
-
-// TestReshardCleanerFinishesGC pins the cleaner hand-off: a resharder dead
-// between cutover and GC leaves stale copies that the ordinary cleaner
-// daemon pass collects, without a dedicated recovery call.
-func TestReshardCleanerFinishesGC(t *testing.T) {
-	dep, p, uuids := reshardWorkload(t, 1, 10, 4)
-	before := provDigest(t, dep, uuids)
-	dep.Env.InstallFaults(nil).CrashAt(ReshardCrashPreGC, 0)
-	if _, err := dep.Reshard(context.Background(), Topology{WALShards: 2, DBShards: 2}); !errors.Is(err, sim.ErrCrashed) {
-		t.Fatalf("crash did not fire: %v", err)
-	}
-	if !dep.GCPending() {
-		t.Fatal("no pending GC after post-cutover crash")
-	}
-	if _, err := p.RunCleaner(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if dep.GCPending() {
-		t.Fatal("cleaner pass did not finish the reshard GC")
-	}
-	mis, dup, err := AuditFabric(dep)
-	if err != nil || mis != 0 || dup != 0 {
-		t.Fatalf("audit after cleaner GC: misplaced=%d duplicates=%d err=%v", mis, dup, err)
-	}
-	dep.Settle()
-	if got := provDigest(t, dep, uuids); got != before {
-		t.Error("digest changed across cleaner-finished GC")
-	}
-	if c, ok, _ := dep.ReadControl(); !ok || c.State != ControlStable {
-		t.Fatalf("control not stable after cleaner GC: %+v", c)
 	}
 }
 

@@ -180,8 +180,9 @@ func TestWALDeliveryProperty(t *testing.T) {
 				// Copies delivered after the last distinct packet arrived
 				// are held for the now in-flight transaction, one receipt
 				// per message.
-				if got := len(ready[0].receipts) + held; got != len(delivery) {
-					t.Fatalf("%s: %d receipts + %d held of %d deliveries", name, len(ready[0].receipts), held, len(delivery))
+				st := ready[0]
+				if got := len(st.receipts) + len(st.heads) + held; got != len(delivery) {
+					t.Fatalf("%s: %d receipts + %d header receipts + %d held of %d deliveries", name, len(st.receipts), len(st.heads), held, len(delivery))
 				}
 				if kept := len(ready[0].redelivered); kept > len(msgs) || (held > 0) != (kept > 0) {
 					t.Fatalf("%s: %d receipts kept for %d held redeliveries of %d messages", name, kept, held, len(msgs))

@@ -50,13 +50,8 @@ var testOnlyAllowlist = []string{
 	"passcloud/internal/bench.ChaosCommitQueryReshard",
 	"passcloud/internal/bench.CoherentReads",
 	"passcloud/internal/bench.CoherentReadsRun.CostRatio",
-	"passcloud/internal/bench.ReshardUnderLoad",
-	"passcloud/internal/bench.ShardedWrite",
 	"passcloud/internal/bench.TenantIsolation",
 	"passcloud/internal/bench.TamperDetection",
-	// The reshard recovery that the crash matrices prove; its production
-	// caller is the fabric's one recovery path (ROADMAP item 26).
-	"passcloud/internal/core.ResumeReshard",
 }
 
 // TestNoTestOnlyCode fails on every declaration of the root module that only

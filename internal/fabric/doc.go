@@ -54,33 +54,10 @@
 // fault answers with a sim.TransientError, resilient.Client absorbs it. A
 // process dies between two requests: a protocol asks Env.Crashed at a named
 // sim.CrashPoint, a test arms it with CrashAt(point, n), and the one process
-// that reaches it returns sim.ErrCrashed. Every point, with what its matrix
-// checks after recovery (each also fails if its point is left armed):
-//
-//	p1.client.before-data, p2.client.before-data: provenance written, data
-//	  never PUT — the coupling violation CheckCoupling and VerifiedFetch
-//	  must detect (TestCouplingViolationDetectedP1P2, Table 1).
-//	p3.client.after-packets: n of a transaction's packets logged; nothing
-//	  commits, temp object and packets age out through the cleaner and
-//	  retention (TestP3ClientCrashLeavesNoPartialState, Table 1).
-//	p3.daemon.before-db, .after-db, .after-copy: a daemon dies in a group
-//	  commit; after the visibility timeout any daemon re-runs it to the
-//	  exactly-once end state — every item once, every object linked, no
-//	  temp object, WAL empty (TestP3DaemonCrashRecovery*,
-//	  TestP3ShardedCrashRecoveryMatrix).
-//	p3.cleanup.after-receipts: n of a committed group's receipts
-//	  acknowledged; the rest redeliver and are acknowledged without a
-//	  second BatchPut (TestP3*HalfAcknowledgedRedelivery).
-//	reshard.pre-copy, .mid-copy, .pre-cutover, .post-cutover-pre-gc: reads
-//	  stay byte-identical while the resharder is dead, and ResumeReshard
-//	  converges to the never-crashed migration's digest and item count,
-//	  AuditFabric 0/0, control stable (TestReshardCrashMatrix*).
-//	translog.mid-batch, .post-head-write, .pre-checkpoint-gc: rolling
-//	  forward, and a cold Open, re-derive a signed head byte-identical to
-//	  the never-crashed twin's (TestCheckpointCrashMatrix).
-//	autoscale.pre-record, .pre-trigger, .pre-done: a restarted controller
-//	  closes the record at the target K in exactly one epoch — no double
-//	  trigger, no orphaned record (TestAutoscaleCrashMatrix).
+// that reaches it returns sim.ErrCrashed. Every point a P3 fabric can reach
+// is a row of TestCrashRecovery's table, with what the dead process leaves
+// and what Recover must restore; the P1/P2 client points are detection, not
+// recovery (TestCouplingViolationDetectedP1P2, Table 1).
 //
 // # Lifecycle: stop before flip
 //
@@ -103,4 +80,14 @@
 // whose rounds end when their work does — drains what the pool left.
 // Nothing in the root module flips a clock under a running daemon; the
 // repo-shape test in this package keeps it that way.
+//
+// # Lifecycle: restart
+//
+// Recover is the one restart, after any process died: it stops every loop
+// in ToManual's order (the fault plan stays armed), waits out the WAL's
+// visibility timeout, rolls the log forward and reopens it cold, rebuilds
+// every process layer with New's code over the surviving environment and
+// stores, then resumes a dead resharder, lets the controller close a decided
+// record and settles. The environment and the deployment are the services
+// and survive; no process layer keeps its in-memory state.
 package fabric

@@ -71,11 +71,11 @@ type Fabric struct {
 	Engine  *query.Engine
 	Ctl     *autoscale.Controller
 
-	detach []func() // commit-bus subscriptions, dropped by Close
+	cfg    Config
+	detach []func() // commit-bus subscriptions, dropped by Close and Recover
 
-	mu       sync.Mutex // guards what Start started
-	stopPool func()     // RunDaemons' stop
-	seq, ctl *loop
+	mu             sync.Mutex // guards what Start started
+	pool, seq, ctl *loop
 
 	manual    sync.Once
 	manualErr error
@@ -93,23 +93,40 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.Faults != nil {
 		env.InstallFaults(cfg.Faults)
 	}
-	f := &Fabric{Env: env, Dep: dep}
+	f := &Fabric{Env: env, Dep: dep, cfg: cfg}
+	var log *translog.Log
+	if cfg.Translog {
+		log = translog.New(env, dep.Store, "")
+	}
+	if err := f.build(log); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// build makes every process layer over f's environment and deployment — P3,
+// the front door and its tenants, the cache-subscribed engine, the
+// controller — and attaches log (nil without one) and the cache to the
+// commit bus. New and Recover share it, so a restart builds what a boot
+// does.
+func (f *Fabric) build(log *translog.Log) error {
+	cfg, dep := f.cfg, f.Dep
 	f.P3 = core.NewP3(dep, core.Options{CommitWorkers: cfg.Workers})
+	f.Door, f.Tenants = nil, nil
 	if len(cfg.Tenants) > 0 {
 		f.Door = frontdoor.New(dep, f.P3, cfg.Door)
 		for _, t := range cfg.Tenants {
 			f.Tenants = append(f.Tenants, f.Door.Tenant(t.ID, t.Quota))
 		}
 	}
-	if cfg.Translog {
-		f.Log = translog.New(env, dep.Store, "")
-		f.detach = append(f.detach, f.Log.Attach(dep.Commits))
+	if f.Log = log; log != nil {
+		f.detach = append(f.detach, log.Attach(dep.Commits))
 	}
 	if cfg.CacheEntries > 0 {
 		f.Engine = query.New(dep, core.BackendSDB)
 		f.Engine.SetCache(query.NewCache(cfg.CacheEntries))
 		if err := f.Engine.Subscribe(); err != nil {
-			return nil, fmt.Errorf("fabric: subscribing the query cache: %w", err)
+			return fmt.Errorf("fabric: subscribing the query cache: %w", err)
 		}
 		f.detach = append(f.detach, f.Engine.Unsubscribe)
 	}
@@ -117,7 +134,7 @@ func New(cfg Config) (*Fabric, error) {
 		f.Ctl = autoscale.New(dep, *cfg.Autoscale)
 		f.Ctl.Enable()
 	}
-	return f, nil
+	return nil
 }
 
 // loop is one background goroutine with a stop signal and a join. The
@@ -150,24 +167,17 @@ func (l *loop) stop() {
 	}
 }
 
-// RunDaemons starts p3's commit-daemon pool, polling every poll of simulated
-// time when idle, and returns its stop function: idempotent, and returning
-// only after RunDaemon has — the point from which p3.Settle reaches a final
-// state and the meter stops moving. Live clock only.
-func RunDaemons(p3 *core.P3, poll time.Duration) (stop func()) {
-	return startLoop(func(quit <-chan struct{}) { p3.RunDaemon(quit, poll) }).stop
-}
-
 // Start runs the commit-daemon pool and, for the layers that have one, the
 // log's sequencer and the controller's loop. Live clock only; a second call
 // does nothing.
 func (f *Fabric) Start() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.stopPool != nil {
+	if f.pool != nil {
 		return
 	}
-	f.stopPool = RunDaemons(f.P3, daemonPoll)
+	p3 := f.P3
+	f.pool = startLoop(func(quit <-chan struct{}) { p3.RunDaemon(quit, daemonPoll) })
 	if f.Log != nil {
 		f.seq = startLoop(func(quit <-chan struct{}) { f.Log.Run(quit, checkpointEvery) })
 	}
@@ -176,22 +186,33 @@ func (f *Fabric) Start() {
 	}
 }
 
-func (f *Fabric) started() (stopPool func(), seq, ctl *loop) {
+func (f *Fabric) started() (pool, seq, ctl *loop) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stopPool, f.seq, f.ctl
+	return f.pool, f.seq, f.ctl
 }
 
-// Stop stops and joins the commit-daemon pool, then the sequencer (whose
-// last act is a final checkpoint). It is what a measured phase on the live
-// clock ends with before its P3.Settle; the controller keeps running until
-// ToManual. Idempotent.
+// Stop stops and joins the commit-daemon pool — RunDaemon has returned, the
+// point from which P3.Settle reaches a final state and the meter stops
+// moving — then the sequencer (whose last act is a final checkpoint). It is
+// what a measured phase on the live clock ends with before its P3.Settle;
+// the controller keeps running until ToManual. Idempotent.
 func (f *Fabric) Stop() {
-	stopPool, seq, _ := f.started()
-	if stopPool != nil {
-		stopPool()
-	}
+	pool, seq, _ := f.started()
+	pool.stop()
 	seq.stop()
+}
+
+// halt is the stop sequence ToManual and Recover share (package comment,
+// "stop before flip"): signal the controller, stop and join the pool and the
+// sequencer, flip the clock to manual. It returns the controller's loop,
+// signalled but not yet joined, for the caller to join.
+func (f *Fabric) halt() *loop {
+	_, _, ctl := f.started()
+	ctl.signal()
+	f.Stop()
+	f.Env.Clock().SetScale(0)
+	return ctl
 }
 
 // ToManual takes a live fabric to the manual clock for verification, in the
@@ -204,10 +225,7 @@ func (f *Fabric) ToManual() error {
 }
 
 func (f *Fabric) toManual() error {
-	_, _, ctl := f.started()
-	ctl.signal()
-	f.Stop()
-	f.Env.Clock().SetScale(0)
+	ctl := f.halt()
 	if inj := f.Env.Faults(); inj != nil {
 		inj.SetPlan(nil)
 	}
@@ -224,6 +242,75 @@ func (f *Fabric) toManual() error {
 		default:
 		}
 	}
+}
+
+// RecoverReport says what each step of Recover found: the WAL messages the
+// dead processes left, the reopened log's size, the resharder's resume and
+// what it moved, the controller's record, and what the final Settle left.
+type RecoverReport struct {
+	Outstanding int
+	LogSize     int
+	Resumed     bool
+	Reshard     core.ReshardStats
+	Record      *autoscale.DecisionRecord
+	Pending     int
+	WAL         int
+}
+
+// Recover is the one restart, after any process of the fabric died. Over
+// what survives — the environment, the deployment and its stores — it
+//  1. stops and joins every loop as ToManual does; the fault plan stays armed;
+//  2. sleeps the WAL's visibility timeout, so every message a dead process
+//     had received is delivered again;
+//  3. rolls the log forward (the bus does not replay what only the dead
+//     sequencer held) and reopens it cold, failing if the heads differ;
+//  4. rebuilds every process layer with New's code and re-attaches the bus;
+//  5. resumes a dead resharder, lets the controller close a decided record
+//     (one Step) and settles.
+//
+// It leaves the fabric on the manual clock with nothing running.
+func (f *Fabric) Recover(ctx context.Context) (RecoverReport, error) {
+	var rep RecoverReport
+	f.halt().stop()
+	f.Env.Clock().Sleep(f.Dep.WAL.Visibility())
+	rep.Outstanding = f.Dep.WAL.Len()
+
+	var log *translog.Log
+	if f.Log != nil {
+		head, err := f.Checkpoint()
+		if err != nil {
+			return rep, err
+		}
+		f.Dep.Settle() // Open reads what the checkpoint wrote
+		if log, err = translog.Open(f.Env, f.Dep.Store, ""); err != nil {
+			return rep, fmt.Errorf("fabric: reopening the log: %w", err)
+		}
+		if got := log.Head(); got != head {
+			return rep, fmt.Errorf("fabric: reopened log head %+v differs from the rolled-forward %+v", got, head)
+		}
+		rep.LogSize = head.TreeSize
+	}
+	for _, d := range f.detach {
+		d()
+	}
+	f.detach = nil
+	if err := f.build(log); err != nil {
+		return rep, err
+	}
+
+	var err error
+	if rep.Reshard, rep.Resumed, err = core.ResumeReshard(ctx, f.Dep); err != nil {
+		return rep, fmt.Errorf("fabric: resuming the reshard: %w", err)
+	}
+	if f.Ctl != nil {
+		if err := f.Ctl.Step(ctx); err != nil {
+			return rep, fmt.Errorf("fabric: controller step: %w", err)
+		}
+		rep.Record = f.Ctl.Status().Record
+	}
+	err = f.P3.Settle()
+	rep.Pending, rep.WAL = f.P3.PendingTxns(), f.Dep.WAL.Len()
+	return rep, err
 }
 
 // Checkpoint persists the log through its current size, retrying through

@@ -2,7 +2,6 @@ package translog
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -167,65 +166,6 @@ func TestIngestIsIdempotent(t *testing.T) {
 	l.Ingest(n) // redelivered group republishes
 	if l.Size() != 1 {
 		t.Fatalf("redelivered notice grew the log to %d leaves", l.Size())
-	}
-}
-
-// TestCheckpointCrashMatrix kills the sequencer at every stage boundary and
-// proves recovery re-derives head bytes identical to a never-crashed twin —
-// both by rolling the same Log forward and by a cold Open from the durable
-// state alone.
-func TestCheckpointCrashMatrix(t *testing.T) {
-	const seed = 7
-	// crash "" is the never-crashed twin.
-	scenario := func(t *testing.T, crash sim.CrashPoint) SignedHead {
-		env, dep, p3, l := newFabric(t, seed, 1)
-		set := makeTxns(seed, 16, 3)
-		commitAll(t, p3, set[:8])
-		if _, err := l.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		commitAll(t, p3, set[8:])
-		faults := env.InstallFaults(nil)
-		if crash != "" {
-			faults.CrashAt(crash, 0)
-			if _, err := l.Checkpoint(); !errors.Is(err, sim.ErrCrashed) {
-				t.Fatalf("armed %s but Checkpoint returned %v", crash, err)
-			}
-		}
-		head, err := l.Checkpoint() // roll forward
-		if err != nil {
-			t.Fatal(err)
-		}
-		if head.TreeSize != len(set) {
-			t.Fatalf("recovered head covers %d leaves, want %d", head.TreeSize, len(set))
-		}
-		// Cold start: the durable state alone must rebuild the same tree.
-		settleReads(env)
-		reopened, err := Open(env, dep.Store, "")
-		if err != nil {
-			t.Fatalf("after %s crash, Open: %v", crash, err)
-		}
-		if got := reopened.Head(); got != head {
-			t.Fatalf("after %s crash, reopened head %+v != live head %+v", crash, got, head)
-		}
-		if n, root := len(reopened.leaves), merkle.LogRoot(reopened.hashes); n != head.TreeSize || root.String() != head.Root {
-			t.Fatalf("after %s crash, reopened tree (%d, %s) != head (%d, %s)",
-				crash, n, root, head.TreeSize, head.Root)
-		}
-		if left := faults.ArmedCrashes(); len(left) != 0 {
-			t.Fatalf("crash points left armed, their sites never reached: %v", left)
-		}
-		return head
-	}
-
-	clean := scenario(t, "")
-	for _, p := range []sim.CrashPoint{CrashMidBatch, CrashPostHead, CrashPreGC} {
-		p := p
-		t.Run(strings.TrimPrefix(string(p), "translog."), func(t *testing.T) {
-			if got := scenario(t, p); got != clean {
-				t.Fatalf("head after %s crash differs from never-crashed twin:\n  %+v\n  %+v", p, got, clean)
-			}
-		})
 	}
 }
 
