@@ -90,7 +90,7 @@ func newProtocol(name string, dep *core.Deployment, opts core.Options) (core.Pro
 // the environment's meter is final: the drain is excluded from the elapsed
 // time, as in §5, and included in the bill, as in Table 4.
 func measure(s Setup, body func(*sim.Env, core.Protocol) error) (time.Duration, *sim.Env, error) {
-	f, err := fabric.New(fabric.Config{Sim: s.envConfig()})
+	f, err := fabric.New(fabric.Config{Sim: s.envConfig(), DaemonPoll: 2 * time.Second})
 	if err != nil {
 		return 0, nil, err
 	}

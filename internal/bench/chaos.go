@@ -41,34 +41,20 @@ type ChaosConfig struct {
 
 // ChaosRun is the measured outcome of one chaos configuration.
 type ChaosRun struct {
-	FaultProb     float64 `json:"fault_prob"`
-	ApplyProb     float64 `json:"apply_prob"`
-	DupProb       float64 `json:"dup_prob"`
-	Resilient     bool    `json:"resilient"`
-	FromK         int     `json:"from_k"`
-	ToK           int     `json:"to_k"`
-	Txns          int     `json:"txns"`
-	BundlesPerTxn int     `json:"bundles_per_txn"`
-	Events        int     `json:"events"`
-	Workers       int     `json:"workers"`
+	Txns   int
+	Events int
 
-	CommitErrors int    `json:"commit_errors"` // failed client commits (negative control)
-	FirstError   string `json:"first_error,omitempty"`
+	CommitErrors int // failed client commits (negative control)
+	FirstError   string
 
-	WallSeconds float64 `json:"wall_seconds"`
+	Faults  int64 // injected by the plan
+	Retries int64
+	Hedges  int64
 
-	Faults        int64 `json:"faults"` // injected by the plan
-	Retries       int64 `json:"retries"`
-	Hedges        int64 `json:"hedges"`
-	BreakerOpens  int64 `json:"breaker_opens"`
-	BudgetDenials int64 `json:"budget_denials"`
-
-	ItemCount  int     `json:"item_count"`
-	Misplaced  int     `json:"misplaced"`
-	Duplicates int     `json:"duplicates"`
-	TotalOps   int64   `json:"total_ops"`
-	CostUSD    float64 `json:"cost_usd"`
-	ProvDigest string  `json:"prov_digest"`
+	ItemCount  int
+	Misplaced  int
+	Duplicates int
+	ProvDigest string
 }
 
 // ChaosCommitQueryReshard runs one chaos configuration: commit half the
@@ -86,12 +72,7 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	if c.Queries <= 0 {
 		c.Queries = 20
 	}
-	run := ChaosRun{
-		FaultProb: c.FaultProb, ApplyProb: c.ApplyProb, DupProb: c.DupProb,
-		Resilient: c.Resilient, FromK: c.FromK, ToK: c.ToK,
-		Txns: c.Txns, BundlesPerTxn: c.BundlesPerTxn, Events: c.Txns * c.BundlesPerTxn,
-		Workers: c.Workers,
-	}
+	run := ChaosRun{Txns: c.Txns, Events: c.Txns * c.BundlesPerTxn}
 	set := commitPipeTxns(c.Seed, c.Txns, c.BundlesPerTxn)
 	cfg := fabric.Config{Topology: kWay(c.FromK), Workers: c.Workers}
 	if c.Resilient {
@@ -105,7 +86,6 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 		return run, err
 	}
 	defer f.Close()
-	wall0 := time.Now()
 
 	// Negative control: no daemon, no settle (neither terminates against a
 	// faulted fabric with no retry layer) — just the raw commit phase.
@@ -115,7 +95,6 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 		if run.CommitErrors, first = commitPhase(f, c.ClientConns, set); first != nil {
 			run.FirstError = first.Error()
 		}
-		run.WallSeconds = time.Since(wall0).Seconds()
 		run.Faults = f.Env.Meter().Usage().Faults
 		return run, nil
 	}
@@ -147,14 +126,12 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	// Exact item count, placement audit, and the digest the equivalence gate
 	// compares against the fault-free twin (read back with the plan
 	// disarmed). A chaos run ends as clean as a calm one.
-	out, err := finish(f, wall0, set)
+	out, err := finish(f, set)
 	if err != nil {
 		return run, err
 	}
-	run.WallSeconds, run.TotalOps, run.CostUSD, run.Faults = out.wallSecs, out.usage.TotalOps, out.costUSD, out.usage.Faults
 	st := f.Dep.Res.Stats().Totals()
-	run.Retries, run.Hedges = st.Retries, st.Hedges
-	run.BreakerOpens, run.BudgetDenials = st.BreakerOpens, st.BudgetDenials
+	run.Faults, run.Retries, run.Hedges = out.usage.Faults, st.Retries, st.Hedges
 	run.ItemCount, run.Misplaced, run.Duplicates, run.ProvDigest = out.items, out.misplaced, out.duplicates, out.digest
 	return run, cleanEnd(f)
 }

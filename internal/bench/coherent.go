@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"time"
 
 	"passcloud/internal/core"
 	"passcloud/internal/fabric"
@@ -48,42 +47,30 @@ type CoherentReadsConfig struct {
 
 // CoherentModeStats is one reader strategy's accumulated query-phase cost.
 type CoherentModeStats struct {
-	Mode          string  `json:"mode"`
-	SimSeconds    float64 `json:"sim_seconds"` // query phases only
-	Selects       int64   `json:"selects"`
-	ItemsExamined int64   `json:"items_examined"`
-	Results       int     `json:"results"`
-	Digest        string  `json:"digest"`
+	SimSeconds float64 // query phases only
+	Results    int
+	Digest     string
 
-	CacheHits     int64 `json:"cache_hits,omitempty"`
-	CacheMisses   int64 `json:"cache_misses,omitempty"`
-	CoherenceHits int64 `json:"coherence_hits,omitempty"`
-	Invalidations int64 `json:"invalidations,omitempty"`
+	CoherenceHits int64
+	Invalidations int64
 }
 
 // PushdownCase compares one filtered spec with pushdown on and off.
 type PushdownCase struct {
-	Name        string `json:"name"`
-	Plan        string `json:"plan"` // Describe with pushdown on
-	ExaminedOn  int64  `json:"items_examined_on"`
-	ExaminedOff int64  `json:"items_examined_off"`
-	SelectsOn   int64  `json:"selects_on"`
-	SelectsOff  int64  `json:"selects_off"`
-	Identical   bool   `json:"results_identical"`
+	Name        string
+	Plan        string // Describe with pushdown on
+	ExaminedOn  int64
+	ExaminedOff int64
+	SelectsOn   int64
+	SelectsOff  int64
+	Identical   bool
 }
 
 // CoherentReadsRun is the measured outcome of one configuration.
 type CoherentReadsRun struct {
-	Rounds       int `json:"rounds"`
-	TxnsPerRound int `json:"txns_per_round"`
-	Depth        int `json:"depth"`
-	Events       int `json:"events"` // bundles committed
-
-	Modes    map[string]CoherentModeStats `json:"modes"`
-	Pushdown []PushdownCase               `json:"pushdown"`
-
-	CommitNotices int64   `json:"commit_notices"` // published on the bus
-	WallSeconds   float64 `json:"wall_seconds"`
+	Modes         map[string]CoherentModeStats
+	Pushdown      []PushdownCase
+	CommitNotices int64 // published on the bus
 }
 
 // CostRatio returns how much cheaper (in simulated read seconds) mode is
@@ -192,11 +179,7 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 	rnd := sim.NewRand(c.Seed)
 	rootUUID := uuid.New(rnd)
 
-	run := CoherentReadsRun{
-		Rounds: c.Rounds, TxnsPerRound: c.TxnsPerRound, Depth: c.Depth,
-		Modes: make(map[string]CoherentModeStats, 4),
-	}
-	wall0 := time.Now()
+	run := CoherentReadsRun{Modes: make(map[string]CoherentModeStats, 4)}
 
 	// The reader strategies; every mode owns an engine, the cached ones own
 	// a cache each, and the subscribed one is the fabric's, attached to the
@@ -209,7 +192,7 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 	}
 	var readers []*reader
 	addReader := func(mode string, e *query.Engine) *reader {
-		r := &reader{mode: mode, e: e, digest: sha256.New(), stats: CoherentModeStats{Mode: mode}}
+		r := &reader{mode: mode, e: e, digest: sha256.New(), stats: CoherentModeStats{}}
 		readers = append(readers, r)
 		return r
 	}
@@ -233,7 +216,6 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 			if err := p3.Commit(txns[i].obj, txns[i].bundles); err != nil {
 				return run, fmt.Errorf("bench: round %d commit %d: %w", r, i, err)
 			}
-			run.Events += len(txns[i].bundles)
 		}
 		if err := p3.Settle(); err != nil {
 			return run, fmt.Errorf("bench: round %d settle: %w", r, err)
@@ -260,7 +242,6 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 			if rd == flush {
 				rd.e.Cache().Flush()
 			}
-			u0 := env.Meter().Usage()
 			t0 := env.Now()
 			for si, spec := range specs {
 				for res, err := range rd.e.Run(spec) {
@@ -274,17 +255,13 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 					}
 				}
 			}
-			u1 := env.Meter().Usage()
 			rd.stats.SimSeconds += (env.Now() - t0).Seconds()
-			rd.stats.Selects += u1.OpsByKind["sdb.Select"] - u0.OpsByKind["sdb.Select"]
-			rd.stats.ItemsExamined += u1.ItemsExamined - u0.ItemsExamined
 		}
 	}
 
 	for _, rd := range readers {
 		if cs := rd.e.Cache(); cs != nil {
 			s := cs.Stats()
-			rd.stats.CacheHits, rd.stats.CacheMisses = s.Hits, s.Misses
 			rd.stats.CoherenceHits, rd.stats.Invalidations = s.CoherenceHits, s.Invalidations
 		}
 		rd.stats.Digest = hex.EncodeToString(rd.digest.Sum(nil))
@@ -356,7 +333,5 @@ func CoherentReads(c CoherentReadsConfig) (CoherentReadsRun, error) {
 		out.Identical = digOn == digOff
 		run.Pushdown = append(run.Pushdown, out)
 	}
-
-	run.WallSeconds = time.Since(wall0).Seconds()
 	return run, nil
 }

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"time"
-
-	"passcloud/internal/fabric"
-)
+import "passcloud/internal/fabric"
 
 // The live-reshard harness: run the pinned commit workload through P3 in
 // three phases — warm-up on the starting topology, a middle batch committed
@@ -16,43 +12,23 @@ import (
 
 // ReshardRun is one configuration of the reshard harness.
 type ReshardRun struct {
-	FromK         int     `json:"from_k"`
-	ToK           int     `json:"to_k"`
-	Resharded     bool    `json:"resharded"` // false = control run, topology fixed at FromK
-	Txns          int     `json:"txns"`
-	BundlesPerTxn int     `json:"bundles_per_txn"`
-	Events        int     `json:"events"`
-	Workers       int     `json:"workers"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	CopiedItems   int     `json:"copied_items"`
-	CopyBatches   int     `json:"copy_batches"`
-	GCItems       int     `json:"gc_items"`
-	GCBatches     int     `json:"gc_batches"`
-	WALMigrated   int     `json:"wal_migrated"`
-	Epoch         int     `json:"epoch"`
-	ItemCount     int     `json:"item_count"`
-	Misplaced     int     `json:"misplaced"`
-	Duplicates    int     `json:"duplicates"`
-	TotalOps      int64   `json:"total_ops"`
-	CostUSD       float64 `json:"cost_usd"`
-	ProvDigest    string  `json:"prov_digest"`
+	Events      int
+	CopiedItems int
+	Epoch       int
+	ItemCount   int
+	Misplaced   int
+	Duplicates  int
+	ProvDigest  string
 }
 
 // ReshardUnderLoad runs one configuration on a clock live at scale. The
-// transaction set splits into three equal phases; when reshard is true the
+// transaction set splits into three equal phases; unless toK is fromK the
 // fabric grows fromK→toK concurrently with phase B's commits.
-func ReshardUnderLoad(seed int64, txns, bundlesPerTxn, workers, clientConns int, scale float64, fromK, toK int, reshard bool) (ReshardRun, error) {
+func ReshardUnderLoad(seed int64, txns, bundlesPerTxn, workers, clientConns int, scale float64, fromK, toK int) (ReshardRun, error) {
 	if clientConns <= 0 {
 		clientConns = 64
 	}
-	run := ReshardRun{
-		FromK: fromK, ToK: toK, Resharded: reshard,
-		Txns: txns, BundlesPerTxn: bundlesPerTxn, Events: txns * bundlesPerTxn,
-		Workers: workers,
-	}
-	if !reshard {
-		toK = fromK
-	}
+	run := ReshardRun{Events: txns * bundlesPerTxn}
 	set := commitPipeTxns(seed, txns, bundlesPerTxn)
 	f, err := liveFabric(seed, scale, 0, fabric.Config{Topology: kWay(fromK), Workers: workers})
 	if err != nil {
@@ -63,7 +39,6 @@ func ReshardUnderLoad(seed int64, txns, bundlesPerTxn, workers, clientConns int,
 
 	// Three equal phases: warm-up on the starting topology, ingest while the
 	// fabric reshards underneath it, and ingest on the grown topology.
-	wall0 := time.Now()
 	third := len(set) / 3
 	if _, err := runPhase(f, clientConns, set[:third], fromK); err != nil {
 		return run, err
@@ -75,18 +50,15 @@ func ReshardUnderLoad(seed int64, txns, bundlesPerTxn, workers, clientConns int,
 	if _, err := runPhase(f, clientConns, set[2*third:], toK); err != nil {
 		return run, err
 	}
-	run.CopiedItems, run.CopyBatches = during.CopiedItems, during.CopyBatches
-	run.GCItems, run.GCBatches = during.GCItems, during.GCBatches
-	run.WALMigrated, run.Epoch = during.WALMigrated, during.Epoch
+	run.CopiedItems, run.Epoch = during.CopiedItems, during.Epoch
 
 	// Nothing lost, nothing duplicated, every item on exactly its home
 	// shard, and the digest a static deployment of the target size must
 	// reproduce.
-	out, err := finish(f, wall0, set)
+	out, err := finish(f, set)
 	if err != nil {
 		return run, err
 	}
-	run.WallSeconds, run.TotalOps, run.CostUSD = out.wallSecs, out.usage.TotalOps, out.costUSD
 	run.ItemCount, run.Misplaced, run.Duplicates, run.ProvDigest = out.items, out.misplaced, out.duplicates, out.digest
-	return run, cleanEnd(f, false)
+	return run, cleanEnd(f)
 }

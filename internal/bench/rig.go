@@ -163,22 +163,19 @@ func runPhase(f *fabric.Fabric, conns int, batch []pipeTxn, toK int) (core.Resha
 
 // outcome is what a harness reads once its measured phases are over.
 type outcome struct {
-	wallSecs float64
-	usage    sim.Usage // the bill at that moment
-	costUSD  float64
+	usage sim.Usage // the bill at that moment
 	verification
 }
 
 // finish ends the live part of a run — stop the pools, then Settle, which is
-// where the run's clocks stop and its bill is read — and then, outside the
-// measurement, takes the fabric to the manual clock and verifies it.
-func finish(f *fabric.Fabric, wall0 time.Time, set []pipeTxn) (outcome, error) {
+// where the run's bill is read — and then, outside the measurement, takes
+// the fabric to the manual clock and verifies it.
+func finish(f *fabric.Fabric, set []pipeTxn) (outcome, error) {
 	f.Stop()
 	if err := f.P3.Settle(); err != nil {
 		return outcome{}, err
 	}
-	out := outcome{wallSecs: time.Since(wall0).Seconds(), usage: f.Env.Meter().Usage()}
-	out.costUSD = out.usage.Cost(f.Env.Config().StorageWindow)
+	out := outcome{usage: f.Env.Meter().Usage()}
 	err := f.ToManual()
 	if err == nil {
 		out.verification, err = verify(f, set)
@@ -242,13 +239,11 @@ func cleanEnd(f *fabric.Fabric) error {
 	return nil
 }
 
-// pctMs sorts lat and returns its median and 99th percentile in
-// milliseconds.
-func pctMs(lat []time.Duration) (p50, p99 float64) {
+// p99Ms sorts lat and returns its 99th percentile in milliseconds.
+func p99Ms(lat []time.Duration) float64 {
 	if len(lat) == 0 {
-		return 0, 0
+		return 0
 	}
 	slices.Sort(lat)
-	ms := func(q int) float64 { return float64(lat[len(lat)*q/100].Microseconds()) / 1e3 }
-	return ms(50), ms(99)
+	return float64(lat[len(lat)*99/100].Microseconds()) / 1e3
 }

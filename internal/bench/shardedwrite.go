@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"passcloud/internal/core"
 	"passcloud/internal/fabric"
 	"passcloud/internal/sim"
@@ -18,19 +16,11 @@ import (
 
 // ShardedWriteRun is one configuration of the sharded-write harness.
 type ShardedWriteRun struct {
-	WALShards     int              `json:"wal_shards"`
-	DBShards      int              `json:"db_shards"`
-	Txns          int              `json:"txns"`
-	BundlesPerTxn int              `json:"bundles_per_txn"`
-	Events        int              `json:"events"`
-	Workers       int              `json:"workers"`
-	WallSeconds   float64          `json:"wall_seconds"`
-	SQSRequests   int64            `json:"sqs_requests"`
-	SDBBatchCalls int64            `json:"sdb_batch_calls"`
-	TotalOps      int64            `json:"total_ops"` // billed requests, all services
-	CostUSD       float64          `json:"cost_usd"`
-	OpsByKind     map[string]int64 `json:"ops_by_kind"`
-	ProvDigest    string           `json:"prov_digest"`
+	Events        int
+	SQSRequests   int64
+	SDBBatchCalls int64
+	CostUSD       float64
+	ProvDigest    string
 
 	usage sim.Usage // the bill when the run settled
 }
@@ -51,29 +41,20 @@ func ShardedWrite(seed int64, txns, bundlesPerTxn, workers, clientConns int, sca
 	defer f.Close()
 	f.Start() // the pool drains its shard subscriptions while the clients log
 
-	wall0 := time.Now()
 	if _, err := commitPhase(f, clientConns, set); err != nil {
 		return ShardedWriteRun{}, err
 	}
 	// The digest must not depend on K, and the fabric must end clean.
-	out, err := finish(f, wall0, set)
+	out, err := finish(f, set)
 	if err != nil {
 		return ShardedWriteRun{}, err
 	}
 	return ShardedWriteRun{
-		WALShards:     f.Dep.Topo.WALShards,
-		DBShards:      f.Dep.Topo.DBShards,
-		Txns:          txns,
-		BundlesPerTxn: bundlesPerTxn,
 		Events:        txns * bundlesPerTxn,
-		Workers:       workers,
-		WallSeconds:   out.wallSecs,
-		SQSRequests:   sqsRequests(out.usage),
+		SQSRequests:   out.usage.Requests[sim.CostSQS], // every queue request kind
 		SDBBatchCalls: out.usage.OpsByKind["sdb.BatchPutAttributes"],
-		TotalOps:      out.usage.TotalOps,
-		CostUSD:       out.costUSD,
-		OpsByKind:     out.usage.OpsByKind,
+		CostUSD:       out.usage.Cost(f.Env.Config().StorageWindow),
 		ProvDigest:    out.digest,
 		usage:         out.usage,
-	}, cleanEnd(f, false)
+	}, cleanEnd(f)
 }

@@ -65,46 +65,24 @@ type TenantIsolationConfig struct {
 
 // TenantIsolationRun is the measured outcome of one configuration.
 type TenantIsolationRun struct {
-	Mode          string `json:"mode"` // "solo" | "shared" | "no_isolation"
-	Isolation     bool   `json:"isolation"`
-	Abuser        bool   `json:"abuser"`
-	K             int    `json:"k"`
-	Txns          int    `json:"txns"`
-	BundlesPerTxn int    `json:"bundles_per_txn"`
-	Events        int    `json:"events"` // compliant provenance bundles committed
-	Workers       int    `json:"workers"`
+	Events int // compliant provenance bundles committed
 
-	CommitErrors int    `json:"commit_errors"` // failed compliant commits
-	FirstError   string `json:"first_error,omitempty"`
+	CommitErrors int // failed compliant commits
+	FirstError   string
 
-	SimSeconds  float64 `json:"sim_seconds"` // compliant commit phase, simulated
-	WallSeconds float64 `json:"wall_seconds"`
-	Goodput     float64 `json:"goodput_events_per_sim_sec"`
+	SimSeconds  float64 // compliant commit phase, simulated
+	Goodput     float64 // compliant events per simulated second
+	CommitP99Ms float64 // compliant commit latency, simulated
 
-	CommitP50Ms float64 `json:"commit_p50_ms"` // compliant commit latency, simulated
-	CommitP99Ms float64 `json:"commit_p99_ms"`
+	AbuserAttempts  int64
+	AbuserCommitted int64
+	AbuserAdmitted  int64
+	AbuserShed      int64
 
-	CompliantAdmitted int64 `json:"compliant_admitted"`
-	CompliantQueued   int64 `json:"compliant_queued"`
-	CompliantShed     int64 `json:"compliant_shed"`
-	AbuserAttempts    int64 `json:"abuser_attempts"`
-	AbuserCommitted   int64 `json:"abuser_committed"`
-	AbuserAdmitted    int64 `json:"abuser_admitted"`
-	AbuserShed        int64 `json:"abuser_shed"`
-
-	Faults            int64 `json:"faults"`
-	TenantRetries     int64 `json:"tenant_retries"`       // of requests made for a tenant
-	TenantBreakerOpen int64 `json:"tenant_breaker_opens"` //
-	EndpointRetries   int64 `json:"endpoint_retries"`     // of every request
-
-	ItemCount   int     `json:"item_count"`
-	AbuserItems int     `json:"abuser_items"` // abuser items present after settle
-	Misplaced   int     `json:"misplaced"`
-	Duplicates  int     `json:"duplicates"`
-	TotalOps    int64   `json:"total_ops"`
-	CostUSD     float64 `json:"cost_usd"`
-	ProvDigest  string  `json:"prov_digest"` // compliant tenant's read-back only
-	Verified    bool    `json:"verified"`
+	ItemCount   int
+	AbuserItems int    // abuser items present after settle
+	ProvDigest  string // compliant tenant's read-back only
+	Verified    bool
 }
 
 // tenantIsolationIDs picks the two tenant ids deterministically: the
@@ -170,18 +148,7 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	set := tenantPipeTxns(c.Seed, compliantID, c.Txns, c.BundlesPerTxn)
 	abuseSet := tenantPipeTxns(c.Seed^0x5eed, abuserID, c.AbuserTxns, c.BundlesPerTxn)
 
-	mode := "solo"
-	switch {
-	case c.Abuser && !c.Isolation:
-		mode = "no_isolation"
-	case c.Abuser:
-		mode = "shared"
-	}
-	run := TenantIsolationRun{
-		Mode: mode, Isolation: c.Isolation, Abuser: c.Abuser,
-		K: c.K, Txns: c.Txns, BundlesPerTxn: c.BundlesPerTxn,
-		Events: c.Txns * c.BundlesPerTxn, Workers: c.Workers,
-	}
+	run := TenantIsolationRun{Events: c.Txns * c.BundlesPerTxn}
 	cfg := fabric.Config{
 		Topology: kWay(c.K), Workers: c.Workers,
 		Tenants: []fabric.Tenant{{ID: compliantID, Quota: compliantQuota}, {ID: abuserID, Quota: abusiveQuota}},
@@ -196,7 +163,6 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	}
 	defer f.Close() // after the storm has stopped: defers run last-in first-out
 	env, compliant, abuser := f.Env, f.Tenants[0], f.Tenants[1]
-	wall0 := time.Now()
 	f.Start() // the pool drains the WAL while both tenants log
 
 	// The storm: AbuserConns clients cycling the fixed abusive set flat out,
@@ -286,7 +252,7 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	if run.SimSeconds > 0 {
 		run.Goodput = float64(committed) / run.SimSeconds
 	}
-	run.CommitP50Ms, run.CommitP99Ms = pctMs(lat)
+	run.CommitP99Ms = p99Ms(lat)
 
 	// Drain everything assembled, fault-free, then stop the pool. The
 	// negative control only measures — a fabric an unthrottled storm flooded
@@ -307,26 +273,10 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 			return run, err
 		}
 	}
-	run.WallSeconds = time.Since(wall0).Seconds()
-
-	usage := env.Meter().Usage()
-	run.TotalOps = usage.TotalOps
-	run.CostUSD = usage.Cost(env.Config().StorageWindow)
-	run.Faults = usage.Faults
-	if ops, ok := usage.OpsByTenant[compliantID]; ok {
-		run.CompliantAdmitted, run.CompliantQueued, run.CompliantShed = ops.Admitted, ops.Queued, ops.Shed
-	}
-	if ops, ok := usage.OpsByTenant[abuserID]; ok {
+	if ops, ok := env.Meter().Usage().OpsByTenant[abuserID]; ok {
 		run.AbuserAdmitted, run.AbuserShed = ops.Admitted, ops.Shed
 	}
-	run.AbuserAttempts = abAttempts.Load()
-	run.AbuserCommitted = abCommitted.Load()
-	st := f.Dep.Res.Stats()
-	for _, ts := range st.Tenants {
-		run.TenantRetries += ts.Retries
-		run.TenantBreakerOpen += ts.BreakerOpens
-	}
-	run.EndpointRetries = st.Totals().Retries
+	run.AbuserAttempts, run.AbuserCommitted = abAttempts.Load(), abCommitted.Load()
 	if !verified {
 		return run, nil
 	}
@@ -373,7 +323,7 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	if err != nil {
 		return run, err
 	}
-	run.ItemCount, run.Misplaced, run.Duplicates, run.ProvDigest = v.items, v.misplaced, v.duplicates, v.digest
+	run.ItemCount, run.ProvDigest = v.items, v.digest
 	if want := run.Events + run.AbuserItems; run.ItemCount != want {
 		return run, fmt.Errorf("bench: %d items in fabric, want %d (lost or duplicated)", run.ItemCount, want)
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/fabric"
@@ -34,35 +33,22 @@ type TamperConfig struct {
 
 // TamperRun is the measured outcome of one transparency-log configuration.
 type TamperRun struct {
-	Tamper        bool    `json:"tamper"`
-	FaultProb     float64 `json:"fault_prob"`
-	FromK         int     `json:"from_k"`
-	ToK           int     `json:"to_k"`
-	Txns          int     `json:"txns"`
-	BundlesPerTxn int     `json:"bundles_per_txn"`
-	Events        int     `json:"events"`
-	Workers       int     `json:"workers"`
+	Events int
 
-	WallSeconds float64 `json:"wall_seconds"`
+	TreeSize           int
+	InclusionVerified  int
+	ConsistencyChecked int
+	HeadsVerified      int
+	AuditClean         bool
+	ProofFailures      int
+	Divergences        int
+	TamperFlagged      bool
+	ReopenedOK         bool // cold Open rebuilt the same head
 
-	TreeSize           int   `json:"tree_size"`
-	LogAppends         int64 `json:"log_appends"`
-	LogHeads           int64 `json:"log_heads"`
-	InclusionVerified  int   `json:"inclusion_verified"`
-	ConsistencyChecked int   `json:"consistency_checked"`
-	HeadsVerified      int   `json:"heads_verified"`
-	AuditClean         bool  `json:"audit_clean"`
-	ProofFailures      int   `json:"proof_failures"`
-	Divergences        int   `json:"divergences"`
-	TamperFlagged      bool  `json:"tamper_flagged"`
-	ReopenedOK         bool  `json:"reopened_ok"` // cold Open rebuilt the same head
-
-	ItemCount  int     `json:"item_count"`
-	Misplaced  int     `json:"misplaced"`
-	Duplicates int     `json:"duplicates"`
-	Faults     int64   `json:"faults"`
-	TotalOps   int64   `json:"total_ops"`
-	CostUSD    float64 `json:"cost_usd"`
+	ItemCount  int
+	Misplaced  int
+	Duplicates int
+	Faults     int64
 }
 
 // TamperDetection runs one transparency-log configuration: commit half the
@@ -75,12 +61,7 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	if c.ClientConns <= 0 {
 		c.ClientConns = 32
 	}
-	run := TamperRun{
-		Tamper: c.Tamper, FaultProb: c.FaultProb,
-		FromK: c.FromK, ToK: c.ToK,
-		Txns: c.Txns, BundlesPerTxn: c.BundlesPerTxn, Events: c.Txns * c.BundlesPerTxn,
-		Workers: c.Workers,
-	}
+	run := TamperRun{Events: c.Txns * c.BundlesPerTxn}
 	set := commitPipeTxns(c.Seed, c.Txns, c.BundlesPerTxn)
 	cfg := fabric.Config{Topology: kWay(c.FromK), Workers: c.Workers, Translog: true}
 	if c.FaultProb > 0 {
@@ -93,7 +74,6 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	defer f.Close()
 	f.Start()
 
-	wall0 := time.Now()
 	half := len(set) / 2
 	if _, err := runPhase(f, c.ClientConns, set[:half], c.FromK); err != nil {
 		return run, err
@@ -112,12 +92,11 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 	// Verification runs with the fault plan disarmed: the proofs and the
 	// audit are the subject here, not the retry machinery (the unit tests
 	// cover auditing under live faults).
-	out, err := finish(f, wall0, nil)
+	out, err := finish(f, nil)
 	if err != nil {
 		return run, err
 	}
-	run.WallSeconds, run.Faults = out.wallSecs, out.usage.Faults
-	run.ItemCount, run.Misplaced, run.Duplicates = out.items, out.misplaced, out.duplicates
+	run.Faults, run.ItemCount, run.Misplaced, run.Duplicates = out.usage.Faults, out.items, out.misplaced, out.duplicates
 
 	head, err := f.Checkpoint() // final durable head
 	if err != nil {
@@ -167,11 +146,6 @@ func TamperDetection(c TamperConfig) (TamperRun, error) {
 		}
 		run.ReopenedOK = reopened.Head() == head
 	}
-	usage := f.Env.Meter().Usage()
-	run.LogAppends = usage.LogAppends
-	run.LogHeads = usage.LogHeads
-	run.TotalOps = usage.TotalOps
-	run.CostUSD = usage.Cost(f.Env.Config().StorageWindow)
 
 	// A logged run ends as clean as an unlogged one.
 	return run, cleanEnd(f)

@@ -74,8 +74,8 @@ import (
 // cut short leaves the header on the WAL. The daemon that died there takes
 // its record of the commit with it; whichever daemon receives what is left —
 // a restarted one included — assembles a transaction that never completes,
-// and once Settle has drained the WAL it finds the COPY in place with one
-// HEAD and acknowledges the rest (absorbCommitted). One case stays open: a
+// and once Settle has drained the WAL it finds the commit in place with one
+// read and acknowledges the rest (absorbCommitted). One case stays open: a
 // real DeleteMessageBatch that fails part-way can acknowledge the header
 // before the other packets; the same daemon acknowledges those as they
 // redeliver, but if it restarts first they wait for the queue's retention.
@@ -894,10 +894,10 @@ func (p *P3) Settle() error {
 // has no record of, once Settle has drained the WAL: a daemon that died in a
 // cleanup left each such transaction's header and some other packets
 // behind, which assemble here but never complete. A pending transaction
-// whose header is in and that carries data is committed if its final object
-// holds its version (one HEAD); then its receipts are acknowledged and it is
-// recorded as committed. A fault-free drain leaves nothing pending and makes
-// no request here.
+// whose header is in is committed if one read finds its commit (see
+// committedBefore); then its receipts are acknowledged and it is recorded
+// as committed. A fault-free drain leaves nothing pending and makes no
+// request here.
 func (p *P3) absorbCommitted() error {
 	var pairs []shardReceipt
 	for i := range p.shards {
@@ -905,14 +905,14 @@ func (p *P3) absorbCommitted() error {
 		sh.mu.Lock()
 		var check []*txnState
 		for _, st := range sh.pending {
-			if st.header != nil && st.header.TmpKey != "" {
+			if st.header != nil {
 				check = append(check, st)
 			}
 		}
 		sh.mu.Unlock()
 		slices.SortFunc(check, func(a, b *txnState) int { return bytes.Compare(a.header.Txn[:], b.header.Txn[:]) })
 		for _, st := range check {
-			if !p.alreadyCommitted(st.header) {
+			if !p.committedBefore(st) {
 				continue
 			}
 			sh.mu.Lock()
@@ -927,6 +927,23 @@ func (p *P3) absorbCommitted() error {
 		}
 	}
 	return p.deleteReceiptPairs(pairs)
+}
+
+// committedBefore reports whether a prior daemon committed the incomplete
+// transaction st: its final object carries its version or, without data,
+// the database holds the first bundle of its header packet. Packets go
+// missing only to a cleanup, which follows the whole commit, or with a
+// client that died sending them; that transaction never completes anyway.
+func (p *P3) committedBefore(st *txnState) bool {
+	if st.header.TmpKey != "" {
+		return p.alreadyCommitted(st.header)
+	}
+	ref, ok := prov.LeadingRef(st.frags[0])
+	if !ok {
+		return false
+	}
+	_, err := p.dep.DB.GetAttributes(ref.String())
+	return err == nil
 }
 
 // PendingTxns reports transactions with packets outstanding (incomplete or

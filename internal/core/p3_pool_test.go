@@ -164,33 +164,38 @@ func TestP3HalfAcknowledgedRedelivery(t *testing.T) {
 // a committed transaction's cleanup leaves some of its packets on the WAL,
 // and a restarted daemon — a fresh P3 with no record of the commit — gets
 // them after the visibility timeout. They never complete the transaction;
-// once the drain is done the daemon finds the COPY in place and acknowledges
+// once the drain is done the daemon finds the commit in place (the COPY, or
+// for a transaction without data its first bundle's item) and acknowledges
 // them, with no second commit.
 func TestP3RestartedDaemonAbsorbsHalfAcknowledgedCommit(t *testing.T) {
-	dep := newDep(t, sim.Eventual)
-	p := NewP3(dep, Options{})
-	p.SetChunkSize(64) // several packets, so a cleanup can die part-way
 	_, _, out, _, outB := onePipeline(t, 41)
-	if err := p.Commit(out, outB); err != nil {
-		t.Fatal(err)
-	}
-	dep.Env.InstallFaults(nil).CrashAt(CrashCleanupAfterReceipts, 1)
-	if err := p.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	for name, obj := range map[string]FileObject{"data": out, "prov-only": {}} {
+		t.Run(name, func(t *testing.T) {
+			dep := newDep(t, sim.Eventual)
+			p := NewP3(dep, Options{})
+			p.SetChunkSize(64) // several packets, so a cleanup can die part-way
+			if err := p.Commit(obj, outB); err != nil {
+				t.Fatal(err)
+			}
+			dep.Env.InstallFaults(nil).CrashAt(CrashCleanupAfterReceipts, 1)
+			if err := p.Settle(); err != nil {
+				t.Fatal(err)
+			}
 
-	restarted := NewP3(dep, Options{})
-	dep.Env.Clock().Advance(dep.WAL.Visibility() + time.Second)
-	if err := restarted.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	if n := dep.WAL.Len(); n != 0 {
-		t.Errorf("WAL holds %d packets after the restarted daemon settled", n)
-	}
-	if n := restarted.PendingTxns(); n != 0 {
-		t.Errorf("%d transactions pending on the restarted daemon", n)
-	}
-	if puts := dep.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]; puts != 1 {
-		t.Errorf("%d BatchPutAttributes, want the one commit", puts)
+			restarted := NewP3(dep, Options{})
+			dep.Env.Clock().Advance(dep.WAL.Visibility() + time.Second)
+			if err := restarted.Settle(); err != nil {
+				t.Fatal(err)
+			}
+			if n := dep.WAL.Len(); n != 0 {
+				t.Errorf("WAL holds %d packets after the restarted daemon settled", n)
+			}
+			if n := restarted.PendingTxns(); n != 0 {
+				t.Errorf("%d transactions pending on the restarted daemon", n)
+			}
+			if puts := dep.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]; puts != 1 {
+				t.Errorf("%d BatchPutAttributes, want the one commit", puts)
+			}
+		})
 	}
 }

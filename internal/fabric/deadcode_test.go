@@ -50,6 +50,8 @@ var testOnlyAllowlist = []string{
 	"passcloud/internal/bench.ChaosCommitQueryReshard",
 	"passcloud/internal/bench.CoherentReads",
 	"passcloud/internal/bench.CoherentReadsRun.CostRatio",
+	"passcloud/internal/bench.ReshardUnderLoad",
+	"passcloud/internal/bench.ShardedWrite",
 	"passcloud/internal/bench.TenantIsolation",
 	"passcloud/internal/bench.TamperDetection",
 }

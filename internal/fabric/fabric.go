@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -32,6 +33,9 @@ type Config struct {
 	Topology core.Topology
 	// Workers is the size of the P3 commit-daemon pool.
 	Workers int
+	// DaemonPoll, when positive, replaces the one second an idle commit
+	// daemon sleeps between polls.
+	DaemonPoll time.Duration
 	// Faults, when non-nil, is armed before anything commits.
 	Faults sim.FaultPlan
 	// Resilience, when not the zero Policy, replaces the deployment's
@@ -176,8 +180,8 @@ func (f *Fabric) Start() {
 	if f.pool != nil {
 		return
 	}
-	p3 := f.P3
-	f.pool = startLoop(func(quit <-chan struct{}) { p3.RunDaemon(quit, daemonPoll) })
+	p3, poll := f.P3, cmp.Or(f.cfg.DaemonPoll, daemonPoll)
+	f.pool = startLoop(func(quit <-chan struct{}) { p3.RunDaemon(quit, poll) })
 	if f.Log != nil {
 		f.seq = startLoop(func(quit <-chan struct{}) { f.Log.Run(quit, checkpointEvery) })
 	}
@@ -246,13 +250,12 @@ func (f *Fabric) toManual() error {
 
 // RecoverReport says what each step of Recover found: the WAL messages the
 // dead processes left, the reopened log's size, the resharder's resume and
-// what it moved, the controller's record, and what the final Settle left.
+// what it moved, and what the final Settle left.
 type RecoverReport struct {
 	Outstanding int
 	LogSize     int
 	Resumed     bool
 	Reshard     core.ReshardStats
-	Record      *autoscale.DecisionRecord
 	Pending     int
 	WAL         int
 }
@@ -268,7 +271,8 @@ type RecoverReport struct {
 //  5. resumes a dead resharder, lets the controller close a decided record
 //     (one Step) and settles.
 //
-// It leaves the fabric on the manual clock with nothing running.
+// Like ToManual, it leaves the fabric on the manual clock with nothing
+// running, for verification: a recovered fabric is not started again.
 func (f *Fabric) Recover(ctx context.Context) (RecoverReport, error) {
 	var rep RecoverReport
 	f.halt().stop()
@@ -306,7 +310,6 @@ func (f *Fabric) Recover(ctx context.Context) (RecoverReport, error) {
 		if err := f.Ctl.Step(ctx); err != nil {
 			return rep, fmt.Errorf("fabric: controller step: %w", err)
 		}
-		rep.Record = f.Ctl.Status().Record
 	}
 	err = f.P3.Settle()
 	rep.Pending, rep.WAL = f.P3.PendingTxns(), f.Dep.WAL.Len()

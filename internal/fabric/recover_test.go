@@ -1,13 +1,14 @@
 package fabric
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,18 +27,17 @@ import (
 // point, what the dead process must have left, and what Recover must do
 // beyond the oracle every case shares.
 type crashCase struct {
-	point sim.CrashPoint
-	n     int // CrashAt's n
-	txns  int // workload size; 0 is 12
-	chunk int // WAL chunk size for the workload; 0 is the default
-	// autoscale runs the case with a controller (scaleCfg).
-	autoscale bool
-	// drive takes the fabric from the logged workload to the armed point.
-	drive func(t *testing.T, r *crashRun)
-	// crashed checks the state the dead process left, before Recover.
-	crashed func(t *testing.T, r *crashRun)
-	// recovered checks what this point needs of Recover beyond the oracle.
-	recovered func(t *testing.T, r *crashRun, rep RecoverReport)
+	point     sim.CrashPoint
+	n         int  // CrashAt's n
+	txns      int  // workload size; 0 is 12
+	chunk     int  // WAL chunk size for the workload; 0 is the default
+	provOnly  bool // the workload commits provenance without data
+	autoscale bool // the fabric has a controller (scaleCfg)
+	// drive takes the fabric from the logged workload to the armed point,
+	// crashed checks what the dead process left, and recovered what this
+	// point needs of Recover beyond the oracle.
+	drive, crashed func(t *testing.T, r *crashRun)
+	recovered      func(t *testing.T, r *crashRun, rep RecoverReport)
 }
 
 // crashRun is one case at one fabric width.
@@ -49,14 +49,8 @@ type crashRun struct {
 	twin  twin
 	stats core.ReshardStats // what a crashed reshard reported
 	head  translog.SignedHead
-}
-
-func (r *crashRun) arm(point sim.CrashPoint, n int) {
-	inj := r.f.Env.Faults()
-	if inj == nil {
-		inj = r.f.Env.InstallFaults(nil)
-	}
-	inj.CrashAt(point, n)
+	puts  int64        // BatchPutAttributes requests made before Recover
+	sent  atomic.Int64 // transactions the commit bus announced
 }
 
 func settle(t *testing.T, r *crashRun) {
@@ -77,8 +71,7 @@ func reshardTo2(t *testing.T, r *crashRun) {
 	}
 }
 
-// readsIdentical: the union-read window (or the finished cutover) hides a
-// dead resharder's migration from readers.
+// readsIdentical: readers never see a dead resharder's migration.
 func readsIdentical(t *testing.T, r *crashRun) {
 	r.f.Dep.Settle()
 	if got := digest(t, r.f, r.uuids); got != r.twin.digest {
@@ -110,8 +103,7 @@ func crashedCheckpoint(t *testing.T, r *crashRun) {
 	}
 }
 
-// sameHead: heads are functions of leaf content alone, so the rolled-forward
-// head is byte for byte the one the never-crashed sequencer signs.
+// sameHead: the rolled-forward head is byte for byte the never-crashed one.
 func sameHead(t *testing.T, r *crashRun, rep RecoverReport) {
 	h := r.f.Log.Head()
 	if r.head.Sig = h.Sig; h != r.head || !h.Verify(r.f.Log.Public()) || rep.LogSize != h.TreeSize {
@@ -135,8 +127,7 @@ func overload(r *crashRun) {
 	r.f.Env.Clock().Advance(10 * time.Second)
 }
 
-// decide settles the workload, takes the controller's baseline sample and
-// kills the controller deciding on the next window.
+// decide settles, takes a baseline sample and kills the next decision.
 func decide(t *testing.T, r *crashRun) {
 	settle(t, r)
 	if err := r.f.Ctl.Step(context.Background()); err != nil { // the baseline
@@ -148,20 +139,15 @@ func decide(t *testing.T, r *crashRun) {
 	}
 }
 
-// record reads the persisted decision record once the store has settled, as
-// a restarted controller eventually does.
-func record(t *testing.T, f *Fabric) (autoscale.DecisionRecord, bool) {
+// record reads the persisted decision record, as a restarted controller does.
+func record(t *testing.T, f *Fabric) (rec autoscale.DecisionRecord, ok bool) {
 	t.Helper()
 	f.Dep.Settle()
-	var rec autoscale.DecisionRecord
 	o, err := f.Dep.Store.Get(autoscale.RecordKey)
 	if errors.Is(err, store.ErrNoSuchKey) {
 		return rec, false
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(o.Data, &rec); err != nil {
+	if err := cmp.Or(err, json.Unmarshal(o.Data, &rec)); err != nil {
 		t.Fatal(err)
 	}
 	return rec, true
@@ -171,26 +157,23 @@ func record(t *testing.T, f *Fabric) (autoscale.DecisionRecord, bool) {
 // leaves, at width k (0: where it started) and epoch epoch.
 func leftDecided(k, epoch int) func(*testing.T, *crashRun) {
 	return func(t *testing.T, r *crashRun) {
-		rec, ok := record(t, r.f)
-		if !ok || rec.State != autoscale.RecordDecided || rec.TargetK != 2 {
+		if rec, ok := record(t, r.f); !ok || rec.State != autoscale.RecordDecided || rec.TargetK != 2 {
 			t.Errorf("record %+v ok=%v, want decided toward 2", rec, ok)
 		}
-		want := k
-		if want == 0 {
-			want = r.k
-		}
-		if got, e := r.f.Dep.DB.Directory().Active().Shards, r.f.Dep.DB.Directory().Epoch(); got != want || e != epoch {
-			t.Errorf("K=%d epoch %d, want K=%d epoch %d", got, e, want, epoch)
+		if got, e := r.f.Dep.DB.Directory().Active().Shards, r.f.Dep.DB.Directory().Epoch(); got != cmp.Or(k, r.k) || e != epoch {
+			t.Errorf("K=%d epoch %d, want K=%d epoch %d", got, e, cmp.Or(k, r.k), epoch)
 		}
 	}
 }
 
 // closedOnce wants the fabric at 2 and the record closed, in exactly one
-// epoch: a double trigger would have re-copied.
+// epoch and one counted decision: a double trigger would have re-copied.
 func closedOnce(t *testing.T, r *crashRun, _ RecoverReport) {
-	rec, ok := record(t, r.f)
-	if !ok || rec.State != autoscale.RecordDone || rec.TargetK != 2 {
+	if rec, ok := record(t, r.f); !ok || rec.State != autoscale.RecordDone || rec.TargetK != 2 {
 		t.Errorf("record %+v ok=%v, want done at 2", rec, ok)
+	}
+	if st := r.f.Ctl.Status(); st.Grows+st.Shrinks != 1 {
+		t.Errorf("the restarted controller counted %d grows and %d shrinks, want one decision", st.Grows, st.Shrinks)
 	}
 	if k, e := r.f.Dep.DB.Directory().Active().Shards, r.f.Dep.DB.Directory().Epoch(); k != 2 || e != 1 {
 		t.Errorf("K=%d epoch %d, want K=2 in epoch 1", k, e)
@@ -215,6 +198,28 @@ func groupHeld(t *testing.T, r *crashRun) {
 	}
 }
 
+// cutShort: the packets a cleanup cut short left are held on the WAL while
+// the rest of the workload commits.
+func cutShort(t *testing.T, r *crashRun) {
+	for progress, err := true, error(nil); progress; {
+		if progress, err = r.f.P3.CommitOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	groupHeld(t, r)
+}
+
+// notRecommitted: what a cut cleanup left is absorbed without a second
+// commit, by Recover or by a running pool.
+func notRecommitted(t *testing.T, r *crashRun, _ RecoverReport) {
+	if puts := r.f.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]; puts != r.puts {
+		t.Errorf("Recover re-ran a commit: %d BatchPutAttributes, %d before", puts, r.puts)
+	}
+	if n, want := r.sent.Load(), int64(len(r.uuids)/2); n != want {
+		t.Errorf("%d transactions committed, want each of the %d once", n, want)
+	}
+}
+
 // The cases, by the process that dies.
 var (
 	daemonCases = []crashCase{
@@ -222,7 +227,8 @@ var (
 		{point: core.CrashAfterDB, drive: groupDies, crashed: groupHeld},
 		{point: core.CrashAfterCopy, drive: groupDies, crashed: groupHeld},
 		// Several packets a transaction, so one can be acknowledged alone.
-		{point: core.CrashCleanupAfterReceipts, n: 1, chunk: 64, drive: groupDies, crashed: groupHeld},
+		{point: core.CrashCleanupAfterReceipts, n: 1, chunk: 64, drive: groupDies, crashed: cutShort, recovered: notRecommitted},
+		{point: core.CrashCleanupAfterReceipts, n: 1, chunk: 64, provOnly: true, drive: groupDies, crashed: cutShort, recovered: notRecommitted},
 	}
 	clientCases = []crashCase{
 		{point: core.CrashClientAfterPackets, n: 1, chunk: 64, drive: clientDies, crashed: clientLeftovers},
@@ -250,8 +256,7 @@ var (
 // lostTxn is the transaction a client dies logging.
 func lostTxn() (core.FileObject, []prov.Bundle) { return txn(sim.NewRand(99), 9999, 4) }
 
-// clientDies settles the workload, then a client dies having logged one of
-// a transaction's packets.
+// clientDies: after the workload settles, a client dies with one packet sent.
 func clientDies(t *testing.T, r *crashRun) {
 	settle(t, r)
 	if err := r.f.P3.Commit(lostTxn()); !errors.Is(err, sim.ErrCrashed) {
@@ -368,11 +373,10 @@ type twin struct {
 	items  int
 }
 
-// crashFabric builds a case's fabric at width k (every run carries a log)
-// and logs the workload: the first half settled and checkpointed, the
-// second half only on the WAL. On a live fabric nothing is settled; the
-// pool drains it.
-func crashFabric(t *testing.T, c crashCase, k, workers int, faults bool, scale float64, twins map[[2]int]twin) *crashRun {
+// crashFabric builds a case's fabric at width k, with a log, and logs the
+// workload: the first half settled and checkpointed, the second only on the
+// WAL. On a live fabric nothing is settled; the pool drains it.
+func crashFabric(t *testing.T, c crashCase, k, workers int, faults bool, scale float64, twins map[string]twin) *crashRun {
 	t.Helper()
 	cfg := Config{Sim: sim.Config{Seed: 11, TimeScale: scale}, Topology: core.Topology{WALShards: k, DBShards: k}, Workers: workers, Translog: true}
 	if c.autoscale {
@@ -385,23 +389,30 @@ func crashFabric(t *testing.T, c crashCase, k, workers int, faults bool, scale f
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.chunk > 0 {
-		f.P3.SetChunkSize(c.chunk)
-	}
+	f.P3.SetChunkSize(c.chunk)      // 0 keeps the default
+	f.Env.InstallFaults(cfg.Faults) // an injector to arm the point on
 	n := max(c.txns, 12)
 	r := &crashRun{f: f, k: k}
+	f.Dep.Commits.Subscribe(func(n core.CommitNotice) int64 {
+		r.sent.Add(int64(len(n.Txns)))
+		return 0
+	})
 	rnd := sim.NewRand(int64(n))
 	if scale > 0 {
-		r.arm(c.point, c.n)
+		f.Env.Faults().CrashAt(c.point, c.n)
 		f.Start()
 	}
 	for i := 0; i < n; i++ {
 		obj, bundles := txn(rnd, i, 4)
+		if c.provOnly {
+			obj = core.FileObject{}
+		} else {
+			r.objs = append(r.objs, obj)
+		}
 		if err := f.P3.Commit(obj, bundles); err != nil {
 			t.Fatal(err)
 		}
-		r.objs = append(r.objs, obj)
-		r.uuids = append(r.uuids, bundles[0].Ref.UUID, obj.Ref.UUID)
+		r.uuids = append(r.uuids, bundles[0].Ref.UUID, bundles[len(bundles)-1].Ref.UUID)
 		if i == n/2-1 && scale == 0 {
 			settle(t, r)
 			if _, err := f.Checkpoint(); err != nil {
@@ -409,9 +420,9 @@ func crashFabric(t *testing.T, c crashCase, k, workers int, faults bool, scale f
 			}
 		}
 	}
-	key := [2]int{k, n}
+	key := fmt.Sprint(k, n, c.provOnly)
 	if _, ok := twins[key]; !ok && twins != nil {
-		tw := crashFabric(t, crashCase{txns: c.txns}, k, workers, false, 0, nil)
+		tw := crashFabric(t, crashCase{txns: c.txns, provOnly: c.provOnly}, k, workers, false, 0, nil)
 		settle(t, tw)
 		tw.f.Dep.Settle()
 		twins[key] = twin{digest(t, tw.f, tw.uuids), tw.f.Dep.DB.ItemCount()}
@@ -420,75 +431,89 @@ func crashFabric(t *testing.T, c crashCase, k, workers int, faults bool, scale f
 	return r
 }
 
-// TestCrashRecovery kills each process of a P3 fabric at every crash point
-// it can reach, and restarts the fabric with Recover alone: no case runs
-// recovery of its own. Each runs at K=1 with one commit daemon and at K=4
-// with five (the resharder taking K to 2: a grow and a shrink); the
-// resharder's points again under faults and duplicate delivery, and the
-// commit daemon's on a started fabric. After Recover every case must hold
-// what the never-crashed twin holds, audit clean on the fabric and the log,
-// leave no work behind, and leave nothing for a second Recover.
-func TestCrashRecovery(t *testing.T) {
-	type leg struct {
-		name       string
-		k, workers int
-		faults     bool
-		scale      float64
-		cases      []crashCase
-	}
-	all := slices.Concat(daemonCases, clientCases, reshardCases, checkpointCases, controllerCases)
-	legs := []leg{
-		{name: "k=1", k: 1, workers: 1, cases: all},
-		{name: "k=4", k: 4, workers: 5, cases: all},
-		{name: "faults", k: 4, workers: 5, faults: true, cases: reshardCases},
-		{name: "live", k: 4, workers: 5, scale: 400, cases: daemonCases},
-	}
-	twins := make(map[[2]int]twin)
-	for _, l := range legs {
-		for _, c := range l.cases {
-			t.Run(string(c.point)+"/"+l.name, func(t *testing.T) {
-				r := crashFabric(t, c, l.k, l.workers, l.faults, l.scale, twins)
-				f := r.f
-				defer f.Close()
-				if l.scale > 0 {
-					waitCrash(t, f)
-				} else {
-					r.arm(c.point, c.n)
-					c.drive(t, r)
-					if left := f.Env.Faults().ArmedCrashes(); len(left) != 0 {
-						t.Fatalf("%v armed, its site never reached", left)
-					}
-					if c.crashed != nil {
-						c.crashed(t, r)
-					}
-				}
+// crashLeg is one fabric a case runs on: width, daemons, faults, live clock.
+type crashLeg struct {
+	name       string
+	k, workers int
+	faults     bool
+	scale      float64
+}
 
-				rep, err := f.Recover(t.Context())
-				if err != nil {
-					t.Fatalf("Recover: %v (%+v)", err, rep)
+// TestCrashRecovery kills each process of a P3 fabric at every crash point
+// it can reach and restarts the fabric with Recover alone, grouped by the
+// process that dies. The commit daemon's points run at K=1 and K=4 with one
+// daemon and with five, and on a started fabric; the others at K=1 with one
+// and K=4 with five (the resharder takes K to 2: a grow and a shrink), the
+// resharder's again under faults. After Recover every case must hold what
+// the never-crashed twin holds, audit clean, leave no work behind, and leave
+// nothing for a second Recover.
+func TestCrashRecovery(t *testing.T) {
+	k1, k4 := crashLeg{name: "k=1", k: 1, workers: 1}, crashLeg{name: "k=4", k: 4, workers: 5}
+	groups := []struct {
+		name  string
+		cases []crashCase
+		legs  []crashLeg
+	}{
+		{"daemon-k=1", daemonCases, []crashLeg{{name: "workers=1", k: 1, workers: 1}, {name: "workers=5", k: 1, workers: 5}}},
+		{"daemon-k=4", daemonCases, []crashLeg{{name: "workers=1", k: 4, workers: 1}, {name: "workers=5", k: 4, workers: 5}}},
+		{"daemon-live", daemonCases, []crashLeg{{name: "k=4", k: 4, workers: 5, scale: 400}}},
+		{"client", clientCases, []crashLeg{k1, k4}},
+		{"reshard", reshardCases, []crashLeg{k1, k4}},
+		{"reshard-faults", reshardCases, []crashLeg{{name: "k=4", k: 4, workers: 5, faults: true}}},
+		{"translog", checkpointCases, []crashLeg{k1, k4}},
+		{"autoscale", controllerCases, []crashLeg{k1, k4}},
+	}
+	twins := make(map[string]twin)
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			for _, c := range g.cases {
+				name := string(c.point)
+				if c.provOnly {
+					name += "+prov-only"
 				}
-				if c.recovered != nil {
-					c.recovered(t, r, rep)
-				}
-				oracle(t, r, rep)
-				if l.faults {
-					if u := f.Env.Meter().Usage(); u.Faults == 0 || f.Dep.Res.Stats().Totals().Retries == 0 {
-						t.Errorf("%d faults injected, %d retried: the plan did not run", u.Faults, f.Dep.Res.Stats().Totals().Retries)
+				t.Run(name, func(t *testing.T) {
+					for _, l := range g.legs {
+						t.Run(l.name, func(t *testing.T) { crashRow(t, c, l, twins) })
 					}
-				}
-			})
-		}
+				})
+			}
+		})
 	}
 }
 
-// waitCrash waits, on the wall clock, for a started fabric's armed point to
-// fire.
-func waitCrash(t *testing.T, f *Fabric) {
-	t.Helper()
-	for deadline := time.Now().Add(20 * time.Second); len(f.Env.Faults().ArmedCrashes()) != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the armed point never fired")
+// crashRow runs one case on one leg: arm, drive, check, Recover, oracle.
+func crashRow(t *testing.T, c crashCase, l crashLeg, twins map[string]twin) {
+	r := crashFabric(t, c, l.k, l.workers, l.faults, l.scale, twins)
+	f := r.f
+	defer f.Close()
+	if l.scale > 0 { // wait for the point to fire and the pool to commit every item
+		for deadline := time.Now().Add(20 * time.Second); len(f.Env.Faults().ArmedCrashes()) != 0 || f.Dep.DB.ItemCount() != r.twin.items; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("armed %v, %d of %d items in", f.Env.Faults().ArmedCrashes(), f.Dep.DB.ItemCount(), r.twin.items)
+			}
 		}
+	} else {
+		f.Env.Faults().CrashAt(c.point, c.n)
+		c.drive(t, r)
+		if left := f.Env.Faults().ArmedCrashes(); len(left) != 0 {
+			t.Fatalf("%v armed, its site never reached", left)
+		}
+		if c.crashed != nil {
+			c.crashed(t, r)
+		}
+	}
+
+	r.puts = f.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]
+	rep, err := f.Recover(t.Context())
+	if err != nil {
+		t.Fatalf("Recover: %v (%+v)", err, rep)
+	}
+	if c.recovered != nil {
+		c.recovered(t, r, rep)
+	}
+	oracle(t, r, rep)
+	if u, st := f.Env.Meter().Usage(), f.Dep.Res.Stats().Totals(); l.faults && (u.Faults == 0 || st.Retries == 0) {
+		t.Errorf("%d faults injected, %d retried: the plan did not run", u.Faults, st.Retries)
 	}
 }
 
@@ -538,5 +563,8 @@ func oracle(t *testing.T, r *crashRun, rep RecoverReport) {
 	again, err := f.Recover(t.Context())
 	if err != nil || again.Resumed || again.Outstanding != 0 || f.Dep.DB.Directory().Epoch() != epoch {
 		t.Errorf("a second Recover: %+v err %v, epoch %d -> %d", again, err, epoch, f.Dep.DB.Directory().Epoch())
+	}
+	if f.Ctl != nil && f.Ctl.Status().Grows+f.Ctl.Status().Shrinks != 0 {
+		t.Errorf("a second Recover's controller decided again: %+v", f.Ctl.Status())
 	}
 }

@@ -77,6 +77,16 @@ func (b Bundle) EncodedSize() int {
 	return n
 }
 
+// LeadingRef returns the ref of the first bundle in b, an encoding that may
+// be cut short anywhere after that ref.
+func LeadingRef(b []byte) (Ref, bool) {
+	var join []byte
+	var err error
+	d := decoder{cur: b, left: len(b), join: &join, err: &err}
+	r := d.ref()
+	return r, err == nil
+}
+
 // EncodeBundles encodes a sequence of bundles into one payload, allocated
 // once at its exact size.
 func EncodeBundles(bs []Bundle) []byte {
@@ -192,17 +202,25 @@ func (d *decoder) field() []byte {
 	return d.take(int(min(l, uint64(d.left)+1))) // over d.left: truncated
 }
 
+// ref decodes a bundle's magic and ref.
+func (d *decoder) ref() (r Ref) {
+	head := d.take(2 + len(r.UUID))
+	if head == nil || binary.BigEndian.Uint16(head) != bundleMagic {
+		d.fail("bad header")
+		return r
+	}
+	copy(r.UUID[:], head[2:])
+	r.Version = int(d.uvarint())
+	return r
+}
+
 // bundle decodes the next bundle, reusing prev's strings for its name and
 // for a value at the same record index and attribute when they are equal.
 func (d *decoder) bundle(prev *Bundle) Bundle {
 	var b Bundle
-	head := d.take(2 + len(b.Ref.UUID))
-	if head == nil || binary.BigEndian.Uint16(head) != bundleMagic {
-		d.fail("bad header")
+	if b.Ref = d.ref(); *d.err != nil {
 		return b
 	}
-	copy(b.Ref.UUID[:], head[2:])
-	b.Ref.Version = int(d.uvarint())
 	b.Type = ObjectType(d.byte())
 	b.Name = reuse(d.field(), prev.Name)
 	if nrec := d.uvarint(); nrec > uint64(d.left/3) { // a record takes at least 3 bytes
