@@ -21,11 +21,12 @@ import (
 // than the database's 1 KB limit are stored as store objects under
 // SpillPrefix and replaced by a SpillMarker pointer.
 
-// itemsFor converts bundles into database put requests, spilling oversized
-// values to st. It returns the requests in bundle order. The item names are
-// rendered once, into one string, and a cross reference to a bundle of the
-// same call reuses that bundle's name; the attributes share one slab.
-func itemsFor(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, error) {
+// ItemsForBundles converts bundles into database put requests, spilling
+// oversized values to st. It returns the requests in bundle order. The item
+// names are rendered once, into one string, and a cross reference to a
+// bundle of the same call reuses that bundle's name; the attributes share
+// one slab.
+func ItemsForBundles(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, error) {
 	size, nattrs := 0, 0
 	for _, b := range bundles {
 		size += refLen(b.Ref)
@@ -94,10 +95,10 @@ func putItems(db *sdb.DomainSet, reqs []sdb.PutRequest, conns int, ordered bool)
 	return db.BulkPut(reqs, conns, ordered)
 }
 
-// bundleFromItem reconstructs a provenance bundle from a database item; the
+// BundleFromItem reconstructs a provenance bundle from a database item; the
 // query engine uses it to rebuild DAG fragments from query results. Each
 // attribute is one record: Records is sized once (nil for no attributes).
-func bundleFromItem(it sdb.Item) (prov.Bundle, error) {
+func BundleFromItem(it sdb.Item) (prov.Bundle, error) {
 	ref, err := prov.ParseRef(it.Name)
 	if err != nil {
 		return prov.Bundle{}, err
@@ -124,15 +125,6 @@ func bundleFromItem(it sdb.Item) (prov.Bundle, error) {
 		}
 	}
 	return b, nil
-}
-
-// BundleFromItem is the exported form used by the query engine.
-func BundleFromItem(it sdb.Item) (prov.Bundle, error) { return bundleFromItem(it) }
-
-// ItemsForBundles is the exported form of the bundle-to-item conversion,
-// used by the benchmark harness's batch-size ablation.
-func ItemsForBundles(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, error) {
-	return itemsFor(st, bundles)
 }
 
 // ItemSpec describes one synthetic provenance item for bulk population —

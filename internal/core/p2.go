@@ -50,7 +50,7 @@ func (p *P2) Name() string { return "P2" }
 
 // Commit implements the protocol.
 func (p *P2) Commit(obj FileObject, bundles []prov.Bundle) error {
-	reqs, err := itemsFor(p.dep.Store, bundles)
+	reqs, err := ItemsForBundles(p.dep.Store, bundles)
 	if err != nil {
 		return err
 	}

@@ -708,7 +708,7 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 			errs = append(errs, st.err)
 			continue
 		}
-		reqs, err := itemsFor(p.dep.Store, st.bundles)
+		reqs, err := ItemsForBundles(p.dep.Store, st.bundles)
 		if err != nil {
 			errs = append(errs, err)
 			continue

@@ -39,10 +39,8 @@ var testOnlyAllowlist = []string{
 	"passcloud/internal/golden.Check",
 	// Test oracles: the query engine and the collector are checked against
 	// the in-memory graph's own closures and invariants.
-	"passcloud/internal/prov.Graph.Children",
 	"passcloud/internal/prov.Graph.Reachable",
 	"passcloud/internal/prov.Graph.AncestorClosure",
-	"passcloud/internal/prov.Graph.DescendantClosure",
 	"passcloud/internal/prov.Graph.CheckAcyclic",
 	"passcloud/internal/prov.Graph.Dangling",
 	// Fabric scenario drivers that only their gate tests run; they wait for

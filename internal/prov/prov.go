@@ -17,6 +17,7 @@ package prov
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -260,42 +261,10 @@ func (g *Graph) Parents(ref Ref) []Ref {
 	return Bundle{Records: n.Records}.Ancestors()
 }
 
-// Children returns the refs that directly depend on ref.
-func (g *Graph) Children(ref Ref) []Ref {
-	var out []Ref
-	for _, n := range g.Nodes() {
-		for _, r := range n.Records {
-			if r.IsXref() && r.Xref == ref {
-				out = append(out, n.Ref)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Reachable reports whether to can be reached from from along dependency
 // edges (i.e. whether to is an ancestor of from).
 func (g *Graph) Reachable(from, to Ref) bool {
-	if from == to {
-		return true
-	}
-	seen := map[Ref]bool{from: true}
-	stack := []Ref{from}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.Parents(cur) {
-			if p == to {
-				return true
-			}
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return false
+	return from == to || slices.Contains(g.AncestorClosure(from), to)
 }
 
 // AncestorClosure returns every ancestor of ref (excluding ref itself).
@@ -311,35 +280,6 @@ func (g *Graph) AncestorClosure(ref Ref) []Ref {
 				seen[p] = true
 				out = append(out, p)
 				stack = append(stack, p)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return refLess(out[i], out[j]) })
-	return out
-}
-
-// DescendantClosure returns every node that transitively depends on ref.
-func (g *Graph) DescendantClosure(ref Ref) []Ref {
-	// Build a reverse index once.
-	children := make(map[Ref][]Ref, len(g.nodes))
-	for r, n := range g.nodes {
-		for _, rec := range n.Records {
-			if rec.IsXref() {
-				children[rec.Xref] = append(children[rec.Xref], r)
-			}
-		}
-	}
-	var out []Ref
-	seen := map[Ref]bool{ref: true}
-	stack := []Ref{ref}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range children[cur] {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-				stack = append(stack, c)
 			}
 		}
 	}

@@ -113,15 +113,11 @@ func TestGraphAddDuplicate(t *testing.T) {
 	}
 }
 
-func TestAncestorAndDescendantClosure(t *testing.T) {
+func TestAncestorClosure(t *testing.T) {
 	g, refs := chain(t, 5)
 	anc := g.AncestorClosure(refs[4])
 	if len(anc) != 4 {
 		t.Fatalf("ancestors = %d, want 4", len(anc))
-	}
-	desc := g.DescendantClosure(refs[0])
-	if len(desc) != 4 {
-		t.Fatalf("descendants = %d, want 4", len(desc))
 	}
 	if len(g.AncestorClosure(refs[0])) != 0 {
 		t.Fatal("root has ancestors")
@@ -182,13 +178,10 @@ func TestTopoOrderAncestorsFirst(t *testing.T) {
 	}
 }
 
-func TestChildrenParents(t *testing.T) {
+func TestParents(t *testing.T) {
 	g, refs := chain(t, 3)
 	if p := g.Parents(refs[1]); len(p) != 1 || p[0] != refs[0] {
 		t.Fatalf("parents = %v", p)
-	}
-	if ch := g.Children(refs[1]); len(ch) != 1 || ch[0] != refs[2] {
-		t.Fatalf("children = %v", ch)
 	}
 }
 

@@ -35,20 +35,20 @@ func benchRun(b *testing.B, e *Engine, spec Spec, want int) {
 }
 
 func BenchmarkRunSelf(b *testing.B) {
-	dep, _ := chainDeployment(b, 10)
+	dep, _ := chainDeployment(b, 10, false)
 	roots := Roots{Attrs: []AttrMatch{{Attr: prov.AttrName, Value: "mnt/n05"}}}
 	benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Self}, 1)
 }
 
 func BenchmarkRunVersions(b *testing.B) {
-	dep, chain := chainDeployment(b, 10)
+	dep, chain := chainDeployment(b, 10, false)
 	roots := Roots{UUIDs: []uuid.UUID{chain[5].UUID}}
 	benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Versions, Project: ProjectBundles}, 1)
 }
 
 func BenchmarkRunAncestors(b *testing.B) {
 	b.Run("chain", func(b *testing.B) {
-		dep, chain := chainDeployment(b, 10)
+		dep, chain := chainDeployment(b, 10, false)
 		roots := Roots{Refs: []prov.Ref{chain[10]}}
 		benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Ancestors, Project: ProjectBundles}, 11)
 	})
@@ -66,9 +66,16 @@ func BenchmarkRunAncestors(b *testing.B) {
 func BenchmarkRunDescendants(b *testing.B) {
 	k4 := core.Topology{WALShards: 4, DBShards: 4}
 	b.Run("chain", func(b *testing.B) {
-		dep, chain := chainDeployment(b, 10)
+		dep, chain := chainDeployment(b, 10, false)
 		roots := Roots{Refs: []prov.Ref{chain[0]}}
 		benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Descendants}, 10)
+	})
+	// query_mix's descendants: from the middle of one object's ten
+	// versions, where the padded read answers the rest of the chain.
+	b.Run("versions", func(b *testing.B) {
+		dep, chain := chainDeployment(b, 9, true)
+		roots := Roots{Refs: []prov.Ref{chain[4]}}
+		benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Descendants}, 5)
 	})
 	b.Run("fan", func(b *testing.B) {
 		dep, _ := fanDeployment(b, 24, k4)

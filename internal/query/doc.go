@@ -31,7 +31,7 @@
 // The database source (source_db.go, P2/P3) owns the routing view, the
 // read-through cache and its keys, IN batching, the reads a pushed filter
 // fuses into, and the child lookup over the schema's indexed input edge
-// (dbSource.children — where a reverse-edge read would land). It routes
+// (dbSource.children), with its readahead along version chains. It routes
 // nothing itself: each SELECT goes to the snapshotted sdb.DomainView,
 // whose read planner sends a predicate that pins item names to their home
 // shards and any other to all K, merged in canonical name order either
@@ -43,7 +43,12 @@
 //   - Descendants runs one round of IN-batched SELECTs per DAG level
 //     (SimpleDB allows 20 comparisons per predicate) on up to Spec.Workers
 //     connections, following the schema's indexed input edges; each batch
-//     is a K-way scatter, because a child lives on its own uuid's shard;
+//     is a K-way scatter, because a child lives on its own uuid's shard.
+//     Short of a terminal level, a partial batch is padded with later
+//     versions of its refs that descend from their own earlier version,
+//     within the depth left; the walk keeps what those pads answer, so a
+//     version chain costs one round per 20 versions, and a level whose
+//     refs were all answered asks nothing;
 //   - Ancestors fetches each level's bundles with itemName() IN batches,
 //     each split across the refs' home shards (at most min(K, refs)
 //     requests), and follows their cross references upward; a partial
@@ -54,57 +59,23 @@
 //
 // # Filters and pushdown
 //
-// Filters never prune the traversal itself — a filtered-out process node
-// still conducts the walk to the file outputs behind it — and a filtered
-// result always carries its bundle (the plan had to fetch it to evaluate
-// or prove the filter; the equivalence tests pin this shape on every
-// plan). On the database backend the planner additionally lowers the
-// conjunctive prefix of a Filter into the SELECT predicates themselves
-// (see lowerFilter): type and attribute equalities, and name equalities,
-// split into a pushed WHERE term plus a client-side residue whose
-// conjunction is exactly the original filter. Pushdown engages where a
-// SELECT already exists to narrow — whole-domain All scans, pure-attribute
-// Self finds (root predicate and filter fuse into one SELECT), and the
-// terminal level of a depth-bounded Descendants walk, where the pushed
-// term joins the IN batch and the shard-side planner picks whichever
-// branch examines fewer candidate items. Unbounded walks get no pushdown:
-// every level feeds the frontier, so nothing can be dropped server-side.
-// Pushdown changes what the SELECTs examine and ship, never the result
-// stream; [Engine.SetPushdown] turns it off for ablation, and
-// [Engine.Describe] spells out the pushed/residue split per plan.
+// Filters select output, never the walk: a filtered-out process node still
+// conducts the walk to the file outputs behind it, and a filtered result
+// always carries its bundle. On the database backend the conjunctive prefix
+// of a Filter is lowered into the SELECTs a plan makes anyway (see
+// splitFilter and lowerFilter), which changes what they examine and ship,
+// never the result stream; [Engine.SetPushdown] turns it off for ablation,
+// and [Engine.Describe] spells out the split per plan.
 //
-// # The versioned read-through cache and its coherence contract
+// # The versioned read-through cache
 //
-// [Cache] sits under the database executor. Items are named uuid_version
-// and immutable once committed, so item-body entries need no invalidation;
-// version sets, child sets and attribute matches are cached as eventually
-// consistent observations (see the type's documentation). Repeated
-// traversals over a settled corpus then stop re-billing SELECTs: the
-// second identical BFS resolves entirely client-side. Engines default to
-// no cache, which keeps Q1–Q4 priced exactly as Table 5 measured them.
-// (A cached engine filters client-side: observations answer most reads
-// before any SELECT is planned, so there is nothing to push into.)
-//
-// Two mechanisms bound how stale a served observation can be:
-//
-//   - [Engine.Subscribe] attaches the cache to the deployment's commit
-//     bus. The P2/P3 commit paths piggyback a [core.CommitNotice] on the
-//     write that persists each transaction's items, and the cache drops
-//     exactly the observations that commit touched: the written uuids'
-//     version sets, the child sets of every ref the items name as an
-//     input, and every cached attribute root set the items' attributes
-//     satisfy. A subscribed warm cache is coherent — byte-identical to an
-//     uncached engine after every acknowledged commit — which is what the
-//     coherent-reads benchmark gates at >= 2x lower simulated read cost.
-//   - Observations are tagged with the directory epoch they were read
-//     under. An unsubscribed cache refuses to serve an observation from a
-//     superseded epoch (a reshard cutover changed the placement it was
-//     derived through) and re-reads instead; subscribed caches serve
-//     across epochs because notices keep them precise regardless of
-//     placement.
-//
-// [Cache.Stats] exposes the coherence counters (coherent hits,
-// invalidations, epoch flushes) that provctl's cache command reports.
+// [Cache] sits under the database executor, and its documentation states
+// the coherence contract: immutable item bodies, eventually consistent
+// observations, commit-notice invalidation once [Engine.Subscribe] attaches
+// it to the commit bus, and epoch tagging across reshard cutovers. Engines
+// default to no cache, which keeps Q1–Q4 priced exactly as Table 5 measured
+// them, and a cached engine filters client-side. [Cache.Stats] exposes the
+// counters provctl's cache command reports.
 //
 // # Results and determinism
 //

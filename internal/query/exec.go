@@ -180,10 +180,46 @@ type source interface {
 	// there; such a pad missing from the result was merely not fetched.
 	bundles(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, reach int) (map[prov.Ref]*prov.Bundle, error)
 	// children finds the nodes that directly depend on refs, in any order
-	// and as often as they were found. A terminal level feeds no further
-	// frontier, so there — and only there — the source may narrow the read
-	// by its pushed predicate.
-	children(refs []prov.Ref, terminal bool) ([]prov.Ref, map[prov.Ref]*prov.Bundle, error)
+	// and as often as they were found, putting any bundle the read shipped
+	// in w.bundles. A terminal level feeds no further frontier, so there —
+	// and only there — the source may narrow the read by its pushed
+	// predicate. Elsewhere it may also ask later versions of refs that ride
+	// a version chain, within w.reach, and record their children in w.
+	children(refs []prov.Ref, w *descent) ([]prov.Ref, error)
+}
+
+// descent is one Descendants walk as its levels' child reads see it:
+// whether this level is the last of a bounded walk, how many levels below
+// it the walk can still go (0 on a terminal level), the previous level's
+// frontier, every bundle a child read shipped, and the memo — in canonical
+// order, each ref a padded read answered before the walk reached it, with
+// its complete child list.
+type descent struct {
+	terminal bool
+	reach    int
+	prev     []prov.Ref
+	bundles  map[prov.Ref]*prov.Bundle
+	memo     []answer
+}
+
+type answer struct {
+	ref  prov.Ref
+	kids []prov.Ref
+}
+
+// answered returns the children the memo holds for r.
+func (w *descent) answered(r prov.Ref) ([]prov.Ref, bool) {
+	if i, ok := slices.BinarySearchFunc(w.memo, r, func(a answer, r prov.Ref) int { return a.ref.Compare(r) }); ok {
+		return w.memo[i].kids, true
+	}
+	return nil, false
+}
+
+// chained reports whether the previous level holds an earlier version of
+// r's object: r then rides a version chain, and the walk will likely ask
+// r+1 next.
+func (w *descent) chained(r prov.Ref) bool {
+	return slices.ContainsFunc(w.prev, func(p prov.Ref) bool { return p.UUID == r.UUID && p.Version < r.Version })
 }
 
 // exec is one execution of a Spec: the traversal, root resolution and
@@ -413,9 +449,11 @@ func (x *exec) runVersions(yield yieldFunc, objects []prov.Ref) error {
 // runDescendants is the BFS plan: one child lookup per DAG level (§5.3:
 // "repeat the second step recursively"), each level emitted in canonical
 // order. Which edges make a child is the source's business — the database
-// follows its indexed input edge, the store every cross-reference.
+// follows its indexed input edge, the store every cross-reference. A level
+// whose refs an earlier padded read already answered asks nothing.
 func (x *exec) runDescendants(yield yieldFunc, frontier []prov.Ref) error {
 	seen := make(map[prov.Ref]bool)
+	w := &descent{bundles: make(map[prov.Ref]*prov.Bundle)}
 	bounded := x.spec.MaxDepth > 0
 	for depth := 1; len(frontier) > 0 && (!bounded || depth <= x.spec.MaxDepth); depth++ {
 		// The last level of a bounded walk feeds no further frontier, so the
@@ -423,14 +461,34 @@ func (x *exec) runDescendants(yield yieldFunc, frontier []prov.Ref) error {
 		// shape, and the final level of any depth-bounded Q4). Inner levels
 		// must return every child to keep the traversal complete — the
 		// filter selects output, not the walk.
-		terminal := bounded && depth == x.spec.MaxDepth
+		w.terminal, w.reach = bounded && depth == x.spec.MaxDepth, math.MaxInt
+		if bounded {
+			w.reach = x.spec.MaxDepth - depth
+		}
+		var kids []prov.Ref
+		pending := frontier
+		if len(w.memo) > 0 {
+			pending = nil
+			for _, r := range frontier {
+				if k, ok := w.answered(r); ok {
+					kids = append(kids, k...)
+				} else {
+					pending = append(pending, r)
+				}
+			}
+		}
+		// Children a padded read answered came unnarrowed, so they owe the
+		// whole filter even on a terminal level.
 		owed := x.spec.Filter
-		if terminal {
+		if w.terminal && len(pending) == len(frontier) {
 			owed = x.residue
 		}
-		kids, bundles, err := x.src.children(frontier, terminal)
-		if err != nil {
-			return err
+		if len(pending) > 0 {
+			fetched, err := x.src.children(pending, w)
+			if err != nil {
+				return err
+			}
+			kids = append(fetched, kids...)
 		}
 		next := kids[:0]
 		for _, r := range kids {
@@ -441,16 +499,16 @@ func (x *exec) runDescendants(yield yieldFunc, frontier []prov.Ref) error {
 		}
 		slices.SortFunc(next, prov.Ref.Compare)
 		if x.spec.needBundles() {
-			if err := x.fill(bundles, next, 0); err != nil {
+			if err := x.fill(w.bundles, next, 0); err != nil {
 				return err
 			}
 		}
 		for _, r := range next {
-			if err := x.emit(yield, r, depth, bundles[r], owed); err != nil {
+			if err := x.emit(yield, r, depth, w.bundles[r], owed); err != nil {
 				return err
 			}
 		}
-		frontier = next
+		w.prev, frontier = frontier, next
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"testing"
 
 	"passcloud/internal/core"
@@ -127,6 +128,38 @@ func TestPushdownMonotoneAcrossShards(t *testing.T) {
 		}
 		if exOn >= exOff {
 			t.Errorf("K=%d: pushed Q3 examined %d items, client plan %d — no reduction", k, exOn, exOff)
+		}
+	}
+}
+
+// TestPushdownBoundedReadahead: on one object's version chain, the terminal
+// level of a MaxDepth 3 walk is answered by the padded read of level 2,
+// which no predicate narrowed. Those nodes owe the whole filter, not the
+// residue, so the stream with pushdown on equals the stream with it off.
+func TestPushdownBoundedReadahead(t *testing.T) {
+	dep, chain := chainDeployment(t, 9, true)
+	e := New(dep, core.BackendSDB)
+	for _, tc := range []struct {
+		filter *Filter
+		want   int
+	}{
+		{TypeIs(prov.File), 3},
+		{TypeIs(prov.Process), 0},
+		{And(TypeIs(prov.File), NameIs("mnt/n03")), 1},
+	} {
+		for _, proj := range []Projection{ProjectRefs, ProjectBundles} {
+			spec := Spec{Roots: Roots{Refs: chain[:1]}, Direction: Descendants, MaxDepth: 3, Filter: tc.filter, Project: proj}
+			e.SetPushdown(true)
+			before := selects(dep)
+			on := stream(t, e, spec)
+			if n := selects(dep) - before; n != 8 {
+				t.Errorf("%s: %d SELECTs, want 8 (the walk's levels 2 and 3 ride one padded read)", tc.filter, n)
+			}
+			e.SetPushdown(false)
+			off := stream(t, e, spec)
+			if fmt.Sprint(on) != fmt.Sprint(off) || len(on) != tc.want {
+				t.Errorf("%s: pushdown on streamed %v, off %v; want %d results", tc.filter, on, off, tc.want)
+			}
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"passcloud/internal/cloud/sdb"
@@ -61,7 +63,7 @@ func (s *dbSource) describe() string {
 	case Versions:
 		traverse = "uuid-prefix SELECT per root, routed to the uuid's home shard (1 request each)"
 	case Descendants:
-		traverse = "IN-batched BFS over input edges, each batch a " + scatter + " — children live on any shard"
+		traverse = "IN-batched BFS over input edges, each batch a " + scatter + " — children live on any shard; a partial batch padded with later versions of version-chain refs within the depth left"
 	case Ancestors:
 		traverse = "walk over xref edges, each level a batched itemName() fetch routed to the refs' home shards, ≤ min(K, refs) requests per 20-ref batch, a partial batch padded with earlier versions of its refs within the depth left"
 	}
@@ -181,11 +183,11 @@ func (s *dbSource) versions(u uuid.UUID) ([]prov.Bundle, error) {
 	return bundles, nil
 }
 
-// selectIn asks the template query of refs by name: one SELECT per inBatch
-// refs (the IN list on key, conjoined with and when that is set), the
-// batches running on up to Workers connections. Batch i's items come back
-// in slot i.
-func (s *dbSource) selectIn(tmpl *sdb.Query, key string, refs []prov.Ref, and *sdb.Node) ([][]sdb.Item, error) {
+// selectIn asks a template query of refs by name: one SELECT per inBatch
+// refs (the IN list on key, conjoined with and when that is set), batch i
+// from template tmpl(i), the batches running on up to Workers connections.
+// Batch i's items come back in slot i.
+func (s *dbSource) selectIn(tmpl func(i int) *sdb.Query, key string, refs []prov.Ref, and *sdb.Node) ([][]sdb.Item, error) {
 	results := make([][]sdb.Item, (len(refs)+inBatch-1)/inBatch)
 	err := par.ForEach(s.spec.Workers, len(results), func(i int) error {
 		batch := refs[i*inBatch : min((i+1)*inBatch, len(refs))]
@@ -193,7 +195,7 @@ func (s *dbSource) selectIn(tmpl *sdb.Query, key string, refs []prov.Ref, and *s
 		for _, r := range batch {
 			vals = append(vals, r.String())
 		}
-		q := *tmpl
+		q := *tmpl(i)
 		q.Where = andNode(sdb.In(key, vals...), and)
 		items, _, _, err := s.view.SelectAllQuery(q)
 		results[i] = items
@@ -205,21 +207,25 @@ func (s *dbSource) selectIn(tmpl *sdb.Query, key string, refs []prov.Ref, and *s
 // children finds the input-edge children of refs: an IN-batched
 // scatter-gather SELECT per 20 refs (referencing items can live on any
 // domain shard). The request shape adapts to what the caller needs —
-// itemName() only for plain ref traversals, plus the input attribute when
-// the cache wants per-ref child observations, full items when bundles are
-// needed anyway — so the request COUNT is identical in every mode, and the
-// kids cache short-circuits refs whose children were already observed.
+// itemName() only for plain ref traversals, plus the input attribute where
+// children must be told apart by parent, full items when bundles are needed
+// anyway — so the request COUNT is identical in every mode, and the kids
+// cache short-circuits refs whose children were already observed.
+//
+// Short of a terminal level, a partial last batch is padded with later
+// versions of refs that ride a version chain (see pad). A padded batch,
+// like every batch under the cache, tells its children apart by parent; a
+// pad's children go to the walk's memo and to the cache, an eventually
+// consistent read like any other, taken a few levels early.
 //
 // On a terminal level with a pushed predicate (never combined with a
 // cache), the predicate fuses into the IN SELECT: non-matching children are
 // never shipped (nor examined, when the planner finds a cheaper predicate
 // branch), which is safe exactly because no further frontier is built from
 // them.
-func (s *dbSource) children(refs []prov.Ref, terminal bool) ([]prov.Ref, map[prov.Ref]*prov.Bundle, error) {
+func (s *dbSource) children(refs []prov.Ref, w *descent) ([]prov.Ref, error) {
 	cache, epoch, full := s.e.cache, s.view.Epoch(), s.spec.needBundles()
-	bundles := make(map[prov.Ref]*prov.Bundle)
 	var out []prov.Ref
-
 	pending := refs
 	if cache != nil {
 		pending = nil
@@ -231,73 +237,101 @@ func (s *dbSource) children(refs []prov.Ref, terminal bool) ([]prov.Ref, map[pro
 			}
 		}
 	}
-
-	q := &itemNameQuery
-	var fused *sdb.Node
-	switch {
-	case full:
-		q = &itemQuery
-		if terminal {
-			fused = s.pushed
-		}
-	case cache != nil:
-		q = &inputQuery
-	}
-	results, err := s.selectIn(q, prov.AttrInput, pending, fused)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// perRef accumulates each pending ref's observed children for the cache.
-	var perRef map[prov.Ref][]prov.Ref
-	if cache != nil {
-		perRef = make(map[prov.Ref][]prov.Ref, len(pending))
-	}
-	for bi, items := range results {
-		var batchSet map[string]prov.Ref
-		if cache != nil { // only the per-ref child attribution below reads it
-			batch := pending[bi*inBatch : min((bi+1)*inBatch, len(pending))]
-			batchSet = make(map[string]prov.Ref, len(batch))
-			for _, r := range batch {
-				batchSet[r.String()] = r
+	asked := len(pending)
+	if w.reach > 0 {
+		pending = pad(pending, 1, func(r prov.Ref) int {
+			if w.chained(r) {
+				return min(w.reach, math.MaxInt-r.Version)
 			}
+			return 0
+		}, func(p prov.Ref) bool {
+			_, answered := w.answered(p)
+			return answered || (cache != nil && cache.has(kidsKey(p)))
+		})
+	}
+	// Batches from attributed on ship the input attribute: the last one if
+	// it carries pads, every one under the cache.
+	attributed := (len(pending)+inBatch-1)/inBatch - min(len(pending)-asked, 1)
+	if cache != nil {
+		attributed = 0
+	}
+	var fused *sdb.Node
+	if full && w.terminal {
+		fused = s.pushed
+	}
+	results, err := s.selectIn(func(i int) *sdb.Query {
+		switch {
+		case full:
+			return &itemQuery
+		case i >= attributed:
+			return &inputQuery
 		}
+		return &itemNameQuery
+	}, prov.AttrInput, pending, fused)
+	if err != nil {
+		return nil, err
+	}
+	// An edge pairs a child of an attributed batch with its parent's index.
+	type edge struct {
+		parent int
+		kid    prov.Ref
+	}
+	n := 0
+	for _, items := range results[attributed:] {
+		n += len(items)
+	}
+	edges := make([]edge, 0, n)
+	for bi, items := range results {
+		batch := pending[bi*inBatch : min((bi+1)*inBatch, len(pending))]
 		for _, it := range items {
 			ref, err := prov.ParseRef(it.Name)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			out = append(out, ref)
 			if full {
 				b, err := core.BundleFromItem(it)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				bundles[ref] = &b
+				w.bundles[ref] = &b
+				if cache != nil {
+					cache.store(itemKey(it.Name), &b)
+				}
 			}
-			if cache != nil {
-				if full {
-					cache.store(itemKey(it.Name), bundles[ref])
+			if bi < attributed {
+				out = append(out, ref)
+				continue
+			}
+			for _, a := range it.Attrs {
+				if a.Name != prov.AttrInput {
+					continue
 				}
-				for _, a := range it.Attrs {
-					if a.Name != prov.AttrInput {
-						continue
-					}
-					if parent, ok := batchSet[a.Value]; ok {
-						perRef[parent] = append(perRef[parent], ref)
-					}
+				parent, err := prov.ParseRef(a.Value)
+				if j := slices.Index(batch, parent); err == nil && j >= 0 {
+					edges = append(edges, edge{bi*inBatch + j, ref})
 				}
 			}
 		}
 	}
-	if cache != nil {
-		for _, r := range pending {
-			kids := perRef[r]
-			slices.SortFunc(kids, prov.Ref.Compare)
-			cache.storeObs(kidsKey(r), kids, epoch)
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Or(a.parent-b.parent, a.kid.Compare(b.kid)) })
+	kids := make([]prov.Ref, len(edges))
+	w.memo = slices.Grow(w.memo, len(pending)-asked)
+	for j, e := attributed*inBatch, 0; j < len(pending); j++ {
+		lo := e
+		for ; e < len(edges) && edges[e].parent == j; e++ {
+			kids[e] = edges[e].kid
+		}
+		if cache != nil {
+			cache.storeObs(kidsKey(pending[j]), kids[lo:e:e], epoch)
+		}
+		if j < asked {
+			out = append(out, kids[lo:e]...)
+		} else {
+			w.memo = append(w.memo, answer{pending[j], kids[lo:e:e]})
 		}
 	}
-	return out, bundles, nil
+	slices.SortFunc(w.memo, func(a, b answer) int { return a.ref.Compare(b.ref) })
+	return out, nil
 }
 
 // bundles fetches full bundles for exact refs, read through the item cache;
@@ -320,9 +354,11 @@ func (s *dbSource) bundles(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, rea
 		}
 	}
 	if reach > 0 {
-		pending = s.pad(pending, known, reach)
+		pending = pad(pending, -1, func(r prov.Ref) int { return min(reach, r.Version-1) }, func(p prov.Ref) bool {
+			return known[p] != nil || (cache != nil && cache.has(itemKey(p.String())))
+		})
 	}
-	results, err := s.selectIn(&itemQuery, sdb.ItemNameKey, pending, nil)
+	results, err := s.selectIn(func(int) *sdb.Query { return &itemQuery }, sdb.ItemNameKey, pending, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -341,27 +377,30 @@ func (s *dbSource) bundles(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, rea
 	return out, nil
 }
 
-// pad fills the unused slots of refs' last IN batch with earlier versions
-// of that batch's own refs: v−1 of each, then v−2 of each, and so on, never
-// more than reach below a ref nor below version 1, skipping refs the batch
-// already names and refs known or cached. PASS links every version to the
-// one before it, so a walk that fetches v goes on to v−1 unless its depth
-// runs out first; and every version of a uuid routes with the uuid
-// (sdb.RouteKey), so a padded batch asks exactly the shards — both homes,
-// mid-reshard — it asked unpadded. refs itself is never written.
-func (s *dbSource) pad(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, reach int) []prov.Ref {
+// pad fills the free slots of refs' last IN batch with other versions of
+// that batch's own refs, step (−1 or +1) apart: the next version over of
+// each, then the one after, never more than room(r) steps from a ref r,
+// skipping a version refs already names or skip rejects. A walk that
+// reaches one version of a chain goes on to the next unless its depth runs
+// out first, and every version of a uuid routes with the uuid
+// (sdb.RouteKey). A pad never adds a batch; refs itself is never written.
+func pad(refs []prov.Ref, step int, room func(prov.Ref) int, skip func(prov.Ref) bool) []prov.Ref {
 	start := len(refs) / inBatch * inBatch
 	tail := refs[start:]
-	deepest := 0 // the most versions any tail ref has below it
-	for _, r := range tail {
-		deepest = max(deepest, r.Version-1)
+	var rooms [inBatch]int
+	deepest := 0 // the most steps any tail ref has room for
+	for i, r := range tail {
+		rooms[i] = room(r)
+		deepest = max(deepest, rooms[i])
 	}
-	out := refs[:len(refs):len(refs)]
-	for k := 1; k <= min(reach, deepest) && len(out)%inBatch != 0; k++ {
-		for _, r := range tail {
-			p := prov.Ref{UUID: r.UUID, Version: r.Version - k}
-			if p.Version < 1 || known[p] != nil || slices.Contains(out[start:], p) ||
-				(s.e.cache != nil && s.e.cache.has(itemKey(p.String()))) {
+	if deepest == 0 {
+		return refs
+	}
+	out := append(make([]prov.Ref, 0, start+inBatch), refs...)
+	for k := 1; k <= deepest && len(out)%inBatch != 0; k++ {
+		for i, r := range tail {
+			p := prov.Ref{UUID: r.UUID, Version: r.Version + step*k}
+			if k > rooms[i] || slices.Contains(out, p) || skip(p) {
 				continue
 			}
 			if out = append(out, p); len(out)%inBatch == 0 {

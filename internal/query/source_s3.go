@@ -170,10 +170,10 @@ func (s *s3Source) bundles(refs []prov.Ref, _ map[prov.Ref]*prov.Bundle, _ int) 
 // children follows every cross-reference downward: the store plan sees the
 // whole DAG, so it need not restrict itself to the indexed edge the database
 // schema exposes.
-func (s *s3Source) children(refs []prov.Ref, _ bool) ([]prov.Ref, map[prov.Ref]*prov.Bundle, error) {
+func (s *s3Source) children(refs []prov.Ref, _ *descent) ([]prov.Ref, error) {
 	g, err := s.g()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if s.kids == nil {
 		s.kids = make(map[prov.Ref][]prov.Ref, g.Len())
@@ -189,7 +189,7 @@ func (s *s3Source) children(refs []prov.Ref, _ bool) ([]prov.Ref, map[prov.Ref]*
 	for _, r := range refs {
 		out = append(out, s.kids[r]...)
 	}
-	return out, make(map[prov.Ref]*prov.Bundle), nil
+	return out, nil
 }
 
 // matchAttrs evaluates a root attribute predicate against a graph node.

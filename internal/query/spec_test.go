@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -84,9 +85,10 @@ func TestINBatchBoundary(t *testing.T) {
 }
 
 // chainDeployment populates a K=4 database deployment with one dependency
-// chain of depth+1 nodes on distinct uuids, node i taking node i-1 as its
-// input, and returns the nodes root first.
-func chainDeployment(t testing.TB, depth int) (*core.Deployment, []prov.Ref) {
+// chain of depth+1 nodes, node i taking node i-1 as its input, and returns
+// the nodes root first. The nodes are distinct uuids, or with oneObject
+// versions 1..depth+1 of one uuid (query_mix's chain shape).
+func chainDeployment(t testing.TB, depth int, oneObject bool) (*core.Deployment, []prov.Ref) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Consistency = sim.Strict
@@ -94,8 +96,16 @@ func chainDeployment(t testing.TB, depth int) (*core.Deployment, []prov.Ref) {
 	rnd := sim.NewRand(23)
 	var refs []prov.Ref
 	var specs []core.ItemSpec
+	var object uuid.UUID
+	if oneObject {
+		object = uuid.New(rnd)
+	}
 	for i := 0; i <= depth; i++ {
-		spec := core.ItemSpec{Ref: prov.Ref{UUID: uuid.New(rnd), Version: 1}, Type: "file", Name: fmt.Sprintf("mnt/n%02d", i)}
+		ref := prov.Ref{UUID: object, Version: i + 1}
+		if !oneObject {
+			ref = prov.Ref{UUID: uuid.New(rnd), Version: 1}
+		}
+		spec := core.ItemSpec{Ref: ref, Type: "file", Name: fmt.Sprintf("mnt/n%02d", i)}
 		if i > 0 {
 			spec.Input = refs[i-1].String()
 		}
@@ -111,11 +121,12 @@ func chainDeployment(t testing.TB, depth int) (*core.Deployment, []prov.Ref) {
 // TestRoutedRequestCounts pins what a query bills on a K=4 fabric: a fetch
 // by item name costs one SELECT per home shard it touches, not one per
 // shard, while the child lookup of a descendants level — children live on
-// any shard — still asks all four.
+// any shard — still asks all four, and a version chain of one object rides
+// one padded round.
 func TestRoutedRequestCounts(t *testing.T) {
 	const depth = 10
-	dep, chain := chainDeployment(t, depth)
-	e := New(dep, core.BackendSDB)
+	dep, chain := chainDeployment(t, depth, false)
+	versDep, versions := chainDeployment(t, depth-1, true)
 	leaf := chain[depth]
 	// A full IN batch: the chain plus never-recorded refs, which route too.
 	batch := append([]prov.Ref(nil), chain...)
@@ -131,22 +142,29 @@ func TestRoutedRequestCounts(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name        string
+		dep         *core.Deployment // nil: the chain of distinct uuids
 		spec        Spec
 		wantResults int
 		wantSelects int64
 	}{
 		// One single-ref itemName() fetch per level, root included: 11, where
 		// the every-shard scatter billed 44.
-		{"ancestors+bundles", Spec{Roots: Roots{Refs: []prov.Ref{leaf}}, Direction: Ancestors, Project: ProjectBundles}, depth + 1, depth + 1},
-		{"versions", Spec{Roots: Roots{Refs: []prov.Ref{leaf}}, Direction: Versions, Project: ProjectBundles}, 1, 1},
+		{"ancestors+bundles", nil, Spec{Roots: Roots{Refs: []prov.Ref{leaf}}, Direction: Ancestors, Project: ProjectBundles}, depth + 1, depth + 1},
+		{"versions", nil, Spec{Roots: Roots{Refs: []prov.Ref{leaf}}, Direction: Versions, Project: ProjectBundles}, 1, 1},
 		// One 20-ref batch, split across the refs' home shards: at most 4.
-		{"bundles of a 20-ref batch", Spec{Roots: Roots{Refs: batch}, Direction: Self, Project: ProjectBundles}, depth + 1, int64(len(homes))},
-		// 11 rounds (the last finds nothing) × 4 shards: the count at the
-		// parent commit (39c0761), which this plan must not change.
-		{"descendants", Spec{Roots: Roots{Refs: chain[:1]}, Direction: Descendants}, depth, 4 * (depth + 1)},
+		{"bundles of a 20-ref batch", nil, Spec{Roots: Roots{Refs: batch}, Direction: Self, Project: ProjectBundles}, depth + 1, int64(len(homes))},
+		// 11 rounds (the last finds nothing) × 4 shards: no ref of a chain
+		// of distinct objects rides a version chain, so nothing is padded.
+		{"descendants", nil, Spec{Roots: Roots{Refs: chain[:1]}, Direction: Descendants}, depth, 4 * (depth + 1)},
+		// Ten versions of one object: v1's round finds v2, which came from
+		// an earlier version of its own object, so v2's round is padded
+		// with v3…v21 and answers the rest of the chain. Two rounds × 4
+		// shards, where one round per level billed 40.
+		{"descendants of a version chain", versDep, Spec{Roots: Roots{Refs: versions[:1]}, Direction: Descendants}, depth - 1, 8},
 	} {
+		dep := cmp.Or(tc.dep, dep)
 		before := selects(dep)
-		results, err := e.Collect(tc.spec)
+		results, err := New(dep, core.BackendSDB).Collect(tc.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
