@@ -32,14 +32,17 @@ func TestInPredicate(t *testing.T) {
 	}
 }
 
+// badInLists are IN lists ParseSelect refuses.
+var badInLists = []string{
+	"select * from prov where a in",
+	"select * from prov where a in (",
+	"select * from prov where a in ('x'",
+	"select * from prov where a in ('x' 'y')",
+	"select * from prov where a in (unquoted)",
+}
+
 func TestInParseErrors(t *testing.T) {
-	for _, expr := range []string{
-		"select * from prov where a in",
-		"select * from prov where a in (",
-		"select * from prov where a in ('x'",
-		"select * from prov where a in ('x' 'y')",
-		"select * from prov where a in (unquoted)",
-	} {
+	for _, expr := range badInLists {
 		if _, err := ParseSelect(expr); err == nil {
 			t.Errorf("ParseSelect(%q) succeeded", expr)
 		}
@@ -122,6 +125,29 @@ func TestLimitNextTokenResumptionIndexed(t *testing.T) {
 	}
 }
 
+// predicateShapes is every supported predicate shape, each a SELECT the
+// index and the scan must answer alike (and a seed of FuzzParseSelect).
+var predicateShapes = []string{
+	"select * from prov where type = 'proc'",
+	"select * from prov where type = 'proc' and v = '4'",
+	"select * from prov where type = 'file' or type = 'pipe'",
+	"select * from prov where input in ('u00_1', 'u04_1')",
+	"select * from prov where v >= '3' and v <= '6'",
+	"select * from prov where v > '7'",
+	"select * from prov where v < '2'",
+	"select * from prov where itemName() like 'it0%'",
+	"select * from prov where itemName() = 'it42'",
+	"select * from prov where itemName() >= 'it55'",
+	"select * from prov where type like 'p%'",
+	"select * from prov where type like '%e'", // suffix: scan on both
+	"select * from prov where v != '0'",
+	"select * from prov where input is null",
+	"select * from prov where input is not null",
+	"select * from prov where (type = 'proc' or v = '1') and itemName() < 'it50'",
+	"select itemName() from prov where type = 'file' limit 5",
+	"select v from prov where v = '9'",
+}
+
 // The index is an access path, not a semantics change: every supported
 // predicate shape returns exactly the scan path's results, and bills the
 // same SELECT requests and bytes.
@@ -145,26 +171,7 @@ func TestIndexedMatchesScan(t *testing.T) {
 		return d
 	}
 	indexed, scan := build(false), build(true)
-	for _, expr := range []string{
-		"select * from prov where type = 'proc'",
-		"select * from prov where type = 'proc' and v = '4'",
-		"select * from prov where type = 'file' or type = 'pipe'",
-		"select * from prov where input in ('u00_1', 'u04_1')",
-		"select * from prov where v >= '3' and v <= '6'",
-		"select * from prov where v > '7'",
-		"select * from prov where v < '2'",
-		"select * from prov where itemName() like 'it0%'",
-		"select * from prov where itemName() = 'it42'",
-		"select * from prov where itemName() >= 'it55'",
-		"select * from prov where type like 'p%'",
-		"select * from prov where type like '%e'", // suffix: scan on both
-		"select * from prov where v != '0'",
-		"select * from prov where input is null",
-		"select * from prov where input is not null",
-		"select * from prov where (type = 'proc' or v = '1') and itemName() < 'it50'",
-		"select itemName() from prov where type = 'file' limit 5",
-		"select v from prov where v = '9'",
-	} {
+	for _, expr := range predicateShapes {
 		a, ua := billedSelect(t, indexed, expr)
 		b, ub := billedSelect(t, scan, expr)
 		if !reflect.DeepEqual(a, b) {

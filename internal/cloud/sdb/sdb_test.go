@@ -243,13 +243,17 @@ func TestSelectWrongDomain(t *testing.T) {
 	}
 }
 
+// badSelects are expressions ParseSelect refuses.
+var badSelects = []string{
+	"", "select", "select * from", "select * from prov where",
+	"select * from prov where a ~ 'x'", "select * from prov where a = unquoted",
+	"select * from prov where (a = 'x'", "select * from prov trailing",
+	"select * from prov limit abc", "select * from prov where a ! 'x'",
+	"select * from prov where 'a' = 'x'", "select * from prov where ` = 'x'",
+}
+
 func TestSelectParseErrors(t *testing.T) {
-	for _, expr := range []string{
-		"", "select", "select * from", "select * from prov where",
-		"select * from prov where a ~ 'x'", "select * from prov where a = unquoted",
-		"select * from prov where (a = 'x'", "select * from prov trailing",
-		"select * from prov limit abc",
-	} {
+	for _, expr := range badSelects {
 		if _, err := ParseSelect(expr); err == nil {
 			t.Fatalf("ParseSelect(%q) succeeded", expr)
 		}

@@ -230,10 +230,7 @@ func lex(s string) []string {
 		case c == '=':
 			toks = append(toks, "=")
 			i++
-		case c == '!' && i+1 < len(s) && s[i+1] == '=':
-			toks = append(toks, "!=")
-			i += 2
-		case c == '>' || c == '<':
+		case c == '!' || c == '>' || c == '<':
 			if i+1 < len(s) && s[i+1] == '=' {
 				toks = append(toks, string(c)+"=")
 				i += 2
@@ -376,11 +373,11 @@ func (p *parser) parseClause() (*Node, error) {
 		}
 		return n, nil
 	}
-	attr := p.next()
-	if attr == "" {
+	// A name, not a quoted value or punctuation, so String renders it back.
+	attr := strings.Trim(p.next(), "`")
+	if attr == "" || strings.ContainsRune("'(),=!<>", rune(attr[0])) {
 		return nil, fmt.Errorf("missing attribute")
 	}
-	attr = strings.Trim(attr, "`")
 	op := p.next()
 	if strings.EqualFold(op, "is") {
 		if strings.EqualFold(p.peek(), "not") {

@@ -216,7 +216,8 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // Node returns the node for ref, or nil.
 func (g *Graph) Node(ref Ref) *Node { return g.nodes[ref] }
 
-// Nodes returns every node, ordered by ref string for determinism.
+// Nodes returns every node ordered by uuid, then by version as a number (v2
+// before v10, unlike Ref.Compare's string order), for determinism.
 func (g *Graph) Nodes() []*Node {
 	out := make([]*Node, 0, len(g.nodes))
 	for _, n := range g.nodes {

@@ -113,6 +113,25 @@ func TestGraphAddDuplicate(t *testing.T) {
 	}
 }
 
+// TestGraphNodesOrder pins Nodes' order: by uuid, then by version as a
+// number, so v2 comes before v10 although its ref string sorts after.
+func TestGraphNodesOrder(t *testing.T) {
+	u := ref(t, 1).UUID
+	g := NewGraph()
+	for _, v := range []int{10, 2, 1} {
+		if err := g.Add(&Node{Ref: Ref{UUID: u, Version: v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []int
+	for _, n := range g.Nodes() {
+		got = append(got, n.Ref.Version)
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 10 {
+		t.Errorf("Nodes ordered versions %v, want [1 2 10]", got)
+	}
+}
+
 func TestAncestorClosure(t *testing.T) {
 	g, refs := chain(t, 5)
 	anc := g.AncestorClosure(refs[4])

@@ -71,7 +71,7 @@ func BenchmarkRunDescendants(b *testing.B) {
 		benchRun(b, New(dep, core.BackendSDB), Spec{Roots: roots, Direction: Descendants}, 10)
 	})
 	// query_mix's descendants: from the middle of one object's ten
-	// versions, where the padded read answers the rest of the chain.
+	// versions, where the root's own padded read answers the whole chain.
 	b.Run("versions", func(b *testing.B) {
 		dep, chain := chainDeployment(b, 9, true)
 		roots := Roots{Refs: []prov.Ref{chain[4]}}

@@ -338,43 +338,49 @@ func TestSetCacheWhileSubscribed(t *testing.T) {
 // TestPaddedObservationsInvalidate: the kids observations a padded read
 // stores for its pads are observations like any other. A commit that gives
 // a padded ref a new child drops its observation, and the re-run sees the
-// child.
+// child — whether v2's round padded v4 (a walk from v1) or the roots' own
+// round did (a walk from v2, which has an earlier version).
 func TestPaddedObservationsInvalidate(t *testing.T) {
-	dep, p2 := liveDeployment(t, 4)
-	rnd := sim.NewRand(29)
-	fileU := uuid.New(rnd)
-	version := func(v int) prov.Ref { return prov.Ref{UUID: fileU, Version: v} }
-	commit := func(b prov.Bundle) {
-		t.Helper()
-		if err := p2.Commit(core.FileObject{Path: b.Name, Size: 1024, Ref: b.Ref}, []prov.Bundle{b}); err != nil {
+	for _, tc := range []struct {
+		root        int
+		wantSelects int64
+	}{{1, 8}, {2, 4}} {
+		dep, p2 := liveDeployment(t, 4)
+		rnd := sim.NewRand(29)
+		fileU := uuid.New(rnd)
+		version := func(v int) prov.Ref { return prov.Ref{UUID: fileU, Version: v} }
+		commit := func(b prov.Bundle) {
+			t.Helper()
+			if err := p2.Commit(core.FileObject{Path: b.Name, Size: 1024, Ref: b.Ref}, []prov.Bundle{b}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit(fileNode(version(1), "mnt/chain"))
+		for v := 2; v <= 5; v++ {
+			commit(fileNode(version(v), "mnt/chain", version(v-1)))
+		}
+		sub := New(dep, core.BackendSDB)
+		sub.SetCache(NewCache(0))
+		if err := sub.Subscribe(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	commit(fileNode(version(1), "mnt/chain"))
-	for v := 2; v <= 5; v++ {
-		commit(fileNode(version(v), "mnt/chain", version(v-1)))
-	}
-	sub := New(dep, core.BackendSDB)
-	sub.SetCache(NewCache(0))
-	if err := sub.Subscribe(); err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{Roots: Roots{Refs: []prov.Ref{version(1)}}, Direction: Descendants}
-	before := selects(dep)
-	specDigest(t, sub, spec) // v2's round is padded with v3…v21
-	if n := selects(dep) - before; n != 8 {
-		t.Fatalf("the warming walk billed %d SELECTs, want 8: it was not padded", n)
-	}
-	if !sub.Cache().has(kidsKey(version(4))) {
-		t.Fatal("the padded read stored no observation for its pad v4")
-	}
-	side := prov.Ref{UUID: uuid.New(rnd), Version: 1}
-	commit(fileNode(side, "mnt/side", version(4)))
-	got := stream(t, sub, spec)
-	if want := stream(t, New(dep, core.BackendSDB), spec); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("after a commit under the padded ref v4 the cached walk streamed\n %v\nwant\n %v", got, want)
-	}
-	if !slices.Contains(got, side.String()+"@4") {
-		t.Errorf("the re-run missed v4's new child %s: %v", side, got)
+		spec := Spec{Roots: Roots{Refs: []prov.Ref{version(tc.root)}}, Direction: Descendants}
+		before := selects(dep)
+		specDigest(t, sub, spec) // v2's round is padded with v3…v21
+		if n := selects(dep) - before; n != tc.wantSelects {
+			t.Fatalf("from v%d the warming walk billed %d SELECTs, want %d: it was not padded", tc.root, n, tc.wantSelects)
+		}
+		if !sub.Cache().has(kidsKey(version(4))) {
+			t.Fatalf("from v%d the padded read stored no observation for its pad v4", tc.root)
+		}
+		side := prov.Ref{UUID: uuid.New(rnd), Version: 1}
+		commit(fileNode(side, "mnt/side", version(4)))
+		got := stream(t, sub, spec)
+		if want := stream(t, New(dep, core.BackendSDB), spec); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("from v%d, after a commit under the padded ref v4 the cached walk streamed\n %v\nwant\n %v", tc.root, got, want)
+		}
+		if depth := 5 - tc.root; !slices.Contains(got, fmt.Sprintf("%s@%d", side, depth)) {
+			t.Errorf("from v%d the re-run missed v4's new child %s: %v", tc.root, side, got)
+		}
 	}
 }

@@ -44,11 +44,11 @@
 //     (SimpleDB allows 20 comparisons per predicate) on up to Spec.Workers
 //     connections, following the schema's indexed input edges; each batch
 //     is a K-way scatter, because a child lives on its own uuid's shard.
-//     Short of a terminal level, a partial batch is padded with later
-//     versions of its refs that descend from their own earlier version,
-//     within the depth left; the walk keeps what those pads answer, so a
-//     version chain costs one round per 20 versions, and a level whose
-//     refs were all answered asks nothing;
+//     Short of a terminal level, a partial batch, the roots' included, is
+//     padded with later versions of its refs that descend from (a root:
+//     have) an earlier version, within the depth left; the walk keeps what
+//     the pads answer, so a version chain from any version costs one round
+//     per 20 versions, and a level whose refs were all answered asks nothing;
 //   - Ancestors fetches each level's bundles with itemName() IN batches,
 //     each split across the refs' home shards (at most min(K, refs)
 //     requests), and follows their cross references upward; a partial
@@ -84,5 +84,5 @@
 // identically at any shard count, worker count or cache state — the
 // cross-shard equivalence tests pin this byte-for-byte. Each query's
 // Table-5 metrics (virtual time, bytes moved, requests issued) come from
-// [Engine.measure] via the wrappers.
+// [measured] via the wrappers.
 package query

@@ -191,9 +191,9 @@ type source interface {
 // descent is one Descendants walk as its levels' child reads see it:
 // whether this level is the last of a bounded walk, how many levels below
 // it the walk can still go (0 on a terminal level), the previous level's
-// frontier, every bundle a child read shipped, and the memo — in canonical
-// order, each ref a padded read answered before the walk reached it, with
-// its complete child list.
+// frontier (nil on the roots' level), every bundle a child read shipped,
+// and the memo — in canonical order, each ref a padded read answered
+// before the walk reached it, with its complete child list.
 type descent struct {
 	terminal bool
 	reach    int
@@ -215,11 +215,12 @@ func (w *descent) answered(r prov.Ref) ([]prov.Ref, bool) {
 	return nil, false
 }
 
-// chained reports whether the previous level holds an earlier version of
-// r's object: r then rides a version chain, and the walk will likely ask
-// r+1 next.
+// chained reports whether r rides a version chain, so that the walk will
+// likely ask r+1 next: the previous level holds an earlier version of r's
+// object, or, on the roots' level, which has none before it, r has one.
 func (w *descent) chained(r prov.Ref) bool {
-	return slices.ContainsFunc(w.prev, func(p prov.Ref) bool { return p.UUID == r.UUID && p.Version < r.Version })
+	return w.prev == nil && r.Version > 1 ||
+		slices.ContainsFunc(w.prev, func(p prov.Ref) bool { return p.UUID == r.UUID && p.Version < r.Version })
 }
 
 // exec is one execution of a Spec: the traversal, root resolution and

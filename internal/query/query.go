@@ -90,15 +90,14 @@ func (e *Engine) Unsubscribe() {
 	e.cache.detach()
 }
 
-// measure runs f and computes the metrics delta around it.
-func (e *Engine) measure(f func() error) (Metrics, error) {
-	m0 := e.dep.Env.Meter().Usage()
-	t0 := e.dep.Env.Now()
-	err := f()
-	t1 := e.dep.Env.Now()
+// measured collects spec's results and computes the metrics delta around
+// the collection.
+func measured[T any](e *Engine, collect func(Spec) ([]T, error), spec Spec) ([]T, Metrics, error) {
+	m0, t0 := e.dep.Env.Meter().Usage(), e.dep.Env.Now()
+	out, err := collect(spec)
 	m1 := e.dep.Env.Meter().Usage()
-	return Metrics{
-		Elapsed: t1 - t0,
+	return out, Metrics{
+		Elapsed: e.dep.Env.Now() - t0,
 		Bytes:   (m1.BytesIn + m1.BytesOut) - (m0.BytesIn + m0.BytesOut),
 		Ops:     m1.TotalOps - m0.TotalOps,
 	}, err
@@ -158,26 +157,14 @@ func Q4Spec(program string, filter *Filter, workers int) Spec {
 
 // AllProvenance is Q1. workers applies to the store backend's GET fan-out.
 func (e *Engine) AllProvenance(workers int) ([]prov.Bundle, Metrics, error) {
-	var out []prov.Bundle
-	m, err := e.measure(func() error {
-		var err error
-		out, err = e.CollectBundles(Q1Spec(workers))
-		return err
-	})
-	return out, m, err
+	return measured(e, e.CollectBundles, Q1Spec(workers))
 }
 
 // ObjectProvenance is Q2: a HEAD on the object resolves its uuid, then one
 // targeted fetch returns the provenance of all its versions. The two
 // requests are inherently sequential (§5.3), so there is no parallel plan.
 func (e *Engine) ObjectProvenance(path string) ([]prov.Bundle, Metrics, error) {
-	var out []prov.Bundle
-	m, err := e.measure(func() error {
-		var err error
-		out, err = e.CollectBundles(Q2Spec(path))
-		return err
-	})
-	return out, m, err
+	return measured(e, e.CollectBundles, Q2Spec(path))
 }
 
 // DirectOutputsOf is Q3: items whose provenance names a process of the
@@ -199,12 +186,7 @@ func (e *Engine) DescendantsOf(program string, workers int) ([]prov.Ref, Metrics
 // refQuery measures a ref-projected spec and returns the canonically sorted
 // result set.
 func (e *Engine) refQuery(spec Spec) ([]prov.Ref, Metrics, error) {
-	var out []prov.Ref
-	m, err := e.measure(func() error {
-		var err error
-		out, err = e.CollectRefs(spec)
-		return err
-	})
+	out, m, err := measured(e, e.CollectRefs, spec)
 	slices.SortFunc(out, prov.Ref.Compare)
 	return out, m, err
 }

@@ -148,27 +148,83 @@ func TestReadaheadStopsAtMaxInt(t *testing.T) {
 
 // TestReadaheadWithinDepth: a bounded walk over one object's ten versions
 // pads only as deep as it can still go, and its terminal level not at all.
+// A v1 root has no earlier version, so its own round pads nothing and v2's
+// round pads the rest; a v5 root pads its own round, which then answers the
+// whole walk: v5…v(4+MaxDepth) in one round, v5 alone under MaxDepth 1.
 func TestReadaheadWithinDepth(t *testing.T) {
 	dep, chain := chainDeployment(t, 9, true)
-	for depth := 1; depth <= 4; depth++ {
-		e := New(dep, core.BackendSDB)
-		e.SetCache(NewCache(0))
-		before := selects(dep)
-		got := stream(t, e, Spec{Roots: Roots{Refs: chain[:1]}, Direction: Descendants, MaxDepth: depth})
-		var want, wantAsked []string
-		for d := 1; d <= depth; d++ {
-			want = append(want, fmt.Sprintf("%s@%d", chain[d], d))
-			wantAsked = append(wantAsked, chain[d-1].String())
+	for _, root := range []int{0, 4} {
+		for depth := 1; depth <= 4; depth++ {
+			e := New(dep, core.BackendSDB)
+			e.SetCache(NewCache(0))
+			before := selects(dep)
+			got := stream(t, e, Spec{Roots: Roots{Refs: chain[root : root+1]}, Direction: Descendants, MaxDepth: depth})
+			var want, wantAsked []string
+			for d := 1; d <= depth; d++ {
+				want = append(want, fmt.Sprintf("%s@%d", chain[root+d], d))
+				wantAsked = append(wantAsked, chain[root+d-1].String())
+			}
+			slices.Sort(wantAsked)
+			name := fmt.Sprintf("from %s, MaxDepth %d", chain[root], depth)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s streamed %v, want %v", name, got, want)
+			}
+			if a := asked(t, e.cache); fmt.Sprint(a) != fmt.Sprint(wantAsked) {
+				t.Errorf("%s asked %v, want %v", name, a, wantAsked)
+			}
+			rounds := 1
+			if root == 0 {
+				rounds = min(depth, 2)
+			}
+			if n := selects(dep) - before; n != int64(4*rounds) {
+				t.Errorf("%s: %d SELECTs, want %d", name, n, 4*rounds)
+			}
 		}
-		slices.Sort(wantAsked)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("MaxDepth %d streamed %v, want %v", depth, got, want)
+	}
+}
+
+// TestReadaheadFromMidChainRoot: a walk from v5 of a ten-version chain,
+// whose versions also feed side outputs, pads its roots' round with v6…v24.
+// Whatever the pads answer early, the database streams what the store
+// streams, with the cache off and on, unbounded and bounded, refs and
+// filtered bundles alike.
+func TestReadaheadFromMidChainRoot(t *testing.T) {
+	rnd := sim.NewRand(53)
+	ref := func(u uuid.UUID, v int) prov.Ref { return prov.Ref{UUID: u, Version: v} }
+	x := uuid.New(rnd)
+	bundles := []prov.Bundle{fileNode(ref(x, 1), "mnt/x")}
+	for v := 2; v <= 10; v++ {
+		bundles = append(bundles, fileNode(ref(x, v), "mnt/x", ref(x, v-1)))
+	}
+	for _, v := range []int{3, 7, 9} {
+		side := ref(uuid.New(rnd), 1)
+		bundles = append(bundles, fileNode(side, fmt.Sprintf("mnt/side%d", v), ref(x, v)),
+			fileNode(ref(uuid.New(rnd), 1), fmt.Sprintf("mnt/side%d.out", v), side))
+	}
+	s3, db := twinOfBundles(t, bundles)
+	root := Roots{Refs: []prov.Ref{ref(x, 5)}}
+	for _, spec := range []Spec{
+		{Roots: root, Direction: Descendants},
+		{Roots: root, Direction: Descendants, MaxDepth: 2, Project: ProjectBundles},
+		{Roots: root, Direction: Descendants, MaxDepth: 3, Filter: Not(NameIs("mnt/x"))},
+	} {
+		want := stream(t, s3, spec)
+		for _, cache := range []*Cache{nil, NewCache(0)} {
+			db.SetCache(cache)
+			if got := stream(t, db, spec); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("depth %d, filter %s, cache %v: streams differ\n store %v\n    db %v", spec.MaxDepth, spec.Filter, cache != nil, want, got)
+			}
 		}
-		if a := asked(t, e.cache); fmt.Sprint(a) != fmt.Sprint(wantAsked) {
-			t.Errorf("MaxDepth %d asked %v, want %v", depth, a, wantAsked)
-		}
-		if n, want := selects(dep)-before, int64(4*min(depth, 2)); n != want {
-			t.Errorf("MaxDepth %d: %d SELECTs, want %d", depth, n, want)
-		}
+	}
+	// Unbounded and uncached, the roots' round answers the chain, and only
+	// the levels that hold a side output or its output ask: five rounds of
+	// four SELECTs, where a root round without pads made it six.
+	db.SetCache(nil)
+	before := selects(db.dep)
+	if got := stream(t, db, Spec{Roots: root, Direction: Descendants}); len(got) != 9 {
+		t.Errorf("streamed %d descendants of v5, want 9: %v", len(got), got)
+	}
+	if n := selects(db.dep) - before; n != 20 {
+		t.Errorf("%d SELECTs, want 20", n)
 	}
 }

@@ -63,7 +63,7 @@ func (s *dbSource) describe() string {
 	case Versions:
 		traverse = "uuid-prefix SELECT per root, routed to the uuid's home shard (1 request each)"
 	case Descendants:
-		traverse = "IN-batched BFS over input edges, each batch a " + scatter + " — children live on any shard; a partial batch padded with later versions of version-chain refs within the depth left"
+		traverse = "IN-batched BFS over input edges, each batch a " + scatter + " — children live on any shard; a partial batch, the roots' included, padded with later versions of version-chain refs within the depth left"
 	case Ancestors:
 		traverse = "walk over xref edges, each level a batched itemName() fetch routed to the refs' home shards, ≤ min(K, refs) requests per 20-ref batch, a partial batch padded with earlier versions of its refs within the depth left"
 	}
@@ -213,10 +213,10 @@ func (s *dbSource) selectIn(tmpl func(i int) *sdb.Query, key string, refs []prov
 // cache short-circuits refs whose children were already observed.
 //
 // Short of a terminal level, a partial last batch is padded with later
-// versions of refs that ride a version chain (see pad). A padded batch,
-// like every batch under the cache, tells its children apart by parent; a
-// pad's children go to the walk's memo and to the cache, an eventually
-// consistent read like any other, taken a few levels early.
+// versions of refs that ride a version chain (descent.chained, roots too;
+// see pad). A padded batch, like every batch under the cache, tells its
+// children apart by parent; a pad's children go to the walk's memo and to
+// the cache, an eventually consistent read like any other, taken early.
 //
 // On a terminal level with a pushed predicate (never combined with a
 // cache), the predicate fuses into the IN SELECT: non-matching children are

@@ -280,7 +280,7 @@ func TestDescribeGolden(t *testing.T) {
 	const (
 		dbScatter   = "K-way scatter (K=4)"
 		dbAttrRoots = "sdb: roots via indexed attribute SELECT, " + dbScatter + "; "
-		dbDesc      = "IN-batched BFS over input edges, each batch a " + dbScatter + " — children live on any shard; a partial batch padded with later versions of version-chain refs within the depth left; "
+		dbDesc      = "IN-batched BFS over input edges, each batch a " + dbScatter + " — children live on any shard; a partial batch, the roots' included, padded with later versions of version-chain refs within the depth left; "
 		dbAnc       = "walk over xref edges, each level a batched itemName() fetch routed to the refs' home shards, ≤ min(K, refs) requests per 20-ref batch, a partial batch padded with earlier versions of its refs within the depth left; "
 		dbVers      = "uuid-prefix SELECT per root, routed to the uuid's home shard (1 request each); "
 		s3Scan      = "s3: whole-graph scan (LIST + parallel GETs), local evaluation"

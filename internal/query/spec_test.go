@@ -122,7 +122,8 @@ func chainDeployment(t testing.TB, depth int, oneObject bool) (*core.Deployment,
 // by item name costs one SELECT per home shard it touches, not one per
 // shard, while the child lookup of a descendants level — children live on
 // any shard — still asks all four, and a version chain of one object rides
-// one padded round.
+// one padded round after its first version's, or from a later root, the
+// root's round alone.
 func TestRoutedRequestCounts(t *testing.T) {
 	const depth = 10
 	dep, chain := chainDeployment(t, depth, false)
@@ -161,6 +162,10 @@ func TestRoutedRequestCounts(t *testing.T) {
 		// with v3…v21 and answers the rest of the chain. Two rounds × 4
 		// shards, where one round per level billed 40.
 		{"descendants of a version chain", versDep, Spec{Roots: Roots{Refs: versions[:1]}, Direction: Descendants}, depth - 1, 8},
+		// v5 has an earlier version, so its own round is padded with
+		// v6…v24 and answers the rest of the chain: one round, where the
+		// previous level's evidence alone waited for v6's and billed 8.
+		{"descendants from a mid-chain root", versDep, Spec{Roots: Roots{Refs: versions[4:5]}, Direction: Descendants}, 5, 4},
 	} {
 		dep := cmp.Or(tc.dep, dep)
 		before := selects(dep)

@@ -261,7 +261,7 @@ func (e *Env) Retry() retryLayer {
 // against endpoint; mutating marks state-changing ops (eligible for the
 // ambiguous fail-applied outcome). With no injector installed it is a nil
 // check. The services reach it through Endpoint.Fault; translog calls it for
-// its two points that are no service request.
+// its one point that is no service request, the start of a checkpoint.
 func (e *Env) FaultPoint(endpoint, op string, mutating bool) (err error, applied bool) {
 	f := e.Faults()
 	if f == nil {

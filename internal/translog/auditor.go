@@ -2,9 +2,11 @@ package translog
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/cloud/store"
 	"passcloud/internal/core"
 	"passcloud/internal/merkle"
 )
@@ -77,9 +79,6 @@ func Audit(dep *core.Deployment, l *Log, opts AuditOptions) (AuditReport, error)
 	var r AuditReport
 	if dep.DB.Directory().Migrating() {
 		return r, fmt.Errorf("translog: audit during migration")
-	}
-	if err, _ := l.env.FaultPoint("translog", "translog.Audit", false); err != nil {
-		return r, err
 	}
 
 	l.mu.Lock()
@@ -190,8 +189,11 @@ func loadHeads(l *Log) ([]SignedHead, error) {
 	heads := make([]SignedHead, 0, len(keys))
 	for _, k := range keys {
 		o, err := l.st.Get(k)
-		if err != nil {
+		if errors.Is(err, store.ErrNoSuchKey) {
 			continue // pruned between list and get
+		}
+		if err != nil {
+			return nil, fmt.Errorf("translog: reading %s: %w", k, err)
 		}
 		var h SignedHead
 		if err := json.Unmarshal(o.Data, &h); err != nil {

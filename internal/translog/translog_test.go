@@ -2,12 +2,14 @@ package translog
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/cloud/store"
 	"passcloud/internal/core"
 	"passcloud/internal/merkle"
 	"passcloud/internal/prov"
@@ -426,6 +428,44 @@ func TestAuditRefusesDuringMigration(t *testing.T) {
 		t.Fatal("audit ran inside a migration window")
 	}
 	dep.DB.Cutover()
+}
+
+// TestAuditFailsOnHeadReadError: a head GET that fails for any reason but a
+// missing key fails the audit. Read as "pruned", it would drop the head and
+// report CLEAN over fewer verified heads. A transient fault the store's
+// retries cannot outlast fails it too.
+func TestAuditFailsOnHeadReadError(t *testing.T) {
+	env, dep, p3, l := newFabric(t, 53, 1)
+	for _, set := range [][]txnSpec{makeTxns(53, 2, 2), makeTxns(54, 2, 2)} {
+		commitAll(t, p3, set)
+		if _, err := l.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settleReads(env)
+	rep, err := Audit(dep, l, AuditOptions{})
+	if err != nil || !rep.Clean() || rep.HeadsVerified != 2 {
+		t.Fatalf("fault-free audit: %v err %v, want CLEAN over 2 heads", rep, err)
+	}
+	boom := errors.New("boom")
+	inj := env.InstallFaults(nil)
+	for _, tc := range []struct {
+		name string
+		arm  func()
+		want func(error) bool
+	}{
+		{"one failed GET", func() { inj.FailNextOp(store.Endpoint, "s3.GET", boom) }, func(err error) bool { return errors.Is(err, boom) }},
+		{"GETs out of retries", func() {
+			inj.FailOp(store.Endpoint, "s3.GET", &sim.TransientError{Endpoint: store.Endpoint, Op: "s3.GET", Code: "SlowDown"})
+		}, sim.IsTransient},
+	} {
+		tc.arm()
+		rep, err := Audit(dep, l, AuditOptions{})
+		inj.ClearOp(store.Endpoint, "s3.GET")
+		if !tc.want(err) {
+			t.Errorf("%s: audit returned %v err %v, want the GET's error", tc.name, rep, err)
+		}
+	}
 }
 
 // TestSequencerUnderAmbiguousFaults runs the whole pipeline — commits,
