@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"passcloud/internal/par"
 	"passcloud/internal/resilient"
@@ -243,9 +242,14 @@ func (n *Node) with(old, repl *Node) *Node {
 	return &Node{op: "and", left: n.left.with(old, repl), right: n.right.with(old, repl)}
 }
 
-// SelectAllQuery drains q against the shards targets names — one inline,
-// several in parallel — and merges the results by item name into the
-// canonical single-domain order; request and byte counts are summed.
+// SelectAllQuery drains q against the shards targets names and merges the
+// results by item name into the canonical single-domain order; request and
+// byte counts are summed. On a live clock the shards drain concurrently, so a
+// scatter costs its slowest shard. On the manual clock parallel sleeps add
+// up however the drains interleave, so the caller drains the shards itself,
+// in shard order: no goroutine is started, and a seed alone decides which
+// shard draws which jitter and fault. Every shard is drained even when one
+// fails; the first error in shard order is returned.
 func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes int, err error) {
 	ts, err := v.targets(q)
 	if err != nil {
@@ -265,26 +269,21 @@ func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes 
 	if len(v.shards) > 1 {
 		res = resilient.Of(v.set.env)
 	}
-	drain := func(i int) {
+	workers := 1
+	if v.set.env.Clock().Live() {
+		workers = len(ts)
+	}
+	par.ForEach(workers, len(ts), func(i int) error {
 		d := v.shards[ts[i].shard]
 		results[i], errs[i] = resilient.Hedged(res, d.Name(), func() (r result, err error) {
 			r.items, r.reqs, r.bytes, err = d.selectAll(&ts[i].q)
 			return r, err
 		})
-	}
+		return nil
+	})
 	if len(ts) == 1 {
-		drain(0)
 		return results[0].items, results[0].reqs, results[0].bytes, errs[0]
 	}
-	var wg sync.WaitGroup
-	for i := range ts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain(i)
-		}()
-	}
-	wg.Wait()
 	lists := make([][]Item, 0, len(results))
 	for i, r := range results {
 		if errs[i] != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -236,5 +237,79 @@ func TestBatchPutShardOrderIsSeeded(t *testing.T) {
 		if got := run(); got != want {
 			t.Fatalf("run %d of the same seed ended at %v, the first at %v", i+1, got, want)
 		}
+	}
+}
+
+// TestManualScatterIsDeterministic: on the manual clock a K-way scatter
+// drains its shards in shard order, so one seed decides which shard draws
+// which jitter and fault and whether a drain is hedged. Thirty fresh
+// same-seed runs of a 32-way SELECT, with the retry layer installed as the
+// fabric installs it, end at one simulated time with one op, fault and hedge
+// count per endpoint; without faults each run is exactly 32 SELECTs and no
+// hedge. With a goroutine per shard the drains' sleeps summed into each
+// other's hedge timers, and the scheduler picked who drew what.
+func TestManualScatterIsDeterministic(t *testing.T) {
+	const k, items, runs = 32, 400, 30
+	for _, leg := range []struct {
+		name   string
+		faults float64
+	}{{"faults", 0.05}, {"fault-free", 0}} {
+		t.Run(leg.name, func(t *testing.T) {
+			seen := map[string]int{}
+			for run := 0; run < runs; run++ {
+				cfg := sim.DefaultConfig()
+				cfg.Seed = 42
+				cfg.Consistency = sim.Strict
+				env := sim.NewEnv(cfg)
+				res := resilient.New(env, resilient.Policy{})
+				env.SetRetry(res)
+				s := NewSet(env, "prov", k)
+				for i := 0; i < items; i += MaxBatchItems {
+					var reqs []PutRequest
+					for j := i; j < i+MaxBatchItems; j++ {
+						reqs = append(reqs, PutRequest{
+							Item:  fmt.Sprintf("%08x-aaaa-4bbb-8ccc-ddddeeeeffff_1", uint32(j*2654435761)),
+							Attrs: []Attr{{Name: "type", Value: "file"}, {Name: "pad", Value: strings.Repeat("x", j%97)}},
+						})
+					}
+					if err := s.BatchPutAttributes(reqs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if leg.faults > 0 {
+					env.InstallFaults(sim.UniformPlan(leg.faults, 0.5))
+				}
+				before, t0 := env.Meter().Usage(), env.Now()
+				got, _, _, err := s.SelectAllQuery(Query{Domain: "prov", ItemOnly: true, Where: Eq("type", "file")})
+				if err != nil || len(got) != items {
+					t.Fatalf("run %d: %d items, %v; want %d", run, len(got), err, items)
+				}
+				elapsed, after := env.Now()-t0, env.Meter().Usage()
+				ops, faults := map[string]int64{}, after.FaultsByEndpoint // the plan armed after the writes
+				for ep, n := range after.OpsByEndpoint {
+					if d := n - before.OpsByEndpoint[ep]; d != 0 {
+						ops[ep] = d
+					}
+				}
+				hedges := res.Stats().Totals().Hedges
+				selects := after.OpsByKind["sdb.Select"] - before.OpsByKind["sdb.Select"]
+				if leg.faults > 0 && len(faults) == 0 {
+					t.Fatalf("run %d: the fault plan fired no fault", run)
+				}
+				if leg.faults == 0 && (selects != k || hedges != 0) {
+					t.Fatalf("run %d: %d SELECTs and %d hedges, want %d and 0", run, selects, hedges, k)
+				}
+				seen[fmt.Sprintf("elapsed %v ops %v faults %v hedges %d", elapsed, ops, faults, hedges)]++
+			}
+			if len(seen) != 1 {
+				for run, n := range seen {
+					t.Logf("%d× %s", n, run)
+				}
+				t.Fatalf("%d same-seed runs gave %d distinct outcomes", runs, len(seen))
+			}
+			for run := range seen {
+				t.Log(run)
+			}
+		})
 	}
 }

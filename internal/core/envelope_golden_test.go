@@ -12,10 +12,8 @@ import (
 	"testing"
 
 	"passcloud/internal/core"
-	"passcloud/internal/prov"
 	"passcloud/internal/query"
 	"passcloud/internal/sim"
-	"passcloud/internal/uuid"
 )
 
 // envelopeScript drives every service through the request envelope on one
@@ -26,12 +24,13 @@ import (
 //   - serial: after 40 P3 commits at K=4 on one connection and one commit
 //     worker, and Q2. One goroutine issues every request, so the seed alone
 //     decides this section under any scheduler.
-//   - final: after a 4→2 reshard and Q1, Q3 and Q4. The resharder and the
-//     scatter-gather reads run their shards on goroutines, and on the manual
-//     clock the order in which those draw faults and jitter decides the totals
-//     (ROADMAP item 1). The script therefore runs on one P with the collector
-//     paused, where the scheduler hands the shards out in the same order on
-//     all but about one run in a hundred.
+//   - final: after a 4→2 reshard and Q1, Q3 and Q4. The resharder runs its
+//     shards on goroutines, and on the manual clock the order in which those
+//     draw faults and jitter decides the totals (ROADMAP item 1); the
+//     scatter-gather reads drain their shards in shard order on the caller.
+//     The script therefore runs on one P with the collector paused, where the
+//     scheduler hands the shards out in the same order on all but about one
+//     run in a hundred.
 func envelopeScript(t *testing.T) (serial, final string) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -45,7 +44,7 @@ func envelopeScript(t *testing.T) (serial, final string) {
 	e := query.New(dep, core.BackendSDB)
 
 	p := core.NewP3(dep, core.Options{CommitWorkers: 1, ProvConns: 1, DataConns: 1})
-	objs, bundles := chainedTxns(42, 40, 4)
+	objs, bundles := core.ChainedTxns(42, 40, 4)
 	for i := range objs {
 		if err := p.Commit(objs[i], bundles[i]); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
@@ -103,42 +102,6 @@ func renderEnvelope(env *sim.Env) string {
 		}
 	}
 	return b.String()
-}
-
-// chainedTxns builds n transactions of one "stage" process and versions
-// 1..k-1 of the file it writes, each process reading the file before it, so
-// Q3 finds every process's outputs and Q4 walks the whole chain.
-func chainedTxns(seed int64, n, k int) (objs []core.FileObject, bundles [][]prov.Bundle) {
-	rnd := sim.NewRand(seed)
-	var last prov.Ref
-	for t := 0; t < n; t++ {
-		proc := prov.Ref{UUID: uuid.New(rnd), Version: 1}
-		recs := []prov.Record{
-			{Attr: prov.AttrType, Value: "proc"},
-			{Attr: prov.AttrName, Value: "stage"},
-			{Attr: prov.AttrEnv, Value: strings.Repeat("e", 700)},
-		}
-		if t > 0 {
-			recs = append(recs, prov.Record{Attr: prov.AttrInput, Xref: last})
-		}
-		set := []prov.Bundle{{Ref: proc, Type: prov.Process, Name: "stage", Records: recs}}
-		file, path := uuid.New(rnd), fmt.Sprintf("mnt/chain/%04d", t)
-		for v := 1; v < k; v++ {
-			recs := []prov.Record{
-				{Attr: prov.AttrType, Value: "file"},
-				{Attr: prov.AttrName, Value: path},
-				{Attr: prov.AttrInput, Xref: proc},
-			}
-			if v > 1 {
-				recs = append(recs, prov.Record{Attr: prov.AttrPrevVer, Xref: last})
-			}
-			last = prov.Ref{UUID: file, Version: v}
-			set = append(set, prov.Bundle{Ref: last, Type: prov.File, Name: path, Records: recs})
-		}
-		objs = append(objs, core.FileObject{Path: path, Size: 2048, Ref: last})
-		bundles = append(bundles, set)
-	}
-	return objs, bundles
 }
 
 // TestEnvelopeGoldenSeed42 pins the envelope script's outcome. A line that

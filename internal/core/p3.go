@@ -437,16 +437,10 @@ func (p *P3) assemble(shards []int, budget int) round {
 			wave = min(wave, budget-n)
 			n += wave
 			pages := make([][]sqs.Message, wave)
-			var wg sync.WaitGroup
-			for w := 0; w < wave; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					pages[w] = wal.ReceiveMessage(10)
-				}()
-			}
-			wg.Wait()
+			par.ForEach(wave, wave, func(w int) error {
+				pages[w] = wal.ReceiveMessage(10)
+				return nil
+			})
 			for _, msgs := range pages {
 				if len(msgs) < 10 {
 					// Short page: the shard's backlog is shallow; stop
@@ -858,16 +852,10 @@ func (p *P3) Settle() error {
 		workers := p.opts.CommitWorkers
 		progress := make([]bool, workers)
 		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				progress[i], errs[i] = p.commitShards(p.walSubscription(i, workers))
-			}()
-		}
-		wg.Wait()
+		par.ForEach(workers, workers, func(i int) error {
+			progress[i], errs[i] = p.commitShards(p.walSubscription(i, workers))
+			return nil
+		})
 		any := false
 		for i := 0; i < workers; i++ {
 			any = any || progress[i]

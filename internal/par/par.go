@@ -1,7 +1,8 @@
 // Package par provides the one bounded-parallel execution primitive the
 // client and query layers share. The storage protocols' upload pools, the
-// query engine's GET and SELECT fan-outs and the commit daemon's cleanup
-// sweeps all need the same shape — run N tasks on at most W goroutines,
+// query engine's GET and SELECT fan-outs, SimpleDB's scatter-gather reads
+// and the commit daemon's receive waves, rounds and cleanup sweeps all need
+// the same shape — run N tasks on at most W goroutines,
 // drain every task even when one fails, report errors deterministically —
 // and previously each carried its own hand-rolled sem/errs loop. A pool of
 // one worker (W or N is 1) runs its tasks in order on the caller and starts
@@ -12,6 +13,7 @@ package par
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
@@ -23,41 +25,59 @@ func Run(workers int, tasks []func() error) error {
 }
 
 // RunAll executes tasks on at most workers goroutines and collects every
-// error (not just the first), for callers like receipt cleanup where each
-// failed task must be reported rather than abandoned.
+// error (not just the first), in task order, for callers like receipt
+// cleanup where each failed task must be reported rather than abandoned.
 func RunAll(workers int, tasks []func() error) []error {
-	var (
-		mu   sync.Mutex
-		errs []error
-	)
-	run(workers, len(tasks), func(i int) {
-		if err := tasks[i](); err != nil {
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
-		}
+	errs := make([]error, len(tasks))
+	ForEach(workers, len(tasks), func(i int) error {
+		errs[i] = tasks[i]()
+		return nil
 	})
-	return errs
+	return slices.DeleteFunc(errs, func(err error) bool { return err == nil })
 }
 
 // ForEach runs f(0) .. f(n-1) on at most workers goroutines and returns the
 // first error. Callers that need per-task results write into the i-th slot
 // of a pre-sized slice, which is race-free because each index is visited
-// exactly once.
+// exactly once. The pool is a channel of indices drained by min(workers, n)
+// goroutines; one worker runs the indices in order on the caller instead,
+// with no goroutine, channel or lock, and allocates nothing of its own.
 func ForEach(workers, n int, f func(i int) error) error {
+	if workers = min(workers, n); workers <= 1 {
+		var first error
+		for i := 0; i < n; i++ {
+			if err := f(i); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
 	var (
 		mu    sync.Mutex
 		first error
+		wg    sync.WaitGroup
 	)
-	run(workers, n, func(i int) {
-		if err := f(i); err != nil {
-			mu.Lock()
-			if first == nil {
-				first = err
+	ch := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ch {
+				if err := f(i); err != nil {
+					mu.Lock()
+					if first == nil {
+						first = err
+					}
+					mu.Unlock()
+				}
 			}
-			mu.Unlock()
-		}
-	})
+		}()
+	}
+	for i := 0; i < n; i++ {
+		ch <- i
+	}
+	close(ch)
+	wg.Wait()
 	return first
 }
 
@@ -70,37 +90,6 @@ func Sequential(tasks []func() error) error {
 		}
 	}
 	return nil
-}
-
-// run is the shared pool: a channel of indices drained by min(workers, n)
-// goroutines. Every index is handed out exactly once. One worker runs the
-// indices in order on the caller instead, with no goroutine or channel.
-func run(workers, n int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
 }
 
 // Group runs tasks a producer discovers as it goes — a scanner paging through

@@ -125,8 +125,9 @@ func ParseRef(s string) (Ref, error) {
 		return Ref{}, fmt.Errorf("prov: malformed ref version in %q", s)
 	}
 	r := Ref{UUID: u, Version: v}
-	var buf [uuid.StringLen + 1 + 20]byte
-	if string(r.AppendTo(buf[:0])) != s {
+	// uuid.Parse fixed the dashes and strconv.Atoi the digits: what String
+	// would print differently is upper-case hex, a sign or a leading zero.
+	if c := s[i+1]; c < '1' || c > '9' || strings.ContainsAny(s[:i], "ABCDEF") {
 		return Ref{}, fmt.Errorf("prov: non-canonical ref %q (canonical %s)", s, r)
 	}
 	return r, nil
