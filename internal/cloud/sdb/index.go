@@ -18,28 +18,47 @@ import "slices"
 // does not yet) match is dropped, and no matching item can be missed since
 // every observable version is indexed.
 //
-// The index is also the store's value table. Each attribute index interns
-// its values: the key of vals is the one stored copy of a value, and a
+// The index is also the store's value table. Each attribute index keeps its
+// distinct values in a string table (strtab.go): a value's bytes are held
+// once per attribute, in chunks the collector does not trace, and a
 // version's attributes are (attribute id, value id) pairs pointing into it,
-// so an environment string every item carries is held once per domain. A
-// postings list holds item ids (the dense ids of the domain's item table),
-// not names: an ascending []uint32 with one entry per reference — a
-// multi-valued attribute and two retained versions may each reference the
-// same pair — and a distinct count, which is what the planner estimates an
-// AND branch by. Nothing in a postings list, a version or an item record is
-// a pointer, so the collector has nothing in them to mark.
+// so an environment string every item carries is held once per domain and
+// every read returns that one copy. A postings list holds item ids (the
+// dense ids of the domain's item table), not names: an ascending []uint32
+// with one entry per reference — a multi-valued attribute and two retained
+// versions may each reference the same pair — and a distinct count, which
+// is what the planner estimates an AND branch by. A value only one item
+// carries, as most are, keeps that item inline and owns no slice. Nothing
+// in a version, an item record or the tables is a pointer, so the collector
+// marks only the postings of shared values.
 
 // postings is the set of items carrying one (attribute, value) pair in any
-// retained version.
+// retained version. While one item carries the pair, ids is nil and the
+// item and its references are inline.
 type postings struct {
-	ids      []uint32 // item ids, ascending, one entry per reference
-	distinct int      // distinct ids in ids
+	ids      []uint32 // two or more items: item ids, ascending, one entry per reference
+	one      uint32   // one item: its id
+	refs     uint32   // one item: its references
+	distinct uint32   // distinct items
 }
 
 // add records one reference from item id.
 func (p *postings) add(id uint32) {
+	if p.ids == nil {
+		if p.distinct == 0 || p.one == id {
+			p.one, p.distinct = id, 1
+			p.refs++
+			return
+		}
+		// A second item: the inline references move into a slice.
+		p.ids = make([]uint32, p.refs, p.refs+1)
+		for i := range p.ids {
+			p.ids[i] = p.one
+		}
+		p.one, p.refs = 0, 0
+	}
 	n := len(p.ids)
-	if n == 0 || p.ids[n-1] < id {
+	if p.ids[n-1] < id {
 		// A new item's id is the largest yet unless it reuses a reaped one,
 		// so a put almost always appends.
 		p.ids = append(p.ids, id)
@@ -56,82 +75,69 @@ func (p *postings) add(id uint32) {
 // remove drops one reference from item id; it reports true when the
 // postings became empty.
 func (p *postings) remove(id uint32) bool {
+	if p.ids == nil {
+		if p.distinct == 1 && p.one == id {
+			if p.refs--; p.refs == 0 {
+				p.distinct = 0
+			}
+		}
+		return p.distinct == 0
+	}
 	i, found := slices.BinarySearch(p.ids, id)
 	if !found {
-		return len(p.ids) == 0
+		return false
 	}
 	p.ids = slices.Delete(p.ids, i, i+1)
 	if i == len(p.ids) || p.ids[i] != id {
 		p.distinct--
 	}
-	return len(p.ids) == 0
+	if p.distinct == 1 {
+		// One item left: back inline, and the slice goes.
+		p.one, p.refs, p.ids = p.ids[0], uint32(len(p.ids)), nil
+	}
+	return false
 }
 
-// valEntry is one interned value of an attribute and its postings.
-type valEntry struct {
-	value string
-	post  postings
-}
-
-// attrIndex is the secondary index of one attribute: its interned values
-// and their postings, plus a sorted value list serving range and prefix
-// access paths.
+// attrIndex is the secondary index of one attribute: its values, their
+// postings by value id, and (in vals) the sorted value view that serves
+// range and prefix access paths.
 type attrIndex struct {
-	name   string
-	id     uint32            // position in Domain.attrs
-	vals   map[string]uint32 // value → value id; the key is the stored copy
-	ents   []valEntry        // by value id
-	free   []uint32          // value ids no retained version references
-	sorted *sortedKeys       // cached ascending values
+	name string
+	id   uint32 // position in Domain.attrs
+	vals strtab
+	ents []postings // by value id
 }
 
 // intern returns the value id of value, registering it on first sight.
 func (ix *attrIndex) intern(value string) uint32 {
-	if vid, ok := ix.vals[value]; ok {
-		return vid
+	vid := ix.vals.intern(value)
+	if int(vid) == len(ix.ents) {
+		ix.ents = append(ix.ents, postings{})
 	}
-	var vid uint32
-	if n := len(ix.free); n > 0 {
-		vid, ix.free = ix.free[n-1], ix.free[:n-1]
-	} else {
-		vid = uint32(len(ix.ents))
-		ix.ents = append(ix.ents, valEntry{})
-	}
-	ix.ents[vid].value = value
-	ix.vals[value] = vid
-	ix.sorted.add(value)
 	return vid
 }
 
 // remove drops one reference from item id to value vid; a value no version
 // references any more leaves the index and frees its id.
 func (ix *attrIndex) remove(vid, id uint32) {
-	e := &ix.ents[vid]
-	if !e.post.remove(id) {
-		return
+	if ix.ents[vid].remove(id) {
+		ix.vals.remove(vid)
 	}
-	delete(ix.vals, e.value)
-	ix.sorted.remove()
-	*e = valEntry{}
-	ix.free = append(ix.free, vid)
 }
 
 // lookup returns the postings of value, or nil when no item carries it.
 func (ix *attrIndex) lookup(value string) *postings {
-	if vid, ok := ix.vals[value]; ok {
-		return &ix.ents[vid].post
+	if vid, ok, _ := ix.vals.lookup(value); ok {
+		return &ix.ents[vid]
 	}
 	return nil
 }
-
-// orderedVals returns the distinct indexed values in ascending order.
-func (ix *attrIndex) orderedVals() []string { return sortedOf(&ix.sorted, ix.vals) }
 
 // attrLocked returns the index of attribute name, creating it on first use.
 func (d *Domain) attrLocked(name string) *attrIndex {
 	ix := d.idx[name]
 	if ix == nil {
-		ix = &attrIndex{name: name, id: uint32(len(d.attrs)), vals: make(map[string]uint32)}
+		ix = &attrIndex{name: name, id: uint32(len(d.attrs)), vals: newStrtab()}
 		d.idx[name] = ix
 		d.attrs = append(d.attrs, ix)
 	}
@@ -141,7 +147,7 @@ func (d *Domain) attrLocked(name string) *attrIndex {
 // indexAddLocked registers one retained version's pairs under item id.
 func (d *Domain) indexAddLocked(id uint32, pairs []pair) {
 	for _, p := range pairs {
-		d.attrs[p.attr].ents[p.val].post.add(id)
+		d.attrs[p.attr].ents[p.val].add(id)
 	}
 }
 

@@ -2,7 +2,6 @@ package sdb
 
 import (
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -62,20 +61,8 @@ func (d *Domain) planLocked(n *Node) ([]string, bool) {
 func (d *Domain) estimateLocked(n *Node) (int, bool) {
 	switch n.op {
 	case "and":
-		lc, lok := d.estimateLocked(n.left)
-		rc, rok := d.estimateLocked(n.right)
-		switch {
-		case lok && rok:
-			if rc < lc {
-				return rc, true
-			}
-			return lc, true
-		case lok:
-			return lc, true
-		case rok:
-			return rc, true
-		}
-		return 0, false
+		_, c, ok := d.andBranchLocked(n)
+		return c, ok
 	case "or":
 		lc, lok := d.estimateLocked(n.left)
 		rc, rok := d.estimateLocked(n.right)
@@ -103,6 +90,17 @@ func (d *Domain) estimateLocked(n *Node) (int, bool) {
 	return 0, false
 }
 
+// andBranchLocked returns the branch of an AND the planner resolves: the
+// index-servable one, or the cheaper when both are, the left on a tie.
+func (d *Domain) andBranchLocked(n *Node) (*Node, int, bool) {
+	lc, lok := d.estimateLocked(n.left)
+	rc, rok := d.estimateLocked(n.right)
+	if rok && (!lok || rc < lc) {
+		return n.right, rc, true
+	}
+	return n.left, lc, lok
+}
+
 // postingsSizeLocked returns the candidate count of one equality lookup.
 func (d *Domain) postingsSizeLocked(attr, value string) int {
 	if attr == ItemNameKey {
@@ -110,7 +108,7 @@ func (d *Domain) postingsSizeLocked(attr, value string) int {
 	}
 	if ix := d.idx[attr]; ix != nil {
 		if p := ix.lookup(value); p != nil {
-			return p.distinct
+			return int(p.distinct)
 		}
 	}
 	return 0
@@ -119,9 +117,12 @@ func (d *Domain) postingsSizeLocked(attr, value string) int {
 // collectPostingsLocked appends the name of every item in p to names, once
 // each.
 func (d *Domain) collectPostingsLocked(p *postings, names []string) []string {
+	if p.ids == nil {
+		return append(names, d.items.str(p.one))
+	}
 	for i, id := range p.ids {
 		if i == 0 || p.ids[i-1] != id {
-			names = append(names, d.nameOf[id])
+			names = append(names, d.items.str(id))
 		}
 	}
 	return names
@@ -132,20 +133,8 @@ func (d *Domain) collectPostingsLocked(p *postings, names []string) []string {
 func (d *Domain) collectLocked(n *Node, names []string) []string {
 	switch n.op {
 	case "and":
-		lc, lok := d.estimateLocked(n.left)
-		rc, rok := d.estimateLocked(n.right)
-		switch {
-		case lok && rok:
-			if rc < lc {
-				names = d.collectLocked(n.right, names)
-			} else {
-				names = d.collectLocked(n.left, names)
-			}
-		case lok:
-			names = d.collectLocked(n.left, names)
-		case rok:
-			names = d.collectLocked(n.right, names)
-		}
+		b, _, _ := d.andBranchLocked(n)
+		names = d.collectLocked(b, names)
 	case "or":
 		names = d.collectLocked(n.left, names)
 		names = d.collectLocked(n.right, names)
@@ -157,9 +146,9 @@ func (d *Domain) collectLocked(n *Node, names []string) []string {
 		}
 	case "like":
 		prefix, _ := likePrefix(n.value)
-		names = d.collectPrefixLocked(n.attr, prefix, names)
+		names = d.collectSpanLocked(n.attr, "like", prefix, names)
 	case ">", ">=", "<", "<=":
-		names = d.collectRangeLocked(n.attr, n.op, n.value, names)
+		names = d.collectSpanLocked(n.attr, n.op, n.value, names)
 	}
 	return names
 }
@@ -178,60 +167,27 @@ func (d *Domain) collectEqLocked(attr, value string, names []string) []string {
 	return names
 }
 
-// collectPrefixLocked resolves a LIKE 'prefix%' through the sorted value
-// list (or the sorted name table for itemName()).
-func (d *Domain) collectPrefixLocked(attr, prefix string, names []string) []string {
-	if attr == ItemNameKey {
-		all := d.sortedNamesLocked()
-		for i := sort.SearchStrings(all, prefix); i < len(all) && strings.HasPrefix(all[i], prefix); i++ {
-			names = append(names, all[i])
+// collectSpanLocked resolves a LIKE 'prefix%' or an ordering comparison:
+// the satisfying values form one contiguous span of the attribute's sorted
+// values (of the sorted item names for itemName()).
+func (d *Domain) collectSpanLocked(attr, op, bound string, names []string) []string {
+	tab, ix := &d.items, d.idx[attr]
+	if attr != ItemNameKey {
+		if ix == nil {
+			return names
 		}
-		return names
+		tab = &ix.vals
 	}
-	ix := d.idx[attr]
-	if ix == nil {
-		return names
-	}
-	vals := ix.orderedVals()
-	for i := sort.SearchStrings(vals, prefix); i < len(vals) && strings.HasPrefix(vals[i], prefix); i++ {
-		names = d.collectPostingsLocked(ix.lookup(vals[i]), names)
-	}
-	return names
-}
-
-// collectRangeLocked resolves an ordering comparison: the satisfying values
-// form one contiguous interval of the sorted value list.
-func (d *Domain) collectRangeLocked(attr, op, bound string, names []string) []string {
-	if attr == ItemNameKey {
-		all := d.sortedNamesLocked()
-		lo, hi := rangeBounds(all, op, bound)
-		return append(names, all[lo:hi]...)
-	}
-	ix := d.idx[attr]
-	if ix == nil {
-		return names
-	}
-	vals := ix.orderedVals()
-	lo, hi := rangeBounds(vals, op, bound)
-	for _, v := range vals[lo:hi] {
-		names = d.collectPostingsLocked(ix.lookup(v), names)
+	ids := tab.sorted()
+	lo, hi := tab.span(ids, op, bound)
+	for _, id := range ids[lo:hi] {
+		if attr == ItemNameKey {
+			names = append(names, tab.str(id))
+		} else {
+			names = d.collectPostingsLocked(&ix.ents[id], names)
+		}
 	}
 	return names
-}
-
-// rangeBounds returns the half-open interval of sorted satisfying op bound.
-func rangeBounds(sorted []string, op, bound string) (lo, hi int) {
-	switch op {
-	case ">":
-		return sort.SearchStrings(sorted, bound+"\x00"), len(sorted)
-	case ">=":
-		return sort.SearchStrings(sorted, bound), len(sorted)
-	case "<":
-		return 0, sort.SearchStrings(sorted, bound)
-	case "<=":
-		return 0, sort.SearchStrings(sorted, bound+"\x00")
-	}
-	return 0, 0
 }
 
 // likePrefix extracts the prefix of an index-servable LIKE pattern: either

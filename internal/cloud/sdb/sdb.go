@@ -3,11 +3,11 @@
 // items, each a set of multi-valued <attribute,value> pairs, with every
 // attribute indexed and queryable through a SELECT interface.
 //
-// The limits that shaped the paper's protocols are enforced: attribute names
-// and values are capped at 1 KB (larger provenance values spill to S3
-// objects), BatchPutAttributes accepts at most 25 items per call, and SELECT
-// responses are paginated. Reads are eventually consistent unless the
-// environment runs in strict mode.
+// The limits that shaped the paper's protocols are enforced: item names,
+// attribute names and values are capped at 1 KB (larger provenance values
+// spill to S3 objects), BatchPutAttributes accepts at most 25 items per
+// call, and SELECT responses are paginated. Reads are eventually consistent
+// unless the environment runs in strict mode.
 //
 // Like the real service, every attribute is indexed on write: SELECT
 // resolves equality, IN, prefix and range predicates through per-attribute
@@ -18,9 +18,12 @@
 //
 // A domain stores each distinct string once: item names in an item table
 // that hands out dense ids, values in the attribute indexes that intern
-// them. Versions, item records and postings lists are ids in pointer-free
-// slices, so a large domain costs the collector little to mark; reads copy
-// attributes out only for the items they return.
+// them. Both are string tables (strtab.go) that keep the bytes in
+// append-only chunks behind pointer-free probe tables, and versions, item
+// records and postings lists are ids in pointer-free slices, so the
+// collector marks only the postings of values two or more items share,
+// however large the domain grows. Reads return views of the stored bytes
+// and copy attributes out only for the items they return.
 package sdb
 
 import (
@@ -37,14 +40,15 @@ import (
 
 // Limits mirrored from the real service.
 const (
-	MaxValueLen   = 1024 // bytes per attribute name or value
+	MaxValueLen   = 1024 // bytes per item name, attribute name or value
 	MaxBatchItems = 25   // items per BatchPutAttributes/BatchDeleteAttributes call
 	MaxSelectPage = 2500 // items per SELECT page
 	maxPageBytes  = 1 << 20
 )
 
-// ErrValueTooLong is returned when an attribute name or value exceeds 1 KB.
-var ErrValueTooLong = errors.New("sdb: attribute name or value exceeds 1KB")
+// ErrValueTooLong is returned when an item name, attribute name or value
+// exceeds 1 KB.
+var ErrValueTooLong = errors.New("sdb: item name, attribute name or value exceeds 1KB")
 
 // ErrBatchTooLarge is returned when a batch has more than 25 items.
 var ErrBatchTooLarge = errors.New("sdb: more than 25 items in batch")
@@ -117,25 +121,24 @@ func (r *itemRec) push(v version) {
 
 // Domain is one SimpleDB domain bound to a simulated environment.
 //
-// The item table maps each name to a dense id. What grows with the item
-// count is indexed by that id and holds no pointers: the records, the slab
-// of (attribute, value) pairs their versions point into, and the postings
-// lists. The strings — each name once, each distinct value once per
-// attribute (index.go) — are the only things the collector marks per item.
+// The item table maps each name to a dense id, reusing the ids of reaped
+// items. What grows with the item count is indexed by that id and holds no
+// pointers: the records, the slab of (attribute, value) pairs their
+// versions point into, the string tables' refs, probe slots and sorted
+// views, and the postings of values only one item carries. The collector
+// marks per item nothing but the postings slices of shared values
+// (index.go).
 type Domain struct {
 	env  *sim.Env
 	name string
 	ep   sim.Endpoint // the request envelope; each domain is its own service partition
 
 	mu        sync.Mutex
-	ids       map[string]uint32     // item table: name → id
-	nameOf    []string              // by id; "" while the id is free
+	items     strtab                // item table: name ↔ id, and the sorted names
 	recs      []itemRec             // by id
-	free      []uint32              // ids of reaped items, reused before new ones
 	pairs     []pair                // every retained version's attributes
 	dead      int                   // pairs no retained version owns any more
 	tombs     tombHeap              // deleted items awaiting reaping, earliest visibleAt first
-	names     *sortedKeys           // cached sorted item names
 	idx       map[string]*attrIndex // per-attribute secondary indexes
 	attrs     []*attrIndex          // the same indexes by attribute id
 	putBuf    []pair                // a put's interned attributes
@@ -143,9 +146,6 @@ type Domain struct {
 	forceScan bool                  // tests only: walk the item table, the indexes' reference
 	gen       uint64                // write generation; invalidates cached plans
 	lastPlan  planCache             // resolved candidates of the latest query
-
-	pmu   sync.Mutex
-	plans map[string]*Query // parsed-query cache keyed by expression
 }
 
 // New creates an empty domain.
@@ -163,42 +163,23 @@ func NewLane(env *sim.Env, name string, lane int) *Domain {
 		env:   env,
 		name:  name,
 		ep:    env.Endpoint(name, lane),
-		ids:   make(map[string]uint32),
+		items: newStrtab(),
 		idx:   make(map[string]*attrIndex),
-		plans: make(map[string]*Query),
 	}
 }
-
-// sortedNamesLocked returns the sorted name index.
-func (d *Domain) sortedNamesLocked() []string { return sortedOf(&d.names, d.ids) }
 
 // pairsOf returns the slab span holding v's attributes.
 func (d *Domain) pairsOf(v *version) []pair { return d.pairs[v.off : v.off+v.n] }
 
 // appendAttrs appends v's attributes to dst as name/value strings: the
-// attribute index's name and its interned value, so nothing is copied.
+// attribute index's name and a view of its stored value, so nothing is
+// copied.
 func (d *Domain) appendAttrs(dst []Attr, v *version) []Attr {
 	for _, p := range d.pairsOf(v) {
 		ix := d.attrs[p.attr]
-		dst = append(dst, Attr{Name: ix.name, Value: ix.ents[p.val].value})
+		dst = append(dst, Attr{Name: ix.name, Value: ix.vals.str(p.val)})
 	}
 	return dst
-}
-
-// newIDLocked enters name into the item table, reusing a reaped id first.
-func (d *Domain) newIDLocked(name string) uint32 {
-	var id uint32
-	if n := len(d.free); n > 0 {
-		id, d.free = d.free[n-1], d.free[:n-1]
-		d.nameOf[id] = name
-	} else {
-		id = uint32(len(d.recs))
-		d.recs = append(d.recs, itemRec{})
-		d.nameOf = append(d.nameOf, name)
-	}
-	d.ids[name] = id
-	d.names.add(name)
-	return id
 }
 
 // dropLocked unindexes a version leaving the retained history and counts its
@@ -248,8 +229,11 @@ func (d *Domain) compactLocked() {
 func (d *Domain) Name() string { return d.name }
 
 // validate checks the 1 KB name/value limits.
-func validate(attrs []Attr) error {
-	for _, a := range attrs {
+func validate(req PutRequest) error {
+	if len(req.Item) > MaxValueLen {
+		return ErrValueTooLong
+	}
+	for _, a := range req.Attrs {
 		if len(a.Name) > MaxValueLen || len(a.Value) > MaxValueLen {
 			return ErrValueTooLong
 		}
@@ -259,7 +243,7 @@ func validate(attrs []Attr) error {
 
 // PutAttributes writes one item.
 func (d *Domain) PutAttributes(req PutRequest) error {
-	if err := validate(req.Attrs); err != nil {
+	if err := validate(req); err != nil {
 		return err
 	}
 	return d.ep.Do(func() error { return d.putOnce(req) })
@@ -290,7 +274,7 @@ func (d *Domain) BatchPutAttributes(reqs []PutRequest) error {
 	}
 	payload := 0
 	for _, r := range reqs {
-		if err := validate(r.Attrs); err != nil {
+		if err := validate(r); err != nil {
 			return err
 		}
 		payload += Item{Name: r.Item, Attrs: r.Attrs}.size()
@@ -319,9 +303,9 @@ func (d *Domain) applyLocked(req PutRequest) {
 	d.gen++
 	now := d.env.Now()
 	d.reapLocked(now)
-	id, held := d.ids[req.Item]
-	if !held {
-		id = d.newIDLocked(req.Item)
+	id := d.items.intern(req.Item) // a new name takes a reaped item's id first
+	if int(id) == len(d.recs) {
+		d.recs = append(d.recs, itemRec{})
 	}
 	// Trim before interning: the dropped version may hold the last
 	// reference to a value, whose id must not be handed to the new one.
@@ -394,7 +378,7 @@ func (d *Domain) getOnce(item string) (Item, error) {
 	}
 	d.mu.Lock()
 	var v *version
-	if id, held := d.ids[item]; held {
+	if id, held, _ := d.items.lookup(item); held {
 		v = d.observe(id, d.env.Now(), false)
 	}
 	var it Item
@@ -447,7 +431,7 @@ func (d *Domain) deleteItems(names ...string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, item := range names {
-		id, held := d.ids[item]
+		id, held, _ := d.items.lookup(item)
 		if !held {
 			continue
 		}
@@ -488,14 +472,15 @@ func (h *tombHeap) Pop() any {
 
 // reapLocked drops every item whose tombstone became visible by now: its
 // history, the index postings of the version the tombstone kept observable,
-// and its slot in the sorted name table; its id goes back to the free list.
+// and its name, which leaves the item table and its sorted view; its id
+// goes back to the table's free list.
 // Past visibleAt both read paths resolve the item to its tombstone without
 // consulting the RNG, so removing it changes no read's result or random
 // stream — only how many names a SELECT examines and how much the domain
 // holds. A tombstone a later put superseded is skipped (the item is live
 // again).
 func (d *Domain) reapLocked(now time.Duration) {
-	var reaped []string
+	var reaped []uint32
 	for len(d.tombs) > 0 && d.tombs[0].visibleAt <= now {
 		t := heap.Pop(&d.tombs).(tombstone)
 		r := &d.recs[t.id]
@@ -506,31 +491,12 @@ func (d *Domain) reapLocked(now time.Duration) {
 			d.dropLocked(t.id, &r.hist[i])
 		}
 		*r = itemRec{stamp: r.stamp}
-		name := d.nameOf[t.id]
-		delete(d.ids, name)
-		d.nameOf[t.id] = ""
-		d.free = append(d.free, t.id)
-		reaped = append(reaped, name)
+		reaped = append(reaped, t.id)
 	}
-	if len(reaped) == 0 {
-		return
+	if len(reaped) > 0 {
+		d.items.remove(reaped...)
+		d.gen++ // cached plans may list the reaped names
 	}
-	d.gen++ // cached plans may list the reaped names
-	if d.names == nil || d.names.keys == nil {
-		return
-	}
-	// Cut the reaped names out of the span of the name table that holds them
-	// instead of filtering the whole table on the next read. The table is a
-	// cache of the item table's keys, so a name no longer held is a reaped
-	// one.
-	names := d.names.keys
-	lo := sort.SearchStrings(names, slices.Min(reaped))
-	hi := min(sort.SearchStrings(names, slices.Max(reaped))+1, len(names))
-	kept := slices.DeleteFunc(names[lo:hi], func(name string) bool {
-		_, held := d.ids[name]
-		return !held
-	})
-	d.names.keys = slices.Delete(names, lo+len(kept), hi)
 }
 
 // SelectPage is one page of SELECT results.
@@ -538,36 +504,6 @@ type SelectPage struct {
 	Items     []Item
 	NextToken string
 	Bytes     int // response payload size
-}
-
-// maxCachedPlans bounds the parsed-query cache. Query workloads reuse a
-// handful of expression shapes (every page of a SelectAll, every level of a
-// BFS traversal), so a small cache suffices.
-const maxCachedPlans = 256
-
-// cachedParse returns the parsed form of expr, parsing at most once per
-// distinct expression.
-func (d *Domain) cachedParse(expr string) (*Query, error) {
-	d.pmu.Lock()
-	q, ok := d.plans[expr]
-	d.pmu.Unlock()
-	if ok {
-		return q, nil
-	}
-	parsed, err := ParseSelect(expr)
-	if err != nil {
-		return nil, err
-	}
-	d.pmu.Lock()
-	if len(d.plans) >= maxCachedPlans {
-		for k := range d.plans { // evict an arbitrary entry
-			delete(d.plans, k)
-			break
-		}
-	}
-	d.plans[expr] = &parsed
-	d.pmu.Unlock()
-	return &parsed, nil
 }
 
 // SelectQuery runs a programmatically built query (see the predicate
@@ -628,12 +564,17 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 			d.lastPlan = planCache{q: q, gen: d.gen, names: names, indexed: indexed}
 		}
 	}
+	// The candidates are the planner's names, or else every held id.
+	n, nameAt := len(names), func(i int) string { return names[i] }
+	idAt := func(i int) (uint32, bool) { id, held, _ := d.items.lookup(names[i]); return id, held }
 	if !indexed {
-		names = d.sortedNamesLocked()
+		ids := d.items.sorted()
+		n, nameAt = len(ids), func(i int) string { return d.items.str(ids[i]) }
+		idAt = func(i int) (uint32, bool) { return ids[i], true }
 	}
 	// Skip directly past the continuation token.
-	start := sort.SearchStrings(names, nextToken)
-	if start < len(names) && names[start] == nextToken {
+	start := sort.Search(n, func(i int) bool { return nameAt(i) >= nextToken })
+	if start < n && nameAt(start) == nextToken {
 		start++
 	}
 	page := SelectPage{}
@@ -642,9 +583,9 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	// version's attributes are laid out in one buffer reused across items,
 	// and only the emitted page is copied out (project).
 	needAttrs := q.Where != nil || !q.ItemOnly
-	for _, name := range names[start:] {
+	for i := start; i < n; i++ {
 		examined++
-		id, held := d.ids[name]
+		id, held := idAt(i)
 		if !held {
 			continue
 		}
@@ -652,7 +593,7 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 		if v == nil || v.deleted {
 			continue
 		}
-		it := Item{Name: name}
+		it := Item{Name: nameAt(i)}
 		if needAttrs {
 			d.evalBuf = d.appendAttrs(d.evalBuf[:0], v)
 			it.Attrs = d.evalBuf

@@ -92,8 +92,11 @@ func TestValueLimit(t *testing.T) {
 	if !errors.Is(err, ErrValueTooLong) {
 		t.Fatalf("err = %v, want ErrValueTooLong", err)
 	}
+	if err := d.BatchPutAttributes([]PutRequest{{Item: big, Attrs: []Attr{{Name: "a", Value: "v"}}}}); !errors.Is(err, ErrValueTooLong) {
+		t.Fatalf("item name over 1KB: err = %v, want ErrValueTooLong", err)
+	}
 	ok := strings.Repeat("x", MaxValueLen)
-	if err := d.PutAttributes(PutRequest{Item: "i", Attrs: []Attr{{Name: "a", Value: ok}}}); err != nil {
+	if err := d.PutAttributes(PutRequest{Item: ok, Attrs: []Attr{{Name: "a", Value: ok}}}); err != nil {
 		t.Fatalf("exactly 1KB rejected: %v", err)
 	}
 }
@@ -460,9 +463,9 @@ func TestTombstonesAreReaped(t *testing.T) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		if p := d.idx["type"].lookup("file"); p != nil {
-			postings = p.distinct
+			postings = int(p.distinct)
 		}
-		return len(d.ids), len(d.sortedNamesLocked()), postings
+		return d.items.n, len(d.items.sorted()), postings
 	}
 	if d.ItemCount() != 11 {
 		t.Fatalf("live items = %d, want 11", d.ItemCount())
@@ -556,7 +559,7 @@ func TestEqualValuesStoredOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	gone := d.idx["env"].lookup(env) == nil && len(d.idx["env"].vals) == 0
+	gone := d.idx["env"].lookup(env) == nil && d.idx["env"].vals.n == 0
 	d.mu.Unlock()
 	if !gone {
 		t.Fatal("a value no item holds is still indexed")
@@ -574,21 +577,30 @@ func TestEqualValuesStoredOnce(t *testing.T) {
 // supported grammar) returning one page; pass the previous page's NextToken
 // to continue. Each page is one billed request.
 func (d *Domain) Select(expr, nextToken string) (SelectPage, error) {
-	q, err := d.cachedParse(expr)
+	q, err := ParseSelect(expr)
 	if err != nil {
 		return SelectPage{}, err
 	}
-	return d.selectPage(q, nextToken)
+	return d.selectPage(&q, nextToken)
 }
 
 // SelectAll drains every page of a SELECT and reports the request count.
 // The expression is parsed once, not once per page.
 func (d *Domain) SelectAll(expr string) (items []Item, requests int, bytes int, err error) {
-	q, err := d.cachedParse(expr)
+	q, err := ParseSelect(expr)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return d.selectAll(q)
+	return d.selectAll(&q)
+}
+
+// SelectAll is SelectAllQuery for a SELECT expression.
+func (v *DomainView) SelectAll(expr string) (items []Item, requests int, bytes int, err error) {
+	q, err := ParseSelect(expr)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return v.SelectAllQuery(q)
 }
 
 // Or disjoins two predicates.

@@ -330,33 +330,22 @@ func (p *parser) parse() (Query, error) {
 
 // parsePredicate handles clause {(AND|OR) clause} with AND binding tighter.
 func (p *parser) parsePredicate() (*Node, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for strings.EqualFold(p.peek(), "or") {
-		p.pos++
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &Node{op: "or", left: left, right: right}
-	}
-	return left, nil
+	return p.parseChain("or", func() (*Node, error) { return p.parseChain("and", p.parseClause) })
 }
 
-func (p *parser) parseAnd() (*Node, error) {
-	left, err := p.parseClause()
+// parseChain parses operand {op operand}, grouping to the left.
+func (p *parser) parseChain(op string, operand func() (*Node, error)) (*Node, error) {
+	left, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for strings.EqualFold(p.peek(), "and") {
+	for strings.EqualFold(p.peek(), op) {
 		p.pos++
-		right, err := p.parseClause()
+		right, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		left = &Node{op: "and", left: left, right: right}
+		left = &Node{op: op, left: left, right: right}
 	}
 	return left, nil
 }

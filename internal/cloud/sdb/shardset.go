@@ -296,27 +296,17 @@ func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes 
 	return mergeByName(lists), requests, bytes, nil
 }
 
-// SelectAll is SelectAllQuery for a SELECT expression, parsed once through
-// shard 0's parsed-query cache.
-func (v *DomainView) SelectAll(expr string) (items []Item, requests int, bytes int, err error) {
-	q, err := v.shards[0].cachedParse(expr)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return v.SelectAllQuery(*q)
-}
-
 // Select runs one page of a SELECT expression. The planned shards are
 // drained in shard order — the continuation token names the shard the next
 // page reads — so pages arrive shard-grouped rather than globally
 // name-ordered; callers needing the canonical order (or migration-window
 // dedup) use SelectAll/SelectAllQuery.
 func (v *DomainView) Select(expr, nextToken string) (SelectPage, error) {
-	q, err := v.shards[0].cachedParse(expr) // a paged drain re-enters per page
+	q, err := ParseSelect(expr)
 	if err != nil {
 		return SelectPage{}, err
 	}
-	ts, err := v.targets(*q)
+	ts, err := v.targets(q)
 	if err != nil {
 		return SelectPage{}, err
 	}
@@ -400,22 +390,11 @@ func (s *DomainSet) BulkPut(reqs []PutRequest, conns int, ordered bool) error {
 	v, done := s.beginWrite()
 	defer done()
 	if ordered {
-		sameHomes := func(a, b []int) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-			return true
-		}
 		var tasks []func() error
 		for start := 0; start < len(reqs); {
 			homes := v.homesForItem(reqs[start].Item)
 			end := start + 1
-			for end < len(reqs) && end-start < MaxBatchItems && sameHomes(v.homesForItem(reqs[end].Item), homes) {
+			for end < len(reqs) && end-start < MaxBatchItems && slices.Equal(v.homesForItem(reqs[end].Item), homes) {
 				end++
 			}
 			batch := reqs[start:end]
@@ -430,12 +409,7 @@ func (s *DomainSet) BulkPut(reqs []PutRequest, conns int, ordered bool) error {
 	var tasks []func() error
 	for sh, rs := range v.byHome(reqs) {
 		dom := v.shards[sh]
-		for start := 0; start < len(rs); start += MaxBatchItems {
-			end := start + MaxBatchItems
-			if end > len(rs) {
-				end = len(rs)
-			}
-			batch := rs[start:end]
+		for batch := range slices.Chunk(rs, MaxBatchItems) {
 			tasks = append(tasks, func() error { return dom.BatchPutAttributes(batch) })
 		}
 	}
@@ -483,47 +457,18 @@ func (s *DomainSet) Select(expr, nextToken string) (SelectPage, error) {
 	return v.Select(expr, nextToken)
 }
 
-// mergeByName k-way merges per-shard item lists, each already in ascending
-// name order, into one ascending list. Shards partition the name space in a
-// stable epoch, so normally no name appears twice; during a migration's
+// mergeByName merges per-shard item lists, each in ascending name order,
+// into one ascending list. Shards partition the name space in a stable
+// epoch, so normally no name appears twice; during a migration's
 // double-write window (and between cutover and GC) the same immutable item
 // can surface on both of its epoch homes, so equal names collapse to their
 // first occurrence — which, by immutability, is byte-identical to the
 // duplicates dropped.
 func mergeByName(lists [][]Item) []Item {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
+	if len(lists) == 1 {
 		return lists[0]
 	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Item, 0, total)
-	pos := make([]int, len(lists))
-	remaining := total
-	for remaining > 0 {
-		best := -1
-		for i, l := range lists {
-			if pos[i] >= len(l) {
-				continue
-			}
-			if best < 0 || l[pos[i]].Name < lists[best][pos[best]].Name {
-				best = i
-			}
-		}
-		it := lists[best][pos[best]]
-		pos[best]++
-		remaining--
-		if n := len(out); n > 0 && out[n-1].Name == it.Name {
-			continue // migration-window duplicate of an immutable item
-		}
-		out = append(out, it)
-	}
-	return out
+	out := slices.Concat(lists...)
+	slices.SortStableFunc(out, func(a, b Item) int { return strings.Compare(a.Name, b.Name) })
+	return slices.CompactFunc(out, func(a, b Item) bool { return a.Name == b.Name })
 }

@@ -116,6 +116,19 @@ type Protocol interface {
 	Settle() error
 }
 
+// client is what every protocol is built on: its deployment and options,
+// and the data-object operations no protocol changes.
+type client struct {
+	dep  *Deployment
+	opts Options
+}
+
+// Delete removes the primary object only; provenance is untouched.
+func (c *client) Delete(path string) error { return c.dep.Store.Delete(DataKey(path)) }
+
+// Fetch retrieves the primary object.
+func (c *client) Fetch(path string) (store.Object, error) { return c.dep.Store.Get(DataKey(path)) }
+
 // Topology sizes the sharded cloud fabric a deployment talks to: K WAL
 // queues (transactions routed by txn uuid) and K SimpleDB domains (items
 // routed by object uuid). The zero value is the seed topology — one queue,

@@ -83,18 +83,6 @@ func refName(bundles []prov.Bundle, reqs []sdb.PutRequest, ref prov.Ref) string 
 	return ref.String()
 }
 
-// putItems writes the requests through the domain set's bulk writer:
-// BatchPutAttributes in groups of at most 25 (the service limit), each batch
-// addressed to one shard so every call stays a single service request.
-// Unordered mode (the measured paths) partitions the requests by home shard
-// first, filling each shard's batches to the brim, and runs the calls on up
-// to conns concurrent connections; ordered mode preserves the global
-// ancestors-first order. During a live reshard the set double-writes every
-// item to both epoch homes (see sdb.DomainSet.BulkPut).
-func putItems(db *sdb.DomainSet, reqs []sdb.PutRequest, conns int, ordered bool) error {
-	return db.BulkPut(reqs, conns, ordered)
-}
-
 // BundleFromItem reconstructs a provenance bundle from a database item; the
 // query engine uses it to rebuild DAG fragments from query results. Each
 // attribute is one record: Records is sized once (nil for no attributes).
@@ -151,5 +139,5 @@ func PopulateItems(db *sdb.DomainSet, specs []ItemSpec) error {
 		}
 		reqs = append(reqs, sdb.PutRequest{Item: s.Ref.String(), Attrs: attrs, Replace: true})
 	}
-	return putItems(db, reqs, 40, false)
+	return db.BulkPut(reqs, 40, false)
 }

@@ -47,7 +47,7 @@ type NoticeItem struct {
 
 // CommitBus fans committed-transaction notices out to subscribers,
 // synchronously and in publication order. Delivery is in-process and
-// deterministic: by the time a commit daemon's putItems returns to its
+// deterministic: by the time a commit daemon's BulkPut returns to its
 // caller, every subscriber has applied the notice (the simulated analogue of
 // an invalidation channel that commits strictly before the write is
 // acknowledged). Subscribers return how many cached entries they dropped so

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"passcloud/internal/cloud/store"
 	"passcloud/internal/par"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -25,8 +24,7 @@ import (
 // separate object (data-independent persistence); queries must scan every
 // provenance object because the store cannot index attributes.
 type P1 struct {
-	dep  *Deployment
-	opts Options
+	client
 
 	mu sync.Mutex
 	// payloads caches the accumulated encoding of every provenance object
@@ -48,8 +46,7 @@ const CrashP1BeforeData sim.CrashPoint = "p1.client.before-data"
 // flight, so aggregate concurrency comes from the commit window.
 func NewP1(dep *Deployment, opts Options) *P1 {
 	return &P1{
-		dep:      dep,
-		opts:     opts.withDefaults(4),
+		client:   client{dep, opts.withDefaults(4)},
 		payloads: make(map[uuid.UUID][]byte),
 		locks:    make(map[uuid.UUID]*sync.Mutex),
 	}
@@ -129,17 +126,6 @@ func (p *P1) lockFor(u uuid.UUID) *sync.Mutex {
 		p.locks[u] = l
 	}
 	return l
-}
-
-// Delete removes the primary object only; the provenance object remains
-// (data-independent persistence).
-func (p *P1) Delete(path string) error {
-	return p.dep.Store.Delete(DataKey(path))
-}
-
-// Fetch retrieves the primary object.
-func (p *P1) Fetch(path string) (store.Object, error) {
-	return p.dep.Store.Get(DataKey(path))
 }
 
 // Settle implements Protocol; P1 commits synchronously.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"passcloud/internal/cloud/store"
 	"passcloud/internal/par"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -26,13 +25,10 @@ import (
 // in the database.
 //
 // On a sharded deployment P2's item writes partition by object uuid into
-// their home domains exactly as P3's commit daemon does (putItems), and in
+// their home domains exactly as P3's commit daemon does (DomainSet.BulkPut), and in
 // ordered mode batches are cut at shard boundaries so the ancestors-first
 // write order holds globally, not just per domain.
-type P2 struct {
-	dep  *Deployment
-	opts Options
-}
+type P2 struct{ client }
 
 // CrashP2BeforeData kills the client between the provenance write and the
 // data write.
@@ -42,7 +38,7 @@ const CrashP2BeforeData sim.CrashPoint = "p2.client.before-data"
 func NewP2(dep *Deployment, opts Options) *P2 {
 	// SimpleDB stops improving around 40 connections (§5.1), so that is
 	// the default provenance pool.
-	return &P2{dep: dep, opts: opts.withDefaults(40)}
+	return &P2{client{dep, opts.withDefaults(40)}}
 }
 
 // Name implements Protocol.
@@ -55,7 +51,7 @@ func (p *P2) Commit(obj FileObject, bundles []prov.Bundle) error {
 		return err
 	}
 	provTask := func() error {
-		if err := putItems(p.dep.DB, reqs, p.opts.ProvConns, p.opts.Ordered); err != nil {
+		if err := p.dep.DB.BulkPut(reqs, p.opts.ProvConns, p.opts.Ordered); err != nil {
 			return err
 		}
 		// P2 has no transaction uuid — notices carry the touched items only.
@@ -75,16 +71,6 @@ func (p *P2) Commit(obj FileObject, bundles []prov.Bundle) error {
 		return par.Sequential([]func() error{provTask, dataTask})
 	}
 	return par.Run(2, []func() error{provTask, dataTask})
-}
-
-// Delete removes the primary object; items in the database are untouched.
-func (p *P2) Delete(path string) error {
-	return p.dep.Store.Delete(DataKey(path))
-}
-
-// Fetch retrieves the primary object.
-func (p *P2) Fetch(path string) (store.Object, error) {
-	return p.dep.Store.Get(DataKey(path))
 }
 
 // Settle implements Protocol; P2 commits synchronously.

@@ -80,8 +80,7 @@ import (
 // before the other packets; the same daemon acknowledges those as they
 // redeliver, but if it restarts first they wait for the queue's retention.
 type P3 struct {
-	dep  *Deployment
-	opts Options
+	client
 
 	// shards hold per-transaction assembly and commit state; packets are
 	// routed by transaction uuid so the worker pool contends on a shard,
@@ -165,8 +164,7 @@ type shardReceipt struct {
 // NewP3 returns a P3 client (and its daemons' logic) bound to dep.
 func NewP3(dep *Deployment, opts Options) *P3 {
 	p := &P3{
-		dep:       dep,
-		opts:      opts.withDefaults(150),
+		client:    client{dep, opts.withDefaults(150)},
 		chunkSize: DefaultChunkSize,
 	}
 	for i := range p.shards {
@@ -719,7 +717,7 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 
 	// 1+2. Store provenance in the database, coalescing the whole group's
 	// items into batches of 25 per home domain regardless of transaction
-	// boundaries (putItems partitions by item uuid, so a cross-shard
+	// boundaries (BulkPut partitions by item uuid, so a cross-shard
 	// transaction's items land in their home domains in full batches). Puts
 	// replace whole items, so a redelivered transaction rewrites the same
 	// rows — a database failure here fails the group and redelivery retries.
@@ -729,7 +727,7 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 		all = append(all, w.reqs...)
 		groups = append(groups, TxnCommit{Txn: w.hdr.Txn, Digest: w.hdr.Digest, Reqs: w.reqs})
 	}
-	if err := putItems(p.dep.DB, all, p.opts.ProvConns, false); err != nil {
+	if err := p.dep.DB.BulkPut(all, p.opts.ProvConns, false); err != nil {
 		return nil, errors.Join(append(errs, err)...)
 	}
 	// The group's rows are acknowledged by the database — notify
@@ -945,16 +943,6 @@ func (p *P3) PendingTxns() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Delete removes the primary object; provenance is untouched.
-func (p *P3) Delete(path string) error {
-	return p.dep.Store.Delete(DataKey(path))
-}
-
-// Fetch retrieves the primary object.
-func (p *P3) Fetch(path string) (store.Object, error) {
-	return p.dep.Store.Get(DataKey(path))
 }
 
 // CleanerMaxAge is how long an unaccessed temporary object survives before

@@ -1,22 +1,16 @@
 package core
 
-import (
-	"passcloud/internal/cloud/store"
-	"passcloud/internal/prov"
-)
+import "passcloud/internal/prov"
 
 // S3fs is the provenance-free baseline: the unmodified user-level file
 // system interface to the object store that the evaluation compares every
 // protocol against. Commits upload the data object only; any provenance
 // bundles handed in are discarded (a vanilla kernel collects none).
-type S3fs struct {
-	dep  *Deployment
-	opts Options
-}
+type S3fs struct{ client }
 
 // NewS3fs returns the baseline bound to dep.
 func NewS3fs(dep *Deployment, opts Options) *S3fs {
-	return &S3fs{dep: dep, opts: opts.withDefaults(16)}
+	return &S3fs{client{dep, opts.withDefaults(16)}}
 }
 
 // Name implements Protocol.
@@ -26,16 +20,6 @@ func (s *S3fs) Name() string { return "S3fs" }
 // PASS there is no provenance to link to.
 func (s *S3fs) Commit(obj FileObject, bundles []prov.Bundle) error {
 	return s.dep.Store.PutSized(DataKey(obj.Path), obj.Size, nil)
-}
-
-// Delete removes the primary object.
-func (s *S3fs) Delete(path string) error {
-	return s.dep.Store.Delete(DataKey(path))
-}
-
-// Fetch retrieves the primary object.
-func (s *S3fs) Fetch(path string) (store.Object, error) {
-	return s.dep.Store.Get(DataKey(path))
 }
 
 // Settle implements Protocol; the baseline has no asynchronous work.

@@ -29,8 +29,8 @@ import (
 // the caller owns; the bundles are only read. Decoding reads its input in
 // place, in any number of fragments, read-only views such as queue message
 // bodies included, and copies every name and value out: a decoded Bundle
-// never aliases its input (the database interns what it is given, and an
-// alias would pin a whole message). Repeats share a copy: names PASS
+// never aliases its input (a caller that keeps a bundle would otherwise pin
+// the whole message). Repeats share a copy: names PASS
 // defines come back as the Attr* constants, and a name or value equal to
 // the previous bundle's at the same place as that bundle's string.
 
