@@ -26,11 +26,12 @@ import (
 // AND picks its cheaper branch; their candidate count is unknown upfront.
 const unknownCost = 1 << 30
 
-// planCache memoizes one query's resolved candidate list (Domain.lastPlan)
-// so a paginated drain resolves its access path once, not once per page.
-// Any write bumps the domain's generation counter and invalidates it.
+// planCache memoizes one predicate's candidate list (Domain.lastPlan) so a
+// paginated drain resolves its access path once, not once per page. Any
+// write bumps the domain's generation and invalidates it; holding the
+// predicate keeps its address from being reused.
 type planCache struct {
-	q       *Query
+	where   *Node
 	gen     uint64
 	names   []string
 	indexed bool
@@ -180,6 +181,7 @@ func (d *Domain) collectSpanLocked(attr, op, bound string, names []string) []str
 	}
 	ids := tab.sorted()
 	lo, hi := tab.span(ids, op, bound)
+	names = slices.Grow(names, hi-lo) // at least one candidate per value
 	for _, id := range ids[lo:hi] {
 		if attr == ItemNameKey {
 			names = append(names, tab.str(id))

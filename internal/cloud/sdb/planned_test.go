@@ -25,7 +25,7 @@ func scatterAll(t *testing.T, v *DomainView, q Query) ([]Item, int) {
 		lists = append(lists, items)
 		requests += reqs
 	}
-	return mergeByName(lists), requests
+	return mergeByName(slices.Concat(lists...)), requests
 }
 
 // migration drives one epoch transition the way Deployment.Reshard does, stopping
@@ -204,7 +204,7 @@ func checkPlanned(t *testing.T, s *DomainSet, rng *rand.Rand, names []string, st
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, %s (%v): planned read diverged from the scatter\n got %v\nwant %v", state, sh.name, sh.where, got, want)
 			}
-			ts, err := v.targets(q)
+			ts, err := v.targets(&q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func checkPlanned(t *testing.T, s *DomainSet, rng *rand.Rand, names []string, st
 				t.Fatalf("%s, %s: one name read from %d shards, its homes are %v", state, sh.name, len(ts), v.homesForItem(one))
 			}
 			for _, tg := range ts { // every shard is asked only for names it can hold
-				if c, pins := routePins(tg.q.Where); sh.routed && k > 1 && c != nil && c.op == "in" {
+				if c, pins := routePins(tg.where); sh.routed && k > 1 && c != nil && c.op == "in" {
 					for _, p := range pins {
 						if !slices.Contains(v.homesForItem(p), tg.shard) {
 							t.Fatalf("%s, %s: shard %d asked for %s, homes %v", state, sh.name, tg.shard, p, v.homesForItem(p))

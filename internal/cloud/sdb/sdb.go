@@ -22,8 +22,10 @@
 // append-only chunks behind pointer-free probe tables, and versions, item
 // records and postings lists are ids in pointer-free slices, so the
 // collector marks only the postings of values two or more items share,
-// however large the domain grows. Reads return views of the stored bytes
-// and copy attributes out only for the items they return.
+// however large the domain grows. Reads return views of the stored bytes:
+// a SELECT lays its page out in scratch the domain reuses and copies it out
+// as two slabs the caller owns, the items of one page sharing one
+// capacity-capped attribute slab, so nothing aliases domain state.
 package sdb
 
 import (
@@ -142,7 +144,8 @@ type Domain struct {
 	idx       map[string]*attrIndex // per-attribute secondary indexes
 	attrs     []*attrIndex          // the same indexes by attribute id
 	putBuf    []pair                // a put's interned attributes
-	evalBuf   []Attr                // the examined version's attributes during a SELECT
+	pageRecs  []pageRec             // the open SELECT page's items
+	pageAttrs []Attr                // their attributes, then the examined item's
 	forceScan bool                  // tests only: walk the item table, the indexes' reference
 	gen       uint64                // write generation; invalidates cached plans
 	lastPlan  planCache             // resolved candidates of the latest query
@@ -387,11 +390,7 @@ func (d *Domain) getOnce(item string) (Item, error) {
 		it = Item{Name: item, Attrs: d.appendAttrs(make([]Attr, 0, v.n), v)}
 	}
 	d.mu.Unlock()
-	payload := 0
-	if ok {
-		payload = it.size()
-	}
-	d.ep.Exec(sim.OpSDBGet, payload, 0)
+	d.ep.Exec(sim.OpSDBGet, it.size(), 0) // a miss ships nothing: the zero Item's size is 0
 	if !ok {
 		return Item{}, fmt.Errorf("%w: %s", ErrNoSuchItem, item)
 	}
@@ -499,11 +498,20 @@ func (d *Domain) reapLocked(now time.Duration) {
 	}
 }
 
-// SelectPage is one page of SELECT results.
+// SelectPage is one page of SELECT results, the caller's own: its items are
+// one slab and their attributes another, each item's Attrs capacity-capped
+// (nil for none) so an append never writes the next item's. Nothing aliases
+// domain state a write changes (names and values view append-only bytes).
 type SelectPage struct {
 	Items     []Item
 	NextToken string
 	Bytes     int // response payload size
+}
+
+// pageRec is an emitted item: its name, the end of its pageAttrs span.
+type pageRec struct {
+	name string
+	end  int
 }
 
 // SelectQuery runs a programmatically built query (see the predicate
@@ -514,29 +522,29 @@ type SelectPage struct {
 // SelectAllQuery (or Select with one expression), which also reuses the
 // resolved candidate list across pages.
 func (d *Domain) SelectQuery(q Query, nextToken string) (SelectPage, error) {
-	return d.selectPage(&q, nextToken)
-}
-
-// selectPage streams one page of results from the query's access path: the
-// planner's index candidates when a secondary index serves the predicate,
-// the sorted name table otherwise. Either way items are visited in
-// ascending name order, resuming from the continuation token, and only the
-// emitted page is copied out of the store.
-func (d *Domain) selectPage(q *Query, nextToken string) (SelectPage, error) {
 	if q.Domain != d.name {
 		return SelectPage{}, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
+	return d.selectPage(&q, q.Where, nextToken)
+}
+
+// selectPage streams one page of q, where in place of q.Where, from its
+// access path: the planner's index candidates when a secondary index serves
+// the predicate, the sorted name table otherwise. Either way items are
+// visited in ascending name order, resuming from the continuation token,
+// and only the emitted page is copied out of the store.
+func (d *Domain) selectPage(q *Query, where *Node, nextToken string) (SelectPage, error) {
 	var page SelectPage
 	err := d.ep.Do(func() error {
 		var err error
-		page, err = d.selectPageOnce(q, nextToken)
+		page, err = d.selectPageOnce(q, where, nextToken)
 		return err
 	})
 	return page, err
 }
 
 // selectPageOnce is one service attempt of a SELECT page.
-func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) {
+func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string) (SelectPage, error) {
 	if ferr, _ := d.ep.Fault(sim.OpSDBSelect); ferr != nil {
 		return SelectPage{}, ferr
 	}
@@ -553,15 +561,15 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	d.reapLocked(now)
 	var names []string
 	indexed := false
-	if q.Where != nil && !d.forceScan {
-		// A paginated drain re-enters with the same *Query per page; reuse
-		// the resolved candidate list until a write invalidates it instead
-		// of re-collecting and re-sorting the candidates once per page.
-		if d.lastPlan.q == q && d.lastPlan.gen == d.gen {
+	if where != nil && !d.forceScan {
+		// A paginated drain re-enters with the same predicate per page;
+		// reuse the resolved candidate list until a write invalidates it
+		// instead of re-collecting and re-sorting the candidates per page.
+		if d.lastPlan.where == where && d.lastPlan.gen == d.gen {
 			names, indexed = d.lastPlan.names, d.lastPlan.indexed
 		} else {
-			names, indexed = d.planLocked(q.Where)
-			d.lastPlan = planCache{q: q, gen: d.gen, names: names, indexed: indexed}
+			names, indexed = d.planLocked(where)
+			d.lastPlan = planCache{where: where, gen: d.gen, names: names, indexed: indexed}
 		}
 	}
 	// The candidates are the planner's names, or else every held id.
@@ -579,10 +587,11 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	}
 	page := SelectPage{}
 	examined, bytes := 0, 0
-	// An itemName()-only scan reads no attributes; otherwise the examined
-	// version's attributes are laid out in one buffer reused across items,
-	// and only the emitted page is copied out (project).
-	needAttrs := q.Where != nil || !q.ItemOnly
+	// The page is laid out in scratch every SELECT reuses: a record and the
+	// projected attributes per emitted item, then the examined version's
+	// attributes for the predicate (an itemName()-only scan reads none).
+	recs, attrs := d.pageRecs[:0], d.pageAttrs[:0]
+	needAttrs := where != nil || !q.ItemOnly
 	for i := start; i < n; i++ {
 		examined++
 		id, held := idAt(i)
@@ -593,30 +602,45 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 		if v == nil || v.deleted {
 			continue
 		}
-		it := Item{Name: nameAt(i)}
+		it, mark := Item{Name: nameAt(i)}, len(attrs)
 		if needAttrs {
-			d.evalBuf = d.appendAttrs(d.evalBuf[:0], v)
-			it.Attrs = d.evalBuf
+			attrs = d.appendAttrs(attrs, v)
+			it.Attrs = attrs[mark:]
 		}
-		if q.Where != nil && !q.Where.eval(it) {
+		if where != nil && !where.eval(it) {
+			attrs = attrs[:mark]
 			continue
 		}
+		switch { // the field selection, compacted in place
+		case q.ItemOnly:
+			attrs = attrs[:mark]
+		case q.Fields != nil:
+			attrs = attrs[:mark+len(slices.DeleteFunc(attrs[mark:], func(a Attr) bool { return !slices.Contains(q.Fields, a.Name) }))]
+		}
+		it.Attrs = attrs[mark:]
 		// The page is full once the next match arrives past the limit (or
 		// past the byte cap): that match proves more results exist, so the
 		// token points at the last emitted item and the page closes.
-		if len(page.Items) >= limit {
-			page.NextToken = page.Items[len(page.Items)-1].Name
+		sz := it.size()
+		if len(recs) >= limit || len(recs) > 0 && bytes+sz > maxPageBytes {
+			page.NextToken = recs[len(recs)-1].name
 			break
 		}
-		out := q.project(it)
-		sz := out.size()
-		if len(page.Items) > 0 && bytes+sz > maxPageBytes {
-			page.NextToken = page.Items[len(page.Items)-1].Name
-			break
-		}
-		page.Items = append(page.Items, out)
+		recs = append(recs, pageRec{it.Name, len(attrs)})
 		bytes += sz
 	}
+	if len(recs) > 0 { // copied out into one item slab and one attribute slab
+		slab, off := slices.Clone(attrs[:recs[len(recs)-1].end]), 0
+		page.Items = make([]Item, len(recs))
+		for i, r := range recs {
+			page.Items[i].Name = r.name
+			if r.end > off {
+				page.Items[i].Attrs = slab[off:r.end:r.end]
+			}
+			off = r.end
+		}
+	}
+	d.pageRecs, d.pageAttrs = recs, attrs
 	d.mu.Unlock()
 
 	page.Bytes = bytes
@@ -628,26 +652,33 @@ func (d *Domain) selectPageOnce(q *Query, nextToken string) (SelectPage, error) 
 	return page, nil
 }
 
-// SelectAllQuery drains every page of a programmatically built query.
+// SelectAllQuery drains every page of a programmatically built query,
+// owned as a page is.
 func (d *Domain) SelectAllQuery(q Query) (items []Item, requests int, bytes int, err error) {
-	return d.selectAll(&q)
+	if q.Domain != d.name {
+		return nil, 0, 0, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
+	}
+	return d.selectAll(&q, q.Where)
 }
 
-func (d *Domain) selectAll(q *Query) (items []Item, requests int, bytes int, err error) {
-	token := ""
-	for {
-		page, err := d.selectPage(q, token)
+// selectAll drains q, where in place of q.Where: one page as it is, more
+// concatenated once.
+func (d *Domain) selectAll(q *Query, where *Node) (items []Item, requests int, bytes int, err error) {
+	pages := make([][]Item, 0, 8) // on the stack unless a drain runs past eight pages
+	for token := ""; ; {
+		page, err := d.selectPage(q, where, token)
 		if err != nil {
 			return nil, requests, bytes, err
 		}
-		requests++
-		bytes += page.Bytes
-		items = append(items, page.Items...)
-		if page.NextToken == "" {
-			return items, requests, bytes, nil
+		requests, bytes, pages, token = requests+1, bytes+page.Bytes, append(pages, page.Items), page.NextToken
+		if token == "" {
+			break
 		}
-		token = page.NextToken
 	}
+	if len(pages) == 1 {
+		return pages[0], requests, bytes, nil
+	}
+	return slices.Concat(pages...), requests, bytes, nil
 }
 
 // ItemCount returns the number of live items (latest committed state).

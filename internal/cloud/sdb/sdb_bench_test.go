@@ -118,7 +118,8 @@ func selectDomain(b *testing.B) (*Domain, int) {
 }
 
 // BenchmarkSelectEq resolves one `name = path` equality per operation: the
-// 63 versions of one file.
+// 63 versions of one file. The page is two slabs, so it costs ≈3.8 KB and 4
+// allocs/op (≈7.0 KB and 11 while each item was its own allocation).
 func BenchmarkSelectEq(b *testing.B) {
 	d, txns := selectDomain(b)
 	q := Query{Domain: d.Name(), ItemOnly: true, Where: Eq("name", "")}
@@ -136,6 +137,8 @@ func BenchmarkSelectEq(b *testing.B) {
 
 // BenchmarkSelectIn resolves one 20-ref `input IN (...)` per operation, the
 // shape a descendants level issues: every file version under 20 processes.
+// ≈79 KB and 46 allocs/op (≈177 KB and 58 before the page slabs), most of
+// the allocs the benchmark's own 20 rendered refs.
 func BenchmarkSelectIn(b *testing.B) {
 	const refs = 20
 	d, txns := selectDomain(b)

@@ -581,7 +581,7 @@ func (d *Domain) Select(expr, nextToken string) (SelectPage, error) {
 	if err != nil {
 		return SelectPage{}, err
 	}
-	return d.selectPage(&q, nextToken)
+	return d.SelectQuery(q, nextToken)
 }
 
 // SelectAll drains every page of a SELECT and reports the request count.
@@ -591,7 +591,7 @@ func (d *Domain) SelectAll(expr string) (items []Item, requests int, bytes int, 
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return d.selectAll(&q)
+	return d.SelectAllQuery(q)
 }
 
 // SelectAll is SelectAllQuery for a SELECT expression.

@@ -41,26 +41,6 @@ type Query struct {
 	Consistent bool
 }
 
-// project applies the query's field selection to a matched item. The result
-// never aliases the domain's stored attribute slices, so pages can be
-// returned to callers after the domain lock is released.
-func (q Query) project(it Item) Item {
-	if q.ItemOnly {
-		return Item{Name: it.Name}
-	}
-	if q.Fields == nil {
-		return Item{Name: it.Name, Attrs: append([]Attr(nil), it.Attrs...)}
-	}
-	// A handful of names: a linear scan beats a set built per matched item.
-	out := Item{Name: it.Name}
-	for _, a := range it.Attrs {
-		if slices.Contains(q.Fields, a.Name) {
-			out.Attrs = append(out.Attrs, a)
-		}
-	}
-	return out
-}
-
 // Node is a predicate tree node: either a boolean combinator or a leaf
 // comparison. The parser produces the same structure that the predicate
 // constructors build; a Node must not be mutated while queries using it run.
@@ -99,17 +79,7 @@ func (n *Node) eval(it Item) bool {
 		return n.left.eval(it) || n.right.eval(it)
 	}
 	if n.isNull || n.notNull {
-		present := false
-		for _, a := range it.Attrs {
-			if a.Name == n.attr {
-				present = true
-				break
-			}
-		}
-		if n.isNull {
-			return !present
-		}
-		return present
+		return n.notNull == slices.ContainsFunc(it.Attrs, func(a Attr) bool { return a.Name == n.attr })
 	}
 	if n.attr == ItemNameKey {
 		return n.accepts(it.Name)

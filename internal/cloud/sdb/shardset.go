@@ -152,10 +152,10 @@ func (v *DomainView) GetAttributes(item string) (Item, error) {
 	return Item{}, lastErr
 }
 
-// target is one shard's share of a planned read, q addressed to that shard.
+// target is one shard's share of a planned read and the predicate it asks.
 type target struct {
 	shard int
-	q     Query
+	where *Node
 }
 
 // targets is the read planner: the shards that can hold a match for q, in
@@ -166,7 +166,7 @@ type target struct {
 // double-write window, whose duplicates the merge collapses — with an IN
 // list cut down to the names each shard can hold. Every other predicate,
 // and a one-shard view, gets every live shard.
-func (v *DomainView) targets(q Query) ([]target, error) {
+func (v *DomainView) targets(q *Query) ([]target, error) {
 	if q.Domain != v.set.Base() {
 		return nil, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
@@ -181,17 +181,16 @@ func (v *DomainView) targets(q Query) ([]target, error) {
 		}
 	}
 	ts := make([]target, 0, len(v.shards))
-	for i, d := range v.shards {
-		sq := q
-		sq.Domain = d.Name()
+	for i := range v.shards {
+		where := q.Where
 		switch {
 		case held == nil:
 		case len(held[i]) == 0:
 			continue
 		case conj.op == "in" && len(held[i]) < len(pins):
-			sq.Where = q.Where.with(conj, In(ItemNameKey, held[i]...))
+			where = q.Where.with(conj, In(ItemNameKey, held[i]...))
 		}
-		ts = append(ts, target{i, sq})
+		ts = append(ts, target{i, where})
 	}
 	return ts, nil
 }
@@ -249,17 +248,19 @@ func (n *Node) with(old, repl *Node) *Node {
 // up however the drains interleave, so the caller drains the shards itself,
 // in shard order: no goroutine is started, and a seed alone decides which
 // shard draws which jitter and fault. Every shard is drained even when one
-// fails; the first error in shard order is returned.
+// fails; the first error in shard order is returned. The caller owns the
+// result as a page: one shard's items as they are, several concatenated once.
 func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes int, err error) {
-	ts, err := v.targets(q)
+	ts, err := v.targets(&q)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	type result struct {
 		items       []Item
 		reqs, bytes int
+		err         error
 	}
-	results, errs := make([]result, len(ts)), make([]error, len(ts))
+	results := make([]result, len(ts))
 	// Each per-shard drain is hedged: if the shard straggles (a
 	// fault-backed-off page, a slow replica) past the hedge delay, a
 	// duplicate drain races it and the first result wins; drains are
@@ -275,25 +276,30 @@ func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes 
 	}
 	par.ForEach(workers, len(ts), func(i int) error {
 		d := v.shards[ts[i].shard]
-		results[i], errs[i] = resilient.Hedged(res, d.Name(), func() (r result, err error) {
-			r.items, r.reqs, r.bytes, err = d.selectAll(&ts[i].q)
-			return r, err
+		results[i], _ = resilient.Hedged(res, d.Name(), func() (r result, err error) { // the error rides in r.err
+			r.items, r.reqs, r.bytes, r.err = d.selectAll(&q, ts[i].where)
+			return r, r.err
 		})
 		return nil
 	})
-	if len(ts) == 1 {
-		return results[0].items, results[0].reqs, results[0].bytes, errs[0]
-	}
-	lists := make([][]Item, 0, len(results))
-	for i, r := range results {
-		if errs[i] != nil {
-			return nil, 0, 0, errs[i]
+	n, only := 0, []Item(nil) // only: the last shard's items that matched any
+	for _, r := range results {
+		if r.err != nil {
+			return nil, 0, 0, r.err
 		}
-		requests += r.reqs
-		bytes += r.bytes
-		lists = append(lists, r.items)
+		requests, bytes, n = requests+r.reqs, bytes+r.bytes, n+len(r.items)
+		if len(r.items) > 0 {
+			only = r.items
+		}
 	}
-	return mergeByName(lists), requests, bytes, nil
+	if len(only) == n {
+		return only, requests, bytes, nil
+	}
+	items = make([]Item, 0, n)
+	for _, r := range results {
+		items = append(items, r.items...)
+	}
+	return mergeByName(items), requests, bytes, nil
 }
 
 // Select runs one page of a SELECT expression. The planned shards are
@@ -306,7 +312,7 @@ func (v *DomainView) Select(expr, nextToken string) (SelectPage, error) {
 	if err != nil {
 		return SelectPage{}, err
 	}
-	ts, err := v.targets(q)
+	ts, err := v.targets(&q)
 	if err != nil {
 		return SelectPage{}, err
 	}
@@ -319,7 +325,7 @@ func (v *DomainView) Select(expr, nextToken string) (SelectPage, error) {
 		}
 		inner = nextToken[strings.IndexByte(nextToken, '|')+1:]
 	}
-	page, err := v.shards[ts[i].shard].selectPage(&ts[i].q, inner)
+	page, err := v.shards[ts[i].shard].selectPage(&q, ts[i].where, inner)
 	if err != nil {
 		return SelectPage{}, err
 	}
@@ -457,18 +463,14 @@ func (s *DomainSet) Select(expr, nextToken string) (SelectPage, error) {
 	return v.Select(expr, nextToken)
 }
 
-// mergeByName merges per-shard item lists, each in ascending name order,
-// into one ascending list. Shards partition the name space in a stable
-// epoch, so normally no name appears twice; during a migration's
-// double-write window (and between cutover and GC) the same immutable item
-// can surface on both of its epoch homes, so equal names collapse to their
-// first occurrence — which, by immutability, is byte-identical to the
-// duplicates dropped.
-func mergeByName(lists [][]Item) []Item {
-	if len(lists) == 1 {
-		return lists[0]
-	}
-	out := slices.Concat(lists...)
+// mergeByName sorts per-shard item lists, concatenated in shard order and
+// each in ascending name order, into one ascending list in place. Shards
+// partition the name space in a stable epoch, so normally no name appears
+// twice; during a migration's double-write window (and between cutover and
+// GC) the same immutable item can surface on both of its epoch homes, so
+// equal names collapse to their first occurrence — which, by immutability,
+// is byte-identical to the duplicates dropped.
+func mergeByName(out []Item) []Item {
 	slices.SortStableFunc(out, func(a, b Item) int { return strings.Compare(a.Name, b.Name) })
 	return slices.CompactFunc(out, func(a, b Item) bool { return a.Name == b.Name })
 }

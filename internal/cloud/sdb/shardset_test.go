@@ -2,6 +2,7 @@ package sdb
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +115,73 @@ func TestShardSetScatterGatherCanonicalOrder(t *testing.T) {
 		for i := range a {
 			if a[i].Name != b[i].Name {
 				t.Fatalf("%s: order diverges at %d: %s vs %s", expr, i, a[i].Name, b[i].Name)
+			}
+		}
+	}
+}
+
+// TestHeldResultsStayOwned: a drained SELECT result is the caller's own. At
+// K=1 and K=4, results held from full, projected, IN-routed and many-page
+// drains stay byte-identical while the same domains serve more SELECTs,
+// rewrite every item (at K=1 enough to compact the pair slab), delete and
+// reap items and reuse their ids; and appending to one held item's
+// attributes never writes the next item's.
+func TestHeldResultsStayOwned(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		s := newSet(t, k) // strict: a delete is reaped at once
+		names := populateSet(t, s, 120)
+		queries := []Query{
+			{Domain: "prov"},
+			{Domain: "prov", Fields: []string{"seq"}, Where: Eq("type", "file")},
+			{Domain: "prov", Where: In(ItemNameKey, names[:30]...)},
+			{Domain: "prov", ItemOnly: true, Where: Like("seq", "0000%")},
+			{Domain: "prov", Limit: 7}, // many pages per shard
+		}
+		held, want := make([][]Item, len(queries)), make([][]Item, len(queries))
+		for i, q := range queries {
+			items, _, _, err := s.SelectAllQuery(q)
+			if err != nil || len(items) == 0 {
+				t.Fatalf("k=%d, query %d: %d items, err=%v", k, i, len(items), err)
+			}
+			held[i] = items
+			for _, it := range items { // a deep copy, bytes and all
+				c := Item{Name: strings.Clone(it.Name)}
+				for _, a := range it.Attrs {
+					c.Attrs = append(c.Attrs, Attr{strings.Clone(a.Name), strings.Clone(a.Value)})
+				}
+				want[i] = append(want[i], c)
+			}
+		}
+		for round := 1; round <= 6; round++ {
+			for _, q := range queries {
+				if _, _, _, err := s.SelectAllQuery(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, name := range names {
+				err := s.BatchPutAttributes([]PutRequest{{Item: name, Replace: true, Attrs: []Attr{
+					{Name: "type", Value: "file"},
+					{Name: "seq", Value: fmt.Sprintf("%0*d", 6+round, i)},
+				}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range names[round*10 : round*10+5] {
+				if err := s.Shard(s.ShardForItem(name)).BatchDeleteAttributes([]string{name}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := range queries {
+			if !reflect.DeepEqual(held[i], want[i]) {
+				t.Fatalf("k=%d, query %d: a held result changed under later requests", k, i)
+			}
+			for j := 0; j+1 < len(held[i]); j++ {
+				_ = append(held[i][j].Attrs, Attr{"x", "y"})
+				if !reflect.DeepEqual(held[i][j+1], want[i][j+1]) {
+					t.Fatalf("k=%d, query %d: appending to item %d's attributes wrote item %d's", k, i, j, j+1)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/prov"
@@ -69,7 +70,8 @@ func ReadProvenance(dep *Deployment, backend Backend, u uuid.UUID) ([]prov.Bundl
 // request, not a scatter. The query engine passes the view it snapshotted at
 // Run start so one traversal cannot straddle a reshard cutover.
 func ReadProvenanceView(v *sdb.DomainView, u uuid.UUID) ([]prov.Bundle, error) {
-	q := sdb.Query{Domain: DomainName, Where: sdb.Like(sdb.ItemNameKey, u.String()+"_%")}
+	prefix := string(append(u.AppendTo(make([]byte, 0, uuid.StringLen+2)), "_%"...))
+	q := sdb.Query{Domain: DomainName, Where: sdb.Like(sdb.ItemNameKey, prefix)}
 	items, _, _, err := v.SelectAllQuery(q)
 	if err != nil {
 		return nil, err
@@ -77,15 +79,7 @@ func ReadProvenanceView(v *sdb.DomainView, u uuid.UUID) ([]prov.Bundle, error) {
 	if len(items) == 0 {
 		return nil, ErrNoProvenance
 	}
-	bundles := make([]prov.Bundle, 0, len(items))
-	for _, it := range items {
-		b, err := BundleFromItem(it)
-		if err != nil {
-			return nil, err
-		}
-		bundles = append(bundles, b)
-	}
-	return bundles, nil
+	return BundlesFromItems(items)
 }
 
 // CouplingReport is the outcome of one coupling check.
@@ -135,9 +129,7 @@ func CheckCoupling(dep *Deployment, backend Backend, path string) (CouplingRepor
 // eventually consistent services settle) up to retries times before giving
 // up with ErrNotCoupled.
 func VerifiedFetch(dep *Deployment, backend Backend, path string, retries int) (CouplingReport, error) {
-	if retries < 1 {
-		retries = 1
-	}
+	retries = max(retries, 1)
 	var rep CouplingReport
 	var err error
 	for i := 0; i < retries; i++ {
@@ -228,16 +220,8 @@ func CheckPersistence(dep *Deployment, backend Backend, p Protocol, path string,
 	}
 	dep.Settle()
 	bundles, err := ReadProvenance(dep, backend, ref.UUID)
-	if errors.Is(err, ErrNoProvenance) {
-		return false, nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrNoProvenance) {
 		return false, err
 	}
-	for _, b := range bundles {
-		if b.Ref == ref {
-			return true, nil
-		}
-	}
-	return false, nil
+	return slices.ContainsFunc(bundles, func(b prov.Bundle) bool { return b.Ref == ref }), nil
 }

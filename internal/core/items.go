@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -83,36 +82,54 @@ func refName(bundles []prov.Bundle, reqs []sdb.PutRequest, ref prov.Ref) string 
 	return ref.String()
 }
 
-// BundleFromItem reconstructs a provenance bundle from a database item; the
-// query engine uses it to rebuild DAG fragments from query results. Each
-// attribute is one record: Records is sized once (nil for no attributes).
-func BundleFromItem(it sdb.Item) (prov.Bundle, error) {
+// BundlesFromItems reconstructs the bundles of a SELECT result, one per item
+// in order, each attribute one record. The records share one slab, each
+// bundle's Records capacity-capped (nil for none) so an append to one never
+// writes another's; a bundle kept past the rest pins the whole slab.
+func BundlesFromItems(items []sdb.Item) (bundles []prov.Bundle, err error) {
+	n := 0
+	for _, it := range items {
+		n += len(it.Attrs)
+	}
+	bundles, recs := make([]prov.Bundle, len(items)), make([]prov.Record, 0, n)
+	for i, it := range items {
+		if bundles[i], recs, err = BundleFromItem(recs, it); err != nil {
+			return nil, err
+		}
+	}
+	return bundles, nil
+}
+
+// BundleFromItem is BundlesFromItems' per-item form: it decodes one item
+// into a bundle whose records it appends to recs, capped as there.
+func BundleFromItem(recs []prov.Record, it sdb.Item) (prov.Bundle, []prov.Record, error) {
 	ref, err := prov.ParseRef(it.Name)
 	if err != nil {
-		return prov.Bundle{}, err
+		return prov.Bundle{}, recs, err
 	}
-	b := prov.Bundle{Ref: ref, Records: slices.Grow([]prov.Record(nil), len(it.Attrs))}
+	b, start := prov.Bundle{Ref: ref}, len(recs)
 	for _, a := range it.Attrs {
 		switch a.Name {
 		case prov.AttrType:
 			if t, err := prov.ParseObjectType(a.Value); err == nil {
 				b.Type = t
 			}
-			b.Records = append(b.Records, prov.Record{Attr: a.Name, Value: a.Value})
 		case prov.AttrName:
 			b.Name = a.Value
-			b.Records = append(b.Records, prov.Record{Attr: a.Name, Value: a.Value})
 		case prov.AttrInput, prov.AttrPrevVer, prov.AttrForkParent, prov.AttrExecFile:
 			xref, err := prov.ParseRef(a.Value)
 			if err != nil {
-				return prov.Bundle{}, fmt.Errorf("core: bad xref %q on %s: %v", a.Value, it.Name, err)
+				return prov.Bundle{}, recs, fmt.Errorf("core: bad xref %q on %s: %v", a.Value, it.Name, err)
 			}
-			b.Records = append(b.Records, prov.Record{Attr: a.Name, Xref: xref})
-		default:
-			b.Records = append(b.Records, prov.Record{Attr: a.Name, Value: a.Value})
+			recs = append(recs, prov.Record{Attr: a.Name, Xref: xref})
+			continue
 		}
+		recs = append(recs, prov.Record{Attr: a.Name, Value: a.Value})
 	}
-	return b, nil
+	if len(recs) > start {
+		b.Records = recs[start:len(recs):len(recs)]
+	}
+	return b, recs, nil
 }
 
 // ItemSpec describes one synthetic provenance item for bulk population —

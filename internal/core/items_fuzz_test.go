@@ -82,7 +82,7 @@ func FuzzBundleFromItem(f *testing.F) {
 	}
 	for i, req := range reqs {
 		want := bundles[i]
-		got, err := BundleFromItem(sdb.Item{Name: req.Item, Attrs: req.Attrs})
+		got, _, err := BundleFromItem(nil, sdb.Item{Name: req.Item, Attrs: req.Attrs})
 		if err != nil {
 			f.Fatalf("bundle %s: %v", want.Ref, err)
 		}
@@ -103,7 +103,7 @@ func FuzzBundleFromItem(f *testing.F) {
 		it := fuzzItem(data)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		b, err := BundleFromItem(it)
+		b, _, err := BundleFromItem(nil, it)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(data))+16<<10; got > limit {
 			t.Fatalf("BundleFromItem of %d bytes allocated %d bytes, over %d", len(data), got, limit)

@@ -40,7 +40,7 @@ func TestItemRoundTripPreservesBundle(t *testing.T) {
 	if len(reqs) != 1 || reqs[0].Item != b.Ref.String() {
 		t.Fatalf("reqs = %+v", reqs)
 	}
-	got, err := BundleFromItem(sdb.Item{Name: reqs[0].Item, Attrs: reqs[0].Attrs})
+	got, _, err := BundleFromItem(nil, sdb.Item{Name: reqs[0].Item, Attrs: reqs[0].Attrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestItemRoundTripPreservesBundle(t *testing.T) {
 
 func TestBundleFromItemRejectsBadNames(t *testing.T) {
 	for _, name := range []string{"", "noversion", "x_y"} {
-		if _, err := BundleFromItem(sdb.Item{Name: name}); err == nil {
+		if _, _, err := BundleFromItem(nil, sdb.Item{Name: name}); err == nil {
 			t.Fatalf("item name %q accepted", name)
 		}
 	}
 	// A malformed xref value must error, not silently drop the edge.
 	ref := someRef()
-	_, err := BundleFromItem(sdb.Item{Name: ref.String(), Attrs: []sdb.Attr{
+	_, _, err := BundleFromItem(nil, sdb.Item{Name: ref.String(), Attrs: []sdb.Attr{
 		{Name: prov.AttrInput, Value: "not-a-ref"},
 	}})
 	if err == nil {
@@ -101,7 +101,7 @@ func TestItemsForBundlesQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := BundleFromItem(sdb.Item{Name: reqs[0].Item, Attrs: reqs[0].Attrs})
+		got, _, err := BundleFromItem(nil, sdb.Item{Name: reqs[0].Item, Attrs: reqs[0].Attrs})
 		if err != nil || got.Ref != b.Ref || got.Name != name {
 			return false
 		}

@@ -3,6 +3,7 @@ package query
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -216,19 +217,18 @@ func (c *Cache) lookupObs(key string, epoch int) (any, bool) {
 	return e.val, true
 }
 
-// store inserts or refreshes an immutable item entry.
-func (c *Cache) store(key string, val any) {
-	c.storeEntry(key, val, false, 0, nil)
+// storeBundle inserts or refreshes an immutable item entry: a copy of b
+// owning its records, never pinning the slab b was decoded into.
+func (c *Cache) storeBundle(key string, b *prov.Bundle) {
+	own := *b
+	own.Records = slices.Clone(b.Records)
+	c.storeEntry(key, &own, false, 0, nil)
 }
 
-// storeObs inserts or refreshes an observation read under epoch.
-func (c *Cache) storeObs(key string, val any, epoch int) {
-	c.storeEntry(key, val, true, epoch, nil)
-}
-
-// storeAttrObs inserts an attribute-root observation, registering its
-// predicate for precise invalidation.
-func (c *Cache) storeAttrObs(key string, val any, epoch int, ms []AttrMatch) {
+// storeObs inserts or refreshes an observation read under epoch; an
+// attribute-root observation registers its predicate ms for precise
+// invalidation.
+func (c *Cache) storeObs(key string, val any, epoch int, ms []AttrMatch) {
 	c.storeEntry(key, val, true, epoch, ms)
 }
 
@@ -331,14 +331,7 @@ func (c *Cache) applyNotice(n core.CommitNotice) int64 {
 // value of a multi-valued attribute may match).
 func noticeMatches(attrs []sdb.Attr, ms []AttrMatch) bool {
 	for _, m := range ms {
-		ok := false
-		for _, a := range attrs {
-			if a.Name == m.Attr && a.Value == m.Value {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(attrs, sdb.Attr{Name: m.Attr, Value: m.Value}) {
 			return false
 		}
 	}

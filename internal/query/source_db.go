@@ -94,13 +94,7 @@ func (s *dbSource) all() ([]prov.Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]prov.Bundle, len(items))
-	for i, it := range items {
-		if nodes[i], err = core.BundleFromItem(it); err != nil {
-			return nil, err
-		}
-	}
-	return nodes, nil
+	return core.BundlesFromItems(items)
 }
 
 // attrRoots finds node refs matching every attribute equality — one indexed
@@ -132,29 +126,27 @@ func (s *dbSource) attrRoots(ms []AttrMatch, fuse bool) ([]prov.Ref, map[prov.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	refs := make([]prov.Ref, 0, len(items))
-	var shipped map[prov.Ref]*prov.Bundle
+	refs := make([]prov.Ref, len(items))
 	if fused {
-		shipped = make(map[prov.Ref]*prov.Bundle, len(items))
-	}
-	for _, it := range items {
-		r, err := prov.ParseRef(it.Name)
+		bundles, err := core.BundlesFromItems(items)
 		if err != nil {
 			return nil, nil, err
 		}
-		refs = append(refs, r)
-		if fused {
-			b, err := core.BundleFromItem(it)
-			if err != nil {
-				return nil, nil, err
-			}
-			shipped[r] = &b
+		shipped := make(map[prov.Ref]*prov.Bundle, len(items))
+		for i := range bundles {
+			refs[i], shipped[bundles[i].Ref] = bundles[i].Ref, &bundles[i]
+		}
+		return refs, shipped, nil
+	}
+	for i, it := range items {
+		if refs[i], err = prov.ParseRef(it.Name); err != nil {
+			return nil, nil, err
 		}
 	}
-	if cache != nil && !fused {
-		cache.storeAttrObs(key, refs, s.view.Epoch(), ms)
+	if cache != nil {
+		cache.storeObs(key, refs, s.view.Epoch(), ms)
 	}
-	return refs, shipped, nil
+	return refs, nil, nil
 }
 
 // versions returns every bundle recorded for an object uuid, read through
@@ -176,9 +168,9 @@ func (s *dbSource) versions(u uuid.UUID) ([]prov.Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache.storeObs(key, bundles, s.view.Epoch())
+	cache.storeObs(key, bundles, s.view.Epoch(), nil)
 	for i := range bundles {
-		cache.store(itemKey(bundles[i].Ref.String()), &bundles[i])
+		cache.storeBundle(itemKey(bundles[i].Ref.String()), &bundles[i])
 	}
 	return bundles, nil
 }
@@ -190,10 +182,16 @@ func (s *dbSource) versions(u uuid.UUID) ([]prov.Bundle, error) {
 func (s *dbSource) selectIn(tmpl func(i int) *sdb.Query, key string, refs []prov.Ref, and *sdb.Node) ([][]sdb.Item, error) {
 	results := make([][]sdb.Item, (len(refs)+inBatch-1)/inBatch)
 	err := par.ForEach(s.spec.Workers, len(results), func(i int) error {
+		// The batch's names are rendered into one string and cut from it.
 		batch := refs[i*inBatch : min((i+1)*inBatch, len(refs))]
-		vals := make([]string, 0, len(batch))
-		for _, r := range batch {
-			vals = append(vals, r.String())
+		var buf [inBatch * (uuid.StringLen + 21)]byte // uuid, '_', any int64
+		var ends [inBatch + 1]int
+		for j, r := range batch {
+			ends[j+1] = len(r.AppendTo(buf[:ends[j]]))
+		}
+		names, vals := string(buf[:ends[len(batch)]]), make([]string, len(batch))
+		for j := range vals {
+			vals[j] = names[ends[j]:ends[j+1]]
 		}
 		q := *tmpl(i)
 		q.Where = andNode(sdb.In(key, vals...), and)
@@ -283,19 +281,21 @@ func (s *dbSource) children(refs []prov.Ref, w *descent) ([]prov.Ref, error) {
 	edges := make([]edge, 0, n)
 	for bi, items := range results {
 		batch := pending[bi*inBatch : min((bi+1)*inBatch, len(pending))]
-		for _, it := range items {
+		var bundles []prov.Bundle
+		if full {
+			if bundles, err = core.BundlesFromItems(items); err != nil {
+				return nil, err
+			}
+		}
+		for k, it := range items {
 			ref, err := prov.ParseRef(it.Name)
 			if err != nil {
 				return nil, err
 			}
 			if full {
-				b, err := core.BundleFromItem(it)
-				if err != nil {
-					return nil, err
-				}
-				w.bundles[ref] = &b
+				w.bundles[ref] = &bundles[k]
 				if cache != nil {
-					cache.store(itemKey(it.Name), &b)
+					cache.storeBundle(itemKey(it.Name), &bundles[k])
 				}
 			}
 			if bi < attributed {
@@ -322,7 +322,7 @@ func (s *dbSource) children(refs []prov.Ref, w *descent) ([]prov.Ref, error) {
 			kids[e] = edges[e].kid
 		}
 		if cache != nil {
-			cache.storeObs(kidsKey(pending[j]), kids[lo:e:e], epoch)
+			cache.storeObs(kidsKey(pending[j]), kids[lo:e:e], epoch, nil)
 		}
 		if j < asked {
 			out = append(out, kids[lo:e]...)
@@ -363,14 +363,14 @@ func (s *dbSource) bundles(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, rea
 		return nil, err
 	}
 	for _, items := range results {
-		for _, it := range items {
-			b, err := core.BundleFromItem(it)
-			if err != nil {
-				return nil, err
-			}
-			out[b.Ref] = &b
+		bundles, err := core.BundlesFromItems(items)
+		if err != nil {
+			return nil, err
+		}
+		for i := range bundles {
+			out[bundles[i].Ref] = &bundles[i]
 			if cache != nil {
-				cache.store(itemKey(it.Name), &b)
+				cache.storeBundle(itemKey(items[i].Name), &bundles[i])
 			}
 		}
 	}

@@ -354,3 +354,49 @@ func TestDescribeGolden(t *testing.T) {
 		check(tw.s3, tc.spec, tc.want)
 	}
 }
+
+// TestInBatchAllocationsFlat pins what one K=4 itemName() IN batch of 20
+// refs allocates on its way from rendered names to the bundle map: the same
+// count whether 2 of the refs are recorded or all 20. Both batches route to
+// the same two shards, so each asks the same requests.
+func TestInBatchAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	dep := versionRunDeployment(1, sim.Strict)
+	rnd := sim.NewRand(7)
+	var refs [2][]prov.Ref // per batch: 10 refs homed on shard 0, then 10 on shard 1
+	var recorded []prov.Bundle
+	for b := range refs {
+		for shard := 0; shard < 2; shard++ {
+			for n := 0; n < 10; {
+				r := prov.Ref{UUID: uuid.New(rnd), Version: 1}
+				if dep.DB.ShardForItem(r.String()) != shard {
+					continue
+				}
+				refs[b] = append(refs[b], r)
+				if b == 1 || n == 0 { // every ref of the second batch, one per shard of the first
+					recorded = append(recorded, fileNode(r, "mnt/out", prov.Ref{UUID: r.UUID, Version: 9}))
+				}
+				n++
+			}
+		}
+	}
+	putBundles(t, dep, recorded)
+	src := &dbSource{e: New(dep, core.BackendSDB), spec: &Spec{Workers: 1}, view: dep.DB.View()}
+	var allocs [2]float64
+	for b, batch := range refs {
+		want := []int{2, 20}[b]
+		allocs[b] = testing.AllocsPerRun(50, func() {
+			if got, err := src.bundles(batch, nil, 0); err != nil || len(got) != want {
+				t.Fatalf("%d bundles, err=%v; want %d", len(got), err, want)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("an IN batch allocates %v times at 2 matches, %v at 20", allocs[0], allocs[1])
+	}
+	if ceiling := 57.0; allocs[0] > ceiling {
+		t.Errorf("an IN batch allocates %v times, want <= %v", allocs[0], ceiling)
+	}
+}

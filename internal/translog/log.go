@@ -487,7 +487,7 @@ func Open(env *sim.Env, st *store.Store, prefix string) (*Log, error) {
 		if err := json.Unmarshal(o.Data, &ck); err != nil {
 			return nil, fmt.Errorf("translog: decoding checkpoint: %w", err)
 		}
-		if ck.TreeSize > len(l.leaves) {
+		if ck.TreeSize < 0 || ck.TreeSize > len(l.leaves) {
 			return nil, fmt.Errorf("translog: checkpoint covers %d leaves, entries hold %d", ck.TreeSize, len(l.leaves))
 		}
 		cr := merkle.CompactRange(l.hashes[:ck.TreeSize])
