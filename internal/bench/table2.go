@@ -2,6 +2,7 @@ package bench
 
 import (
 	"runtime"
+	"slices"
 	"time"
 
 	"passcloud/internal/cloud/sdb"
@@ -91,14 +92,7 @@ func uploadSDB(env *sim.Env, bundles []prov.Bundle, conns int) error {
 // conns at a time.
 func uploadSQSPayload(env *sim.Env, payload []byte, conns int) error {
 	q := sqs.New(env, "prov-upload")
-	var chunks [][]byte
-	for start := 0; start < len(payload); start += sqs.MaxMessageSize {
-		end := start + sqs.MaxMessageSize
-		if end > len(payload) {
-			end = len(payload)
-		}
-		chunks = append(chunks, payload[start:end])
-	}
+	chunks := slices.Collect(slices.Chunk(payload, sqs.MaxMessageSize))
 	return par.ForEach(conns, len(chunks), func(i int) error {
 		_, err := q.SendMessage(chunks[i])
 		return err

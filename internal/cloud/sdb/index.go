@@ -2,21 +2,17 @@ package sdb
 
 import "slices"
 
-// Secondary indexes. Real SimpleDB indexes every attribute on write (which
-// is why its writes are expensive — see the calibration anchors on
-// baseModel in sim/model.go); the simulation keeps the same invariant so
-// SELECT can resolve equality, IN, prefix and range predicates through an
-// index instead of scanning the whole domain.
-//
-// Because reads are eventually consistent, an item may be observed at
-// either of its retained versions (observe keeps up to two). The index
-// therefore covers the union of all retained versions' attribute values: a
-// lookup yields a superset of the items that could match, and Select
-// re-resolves every candidate through observe and re-evaluates the full
-// predicate against the version it actually sees. That preserves eventual
-// consistency exactly — a candidate whose observed version no longer (or
-// does not yet) match is dropped, and no matching item can be missed since
-// every observable version is indexed.
+// Secondary indexes: real SimpleDB indexes every attribute on write, which
+// is why its writes are expensive (sim/model.go's baseModel). Because reads
+// are eventually consistent, an item may be observed at either of its
+// retained versions (observe keeps up to two). The index therefore covers
+// the union of all retained versions' attribute values: a lookup yields a
+// superset of the items that could match, and Select re-resolves every
+// candidate through observe and re-evaluates the full predicate against the
+// version it actually sees. That preserves eventual consistency exactly — a
+// candidate whose observed version no longer (or does not yet) match is
+// dropped, and no matching item can be missed since every observable
+// version is indexed.
 //
 // The index is also the store's value table. Each attribute index keeps its
 // distinct values in a string table (strtab.go): a value's bytes are held
@@ -28,9 +24,7 @@ import "slices"
 // with one entry per reference — a multi-valued attribute and two retained
 // versions may each reference the same pair — and a distinct count, which
 // is what the planner estimates an AND branch by. A value only one item
-// carries, as most are, keeps that item inline and owns no slice. Nothing
-// in a version, an item record or the tables is a pointer, so the collector
-// marks only the postings of shared values.
+// carries, as most are, keeps that item inline and owns no slice.
 
 // postings is the set of items carrying one (attribute, value) pair in any
 // retained version. While one item carries the pair, ids is nil and the
@@ -105,14 +99,14 @@ type attrIndex struct {
 	name string
 	id   uint32 // position in Domain.attrs
 	vals strtab
-	ents []postings // by value id
+	ents paged[postings] // by value id
 }
 
 // intern returns the value id of value, registering it on first sight.
 func (ix *attrIndex) intern(value string) uint32 {
 	vid := ix.vals.intern(value)
-	if int(vid) == len(ix.ents) {
-		ix.ents = append(ix.ents, postings{})
+	if int(vid) == ix.ents.n {
+		ix.ents.grow(1)
 	}
 	return vid
 }
@@ -120,7 +114,7 @@ func (ix *attrIndex) intern(value string) uint32 {
 // remove drops one reference from item id to value vid; a value no version
 // references any more leaves the index and frees its id.
 func (ix *attrIndex) remove(vid, id uint32) {
-	if ix.ents[vid].remove(id) {
+	if ix.ents.at(vid).remove(id) {
 		ix.vals.remove(vid)
 	}
 }
@@ -128,7 +122,7 @@ func (ix *attrIndex) remove(vid, id uint32) {
 // lookup returns the postings of value, or nil when no item carries it.
 func (ix *attrIndex) lookup(value string) *postings {
 	if vid, ok, _ := ix.vals.lookup(value); ok {
-		return &ix.ents[vid]
+		return ix.ents.at(vid)
 	}
 	return nil
 }
@@ -147,7 +141,7 @@ func (d *Domain) attrLocked(name string) *attrIndex {
 // indexAddLocked registers one retained version's pairs under item id.
 func (d *Domain) indexAddLocked(id uint32, pairs []pair) {
 	for _, p := range pairs {
-		d.attrs[p.attr].ents[p.val].add(id)
+		d.attrs[p.attr].ents.at(p.val).add(id)
 	}
 }
 

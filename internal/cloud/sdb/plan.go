@@ -186,7 +186,7 @@ func (d *Domain) collectSpanLocked(attr, op, bound string, names []string) []str
 		if attr == ItemNameKey {
 			names = append(names, tab.str(id))
 		} else {
-			names = d.collectPostingsLocked(&ix.ents[id], names)
+			names = d.collectPostingsLocked(ix.ents.at(id), names)
 		}
 	}
 	return names

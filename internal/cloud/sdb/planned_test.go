@@ -48,7 +48,8 @@ func (m migration) copyAndCutover() {
 			m.t.Fatal(err)
 		}
 		for _, it := range items {
-			for _, h := range v.homesForItem(it.Name) {
+			homes := v.homesForItem(it.Name)
+			for _, h := range homes.List() {
 				if err := v.shards[h].PutAttributes(PutRequest{Item: it.Name, Attrs: it.Attrs, Replace: true}); err != nil {
 					m.t.Fatal(err)
 				}
@@ -208,18 +209,19 @@ func checkPlanned(t *testing.T, s *DomainSet, rng *rand.Rand, names []string, st
 			if err != nil {
 				t.Fatal(err)
 			}
+			homes := v.homesForItem(one)
 			switch {
 			case !sh.routed && len(ts) != k:
 				t.Fatalf("%s, %s (%v): pruned to %d of %d shards", state, sh.name, sh.where, len(ts), k)
 			case sh.routed && gotReqs > wantReqs:
 				t.Fatalf("%s, %s: planned read took %d requests, scatter %d", state, sh.name, gotReqs, wantReqs)
-			case sh.routed && sh.where.op != "in" && sh.where.op != "and" && len(ts) > len(v.homesForItem(one)):
-				t.Fatalf("%s, %s: one name read from %d shards, its homes are %v", state, sh.name, len(ts), v.homesForItem(one))
+			case sh.routed && sh.where.op != "in" && sh.where.op != "and" && len(ts) > len(homes.List()):
+				t.Fatalf("%s, %s: one name read from %d shards, its homes are %v", state, sh.name, len(ts), homes)
 			}
 			for _, tg := range ts { // every shard is asked only for names it can hold
 				if c, pins := routePins(tg.where); sh.routed && k > 1 && c != nil && c.op == "in" {
 					for _, p := range pins {
-						if !slices.Contains(v.homesForItem(p), tg.shard) {
+						if homes := v.homesForItem(p); !slices.Contains(homes.List(), tg.shard) {
 							t.Fatalf("%s, %s: shard %d asked for %s, homes %v", state, sh.name, tg.shard, p, v.homesForItem(p))
 						}
 					}

@@ -16,16 +16,16 @@
 // candidates are re-validated against the version each read observes, so
 // eventual-consistency semantics are identical on both access paths.
 //
-// A domain stores each distinct string once: item names in an item table
-// that hands out dense ids, values in the attribute indexes that intern
-// them. Both are string tables (strtab.go) that keep the bytes in
-// append-only chunks behind pointer-free probe tables, and versions, item
-// records and postings lists are ids in pointer-free slices, so the
-// collector marks only the postings of values two or more items share,
-// however large the domain grows. Reads return views of the stored bytes:
-// a SELECT lays its page out in scratch the domain reuses and copies it out
-// as two slabs the caller owns, the items of one page sharing one
-// capacity-capped attribute slab, so nothing aliases domain state.
+// A domain stores each distinct string once, in string tables (strtab.go)
+// that keep the bytes in append-only chunks: item names in the item table,
+// which hands out dense ids, and values in the attribute indexes. What grows
+// with the items is indexed by those ids in paged tables (paged.go) that
+// grow by whole pages and never copy what they hold: the item records, the
+// slab of (attribute, value) id pairs their versions point into, one page
+// per version, and each attribute's postings. Only the postings of values
+// two or more items share hold pointers. A SELECT lays its page out in
+// scratch the domain reuses and copies it out as two slabs the caller owns,
+// whose strings view the stored bytes, so nothing aliases domain state.
 package sdb
 
 import (
@@ -121,15 +121,12 @@ func (r *itemRec) push(v version) {
 	r.stamp++
 }
 
-// Domain is one SimpleDB domain bound to a simulated environment.
-//
-// The item table maps each name to a dense id, reusing the ids of reaped
-// items. What grows with the item count is indexed by that id and holds no
-// pointers: the records, the slab of (attribute, value) pairs their
-// versions point into, the string tables' refs, probe slots and sorted
-// views, and the postings of values only one item carries. The collector
-// marks per item nothing but the postings slices of shared values
-// (index.go).
+// Domain is one SimpleDB domain bound to a simulated environment. The item
+// table maps each name to a dense id, reusing the ids of reaped items; the
+// records, the pair slab and the postings are paged tables. A version's
+// pairs lie in one page (or in one run of pages, when they are more than a
+// page holds): a version that does not fit the last page's rest starts a new
+// page, and the skipped rest counts as dead pairs.
 type Domain struct {
 	env  *sim.Env
 	name string
@@ -137,13 +134,13 @@ type Domain struct {
 
 	mu        sync.Mutex
 	items     strtab                // item table: name ↔ id, and the sorted names
-	recs      []itemRec             // by id
-	pairs     []pair                // every retained version's attributes
-	dead      int                   // pairs no retained version owns any more
+	recs      paged[itemRec]        // by id
+	pairs     paged[pair]           // every retained version's attributes
+	dead      int                   // pairs no retained version owns, and skipped page tails
 	tombs     tombHeap              // deleted items awaiting reaping, earliest visibleAt first
 	idx       map[string]*attrIndex // per-attribute secondary indexes
 	attrs     []*attrIndex          // the same indexes by attribute id
-	putBuf    []pair                // a put's interned attributes
+	putBuf    []pair                // a put's new version, staged
 	pageRecs  []pageRec             // the open SELECT page's items
 	pageAttrs []Attr                // their attributes, then the examined item's
 	forceScan bool                  // tests only: walk the item table, the indexes' reference
@@ -172,7 +169,7 @@ func NewLane(env *sim.Env, name string, lane int) *Domain {
 }
 
 // pairsOf returns the slab span holding v's attributes.
-func (d *Domain) pairsOf(v *version) []pair { return d.pairs[v.off : v.off+v.n] }
+func (d *Domain) pairsOf(v *version) []pair { return d.pairs.span(v.off, v.n) }
 
 // appendAttrs appends v's attributes to dst as name/value strings: the
 // attribute index's name and a view of its stored value, so nothing is
@@ -195,7 +192,7 @@ func (d *Domain) dropLocked(id uint32, v *version) {
 // trimLocked cuts an item's history down to its latest version before a new
 // one is pushed.
 func (d *Domain) trimLocked(id uint32) {
-	r := &d.recs[id]
+	r := d.recs.at(id)
 	if r.n > 1 {
 		d.dropLocked(id, &r.hist[0])
 		r.hist[0], r.hist[1] = r.hist[1], version{}
@@ -208,24 +205,25 @@ func (d *Domain) trimLocked(id uint32) {
 const minCompact = 1024
 
 // compactLocked, called at the end of every write, rewrites the pair slab
-// without its dead pairs once they outnumber the live ones, so a domain's
-// slab stays within about twice what its retained versions hold. Versions
-// are copied in id order.
+// into fresh pages without its dead pairs once they outnumber the live
+// ones, so a domain's slab stays within about twice what its retained
+// versions hold. Versions are copied in id order.
 func (d *Domain) compactLocked() {
-	if d.dead < minCompact || d.dead < len(d.pairs)/2 {
+	if d.dead < minCompact || d.dead < d.pairs.n/2 {
 		return
 	}
-	live := make([]pair, 0, len(d.pairs)-d.dead)
-	for i := range d.recs {
-		r := &d.recs[i]
+	var live paged[pair]
+	skipped := 0
+	for i := range d.recs.n {
+		r := d.recs.at(uint32(i))
 		for j := range r.hist[:r.n] {
 			v := &r.hist[j]
-			off := uint32(len(live))
-			live = append(live, d.pairsOf(v)...)
-			v.off = off
+			off, skip := live.grow(int(v.n))
+			copy(live.span(off, v.n), d.pairsOf(v))
+			v.off, skipped = off, skipped+skip
 		}
 	}
-	d.pairs, d.dead = live, 0
+	d.pairs, d.dead = live, skipped
 }
 
 // Name returns the domain name used in SELECT statements.
@@ -307,39 +305,39 @@ func (d *Domain) applyLocked(req PutRequest) {
 	now := d.env.Now()
 	d.reapLocked(now)
 	id := d.items.intern(req.Item) // a new name takes a reaped item's id first
-	if int(id) == len(d.recs) {
-		d.recs = append(d.recs, itemRec{})
+	if int(id) == d.recs.n {
+		d.recs.grow(1)
 	}
 	// Trim before interning: the dropped version may hold the last
 	// reference to a value, whose id must not be handed to the new one.
 	d.trimLocked(id)
+	r := d.recs.at(id)
 	var base []pair
-	if r := &d.recs[id]; r.n > 0 && !r.latest().deleted {
+	if r.n > 0 && !r.latest().deleted {
 		base = d.pairsOf(r.latest())
 	}
-	put := d.putBuf[:0]
+	// The new version is the put's pairs after those it carries over from
+	// base (all of them, or a replace's other attributes): staged as put
+	// then carried, and laid out in one page the other way round.
+	buf := d.putBuf[:0]
 	for _, a := range req.Attrs {
 		ix := d.attrLocked(a.Name)
-		put = append(put, pair{attr: ix.id, val: ix.intern(a.Value)})
+		buf = append(buf, pair{attr: ix.id, val: ix.intern(a.Value)})
 	}
-	d.putBuf = put
-	off := uint32(len(d.pairs))
-	switch {
-	case len(base) == 0:
-		// First write of the item: nothing to carry over or replace.
-	case req.Replace:
-		for _, p := range base {
-			if !slices.ContainsFunc(put, func(q pair) bool { return q.attr == p.attr }) {
-				d.pairs = append(d.pairs, p)
-			}
+	put := len(buf)
+	for _, p := range base {
+		if !req.Replace || !slices.ContainsFunc(buf[:put], func(q pair) bool { return q.attr == p.attr }) {
+			buf = append(buf, p)
 		}
-	default:
-		d.pairs = append(d.pairs, base...)
 	}
-	d.pairs = append(d.pairs, put...)
-	v := version{off: off, n: uint32(len(d.pairs)) - off, visibleAt: now + d.env.StalenessWindow()}
-	d.indexAddLocked(id, d.pairsOf(&v))
-	d.recs[id].push(v)
+	d.putBuf = buf
+	off, skip := d.pairs.grow(len(buf))
+	v := version{off: off, n: uint32(len(buf)), visibleAt: now + d.env.StalenessWindow()}
+	span := d.pairsOf(&v)
+	copy(span[copy(span, buf[put:]):], buf[:put])
+	d.dead += skip
+	d.indexAddLocked(id, span)
+	r.push(v)
 	d.compactLocked()
 }
 
@@ -349,7 +347,7 @@ func (d *Domain) applyLocked(req PutRequest) {
 // version, bypassing the staleness window entirely. The result points into
 // the record table and is valid until the next write.
 func (d *Domain) observe(id uint32, now time.Duration, consistent bool) *version {
-	r := &d.recs[id]
+	r := d.recs.at(id)
 	if consistent {
 		return r.latest()
 	}
@@ -366,13 +364,7 @@ func (d *Domain) observe(id uint32, now time.Duration, consistent bool) *version
 
 // GetAttributes returns the attributes of one item.
 func (d *Domain) GetAttributes(item string) (Item, error) {
-	var it Item
-	err := d.ep.Do(func() error {
-		var err error
-		it, err = d.getOnce(item)
-		return err
-	})
-	return it, err
+	return sim.Call(d.ep, func() (Item, error) { return d.getOnce(item) })
 }
 
 func (d *Domain) getOnce(item string) (Item, error) {
@@ -436,7 +428,7 @@ func (d *Domain) deleteItems(names ...string) {
 		}
 		d.gen++
 		d.trimLocked(id)
-		r := &d.recs[id]
+		r := d.recs.at(id)
 		r.push(version{deleted: true, visibleAt: now + d.env.StalenessWindow()})
 		heap.Push(&d.tombs, tombstone{id: id, stamp: r.stamp, visibleAt: r.latest().visibleAt})
 	}
@@ -482,7 +474,7 @@ func (d *Domain) reapLocked(now time.Duration) {
 	var reaped []uint32
 	for len(d.tombs) > 0 && d.tombs[0].visibleAt <= now {
 		t := heap.Pop(&d.tombs).(tombstone)
-		r := &d.recs[t.id]
+		r := d.recs.at(t.id)
 		if r.stamp != t.stamp {
 			continue
 		}
@@ -534,13 +526,7 @@ func (d *Domain) SelectQuery(q Query, nextToken string) (SelectPage, error) {
 // visited in ascending name order, resuming from the continuation token,
 // and only the emitted page is copied out of the store.
 func (d *Domain) selectPage(q *Query, where *Node, nextToken string) (SelectPage, error) {
-	var page SelectPage
-	err := d.ep.Do(func() error {
-		var err error
-		page, err = d.selectPageOnce(q, where, nextToken)
-		return err
-	})
-	return page, err
+	return sim.Call(d.ep, func() (SelectPage, error) { return d.selectPageOnce(q, where, nextToken) })
 }
 
 // selectPageOnce is one service attempt of a SELECT page.
@@ -686,8 +672,8 @@ func (d *Domain) ItemCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for i := range d.recs {
-		if r := &d.recs[i]; r.n > 0 && !r.latest().deleted {
+	for i := range d.recs.n {
+		if r := d.recs.at(uint32(i)); r.n > 0 && !r.latest().deleted {
 			n++
 		}
 	}

@@ -71,14 +71,6 @@ func RouteKey(item string) string {
 // ShardForItem routes an item name to its active-epoch home shard.
 func (s *DomainSet) ShardForItem(item string) int { return s.Directory().Route(RouteKey(item)) }
 
-// HomesForItem returns every shard that may hold the item under the current
-// routing state: the active home first, plus the target-epoch home during a
-// migration's double-write window. Commit notices carry it so subscribers
-// can tell where an invalidated item lives mid-reshard.
-func (s *DomainSet) HomesForItem(item string) []int {
-	return s.View().homesForItem(item)
-}
-
 // beginWrite captures the routing view a write will use and registers the
 // write against that view's generation; the returned release must be called
 // once the write is applied.
@@ -133,7 +125,7 @@ func (v *DomainView) Epoch() int { return v.active.ID }
 
 // homesForItem returns every shard that may hold the item, active home first
 // (the shared double-write-set rule, evaluated against this view's epochs).
-func (v *DomainView) homesForItem(item string) []int {
+func (v *DomainView) homesForItem(item string) sim.Homes {
 	return sim.HomesFor(v.active, v.target, RouteKey(item))
 }
 
@@ -142,7 +134,8 @@ func (v *DomainView) homesForItem(item string) []int {
 // double-written mid-copy may be observable there first).
 func (v *DomainView) GetAttributes(item string) (Item, error) {
 	var lastErr error
-	for _, h := range v.homesForItem(item) {
+	homes := v.homesForItem(item)
+	for _, h := range homes.List() {
 		it, err := v.shards[h].GetAttributes(item)
 		if err == nil {
 			return it, nil
@@ -164,31 +157,43 @@ type target struct {
 // itemName() conjunct pins route keys (see routePins) goes to the union of
 // homesForItem over the pinned names only — both epoch homes inside a
 // double-write window, whose duplicates the merge collapses — with an IN
-// list cut down to the names each shard can hold. Every other predicate,
-// and a one-shard view, gets every live shard.
+// list cut down to the names each shard can hold, all cut from one slab.
+// Every other predicate, and a one-shard view, gets every live shard.
 func (v *DomainView) targets(q *Query) ([]target, error) {
 	if q.Domain != v.set.Base() {
 		return nil, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
 	conj, pins := routePins(q.Where)
-	var held [][]string // the pinned names each shard can hold; nil asks every shard
-	if conj != nil && len(v.shards) > 1 {
-		held = make([][]string, len(v.shards))
-		for _, p := range pins {
-			for _, h := range v.homesForItem(p) {
-				held[h] = append(held[h], p)
-			}
-		}
+	if len(v.shards) == 1 {
+		conj, pins = nil, nil
+	}
+	var stack [8]sim.Homes // the pins' homes: a short pin list routes on the stack
+	homes, routed := slices.Grow(stack[:0], len(pins)), 0
+	for _, p := range pins {
+		hs := v.homesForItem(p)
+		homes, routed = append(homes, hs), routed+len(hs.List())
+	}
+	var slab []string // an IN list's names each shard can hold, shard after shard
+	if conj != nil && conj.op == "in" {
+		slab = make([]string, 0, routed)
 	}
 	ts := make([]target, 0, len(v.shards))
 	for i := range v.shards {
+		held, lo := 0, len(slab)
+		for j, hs := range homes {
+			if hs[0] == i || hs[1] == i {
+				if held++; slab != nil {
+					slab = append(slab, pins[j])
+				}
+			}
+		}
 		where := q.Where
 		switch {
-		case held == nil:
-		case len(held[i]) == 0:
+		case conj == nil:
+		case held == 0:
 			continue
-		case conj.op == "in" && len(held[i]) < len(pins):
-			where = q.Where.with(conj, In(ItemNameKey, held[i]...))
+		case slab != nil && held < len(pins):
+			where = q.Where.with(conj, In(ItemNameKey, slab[lo:len(slab):len(slab)]...))
 		}
 		ts = append(ts, target{i, where})
 	}
@@ -367,15 +372,29 @@ func (s *DomainSet) BatchPutAttributes(reqs []PutRequest) error {
 
 // byHome partitions reqs by shard, in shard order so that one seed issues the
 // per-shard calls in one order: each request goes to every home in its
-// double-write set.
+// double-write set. The shards' lists are counted first and cut from one
+// slab, each capacity-capped.
 func (v *DomainView) byHome(reqs []PutRequest) [][]PutRequest {
 	perShard := make([][]PutRequest, len(v.shards))
 	if len(v.shards) == 1 {
 		perShard[0] = reqs
 		return perShard
 	}
+	counts, total := make([]int, len(v.shards)), 0
 	for _, r := range reqs {
-		for _, h := range v.homesForItem(r.Item) {
+		homes := v.homesForItem(r.Item)
+		for _, h := range homes.List() {
+			counts[h]++
+			total++
+		}
+	}
+	slab := make([]PutRequest, total)
+	for h, n := range counts {
+		perShard[h], slab = slab[:0:n], slab[n:]
+	}
+	for _, r := range reqs {
+		homes := v.homesForItem(r.Item)
+		for _, h := range homes.List() {
 			perShard[h] = append(perShard[h], r)
 		}
 	}
@@ -400,11 +419,11 @@ func (s *DomainSet) BulkPut(reqs []PutRequest, conns int, ordered bool) error {
 		for start := 0; start < len(reqs); {
 			homes := v.homesForItem(reqs[start].Item)
 			end := start + 1
-			for end < len(reqs) && end-start < MaxBatchItems && slices.Equal(v.homesForItem(reqs[end].Item), homes) {
+			for end < len(reqs) && end-start < MaxBatchItems && v.homesForItem(reqs[end].Item) == homes {
 				end++
 			}
 			batch := reqs[start:end]
-			for _, h := range homes {
+			for _, h := range homes.List() {
 				dom := v.shards[h]
 				tasks = append(tasks, func() error { return dom.BatchPutAttributes(batch) })
 			}

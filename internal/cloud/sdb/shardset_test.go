@@ -143,14 +143,7 @@ func TestHeldResultsStayOwned(t *testing.T) {
 			if err != nil || len(items) == 0 {
 				t.Fatalf("k=%d, query %d: %d items, err=%v", k, i, len(items), err)
 			}
-			held[i] = items
-			for _, it := range items { // a deep copy, bytes and all
-				c := Item{Name: strings.Clone(it.Name)}
-				for _, a := range it.Attrs {
-					c.Attrs = append(c.Attrs, Attr{strings.Clone(a.Name), strings.Clone(a.Value)})
-				}
-				want[i] = append(want[i], c)
-			}
+			held[i], want[i] = items, deepCopy(items)
 		}
 		for round := 1; round <= 6; round++ {
 			for _, q := range queries {

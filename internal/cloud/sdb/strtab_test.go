@@ -3,6 +3,7 @@ package sdb
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -53,14 +54,14 @@ func checkCachedTables(t *testing.T, d *Domain, step int) {
 	}
 	rebuilt := make(map[string]map[string]map[string]bool) // attr → value → names
 	live := 0
-	for i := range d.recs {
-		r := &d.recs[i]
+	for i := range d.recs.n {
+		r := d.recs.at(uint32(i))
 		for j := range r.hist[:r.n] {
 			live += int(r.hist[j].n)
 		}
 	}
-	if live+d.dead != len(d.pairs) {
-		t.Fatalf("step %d: slab of %d pairs holds %d live and counts %d dead", step, len(d.pairs), live, d.dead)
+	if live+d.dead != d.pairs.n {
+		t.Fatalf("step %d: slab of %d pairs holds %d live and counts %d dead", step, d.pairs.n, live, d.dead)
 	}
 	for i := range d.items.refs {
 		id := uint32(i)
@@ -71,7 +72,7 @@ func checkCachedTables(t *testing.T, d *Domain, step int) {
 		if got, ok, _ := d.items.lookup(name); !ok || got != id {
 			t.Fatalf("step %d: id %d names %q, the item table says %d (%v)", step, id, name, got, ok)
 		}
-		r := &d.recs[id]
+		r := d.recs.at(id)
 		for i := range r.hist[:r.n] {
 			for _, a := range d.appendAttrs(nil, &r.hist[i]) {
 				if rebuilt[a.Name] == nil {
@@ -200,7 +201,7 @@ func TestCachedTablesSurviveWrites(t *testing.T) {
 		t.Fatalf("after reaping every item: %d items, err=%v", len(got), err)
 	}
 	checkCachedTables(t, d, -1)
-	slots := len(d.recs)
+	slots := d.recs.n
 	if d.items.n != 0 || len(d.items.free) != slots {
 		t.Fatalf("after reaping every item: %d held, %d of %d ids free", d.items.n, len(d.items.free), slots)
 	}
@@ -216,8 +217,8 @@ func TestCachedTablesSurviveWrites(t *testing.T) {
 		t.Fatalf("re-put items by index: %d, err=%v; want %d", len(got), err, len(reput))
 	}
 	checkCachedTables(t, d, -2)
-	if len(d.recs) != slots || len(d.items.free) != slots-len(reput) {
-		t.Fatalf("re-put grew the record table to %d (was %d), %d ids free", len(d.recs), slots, len(d.items.free))
+	if d.recs.n != slots || len(d.items.free) != slots-len(reput) {
+		t.Fatalf("re-put grew the record table to %d (was %d), %d ids free", d.recs.n, slots, len(d.items.free))
 	}
 }
 
@@ -503,14 +504,10 @@ func hasPointers(typ reflect.Type) bool {
 	return true
 }
 
-// TestStoreTablesHoldNoPointers: after a 20k-item populate shaped like the
-// provenance store (a type two values cover, a name per item, an input most
-// items share with one other), every table indexed by item or value id has a
-// pointer-free element type, and the only postings that own a slice are
-// those of values two or more items carry.
-func TestStoreTablesHoldNoPointers(t *testing.T) {
-	d := strictDomain(t)
-	const n = 20_000
+// populateStore writes n items shaped like the provenance store: a type two
+// values cover, a name per item, an input most items share with one other.
+func populateStore(t *testing.T, d *Domain, n int) {
+	t.Helper()
 	for lo := 0; lo < n; lo += MaxBatchItems {
 		batch := make([]PutRequest, 0, MaxBatchItems)
 		for i := lo; i < lo+MaxBatchItems; i++ {
@@ -524,20 +521,46 @@ func TestStoreTablesHoldNoPointers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestStoreTablesHoldNoPointers: after a 20k-item populate, every table
+// indexed by item or value id has a pointer-free element type — each page of
+// the paged records and pair slab too — and the only postings that own a
+// slice are those of values two or more items carry: a postings page's one
+// pointer is that slice.
+func TestStoreTablesHoldNoPointers(t *testing.T) {
+	d := strictDomain(t)
+	const n = 20_000
+	populateStore(t, d, n)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	tables := map[string]any{
-		"records":     d.recs,
-		"pairs":       d.pairs,
 		"item refs":   d.items.refs,
 		"item slots":  d.items.slots,
 		"item view":   d.items.sorted(),
 		"item chunks": d.items.chunks[0],
 	}
+	for k := range d.recs.pages {
+		tables[fmt.Sprint("records page ", k)] = d.recs.pages[k]
+	}
+	for k := range d.pairs.pages {
+		tables[fmt.Sprint("pairs page ", k)] = d.pairs.pages[k]
+	}
+	if len(d.recs.pages) < 3 || len(d.pairs.pages) < 3 {
+		t.Fatalf("%d record and %d pair pages, want three or more of each", len(d.recs.pages), len(d.pairs.pages))
+	}
 	for _, ix := range d.attrs {
 		tables[ix.name+" refs"] = ix.vals.refs
 		tables[ix.name+" slots"] = ix.vals.slots
 		tables[ix.name+" view"] = ix.vals.sorted()
+		for k, page := range ix.ents.pages {
+			typ := reflect.TypeOf(page).Elem()
+			for i := range typ.NumField() {
+				if f := typ.Field(i); f.Name != "ids" && hasPointers(f.Type) {
+					t.Errorf("%s postings page %d: field %s holds pointers", ix.name, k, f.Name)
+				}
+			}
+		}
 	}
 	for name, tab := range tables {
 		v := reflect.ValueOf(tab)
@@ -548,13 +571,13 @@ func TestStoreTablesHoldNoPointers(t *testing.T) {
 			t.Errorf("%s: element type %v holds pointers", name, typ)
 		}
 	}
-	if d.items.n != n || len(d.recs) != n {
-		t.Fatalf("%d names and %d records, want %d", d.items.n, len(d.recs), n)
+	if d.items.n != n || d.recs.n != n {
+		t.Fatalf("%d names and %d records, want %d", d.items.n, d.recs.n, n)
 	}
 	shared, single := 0, 0
 	for _, ix := range d.attrs {
-		for vid := range ix.ents {
-			p := &ix.ents[vid]
+		for vid := range ix.ents.n {
+			p := ix.ents.at(uint32(vid))
 			switch {
 			case p.distinct >= 2 && p.ids != nil:
 				shared++
@@ -568,5 +591,73 @@ func TestStoreTablesHoldNoPointers(t *testing.T) {
 	// type: 2 shared; input: n/2 shared pairs; name: n singletons.
 	if shared != 2+n/2 || single != n {
 		t.Fatalf("%d shared and %d single-item values, want %d and %d", shared, single, 2+n/2, n)
+	}
+}
+
+// pagedBytes is the memory a paged table's pages hold (a run's pages share
+// one array, a page of it each).
+func pagedBytes[T any](s *paged[T]) int64 {
+	n := 0
+	for _, p := range s.pages {
+		n += min(cap(p), pageLen)
+	}
+	return int64(n) * int64(unsafe.Sizeof(*new(T)))
+}
+
+// tableGrowthBytes is what the memory profile records as allocated to grow
+// the domain's tables: allocations whose innermost sdb frame appends a
+// version's pairs or a new item's record (applyLocked), a new value's
+// postings (attrIndex.intern) or grows a paged table.
+func tableGrowthBytes() int64 {
+	runtime.GC()
+	runtime.GC() // the profile is published as of the last completed cycle
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	var b int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if fn, ok := strings.CutPrefix(f.Function, "passcloud/internal/cloud/sdb."); ok {
+				if fn == "(*Domain).applyLocked" || fn == "(*attrIndex).intern" || strings.HasPrefix(fn, "(*paged[") {
+					b += r.AllocBytes
+				}
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return b
+}
+
+// TestTableGrowthAllocatesOnce: populating 20k items allocates at most 1.3×
+// what the records, the pair slab and the postings hold at the end: only
+// page 0 grows by copying. Tables that grew by append, about 1.25× a step,
+// allocated about four times their final size.
+func TestTableGrowthAllocatesOnce(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	d := strictDomain(t)
+	before := tableGrowthBytes()
+	populateStore(t, d, 20_000)
+	grew := tableGrowthBytes() - before
+	d.mu.Lock()
+	kept := pagedBytes(&d.recs) + pagedBytes(&d.pairs)
+	for _, ix := range d.attrs {
+		kept += pagedBytes(&ix.ents)
+	}
+	d.mu.Unlock()
+	t.Logf("growing the tables allocated %d bytes; they hold %d (%.2f×)", grew, kept, float64(grew)/float64(kept))
+	if grew > kept*13/10 {
+		t.Fatalf("growing the tables allocated %d bytes, over 1.3× the %d they hold", grew, kept)
 	}
 }

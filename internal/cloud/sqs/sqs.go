@@ -159,13 +159,7 @@ func (q *Queue) SendMessageIdem(body []byte, token string) (string, error) {
 	if len(body) > MaxMessageSize {
 		return "", fmt.Errorf("%w (%d bytes)", ErrMessageTooLarge, len(body))
 	}
-	var id string
-	err := q.ep.Do(func() error {
-		var err error
-		id, err = q.sendOnce(body, token)
-		return err
-	})
-	return id, err
+	return sim.Call(q.ep, func() (string, error) { return q.sendOnce(body, token) })
 }
 
 // sendOnce is one service attempt of a send. An ambiguous fault (applied)
@@ -257,13 +251,7 @@ func (q *Queue) SendMessageBatchIdem(bodies [][]byte, token string) ([]string, e
 	if len(bodies) == 0 {
 		return nil, nil
 	}
-	var ids []string
-	err := q.ep.Do(func() error {
-		var err error
-		ids, err = q.sendBatchOnce(bodies, token, payload)
-		return err
-	})
-	return ids, err
+	return sim.Call(q.ep, func() ([]string, error) { return q.sendBatchOnce(bodies, token, payload) })
 }
 
 // sendBatchOnce is one service attempt of a batch send (see sendOnce).
@@ -319,13 +307,7 @@ func (q *Queue) SendMessageBatchEntries(ctx context.Context, entries []BatchEntr
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	var ids []string
-	err := q.ep.For(ctx).Do(func() error {
-		var err error
-		ids, err = q.sendBatchEntriesOnce(entries, payload)
-		return err
-	})
-	return ids, err
+	return sim.Call(q.ep.For(ctx), func() ([]string, error) { return q.sendBatchEntriesOnce(entries, payload) })
 }
 
 // sendBatchEntriesOnce is one service attempt of a per-entry-token batch
@@ -360,9 +342,7 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 	if max <= 0 {
 		max = 1
 	}
-	if max > 10 {
-		max = 10
-	}
+	max = min(max, 10)
 	if ferr, _ := q.ep.Fault(sim.OpSQSReceive); ferr != nil {
 		// A throttled poll surfaces as an empty page: ReceiveMessage's
 		// contract is already "nothing visible, poll again", which is

@@ -183,13 +183,7 @@ func (s *Store) observe(key string, now time.Duration) *version {
 
 // Get retrieves the object stored under key.
 func (s *Store) Get(key string) (Object, error) {
-	var o Object
-	err := s.ep.Do(func() error {
-		var err error
-		o, err = s.getOnce(key)
-		return err
-	})
-	return o, err
+	return sim.Call(s.ep, func() (Object, error) { return s.getOnce(key) })
 }
 
 func (s *Store) getOnce(key string) (Object, error) {
@@ -217,13 +211,7 @@ func (s *Store) getOnce(key string) (Object, error) {
 
 // Head retrieves only the metadata (and existence) of key.
 func (s *Store) Head(key string) (Metadata, error) {
-	var m Metadata
-	err := s.ep.Do(func() error {
-		var err error
-		m, err = s.headOnce(key)
-		return err
-	})
-	return m, err
+	return sim.Call(s.ep, func() (Metadata, error) { return s.headOnce(key) })
 }
 
 func (s *Store) headOnce(key string) (Metadata, error) {
@@ -311,13 +299,7 @@ const maxListKeys = 1000
 // List returns keys beginning with prefix, lexicographically after marker,
 // up to max per page (capped at 1000 as on S3).
 func (s *Store) List(prefix, marker string, max int) (ListPage, error) {
-	var page ListPage
-	err := s.ep.Do(func() error {
-		var err error
-		page, err = s.listOnce(prefix, marker, max)
-		return err
-	})
-	return page, err
+	return sim.Call(s.ep, func() (ListPage, error) { return s.listOnce(prefix, marker, max) })
 }
 
 func (s *Store) listOnce(prefix, marker string, max int) (ListPage, error) {

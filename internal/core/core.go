@@ -288,9 +288,7 @@ func (o Options) withDefaults(provConns int) Options {
 	if o.CommitWorkers <= 0 {
 		o.CommitWorkers = 1
 	}
-	if o.CommitWorkers > maxCommitWorkers {
-		o.CommitWorkers = maxCommitWorkers
-	}
+	o.CommitWorkers = min(o.CommitWorkers, maxCommitWorkers)
 	return o
 }
 

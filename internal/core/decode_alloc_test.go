@@ -70,7 +70,7 @@ func TestDecodeAllocationsFlat(t *testing.T) {
 	if counts[2] != counts[10] || counts[10] != counts[20] {
 		t.Fatalf("allocations (BundlesFromItems, ReadProvenanceView) by versions: %v, want one count for any size", counts)
 	}
-	if c := counts[10]; c[0] != 2 || c[1] > 16 {
-		t.Errorf("a 10-version result: BundlesFromItems %v allocations (want 2), ReadProvenanceView %v (want <= 16)", c[0], c[1])
+	if c := counts[10]; c[0] != 2 || c[1] > 13 {
+		t.Errorf("a 10-version result: BundlesFromItems %v allocations (want 2), ReadProvenanceView %v (want <= 13)", c[0], c[1])
 	}
 }

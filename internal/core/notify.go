@@ -40,9 +40,6 @@ type NoticeItem struct {
 	// Attrs are the attributes written (spilled values appear as markers,
 	// exactly as stored).
 	Attrs []sdb.Attr
-	// Homes lists the shard(s) the item routed to — both epochs' homes
-	// during a migration's double-write window.
-	Homes []int
 }
 
 // CommitBus fans committed-transaction notices out to subscribers,
@@ -114,10 +111,7 @@ type TxnCommit struct {
 }
 
 // publishCommit builds and publishes a notice for one committed group,
-// keeping each item attributed to the transaction that wrote it. The homes
-// are computed against the deployment's current directory state, so a
-// notice raised inside a migration window names both epochs' homes and
-// subscribers invalidate correctly mid-reshard.
+// keeping each item attributed to the transaction that wrote it.
 func (d *Deployment) publishCommit(groups []TxnCommit) {
 	if d.Commits == nil {
 		return
@@ -141,7 +135,6 @@ func (d *Deployment) publishCommit(groups []TxnCommit) {
 				Txn:   g.Txn,
 				Name:  r.Item,
 				Attrs: r.Attrs,
-				Homes: d.DB.HomesForItem(r.Item),
 			})
 		}
 	}

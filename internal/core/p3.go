@@ -282,11 +282,7 @@ func (p *P3) commitTxn(txn uuid.UUID, obj FileObject, bundles []prov.Bundle) err
 func (p *P3) sendWAL(wal *sqs.Queue, id string, msgs [][]byte) error {
 	var tasks []func() error
 	for start := 0; start < len(msgs); start += sqs.MaxBatchEntries {
-		end := start + sqs.MaxBatchEntries
-		if end > len(msgs) {
-			end = len(msgs)
-		}
-		start, batch := start, msgs[start:end]
+		batch := msgs[start:min(start+sqs.MaxBatchEntries, len(msgs))]
 		tasks = append(tasks, func() error {
 			_, err := wal.SendMessageBatchIdem(batch, walToken(id, start))
 			return err
@@ -357,9 +353,7 @@ const assemblyBudget = 24
 // number of machines.
 func (p *P3) walSubscription(w, n int) []int {
 	k := p.dep.WAL.Shards()
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	if n >= k {
 		return []int{w % k}
 	}
@@ -622,12 +616,7 @@ func (p *P3) endInflight(st *txnState, committed bool) []string {
 // failure cannot leave later receipts silently unacknowledged.
 func (p *P3) deleteReceipts(wal *sqs.Queue, receipts []string) error {
 	var tasks []func() error
-	for start := 0; start < len(receipts); start += sqs.MaxBatchEntries {
-		end := start + sqs.MaxBatchEntries
-		if end > len(receipts) {
-			end = len(receipts)
-		}
-		batch := receipts[start:end]
+	for batch := range slices.Chunk(receipts, sqs.MaxBatchEntries) {
 		tasks = append(tasks, func() error { return wal.DeleteMessageBatch(batch) })
 	}
 	return errors.Join(par.RunAll(p.opts.ProvConns, tasks)...)
@@ -721,7 +710,11 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 	// transaction's items land in their home domains in full batches). Puts
 	// replace whole items, so a redelivered transaction rewrites the same
 	// rows — a database failure here fails the group and redelivery retries.
-	all := make([]sdb.PutRequest, 0, len(work))
+	n := 0
+	for _, w := range work {
+		n += len(w.reqs)
+	}
+	all := make([]sdb.PutRequest, 0, n)
 	groups := make([]TxnCommit, 0, len(work))
 	for _, w := range work {
 		all = append(all, w.reqs...)

@@ -40,7 +40,7 @@ func (p *P3) RunDaemon(stop <-chan struct{}, poll time.Duration) {
 		p:       p,
 		poll:    poll,
 		slots:   make(chan struct{}, p.opts.ProvConns),
-		forming: make(map[homes]*homeQueue),
+		forming: make(map[sim.Homes]*homeQueue),
 		acks:    make(map[int]*ackBuffer),
 	}
 	clock := p.dep.Env.Clock()
@@ -94,20 +94,8 @@ type pipeline struct {
 	work  sync.WaitGroup // groups and acknowledgement calls in flight
 
 	mu      sync.Mutex
-	forming map[homes]*homeQueue // ready transactions not yet in a group, by home domains
-	acks    map[int]*ackBuffer   // committed receipts awaiting a full batch, by WAL shard
-}
-
-// homes is the set of domains an item is written to: its home, and while a
-// reshard double-writes it, its target-epoch home (else -1). Items with the
-// same homes fill the same batches, on every domain they go to.
-type homes [2]int
-
-// homesOf returns the homes of the item keyed key.
-func homesOf(dir *sim.Directory, key string) homes {
-	h := homes{-1, -1}
-	copy(h[:], dir.Homes(key))
-	return h
+	forming map[sim.Homes]*homeQueue // ready transactions not yet in a group, by home domains
+	acks    map[int]*ackBuffer       // committed receipts awaiting a full batch, by WAL shard
 }
 
 // homeQueue is one set of home domains' queue in the group former: the ready
@@ -142,10 +130,10 @@ func (pl *pipeline) form(ready []*txnState) {
 	var groups [][]*txnState
 	pl.mu.Lock()
 	for _, st := range ready {
-		var home homes
+		var home sim.Homes // items with the same homes fill the same batches, on every domain they go to
 		items := 0
 		for i, b := range st.bundles {
-			switch h := homesOf(dir, b.Ref.UUID.String()); {
+			switch h := dir.Homes(b.Ref.UUID.String()); {
 			case i == 0:
 				home, items = h, 1
 			case h == home:

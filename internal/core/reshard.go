@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"passcloud/internal/cloud/sdb"
@@ -497,9 +498,7 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology, stats
 					stale = append(stale, it.Name)
 				}
 			}
-			for len(stale) > 0 {
-				batch := stale[:min(len(stale), sdb.MaxBatchItems)]
-				stale = stale[len(batch):]
+			for batch := range slices.Chunk(stale, sdb.MaxBatchItems) {
 				err := flush.Go(func() error {
 					if err := dom.BatchDeleteAttributes(batch); err != nil {
 						return err

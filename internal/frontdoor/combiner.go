@@ -2,6 +2,7 @@ package frontdoor
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -77,12 +78,8 @@ func (c *combiner) send(ctx context.Context, pt *core.PreparedTxn) error {
 // failure. Each call is retried at its endpoint; per-entry dedup keeps a
 // retry after an ambiguous fault exactly-once.
 func shipEntries(ctx context.Context, q *sqs.Queue, entries []sqs.BatchEntry) error {
-	for start := 0; start < len(entries); start += sqs.MaxBatchEntries {
-		end := start + sqs.MaxBatchEntries
-		if end > len(entries) {
-			end = len(entries)
-		}
-		if _, err := q.SendMessageBatchEntries(ctx, entries[start:end]); err != nil {
+	for batch := range slices.Chunk(entries, sqs.MaxBatchEntries) {
+		if _, err := q.SendMessageBatchEntries(ctx, batch); err != nil {
 			return err
 		}
 	}

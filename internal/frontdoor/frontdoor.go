@@ -225,9 +225,7 @@ func (t *Tenant) admit() error {
 	t.mu.Lock()
 	now := t.door.env.Now()
 	tat := t.tat
-	if tat < now {
-		tat = now
-	}
+	tat = max(tat, now)
 	wait := tat - tolerance - now
 	if wait <= 0 {
 		t.tat = tat + interval
@@ -237,9 +235,7 @@ func (t *Tenant) admit() error {
 	}
 	depth := int(wait / interval)
 	limit := int(float64(q.MaxQueue) * q.Priority.queueShare())
-	if limit < 1 {
-		limit = 1
-	}
+	limit = max(limit, 1)
 	if depth >= limit {
 		// Shed without advancing tat: backpressure costs the tenant nothing.
 		t.mu.Unlock()

@@ -115,10 +115,13 @@ func DecodeBundles(frags ...[]byte) ([]Bundle, error) {
 	}
 	var out []Bundle
 	prev := &Bundle{}
-	for d.left > 0 {
+	for total := d.left; d.left > 0; {
 		b := d.bundle(prev)
 		if err != nil {
 			return nil, err
+		}
+		if out == nil { // sized by the first bundle: a payload's bundles are alike
+			out = make([]Bundle, 0, 1+d.left/(total-d.left))
 		}
 		out = append(out, b)
 		prev = &out[len(out)-1]

@@ -396,7 +396,7 @@ func TestInBatchAllocationsFlat(t *testing.T) {
 	if allocs[0] != allocs[1] {
 		t.Fatalf("an IN batch allocates %v times at 2 matches, %v at 20", allocs[0], allocs[1])
 	}
-	if ceiling := 57.0; allocs[0] > ceiling {
+	if ceiling := 28.0; allocs[0] > ceiling {
 		t.Errorf("an IN batch allocates %v times, want <= %v", allocs[0], ceiling)
 	}
 }

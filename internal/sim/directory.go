@@ -82,9 +82,7 @@ func Hash32(key string) uint32 {
 // evenEpoch builds epoch id with k equal-width ranges, range i owned by
 // shard i — the layout a statically sharded deployment starts from.
 func evenEpoch(id, k int) DirEpoch {
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 1)
 	e := DirEpoch{ID: id, Shards: k, Ranges: make([]DirRange, k)}
 	for i := 0; i < k; i++ {
 		e.Ranges[i] = DirRange{Start: uint32(uint64(i) * hashSpace / uint64(k)), Shard: i}
@@ -338,26 +336,37 @@ func RouteNewestFor(active DirEpoch, target *DirEpoch, key string) int {
 	return active.Route(key)
 }
 
+// Homes is every shard that may hold a key: its active home, then its
+// target home while a migration moves the key, else -1. It is a value, so
+// routing a key allocates nothing.
+type Homes [2]int
+
+// List returns the one or two homes, a slice of h itself.
+func (h *Homes) List() []int {
+	if h[1] < 0 {
+		return h[:1]
+	}
+	return h[:]
+}
+
 // HomesFor returns every shard that may hold key under an epoch pair: the
 // active home, plus the target home when target is non-nil and differs.
-// The active home comes first. This is the one definition of the
-// double-write (and union-read) set; directories and the shard sets' views
-// all route through it.
-func HomesFor(active DirEpoch, target *DirEpoch, key string) []int {
+// This is the one definition of the double-write (and union-read) set;
+// directories and the shard sets' views all route through it.
+func HomesFor(active DirEpoch, target *DirEpoch, key string) Homes {
 	h := Hash32(key)
-	a := active.RouteHash(h)
-	if target == nil {
-		return []int{a}
+	hs := Homes{active.RouteHash(h), -1}
+	if target != nil {
+		if t := target.RouteHash(h); t != hs[0] {
+			hs[1] = t
+		}
 	}
-	if t := target.RouteHash(h); t != a {
-		return []int{a, t}
-	}
-	return []int{a}
+	return hs
 }
 
 // Homes returns every shard that may hold key right now (HomesFor over the
 // directory's current epoch pair).
-func (d *Directory) Homes(key string) []int {
+func (d *Directory) Homes(key string) Homes {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return HomesFor(d.active, d.target, key)

@@ -112,7 +112,8 @@ func TestDirectoryHomesCoverBothEpochs(t *testing.T) {
 	active := d.Active()
 	for k := 0; k < 2000; k++ {
 		key := fmt.Sprintf("%08x-aaaa-4bbb-8ccc-%012x", k, k*31)
-		homes := d.Homes(key)
+		hs := d.Homes(key)
+		homes := hs.List()
 		a, tg := active.Route(key), target.Route(key)
 		if homes[0] != a {
 			t.Fatalf("key %s: homes %v do not lead with active route %d", key, homes, a)
@@ -147,8 +148,8 @@ func TestDirectoryHomesCoverBothEpochs(t *testing.T) {
 	// Homes collapses to the single active route again.
 	for k := 0; k < 100; k++ {
 		key := fmt.Sprintf("key-%d", k)
-		if homes := d.Homes(key); len(homes) != 1 || homes[0] != d.Route(key) {
-			t.Fatalf("stable Homes(%s) = %v", key, homes)
+		if hs := d.Homes(key); len(hs.List()) != 1 || hs[0] != d.Route(key) {
+			t.Fatalf("stable Homes(%s) = %v", key, hs)
 		}
 	}
 }
@@ -241,7 +242,8 @@ func FuzzDirectoryRoute(f *testing.F) {
 
 		// (c) the double-write window covers the key in both epochs.
 		if !done {
-			homes := d.Homes(uuid)
+			hs := d.Homes(uuid)
+			homes := hs.List()
 			hasA, hasB := false, false
 			for _, h := range homes {
 				hasA = hasA || h == a

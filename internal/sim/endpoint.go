@@ -73,6 +73,18 @@ func (ep Endpoint) Do(attempt func() error) error {
 	return err
 }
 
+// Call is Do for an attempt that returns a value: the value of the attempt
+// Do ends on.
+func Call[T any](ep Endpoint, attempt func() (T, error)) (T, error) {
+	var v T
+	err := ep.Do(func() error {
+		var err error
+		v, err = attempt()
+		return err
+	})
+	return v, err
+}
+
 // Fault consults the fault injector for one attempt of op. A nil error lets
 // the attempt proceed. With applied the service performs the operation and
 // the caller still returns the error (only mutating ops draw this outcome);

@@ -412,9 +412,7 @@ func (e *Env) reserveNet(nbytes int) {
 	e.netmu.Lock()
 	now := e.clock.Now()
 	start := e.hostNet
-	if start < now {
-		start = now
-	}
+	start = max(start, now)
 	e.hostNet = start + occupancy
 	e.netmu.Unlock()
 	e.clock.SleepUntil(start)
@@ -460,9 +458,7 @@ func (g *gate) reserve(c *Clock) {
 	g.mu.Lock()
 	now := c.Now()
 	at := g.next
-	if at < now {
-		at = now
-	}
+	at = max(at, now)
 	g.next = at + g.interval
 	g.mu.Unlock()
 	c.SleepUntil(at)
