@@ -204,9 +204,7 @@ func (c *Controller) sample() sample {
 	maxBacklog := 0
 	for name, n := range backlog {
 		gauges[name] = int64(n)
-		if n > maxBacklog {
-			maxBacklog = n
-		}
+		maxBacklog = max(maxBacklog, n)
 	}
 	env.Meter().ReplaceGauges("wal.backlog.", gauges)
 

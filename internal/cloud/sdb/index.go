@@ -19,87 +19,32 @@ import "slices"
 // once per attribute, in chunks the collector does not trace, and a
 // version's attributes are (attribute id, value id) pairs pointing into it,
 // so an environment string every item carries is held once per domain and
-// every read returns that one copy. A postings list holds item ids (the
-// dense ids of the domain's item table), not names: an ascending []uint32
-// with one entry per reference — a multi-valued attribute and two retained
-// versions may each reference the same pair — and a distinct count, which
-// is what the planner estimates an AND branch by. A value only one item
-// carries, as most are, keeps that item inline and owns no slice.
+// every read returns that one copy. A postings entry holds item ids (the
+// dense ids of the domain's item table), not names, and a distinct count,
+// which is what the planner estimates an AND branch by. A value only one
+// item carries, as most are, keeps that item inline; the items of a value
+// several carry are an ascending []uint32 in the attribute's lists, with one
+// entry per reference — a multi-valued attribute and two retained versions
+// may each reference the same pair. No postings page holds a pointer.
 
 // postings is the set of items carrying one (attribute, value) pair in any
-// retained version. While one item carries the pair, ids is nil and the
-// item and its references are inline.
+// retained version.
 type postings struct {
-	ids      []uint32 // two or more items: item ids, ascending, one entry per reference
-	one      uint32   // one item: its id
-	refs     uint32   // one item: its references
-	distinct uint32   // distinct items
-}
-
-// add records one reference from item id.
-func (p *postings) add(id uint32) {
-	if p.ids == nil {
-		if p.distinct == 0 || p.one == id {
-			p.one, p.distinct = id, 1
-			p.refs++
-			return
-		}
-		// A second item: the inline references move into a slice.
-		p.ids = make([]uint32, p.refs, p.refs+1)
-		for i := range p.ids {
-			p.ids[i] = p.one
-		}
-		p.one, p.refs = 0, 0
-	}
-	n := len(p.ids)
-	if p.ids[n-1] < id {
-		// A new item's id is the largest yet unless it reuses a reaped one,
-		// so a put almost always appends.
-		p.ids = append(p.ids, id)
-		p.distinct++
-		return
-	}
-	i, found := slices.BinarySearch(p.ids, id)
-	if !found {
-		p.distinct++
-	}
-	p.ids = slices.Insert(p.ids, i, id)
-}
-
-// remove drops one reference from item id; it reports true when the
-// postings became empty.
-func (p *postings) remove(id uint32) bool {
-	if p.ids == nil {
-		if p.distinct == 1 && p.one == id {
-			if p.refs--; p.refs == 0 {
-				p.distinct = 0
-			}
-		}
-		return p.distinct == 0
-	}
-	i, found := slices.BinarySearch(p.ids, id)
-	if !found {
-		return false
-	}
-	p.ids = slices.Delete(p.ids, i, i+1)
-	if i == len(p.ids) || p.ids[i] != id {
-		p.distinct--
-	}
-	if p.distinct == 1 {
-		// One item left: back inline, and the slice goes.
-		p.one, p.refs, p.ids = p.ids[0], uint32(len(p.ids)), nil
-	}
-	return false
+	one      uint32 // one item: its id; several: the index of their list in attrIndex.lists
+	refs     uint32 // one item: its references
+	distinct uint32 // distinct items
 }
 
 // attrIndex is the secondary index of one attribute: its values, their
 // postings by value id, and (in vals) the sorted value view that serves
 // range and prefix access paths.
 type attrIndex struct {
-	name string
-	id   uint32 // position in Domain.attrs
-	vals strtab
-	ents paged[postings] // by value id
+	name  string
+	id    uint32 // position in Domain.attrs
+	vals  strtab
+	ents  paged[postings] // by value id
+	lists [][]uint32      // the shared values' item ids, ascending; nil while free
+	free  []uint32        // free lists' indexes
 }
 
 // intern returns the value id of value, registering it on first sight.
@@ -111,11 +56,81 @@ func (ix *attrIndex) intern(value string) uint32 {
 	return vid
 }
 
+// ids returns the item ids of p, ascending and one per reference, or nil
+// when at most one item carries its value.
+func (ix *attrIndex) ids(p *postings) []uint32 {
+	if p.distinct < 2 {
+		return nil
+	}
+	return ix.lists[p.one]
+}
+
+// add records one reference from item id to value vid.
+func (ix *attrIndex) add(vid, id uint32) {
+	p := ix.ents.at(vid)
+	if p.distinct < 2 {
+		if p.distinct == 0 || p.one == id {
+			p.one, p.distinct = id, 1
+			p.refs++
+			return
+		}
+		// A second item: the inline references move into a list.
+		ids := make([]uint32, p.refs, p.refs+1)
+		for i := range ids {
+			ids[i] = p.one
+		}
+		if n := len(ix.free); n > 0 {
+			p.one, ix.free = ix.free[n-1], ix.free[:n-1]
+			ix.lists[p.one] = ids
+		} else {
+			p.one, ix.lists = uint32(len(ix.lists)), append(ix.lists, ids)
+		}
+		p.refs = 0
+	}
+	ids := ix.lists[p.one]
+	if n := len(ids); ids[n-1] < id {
+		// A new item's id is the largest yet unless it reuses a reaped one,
+		// so a put almost always appends.
+		ix.lists[p.one] = append(ids, id)
+		p.distinct++
+		return
+	}
+	i, found := slices.BinarySearch(ids, id)
+	if !found {
+		p.distinct++
+	}
+	ix.lists[p.one] = slices.Insert(ids, i, id)
+}
+
 // remove drops one reference from item id to value vid; a value no version
 // references any more leaves the index and frees its id.
 func (ix *attrIndex) remove(vid, id uint32) {
-	if ix.ents.at(vid).remove(id) {
-		ix.vals.remove(vid)
+	p := ix.ents.at(vid)
+	if p.distinct < 2 {
+		if p.distinct == 1 && p.one == id {
+			if p.refs--; p.refs == 0 {
+				p.distinct = 0
+			}
+		}
+		if p.distinct == 0 {
+			ix.vals.remove(vid)
+		}
+		return
+	}
+	ids := ix.lists[p.one]
+	i, found := slices.BinarySearch(ids, id)
+	if !found {
+		return
+	}
+	ids = slices.Delete(ids, i, i+1)
+	ix.lists[p.one] = ids
+	if i == len(ids) || ids[i] != id {
+		p.distinct--
+	}
+	if p.distinct == 1 {
+		// One item left: back inline, and the list goes.
+		ix.lists[p.one], ix.free = nil, append(ix.free, p.one)
+		p.one, p.refs = ids[0], uint32(len(ids))
 	}
 }
 
@@ -136,19 +151,4 @@ func (d *Domain) attrLocked(name string) *attrIndex {
 		d.attrs = append(d.attrs, ix)
 	}
 	return ix
-}
-
-// indexAddLocked registers one retained version's pairs under item id.
-func (d *Domain) indexAddLocked(id uint32, pairs []pair) {
-	for _, p := range pairs {
-		d.attrs[p.attr].ents.at(p.val).add(id)
-	}
-}
-
-// indexRemoveLocked unregisters a version that fell out of the retained
-// history.
-func (d *Domain) indexRemoveLocked(id uint32, pairs []pair) {
-	for _, p := range pairs {
-		d.attrs[p.attr].remove(p.val, id)
-	}
 }

@@ -81,8 +81,7 @@ func TestPagedSlabKeepsSpansAndOrder(t *testing.T) {
 		d.mu.Lock()
 		maxPages = max(maxPages, len(d.pairs.pages))
 		for id := range d.recs.n {
-			r := d.recs.at(uint32(id))
-			for _, v := range r.hist[:r.n] {
+			for _, v := range retained(d, uint32(id)) {
 				first, last := v.off>>pageShift, (v.off+max(v.n, 1)-1)>>pageShift
 				if v.n <= pageLen && first != last || v.n > pageLen && v.off&(pageLen-1) != 0 {
 					t.Fatalf("round %d: a %d-pair span at %d crosses a page", round, v.n, v.off)

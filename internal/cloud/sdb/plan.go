@@ -115,14 +115,15 @@ func (d *Domain) postingsSizeLocked(attr, value string) int {
 	return 0
 }
 
-// collectPostingsLocked appends the name of every item in p to names, once
-// each.
-func (d *Domain) collectPostingsLocked(p *postings, names []string) []string {
-	if p.ids == nil {
+// collectPostingsLocked appends the name of every item in p, a postings
+// entry of ix, to names, once each.
+func (d *Domain) collectPostingsLocked(ix *attrIndex, p *postings, names []string) []string {
+	ids := ix.ids(p)
+	if ids == nil {
 		return append(names, d.items.str(p.one))
 	}
-	for i, id := range p.ids {
-		if i == 0 || p.ids[i-1] != id {
+	for i, id := range ids {
+		if i == 0 || ids[i-1] != id {
 			names = append(names, d.items.str(id))
 		}
 	}
@@ -162,7 +163,7 @@ func (d *Domain) collectEqLocked(attr, value string, names []string) []string {
 	}
 	if ix := d.idx[attr]; ix != nil {
 		if p := ix.lookup(value); p != nil {
-			names = d.collectPostingsLocked(p, names)
+			names = d.collectPostingsLocked(ix, p, names)
 		}
 	}
 	return names
@@ -186,7 +187,7 @@ func (d *Domain) collectSpanLocked(attr, op, bound string, names []string) []str
 		if attr == ItemNameKey {
 			names = append(names, tab.str(id))
 		} else {
-			names = d.collectPostingsLocked(ix.ents.at(id), names)
+			names = d.collectPostingsLocked(ix, ix.ents.at(id), names)
 		}
 	}
 	return names

@@ -22,10 +22,12 @@
 // with the items is indexed by those ids in paged tables (paged.go) that
 // grow by whole pages and never copy what they hold: the item records, the
 // slab of (attribute, value) id pairs their versions point into, one page
-// per version, and each attribute's postings. Only the postings of values
-// two or more items share hold pointers. A SELECT lays its page out in
-// scratch the domain reuses and copies it out as two slabs the caller owns,
-// whose strings view the stored bytes, so nothing aliases domain state.
+// per version, and each attribute's postings. None of them holds a pointer:
+// what only a few items have — an older version an overwrite keeps for a
+// while, the item list of a value several items share — lives out of line.
+// A SELECT lays its page out in scratch the domain reuses and copies it out
+// as two slabs the caller owns, whose strings view the stored bytes, so
+// nothing aliases domain state.
 package sdb
 
 import (
@@ -93,32 +95,28 @@ type PutRequest struct {
 type pair struct{ attr, val uint32 }
 
 // version is one committed state of an item. Its attributes are the pairs
-// Domain.pairs[off : off+n].
+// Domain.pairs[off : off+n]; a tombstone, which a delete commits, has no
+// pairs and off == tombOff.
 type version struct {
 	off, n    uint32
 	visibleAt time.Duration
-	deleted   bool
 }
 
-// itemRec is the stored history of the item holding one id: at most two
-// retained versions, oldest first, which is all observe ever picks from.
+// tombOff is a tombstone's off.
+const tombOff = ^uint32(0)
+
+// deleted reports whether v is a tombstone.
+func (v version) deleted() bool { return v.off == tombOff }
+
+// itemRec is the stored history of the item holding one id: its newest
+// version and, while n is 2, an older one in Domain.older. Those two are
+// all observe ever picks from.
 type itemRec struct {
-	hist [2]version
-	n    uint8 // retained versions; 0 while the id is free
+	last version
+	n    uint32 // retained versions; 0 while the id is free
 	// stamp counts the versions ever pushed into this slot, across reuse of
 	// the id, so a tombstone can tell whether it is still the latest write.
 	stamp uint32
-}
-
-// latest returns the newest retained version.
-func (r *itemRec) latest() *version { return &r.hist[r.n-1] }
-
-// push appends v as the newest version; the caller has trimmed the history
-// to at most one version.
-func (r *itemRec) push(v version) {
-	r.hist[r.n] = v
-	r.n++
-	r.stamp++
 }
 
 // Domain is one SimpleDB domain bound to a simulated environment. The item
@@ -135,6 +133,7 @@ type Domain struct {
 	mu        sync.Mutex
 	items     strtab                // item table: name ↔ id, and the sorted names
 	recs      paged[itemRec]        // by id
+	older     map[uint32]version    // by id, the older version of a record holding two
 	pairs     paged[pair]           // every retained version's attributes
 	dead      int                   // pairs no retained version owns, and skipped page tails
 	tombs     tombHeap              // deleted items awaiting reaping, earliest visibleAt first
@@ -164,17 +163,18 @@ func NewLane(env *sim.Env, name string, lane int) *Domain {
 		name:  name,
 		ep:    env.Endpoint(name, lane),
 		items: newStrtab(),
+		older: make(map[uint32]version),
 		idx:   make(map[string]*attrIndex),
 	}
 }
 
 // pairsOf returns the slab span holding v's attributes.
-func (d *Domain) pairsOf(v *version) []pair { return d.pairs.span(v.off, v.n) }
+func (d *Domain) pairsOf(v version) []pair { return d.pairs.span(v.off, v.n) }
 
 // appendAttrs appends v's attributes to dst as name/value strings: the
 // attribute index's name and a view of its stored value, so nothing is
 // copied.
-func (d *Domain) appendAttrs(dst []Attr, v *version) []Attr {
+func (d *Domain) appendAttrs(dst []Attr, v version) []Attr {
 	for _, p := range d.pairsOf(v) {
 		ix := d.attrs[p.attr]
 		dst = append(dst, Attr{Name: ix.name, Value: ix.vals.str(p.val)})
@@ -184,20 +184,31 @@ func (d *Domain) appendAttrs(dst []Attr, v *version) []Attr {
 
 // dropLocked unindexes a version leaving the retained history and counts its
 // pairs dead.
-func (d *Domain) dropLocked(id uint32, v *version) {
-	d.indexRemoveLocked(id, d.pairsOf(v))
+func (d *Domain) dropLocked(id uint32, v version) {
+	for _, p := range d.pairsOf(v) {
+		d.attrs[p.attr].remove(p.val, id)
+	}
 	d.dead += int(v.n)
 }
 
 // trimLocked cuts an item's history down to its latest version before a new
 // one is pushed.
 func (d *Domain) trimLocked(id uint32) {
-	r := d.recs.at(id)
-	if r.n > 1 {
-		d.dropLocked(id, &r.hist[0])
-		r.hist[0], r.hist[1] = r.hist[1], version{}
+	if r := d.recs.at(id); r.n > 1 {
+		d.dropLocked(id, d.older[id])
+		delete(d.older, id)
 		r.n = 1
 	}
+}
+
+// pushLocked makes v the newest version of the item holding id; the caller
+// has trimmed its history, whose one version, if any, becomes the older.
+func (d *Domain) pushLocked(id uint32, v version) {
+	r := d.recs.at(id)
+	if r.n == 1 {
+		d.older[id] = r.last
+	}
+	r.last, r.n, r.stamp = v, r.n+1, r.stamp+1
 }
 
 // minCompact is the number of dead pairs below which the slab is never
@@ -207,20 +218,29 @@ const minCompact = 1024
 // compactLocked, called at the end of every write, rewrites the pair slab
 // into fresh pages without its dead pairs once they outnumber the live
 // ones, so a domain's slab stays within about twice what its retained
-// versions hold. Versions are copied in id order.
+// versions hold. Versions are copied in id order, oldest first.
 func (d *Domain) compactLocked() {
 	if d.dead < minCompact || d.dead < d.pairs.n/2 {
 		return
 	}
 	var live paged[pair]
 	skipped := 0
-	for i := range d.recs.n {
-		r := d.recs.at(uint32(i))
-		for j := range r.hist[:r.n] {
-			v := &r.hist[j]
+	move := func(v version) version {
+		if !v.deleted() {
 			off, skip := live.grow(int(v.n))
 			copy(live.span(off, v.n), d.pairsOf(v))
 			v.off, skipped = off, skipped+skip
+		}
+		return v
+	}
+	for i := range d.recs.n {
+		id := uint32(i)
+		r := d.recs.at(id)
+		if r.n > 1 {
+			d.older[id] = move(d.older[id])
+		}
+		if r.n > 0 {
+			r.last = move(r.last)
 		}
 	}
 	d.pairs, d.dead = live, skipped
@@ -247,22 +267,8 @@ func (d *Domain) PutAttributes(req PutRequest) error {
 	if err := validate(req); err != nil {
 		return err
 	}
-	return d.ep.Do(func() error { return d.putOnce(req) })
-}
-
-// putOnce is one service attempt of a put. An ambiguous fault (applied)
-// commits the write and still reports the error; the protocols' puts are
-// full replaces of immutable content, so a retried apply converges.
-func (d *Domain) putOnce(req PutRequest) error {
-	ferr, applied := d.ep.Fault(sim.OpSDBPut)
-	if ferr != nil && !applied {
-		return ferr
-	}
-	d.ep.Exec(sim.OpSDBPut, Item{Name: req.Item, Attrs: req.Attrs}.size(), 0)
-	d.mu.Lock()
-	d.applyLocked(req)
-	d.mu.Unlock()
-	return ferr
+	reqs := []PutRequest{req}
+	return d.ep.Do(func() error { return d.putOnce(sim.OpSDBPut, reqs, Item{Name: req.Item, Attrs: req.Attrs}.size(), 0) })
 }
 
 // BatchPutAttributes writes up to 25 items in one call. The call is charged
@@ -280,17 +286,19 @@ func (d *Domain) BatchPutAttributes(reqs []PutRequest) error {
 		}
 		payload += Item{Name: r.Item, Attrs: r.Attrs}.size()
 	}
-	return d.ep.Do(func() error { return d.batchPutOnce(reqs, payload) })
+	return d.ep.Do(func() error { return d.putOnce(sim.OpSDBBatchPut, reqs, payload, len(reqs)) })
 }
 
-// batchPutOnce is one service attempt of a batch put (see putOnce for the
-// ambiguous-fault contract).
-func (d *Domain) batchPutOnce(reqs []PutRequest, payload int) error {
-	ferr, applied := d.ep.Fault(sim.OpSDBBatchPut)
+// putOnce is one service attempt of a put of reqs, op charged for payload
+// bytes and units items. An ambiguous fault (applied) commits the write and
+// still reports the error; the protocols' puts are full replaces of
+// immutable content, so a retried apply converges.
+func (d *Domain) putOnce(op sim.OpKind, reqs []PutRequest, payload, units int) error {
+	ferr, applied := d.ep.Fault(op)
 	if ferr != nil && !applied {
 		return ferr
 	}
-	d.ep.Exec(sim.OpSDBBatchPut, payload, len(reqs))
+	d.ep.Exec(op, payload, units)
 	d.mu.Lock()
 	for _, r := range reqs {
 		d.applyLocked(r)
@@ -313,8 +321,8 @@ func (d *Domain) applyLocked(req PutRequest) {
 	d.trimLocked(id)
 	r := d.recs.at(id)
 	var base []pair
-	if r.n > 0 && !r.latest().deleted {
-		base = d.pairsOf(r.latest())
+	if r.n > 0 && !r.last.deleted() {
+		base = d.pairsOf(r.last)
 	}
 	// The new version is the put's pairs after those it carries over from
 	// base (all of them, or a replace's other attributes): staged as put
@@ -333,31 +341,37 @@ func (d *Domain) applyLocked(req PutRequest) {
 	d.putBuf = buf
 	off, skip := d.pairs.grow(len(buf))
 	v := version{off: off, n: uint32(len(buf)), visibleAt: now + d.env.StalenessWindow()}
-	span := d.pairsOf(&v)
+	span := d.pairsOf(v)
 	copy(span[copy(span, buf[put:]):], buf[:put])
 	d.dead += skip
-	d.indexAddLocked(id, span)
-	r.push(v)
+	for _, p := range span {
+		d.attrs[p.attr].add(p.val, id)
+	}
+	d.pushLocked(id, v)
 	d.compactLocked()
 }
 
-// observe picks the version of the item holding id that a read sees at
+// observe returns the version of the item holding id that a read sees at
 // virtual time now, implementing eventual consistency exactly as the object
-// store does; a consistent read (ConsistentRead) takes the latest committed
-// version, bypassing the staleness window entirely. The result points into
-// the record table and is valid until the next write.
-func (d *Domain) observe(id uint32, now time.Duration, consistent bool) *version {
+// store does: while the newest version is not yet visible, a first coin
+// decides whether the read sees the older one instead, and while the version
+// it settled on is not visible, a second coin whether it sees none, which
+// observe returns as a tombstone. A consistent read (ConsistentRead) takes
+// the newest version, bypassing the staleness window entirely.
+func (d *Domain) observe(id uint32, now time.Duration, consistent bool) version {
 	r := d.recs.at(id)
-	if consistent {
-		return r.latest()
+	v := r.last
+	if consistent || v.visibleAt <= now {
+		return v
 	}
-	idx := int(r.n) - 1
-	for idx > 0 && r.hist[idx].visibleAt > now && d.env.Rand().Bool(0.5) {
-		idx--
+	if r.n > 1 {
+		if !d.env.Rand().Bool(0.5) {
+			return v
+		}
+		v = d.older[id]
 	}
-	v := &r.hist[idx]
-	if idx == 0 && v.visibleAt > now && d.env.Rand().Bool(0.5) {
-		return nil
+	if v.visibleAt > now && d.env.Rand().Bool(0.5) {
+		return version{off: tombOff}
 	}
 	return v
 }
@@ -372,12 +386,12 @@ func (d *Domain) getOnce(item string) (Item, error) {
 		return Item{}, ferr
 	}
 	d.mu.Lock()
-	var v *version
+	v := version{off: tombOff}
 	if id, held, _ := d.items.lookup(item); held {
 		v = d.observe(id, d.env.Now(), false)
 	}
 	var it Item
-	ok := v != nil && !v.deleted
+	ok := !v.deleted()
 	if ok {
 		it = Item{Name: item, Attrs: d.appendAttrs(make([]Attr, 0, v.n), v)}
 	}
@@ -428,9 +442,9 @@ func (d *Domain) deleteItems(names ...string) {
 		}
 		d.gen++
 		d.trimLocked(id)
-		r := d.recs.at(id)
-		r.push(version{deleted: true, visibleAt: now + d.env.StalenessWindow()})
-		heap.Push(&d.tombs, tombstone{id: id, stamp: r.stamp, visibleAt: r.latest().visibleAt})
+		v := version{off: tombOff, visibleAt: now + d.env.StalenessWindow()}
+		d.pushLocked(id, v)
+		heap.Push(&d.tombs, tombstone{id: id, stamp: d.recs.at(id).stamp, visibleAt: v.visibleAt})
 	}
 	d.reapLocked(now)
 	d.compactLocked()
@@ -478,9 +492,8 @@ func (d *Domain) reapLocked(now time.Duration) {
 		if r.stamp != t.stamp {
 			continue
 		}
-		for i := range r.hist[:r.n] {
-			d.dropLocked(t.id, &r.hist[i])
-		}
+		d.trimLocked(t.id)
+		d.dropLocked(t.id, r.last)
 		*r = itemRec{stamp: r.stamp}
 		reaped = append(reaped, t.id)
 	}
@@ -585,7 +598,7 @@ func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string) (Select
 			continue
 		}
 		v := d.observe(id, now, q.Consistent)
-		if v == nil || v.deleted {
+		if v.deleted() {
 			continue
 		}
 		it, mark := Item{Name: nameAt(i)}, len(attrs)
@@ -673,7 +686,7 @@ func (d *Domain) ItemCount() int {
 	defer d.mu.Unlock()
 	n := 0
 	for i := range d.recs.n {
-		if r := d.recs.at(uint32(i)); r.n > 0 && !r.latest().deleted {
+		if r := d.recs.at(uint32(i)); r.n > 0 && !r.last.deleted() {
 			n++
 		}
 	}

@@ -158,23 +158,18 @@ func (t *strtab) rehash(size int) {
 	}
 }
 
-// remove drops the strings of ids, all held, and frees the ids. Strings
-// already handed out stay as they are.
+// remove drops the strings of ids, one or more and all held, and frees the
+// ids. Strings already handed out stay as they are.
 func (t *strtab) remove(ids ...uint32) {
-	var lo, hi string
-	for i, id := range ids {
+	lo, hi := t.str(ids[0]), t.str(ids[0])
+	for _, id := range ids {
 		s := t.str(id)
 		t.unlink(s, id)
 		t.refs[id] |= deadRef
 		t.n--
 		t.live -= len(s)
 		t.dead += len(s)
-		if i == 0 || s < lo {
-			lo = s
-		}
-		if i == 0 || s > hi {
-			hi = s
-		}
+		lo, hi = min(lo, s), max(hi, s)
 	}
 	if v := t.view; v != nil {
 		// Cut the removed ids out of the span of the view that holds them:

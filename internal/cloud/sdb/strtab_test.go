@@ -37,12 +37,27 @@ func viewStrings(tab *strtab) []string {
 	return out
 }
 
+// retained returns the retained versions of the item holding id, oldest
+// first. The caller holds d.mu.
+func retained(d *Domain, id uint32) []version {
+	r := d.recs.at(id)
+	switch r.n {
+	case 0:
+		return nil
+	case 1:
+		return []version{r.last}
+	}
+	return []version{d.older[id], r.last}
+}
+
 // checkCachedTables reads every view the domain has cached — the item
 // names and each attribute's values — and compares it with a from-scratch
 // sort of the strings its table holds. It then rebuilds the index from the
 // retained versions and checks that every (attribute, value) resolves to
 // exactly the rebuilt names, with the rebuilt distinct count, through
-// ascending id postings that only a shared value keeps in a slice.
+// ascending id postings that only a shared value keeps in a list. Every
+// record holding two versions has its older one in d.older, and nothing else
+// is there.
 func checkCachedTables(t *testing.T, d *Domain, step int) {
 	t.Helper()
 	d.mu.Lock()
@@ -53,12 +68,18 @@ func checkCachedTables(t *testing.T, d *Domain, step int) {
 		}
 	}
 	rebuilt := make(map[string]map[string]map[string]bool) // attr → value → names
-	live := 0
+	live, twos := 0, 0
 	for i := range d.recs.n {
-		r := d.recs.at(uint32(i))
-		for j := range r.hist[:r.n] {
-			live += int(r.hist[j].n)
+		vs := retained(d, uint32(i))
+		for _, v := range vs {
+			live += int(v.n)
 		}
+		if len(vs) == 2 {
+			twos++
+		}
+	}
+	if twos != len(d.older) {
+		t.Fatalf("step %d: %d records hold two versions, %d older versions are kept", step, twos, len(d.older))
 	}
 	if live+d.dead != d.pairs.n {
 		t.Fatalf("step %d: slab of %d pairs holds %d live and counts %d dead", step, d.pairs.n, live, d.dead)
@@ -72,9 +93,8 @@ func checkCachedTables(t *testing.T, d *Domain, step int) {
 		if got, ok, _ := d.items.lookup(name); !ok || got != id {
 			t.Fatalf("step %d: id %d names %q, the item table says %d (%v)", step, id, name, got, ok)
 		}
-		r := d.recs.at(id)
-		for i := range r.hist[:r.n] {
-			for _, a := range d.appendAttrs(nil, &r.hist[i]) {
+		for _, v := range retained(d, id) {
+			for _, a := range d.appendAttrs(nil, v) {
 				if rebuilt[a.Name] == nil {
 					rebuilt[a.Name] = make(map[string]map[string]bool)
 				}
@@ -99,13 +119,14 @@ func checkCachedTables(t *testing.T, d *Domain, step int) {
 			if p == nil {
 				t.Fatalf("step %d: %s=%s is held but not indexed", step, attr, v)
 			}
-			if !slices.IsSorted(p.ids) {
-				t.Fatalf("step %d: postings of %s=%s not ascending: %v", step, attr, v, p.ids)
+			ids := ix.ids(p)
+			if !slices.IsSorted(ids) {
+				t.Fatalf("step %d: postings of %s=%s not ascending: %v", step, attr, v, ids)
 			}
-			if (p.ids != nil) != (p.distinct >= 2) {
-				t.Fatalf("step %d: postings of %s=%s: slice %v for %d distinct items", step, attr, v, p.ids, p.distinct)
+			if (ids != nil) != (p.distinct >= 2) {
+				t.Fatalf("step %d: postings of %s=%s: list %v for %d distinct items", step, attr, v, ids, p.distinct)
 			}
-			got := slices.Sorted(slices.Values(d.collectPostingsLocked(p, nil)))
+			got := slices.Sorted(slices.Values(d.collectPostingsLocked(ix, p, nil)))
 			if n := len(slices.Compact(slices.Clone(got))); n != len(got) {
 				t.Fatalf("step %d: postings of %s=%s collected a name twice: %v", step, attr, v, got)
 			}
@@ -525,10 +546,13 @@ func populateStore(t *testing.T, d *Domain, n int) {
 
 // TestStoreTablesHoldNoPointers: after a 20k-item populate, every table
 // indexed by item or value id has a pointer-free element type — each page of
-// the paged records and pair slab too — and the only postings that own a
-// slice are those of values two or more items carry: a postings page's one
-// pointer is that slice.
+// the paged records, the pair slab and the postings too, and the map of
+// older versions — and only values two or more items carry have a list.
+// A record is 24 bytes and a postings entry 12.
 func TestStoreTablesHoldNoPointers(t *testing.T) {
+	if rec, post := unsafe.Sizeof(itemRec{}), unsafe.Sizeof(postings{}); rec != 24 || post != 12 {
+		t.Fatalf("a record is %d bytes and a postings entry %d, want 24 and 12", rec, post)
+	}
 	d := strictDomain(t)
 	const n = 20_000
 	populateStore(t, d, n)
@@ -553,14 +577,12 @@ func TestStoreTablesHoldNoPointers(t *testing.T) {
 		tables[ix.name+" refs"] = ix.vals.refs
 		tables[ix.name+" slots"] = ix.vals.slots
 		tables[ix.name+" view"] = ix.vals.sorted()
-		for k, page := range ix.ents.pages {
-			typ := reflect.TypeOf(page).Elem()
-			for i := range typ.NumField() {
-				if f := typ.Field(i); f.Name != "ids" && hasPointers(f.Type) {
-					t.Errorf("%s postings page %d: field %s holds pointers", ix.name, k, f.Name)
-				}
-			}
+		for k := range ix.ents.pages {
+			tables[fmt.Sprint(ix.name, " postings page ", k)] = ix.ents.pages[k]
 		}
+	}
+	if typ := reflect.TypeOf(d.older); hasPointers(typ.Key()) || hasPointers(typ.Elem()) {
+		t.Errorf("older versions: %v holds pointers", typ)
 	}
 	for name, tab := range tables {
 		v := reflect.ValueOf(tab)
@@ -578,14 +600,17 @@ func TestStoreTablesHoldNoPointers(t *testing.T) {
 	for _, ix := range d.attrs {
 		for vid := range ix.ents.n {
 			p := ix.ents.at(uint32(vid))
-			switch {
-			case p.distinct >= 2 && p.ids != nil:
+			switch ids := ix.ids(p); {
+			case p.distinct >= 2 && len(ids) >= 2:
 				shared++
-			case p.distinct == 1 && p.ids == nil:
+			case p.distinct == 1 && ids == nil:
 				single++
 			default:
-				t.Fatalf("%s=%q: postings slice %v for %d distinct items", ix.name, ix.vals.str(uint32(vid)), p.ids, p.distinct)
+				t.Fatalf("%s=%q: postings list %v for %d distinct items", ix.name, ix.vals.str(uint32(vid)), ids, p.distinct)
 			}
+		}
+		if len(ix.free) != 0 || slices.ContainsFunc(ix.lists, func(ids []uint32) bool { return ids == nil }) {
+			t.Fatalf("%s: %d free lists after a populate that shares values and drops none", ix.name, len(ix.free))
 		}
 	}
 	// type: 2 shared; input: n/2 shared pairs; name: n singletons.

@@ -20,7 +20,7 @@ import (
 // attempts run against that tenant's retry state alone.
 type combiner struct {
 	env    *sim.Env
-	window time.Duration
+	window time.Duration // <= 0 disables combining
 
 	mu   sync.Mutex
 	open map[combineKey]*combineBatch
@@ -35,11 +35,6 @@ type combineBatch struct {
 	entries []sqs.BatchEntry
 	done    chan struct{}
 	err     error
-}
-
-// newCombiner returns a combiner; window <= 0 disables combining.
-func newCombiner(env *sim.Env, window time.Duration) *combiner {
-	return &combiner{env: env, window: window, open: make(map[combineKey]*combineBatch)}
 }
 
 // send ships a prepared transaction's entries with requests made with ctx,

@@ -149,7 +149,7 @@ func New(dep *core.Deployment, p3 *core.P3, cfg Config) *Door {
 		p3:      p3,
 		env:     dep.Env,
 		cfg:     cfg,
-		comb:    newCombiner(dep.Env, cfg.CombineWindow),
+		comb:    &combiner{env: dep.Env, window: cfg.CombineWindow, open: make(map[combineKey]*combineBatch)},
 		tenants: make(map[string]*Tenant),
 	}
 }

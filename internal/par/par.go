@@ -109,11 +109,8 @@ type Group struct {
 // NewGroup returns a group bounded at limit concurrent tasks and the context
 // its producers should watch: it ends when a task fails or parent does.
 func NewGroup(parent context.Context, limit int) (*Group, context.Context) {
-	if limit <= 0 {
-		limit = 1
-	}
 	ctx, cancel := context.WithCancelCause(parent)
-	return &Group{ctx: ctx, cancel: cancel, slots: make(chan struct{}, limit)}, ctx
+	return &Group{ctx: ctx, cancel: cancel, slots: make(chan struct{}, max(limit, 1))}, ctx
 }
 
 // Go starts task on a free slot, waiting for one if the group is at its

@@ -145,17 +145,6 @@ type FaultInjector struct {
 // (both derive from Config.Seed).
 const faultSeedSalt = 0x5fa17 // "fault"
 
-func newFaultInjector(cfg Config, clock *Clock, meter *Meter, plan FaultPlan) *FaultInjector {
-	return &FaultInjector{
-		clock:   clock,
-		meter:   meter,
-		rnd:     NewRand(cfg.Seed ^ faultSeedSalt),
-		plan:    plan,
-		forced:  make(map[forcedKey]*forcedFault),
-		crashes: make(map[CrashPoint]int),
-	}
-}
-
 // SetPlan replaces the probabilistic fault plan (nil disarms it; forced
 // faults are unaffected).
 func (f *FaultInjector) SetPlan(plan FaultPlan) {

@@ -224,7 +224,14 @@ func (e *Env) InstallFaults(plan FaultPlan) *FaultInjector {
 	e.faultMu.Lock()
 	defer e.faultMu.Unlock()
 	if e.faults == nil {
-		e.faults = newFaultInjector(e.cfg, e.clock, e.meter, plan)
+		e.faults = &FaultInjector{
+			clock:   e.clock,
+			meter:   e.meter,
+			rnd:     NewRand(e.cfg.Seed ^ faultSeedSalt),
+			plan:    plan,
+			forced:  make(map[forcedKey]*forcedFault),
+			crashes: make(map[CrashPoint]int),
+		}
 	} else {
 		e.faults.SetPlan(plan)
 	}

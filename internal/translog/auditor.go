@@ -199,6 +199,9 @@ func loadHeads(l *Log) ([]SignedHead, error) {
 		if err := json.Unmarshal(o.Data, &h); err != nil {
 			return nil, fmt.Errorf("translog: decoding %s: %w", k, err)
 		}
+		if k != l.headKey(h.TreeSize) { // a head moved to another's key
+			return nil, fmt.Errorf("translog: %s holds the head of size %d", k, h.TreeSize)
+		}
 		heads = append(heads, h)
 	}
 	return heads, nil

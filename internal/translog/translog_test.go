@@ -69,7 +69,7 @@ func makeTxns(seed int64, n, per int) []txnSpec {
 
 // newFabric builds a deterministic manual-clock deployment with an attached
 // sequencer.
-func newFabric(t *testing.T, seed int64, k int) (*sim.Env, *core.Deployment, *core.P3, *Log) {
+func newFabric(t testing.TB, seed int64, k int) (*sim.Env, *core.Deployment, *core.P3, *Log) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Seed = seed
@@ -84,7 +84,7 @@ func newFabric(t *testing.T, seed int64, k int) (*sim.Env, *core.Deployment, *co
 	return env, dep, p3, l
 }
 
-func commitAll(t *testing.T, p3 *core.P3, set []txnSpec) {
+func commitAll(t testing.TB, p3 *core.P3, set []txnSpec) {
 	t.Helper()
 	for i, tx := range set {
 		if err := p3.Commit(tx.obj, tx.bundles); err != nil {
