@@ -180,10 +180,7 @@ func ConsistencySweep(seed int64, checks int) ([]ConsistencyPoint, error) {
 			col.Apply(trace.Event{Kind: trace.Write, PID: pid, Path: path, Bytes: 1024})
 			col.Apply(trace.Event{Kind: trace.Close, PID: pid, Path: path})
 			ref, _ := col.FileRef(path)
-			bundles := col.PendingFor(path)
-			for _, b := range bundles {
-				col.MarkRecorded(b.Ref)
-			}
+			bundles := col.TakePending(path)
 			if err := p.Commit(core.FileObject{Path: path, Size: 1024, Ref: ref}, bundles); err != nil {
 				return nil, err
 			}

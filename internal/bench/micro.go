@@ -56,10 +56,7 @@ func captureBlast(seed int64) (*capturedRun, error) {
 		if !ok {
 			continue
 		}
-		bundles := col.PendingFor(ev.Path)
-		for _, b := range bundles {
-			col.MarkRecorded(b.Ref)
-		}
+		bundles := col.TakePending(ev.Path)
 		run.finals = append(run.finals, core.FileObject{
 			Path: ev.Path,
 			Size: col.FileSize(ev.Path),

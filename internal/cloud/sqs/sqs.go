@@ -63,7 +63,6 @@ type Message struct {
 	ID            string
 	ReceiptHandle string
 	Body          []byte
-	SentAt        time.Duration
 }
 
 // message is the queue's internal record. body is the sender's slice, set
@@ -373,7 +372,6 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 			ID:            m.id,
 			ReceiptHandle: m.id + "#" + strconv.Itoa(m.receipts),
 			Body:          m.body,
-			SentAt:        m.sentAt,
 		})
 		bytes += len(m.body)
 	}

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -38,18 +39,6 @@ const Endpoint = "s3"
 // strings, mirroring S3's x-amz-meta headers.
 type Metadata map[string]string
 
-// clone copies metadata so callers cannot mutate stored state.
-func (m Metadata) clone() Metadata {
-	if m == nil {
-		return nil
-	}
-	c := make(Metadata, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
 // Object is the result of a GET: data plus metadata. Size is the object's
 // logical length; Data is nil for synthetic objects stored with PutSized
 // (large workload payloads whose content is never examined — only moved).
@@ -58,7 +47,6 @@ type Object struct {
 	Data     []byte
 	Size     int64
 	Metadata Metadata
-	ModTime  time.Duration // virtual time of the PUT that produced it
 }
 
 // version is one committed state of a key. visibleAt implements eventual
@@ -128,7 +116,7 @@ func (s *Store) putOnce(key string, data []byte, size int64, meta Metadata) erro
 	v := &version{
 		data:      data,
 		size:      size,
-		meta:      meta.clone(),
+		meta:      maps.Clone(meta),
 		committed: now,
 		visibleAt: now + s.env.StalenessWindow(),
 	}
@@ -196,7 +184,7 @@ func (s *Store) getOnce(key string) (Object, error) {
 	ok := v != nil && !v.deleted
 	if ok {
 		v.accessed = s.env.Now()
-		o = Object{Key: key, Size: v.size, Metadata: v.meta.clone(), ModTime: v.committed}
+		o = Object{Key: key, Size: v.size, Metadata: maps.Clone(v.meta)}
 		if v.data != nil {
 			o.Data = append([]byte(nil), v.data...)
 		}
@@ -225,7 +213,7 @@ func (s *Store) headOnce(key string) (Metadata, error) {
 	if v == nil || v.deleted {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchKey, key)
 	}
-	return v.meta.clone(), nil
+	return maps.Clone(v.meta), nil
 }
 
 // Copy performs the server-side COPY the protocols use in place of rename.
@@ -259,7 +247,7 @@ func (s *Store) copyOnce(src, dst string, meta Metadata) error {
 	s.commitLocked(dst, &version{
 		data:      data,
 		size:      v.size,
-		meta:      m.clone(),
+		meta:      maps.Clone(m),
 		committed: now,
 		visibleAt: now + s.env.StalenessWindow(),
 	})

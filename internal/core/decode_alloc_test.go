@@ -48,7 +48,7 @@ func versionItems(t *testing.T, n int) (*core.Deployment, uuid.UUID, []sdb.Item)
 // versions: one routed SELECT's planning, its page's two slabs and the
 // decode's two, however many items the page holds.
 func TestDecodeAllocationsFlat(t *testing.T) {
-	if raceEnabled {
+	if core.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	counts := map[int][2]float64{}

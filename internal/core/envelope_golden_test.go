@@ -123,7 +123,7 @@ func TestEnvelopeGoldenSeed42(t *testing.T) {
 		if serial, final = envelopeScript(t); serial != wantSerial {
 			t.Fatalf("serial section moved; got\n%s\nwant\n%s", serial, wantSerial)
 		}
-		if raceEnabled {
+		if core.RaceEnabled {
 			return
 		}
 	}

@@ -21,11 +21,21 @@ import (
 // SpillPrefix and replaced by a SpillMarker pointer.
 
 // ItemsForBundles converts bundles into database put requests, spilling
-// oversized values to st. It returns the requests in bundle order. The item
-// names are rendered once, into one string, and a cross reference to a
-// bundle of the same call reuses that bundle's name; the attributes share
-// one slab.
+// oversized values to st. It returns the requests in bundle order.
 func ItemsForBundles(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, error) {
+	reqs := itemsFor(bundles)
+	if err := spillItems(st, reqs); err != nil {
+		return nil, err
+	}
+	return reqs, nil
+}
+
+// itemsFor converts bundles into put requests in bundle order, values over
+// the database's limit left in place for spillItems. The item names are
+// rendered once, into one string, and a cross reference to a bundle of the
+// same call reuses that bundle's name; the attributes share one slab. The
+// requests share no memory with bundles but their strings.
+func itemsFor(bundles []prov.Bundle) []sdb.PutRequest {
 	size, nattrs := 0, 0
 	for _, b := range bundles {
 		size += refLen(b.Ref)
@@ -47,22 +57,35 @@ func ItemsForBundles(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, 
 	slab := make([]sdb.Attr, 0, nattrs)
 	for bi, b := range bundles {
 		start := len(slab)
-		for i, r := range b.Records {
+		for _, r := range b.Records {
 			value := r.Value
 			if r.IsXref() {
 				value = refName(bundles, reqs, r.Xref)
-			} else if len(value) > sdb.MaxValueLen {
-				key := fmt.Sprintf("%s%s/%s/%d", SpillPrefix, b.Ref, r.Attr, i)
-				if err := st.Put(key, []byte(value), nil); err != nil {
-					return nil, fmt.Errorf("core: spilling %s of %s: %w", r.Attr, b.Ref, err)
-				}
-				value = SpillMarker + key
 			}
 			slab = append(slab, sdb.Attr{Name: r.Attr, Value: value})
 		}
 		reqs[bi].Attrs = slab[start:len(slab):len(slab)]
 	}
-	return reqs, nil
+	return reqs
+}
+
+// spillItems stores each value over the database's limit as a store object
+// under SpillPrefix and puts a SpillMarker pointer in its place, in request
+// and attribute order, stopping at the first failure.
+func spillItems(st *store.Store, reqs []sdb.PutRequest) error {
+	for _, req := range reqs {
+		for i, a := range req.Attrs {
+			if len(a.Value) <= sdb.MaxValueLen {
+				continue
+			}
+			key := fmt.Sprintf("%s%s/%s/%d", SpillPrefix, req.Item, a.Name, i)
+			if err := st.Put(key, []byte(a.Value), nil); err != nil {
+				return fmt.Errorf("core: spilling %s of %s: %w", a.Name, req.Item, err)
+			}
+			req.Attrs[i].Value = SpillMarker + key
+		}
+	}
+	return nil
 }
 
 // refLen is len(r.String()).

@@ -87,16 +87,12 @@ func (b *CommitBus) Publish(n CommitNotice) {
 	b.mu.Lock()
 	b.seq++
 	n.Seq = b.seq
-	var dropped int64
 	for _, fn := range b.subs {
-		dropped += fn(n)
+		fn(n)
 	}
 	b.mu.Unlock()
 	if b.meter != nil {
 		b.meter.CountCommitNotice()
-		if dropped > 0 {
-			b.meter.AddCacheInvalidations(dropped)
-		}
 	}
 }
 

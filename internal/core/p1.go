@@ -66,7 +66,6 @@ func (p *P1) Commit(obj FileObject, bundles []prov.Bundle) error {
 	groups, order := groupByUUID(bundles)
 	tasks := make([]func() error, 0, len(order)+1)
 	for _, u := range order {
-		u := u
 		bs := groups[u]
 		tasks = append(tasks, func() error { return p.appendProv(u, bs) })
 	}

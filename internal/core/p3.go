@@ -75,10 +75,13 @@ import (
 // its record of the commit with it; whichever daemon receives what is left —
 // a restarted one included — assembles a transaction that never completes,
 // and once Settle has drained the WAL it finds the commit in place with one
-// read and acknowledges the rest (absorbCommitted). One case stays open: a
-// real DeleteMessageBatch that fails part-way can acknowledge the header
-// before the other packets; the same daemon acknowledges those as they
-// redeliver, but if it restarts first they wait for the queue's retention.
+// read and acknowledges the rest (absorbCommitted). A failed
+// DeleteMessageBatch holds back its acknowledgement's header-bearing batches
+// (deleteReceipts), redelivered packets of a committed transaction included.
+// One case stays open: the live pool sends its full acknowledgement batches
+// independently, so there a header can go while another batch of its
+// transaction fails; if the daemon restarts first, that batch's packets
+// wait for the queue's retention.
 type P3 struct {
 	client
 
@@ -134,7 +137,8 @@ const (
 // shard the packets arrived on — the transaction's home shard, where its
 // receipts must be acknowledged. frags[seq] is packet seq's payload (never
 // nil once in) and have counts the packets in. Once the last packet is in,
-// the fragments are decoded once, into bundles (or err), and let go.
+// the fragments are decoded once, into the transaction's put requests (or
+// err), and let go; its values over the database's limit spill at commit.
 // receipts holds the other packets' receipts and heads the header packet's
 // (message headID), which cleanup acknowledges last. since is when the first
 // packet arrived.
@@ -147,7 +151,7 @@ type txnState struct {
 	heads    []string
 	headID   string
 	walShard int
-	bundles  []prov.Bundle
+	reqs     []sdb.PutRequest
 	err      error
 	// redelivered holds, by message id, the latest receipt of each message
 	// delivered again while the transaction was in flight (nil until then).
@@ -155,10 +159,12 @@ type txnState struct {
 }
 
 // shardReceipt is one WAL receipt paired with the shard it came from, so
-// cleanup can batch acknowledgements per shard.
+// cleanup can batch acknowledgements per shard; head marks a transaction's
+// header packet, which cleanup acknowledges last.
 type shardReceipt struct {
 	shard   int
 	receipt string
+	head    bool
 }
 
 // NewP3 returns a P3 client (and its daemons' logic) bound to dep.
@@ -454,9 +460,7 @@ func (p *P3) assemble(shards []int, budget int) round {
 				}
 				r.progress = true
 				r.ready = append(r.ready, rdy...)
-				for _, rcpt := range a {
-					r.acks = append(r.acks, shardReceipt{shard: si, receipt: rcpt})
-				}
+				r.acks = append(r.acks, a...)
 			}
 		}
 		r.short = r.short && drained
@@ -493,7 +497,7 @@ func (p *P3) commit(ready []*txnState, acks []shardReceipt) error {
 // transaction already in flight. The assembled payload fragments alias the
 // message bodies, which are read-only views of what the queue stores. A
 // packet numbered past its transaction's count is dropped.
-func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, acks []string, held int) {
+func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, acks []shardReceipt, held int) {
 	for _, m := range msgs {
 		pkt, err := decodeWAL(m.Body)
 		if err != nil {
@@ -505,7 +509,7 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 		if _, done := sh.committed[pkt.Txn]; done {
 			// Redelivery of an already-committed transaction: just ack.
 			sh.mu.Unlock()
-			acks = append(acks, m.ReceiptHandle)
+			acks = append(acks, shardReceipt{shard: walShard, receipt: m.ReceiptHandle, head: pkt.First})
 			continue
 		}
 		if st := sh.inflight[pkt.Txn]; st != nil {
@@ -547,7 +551,7 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 	}
 	// Outside the shard locks: nothing else touches a transaction in flight.
 	for _, st := range ready {
-		st.bundles, st.err = decodeTxn(st)
+		st.reqs, st.err = decodeTxn(st)
 		st.frags = nil
 	}
 	return ready, acks, held
@@ -574,13 +578,14 @@ func (st *txnState) add(pkt walPacket) {
 }
 
 // endInflight closes st's in-flight window, if it is still open, and returns
-// the receipts its cleanup acknowledges; nothing is added to st afterwards.
+// the receipts its cleanup acknowledges, tagged with st's WAL shard; nothing
+// is added to st afterwards.
 // With committed set the transaction is recorded as finished, so its
 // redelivered packets are acknowledged from then on — unless the cleanup
 // dies part-way (CrashCleanupAfterReceipts), which returns only the receipts
 // acknowledged before and records nothing. Otherwise redelivered packets
 // assemble afresh and the commit is retried.
-func (p *P3) endInflight(st *txnState, committed bool) []string {
+func (p *P3) endInflight(st *txnState, committed bool) []shardReceipt {
 	txn := st.header.Txn
 	sh := p.shardFor(txn)
 	sh.mu.Lock()
@@ -600,54 +605,82 @@ func (p *P3) endInflight(st *txnState, committed bool) []string {
 			receipts = append(receipts, st.redelivered[id])
 		}
 	}
-	receipts = append(receipts, heads...)
+	pairs := st.tagged(receipts, heads)
 	if committed {
-		if acked, hit := p.dep.Env.CrashedAfter(CrashCleanupAfterReceipts, len(receipts)); hit {
-			return receipts[:acked]
+		if acked, hit := p.dep.Env.CrashedAfter(CrashCleanupAfterReceipts, len(pairs)); hit {
+			return pairs[:acked]
 		}
 		sh.committed[txn] = p.dep.Env.Now()
 	}
-	return receipts
+	return pairs
+}
+
+// tagged pairs receipts and then heads, the header packet's, with st's WAL
+// shard.
+func (st *txnState) tagged(receipts, heads []string) []shardReceipt {
+	pairs := make([]shardReceipt, 0, len(receipts)+len(heads))
+	for _, r := range receipts {
+		pairs = append(pairs, shardReceipt{shard: st.walShard, receipt: r})
+	}
+	for _, r := range heads {
+		pairs = append(pairs, shardReceipt{shard: st.walShard, receipt: r, head: true})
+	}
+	return pairs
 }
 
 // deleteReceipts acknowledges WAL messages on one queue shard in ≤10-entry
-// DeleteMessageBatch calls running in parallel on the provenance connection
-// pool, collecting — not short-circuiting on — per-batch errors so one
-// failure cannot leave later receipts silently unacknowledged.
-func (p *P3) deleteReceipts(wal *sqs.Queue, receipts []string) error {
-	var tasks []func() error
-	for batch := range slices.Chunk(receipts, sqs.MaxBatchEntries) {
-		tasks = append(tasks, func() error { return wal.DeleteMessageBatch(batch) })
+// DeleteMessageBatch calls in parallel on the provenance connection pool:
+// receipts, then heads, the header packets'. The batches that carry a header
+// run only after every other batch has succeeded, so a failed batch never
+// leaves a transaction's packets behind its acknowledged header (see P3);
+// held back, they redeliver with the rest. The first of them may carry the
+// last receipts too, so it runs on its own before the batches of headers
+// alone. Within each round every batch runs and every error is collected.
+func (p *P3) deleteReceipts(wal *sqs.Queue, receipts, heads []string) error {
+	all, cut := append(receipts, heads...), len(receipts)
+	mixed := cut
+	if len(heads) > 0 && cut%sqs.MaxBatchEntries != 0 {
+		cut -= cut % sqs.MaxBatchEntries // the batches from here on carry a header
+		mixed = min(cut+sqs.MaxBatchEntries, len(all))
 	}
-	return errors.Join(par.RunAll(p.opts.ProvConns, tasks)...)
+	for _, part := range [][]string{all[:cut], all[cut:mixed], all[mixed:]} {
+		var tasks []func() error
+		for batch := range slices.Chunk(part, sqs.MaxBatchEntries) {
+			tasks = append(tasks, func() error { return wal.DeleteMessageBatch(batch) })
+		}
+		if errs := par.RunAll(p.opts.ProvConns, tasks); len(errs) > 0 {
+			return errors.Join(errs...)
+		}
+	}
+	return nil
 }
 
-// deleteReceiptPairs groups shard-tagged receipts by home shard and
-// acknowledges each shard's group; deletes are idempotent, so order does
-// not matter (the mid-cleanup fault injection truncates the pair list
-// before this runs). Each DeleteMessageBatch is retried at its endpoint and
-// nowhere else: a receipt that still fails is reported, redelivers after its
-// visibility timeout and is acknowledged then.
+// deleteReceiptPairs acknowledges shard-tagged receipts, one deleteReceipts
+// call per shard in the order the shards first appear. Each
+// DeleteMessageBatch is retried at its endpoint and nowhere else: a receipt
+// that still fails is reported, redelivers after its visibility timeout and
+// is acknowledged then.
 func (p *P3) deleteReceiptPairs(pairs []shardReceipt) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	perShard := make(map[int][]string)
-	order := make([]int, 0, 4)
-	for _, pr := range pairs {
-		if _, seen := perShard[pr.shard]; !seen {
-			order = append(order, pr.shard)
-		}
-		perShard[pr.shard] = append(perShard[pr.shard], pr.receipt)
-	}
 	var errs []error
-	for _, sh := range order {
-		wal := p.dep.WAL.Shard(sh)
-		if wal == nil {
-			continue // shard retired by a shrink; its receipts died with it
+	for len(pairs) > 0 {
+		sh := pairs[0].shard
+		var receipts, heads []string
+		rest := pairs[:0:0]
+		for _, pr := range pairs {
+			switch {
+			case pr.shard != sh:
+				rest = append(rest, pr)
+			case pr.head:
+				heads = append(heads, pr.receipt)
+			default:
+				receipts = append(receipts, pr.receipt)
+			}
 		}
-		if err := p.deleteReceipts(wal, perShard[sh]); err != nil {
-			errs = append(errs, err)
+		pairs = rest
+		if wal := p.dep.WAL.Shard(sh); wal != nil { // nil: retired by a shrink, its receipts with it
+			if err := p.deleteReceipts(wal, receipts, heads); err != nil {
+				errs = append(errs, err)
+			}
 		}
 	}
 	return errors.Join(errs...)
@@ -655,9 +688,7 @@ func (p *P3) deleteReceiptPairs(pairs []shardReceipt) error {
 
 // txnWork is one transaction moving through the group-commit pipeline.
 type txnWork struct {
-	st     *txnState
-	hdr    *walTxn
-	reqs   []sdb.PutRequest
+	*txnState
 	copied bool
 }
 
@@ -679,22 +710,19 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 	}()
 	var errs []error
 
-	// Convert each transaction's decoded bundles into database put
-	// requests, spilling oversized values. (No transaction here can already
-	// be committed: it has been in flight since it turned ready, so no
-	// second assembly of it exists.)
+	// Spill each transaction's oversized values. (No transaction here can
+	// already be committed: it has been in flight since it turned ready, so
+	// no second assembly of it exists.)
 	work := make([]*txnWork, 0, len(group))
 	for _, st := range group {
+		if st.err == nil {
+			st.err = spillItems(p.dep.Store, st.reqs)
+		}
 		if st.err != nil {
 			errs = append(errs, st.err)
 			continue
 		}
-		reqs, err := ItemsForBundles(p.dep.Store, st.bundles)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		work = append(work, &txnWork{st: st, hdr: st.header, reqs: reqs})
+		work = append(work, &txnWork{txnState: st})
 	}
 	if len(work) == 0 {
 		return nil, errors.Join(errs...)
@@ -718,7 +746,7 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 	groups := make([]TxnCommit, 0, len(work))
 	for _, w := range work {
 		all = append(all, w.reqs...)
-		groups = append(groups, TxnCommit{Txn: w.hdr.Txn, Digest: w.hdr.Digest, Reqs: w.reqs})
+		groups = append(groups, TxnCommit{Txn: w.header.Txn, Digest: w.header.Digest, Reqs: w.reqs})
 	}
 	if err := p.dep.DB.BulkPut(all, p.opts.ProvConns, false); err != nil {
 		return nil, errors.Join(append(errs, err)...)
@@ -738,23 +766,22 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 	// copies of distinct transactions run in parallel.
 	tasks := make([]func() error, len(work))
 	for i, w := range work {
-		w := w
 		tasks[i] = func() error {
-			if w.hdr.TmpKey != "" {
+			if w.header.TmpKey != "" {
 				meta := store.Metadata{
-					MetaUUID:    w.hdr.Ref.UUID.String(),
-					MetaVersion: strconv.Itoa(w.hdr.Ref.Version),
+					MetaUUID:    w.header.Ref.UUID.String(),
+					MetaVersion: strconv.Itoa(w.header.Ref.Version),
 				}
-				if w.hdr.Digest != "" {
-					meta[MetaMerkle] = w.hdr.Digest
+				if w.header.Digest != "" {
+					meta[MetaMerkle] = w.header.Digest
 				}
-				if err := p.dep.Store.Copy(w.hdr.TmpKey, w.hdr.FinalKey, meta); err != nil {
+				if err := p.dep.Store.Copy(w.header.TmpKey, w.header.FinalKey, meta); err != nil {
 					// The temp object may already be gone if a previous
 					// daemon crashed between COPY+DELETE and message
 					// acknowledgement; accept the state if the final object
 					// carries our version.
-					if !p.alreadyCommitted(w.hdr) {
-						return fmt.Errorf("core: txn %s copy: %w", w.hdr.Txn, err)
+					if !p.alreadyCommitted(w.header) {
+						return fmt.Errorf("core: txn %s copy: %w", w.header.Txn, err)
 					}
 				}
 			}
@@ -781,27 +808,33 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 		if !w.copied {
 			continue
 		}
-		gathered := p.endInflight(w.st, true)
-		if w.hdr.TmpKey != "" {
-			if err := p.dep.Store.Delete(w.hdr.TmpKey); err != nil {
+		receipts = append(receipts, p.endInflight(w.txnState, true)...)
+		if w.header.TmpKey != "" {
+			if err := p.dep.Store.Delete(w.header.TmpKey); err != nil {
 				errs = append(errs, err)
 			}
-		}
-		for _, r := range gathered {
-			receipts = append(receipts, shardReceipt{shard: w.st.walShard, receipt: r})
 		}
 	}
 	return receipts, errors.Join(errs...)
 }
 
+// decoders are the commit daemons' wire decoders, one per receiver decoding
+// at a time.
+var decoders = sync.Pool{New: func() any { return new(prov.Decoder) }}
+
 // decodeTxn decodes a complete transaction's fragments where they lie, with
-// no reassembly; prov.DecodeBundles copies what it keeps.
-func decodeTxn(st *txnState) ([]prov.Bundle, error) {
-	bundles, err := prov.DecodeBundles(st.frags...)
+// no reassembly, into a pooled decoder's buffers, and builds its put
+// requests from them. The requests keep only the decoded strings, which are
+// copies, so they stay valid once the decoder is reset and reused.
+func decodeTxn(st *txnState) ([]sdb.PutRequest, error) {
+	dec := decoders.Get().(*prov.Decoder)
+	defer decoders.Put(dec)
+	defer dec.Reset()
+	bundles, err := dec.Decode(st.frags...)
 	if err != nil {
 		return nil, fmt.Errorf("core: txn %s: %w", st.header.Txn, err)
 	}
-	return bundles, nil
+	return itemsFor(bundles), nil
 }
 
 // alreadyCommitted checks whether the final object already carries the
@@ -898,9 +931,7 @@ func (p *P3) absorbCommitted() error {
 			if txn := st.header.Txn; sh.pending[txn] == st {
 				delete(sh.pending, txn)
 				sh.committed[txn] = p.dep.Env.Now()
-				for _, r := range append(st.receipts, st.heads...) {
-					pairs = append(pairs, shardReceipt{shard: st.walShard, receipt: r})
-				}
+				pairs = append(pairs, st.tagged(st.receipts, st.heads)...)
 			}
 			sh.mu.Unlock()
 		}

@@ -7,6 +7,7 @@ import (
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/cloud/sqs"
 	"passcloud/internal/sim"
+	"passcloud/internal/uuid"
 )
 
 // RunDaemon runs the commit-daemon pool until stop is closed (live mode) as a
@@ -132,8 +133,8 @@ func (pl *pipeline) form(ready []*txnState) {
 	for _, st := range ready {
 		var home sim.Homes // items with the same homes fill the same batches, on every domain they go to
 		items := 0
-		for i, b := range st.bundles {
-			switch h := dir.Homes(b.Ref.UUID.String()); {
+		for i, req := range st.reqs {
+			switch h := dir.Homes(req.Item[:uuid.StringLen]); {
 			case i == 0:
 				home, items = h, 1
 			case h == home:

@@ -167,7 +167,11 @@ func TestP3RedeliveredReceiptOrderIsSeeded(t *testing.T) {
 		dep.Env.Clock().Advance(2 * time.Second)
 		p.foldMessages(0, drain(dep.WAL.Shard(0)))
 		head = ready[0].headID
-		return p.endInflight(ready[0], true)
+		var receipts []string
+		for _, r := range p.endInflight(ready[0], true) {
+			receipts = append(receipts, r.receipt)
+		}
+		return receipts
 	}
 	want := run()
 	n := len(want) / 2 // every packet was delivered twice

@@ -90,14 +90,8 @@ func pipelineBundles(seed int64) (*pass.Collector, []prov.Bundle, FileObject, []
 	}
 	midRef, _ := col.FileRef("mnt/mid")
 	outRef, _ := col.FileRef("mnt/out")
-	midBundles := col.PendingFor("mnt/mid")
-	for _, bu := range midBundles {
-		col.MarkRecorded(bu.Ref)
-	}
-	outBundles := col.PendingFor("mnt/out")
-	for _, bu := range outBundles {
-		col.MarkRecorded(bu.Ref)
-	}
+	midBundles := col.TakePending("mnt/mid")
+	outBundles := col.TakePending("mnt/out")
 	mid := FileObject{Path: "mnt/mid", Size: 2048, Ref: midRef}
 	out := FileObject{Path: "mnt/out", Size: 1024, Ref: outRef}
 	return col, midBundles, mid, outBundles, out
@@ -123,10 +117,7 @@ func probeCoupling(factory ProtocolFactory, seed int64) (bool, error) {
 		col.Apply(ev)
 	}
 	ref, _ := col.FileRef("mnt/f")
-	bundles := col.PendingFor("mnt/f")
-	for _, bu := range bundles {
-		col.MarkRecorded(bu.Ref)
-	}
+	bundles := col.TakePending("mnt/f")
 	if err := proto.Commit(FileObject{Path: "mnt/f", Size: 4096, Ref: ref}, bundles); err != nil {
 		return false, err
 	}
@@ -231,10 +222,7 @@ func probeQueryEfficiency(factory ProtocolFactory, seed int64) (bool, error) {
 	for i := 0; i < n; i++ {
 		path := fmt.Sprintf("mnt/f%02d", i)
 		ref, _ := col.FileRef(path)
-		bundles := col.PendingFor(path)
-		for _, bu := range bundles {
-			col.MarkRecorded(bu.Ref)
-		}
+		bundles := col.TakePending(path)
 		if err := proto.Commit(FileObject{Path: path, Size: 512, Ref: ref}, bundles); err != nil {
 			return false, err
 		}

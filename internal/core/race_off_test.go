@@ -1,5 +1,5 @@
 //go:build !race
 
-package core_test
+package core
 
-const raceEnabled = false
+const RaceEnabled = false

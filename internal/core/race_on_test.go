@@ -1,7 +1,7 @@
 //go:build race
 
-package core_test
+package core
 
-// raceEnabled reports that the race detector, whose scheduler randomizes
+// RaceEnabled reports that the race detector, whose scheduler randomizes
 // goroutine order, is compiled in.
-const raceEnabled = true
+const RaceEnabled = true

@@ -40,9 +40,10 @@ import (
 // decodeWAL copies the header strings out, but the packet's Payload aliases
 // the message it parsed — in the commit daemon a read-only sqs.Message.Body
 // — so a walPacket, and the fragments a txnState keeps from it, are only
-// ever read. decodeTxn decodes the fragments where they lie, and
-// prov.DecodeBundles copies what it keeps, so nothing past the decode
-// aliases a message.
+// ever read. decodeTxn decodes the fragments where they lie, into a pooled
+// prov.Decoder's buffers, which copies every string out, and builds the put
+// requests from them before the decoder goes back to the pool, so nothing
+// past the decode aliases a message or the decoder.
 
 const walMagic = 0x574c
 

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/cloud/sqs"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/uuid"
@@ -94,5 +98,116 @@ func FuzzDecodeWAL(f *testing.F) {
 		if err == nil && !bytes.HasSuffix(msg, p.Payload) {
 			t.Fatalf("decodeWAL's payload is not the tail of the packet")
 		}
+	})
+}
+
+// foldChunk is the chunk size FuzzFoldMessages cuts a payload with: at most
+// 16 packets, so one schedule byte can name any of them.
+func foldChunk(payload []byte) int { return max(32, (len(payload)+15)/16) }
+
+// FuzzFoldMessages: foldMessages never panics, allocates at most
+// 64·len(input)+64 KiB, and completes a transaction only with exactly its
+// own packets. The input is one transaction's provenance payload, cut into
+// WAL packets, and a schedule: each byte delivers the packet it names (in
+// the low three bits 0-3) or a forgery — 4 a second packet with the seq of
+// one already delivered, 5 one numbered past the count, 6 a packet of a
+// foreign transaction, 7 a packet whose framing is corrupt. Messages fold ten
+// at a time, as a receive page delivers them. The transaction is ready once,
+// exactly when every genuine packet is in; its requests are what
+// ItemsForBundles makes of the payload's bundles (when no value needs
+// spilling), or it carries the decode's error; and they are unchanged after
+// the pooled decoder has decoded another transaction. The seed corpus is the
+// envelope golden's transactions, in order, reversed and with each forgery.
+func FuzzFoldMessages(f *testing.F) {
+	_, txns := ChainedTxns(42, 6, 4)
+	for i, set := range txns {
+		payload := prov.EncodeBundles(set)
+		n := len(encodeWAL(uuid.UUID{}, walTxn{}, payload, foldChunk(payload)))
+		var order, reverse []byte
+		for k := 0; k < n; k++ {
+			order = append(order, byte(k<<3))
+			reverse = append(reverse, byte((n-1-k)<<3))
+		}
+		f.Add(payload, order)
+		f.Add(payload, reverse)
+		forged := append([]byte{byte(i%n)<<3 | 6, 5, byte(n-1)<<3 | 7}, order...)
+		f.Add(payload, append(forged, byte(i%n)<<3|4))
+	}
+	other := prov.EncodeBundles(txns[0])
+	f.Fuzz(func(t *testing.T, payload, schedule []byte) {
+		rnd := sim.NewRand(int64(len(payload)))
+		txn, foreign := uuid.New(rnd), uuid.New(rnd)
+		hdr := walTxn{Txn: txn, FinalKey: DataKey("mnt/f"), Ref: prov.Ref{UUID: uuid.New(rnd), Version: 1}}
+		msgs := encodeWAL(txn, hdr, payload, foldChunk(payload))
+		n := len(msgs)
+		var delivery []sqs.Message
+		delivered := make([]bool, n)
+		for i, b := range schedule {
+			k, m := int(b>>3)%n, sqs.Message{ID: "forged" + strconv.Itoa(i), ReceiptHandle: "r" + strconv.Itoa(i)}
+			switch b & 7 {
+			case 4:
+				if delivered[k] {
+					m.Body = append(appendWALHead(nil, txn, walTxn{Txn: txn, Total: n}, k, n), "forged"...)
+					break
+				}
+				fallthrough
+			case 0, 1, 2, 3:
+				m.ID, m.Body, delivered[k] = "genuine"+strconv.Itoa(k), msgs[k], true
+			case 5:
+				m.Body = append(appendWALHead(nil, txn, hdr, n+k, n), "past"...)
+			case 6:
+				m.Body = append(appendWALHead(nil, foreign, hdr, 1+k, n+1), "foreign"...)
+			case 7:
+				m.Body = append([]byte{msgs[k][0] ^ 0xff}, msgs[k][1:]...)
+			}
+			delivery = append(delivery, m)
+		}
+		p := NewP3(NewDeployment(sim.NewEnv(sim.DefaultConfig())), Options{})
+		var ready []*txnState
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for page := range slices.Chunk(delivery, sqs.MaxBatchEntries) {
+			rdy, _, _ := p.foldMessages(0, page)
+			ready = append(ready, rdy...)
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(payload)+len(schedule))+64<<10; got > limit {
+			t.Fatalf("folding %d messages of a %d-byte payload allocated %d bytes, over %d", len(delivery), len(payload), got, limit)
+		}
+		complete := !slices.Contains(delivered, false)
+		if len(ready) != 0 && (len(ready) != 1 || ready[0].header.Txn != txn) || complete != (len(ready) == 1) {
+			t.Fatalf("%d of %d packets delivered, %d transactions ready", len(slices.DeleteFunc(delivered, func(d bool) bool { return !d })), n, len(ready))
+		}
+		if !complete {
+			return
+		}
+		st := ready[0]
+		bundles, err := prov.DecodeBundles(payload)
+		if (err == nil) != (st.err == nil) {
+			t.Fatalf("the payload decodes with error %v, the transaction with %v", err, st.err)
+		}
+		if err != nil {
+			return
+		}
+		check := func(when string) {
+			if !sameReqs(st.reqs, bundles) {
+				t.Fatalf("%s: the transaction's requests are not the payload's", when)
+			}
+			if slices.ContainsFunc(bundles, func(b prov.Bundle) bool {
+				return slices.ContainsFunc(b.Records, func(r prov.Record) bool { return len(r.Value) > sdb.MaxValueLen })
+			}) {
+				return
+			}
+			want, err := ItemsForBundles(nil, bundles)
+			if err != nil || !slices.EqualFunc(st.reqs, want, sameReq) {
+				t.Fatalf("%s: the transaction's requests are not ItemsForBundles' (%v)", when, err)
+			}
+		}
+		check("folded")
+		txn2 := uuid.New(rnd)
+		for _, m := range deliver(encodeWAL(txn2, walTxn{Txn: txn2, FinalKey: DataKey("mnt/g")}, other, 0)) {
+			p.foldMessages(0, []sqs.Message{m})
+		}
+		check("after another transaction's decode")
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/cloud/sqs"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -96,8 +97,19 @@ func TestWALBundlesMatchPayloadEncoding(t *testing.T) {
 	}
 }
 
-// sameBundles compares decoded bundles with what was encoded (a decoded
-// bundle's empty record list is non-nil, so not reflect.DeepEqual).
+// sameReqs reports whether got are the put requests itemsFor writes for
+// bundles.
+func sameReqs(got []sdb.PutRequest, bundles []prov.Bundle) bool {
+	return slices.EqualFunc(got, itemsFor(bundles), sameReq)
+}
+
+// sameReq compares two put requests field by field.
+func sameReq(a, b sdb.PutRequest) bool {
+	return a.Item == b.Item && a.Replace == b.Replace && slices.Equal(a.Attrs, b.Attrs)
+}
+
+// sameBundles compares bundles read back with what was committed (a decoded
+// bundle's empty record list may be nil or not, so not reflect.DeepEqual).
 func sameBundles(got, want []prov.Bundle) bool {
 	if len(got) != len(want) {
 		return false
@@ -190,8 +202,8 @@ func TestWALDeliveryProperty(t *testing.T) {
 				if err := ready[0].err; err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if got := ready[0].bundles; !sameBundles(got, bundles) {
-					t.Fatalf("%s (chunk %d): decoded\n %+v, want\n %+v", name, chunkSize, got, bundles)
+				if got := ready[0].reqs; !sameReqs(got, bundles) {
+					t.Fatalf("%s (chunk %d): decoded\n %+v, want the requests of\n %+v", name, chunkSize, got, bundles)
 				}
 			}
 		}
@@ -210,8 +222,8 @@ func benchTxn() (uuid.UUID, walTxn, []byte) {
 }
 
 var (
-	sinkMsgs    [][]byte
-	sinkBundles []prov.Bundle
+	sinkMsgs [][]byte
+	sinkReqs []sdb.PutRequest
 )
 
 func BenchmarkEncodeWAL(b *testing.B) {
@@ -239,7 +251,7 @@ func BenchmarkDecodeWAL(b *testing.B) {
 		if err := ready[0].err; err != nil {
 			b.Fatal(err)
 		}
-		sinkBundles = ready[0].bundles
+		sinkReqs = ready[0].reqs
 		p.endInflight(ready[0], false)
 	}
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/cloud/sqs"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -50,18 +52,19 @@ func deliver(msgs [][]byte) []sqs.Message {
 	return out
 }
 
-// reusedValues counts a decoded transaction's non-empty literal values, and
-// those that share the string of the previous bundle's value at the same
-// record index (the decoder's reuse along a version chain).
-func reusedValues(bundles []prov.Bundle) (hits, values int) {
-	for i, b := range bundles {
-		for j, r := range b.Records {
-			if r.IsXref() || r.Value == "" {
+// reusedValues counts a decoded transaction's non-empty attribute values,
+// and those that share the string of the previous item's value at the same
+// index (the decoder's reuse along a version chain, and cross references to
+// an item of the same transaction).
+func reusedValues(reqs []sdb.PutRequest) (hits, values int) {
+	for i, req := range reqs {
+		for j, a := range req.Attrs {
+			if a.Value == "" {
 				continue
 			}
 			values++
-			if i > 0 && j < len(bundles[i-1].Records) &&
-				unsafe.StringData(r.Value) == unsafe.StringData(bundles[i-1].Records[j].Value) {
+			if i > 0 && j < len(reqs[i-1].Attrs) &&
+				unsafe.StringData(a.Value) == unsafe.StringData(reqs[i-1].Attrs[j].Value) {
 				hits++
 			}
 		}
@@ -71,9 +74,12 @@ func reusedValues(bundles []prov.Bundle) (hits, values int) {
 
 // TestWALPathAllocations pins the write-once, read-in-place WAL path on an
 // ingest_bulk-shaped transaction: the encode allocates the packets, their
-// slice and at most one scratch buffer; folding and decoding the packets
-// allocates fewer bytes in all than the payload, so nothing reassembles it;
-// and the 63 repeated env values decode to one shared string.
+// slice and at most one scratch buffer; folding the packets, decoding them
+// and building the put requests allocates at most a third of the payload's
+// bytes in all (about 20 KB of 66 KB; 30 KB for the fold and decode alone
+// when each decode made its own bundles), so nothing reassembles the
+// payload and the decoded bundles are not kept; and the 63 repeated env
+// values decode to one shared string.
 func TestWALPathAllocations(t *testing.T) {
 	txn, hdr, bundles := bulkTxn(sim.NewRand(42))
 	payload := 0
@@ -90,37 +96,48 @@ func TestWALPathAllocations(t *testing.T) {
 
 	p := NewP3(NewDeployment(sim.NewEnv(sim.DefaultConfig())), Options{})
 	delivery := deliver(msgs)
-	fold := func() []prov.Bundle {
+	fold := func() []sdb.PutRequest {
 		ready, _, _ := p.foldMessages(0, delivery)
 		if len(ready) != 1 || ready[0].err != nil {
 			t.Fatalf("fold: %d ready", len(ready))
 		}
 		p.endInflight(ready[0], false)
-		return ready[0].bundles
+		return ready[0].reqs
 	}
 	got := fold()
-	if !sameBundles(got, bundles) {
-		t.Fatal("the transaction decoded to other bundles than were encoded")
+	if !sameReqs(got, bundles) {
+		t.Fatal("the transaction decoded to other requests than its bundles make")
 	}
-	const runs = 20
+	// With the collector off, the pooled decoder survives the runs, as it
+	// does between a busy daemon's transactions.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
 		fold()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= uint64(payload) {
-		t.Errorf("fold + decode allocates %d bytes per transaction, want under the %d-byte payload", per, payload)
+	// Under the race detector the pool drops one decoder in four that it is
+	// given, and instrumentation allocates besides (33-38 KB a transaction),
+	// so a race build keeps the bound that held before the decoder was
+	// pooled: under the payload.
+	per, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(payload)/3
+	if RaceEnabled {
+		limit = uint64(payload) - 1
+	}
+	if per > limit {
+		t.Errorf("fold + decode + requests allocate %d bytes per transaction, want at most %d of the %d-byte payload", per, limit, payload)
 	}
 
-	env := unsafe.StringData(got[1].Records[3].Value)
-	for _, b := range got[1:] {
-		if unsafe.StringData(b.Records[3].Value) != env {
-			t.Fatalf("version %d's env value is a copy of its own", b.Ref.Version)
+	env := unsafe.StringData(got[1].Attrs[3].Value)
+	for _, req := range got[1:] {
+		if unsafe.StringData(req.Attrs[3].Value) != env {
+			t.Fatalf("item %s's env value is a copy of its own", req.Item)
 		}
 	}
 	hits, values := reusedValues(got)
-	t.Logf("ingest_bulk shape: %d of %d decoded values reuse the previous bundle's string", hits, values)
+	t.Logf("ingest_bulk shape: %d of %d attribute values reuse the previous item's string", hits, values)
 }
 
 // TestFoldDropsOutOfRangeSeq: a packet numbered at or past its
@@ -158,7 +175,7 @@ func TestFoldDropsOutOfRangeSeq(t *testing.T) {
 				p.endInflight(st, st.err == nil)
 			}
 		}
-		if len(ready) != 1 || ready[0].err != nil || !sameBundles(ready[0].bundles, bundles) {
+		if len(ready) != 1 || ready[0].err != nil || !sameReqs(ready[0].reqs, bundles) {
 			errs := make([]string, len(ready))
 			for i, st := range ready {
 				errs[i] = fmt.Sprint(st.err)
@@ -176,7 +193,7 @@ func TestFoldDropsOutOfRangeSeq(t *testing.T) {
 	}
 }
 
-var sinkReady []prov.Bundle
+var sinkReady []sdb.PutRequest
 
 // BenchmarkWALRoundTrip is one ingest_bulk-shaped transaction through the
 // WAL path: encode into packets, fold them, decode the fragments.
@@ -189,7 +206,7 @@ func BenchmarkWALRoundTrip(b *testing.B) {
 		if err := ready[0].err; err != nil {
 			b.Fatal(err)
 		}
-		sinkReady = ready[0].bundles
+		sinkReady = ready[0].reqs
 		p.endInflight(ready[0], false)
 	}
 }

@@ -568,3 +568,93 @@ func oracle(t *testing.T, r *crashRun, rep RecoverReport) {
 		t.Errorf("a second Recover's controller decided again: %+v", f.Ctl.Status())
 	}
 }
+
+// TestFailedDeleteStrandsNothing: a DeleteMessageBatch that fails outright,
+// in a group's cleanup and again in the acknowledgement of the committed
+// transactions' redelivered packets, never leaves a packet on the WAL behind
+// its transaction's acknowledged header, where a restarted daemon would
+// assemble a headless transaction that never completes: after Recover the WAL
+// is empty, nothing is pending, and every item is in.
+func TestFailedDeleteStrandsNothing(t *testing.T) {
+	boom := errors.New("boom")
+	for seed := int64(1); seed <= 4; seed++ {
+		f, err := New(Config{Sim: sim.Config{Seed: seed}, Topology: core.Topology{WALShards: 1, DBShards: 1}, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.P3.SetChunkSize(64) // about 20 packets a transaction
+		inj := f.Env.InstallFaults(nil)
+		rnd, items := sim.NewRand(seed), 0
+		for i := 0; i < 4; i++ {
+			obj, bundles := txn(rnd, i, 12)
+			if err := f.P3.Commit(obj, bundles); err != nil {
+				t.Fatal(err)
+			}
+			items += len(bundles)
+		}
+		wal := f.Dep.WAL.Shard(0)
+		// The group's cleanup, then the redelivered packets' acknowledgement.
+		for round := 0; round < 2; round++ {
+			inj.FailNextOp(wal.Name(), "sqs.DeleteMessageBatch", boom)
+			if _, err := f.P3.CommitOnce(); !errors.Is(err, boom) {
+				t.Fatalf("seed %d round %d: commit round returned %v, want the failed delete", seed, round, err)
+			}
+			f.Env.Clock().Sleep(f.Dep.WAL.Visibility())
+		}
+		rep, err := f.Recover(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pending != 0 || rep.WAL != 0 || f.P3.PendingTxns() != 0 || f.Dep.WAL.Len() != 0 {
+			t.Errorf("seed %d: Recover left %d transactions pending and %d packets on the WAL", seed, rep.Pending, rep.WAL)
+		}
+		if f.Dep.Settle(); f.Dep.DB.ItemCount() != items {
+			t.Errorf("seed %d: %d items, want %d", seed, f.Dep.DB.ItemCount(), items)
+		}
+		f.Close()
+	}
+	// Six two-packet transactions in one group: their six receipts and four
+	// of their headers share the first batch, the other two headers a batch
+	// of their own. The first batch fails, sent by a daemon on one connection
+	// so the batches go in order and a header batch would follow it: neither
+	// header it holds may go while its transaction's other packet stays.
+	for seed := int64(1); seed <= 4; seed++ {
+		f, err := New(Config{Sim: sim.Config{Seed: seed}, Topology: core.Topology{WALShards: 1, DBShards: 1}, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := core.NewP3(f.Dep, core.Options{ProvConns: 1})
+		d.SetChunkSize(64) // two packets a transaction
+		inj := f.Env.InstallFaults(nil)
+		rnd, items := sim.NewRand(seed), 0
+		for i := 0; i < 6; i++ {
+			obj, bundles := txn(rnd, i, 2)
+			before := f.Dep.WAL.Len()
+			if err := d.Commit(obj, bundles); err != nil {
+				t.Fatal(err)
+			}
+			if n := f.Dep.WAL.Len() - before; n != 2 {
+				t.Fatalf("a transaction of %d packets, want 2", n)
+			}
+			items += len(bundles)
+		}
+		inj.FailNextOp(f.Dep.WAL.Shard(0).Name(), "sqs.DeleteMessageBatch", boom)
+		if _, err := d.CommitOnce(); !errors.Is(err, boom) {
+			t.Fatalf("seed %d: commit round returned %v, want the failed delete", seed, err)
+		}
+		if left := f.Dep.WAL.Len(); left != 12 {
+			t.Fatalf("seed %d: %d packets left on the WAL after the failed first batch, want all 12", seed, left)
+		}
+		rep, err := f.Recover(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pending != 0 || rep.WAL != 0 || f.P3.PendingTxns() != 0 || f.Dep.WAL.Len() != 0 {
+			t.Errorf("seed %d: Recover left %d transactions pending and %d packets on the WAL", seed, rep.Pending, rep.WAL)
+		}
+		if f.Dep.Settle(); f.Dep.DB.ItemCount() != items {
+			t.Errorf("seed %d: %d items, want %d", seed, f.Dep.DB.ItemCount(), items)
+		}
+		f.Close()
+	}
+}

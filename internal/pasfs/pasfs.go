@@ -182,12 +182,9 @@ func (fs *FS) commit(path string) error {
 		// Ancestry digest for reader-side Merkle verification (§4.3.1):
 		// core.ClosureRoot of the full closure, from memoized leaf digests.
 		obj.Digest = fs.col.ClosureRootFor(path).String()
-		bundles = fs.col.PendingFor(path)
-		// Mark optimistically so a later close does not re-send the same
-		// ancestors; a failed upload surfaces through Drain.
-		for _, b := range bundles {
-			fs.col.MarkRecorded(b.Ref)
-		}
+		// Marked recorded optimistically so a later close does not re-send
+		// the same ancestors; a failed upload surfaces through Drain.
+		bundles = fs.col.TakePending(path)
 	}
 	if !fs.cfg.AsyncCommits {
 		return fs.proto.Commit(obj, bundles)

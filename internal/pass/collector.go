@@ -462,6 +462,16 @@ func (c *Collector) PendingFor(path string) []prov.Bundle {
 	return c.closure(roots)
 }
 
+// TakePending is PendingFor with the bundles it returns marked recorded, as
+// a storage layer that commits them right away needs.
+func (c *Collector) TakePending(path string) []prov.Bundle {
+	bundles := c.PendingFor(path)
+	for _, b := range bundles {
+		c.MarkRecorded(b.Ref)
+	}
+	return bundles
+}
+
 // FullClosureFor returns every version of path's object plus its complete
 // ancestor closure — recorded or not — in the canonical ancestors-first
 // order (root versions oldest first, parents visited in ref-string order).

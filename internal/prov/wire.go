@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Wire format. P1 stores the provenance of an object as an S3 object whose
@@ -30,7 +31,9 @@ import (
 // place, in any number of fragments, read-only views such as queue message
 // bodies included, and copies every name and value out: a decoded Bundle
 // never aliases its input (a caller that keeps a bundle would otherwise pin
-// the whole message). Repeats share a copy: names PASS
+// the whole message). A Decoder's bundles and records are its own buffers,
+// valid until its next Decode; what DecodeBundles returns is the caller's to
+// keep. Repeats share a copy: names PASS
 // defines come back as the Attr* constants, and a name or value equal to
 // the previous bundle's at the same place as that bundle's string.
 
@@ -106,27 +109,60 @@ func EncodeBundles(bs []Bundle) []byte {
 
 // DecodeBundles decodes every bundle in the concatenation of frags, read in
 // place: DecodeBundles(a, b) returns what DecodeBundles(append(a, b...)) does.
+// It is a one-shot Decoder: what it returns owns its buffers.
 func DecodeBundles(frags ...[]byte) ([]Bundle, error) {
-	var join []byte
+	return new(Decoder).Decode(frags...)
+}
+
+// Decoder decodes payloads into buffers it keeps between calls: the bundles
+// and the record slab. What Decode returns is valid until its next call or
+// Reset. The zero value is ready to use; one Decoder serves one caller at a
+// time.
+type Decoder struct {
+	bundles []Bundle // the last result, kept for its capacity
+	recs    []Record // the slab the last result's records ended in
+	join    []byte
+	used    int // records placed by the last Decode: the size of the next slab
+}
+
+// Decode decodes every bundle in the concatenation of frags, as DecodeBundles
+// does, into the decoder's buffers.
+func (dec *Decoder) Decode(frags ...[]byte) ([]Bundle, error) {
+	dec.Reset()
+	if cap(dec.recs) < dec.used {
+		dec.recs = make([]Record, 0, dec.used)
+	}
+	dec.used = 0
 	var err error
-	d := decoder{rest: frags, join: &join, err: &err}
+	d := decoder{rest: frags, join: &dec.join, err: &err}
 	for _, f := range frags {
 		d.left += len(f)
 	}
-	var out []Bundle
-	prev := &Bundle{}
-	for total := d.left; d.left > 0; {
-		b := d.bundle(prev)
+	out, prev := dec.bundles, &Bundle{}
+	for d.total = d.left; d.left > 0; d.done++ {
+		b := d.bundle(prev, dec)
 		if err != nil {
-			return nil, err
+			break
 		}
-		if out == nil { // sized by the first bundle: a payload's bundles are alike
-			out = make([]Bundle, 0, 1+d.left/(total-d.left))
+		if len(out) == 0 { // sized by the first bundle: a payload's bundles are alike
+			out = slices.Grow(out, 1+d.left/(d.total-d.left))
 		}
 		out = append(out, b)
 		prev = &out[len(out)-1]
 	}
+	dec.bundles = out
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// Reset drops what the last Decode returned, so the decoder pins none of its
+// strings; its buffers stay for the next call.
+func (dec *Decoder) Reset() {
+	clear(dec.bundles)
+	clear(dec.recs)
+	dec.bundles, dec.recs = dec.bundles[:0], dec.recs[:0]
 }
 
 // decoder reads fragments in place, joining a field that straddles two in
@@ -139,6 +175,8 @@ type decoder struct {
 	left int      // unread bytes in cur and rest
 	join *[]byte
 	err  *error
+
+	total, done int // the payload's bytes and the bundles decoded so far
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -217,9 +255,10 @@ func (d *decoder) ref() (r Ref) {
 	return r
 }
 
-// bundle decodes the next bundle, reusing prev's strings for its name and
-// for a value at the same record index and attribute when they are equal.
-func (d *decoder) bundle(prev *Bundle) Bundle {
+// bundle decodes the next bundle, its records into dec's slab, capacity-
+// capped (nil for none), reusing prev's strings for its name and for a value
+// at the same record index and attribute when they are equal.
+func (d *decoder) bundle(prev *Bundle, dec *Decoder) Bundle {
 	var b Bundle
 	if b.Ref = d.ref(); *d.err != nil {
 		return b
@@ -228,8 +267,16 @@ func (d *decoder) bundle(prev *Bundle) Bundle {
 	b.Name = reuse(d.field(), prev.Name)
 	if nrec := d.uvarint(); nrec > uint64(d.left/3) { // a record takes at least 3 bytes
 		d.fail("%d records in %d bytes", nrec, d.left)
-	} else if *d.err == nil {
-		b.Records = make([]Record, nrec)
+	} else if n := int(nrec); *d.err == nil && n > 0 {
+		// A slab without room gives way to one sized for the rest of the
+		// payload as the bundles so far suggest, never for more records than
+		// the bytes left can hold; the full one stays with its bundles.
+		if n > cap(dec.recs)-len(dec.recs) {
+			dec.recs = slices.Grow([]Record(nil), min(n*(1+d.done*d.left/(d.total-d.left)), n+d.left/3))
+		}
+		s := len(dec.recs)
+		dec.recs, dec.used = dec.recs[:s+n], dec.used+n
+		b.Records = dec.recs[s : s+n : s+n]
 	}
 	for i := 0; i < len(b.Records) && *d.err == nil; i++ {
 		rec := &b.Records[i]

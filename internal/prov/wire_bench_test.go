@@ -51,19 +51,37 @@ func TestWireAllocationCeilings(t *testing.T) {
 		t.Errorf("Ref.String = %v allocations, want 1", got)
 	}
 
-	// One bundle: the result slice, the record slice, the name, and one
-	// per literal value — nothing for "type", "name", "input", "env".
-	one := EncodeBundles(benchBundles(2)[1:])
-	if got := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeBundles(one); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 6 {
-		t.Errorf("DecodeBundles(one bundle, three literal values) = %v allocations, want 6", got)
-	}
 	got, _ := DecodeBundles(EncodeBundles([]Bundle{{Ref: r, Records: []Record{{Attr: "x-site-defined", Value: "v"}}}}))
 	if got[0].Records[0].Attr != "x-site-defined" {
 		t.Errorf("a name PASS does not define decoded as %q", got[0].Records[0].Attr)
+	}
+	// Each slices.Grow that sizes a slice allocates, under the race detector,
+	// the scratch it otherwise does without: one for the bundle slice and
+	// one per record slab.
+	grow := 0
+	if raceEnabled {
+		grow = 1
+	}
+
+	// One bundle: the result slice, the record slab, the name, and one per
+	// literal value — nothing for "type", "name", "input", "env".
+	one := EncodeBundles(benchBundles(2)[1:])
+	if got, want := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeBundles(one); err != nil {
+			t.Fatal(err)
+		}
+	}), float64(6+2*grow); got != want {
+		t.Errorf("DecodeBundles(one bundle, three literal values) = %v allocations, want %v", got, want)
+	}
+	// 64 bundles: the bundle slice, a few record slabs and the 8 distinct
+	// strings; a reused Decoder allocates the strings alone.
+	payload := EncodeBundles(benchBundles(64))
+	if got, want := testing.AllocsPerRun(100, func() { DecodeBundles(payload) }), float64(12+4*grow); got > want {
+		t.Errorf("DecodeBundles(64 bundles) = %v allocations, want at most %v", got, want)
+	}
+	var dec Decoder
+	if got := testing.AllocsPerRun(100, func() { dec.Decode(payload) }); got != 8 {
+		t.Errorf("a reused Decoder's Decode(64 bundles) = %v allocations, want 8", got)
 	}
 }
 

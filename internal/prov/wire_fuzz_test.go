@@ -27,8 +27,12 @@ func splitAt(data, cuts []byte) [][]byte {
 
 // FuzzDecodeBundles: decoding a payload cut into fragments anywhere is
 // decoding it whole — the same bundles, or an error both ways — and never
-// panics. The seed corpus is the golden payload cut at every byte offset,
-// plus a few many-fragment cuts with empty fragments among them.
+// panics. One Decoder that decodes the golden payload and then the input, or
+// the input and then the golden payload, returns for the second what a fresh
+// decode does, and the strings a caller kept from the first (all that P3's
+// put requests keep) still spell what the first decoded to. The seed corpus
+// is the golden payload cut at every byte offset, plus a few many-fragment
+// cuts with empty fragments among them.
 func FuzzDecodeBundles(f *testing.F) {
 	golden := EncodeBundles(goldenBundles())
 	for at := 0; at <= len(golden); at++ {
@@ -53,7 +57,33 @@ func FuzzDecodeBundles(f *testing.F) {
 		if !reflect.DeepEqual(whole, split) {
 			t.Fatalf("in %d fragments decoded\n %+v, whole\n %+v", len(frags), split, whole)
 		}
+		var dec Decoder
+		for _, pair := range [][2][][]byte{{{golden}, frags}, {frags, {golden}}} {
+			first, _ := dec.Decode(pair[0]...)
+			kept := keptStrings(first)
+			second, err := dec.Decode(pair[1]...)
+			fresh, ferr := DecodeBundles(pair[1]...)
+			if (err == nil) != (ferr == nil) || !reflect.DeepEqual(second, fresh) {
+				t.Fatalf("a reused decoder decoded\n %+v (%v), a fresh one\n %+v (%v)", second, err, fresh, ferr)
+			}
+			if again, _ := DecodeBundles(pair[0]...); !slices.Equal(kept, keptStrings(again)) {
+				t.Fatalf("the strings kept from the first decode changed with the second")
+			}
+		}
 	})
+}
+
+// keptStrings lists every name and value of bundles, as a caller that
+// keeps strings and not the bundles holds them.
+func keptStrings(bundles []Bundle) []string {
+	var out []string
+	for _, b := range bundles {
+		out = append(out, b.Name)
+		for _, r := range b.Records {
+			out = append(out, r.Attr, r.Value)
+		}
+	}
+	return out
 }
 
 // TestDecodeBoundsRecordCount: a record count the remaining bytes cannot

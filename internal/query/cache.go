@@ -10,7 +10,6 @@ import (
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
 	"passcloud/internal/prov"
-	"passcloud/internal/sim"
 	"passcloud/internal/uuid"
 )
 
@@ -62,7 +61,6 @@ type Cache struct {
 
 	// Coherence state (see Engine.Subscribe).
 	subscribed    bool
-	meter         *sim.Meter // coherence-hit accounting while subscribed
 	coherenceHits int64
 	invalidations int64
 	epochFlushes  int64
@@ -209,9 +207,6 @@ func (c *Cache) lookupObs(key string, epoch int) (any, bool) {
 	c.hits++
 	if c.subscribed {
 		c.coherenceHits++
-		if c.meter != nil {
-			c.meter.CountCoherenceHit()
-		}
 	}
 	c.ll.MoveToFront(el)
 	return e.val, true
@@ -257,7 +252,7 @@ func (c *Cache) storeEntry(key string, val any, obs bool, epoch int, ms []AttrMa
 // attach puts the cache in subscribed mode. Observations cached before the
 // subscription may already have missed invalidations, so they are dropped:
 // coherence starts from a known point.
-func (c *Cache) attach(m *sim.Meter) {
+func (c *Cache) attach() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, el := range c.entries {
@@ -266,7 +261,6 @@ func (c *Cache) attach(m *sim.Meter) {
 		}
 	}
 	c.subscribed = true
-	c.meter = m
 }
 
 // detach returns the cache to unsubscribed (eventually consistent)
@@ -275,7 +269,6 @@ func (c *Cache) attach(m *sim.Meter) {
 func (c *Cache) detach() {
 	c.mu.Lock()
 	c.subscribed = false
-	c.meter = nil
 	c.mu.Unlock()
 }
 

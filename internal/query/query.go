@@ -74,7 +74,7 @@ func (e *Engine) Subscribe() error {
 		return nil
 	}
 	c := e.cache
-	c.attach(e.dep.Env.Meter())
+	c.attach()
 	e.unsub = e.dep.Commits.Subscribe(c.applyNotice)
 	return nil
 }

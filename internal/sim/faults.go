@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -80,15 +81,7 @@ func (s FaultSpec) matches(op string, now time.Duration) bool {
 	if now < s.From || (s.Until > 0 && now >= s.Until) {
 		return false
 	}
-	if len(s.Ops) == 0 {
-		return true
-	}
-	for _, o := range s.Ops {
-		if o == op {
-			return true
-		}
-	}
-	return false
+	return len(s.Ops) == 0 || slices.Contains(s.Ops, op)
 }
 
 // FaultPlan maps plan keys to fault specs. A request against endpoint E with
@@ -218,25 +211,6 @@ func (f *FaultInjector) consumeCrash(point CrashPoint, total int) (n int, hit bo
 	return n, true
 }
 
-// serviceClass extracts the service prefix of a metered op kind
-// ("sdb.Select" → "sdb").
-func serviceClass(op string) string {
-	for i := 0; i < len(op); i++ {
-		if op[i] == '.' {
-			return op[:i]
-		}
-	}
-	return op
-}
-
-// defaultCode picks the conventional error code for a service class.
-func defaultCode(class string) string {
-	if class == "s3" {
-		return CodeSlowDown
-	}
-	return CodeServiceUnavailable
-}
-
 // Check decides the fate of one request of op kind op against endpoint.
 // mutating marks ops that change service state and therefore may draw the
 // ambiguous fail-applied outcome. It returns a nil error for the common
@@ -257,9 +231,10 @@ func (f *FaultInjector) Check(endpoint, op string, mutating bool) (err error, ap
 			return err, false
 		}
 	}
+	class, _, _ := strings.Cut(op, ".") // the service: "sdb.Select" → "sdb"
 	spec, ok := f.plan[endpoint]
 	if !ok {
-		spec, ok = f.plan[serviceClass(op)]
+		spec, ok = f.plan[class]
 	}
 	if !ok {
 		spec, ok = f.plan["*"]
@@ -273,8 +248,11 @@ func (f *FaultInjector) Check(endpoint, op string, mutating bool) (err error, ap
 	}
 	code := spec.Code
 	f.mu.Unlock()
-	if code == "" {
-		code = defaultCode(serviceClass(op))
+	if code == "" { // the service's conventional code
+		code = CodeServiceUnavailable
+		if class == "s3" {
+			code = CodeSlowDown
+		}
 	}
 	f.meter.CountFault(endpoint)
 	return &TransientError{Endpoint: endpoint, Op: op, Code: code}, applied

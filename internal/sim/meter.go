@@ -2,7 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -68,12 +69,9 @@ type Meter struct {
 	opsByTenant      map[string]*TenantOps
 	itemsExamined    int64
 	commitNotices    int64
-	invalidations    int64
-	coherenceHits    int64
 	logAppends       int64
 	logHeads         int64
 	logProofs        int64
-	logAudits        int64
 	merkleMismatches int64
 	gauges           map[string]int64
 }
@@ -210,22 +208,6 @@ func (m *Meter) CountCommitNotice() {
 	m.mu.Unlock()
 }
 
-// AddCacheInvalidations records n cached observations dropped by a commit
-// notice.
-func (m *Meter) AddCacheInvalidations(n int64) {
-	m.mu.Lock()
-	m.invalidations += n
-	m.mu.Unlock()
-}
-
-// CountCoherenceHit records one cache hit served by a subscribed (coherent)
-// cache — a read the fabric never saw because invalidation kept it safe.
-func (m *Meter) CountCoherenceHit() {
-	m.mu.Lock()
-	m.coherenceHits++
-	m.mu.Unlock()
-}
-
 // AddLogAppends records n transaction leaves appended to the transparency
 // log by the sequencer.
 func (m *Meter) AddLogAppends(n int64) {
@@ -246,13 +228,6 @@ func (m *Meter) CountLogHead() {
 func (m *Meter) CountLogProof() {
 	m.mu.Lock()
 	m.logProofs++
-	m.mu.Unlock()
-}
-
-// CountLogAudit records one auditor pass over the transparency log tail.
-func (m *Meter) CountLogAudit() {
-	m.mu.Lock()
-	m.logAudits++
 	m.mu.Unlock()
 }
 
@@ -321,19 +296,15 @@ type Usage struct {
 	// ItemsExamined totals the candidate items visited by SELECT scans — the
 	// per-item-examined quantity machine-hour billing scales with.
 	ItemsExamined int64
-	// CommitNotices, CacheInvalidations and CoherenceHits track the
-	// commit-notification fan-out to subscribed query caches: notices
-	// published, cached observations they dropped, and hits served coherently.
-	CommitNotices      int64
-	CacheInvalidations int64
-	CoherenceHits      int64
-	// LogAppends, LogHeads, LogProofs and LogAudits track the transparency
-	// log: leaves appended by the sequencer, signed tree heads persisted,
-	// proofs served, and auditor passes completed.
+	// CommitNotices counts the commit notifications published to subscribed
+	// query caches (what they dropped and served is in query.CacheStats).
+	CommitNotices int64
+	// LogAppends, LogHeads and LogProofs track the transparency log: leaves
+	// appended by the sequencer, signed tree heads persisted and proofs
+	// served.
 	LogAppends int64
 	LogHeads   int64
 	LogProofs  int64
-	LogAudits  int64
 	// MerkleMismatches counts closures whose pinned Merkle root failed
 	// verification against the provenance read back (MerkleReport.Verified
 	// false with a root present).
@@ -355,48 +326,30 @@ func (m *Meter) Usage() Usage {
 		BytesOut:         m.bytesOut,
 		Stored:           m.stored,
 		PeakStored:       m.peakStored,
-		OpsByKind:        make(map[string]int64, len(m.opsByKind)),
-		BytesByKind:      make(map[string]int64, len(m.bytesByKind)),
-		OpsByEndpoint:    make(map[string]int64, len(m.opsByEndpoint)),
+		OpsByKind:        maps.Clone(m.opsByKind),
+		BytesByKind:      maps.Clone(m.bytesByKind),
+		OpsByEndpoint:    maps.Clone(m.opsByEndpoint),
 		Faults:           m.faultsTotal,
-		FaultsByEndpoint: make(map[string]int64, len(m.faultsByEndpoint)),
+		FaultsByEndpoint: maps.Clone(m.faultsByEndpoint),
 		OpsByTenant:      make(map[string]TenantOps, len(m.opsByTenant)),
 
-		ItemsExamined:      m.itemsExamined,
-		CommitNotices:      m.commitNotices,
-		CacheInvalidations: m.invalidations,
-		CoherenceHits:      m.coherenceHits,
-		LogAppends:         m.logAppends,
-		LogHeads:           m.logHeads,
-		LogProofs:          m.logProofs,
-		LogAudits:          m.logAudits,
-		MerkleMismatches:   m.merkleMismatches,
+		ItemsExamined:    m.itemsExamined,
+		CommitNotices:    m.commitNotices,
+		LogAppends:       m.logAppends,
+		LogHeads:         m.logHeads,
+		LogProofs:        m.logProofs,
+		MerkleMismatches: m.merkleMismatches,
 	}
 	for c := CostClass(0); c < numCostClasses; c++ {
 		if m.requests[c] != 0 {
 			u.Requests[c] = m.requests[c]
 		}
 	}
-	for k, v := range m.opsByKind {
-		u.OpsByKind[k] = v
-	}
-	for k, v := range m.bytesByKind {
-		u.BytesByKind[k] = v
-	}
-	for k, v := range m.opsByEndpoint {
-		u.OpsByEndpoint[k] = v
-	}
-	for k, v := range m.faultsByEndpoint {
-		u.FaultsByEndpoint[k] = v
-	}
 	for k, v := range m.opsByTenant {
 		u.OpsByTenant[k] = *v
 	}
 	if len(m.gauges) > 0 {
-		u.Gauges = make(map[string]int64, len(m.gauges))
-		for k, v := range m.gauges {
-			u.Gauges[k] = v
-		}
+		u.Gauges = maps.Clone(m.gauges)
 	}
 	return u
 }
@@ -423,15 +376,8 @@ func (u Usage) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ops=%d in=%.2fMB out=%.2fMB sdb=%.1fms stored=%.2fMB",
 		u.TotalOps, mb(u.BytesIn), mb(u.BytesOut), u.MachineSec*1000, mb(u.Stored))
-	if len(u.OpsByKind) > 0 {
-		kinds := make([]string, 0, len(u.OpsByKind))
-		for k := range u.OpsByKind {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			fmt.Fprintf(&b, " %s=%d", k, u.OpsByKind[k])
-		}
+	for _, k := range slices.Sorted(maps.Keys(u.OpsByKind)) {
+		fmt.Fprintf(&b, " %s=%d", k, u.OpsByKind[k])
 	}
 	return b.String()
 }

@@ -28,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -401,10 +402,7 @@ func (e *Env) GateDepths() map[string]float64 {
 		report(gateName(i), &e.gates[i])
 	}
 	e.laneMu.Lock()
-	lanes := make(map[laneKey]*gate, len(e.laneGates))
-	for k, g := range e.laneGates {
-		lanes[k] = g
-	}
+	lanes := maps.Clone(e.laneGates)
 	e.laneMu.Unlock()
 	for k, g := range lanes {
 		report(fmt.Sprintf("%s-%d", gateName(k.g), k.lane), g)

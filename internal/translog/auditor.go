@@ -175,8 +175,6 @@ func Audit(dep *core.Deployment, l *Log, opts AuditOptions) (AuditReport, error)
 			r.Divergences = append(r.Divergences, Divergence{Kind: DivUnlogged, Item: name})
 		}
 	}
-
-	l.env.Meter().CountLogAudit()
 	return r, nil
 }
 
