@@ -320,16 +320,22 @@ func (c *Controller) readRecord() (DecisionRecord, bool, error) {
 	if err != nil {
 		return DecisionRecord{}, false, err
 	}
+	r, err := decodeRecord(o.Data)
+	return r, err == nil, err
+}
+
+// decodeRecord decodes and validates a stored decision record. A record no
+// controller wrote is an error, never an obligation: finishing it would
+// reshard to a width nothing decided.
+func decodeRecord(data []byte) (DecisionRecord, error) {
 	var r DecisionRecord
-	if err := json.Unmarshal(o.Data, &r); err != nil {
-		return DecisionRecord{}, false, fmt.Errorf("autoscale: decoding decision record: %w", err)
+	if err := json.Unmarshal(data, &r); err != nil {
+		return DecisionRecord{}, fmt.Errorf("autoscale: decoding decision record: %w", err)
 	}
-	// A record no controller wrote is an error, never an obligation:
-	// finishing it would reshard to a width nothing decided.
 	if (r.State != RecordDecided && r.State != RecordDone) || r.TargetK < 1 || r.TargetK > core.MaxShards {
-		return DecisionRecord{}, false, fmt.Errorf("autoscale: invalid decision record: state %q, target_k %d", r.State, r.TargetK)
+		return DecisionRecord{}, fmt.Errorf("autoscale: invalid decision record: state %q, target_k %d", r.State, r.TargetK)
 	}
-	return r, true, nil
+	return r, nil
 }
 
 // persistRecord writes the decision record ahead of the state it describes.

@@ -28,7 +28,7 @@ var testCfg = Config{
 }
 
 // newRig builds a K=1 manual-clock deployment with an enabled controller.
-func newRig(t *testing.T, cfg Config) (*core.Deployment, *Controller) {
+func newRig(t testing.TB, cfg Config) (*core.Deployment, *Controller) {
 	t.Helper()
 	dep := core.NewShardedDeployment(sim.NewEnv(sim.DefaultConfig()), core.Topology{WALShards: 1, DBShards: 1})
 	ctl := New(dep, cfg)
@@ -45,7 +45,7 @@ func addOps(dep *core.Deployment, endpoint string, n int) {
 }
 
 // tick advances the sim clock one window and runs one controller step.
-func tick(t *testing.T, dep *core.Deployment, ctl *Controller, window time.Duration) {
+func tick(t testing.TB, dep *core.Deployment, ctl *Controller, window time.Duration) {
 	t.Helper()
 	dep.Env.Clock().Advance(window)
 	if err := ctl.Step(context.Background()); err != nil {
@@ -153,6 +153,13 @@ func TestReadRecordFailureIsNotAbsence(t *testing.T) {
 	}
 }
 
+// corruptRecords are decision records no controller writes.
+var corruptRecords = []string{
+	`{"seq":1,"from_k":2,"target_k":0,"state":"decided"}`,
+	`{"seq":1,"from_k":2,"target_k":65,"state":"decided"}`,
+	`{"seq":1,"from_k":2,"target_k":1,"state":"bogus"}`,
+}
+
 // TestReadRecordRejectsCorruptRecords stores decision records no
 // controller writes on a K=2 fabric: each must make readRecord and Step
 // return an error and leave the fabric at K=2, never finish a decision
@@ -161,11 +168,7 @@ func TestReadRecordRejectsCorruptRecords(t *testing.T) {
 	dep := core.NewShardedDeployment(sim.NewEnv(sim.DefaultConfig()), core.Topology{WALShards: 2, DBShards: 2})
 	ctl := New(dep, testCfg)
 	ctl.Enable()
-	for _, body := range []string{
-		`{"seq":1,"from_k":2,"target_k":0,"state":"decided"}`,
-		`{"seq":1,"from_k":2,"target_k":65,"state":"decided"}`,
-		`{"seq":1,"from_k":2,"target_k":1,"state":"bogus"}`,
-	} {
+	for _, body := range corruptRecords {
 		if err := dep.Store.Put(RecordKey, []byte(body), nil); err != nil {
 			t.Fatal(err)
 		}

@@ -56,13 +56,19 @@ func (ix *attrIndex) intern(value string) uint32 {
 	return vid
 }
 
-// ids returns the item ids of p, ascending and one per reference, or nil
-// when at most one item carries its value.
-func (ix *attrIndex) ids(p *postings) []uint32 {
+// appendIDs appends the items of p, one of ix's postings, to dst, once each;
+// ix is read only when several items carry p's value.
+func (ix *attrIndex) appendIDs(dst []uint32, p *postings) []uint32 {
 	if p.distinct < 2 {
-		return nil
+		return append(dst, p.one)
 	}
-	return ix.lists[p.one]
+	ids := ix.lists[p.one]
+	for i, id := range ids {
+		if i == 0 || ids[i-1] != id {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // add records one reference from item id to value vid.

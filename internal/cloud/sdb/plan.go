@@ -7,16 +7,15 @@ import (
 
 // Query planning: map a predicate tree onto the secondary indexes.
 //
-// planLocked resolves a predicate into the sorted, deduplicated list of
-// candidate item names — a superset of the items that could satisfy it at
-// any observable version. Select then walks only those candidates (in name
-// order, so NextToken pagination resumes exactly like the scan path),
-// re-checking the full predicate against the version each read observes.
+// planLocked resolves a predicate, in one pass that looks each value up
+// once, into candidate item ids in name order, each once: a superset of the
+// items that could satisfy it at any observable version. Select walks only
+// those, so NextToken resumes as on the scan path, re-checking the full
+// predicate against the version each read observes.
 //
-//   - equality and IN resolve to postings lookups;
-//   - LIKE 'prefix%' and the ordering comparisons resolve to ranges over an
-//     attribute's sorted values (or over the sorted item names for
-//     itemName() predicates);
+//   - equality and IN resolve to postings (an itemName() value to its id);
+//   - LIKE 'prefix%' and the ordering comparisons resolve to spans of an
+//     attribute's sorted values (or of the sorted item names);
 //   - AND needs only one indexable branch — its candidates are already a
 //     superset of the conjunction — and picks the cheaper one;
 //   - OR unions both branches and requires both to be indexable;
@@ -26,171 +25,149 @@ import (
 // AND picks its cheaper branch; their candidate count is unknown upfront.
 const unknownCost = 1 << 30
 
-// planCache memoizes one predicate's candidate list (Domain.lastPlan) so a
+// missingTag marks a candidate that is an itemName() value the item table
+// does not hold, indexing Domain.missing: examined, and observed absent.
+const missingTag = 1 << 31
+
+// planCache memoizes one predicate's candidates (Domain.lastPlan) so a
 // paginated drain resolves its access path once, not once per page. Any
-// write bumps the domain's generation and invalidates it; holding the
-// predicate keeps its address from being reused.
+// write or reap bumps the domain's generation and invalidates it; holding
+// the predicate keeps its address from being reused.
 type planCache struct {
 	where   *Node
 	gen     uint64
-	names   []string
+	ids     []uint32
 	indexed bool
 }
 
-// planLocked returns the candidate item names for n, or ok=false when no
-// index serves it and the caller must scan. The collectors append every
-// name they reach, repeats included (an IN's postings and an OR's branches
-// may overlap), to one slice, sized by the estimate when it is exact;
-// sorting and compacting it once yields the same sorted, deduplicated list
-// a set would. Must run with d.mu held.
-func (d *Domain) planLocked(n *Node) ([]string, bool) {
-	est, ok := d.estimateLocked(n)
-	if !ok {
-		return nil, false
-	}
-	var names []string
-	if est < unknownCost {
-		names = make([]string, 0, est)
-	}
-	names = d.collectLocked(n, names)
-	slices.Sort(names)
-	return slices.Compact(names), true
+// leaf is what the plan collects for a span predicate, or for one =/IN
+// value: its postings in ix, or for an itemName() value a one-item postings
+// of its candidate (and no ix).
+type leaf struct {
+	span *Node
+	ix   *attrIndex
+	p    postings
 }
 
-// estimateLocked reports whether n is index-servable and an upper bound on
-// the candidates it would yield (used to pick AND branches).
-func (d *Domain) estimateLocked(n *Node) (int, bool) {
+// planLocked returns where's candidates (scratch, valid until the next
+// plan), or ok=false when no index serves it and the caller must scan. Must
+// run with d.mu held.
+func (d *Domain) planLocked(where *Node) ([]uint32, bool) {
+	if c := d.lastPlan; c.where == where && c.gen == d.gen {
+		return c.ids, c.indexed
+	}
+	d.leaves, d.missing = d.leaves[:0], d.missing[:0]
+	_, ok := d.resolveLocked(where)
+	ids := d.lastPlan.ids[:0] // the scratch the last plan used
+	if ok {
+		for _, l := range d.leaves {
+			if l.span != nil {
+				ids = d.collectSpanLocked(l.span, ids)
+			} else {
+				ids = l.ix.appendIDs(ids, &l.p)
+			}
+		}
+		ids = d.orderLocked(ids)
+	}
+	d.lastPlan = planCache{where: where, gen: d.gen, ids: ids, indexed: ok}
+	return ids, ok
+}
+
+// resolveLocked appends n's leaves to d.leaves, an AND keeping only its
+// cheaper branch's (the left on a tie), and returns an upper bound on n's
+// candidates and whether n is index-servable.
+func (d *Domain) resolveLocked(n *Node) (int, bool) {
 	switch n.op {
 	case "and":
-		_, c, ok := d.andBranchLocked(n)
-		return c, ok
+		mark := len(d.leaves)
+		lc, lok := d.resolveLocked(n.left)
+		mid := len(d.leaves)
+		rc, rok := d.resolveLocked(n.right)
+		if rok && (!lok || rc < lc) {
+			d.leaves = slices.Delete(d.leaves, mark, mid)
+			return rc, true
+		}
+		d.leaves = d.leaves[:mid]
+		return lc, lok
 	case "or":
-		lc, lok := d.estimateLocked(n.left)
-		rc, rok := d.estimateLocked(n.right)
-		if !lok || !rok {
+		lc, lok := d.resolveLocked(n.left)
+		rc, rok := d.resolveLocked(n.right)
+		return lc + rc, lok && rok
+	case "=":
+		return d.resolveEqLocked(n.attr, n.value), true
+	case "in":
+		return d.resolveEqLocked(n.attr, n.values...), true
+	case "like", ">", ">=", "<", "<=":
+		if _, ok := likePrefix(n.value); n.op == "like" && !ok {
 			return 0, false
 		}
-		return lc + rc, true
-	case "=":
-		return d.postingsSizeLocked(n.attr, n.value), true
-	case "in":
-		total := 0
-		for _, v := range n.values {
-			total += d.postingsSizeLocked(n.attr, v)
-		}
-		return total, true
-	case "like":
-		if _, ok := likePrefix(n.value); ok {
-			return unknownCost, true
-		}
-		return 0, false
-	case ">", ">=", "<", "<=":
+		d.leaves = append(d.leaves, leaf{span: n})
 		return unknownCost, true
 	}
 	// "", "!=": IS NULL / IS NOT NULL / inequality need the full table.
 	return 0, false
 }
 
-// andBranchLocked returns the branch of an AND the planner resolves: the
-// index-servable one, or the cheaper when both are, the left on a tie.
-func (d *Domain) andBranchLocked(n *Node) (*Node, int, bool) {
-	lc, lok := d.estimateLocked(n.left)
-	rc, rok := d.estimateLocked(n.right)
-	if rok && (!lok || rc < lc) {
-		return n.right, rc, true
-	}
-	return n.left, lc, lok
-}
-
-// postingsSizeLocked returns the candidate count of one equality lookup.
-func (d *Domain) postingsSizeLocked(attr, value string) int {
-	if attr == ItemNameKey {
-		return 1
-	}
-	if ix := d.idx[attr]; ix != nil {
-		if p := ix.lookup(value); p != nil {
-			return int(p.distinct)
-		}
-	}
-	return 0
-}
-
-// collectPostingsLocked appends the name of every item in p, a postings
-// entry of ix, to names, once each.
-func (d *Domain) collectPostingsLocked(ix *attrIndex, p *postings, names []string) []string {
-	ids := ix.ids(p)
-	if ids == nil {
-		return append(names, d.items.str(p.one))
-	}
-	for i, id := range ids {
-		if i == 0 || ids[i-1] != id {
-			names = append(names, d.items.str(id))
-		}
-	}
-	return names
-}
-
-// collectLocked appends every candidate item name for n to names. Callers
-// check estimateLocked first; collect follows the same branch choices.
-func (d *Domain) collectLocked(n *Node, names []string) []string {
-	switch n.op {
-	case "and":
-		b, _, _ := d.andBranchLocked(n)
-		names = d.collectLocked(b, names)
-	case "or":
-		names = d.collectLocked(n.left, names)
-		names = d.collectLocked(n.right, names)
-	case "=":
-		names = d.collectEqLocked(n.attr, n.value, names)
-	case "in":
-		for _, v := range n.values {
-			names = d.collectEqLocked(n.attr, v, names)
-		}
-	case "like":
-		prefix, _ := likePrefix(n.value)
-		names = d.collectSpanLocked(n.attr, "like", prefix, names)
-	case ">", ">=", "<", "<=":
-		names = d.collectSpanLocked(n.attr, n.op, n.value, names)
-	}
-	return names
-}
-
-// collectEqLocked resolves one equality lookup onto names.
-func (d *Domain) collectEqLocked(attr, value string, names []string) []string {
-	if attr == ItemNameKey {
-		// Existence and visibility are checked by observe later.
-		return append(names, value)
-	}
-	if ix := d.idx[attr]; ix != nil {
-		if p := ix.lookup(value); p != nil {
-			names = d.collectPostingsLocked(ix, p, names)
-		}
-	}
-	return names
-}
-
-// collectSpanLocked resolves a LIKE 'prefix%' or an ordering comparison:
-// the satisfying values form one contiguous span of the attribute's sorted
-// values (of the sorted item names for itemName()).
-func (d *Domain) collectSpanLocked(attr, op, bound string, names []string) []string {
-	tab, ix := &d.items, d.idx[attr]
-	if attr != ItemNameKey {
-		if ix == nil {
-			return names
-		}
-		tab = &ix.vals
-	}
-	ids := tab.sorted()
-	lo, hi := tab.span(ids, op, bound)
-	names = slices.Grow(names, hi-lo) // at least one candidate per value
-	for _, id := range ids[lo:hi] {
+// resolveEqLocked resolves each equality value to a leaf and returns their
+// candidate count: the distinct items carrying each, or one per itemName()
+// value, held or not (existence and visibility are checked by observe).
+func (d *Domain) resolveEqLocked(attr string, values ...string) (total int) {
+	ix := d.idx[attr]
+	for _, v := range values {
 		if attr == ItemNameKey {
-			names = append(names, tab.str(id))
-		} else {
-			names = d.collectPostingsLocked(ix, ix.ents.at(id), names)
+			id, held, _ := d.items.lookup(v)
+			if !held {
+				id, d.missing = missingTag|uint32(len(d.missing)), append(d.missing, v)
+			}
+			d.leaves = append(d.leaves, leaf{p: postings{one: id, distinct: 1}})
+			total++
+		} else if ix != nil {
+			if p := ix.lookup(v); p != nil {
+				d.leaves = append(d.leaves, leaf{ix: ix, p: *p})
+				total += int(p.distinct)
+			}
 		}
 	}
-	return names
+	return total
+}
+
+// collectSpanLocked appends the candidates of a LIKE 'prefix%' or an
+// ordering comparison: one span of the attribute's sorted values, or of the
+// sorted item names, whose ids are the candidates themselves.
+func (d *Domain) collectSpanLocked(n *Node, ids []uint32) []uint32 {
+	bound := n.value
+	if n.op == "like" {
+		bound, _ = likePrefix(bound)
+	}
+	if n.attr == ItemNameKey {
+		sorted := d.items.sorted()
+		lo, hi := d.items.span(sorted, n.op, bound)
+		return append(ids, sorted[lo:hi]...)
+	}
+	if ix := d.idx[n.attr]; ix != nil {
+		vals := ix.vals.sorted()
+		lo, hi := ix.vals.span(vals, n.op, bound)
+		for _, vid := range vals[lo:hi] {
+			ids = ix.appendIDs(ids, ix.ents.at(vid))
+		}
+	}
+	return ids
+}
+
+// candName returns the name of candidate c.
+func (d *Domain) candName(c uint32) string {
+	if c&missingTag != 0 {
+		return d.missing[c&^missingTag]
+	}
+	return d.items.str(c)
+}
+
+// orderLocked puts ids, repeats included (an IN's postings and an OR's
+// branches may overlap), into name order, each once.
+func (d *Domain) orderLocked(ids []uint32) []uint32 {
+	byName := func(a, b uint32) int { return strings.Compare(d.candName(a), d.candName(b)) }
+	slices.SortFunc(ids, byName)
+	return slices.CompactFunc(ids, func(a, b uint32) bool { return byName(a, b) == 0 })
 }
 
 // likePrefix extracts the prefix of an index-servable LIKE pattern: either

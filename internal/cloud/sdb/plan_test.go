@@ -283,8 +283,9 @@ func TestIndexReducesSimulatedSelectTime(t *testing.T) {
 // TestPlanOverlappingPostings resolves predicates whose postings overlap —
 // an IN over a multi-valued attribute (one item under two listed values, one
 // value listed twice), an OR of two branches that share items, and an OR of
-// two itemName() paths — and checks each candidate list is the sorted,
-// deduplicated union, and that the SELECTs examine exactly those candidates.
+// two itemName() paths — and checks each candidate list is the ids of the
+// union in name order, each once, and that the SELECTs examine exactly
+// those candidates.
 func TestPlanOverlappingPostings(t *testing.T) {
 	d := strictDomain(t)
 	held := make(map[string][]Attr)
@@ -315,7 +316,11 @@ func TestPlanOverlappingPostings(t *testing.T) {
 		}
 		slices.Sort(want)
 		d.mu.Lock()
-		got, ok := d.planLocked(p)
+		ids, ok := d.planLocked(p)
+		var got []string
+		for _, id := range ids {
+			got = append(got, d.items.str(id))
+		}
 		d.mu.Unlock()
 		if !ok || !slices.Equal(got, want) {
 			t.Fatalf("%v: candidates %v (indexed %v), want %v", p, got, ok, want)
@@ -328,5 +333,78 @@ func TestPlanOverlappingPostings(t *testing.T) {
 	// 14 + 19 + 10 candidates, as many as a set-based planner examined.
 	if got := env.Meter().Usage().ItemsExamined - before; got != 43 {
 		t.Fatalf("examined %d items, want 43", got)
+	}
+}
+
+// TestPlanPricingPinned pins what pricing reads from a planned SELECT on
+// the manual clock under eventual consistency: the items a drain examines
+// (which ep.Exec bills), its NextToken sequence, the names it returns and
+// how far it advances the clock. The shapes are the planner's corner cases:
+// an itemName() IN listing a name the domain does not hold (examined all
+// the same), that list drained two per page, an AND whose branches tie on
+// cost (the left is resolved), a nested AND and an OR of postings and an
+// itemName() span. Five items are overwritten just before, so the reads
+// draw which version they observe.
+func TestPlanPricingPinned(t *testing.T) {
+	for _, c := range []struct {
+		expr     string
+		examined int64
+		tokens   []string
+		names    []string
+		advance  time.Duration
+	}{
+		{"select itemName() from prov where itemName() in ('i03', 'zz', 'i07', 'i01', 'zz')",
+			4, nil, []string{"i01", "i03", "i07"}, 21087512},
+		{"select itemName() from prov where itemName() in ('i03', 'zz', 'i07', 'i01', 'zz') limit 2",
+			5, []string{"i03"}, []string{"i01", "i03", "i07"}, 41640428},
+		{"select itemName() from prov where (input = 'x_1' or input = 'x_2') and type = 'file' limit 2",
+			13, []string{"i06", "i14"}, []string{"i02", "i06", "i10", "i14", "i18"}, 62306136},
+		{"select * from prov where type = 'proc' and (name = 'n1' and input = 'x_3')",
+			5, nil, []string{"i19"}, 21108066},
+		{"select itemName() from prov where name = 'n2' or itemName() like 'i1%' limit 4",
+			17, []string{"i08", "i13", "i17"}, []string{"i01", "i02", "i07", "i08", "i10", "i11", "i12", "i13", "i14", "i15", "i16", "i17", "i18", "i19"}, 82982815},
+	} {
+		cfg := sim.DefaultConfig()
+		cfg.Seed = 42
+		d := New(sim.NewEnv(cfg), "prov")
+		for i := range 20 {
+			attrs := []Attr{
+				{Name: "type", Value: []string{"file", "proc"}[i%2]},
+				{Name: "input", Value: fmt.Sprintf("x_%d", i%4)},
+				{Name: "name", Value: fmt.Sprintf("n%d", i%3)},
+			}
+			if err := d.PutAttributes(PutRequest{Item: fmt.Sprintf("i%02d", i), Attrs: attrs}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.BatchDeleteAttributes([]string{"i05"})
+		// Fresh overwrites: reads of these draw which version they see.
+		for _, item := range []string{"i01", "i02", "i07", "i13", "i18"} {
+			d.PutAttributes(PutRequest{Item: item, Attrs: []Attr{{Name: "name", Value: "n2"}}, Replace: true})
+		}
+		q, err := ParseSelect(c.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		examined0, start := d.env.Meter().Usage().ItemsExamined, d.env.Now()
+		var tokens, names []string
+		for token := ""; ; {
+			page, err := d.SelectQuery(q, token)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range page.Items {
+				names = append(names, it.Name)
+			}
+			if token = page.NextToken; token == "" {
+				break
+			}
+			tokens = append(tokens, token)
+		}
+		examined, advance := d.env.Meter().Usage().ItemsExamined-examined0, d.env.Now()-start
+		if examined != c.examined || !slices.Equal(tokens, c.tokens) || !slices.Equal(names, c.names) || advance != c.advance {
+			t.Errorf("%s: examined %d, tokens %q, names %q, advance %v; want %d, %q, %q, %v",
+				c.expr, examined, tokens, names, advance, c.examined, c.tokens, c.names, c.advance)
+		}
 	}
 }

@@ -9,12 +9,12 @@
 // call, and SELECT responses are paginated. Reads are eventually consistent
 // unless the environment runs in strict mode.
 //
-// Like the real service, every attribute is indexed on write: SELECT
-// resolves equality, IN, prefix and range predicates through per-attribute
-// secondary indexes (index.go) chosen by a small planner (plan.go), and
-// falls back to a streaming scan of the sorted name table otherwise. Index
-// candidates are re-validated against the version each read observes, so
-// eventual-consistency semantics are identical on both access paths.
+// Like the real service, every attribute is indexed on write: a small
+// planner (plan.go) resolves each equality, IN, prefix and range value once
+// through per-attribute secondary indexes (index.go) into candidate item
+// ids in name order, and SELECT falls back to a streaming scan of the sorted
+// name table otherwise. Candidates are re-validated against the version each
+// read observes, so eventual consistency is identical on both access paths.
 //
 // A domain stores each distinct string once, in string tables (strtab.go)
 // that keep the bytes in append-only chunks: item names in the item table,
@@ -145,6 +145,8 @@ type Domain struct {
 	forceScan bool                  // tests only: walk the item table, the indexes' reference
 	gen       uint64                // write generation; invalidates cached plans
 	lastPlan  planCache             // resolved candidates of the latest query
+	leaves    []leaf                // the planner's scratch: resolved leaves
+	missing   []string              // and itemName() values the item table lacks
 }
 
 // New creates an empty domain.
@@ -499,7 +501,7 @@ func (d *Domain) reapLocked(now time.Duration) {
 	}
 	if len(reaped) > 0 {
 		d.items.remove(reaped...)
-		d.gen++ // cached plans may list the reaped names
+		d.gen++ // cached plans may list the reaped ids, which intern reuses
 	}
 }
 
@@ -523,9 +525,9 @@ type pageRec struct {
 // constructors in select.go) returning one page. Callers that issue the
 // same query shape repeatedly — BFS traversals rebinding IN values per
 // level — reuse one Query instead of formatting and reparsing expressions.
-// Each call resolves its access path afresh; a multi-page drain should use
-// SelectAllQuery (or Select with one expression), which also reuses the
-// resolved candidate list across pages.
+// A call whose Where is the last call's, with no write between, reuses its
+// resolved candidates, as SelectAllQuery (or Select with one expression)
+// does across the pages of a drain.
 func (d *Domain) SelectQuery(q Query, nextToken string) (SelectPage, error) {
 	if q.Domain != d.name {
 		return SelectPage{}, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
@@ -558,30 +560,17 @@ func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string) (Select
 
 	d.mu.Lock()
 	d.reapLocked(now)
-	var names []string
-	indexed := false
+	// The planner's candidates, or else every held id: ids in name order.
+	ids, indexed := []uint32(nil), false
 	if where != nil && !d.forceScan {
-		// A paginated drain re-enters with the same predicate per page;
-		// reuse the resolved candidate list until a write invalidates it
-		// instead of re-collecting and re-sorting the candidates per page.
-		if d.lastPlan.where == where && d.lastPlan.gen == d.gen {
-			names, indexed = d.lastPlan.names, d.lastPlan.indexed
-		} else {
-			names, indexed = d.planLocked(where)
-			d.lastPlan = planCache{where: where, gen: d.gen, names: names, indexed: indexed}
-		}
+		ids, indexed = d.planLocked(where)
 	}
-	// The candidates are the planner's names, or else every held id.
-	n, nameAt := len(names), func(i int) string { return names[i] }
-	idAt := func(i int) (uint32, bool) { id, held, _ := d.items.lookup(names[i]); return id, held }
 	if !indexed {
-		ids := d.items.sorted()
-		n, nameAt = len(ids), func(i int) string { return d.items.str(ids[i]) }
-		idAt = func(i int) (uint32, bool) { return ids[i], true }
+		ids = d.items.sorted()
 	}
 	// Skip directly past the continuation token.
-	start := sort.Search(n, func(i int) bool { return nameAt(i) >= nextToken })
-	if start < n && nameAt(start) == nextToken {
+	start := sort.Search(len(ids), func(i int) bool { return d.candName(ids[i]) >= nextToken })
+	if start < len(ids) && d.candName(ids[start]) == nextToken {
 		start++
 	}
 	page := SelectPage{}
@@ -591,17 +580,16 @@ func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string) (Select
 	// attributes for the predicate (an itemName()-only scan reads none).
 	recs, attrs := d.pageRecs[:0], d.pageAttrs[:0]
 	needAttrs := where != nil || !q.ItemOnly
-	for i := start; i < n; i++ {
+	for _, id := range ids[start:] {
 		examined++
-		id, held := idAt(i)
-		if !held {
+		if id&missingTag != 0 {
 			continue
 		}
 		v := d.observe(id, now, q.Consistent)
 		if v.deleted() {
 			continue
 		}
-		it, mark := Item{Name: nameAt(i)}, len(attrs)
+		it, mark := Item{Name: d.items.str(id)}, len(attrs)
 		if needAttrs {
 			attrs = d.appendAttrs(attrs, v)
 			it.Attrs = attrs[mark:]

@@ -17,10 +17,10 @@ package prov
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"passcloud/internal/uuid"
 )
@@ -109,28 +109,22 @@ func (r Ref) Compare(o Ref) int {
 }
 
 // ParseRef decodes the uuid_version form, exactly as String prints it: a
-// lower-case uuid and a version with no sign or leading zero. Any other
-// spelling is an error, so two item names never alias one ref.
+// lower-case uuid and a version with no sign or leading zero, at least 1.
+// Any other spelling is an error, so two item names never alias one ref.
 func ParseRef(s string) (Ref, error) {
-	i := strings.LastIndexByte(s, '_')
-	if i < 0 {
+	const at = uuid.StringLen + 1 // the version's first digit
+	u, err := uuid.ParseLower(s[:min(len(s), at-1)])
+	if err != nil || len(s) <= at || s[at-1] != '_' {
 		return Ref{}, fmt.Errorf("prov: malformed ref %q", s)
 	}
-	u, err := uuid.Parse(s[:i])
-	if err != nil {
-		return Ref{}, fmt.Errorf("prov: malformed ref %q: %v", s, err)
+	v := 0
+	for k, c := range []byte(s[at:]) {
+		if c < '0' || c > '9' || k == 0 && c == '0' || v > (math.MaxInt-int(c-'0'))/10 {
+			return Ref{}, fmt.Errorf("prov: malformed ref version in %q", s)
+		}
+		v = v*10 + int(c-'0')
 	}
-	v, err := strconv.Atoi(s[i+1:])
-	if err != nil || v < 1 {
-		return Ref{}, fmt.Errorf("prov: malformed ref version in %q", s)
-	}
-	r := Ref{UUID: u, Version: v}
-	// uuid.Parse fixed the dashes and strconv.Atoi the digits: what String
-	// would print differently is upper-case hex, a sign or a leading zero.
-	if c := s[i+1]; c < '1' || c > '9' || strings.ContainsAny(s[:i], "ABCDEF") {
-		return Ref{}, fmt.Errorf("prov: non-canonical ref %q (canonical %s)", s, r)
-	}
-	return r, nil
+	return Ref{UUID: u, Version: v}, nil
 }
 
 // Record is one provenance fact about a node: a literal attribute value, or

@@ -102,3 +102,17 @@ func TestGoldenItemNamesRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkParseRef parses the goldens' item names, one per operation: the
+// decode every SELECT result row and cross reference goes through.
+func BenchmarkParseRef(b *testing.B) {
+	names := goldenItemNames(b)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := ParseRef(names[i%len(names)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}

@@ -49,38 +49,43 @@ func (u UUID) AppendTo(dst []byte) []byte {
 // IsZero reports whether u is the all-zero UUID.
 func (u UUID) IsZero() bool { return u == UUID{} }
 
-// Parse decodes the canonical string form produced by String.
-func Parse(s string) (UUID, error) {
+// Parse decodes the canonical string form produced by String, its hex in
+// either case.
+func Parse(s string) (UUID, error) { return parse(s, 0xe0) }
+
+// ParseLower decodes the canonical string form exactly as String prints
+// it: upper-case hex is an invalid digit.
+func ParseLower(s string) (UUID, error) { return parse(s, 0xf0) }
+
+// hexVal maps a byte to the value of the hex digit it is, with 0x10 set for
+// an upper-case one, and any other byte to 0xff.
+var hexVal = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i := range byte(16) {
+		t["0123456789ABCDEF"[i]] = i | 0x10
+		t["0123456789abcdef"[i]] = i
+	}
+	return t
+}()
+
+// hexAt is where each byte's two digits start in the string form.
+var hexAt = [16]int{0, 2, 4, 6, 9, 11, 14, 16, 19, 21, 24, 26, 28, 30, 32, 34}
+
+// parse decodes the 8-4-4-4-12 form, refusing a digit whose hexVal has a bit
+// of reject set.
+func parse(s string, reject byte) (UUID, error) {
 	var u UUID
-	if len(s) != 36 || s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
+	if len(s) != StringLen || s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
 		return u, errors.New("uuid: malformed string")
 	}
-	idx := 0
-	for i := 0; i < len(s); {
-		if i == 8 || i == 13 || i == 18 || i == 23 {
-			i++ // a dash anywhere else is an invalid hex digit below
-			continue
-		}
-		hi, ok1 := hexVal(s[i])
-		lo, ok2 := hexVal(s[i+1])
-		if !ok1 || !ok2 {
+	for k, i := range hexAt {
+		hi, lo := hexVal[s[i]], hexVal[s[i+1]]
+		if (hi|lo)&reject != 0 {
 			return UUID{}, errors.New("uuid: invalid hex digit")
 		}
-		u[idx] = hi<<4 | lo
-		idx++
-		i += 2
+		u[k] = hi<<4 | lo&0xf
 	}
 	return u, nil
-}
-
-func hexVal(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
 }

@@ -96,3 +96,24 @@ func TestStringFormAndAllocations(t *testing.T) {
 		t.Fatalf("String = %v allocations, want 1", got)
 	}
 }
+
+// TestParseCase: Parse reads hex in either case; ParseLower only what
+// String prints, and otherwise agrees with Parse.
+func TestParseCase(t *testing.T) {
+	const lower, upper = "01234567-89ab-4cde-8f01-23456789abcd", "01234567-89AB-4CDE-8F01-23456789ABCD"
+	want, err := Parse(lower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, err := Parse(upper); err != nil || u != want {
+		t.Fatalf("Parse(%q) = %s, %v; want %s", upper, u, err, want)
+	}
+	if u, err := ParseLower(lower); err != nil || u != want {
+		t.Fatalf("ParseLower(%q) = %s, %v; want %s", lower, u, err, want)
+	}
+	for _, s := range []string{upper, "01234567-89ab-4cde-8f01-23456789abcD", "0123456g-89ab-4cde-8f01-23456789abcd", "01234567-89ab-4cde-8f01-23456789abc"} {
+		if u, err := ParseLower(s); err == nil {
+			t.Fatalf("ParseLower(%q) = %s, want error", s, u)
+		}
+	}
+}
