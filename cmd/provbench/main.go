@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"passcloud/internal/bench"
+	"passcloud/internal/oracle"
 	"passcloud/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	if want("table1") {
 		ran = true
 		bench.Banner(out, "Table 1 — Properties")
-		rows, err := bench.Table1(*seed)
+		rows, err := oracle.Table1(*seed)
 		fail(err)
 		bench.RenderTable1(out, rows)
 	}

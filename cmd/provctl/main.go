@@ -28,6 +28,7 @@ import (
 	"passcloud/internal/autoscale"
 	"passcloud/internal/core"
 	"passcloud/internal/frontdoor"
+	"passcloud/internal/oracle"
 	"passcloud/internal/pasfs"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
@@ -380,13 +381,13 @@ func (s *session) verify(args []string) error {
 }
 
 func (s *session) props([]string) error {
-	r, err := core.ProbeProperties(s.factory, s.seed)
+	r, err := oracle.Properties(s.factory, s.seed)
 	if err != nil {
 		return err
 	}
 	yes := func(b bool) string { return either(b, "yes", "no") }
 	s.printf("Table 1, %s (empirically probed): data-coupling %s, causal order %s, efficient query %s, persistence %s\n",
-		r.Protocol, yes(r.DataCoupling), yes(r.CausalOrdering), yes(r.EfficientQuery), yes(r.Persistence))
+		r.Protocol, yes(r.Holds("coupling")), yes(r.Holds("causal-order")), yes(r.Holds("query")), yes(r.Holds("persistence")))
 	return nil
 }
 

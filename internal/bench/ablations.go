@@ -1,11 +1,11 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/oracle"
 	"passcloud/internal/par"
 	"passcloud/internal/pass"
 	"passcloud/internal/sim"
@@ -16,20 +16,6 @@ import (
 // Ablations for the design choices §5.1 of the paper tunes per service:
 // connection counts, WAL chunk size, batch size and the consistency model
 // (the latency anchors are on baseModel in sim/model.go).
-
-// Table1 runs the property probes for every configuration — the empirical
-// regeneration of the paper's Table 1 (plus the persistence property).
-func Table1(seed int64) ([]core.PropertyReport, error) {
-	var rows []core.PropertyReport
-	for _, f := range core.Factories() {
-		rep, err := core.ProbeProperties(f, seed)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, rep)
-	}
-	return rows, nil
-}
 
 // ConnSweepPoint is one point of the §5.1 connection-scaling ablation.
 type ConnSweepPoint struct {
@@ -174,29 +160,27 @@ func ConsistencySweep(seed int64, checks int) ([]ConsistencyPoint, error) {
 		for _, ev := range tb.Trace().Events {
 			col.Apply(ev)
 		}
-		fails := 0
+		fails, want := 0, oracle.Expect{Backend: core.BackendSDB}
 		for i := 0; i < checks; i++ {
 			path := fmt.Sprintf("mnt/f%03d", i)
 			col.Apply(trace.Event{Kind: trace.Write, PID: pid, Path: path, Bytes: 1024})
 			col.Apply(trace.Event{Kind: trace.Close, PID: pid, Path: path})
 			ref, _ := col.FileRef(path)
+			obj := core.FileObject{Path: path, Size: 1024, Ref: ref}
 			bundles := col.TakePending(path)
-			if err := p.Commit(core.FileObject{Path: path, Size: 1024, Ref: ref}, bundles); err != nil {
+			if err := p.Commit(obj, bundles); err != nil {
 				return nil, err
 			}
-			rep, err := core.CheckCoupling(dep, core.BackendSDB, path)
-			if err != nil || !rep.Coupled {
+			want.Items += len(bundles)
+			want.Objects = append(want.Objects, obj)
+			if rep, err := core.CheckCoupling(dep, core.BackendSDB, path); err != nil || !rep.Coupled {
 				fails++
 			}
 			dep.Settle()
-			// After settling, the check must always pass.
-			rep, err = core.CheckCoupling(dep, core.BackendSDB, path)
-			if err != nil {
-				return nil, err
-			}
-			if !rep.Coupled {
-				return nil, errors.New("bench: coupling check failed after settle")
-			}
+		}
+		// Settled, the deployment must hold every commit coupled.
+		if rep, err := oracle.Check(dep, want); err != nil || !rep.Clean() {
+			return nil, fmt.Errorf("bench: after settle: %q (err %v)", rep.Violations, err)
 		}
 		points = append(points, ConsistencyPoint{Mode: mode, Checks: checks, TransientFails: fails})
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"passcloud/internal/core"
+	"passcloud/internal/oracle"
 	"passcloud/internal/sim"
 	"passcloud/internal/workload"
 )
@@ -22,25 +23,6 @@ import (
 // package under a second; the full suite takes ~30s.
 
 const testScale = 600
-
-func TestTable1MatchesPaper(t *testing.T) {
-	rows, err := Table1(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][3]bool{ // coupling, ordering, query
-		"S3fs": {false, false, false},
-		"P1":   {false, true, false},
-		"P2":   {false, true, true},
-		"P3":   {true, true, true},
-	}
-	for _, r := range rows {
-		w := want[r.Protocol]
-		if r.DataCoupling != w[0] || r.CausalOrdering != w[1] || r.EfficientQuery != w[2] {
-			t.Errorf("%s: got %+v, want %v", r.Protocol, r, w)
-		}
-	}
-}
 
 func TestTable2Ordering(t *testing.T) {
 	if testing.Short() {
@@ -230,7 +212,7 @@ func TestMetadataPersistenceDemo(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	rows, err := Table1(7)
+	rows, err := oracle.Table1(7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestWorkloadEndStateInvariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !walk.Ordered() {
+				if len(walk.Dangling) != 0 {
 					t.Fatalf("%s dangling: %v", path, walk.Dangling)
 				}
 				// Flat tree: archive + cp + 40 repo files.

@@ -5,7 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"passcloud/internal/core"
+	"passcloud/internal/oracle"
 	"passcloud/internal/sim"
 )
 
@@ -19,22 +19,28 @@ func check(b bool) string {
 	return "no"
 }
 
-// RenderTable1 prints the property matrix.
-func RenderTable1(w io.Writer, rows []core.PropertyReport) {
-	fmt.Fprintln(w, "Table 1: Properties comparison (empirically probed)")
+// RenderTable1 prints the property matrix, then the violation behind each
+// "no" cell.
+func RenderTable1(w io.Writer, rows []oracle.PropertyReport) {
+	fmt.Fprintln(w, "Table 1: Properties comparison (derived by the oracle)")
 	fmt.Fprintf(w, "%-28s %6s %6s %6s %6s\n", "Property", "S3fs", "P1", "P2", "P3")
-	by := make(map[string]core.PropertyReport)
+	by := make(map[string]oracle.PropertyReport)
 	for _, r := range rows {
 		by[r.Protocol] = r
 	}
-	line := func(name string, get func(core.PropertyReport) bool) {
-		fmt.Fprintf(w, "%-28s %6s %6s %6s %6s\n", name,
-			check(get(by["S3fs"])), check(get(by["P1"])), check(get(by["P2"])), check(get(by["P3"])))
+	line := func(name, property string) {
+		fmt.Fprintf(w, "%-28s %6s %6s %6s %6s\n", name, check(by["S3fs"].Holds(property)),
+			check(by["P1"].Holds(property)), check(by["P2"].Holds(property)), check(by["P3"].Holds(property)))
 	}
-	line("Provenance Data-Coupling", func(r core.PropertyReport) bool { return r.DataCoupling })
-	line("Multi-object Causal Order", func(r core.PropertyReport) bool { return r.CausalOrdering })
-	line("Efficient Query", func(r core.PropertyReport) bool { return r.EfficientQuery })
-	line("Data-Indep. Persistence", func(r core.PropertyReport) bool { return r.Persistence })
+	line("Provenance Data-Coupling", "coupling")
+	line("Multi-object Causal Order", "causal-order")
+	line("Efficient Query", "query")
+	line("Data-Indep. Persistence", "persistence")
+	for _, r := range rows {
+		for _, v := range r.Why {
+			fmt.Fprintf(w, "  %s no %v\n", r.Protocol, v)
+		}
+	}
 }
 
 // RenderTable2 prints the per-service upload times.

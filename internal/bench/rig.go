@@ -13,6 +13,7 @@ import (
 
 	"passcloud/internal/core"
 	"passcloud/internal/fabric"
+	"passcloud/internal/oracle"
 	"passcloud/internal/par"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -161,82 +162,54 @@ func runPhase(f *fabric.Fabric, conns int, batch []pipeTxn, toK int) (core.Resha
 	return stats, err
 }
 
-// outcome is what a harness reads once its measured phases are over.
-type outcome struct {
-	usage sim.Usage // the bill at that moment
-	verification
-}
-
 // finish ends the live part of a run — stop the pools, then Settle, which is
 // where the run's bill is read — and then, outside the measurement, takes
-// the fabric to the manual clock and verifies it.
-func finish(f *fabric.Fabric, set []pipeTxn) (outcome, error) {
+// the fabric to the manual clock and verifies it against set: it returns
+// the bill and verify's digest.
+func finish(f *fabric.Fabric, set []pipeTxn) (sim.Usage, string, error) {
 	f.Stop()
 	if err := f.P3.Settle(); err != nil {
-		return outcome{}, err
+		return sim.Usage{}, "", err
 	}
-	out := outcome{usage: f.Env.Meter().Usage()}
-	err := f.ToManual()
-	if err == nil {
-		out.verification, err = verify(f, set)
+	usage := f.Env.Meter().Usage()
+	if err := f.ToManual(); err != nil {
+		return usage, "", err
 	}
-	return out, err
+	digest, err := verify(f, set, nil)
+	return usage, digest, err
 }
 
-// verification is the end state verify read back.
-type verification struct {
-	items      int // provenance items in the fabric
-	misplaced  int // items not on their home shard
-	duplicates int // items on more than one shard
-	digest     string
-}
-
-// verify reads a drained fabric on the manual clock: the exact item count
-// (nothing lost, nothing duplicated), the placement audit, and — when set is
-// given — the digest of every transaction's provenance read back through the
-// routed ReadProvenance plus its data object's version link. Equal digests
-// across twins prove they persisted byte-identical provenance.
-func verify(f *fabric.Fabric, set []pipeTxn) (verification, error) {
-	v := verification{items: f.Dep.DB.ItemCount()}
-	var err error
-	if v.misplaced, v.duplicates, err = core.AuditFabric(f.Dep); err != nil {
-		return v, fmt.Errorf("bench: fabric audit: %w", err)
+// verify checks a drained fabric on the manual clock with oracle.Check —
+// exactly the items of set and extra, their objects coupled, nothing left
+// behind — and returns the digest of every transaction of set's provenance
+// read back through the routed ReadProvenance plus its data object's version
+// link. Equal digests across twins prove they persisted byte-identical
+// provenance.
+func verify(f *fabric.Fabric, set, extra []pipeTxn) (string, error) {
+	want := oracle.Expect{Backend: core.BackendSDB, P3: f.P3}
+	for _, tx := range slices.Concat(set, extra) {
+		want.Items += len(tx.bundles)
+		want.Objects = append(want.Objects, tx.obj)
 	}
-	if set == nil {
-		return v, nil
+	if rep, err := oracle.Check(f.Dep, want); err != nil || !rep.Clean() {
+		return "", fmt.Errorf("bench: oracle: %q (err %v)", rep.Violations, err)
 	}
 	h := sha256.New()
 	for i := range set {
 		for _, u := range []uuid.UUID{set[i].file, set[i].proc} {
 			bundles, err := core.ReadProvenance(f.Dep, core.BackendSDB, u)
 			if err != nil {
-				return v, fmt.Errorf("bench: read-back of %s: %w", u, err)
+				return "", fmt.Errorf("bench: read-back of %s: %w", u, err)
 			}
 			h.Write(prov.EncodeBundles(bundles))
 		}
 		o, err := f.Dep.Store.Get(core.DataKey(set[i].obj.Path))
 		if err != nil {
-			return v, fmt.Errorf("bench: data of %s: %w", set[i].obj.Path, err)
+			return "", fmt.Errorf("bench: data of %s: %w", set[i].obj.Path, err)
 		}
 		h.Write([]byte(o.Metadata["prov-uuid"] + "/" + o.Metadata["prov-version"]))
 	}
-	v.digest = hex.EncodeToString(h.Sum(nil))
-	return v, nil
-}
-
-// cleanEnd checks that a drained fabric left nothing behind on any shard: no
-// WAL backlog, no temporary objects, no half-assembled transactions.
-func cleanEnd(f *fabric.Fabric) error {
-	if n := f.Dep.WAL.Len(); n != 0 {
-		return fmt.Errorf("bench: %d WAL messages left after settle", n)
-	}
-	if keys, _, _ := f.Dep.Store.ListAll(core.TmpPrefix); len(keys) != 0 {
-		return fmt.Errorf("bench: %d temp objects leaked", len(keys))
-	}
-	if n := f.P3.PendingTxns(); n != 0 {
-		return fmt.Errorf("bench: %d transactions still pending", n)
-	}
-	return nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // p99Ms sorts lat and returns its 99th percentile in milliseconds.

@@ -45,16 +45,16 @@ func ShardedWrite(seed int64, txns, bundlesPerTxn, workers, clientConns int, sca
 		return ShardedWriteRun{}, err
 	}
 	// The digest must not depend on K, and the fabric must end clean.
-	out, err := finish(f, set)
+	usage, digest, err := finish(f, set)
 	if err != nil {
 		return ShardedWriteRun{}, err
 	}
 	return ShardedWriteRun{
 		Events:        txns * bundlesPerTxn,
-		SQSRequests:   out.usage.Requests[sim.CostSQS], // every queue request kind
-		SDBBatchCalls: out.usage.OpsByKind["sdb.BatchPutAttributes"],
-		CostUSD:       out.usage.Cost(f.Env.Config().StorageWindow),
-		ProvDigest:    out.digest,
-		usage:         out.usage,
-	}, cleanEnd(f)
+		SQSRequests:   usage.Requests[sim.CostSQS], // every queue request kind
+		SDBBatchCalls: usage.OpsByKind["sdb.BatchPutAttributes"],
+		CostUSD:       usage.Cost(f.Env.Config().StorageWindow),
+		ProvDigest:    digest,
+		usage:         usage,
+	}, nil
 }

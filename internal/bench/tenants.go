@@ -65,8 +65,6 @@ type TenantIsolationConfig struct {
 
 // TenantIsolationRun is the measured outcome of one configuration.
 type TenantIsolationRun struct {
-	Events int // compliant provenance bundles committed
-
 	CommitErrors int // failed compliant commits
 	FirstError   string
 
@@ -79,10 +77,8 @@ type TenantIsolationRun struct {
 	AbuserAdmitted  int64
 	AbuserShed      int64
 
-	ItemCount   int
-	AbuserItems int    // abuser items present after settle
-	ProvDigest  string // compliant tenant's read-back only
-	Verified    bool
+	ProvDigest string // compliant tenant's read-back only
+	Verified   bool
 }
 
 // tenantIsolationIDs picks the two tenant ids deterministically: the
@@ -148,7 +144,7 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	set := tenantPipeTxns(c.Seed, compliantID, c.Txns, c.BundlesPerTxn)
 	abuseSet := tenantPipeTxns(c.Seed^0x5eed, abuserID, c.AbuserTxns, c.BundlesPerTxn)
 
-	run := TenantIsolationRun{Events: c.Txns * c.BundlesPerTxn}
+	var run TenantIsolationRun
 	cfg := fabric.Config{
 		Topology: kWay(c.K), Workers: c.Workers,
 		Tenants: []fabric.Tenant{{ID: compliantID, Quota: compliantQuota}, {ID: abuserID, Quota: abusiveQuota}},
@@ -294,54 +290,21 @@ func TenantIsolation(c TenantIsolationConfig) (TenantIsolationRun, error) {
 	if _, err := f.P3.RunCleaner(); err != nil {
 		return run, fmt.Errorf("bench: cleaner after storm: %w", err)
 	}
-	if err := cleanEnd(f); err != nil {
-		return run, err
-	}
 
-	// Ground truth for the abuser: a transaction the storm abandoned must
-	// have left nothing, a transaction that landed at least once must be
-	// complete — all or nothing, per transaction.
-	for i := range abuseSet {
-		nproc, err := provItemCount(f.Dep, abuseSet[i].proc)
-		if err != nil {
-			return run, err
+	// The abuser's transactions are all or nothing: the oracle finds each
+	// one whose data landed complete (coupled, every reference resolving)
+	// and, counting exactly those and the compliant set, no item of any
+	// other. The compliant tenant's digest: the solo and shared runs must
+	// agree byte for byte.
+	var landed []pipeTxn
+	for _, tx := range abuseSet {
+		if _, err := f.Dep.Store.Head(core.DataKey(tx.obj.Path)); err == nil {
+			landed = append(landed, tx)
 		}
-		nfile, err := provItemCount(f.Dep, abuseSet[i].file)
-		if err != nil {
-			return run, err
-		}
-		whole := nproc == 1 && nfile == c.BundlesPerTxn-1
-		empty := nproc == 0 && nfile == 0
-		if !whole && !empty {
-			return run, fmt.Errorf("bench: partial abuser txn %d: proc=%d file=%d items", i, nproc, nfile)
-		}
-		run.AbuserItems += nproc + nfile
 	}
-	// Exact item count, placement audit, and the compliant tenant's digest:
-	// the solo and shared runs must agree byte for byte.
-	v, err := verify(f, set)
-	if err != nil {
+	if run.ProvDigest, err = verify(f, set, landed); err != nil {
 		return run, err
-	}
-	run.ItemCount, run.ProvDigest = v.items, v.digest
-	if want := run.Events + run.AbuserItems; run.ItemCount != want {
-		return run, fmt.Errorf("bench: %d items in fabric, want %d (lost or duplicated)", run.ItemCount, want)
-	}
-	if v.misplaced != 0 || v.duplicates != 0 {
-		return run, fmt.Errorf("bench: audit found %d misplaced, %d duplicated", v.misplaced, v.duplicates)
 	}
 	run.Verified = true
 	return run, nil
-}
-
-// provItemCount reads back one uuid's item count; absence is zero.
-func provItemCount(dep *core.Deployment, u uuid.UUID) (int, error) {
-	bundles, err := core.ReadProvenance(dep, core.BackendSDB, u)
-	if errors.Is(err, core.ErrNoProvenance) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("bench: read-back of %s: %w", u, err)
-	}
-	return len(bundles), nil
 }

@@ -17,7 +17,7 @@
 //     object into place, giving eventual provenance data-coupling.
 //
 // The package also provides the coupling/ordering detection of §3
-// (detect.go), the Table-1 property probes (properties.go), and the commit
+// (detect.go), from which internal/oracle derives Table 1, and the commit
 // and cleaner daemons of P3 (p3.go).
 //
 // P3's commit path is batched and pipelined: WAL chunks ship through SQS
@@ -114,6 +114,25 @@ type Protocol interface {
 	// Settle forces any asynchronous work (P3's commit daemon) to finish;
 	// the other protocols return immediately.
 	Settle() error
+}
+
+// ProtocolFactory builds a protocol instance over a deployment; the
+// property derivation and the benchmarks use it to instantiate each row of
+// the evaluation.
+type ProtocolFactory struct {
+	Name string
+	New  func(*Deployment, Options) Protocol
+}
+
+// Factories returns the four configurations of the evaluation in the
+// paper's order: the baseline and the three protocols.
+func Factories() []ProtocolFactory {
+	return []ProtocolFactory{
+		{Name: "S3fs", New: func(d *Deployment, o Options) Protocol { return NewS3fs(d, o) }},
+		{Name: "P1", New: func(d *Deployment, o Options) Protocol { return NewP1(d, o) }},
+		{Name: "P2", New: func(d *Deployment, o Options) Protocol { return NewP2(d, o) }},
+		{Name: "P3", New: func(d *Deployment, o Options) Protocol { return NewP3(d, o) }},
+	}
 }
 
 // client is what every protocol is built on: its deployment and options,

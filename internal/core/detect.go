@@ -148,68 +148,71 @@ func VerifiedFetch(dep *Deployment, backend Backend, path string, retries int) (
 
 // OrderingReport is the outcome of a causal-ordering walk.
 type OrderingReport struct {
-	Root     prov.Ref
 	Visited  int
 	Dangling []prov.Ref // references whose bundles are missing
 }
-
-// Ordered reports whether the walk found no dangling ancestors.
-func (r OrderingReport) Ordered() bool { return len(r.Dangling) == 0 }
 
 // CheckCausalOrdering walks the recorded provenance graph from root and
 // verifies that every referenced ancestor's provenance is present — the
 // multi-object causal ordering property. Missing ancestors are the
 // "dangling pointers in the DAG" of §3.
 func CheckCausalOrdering(dep *Deployment, backend Backend, root prov.Ref) (OrderingReport, error) {
-	rep := OrderingReport{Root: root}
-	have := make(map[prov.Ref]prov.Bundle)  // bundles fetched so far
-	fetched := make(map[uuid.UUID]bool)     // uuids already read
-	missingUUID := make(map[uuid.UUID]bool) // uuids with no provenance
-	fetch := func(u uuid.UUID) error {
-		if fetched[u] || missingUUID[u] {
-			return nil
-		}
-		bundles, err := ReadProvenance(dep, backend, u)
-		if err != nil {
-			if errors.Is(err, ErrNoProvenance) {
-				missingUUID[u] = true
-				return nil
+	var rep OrderingReport
+	found, err := walkAncestry(dep, backend, []prov.Ref{root}, func(r prov.Ref) error {
+		rep.Dangling = append(rep.Dangling, r)
+		return nil
+	})
+	rep.Visited = len(found)
+	return rep, err
+}
+
+// walkAncestry visits the ancestor closure of roots depth first, parents in
+// ref order and each before its child (the collector's canonical
+// ancestors-first order, which it returns), reading each uuid's provenance
+// once. A reference whose bundle is not stored goes to missing instead,
+// whose error stops the walk.
+func walkAncestry(dep *Deployment, backend Backend, roots []prov.Ref, missing func(prov.Ref) error) ([]prov.Bundle, error) {
+	have := make(map[prov.Ref]prov.Bundle) // bundles fetched so far
+	fetched := make(map[uuid.UUID]bool)
+	seen := make(map[prov.Ref]bool)
+	var order []prov.Bundle
+	var visit func(prov.Ref) error
+	visit = func(r prov.Ref) error {
+		seen[r] = true
+		if !fetched[r.UUID] {
+			fetched[r.UUID] = true
+			bundles, err := ReadProvenance(dep, backend, r.UUID)
+			if err != nil && !errors.Is(err, ErrNoProvenance) {
+				return err
 			}
-			return err
+			for _, b := range bundles {
+				have[b.Ref] = b
+			}
 		}
-		fetched[u] = true
-		for _, b := range bundles {
-			have[b.Ref] = b
+		b, ok := have[r]
+		if !ok {
+			return missing(r)
 		}
+		parents := b.Ancestors()
+		slices.SortFunc(parents, prov.Ref.Compare)
+		for _, p := range parents {
+			if !seen[p] {
+				if err := visit(p); err != nil {
+					return err
+				}
+			}
+		}
+		order = append(order, b)
 		return nil
 	}
-	if err := fetch(root.UUID); err != nil {
-		return rep, err
-	}
-	seen := map[prov.Ref]bool{}
-	stack := []prov.Ref{root}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		b, ok := have[cur]
-		if !ok {
-			if err := fetch(cur.UUID); err != nil {
-				return rep, err
-			}
-			b, ok = have[cur]
-			if !ok {
-				rep.Dangling = append(rep.Dangling, cur)
-				continue
+	for _, r := range roots {
+		if !seen[r] {
+			if err := visit(r); err != nil {
+				return nil, err
 			}
 		}
-		rep.Visited++
-		stack = append(stack, b.Ancestors()...)
 	}
-	return rep, nil
+	return order, nil
 }
 
 // CheckPersistence verifies data-independent persistence: after the primary
@@ -224,4 +227,61 @@ func CheckPersistence(dep *Deployment, backend Backend, p Protocol, path string,
 		return false, err
 	}
 	return slices.ContainsFunc(bundles, func(b prov.Bundle) bool { return b.Ref == ref }), nil
+}
+
+// FindByAttr locates node refs whose provenance carries attr = value. On
+// the database backend this is one indexed SELECT; on the store backend it
+// must list and fetch every provenance object — the asymmetry behind
+// Table 1's "efficient query" row and Table 5's Q3/Q4 gap.
+func FindByAttr(dep *Deployment, backend Backend, attr, value string) ([]prov.Ref, error) {
+	switch backend {
+	case BackendSDB:
+		q := sdb.Query{Domain: DomainName, ItemOnly: true, Where: sdb.Eq(attr, value)}
+		items, _, _, err := dep.DB.SelectAllQuery(q)
+		if err != nil {
+			return nil, err
+		}
+		refs := make([]prov.Ref, 0, len(items))
+		for _, it := range items {
+			r, err := prov.ParseRef(it.Name)
+			if err != nil {
+				return nil, err
+			}
+			refs = append(refs, r)
+		}
+		return refs, nil
+	case BackendS3:
+		bundles, err := ProvObjects(dep)
+		var refs []prov.Ref
+		for _, b := range bundles {
+			if slices.ContainsFunc(b.Records, func(r prov.Record) bool { return !r.IsXref() && r.Attr == attr && r.Value == value }) {
+				refs = append(refs, b.Ref)
+			}
+		}
+		return refs, err
+	}
+	return nil, fmt.Errorf("core: backend records no provenance")
+}
+
+// ProvObjects reads every bundle the store backend holds: a LIST of the
+// provenance prefix, then a GET of each object listed (one a LIST names but
+// a GET cannot see yet is skipped).
+func ProvObjects(dep *Deployment) ([]prov.Bundle, error) {
+	keys, _, err := dep.Store.ListAll(ProvPrefix)
+	if err != nil {
+		return nil, err
+	}
+	var all []prov.Bundle
+	for _, k := range keys {
+		o, err := dep.Store.Get(k)
+		if err != nil {
+			continue
+		}
+		bundles, err := prov.DecodeBundles(o.Data)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, bundles...)
+	}
+	return all, nil
 }

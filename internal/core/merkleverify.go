@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/hex"
 	"fmt"
-	"slices"
 
 	"passcloud/internal/merkle"
 	"passcloud/internal/prov"
@@ -60,7 +59,16 @@ func VerifyAncestry(dep *Deployment, backend Backend, path string) (MerkleReport
 	if err != nil {
 		return rep, err
 	}
-	closure, err := fetchClosure(dep, backend, ref)
+	// The commit-time closure: every version of the object up to the linked
+	// one, oldest first (the collector's PendingFor roots on first commit),
+	// and their ancestors.
+	roots := make([]prov.Ref, ref.Version)
+	for v := range roots {
+		roots[v] = prov.Ref{UUID: ref.UUID, Version: v + 1}
+	}
+	closure, err := walkAncestry(dep, backend, roots, func(r prov.Ref) error {
+		return fmt.Errorf("core: closure of %s dangles at %s", ref, r)
+	})
 	if err != nil {
 		return rep, err
 	}
@@ -74,65 +82,4 @@ func VerifyAncestry(dep *Deployment, backend Backend, path string) (MerkleReport
 		dep.Env.Meter().CountMerkleMismatch()
 	}
 	return rep, nil
-}
-
-// fetchClosure rebuilds the commit-time closure of ref from the recorded
-// provenance: every version of ref's object up to ref.Version plus the
-// transitive ancestors, ordered exactly as the collector orders bundles
-// (depth-first, parents sorted by ref string, ancestors first).
-func fetchClosure(dep *Deployment, backend Backend, ref prov.Ref) ([]prov.Bundle, error) {
-	cache := make(map[prov.Ref]prov.Bundle)
-	fetched := make(map[string]bool)
-	load := func(r prov.Ref) error {
-		key := r.UUID.String()
-		if fetched[key] {
-			return nil
-		}
-		fetched[key] = true
-		bundles, err := ReadProvenance(dep, backend, r.UUID)
-		if err != nil {
-			return err
-		}
-		for _, b := range bundles {
-			cache[b.Ref] = b
-		}
-		return nil
-	}
-
-	var order []prov.Bundle
-	state := make(map[prov.Ref]int)
-	var visit func(prov.Ref) error
-	visit = func(r prov.Ref) error {
-		state[r] = 1
-		if err := load(r); err != nil {
-			return err
-		}
-		b, ok := cache[r]
-		if !ok {
-			return fmt.Errorf("core: closure of %s dangles at %s", ref, r)
-		}
-		parents := b.Ancestors()
-		slices.SortFunc(parents, prov.Ref.Compare)
-		for _, p := range parents {
-			if state[p] == 0 {
-				if err := visit(p); err != nil {
-					return err
-				}
-			}
-		}
-		state[r] = 2
-		order = append(order, b)
-		return nil
-	}
-	// Roots: every version of the object up to the linked version, oldest
-	// first — mirroring the collector's PendingFor roots on first commit.
-	for v := 1; v <= ref.Version; v++ {
-		r := prov.Ref{UUID: ref.UUID, Version: v}
-		if state[r] == 0 {
-			if err := visit(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return order, nil
 }

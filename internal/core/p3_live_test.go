@@ -25,7 +25,7 @@ func TestP3LiveDaemonCommitsConcurrently(t *testing.T) {
 		p.RunDaemon(stop, time.Second)
 	}()
 
-	_, midBundles, mid, outBundles, out := pipelineBundles(77)
+	_, mid, out, midBundles, outBundles := onePipeline(t, 77)
 	if err := p.Commit(mid, midBundles); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"passcloud/internal/cloud/store"
 	"passcloud/internal/core"
 	"passcloud/internal/merkle"
+	"passcloud/internal/oracle"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/translog"
@@ -25,7 +26,7 @@ import (
 
 // crashCase is one crash point of TestCrashRecovery: how a run reaches the
 // point, what the dead process must have left, and what Recover must do
-// beyond the oracle every case shares.
+// beyond the checks every case shares (checkRecovered).
 type crashCase struct {
 	point     sim.CrashPoint
 	n         int  // CrashAt's n
@@ -35,7 +36,7 @@ type crashCase struct {
 	autoscale bool // the fabric has a controller (scaleCfg)
 	// drive takes the fabric from the logged workload to the armed point,
 	// crashed checks what the dead process left, and recovered what this
-	// point needs of Recover beyond the oracle.
+	// point needs of Recover beyond checkRecovered.
 	drive, crashed func(t *testing.T, r *crashRun)
 	recovered      func(t *testing.T, r *crashRun, rep RecoverReport)
 }
@@ -46,6 +47,7 @@ type crashRun struct {
 	k     int
 	objs  []core.FileObject
 	uuids []uuid.UUID
+	attrs []sdb.PutRequest // the first transaction's items
 	twin  twin
 	stats core.ReshardStats // what a crashed reshard reported
 	head  translog.SignedHead
@@ -412,6 +414,11 @@ func crashFabric(t *testing.T, c crashCase, k, workers int, faults bool, scale f
 		if err := f.P3.Commit(obj, bundles); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 { // a sample of what the items must hold
+			if r.attrs, err = core.ItemsForBundles(f.Dep.Store, bundles); err != nil {
+				t.Fatal(err)
+			}
+		}
 		r.uuids = append(r.uuids, bundles[0].Ref.UUID, bundles[len(bundles)-1].Ref.UUID)
 		if i == n/2-1 && scale == 0 {
 			settle(t, r)
@@ -481,7 +488,8 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
-// crashRow runs one case on one leg: arm, drive, check, Recover, oracle.
+// crashRow runs one case on one leg: arm, drive, check, Recover, and
+// checkRecovered.
 func crashRow(t *testing.T, c crashCase, l crashLeg, twins map[string]twin) {
 	r := crashFabric(t, c, l.k, l.workers, l.faults, l.scale, twins)
 	f := r.f
@@ -511,50 +519,32 @@ func crashRow(t *testing.T, c crashCase, l crashLeg, twins map[string]twin) {
 	if c.recovered != nil {
 		c.recovered(t, r, rep)
 	}
-	oracle(t, r, rep)
+	checkRecovered(t, r)
 	if u, st := f.Env.Meter().Usage(), f.Dep.Res.Stats().Totals(); l.faults && (u.Faults == 0 || st.Retries == 0) {
 		t.Errorf("%d faults injected, %d retried: the plan did not run", u.Faults, st.Retries)
 	}
 }
 
-// oracle is what every recovered fabric must show.
-func oracle(t *testing.T, r *crashRun, rep RecoverReport) {
+// checkRecovered is what every recovered fabric must show: oracle.Check
+// against the never-crashed twin's item count and the first transaction's
+// items, with the fabric's log
+// checkpointed as the sequencer's next tick would; the twin's reads; no
+// point left armed; and nothing for a second Recover to do.
+func checkRecovered(t *testing.T, r *crashRun) {
 	t.Helper()
 	f := r.f
-	if rep.Pending != 0 || rep.WAL != 0 || f.P3.PendingTxns() != 0 || f.Dep.WAL.Len() != 0 {
-		t.Errorf("Recover left %d transactions pending and %d packets on the WAL", rep.Pending, rep.WAL)
-	}
-	f.Dep.Settle()
-	if got := digest(t, f, r.uuids); got != r.twin.digest {
-		t.Error("digest differs from the never-crashed twin's")
-	}
-	if got := f.Dep.DB.ItemCount(); got != r.twin.items {
-		t.Errorf("%d items, the twin holds %d", got, r.twin.items)
-	}
-	if mis, dup, err := core.AuditFabric(f.Dep); err != nil || mis != 0 || dup != 0 {
-		t.Errorf("audit: %d misplaced, %d duplicates, err %v", mis, dup, err)
-	}
-	if keys, _, _ := f.Dep.Store.ListAll(core.TmpPrefix); len(keys) != 0 {
-		t.Errorf("temp objects left: %v", keys)
-	}
-	for _, o := range r.objs {
-		if c, err := core.CheckCoupling(f.Dep, core.BackendSDB, o.Path); err != nil || !c.Coupled || c.Linked != o.Ref {
-			t.Errorf("%s not coupled: %+v err %v", o.Path, c, err)
-		}
-	}
-	if c, ok, err := f.Dep.ReadControl(); err != nil || ok && c.State != core.ControlStable {
-		t.Errorf("control %+v ok=%v err %v, want stable", c, ok, err)
-	}
-	if _, err := f.Checkpoint(); err != nil { // what the sequencer's next tick does
+	if _, err := f.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	f.Dep.Settle()
-	a, err := translog.Audit(f.Dep, f.Log, translog.AuditOptions{})
-	for i := 0; sim.IsTransient(err) && i < 20; i++ { // a read-only pass: retry it whole
-		a, err = translog.Audit(f.Dep, f.Log, translog.AuditOptions{})
+	rep, err := oracle.Check(f.Dep, oracle.Expect{Backend: core.BackendSDB, Items: r.twin.items, Objects: r.objs, Attrs: r.attrs, P3: f.P3, Log: f.Log})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err != nil || !a.Clean() {
-		t.Errorf("log audit: %v err %v", a, err)
+	for _, v := range rep.Violations {
+		t.Errorf("oracle: %v", v)
+	}
+	if got := digest(t, f, r.uuids); got != r.twin.digest {
+		t.Error("digest differs from the never-crashed twin's")
 	}
 	if left := f.Env.Faults().ArmedCrashes(); len(left) != 0 {
 		t.Errorf("%v still armed", left)
@@ -584,13 +574,14 @@ func TestFailedDeleteStrandsNothing(t *testing.T) {
 		}
 		f.P3.SetChunkSize(64) // about 20 packets a transaction
 		inj := f.Env.InstallFaults(nil)
-		rnd, items := sim.NewRand(seed), 0
+		rnd, want := sim.NewRand(seed), oracle.Expect{Backend: core.BackendSDB}
 		for i := 0; i < 4; i++ {
 			obj, bundles := txn(rnd, i, 12)
 			if err := f.P3.Commit(obj, bundles); err != nil {
 				t.Fatal(err)
 			}
-			items += len(bundles)
+			want.Items += len(bundles)
+			want.Objects = append(want.Objects, obj)
 		}
 		wal := f.Dep.WAL.Shard(0)
 		// The group's cleanup, then the redelivered packets' acknowledgement.
@@ -601,17 +592,7 @@ func TestFailedDeleteStrandsNothing(t *testing.T) {
 			}
 			f.Env.Clock().Sleep(f.Dep.WAL.Visibility())
 		}
-		rep, err := f.Recover(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Pending != 0 || rep.WAL != 0 || f.P3.PendingTxns() != 0 || f.Dep.WAL.Len() != 0 {
-			t.Errorf("seed %d: Recover left %d transactions pending and %d packets on the WAL", seed, rep.Pending, rep.WAL)
-		}
-		if f.Dep.Settle(); f.Dep.DB.ItemCount() != items {
-			t.Errorf("seed %d: %d items, want %d", seed, f.Dep.DB.ItemCount(), items)
-		}
-		f.Close()
+		recoverClean(t, seed, f, want)
 	}
 	// Six two-packet transactions in one group: their six receipts and four
 	// of their headers share the first batch, the other two headers a batch
@@ -626,7 +607,7 @@ func TestFailedDeleteStrandsNothing(t *testing.T) {
 		d := core.NewP3(f.Dep, core.Options{ProvConns: 1})
 		d.SetChunkSize(64) // two packets a transaction
 		inj := f.Env.InstallFaults(nil)
-		rnd, items := sim.NewRand(seed), 0
+		rnd, want := sim.NewRand(seed), oracle.Expect{Backend: core.BackendSDB}
 		for i := 0; i < 6; i++ {
 			obj, bundles := txn(rnd, i, 2)
 			before := f.Dep.WAL.Len()
@@ -636,7 +617,8 @@ func TestFailedDeleteStrandsNothing(t *testing.T) {
 			if n := f.Dep.WAL.Len() - before; n != 2 {
 				t.Fatalf("a transaction of %d packets, want 2", n)
 			}
-			items += len(bundles)
+			want.Items += len(bundles)
+			want.Objects = append(want.Objects, obj)
 		}
 		inj.FailNextOp(f.Dep.WAL.Shard(0).Name(), "sqs.DeleteMessageBatch", boom)
 		if _, err := d.CommitOnce(); !errors.Is(err, boom) {
@@ -645,16 +627,24 @@ func TestFailedDeleteStrandsNothing(t *testing.T) {
 		if left := f.Dep.WAL.Len(); left != 12 {
 			t.Fatalf("seed %d: %d packets left on the WAL after the failed first batch, want all 12", seed, left)
 		}
-		rep, err := f.Recover(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Pending != 0 || rep.WAL != 0 || f.P3.PendingTxns() != 0 || f.Dep.WAL.Len() != 0 {
-			t.Errorf("seed %d: Recover left %d transactions pending and %d packets on the WAL", seed, rep.Pending, rep.WAL)
-		}
-		if f.Dep.Settle(); f.Dep.DB.ItemCount() != items {
-			t.Errorf("seed %d: %d items, want %d", seed, f.Dep.DB.ItemCount(), items)
-		}
-		f.Close()
+		recoverClean(t, seed, f, want)
+	}
+}
+
+// recoverClean recovers f, checks it with the oracle against want and the
+// recovered P3, and closes it.
+func recoverClean(t *testing.T, seed int64, f *Fabric, want oracle.Expect) {
+	t.Helper()
+	defer f.Close()
+	if _, err := f.Recover(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	want.P3 = f.P3
+	rep, err := oracle.Check(f.Dep, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("seed %d: oracle: %v", seed, v)
 	}
 }

@@ -54,7 +54,7 @@ func TestRunCommitsMountFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !walk.Ordered() {
+	if len(walk.Dangling) != 0 {
 		t.Fatalf("dangling: %v", walk.Dangling)
 	}
 }

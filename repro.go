@@ -23,13 +23,14 @@
 //   - internal/pass        the PASS collector (versioning, cycle avoidance)
 //   - internal/pasfs       the PA-S3fs client layer
 //   - internal/par         the bounded-parallel primitive
-//   - internal/core        the three protocols, daemons, resharding, properties
+//   - internal/core        the three protocols, daemons, resharding, detection
 //   - internal/merkle      hash trees for causal-order verification
 //   - internal/translog    the transparency log over committed transactions
 //   - internal/frontdoor   multi-tenant admission in front of P3
 //   - internal/query       the Q1..Q4 query engine and its coherent cache
 //   - internal/autoscale   the shard-count controller
 //   - internal/fabric      the composition root of the P3 stack
+//   - internal/oracle      the one correctness check, and Table 1 derived by it
 //   - internal/search      provenance-enhanced search re-ranking (§2.2)
 //   - internal/workload    the nightly/Blast/challenge workload generators
 //   - internal/bench       the paper's experiments and the fabric harnesses
