@@ -71,8 +71,7 @@ func ChunkSweep(seed int64, scale float64, sizes []int) ([]ChunkSweepPoint, erro
 	for _, size := range sizes {
 		env := sim.NewEnv(Setup{Seed: seed, Scale: scale}.envConfig())
 		dep := core.NewDeployment(env)
-		p3 := core.NewP3(dep, core.Options{})
-		p3.SetChunkSize(size)
+		p3 := core.NewP3(dep, core.Options{ChunkSize: size})
 		obj := core.FileObject{Path: "mnt/blob", Size: 1 << 20, Ref: bundles[len(bundles)-1].Ref}
 		start := env.Now()
 		if err := p3.Commit(obj, bundles); err != nil {

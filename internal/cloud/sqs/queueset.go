@@ -27,7 +27,6 @@ import (
 // different hosts agree on every message's home shard without coordination.
 type QueueSet struct {
 	*sim.EpochSet[*Queue]
-	env *sim.Env
 
 	// Sticky per-queue settings (nanoseconds): a queue minted mid-flight
 	// starts with the set's current values.
@@ -37,7 +36,7 @@ type QueueSet struct {
 // NewSet creates a K-way queue set. k < 1 is clamped to 1; k == 1 yields a
 // single queue named base (the seed topology).
 func NewSet(env *sim.Env, base string, k int) *QueueSet {
-	s := &QueueSet{env: env}
+	s := &QueueSet{}
 	s.visibility.Store(int64(DefaultVisibility))
 	s.retention.Store(int64(DefaultRetention))
 	s.EpochSet = sim.NewEpochSet(base, k, func(name string, lane int) *Queue {
@@ -48,9 +47,6 @@ func NewSet(env *sim.Env, base string, k int) *QueueSet {
 	})
 	return s
 }
-
-// Env returns the environment the set charges against.
-func (s *QueueSet) Env() *sim.Env { return s.env }
 
 // HomeQueue resolves key's home queue under the current routing view and
 // registers the send against the reshard barrier; callers must invoke the

@@ -47,7 +47,7 @@ func TestQueueSetSeedTopologyAndFanout(t *testing.T) {
 	if one.Shards() != 1 || one.Shard(0).Name() != "wal" {
 		t.Fatalf("K=1 set: shards=%d name=%q", one.Shards(), one.Shard(0).Name())
 	}
-	if NewSet(one.env, "wal", -2).Shards() != 1 {
+	if NewSet(one.Shard(0).env, "wal", -2).Shards() != 1 {
 		t.Fatal("non-positive shard count not clamped")
 	}
 
@@ -79,7 +79,7 @@ func TestQueueSetRetentionGC(t *testing.T) {
 	if dropped := s.GC(); dropped != 0 {
 		t.Fatalf("fresh messages dropped: %d", dropped)
 	}
-	s.Env().Clock().Advance(2 * time.Hour)
+	s.Shard(0).env.Clock().Advance(2 * time.Hour)
 	if dropped := s.GC(); dropped != 4 {
 		t.Fatalf("GC dropped %d, want 4", dropped)
 	}

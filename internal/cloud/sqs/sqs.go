@@ -14,6 +14,9 @@
 //   - messages older than the retention period (four days) are deleted
 //     automatically, which is what garbage-collects abandoned transactions.
 //
+// Bodies are not copied (see Message), so the queue recycles the 8 KB blocks
+// NewBody hands out once every delivery of a message is acknowledged.
+//
 // Batch variants of the write operations are provided — SendMessageBatch and
 // DeleteMessageBatch, each taking at most MaxBatchEntries (10) entries per
 // call. A batch call is one service request: it pays one request-rate gate
@@ -52,13 +55,19 @@ var ErrMessageTooLarge = errors.New("sqs: message exceeds 8KB")
 // ErrBatchTooLarge is returned by the batch calls for more than 10 entries.
 var ErrBatchTooLarge = errors.New("sqs: more than 10 entries in batch")
 
+// bodies holds the blocks of messages whose every delivery was acknowledged.
+var bodies = sync.Pool{New: func() any { return new([MaxMessageSize]byte) }}
+
+// NewBody returns an empty message body with room for MaxMessageSize bytes.
+func NewBody() []byte { return bodies.Get().(*[MaxMessageSize]byte)[:0] }
+
 // Message is one received message.
 //
 // Body is a read-only view of the body the queue stores, shared by every
-// delivery of the message: a receiver may parse it and keep it for as long
-// as it likes, but must not write to it. A send hands its body over the
-// same way: the queue stores the sender's bytes, not a copy, so a sender
-// must not write to a body after sending it.
+// delivery of the message: it is valid until the receiver deletes this
+// delivery's receipt. A send hands its body over the same way: the queue
+// stores the sender's bytes, not a copy, so a sender gives up the body's
+// memory, up to its cap, when it sends it.
 type Message struct {
 	ID            string
 	ReceiptHandle string
@@ -66,10 +75,11 @@ type Message struct {
 }
 
 // message is the queue's internal record. body is the sender's slice, set
-// when the message is enqueued, never written, and released (set to nil)
-// when the message is deleted: receivers hold their own slice of it, and the
-// queue holds a deleted record only until its next expiry pass, which a
-// shard nobody polls any more never runs.
+// when the message is enqueued and released (set to nil) by a delete: to
+// the pool once every delivery's receipt is deleted (acked, one bit per
+// receipt #n, so a retried delete counts once), to the collector if the
+// message has a twin, whose deliveries reuse the receipt numbers. A deleted
+// record with deliveries unacknowledged keeps it until the next expiry pass.
 type message struct {
 	id        string
 	body      []byte
@@ -77,6 +87,7 @@ type message struct {
 	visibleAt time.Duration // consistency + visibility-timeout gate
 	deleted   bool
 	receipts  int
+	acked     uint64   // bit n-1: receipt #n was deleted
 	twin      *message // the injected duplicate stored under the same id, if any
 }
 
@@ -147,38 +158,11 @@ func (q *Queue) SetRetention(d time.Duration) { q.retention = d }
 
 // SendMessage enqueues body and returns the message id.
 func (q *Queue) SendMessage(body []byte) (string, error) {
-	return q.SendMessageIdem(body, q.autoToken())
-}
-
-// SendMessageIdem is SendMessage with an explicit idempotency token: a
-// retried send carrying a token the queue has already applied returns the
-// original message id without enqueueing again (P3 uses "txn-uuid/seq"
-// tokens so WAL resends after ambiguous faults stay exactly-once).
-func (q *Queue) SendMessageIdem(body []byte, token string) (string, error) {
-	if len(body) > MaxMessageSize {
-		return "", fmt.Errorf("%w (%d bytes)", ErrMessageTooLarge, len(body))
+	ids, err := q.send(q.ep, sim.OpSQSSend, []BatchEntry{{Body: body}}, q.autoToken())
+	if len(ids) == 0 {
+		return "", err
 	}
-	return sim.Call(q.ep, func() (string, error) { return q.sendOnce(body, token) })
-}
-
-// sendOnce is one service attempt of a send. An ambiguous fault (applied)
-// enqueues the message, records the token, and still reports the error.
-func (q *Queue) sendOnce(body []byte, token string) (string, error) {
-	ferr, applied := q.ep.Fault(sim.OpSQSSend)
-	if ferr != nil && !applied {
-		return "", ferr
-	}
-	q.ep.Exec(sim.OpSQSSend, len(body), 0)
-	now := q.env.Now()
-	q.mu.Lock()
-	if ids, ok := q.dedupLocked(token); ok {
-		q.mu.Unlock()
-		return ids[0], ferr
-	}
-	id := q.enqueueLocked(body, now)
-	q.rememberLocked(token, []string{id}, now)
-	q.mu.Unlock()
-	return id, ferr
+	return ids[0], err
 }
 
 // enqueueLocked stores body, not a copy, as a new message and returns its id.
@@ -235,44 +219,14 @@ func (q *Queue) SendMessageBatch(bodies [][]byte) ([]string, error) {
 }
 
 // SendMessageBatchIdem is SendMessageBatch with an explicit idempotency
-// token covering the whole batch (see SendMessageIdem).
+// token covering the whole batch: a retry carrying an applied token returns
+// the original ids without enqueueing again (P3's are "txn-uuid/seq").
 func (q *Queue) SendMessageBatchIdem(bodies [][]byte, token string) ([]string, error) {
-	if len(bodies) > MaxBatchEntries {
-		return nil, fmt.Errorf("%w (%d entries)", ErrBatchTooLarge, len(bodies))
+	entries := make([]BatchEntry, len(bodies))
+	for i, body := range bodies {
+		entries[i].Body = body
 	}
-	payload := 0
-	for _, body := range bodies {
-		if len(body) > MaxMessageSize {
-			return nil, fmt.Errorf("%w (%d bytes)", ErrMessageTooLarge, len(body))
-		}
-		payload += len(body)
-	}
-	if len(bodies) == 0 {
-		return nil, nil
-	}
-	return sim.Call(q.ep, func() ([]string, error) { return q.sendBatchOnce(bodies, token, payload) })
-}
-
-// sendBatchOnce is one service attempt of a batch send (see sendOnce).
-func (q *Queue) sendBatchOnce(bodies [][]byte, token string, payload int) ([]string, error) {
-	ferr, applied := q.ep.Fault(sim.OpSQSSendBatch)
-	if ferr != nil && !applied {
-		return nil, ferr
-	}
-	q.ep.Exec(sim.OpSQSSendBatch, payload, len(bodies))
-	now := q.env.Now()
-	q.mu.Lock()
-	if ids, ok := q.dedupLocked(token); ok {
-		q.mu.Unlock()
-		return ids, ferr
-	}
-	ids := make([]string, 0, len(bodies))
-	for _, body := range bodies {
-		ids = append(ids, q.enqueueLocked(body, now))
-	}
-	q.rememberLocked(token, ids, now)
-	q.mu.Unlock()
-	return ids, ferr
+	return q.send(q.ep, sim.OpSQSSendBatch, entries, token)
 }
 
 // BatchEntry is one entry of SendMessageBatchEntries: a body plus its own
@@ -293,6 +247,12 @@ type BatchEntry struct {
 // whole-batch token of SendMessageBatchIdem cannot express. The request is
 // made for the tenant ctx carries (sim.WithTenant), if any.
 func (q *Queue) SendMessageBatchEntries(ctx context.Context, entries []BatchEntry) ([]string, error) {
+	return q.send(q.ep.For(ctx), sim.OpSQSSendBatch, entries, "")
+}
+
+// send is a send of entries as op, made through ep: SendMessage's, or a
+// SendMessageBatch's with a token for the whole batch or one per entry.
+func (q *Queue) send(ep sim.Endpoint, op sim.OpKind, entries []BatchEntry, token string) ([]string, error) {
 	if len(entries) > MaxBatchEntries {
 		return nil, fmt.Errorf("%w (%d entries)", ErrBatchTooLarge, len(entries))
 	}
@@ -306,19 +266,24 @@ func (q *Queue) SendMessageBatchEntries(ctx context.Context, entries []BatchEntr
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	return sim.Call(q.ep.For(ctx), func() ([]string, error) { return q.sendBatchEntriesOnce(entries, payload) })
+	return sim.Call(ep, func() ([]string, error) { return q.sendOnce(op, entries, token, payload) })
 }
 
-// sendBatchEntriesOnce is one service attempt of a per-entry-token batch
-// send (see sendBatchOnce); dedup is checked and recorded entry by entry.
-func (q *Queue) sendBatchEntriesOnce(entries []BatchEntry, payload int) ([]string, error) {
-	ferr, applied := q.ep.Fault(sim.OpSQSSendBatch)
+// sendOnce is one service attempt of a send. An ambiguous fault (applied)
+// enqueues the messages, records the tokens, and still reports the error.
+// The batch's token, then each entry's, returns the ids it already enqueued.
+func (q *Queue) sendOnce(op sim.OpKind, entries []BatchEntry, token string, payload int) ([]string, error) {
+	ferr, applied := q.ep.Fault(op)
 	if ferr != nil && !applied {
 		return nil, ferr
 	}
-	q.ep.Exec(sim.OpSQSSendBatch, payload, len(entries))
+	q.ep.Exec(op, payload, len(entries))
 	now := q.env.Now()
 	q.mu.Lock()
+	defer q.mu.Unlock()
+	if ids, ok := q.dedupLocked(token); ok {
+		return ids, ferr
+	}
 	ids := make([]string, 0, len(entries))
 	for _, e := range entries {
 		if prev, ok := q.dedupLocked(e.Token); ok {
@@ -326,10 +291,12 @@ func (q *Queue) sendBatchEntriesOnce(entries []BatchEntry, payload int) ([]strin
 			continue
 		}
 		id := q.enqueueLocked(e.Body, now)
-		q.rememberLocked(e.Token, []string{id}, now)
+		if e.Token != "" {
+			q.rememberLocked(e.Token, []string{id}, now)
+		}
 		ids = append(ids, id)
 	}
-	q.mu.Unlock()
+	q.rememberLocked(token, ids, now)
 	return ids, ferr
 }
 
@@ -381,14 +348,27 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 }
 
 // deleteLocked marks the message a receipt handle names, and its duplicate
-// if the service stored one, as deleted, and releases their body.
+// if the service stored one, as deleted, and releases their body once no
+// delivery can still read it (see message).
 func (q *Queue) deleteLocked(receipt string) {
-	id, _, _ := strings.Cut(receipt, "#")
-	if m := q.byID[id]; m != nil {
-		m.deleted, m.body = true, nil
-		if m.twin != nil {
-			m.twin.deleted, m.twin.body = true, nil
+	id, n, _ := strings.Cut(receipt, "#")
+	m := q.byID[id]
+	if m == nil {
+		return
+	}
+	m.deleted = true
+	if m.twin != nil {
+		m.body, m.twin.deleted, m.twin.body = nil, true, nil
+		return
+	}
+	if k, err := strconv.Atoi(n); err == nil && k > 0 && k <= min(m.receipts, 64) {
+		m.acked |= 1 << (k - 1)
+	}
+	if m.receipts <= 64 && m.acked == uint64(1)<<m.receipts-1 {
+		if cap(m.body) == MaxMessageSize {
+			bodies.Put((*[MaxMessageSize]byte)(m.body[:MaxMessageSize]))
 		}
+		m.body = nil
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
 )
 
@@ -455,4 +456,160 @@ func TestDeletedBodyIsReleased(t *testing.T) {
 			t.Errorf("%s: receiver reads %q, want %q", id, got[id], sent[i])
 		}
 	}
+}
+
+// TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged: a NewBody block goes
+// back to the pool only once its message is deleted, every delivery of it
+// has had its own receipt deleted, and no twin shares it. Until then every
+// receiver's view keeps its bytes, however many blocks later sends fill.
+func TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged(t *testing.T) {
+	want := bytes.Repeat([]byte("provenance"), 40)
+	// churn cycles blocks through a queue of its own, each filled to its cap
+	// and recycled, as a busy WAL does.
+	churn := func(t *testing.T) {
+		t.Helper()
+		q := strictQueue(t)
+		for i := 0; i < 200; i++ {
+			body := NewBody()
+			body = append(body, bytes.Repeat([]byte{0xEE}, cap(body))...)
+			if _, err := q.SendMessage(body); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range q.ReceiveMessage(10) {
+				if err := q.DeleteMessageBatch([]string{m.ReceiptHandle}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	intact := func(t *testing.T, views ...Message) {
+		t.Helper()
+		for _, m := range views {
+			if !bytes.Equal(m.Body, want) {
+				t.Fatalf("%s: a receiver's view was overwritten: %q...", m.ReceiptHandle, m.Body[:min(len(m.Body), 16)])
+			}
+		}
+	}
+	// twice sends one body and receives it twice, the visibility timeout
+	// lapsing between the receives.
+	twice := func(t *testing.T, q *Queue) (string, Message, Message) {
+		t.Helper()
+		q.SetVisibility(time.Second)
+		id, err := q.SendMessage(append(NewBody(), want...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := q.ReceiveMessage(1)
+		q.env.Clock().Advance(2 * time.Second)
+		second := q.ReceiveMessage(1)
+		if len(first) != 1 || len(second) != 1 || first[0].ReceiptHandle == second[0].ReceiptHandle {
+			t.Fatalf("want two deliveries of %s, got %v and %v", id, first, second)
+		}
+		return id, first[0], second[0]
+	}
+	held := func(q *Queue, id string) bool {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		m := q.byID[id]
+		return m != nil && m.body != nil
+	}
+
+	t.Run("one of two receipts deleted", func(t *testing.T) {
+		q := strictQueue(t)
+		id, first, second := twice(t, q)
+		if err := q.DeleteMessageBatch([]string{second.ReceiptHandle}); err != nil {
+			t.Fatal(err)
+		}
+		churn(t)
+		intact(t, first, second)
+		if !held(q, id) {
+			t.Fatal("a deleted record with a delivery unacknowledged let its body go before the expiry pass")
+		}
+		if err := q.DeleteMessageBatch([]string{first.ReceiptHandle}); err != nil {
+			t.Fatal(err)
+		}
+		if held(q, id) {
+			t.Fatal("every delivery acknowledged, and the record still holds its body")
+		}
+	})
+
+	t.Run("twin", func(t *testing.T) {
+		cfg := sim.DefaultConfig()
+		cfg.Consistency = sim.Strict
+		cfg.DupProb = 1
+		q := New(sim.NewEnv(cfg), "wal")
+		if _, err := q.SendMessage(append(NewBody(), want...)); err != nil {
+			t.Fatal(err)
+		}
+		views := q.ReceiveMessage(10)
+		if len(views) != 2 || views[0].ReceiptHandle != views[1].ReceiptHandle {
+			t.Fatalf("want the message and its twin under one receipt number, got %v", views)
+		}
+		// The twin's receipt names the same delivery number as the
+		// original's: an acknowledgement cannot tell them apart.
+		if err := q.DeleteMessageBatch([]string{views[0].ReceiptHandle}); err != nil {
+			t.Fatal(err)
+		}
+		churn(t)
+		intact(t, views...)
+	})
+
+	t.Run("delete retried after an ambiguous fault", func(t *testing.T) {
+		for trial := 0; trial < 20; trial++ {
+			q := strictQueue(t)
+			q.env.SetRetry(resilient.New(q.env, resilient.Policy{}))
+			id, first, second := twice(t, q)
+			// The first attempt deletes and reports a fault; the retry
+			// deletes the same receipt again.
+			q.env.InstallFaults(sim.FaultPlan{q.Name(): {
+				Prob: 1, ApplyProb: 1, Ops: []string{"sqs.DeleteMessageBatch"}, Until: q.env.Now() + time.Millisecond,
+			}})
+			if err := q.DeleteMessageBatch([]string{first.ReceiptHandle, first.ReceiptHandle}); err != nil {
+				t.Fatal(err)
+			}
+			if q.env.Meter().Usage().Faults == 0 {
+				t.Fatal("no fault was injected")
+			}
+			churn(t)
+			intact(t, first, second)
+			// The second receipt releases the block, once: a block pooled
+			// twice comes out of two NewBody calls.
+			if err := q.DeleteMessageBatch([]string{second.ReceiptHandle, second.ReceiptHandle}); err != nil {
+				t.Fatal(err)
+			}
+			if held(q, id) {
+				t.Fatal("every delivery acknowledged, and the record still holds its body")
+			}
+			if a, b := NewBody(), NewBody(); &a[:1][0] == &b[:1][0] {
+				t.Fatal("two NewBody calls returned one block: a body was recycled twice")
+			}
+		}
+	})
+
+	t.Run("deleted record expires", func(t *testing.T) {
+		q := strictQueue(t)
+		id, first, second := twice(t, q)
+		if err := q.DeleteMessageBatch([]string{first.ReceiptHandle}); err != nil {
+			t.Fatal(err)
+		}
+		if !held(q, id) {
+			t.Fatal("the record let its body go with a delivery unacknowledged")
+		}
+		if n := q.GCExpired(); n != 1 {
+			t.Fatalf("the expiry pass dropped %d records, want the deleted one", n)
+		}
+		q.mu.Lock()
+		left := len(q.msgs) + len(q.byID)
+		q.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("the queue still holds %d references to the deleted record", left)
+		}
+		// Dropped to the collector, not the pool: a late acknowledgement
+		// finds nothing, and the views stay as they were.
+		if err := q.DeleteMessageBatch([]string{second.ReceiptHandle}); err != nil {
+			t.Fatal(err)
+		}
+		churn(t)
+		intact(t, first, second)
+	})
 }

@@ -287,6 +287,9 @@ type Options struct {
 	// the crash-recovery and redelivery semantics. Zero means one worker
 	// (the seed's serial daemon). The other protocols ignore it.
 	CommitWorkers int
+	// ChunkSize is P3's provenance payload per WAL message (the §5.1 chunk
+	// sweep); 0 or too large means DefaultChunkSize. Other protocols ignore it.
+	ChunkSize int
 }
 
 // maxCommitWorkers caps the commit-daemon pool; beyond this workers only

@@ -34,7 +34,10 @@ import (
 //     and send them to the transaction's home WAL shard (the deployment's
 //     queue set routes by txn uuid) with SendMessageBatch (≤10 chunks per
 //     service request). The first message carries the packet count, the
-//     temporary object pointer, the final key and the version.
+//     temporary object pointer, the final key and the version. Each message
+//     is encoded into an 8 KB queue block (sqs.NewBody), which the queue
+//     recycles once every delivery of it is acknowledged, so a daemon reads
+//     a packet only until it deletes that delivery's receipt.
 //
 // Commit phase (commit-daemon pool, asynchronous):
 //
@@ -89,8 +92,6 @@ type P3 struct {
 	// routed by transaction uuid so the worker pool contends on a shard,
 	// never on the whole table.
 	shards [txnShards]txnShard
-
-	chunkSize int
 
 	// cursor rotates CommitOnce's starting WAL shard so un-subscribed
 	// callers (tests, single-daemon loops) still cover every shard fairly.
@@ -169,10 +170,7 @@ type shardReceipt struct {
 
 // NewP3 returns a P3 client (and its daemons' logic) bound to dep.
 func NewP3(dep *Deployment, opts Options) *P3 {
-	p := &P3{
-		client:    client{dep, opts.withDefaults(150)},
-		chunkSize: DefaultChunkSize,
-	}
+	p := &P3{client: client{dep, opts.withDefaults(150)}}
 	for i := range p.shards {
 		p.shards[i].pending = make(map[uuid.UUID]*txnState)
 		p.shards[i].inflight = make(map[uuid.UUID]*txnState)
@@ -183,9 +181,6 @@ func NewP3(dep *Deployment, opts Options) *P3 {
 
 // Name implements Protocol.
 func (p *P3) Name() string { return "P3" }
-
-// SetChunkSize overrides the WAL chunk payload size (ablation benchmarks).
-func (p *P3) SetChunkSize(n int) { p.chunkSize = n }
 
 // shardFor routes a transaction to its assembly shard.
 func (p *P3) shardFor(txn uuid.UUID) *txnShard {
@@ -247,7 +242,7 @@ func (p *P3) logTxn(ctx context.Context, txn uuid.UUID, obj FileObject, bundles 
 		Ref:      obj.Ref,
 		Digest:   obj.Digest,
 	}
-	l.msgs = encodeWALBundles(txn, hdr, bundles, p.chunkSize)
+	l.msgs = encodeWALBundles(txn, hdr, bundles, p.opts.ChunkSize)
 	if len(l.msgs) > maxWALPackets {
 		return l, fmt.Errorf("core: txn %s needs %d WAL packets, over %d", l.id, len(l.msgs), maxWALPackets)
 	}
@@ -893,7 +888,7 @@ func (p *P3) Settle() error {
 			idle++
 			// Let visibility timeouts and staleness windows pass so
 			// unacknowledged messages reappear.
-			p.dep.Env.Clock().Sleep(p.dep.WAL.Env().Config().StalenessMean)
+			p.dep.Env.Clock().Sleep(p.dep.Env.Config().StalenessMean)
 		}
 	}
 	if err := p.absorbCommitted(); err != nil {

@@ -222,8 +222,7 @@ func TestLiveDaemonLeavesNothingSleeping(t *testing.T) {
 func TestP3CommittedForgottenAfterRetention(t *testing.T) {
 	dep := newDep(t, sim.Strict)
 	dep.WAL.SetVisibility(time.Minute)
-	p := NewP3(dep, Options{})
-	p.SetChunkSize(64) // several packets, so a cleanup can die part-way
+	p := NewP3(dep, Options{ChunkSize: 64}) // several packets, so a cleanup can die part-way
 	objs, bundles := poolTxns(23, 1, 3)
 	if err := p.Commit(objs[0], bundles[0]); err != nil {
 		t.Fatal(err)

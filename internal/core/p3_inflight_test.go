@@ -31,8 +31,7 @@ func inflightTxn(t *testing.T) (*Deployment, *P3, []*txnState) {
 	t.Helper()
 	dep := newDep(t, sim.Strict)
 	dep.WAL.SetVisibility(time.Second)
-	p := NewP3(dep, Options{})
-	p.SetChunkSize(256)
+	p := NewP3(dep, Options{ChunkSize: 256})
 	objs, bundles := poolTxns(3, 1, 6)
 	if err := p.Commit(objs[0], bundles[0]); err != nil {
 		t.Fatal(err)
@@ -129,8 +128,7 @@ func TestP3FailedGroupCommitReopensAssembly(t *testing.T) {
 func TestP3GroupCommitOutlastsVisibility(t *testing.T) {
 	dep := newDep(t, sim.Strict)
 	dep.WAL.SetVisibility(500 * time.Millisecond) // one BatchPutAttributes takes seconds
-	p := NewP3(dep, Options{CommitWorkers: 4})
-	p.SetChunkSize(512)
+	p := NewP3(dep, Options{CommitWorkers: 4, ChunkSize: 512})
 	const txns, perTxn = 48, 8
 	objs, bundles := poolTxns(11, txns, perTxn)
 	for i := range objs {

@@ -113,8 +113,7 @@ func TestP3WorkerPoolExactlyOnce(t *testing.T) {
 func TestP3HalfAcknowledgedRedelivery(t *testing.T) {
 	dep := newDep(t, sim.Eventual)
 	dep.WAL.SetVisibility(60 * time.Second)
-	p := NewP3(dep, Options{CommitWorkers: 3})
-	p.SetChunkSize(64) // force several packets -> several receipts
+	p := NewP3(dep, Options{CommitWorkers: 3, ChunkSize: 64}) // force several packets -> several receipts
 	_, _, out, _, outB := onePipeline(t, 41)
 	if err := p.Commit(out, outB); err != nil {
 		t.Fatal(err)
@@ -172,8 +171,7 @@ func TestP3RestartedDaemonAbsorbsHalfAcknowledgedCommit(t *testing.T) {
 	for name, obj := range map[string]FileObject{"data": out, "prov-only": {}} {
 		t.Run(name, func(t *testing.T) {
 			dep := newDep(t, sim.Eventual)
-			p := NewP3(dep, Options{})
-			p.SetChunkSize(64) // several packets, so a cleanup can die part-way
+			p := NewP3(dep, Options{ChunkSize: 64}) // several packets, so a cleanup can die part-way
 			if err := p.Commit(obj, outB); err != nil {
 				t.Fatal(err)
 			}

@@ -82,8 +82,7 @@ func TestP3ShardedHalfAcknowledgedRedelivery(t *testing.T) {
 	// Long enough that the settle loop's own polling (empty receives
 	// advance the manual clock) cannot outrun it.
 	dep.WAL.SetVisibility(30 * time.Minute)
-	p := NewP3(dep, Options{CommitWorkers: 3})
-	p.SetChunkSize(64) // force several packets -> several receipts
+	p := NewP3(dep, Options{CommitWorkers: 3, ChunkSize: 64}) // force several packets -> several receipts
 	_, _, out, _, outB := onePipeline(t, 41)
 	if err := p.Commit(out, outB); err != nil {
 		t.Fatal(err)
@@ -120,8 +119,7 @@ func TestP3ShardedHalfAcknowledgedRedelivery(t *testing.T) {
 func TestP3ShardedWALGC(t *testing.T) {
 	dep := newShardedDep(t, sim.Strict, 4)
 	dep.WAL.SetRetention(time.Hour)
-	p := NewP3(dep, Options{})
-	p.SetChunkSize(64)
+	p := NewP3(dep, Options{ChunkSize: 64})
 	dep.Env.InstallFaults(nil).CrashAt(CrashClientAfterPackets, 1)
 	_, _, out, _, outB := onePipeline(t, 9)
 	if err := p.Commit(out, outB); err == nil {

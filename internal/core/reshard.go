@@ -610,7 +610,9 @@ func (d *Deployment) resendWAL(ctx context.Context, msgs []sqs.Message) (int, er
 		if entries[home] == nil {
 			homes = append(homes, home)
 		}
-		entries[home] = append(entries[home], sqs.BatchEntry{Body: m.Body, Token: walToken(id, pkt.Seq)})
+		// A copy: the old queue recycles m.Body once this page's receipts are deleted.
+		body := append(sqs.NewBody(), m.Body...)
+		entries[home] = append(entries[home], sqs.BatchEntry{Body: body, Token: walToken(id, pkt.Seq)})
 	}
 	moved := 0
 	for _, home := range homes {

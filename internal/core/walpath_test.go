@@ -140,6 +140,56 @@ func TestWALPathAllocations(t *testing.T) {
 	t.Logf("ingest_bulk shape: %d of %d attribute values reuse the previous item's string", hits, values)
 }
 
+// TestWALPathRecyclesPackets pins the steady-state WAL round trip on
+// ingest_bulk-shaped transactions: once a transaction is encoded, sent,
+// received, folded, decoded and its receipts deleted, the queue has its
+// packets' blocks back, so the next transaction's log phase (encode and
+// send) allocates less than one packet's worth of body bytes.
+func TestWALPathRecyclesPackets(t *testing.T) {
+	dep := newDep(t, sim.Strict)
+	p := NewP3(dep, Options{})
+	rnd := sim.NewRand(42)
+	txn, hdr, bundles := bulkTxn(rnd)
+	packets := len(encodeWALBundles(txn, hdr, bundles, 0))
+	// logged commits one transaction, the round trip's every step, and
+	// returns what its log phase allocated.
+	logged := func() uint64 {
+		_, hdr, bundles := bulkTxn(rnd)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := p.Commit(FileObject{Path: "mnt/bulk/r0/000042", Size: hdr.Size, Ref: hdr.Ref}, bundles)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if n := dep.WAL.Len(); n != 0 {
+			t.Fatalf("%d packets left on the WAL", n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// A collection empties the block pool, as it would a busy daemon's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	logged()
+	const runs = 20
+	total := uint64(0)
+	for range runs {
+		total += logged()
+	}
+	// Under the race detector the pool drops one block in four that it is
+	// given, a quarter of the packets: a race build's bound is half of them.
+	per, limit := total/runs, uint64(sqs.MaxMessageSize)
+	if RaceEnabled {
+		limit = uint64(packets * sqs.MaxMessageSize / 2)
+	}
+	t.Logf("log phase of a %d-packet transaction: %d bytes", packets, per)
+	if per >= limit {
+		t.Errorf("the log phase of a %d-packet transaction allocates %d bytes, want under %d: the packets did not reuse the acknowledged ones' blocks", packets, per, limit)
+	}
+}
+
 // TestFoldDropsOutOfRangeSeq: a packet numbered at or past its
 // transaction's packet count is dropped at fold. Before, a forged packet 7
 // of a 2-packet transaction counted towards its total: packets 0 and 7 made

@@ -391,7 +391,8 @@ func crashFabric(t *testing.T, c crashCase, k, workers int, faults bool, scale f
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.P3.SetChunkSize(c.chunk)      // 0 keeps the default
+	// The case's chunk size (0 keeps the default).
+	f.P3 = core.NewP3(f.Dep, core.Options{CommitWorkers: workers, ChunkSize: c.chunk})
 	f.Env.InstallFaults(cfg.Faults) // an injector to arm the point on
 	n := max(c.txns, 12)
 	r := &crashRun{f: f, k: k}
@@ -572,7 +573,7 @@ func TestFailedDeleteStrandsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.P3.SetChunkSize(64) // about 20 packets a transaction
+		f.P3 = core.NewP3(f.Dep, core.Options{CommitWorkers: 1, ChunkSize: 64}) // about 20 packets a transaction
 		inj := f.Env.InstallFaults(nil)
 		rnd, want := sim.NewRand(seed), oracle.Expect{Backend: core.BackendSDB}
 		for i := 0; i < 4; i++ {
@@ -604,8 +605,7 @@ func TestFailedDeleteStrandsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := core.NewP3(f.Dep, core.Options{ProvConns: 1})
-		d.SetChunkSize(64) // two packets a transaction
+		d := core.NewP3(f.Dep, core.Options{ProvConns: 1, ChunkSize: 64}) // two packets a transaction
 		inj := f.Env.InstallFaults(nil)
 		rnd, want := sim.NewRand(seed), oracle.Expect{Backend: core.BackendSDB}
 		for i := 0; i < 6; i++ {

@@ -55,7 +55,8 @@ func Properties(factory core.ProtocolFactory, seed int64) (PropertyReport, error
 	cfg := sim.DefaultConfig()
 	cfg.Seed = seed
 	dep := core.NewDeployment(sim.NewEnv(cfg))
-	proto := factory.New(dep, core.Options{Ordered: true})
+	// P3's 64-byte chunks make its client crash point leave a transaction half sent.
+	proto := factory.New(dep, core.Options{Ordered: true, ChunkSize: 64})
 	want := Expect{Backend: core.BackendOf(proto)}
 	if want.Backend == core.BackendNone {
 		for _, p := range []string{"coupling", "causal-order", "query", "persistence"} {
@@ -118,11 +119,10 @@ func Properties(factory core.ProtocolFactory, seed int64) (PropertyReport, error
 	col.Apply(trace.Event{Kind: trace.Read, PID: p2, Path: "mnt/out"}) // stage2 rewrites its output
 	col.Apply(trace.Event{Kind: trace.Write, PID: p2, Path: "mnt/out", Bytes: 1024})
 	point, n := core.CrashP1BeforeData, 0
-	switch p := proto.(type) {
+	switch proto.(type) {
 	case *core.P2:
 		point = core.CrashP2BeforeData
 	case *core.P3:
-		p.SetChunkSize(64)
 		point, n = core.CrashClientAfterPackets, 1
 	}
 	dep.Env.InstallFaults(nil).CrashAt(point, n) // no plan: the crash point only
