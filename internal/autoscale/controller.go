@@ -182,8 +182,8 @@ func (c *Controller) Status() Status {
 	return s
 }
 
-// sample reads one window's signals: the windowed per-endpoint deltas, the
-// per-shard WAL backlog, and the gate depths, republishing them as gauges.
+// sample reads one window's signals: the windowed per-endpoint deltas and
+// the per-shard WAL backlog.
 type sample struct {
 	k            int
 	ratePerShard float64
@@ -198,23 +198,11 @@ func (c *Controller) sample() sample {
 	now := env.Now()
 	u := env.Meter().Usage() // deep copy under the meter lock
 
-	// Per-shard WAL backlog -> gauges; keep the max for the decision.
-	backlog := c.dep.WAL.ShardBacklog()
-	gauges := make(map[string]int64, len(backlog))
+	// The deepest per-shard WAL backlog goes into the decision.
 	maxBacklog := 0
-	for name, n := range backlog {
-		gauges[name] = int64(n)
+	for _, n := range c.dep.WAL.ShardBacklog() {
 		maxBacklog = max(maxBacklog, n)
 	}
-	env.Meter().ReplaceGauges("wal.backlog.", gauges)
-
-	// Gate queue depths -> gauges (rounded; the trend is the signal).
-	depths := env.GateDepths()
-	dg := make(map[string]int64, len(depths))
-	for name, d := range depths {
-		dg[name] = int64(math.Round(d))
-	}
-	env.Meter().ReplaceGauges("gate.depth.", dg)
 
 	// Windowed deltas per fabric endpoint. Negative deltas mean the counter
 	// restarted between samples; clamp to cur so a reset never reads as a
@@ -271,7 +259,6 @@ func (c *Controller) sample() sample {
 	c.st.RatePerShard = s.ratePerShard
 	c.st.MaxBacklog = s.maxBacklog
 	c.st.Window = s.window
-	env.Meter().SetGauge("autoscale.rate_per_shard", int64(math.Round(s.ratePerShard)))
 	return s
 }
 

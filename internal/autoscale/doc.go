@@ -5,9 +5,7 @@
 //
 // # Signals
 //
-// Each sampling tick the controller reads three signals and republishes
-// them as meter gauges so operators (and the bench harnesses) see exactly
-// what it saw:
+// Each sampling tick the controller reads two signals:
 //
 //   - Windowed per-endpoint op deltas. Usage.OpsByEndpoint is cumulative,
 //     and a controller that differences raw totals against a remembered
@@ -17,14 +15,9 @@
 //     cur < prev for an endpoint, the delta is cur (the counter restarted;
 //     everything it shows happened inside this window). Rates are deltas
 //     divided by the sim-clock window, never raw totals.
-//   - Per-shard WAL backlog (sqs.QueueSet.ShardBacklog), published as
-//     "wal.backlog.<queue>" gauges. A backlog that keeps climbing means the
-//     commit daemons cannot drain what clients enqueue — grow even if the
-//     request rate alone looks sustainable.
-//   - Rate-gate queue depths (sim.Env.GateDepths), published as
-//     "gate.depth.<class>[-lane]" gauges: how many admission intervals of
-//     reservations stretch beyond now at each service gate. This is the
-//     queueing-delay signal behind rising commit latency.
+//   - Per-shard WAL backlog (sqs.QueueSet.ShardBacklog). A backlog that
+//     keeps climbing means the commit daemons cannot drain what clients
+//     enqueue — grow even if the request rate alone looks sustainable.
 //
 // # Policy: hysteresis + cooldown
 //

@@ -112,7 +112,7 @@ func ChaosCommitQueryReshard(c ChaosConfig) (ChaosRun, error) {
 	// shard. Every fan-out must return the complete item set — a lost item
 	// would shrink the result, a duplicated one would grow it.
 	for i := 0; i < c.Queries; i++ {
-		items, _, _, err := f.Dep.DB.View().SelectAllQuery(sdb.Query{Domain: core.DomainName, ItemOnly: true})
+		items, _, _, err := f.Dep.DB.SelectAllQuery(sdb.Query{Domain: core.DomainName, ItemOnly: true})
 		if err != nil {
 			return run, fmt.Errorf("bench: fan-out %d under faults: %w", i, err)
 		}

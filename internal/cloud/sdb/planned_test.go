@@ -198,14 +198,16 @@ func checkPlanned(t *testing.T, s *DomainSet, rng *rand.Rand, names []string, st
 				q.Limit = 1 + rng.Intn(3) // several pages per shard
 			}
 			want, wantReqs := scatterAll(t, v, q)
-			got, gotReqs, _, err := v.SelectAllQuery(q)
+			var r Result
+			err := v.Drain(q, &r)
+			got, gotReqs := r.Items, r.Requests
 			if err != nil {
 				t.Fatalf("%s, %s: %v", state, sh.name, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, %s (%v): planned read diverged from the scatter\n got %v\nwant %v", state, sh.name, sh.where, got, want)
 			}
-			ts, err := v.targets(&q)
+			ts, err := v.targets(&q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,9 +25,12 @@
 // per version, and each attribute's postings. None of them holds a pointer:
 // what only a few items have — an older version an overwrite keeps for a
 // while, the item list of a value several items share — lives out of line.
-// A SELECT lays its page out in scratch the domain reuses and copies it out
-// as two slabs the caller owns, whose strings view the stored bytes, so
-// nothing aliases domain state.
+// A SELECT writes its page straight into the caller's [Result]: an item
+// slab and an attribute slab whose strings view the stored bytes, so
+// nothing aliases domain state. A drain keeps appending across pages, and a
+// caller that drains again into the same Result reuses its storage; what a
+// drain returned is the caller's until it drains into that Result again or
+// resets it, and no longer.
 package sdb
 
 import (
@@ -140,8 +143,6 @@ type Domain struct {
 	idx       map[string]*attrIndex // per-attribute secondary indexes
 	attrs     []*attrIndex          // the same indexes by attribute id
 	putBuf    []pair                // a put's new version, staged
-	pageRecs  []pageRec             // the open SELECT page's items
-	pageAttrs []Attr                // their attributes, then the examined item's
 	forceScan bool                  // tests only: walk the item table, the indexes' reference
 	gen       uint64                // write generation; invalidates cached plans
 	lastPlan  planCache             // resolved candidates of the latest query
@@ -177,6 +178,7 @@ func (d *Domain) pairsOf(v version) []pair { return d.pairs.span(v.off, v.n) }
 // attribute index's name and a view of its stored value, so nothing is
 // copied.
 func (d *Domain) appendAttrs(dst []Attr, v version) []Attr {
+	dst = slices.Grow(dst, int(v.n))
 	for _, p := range d.pairsOf(v) {
 		ix := d.attrs[p.attr]
 		dst = append(dst, Attr{Name: ix.name, Value: ix.vals.str(p.val)})
@@ -505,20 +507,39 @@ func (d *Domain) reapLocked(now time.Duration) {
 	}
 }
 
-// SelectPage is one page of SELECT results, the caller's own: its items are
-// one slab and their attributes another, each item's Attrs capacity-capped
-// (nil for none) so an append never writes the next item's. Nothing aliases
-// domain state a write changes (names and values view append-only bytes).
-type SelectPage struct {
+// Result is what a SELECT returns: one page (SelectQuery, Select), whose
+// NextToken continues it, or every page of a drain. Its items are one slab
+// and their attributes another, each item's Attrs capacity-capped (nil for
+// none) so an append never writes the next item's; names and values view
+// the store's append-only bytes, so nothing aliases domain state a write
+// changes. A Result is reusable: a drain into it replaces what it held in
+// the storage the last one left, so the items and the slabs behind them are
+// the caller's until the next drain into the same Result or its Reset, and
+// no longer; a caller keeps the strings, never the slices.
+type Result struct {
 	Items     []Item
 	NextToken string
-	Bytes     int // response payload size
+	Requests  int // SELECT requests made
+	Bytes     int // response payload moved
+
+	attrs []Attr    // the slab Items' attributes are cut from
+	err   error     // a scatter shard's drain error
+	plan  []target  // the shards a scatter asks
+	subs  []*Result // a scatter's per-shard buffers, in plan order
 }
 
-// pageRec is an emitted item: its name, the end of its pageAttrs span.
-type pageRec struct {
-	name string
-	end  int
+// Reset empties r for reuse, zeroing everything it held so that a slice a
+// caller kept past its drain reads empty strings rather than another
+// drain's items; the storage stays for the next drain.
+func (r *Result) Reset() {
+	clear(r.Items)
+	clear(r.attrs)
+	clear(r.plan)
+	r.Items, r.attrs, r.plan = r.Items[:0], r.attrs[:0], r.plan[:0]
+	r.NextToken, r.Requests, r.Bytes, r.err = "", 0, 0, nil
+	for _, sub := range r.subs {
+		sub.Reset()
+	}
 }
 
 // SelectQuery runs a programmatically built query (see the predicate
@@ -526,28 +547,31 @@ type pageRec struct {
 // same query shape repeatedly — BFS traversals rebinding IN values per
 // level — reuse one Query instead of formatting and reparsing expressions.
 // A call whose Where is the last call's, with no write between, reuses its
-// resolved candidates, as SelectAllQuery (or Select with one expression)
-// does across the pages of a drain.
-func (d *Domain) SelectQuery(q Query, nextToken string) (SelectPage, error) {
+// resolved candidates, as a drain does across its pages.
+func (d *Domain) SelectQuery(q Query, nextToken string) (Result, error) {
+	var r Result
 	if q.Domain != d.name {
-		return SelectPage{}, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
+		return r, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
-	return d.selectPage(&q, q.Where, nextToken)
+	err := d.selectPage(&q, q.Where, nextToken, &r)
+	return r, err
 }
 
-// selectPage streams one page of q, where in place of q.Where, from its
-// access path: the planner's index candidates when a secondary index serves
-// the predicate, the sorted name table otherwise. Either way items are
-// visited in ascending name order, resuming from the continuation token,
-// and only the emitted page is copied out of the store.
-func (d *Domain) selectPage(q *Query, where *Node, nextToken string) (SelectPage, error) {
-	return sim.Call(d.ep, func() (SelectPage, error) { return d.selectPageOnce(q, where, nextToken) })
+// selectPage streams one page of q, where in place of q.Where, into r from
+// its access path: the planner's index candidates when a secondary index
+// serves the predicate, the sorted name table otherwise. Either way items
+// are visited in ascending name order, resuming from the continuation
+// token, and only the emitted page is copied out of the store.
+func (d *Domain) selectPage(q *Query, where *Node, nextToken string, r *Result) error {
+	return d.ep.Do(func() error { return d.selectPageOnce(q, where, nextToken, r) })
 }
 
-// selectPageOnce is one service attempt of a SELECT page.
-func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string) (SelectPage, error) {
+// selectPageOnce is one service attempt of a SELECT page, appended to r's
+// items and attribute slab and counted in its requests and bytes. A
+// rejected attempt writes nothing.
+func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string, r *Result) error {
 	if ferr, _ := d.ep.Fault(sim.OpSDBSelect); ferr != nil {
-		return SelectPage{}, ferr
+		return ferr
 	}
 	now := d.env.Now()
 
@@ -573,12 +597,16 @@ func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string) (Select
 	if start < len(ids) && d.candName(ids[start]) == nextToken {
 		start++
 	}
-	page := SelectPage{}
-	examined, bytes := 0, 0
-	// The page is laid out in scratch every SELECT reuses: a record and the
-	// projected attributes per emitted item, then the examined version's
-	// attributes for the predicate (an itemName()-only scan reads none).
-	recs, attrs := d.pageRecs[:0], d.pageAttrs[:0]
+	// Each emitted item and its projected attributes go straight into r;
+	// the examined version's attributes are laid out after the last emitted
+	// item's for the predicate (an itemName()-only scan reads none) and cut
+	// back when it fails. An item's Attrs view the slab as it was when the
+	// item was emitted, so a slab that grows later leaves them intact.
+	next, examined, emitted, bytes := "", 0, 0, 0
+	items, attrs := r.Items, r.attrs
+	if indexed { // the candidates bound the page: a fresh slab grows once
+		items = slices.Grow(items, min(len(ids)-start, limit))
+	}
 	needAttrs := where != nil || !q.ItemOnly
 	for _, id := range ids[start:] {
 		examined++
@@ -604,68 +632,52 @@ func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string) (Select
 		case q.Fields != nil:
 			attrs = attrs[:mark+len(slices.DeleteFunc(attrs[mark:], func(a Attr) bool { return !slices.Contains(q.Fields, a.Name) }))]
 		}
-		it.Attrs = attrs[mark:]
+		it.Attrs = nil
+		if end := len(attrs); end > mark {
+			it.Attrs = attrs[mark:end:end]
+		}
 		// The page is full once the next match arrives past the limit (or
 		// past the byte cap): that match proves more results exist, so the
 		// token points at the last emitted item and the page closes.
 		sz := it.size()
-		if len(recs) >= limit || len(recs) > 0 && bytes+sz > maxPageBytes {
-			page.NextToken = recs[len(recs)-1].name
+		if emitted >= limit || emitted > 0 && bytes+sz > maxPageBytes {
+			next, attrs = items[len(items)-1].Name, attrs[:mark]
 			break
 		}
-		recs = append(recs, pageRec{it.Name, len(attrs)})
-		bytes += sz
+		items, emitted, bytes = append(items, it), emitted+1, bytes+sz
 	}
-	if len(recs) > 0 { // copied out into one item slab and one attribute slab
-		slab, off := slices.Clone(attrs[:recs[len(recs)-1].end]), 0
-		page.Items = make([]Item, len(recs))
-		for i, r := range recs {
-			page.Items[i].Name = r.name
-			if r.end > off {
-				page.Items[i].Attrs = slab[off:r.end:r.end]
-			}
-			off = r.end
-		}
-	}
-	d.pageRecs, d.pageAttrs = recs, attrs
+	r.Items, r.attrs, r.NextToken, r.Requests, r.Bytes = items, attrs, next, r.Requests+1, r.Bytes+bytes
 	d.mu.Unlock()
 
-	page.Bytes = bytes
 	// The query engine's work scales with the items the access path
 	// examined — the whole table for a scan, only the predicate's
 	// candidates for an indexed path.
 	d.ep.Exec(sim.OpSDBSelect, bytes, examined)
 	d.env.Meter().AddItemsExamined(int64(examined))
-	return page, nil
+	return nil
 }
 
-// SelectAllQuery drains every page of a programmatically built query,
-// owned as a page is.
+// SelectAllQuery drains every page of a programmatically built query into
+// a fresh Result, whose items the caller owns outright.
 func (d *Domain) SelectAllQuery(q Query) (items []Item, requests int, bytes int, err error) {
 	if q.Domain != d.name {
 		return nil, 0, 0, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
-	return d.selectAll(&q, q.Where)
+	var r Result
+	if err := d.drain(&q, q.Where, &r); err != nil {
+		return nil, r.Requests, r.Bytes, err
+	}
+	return r.Items, r.Requests, r.Bytes, nil
 }
 
-// selectAll drains q, where in place of q.Where: one page as it is, more
-// concatenated once.
-func (d *Domain) selectAll(q *Query, where *Node) (items []Item, requests int, bytes int, err error) {
-	pages := make([][]Item, 0, 8) // on the stack unless a drain runs past eight pages
-	for token := ""; ; {
-		page, err := d.selectPage(q, where, token)
-		if err != nil {
-			return nil, requests, bytes, err
-		}
-		requests, bytes, pages, token = requests+1, bytes+page.Bytes, append(pages, page.Items), page.NextToken
-		if token == "" {
-			break
+// drain appends every page of q, where in place of q.Where, to r: one page
+// after another into the same slabs.
+func (d *Domain) drain(q *Query, where *Node, r *Result) error {
+	for {
+		if err := d.selectPage(q, where, r.NextToken, r); err != nil || r.NextToken == "" {
+			return err
 		}
 	}
-	if len(pages) == 1 {
-		return pages[0], requests, bytes, nil
-	}
-	return slices.Concat(pages...), requests, bytes, nil
 }
 
 // ItemCount returns the number of live items (latest committed state).

@@ -119,10 +119,13 @@ func selectDomain(b *testing.B) (*Domain, int) {
 
 // BenchmarkSelectEq resolves one `name = path` equality per operation: the
 // 63 versions of one file, looked up once and sorted by name as ids, which
-// the page walk reads records by. The page is two slabs and the planner
-// works in the domain's scratch, so it costs ≈2.8 KB and 3 allocs/op (≈3.8
-// KB and 4 while the candidates were a fresh slice of names, ≈7.0 KB and 11
-// while each item was its own allocation).
+// the page walk reads records by. The page goes into a fresh Result, its
+// item slab sized once by the candidates and its attribute slab holding the
+// predicate's scratch, and the planner works in the domain's scratch, so it
+// costs ≈3.2 KB and 5 allocs/op (≈2.8 KB and 3 while the domain lent its own
+// page scratch and copied the page out, ≈3.8 KB and 4 while the candidates
+// were a fresh slice of names, ≈7.0 KB and 11 while each item was its own
+// allocation).
 func BenchmarkSelectEq(b *testing.B) {
 	d, txns := selectDomain(b)
 	q := Query{Domain: d.Name(), ItemOnly: true, Where: Eq("name", "")}
@@ -140,7 +143,7 @@ func BenchmarkSelectEq(b *testing.B) {
 
 // BenchmarkSelectIn resolves one 20-ref `input IN (...)` per operation, the
 // shape a descendants level issues: every file version under 20 processes,
-// 1,260 candidate ids in name order. ≈59 KB and 45 allocs/op (≈79 KB and 46
+// 1,260 candidate ids in name order. ≈59 KB and 47 allocs/op (≈79 KB and 46
 // while the candidates were names, ≈177 KB and 58 before the page slabs),
 // most of the allocs the benchmark's own 20 rendered refs.
 func BenchmarkSelectIn(b *testing.B) {

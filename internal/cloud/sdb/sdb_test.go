@@ -576,10 +576,10 @@ func TestEqualValuesStoredOnce(t *testing.T) {
 // Select runs a SELECT expression (see package documentation for the
 // supported grammar) returning one page; pass the previous page's NextToken
 // to continue. Each page is one billed request.
-func (d *Domain) Select(expr, nextToken string) (SelectPage, error) {
+func (d *Domain) Select(expr, nextToken string) (Result, error) {
 	q, err := ParseSelect(expr)
 	if err != nil {
-		return SelectPage{}, err
+		return Result{}, err
 	}
 	return d.SelectQuery(q, nextToken)
 }
@@ -594,13 +594,15 @@ func (d *Domain) SelectAll(expr string) (items []Item, requests int, bytes int, 
 	return d.SelectAllQuery(q)
 }
 
-// SelectAll is SelectAllQuery for a SELECT expression.
+// SelectAll drains a SELECT expression into a fresh Result.
 func (v *DomainView) SelectAll(expr string) (items []Item, requests int, bytes int, err error) {
 	q, err := ParseSelect(expr)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return v.SelectAllQuery(q)
+	var r Result
+	err = v.Drain(q, &r)
+	return r.Items, r.Requests, r.Bytes, err
 }
 
 // Or disjoins two predicates.

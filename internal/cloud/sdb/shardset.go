@@ -112,9 +112,6 @@ func (s *DomainSet) AcquireView() (*DomainView, func()) {
 	return s.viewFrom(ev), release
 }
 
-// Base returns the logical domain name queries address.
-func (v *DomainView) Base() string { return v.set.Base() }
-
 // Migrating reports whether the view straddles a double-write window.
 func (v *DomainView) Migrating() bool { return v.target != nil }
 
@@ -152,14 +149,15 @@ type target struct {
 }
 
 // targets is the read planner: the shards that can hold a match for q, in
-// shard order, and what each is asked. Item name → shard is a pure function
-// of the view (RouteKey + the epoch pair), so a predicate whose top-level
-// itemName() conjunct pins route keys (see routePins) goes to the union of
-// homesForItem over the pinned names only — both epoch homes inside a
-// double-write window, whose duplicates the merge collapses — with an IN
-// list cut down to the names each shard can hold, all cut from one slab.
-// Every other predicate, and a one-shard view, gets every live shard.
-func (v *DomainView) targets(q *Query) ([]target, error) {
+// shard order, and what each is asked, appended to ts. Item name → shard is
+// a pure function of the view (RouteKey + the epoch pair), so a predicate
+// whose top-level itemName() conjunct pins route keys (see routePins) goes
+// to the union of homesForItem over the pinned names only — both epoch
+// homes inside a double-write window, whose duplicates the merge collapses
+// — with an IN list cut down to the names each shard can hold, all cut from
+// one slab. Every other predicate, and a one-shard view, gets every live
+// shard.
+func (v *DomainView) targets(q *Query, ts []target) ([]target, error) {
 	if q.Domain != v.set.Base() {
 		return nil, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
@@ -167,7 +165,7 @@ func (v *DomainView) targets(q *Query) ([]target, error) {
 	if len(v.shards) == 1 {
 		conj, pins = nil, nil
 	}
-	var stack [8]sim.Homes // the pins' homes: a short pin list routes on the stack
+	var stack [20]sim.Homes // the pins' homes: an IN list of SimpleDB's 20 comparisons routes on the stack
 	homes, routed := slices.Grow(stack[:0], len(pins)), 0
 	for _, p := range pins {
 		hs := v.homesForItem(p)
@@ -177,7 +175,6 @@ func (v *DomainView) targets(q *Query) ([]target, error) {
 	if conj != nil && conj.op == "in" {
 		slab = make([]string, 0, routed)
 	}
-	ts := make([]target, 0, len(v.shards))
 	for i := range v.shards {
 		held, lo := 0, len(slab)
 		for j, hs := range homes {
@@ -246,26 +243,27 @@ func (n *Node) with(old, repl *Node) *Node {
 	return &Node{op: "and", left: n.left.with(old, repl), right: n.right.with(old, repl)}
 }
 
-// SelectAllQuery drains q against the shards targets names and merges the
-// results by item name into the canonical single-domain order; request and
-// byte counts are summed. On a live clock the shards drain concurrently, so a
-// scatter costs its slowest shard. On the manual clock parallel sleeps add
-// up however the drains interleave, so the caller drains the shards itself,
-// in shard order: no goroutine is started, and a seed alone decides which
-// shard draws which jitter and fault. Every shard is drained even when one
-// fails; the first error in shard order is returned. The caller owns the
-// result as a page: one shard's items as they are, several concatenated once.
-func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes int, err error) {
-	ts, err := v.targets(&q)
+// Drain drains q into r, replacing what r held, against the shards targets
+// names, and merges their items by name into the canonical single-domain
+// order; request and byte counts are summed. Each shard drains into a
+// buffer of its own inside r, which r reuses on the next drain, and r.Items
+// views those buffers (see Result for how long). On a live clock the shards
+// drain concurrently, so a scatter costs its slowest shard. On the manual
+// clock parallel sleeps add up however the drains interleave, so the caller
+// drains the shards itself, in shard order: no goroutine is started, and a
+// seed alone decides which shard draws which jitter and fault. Every shard
+// is drained even when one fails; the first error in shard order is
+// returned.
+func (v *DomainView) Drain(q Query, r *Result) error {
+	r.Reset()
+	plan, err := v.targets(&q, r.plan)
 	if err != nil {
-		return nil, 0, 0, err
+		return err
 	}
-	type result struct {
-		items       []Item
-		reqs, bytes int
-		err         error
+	r.plan = plan
+	for len(r.subs) < len(plan) {
+		r.subs = append(r.subs, new(Result))
 	}
-	results := make([]result, len(ts))
 	// Each per-shard drain is hedged: if the shard straggles (a
 	// fault-backed-off page, a slow replica) past the hedge delay, a
 	// duplicate drain races it and the first result wins; drains are
@@ -275,64 +273,77 @@ func (v *DomainView) SelectAllQuery(q Query) (items []Item, requests int, bytes 
 	if len(v.shards) > 1 {
 		res = resilient.Of(v.set.env)
 	}
-	workers := 1
 	if v.set.env.Clock().Live() {
-		workers = len(ts)
-	}
-	par.ForEach(workers, len(ts), func(i int) error {
-		d := v.shards[ts[i].shard]
-		results[i], _ = resilient.Hedged(res, d.Name(), func() (r result, err error) { // the error rides in r.err
-			r.items, r.reqs, r.bytes, r.err = d.selectAll(&q, ts[i].where)
-			return r, r.err
+		// An attempt may outlive the scatter (a hedge's loser runs on), so
+		// it reads a copy of the query of its own.
+		live := q
+		par.ForEach(len(plan), len(plan), func(i int) error {
+			d, where, sub := v.shards[plan[i].shard], plan[i].where, r.subs[i]
+			r.subs[i], _ = resilient.Hedged(res, d.Name(), func(hedge bool) (*Result, error) {
+				return d.drainShard(&live, where, sub, hedge)
+			})
+			return nil
 		})
-		return nil
-	})
-	n, only := 0, []Item(nil) // only: the last shard's items that matched any
-	for _, r := range results {
-		if r.err != nil {
-			return nil, 0, 0, r.err
-		}
-		requests, bytes, n = requests+r.reqs, bytes+r.bytes, n+len(r.items)
-		if len(r.items) > 0 {
-			only = r.items
+	} else {
+		for i, t := range plan {
+			d, sub := v.shards[t.shard], r.subs[i]
+			r.subs[i], _ = resilient.HedgedManual(res, d.Name(), func(hedge bool) (*Result, error) {
+				return d.drainShard(&q, t.where, sub, hedge)
+			})
 		}
 	}
-	if len(only) == n {
-		return only, requests, bytes, nil
+	for _, sub := range r.subs[:len(plan)] {
+		if sub.err != nil {
+			return sub.err
+		}
+		r.Items, r.Requests, r.Bytes = append(r.Items, sub.Items...), r.Requests+sub.Requests, r.Bytes+sub.Bytes
 	}
-	items = make([]Item, 0, n)
-	for _, r := range results {
-		items = append(items, r.items...)
+	if len(plan) > 1 {
+		r.Items = mergeByName(r.Items)
 	}
-	return mergeByName(items), requests, bytes, nil
+	return nil
+}
+
+// drainShard is one attempt of a scatter's drain of d: the primary drains
+// into sub, a hedge into a fresh buffer, so a hedge never writes memory its
+// twin may be writing. The buffer drained into comes back with the drain's
+// error in it, and a scatter whose hedge won keeps the hedge's buffer and
+// gives up sub, which the losing primary may still be writing.
+func (d *Domain) drainShard(q *Query, where *Node, sub *Result, hedge bool) (*Result, error) {
+	buf := sub
+	if hedge {
+		buf = new(Result)
+	}
+	buf.err = d.drain(q, where, buf)
+	return buf, buf.err
 }
 
 // Select runs one page of a SELECT expression. The planned shards are
 // drained in shard order — the continuation token names the shard the next
 // page reads — so pages arrive shard-grouped rather than globally
 // name-ordered; callers needing the canonical order (or migration-window
-// dedup) use SelectAll/SelectAllQuery.
-func (v *DomainView) Select(expr, nextToken string) (SelectPage, error) {
+// dedup) use Drain or SelectAllQuery.
+func (v *DomainView) Select(expr, nextToken string) (Result, error) {
+	var page Result
 	q, err := ParseSelect(expr)
 	if err != nil {
-		return SelectPage{}, err
+		return page, err
 	}
-	ts, err := v.targets(&q)
+	ts, err := v.targets(&q, nil)
 	if err != nil {
-		return SelectPage{}, err
+		return page, err
 	}
 	i, inner := 0, ""
 	if nextToken != "" {
 		var shard int
 		_, err := fmt.Sscanf(nextToken, "s%d|", &shard)
 		if i = slices.IndexFunc(ts, func(t target) bool { return t.shard == shard }); err != nil || i < 0 {
-			return SelectPage{}, fmt.Errorf("sdb: bad continuation token %q", nextToken)
+			return page, fmt.Errorf("sdb: bad continuation token %q", nextToken)
 		}
 		inner = nextToken[strings.IndexByte(nextToken, '|')+1:]
 	}
-	page, err := v.shards[ts[i].shard].selectPage(&q, ts[i].where, inner)
-	if err != nil {
-		return SelectPage{}, err
+	if err := v.shards[ts[i].shard].selectPage(&q, ts[i].where, inner, &page); err != nil {
+		return page, err
 	}
 	switch {
 	case page.NextToken != "":
@@ -467,16 +478,20 @@ func (s *DomainSet) SelectAllRouted(_ string, q Query) (items []Item, requests i
 	return s.SelectAllQuery(q)
 }
 
-// SelectAllQuery drains a query against the shards that can hold a match
-// (DomainView.targets), merged into canonical name order.
+// SelectAllQuery drains a query (see DomainView.Drain) into a fresh Result,
+// whose items the caller owns outright.
 func (s *DomainSet) SelectAllQuery(q Query) (items []Item, requests int, bytes int, err error) {
 	v, done := s.AcquireView()
 	defer done()
-	return v.SelectAllQuery(q)
+	var r Result
+	if err := v.Drain(q, &r); err != nil {
+		return nil, 0, 0, err
+	}
+	return r.Items, r.Requests, r.Bytes, nil
 }
 
 // Select runs one page of a SELECT expression (see DomainView.Select).
-func (s *DomainSet) Select(expr, nextToken string) (SelectPage, error) {
+func (s *DomainSet) Select(expr, nextToken string) (Result, error) {
 	v, done := s.AcquireView()
 	defer done()
 	return v.Select(expr, nextToken)

@@ -3,6 +3,7 @@ package sdb
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -372,5 +373,100 @@ func TestManualScatterIsDeterministic(t *testing.T) {
 				t.Log(run)
 			}
 		})
+	}
+}
+
+// TestScatterDrainAllocationsFlat pins what a warmed scatter drain costs the
+// Go heap on the manual clock at K=4, with the retry layer installed as the
+// fabric installs it: `input IN (20 names)`, a descendants level's child
+// lookup, asks all four shards, each drained into its own buffer inside one
+// reused Result: the caller's IN node is the one allocation, whether 2 of
+// the 20 parents have children or all 20 have three each.
+func TestScatterDrainAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Consistency = sim.Strict
+	env := sim.NewEnv(cfg)
+	env.SetRetry(resilient.New(env, resilient.Policy{}))
+	s := NewSet(env, "prov", 4)
+	name := func(j int) string { return fmt.Sprintf("%08x-aaaa-4bbb-8ccc-ddddeeeeffff_1", uint32(j*2654435761)) }
+	var parents [2][]string // batch 0: two parents with a child each; batch 1: twenty with three
+	var reqs []PutRequest
+	for b := range parents {
+		for p := 0; p < 20; p++ {
+			parent := name(1000 + 100*b + p)
+			parents[b] = append(parents[b], parent)
+			for c := 0; c < []int{min(1, max(0, 2-p)), 3}[b]; c++ {
+				reqs = append(reqs, PutRequest{Item: name(len(reqs)), Attrs: []Attr{{Name: "type", Value: "file"}, {Name: "input", Value: parent}}})
+			}
+		}
+	}
+	for batch := range slices.Chunk(reqs, MaxBatchItems) {
+		if err := s.BatchPutAttributes(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, r := s.View(), new(Result)
+	var allocs [2]float64
+	for b, want := range []int{2, 60} {
+		allocs[b] = testing.AllocsPerRun(50, func() {
+			if err := v.Drain(Query{Domain: "prov", ItemOnly: true, Where: In("input", parents[b]...)}, r); err != nil || len(r.Items) != want || r.Requests != 4 {
+				t.Fatalf("%d items in %d requests, err %v; want %d in 4", len(r.Items), r.Requests, err, want)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("a scatter drain allocates %v times at 2 matches, %v at 60", allocs[0], allocs[1])
+	}
+	t.Logf("a warmed K=4 scatter drain allocates %v times", allocs[0])
+	if ceiling := 1.0; allocs[0] > ceiling {
+		t.Errorf("a scatter drain allocates %v times, want <= %v", allocs[0], ceiling)
+	}
+}
+
+// TestLiveHedgedDrainsKeepBuffersApart: on a live clock with a hedge delay
+// shorter than any SELECT, nearly every shard drain races a hedge, and the
+// loser runs on after the scatter returns. Drains into one reused Result
+// must still return the whole, ordered item set every time, and under -race
+// a loser writing a buffer the next drain reuses would be reported.
+func TestLiveHedgedDrainsKeepBuffersApart(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Consistency, cfg.TimeScale = sim.Strict, 1000
+	env := sim.NewEnv(cfg)
+	res := resilient.New(env, resilient.Policy{HedgeAfter: time.Millisecond})
+	env.SetRetry(res)
+	s := NewSet(env, "prov", 4)
+	const items = 200
+	var want []string
+	for i := 0; i < items; i += MaxBatchItems {
+		var reqs []PutRequest
+		for j := i; j < i+MaxBatchItems; j++ {
+			name := fmt.Sprintf("%08x-aaaa-4bbb-8ccc-ddddeeeeffff_1", uint32(j*2654435761))
+			reqs, want = append(reqs, PutRequest{Item: name, Attrs: []Attr{{Name: "type", Value: "file"}}}), append(want, name)
+		}
+		if err := s.BatchPutAttributes(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(want)
+	v, r := s.View(), new(Result)
+	for i := 0; i < 20; i++ {
+		if err := v.Drain(Query{Domain: "prov", Where: Eq("type", "file")}, r); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(r.Items))
+		for j, it := range r.Items {
+			if got[j] = it.Name; len(it.Attrs) != 1 || it.Attrs[0] != (Attr{Name: "type", Value: "file"}) {
+				t.Fatalf("drain %d: %s carries %v", i, it.Name, it.Attrs)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("drain %d: %d items, want the %d in name order", i, len(got), len(want))
+		}
+	}
+	if res.Stats().Totals().Hedges == 0 {
+		t.Fatal("no drain was hedged")
 	}
 }

@@ -103,7 +103,7 @@ func (s *QueueSet) Unreceived() int {
 
 // ShardBacklog reports each live shard's undeleted, unexpired message count,
 // keyed by service queue name — the per-shard WAL backlog signal the
-// autoscale sampler surfaces as meter gauges.
+// autoscale controller decides on.
 func (s *QueueSet) ShardBacklog() map[string]int {
 	out := make(map[string]int)
 	for _, q := range s.View().Shards {

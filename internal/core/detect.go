@@ -56,7 +56,7 @@ func ReadProvenance(dep *Deployment, backend Backend, u uuid.UUID) ([]prov.Bundl
 		// deleting the uuid's items from their old home mid-lookup.
 		v, release := dep.DB.AcquireView()
 		defer release()
-		return ReadProvenanceView(v, u)
+		return ReadProvenanceView(v, u, new(sdb.Result))
 	}
 	return nil, fmt.Errorf("core: backend records no provenance")
 }
@@ -68,18 +68,18 @@ func ReadProvenance(dep *Deployment, backend Backend, u uuid.UUID) ([]prov.Bundl
 // shard (per epoch) and the prefix reaches past the route key, so the view's
 // read planner sends the query to the uuid's home shard(s) alone — one
 // request, not a scatter. The query engine passes the view it snapshotted at
-// Run start so one traversal cannot straddle a reshard cutover.
-func ReadProvenanceView(v *sdb.DomainView, u uuid.UUID) ([]prov.Bundle, error) {
+// Run start so one traversal cannot straddle a reshard cutover, and a drain
+// buffer it reuses: r is drained into and left holding the items, and the
+// bundles keep only their strings, never r's memory.
+func ReadProvenanceView(v *sdb.DomainView, u uuid.UUID, r *sdb.Result) ([]prov.Bundle, error) {
 	prefix := string(append(u.AppendTo(make([]byte, 0, uuid.StringLen+2)), "_%"...))
-	q := sdb.Query{Domain: DomainName, Where: sdb.Like(sdb.ItemNameKey, prefix)}
-	items, _, _, err := v.SelectAllQuery(q)
-	if err != nil {
+	if err := v.Drain(sdb.Query{Domain: DomainName, Where: sdb.Like(sdb.ItemNameKey, prefix)}, r); err != nil {
 		return nil, err
 	}
-	if len(items) == 0 {
+	if len(r.Items) == 0 {
 		return nil, ErrNoProvenance
 	}
-	return BundlesFromItems(items)
+	return BundlesFromItems(r.Items)
 }
 
 // CouplingReport is the outcome of one coupling check.

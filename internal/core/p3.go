@@ -154,9 +154,10 @@ type txnState struct {
 	walShard int
 	reqs     []sdb.PutRequest
 	err      error
-	// redelivered holds, by message id, the latest receipt of each message
-	// delivered again while the transaction was in flight (nil until then).
-	redelivered map[string]string
+	// redelivered holds, by message id, every receipt of each message
+	// delivered again while the transaction was in flight, in arrival order
+	// (nil until then).
+	redelivered map[string][]string
 }
 
 // shardReceipt is one WAL receipt paired with the shard it came from, so
@@ -510,13 +511,15 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 		if st := sh.inflight[pkt.Txn]; st != nil {
 			// Redelivery while the transaction's own group commit is still
 			// running: only the receipt is new, and it is acknowledged with
-			// the rest when that commit finishes. One per message, the
-			// latest: however long the commit runs, the transaction's
-			// cleanup stays bounded by its packet count.
+			// the rest when that commit finishes. Every one is kept, since
+			// the queue recycles a body only once each of its deliveries is
+			// acknowledged; none is deleted early, since a delete marks the
+			// message deleted and a commit that then failed could never
+			// reassemble the transaction.
 			if st.redelivered == nil {
-				st.redelivered = make(map[string]string)
+				st.redelivered = make(map[string][]string)
 			}
-			st.redelivered[m.ID] = m.ReceiptHandle
+			st.redelivered[m.ID] = append(st.redelivered[m.ID], m.ReceiptHandle)
 			sh.mu.Unlock()
 			held++
 			continue
@@ -595,9 +598,9 @@ func (p *P3) endInflight(st *txnState, committed bool) []shardReceipt {
 	// of the transaction is left (see P3).
 	for _, id := range slices.Sorted(maps.Keys(st.redelivered)) {
 		if id == st.headID {
-			heads = append(heads, st.redelivered[id])
+			heads = append(heads, st.redelivered[id]...)
 		} else {
-			receipts = append(receipts, st.redelivered[id])
+			receipts = append(receipts, st.redelivered[id]...)
 		}
 	}
 	pairs := st.tagged(receipts, heads)

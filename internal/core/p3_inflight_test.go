@@ -69,9 +69,13 @@ func TestP3RedeliveryWhileInFlight(t *testing.T) {
 			t.Fatalf("redelivery of an in-flight transaction: %d ready, %d acks, %d held; want 0, 0, %d", len(rebuilt), len(acks), held, packets)
 		}
 	}
-	// One receipt per message is kept however often it is redelivered.
-	if got := packets + len(st.redelivered); got != 2*packets {
-		t.Fatalf("in-flight transaction holds %d receipts, want %d", got, 2*packets)
+	// Every delivery's receipt is kept for the cleanup.
+	got := packets
+	for _, rs := range st.redelivered {
+		got += len(rs)
+	}
+	if got != 3*packets {
+		t.Fatalf("in-flight transaction holds %d receipts, want %d", got, 3*packets)
 	}
 	// A daemon that finds only such redeliveries has made no progress.
 	dep.Env.Clock().Advance(2 * time.Second)
@@ -150,6 +154,33 @@ func TestP3GroupCommitOutlastsVisibility(t *testing.T) {
 	}
 	if n := p.PendingTxns(); n != 0 {
 		t.Fatalf("%d transactions still pending", n)
+	}
+}
+
+// TestP3AcknowledgesEveryRedeliveredReceipt: a transaction whose packets
+// are redelivered twice while its group commit runs acknowledges all three
+// deliveries of every packet when the commit ends, so the queue can recycle
+// each body; a message's receipts stay in delivery order, the header's last.
+func TestP3AcknowledgesEveryRedeliveredReceipt(t *testing.T) {
+	dep, p, ready := inflightTxn(t)
+	st := ready[0]
+	for round := 0; round < 2; round++ {
+		dep.Env.Clock().Advance(2 * time.Second)
+		p.foldMessages(0, drain(dep.WAL.Shard(0)))
+	}
+	byMessage := map[string][]string{}
+	pairs := p.endInflight(st, true)
+	for _, r := range pairs {
+		id, _, _ := strings.Cut(r.receipt, "#")
+		byMessage[id] = append(byMessage[id], r.receipt)
+	}
+	for id, rs := range byMessage {
+		if want := []string{id + "#1", id + "#2", id + "#3"}; !slices.Equal(rs, want) {
+			t.Errorf("message %s acknowledged by %v, want %v", id, rs, want)
+		}
+	}
+	if last := pairs[len(pairs)-3:]; !last[0].head || !strings.HasPrefix(last[0].receipt, st.headID+"#") {
+		t.Errorf("cleanup ends %v, want the header %s's three receipts", last, st.headID)
 	}
 }
 

@@ -17,12 +17,13 @@ import (
 // find, unbounded descendants of a ref, the depth-1 Q3 fan), plus ancestors
 // over one uuid's version run, the shape the padded fetch serves.
 //
-// With a SELECT page laid out as two slabs and a result decoded into one
-// bundle slab and one record slab, B/op on a 2-core Xeon reads: Self 1,528
-// (was 1,848), Versions 1,640 (1,912), Ancestors/chain 19,352 (21,816),
-// Ancestors/versions 12,696 (14,392), Descendants/chain 13,352 (16,776),
-// Descendants/versions 5,288 (6,392), Descendants/fan 21,492 (27,590),
-// fan/depth1 8,552 (11,208); fan/cached+subscribed, all cache hits, 12,234.
+// With every SELECT drained into a pooled sdb.Result and a result decoded
+// into one bundle slab and one record slab, B/op on a 2-core Xeon reads:
+// Self 760 (1,512 while each drain copied its pages out), Versions 1,008
+// (1,504), Ancestors/chain 12,433 (18,032), Ancestors/versions 9,366
+// (12,163), Descendants/chain 4,793 (13,192), Descendants/versions 4,121
+// (5,208), Descendants/fan 12,339 (20,722), fan/depth1 4,680 (8,153);
+// fan/cached+subscribed, all cache hits, 12,246.
 
 func benchRun(b *testing.B, e *Engine, spec Spec, want int) {
 	b.Helper()

@@ -57,6 +57,11 @@
 //     instead of one per level;
 //   - All drains SELECT * across all shards in parallel.
 //
+// Every other SELECT drains into a pooled sdb.Result: the source decodes it
+// into bundles and refs, which keep only strings viewing the store's
+// append-only bytes, and hands it back zeroed before the step returns, so
+// nothing the engine returns holds a buffer's items, attributes or slabs.
+//
 // # Filters and pushdown
 //
 // Filters select output, never the walk: a filtered-out process node still

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/core"
@@ -27,6 +28,19 @@ var (
 	itemQuery     = sdb.Query{Domain: core.DomainName}
 	inputQuery    = sdb.Query{Domain: core.DomainName, Fields: []string{prov.AttrInput}}
 )
+
+// drains holds the SELECT drain buffers the database source reuses. A
+// buffer goes back, zeroed, as soon as what it held is decoded: nothing the
+// engine returns points into one (see the package doc).
+var drains = sync.Pool{New: func() any { return new(sdb.Result) }}
+
+// release zeroes each buffer and hands it back to the pool.
+func release(rs ...*sdb.Result) {
+	for _, r := range rs {
+		r.Reset()
+		drains.Put(r)
+	}
+}
 
 type dbSource struct {
 	e    *Engine
@@ -90,11 +104,11 @@ func (s *dbSource) all() ([]prov.Bundle, error) {
 	if s.pushed == nil && !s.spec.needBundles() {
 		q = itemNameQuery // an itemName()-only item decodes to its bare ref
 	}
-	items, _, _, err := s.view.SelectAllQuery(q)
-	if err != nil {
+	var r sdb.Result // not pooled: a whole-domain drain would leave the pool a domain's worth
+	if err := s.view.Drain(q, &r); err != nil {
 		return nil, err
 	}
-	return core.BundlesFromItems(items)
+	return core.BundlesFromItems(r.Items)
 }
 
 // attrRoots finds node refs matching every attribute equality — one indexed
@@ -122,10 +136,13 @@ func (s *dbSource) attrRoots(ms []AttrMatch, fuse bool) ([]prov.Ref, map[prov.Re
 	if fused {
 		q.ItemOnly, q.Where = false, sdb.And(q.Where, s.pushed)
 	}
-	items, _, _, err := s.view.SelectAllQuery(q)
+	r := drains.Get().(*sdb.Result)
+	defer release(r)
+	err := s.view.Drain(q, r)
 	if err != nil {
 		return nil, nil, err
 	}
+	items := r.Items
 	refs := make([]prov.Ref, len(items))
 	if fused {
 		bundles, err := core.BundlesFromItems(items)
@@ -156,15 +173,17 @@ func (s *dbSource) attrRoots(ms []AttrMatch, fuse bool) ([]prov.Ref, map[prov.Re
 // versions co-shard, so this is one request, not a scatter; no recorded
 // versions is ErrNoProvenance).
 func (s *dbSource) versions(u uuid.UUID) ([]prov.Bundle, error) {
+	r := drains.Get().(*sdb.Result)
+	defer release(r)
 	cache := s.e.cache
 	if cache == nil {
-		return core.ReadProvenanceView(s.view, u)
+		return core.ReadProvenanceView(s.view, u, r)
 	}
 	key := versKey(u)
 	if v, ok := cache.lookupObs(key, s.view.Epoch()); ok {
 		return v.([]prov.Bundle), nil
 	}
-	bundles, err := core.ReadProvenanceView(s.view, u)
+	bundles, err := core.ReadProvenanceView(s.view, u, r)
 	if err != nil {
 		return nil, err
 	}
@@ -178,9 +197,10 @@ func (s *dbSource) versions(u uuid.UUID) ([]prov.Bundle, error) {
 // selectIn asks a template query of refs by name: one SELECT per inBatch
 // refs (the IN list on key, conjoined with and when that is set), batch i
 // from template tmpl(i), the batches running on up to Workers connections.
-// Batch i's items come back in slot i.
-func (s *dbSource) selectIn(tmpl func(i int) *sdb.Query, key string, refs []prov.Ref, and *sdb.Node) ([][]sdb.Item, error) {
-	results := make([][]sdb.Item, (len(refs)+inBatch-1)/inBatch)
+// Batch i's drain comes back in slot i, in a pooled buffer the caller
+// releases, every one of them, even on an error.
+func (s *dbSource) selectIn(tmpl func(i int) *sdb.Query, key string, refs []prov.Ref, and *sdb.Node) ([]*sdb.Result, error) {
+	results := make([]*sdb.Result, (len(refs)+inBatch-1)/inBatch)
 	err := par.ForEach(s.spec.Workers, len(results), func(i int) error {
 		// The batch's names are rendered into one string and cut from it.
 		batch := refs[i*inBatch : min((i+1)*inBatch, len(refs))]
@@ -195,9 +215,8 @@ func (s *dbSource) selectIn(tmpl func(i int) *sdb.Query, key string, refs []prov
 		}
 		q := *tmpl(i)
 		q.Where = andNode(sdb.In(key, vals...), and)
-		items, _, _, err := s.view.SelectAllQuery(q)
-		results[i] = items
-		return err
+		results[i] = drains.Get().(*sdb.Result)
+		return s.view.Drain(q, results[i])
 	})
 	return results, err
 }
@@ -266,6 +285,7 @@ func (s *dbSource) children(refs []prov.Ref, w *descent) ([]prov.Ref, error) {
 		}
 		return &itemNameQuery
 	}, prov.AttrInput, pending, fused)
+	defer release(results...)
 	if err != nil {
 		return nil, err
 	}
@@ -275,12 +295,12 @@ func (s *dbSource) children(refs []prov.Ref, w *descent) ([]prov.Ref, error) {
 		kid    prov.Ref
 	}
 	n := 0
-	for _, items := range results[attributed:] {
-		n += len(items)
+	for _, r := range results[attributed:] {
+		n += len(r.Items)
 	}
 	edges := make([]edge, 0, n)
-	for bi, items := range results {
-		batch := pending[bi*inBatch : min((bi+1)*inBatch, len(pending))]
+	for bi, r := range results {
+		items, batch := r.Items, pending[bi*inBatch:min((bi+1)*inBatch, len(pending))]
 		var bundles []prov.Bundle
 		if full {
 			if bundles, err = core.BundlesFromItems(items); err != nil {
@@ -359,10 +379,12 @@ func (s *dbSource) bundles(refs []prov.Ref, known map[prov.Ref]*prov.Bundle, rea
 		})
 	}
 	results, err := s.selectIn(func(int) *sdb.Query { return &itemQuery }, sdb.ItemNameKey, pending, nil)
+	defer release(results...)
 	if err != nil {
 		return nil, err
 	}
-	for _, items := range results {
+	for _, r := range results {
+		items := r.Items
 		bundles, err := core.BundlesFromItems(items)
 		if err != nil {
 			return nil, err

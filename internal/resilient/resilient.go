@@ -292,39 +292,33 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return time.Duration(c.rnd.Float64() * lim)
 }
 
-// Hedged runs fn and launches one identical hedge attempt if the primary has
-// not returned within HedgeAfter of virtual time; the first result (by
-// virtual completion time) wins. It exists for the scatter-gather read path:
-// per-shard drains are idempotent reads, so a straggling or fault-backed-off
-// shard is cheaply overtaken by a fresh attempt instead of gating the whole
-// fan-out on the slowest shard's retries.
+// Hedged runs fn(false) and launches one identical hedge attempt, fn(true),
+// if the primary has not returned within HedgeAfter of virtual time; the
+// first result (by virtual completion time) wins. It exists for the
+// scatter-gather read path: per-shard drains are idempotent reads, so a
+// straggling or fault-backed-off shard is cheaply overtaken by a fresh
+// attempt instead of gating the whole fan-out on the slowest shard's
+// retries. The hedge flag lets the two attempts write to different memory.
 //
-// On a live clock both attempts genuinely race. Under a manual clock the two
-// attempts cannot overlap (concurrent sleepers would add their delays to the
-// shared logical clock), so the race is emulated sequentially: the primary
-// runs to completion, and only if its virtual duration exceeded HedgeAfter is
-// the hedge run and the winner picked by virtual completion time. The manual
-// clock over-advances relative to a true race — manual mode asserts behaviour
-// and counters, not latency — but hedge decisions and counters are
-// deterministic. With hedging disabled (or a nil client) Hedged is exactly
-// fn().
-func Hedged[T any](c *Client, endpoint string, fn func() (T, error)) (T, error) {
-	if c == nil || c.pol.HedgeAfter <= 0 {
-		return fn()
-	}
-	if !c.env.Clock().Live() {
-		return hedgedManual(c, endpoint, fn)
+// On a live clock both attempts genuinely race, and the loser runs on after
+// Hedged returns. Under a manual clock the two attempts cannot overlap
+// (concurrent sleepers would add their delays to the shared logical clock),
+// so the race is emulated sequentially, as HedgedManual. With hedging
+// disabled (or a nil client) Hedged is exactly fn(false).
+func Hedged[T any](c *Client, endpoint string, fn func(hedge bool) (T, error)) (T, error) {
+	if c == nil || c.pol.HedgeAfter <= 0 || !c.env.Clock().Live() {
+		return HedgedManual(c, endpoint, fn)
 	}
 	type result struct {
 		v   T
 		err error
 	}
 	results := make(chan result, 2) // both attempts can always complete
-	launch := func() {
-		v, err := fn()
+	launch := func(hedge bool) {
+		v, err := fn(hedge)
 		results <- result{v, err}
 	}
-	go launch()
+	go launch(false)
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -337,19 +331,26 @@ func Hedged[T any](c *Client, endpoint string, fn func() (T, error)) (T, error) 
 		c.mu.Lock()
 		c.state(key{endpoint: endpoint}).hedges++
 		c.mu.Unlock()
-		go launch()
+		go launch(true)
 	}()
 	r := <-results
 	return r.v, r.err
 }
 
-// hedgedManual emulates the hedge race deterministically on a manual clock:
-// run the primary, and if it took longer than HedgeAfter of virtual time,
-// run the hedge too and return whichever finished first in virtual time
-// (the hedge's completion time includes the HedgeAfter launch delay).
-func hedgedManual[T any](c *Client, endpoint string, fn func() (T, error)) (T, error) {
+// HedgedManual is Hedged on a manual clock: the primary runs to completion,
+// and only if its virtual duration exceeded HedgeAfter is the hedge run and
+// the winner picked by virtual completion time (the hedge's includes the
+// HedgeAfter launch delay). The manual clock over-advances relative to a
+// true race — manual mode asserts behaviour and counters, not latency — but
+// hedge decisions and counters are deterministic. Both attempts run on the
+// caller and are over when it returns, so fn does not escape: a caller that
+// knows its clock is manual passes a closure here without allocating it.
+func HedgedManual[T any](c *Client, endpoint string, fn func(hedge bool) (T, error)) (T, error) {
+	if c == nil || c.pol.HedgeAfter <= 0 {
+		return fn(false)
+	}
 	t0 := c.env.Now()
-	v, err := fn()
+	v, err := fn(false)
 	primDur := c.env.Now() - t0
 	if primDur <= c.pol.HedgeAfter {
 		return v, err
@@ -358,7 +359,7 @@ func hedgedManual[T any](c *Client, endpoint string, fn func() (T, error)) (T, e
 	c.state(key{endpoint: endpoint}).hedges++
 	c.mu.Unlock()
 	t1 := c.env.Now()
-	hv, herr := fn()
+	hv, herr := fn(true)
 	hedgeDur := c.env.Now() - t1
 	if c.pol.HedgeAfter+hedgeDur < primDur {
 		return hv, herr

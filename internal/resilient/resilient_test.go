@@ -201,11 +201,11 @@ func TestTenantKeyedState(t *testing.T) {
 func TestHedgedManualPassthrough(t *testing.T) {
 	c := manualClient(Policy{})
 	calls := 0
-	v, err := Hedged(c, "ep", func() (int, error) { calls++; return 7, nil })
+	v, err := Hedged(c, "ep", func(bool) (int, error) { calls++; return 7, nil })
 	if v != 7 || err != nil || calls != 1 {
 		t.Fatalf("manual-clock Hedged: v=%d err=%v calls=%d", v, err, calls)
 	}
-	v, err = Hedged[int](nil, "ep", func() (int, error) { calls++; return 9, nil })
+	v, err = Hedged[int](nil, "ep", func(bool) (int, error) { calls++; return 9, nil })
 	if v != 9 || err != nil || calls != 2 {
 		t.Fatalf("nil-client Hedged: v=%d err=%v calls=%d", v, err, calls)
 	}
@@ -218,7 +218,7 @@ func TestHedgedManualPassthrough(t *testing.T) {
 func TestHedgedManualStraggler(t *testing.T) {
 	c := manualClient(Policy{HedgeAfter: 50 * time.Millisecond})
 	calls := 0
-	v, err := Hedged(c, "ep", func() (string, error) {
+	v, err := Hedged(c, "ep", func(bool) (string, error) {
 		calls++
 		if calls == 1 {
 			c.env.Clock().Sleep(5 * time.Second) // straggling primary
@@ -241,7 +241,7 @@ func TestHedgedManualStraggler(t *testing.T) {
 	// takes 100ms, hedge launches at 50ms and takes 80ms (finishing at a
 	// virtual 130ms), so the primary's result stands.
 	calls = 0
-	v, err = Hedged(c, "ep", func() (string, error) {
+	v, err = Hedged(c, "ep", func(bool) (string, error) {
 		calls++
 		if calls == 1 {
 			c.env.Clock().Sleep(100 * time.Millisecond)
@@ -349,7 +349,7 @@ func TestHedgedOvertakesStraggler(t *testing.T) {
 	env := sim.NewEnv(sim.Config{Seed: 1, TimeScale: 1000, Site: sim.SiteEC2})
 	c := New(env, Policy{HedgeAfter: 50 * time.Millisecond})
 	var n atomic.Int32
-	v, err := Hedged(c, "ep", func() (string, error) {
+	v, err := Hedged(c, "ep", func(bool) (string, error) {
 		if n.Add(1) == 1 {
 			env.Clock().Sleep(5 * time.Second) // straggling primary
 			return "slow", nil

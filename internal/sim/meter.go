@@ -73,7 +73,6 @@ type Meter struct {
 	logHeads         int64
 	logProofs        int64
 	merkleMismatches int64
-	gauges           map[string]int64
 }
 
 // TenantOps counts one tenant's admission outcomes at the front door (see
@@ -94,34 +93,7 @@ func NewMeter() *Meter {
 		opsByEndpoint:    make(map[string]int64),
 		faultsByEndpoint: make(map[string]int64),
 		opsByTenant:      make(map[string]*TenantOps),
-		gauges:           make(map[string]int64),
 	}
-}
-
-// SetGauge sets a named point-in-time gauge (last write wins) — how the
-// autoscale sampler surfaces instantaneous signals like per-shard WAL
-// backlog and rate-gate queue depth next to the cumulative counters.
-func (m *Meter) SetGauge(name string, v int64) {
-	m.mu.Lock()
-	m.gauges[name] = v
-	m.mu.Unlock()
-}
-
-// ReplaceGauges atomically replaces every gauge under prefix with vals
-// (keyed by suffix, stored as prefix+suffix). Samplers that publish one
-// gauge per live shard use it so a retired shard's gauge disappears instead
-// of freezing at its last value.
-func (m *Meter) ReplaceGauges(prefix string, vals map[string]int64) {
-	m.mu.Lock()
-	for k := range m.gauges {
-		if strings.HasPrefix(k, prefix) {
-			delete(m.gauges, k)
-		}
-	}
-	for k, v := range vals {
-		m.gauges[prefix+k] = v
-	}
-	m.mu.Unlock()
 }
 
 // CountRequest records n billed requests of class c.
@@ -309,9 +281,6 @@ type Usage struct {
 	// verification against the provenance read back (MerkleReport.Verified
 	// false with a root present).
 	MerkleMismatches int64
-	// Gauges holds the last value of every point-in-time gauge (per-shard
-	// WAL backlog, rate-gate queue depths); gauges never set are absent.
-	Gauges map[string]int64
 }
 
 // Usage returns a copy of the meter's counters.
@@ -347,9 +316,6 @@ func (m *Meter) Usage() Usage {
 	}
 	for k, v := range m.opsByTenant {
 		u.OpsByTenant[k] = *v
-	}
-	if len(m.gauges) > 0 {
-		u.Gauges = maps.Clone(m.gauges)
 	}
 	return u
 }

@@ -382,10 +382,9 @@ func gateName(g gateID) string {
 // GateDepths reports the current queue depth of every rate gate with
 // backlog: how many admission intervals of reservations stretch beyond now
 // ((next-now)/interval). Keys are "<class>" for the default lane and
-// "<class>-<lane>" for sharded endpoint lanes; idle gates are absent. This
-// is the queueing signal the autoscale controller samples — a depth that
-// keeps climbing means a lane is saturated and commits are waiting in
-// virtual time at that gate.
+// "<class>-<lane>" for sharded endpoint lanes; idle gates are absent. A
+// depth that keeps climbing means a lane is saturated and commits are
+// waiting in virtual time at that gate.
 func (e *Env) GateDepths() map[string]float64 {
 	now := e.clock.Now()
 	depths := make(map[string]float64)

@@ -144,11 +144,8 @@ func Audit(dep *core.Deployment, l *Log, opts AuditOptions) (AuditReport, error)
 
 	// 3. Replay against the fabric: consistent full scans of every live
 	// shard through one coherent routing view, diffed against the leaves.
-	view, release := dep.DB.AcquireView()
 	fabric := make(map[string]string)
-	q := sdb.Query{Domain: view.Base(), Consistent: true}
-	items, _, _, err := view.SelectAllQuery(q)
-	release()
+	items, _, _, err := dep.DB.SelectAllQuery(sdb.Query{Domain: dep.DB.Base(), Consistent: true})
 	if err != nil {
 		return r, err
 	}
