@@ -28,9 +28,7 @@ import (
 type QueueSet struct {
 	*sim.EpochSet[*Queue]
 
-	// Sticky per-queue settings (nanoseconds): a queue minted mid-flight
-	// starts with the set's current values.
-	visibility, retention atomic.Int64
+	visibility atomic.Int64 // the set's visibility timeout (nanoseconds)
 }
 
 // NewSet creates a K-way queue set. k < 1 is clamped to 1; k == 1 yields a
@@ -38,13 +36,7 @@ type QueueSet struct {
 func NewSet(env *sim.Env, base string, k int) *QueueSet {
 	s := &QueueSet{}
 	s.visibility.Store(int64(DefaultVisibility))
-	s.retention.Store(int64(DefaultRetention))
-	s.EpochSet = sim.NewEpochSet(base, k, func(name string, lane int) *Queue {
-		q := NewLane(env, name, lane)
-		q.SetVisibility(time.Duration(s.visibility.Load()))
-		q.SetRetention(time.Duration(s.retention.Load()))
-		return q
-	})
+	s.EpochSet = sim.NewEpochSet(base, k, func(name string, lane int) *Queue { return NewLane(env, name, lane) })
 	return s
 }
 
@@ -57,31 +49,20 @@ func (s *QueueSet) HomeQueue(key string) (*Queue, func()) {
 	return ev.Shards[sim.RouteNewestFor(ev.Active, ev.Target, key)], release
 }
 
-// SetVisibility overrides the visibility timeout on every shard, present
-// and future. The value is stored before the shards are listed: a queue
-// minted meanwhile either reads it or is in the list.
-func (s *QueueSet) SetVisibility(d time.Duration) {
-	s.visibility.Store(int64(d))
+// SetVisibility overrides the set's visibility timeout, DefaultVisibility
+// until then: the least a receiver of the set grants (see Visibility).
+func (s *QueueSet) SetVisibility(d time.Duration) { s.visibility.Store(int64(d)) }
+
+// Visibility reports the larger of the set's visibility timeout and the
+// longest one a receive has granted on a live shard: how long a message
+// received and never deleted can stay hidden.
+func (s *QueueSet) Visibility() time.Duration {
+	d := time.Duration(s.visibility.Load())
 	for _, q := range s.View().Shards {
-		q.SetVisibility(d)
+		d = max(d, q.Granted())
 	}
+	return d
 }
-
-// Visibility reports the visibility timeout every shard applies: how long a
-// received message stays hidden before it is redelivered.
-func (s *QueueSet) Visibility() time.Duration { return time.Duration(s.visibility.Load()) }
-
-// SetRetention overrides the message retention period on every shard,
-// present and future (see SetVisibility).
-func (s *QueueSet) SetRetention(d time.Duration) {
-	s.retention.Store(int64(d))
-	for _, q := range s.View().Shards {
-		q.SetRetention(d)
-	}
-}
-
-// Retention reports the message retention period every shard applies.
-func (s *QueueSet) Retention() time.Duration { return time.Duration(s.retention.Load()) }
 
 // Len reports the undeleted, unexpired messages across all live shards.
 func (s *QueueSet) Len() int {
@@ -110,14 +91,4 @@ func (s *QueueSet) ShardBacklog() map[string]int {
 		out[q.Name()] = q.Len()
 	}
 	return out
-}
-
-// GC runs a retention pass on every live shard and reports how many expired
-// messages were dropped in total.
-func (s *QueueSet) GC() int {
-	n := 0
-	for _, q := range s.View().Shards {
-		n += q.GCExpired()
-	}
-	return n
 }

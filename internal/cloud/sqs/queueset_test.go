@@ -70,20 +70,46 @@ func TestQueueSetSeedTopologyAndFanout(t *testing.T) {
 // messages on every shard, including ones nobody polls.
 func TestQueueSetRetentionGC(t *testing.T) {
 	s := newQSet(t, 4)
-	s.SetRetention(time.Hour)
 	for i := 0; i < 4; i++ {
 		if _, err := s.Shard(i).SendMessage([]byte("stale")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if dropped := s.GC(); dropped != 0 {
-		t.Fatalf("fresh messages dropped: %d", dropped)
+	if n := s.Len(); n != 4 {
+		t.Fatalf("the retention pass left %d of 4 fresh messages", n)
 	}
-	s.Shard(0).env.Clock().Advance(2 * time.Hour)
-	if dropped := s.GC(); dropped != 4 {
-		t.Fatalf("GC dropped %d, want 4", dropped)
-	}
+	s.Shard(0).env.Clock().Advance(Retention + time.Hour)
 	if s.Len() != 0 {
 		t.Fatalf("set still holds %d messages", s.Len())
+	}
+}
+
+// TestQueueSetVisibilityReportsTheLongestGrant: a receive hides what it
+// delivers for the timeout it states, capped at MaxVisibility; a receive that
+// delivers nothing grants nothing; and the set reports the longest grant on
+// any of its shards, or its own timeout when that is longer.
+func TestQueueSetVisibilityReportsTheLongestGrant(t *testing.T) {
+	s := newQSet(t, 2)
+	s.SetVisibility(5 * time.Second)
+	q, clock := s.Shard(1), s.Shard(1).env.Clock()
+	if got := q.Receive(10, time.Hour); len(got) != 0 || s.Visibility() != 5*time.Second {
+		t.Fatalf("an empty receive: %d messages, set visibility %v; want none and the set's 5s", len(got), s.Visibility())
+	}
+	if _, err := q.SendMessage([]byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Receive(10, 24*time.Hour); len(got) != 1 {
+		t.Fatalf("received %d messages, want 1", len(got))
+	}
+	if got := s.Visibility(); got != MaxVisibility {
+		t.Fatalf("set visibility %v after a 24h receive, want the %v cap", got, MaxVisibility)
+	}
+	clock.Advance(MaxVisibility - time.Second)
+	if got := q.ReceiveMessage(10); len(got) != 0 {
+		t.Fatal("the message reappeared before its capped grant passed")
+	}
+	clock.Advance(2 * time.Second)
+	if got := q.ReceiveMessage(10); len(got) != 1 {
+		t.Fatal("the message did not reappear once its capped grant passed")
 	}
 }

@@ -8,7 +8,10 @@
 //     to spill data to temporary store objects;
 //   - delivery is at-least-once: a received message reappears after its
 //     visibility timeout unless deleted, and the environment can inject
-//     duplicate deliveries;
+//     duplicate deliveries. Each receive states the timeout it grants
+//     (Receive; ReceiveMessage grants DefaultVisibility), and each queue
+//     records the longest it has granted (Granted), so whoever waits out a
+//     dead receiver knows how long (QueueSet.Visibility);
 //   - ordering is best effort, not guaranteed — P3 must reassemble
 //     transactions from sequence numbers;
 //   - messages older than the retention period (four days) are deleted
@@ -32,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"passcloud/internal/sim"
@@ -40,11 +44,14 @@ import (
 // MaxMessageSize is the 8 KB SQS message size limit.
 const MaxMessageSize = 8 << 10
 
-// DefaultRetention is how long undeleted messages survive (four days).
-const DefaultRetention = 4 * 24 * time.Hour
+// Retention is how long undeleted messages survive (four days).
+const Retention = 4 * 24 * time.Hour
 
-// DefaultVisibility is the default visibility timeout after a receive.
+// DefaultVisibility is the visibility timeout ReceiveMessage grants.
 const DefaultVisibility = 30 * time.Second
+
+// MaxVisibility is the longest visibility timeout SQS lets a receive grant.
+const MaxVisibility = 12 * time.Hour
 
 // MaxBatchEntries is the entry limit of SendMessageBatch/DeleteMessageBatch.
 const MaxBatchEntries = 10
@@ -99,11 +106,10 @@ type dedupEntry struct {
 
 // Queue is one SQS queue bound to a simulated environment.
 type Queue struct {
-	env        *sim.Env
-	name       string
-	ep         sim.Endpoint // the request envelope; each queue is its own service partition
-	visibility time.Duration
-	retention  time.Duration
+	env     *sim.Env
+	name    string
+	ep      sim.Endpoint // the request envelope; each queue is its own service partition
+	granted atomic.Int64 // the longest visibility timeout a receive has granted, set under mu
 
 	mu      sync.Mutex
 	msgs    []*message
@@ -131,7 +137,7 @@ func New(env *sim.Env, name string) *Queue {
 // path. Lane 0 shares the environment's default SQS gate.
 func NewLane(env *sim.Env, name string, lane int) *Queue {
 	return &Queue{
-		env: env, name: name, ep: env.Endpoint(name, lane), visibility: DefaultVisibility, retention: DefaultRetention,
+		env: env, name: name, ep: env.Endpoint(name, lane),
 		byID: make(map[string]*message), dedup: make(map[string][]string),
 	}
 }
@@ -149,12 +155,6 @@ func (q *Queue) autoToken() string {
 	q.mu.Unlock()
 	return "auto/" + q.name + "/" + strconv.Itoa(n)
 }
-
-// SetVisibility overrides the visibility timeout (tests and ablations).
-func (q *Queue) SetVisibility(d time.Duration) { q.visibility = d }
-
-// SetRetention overrides the message retention period.
-func (q *Queue) SetRetention(d time.Duration) { q.retention = d }
 
 // SendMessage enqueues body and returns the message id.
 func (q *Queue) SendMessage(body []byte) (string, error) {
@@ -300,15 +300,18 @@ func (q *Queue) sendOnce(op sim.OpKind, entries []BatchEntry, token string, payl
 	return ids, ferr
 }
 
-// ReceiveMessage returns up to max (at most 10) visible messages, making
-// them invisible for the visibility timeout. An empty slice means the queue
-// had nothing visible — the caller should poll again. The bodies are
-// read-only views (see Message).
-func (q *Queue) ReceiveMessage(max int) []Message {
+// ReceiveMessage is Receive with the default visibility timeout.
+func (q *Queue) ReceiveMessage(max int) []Message { return q.Receive(max, DefaultVisibility) }
+
+// Receive returns up to max (at most 10) visible messages, making them
+// invisible for visibility, clamped to MaxVisibility. An empty slice means
+// the queue had nothing visible — the caller should poll again. The bodies
+// are read-only views (see Message).
+func (q *Queue) Receive(max int, visibility time.Duration) []Message {
 	if max <= 0 {
 		max = 1
 	}
-	max = min(max, 10)
+	max, visibility = min(max, 10), min(visibility, MaxVisibility)
 	if ferr, _ := q.ep.Fault(sim.OpSQSReceive); ferr != nil {
 		// A throttled poll surfaces as an empty page: ReceiveMessage's
 		// contract is already "nothing visible, poll again", which is
@@ -333,7 +336,7 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 		if m.deleted || m.visibleAt > now {
 			continue
 		}
-		m.visibleAt = now + q.visibility
+		m.visibleAt = now + visibility
 		m.receipts++
 		out = append(out, Message{
 			ID:            m.id,
@@ -341,6 +344,9 @@ func (q *Queue) ReceiveMessage(max int) []Message {
 			Body:          m.body,
 		})
 		bytes += len(m.body)
+	}
+	if len(out) > 0 && int64(visibility) > q.granted.Load() {
+		q.granted.Store(int64(visibility))
 	}
 	q.mu.Unlock()
 	q.ep.Exec(sim.OpSQSReceive, bytes, 0)
@@ -403,7 +409,7 @@ func (q *Queue) deleteBatchOnce(receipts []string) error {
 // automatically, and P3 relies on it to garbage collect the WAL.
 func (q *Queue) expireLocked(now time.Duration) {
 	aged := 0
-	for aged < len(q.dedupAge) && now-q.dedupAge[aged].at > q.retention {
+	for aged < len(q.dedupAge) && now-q.dedupAge[aged].at > Retention {
 		delete(q.dedup, q.dedupAge[aged].token)
 		aged++
 	}
@@ -411,7 +417,7 @@ func (q *Queue) expireLocked(now time.Duration) {
 	q.dedupAge = q.dedupAge[aged:]
 	kept := q.msgs[:0]
 	for _, m := range q.msgs {
-		if m.deleted || now-m.sentAt > q.retention {
+		if m.deleted || now-m.sentAt > Retention {
 			delete(q.byID, m.id) // a twin shares its fate, so goes in the same pass
 			continue
 		}
@@ -424,7 +430,14 @@ func (q *Queue) expireLocked(now time.Duration) {
 	q.msgs = kept
 }
 
+// Granted reports the longest visibility timeout a receive has granted on
+// the queue: a message received and never deleted is visible again at most
+// that long after its receive.
+func (q *Queue) Granted() time.Duration { return time.Duration(q.granted.Load()) }
+
 // Len reports the number of undeleted, unexpired messages (visible or not).
+// The service expires messages lazily, on access; Len's retention pass is
+// one such access.
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -440,21 +453,9 @@ func (q *Queue) Unreceived() int {
 	defer q.mu.Unlock()
 	n := 0
 	for _, m := range q.msgs {
-		if !m.deleted && m.receipts == 0 && now-m.sentAt <= q.retention {
+		if !m.deleted && m.receipts == 0 && now-m.sentAt <= Retention {
 			n++
 		}
 	}
 	return n
-}
-
-// GCExpired forces a retention pass and reports how many messages it
-// dropped. The service expires messages lazily on access; the cleaner daemon
-// calls this per WAL shard so abandoned transactions on idle shards are
-// garbage-collected even when no daemon happens to poll them.
-func (q *Queue) GCExpired() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	before := len(q.msgs)
-	q.expireLocked(q.env.Now())
-	return before - len(q.msgs)
 }

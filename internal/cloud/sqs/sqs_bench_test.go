@@ -42,10 +42,9 @@ func BenchmarkSendMessageBatch(b *testing.B) {
 // nanosecond visibility timeout keeps all 10,000 messages receivable.
 func BenchmarkReceiveMessage(b *testing.B) {
 	q, _ := benchQueue(b)
-	q.SetVisibility(time.Nanosecond)
 	b.ReportAllocs()
 	for b.Loop() {
-		if page := q.ReceiveMessage(MaxBatchEntries); len(page) != MaxBatchEntries {
+		if page := q.Receive(MaxBatchEntries, time.Nanosecond); len(page) != MaxBatchEntries {
 			b.Fatalf("received %d messages", len(page))
 		}
 	}

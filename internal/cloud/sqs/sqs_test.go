@@ -53,18 +53,17 @@ func TestMessageSizeLimit(t *testing.T) {
 
 func TestVisibilityTimeoutRedelivery(t *testing.T) {
 	q := strictQueue(t)
-	q.SetVisibility(10 * time.Second)
 	q.SendMessage([]byte("m"))
-	if got := q.ReceiveMessage(1); len(got) != 1 {
+	if got := q.Receive(1, 10*time.Second); len(got) != 1 {
 		t.Fatalf("first receive: %v", got)
 	}
 	// While invisible, nothing is delivered.
-	if got := q.ReceiveMessage(1); len(got) != 0 {
+	if got := q.Receive(1, 10*time.Second); len(got) != 0 {
 		t.Fatalf("message delivered while invisible: %v", got)
 	}
 	// After the visibility timeout it reappears (at-least-once).
 	q.env.Clock().Advance(11 * time.Second)
-	got := q.ReceiveMessage(1)
+	got := q.Receive(1, 10*time.Second)
 	if len(got) != 1 {
 		t.Fatal("message lost after visibility timeout")
 	}
@@ -75,7 +74,6 @@ func TestVisibilityTimeoutRedelivery(t *testing.T) {
 
 func TestAtLeastOnceEveryMessageSurvivesUntilDeleted(t *testing.T) {
 	q := strictQueue(t)
-	q.SetVisibility(time.Second)
 	const n = 50
 	sent := make(map[string]bool)
 	for i := 0; i < n; i++ {
@@ -87,7 +85,7 @@ func TestAtLeastOnceEveryMessageSurvivesUntilDeleted(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for tries := 0; tries < 100 && len(seen) < n; tries++ {
-		for _, m := range q.ReceiveMessage(10) {
+		for _, m := range q.Receive(10, time.Second) {
 			seen[m.ID] = true
 			q.DeleteMessageBatch([]string{m.ReceiptHandle})
 		}
@@ -108,11 +106,10 @@ func TestDuplicateDelivery(t *testing.T) {
 	cfg.Consistency = sim.Strict
 	cfg.DupProb = 1 // always duplicate
 	q := New(sim.NewEnv(cfg), "wal")
-	q.SetVisibility(time.Millisecond)
 	q.SendMessage([]byte("m"))
 	count := 0
 	for i := 0; i < 4; i++ {
-		count += len(q.ReceiveMessage(10))
+		count += len(q.Receive(10, time.Millisecond))
 		q.env.Clock().Advance(time.Second)
 	}
 	if count < 2 {
@@ -123,7 +120,7 @@ func TestDuplicateDelivery(t *testing.T) {
 func TestRetentionExpiry(t *testing.T) {
 	q := strictQueue(t)
 	q.SendMessage([]byte("old"))
-	q.env.Clock().Advance(DefaultRetention + time.Hour)
+	q.env.Clock().Advance(Retention + time.Hour)
 	if got := q.ReceiveMessage(10); len(got) != 0 {
 		t.Fatalf("expired message delivered: %v", got)
 	}
@@ -146,7 +143,6 @@ func TestBestEffortOrdering(t *testing.T) {
 	// The queue does not guarantee FIFO; over many drains we should see at
 	// least one out-of-order delivery.
 	q := strictQueue(t)
-	q.SetVisibility(time.Millisecond)
 	outOfOrder := false
 	for round := 0; round < 20 && !outOfOrder; round++ {
 		for i := 0; i < 10; i++ {
@@ -154,7 +150,7 @@ func TestBestEffortOrdering(t *testing.T) {
 		}
 		var got []byte
 		for len(got) < 10 {
-			for _, m := range q.ReceiveMessage(10) {
+			for _, m := range q.Receive(10, time.Millisecond) {
 				got = append(got, m.Body[0])
 				q.DeleteMessageBatch([]string{m.ReceiptHandle})
 			}
@@ -185,7 +181,6 @@ func TestDeleteByReceiptIsIdempotent(t *testing.T) {
 
 func TestBodyRoundTripProperty(t *testing.T) {
 	q := strictQueue(t)
-	q.SetVisibility(time.Millisecond)
 	f := func(body []byte) bool {
 		if len(body) > MaxMessageSize {
 			body = body[:MaxMessageSize]
@@ -194,7 +189,7 @@ func TestBodyRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for tries := 0; tries < 50; tries++ {
-			for _, m := range q.ReceiveMessage(10) {
+			for _, m := range q.Receive(10, time.Millisecond) {
 				q.DeleteMessageBatch([]string{m.ReceiptHandle})
 				if bytes.Equal(m.Body, body) {
 					return true
@@ -494,14 +489,13 @@ func TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged(t *testing.T) {
 	// lapsing between the receives.
 	twice := func(t *testing.T, q *Queue) (string, Message, Message) {
 		t.Helper()
-		q.SetVisibility(time.Second)
 		id, err := q.SendMessage(append(NewBody(), want...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := q.ReceiveMessage(1)
+		first := q.Receive(1, time.Second)
 		q.env.Clock().Advance(2 * time.Second)
-		second := q.ReceiveMessage(1)
+		second := q.Receive(1, time.Second)
 		if len(first) != 1 || len(second) != 1 || first[0].ReceiptHandle == second[0].ReceiptHandle {
 			t.Fatalf("want two deliveries of %s, got %v and %v", id, first, second)
 		}
@@ -595,8 +589,8 @@ func TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged(t *testing.T) {
 		if !held(q, id) {
 			t.Fatal("the record let its body go with a delivery unacknowledged")
 		}
-		if n := q.GCExpired(); n != 1 {
-			t.Fatalf("the expiry pass dropped %d records, want the deleted one", n)
+		if n := q.Len(); n != 0 {
+			t.Fatalf("the expiry pass left %d records, want the deleted one gone", n)
 		}
 		q.mu.Lock()
 		left := len(q.msgs) + len(q.byID)

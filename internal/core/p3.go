@@ -68,10 +68,15 @@ import (
 // re-runs the commit; every step is idempotent. A transaction becomes
 // committed the moment its COPY is durable: receipt cleanup failures after
 // that point are collected and reported, but redelivered packets of a
-// committed transaction are simply acknowledged, never re-committed. While
-// a transaction's own group commit is still running — it can outlast the
-// visibility timeout many times over — the transaction is in flight and a
-// redelivered packet only adds its receipt to that commit's cleanup.
+// committed transaction are simply acknowledged, never re-committed.
+//
+// Each receive asks for twice the longest hold, from a transaction's first
+// packet to its commit, that P3 has seen, at least the WAL's visibility
+// (sqs.QueueSet.Visibility) and at most SQS's 12 hours, so a held packet
+// normally stays hidden until it is acknowledged. On a cold start, before
+// any commit, or when a hold outgrows that grant, a packet can still be
+// redelivered while its transaction is in flight; it then only adds its
+// receipt to that commit's cleanup.
 //
 // Cleanup acknowledges each transaction's header packet last, so a cleanup
 // cut short leaves the header on the WAL. The daemon that died there takes
@@ -96,6 +101,9 @@ type P3 struct {
 	// cursor rotates CommitOnce's starting WAL shard so un-subscribed
 	// callers (tests, single-daemon loops) still cover every shard fairly.
 	cursor atomic.Uint64
+	// hold is the longest a transaction P3 committed was held, from its
+	// first packet's receive to its commit (nanoseconds).
+	hold atomic.Int64
 }
 
 // txnShards is the number of assembly shards; a small power of two keeps
@@ -109,9 +117,8 @@ type txnShard struct {
 	// crashed client's stays until RunCleaner forgets it with its packets.
 	pending map[uuid.UUID]*txnState
 	// inflight holds a transaction from the moment its last packet arrives
-	// until its group commit marks it committed or gives up on it. A group
-	// commit can outlast the WAL's visibility timeout many times over; a
-	// packet redelivered meanwhile only adds its receipt here instead of
+	// until its group commit marks it committed or gives up on it. A packet
+	// redelivered meanwhile (see P3) only adds its receipt here instead of
 	// assembling — and committing — the transaction a second time.
 	inflight map[uuid.UUID]*txnState
 	// committed remembers when each finished transaction committed, so its
@@ -414,6 +421,8 @@ type round struct {
 // concurrent waves, up to budget receives in all.
 func (p *P3) assemble(shards []int, budget int) round {
 	r := round{short: true}
+	// The grant (see P3); the queue caps it at sqs.MaxVisibility.
+	grant := max(2*time.Duration(p.hold.Load()), p.dep.WAL.Visibility())
 	for _, si := range shards {
 		wal := p.dep.WAL.Shard(si)
 		if wal == nil {
@@ -432,7 +441,7 @@ func (p *P3) assemble(shards []int, budget int) round {
 			n += wave
 			pages := make([][]sqs.Message, wave)
 			par.ForEach(wave, wave, func(w int) error {
-				pages[w] = wal.ReceiveMessage(10)
+				pages[w] = wal.Receive(10, grant)
 				return nil
 			})
 			for _, msgs := range pages {
@@ -579,10 +588,11 @@ func (st *txnState) add(pkt walPacket) {
 // the receipts its cleanup acknowledges, tagged with st's WAL shard; nothing
 // is added to st afterwards.
 // With committed set the transaction is recorded as finished, so its
-// redelivered packets are acknowledged from then on — unless the cleanup
-// dies part-way (CrashCleanupAfterReceipts), which returns only the receipts
-// acknowledged before and records nothing. Otherwise redelivered packets
-// assemble afresh and the commit is retried.
+// redelivered packets are acknowledged from then on, and its hold counts
+// towards the grant — unless the cleanup dies part-way
+// (CrashCleanupAfterReceipts), which returns only the receipts acknowledged
+// before and records nothing. Otherwise redelivered packets assemble afresh
+// and the commit is retried.
 func (p *P3) endInflight(st *txnState, committed bool) []shardReceipt {
 	txn := st.header.Txn
 	sh := p.shardFor(txn)
@@ -608,7 +618,10 @@ func (p *P3) endInflight(st *txnState, committed bool) []shardReceipt {
 		if acked, hit := p.dep.Env.CrashedAfter(CrashCleanupAfterReceipts, len(pairs)); hit {
 			return pairs[:acked]
 		}
-		sh.committed[txn] = p.dep.Env.Now()
+		now := p.dep.Env.Now()
+		sh.committed[txn] = now
+		for h, held := p.hold.Load(), int64(now-st.since); held > h && !p.hold.CompareAndSwap(h, held); h = p.hold.Load() {
+		}
 	}
 	return pairs
 }
@@ -980,7 +993,7 @@ const CleanerMaxAge = 4 * 24 * time.Hour
 // (uncommitted leftovers of crashed clients). It returns the number of
 // temporary objects removed.
 func (p *P3) RunCleaner() (int, error) {
-	p.dep.WAL.GC()
+	p.dep.WAL.Len() // a retention pass on every shard
 	p.forgetExpired()
 	keys, _, err := p.dep.Store.ListAll(TmpPrefix)
 	if err != nil {
@@ -1008,13 +1021,12 @@ func (p *P3) RunCleaner() (int, error) {
 // commit (or since the first packet arrived) the queue has expired every
 // packet that could still redeliver or complete the transaction.
 func (p *P3) forgetExpired() {
-	retention := p.dep.WAL.Retention()
 	now := p.dep.Env.Now()
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		maps.DeleteFunc(sh.committed, func(_ uuid.UUID, at time.Duration) bool { return now-at > retention })
-		maps.DeleteFunc(sh.pending, func(_ uuid.UUID, st *txnState) bool { return now-st.since > retention })
+		maps.DeleteFunc(sh.committed, func(_ uuid.UUID, at time.Duration) bool { return now-at > sqs.Retention })
+		maps.DeleteFunc(sh.pending, func(_ uuid.UUID, st *txnState) bool { return now-st.since > sqs.Retention })
 		sh.mu.Unlock()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/cloud/sqs"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/uuid"
@@ -256,6 +257,9 @@ func TestP3CommittedForgottenAfterRetention(t *testing.T) {
 	if got := dep.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]; got != puts {
 		t.Fatalf("the redelivery re-ran the commit: %d -> %d BatchPutAttributes", puts, got)
 	}
+	if !redelivered(dep) {
+		t.Fatal("no packet was delivered twice")
+	}
 	if _, err := p.RunCleaner(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +267,7 @@ func TestP3CommittedForgottenAfterRetention(t *testing.T) {
 		t.Fatalf("%d committed entries inside the retention, want 1", committed())
 	}
 
-	dep.Env.Clock().Advance(dep.WAL.Retention() + time.Minute)
+	dep.Env.Clock().Advance(sqs.Retention + time.Minute)
 	if _, err := p.RunCleaner(); err != nil {
 		t.Fatal(err)
 	}

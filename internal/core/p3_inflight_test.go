@@ -11,11 +11,12 @@ import (
 	"passcloud/internal/sim"
 )
 
-// drain receives from q until a receive comes back empty.
-func drain(q *sqs.Queue) []sqs.Message {
+// drain receives from dep's first WAL shard, granting the WAL's visibility,
+// until a receive comes back empty.
+func drain(dep *Deployment) []sqs.Message {
 	var out []sqs.Message
 	for {
-		page := q.ReceiveMessage(10)
+		page := dep.WAL.Shard(0).Receive(10, dep.WAL.Visibility())
 		if len(page) == 0 {
 			return out
 		}
@@ -36,7 +37,7 @@ func inflightTxn(t *testing.T) (*Deployment, *P3, []*txnState) {
 	if err := p.Commit(objs[0], bundles[0]); err != nil {
 		t.Fatal(err)
 	}
-	first := drain(dep.WAL.Shard(0))
+	first := drain(dep)
 	if len(first) < 3 {
 		t.Fatalf("transaction logged as %d packets, want several", len(first))
 	}
@@ -60,7 +61,7 @@ func TestP3RedeliveryWhileInFlight(t *testing.T) {
 	// committed.
 	for round := 0; round < 2; round++ {
 		dep.Env.Clock().Advance(2 * time.Second)
-		again := drain(dep.WAL.Shard(0))
+		again := drain(dep)
 		if len(again) != packets {
 			t.Fatalf("redelivered %d of %d packets", len(again), packets)
 		}
@@ -155,6 +156,9 @@ func TestP3GroupCommitOutlastsVisibility(t *testing.T) {
 	if n := p.PendingTxns(); n != 0 {
 		t.Fatalf("%d transactions still pending", n)
 	}
+	if !redelivered(dep) {
+		t.Fatal("no packet was delivered twice: the visibility timeout never lapsed")
+	}
 }
 
 // TestP3AcknowledgesEveryRedeliveredReceipt: a transaction whose packets
@@ -166,7 +170,7 @@ func TestP3AcknowledgesEveryRedeliveredReceipt(t *testing.T) {
 	st := ready[0]
 	for round := 0; round < 2; round++ {
 		dep.Env.Clock().Advance(2 * time.Second)
-		p.foldMessages(0, drain(dep.WAL.Shard(0)))
+		p.foldMessages(0, drain(dep))
 	}
 	byMessage := map[string][]string{}
 	pairs := p.endInflight(st, true)
@@ -194,7 +198,7 @@ func TestP3RedeliveredReceiptOrderIsSeeded(t *testing.T) {
 	run := func() []string {
 		dep, p, ready := inflightTxn(t)
 		dep.Env.Clock().Advance(2 * time.Second)
-		p.foldMessages(0, drain(dep.WAL.Shard(0)))
+		p.foldMessages(0, drain(dep))
 		head = ready[0].headID
 		var receipts []string
 		for _, r := range p.endInflight(ready[0], true) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -75,7 +76,10 @@ func TestP3WorkerPoolExactlyOnce(t *testing.T) {
 		}
 	}
 	dep.Env.InstallFaults(nil).CrashAt(CrashAfterDB, 0) // one worker dies mid-drain
-	_ = p.Settle()
+	// The dead worker's packets leave the WAL only by a second delivery.
+	if err := p.Settle(); !errors.Is(err, sim.ErrCrashed) {
+		t.Fatalf("settle: %v, want the worker's crash", err)
+	}
 	dep.Env.Clock().Advance(10 * time.Second)
 	if err := p.Settle(); err != nil {
 		t.Fatal(err)
@@ -156,6 +160,9 @@ func TestP3HalfAcknowledgedRedelivery(t *testing.T) {
 	}
 	if n := p.PendingTxns(); n != 0 {
 		t.Fatalf("%d transactions pending after redelivery", n)
+	}
+	if !redelivered(dep) {
+		t.Fatal("no packet was delivered twice")
 	}
 }
 

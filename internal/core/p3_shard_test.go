@@ -110,6 +110,9 @@ func TestP3ShardedHalfAcknowledgedRedelivery(t *testing.T) {
 	if got := dep.Env.Meter().Usage().OpsByKind["sdb.BatchPutAttributes"]; got != puts {
 		t.Fatalf("redelivery re-ran the commit: %d -> %d batch puts", puts, got)
 	}
+	if !redelivered(dep) {
+		t.Fatal("no packet was delivered twice")
+	}
 }
 
 // TestP3ShardedWALGC proves retention-based GC per WAL shard: an abandoned
@@ -118,7 +121,6 @@ func TestP3ShardedHalfAcknowledgedRedelivery(t *testing.T) {
 // assembled.
 func TestP3ShardedWALGC(t *testing.T) {
 	dep := newShardedDep(t, sim.Strict, 4)
-	dep.WAL.SetRetention(time.Hour)
 	p := NewP3(dep, Options{ChunkSize: 64})
 	dep.Env.InstallFaults(nil).CrashAt(CrashClientAfterPackets, 1)
 	_, _, out, _, outB := onePipeline(t, 9)

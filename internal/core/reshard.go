@@ -555,8 +555,11 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology, stats
 // one DeleteMessageBatch. The entries carry the packet's own idempotency
 // token (walToken), so a send retried after an ambiguous fault — or a page
 // received again because its delete failed — never enqueues a packet twice.
-// Messages a daemon is holding invisible reappear after the visibility
-// timeout, so the drain sleeps and retries until the queue reports empty.
+// Its receives grant the WAL's visibility (sqs.QueueSet.Visibility). A
+// message a daemon is holding invisible reappears within the longest
+// visibility timeout a receive has granted on q (sqs.Queue.Granted), which a
+// commit daemon sizes from its own holds (see P3), so the drain sleeps and
+// retries until the queue reports empty.
 func (d *Deployment) migrateQueue(ctx context.Context, q *sqs.Queue) (int, error) {
 	moved := 0
 	idle := 0
@@ -564,14 +567,16 @@ func (d *Deployment) migrateQueue(ctx context.Context, q *sqs.Queue) (int, error
 		if err := ctx.Err(); err != nil {
 			return moved, err
 		}
-		msgs := q.ReceiveMessage(sqs.MaxBatchEntries)
+		msgs := q.Receive(sqs.MaxBatchEntries, d.WAL.Visibility())
 		if len(msgs) == 0 {
 			idle++
-			if idle > 200 {
+			if idle > 400 {
 				return moved, fmt.Errorf("core: decommissioned queue %s will not drain (%d messages held)", q.Name(), q.Len())
 			}
-			// Invisible messages: wait out the visibility timeout.
-			d.Env.Clock().Sleep(d.Env.Config().StalenessMean)
+			// Invisible messages: wait out the longest grant. Each poll waits
+			// a staleness mean or 1/200 of the grant, whichever is longer, so
+			// 400 of them outlast the grant and 200 means more.
+			d.Env.Clock().Sleep(max(d.Env.Config().StalenessMean, q.Granted()/200))
 			continue
 		}
 		idle = 0

@@ -31,10 +31,9 @@ var testOnlyAllowlist = []string{
 	"passcloud/internal/sim.FaultInjector.FailOp",     // fail every matching request
 	"passcloud/internal/sim.FaultInjector.FailNextOp", // fail the next n matching requests
 	"passcloud/internal/sim.FaultInjector.ClearOp",    // disarm a forced fault
-	// Test-support APIs: the crash matrices shorten the WAL's visibility
-	// timeout and retention, as SQS's SetQueueAttributes would.
+	// Test-support API: the crash matrices shorten the WAL's visibility
+	// timeout, as SQS's SetQueueAttributes would.
 	"passcloud/internal/cloud/sqs.QueueSet.SetVisibility",
-	"passcloud/internal/cloud/sqs.QueueSet.SetRetention",
 	// Test-support API: examples and provctl compare their output with a golden file.
 	"passcloud/internal/golden.Check",
 	// Test oracles: the query engine and the collector are checked against

@@ -14,6 +14,7 @@ import (
 
 	"passcloud/internal/autoscale"
 	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/cloud/sqs"
 	"passcloud/internal/cloud/store"
 	"passcloud/internal/core"
 	"passcloud/internal/merkle"
@@ -629,6 +630,54 @@ func TestFailedDeleteStrandsNothing(t *testing.T) {
 		}
 		recoverClean(t, seed, f, want)
 	}
+}
+
+// TestRecoverWaitsOutTheLongestGrant: a slow group raises P3's grant past
+// the WAL's own visibility timeout, and the daemon then dies mid-commit with
+// a transaction's packets held under that grant. Recover sleeps the longest
+// grant, not the WAL's own timeout, so the rebuilt daemon receives the
+// packets again and commits the transaction exactly once.
+func TestRecoverWaitsOutTheLongestGrant(t *testing.T) {
+	f, err := New(Config{Sim: sim.Config{Seed: 5}, Topology: core.Topology{WALShards: 1, DBShards: 1}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd, want := sim.NewRand(5), oracle.Expect{Backend: core.BackendSDB}
+	commit := func(txns, items int) {
+		for i := 0; i < txns; i++ {
+			obj, bundles := txn(rnd, len(want.Objects), items)
+			if err := f.P3.Commit(obj, bundles); err != nil {
+				t.Fatal(err)
+			}
+			want.Items += len(bundles)
+			want.Objects = append(want.Objects, obj)
+		}
+	}
+	commit(32, 24) // the slow group
+	if err := f.P3.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	commit(1, 4)
+	f.Env.InstallFaults(nil).CrashAt(core.CrashAfterDB, 0)
+	if err := f.P3.Settle(); !errors.Is(err, sim.ErrCrashed) {
+		t.Fatalf("settle: %v, want the daemon's crash", err)
+	}
+	grant := f.Dep.WAL.Visibility()
+	if grant <= sqs.DefaultVisibility {
+		t.Fatalf("the WAL reports a %v visibility, want the slow group's longer grant", grant)
+	}
+	copies := f.Env.Meter().Usage().OpsByKind["s3.COPY"]
+	start := f.Env.Now()
+	if _, err := f.Recover(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if slept := f.Env.Now() - start; slept < grant {
+		t.Errorf("Recover took %v, under the %v grant", slept, grant)
+	}
+	if n := f.Env.Meter().Usage().OpsByKind["s3.COPY"] - copies; n != 1 {
+		t.Errorf("the crashed transaction was copied %d times after Recover, want once", n)
+	}
+	recoverClean(t, 5, f, want)
 }
 
 // recoverClean recovers f, checks it with the oracle against want and the
