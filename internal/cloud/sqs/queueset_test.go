@@ -92,13 +92,13 @@ func TestQueueSetVisibilityReportsTheLongestGrant(t *testing.T) {
 	s := newQSet(t, 2)
 	s.SetVisibility(5 * time.Second)
 	q, clock := s.Shard(1), s.Shard(1).env.Clock()
-	if got := q.Receive(10, time.Hour); len(got) != 0 || s.Visibility() != 5*time.Second {
+	if got := q.Receive(nil, 10, time.Hour); len(got) != 0 || s.Visibility() != 5*time.Second {
 		t.Fatalf("an empty receive: %d messages, set visibility %v; want none and the set's 5s", len(got), s.Visibility())
 	}
 	if _, err := q.SendMessage([]byte("m")); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Receive(10, 24*time.Hour); len(got) != 1 {
+	if got := q.Receive(nil, 10, 24*time.Hour); len(got) != 1 {
 		t.Fatalf("received %d messages, want 1", len(got))
 	}
 	if got := s.Visibility(); got != MaxVisibility {

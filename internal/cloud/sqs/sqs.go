@@ -17,8 +17,9 @@
 //   - messages older than the retention period (four days) are deleted
 //     automatically, which is what garbage-collects abandoned transactions.
 //
-// Bodies are not copied (see Message), so the queue recycles the 8 KB blocks
-// NewBody hands out once every delivery of a message is acknowledged.
+// Bodies are not copied (see Message), so the queue recycles the blocks
+// NewBody hands out, each sized to its message (512 B to 8 KB, powers of
+// two), once every delivery of a message is acknowledged.
 //
 // Batch variants of the write operations are provided — SendMessageBatch and
 // DeleteMessageBatch, each taking at most MaxBatchEntries (10) entries per
@@ -32,11 +33,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"passcloud/internal/sim"
 )
@@ -62,11 +65,24 @@ var ErrMessageTooLarge = errors.New("sqs: message exceeds 8KB")
 // ErrBatchTooLarge is returned by the batch calls for more than 10 entries.
 var ErrBatchTooLarge = errors.New("sqs: more than 10 entries in batch")
 
-// bodies holds the blocks of messages whose every delivery was acknowledged.
-var bodies = sync.Pool{New: func() any { return new([MaxMessageSize]byte) }}
+// blocks holds, per size class c (minBlock<<c bytes, up to MaxMessageSize),
+// the first bytes of the blocks of messages whose every delivery was acked.
+var blocks [5]sync.Pool
 
-// NewBody returns an empty message body with room for MaxMessageSize bytes.
-func NewBody() []byte { return bodies.Get().(*[MaxMessageSize]byte)[:0] }
+const minBlock = 512
+
+// blockClass is the class of the smallest block holding n bytes.
+func blockClass(n int) int { return bits.Len(uint(max(n, 1)-1) / minBlock) }
+
+// NewBody returns an empty message body with room for n bytes, at most
+// MaxMessageSize: a block of the smallest class that holds them.
+func NewBody(n int) []byte {
+	c := blockClass(min(n, MaxMessageSize))
+	if p, ok := blocks[c].Get().(*byte); ok {
+		return unsafe.Slice(p, minBlock<<c)[:0]
+	}
+	return make([]byte, 0, minBlock<<c)
+}
 
 // Message is one received message.
 //
@@ -300,14 +316,14 @@ func (q *Queue) sendOnce(op sim.OpKind, entries []BatchEntry, token string, payl
 	return ids, ferr
 }
 
-// ReceiveMessage is Receive with the default visibility timeout.
-func (q *Queue) ReceiveMessage(max int) []Message { return q.Receive(max, DefaultVisibility) }
+// ReceiveMessage is Receive into a new page with the default visibility.
+func (q *Queue) ReceiveMessage(max int) []Message { return q.Receive(nil, max, DefaultVisibility) }
 
-// Receive returns up to max (at most 10) visible messages, making them
-// invisible for visibility, clamped to MaxVisibility. An empty slice means
+// Receive appends up to max (at most 10) visible messages to dst, making
+// them invisible for visibility, clamped to MaxVisibility. Adding none means
 // the queue had nothing visible — the caller should poll again. The bodies
 // are read-only views (see Message).
-func (q *Queue) Receive(max int, visibility time.Duration) []Message {
+func (q *Queue) Receive(dst []Message, max int, visibility time.Duration) []Message {
 	if max <= 0 {
 		max = 1
 	}
@@ -317,12 +333,12 @@ func (q *Queue) Receive(max int, visibility time.Duration) []Message {
 		// contract is already "nothing visible, poll again", which is
 		// exactly how callers must treat a transient receive failure. The
 		// failed round-trip still costs a request.
-		return nil
+		return dst
 	}
 	now := q.env.Now()
 	q.mu.Lock()
 	q.expireLocked(now)
-	var out []Message
+	out, base := dst, len(dst)
 	// Best-effort ordering: start the scan at a pseudo-random offset so
 	// consumers cannot rely on FIFO delivery.
 	n := len(q.msgs)
@@ -331,7 +347,7 @@ func (q *Queue) Receive(max int, visibility time.Duration) []Message {
 		start = q.env.Rand().Intn(n)
 	}
 	bytes := 0
-	for i := 0; i < n && len(out) < max; i++ {
+	for i := 0; i < n && len(out)-base < max; i++ {
 		m := q.msgs[(start+i)%n]
 		if m.deleted || m.visibleAt > now {
 			continue
@@ -345,7 +361,7 @@ func (q *Queue) Receive(max int, visibility time.Duration) []Message {
 		})
 		bytes += len(m.body)
 	}
-	if len(out) > 0 && int64(visibility) > q.granted.Load() {
+	if len(out) > base && int64(visibility) > q.granted.Load() {
 		q.granted.Store(int64(visibility))
 	}
 	q.mu.Unlock()
@@ -371,8 +387,8 @@ func (q *Queue) deleteLocked(receipt string) {
 		m.acked |= 1 << (k - 1)
 	}
 	if m.receipts <= 64 && m.acked == uint64(1)<<m.receipts-1 {
-		if cap(m.body) == MaxMessageSize {
-			bodies.Put((*[MaxMessageSize]byte)(m.body[:MaxMessageSize]))
+		if c := blockClass(cap(m.body)); c < len(blocks) && minBlock<<c == cap(m.body) {
+			blocks[c].Put(unsafe.SliceData(m.body)) // a block: back to its class
 		}
 		m.body = nil
 	}

@@ -44,7 +44,7 @@ func BenchmarkReceiveMessage(b *testing.B) {
 	q, _ := benchQueue(b)
 	b.ReportAllocs()
 	for b.Loop() {
-		if page := q.Receive(MaxBatchEntries, time.Nanosecond); len(page) != MaxBatchEntries {
+		if page := q.Receive(nil, MaxBatchEntries, time.Nanosecond); len(page) != MaxBatchEntries {
 			b.Fatalf("received %d messages", len(page))
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"passcloud/internal/resilient"
 	"passcloud/internal/sim"
@@ -54,16 +55,16 @@ func TestMessageSizeLimit(t *testing.T) {
 func TestVisibilityTimeoutRedelivery(t *testing.T) {
 	q := strictQueue(t)
 	q.SendMessage([]byte("m"))
-	if got := q.Receive(1, 10*time.Second); len(got) != 1 {
+	if got := q.Receive(nil, 1, 10*time.Second); len(got) != 1 {
 		t.Fatalf("first receive: %v", got)
 	}
 	// While invisible, nothing is delivered.
-	if got := q.Receive(1, 10*time.Second); len(got) != 0 {
+	if got := q.Receive(nil, 1, 10*time.Second); len(got) != 0 {
 		t.Fatalf("message delivered while invisible: %v", got)
 	}
 	// After the visibility timeout it reappears (at-least-once).
 	q.env.Clock().Advance(11 * time.Second)
-	got := q.Receive(1, 10*time.Second)
+	got := q.Receive(nil, 1, 10*time.Second)
 	if len(got) != 1 {
 		t.Fatal("message lost after visibility timeout")
 	}
@@ -85,7 +86,7 @@ func TestAtLeastOnceEveryMessageSurvivesUntilDeleted(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for tries := 0; tries < 100 && len(seen) < n; tries++ {
-		for _, m := range q.Receive(10, time.Second) {
+		for _, m := range q.Receive(nil, 10, time.Second) {
 			seen[m.ID] = true
 			q.DeleteMessageBatch([]string{m.ReceiptHandle})
 		}
@@ -109,7 +110,7 @@ func TestDuplicateDelivery(t *testing.T) {
 	q.SendMessage([]byte("m"))
 	count := 0
 	for i := 0; i < 4; i++ {
-		count += len(q.Receive(10, time.Millisecond))
+		count += len(q.Receive(nil, 10, time.Millisecond))
 		q.env.Clock().Advance(time.Second)
 	}
 	if count < 2 {
@@ -150,7 +151,7 @@ func TestBestEffortOrdering(t *testing.T) {
 		}
 		var got []byte
 		for len(got) < 10 {
-			for _, m := range q.Receive(10, time.Millisecond) {
+			for _, m := range q.Receive(nil, 10, time.Millisecond) {
 				got = append(got, m.Body[0])
 				q.DeleteMessageBatch([]string{m.ReceiptHandle})
 			}
@@ -189,7 +190,7 @@ func TestBodyRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for tries := 0; tries < 50; tries++ {
-			for _, m := range q.Receive(10, time.Millisecond) {
+			for _, m := range q.Receive(nil, 10, time.Millisecond) {
 				q.DeleteMessageBatch([]string{m.ReceiptHandle})
 				if bytes.Equal(m.Body, body) {
 					return true
@@ -459,13 +460,13 @@ func TestDeletedBodyIsReleased(t *testing.T) {
 // receiver's view keeps its bytes, however many blocks later sends fill.
 func TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged(t *testing.T) {
 	want := bytes.Repeat([]byte("provenance"), 40)
-	// churn cycles blocks through a queue of its own, each filled to its cap
-	// and recycled, as a busy WAL does.
+	// churn cycles blocks of every class through a queue of its own, each
+	// filled to its cap and recycled, as a busy WAL does.
 	churn := func(t *testing.T) {
 		t.Helper()
 		q := strictQueue(t)
 		for i := 0; i < 200; i++ {
-			body := NewBody()
+			body := NewBody(minBlock << (i % len(blocks)))
 			body = append(body, bytes.Repeat([]byte{0xEE}, cap(body))...)
 			if _, err := q.SendMessage(body); err != nil {
 				t.Fatal(err)
@@ -489,13 +490,13 @@ func TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged(t *testing.T) {
 	// lapsing between the receives.
 	twice := func(t *testing.T, q *Queue) (string, Message, Message) {
 		t.Helper()
-		id, err := q.SendMessage(append(NewBody(), want...))
+		id, err := q.SendMessage(append(NewBody(len(want)), want...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := q.Receive(1, time.Second)
+		first := q.Receive(nil, 1, time.Second)
 		q.env.Clock().Advance(2 * time.Second)
-		second := q.Receive(1, time.Second)
+		second := q.Receive(nil, 1, time.Second)
 		if len(first) != 1 || len(second) != 1 || first[0].ReceiptHandle == second[0].ReceiptHandle {
 			t.Fatalf("want two deliveries of %s, got %v and %v", id, first, second)
 		}
@@ -532,7 +533,7 @@ func TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged(t *testing.T) {
 		cfg.Consistency = sim.Strict
 		cfg.DupProb = 1
 		q := New(sim.NewEnv(cfg), "wal")
-		if _, err := q.SendMessage(append(NewBody(), want...)); err != nil {
+		if _, err := q.SendMessage(append(NewBody(len(want)), want...)); err != nil {
 			t.Fatal(err)
 		}
 		views := q.ReceiveMessage(10)
@@ -574,7 +575,7 @@ func TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged(t *testing.T) {
 			if held(q, id) {
 				t.Fatal("every delivery acknowledged, and the record still holds its body")
 			}
-			if a, b := NewBody(), NewBody(); &a[:1][0] == &b[:1][0] {
+			if a, b := NewBody(len(want)), NewBody(len(want)); &a[:1][0] == &b[:1][0] {
 				t.Fatal("two NewBody calls returned one block: a body was recycled twice")
 			}
 		}
@@ -606,4 +607,65 @@ func TestBodyRecycledOnlyWhenEveryDeliveryIsAcknowledged(t *testing.T) {
 		churn(t)
 		intact(t, first, second)
 	})
+
+	t.Run("size classes", func(t *testing.T) {
+		// A WAL packet of 450 B takes a 512 B block, a full chunk 8 KB.
+		for n, want := range map[int]int{
+			0: minBlock, 450: minBlock, minBlock: minBlock, minBlock + 1: 2 * minBlock,
+			4 << 10: 4 << 10, 4<<10 + 1: MaxMessageSize, MaxMessageSize: MaxMessageSize, MaxMessageSize + 1: MaxMessageSize,
+		} {
+			if got := cap(NewBody(n)); got != want {
+				t.Errorf("NewBody(%d) has cap %d, want %d", n, got, want)
+			}
+		}
+		// A recycled block goes back to its own class only: no other
+		// class ever hands it out.
+		q := strictQueue(t)
+		body := append(NewBody(450), want...)
+		if _, err := q.SendMessage(body); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range q.ReceiveMessage(10) {
+			if err := q.DeleteMessageBatch([]string{m.ReceiptHandle}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := 1; c < len(blocks); c++ {
+			for i := 0; i < 10; i++ {
+				if b := NewBody(minBlock << c); &b[:1][0] == &body[:1][0] {
+					t.Fatalf("the %d-byte class handed out a recycled %d-byte block", minBlock<<c, cap(body))
+				}
+			}
+		}
+	})
+}
+
+// TestReuseAllocations pins the queue's reuse sites: a receive into last
+// round's page allocates only the receipt handles it mints (a string and,
+// past the 99th delivery, its number), not the page; and NewBody hands a
+// block back out of its class's pool without allocating.
+func TestReuseAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	q := strictQueue(t)
+	for i := 0; i < MaxBatchEntries; i++ {
+		if _, err := q.SendMessage(append(NewBody(450), "packet"...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A nanosecond visibility keeps every message receivable on the next
+	// call, whose own service time moves the clock past it.
+	page := q.Receive(nil, MaxBatchEntries, time.Nanosecond)
+	if got := testing.AllocsPerRun(100, func() {
+		page = q.Receive(page[:0], MaxBatchEntries, time.Nanosecond)
+	}); len(page) != MaxBatchEntries || got > 2*MaxBatchEntries {
+		t.Errorf("a receive of %d into a reused page allocates %v times, want at most %d", len(page), got, 2*MaxBatchEntries)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		b := NewBody(450)
+		blocks[blockClass(cap(b))].Put(unsafe.SliceData(b))
+	}); got != 0 {
+		t.Errorf("NewBody of a pooled class allocates %v times, want 0", got)
+	}
 }

@@ -37,6 +37,10 @@ const Endpoint = "s3"
 
 // Metadata is the user metadata stored with an object. Values are small
 // strings, mirroring S3's x-amz-meta headers.
+//
+// Put stores a copy of the map it is given, but Copy keeps the map itself,
+// as the queue keeps a sent body: the caller gives it up. A stored map (or
+// data) is never written, so versions share them; Get and Head return copies.
 type Metadata map[string]string
 
 // Object is the result of a GET: data plus metadata. Size is the object's
@@ -67,12 +71,16 @@ type Store struct {
 	ep  sim.Endpoint // the request envelope, on the default S3 gates
 
 	mu   sync.Mutex
-	keys map[string][]*version // committed history, oldest first
+	keys map[string]history
 }
+
+// history is what can be observed of a key: its last two committed
+// versions, one in-flight staleness window plus the new state.
+type history struct{ prev, last *version }
 
 // New creates an empty bucket bound to env.
 func New(env *sim.Env) *Store {
-	return &Store{env: env, ep: env.Endpoint(Endpoint, 0), keys: make(map[string][]*version)}
+	return &Store{env: env, ep: env.Endpoint(Endpoint, 0), keys: make(map[string]history)}
 }
 
 // Put atomically stores data and metadata under key, overwriting any
@@ -126,26 +134,17 @@ func (s *Store) putOnce(key string, data []byte, size int64, meta Metadata) erro
 	return ferr
 }
 
-// commitLocked appends v to key's history and trims history that can no
-// longer be observed. Storage accounting tracks the latest version only,
-// matching how S3 bills.
+// commitLocked makes v key's last version. Storage accounting tracks the
+// latest version only, matching how S3 bills.
 func (s *Store) commitLocked(key string, v *version) {
-	hist := s.keys[key]
-	if n := len(hist); n > 0 {
-		prev := hist[n-1]
-		if !prev.deleted {
-			s.env.Meter().AddStorage(-prev.size)
-		}
-		// Two committed versions of history suffice: one in-flight
-		// staleness window plus the new state.
-		if n > 1 {
-			hist = hist[n-1:]
-		}
+	h := s.keys[key]
+	if h.last != nil && !h.last.deleted {
+		s.env.Meter().AddStorage(-h.last.size)
 	}
 	if !v.deleted {
 		s.env.Meter().AddStorage(v.size)
 	}
-	s.keys[key] = append(hist, v)
+	s.keys[key] = history{prev: h.last, last: v}
 }
 
 // observe picks the version of key a read sees at virtual time now:
@@ -153,16 +152,15 @@ func (s *Store) commitLocked(key string, v *version) {
 // window — either side of the update, chosen pseudo-randomly (the replica
 // the request happened to hit).
 func (s *Store) observe(key string, now time.Duration) *version {
-	hist := s.keys[key]
-	if len(hist) == 0 {
+	h, ok := s.keys[key]
+	if !ok {
 		return nil
 	}
-	idx := len(hist) - 1
-	for idx > 0 && hist[idx].visibleAt > now && s.env.Rand().Bool(0.5) {
-		idx--
+	v := h.last
+	if h.prev != nil && v.visibleAt > now && s.env.Rand().Bool(0.5) {
+		v = h.prev
 	}
-	v := hist[idx]
-	if idx == 0 && v.visibleAt > now && s.env.Rand().Bool(0.5) {
+	if (h.prev == nil || v == h.prev) && v.visibleAt > now && s.env.Rand().Bool(0.5) {
 		// The key's very first write may be invisible on a stale replica.
 		return nil
 	}
@@ -218,7 +216,7 @@ func (s *Store) headOnce(key string) (Metadata, error) {
 
 // Copy performs the server-side COPY the protocols use in place of rename.
 // The destination receives the source's data; metadata is replaced by meta
-// if non-nil (S3's REPLACE directive), else copied.
+// if non-nil (S3's REPLACE directive) and kept (see Metadata), else copied.
 func (s *Store) Copy(src, dst string, meta Metadata) error {
 	return s.ep.Do(func() error { return s.copyOnce(src, dst, meta) })
 }
@@ -235,19 +233,14 @@ func (s *Store) copyOnce(src, dst string, meta Metadata) error {
 	if v == nil || v.deleted {
 		return fmt.Errorf("%w: %s", ErrNoSuchKey, src)
 	}
-	m := v.meta
-	if meta != nil {
-		m = meta
-	}
-	var data []byte
-	if v.data != nil {
-		data = append([]byte(nil), v.data...)
+	if meta == nil {
+		meta = v.meta
 	}
 	now := s.env.Now()
 	s.commitLocked(dst, &version{
-		data:      data,
+		data:      v.data,
 		size:      v.size,
-		meta:      maps.Clone(m),
+		meta:      meta,
 		committed: now,
 		visibleAt: now + s.env.StalenessWindow(),
 	})
@@ -267,7 +260,7 @@ func (s *Store) deleteOnce(key string) error {
 	s.ep.Exec(sim.OpS3Delete, 0, 0)
 	now := s.env.Now()
 	s.mu.Lock()
-	if len(s.keys[key]) > 0 {
+	if _, ok := s.keys[key]; ok {
 		s.commitLocked(key, &version{deleted: true, committed: now, visibleAt: now + s.env.StalenessWindow()})
 	}
 	s.mu.Unlock()
@@ -349,18 +342,11 @@ func (s *Store) ListAll(prefix string) (keys []string, requests int, err error) 
 func (s *Store) LastAccess(key string) (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	hist := s.keys[key]
-	if len(hist) == 0 {
+	v := s.keys[key].last
+	if v == nil || v.deleted {
 		return 0, false
 	}
-	v := hist[len(hist)-1]
-	if v.deleted {
-		return 0, false
-	}
-	if v.accessed > v.committed {
-		return v.accessed, true
-	}
-	return v.committed, true
+	return max(v.accessed, v.committed), true
 }
 
 // Stats reports the store's committed footprint (latest versions only).
@@ -374,9 +360,8 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st Stats
-	for _, hist := range s.keys {
-		v := hist[len(hist)-1]
-		if !v.deleted {
+	for _, h := range s.keys {
+		if v := h.last; !v.deleted {
 			st.Objects++
 			st.Bytes += v.size
 		}

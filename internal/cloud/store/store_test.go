@@ -124,6 +124,35 @@ func TestCopySemantics(t *testing.T) {
 	}
 }
 
+// TestCopyKeepsHandedOverMetadata: Copy stores the map it is handed, not a
+// copy, yet what Get and Head return is the caller's own: writing it leaves
+// the stored version, and a copy of it that shares the map, unchanged.
+func TestCopyKeepsHandedOverMetadata(t *testing.T) {
+	s := strictStore(t)
+	s.Put("tmp/x", []byte("payload"), nil)
+	if err := s.Copy("tmp/x", "perm/x", Metadata{"uuid": "u", "version": "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Copy("perm/x", "perm/y", nil); err != nil { // shares perm/x's map
+		t.Fatal(err)
+	}
+	o, err := s.Get("perm/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Metadata["version"] = "mutated"
+	head, err := s.Head("perm/y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head["uuid"] = "mutated"
+	for _, key := range []string{"perm/x", "perm/y"} {
+		if meta, err := s.Head(key); err != nil || meta["uuid"] != "u" || meta["version"] != "3" {
+			t.Fatalf("%s: stored metadata changed through a returned map: %v, %v", key, meta, err)
+		}
+	}
+}
+
 func TestDelete(t *testing.T) {
 	s := strictStore(t)
 	s.Put("k", []byte("x"), nil)

@@ -26,11 +26,8 @@
 // sharded state and group-commits them, coalescing provenance items across
 // transactions into full 25-item BatchPutAttributes calls. The knobs are
 // Options.CommitWorkers (pool size, default 1), Options.ProvConns and
-// Options.DataConns (per-commit connection fan-out). The seed's
-// entry-by-entry serial path is gone; its last measurements are the first
-// line of BENCH_history.jsonl and the ceilings in
-// internal/bench/commitpipe_test.go. internal/fabric wires P3 to the layers
-// around it and owns its daemons' lifecycle.
+// Options.DataConns (per-commit connection fan-out). internal/fabric wires
+// P3 to the layers around it and owns its daemons' lifecycle.
 //
 // The fabric itself shards: Topology sizes K-way WAL queue and provenance
 // domain sets (NewShardedDeployment), transactions hash to their home WAL
@@ -39,15 +36,7 @@
 // routes single-object lookups to one shard while scatter-gathering
 // multi-shard SELECTs with a canonical name-order merge. The zero Topology
 // is the seed's single-queue/single-domain layout (the K=1 ablation).
-//
-// Topology is no longer fixed at creation: placement rides epoch-versioned
-// range directories (sim.Directory), and Reshard (reshard.go) grows or
-// shrinks a live fabric — double-write window, consistent copy streams,
-// atomic cutover, then GC of the drained ranges — without stopping ingest
-// and without changing a single query result. The migration is crash-safe
-// at every phase boundary (ResumeReshard rolls it forward from the
-// persisted ctl/fabric control object) and pinned by the resharder rows of
-// TestCrashRecovery in internal/fabric.
+// Reshard (reshard.go) grows or shrinks a live fabric.
 package core
 
 import (

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -23,7 +24,7 @@ import (
 // ItemsForBundles converts bundles into database put requests, spilling
 // oversized values to st. It returns the requests in bundle order.
 func ItemsForBundles(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, error) {
-	reqs := itemsFor(bundles)
+	reqs, _ := itemsFor(nil, nil, bundles)
 	if err := spillItems(st, reqs); err != nil {
 		return nil, err
 	}
@@ -31,11 +32,12 @@ func ItemsForBundles(st *store.Store, bundles []prov.Bundle) ([]sdb.PutRequest, 
 }
 
 // itemsFor converts bundles into put requests in bundle order, values over
-// the database's limit left in place for spillItems. The item names are
-// rendered once, into one string, and a cross reference to a bundle of the
-// same call reuses that bundle's name; the attributes share one slab. The
-// requests share no memory with bundles but their strings.
-func itemsFor(bundles []prov.Bundle) []sdb.PutRequest {
+// the database's limit left in place for spillItems, reusing the memory of
+// reqs and of slab, the attribute slab the requests share, and returns both.
+// The item names are rendered once, into one string, and a cross reference
+// to a bundle of the same call reuses that bundle's name. The requests
+// share no memory with bundles but their strings.
+func itemsFor(reqs []sdb.PutRequest, slab []sdb.Attr, bundles []prov.Bundle) ([]sdb.PutRequest, []sdb.Attr) {
 	size, nattrs := 0, 0
 	for _, b := range bundles {
 		size += refLen(b.Ref)
@@ -48,13 +50,13 @@ func itemsFor(bundles []prov.Bundle) []sdb.PutRequest {
 		sb.Write(b.Ref.AppendTo(tmp[:0]))
 	}
 	names := sb.String()
-	reqs := make([]sdb.PutRequest, len(bundles))
-	for i, b := range bundles {
+	reqs = slices.Grow(reqs[:0], len(bundles))
+	for _, b := range bundles {
 		n := refLen(b.Ref)
-		reqs[i] = sdb.PutRequest{Item: names[:n], Replace: true}
+		reqs = append(reqs, sdb.PutRequest{Item: names[:n], Replace: true})
 		names = names[n:]
 	}
-	slab := make([]sdb.Attr, 0, nattrs)
+	slab = slices.Grow(slab[:0], nattrs)
 	for bi, b := range bundles {
 		start := len(slab)
 		for _, r := range b.Records {
@@ -66,7 +68,7 @@ func itemsFor(bundles []prov.Bundle) []sdb.PutRequest {
 		}
 		reqs[bi].Attrs = slab[start:len(slab):len(slab)]
 	}
-	return reqs
+	return reqs, slab
 }
 
 // spillItems stores each value over the database's limit as a store object

@@ -12,6 +12,10 @@ import (
 // WAL already sees every transaction, so the commit daemons piggyback this
 // notification on the path that writes the provenance items. Subscribed query
 // caches use it to invalidate exactly the observations the commit touched.
+//
+// A notice's slices, its items' attributes included, are valid only during
+// the callback: the bus and the commit daemons reuse their memory. A
+// subscriber may keep the strings; it copies anything else it keeps.
 type CommitNotice struct {
 	// Seq is the bus-assigned publication sequence number; the transparency
 	// log checkpoints the last one it sequenced.
@@ -52,95 +56,79 @@ type NoticeItem struct {
 type CommitBus struct {
 	mu    sync.Mutex
 	seq   int64
-	next  int
-	subs  map[int]func(CommitNotice) int64
+	subs  []func(CommitNotice) int64 // by subscription; nil once unsubscribed
 	meter *sim.Meter
+	built CommitNotice // publishCommit's notice, its slices reused under mu
 }
 
-// NewCommitBus returns an empty bus metering into m (nil is allowed).
-func NewCommitBus(m *sim.Meter) *CommitBus {
-	return &CommitBus{subs: make(map[int]func(CommitNotice) int64), meter: m}
-}
+// NewCommitBus returns an empty bus metering into m.
+func NewCommitBus(m *sim.Meter) *CommitBus { return &CommitBus{meter: m} }
 
 // Subscribe registers fn for every future notice and returns an unsubscribe
 // function. fn runs under the bus lock (publication order is total); it must
 // not publish or subscribe reentrantly.
 func (b *CommitBus) Subscribe(fn func(CommitNotice) int64) func() {
 	b.mu.Lock()
-	id := b.next
-	b.next++
-	b.subs[id] = fn
+	id := len(b.subs)
+	b.subs = append(b.subs, fn)
 	b.mu.Unlock()
 	return func() {
 		b.mu.Lock()
-		delete(b.subs, id)
+		b.subs[id] = nil
 		b.mu.Unlock()
-	}
-}
-
-// Publish assigns the notice a sequence number and delivers it to every
-// subscriber. Publishing with no subscribers is free — the commit path pays
-// nothing until an engine subscribes. Redelivered (idempotently re-committed)
-// transactions may republish; invalidation is idempotent too, so the worst
-// case is a spurious cache miss.
-func (b *CommitBus) Publish(n CommitNotice) {
-	b.mu.Lock()
-	b.seq++
-	n.Seq = b.seq
-	for _, fn := range b.subs {
-		fn(n)
-	}
-	b.mu.Unlock()
-	if b.meter != nil {
-		b.meter.CountCommitNotice()
 	}
 }
 
 // TxnCommit attributes one committed transaction's writes for publication:
 // the transaction uuid, the hex closure root its WAL header declared, and
 // the put requests it produced. P2, which has no transaction uuid, publishes
-// a single zero-uuid group.
+// a single zero-uuid group. Reqs, like a notice's slices, is read only
+// during the publication.
 type TxnCommit struct {
 	Txn    uuid.UUID
 	Digest string
 	Reqs   []sdb.PutRequest
 }
 
-// publishCommit builds and publishes a notice for one committed group,
-// keeping each item attributed to the transaction that wrote it.
+// publishCommit builds the notice of one committed group, keeping each
+// item attributed to the transaction that wrote it, in the bus's reused
+// notice, numbers it and delivers it to every subscriber. A group with no
+// items publishes nothing. Publishing with no subscribers builds nothing —
+// the commit path pays nothing until an engine subscribes. Redelivered
+// (idempotently re-committed) transactions may republish; invalidation is
+// idempotent too, so the worst case is a spurious cache miss.
 func (d *Deployment) publishCommit(groups []TxnCommit) {
-	if d.Commits == nil {
+	b := d.Commits
+	if b == nil {
 		return
 	}
-	n := 0
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := &b.built
+	n.Txns, n.Digests, n.Items = n.Txns[:0], n.Digests[:0], n.Items[:0]
+	items := 0
 	for _, g := range groups {
-		n += len(g.Reqs)
-	}
-	var (
-		txns    = make([]uuid.UUID, 0, len(groups))
-		digests = make([]string, 0, len(groups))
-		items   = make([]NoticeItem, 0, n)
-	)
-	for _, g := range groups {
+		items += len(g.Reqs)
+		if len(b.subs) == 0 {
+			continue // nobody reads the notice: count it, build nothing
+		}
 		if g.Txn != (uuid.UUID{}) {
-			txns = append(txns, g.Txn)
-			digests = append(digests, g.Digest)
+			n.Txns = append(n.Txns, g.Txn)
+			n.Digests = append(n.Digests, g.Digest)
 		}
 		for _, r := range g.Reqs {
-			items = append(items, NoticeItem{
-				Txn:   g.Txn,
-				Name:  r.Item,
-				Attrs: r.Attrs,
-			})
+			n.Items = append(n.Items, NoticeItem{Txn: g.Txn, Name: r.Item, Attrs: r.Attrs})
 		}
 	}
-	if len(items) == 0 {
-		return
+	if items > 0 {
+		b.seq++
+		n.Seq, n.Epoch = b.seq, d.DB.Directory().Epoch()
+		for _, fn := range b.subs {
+			if fn != nil {
+				fn(*n)
+			}
+		}
+		b.meter.CountCommitNotice()
 	}
-	d.Commits.Publish(CommitNotice{
-		Txns:    txns,
-		Digests: digests,
-		Items:   items,
-		Epoch:   d.DB.Directory().Epoch(),
-	})
+	clear(n.Items) // let go of the writers' attributes
 }

@@ -14,7 +14,6 @@ import (
 
 	"passcloud/internal/cloud/sdb"
 	"passcloud/internal/cloud/sqs"
-	"passcloud/internal/cloud/store"
 	"passcloud/internal/par"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -35,9 +34,9 @@ import (
 //     queue set routes by txn uuid) with SendMessageBatch (≤10 chunks per
 //     service request). The first message carries the packet count, the
 //     temporary object pointer, the final key and the version. Each message
-//     is encoded into an 8 KB queue block (sqs.NewBody), which the queue
-//     recycles once every delivery of it is acknowledged, so a daemon reads
-//     a packet only until it deletes that delivery's receipt.
+//     is encoded into a queue block sized to it (sqs.NewBody), which the
+//     queue recycles once every delivery of it is acknowledged, so a daemon
+//     reads a packet only until it deletes that delivery's receipt.
 //
 // Commit phase (commit-daemon pool, asynchronous):
 //
@@ -149,7 +148,7 @@ const (
 // err), and let go; its values over the database's limit spill at commit.
 // receipts holds the other packets' receipts and heads the header packet's
 // (message headID), which cleanup acknowledges last. since is when the first
-// packet arrived.
+// packet arrived. A group commit pools the state once done with it.
 type txnState struct {
 	since    time.Duration
 	header   *walTxn
@@ -160,7 +159,10 @@ type txnState struct {
 	headID   string
 	walShard int
 	reqs     []sdb.PutRequest
+	attrs    []sdb.Attr
 	err      error
+	copied   bool // its commit's COPY is done
+	ended    bool // endInflight has run
 	// redelivered holds, by message id, every receipt of each message
 	// delivered again while the transaction was in flight, in arrival order
 	// (nil until then).
@@ -416,11 +418,16 @@ type round struct {
 	short    bool           // every shard's last page came back short: the backlog is drained
 }
 
+// pageSets are the receive waves' pages, a set per assembly pass at a time.
+var pageSets = sync.Pool{New: func() any { return new([recvConcurrency][]sqs.Message) }}
+
 // assemble is the receive-and-fold half of a commit round: per subscribed
 // shard, a single probing receive, then — while pages come back full —
 // concurrent waves, up to budget receives in all.
 func (p *P3) assemble(shards []int, budget int) round {
 	r := round{short: true}
+	pages := pageSets.Get().(*[recvConcurrency][]sqs.Message)
+	defer pageSets.Put(pages) // its stale views are never read
 	// The grant (see P3); the queue caps it at sqs.MaxVisibility.
 	grant := max(2*time.Duration(p.hold.Load()), p.dep.WAL.Visibility())
 	for _, si := range shards {
@@ -439,12 +446,11 @@ func (p *P3) assemble(shards []int, budget int) round {
 			}
 			wave = min(wave, budget-n)
 			n += wave
-			pages := make([][]sqs.Message, wave)
 			par.ForEach(wave, wave, func(w int) error {
-				pages[w] = wal.Receive(10, grant)
+				pages[w] = wal.Receive(pages[w][:0], 10, grant)
 				return nil
 			})
-			for _, msgs := range pages {
+			for _, msgs := range pages[:wave] {
 				if len(msgs) < 10 {
 					// Short page: the shard's backlog is shallow; stop
 					// pulling after this wave and commit what we have to
@@ -539,7 +545,8 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 			continue
 		}
 		if st == nil {
-			st = &txnState{walShard: walShard, since: p.dep.Env.Now()}
+			st = txnStates.Get().(*txnState)
+			st.walShard, st.since = walShard, p.dep.Env.Now()
 			sh.pending[pkt.Txn] = st
 		}
 		if pkt.First {
@@ -558,8 +565,8 @@ func (p *P3) foldMessages(walShard int, msgs []sqs.Message) (ready []*txnState, 
 	}
 	// Outside the shard locks: nothing else touches a transaction in flight.
 	for _, st := range ready {
-		st.reqs, st.err = decodeTxn(st)
-		st.frags = nil
+		st.err = decodeTxn(st)
+		st.frags = st.frags[:0]
 	}
 	return ready, acks, held
 }
@@ -601,16 +608,19 @@ func (p *P3) endInflight(st *txnState, committed bool) []shardReceipt {
 	if sh.inflight[txn] == st {
 		delete(sh.inflight, txn)
 	}
+	st.ended = true
 	receipts, heads := st.receipts, st.heads
 	// In message-id order: a cleanup that dies part-way acknowledges a
 	// prefix, and which prefix must not depend on map order. The header's
 	// receipts come last, so that prefix never holds it while another packet
 	// of the transaction is left (see P3).
-	for _, id := range slices.Sorted(maps.Keys(st.redelivered)) {
-		if id == st.headID {
-			heads = append(heads, st.redelivered[id]...)
-		} else {
-			receipts = append(receipts, st.redelivered[id]...)
+	if len(st.redelivered) > 0 {
+		for _, id := range slices.Sorted(maps.Keys(st.redelivered)) {
+			if id == st.headID {
+				heads = append(heads, st.redelivered[id]...)
+			} else {
+				receipts = append(receipts, st.redelivered[id]...)
+			}
 		}
 	}
 	pairs := st.tagged(receipts, heads)
@@ -697,11 +707,14 @@ func (p *P3) deleteReceiptPairs(pairs []shardReceipt) error {
 	return errors.Join(errs...)
 }
 
-// txnWork is one transaction moving through the group-commit pipeline.
-type txnWork struct {
-	*txnState
-	copied bool
+// groupScratch is a group commit's buffers, pooled: nothing keeps them.
+type groupScratch struct {
+	work   []*txnState
+	all    []sdb.PutRequest
+	groups []TxnCommit
 }
+
+var groupScratches = sync.Pool{New: func() any { return new(groupScratch) }}
 
 // commitGroup pushes a set of complete transactions to their final state
 // together, coalescing their provenance across transaction boundaries into
@@ -710,21 +723,27 @@ type txnWork struct {
 // caller to acknowledge. Every step is idempotent so a crashed group commit
 // can be re-run by any daemon; a transaction that fails a per-transaction
 // step drops out of the group and is retried on redelivery without holding
-// the others back.
+// the others back. Once it returns, the group's states are back in their
+// pool.
 func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
+	sc := groupScratches.Get().(*groupScratch)
 	// Whatever this call does not commit — crash points and errors included
 	// — must assemble afresh on redelivery.
 	defer func() {
 		for _, st := range group {
-			p.endInflight(st, false)
+			if !st.ended {
+				p.endInflight(st, false)
+			}
+			st.release()
 		}
+		groupScratches.Put(sc)
 	}()
 	var errs []error
 
 	// Spill each transaction's oversized values. (No transaction here can
 	// already be committed: it has been in flight since it turned ready, so
 	// no second assembly of it exists.)
-	work := make([]*txnWork, 0, len(group))
+	work := sc.work[:0]
 	for _, st := range group {
 		if st.err == nil {
 			st.err = spillItems(p.dep.Store, st.reqs)
@@ -733,8 +752,9 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 			errs = append(errs, st.err)
 			continue
 		}
-		work = append(work, &txnWork{txnState: st})
+		work = append(work, st)
 	}
+	sc.work = work
 	if len(work) == 0 {
 		return nil, errors.Join(errs...)
 	}
@@ -749,16 +769,12 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 	// transaction's items land in their home domains in full batches). Puts
 	// replace whole items, so a redelivered transaction rewrites the same
 	// rows — a database failure here fails the group and redelivery retries.
-	n := 0
-	for _, w := range work {
-		n += len(w.reqs)
-	}
-	all := make([]sdb.PutRequest, 0, n)
-	groups := make([]TxnCommit, 0, len(work))
+	all, groups := sc.all[:0], sc.groups[:0]
 	for _, w := range work {
 		all = append(all, w.reqs...)
 		groups = append(groups, TxnCommit{Txn: w.header.Txn, Digest: w.header.Digest, Reqs: w.reqs})
 	}
+	sc.all, sc.groups = all, groups
 	if err := p.dep.DB.BulkPut(all, p.opts.ProvConns, false); err != nil {
 		return nil, errors.Join(append(errs, err)...)
 	}
@@ -775,32 +791,24 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 	// 3. COPY each temporary object to its permanent key, setting the
 	// linking metadata as part of the COPY (atomic data+metadata update);
 	// copies of distinct transactions run in parallel.
-	tasks := make([]func() error, len(work))
-	for i, w := range work {
-		tasks[i] = func() error {
-			if w.header.TmpKey != "" {
-				meta := store.Metadata{
-					MetaUUID:    w.header.Ref.UUID.String(),
-					MetaVersion: strconv.Itoa(w.header.Ref.Version),
-				}
-				if w.header.Digest != "" {
-					meta[MetaMerkle] = w.header.Digest
-				}
-				if err := p.dep.Store.Copy(w.header.TmpKey, w.header.FinalKey, meta); err != nil {
-					// The temp object may already be gone if a previous
-					// daemon crashed between COPY+DELETE and message
-					// acknowledgement; accept the state if the final object
-					// carries our version.
-					if !p.alreadyCommitted(w.header) {
-						return fmt.Errorf("core: txn %s copy: %w", w.header.Txn, err)
-					}
+	err := par.ForEach(p.opts.DataConns, len(work), func(i int) error {
+		w := work[i]
+		if w.header.TmpKey != "" {
+			meta := dataMeta(FileObject{Ref: w.header.Ref, Digest: w.header.Digest})
+			if err := p.dep.Store.Copy(w.header.TmpKey, w.header.FinalKey, meta); err != nil {
+				// The temp object may already be gone if a previous
+				// daemon crashed between COPY+DELETE and message
+				// acknowledgement; accept the state if the final object
+				// carries our version.
+				if !p.alreadyCommitted(w.header) {
+					return fmt.Errorf("core: txn %s copy: %w", w.header.Txn, err)
 				}
 			}
-			w.copied = true
-			return nil
 		}
-	}
-	if err := par.Run(p.opts.DataConns, tasks); err != nil {
+		w.copied = true
+		return nil
+	})
+	if err != nil {
 		errs = append(errs, err)
 	}
 
@@ -819,7 +827,7 @@ func (p *P3) commitGroup(group []*txnState) ([]shardReceipt, error) {
 		if !w.copied {
 			continue
 		}
-		receipts = append(receipts, p.endInflight(w.txnState, true)...)
+		receipts = append(receipts, p.endInflight(w, true)...)
 		if w.header.TmpKey != "" {
 			if err := p.dep.Store.Delete(w.header.TmpKey); err != nil {
 				errs = append(errs, err)
@@ -835,17 +843,28 @@ var decoders = sync.Pool{New: func() any { return new(prov.Decoder) }}
 
 // decodeTxn decodes a complete transaction's fragments where they lie, with
 // no reassembly, into a pooled decoder's buffers, and builds its put
-// requests from them. The requests keep only the decoded strings, which are
-// copies, so they stay valid once the decoder is reset and reused.
-func decodeTxn(st *txnState) ([]sdb.PutRequest, error) {
+// requests from them, in st's own. The requests keep only the decoded
+// strings, which are copies, so they stay valid once the decoder is reset
+// and reused.
+func decodeTxn(st *txnState) error {
 	dec := decoders.Get().(*prov.Decoder)
 	defer decoders.Put(dec)
 	defer dec.Reset()
 	bundles, err := dec.Decode(st.frags...)
 	if err != nil {
-		return nil, fmt.Errorf("core: txn %s: %w", st.header.Txn, err)
+		return fmt.Errorf("core: txn %s: %w", st.header.Txn, err)
 	}
-	return itemsFor(bundles), nil
+	st.reqs, st.attrs = itemsFor(st.reqs, st.attrs, bundles)
+	return nil
+}
+
+// txnStates holds the states of finished transactions, their buffers kept.
+var txnStates = sync.Pool{New: func() any { return new(txnState) }}
+
+// release pools st, keeping its buffers' memory; nothing refers to st after.
+func (st *txnState) release() {
+	*st = txnState{frags: st.frags[:0], receipts: st.receipts[:0], heads: st.heads[:0], reqs: st.reqs[:0], attrs: st.attrs[:0]}
+	txnStates.Put(st)
 }
 
 // alreadyCommitted checks whether the final object already carries the

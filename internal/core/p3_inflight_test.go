@@ -16,7 +16,7 @@ import (
 func drain(dep *Deployment) []sqs.Message {
 	var out []sqs.Message
 	for {
-		page := dep.WAL.Shard(0).Receive(10, dep.WAL.Visibility())
+		page := dep.WAL.Shard(0).Receive(nil, 10, dep.WAL.Visibility())
 		if len(page) == 0 {
 			return out
 		}

@@ -563,11 +563,12 @@ func (d *Deployment) finishReshardGC(ctx context.Context, target Topology, stats
 func (d *Deployment) migrateQueue(ctx context.Context, q *sqs.Queue) (int, error) {
 	moved := 0
 	idle := 0
+	var msgs []sqs.Message
 	for q.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return moved, err
 		}
-		msgs := q.Receive(sqs.MaxBatchEntries, d.WAL.Visibility())
+		msgs = q.Receive(msgs[:0], sqs.MaxBatchEntries, d.WAL.Visibility())
 		if len(msgs) == 0 {
 			idle++
 			if idle > 400 {
@@ -616,7 +617,7 @@ func (d *Deployment) resendWAL(ctx context.Context, msgs []sqs.Message) (int, er
 			homes = append(homes, home)
 		}
 		// A copy: the old queue recycles m.Body once this page's receipts are deleted.
-		body := append(sqs.NewBody(), m.Body...)
+		body := append(sqs.NewBody(len(m.Body)), m.Body...)
 		entries[home] = append(entries[home], sqs.BatchEntry{Body: body, Token: walToken(id, pkt.Seq)})
 	}
 	moved := 0

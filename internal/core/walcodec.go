@@ -34,18 +34,18 @@ import (
 //
 // Buffer ownership. A transaction's provenance is copied once on its way
 // to the commit daemon: encodeWALBundles encodes the bundles straight into
-// the packets, queue blocks from sqs.NewBody (encodeWAL, the tests'
-// reference, copies a payload into them). The queue stores a sent packet
-// without copying and recycles its block once every delivery of it is
-// acknowledged: nobody touches a packet after sending it, and resendWAL
+// the packets, queue blocks from sqs.NewBody sized to them (encodeWAL, the
+// tests' reference, copies a payload into its own). The queue stores a sent
+// packet without copying and recycles its block once every delivery of it
+// is acknowledged: nobody touches a packet after sending it, and resendWAL
 // copies one before it moves. decodeWAL copies the header strings out, but
 // the packet's Payload aliases the message it parsed — in the commit daemon
 // a read-only sqs.Message.Body, valid until its receipt is deleted — so a
 // walPacket, and the fragments a txnState keeps from it, are only read, and
 // only before then. decodeTxn decodes the fragments where they lie, into a
 // pooled prov.Decoder's buffers, which copies every string out, and builds
-// the put requests from them before the decoder goes back to the pool, so
-// nothing past the decode aliases a message or the decoder.
+// the put requests from them, into the txnState's, before the decoder goes
+// back to the pool, so nothing past the decode aliases a message or it.
 
 const walMagic = 0x574c
 
@@ -118,16 +118,17 @@ func encodeWALBundles(txn uuid.UUID, hdr walTxn, bundles []prov.Bundle, chunkSiz
 	var room [2 * walHeaderRoom]byte
 	head, first, total := walFirst(room[:0], txn, hdr, size, chunkSize)
 	msgs := make([][]byte, 0, total)
-	// limit is where the packet being filled ends (its block holds 8 KB).
-	msg := append(sqs.NewBody(), head...)
-	limit := len(msg) + min(first, size)
+	// limit is where the packet being filled ends; its block is sized to it.
+	limit := len(head) + min(first, size)
+	msg := append(sqs.NewBody(limit), head...)
 	// free is the room left in the packet being filled, opening the next.
 	free := func() int {
 		if len(msg) == limit {
 			msgs = append(msgs, msg)
 			seq := len(msgs)
-			msg = appendWALHead(sqs.NewBody(), txn, hdr, seq, total)
-			limit = len(msg) + min(chunkSize, size-first-(seq-1)*chunkSize)
+			head = appendWALHead(room[:0], txn, hdr, seq, total)
+			limit = len(head) + min(chunkSize, size-first-(seq-1)*chunkSize)
+			msg = append(sqs.NewBody(limit), head...)
 		}
 		return limit - len(msg)
 	}

@@ -29,13 +29,17 @@ type combiner struct {
 // combineKey names one open batch: a home queue and the tenant it is for.
 type combineKey struct{ queue, tenant string }
 
-// combineBatch is one open batch for one home queue and tenant.
+// combineBatch is one open batch for one home queue and tenant. done is
+// made when a follower joins; a batch its leader shipped alone is reused by
+// a later leader.
 type combineBatch struct {
 	queue   *sqs.Queue
 	entries []sqs.BatchEntry
 	done    chan struct{}
 	err     error
 }
+
+var batches = sync.Pool{New: func() any { return new(combineBatch) }}
 
 // send ships a prepared transaction's entries with requests made with ctx,
 // combined with whatever other entries of ctx's tenant open against the same
@@ -46,27 +50,33 @@ func (c *combiner) send(ctx context.Context, pt *core.PreparedTxn) error {
 	}
 	key := combineKey{pt.Queue.Name(), sim.TenantOf(ctx)}
 	c.mu.Lock()
-	b := c.open[key]
-	lead := b == nil
-	if lead {
-		b = &combineBatch{queue: pt.Queue, done: make(chan struct{})}
-		c.open[key] = b
-	}
-	b.entries = append(b.entries, pt.Entries...)
-	c.mu.Unlock()
-
-	if !lead {
+	if b := c.open[key]; b != nil {
+		if b.done == nil {
+			b.done = make(chan struct{})
+		}
+		b.entries = append(b.entries, pt.Entries...)
+		c.mu.Unlock()
 		<-b.done
 		return b.err
 	}
+	b := batches.Get().(*combineBatch)
+	b.queue, b.entries = pt.Queue, append(b.entries[:0], pt.Entries...)
+	c.open[key] = b
+	c.mu.Unlock()
+
 	c.env.Clock().Sleep(c.window)
 	c.mu.Lock()
 	delete(c.open, key)
-	entries := b.entries
+	done := b.done
 	c.mu.Unlock()
-	b.err = shipEntries(ctx, b.queue, entries)
-	close(b.done)
-	return b.err
+	err := shipEntries(ctx, b.queue, b.entries)
+	if done != nil {
+		b.err = err
+		close(done)
+		return err
+	}
+	batches.Put(b)
+	return err
 }
 
 // shipEntries sends entries in ≤10-entry batch calls, stopping at the first

@@ -52,7 +52,7 @@ type FS struct {
 	cfg   Config
 
 	mu       sync.Mutex
-	inflight map[string]chan struct{} // per-path commit completion
+	inflight map[string]chan struct{} // each path's last commit, while it runs
 	errs     []error
 	wg       sync.WaitGroup
 	sem      chan struct{}
@@ -78,14 +78,6 @@ const debtChunk = time.Second
 func (fs *FS) charge(d time.Duration) {
 	fs.debt += d
 	if fs.debt >= debtChunk {
-		fs.env.Compute(fs.debt)
-		fs.debt = 0
-	}
-}
-
-// settleDebt sleeps whatever residual client time remains.
-func (fs *FS) settleDebt() {
-	if fs.debt > 0 {
 		fs.env.Compute(fs.debt)
 		fs.debt = 0
 	}
@@ -202,23 +194,30 @@ func (fs *FS) commit(path string) error {
 	fs.sem <- struct{}{}
 	go func() {
 		defer fs.wg.Done()
-		defer close(done)
-		defer func() { <-fs.sem }()
 		if prev != nil {
 			<-prev
 		}
-		if err := fs.proto.Commit(obj, bundles); err != nil {
-			fs.mu.Lock()
+		err := fs.proto.Commit(obj, bundles)
+		<-fs.sem
+		fs.mu.Lock()
+		if err != nil {
 			fs.errs = append(fs.errs, err)
-			fs.mu.Unlock()
 		}
+		if fs.inflight[path] == done { // no later commit of path has started
+			delete(fs.inflight, path)
+		}
+		fs.mu.Unlock()
+		close(done)
 	}()
 	return nil
 }
 
 // Drain waits for all in-flight commits and returns the first upload error.
 func (fs *FS) Drain() error {
-	fs.settleDebt()
+	if fs.debt > 0 { // sleep the residual client time
+		fs.env.Compute(fs.debt)
+		fs.debt = 0
+	}
 	fs.wg.Wait()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -1,11 +1,14 @@
 package pasfs
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"passcloud/internal/core"
 	"passcloud/internal/pass"
+	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/trace"
 )
@@ -121,5 +124,51 @@ func TestComputeAdvancesClock(t *testing.T) {
 	fs.Apply(trace.Event{Kind: trace.Compute, PID: 1, Dur: 5 * time.Second})
 	if got := dep.Env.Now() - before; got < 5*time.Second {
 		t.Fatalf("compute advanced %v", got)
+	}
+}
+
+// orderedProtocol records the sizes of the mnt/f commits it is handed, in
+// commit order; the first takes a while, so a later one that did not wait
+// for it would overtake it.
+type orderedProtocol struct {
+	stubProtocol
+	mu    sync.Mutex
+	sizes []int64
+}
+
+func (p *orderedProtocol) Commit(obj core.FileObject, _ []prov.Bundle) error {
+	if obj.Path != "mnt/f" {
+		return nil
+	}
+	if obj.Size == 10 {
+		time.Sleep(20 * time.Millisecond)
+	}
+	p.mu.Lock()
+	p.sizes = append(p.sizes, obj.Size)
+	p.mu.Unlock()
+	return nil
+}
+
+// TestAsyncCommitsOfOnePathRunInOrderAndAreForgotten: two closes of one
+// path commit in close order, and once Drain returns no finished commit is
+// still held per path.
+func TestAsyncCommitsOfOnePathRunInOrderAndAreForgotten(t *testing.T) {
+	b := trace.NewBuilder()
+	p := b.Spawn(0, "/bin/gen", "gen")
+	b.Write(p, "mnt/f", 10).Close(p, "mnt/f").Write(p, "mnt/f", 10).Close(p, "mnt/f")
+	b.Write(p, "mnt/g", 10).Close(p, "mnt/g")
+	env := sim.NewEnv(sim.DefaultConfig())
+	proto := &orderedProtocol{}
+	fs := New(env, proto, pass.New(env.Rand(), nil), Config{Collect: true, AsyncCommits: true, MaxInflight: 8})
+	if err := fs.Run(b.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	if got := proto.sizes; !slices.Equal(got, []int64{10, 20}) {
+		t.Fatalf("mnt/f committed sizes %v, want its first close's (10) before its second's (20)", got)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if len(fs.inflight) != 0 {
+		t.Fatalf("after Drain, %d paths still hold a finished commit", len(fs.inflight))
 	}
 }

@@ -62,8 +62,9 @@ type Collector struct {
 	nodes map[prov.Ref]*nodeState
 
 	// edges is the dependency-edge set: every xref any node carries,
-	// regardless of attribute. It answers hasInput in O(1).
-	edges map[edge]struct{}
+	// regardless of attribute, keyed by the two nodes' ids (edgeKey). It
+	// answers hasInput in O(1).
+	edges map[uint64]struct{}
 
 	// gen numbers walks: a node whose seen equals gen was visited by the
 	// current one. order, stack and frames are the walks' reused scratch
@@ -76,13 +77,15 @@ type Collector struct {
 	clock func() time.Duration // start-time attribution for processes
 }
 
-// edge is one dependency edge, from a node to the node it depends on.
-type edge struct{ from, to prov.Ref }
+// edgeKey is the edge set's key for the dependency edge from a node to the
+// node it depends on: their ids, from's in the high half.
+func edgeKey(from, to *nodeState) uint64 { return uint64(from.id)<<32 | uint64(to.id) }
 
 // nodeState is what the collector keeps beside one graph node, allocated
 // with the node itself.
 type nodeState struct {
 	node prov.Node
+	id   uint32 // dense, in creation order
 
 	// parents are the node's distinct parent refs, sorted lazily into the
 	// canonical ref-string order the closure walks visit them in: inserts
@@ -111,7 +114,7 @@ func New(src uuid.Source, clock func() time.Duration) *Collector {
 		procs: make(map[int]*objectState),
 		files: make(map[string]*objectState),
 		nodes: make(map[prov.Ref]*nodeState),
-		edges: make(map[edge]struct{}),
+		edges: make(map[uint64]struct{}),
 		clock: clock,
 	}
 	if c.clock == nil {
@@ -169,7 +172,7 @@ func (c *Collector) Apply(ev trace.Event) error {
 // newNode allocates and inserts a fresh, dirty node version. extra is how
 // many records the caller will add beyond type and name.
 func (c *Collector) newNode(u uuid.UUID, version int, typ prov.ObjectType, name string, extra int) *prov.Node {
-	ns := &nodeState{node: prov.Node{Ref: prov.Ref{UUID: u, Version: version}, Type: typ, Name: name}}
+	ns := &nodeState{node: prov.Node{Ref: prov.Ref{UUID: u, Version: version}, Type: typ, Name: name}, id: uint32(len(c.nodes))}
 	n := &ns.node
 	n.Records = make([]prov.Record, 0, 2+extra)
 	n.Records = append(n.Records, prov.Record{Attr: prov.AttrType, Value: typ.String()})
@@ -194,7 +197,7 @@ func (c *Collector) addXref(from prov.Ref, attr string, to prov.Ref) {
 		panic(fmt.Sprintf("pass: edge from %s, which is missing or recorded", from))
 	}
 	ns.node.Records = append(ns.node.Records, prov.Record{Attr: attr, Xref: to})
-	e := edge{from, to}
+	e := edgeKey(ns, c.nodes[to])
 	if _, dup := c.edges[e]; dup {
 		// A second edge to the same parent under a different attribute
 		// (e.g. execfile plus prev) changes no closure order.
@@ -318,7 +321,7 @@ func (c *Collector) read(pid int, path string) {
 		return // duplicate edge; PASS deduplicates repeated reads
 	}
 	if c.nodes[p.ref].recorded || c.reachable(f.ref, p.ref) {
-		c.bumpProc(p)
+		c.bump(p)
 	}
 	c.addXref(p.ref, prov.AttrInput, f.ref)
 }
@@ -336,33 +339,23 @@ func (c *Collector) write(pid int, path string, n int64) {
 		return // this process version already recorded as writer
 	}
 	if c.nodes[f.ref].recorded || c.reachable(p.ref, f.ref) {
-		c.bumpFile(f)
+		c.bump(f)
 	}
 	c.addXref(f.ref, prov.AttrInput, p.ref)
 }
 
-// bumpProc creates the next version node of a process.
-func (c *Collector) bumpProc(p *objectState) {
-	prev := p.ref
-	p.ref = prov.Ref{UUID: prev.UUID, Version: prev.Version + 1}
-	c.newNode(p.ref.UUID, p.ref.Version, prov.Process, p.name, 2)
-	c.addXref(p.ref, prov.AttrPrevVer, prev)
-}
-
-// bumpFile creates the next version node of a file or pipe.
-func (c *Collector) bumpFile(f *objectState) {
-	prev := f.ref
-	f.ref = prov.Ref{UUID: prev.UUID, Version: prev.Version + 1}
-	c.newNode(f.ref.UUID, f.ref.Version, f.typ, f.name, 2)
-	c.addXref(f.ref, prov.AttrPrevVer, prev)
+// bump creates the next version node of a process, file or pipe.
+func (c *Collector) bump(o *objectState) {
+	prev := o.ref
+	o.ref = prov.Ref{UUID: prev.UUID, Version: prev.Version + 1}
+	c.newNode(o.ref.UUID, o.ref.Version, o.typ, o.name, 2)
+	c.addXref(o.ref, prov.AttrPrevVer, prev)
 }
 
 // hasInput reports whether from already carries a dependency edge to to. It
-// answers from the incremental edge set in O(1); the seed implementation
-// scanned every record of the node per read/write event, which dominated
-// collection time on large traces.
+// answers from the incremental edge set in O(1).
 func (c *Collector) hasInput(from, to prov.Ref) bool {
-	_, ok := c.edges[edge{from, to}]
+	_, ok := c.edges[edgeKey(c.nodes[from], c.nodes[to])]
 	return ok
 }
 
@@ -459,7 +452,7 @@ func (c *Collector) PendingFor(path string) []prov.Bundle {
 	for v++; v <= st.ref.Version; v++ {
 		roots = append(roots, prov.Ref{UUID: st.ref.UUID, Version: v})
 	}
-	return c.closure(roots)
+	return c.bundles(c.walkAncestorsFirst(roots, true))
 }
 
 // TakePending is PendingFor with the bundles it returns marked recorded, as
@@ -522,12 +515,6 @@ func (c *Collector) fullClosure(path string) []prov.Ref {
 		}
 	}
 	return c.walkAncestorsFirst(roots, false)
-}
-
-// closure expands roots with their unrecorded ancestors in topological
-// (ancestors-first) order.
-func (c *Collector) closure(roots []prov.Ref) []prov.Bundle {
-	return c.bundles(c.walkAncestorsFirst(roots, true))
 }
 
 // bundles returns the nodes of order as bundles sharing the graph's records.

@@ -86,6 +86,22 @@ func TestAllocCeilings(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = ItemDigest(attrs) }); n != 1 {
 		t.Errorf("ItemDigest allocates %v times, want 1", n)
 	}
+	// Ingest sorts a notice's items in the log's reused scratch: a notice
+	// whose transactions are all logged already allocates only each item's
+	// digest and the leaf items array.
+	env := sim.NewEnv(sim.DefaultConfig())
+	l := New(env, store.New(env), "")
+	var n core.CommitNotice
+	for i := byte(0); i < 4; i++ {
+		n.Txns = append(n.Txns, uuid.UUID{i})
+		for j := byte(0); j < 3; j++ {
+			n.Items = append(n.Items, core.NoticeItem{Txn: uuid.UUID{i}, Name: uuid.UUID{i, j}.String() + "_1", Attrs: attrs})
+		}
+	}
+	l.Ingest(n)
+	if got, want := testing.AllocsPerRun(100, func() { l.Ingest(n) }), float64(len(n.Items)+1); got != want {
+		t.Errorf("Ingest of a logged notice of %d items allocates %v times, want %v", len(n.Items), got, want)
+	}
 }
 
 // benchAttrs is the attribute set of a client-path file item.

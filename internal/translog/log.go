@@ -232,6 +232,7 @@ type Log struct {
 	hashes []merkle.Digest
 	byTxn  map[uuid.UUID]int
 	busSeq int64
+	tagged []taggedItem // Ingest's scratch
 
 	// Durability cursors: each advances only after its Checkpoint stage is
 	// durable, so roll-forward after a crash re-runs exactly the stages

@@ -36,13 +36,15 @@ func (l *Log) Ingest(n core.CommitNotice) {
 	if len(n.Txns) == 0 {
 		return
 	}
+	now := l.env.Now().Nanoseconds()
+	l.mu.Lock()
 	// Attribute the notice's items to their transactions with one stable
-	// sort by (txn, name): each transaction's items become one run of a
-	// single array, already in the leaf's canonical order (by name,
-	// independent of put order).
-	tagged := make([]taggedItem, len(n.Items))
-	for i, it := range n.Items {
-		tagged[i] = taggedItem{txn: it.Txn, item: LeafItem{Name: it.Name, Digest: ItemDigest(it.Attrs)}}
+	// sort by (txn, name), in the log's reused scratch: each transaction's
+	// items become one run of a single array, already in the leaf's
+	// canonical order (by name, independent of put order).
+	tagged := l.tagged[:0]
+	for _, it := range n.Items {
+		tagged = append(tagged, taggedItem{txn: it.Txn, item: LeafItem{Name: it.Name, Digest: ItemDigest(it.Attrs)}})
 	}
 	slices.SortStableFunc(tagged, func(a, b taggedItem) int {
 		if c := bytes.Compare(a.txn[:], b.txn[:]); c != 0 {
@@ -54,9 +56,6 @@ func (l *Log) Ingest(n core.CommitNotice) {
 	for i, t := range tagged {
 		items[i] = t.item
 	}
-	now := l.env.Now().Nanoseconds()
-
-	l.mu.Lock()
 	appended := 0
 	for i, txn := range n.Txns {
 		if _, dup := l.byTxn[txn]; dup {
@@ -89,6 +88,7 @@ func (l *Log) Ingest(n core.CommitNotice) {
 	if n.Seq > l.busSeq {
 		l.busSeq = n.Seq
 	}
+	l.tagged = tagged
 	l.mu.Unlock()
 	if appended > 0 {
 		l.env.Meter().AddLogAppends(int64(appended))
