@@ -100,7 +100,7 @@ func TestPagedSlabKeepsSpansAndOrder(t *testing.T) {
 				}
 			}
 		})
-		all, _, _, err := d.SelectAllQuery(Query{Domain: "prov"})
+		all, _, _, err := d.drainAll(Query{Domain: "prov"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,18 +26,17 @@ import (
 const unknownCost = 1 << 30
 
 // missingTag marks a candidate that is an itemName() value the item table
-// does not hold, indexing Domain.missing: examined, and observed absent.
+// does not hold, indexing candidates.missing: examined, and observed absent.
 const missingTag = 1 << 31
 
-// planCache memoizes one predicate's candidates (Domain.lastPlan) so a
-// paginated drain resolves its access path once, not once per page. Any
-// write or reap bumps the domain's generation and invalidates it; holding
-// the predicate keeps its address from being reused.
-type planCache struct {
-	where   *Node
+// candidates is one read's plan, which the Result being drained holds: its
+// pages re-plan only once a write or a reap has moved the generation, gen.
+type candidates struct {
+	ids     []uint32 // in name order, each once
+	missing []string // the itemName() values the item table lacks
 	gen     uint64
-	ids     []uint32
-	indexed bool
+	planned bool // ids, missing and indexed hold a plan made at gen
+	indexed bool // an index serves the predicate; false: the caller scans
 }
 
 // leaf is what the plan collects for a span predicate, or for one =/IN
@@ -49,17 +48,21 @@ type leaf struct {
 	p    postings
 }
 
-// planLocked returns where's candidates (scratch, valid until the next
-// plan), or ok=false when no index serves it and the caller must scan. Must
-// run with d.mu held.
-func (d *Domain) planLocked(where *Node) ([]uint32, bool) {
-	if c := d.lastPlan; c.where == where && c.gen == d.gen {
+// planLocked returns where's candidates, resolving them into c unless c
+// holds them at the domain's generation, or ok=false when no index serves
+// where and the caller must scan. c must hold no other predicate's plan
+// (Result.Reset forgets it). Must run with d.mu held.
+func (d *Domain) planLocked(where *Node, c *candidates) ([]uint32, bool) {
+	if c.planned && c.gen == d.gen {
 		return c.ids, c.indexed
 	}
-	d.leaves, d.missing = d.leaves[:0], d.missing[:0]
-	_, ok := d.resolveLocked(where)
-	ids := d.lastPlan.ids[:0] // the scratch the last plan used
+	d.leaves, c.missing = d.leaves[:0], c.missing[:0]
+	bound, ok := d.resolveLocked(where, c)
+	ids := c.ids[:0]
 	if ok {
+		if bound < unknownCost { // the leaves' ids, repeats included: one allocation
+			ids = slices.Grow(ids, bound)
+		}
 		for _, l := range d.leaves {
 			if l.span != nil {
 				ids = d.collectSpanLocked(l.span, ids)
@@ -67,22 +70,23 @@ func (d *Domain) planLocked(where *Node) ([]uint32, bool) {
 				ids = l.ix.appendIDs(ids, &l.p)
 			}
 		}
-		ids = d.orderLocked(ids)
+		ids = d.orderLocked(ids, c)
 	}
-	d.lastPlan = planCache{where: where, gen: d.gen, ids: ids, indexed: ok}
+	*c = candidates{ids: ids, missing: c.missing, gen: d.gen, planned: true, indexed: ok}
 	return ids, ok
 }
 
 // resolveLocked appends n's leaves to d.leaves, an AND keeping only its
-// cheaper branch's (the left on a tie), and returns an upper bound on n's
-// candidates and whether n is index-servable.
-func (d *Domain) resolveLocked(n *Node) (int, bool) {
+// cheaper branch's (the left on a tie), and the itemName() values the item
+// table lacks to c.missing, and returns an upper bound on n's candidates
+// and whether n is index-servable.
+func (d *Domain) resolveLocked(n *Node, c *candidates) (int, bool) {
 	switch n.op {
 	case "and":
 		mark := len(d.leaves)
-		lc, lok := d.resolveLocked(n.left)
+		lc, lok := d.resolveLocked(n.left, c)
 		mid := len(d.leaves)
-		rc, rok := d.resolveLocked(n.right)
+		rc, rok := d.resolveLocked(n.right, c)
 		if rok && (!lok || rc < lc) {
 			d.leaves = slices.Delete(d.leaves, mark, mid)
 			return rc, true
@@ -90,13 +94,13 @@ func (d *Domain) resolveLocked(n *Node) (int, bool) {
 		d.leaves = d.leaves[:mid]
 		return lc, lok
 	case "or":
-		lc, lok := d.resolveLocked(n.left)
-		rc, rok := d.resolveLocked(n.right)
+		lc, lok := d.resolveLocked(n.left, c)
+		rc, rok := d.resolveLocked(n.right, c)
 		return lc + rc, lok && rok
 	case "=":
-		return d.resolveEqLocked(n.attr, n.value), true
+		return d.resolveEqLocked(c, n.attr, n.value), true
 	case "in":
-		return d.resolveEqLocked(n.attr, n.values...), true
+		return d.resolveEqLocked(c, n.attr, n.values...), true
 	case "like", ">", ">=", "<", "<=":
 		if _, ok := likePrefix(n.value); n.op == "like" && !ok {
 			return 0, false
@@ -111,13 +115,13 @@ func (d *Domain) resolveLocked(n *Node) (int, bool) {
 // resolveEqLocked resolves each equality value to a leaf and returns their
 // candidate count: the distinct items carrying each, or one per itemName()
 // value, held or not (existence and visibility are checked by observe).
-func (d *Domain) resolveEqLocked(attr string, values ...string) (total int) {
+func (d *Domain) resolveEqLocked(c *candidates, attr string, values ...string) (total int) {
 	ix := d.idx[attr]
 	for _, v := range values {
 		if attr == ItemNameKey {
 			id, held, _ := d.items.lookup(v)
 			if !held {
-				id, d.missing = missingTag|uint32(len(d.missing)), append(d.missing, v)
+				id, c.missing = missingTag|uint32(len(c.missing)), append(c.missing, v)
 			}
 			d.leaves = append(d.leaves, leaf{p: postings{one: id, distinct: 1}})
 			total++
@@ -154,18 +158,18 @@ func (d *Domain) collectSpanLocked(n *Node, ids []uint32) []uint32 {
 	return ids
 }
 
-// candName returns the name of candidate c.
-func (d *Domain) candName(c uint32) string {
-	if c&missingTag != 0 {
-		return d.missing[c&^missingTag]
+// name returns the name of candidate id, one of c's or a held item's.
+func (c *candidates) name(d *Domain, id uint32) string {
+	if id&missingTag != 0 {
+		return c.missing[id&^missingTag]
 	}
-	return d.items.str(c)
+	return d.items.str(id)
 }
 
 // orderLocked puts ids, repeats included (an IN's postings and an OR's
 // branches may overlap), into name order, each once.
-func (d *Domain) orderLocked(ids []uint32) []uint32 {
-	byName := func(a, b uint32) int { return strings.Compare(d.candName(a), d.candName(b)) }
+func (d *Domain) orderLocked(ids []uint32, c *candidates) []uint32 {
+	byName := func(a, b uint32) int { return strings.Compare(c.name(d, a), c.name(d, b)) }
 	slices.SortFunc(ids, byName)
 	return slices.CompactFunc(ids, func(a, b uint32) bool { return byName(a, b) == 0 })
 }

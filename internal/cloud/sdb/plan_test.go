@@ -23,7 +23,7 @@ func TestInPredicate(t *testing.T) {
 		t.Fatalf("in result = %v", items)
 	}
 	// Programmatic form is equivalent.
-	items2, _, _, err := d.SelectAllQuery(Query{Domain: "prov", ItemOnly: true, Where: In("input", "x_1", "z_1")})
+	items2, _, _, err := d.drainAll(Query{Domain: "prov", ItemOnly: true, Where: In("input", "x_1", "z_1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +315,9 @@ func TestPlanOverlappingPostings(t *testing.T) {
 			}
 		}
 		slices.Sort(want)
+		var c candidates
 		d.mu.Lock()
-		ids, ok := d.planLocked(p)
+		ids, ok := d.planLocked(p, &c)
 		var got []string
 		for _, id := range ids {
 			got = append(got, d.items.str(id))
@@ -325,7 +326,7 @@ func TestPlanOverlappingPostings(t *testing.T) {
 		if !ok || !slices.Equal(got, want) {
 			t.Fatalf("%v: candidates %v (indexed %v), want %v", p, got, ok, want)
 		}
-		items, _, _, err := d.SelectAllQuery(Query{Domain: d.Name(), ItemOnly: true, Where: p})
+		items, _, _, err := d.drainAll(Query{Domain: d.Name(), ItemOnly: true, Where: p})
 		if err != nil || len(items) != len(want) {
 			t.Fatalf("%v: %d items, err=%v, want %d", p, len(items), err, len(want))
 		}
@@ -406,5 +407,56 @@ func TestPlanPricingPinned(t *testing.T) {
 			t.Errorf("%s: examined %d, tokens %q, names %q, advance %v; want %d, %q, %q, %v",
 				c.expr, examined, tokens, names, advance, c.examined, c.tokens, c.names, c.advance)
 		}
+	}
+}
+
+// TestRewrittenPredicateReplans: In keeps the caller's values, so a caller
+// may rewrite them in place between two drains of one query. Each drain
+// plans into its own Result, and a drain into a reused Result forgets the
+// last plan, so the second drain finds what the rewritten predicate
+// matches although no write moved the generation between them: on one
+// domain, and through a K=2 scatter, whose shards each plan into their own
+// buffer.
+func TestRewrittenPredicateReplans(t *testing.T) {
+	puts := []PutRequest{
+		{Item: "a_1", Attrs: []Attr{{Name: "input", Value: "x_1"}}},
+		{Item: "b_1", Attrs: []Attr{{Name: "input", Value: "y_1"}}},
+	}
+	for _, c := range []struct {
+		attr          string
+		first, second string
+	}{
+		{"input", "x_1", "y_1"},
+		{ItemNameKey, "a_1", "b_1"},
+		{ItemNameKey, "zz_1", "b_1"}, // a name the domain lacks, then one it holds
+	} {
+		d := strictDomain(t)
+		s := newSet(t, 2)
+		if err := d.BatchPutAttributes(puts); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BatchPutAttributes(puts); err != nil {
+			t.Fatal(err)
+		}
+		v, release := s.AcquireView()
+		for _, read := range []struct {
+			name  string
+			drain func(Query, *Result) error
+		}{{"domain", d.Drain}, {"K=2", v.Drain}} {
+			vals := []string{c.first}
+			q := Query{Domain: "prov", ItemOnly: true, Where: In(c.attr, vals...)}
+			var r Result
+			if err := read.drain(q, &r); err != nil {
+				t.Fatal(err)
+			}
+			vals[0] = c.second
+			if err := read.drain(q, &r); err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Items) != 1 || r.Items[0].Name != "b_1" {
+				t.Errorf("%s %s in (%s → %s): second drain %v, want [b_1]", read.name, c.attr, c.first, c.second, r.Items)
+			}
+		}
+		release()
 	}
 }

@@ -18,7 +18,7 @@ func scatterAll(t *testing.T, v *DomainView, q Query) ([]Item, int) {
 	for _, d := range v.shards {
 		sq := q
 		sq.Domain = d.Name()
-		items, reqs, _, err := d.SelectAllQuery(sq)
+		items, reqs, _, err := d.drainAll(sq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func (m migration) begin() { m.s.BeginMigration(m.k) }
 func (m migration) copyAndCutover() {
 	v := m.s.View()
 	for _, d := range v.shards {
-		items, _, _, err := d.SelectAllQuery(Query{Domain: d.Name(), Consistent: true})
+		items, _, _, err := d.drainAll(Query{Domain: d.Name(), Consistent: true})
 		if err != nil {
 			m.t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func (m migration) copyAndCutover() {
 func (m migration) gc() {
 	v := m.s.View()
 	for i, d := range v.shards {
-		items, _, _, err := d.SelectAllQuery(Query{Domain: d.Name(), ItemOnly: true, Consistent: true})
+		items, _, _, err := d.drainAll(Query{Domain: d.Name(), ItemOnly: true, Consistent: true})
 		if err != nil {
 			m.t.Fatal(err)
 		}

@@ -25,12 +25,8 @@
 // per version, and each attribute's postings. None of them holds a pointer:
 // what only a few items have — an older version an overwrite keeps for a
 // while, the item list of a value several items share — lives out of line.
-// A SELECT writes its page straight into the caller's [Result]: an item
-// slab and an attribute slab whose strings view the stored bytes, so
-// nothing aliases domain state. A drain keeps appending across pages, and a
-// caller that drains again into the same Result reuses its storage; what a
-// drain returned is the caller's until it drains into that Result again or
-// resets it, and no longer.
+// A SELECT writes its page straight into the caller's [Result], which also
+// holds the read's plan: a domain keeps no state of any one read.
 package sdb
 
 import (
@@ -144,10 +140,8 @@ type Domain struct {
 	attrs     []*attrIndex          // the same indexes by attribute id
 	putBuf    []pair                // a put's new version, staged
 	forceScan bool                  // tests only: walk the item table, the indexes' reference
-	gen       uint64                // write generation; invalidates cached plans
-	lastPlan  planCache             // resolved candidates of the latest query
+	gen       uint64                // write generation; a plan made at another is stale
 	leaves    []leaf                // the planner's scratch: resolved leaves
-	missing   []string              // and itemName() values the item table lacks
 }
 
 // New creates an empty domain.
@@ -503,7 +497,7 @@ func (d *Domain) reapLocked(now time.Duration) {
 	}
 	if len(reaped) > 0 {
 		d.items.remove(reaped...)
-		d.gen++ // cached plans may list the reaped ids, which intern reuses
+		d.gen++ // a plan may list the reaped ids, which intern reuses
 	}
 }
 
@@ -515,28 +509,31 @@ func (d *Domain) reapLocked(now time.Duration) {
 // changes. A Result is reusable: a drain into it replaces what it held in
 // the storage the last one left, so the items and the slabs behind them are
 // the caller's until the next drain into the same Result or its Reset, and
-// no longer; a caller keeps the strings, never the slices.
+// no longer; a caller keeps the strings, never the slices. The pages of one
+// drain share its plan (plan.go), which nothing else reads.
 type Result struct {
 	Items     []Item
 	NextToken string
 	Requests  int // SELECT requests made
 	Bytes     int // response payload moved
 
-	attrs []Attr    // the slab Items' attributes are cut from
-	err   error     // a scatter shard's drain error
-	plan  []target  // the shards a scatter asks
-	subs  []*Result // a scatter's per-shard buffers, in plan order
+	attrs   []Attr     // the slab Items' attributes are cut from
+	plan    candidates // the drain's candidates on one domain
+	err     error      // a scatter shard's drain error
+	targets []target   // the shards a scatter asks
+	subs    []*Result  // a scatter's per-shard buffers, in targets order
 }
 
 // Reset empties r for reuse, zeroing everything it held so that a slice a
 // caller kept past its drain reads empty strings rather than another
-// drain's items; the storage stays for the next drain.
+// drain's items; its plan goes, its storage stays for the next drain.
 func (r *Result) Reset() {
 	clear(r.Items)
 	clear(r.attrs)
-	clear(r.plan)
-	r.Items, r.attrs, r.plan = r.Items[:0], r.attrs[:0], r.plan[:0]
+	clear(r.targets)
+	r.Items, r.attrs, r.targets = r.Items[:0], r.attrs[:0], r.targets[:0]
 	r.NextToken, r.Requests, r.Bytes, r.err = "", 0, 0, nil
+	r.plan = candidates{ids: r.plan.ids[:0], missing: r.plan.missing[:0]}
 	for _, sub := range r.subs {
 		sub.Reset()
 	}
@@ -546,8 +543,6 @@ func (r *Result) Reset() {
 // constructors in select.go) returning one page. Callers that issue the
 // same query shape repeatedly — BFS traversals rebinding IN values per
 // level — reuse one Query instead of formatting and reparsing expressions.
-// A call whose Where is the last call's, with no write between, reuses its
-// resolved candidates, as a drain does across its pages.
 func (d *Domain) SelectQuery(q Query, nextToken string) (Result, error) {
 	var r Result
 	if q.Domain != d.name {
@@ -557,18 +552,16 @@ func (d *Domain) SelectQuery(q Query, nextToken string) (Result, error) {
 	return r, err
 }
 
-// selectPage streams one page of q, where in place of q.Where, into r from
-// its access path: the planner's index candidates when a secondary index
-// serves the predicate, the sorted name table otherwise. Either way items
-// are visited in ascending name order, resuming from the continuation
-// token, and only the emitted page is copied out of the store.
+// selectPage streams one page of q, where in place of q.Where, into r.
 func (d *Domain) selectPage(q *Query, where *Node, nextToken string, r *Result) error {
 	return d.ep.Do(func() error { return d.selectPageOnce(q, where, nextToken, r) })
 }
 
 // selectPageOnce is one service attempt of a SELECT page, appended to r's
-// items and attribute slab and counted in its requests and bytes. A
-// rejected attempt writes nothing.
+// items and attribute slab and counted in its requests and bytes, from its
+// access path: the planner's candidates when an index serves the predicate,
+// the sorted name table otherwise. Either way items are visited in name
+// order from the continuation token. A rejected attempt writes nothing.
 func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string, r *Result) error {
 	if ferr, _ := d.ep.Fault(sim.OpSDBSelect); ferr != nil {
 		return ferr
@@ -587,14 +580,14 @@ func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string, r *Resu
 	// The planner's candidates, or else every held id: ids in name order.
 	ids, indexed := []uint32(nil), false
 	if where != nil && !d.forceScan {
-		ids, indexed = d.planLocked(where)
+		ids, indexed = d.planLocked(where, &r.plan)
 	}
 	if !indexed {
 		ids = d.items.sorted()
 	}
 	// Skip directly past the continuation token.
-	start := sort.Search(len(ids), func(i int) bool { return d.candName(ids[i]) >= nextToken })
-	if start < len(ids) && d.candName(ids[start]) == nextToken {
+	start := sort.Search(len(ids), func(i int) bool { return r.plan.name(d, ids[i]) >= nextToken })
+	if start < len(ids) && r.plan.name(d, ids[start]) == nextToken {
 		start++
 	}
 	// Each emitted item and its projected attributes go straight into r;
@@ -657,21 +650,20 @@ func (d *Domain) selectPageOnce(q *Query, where *Node, nextToken string, r *Resu
 	return nil
 }
 
-// SelectAllQuery drains every page of a programmatically built query into
-// a fresh Result, whose items the caller owns outright.
-func (d *Domain) SelectAllQuery(q Query) (items []Item, requests int, bytes int, err error) {
+// Drain drains every page of a programmatically built query into r,
+// replacing what r held, with DomainView.Drain's contract: r.Items views
+// r's storage, which the next drain into r reuses (see Result for how long).
+func (d *Domain) Drain(q Query, r *Result) error {
+	r.Reset()
 	if q.Domain != d.name {
-		return nil, 0, 0, fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
+		return fmt.Errorf("sdb: unknown domain %q in select", q.Domain)
 	}
-	var r Result
-	if err := d.drain(&q, q.Where, &r); err != nil {
-		return nil, r.Requests, r.Bytes, err
-	}
-	return r.Items, r.Requests, r.Bytes, nil
+	return d.drain(&q, q.Where, r)
 }
 
 // drain appends every page of q, where in place of q.Where, to r: one page
-// after another into the same slabs.
+// after another into the same slabs, planned once into r unless a write
+// moves the generation between pages. r holds no other read's plan.
 func (d *Domain) drain(q *Query, where *Node, r *Result) error {
 	for {
 		if err := d.selectPage(q, where, r.NextToken, r); err != nil || r.NextToken == "" {

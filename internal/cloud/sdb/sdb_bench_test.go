@@ -120,12 +120,12 @@ func selectDomain(b *testing.B) (*Domain, int) {
 // BenchmarkSelectEq resolves one `name = path` equality per operation: the
 // 63 versions of one file, looked up once and sorted by name as ids, which
 // the page walk reads records by. The page goes into a fresh Result, its
-// item slab sized once by the candidates and its attribute slab holding the
-// predicate's scratch, and the planner works in the domain's scratch, so it
-// costs ≈3.2 KB and 5 allocs/op (≈2.8 KB and 3 while the domain lent its own
-// page scratch and copied the page out, ≈3.8 KB and 4 while the candidates
-// were a fresh slice of names, ≈7.0 KB and 11 while each item was its own
-// allocation).
+// item slab sized once by the candidates, its attribute slab holding the
+// predicate's scratch and its candidates sized once by the postings, so it
+// costs ≈3.4 KB and 6 allocs/op (≈3.2 KB and 5 while the domain held the
+// candidates, ≈2.8 KB and 3 while it also lent its own page scratch and
+// copied the page out, ≈3.8 KB and 4 while the candidates were a fresh
+// slice of names, ≈7.0 KB and 11 while each item was its own allocation).
 func BenchmarkSelectEq(b *testing.B) {
 	d, txns := selectDomain(b)
 	q := Query{Domain: d.Name(), ItemOnly: true, Where: Eq("name", "")}
@@ -143,9 +143,10 @@ func BenchmarkSelectEq(b *testing.B) {
 
 // BenchmarkSelectIn resolves one 20-ref `input IN (...)` per operation, the
 // shape a descendants level issues: every file version under 20 processes,
-// 1,260 candidate ids in name order. ≈59 KB and 47 allocs/op (≈79 KB and 46
-// while the candidates were names, ≈177 KB and 58 before the page slabs),
-// most of the allocs the benchmark's own 20 rendered refs.
+// 1,260 candidate ids in name order, which the fresh Result holds. ≈64 KB
+// and 48 allocs/op (≈59 KB and 47 while the domain held the candidates,
+// ≈79 KB and 46 while they were names, ≈177 KB and 58 before the page
+// slabs), most of the allocs the benchmark's own 20 rendered refs.
 func BenchmarkSelectIn(b *testing.B) {
 	const refs = 20
 	d, txns := selectDomain(b)
@@ -171,7 +172,7 @@ func BenchmarkSelectIn(b *testing.B) {
 // `input IN (...)` a descendants level issues, /or unions it with a
 // `name = path` equality whose 63 file versions it overlaps. Each value is
 // looked up once, and the 1,260 candidates are item ids, sorted in place by
-// name (0 allocs/op).
+// name into storage the last run left (0 allocs/op).
 func BenchmarkPlan(b *testing.B) {
 	const refs, items = 20, 10_000
 	d := benchDomain()
@@ -193,11 +194,12 @@ func BenchmarkPlan(b *testing.B) {
 		{"or", Or(In("input", vals...), Eq("name", fmt.Sprintf("mnt/bulk/r0/%06d", 0))), refs * (benchBundles - 1)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			var cands candidates
 			b.ReportAllocs()
 			for b.Loop() {
+				cands.planned = false // plan afresh
 				d.mu.Lock()
-				d.gen++ // plan afresh
-				ids, ok := d.planLocked(c.pred)
+				ids, ok := d.planLocked(c.pred, &cands)
 				d.mu.Unlock()
 				if !ok || len(ids) != c.want {
 					b.Fatalf("%d candidates (indexed %v), want %d", len(ids), ok, c.want)

@@ -537,7 +537,7 @@ func TestEqualValuesStoredOnce(t *testing.T) {
 		}
 		got = append(got, envOf(it))
 	}
-	items, _, _, err := d.SelectAllQuery(Query{Domain: d.Name(), Where: Eq("env", env)})
+	items, _, _, err := d.drainAll(Query{Domain: d.Name(), Where: Eq("env", env)})
 	if err != nil || len(items) != 2 {
 		t.Fatalf("select by env: %d items, err=%v; want 2", len(items), err)
 	}
@@ -567,7 +567,7 @@ func TestEqualValuesStoredOnce(t *testing.T) {
 	if err := d.PutAttributes(PutRequest{Item: "i3", Attrs: []Attr{{Name: "env", Value: fresh()}}}); err != nil {
 		t.Fatal(err)
 	}
-	items, _, _, err = d.SelectAllQuery(Query{Domain: d.Name(), Where: Eq("env", env)})
+	items, _, _, err = d.drainAll(Query{Domain: d.Name(), Where: Eq("env", env)})
 	if err != nil || len(items) != 1 || items[0].Name != "i3" || envOf(items[0]) != env {
 		t.Fatalf("select after re-put: %v, err=%v; want i3", items, err)
 	}
@@ -591,7 +591,15 @@ func (d *Domain) SelectAll(expr string) (items []Item, requests int, bytes int, 
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return d.SelectAllQuery(q)
+	return d.drainAll(q)
+}
+
+// drainAll drains q from d into a fresh Result, whose items the caller
+// owns outright.
+func (d *Domain) drainAll(q Query) (items []Item, requests int, bytes int, err error) {
+	var r Result
+	err = d.Drain(q, &r)
+	return r.Items, r.Requests, r.Bytes, err
 }
 
 // SelectAll drains a SELECT expression into a fresh Result.

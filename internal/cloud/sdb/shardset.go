@@ -245,8 +245,8 @@ func (n *Node) with(old, repl *Node) *Node {
 
 // Drain drains q into r, replacing what r held, against the shards targets
 // names, and merges their items by name into the canonical single-domain
-// order; request and byte counts are summed. Each shard drains into a
-// buffer of its own inside r, which r reuses on the next drain, and r.Items
+// order; request and byte counts are summed. Each shard drains, and plans,
+// into a buffer of its own inside r, which r reuses on the next drain; r.Items
 // views those buffers (see Result for how long). On a live clock the shards
 // drain concurrently, so a scatter costs its slowest shard. On the manual
 // clock parallel sleeps add up however the drains interleave, so the caller
@@ -256,12 +256,12 @@ func (n *Node) with(old, repl *Node) *Node {
 // returned.
 func (v *DomainView) Drain(q Query, r *Result) error {
 	r.Reset()
-	plan, err := v.targets(&q, r.plan)
+	ts, err := v.targets(&q, r.targets)
 	if err != nil {
 		return err
 	}
-	r.plan = plan
-	for len(r.subs) < len(plan) {
+	r.targets = ts
+	for len(r.subs) < len(ts) {
 		r.subs = append(r.subs, new(Result))
 	}
 	// Each per-shard drain is hedged: if the shard straggles (a
@@ -277,28 +277,28 @@ func (v *DomainView) Drain(q Query, r *Result) error {
 		// An attempt may outlive the scatter (a hedge's loser runs on), so
 		// it reads a copy of the query of its own.
 		live := q
-		par.ForEach(len(plan), len(plan), func(i int) error {
-			d, where, sub := v.shards[plan[i].shard], plan[i].where, r.subs[i]
+		par.ForEach(len(ts), len(ts), func(i int) error {
+			d, where, sub := v.shards[ts[i].shard], ts[i].where, r.subs[i]
 			r.subs[i], _ = resilient.Hedged(res, d.Name(), func(hedge bool) (*Result, error) {
 				return d.drainShard(&live, where, sub, hedge)
 			})
 			return nil
 		})
 	} else {
-		for i, t := range plan {
+		for i, t := range ts {
 			d, sub := v.shards[t.shard], r.subs[i]
 			r.subs[i], _ = resilient.HedgedManual(res, d.Name(), func(hedge bool) (*Result, error) {
 				return d.drainShard(&q, t.where, sub, hedge)
 			})
 		}
 	}
-	for _, sub := range r.subs[:len(plan)] {
+	for _, sub := range r.subs[:len(ts)] {
 		if sub.err != nil {
 			return sub.err
 		}
 		r.Items, r.Requests, r.Bytes = append(r.Items, sub.Items...), r.Requests+sub.Requests, r.Bytes+sub.Bytes
 	}
-	if len(plan) > 1 {
+	if len(ts) > 1 {
 		r.Items = mergeByName(r.Items)
 	}
 	return nil
@@ -322,7 +322,7 @@ func (d *Domain) drainShard(q *Query, where *Node, sub *Result, hedge bool) (*Re
 // drained in shard order — the continuation token names the shard the next
 // page reads — so pages arrive shard-grouped rather than globally
 // name-ordered; callers needing the canonical order (or migration-window
-// dedup) use Drain or SelectAllQuery.
+// dedup) use Drain.
 func (v *DomainView) Select(expr, nextToken string) (Result, error) {
 	var page Result
 	q, err := ParseSelect(expr)

@@ -19,7 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -293,16 +293,19 @@ func (s *Store) listOnce(prefix, marker string, max int) (ListPage, error) {
 	now := s.env.Now()
 	s.mu.Lock()
 	var keys []string
-	for k := range s.keys {
-		if !strings.HasPrefix(k, prefix) || k <= marker {
-			continue
-		}
-		if v := s.observe(k, now); v != nil && !v.deleted {
+	for k, h := range s.keys {
+		// A delete every replica sees takes no draw, so it is left out here.
+		if strings.HasPrefix(k, prefix) && k > marker && !(h.last.deleted && h.last.visibleAt <= now) {
 			keys = append(keys, k)
 		}
 	}
+	// Observed in name order, so the seed decides which key each draw is for.
+	slices.Sort(keys)
+	keys = slices.DeleteFunc(keys, func(k string) bool {
+		v := s.observe(k, now)
+		return v == nil || v.deleted
+	})
 	s.mu.Unlock()
-	sort.Strings(keys)
 	page := ListPage{}
 	if len(keys) > max {
 		page.Keys = keys[:max]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -193,6 +194,40 @@ func TestListPrefixAndPagination(t *testing.T) {
 	for i := 1; i < len(keys); i++ {
 		if keys[i-1] >= keys[i] {
 			t.Fatal("LIST results not sorted")
+		}
+	}
+}
+
+// TestListIsDecidedBySeed: a LIST inside the staleness window draws, for
+// each key, which replica it reads. Same-seed stores list the same keys and
+// leave the random stream at the same point, because the keys are observed
+// in name order, not in the map's order.
+func TestListIsDecidedBySeed(t *testing.T) {
+	var first []string
+	var next float64
+	for run := range 20 {
+		s := New(sim.NewEnv(sim.DefaultConfig()))
+		for i := range 40 {
+			if err := s.Put(fmt.Sprintf("k%02d", i), []byte("v"), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 40; i += 2 {
+			if err := s.Delete(fmt.Sprintf("k%02d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keys, _, err := s.ListAll("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		draw := s.env.Rand().Float64()
+		if run == 0 {
+			first, next = keys, draw
+			continue
+		}
+		if !slices.Equal(keys, first) || draw != next {
+			t.Fatalf("run %d listed %q then drew %v; run 0 listed %q then drew %v", run, keys, draw, first, next)
 		}
 	}
 }

@@ -642,14 +642,13 @@ func AuditFabric(d *Deployment) (misplaced, duplicates int, err error) {
 	}
 	epoch := d.DB.Directory().Active()
 	seen := make(map[string]int)
+	var r sdb.Result // each shard's drain replaces the last's; seen keeps the names
 	for s := 0; s < d.DB.Shards(); s++ {
 		dom := d.DB.Shard(s)
-		q := sdb.Query{Domain: dom.Name(), ItemOnly: true, Consistent: true}
-		items, _, _, err := dom.SelectAllQuery(q)
-		if err != nil {
+		if err := dom.Drain(sdb.Query{Domain: dom.Name(), ItemOnly: true, Consistent: true}, &r); err != nil {
 			return 0, 0, err
 		}
-		for _, it := range items {
+		for _, it := range r.Items {
 			if epoch.Route(sdb.RouteKey(it.Name)) != s {
 				misplaced++
 			}

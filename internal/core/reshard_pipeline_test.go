@@ -172,12 +172,12 @@ func TestReshardGCBatchesPerPage(t *testing.T) {
 	// of it examines only what it still owns.
 	old := dep.DB.Shard(0)
 	x0 := dep.Env.Meter().Usage().ItemsExamined
-	items, _, _, err := old.SelectAllQuery(sdb.Query{Domain: old.Name(), ItemOnly: true})
-	if err != nil {
+	var r sdb.Result
+	if err := old.Drain(sdb.Query{Domain: old.Name(), ItemOnly: true}, &r); err != nil {
 		t.Fatal(err)
 	}
-	if examined := dep.Env.Meter().Usage().ItemsExamined - x0; examined != int64(len(items)) {
-		t.Errorf("old shard scan examined %d names for %d live items: GC'd names still held", examined, len(items))
+	if examined := dep.Env.Meter().Usage().ItemsExamined - x0; examined != int64(len(r.Items)) {
+		t.Errorf("old shard scan examined %d names for %d live items: GC'd names still held", examined, len(r.Items))
 	}
 }
 

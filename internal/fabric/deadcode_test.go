@@ -82,6 +82,87 @@ func TestNoTestOnlyCode(t *testing.T) {
 	}
 }
 
+// benchmarkOnlyAllowlist names the root-module declarations that only the
+// benchmark module reaches, each with the benchmark call site that keeps it.
+// benchmark/ is a module of its own, which a change to the root may not edit
+// in the same commit, so these wait for a benchmark change to drop the call.
+// TestBenchmarkOnlyAPI fails on an entry that names nothing, that
+// production code already reaches or that benchmark/ no longer reaches, so
+// the list can only shrink.
+var benchmarkOnlyAllowlist = []string{
+	"passcloud/internal/cloud/sdb.DomainSet.Select",          // wl_query_mix.go:126, and with it the SELECT parser
+	"passcloud/internal/cloud/sdb.DomainSet.SelectAllRouted", // probes.go:379
+	"passcloud/internal/cloud/sqs.Queue.SendMessageBatch",    // probes.go:149, 415
+	"passcloud/internal/cloud/sqs.Queue.ReceiveMessage",      // probes.go:159, 418
+	"passcloud/internal/core.PopulateItems",                  // wl_query_mix.go:122, and with it core.ItemSpec
+	"passcloud/internal/core.ClosureRoot",                    // probes.go:128
+	"passcloud/internal/core.P3.CommitOnce",                  // oracle.go:214
+	"passcloud/internal/frontdoor.Door.Resilience",           // layers.go:59
+	"passcloud/internal/pass.Collector.Graph",                // wl_ingest_client.go:125, 141
+	"passcloud/internal/pass.Collector.FullClosureFor",       // probes.go:268
+	"passcloud/internal/prov.Bundle.Size",                    // gen_test.go:72, and with it prov.Record.Size
+	"passcloud/internal/query.Engine.Collect",                // oracle.go:241
+	"passcloud/internal/sim.Env.GateDepths",                  // live.go:256
+	"passcloud/internal/translog.Log.Size",                   // cpu.go:159
+}
+
+// TestBenchmarkOnlyAPI prints "file:line name lines" for every declaration
+// of the root module that only the benchmark module reaches: what the root's
+// own commands, examples and tests would leave dead. It fails on one that no
+// benchmarkOnlyAllowlist entry reaches, so no new root API lives on a
+// benchmark caller alone.
+func TestBenchmarkOnlyAPI(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := loadModules(fset, filepath.Join("..", ".."), filepath.Join("..", "..", "benchmark"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inBenchmark := func(p *types.Package) bool { return strings.HasPrefix(p.Path(), "passcloud/benchmark") }
+	root := slices.DeleteFunc(slices.Clone(pkgs), func(p *goPackage) bool { return inBenchmark(p.types) })
+	inRoot := func(*types.Package) bool { return true }
+	names := func(ds []decl) map[string]bool {
+		m := map[string]bool{}
+		for _, d := range ds {
+			m[d.name] = true
+		}
+		return m
+	}
+	// TestNoTestOnlyCode reports what is dead even with the benchmark's calls.
+	dead, _ := unreached(fset, pkgs, func(p *types.Package) bool { return !inBenchmark(p) }, testOnlyAllowlist)
+	deadAnyway := names(dead)
+	rootOnly, err := unreached(fset, root, inRoot, testOnlyAllowlist)
+	if err != nil {
+		t.Error(err)
+	}
+	dir, _ := filepath.Abs(filepath.Join("..", ".."))
+	benchOnly, lines := map[string]bool{}, 0
+	for _, d := range rootOnly {
+		if deadAnyway[d.name] {
+			continue
+		}
+		benchOnly[d.name] = true
+		start, end := fset.Position(d.pos), fset.Position(d.end)
+		file, _ := filepath.Rel(dir, start.Filename)
+		t.Logf("%s:%d %s %d", filepath.ToSlash(file), start.Line, d.name, end.Line-start.Line+1)
+		lines += end.Line - start.Line + 1
+	}
+	t.Logf("%d declarations (%d lines) are reached only from benchmark/", len(benchOnly), lines)
+	uncovered, err := unreached(fset, root, inRoot, slices.Concat(testOnlyAllowlist, benchmarkOnlyAllowlist))
+	if err != nil {
+		t.Error(err)
+	}
+	for _, d := range uncovered {
+		if !deadAnyway[d.name] {
+			t.Errorf("%s is reached only from benchmark/: give it a root caller, or list the benchmark call that keeps it in benchmarkOnlyAllowlist", d.name)
+		}
+	}
+	for _, name := range benchmarkOnlyAllowlist {
+		if !benchOnly[name] {
+			t.Errorf("benchmarkOnlyAllowlist entry %s is not reached only from benchmark/", name)
+		}
+	}
+}
+
 // goPackage is one package's non-test files, type-checked.
 type goPackage struct {
 	types *types.Package

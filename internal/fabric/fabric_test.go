@@ -298,7 +298,7 @@ func TestRepoShape(t *testing.T) {
 // rootGoCeiling caps the root module's non-test Go lines, as rootGo finds
 // them. It is the count at the change that last lowered it: a change may
 // lower it to its own count, never raise it.
-const rootGoCeiling = 21951
+const rootGoCeiling = 21949
 
 // TestRootGoCeiling prints the root module's non-test Go line count and
 // fails above rootGoCeiling.
